@@ -13,9 +13,11 @@
 //!   min-heap keyed by the batch replay's event-sort order, so each event
 //!   costs O(log resident). Decisions are **bit-identical** to the batch
 //!   replay on the same workload. [`Controller::handle_arrivals`] admits a
-//!   whole arrival segment through one
-//!   [`coach_sim::Predictor::predict_batch`] call — the cold-path batched
-//!   derivation the sharded dispatcher uses per segment.
+//!   whole arrival segment as an ordered two-stage pipeline — chunked
+//!   [`coach_sim::Predictor::predict_batch`] calls, serial and in stream
+//!   order, run ahead of the placement loop on a helper thread when the
+//!   box has a core to spare — the cold path the sharded dispatcher uses
+//!   per segment.
 //! * [`ResidentStore`] — the arena-backed struct-of-arrays record of every
 //!   hosted VM. Scheduled departures carry generational [`Handle`]s, so a
 //!   stale (already-departed) heap entry cancels with one integer compare

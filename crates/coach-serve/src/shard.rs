@@ -32,7 +32,7 @@
 //!   merge time, so they can differ from the single-shard sums in the last
 //!   ulp (floating-point addition is not associative).
 
-use crate::controller::{Controller, OccDelta, ServeConfig};
+use crate::controller::{spare_core_per_shard, Controller, OccDelta, ServeConfig};
 use crate::request::{LatencyHistogram, Request, Response, StatsReport, StreamRequest};
 use crate::telemetry::{metric, ShardTelemetry, WireTelemetry};
 use crate::wire::{PredictorSpec, Snapshot, TokenCmd, WireCmd, WireReply};
@@ -53,8 +53,8 @@ use std::time::Instant;
 pub const SHARD_WORKER_ENV: &str = "COACH_SHARD_WORKER";
 
 /// Routed requests per channel command: large enough to amortize a channel
-/// hop over many events (and to give [`Controller::handle_arrivals`] a
-/// whole segment of cold derivations per predictor batch), small enough
+/// hop over many events (and to give [`Controller::handle_arrivals`]'
+/// derive/placement pipeline several chunks to overlap), small enough
 /// that workers start while the dispatcher is still routing the rest of
 /// the stream.
 const SEGMENT: usize = 1024;
@@ -66,8 +66,8 @@ enum ShardCmd<'a> {
     /// per-request responses).
     Batch(Vec<(usize, Request<'a>)>),
     /// A segment whose per-request responses nobody will read
-    /// ([`Self::run`]): the worker processes and drops them, replying with
-    /// a bare acknowledgement — reply-lane memory stays O(segments), not
+    /// ([`Self::run`]): the worker never collects them, replying with a
+    /// bare acknowledgement — reply-lane memory stays O(segments), not
     /// O(requests), over a million-VM stream.
     Run(Vec<Request<'a>>),
     /// [`Self::Run`]'s owning form ([`Self::run_stream`]): the records
@@ -126,12 +126,12 @@ fn worker_step<'a>(
         }
         ShardCmd::Run(batch) => {
             let recs: Vec<&VmRecord> = batch.into_iter().map(arrival).collect();
-            controller.handle_arrivals(&recs);
+            controller.admit_segment(&recs, |_| {});
             ShardReply::Ran
         }
         ShardCmd::RunOwned(batch) => {
             let recs: Vec<&VmRecord> = batch.iter().collect();
-            controller.handle_arrivals(&recs);
+            controller.admit_segment(&recs, |_| {});
             ShardReply::Ran
         }
         ShardCmd::Token(req) => match req {
@@ -355,6 +355,12 @@ impl<'a> ShardedController<'a> {
             ..
         } = self;
         let n = shards.len();
+        // One derive helper per shard, but only beside — never instead of
+        // — a core for each placement thread.
+        let helper = spare_core_per_shard(n);
+        for shard in shards.iter_mut() {
+            shard.set_derive_helper(helper);
+        }
         let owned = std::mem::take(shards);
         let config = WorkerConfig {
             backend: WorkerBackend::Thread,
@@ -850,8 +856,12 @@ fn child_step(shard: u32, state: &mut Option<Controller<'static>>, cmd: WireCmd)
             Vec::leak(snapshot.records().expect("decode checkpoint record table"));
         let table: HashMap<VmId, &'static VmRecord> =
             records.iter().map(|rec| (rec.id, rec)).collect();
-        let controller = Controller::restore(predictor, &snapshot, |vm| table.get(&vm).copied())
-            .expect("restore controller from checkpoint frame");
+        let mut controller =
+            Controller::restore(predictor, &snapshot, |vm| table.get(&vm).copied())
+                .expect("restore controller from checkpoint frame");
+        // A child cannot see how many siblings share the box, so it never
+        // claims a second core.
+        controller.set_derive_helper(false);
         *state = Some(controller);
         return WireReply::InitOk;
     }

@@ -13,9 +13,10 @@
 //! `serve.admit` / `serve.depart` / `serve.tick` / `serve.probe` /
 //! `serve.stats` on the controller event loop, `dispatch.stage` /
 //! `dispatch.drain` / `dispatch.merge` / `dispatch.finalize` on the
-//! sharded barrier path. Admission spans ride the existing
+//! sharded barrier path, `derive.chunk` for each `predict_batch` call of
+//! the controller's derive stage. Admission spans ride the existing
 //! `latency_stride` sampling (the clock reads are already paid there);
-//! broadcast-token spans record every occurrence.
+//! broadcast-token and derive-chunk spans record every occurrence.
 
 use coach_telemetry::{
     AtomicHistogram, Counter, Gauge, LabelValue, Registry, RegistrySnapshot, SpanRing, SpanStart,
@@ -56,6 +57,21 @@ pub mod metric {
     pub const ADMISSION_LATENCY: MetricId = MetricId::new(
         "coach_serve_admission_latency_ns",
         "Sampled admission (placement) latency.",
+    );
+    /// Time the placement loop of `Controller::handle_arrivals` spent
+    /// waiting for its next derived chunk — the whole derivation when the
+    /// derive stage runs inline, only the helper's shortfall when it runs
+    /// ahead on its own thread (labels: policy, shard).
+    pub const DERIVE_WAIT_NS: MetricId = MetricId::new(
+        "coach_serve_derive_wait_ns_total",
+        "Nanoseconds placement waited for derived predictions.",
+    );
+    /// Time the derive helper spent blocked on a full look-ahead, i.e.
+    /// waiting for placement; zero when the stage runs inline (labels:
+    /// policy, shard).
+    pub const DERIVE_STALL_NS: MetricId = MetricId::new(
+        "coach_serve_derive_stall_ns_total",
+        "Nanoseconds the derive helper was blocked on a full look-ahead.",
     );
     /// Span-ring overflow drops (labels: shard).
     pub const SPAN_DROPS: MetricId = MetricId::new(
@@ -154,6 +170,8 @@ pub(crate) struct ControllerTelemetry {
     pub(crate) probes: Arc<Counter>,
     pub(crate) probe_capacity: Arc<Counter>,
     pub(crate) admission: Arc<AtomicHistogram>,
+    pub(crate) derive_wait: Arc<Counter>,
+    pub(crate) derive_stall: Arc<Counter>,
     span_drops: Arc<Counter>,
     pub(crate) encode_bps: Arc<Gauge>,
     pub(crate) spans: Option<SpanRing>,
@@ -185,6 +203,8 @@ impl ControllerTelemetry {
             probes: registry.counter(metric::PROBES, &labels),
             probe_capacity: registry.counter(metric::PROBE_CAPACITY, &labels),
             admission: registry.histogram(metric::ADMISSION_LATENCY, &labels),
+            derive_wait: registry.counter(metric::DERIVE_WAIT_NS, &labels),
+            derive_stall: registry.counter(metric::DERIVE_STALL_NS, &labels),
             span_drops: registry.counter(metric::SPAN_DROPS, &shard_label),
             encode_bps: registry.gauge(metric::SNAPSHOT_ENCODE_BPS, &shard_label),
             spans: mode
@@ -208,13 +228,14 @@ impl ControllerTelemetry {
         }
     }
 
-    /// Record a sampled admission span from the latency-stride timing that
-    /// was measured anyway (no extra clock reads).
+    /// Record a span measured elsewhere: a sampled admission from the
+    /// latency-stride timing that was taken anyway (no extra clock reads),
+    /// or a derive chunk timed on the helper thread.
     #[inline]
-    pub(crate) fn admit_span(&mut self, t0: Instant, dur_ns: u64) {
+    pub(crate) fn record_span(&mut self, name: &'static str, t0: Instant, dur_ns: u64) {
         if let Some(ring) = self.spans.as_mut() {
             let start_ns = t0.duration_since(self.origin).as_nanos() as u64;
-            ring.record("serve.admit", start_ns, dur_ns);
+            ring.record(name, start_ns, dur_ns);
         }
     }
 

@@ -49,6 +49,15 @@ pub trait Predictor: Sync {
     /// `predict_batch` is a throughput entry point, never a semantic one
     /// (the `predict_batch_matches_per_item_loop` differential test holds
     /// all shipped sources to this).
+    ///
+    /// How the serving controller calls it: possibly from a thread other
+    /// than the controller's own (when the box has a core to spare —
+    /// hence `Sync`); serially and in arrival-stream order for any one
+    /// controller, so an implementation may keep call-order state (a
+    /// recording wrapper's log); with unspecified batch boundaries — an
+    /// implementation must not depend on where one batch ends and the
+    /// next begins. A panic in here is re-raised on the controller's
+    /// thread.
     fn predict_batch(
         &self,
         vms: &[&VmRecord],
@@ -184,10 +193,11 @@ impl Predictor for Oracle {
         Some(p)
     }
 
-    /// The cold-path batch derivation: sort the batch by envelope template
-    /// so equal-envelope VMs are adjacent, then derive them in that order
-    /// through one shared [`EnvelopeCache`] — envelope reuse becomes a pure
-    /// iteration pattern. Results come back in input order.
+    /// The cold-path batch derivation: sort the batch's long-running VMs by
+    /// envelope template so equal-envelope VMs are adjacent, then derive
+    /// them in that order through one shared [`EnvelopeCache`] — envelope
+    /// reuse becomes a pure iteration pattern. Results come back in input
+    /// order.
     ///
     /// The `(VM, percentile)` memo is deliberately bypassed in both
     /// directions: a batch derives each VM exactly once, so fingerprinting
@@ -201,7 +211,12 @@ impl Predictor for Oracle {
         vms: &[&VmRecord],
         percentile: Percentile,
     ) -> Vec<Option<DemandPrediction>> {
-        let mut order: Vec<u32> = (0..vms.len() as u32).collect();
+        // Short VMs (most of a cloud trace) get no prediction: drop them
+        // before paying for sort keys. The sort is stable, so the long VMs
+        // meet the envelope cache in the order they always did.
+        let mut order: Vec<u32> = (0..vms.len() as u32)
+            .filter(|&i| !too_short(vms[i as usize]))
+            .collect();
         order.sort_by_cached_key(|&i| {
             vms[i as usize]
                 .profile
@@ -213,9 +228,6 @@ impl Predictor for Oracle {
         let mut out = vec![None; vms.len()];
         for &i in &order {
             let vm = vms[i as usize];
-            if too_short(vm) {
-                continue;
-            }
             let mut p = UtilizationModel::oracle_cached(vm, self.tw, percentile, &mut env);
             bucket_prediction(&mut p);
             out[i as usize] = Some(p);

@@ -103,10 +103,12 @@ pub use coach_workloads as workloads;
 ///   [`envelope_counters`](coach_sim::Oracle::envelope_counters) expose
 ///   the cache's hit/miss telemetry.
 /// * [`Controller::handle_arrivals`](coach_serve::Controller::handle_arrivals)
-///   admits an arrival slice through one `predict_batch` call; the sharded
-///   dispatcher feeds it ≤1024-arrival segments. Decisions are unchanged —
-///   predictions depend only on the record, and the differential suites
-///   pin batch == per-item.
+///   admits an arrival slice chunk by chunk — one `predict_batch` call per
+///   chunk, serial and in stream order, overlapped with the placement of
+///   the chunk before it on a helper thread when a core is spare (PR 12);
+///   the sharded dispatcher feeds it ≤1024-arrival segments. Decisions are
+///   unchanged — predictions depend only on the record, and the
+///   differential suites pin batch == per-item.
 /// * The controller's residency bookkeeping (`HashMap<VmId, ..>` per
 ///   cluster) is replaced by the struct-of-arrays
 ///   [`ResidentStore`](coach_serve::ResidentStore): scheduled departures

@@ -51,7 +51,14 @@ fn shrink(n: usize) {
     CURRENT.fetch_sub(n, Ordering::Relaxed);
 }
 
+// SAFETY: every method hands the caller's arguments to `System` unchanged
+// and returns `System`'s result unchanged, so the blocks handed out are
+// exactly `System`'s and its `GlobalAlloc` guarantees carry over. The
+// bookkeeping around each call is two relaxed atomics: it never allocates
+// (no reentrancy into the allocator) and never unwinds.
 unsafe impl GlobalAlloc for TrackingAllocator {
+    // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract (`layout`
+    // has non-zero size), which is all `System.alloc` requires.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc(layout);
         if !ptr.is_null() {
@@ -60,6 +67,7 @@ unsafe impl GlobalAlloc for TrackingAllocator {
         ptr
     }
 
+    // SAFETY: same contract as `alloc`, forwarded as is.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc_zeroed(layout);
         if !ptr.is_null() {
@@ -68,11 +76,17 @@ unsafe impl GlobalAlloc for TrackingAllocator {
         ptr
     }
 
+    // SAFETY: the caller guarantees `ptr` is a live block this allocator
+    // returned for `layout`; every such block came from `System` with the
+    // same layout, which is what `System.dealloc` requires.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
         shrink(layout.size());
     }
 
+    // SAFETY: as for `dealloc`, `ptr`/`layout` name a live `System` block,
+    // and the caller guarantees `new_size` is non-zero and does not
+    // overflow when rounded up to `layout.align()`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let new_ptr = System.realloc(ptr, layout, new_size);
         if !new_ptr.is_null() {
@@ -99,6 +113,8 @@ mod tests {
         let layout = Layout::from_size_align(1 << 20, 8).unwrap();
         reset_peak();
         let before = current_bytes();
+        // SAFETY: `layout` is non-zero-sized, and the one block allocated
+        // is freed once, with the layout it was allocated with.
         unsafe {
             let ptr = a.alloc(layout);
             assert!(!ptr.is_null());
@@ -115,6 +131,9 @@ mod tests {
     fn realloc_accounts_the_delta() {
         let a = TrackingAllocator;
         let layout = Layout::from_size_align(4096, 8).unwrap();
+        // SAFETY: non-zero sizes throughout; the block is reallocated with
+        // the layout it was allocated with and freed once with its new
+        // size at the same alignment.
         unsafe {
             let ptr = a.alloc(layout);
             assert!(!ptr.is_null());

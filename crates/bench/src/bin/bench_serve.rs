@@ -29,21 +29,14 @@
 //!   decision and carries its own floor-gated placements/s, plus the
 //!   envelope-cache hit/miss telemetry. Live 2-hour violation sampling
 //!   stays a trajectory metric.
-//! * **lanes** — the worker-lane microbench: the lock-free ring lane and
-//!   the mutex reference lane, head to head, at 1/4/16-item batches —
-//!   msgs/s plus the wakeup counters (how many handoffs found the peer
-//!   parked). The best-batch ring/mutex throughput ratio is floor-gated:
-//!   the ring must never lose to the lane it replaced.
 //! * **sharded** — the same stream through the persistent-worker
-//!   `ShardedController` (`--shards N`, default ≈ available cores), lanes
-//!   from `--lanes` (default `ring`), worker placement from `--placement`
-//!   (default `none`), probe mode from `--probe-mode` (default
-//!   `differential`: every measurement asserts estimator == exhaustive).
-//!   Exact integer agreement with single-shard is asserted and
-//!   per-shard-count throughput recorded — the CI scale-out matrix uploads
-//!   one JSON per shard count. Lane telemetry (sends, batched handoffs,
-//!   wakeups, full-ring stalls) and the detected CPU topology land in the
-//!   JSON.
+//!   `ShardedController` (`--shards N`, default ≈ available cores), probe
+//!   mode from `--probe-mode` (default `differential`: every measurement
+//!   asserts estimator == exhaustive). Exact integer agreement with
+//!   single-shard is asserted and per-shard-count throughput recorded —
+//!   the CI scale-out matrix uploads one JSON per shard count. Lane
+//!   telemetry (sends, batched handoffs, wakeups, full-lane stalls) lands
+//!   in the JSON.
 //! * **scaling** — the shard sweep at 1/2/4/8 shards on one trace: each
 //!   count must stay integer-exact against single-shard, and on machines
 //!   with enough cores the 4-shard run must clear a scaling-efficiency
@@ -68,10 +61,9 @@
 //!   per-VM ceiling — the flat-memory claim, gated by `bench_trend`.
 //!
 //! Usage: `bench_serve [--quick] [--large] [--shards N]
-//! [--backend thread|process] [--lanes ring|mutex]
-//! [--placement none|compact|spread]
+//! [--backend thread|process]
 //! [--probe-mode exhaustive|estimated|differential]
-//! [--telemetry off|counters|full] [--metrics-out PATH] [--out PATH]
+//! [--telemetry off|full] [--metrics-out PATH] [--out PATH]
 //! [--scenario surge|evac|group-fail|sku-mix|all]`
 //!
 //! `--scenario NAME` switches the binary into the scenario-catalog
@@ -88,8 +80,8 @@
 //! ever materializing a `Vec<VmRecord>`, asserting the ingestion
 //! high-water mark stays under an absolute ceiling.
 //!
-//! `--telemetry` arms the sharded phase's registry (and, under `full`,
-//! its span rings); `--metrics-out PATH` then writes `PATH.prom`
+//! `--telemetry full` arms the sharded phase's registry and span rings;
+//! `--metrics-out PATH` then writes `PATH.prom`
 //! (Prometheus text), `PATH.jsonl` (one JSON object per series), and
 //! `PATH.trace.json` (Chrome `trace_event` JSON, loadable in
 //! `chrome://tracing` / Perfetto) from that run.
@@ -332,71 +324,6 @@ fn footprint_json(demands: &[VmDemand]) -> String {
         std::mem::size_of::<VmDemand>(),
         heap as f64 / n as f64,
         spilled as f64 / n as f64,
-    )
-}
-
-/// One lane-microbench measurement: `total` `u64` messages through a
-/// fresh lane of `kind`, sent in `batch`-item chunks (1 ⇒ the scalar
-/// `send`), drained by a consumer thread in up-to-64-item bursts.
-struct LaneBench {
-    msgs_per_s: f64,
-    wakeups: u64,
-    wakeups_per_handoff: f64,
-    full_stalls: u64,
-}
-
-fn lane_bench(kind: LaneKind, total: usize, batch: usize) -> LaneBench {
-    let (tx, rx) = lane_channel::<u64>(kind, DEFAULT_RING_CAPACITY);
-    let start = Instant::now();
-    let (received, stats) = std::thread::scope(|scope| {
-        let consumer = scope.spawn(move || {
-            let mut buf = Vec::with_capacity(64);
-            let mut received = 0usize;
-            loop {
-                buf.clear();
-                let n = rx.recv_batch(&mut buf, 64);
-                if n == 0 {
-                    break;
-                }
-                received += n;
-            }
-            // The receiver's snapshot sees both endpoints' counters (they
-            // share one atomic block) after every send has landed.
-            (received, rx.stats())
-        });
-        let mut next = 0u64;
-        while (next as usize) < total {
-            let n = batch.min(total - next as usize);
-            if n == 1 {
-                tx.send(next);
-            } else {
-                tx.send_batch((next..next + n as u64).collect());
-            }
-            next += n as u64;
-        }
-        drop(tx);
-        consumer.join().expect("lane consumer")
-    });
-    let wall_s = start.elapsed().as_secs_f64().max(1e-9);
-    assert_eq!(received, total, "lane delivered every message");
-    let handoffs = if batch == 1 {
-        total as u64
-    } else {
-        total.div_ceil(batch) as u64
-    };
-    LaneBench {
-        msgs_per_s: total as f64 / wall_s,
-        wakeups: stats.wakeups,
-        wakeups_per_handoff: stats.wakeups as f64 / handoffs.max(1) as f64,
-        full_stalls: stats.full_stalls,
-    }
-}
-
-fn lane_bench_json(b: &LaneBench) -> String {
-    format!(
-        "{{\"msgs_per_s\": {:.0}, \"wakeups\": {}, \"wakeups_per_handoff\": {:.4}, \
-         \"full_stalls\": {}}}",
-        b.msgs_per_s, b.wakeups, b.wakeups_per_handoff, b.full_stalls
     )
 }
 
@@ -762,28 +689,14 @@ fn main() {
         "differential" => ProbeMode::Differential,
         other => panic!("--probe-mode is exhaustive|estimated|differential, got {other:?}"),
     };
-    let lanes = match flag_value(&args, "--lanes") {
-        None => LaneKind::Ring,
-        Some(name) => {
-            LaneKind::parse(&name).unwrap_or_else(|| panic!("--lanes is ring|mutex, got {name:?}"))
-        }
-    };
     let backend_name = flag_value(&args, "--backend").unwrap_or_else(|| "thread".to_string());
     let backend = WorkerBackend::parse(&backend_name)
         .unwrap_or_else(|| panic!("--backend is thread|process, got {backend_name:?}"));
-    let placement_name = flag_value(&args, "--placement").unwrap_or_else(|| "none".to_string());
-    let placement = match placement_name.as_str() {
-        "none" => PlacementPolicy::None,
-        "compact" => PlacementPolicy::Compact,
-        "spread" => PlacementPolicy::Spread,
-        other => panic!("--placement is none|compact|spread, got {other:?}"),
-    };
     let telemetry_name = flag_value(&args, "--telemetry").unwrap_or_else(|| "off".to_string());
     let telemetry_mode = match telemetry_name.as_str() {
         "off" => TelemetryConfig::Off,
-        "counters" => TelemetryConfig::CountersOnly,
         "full" => TelemetryConfig::Full,
-        other => panic!("--telemetry is off|counters|full, got {other:?}"),
+        other => panic!("--telemetry is off|full, got {other:?}"),
     };
     let metrics_out = flag_value(&args, "--metrics-out");
 
@@ -803,11 +716,6 @@ fn main() {
     // ratio is machine-independent enough to gate across modes.
     const ESTIMATOR_SPEEDUP_FLOOR_QUICK: f64 = 2.0;
     const ESTIMATOR_SPEEDUP_FLOOR_FULL: f64 = 4.0;
-    // The ring lane must never lose to the mutex lane it replaced
-    // (best-batch throughput ratio); quick mode only tolerates shared-
-    // runner scheduling noise.
-    const LANE_RATIO_FLOOR_QUICK: f64 = 0.7;
-    const LANE_RATIO_FLOOR_FULL: f64 = 1.0;
     // The shard sweep's 4-shard run must beat 1-shard by this factor —
     // but only where the measurement means something: the gate arms on
     // runners with enough cores for the dispatcher and all four workers
@@ -825,7 +733,7 @@ fn main() {
     } else {
         TELEMETRY_RATIO_FLOOR_FULL
     };
-    let (config, floor, cold_floor, estimator_floor, lane_ratio_floor) = if quick {
+    let (config, floor, cold_floor, estimator_floor) = if quick {
         (
             TraceConfig {
                 vm_count: 8000,
@@ -839,7 +747,6 @@ fn main() {
             SERVE_FLOOR_QUICK,
             SERVE_COLD_FLOOR_QUICK,
             ESTIMATOR_SPEEDUP_FLOOR_QUICK,
-            LANE_RATIO_FLOOR_QUICK,
         )
     } else {
         (
@@ -852,7 +759,6 @@ fn main() {
             SERVE_FLOOR_FULL,
             SERVE_COLD_FLOOR_FULL,
             ESTIMATOR_SPEEDUP_FLOOR_FULL,
-            LANE_RATIO_FLOOR_FULL,
         )
     };
     let coach = PolicyConfig::paper_set().remove(2);
@@ -1008,71 +914,19 @@ fn main() {
         accounting.wall_s, accounting.placed_per_s
     );
 
-    // --- Phase 8: the worker-lane microbench — ring vs mutex at three
-    // batch sizes, one producer and one consumer thread per run.
-    let lane_msgs = if quick { 50_000 } else { 200_000 };
-    eprintln!("bench_serve: lane microbench, ring vs mutex ({lane_msgs} msgs/run)...");
-    let lane_batches = [1usize, 4, 16];
-    let ring_runs: Vec<LaneBench> = lane_batches
-        .iter()
-        .map(|&b| lane_bench(LaneKind::Ring, lane_msgs, b))
-        .collect();
-    let mutex_runs: Vec<LaneBench> = lane_batches
-        .iter()
-        .map(|&b| lane_bench(LaneKind::MutexRef, lane_msgs, b))
-        .collect();
-    let best = |runs: &[LaneBench]| {
-        runs.iter()
-            .map(|r| r.msgs_per_s)
-            .fold(f64::MIN, f64::max)
-            .max(1e-9)
-    };
-    let lane_ratio = best(&ring_runs) / best(&mutex_runs);
-    // The ratio only means something when producer and consumer can run
-    // concurrently. On one core the unbounded mutex lane absorbs the
-    // entire stream before the consumer is ever scheduled, while the
-    // bounded ring is forced into a park/wake round trip every
-    // `DEFAULT_RING_CAPACITY` messages — that measures context-switch
-    // cost, not lane cost, so the gate stays off there.
-    let lane_gate_active = available_threads() >= 2;
-    let lane_met = !lane_gate_active || lane_ratio >= lane_ratio_floor;
-    for (label, runs) in [("ring", &ring_runs), ("mutex", &mutex_runs)] {
-        for (&b, r) in lane_batches.iter().zip(runs.iter()) {
-            eprintln!(
-                "bench_serve:   {label:5} batch {b:2}: {:.0} msgs/s, \
-                 {:.3} wakeups/handoff, {} full stalls",
-                r.msgs_per_s, r.wakeups_per_handoff, r.full_stalls
-            );
-        }
-    }
-    eprintln!(
-        "bench_serve:   ring/mutex best-batch ratio {lane_ratio:.2}x (floor \
-         {lane_ratio_floor:.1}x, gate {})",
-        if lane_gate_active {
-            "armed"
-        } else {
-            "off — too few cores"
-        }
-    );
-
-    // --- Phase 9: the sharded worker runtime, one persistent session for
-    // the whole stream (+ finalize), on the configured lane kind and
-    // worker placement.
+    // --- Phase 8: the sharded worker runtime, one persistent session for
+    // the whole stream (+ finalize).
     let shard_count = shards_flag
         .unwrap_or_else(|| trace.clusters.len().min(available_threads().max(2)))
         .max(1);
     eprintln!(
         "bench_serve: streaming through {shard_count} persistent {} shard workers \
-         ({} lanes, {placement_name} placement, {probe_mode_name} probes, \
-         {telemetry_name} telemetry)...",
-        backend.label(),
-        lanes.label()
+         ({probe_mode_name} probes, {telemetry_name} telemetry)...",
+        backend.label()
     );
     let mut config_sharded = ServeConfig::replaying(coach, fraction, trace.horizon);
     config_sharded.sample_every = horizon_span;
     config_sharded.probe_mode = sharded_probe_mode;
-    config_sharded.lanes = lanes;
-    config_sharded.placement = placement;
     config_sharded.backend = backend;
     config_sharded.telemetry = telemetry_mode;
     let mut sharded = ShardedController::new(&trace.clusters, &warm, config_sharded, shard_count);
@@ -1082,7 +936,6 @@ fn main() {
     let sharded_wall = t0.elapsed().as_secs_f64();
     let sharded_placed_per_s = sharded_result.accepted as f64 / sharded_wall.max(1e-9);
     let lane_totals = sharded.lane_totals();
-    let workers_pinned = sharded.workers_pinned();
     // Estimated-mode probes skip the fill's float add/remove dust, so the
     // comparable reference is capacity itself, which all modes must agree
     // on; everything else is integer-exact regardless of mode.
@@ -1093,8 +946,8 @@ fn main() {
     eprintln!(
         "bench_serve:   {sharded_wall:.2}s, {sharded_placed_per_s:.0} placements/s, \
          matches single-shard: {sharded_identical} \
-         ({} lane sends in {} batched handoffs, {} wakeups, {} pinned)",
-        lane_totals.sends, lane_totals.batched_sends, lane_totals.wakeups, workers_pinned
+         ({} lane sends in {} batched handoffs, {} wakeups, {} full stalls)",
+        lane_totals.sends, lane_totals.batched_sends, lane_totals.wakeups, lane_totals.full_stalls
     );
 
     // `--metrics-out PATH`: export the sharded run's registry (and span
@@ -1102,7 +955,7 @@ fn main() {
     // empty) JSON even when spans are off, so all three always land.
     if let Some(prefix) = &metrics_out {
         let registry = sharded.telemetry_registry().unwrap_or_else(|| {
-            panic!("--metrics-out requires --telemetry counters|full, got {telemetry_name:?}")
+            panic!("--metrics-out requires --telemetry full, got {telemetry_name:?}")
         });
         std::fs::write(format!("{prefix}.prom"), registry.render_text())
             .expect("write metrics .prom");
@@ -1121,7 +974,7 @@ fn main() {
         );
     }
 
-    // --- Phase 10: the shard sweep. Every count must stay integer-exact
+    // --- Phase 9: the shard sweep. Every count must stay integer-exact
     // against single-shard; the 4-vs-1 efficiency is floor-gated only on
     // machines with enough cores to host the dispatcher and all four
     // workers concurrently.
@@ -1164,7 +1017,7 @@ fn main() {
         }
     );
 
-    // --- Phase 11: the snapshot/restore microbench — the live-servicing
+    // --- Phase 10: the snapshot/restore microbench — the live-servicing
     // drain. A mid-stream controller (latency sampling off: wall-clock
     // reads are the one nondeterminism in a snapshot) is serialized,
     // restored, and re-serialized; the re-snapshot must be byte-identical.
@@ -1205,7 +1058,7 @@ fn main() {
          ({snapshot_restore_mb_s:.0} MB/s) | roundtrip identical: {snapshot_roundtrip}"
     );
 
-    // --- Phase 12: telemetry overhead — the warm admission stream with
+    // --- Phase 11: telemetry overhead — the warm admission stream with
     // the registry Off vs Full, interleaved best-of-N with the in-rep
     // order alternating (interleaving spreads thermal/scheduler drift
     // across both arms; alternation cancels the whichever-runs-first
@@ -1242,7 +1095,7 @@ fn main() {
          decisions identical: {telemetry_identical}"
     );
 
-    // --- Phase 13: streaming ingestion. The bounded-memory generator must
+    // --- Phase 12: streaming ingestion. The bounded-memory generator must
     // (a) plan the same fleet as the materialized generator, (b) serve
     // through the owned-segment path exactly equal to the materialized
     // sharded replay, and (c) keep its ingestion-only allocator high-water
@@ -1312,7 +1165,6 @@ fn main() {
         || !estimator_floor_met
         || !cold_matches
         || !cold_floor_met
-        || !lane_met
         || !scaling_matches
         || !scaling_met
         || !snapshot_roundtrip
@@ -1321,13 +1173,12 @@ fn main() {
         || !stream_matches
         || !stream_ceiling_met
         || !large_flat;
-    let topo = CpuTopology::detect();
     let unix_time = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
     let json = format!(
-        "{{\n  \"schema\": \"coach/bench_serve/v7\",\n  \"mode\": \"{mode}\",\n  \
+        "{{\n  \"schema\": \"coach/bench_serve/v8\",\n  \"mode\": \"{mode}\",\n  \
          \"unix_time\": {unix_time},\n  \
          \"trace\": {{\"vms\": {vms}, \"servers\": {servers}, \"clusters\": {clusters}}},\n  \
          \"derive\": {{\"wall_s\": {derive_s:.3}, \"vms_per_s\": {derive_per_s:.0}, \
@@ -1356,19 +1207,8 @@ fn main() {
          \"placed_per_s_floor_quick\": {SERVE_COLD_FLOOR_QUICK:.0}, \
          \"met\": {cold_floor_met}}},\n  \
          \"serve_accounting\": {accounting},\n  \
-         \"topology\": {{\"cpus\": {topo_cpus}, \"cores\": {topo_cores}, \
-         \"cache_domains\": {topo_domains}, \"threads_available\": {threads_avail}}},\n  \
-         \"lanes\": {{\"messages\": {lane_msgs}, \
-         \"ring\": {{\"batch1\": {ring1}, \"batch4\": {ring4}, \"batch16\": {ring16}}}, \
-         \"mutex\": {{\"batch1\": {mutex1}, \"batch4\": {mutex4}, \"batch16\": {mutex16}}}, \
-         \"ring_over_mutex\": {lane_ratio:.3}, \
-         \"ring_over_mutex_floor\": {lane_ratio_floor:.2}, \
-         \"ring_over_mutex_floor_quick\": {LANE_RATIO_FLOOR_QUICK:.2}, \
-         \"gate_active\": {lane_gate_active}, \"met\": {lane_met}}},\n  \
          \"sharded\": {{\"shards\": {shard_count}, \"backend\": \"{backend_label}\", \
          \"probe_mode\": \"{probe_mode_name}\", \
-         \"lanes\": \"{lane_label}\", \"placement\": \"{placement_name}\", \
-         \"workers_pinned\": {workers_pinned}, \
          \"wall_s\": {sharded_wall:.3}, \"placed_per_s\": {sharded_placed_per_s:.1}, \
          \"matches_single_shard\": {sharded_identical}, \
          \"lane_telemetry\": {{\"sends\": {lt_sends}, \"batched_sends\": {lt_batched}, \
@@ -1421,18 +1261,7 @@ fn main() {
         cb_wall = cold_batched_wall,
         cb_accepted = cold_batched_result.accepted,
         accounting = serve_stats_json(&accounting),
-        topo_cpus = topo.cpu_count(),
-        topo_cores = topo.core_count(),
-        topo_domains = topo.cache_domain_count(),
-        threads_avail = available_threads(),
-        ring1 = lane_bench_json(&ring_runs[0]),
-        ring4 = lane_bench_json(&ring_runs[1]),
-        ring16 = lane_bench_json(&ring_runs[2]),
-        mutex1 = lane_bench_json(&mutex_runs[0]),
-        mutex4 = lane_bench_json(&mutex_runs[1]),
-        mutex16 = lane_bench_json(&mutex_runs[2]),
         backend_label = backend.label(),
-        lane_label = lanes.label(),
         lt_sends = lane_totals.sends,
         lt_batched = lane_totals.batched_sends,
         lt_wakeups = lane_totals.wakeups,
@@ -1474,18 +1303,6 @@ fn main() {
         eprintln!(
             "REGRESSION: batched cold throughput {cold_batched_per_s:.0}/s below the \
              {cold_floor:.0}/s floor"
-        );
-    }
-    if !lane_met {
-        eprintln!(
-            "REGRESSION: ring lane at {lane_ratio:.2}x mutex throughput, below the \
-             {lane_ratio_floor:.1}x floor"
-        );
-    }
-    if !lane_gate_active {
-        eprintln!(
-            "bench_serve: note: lane ring/mutex floor not gated (single core; the \
-             unbounded mutex lane never blocks there)"
         );
     }
     if !scaling_matches {

@@ -270,7 +270,7 @@ struct FloorMetric {
     quick_floor_path: &'static str,
     /// When set, the value check only applies if this boolean is `true`
     /// in the *fresh* file — for metrics that are meaningless on some
-    /// machines (e.g. lane or scaling ratios on a single core, where the
+    /// machines (e.g. the scaling ratio on a single core, where the
     /// bench records the number but disarms its own gate). Floor
     /// integrity is still enforced unconditionally.
     gate_path: Option<&'static str>,
@@ -288,7 +288,6 @@ fn required_flags(schema: &str) -> &'static [&'static str] {
             "serve_cold_derive.batched.matches_per_item",
             "serve_cold_derive.met",
             "sharded.matches_single_shard",
-            "lanes.met",
             "scaling.matches_single_shard",
             "scaling.met",
             "snapshot.roundtrip_identical",
@@ -329,12 +328,6 @@ fn floor_metrics(schema: &str) -> Vec<FloorMetric> {
                 floor_path: "serve_cold_derive.placed_per_s_floor",
                 quick_floor_path: "serve_cold_derive.placed_per_s_floor_quick",
                 gate_path: None,
-            },
-            FloorMetric {
-                value_path: "lanes.ring_over_mutex",
-                floor_path: "lanes.ring_over_mutex_floor",
-                quick_floor_path: "lanes.ring_over_mutex_floor_quick",
-                gate_path: Some("lanes.gate_active"),
             },
             FloorMetric {
                 value_path: "scaling.efficiency_4x",
@@ -558,8 +551,6 @@ mod tests {
                                     "placed_per_s_floor": {floor}, "placed_per_s_floor_quick": 20000,
                                     "met": true}},
               "sharded": {{"matches_single_shard": true}},
-              "lanes": {{"ring_over_mutex": 0.15, "ring_over_mutex_floor": 1.0,
-                        "ring_over_mutex_floor_quick": 0.7, "gate_active": false, "met": true}},
               "scaling": {{"matches_single_shard": true, "efficiency_4x": 1.1,
                           "efficiency_4x_floor": 2.5, "gate_active": false, "met": true}},
               "snapshot": {{"bytes": 1000000, "roundtrip_identical": true}},
@@ -642,35 +633,35 @@ mod tests {
 
     #[test]
     fn gated_metrics_skip_value_check_when_disarmed() {
-        // Committed file has a disarmed lane gate (single-core reference
+        // Committed file has a disarmed scaling gate (single-core reference
         // container): a fresh run whose own gate is also off passes even
-        // though 0.15 is far below the 1.0 floor...
+        // though 1.1 is far below the 2.5 floor...
         let committed = serve_doc(300_000.0, 100_000.0, 8.0, false);
         let fresh = serve_doc(250_000.0, 100_000.0, 6.0, false);
         assert_eq!(gate(&committed, &fresh), Vec::new());
 
         // ...an armed fresh gate enforces the committed floor...
         let mut armed = serve_doc(250_000.0, 100_000.0, 6.0, false);
-        set(&mut armed, "lanes.gate_active", Json::Bool(true));
+        set(&mut armed, "scaling.gate_active", Json::Bool(true));
         let violations = gate(&committed, &armed);
-        assert!(violations.iter().any(|v| v.what == "lanes.ring_over_mutex"));
+        assert!(violations.iter().any(|v| v.what == "scaling.efficiency_4x"));
 
         // ...and clearing the floor while armed passes.
         let mut armed_fast = serve_doc(250_000.0, 100_000.0, 6.0, false);
-        set(&mut armed_fast, "lanes.gate_active", Json::Bool(true));
-        set(&mut armed_fast, "lanes.ring_over_mutex", Json::Num(1.4));
+        set(&mut armed_fast, "scaling.gate_active", Json::Bool(true));
+        set(&mut armed_fast, "scaling.efficiency_4x", Json::Num(3.1));
         assert_eq!(gate(&committed, &armed_fast), Vec::new());
 
-        // Floor integrity stays unconditional: a lowered lane floor fails
-        // even with the gate off.
+        // Floor integrity stays unconditional: a lowered scaling floor
+        // fails even with the gate off.
         let mut lowered = serve_doc(250_000.0, 100_000.0, 6.0, false);
-        set(&mut lowered, "lanes.ring_over_mutex_floor", Json::Num(0.5));
+        set(&mut lowered, "scaling.efficiency_4x_floor", Json::Num(0.5));
         assert!(gate(&committed, &lowered)
             .iter()
-            .any(|v| v.what == "lanes.ring_over_mutex_floor"));
+            .any(|v| v.what == "scaling.efficiency_4x_floor"));
 
         // The met flags themselves are required: a fresh run that flags a
-        // lane or scaling miss fails regardless of gating.
+        // scaling miss fails regardless of gating.
         let mut missed = serve_doc(250_000.0, 100_000.0, 6.0, false);
         set(&mut missed, "scaling.met", Json::Bool(false));
         assert!(gate(&committed, &missed)

@@ -46,7 +46,7 @@ struct DerivedChunk<'s> {
     recs: &'s [&'s VmRecord],
     predictions: Vec<Option<DemandPrediction>>,
     /// When the chunk's `predict_batch` call started and how long it ran
-    /// (span tracing only).
+    /// (armed telemetry only).
     span: Option<(Instant, u64)>,
 }
 
@@ -79,14 +79,6 @@ pub struct ServeConfig {
     /// both with an equality assertion
     /// ([`ProbeMode::Differential`]).
     pub probe_mode: ProbeMode,
-    /// SPSC lane implementation for the sharded worker runtime: the
-    /// lock-free ring (default) or the mutex reference lane. Lane choice
-    /// never changes decisions — only the cost of moving them.
-    pub lanes: LaneKind,
-    /// Where shard worker threads land: unpinned, packed into one cache
-    /// domain, or spread across domains (best-effort pinning; see
-    /// [`coach_types::topology`]).
-    pub placement: PlacementPolicy,
     /// Where a sharded deployment's workers execute: in-process threads
     /// (default) or supervised child processes speaking `coach-wire`
     /// frames over pipes ([`coach_types::runtime::ProcessPool`]). A
@@ -98,9 +90,9 @@ pub struct ServeConfig {
     pub backend: WorkerBackend,
     /// How much telemetry the deployment records
     /// ([`coach_telemetry::TelemetryConfig`], PR 9): `Off` (default)
-    /// compiles instrumented call sites down to a `None` check,
-    /// `CountersOnly` arms the registry, `Full` adds span tracing.
-    /// Decisions are bit-identical across all three. A pure runtime knob:
+    /// compiles instrumented call sites down to a `None` check, `Full`
+    /// arms the registry and span tracing. Decisions are bit-identical in
+    /// both. A pure runtime knob:
     /// it never crosses the wire (snapshots restore with telemetry Off and
     /// the deployment re-arms).
     pub telemetry: TelemetryConfig,
@@ -123,11 +115,6 @@ impl ServeConfig {
             // identical to the batch experiment; a deployment that doesn't
             // need batch bit-identity should switch to `Estimated`.
             probe_mode: ProbeMode::Exhaustive,
-            lanes: LaneKind::Ring,
-            // Benchmarks opt into pinning explicitly; the library default
-            // leaves placement to the OS so embedding tests and multiple
-            // controllers in one process never fight over CPU 0..k.
-            placement: PlacementPolicy::None,
             backend: WorkerBackend::Thread,
             telemetry: TelemetryConfig::Off,
         }
@@ -314,19 +301,15 @@ impl<'a> Controller<'a> {
         // Broadcast tokens get a span each (they are rare relative to
         // arrivals); arrival spans ride the latency-stride sampling inside
         // `admit`, where the clock reads are already paid.
-        let span = match &self.telemetry {
-            Some(t) if t.spans_armed() && !matches!(request, Request::Arrive(_)) => {
-                let name = match request {
-                    Request::Arrive(_) => unreachable!("excluded above"),
-                    Request::Depart { .. } => "serve.depart",
-                    Request::Tick { .. } => "serve.tick",
-                    Request::Probe { .. } => "serve.probe",
-                    Request::Stats { .. } => "serve.stats",
-                };
-                Some((name, SpanRing::begin()))
-            }
-            _ => None,
-        };
+        let span = match request {
+            _ if self.telemetry.is_none() => None,
+            Request::Arrive(_) => None,
+            Request::Depart { .. } => Some("serve.depart"),
+            Request::Tick { .. } => Some("serve.tick"),
+            Request::Probe { .. } => Some("serve.probe"),
+            Request::Stats { .. } => Some("serve.stats"),
+        }
+        .map(|name| (name, SpanRing::begin()));
         let response = self.dispatch(request);
         if let Some((name, start)) = span {
             if let Some(t) = self.telemetry.as_deref_mut() {
@@ -438,9 +421,8 @@ impl<'a> Controller<'a> {
         let predictor = self.predictor;
         let percentile = self.config.policy.percentile;
         let timed = self.telemetry.is_some();
-        let spans = self.telemetry.as_ref().is_some_and(|t| t.spans_armed());
         let mut derived = recs.chunks(DERIVE_CHUNK).map(move |chunk| {
-            let t0 = spans.then(Instant::now);
+            let t0 = timed.then(Instant::now);
             let predictions = predictor.predict_batch(chunk, percentile);
             DerivedChunk {
                 recs: chunk,
@@ -683,7 +665,7 @@ impl<'a> Controller<'a> {
 
     /// Arm (or re-arm) telemetry: register this controller's series on
     /// `registry` under `(policy, shard)` labels, and allocate the span
-    /// ring in [`TelemetryConfig::Full`] mode. `Off` disarms. A sharded
+    /// ring. `Off` disarms. A sharded
     /// deployment calls this per shard with its shared registry and
     /// timeline origin; child process workers arm on a
     /// `WireCmd::Telemetry` frame with a private registry.
@@ -699,7 +681,6 @@ impl<'a> Controller<'a> {
             None
         } else {
             Some(ControllerTelemetry::new(
-                mode,
                 registry,
                 self.config.policy.label,
                 shard,
@@ -715,9 +696,9 @@ impl<'a> Controller<'a> {
             .map(|t| std::sync::Arc::clone(&t.registry))
     }
 
-    /// The controller's span ring (armed and in `Full` mode only).
+    /// The controller's span ring, if telemetry is armed.
     pub fn telemetry_spans(&self) -> Option<&SpanRing> {
-        self.telemetry.as_ref().and_then(|t| t.spans.as_ref())
+        self.telemetry.as_ref().map(|t| &t.spans)
     }
 
     /// Mirror span-ring overflow drops into their counter (called at
@@ -1187,20 +1168,16 @@ mod tests {
 
     /// Armed telemetry answers "which stage is the bottleneck": the wait
     /// and stall counters are registered in both schedules (stall stays
-    /// zero inline), and `Full` adds one `derive.chunk` span per chunk.
+    /// zero inline), with one `derive.chunk` span per chunk.
     #[test]
     fn derive_stage_reports_wait_stall_and_chunk_spans() {
         let trace = dense_trace(12_005);
         let recs: Vec<&VmRecord> = trace.vms.iter().take(SEGMENT + 1).collect();
         let chunks = recs.len().div_ceil(DERIVE_CHUNK);
         let oracle = Oracle::new(TimeWindows::paper_default());
-        for (mode, helper) in [
-            (TelemetryConfig::CountersOnly, false),
-            (TelemetryConfig::Full, false),
-            (TelemetryConfig::Full, true),
-        ] {
+        for helper in [false, true] {
             let config = ServeConfig {
-                telemetry: mode,
+                telemetry: TelemetryConfig::Full,
                 ..ServeConfig::replaying(PolicyConfig::paper_set().remove(2), 0.6, trace.horizon)
             };
             let mut controller = Controller::new(&trace.clusters, &oracle, config);
@@ -1212,7 +1189,7 @@ mod tests {
                 .snapshot();
             let counter = |id: coach_telemetry::MetricId| -> u64 {
                 let series = snapshot.counters_with_prefix(id.name);
-                assert_eq!(series.len(), 1, "{mode:?}: one {} series", id.name);
+                assert_eq!(series.len(), 1, "one {} series", id.name);
                 series[0].2
             };
             assert!(counter(crate::telemetry::metric::DERIVE_WAIT_NS) > 0);
@@ -1221,8 +1198,7 @@ mod tests {
             let spans = controller
                 .telemetry_spans()
                 .map_or(0, |ring| ring.count("derive.chunk"));
-            let want = if mode.spans_enabled() { chunks } else { 0 };
-            assert_eq!(spans, want, "{mode:?}, helper {helper}: derive.chunk spans");
+            assert_eq!(spans, chunks, "helper {helper}: derive.chunk spans");
         }
     }
 

@@ -233,12 +233,14 @@ pub struct StatsReport {
     /// `send_batch` handoffs on those lanes — `lane_sends /
     /// lane_batched_sends` is the mean burst the dispatcher delivered.
     pub lane_batched_sends: u64,
-    /// Condvar wakeups the lanes actually issued: how often a handoff
-    /// found its peer parked instead of running
+    /// Condvar wakeups the lanes actually issued, in either direction:
+    /// how often a handoff found the worker parked on an empty lane, or a
+    /// drain found the dispatcher parked on a full one
     /// ([`coach_types::runtime::LaneStats::wakeups`]).
     pub lane_wakeups: u64,
-    /// Producer stalls on a full command ring (backpressure events;
-    /// always zero on the unbounded mutex reference lane).
+    /// Times the dispatcher found a worker's bounded command lane full
+    /// and had to wait for the worker to drain it (backpressure events;
+    /// reply lanes are unbounded and never stall).
     pub lane_full_stalls: u64,
     /// Process-backed shard workers respawned after an unexpected death
     /// (checkpoint + journal replay recoveries —

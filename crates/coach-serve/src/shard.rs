@@ -6,17 +6,14 @@
 //! hardware the dispatch overhead was paid thousands of times per replay.
 //! This version keeps the workers alive: at session start each shard's
 //! controller moves into a long-lived thread
-//! ([`coach_types::with_shard_workers_configured`]); the dispatcher then
-//! streams commands to it over a bounded lock-free SPSC ring lane (or the
-//! mutex reference lane, per [`ServeConfig::lanes`]) — routed-request
-//! segments interleaved with broadcast/barrier tokens — and collects FIFO
+//! ([`coach_types::with_shard_workers`]); the dispatcher then streams
+//! commands to it over a bounded SPSC lane — routed-request segments
+//! interleaved with broadcast/barrier tokens — and collects FIFO
 //! replies. Workers chew on segment *k* while the dispatcher routes
 //! segment *k + 1*; a barrier hands each shard its staged segment *and*
 //! the token in one `send_batch` burst, so it costs at most one worker
-//! wakeup per lane instead of a join + respawn. Worker threads are
-//! optionally pinned by a [`PlacementPolicy`] over the detected CPU
-//! topology ([`ServeConfig::placement`]), and every lane exports telemetry
-//! (sends, batched handoffs, wakeups, full-ring stalls) through
+//! wakeup per lane instead of a join + respawn. Every lane exports
+//! telemetry (sends, batched handoffs, wakeups, full-lane stalls) through
 //! [`StatsReport`] and [`ShardedController::lane_totals`].
 //!
 //! Ordering and exactness are unchanged from the fork-join version:
@@ -74,7 +71,7 @@ enum ShardCmd<'a> {
     /// moved in from a streaming source, so nothing borrows the (possibly
     /// never-materialized) trace. The segment is dropped worker-side after
     /// admission — the controller copies what it keeps — so in-flight
-    /// memory is O(segments in the ring), the lanes' backpressure bound.
+    /// memory is O(segments in the lane), the lanes' backpressure bound.
     RunOwned(Vec<VmRecord>),
     /// A broadcast/barrier token: every worker receives it at the same
     /// stream position (channel FIFO orders it against that shard's
@@ -201,16 +198,9 @@ pub struct ShardedController<'a> {
     /// stats cadence pays O(new deltas) per query instead of re-merging
     /// from t = 0.
     peak: PeakMerge,
-    /// Command-lane implementation for worker sessions.
-    lanes: LaneKind,
-    /// Per-worker CPU assignment, computed once from the config's
-    /// placement policy over the detected topology.
-    pins: Vec<Option<usize>>,
     /// Lane telemetry accumulated from completed sessions (the open
     /// session's live counters are added on top at merge time).
     lane_base: LaneStats,
-    /// Workers that successfully pinned in the most recent session.
-    workers_pinned: usize,
     /// Deployment-wide metrics registry + dispatcher span ring, `None`
     /// when [`ServeConfig::telemetry`] is `Off`. Thread-backed shards
     /// share its registry; process-backed shards ship drained deltas
@@ -264,7 +254,7 @@ impl<'a> ShardedController<'a> {
             .collect();
         let telemetry = (!config.telemetry.is_off()).then(|| {
             let origin = Instant::now();
-            let t = ShardTelemetry::new(config.telemetry, shards.len(), config.lanes, origin);
+            let t = ShardTelemetry::new(shards.len(), origin);
             for (shard, controller) in shards.iter_mut().enumerate() {
                 controller.enable_telemetry(
                     config.telemetry,
@@ -275,16 +265,10 @@ impl<'a> ShardedController<'a> {
             }
             t
         });
-        let pins = config
-            .placement
-            .assign(&CpuTopology::detect(), shards.len());
         ShardedController {
             timelines: vec![Vec::new(); shards.len()],
             peak: PeakMerge::new(shards.len()),
-            lanes: config.lanes,
-            pins,
             lane_base: LaneStats::default(),
-            workers_pinned: 0,
             telemetry,
             predictor,
             backend: config.backend,
@@ -347,10 +331,7 @@ impl<'a> ShardedController<'a> {
             horizon,
             timelines,
             peak,
-            lanes,
-            pins,
             lane_base,
-            workers_pinned,
             telemetry,
             ..
         } = self;
@@ -362,43 +343,31 @@ impl<'a> ShardedController<'a> {
             shard.set_derive_helper(helper);
         }
         let owned = std::mem::take(shards);
-        let config = WorkerConfig {
-            backend: WorkerBackend::Thread,
-            lanes: *lanes,
-            ring_capacity: 0,
-            pins: pins.clone(),
-        };
         let session_base = *lane_base;
-        let spans = telemetry.as_deref_mut().and_then(|t| t.spans.as_mut());
-        let (owned, (out, session_lanes, session_pinned)) =
-            with_shard_workers_configured(&config, owned, worker_step, |workers| {
-                let mut dispatcher = Dispatcher {
-                    link: Link::Threads(workers),
-                    route,
-                    timelines,
-                    peak,
-                    pending: (0..n).map(|_| Vec::new()).collect(),
-                    pending_owned: (0..n).map(|_| Vec::new()).collect(),
-                    stream_records: 0,
-                    stream_segments: 0,
-                    log: Vec::new(),
-                    next_idx: 0,
-                    collect,
-                    label,
-                    horizon: *horizon,
-                    lane_base: session_base,
-                    spans,
-                };
-                let out = body(&mut dispatcher);
-                (
-                    out,
-                    dispatcher.link.lane_stats(),
-                    dispatcher.link.workers_pinned(),
-                )
-            });
+        let spans = telemetry.as_deref_mut().map(|t| &mut t.spans);
+        let (owned, (out, session_lanes)) = with_shard_workers(owned, worker_step, |workers| {
+            let mut dispatcher = Dispatcher {
+                link: Link::Threads(workers),
+                route,
+                timelines,
+                peak,
+                pending: (0..n).map(|_| Vec::new()).collect(),
+                pending_owned: (0..n).map(|_| Vec::new()).collect(),
+                stream_records: 0,
+                stream_segments: 0,
+                log: Vec::new(),
+                next_idx: 0,
+                collect,
+                label,
+                horizon: *horizon,
+                lane_base: session_base,
+                spans,
+            };
+            let out = body(&mut dispatcher);
+            (out, dispatcher.link.lane_stats())
+        });
         *shards = owned;
         lane_base.merge(&session_lanes);
-        *workers_pinned = session_pinned;
         self.sync_session_telemetry();
         out
     }
@@ -430,7 +399,7 @@ impl<'a> ShardedController<'a> {
             let n = pool.len();
             let session_base = *lane_base;
             let (spans, wire) = match telemetry.as_deref_mut() {
-                Some(t) => (t.spans.as_mut(), Some(t.wire.clone())),
+                Some(t) => (Some(&mut t.spans), Some(t.wire.clone())),
                 None => (None, None),
             };
             let mut dispatcher = Dispatcher {
@@ -474,7 +443,9 @@ impl<'a> ShardedController<'a> {
             return;
         };
         for shard in 0..pool.len() {
-            let frame = seal_frame(&WireCmd::Telemetry { mode: t.mode });
+            let frame = seal_frame(&WireCmd::Telemetry {
+                mode: TelemetryConfig::Full,
+            });
             t.wire.sent(frame.len());
             pool.send(shard, frame);
             let reply = pool.recv(shard);
@@ -605,8 +576,8 @@ impl<'a> ShardedController<'a> {
     /// [`coach_trace::StreamingTrace::records`], or a
     /// [`crate::scenario`] combinator chain — with no materialized trace
     /// behind it. Records move into routed segments and are dropped
-    /// worker-side after admission; the bounded ring lanes provide
-    /// backpressure (a producer stalls when a worker falls a full ring
+    /// worker-side after admission; the bounded command lanes provide
+    /// backpressure (a producer stalls when a worker falls a full lane
     /// behind), so in-flight memory is O(shards × segment) regardless of
     /// stream length. Decisions are bit-identical to [`Self::run`] over
     /// the materialized equivalent of the same stream.
@@ -653,13 +624,6 @@ impl<'a> ShardedController<'a> {
         self.lane_base
     }
 
-    /// Workers that successfully pinned to their assigned CPU in the most
-    /// recent session (zero under [`PlacementPolicy::None`] or when
-    /// pinning is unsupported).
-    pub fn workers_pinned(&self) -> usize {
-        self.workers_pinned
-    }
-
     /// Checkpoint-recovery respawns the process backend has performed so
     /// far (always zero under [`WorkerBackend::Thread`]). Also surfaced as
     /// [`StatsReport::worker_restarts`] on every merged report.
@@ -683,8 +647,8 @@ impl<'a> ShardedController<'a> {
         self.telemetry.as_deref().map(|t| Arc::clone(&t.registry))
     }
 
-    /// Every span ring this deployment recorded into (`Full` mode only):
-    /// one per thread-backed shard controller plus the dispatcher's
+    /// Every span ring this deployment recorded into (none when telemetry
+    /// is off): one per thread-backed shard controller plus the dispatcher's
     /// barrier ring (tid = shard count). Feed them to
     /// [`coach_telemetry::chrome_trace`]. Process-backed shards keep
     /// their rings child-side (spans never cross the wire), so only the
@@ -695,8 +659,8 @@ impl<'a> ShardedController<'a> {
             .iter()
             .filter_map(Controller::telemetry_spans)
             .collect();
-        if let Some(ring) = self.telemetry.as_deref().and_then(|t| t.spans.as_ref()) {
-            rings.push(ring);
+        if let Some(t) = self.telemetry.as_deref() {
+            rings.push(&t.spans);
         }
         rings
     }
@@ -792,7 +756,7 @@ impl<'a> ShardedController<'a> {
             // A restored controller comes back un-armed; re-arm it onto
             // the deployment registry under its old shard label.
             self.shards[shard].enable_telemetry(
-                t.mode,
+                TelemetryConfig::Full,
                 Arc::clone(&t.registry),
                 shard as u32,
                 t.origin,
@@ -911,9 +875,7 @@ fn child_step(shard: u32, state: &mut Option<Controller<'static>>, cmd: WireCmd)
                     shard,
                     Instant::now(),
                 );
-            } else if controller.telemetry_registry().is_none()
-                || controller.config().telemetry != mode
-            {
+            } else if controller.telemetry_registry().is_none() {
                 controller.enable_telemetry(mode, Arc::new(Registry::new()), shard, Instant::now());
             }
             WireReply::Telemetry(controller.drain_telemetry().unwrap_or(RegistrySnapshot {
@@ -1001,7 +963,7 @@ impl<'a> Link<'_, '_, 'a> {
             Link::Threads(workers) => workers.send_batch(shard, cmds),
             Link::Process(pool, wire) => {
                 // The pipe has no burst primitive; the kernel buffer plays
-                // the ring's role and the frames stay one journal entry
+                // the lane's role and the frames stay one journal entry
                 // each for recovery replay.
                 for cmd in &cmds {
                     let frame = cmd_frame(cmd);
@@ -1048,13 +1010,6 @@ impl<'a> Link<'_, '_, 'a> {
         match self {
             Link::Threads(workers) => workers.lane_stats(),
             Link::Process(..) => LaneStats::default(),
-        }
-    }
-
-    fn workers_pinned(&self) -> usize {
-        match self {
-            Link::Threads(workers) => workers.workers_pinned(),
-            Link::Process(..) => 0,
         }
     }
 
@@ -1120,8 +1075,8 @@ struct Dispatcher<'s, 'pool, 'a> {
     /// Lane telemetry from sessions before this one; a stats merge adds
     /// the live pool's counters on top.
     lane_base: LaneStats,
-    /// Barrier spans (`TelemetryConfig::Full` only): staging, drains, and
-    /// merges record into the deployment's dispatcher ring.
+    /// Barrier spans (armed telemetry only): staging, drains, and merges
+    /// record into the deployment's dispatcher ring.
     spans: Option<&'s mut SpanRing>,
 }
 

@@ -5,9 +5,10 @@
 //! `Arc<Registry>` directly (relaxed atomics cross threads for free);
 //! process-backed shards run their own registry and ship drained deltas
 //! over `WireCmd::Telemetry` frames at barriers, which the parent
-//! [`Registry::merge`]s. Series are labeled by policy and
-//! shard (lane counters by lane kind), so both backends produce the same
-//! series set — asserted counter-for-counter by the telemetry tests.
+//! [`Registry::merge`]s. Series are labeled by policy and shard (the
+//! deployment-wide lane counters carry no labels), so both backends
+//! produce the same series set — asserted counter-for-counter by the
+//! telemetry tests.
 //!
 //! Span naming convention: `<layer>.<event>`, dot-separated —
 //! `serve.admit` / `serve.depart` / `serve.tick` / `serve.probe` /
@@ -20,9 +21,8 @@
 
 use coach_telemetry::{
     AtomicHistogram, Counter, Gauge, LabelValue, Registry, RegistrySnapshot, SpanRing, SpanStart,
-    TelemetryConfig,
 };
-use coach_types::runtime::{LaneKind, LaneStats};
+use coach_types::runtime::LaneStats;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -78,25 +78,25 @@ pub mod metric {
         "coach_serve_span_drops_total",
         "Span events dropped on full rings (never blocks).",
     );
-    /// Lane items sent, migrated from `LaneStats::sends` (labels: lane).
+    /// Lane items sent, migrated from `LaneStats::sends` (no labels).
     pub const LANE_SENDS: MetricId = MetricId::new(
         "coach_serve_lane_sends_total",
         "Items sent over sharded worker lanes.",
     );
-    /// Lane batched handoffs (labels: lane).
+    /// Lane batched handoffs (no labels).
     pub const LANE_BATCHED_SENDS: MetricId = MetricId::new(
         "coach_serve_lane_batched_sends_total",
         "send_batch handoffs on worker lanes.",
     );
-    /// Lane condvar wakeups (labels: lane).
+    /// Lane condvar wakeups (no labels).
     pub const LANE_WAKEUPS: MetricId = MetricId::new(
         "coach_serve_lane_wakeups_total",
         "Condvar wakeups issued by worker lanes.",
     );
-    /// Lane full-ring producer stalls (labels: lane).
+    /// Producer stalls on full command lanes (no labels).
     pub const LANE_FULL_STALLS: MetricId = MetricId::new(
         "coach_serve_lane_full_stalls_total",
-        "Producer stalls on full lane rings (backpressure).",
+        "Producer stalls on full worker command lanes (backpressure).",
     );
     /// Process workers respawned — the first-class home of what
     /// `StatsReport::worker_restarts` reports (no labels).
@@ -158,9 +158,8 @@ pub(crate) const CONTROLLER_SPAN_CAPACITY: usize = 16 * 1024;
 
 /// The telemetry state one [`Controller`](crate::Controller) carries when
 /// armed: pre-registered handles (all registration allocation happens
-/// here, once) plus an optional span ring in `Full` mode.
+/// here, once) plus its span ring.
 pub(crate) struct ControllerTelemetry {
-    pub(crate) mode: TelemetryConfig,
     pub(crate) registry: Arc<Registry>,
     origin: Instant,
     pub(crate) accepted: Arc<Counter>,
@@ -174,15 +173,14 @@ pub(crate) struct ControllerTelemetry {
     pub(crate) derive_stall: Arc<Counter>,
     span_drops: Arc<Counter>,
     pub(crate) encode_bps: Arc<Gauge>,
-    pub(crate) spans: Option<SpanRing>,
+    pub(crate) spans: SpanRing,
 }
 
 impl ControllerTelemetry {
     /// Register this controller's series on `registry` under
-    /// `(policy, shard)` labels and (in `Full` mode) allocate the span
-    /// ring. `origin` is the deployment-wide timeline zero.
+    /// `(policy, shard)` labels and allocate the span ring. `origin` is
+    /// the deployment-wide timeline zero.
     pub(crate) fn new(
-        mode: TelemetryConfig,
         registry: Arc<Registry>,
         policy: &'static str,
         shard: u32,
@@ -194,7 +192,6 @@ impl ControllerTelemetry {
         ];
         let shard_label = [("shard", LabelValue::U64(shard as u64))];
         Box::new(ControllerTelemetry {
-            mode,
             origin,
             accepted: registry.counter(metric::ACCEPTED, &labels),
             rejected: registry.counter(metric::REJECTED, &labels),
@@ -207,25 +204,15 @@ impl ControllerTelemetry {
             derive_stall: registry.counter(metric::DERIVE_STALL_NS, &labels),
             span_drops: registry.counter(metric::SPAN_DROPS, &shard_label),
             encode_bps: registry.gauge(metric::SNAPSHOT_ENCODE_BPS, &shard_label),
-            spans: mode
-                .spans_enabled()
-                .then(|| SpanRing::with_origin(origin, shard, CONTROLLER_SPAN_CAPACITY)),
+            spans: SpanRing::with_origin(origin, shard, CONTROLLER_SPAN_CAPACITY),
             registry,
         })
-    }
-
-    /// Whether broadcast-token spans should be opened (Full mode only).
-    #[inline]
-    pub(crate) fn spans_armed(&self) -> bool {
-        self.spans.is_some()
     }
 
     /// Close a broadcast-token span opened with [`SpanRing::begin`].
     #[inline]
     pub(crate) fn end_span(&mut self, name: &'static str, start: SpanStart) {
-        if let Some(ring) = self.spans.as_mut() {
-            ring.end(name, start);
-        }
+        self.spans.end(name, start);
     }
 
     /// Record a span measured elsewhere: a sampled admission from the
@@ -233,18 +220,14 @@ impl ControllerTelemetry {
     /// or a derive chunk timed on the helper thread.
     #[inline]
     pub(crate) fn record_span(&mut self, name: &'static str, t0: Instant, dur_ns: u64) {
-        if let Some(ring) = self.spans.as_mut() {
-            let start_ns = t0.duration_since(self.origin).as_nanos() as u64;
-            ring.record(name, start_ns, dur_ns);
-        }
+        let start_ns = t0.duration_since(self.origin).as_nanos() as u64;
+        self.spans.record(name, start_ns, dur_ns);
     }
 
     /// Mirror ring overflow drops into the drop counter (idempotent per
     /// drop; called at export barriers).
     pub(crate) fn sync_span_drops(&mut self) {
-        if let Some(ring) = self.spans.as_mut() {
-            self.span_drops.add(ring.take_drop_delta());
-        }
+        self.span_drops.add(self.spans.take_drop_delta());
     }
 
     /// Drain this controller's registry delta for wire shipping (child
@@ -258,8 +241,6 @@ impl ControllerTelemetry {
 impl std::fmt::Debug for ControllerTelemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ControllerTelemetry")
-            .field("mode", &self.mode)
-            .field("spans", &self.spans.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -300,14 +281,6 @@ impl WireTelemetry {
     }
 }
 
-/// The registry label value for a lane implementation.
-pub(crate) fn lane_label(kind: LaneKind) -> &'static str {
-    match kind {
-        LaneKind::Ring => "ring",
-        LaneKind::MutexRef => "mutex",
-    }
-}
-
 /// The deployment-wide telemetry state a
 /// [`ShardedController`](crate::ShardedController) owns: the shared
 /// registry every thread-backed shard records into (and process deltas
@@ -315,12 +288,11 @@ pub(crate) fn lane_label(kind: LaneKind) -> &'static str {
 /// sources are parent-side cumulative totals (lane stats, process-pool
 /// restarts) mirrored as deltas at session barriers.
 pub(crate) struct ShardTelemetry {
-    pub(crate) mode: TelemetryConfig,
     pub(crate) registry: Arc<Registry>,
     pub(crate) origin: Instant,
-    /// Barrier spans on the dispatcher thread (`Full` mode); its tid is
-    /// `shard_count`, one past the shard rings'.
-    pub(crate) spans: Option<SpanRing>,
+    /// Barrier spans on the dispatcher thread; its tid is `shard_count`,
+    /// one past the shard rings'.
+    pub(crate) spans: SpanRing,
     lane_sends: Arc<Counter>,
     lane_batched_sends: Arc<Counter>,
     lane_wakeups: Arc<Counter>,
@@ -338,25 +310,16 @@ pub(crate) struct ShardTelemetry {
 
 impl ShardTelemetry {
     /// Build the deployment registry and register the parent-side series.
-    pub(crate) fn new(
-        mode: TelemetryConfig,
-        shard_count: usize,
-        lanes: LaneKind,
-        origin: Instant,
-    ) -> Box<ShardTelemetry> {
+    pub(crate) fn new(shard_count: usize, origin: Instant) -> Box<ShardTelemetry> {
         let registry = Arc::new(Registry::new());
-        let lane = [("lane", LabelValue::Str(lane_label(lanes)))];
         let tid = shard_count as u32;
         Box::new(ShardTelemetry {
-            mode,
             origin,
-            spans: mode
-                .spans_enabled()
-                .then(|| SpanRing::with_origin(origin, tid, CONTROLLER_SPAN_CAPACITY)),
-            lane_sends: registry.counter(metric::LANE_SENDS, &lane),
-            lane_batched_sends: registry.counter(metric::LANE_BATCHED_SENDS, &lane),
-            lane_wakeups: registry.counter(metric::LANE_WAKEUPS, &lane),
-            lane_full_stalls: registry.counter(metric::LANE_FULL_STALLS, &lane),
+            spans: SpanRing::with_origin(origin, tid, CONTROLLER_SPAN_CAPACITY),
+            lane_sends: registry.counter(metric::LANE_SENDS, &[]),
+            lane_batched_sends: registry.counter(metric::LANE_BATCHED_SENDS, &[]),
+            lane_wakeups: registry.counter(metric::LANE_WAKEUPS, &[]),
+            lane_full_stalls: registry.counter(metric::LANE_FULL_STALLS, &[]),
             lanes_seen: LaneStats::default(),
             span_drops: registry.counter(
                 metric::SPAN_DROPS,
@@ -397,17 +360,12 @@ impl ShardTelemetry {
         self.replay_ns
             .add(replay_ns.saturating_sub(self.replay_seen));
         self.replay_seen = replay_ns;
-        if let Some(ring) = self.spans.as_mut() {
-            self.span_drops.add(ring.take_drop_delta());
-        }
+        self.span_drops.add(self.spans.take_drop_delta());
     }
 }
 
 impl std::fmt::Debug for ShardTelemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardTelemetry")
-            .field("mode", &self.mode)
-            .field("spans", &self.spans.is_some())
-            .finish_non_exhaustive()
+        f.debug_struct("ShardTelemetry").finish_non_exhaustive()
     }
 }

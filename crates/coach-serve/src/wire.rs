@@ -89,8 +89,6 @@ impl Encode for ServeConfig {
         e.usize(self.latency_stride);
         e.bool(self.occupancy_timeline);
         self.probe_mode.encode(e);
-        self.lanes.encode(e);
-        self.placement.encode(e);
         self.backend.encode(e);
         // `telemetry` is deliberately NOT encoded: it is a pure-observability
         // runtime knob (decisions are bit-identical across modes), and
@@ -113,8 +111,6 @@ impl Decode for ServeConfig {
             latency_stride: d.usize("ServeConfig latency_stride")?,
             occupancy_timeline: d.bool("ServeConfig occupancy_timeline")?,
             probe_mode: Decode::decode(d)?,
-            lanes: Decode::decode(d)?,
-            placement: Decode::decode(d)?,
             backend: Decode::decode(d)?,
             telemetry: TelemetryConfig::default(),
         })
@@ -592,8 +588,6 @@ pub(crate) enum WireCmd {
     Export,
     /// Arm (or re-arm) the worker's telemetry at `mode` and ship back the
     /// registry delta accumulated since the last `Telemetry` command.
-    /// Appended in PR 9 as tag 6 — existing frames are untouched, so the
-    /// committed protocol fixture stays valid without a `VERSION` bump.
     Telemetry { mode: TelemetryConfig },
 }
 
@@ -623,7 +617,6 @@ impl Encode for WireCmd {
                 e.u8(6);
                 e.u8(match mode {
                     TelemetryConfig::Off => 0,
-                    TelemetryConfig::CountersOnly => 1,
                     TelemetryConfig::Full => 2,
                 });
             }
@@ -646,7 +639,6 @@ impl Decode for WireCmd {
             6 => Ok(WireCmd::Telemetry {
                 mode: match d.u8("WireCmd telemetry mode")? {
                     0 => TelemetryConfig::Off,
-                    1 => TelemetryConfig::CountersOnly,
                     2 => TelemetryConfig::Full,
                     tag => {
                         return Err(WireError::UnknownTag {
@@ -770,11 +762,7 @@ mod tests {
 
     #[test]
     fn telemetry_frames_roundtrip() {
-        for mode in [
-            TelemetryConfig::Off,
-            TelemetryConfig::CountersOnly,
-            TelemetryConfig::Full,
-        ] {
+        for mode in [TelemetryConfig::Off, TelemetryConfig::Full] {
             let cmd = WireCmd::Telemetry { mode };
             let frame = seal_frame(&cmd);
             let back: WireCmd = open_frame(&frame).expect("decode WireCmd");
@@ -808,20 +796,23 @@ mod tests {
         let back: WireReply = open_frame(&frame).expect("decode WireReply");
         assert_eq!(back, reply);
 
-        // Malformed telemetry mode fails softly.
-        let mut e = Encoder::new();
-        e.u8(6);
-        e.u8(99);
-        let mut frame = Vec::from(coach_wire::MAGIC);
-        frame.extend_from_slice(&coach_wire::VERSION.to_le_bytes());
-        frame.extend_from_slice(&e.into_bytes());
-        assert!(matches!(
-            open_frame::<WireCmd>(&frame),
-            Err(WireError::UnknownTag {
-                context: "TelemetryConfig",
-                ..
-            })
-        ));
+        // A telemetry mode this build does not know (1 is unassigned)
+        // fails softly.
+        for tag in [1u8, 99] {
+            let mut e = Encoder::new();
+            e.u8(6);
+            e.u8(tag);
+            let mut frame = Vec::from(coach_wire::MAGIC);
+            frame.extend_from_slice(&coach_wire::VERSION.to_le_bytes());
+            frame.extend_from_slice(&e.into_bytes());
+            assert_eq!(
+                open_frame::<WireCmd>(&frame),
+                Err(WireError::UnknownTag {
+                    context: "TelemetryConfig",
+                    tag: tag as u64,
+                })
+            );
+        }
     }
 
     #[test]
@@ -914,6 +905,9 @@ mod tests {
             seal_frame(&WireCmd::Token(TokenCmd::Stats { now })),
             seal_frame(&WireCmd::Finalize),
             seal_frame(&WireCmd::Export),
+            seal_frame(&WireCmd::Telemetry {
+                mode: TelemetryConfig::Full,
+            }),
             seal_frame(&WireReply::InitOk),
             seal_frame(&WireReply::Ran),
             seal_frame(&WireReply::Token(Response::Ticked)),
@@ -926,7 +920,7 @@ mod tests {
         }
 
         let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("tests/fixtures/protocol_v1.bin");
+            .join("tests/fixtures/protocol_v2.bin");
         if std::env::var_os("COACH_WIRE_BLESS").is_some() {
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
             std::fs::write(&path, &stream).unwrap();
@@ -935,7 +929,7 @@ mod tests {
             std::fs::read(&path).unwrap_or_else(|e| panic!("missing golden fixture: {e}"));
         assert_eq!(
             stream, fixture,
-            "protocol frame encoding drifted from the committed v1 fixture — \
+            "protocol frame encoding drifted from the committed v2 fixture — \
              this is a wire format change and needs a VERSION bump"
         );
 

@@ -261,51 +261,6 @@ fn midstream_stats_merge_reconciles() {
     assert_eq!(result.probe_capacity, batch.probe_capacity);
 }
 
-/// Lane choice and worker placement are pure mechanics: ring lanes,
-/// the mutex reference lane, and compact/spread pinning all produce the
-/// identical merged result on the same stream.
-#[test]
-fn lanes_and_placement_do_not_change_decisions() {
-    let trace = generate(&TraceConfig {
-        cluster_count: 4,
-        ..TraceConfig::small(808)
-    });
-    let oracle = Oracle::new(TimeWindows::paper_default());
-    let coach = PolicyConfig::paper_set().remove(2);
-    let base = ServeConfig::replaying(coach, 0.7, trace.horizon);
-    let variants = [
-        (LaneKind::Ring, PlacementPolicy::None),
-        (LaneKind::MutexRef, PlacementPolicy::None),
-        (LaneKind::Ring, PlacementPolicy::Compact),
-        (LaneKind::MutexRef, PlacementPolicy::Spread),
-    ];
-    for shards in [2, 4] {
-        let mut results = Vec::new();
-        for (lanes, placement) in variants {
-            let config = ServeConfig {
-                lanes,
-                placement,
-                ..base
-            };
-            let mut controller = ShardedController::new(&trace.clusters, &oracle, config, shards);
-            let result = controller.run(RequestSource::replaying(&trace));
-            let totals = controller.lane_totals();
-            assert!(
-                totals.sends > 0,
-                "{shards} shards {lanes:?}: lanes carried traffic"
-            );
-            assert!(
-                totals.batched_sends > 0,
-                "{shards} shards {lanes:?}: dispatcher batched handoffs"
-            );
-            results.push(result);
-        }
-        for pair in results.windows(2) {
-            assert_eq!(pair[0], pair[1], "{shards} shards: variants agree");
-        }
-    }
-}
-
 /// Lane telemetry survives the sharded stats merge: the merged reports
 /// carry non-zero, monotone lane counters, with batched handoffs bounded
 /// by total sends, and reconcile with the controller's cumulative totals.
@@ -367,7 +322,6 @@ fn lane_telemetry_survives_sharded_merge() {
     let mut single = ShardedController::replaying(&trace, &oracle, coach, 0.7, 1);
     single.run(RequestSource::replaying(&trace));
     assert_eq!(single.lane_totals(), LaneStats::default());
-    assert_eq!(single.workers_pinned(), 0);
 }
 
 /// Streaming responses agree with the final counters: every arrival gets an

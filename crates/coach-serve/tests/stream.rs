@@ -200,7 +200,7 @@ fn stream_counters_reach_registry() {
     let oracle = Oracle::new(TimeWindows::paper_default());
     let coach = PolicyConfig::paper_set().remove(2);
     let serve = ServeConfig {
-        telemetry: coach_serve::TelemetryConfig::CountersOnly,
+        telemetry: coach_serve::TelemetryConfig::Full,
         ..ServeConfig::replaying(coach, 0.7, config.horizon)
     };
     let mut controller = ShardedController::new(streaming.clusters(), &oracle, serve, 2);

@@ -32,19 +32,15 @@ fn sharded<'a>(
     ShardedController::new(&trace.clusters, oracle, config, shards)
 }
 
-/// Off / CountersOnly / Full produce bit-identical decisions — the whole
-/// telemetry subsystem is observation, never a participant.
+/// Off and Full produce bit-identical decisions — the whole telemetry
+/// subsystem is observation, never a participant.
 #[test]
 fn modes_are_decision_bit_identical() {
     let trace = small_trace(7001);
     let oracle = Oracle::new(TimeWindows::paper_default());
     let requests: Vec<Request> = RequestSource::replaying(&trace).collect();
     let mut baseline = None;
-    for mode in [
-        TelemetryConfig::Off,
-        TelemetryConfig::CountersOnly,
-        TelemetryConfig::Full,
-    ] {
+    for mode in [TelemetryConfig::Off, TelemetryConfig::Full] {
         let mut controller = sharded(&trace, &oracle, mode, 3);
         let responses = controller.handle_batch(&requests);
         let result = controller.finalize();
@@ -79,7 +75,7 @@ fn off_mode_exposes_no_registry() {
 fn registry_counters_match_stats_report() {
     let trace = small_trace(7003);
     let oracle = Oracle::new(TimeWindows::paper_default());
-    let mut controller = sharded(&trace, &oracle, TelemetryConfig::CountersOnly, 2);
+    let mut controller = sharded(&trace, &oracle, TelemetryConfig::Full, 2);
     let mut requests: Vec<Request> = RequestSource::replaying(&trace).collect();
     requests.push(Request::Stats { now: trace.horizon });
     let responses = controller.handle_batch(&requests);

@@ -28,7 +28,7 @@ fn run_backend(trace: &Trace, backend: WorkerBackend, shards: usize) -> Vec<Coun
     let coach = PolicyConfig::paper_set().remove(2);
     let config = ServeConfig {
         backend,
-        telemetry: TelemetryConfig::CountersOnly,
+        telemetry: TelemetryConfig::Full,
         ..ServeConfig::replaying(coach, 0.7, trace.horizon)
     };
     let mut controller = ShardedController::new(&trace.clusters, &oracle, config, shards);

@@ -12,6 +12,7 @@ use coach_serve::{Controller, Request, RequestSource, ServeConfig, Snapshot};
 use coach_sim::{Oracle, PolicyConfig};
 use coach_trace::{generate, TraceConfig};
 use coach_types::prelude::*;
+use coach_wire::WireError;
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -54,11 +55,11 @@ fn golden_snapshot() -> (coach_trace::Trace, Snapshot) {
 #[test]
 fn golden_snapshot_bytes_are_pinned() {
     let (_trace, snapshot) = golden_snapshot();
-    let fixture = load_or_bless("snapshot_v1.bin", snapshot.bytes());
+    let fixture = load_or_bless("snapshot_v2.bin", snapshot.bytes());
     assert_eq!(
         snapshot.bytes(),
         &fixture[..],
-        "snapshot encoding drifted from the committed v1 fixture — \
+        "snapshot encoding drifted from the committed v2 fixture — \
          this is a wire format change and needs a VERSION bump"
     );
 }
@@ -66,7 +67,7 @@ fn golden_snapshot_bytes_are_pinned() {
 #[test]
 fn golden_snapshot_restores_and_resumes() {
     let (trace, live) = golden_snapshot();
-    let fixture = load_or_bless("snapshot_v1.bin", live.bytes());
+    let fixture = load_or_bless("snapshot_v2.bin", live.bytes());
     let committed = Snapshot::from_bytes(fixture);
 
     // The committed bytes restore, re-snapshot to themselves, and finish
@@ -86,4 +87,23 @@ fn golden_snapshot_restores_and_resumes() {
         from_live.handle(*request);
     }
     assert_eq!(from_fixture.finalize(), from_live.finalize());
+}
+
+#[test]
+fn v1_versioned_snapshot_is_rejected_structurally() {
+    // A checkpoint sealed before the v2 layout change carries version 1
+    // in its header: restoring it must fail with the typed version error,
+    // never re-interpret the old `ServeConfig` layout.
+    let (_trace, live) = golden_snapshot();
+    let mut bytes = load_or_bless("snapshot_v2.bin", live.bytes());
+    bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let oracle = Oracle::new(TimeWindows::paper_default());
+    let restored = Controller::restore(&oracle, &Snapshot::from_bytes(bytes), |_| None);
+    assert_eq!(
+        restored.err(),
+        Some(WireError::Version {
+            got: 1,
+            expected: coach_wire::VERSION,
+        })
+    );
 }

@@ -19,9 +19,9 @@
 //!
 //! The serving layer selects a [`TelemetryConfig`] per deployment: `Off`
 //! keeps every guard on the cold side of a `None` check (pinned
-//! allocation-free by the counting-allocator harness), `CountersOnly`
-//! arms instruments, `Full` adds span tracing. Decisions are bit-identical
-//! across all three — telemetry observes, never steers.
+//! allocation-free by the counting-allocator harness), `Full` arms the
+//! instruments and span tracing. Decisions are bit-identical in both —
+//! telemetry observes, never steers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,23 +44,12 @@ pub enum TelemetryConfig {
     /// check. The default.
     #[default]
     Off,
-    /// Counters, gauges, and histograms; no span tracing.
-    CountersOnly,
-    /// Counters plus span rings (Chrome-trace exportable).
+    /// Counters, gauges, and histograms, plus span rings (Chrome-trace
+    /// exportable).
     Full,
 }
 
 impl TelemetryConfig {
-    /// Whether any instruments are armed.
-    pub fn counters_enabled(self) -> bool {
-        !matches!(self, TelemetryConfig::Off)
-    }
-
-    /// Whether span tracing is armed.
-    pub fn spans_enabled(self) -> bool {
-        matches!(self, TelemetryConfig::Full)
-    }
-
     /// Whether telemetry is fully disabled.
     pub fn is_off(self) -> bool {
         matches!(self, TelemetryConfig::Off)
@@ -74,12 +63,7 @@ mod tests {
     #[test]
     fn config_gates() {
         assert!(TelemetryConfig::Off.is_off());
-        assert!(!TelemetryConfig::Off.counters_enabled());
-        assert!(!TelemetryConfig::Off.spans_enabled());
-        assert!(TelemetryConfig::CountersOnly.counters_enabled());
-        assert!(!TelemetryConfig::CountersOnly.spans_enabled());
-        assert!(TelemetryConfig::Full.counters_enabled());
-        assert!(TelemetryConfig::Full.spans_enabled());
+        assert!(!TelemetryConfig::Full.is_off());
         assert_eq!(TelemetryConfig::default(), TelemetryConfig::Off);
     }
 }

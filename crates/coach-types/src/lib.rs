@@ -26,11 +26,7 @@
 //!
 //! [ASPLOS '25]: https://doi.org/10.1145/3669940.3707226
 
-// `deny`, not `forbid`: the lock-free ring lane in `runtime` and the raw
-// `sched_setaffinity` syscall in `topology` carry narrowly-scoped
-// `#[allow(unsafe_code)]` blocks with documented invariants; everything
-// else stays safe code.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bucket;
@@ -43,7 +39,6 @@ pub mod runtime;
 pub mod series;
 pub mod stats;
 pub mod time;
-pub mod topology;
 pub mod winvec;
 pub mod wire;
 
@@ -54,15 +49,12 @@ pub use ids::{ClusterId, ServerId, SubscriptionId, VmId};
 pub use par::{available_threads, par_map, par_map_mut, par_map_threads};
 pub use resource::{Fungibility, ResourceKind, ResourceVec, SharingMechanism};
 pub use runtime::{
-    lane_channel, ring_channel, serve_child_frames, spsc_channel, with_shard_workers,
-    with_shard_workers_configured, LaneKind, LaneReceiver, LaneSender, LaneStats, ProcessPool,
-    RingReceiver, RingSender, ShardWorkers, SpscReceiver, SpscSender, WorkerBackend, WorkerConfig,
-    DEFAULT_RING_CAPACITY,
+    serve_child_frames, spsc_channel, spsc_channel_bounded, with_shard_workers, LaneStats,
+    ProcessPool, ShardWorkers, SpscReceiver, SpscSender, WorkerBackend,
 };
 pub use series::{Percentile, ResourceSeries, UtilSeries};
 pub use stats::{ResourceWindowStats, UtilizationSource, WindowStats};
 pub use time::{SimDuration, TimeWindows, Timestamp, Weekday, TICKS_PER_DAY, TICKS_PER_HOUR};
-pub use topology::{pin_current_thread, CpuSlot, CpuTopology, PlacementPolicy};
 pub use winvec::WindowVec;
 
 /// Convenient glob import for downstream crates.
@@ -74,16 +66,13 @@ pub mod prelude {
     pub use crate::par::{available_threads, par_map, par_map_mut, par_map_threads};
     pub use crate::resource::{Fungibility, ResourceKind, ResourceVec, SharingMechanism};
     pub use crate::runtime::{
-        lane_channel, ring_channel, serve_child_frames, spsc_channel, with_shard_workers,
-        with_shard_workers_configured, LaneKind, LaneReceiver, LaneSender, LaneStats, ProcessPool,
-        RingReceiver, RingSender, ShardWorkers, SpscReceiver, SpscSender, WorkerBackend,
-        WorkerConfig, DEFAULT_RING_CAPACITY,
+        serve_child_frames, spsc_channel, spsc_channel_bounded, with_shard_workers, LaneStats,
+        ProcessPool, ShardWorkers, SpscReceiver, SpscSender, WorkerBackend,
     };
     pub use crate::series::{Percentile, ResourceSeries, UtilSeries};
     pub use crate::stats::{ResourceWindowStats, UtilizationSource, WindowStats};
     pub use crate::time::{
         SimDuration, TimeWindows, Timestamp, Weekday, TICKS_PER_DAY, TICKS_PER_HOUR,
     };
-    pub use crate::topology::{pin_current_thread, CpuSlot, CpuTopology, PlacementPolicy};
     pub use crate::winvec::WindowVec;
 }

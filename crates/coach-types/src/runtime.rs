@@ -1,5 +1,5 @@
 //! A persistent shard-worker runtime: long-lived worker threads owning
-//! their per-shard state, fed over lock-free SPSC ring lanes.
+//! their per-shard state, fed over FIFO SPSC lanes.
 //!
 //! [`par_map_mut`](crate::par_map_mut) forks one thread per item per call —
 //! the right shape for a handful of coarse, independent dispatches, but on
@@ -18,49 +18,37 @@
 //! the commands the caller ordered around it, so no global stop-the-world
 //! join is needed and workers never go idle between segments.
 //!
-//! # Lane implementations
+//! # The lane
 //!
-//! The default command lane ([`LaneKind::Ring`]) is a dependency-free
-//! *bounded lock-free SPSC ring buffer*: a power-of-two slot array indexed
-//! by cache-line-padded monotonic head/tail counters with Acquire/Release
-//! publication, so steady-state send/recv is a couple of atomic ops and no
-//! lock. A `Mutex` + `Condvar` pair exists purely as the **sleep/wake slow
-//! path**: the consumer spins briefly, then publishes a parked flag and
-//! waits; the producer only takes the lock to notify when it actually
-//! observes a parked peer — an empty→non-empty transition costs one wakeup,
-//! and a full segment delivered through [`LaneSender::send_batch`] /
-//! [`LaneReceiver::recv_batch`] amortizes that single wakeup across the
-//! whole burst. A full ring applies *backpressure* (the producer parks
-//! until the consumer frees slots) instead of growing without bound.
+//! There is one lane implementation: a `Mutex<VecDeque>` with a `Condvar`
+//! per direction. What the runtime needs from a lane is per-shard FIFO
+//! order and backpressure; the dispatcher hands workers coarse segments
+//! (a few thousand items per second), so the lock is never contended
+//! enough to show up in an end-to-end number. A peer is notified only
+//! when it is actually parked (the flags live under the queue mutex), so
+//! a segment delivered through [`SpscSender::send_batch`] and drained with
+//! [`SpscReceiver::recv_batch`] costs at most one wakeup.
 //!
-//! The original `Mutex<VecDeque>` channel is retained as
-//! [`LaneKind::MutexRef`] — the slow reference implementation the ring is
-//! differentially tested against (same role as the scheduler's
-//! `NaiveReference` scan), selectable end-to-end for A/B benchmarks.
-//!
-//! Worker threads can additionally be pinned to CPUs chosen by a
-//! [`PlacementPolicy`](crate::topology::PlacementPolicy) over the detected
-//! [`CpuTopology`](crate::topology::CpuTopology) — see [`WorkerConfig`].
+//! [`spsc_channel`] is unbounded (sends never block);
+//! [`spsc_channel_bounded`] caps the queue length, and a producer that
+//! finds the lane full parks until the consumer frees room — backpressure
+//! instead of unbounded growth. The worker pool bounds its command lanes
+//! and leaves its reply lanes unbounded: callers may defer draining
+//! replies until a barrier, and a bounded reply lane would let a slow
+//! drainer deadlock a worker against its own backpressure.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-/// Spins on the fast path before a blocked lane endpoint parks on the
-/// condvar. Small on purpose: on a loaded single-core host spinning only
-/// delays the peer.
-const SPIN: usize = 64;
-
 /// How many commands a shard worker drains per wakeup (see
-/// [`with_shard_workers_configured`]).
+/// [`with_shard_workers`]).
 const WORKER_BURST: usize = 32;
 
-/// Default ring capacity (slots) for worker command lanes. Must be a
-/// power of two; deep enough that a dispatcher streaming coarse segment
-/// batches rarely stalls, small enough to bound buffered memory.
-pub const DEFAULT_RING_CAPACITY: usize = 256;
+/// Queue bound for worker command lanes: deep enough that a dispatcher
+/// streaming coarse segment batches rarely stalls, small enough to bound
+/// buffered memory.
+const COMMAND_LANE_CAPACITY: usize = 256;
 
 /// Cumulative lane telemetry, snapshot from counter-instrumented lane
 /// endpoints. All lanes count; `coach-serve` surfaces the pool-wide sums
@@ -75,9 +63,8 @@ pub struct LaneStats {
     /// Condvar notifies actually issued (either direction): how often a
     /// handoff found its peer asleep instead of running.
     pub wakeups: u64,
-    /// Times a producer found the ring full and had to stall for the
-    /// consumer (backpressure events; always 0 for the unbounded
-    /// [`LaneKind::MutexRef`] lane).
+    /// Times a producer found a bounded lane full and had to stall for
+    /// the consumer (backpressure events; always 0 for an unbounded lane).
     pub full_stalls: u64,
 }
 
@@ -113,59 +100,78 @@ impl LaneCounters {
     }
 }
 
-/// Lock the park mutex, surviving poisoning (it guards no data — only
-/// the sleep/wake handshake — so a panicked peer must not wedge drops).
-fn lock_park(park: &Mutex<()>) -> MutexGuard<'_, ()> {
-    park.lock().unwrap_or_else(|poison| poison.into_inner())
-}
-
-// ---------------------------------------------------------------------------
-// Mutex reference lane
-// ---------------------------------------------------------------------------
-
-/// Shared state behind one mutex-lane SPSC channel.
+/// Shared state behind one SPSC lane.
 struct Shared<T> {
     queue: Mutex<ChannelState<T>>,
+    /// The consumer parks here while the queue is empty.
     ready: Condvar,
+    /// The producer parks here while a bounded queue is full.
+    room: Condvar,
+    /// Queue-length bound; `usize::MAX` for an unbounded lane.
+    capacity: usize,
     counters: LaneCounters,
 }
 
 struct ChannelState<T> {
     items: VecDeque<T>,
+    /// Sender dropped: the consumer drains, then sees end-of-stream.
     closed: bool,
-    /// Consumer is (about to be) blocked in `ready.wait` — maintained
-    /// under the queue mutex, so a producer that reads `false` is
-    /// guaranteed the consumer will re-check the queue before sleeping.
+    /// Receiver dropped: sends become drops and never block.
+    rx_gone: bool,
+    /// Consumer is (about to be) blocked in `ready.wait` and nobody has
+    /// notified it yet: set by the consumer, cleared by the producer that
+    /// notifies. Maintained under the queue mutex, so a producer that
+    /// reads `false` is guaranteed the consumer will re-check the queue
+    /// before sleeping.
     waiting: bool,
+    /// Producer is (about to be) blocked in `room.wait`; same protocol
+    /// as `waiting`, in the other direction.
+    stalled: bool,
 }
 
-/// The sending half of a mutex-lane SPSC channel (see [`spsc_channel`]).
-/// Dropping it closes the channel: the receiver drains what was sent,
-/// then sees `None`.
+/// The sending half of an SPSC lane (see [`spsc_channel`]). Dropping it
+/// closes the lane: the receiver drains what was sent, then sees `None`.
 pub struct SpscSender<T> {
     shared: Arc<Shared<T>>,
 }
 
-/// The receiving half of a mutex-lane SPSC channel (see [`spsc_channel`]).
+/// The receiving half of an SPSC lane (see [`spsc_channel`]). Dropping it
+/// releases a producer parked on a full lane and turns every later send
+/// into a drop, so a producer can never wedge on a dead consumer.
 pub struct SpscReceiver<T> {
     shared: Arc<Shared<T>>,
 }
 
-/// An unbounded single-producer single-consumer channel over
-/// `Mutex<VecDeque>` — the reference lane ([`LaneKind::MutexRef`]) the
-/// lock-free ring is differentially tested against.
+/// An unbounded single-producer single-consumer lane over
+/// `Mutex<VecDeque>`.
 ///
 /// Sends never block; [`SpscReceiver::recv`] blocks until an item arrives
 /// or the sender is dropped. Items arrive in send order — the property the
 /// shard runtime's ordering correctness rests on.
 pub fn spsc_channel<T>() -> (SpscSender<T>, SpscReceiver<T>) {
+    channel_with_capacity(usize::MAX)
+}
+
+/// [`spsc_channel`] with at most `capacity` items queued (minimum 1): a
+/// send into a full lane blocks until the consumer frees room, counted in
+/// [`LaneStats::full_stalls`]. A batch larger than the free room is
+/// published in chunks as room appears, still in order.
+pub fn spsc_channel_bounded<T>(capacity: usize) -> (SpscSender<T>, SpscReceiver<T>) {
+    channel_with_capacity(capacity.max(1))
+}
+
+fn channel_with_capacity<T>(capacity: usize) -> (SpscSender<T>, SpscReceiver<T>) {
     let shared = Arc::new(Shared {
         queue: Mutex::new(ChannelState {
             items: VecDeque::new(),
             closed: false,
+            rx_gone: false,
             waiting: false,
+            stalled: false,
         }),
         ready: Condvar::new(),
+        room: Condvar::new(),
+        capacity,
         counters: LaneCounters::default(),
     });
     (
@@ -176,39 +182,113 @@ pub fn spsc_channel<T>() -> (SpscSender<T>, SpscReceiver<T>) {
     )
 }
 
-impl<T> SpscSender<T> {
-    /// Enqueue an item (never blocks). Sending after the receiver is gone
-    /// is harmless: the item is queued and freed with the channel.
-    pub fn send(&self, item: T) {
-        self.shared.counters.sends.fetch_add(1, Ordering::Relaxed);
-        let mut state = self.shared.queue.lock().expect("channel lock");
-        state.items.push_back(item);
-        let wake = state.waiting;
+impl<T> Shared<T> {
+    /// Lock the queue, surviving poisoning: every critical section leaves
+    /// the state valid at each step, and a panicked peer must not wedge
+    /// the other endpoint's drop.
+    fn lock(&self) -> MutexGuard<'_, ChannelState<T>> {
+        self.queue
+            .lock()
+            .unwrap_or_else(|poison| poison.into_inner())
+    }
+
+    /// Producer side: block until the queue is below capacity or the
+    /// receiver is gone (the caller checks which). One call that has to
+    /// wait is one full stall, however many times it is woken.
+    fn wait_for_room<'g>(
+        &self,
+        mut state: MutexGuard<'g, ChannelState<T>>,
+    ) -> MutexGuard<'g, ChannelState<T>> {
+        let full = |state: &ChannelState<T>| state.items.len() >= self.capacity && !state.rx_gone;
+        if full(&state) {
+            self.counters.full_stalls.fetch_add(1, Ordering::Relaxed);
+        }
+        while full(&state) {
+            state.stalled = true;
+            state = self
+                .room
+                .wait(state)
+                .unwrap_or_else(|poison| poison.into_inner());
+        }
+        state
+    }
+
+    /// Producer side, after enqueueing: release the queue and wake the
+    /// consumer if (and only if) it is parked.
+    fn wake_consumer(&self, mut state: MutexGuard<'_, ChannelState<T>>) {
+        let wake = std::mem::take(&mut state.waiting);
         drop(state);
         if wake {
-            self.shared.counters.wakeups.fetch_add(1, Ordering::Relaxed);
-            self.shared.ready.notify_one();
+            self.counters.wakeups.fetch_add(1, Ordering::Relaxed);
+            self.ready.notify_one();
         }
     }
 
-    /// Enqueue a whole batch under one lock acquisition and at most one
-    /// consumer wakeup.
+    /// Consumer side, after dequeueing: release the queue and wake the
+    /// producer if (and only if) it is parked on a full lane.
+    fn wake_producer(&self, mut state: MutexGuard<'_, ChannelState<T>>) {
+        let wake = std::mem::take(&mut state.stalled);
+        drop(state);
+        if wake {
+            self.counters.wakeups.fetch_add(1, Ordering::Relaxed);
+            self.room.notify_one();
+        }
+    }
+
+    /// Consumer side: block until the queue is non-empty or the lane is
+    /// closed and drained (the caller checks which).
+    fn wait_for_items<'g>(
+        &self,
+        mut state: MutexGuard<'g, ChannelState<T>>,
+    ) -> MutexGuard<'g, ChannelState<T>> {
+        while state.items.is_empty() && !state.closed {
+            state.waiting = true;
+            state = self
+                .ready
+                .wait(state)
+                .unwrap_or_else(|poison| poison.into_inner());
+        }
+        state
+    }
+}
+
+impl<T> SpscSender<T> {
+    /// Enqueue an item. Blocks only while a bounded lane is full; once
+    /// the receiver is gone the item is dropped instead.
+    pub fn send(&self, item: T) {
+        let shared = &*self.shared;
+        shared.counters.sends.fetch_add(1, Ordering::Relaxed);
+        let mut state = shared.wait_for_room(shared.lock());
+        if state.rx_gone {
+            return;
+        }
+        state.items.push_back(item);
+        shared.wake_consumer(state);
+    }
+
+    /// Enqueue a whole batch in order, with one lock acquisition and at
+    /// most one consumer wakeup per published chunk (one chunk unless a
+    /// bounded lane runs out of room mid-batch). Once the receiver is
+    /// gone the remaining items are dropped.
     pub fn send_batch(&self, items: Vec<T>) {
         if items.is_empty() {
             return;
         }
-        let counters = &self.shared.counters;
+        let shared = &*self.shared;
+        let counters = &shared.counters;
         counters
             .sends
             .fetch_add(items.len() as u64, Ordering::Relaxed);
         counters.batched_sends.fetch_add(1, Ordering::Relaxed);
-        let mut state = self.shared.queue.lock().expect("channel lock");
-        state.items.extend(items);
-        let wake = state.waiting;
-        drop(state);
-        if wake {
-            counters.wakeups.fetch_add(1, Ordering::Relaxed);
-            self.shared.ready.notify_one();
+        let mut items = items.into_iter();
+        while items.len() > 0 {
+            let mut state = shared.wait_for_room(shared.lock());
+            if state.rx_gone {
+                return;
+            }
+            let room = shared.capacity - state.items.len();
+            state.items.extend(items.by_ref().take(room));
+            shared.wake_consumer(state);
         }
     }
 
@@ -220,533 +300,45 @@ impl<T> SpscSender<T> {
 
 impl<T> Drop for SpscSender<T> {
     fn drop(&mut self) {
-        let mut state = match self.shared.queue.lock() {
-            Ok(state) => state,
-            Err(poison) => poison.into_inner(),
-        };
-        state.closed = true;
-        drop(state);
+        self.shared.lock().closed = true;
         self.shared.ready.notify_all();
     }
 }
 
 impl<T> SpscReceiver<T> {
-    /// Block until the next item, or `None` once the channel is closed and
-    /// drained.
-    pub fn recv(&self) -> Option<T> {
-        let mut state = self.shared.queue.lock().expect("channel lock");
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state.waiting = true;
-            state = self.shared.ready.wait(state).expect("channel lock");
-            state.waiting = false;
-        }
-    }
-
-    /// Block until at least one item is available, then move up to `max`
-    /// items into `out` (preserving order). Returns the number moved —
-    /// `0` only once the channel is closed and drained (or `max == 0`).
-    pub fn recv_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
-        if max == 0 {
-            return 0;
-        }
-        let mut state = self.shared.queue.lock().expect("channel lock");
-        loop {
-            if !state.items.is_empty() {
-                let n = state.items.len().min(max);
-                out.extend(state.items.drain(..n));
-                return n;
-            }
-            if state.closed {
-                return 0;
-            }
-            state.waiting = true;
-            state = self.shared.ready.wait(state).expect("channel lock");
-            state.waiting = false;
-        }
-    }
-
-    /// Non-blocking receive: `Some(item)` if one is queued, else `None`
-    /// (whether the channel is open or closed).
-    pub fn try_recv(&self) -> Option<T> {
-        self.shared
-            .queue
-            .lock()
-            .expect("channel lock")
-            .items
-            .pop_front()
-    }
-
-    /// Snapshot this lane's telemetry counters.
-    pub fn stats(&self) -> LaneStats {
-        self.shared.counters.snapshot()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Lock-free ring lane
-// ---------------------------------------------------------------------------
-
-/// Pads (and aligns) a hot atomic to its own cache line so the producer's
-/// tail and the consumer's head never false-share.
-#[repr(align(64))]
-struct CachePadded<T>(T);
-
-/// One ring slot. `UnsafeCell` because ownership of the payload moves
-/// between the producer and consumer threads outside any lock; the
-/// head/tail protocol guarantees exclusive access.
-struct Slot<T>(std::cell::UnsafeCell<MaybeUninit<T>>);
-
-/// State shared by the two halves of a ring lane.
-///
-/// `head`/`tail` are *monotonic* operation counters (wrapping at
-/// `usize::MAX`, which the arithmetic below handles via `wrapping_sub`);
-/// `index & mask` locates a counter's slot. Invariant:
-/// `tail - head <= capacity`, slots in `[head, tail)` are initialized and
-/// owned by the consumer, the rest are free for the producer.
-struct RingShared<T> {
-    mask: usize,
-    buf: Box<[Slot<T>]>,
-    /// Next slot the consumer will read. Written only by the consumer
-    /// (Release), read by the producer (Acquire).
-    head: CachePadded<AtomicUsize>,
-    /// Next slot the producer will write. Written only by the producer
-    /// (Release), read by the consumer (Acquire).
-    tail: CachePadded<AtomicUsize>,
-    /// Sender dropped: consumer drains, then sees end-of-stream.
-    closed: AtomicBool,
-    /// Receiver dropped: sends become drops (never block).
-    rx_gone: AtomicBool,
-    /// Sleep/wake handshake flags (Dekker-style with SeqCst fences): a
-    /// peer parks only after publishing its flag and re-checking the
-    /// indices, and the other side only takes the lock to notify when it
-    /// reads the flag as set.
-    consumer_parked: AtomicBool,
-    producer_parked: AtomicBool,
-    /// Guards nothing but the condvars — the slow sleep/wake path.
-    park: Mutex<()>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    counters: LaneCounters,
-}
-
-// SAFETY: the SPSC protocol partitions `buf` between exactly one producer
-// and one consumer thread — a slot is written only while in the free
-// region `[tail, head + capacity)` (owned by the producer) and read only
-// while in `[head, tail)` (owned by the consumer), with ownership
-// transferred by the Release/Acquire pairs on `tail` and `head`. All other
-// fields are atomics or sync primitives.
-#[allow(unsafe_code)]
-unsafe impl<T: Send> Sync for RingShared<T> {}
-
-impl<T> RingShared<T> {
-    /// Write `item` into the slot for monotonic index `index`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must be the producer and `index` must lie in the free
-    /// region (`index - head < capacity` and `index >= tail`), unpublished
-    /// to the consumer.
-    #[allow(unsafe_code)]
-    unsafe fn write_slot(&self, index: usize, item: T) {
-        (*self.buf[index & self.mask].0.get()).write(item);
-    }
-
-    /// Move the value out of the slot for monotonic index `index`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must be the consumer and `index` must lie in `[head, tail)`
-    /// with the slot not yet released back to the producer.
-    #[allow(unsafe_code)]
-    unsafe fn read_slot(&self, index: usize) -> T {
-        (*self.buf[index & self.mask].0.get()).assume_init_read()
-    }
-}
-
-impl<T> Drop for RingShared<T> {
-    fn drop(&mut self) {
-        // Last reference: drop any items still in flight.
-        let head = *self.head.0.get_mut();
-        let tail = *self.tail.0.get_mut();
-        let mut index = head;
-        while index != tail {
-            // SAFETY: `&mut self` means both endpoints are gone; slots in
-            // `[head, tail)` are initialized and unconsumed.
-            #[allow(unsafe_code)]
-            unsafe {
-                (*self.buf[index & self.mask].0.get()).assume_init_drop();
-            }
-            index = index.wrapping_add(1);
-        }
-    }
-}
-
-/// The producing half of a lock-free ring lane (see [`ring_channel`]).
-pub struct RingSender<T> {
-    shared: Arc<RingShared<T>>,
-    /// Producer-private cache of `head`, refreshed only when the ring
-    /// looks full — most sends never touch the consumer's cache line.
-    cached_head: Cell<usize>,
-}
-
-/// The consuming half of a lock-free ring lane (see [`ring_channel`]).
-pub struct RingReceiver<T> {
-    shared: Arc<RingShared<T>>,
-    /// Consumer-private cache of `tail`, refreshed only when the ring
-    /// looks empty.
-    cached_tail: Cell<usize>,
-}
-
-/// A bounded lock-free SPSC ring lane.
-///
-/// `capacity` is rounded up to the next power of two (minimum 2). The
-/// fast path is wait-free publication over padded atomics; a
-/// mutex/condvar pair is used **only** to sleep and wake blocked
-/// endpoints (empty ring: consumer parks; full ring: producer parks —
-/// backpressure instead of unbounded growth). Dropping the sender closes
-/// the lane ([`RingReceiver::recv`] drains then returns `None`); dropping
-/// the receiver turns sends into silent drops so a producer can never
-/// wedge on a dead consumer.
-pub fn ring_channel<T>(capacity: usize) -> (RingSender<T>, RingReceiver<T>) {
-    let capacity = capacity.max(2).next_power_of_two();
-    let buf: Box<[Slot<T>]> = (0..capacity)
-        .map(|_| Slot(std::cell::UnsafeCell::new(MaybeUninit::uninit())))
-        .collect();
-    let shared = Arc::new(RingShared {
-        mask: capacity - 1,
-        buf,
-        head: CachePadded(AtomicUsize::new(0)),
-        tail: CachePadded(AtomicUsize::new(0)),
-        closed: AtomicBool::new(false),
-        rx_gone: AtomicBool::new(false),
-        consumer_parked: AtomicBool::new(false),
-        producer_parked: AtomicBool::new(false),
-        park: Mutex::new(()),
-        not_empty: Condvar::new(),
-        not_full: Condvar::new(),
-        counters: LaneCounters::default(),
-    });
-    (
-        RingSender {
-            shared: Arc::clone(&shared),
-            cached_head: Cell::new(0),
-        },
-        RingReceiver {
-            shared,
-            cached_tail: Cell::new(0),
-        },
-    )
-}
-
-impl<T> RingSender<T> {
-    fn capacity(&self) -> usize {
-        self.shared.mask + 1
-    }
-
-    /// Free slots given the cached head; refreshes the cache from the
-    /// shared index when the cached view looks full.
-    fn free_slots(&self, tail: usize) -> usize {
-        let cap = self.capacity();
-        let used = tail.wrapping_sub(self.cached_head.get());
-        if used < cap {
-            return cap - used;
-        }
-        self.cached_head
-            .set(self.shared.head.0.load(Ordering::Acquire));
-        cap - tail.wrapping_sub(self.cached_head.get())
-    }
-
-    /// Block until at least one slot is free; returns the free count, or
-    /// 0 if the receiver is gone (items should be dropped).
-    fn wait_free(&self, tail: usize) -> usize {
-        let free = self.free_slots(tail);
-        if free > 0 {
-            return free;
-        }
-        if self.shared.rx_gone.load(Ordering::Acquire) {
-            return 0;
-        }
-        self.shared
-            .counters
-            .full_stalls
-            .fetch_add(1, Ordering::Relaxed);
-        loop {
-            for _ in 0..SPIN {
-                std::hint::spin_loop();
-                let free = self.free_slots(tail);
-                if free > 0 {
-                    return free;
-                }
-            }
-            if self.shared.rx_gone.load(Ordering::Acquire) {
-                return 0;
-            }
-            // Park: publish intent, re-check under a fence (so the
-            // consumer's release of a slot cannot race past us), then
-            // sleep under the lock.
-            self.shared.producer_parked.store(true, Ordering::Relaxed);
-            fence(Ordering::SeqCst);
-            let mut free = self.free_slots(tail);
-            if free == 0 && !self.shared.rx_gone.load(Ordering::Relaxed) {
-                let mut guard = lock_park(&self.shared.park);
-                loop {
-                    free = self.free_slots(tail);
-                    if free > 0 || self.shared.rx_gone.load(Ordering::Acquire) {
-                        break;
-                    }
-                    guard = self
-                        .shared
-                        .not_full
-                        .wait(guard)
-                        .unwrap_or_else(|poison| poison.into_inner());
-                }
-            }
-            self.shared.producer_parked.store(false, Ordering::Relaxed);
-            if free > 0 {
-                return free;
-            }
-            if self.shared.rx_gone.load(Ordering::Acquire) {
-                return 0;
-            }
-        }
-    }
-
-    /// Notify the consumer if (and only if) it is parked. The SeqCst
-    /// fence pairs with the consumer's park sequence: either we see its
-    /// parked flag, or it sees our tail publication — never neither.
-    fn wake_consumer(&self) {
-        fence(Ordering::SeqCst);
-        if self.shared.consumer_parked.load(Ordering::Relaxed) {
-            self.shared.counters.wakeups.fetch_add(1, Ordering::Relaxed);
-            let _guard = lock_park(&self.shared.park);
-            self.shared.not_empty.notify_one();
-        }
-    }
-
-    /// Send one item. Blocks while the ring is full (backpressure); if
-    /// the receiver has been dropped the item is silently dropped.
-    pub fn send(&self, item: T) {
-        self.shared.counters.sends.fetch_add(1, Ordering::Relaxed);
-        let tail = self.shared.tail.0.load(Ordering::Relaxed);
-        if self.wait_free(tail) == 0 {
-            return; // receiver gone
-        }
-        // SAFETY: `wait_free` proved `tail` is in the free region, and as
-        // the unique producer nothing else can claim it.
-        #[allow(unsafe_code)]
-        unsafe {
-            self.shared.write_slot(tail, item);
-        }
-        self.shared
-            .tail
-            .0
-            .store(tail.wrapping_add(1), Ordering::Release);
-        self.wake_consumer();
-    }
-
-    /// Send a whole batch, publishing as many items per step as the ring
-    /// has free slots and issuing **at most one wakeup per published
-    /// chunk** — for a consumer draining via [`RingReceiver::recv_batch`],
-    /// one wakeup per segment instead of one per item.
-    ///
-    /// Blocks while the ring is full; if the receiver has been dropped
-    /// the remaining items are silently dropped.
-    pub fn send_batch(&self, items: Vec<T>) {
-        if items.is_empty() {
-            return;
-        }
-        let counters = &self.shared.counters;
-        counters
-            .sends
-            .fetch_add(items.len() as u64, Ordering::Relaxed);
-        counters.batched_sends.fetch_add(1, Ordering::Relaxed);
-        let mut items = items.into_iter();
-        loop {
-            let tail = self.shared.tail.0.load(Ordering::Relaxed);
-            let free = self.wait_free(tail);
-            if free == 0 {
-                return; // receiver gone: drop the rest
-            }
-            let mut wrote = 0;
-            while wrote < free {
-                match items.next() {
-                    // SAFETY: `tail + wrote` stays within the free region
-                    // proven by `wait_free` (`wrote < free`).
-                    #[allow(unsafe_code)]
-                    Some(item) => unsafe {
-                        self.shared.write_slot(tail.wrapping_add(wrote), item);
-                        wrote += 1;
-                    },
-                    None => break,
-                }
-            }
-            self.shared
-                .tail
-                .0
-                .store(tail.wrapping_add(wrote), Ordering::Release);
-            self.wake_consumer();
-            if items.len() == 0 {
-                return;
-            }
-        }
-    }
-
-    /// Snapshot this lane's telemetry counters.
-    pub fn stats(&self) -> LaneStats {
-        self.shared.counters.snapshot()
-    }
-}
-
-impl<T> Drop for RingSender<T> {
-    fn drop(&mut self) {
-        self.shared.closed.store(true, Ordering::Release);
-        fence(Ordering::SeqCst);
-        // Take the lock unconditionally: the consumer may be between its
-        // parked-flag store and its condvar wait.
-        let _guard = lock_park(&self.shared.park);
-        self.shared.not_empty.notify_all();
-    }
-}
-
-impl<T> RingReceiver<T> {
-    /// Items available given the cached tail; refreshes the cache from
-    /// the shared index when the cached view looks empty.
-    fn available(&self, head: usize) -> usize {
-        let avail = self.cached_tail.get().wrapping_sub(head);
-        if avail > 0 {
-            return avail;
-        }
-        self.cached_tail
-            .set(self.shared.tail.0.load(Ordering::Acquire));
-        self.cached_tail.get().wrapping_sub(head)
-    }
-
-    /// Block until items are available; returns the count, or 0 once the
-    /// lane is closed and fully drained.
-    fn wait_available(&self, head: usize) -> usize {
-        let avail = self.available(head);
-        if avail > 0 {
-            return avail;
-        }
-        loop {
-            if self.shared.closed.load(Ordering::Acquire) {
-                // The sender publishes items before `closed`; one more
-                // refresh observes everything it sent.
-                return self.available(head);
-            }
-            for _ in 0..SPIN {
-                std::hint::spin_loop();
-                let avail = self.available(head);
-                if avail > 0 {
-                    return avail;
-                }
-            }
-            // Park: publish intent, re-check under a fence (pairs with
-            // the producer's `wake_consumer`), then sleep under the lock.
-            self.shared.consumer_parked.store(true, Ordering::Relaxed);
-            fence(Ordering::SeqCst);
-            let mut avail = self.available(head);
-            if avail == 0 && !self.shared.closed.load(Ordering::Relaxed) {
-                let mut guard = lock_park(&self.shared.park);
-                loop {
-                    avail = self.available(head);
-                    if avail > 0 || self.shared.closed.load(Ordering::Acquire) {
-                        break;
-                    }
-                    guard = self
-                        .shared
-                        .not_empty
-                        .wait(guard)
-                        .unwrap_or_else(|poison| poison.into_inner());
-                }
-            }
-            self.shared.consumer_parked.store(false, Ordering::Relaxed);
-            if avail > 0 {
-                return avail;
-            }
-        }
-    }
-
-    /// Notify the producer if (and only if) it is parked on a full ring.
-    fn wake_producer(&self) {
-        fence(Ordering::SeqCst);
-        if self.shared.producer_parked.load(Ordering::Relaxed) {
-            self.shared.counters.wakeups.fetch_add(1, Ordering::Relaxed);
-            let _guard = lock_park(&self.shared.park);
-            self.shared.not_full.notify_one();
-        }
-    }
-
     /// Block until the next item, or `None` once the lane is closed and
     /// drained.
     pub fn recv(&self) -> Option<T> {
-        let head = self.shared.head.0.load(Ordering::Relaxed);
-        if self.wait_available(head) == 0 {
-            return None;
-        }
-        // SAFETY: `wait_available` proved `head < tail`, and as the unique
-        // consumer nothing else can release this slot.
-        #[allow(unsafe_code)]
-        let item = unsafe { self.shared.read_slot(head) };
-        self.shared
-            .head
-            .0
-            .store(head.wrapping_add(1), Ordering::Release);
-        self.wake_producer();
+        let shared = &*self.shared;
+        let mut state = shared.wait_for_items(shared.lock());
+        let item = state.items.pop_front()?;
+        shared.wake_producer(state);
         Some(item)
     }
 
     /// Block until at least one item is available, then move up to `max`
-    /// items into `out` (preserving order), releasing their slots with a
-    /// single head publication and at most one producer wakeup. Returns
-    /// the number moved — `0` only once the lane is closed and drained
-    /// (or `max == 0`).
+    /// items into `out` (preserving order) with at most one producer
+    /// wakeup. Returns the number moved — `0` only once the lane is
+    /// closed and drained (or `max == 0`).
     pub fn recv_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
         if max == 0 {
             return 0;
         }
-        let head = self.shared.head.0.load(Ordering::Relaxed);
-        let avail = self.wait_available(head);
-        if avail == 0 {
-            return 0;
-        }
-        let n = avail.min(max);
-        out.reserve(n);
-        for i in 0..n {
-            // SAFETY: indices `head..head + n` lie in `[head, tail)` per
-            // `wait_available`.
-            #[allow(unsafe_code)]
-            out.push(unsafe { self.shared.read_slot(head.wrapping_add(i)) });
-        }
-        self.shared
-            .head
-            .0
-            .store(head.wrapping_add(n), Ordering::Release);
-        self.wake_producer();
+        let shared = &*self.shared;
+        let mut state = shared.wait_for_items(shared.lock());
+        let n = state.items.len().min(max);
+        out.extend(state.items.drain(..n));
+        shared.wake_producer(state);
         n
     }
 
-    /// Non-blocking receive: `Some(item)` if one is ready, else `None`
+    /// Non-blocking receive: `Some(item)` if one is queued, else `None`
     /// (whether the lane is open or closed).
     pub fn try_recv(&self) -> Option<T> {
-        let head = self.shared.head.0.load(Ordering::Relaxed);
-        if self.available(head) == 0 {
-            return None;
-        }
-        // SAFETY: `available` proved `head < tail`.
-        #[allow(unsafe_code)]
-        let item = unsafe { self.shared.read_slot(head) };
-        self.shared
-            .head
-            .0
-            .store(head.wrapping_add(1), Ordering::Release);
-        self.wake_producer();
+        let shared = &*self.shared;
+        let mut state = shared.lock();
+        let item = state.items.pop_front()?;
+        shared.wake_producer(state);
         Some(item)
     }
 
@@ -756,140 +348,10 @@ impl<T> RingReceiver<T> {
     }
 }
 
-impl<T> Drop for RingReceiver<T> {
+impl<T> Drop for SpscReceiver<T> {
     fn drop(&mut self) {
-        self.shared.rx_gone.store(true, Ordering::Release);
-        fence(Ordering::SeqCst);
-        let _guard = lock_park(&self.shared.park);
-        self.shared.not_full.notify_all();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Lane selection
-// ---------------------------------------------------------------------------
-
-/// Which SPSC lane implementation a worker pool (or benchmark) uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LaneKind {
-    /// The bounded lock-free ring buffer (default, fast path).
-    #[default]
-    Ring,
-    /// The `Mutex<VecDeque>` + `Condvar` reference lane — unbounded,
-    /// trivially correct, kept for differential testing and A/B
-    /// benchmarks (`bench_serve --lanes mutex`).
-    MutexRef,
-}
-
-impl LaneKind {
-    /// Parse a CLI spelling (`"ring"` / `"mutex"`).
-    pub fn parse(s: &str) -> Option<LaneKind> {
-        match s {
-            "ring" => Some(LaneKind::Ring),
-            "mutex" | "mutex-ref" | "mutexref" => Some(LaneKind::MutexRef),
-            _ => None,
-        }
-    }
-
-    /// Stable lowercase label (inverse of [`LaneKind::parse`]).
-    pub fn label(self) -> &'static str {
-        match self {
-            LaneKind::Ring => "ring",
-            LaneKind::MutexRef => "mutex",
-        }
-    }
-}
-
-/// The sending half of a [`lane_channel`], dispatching to the selected
-/// implementation.
-pub enum LaneSender<T> {
-    /// Lock-free ring lane.
-    Ring(RingSender<T>),
-    /// Mutex reference lane.
-    MutexRef(SpscSender<T>),
-}
-
-/// The receiving half of a [`lane_channel`].
-pub enum LaneReceiver<T> {
-    /// Lock-free ring lane.
-    Ring(RingReceiver<T>),
-    /// Mutex reference lane.
-    MutexRef(SpscReceiver<T>),
-}
-
-/// An SPSC lane of the requested kind. `capacity` bounds the ring lane
-/// (rounded up to a power of two); the mutex lane is unbounded and
-/// ignores it.
-pub fn lane_channel<T>(kind: LaneKind, capacity: usize) -> (LaneSender<T>, LaneReceiver<T>) {
-    match kind {
-        LaneKind::Ring => {
-            let (tx, rx) = ring_channel(capacity);
-            (LaneSender::Ring(tx), LaneReceiver::Ring(rx))
-        }
-        LaneKind::MutexRef => {
-            let (tx, rx) = spsc_channel();
-            (LaneSender::MutexRef(tx), LaneReceiver::MutexRef(rx))
-        }
-    }
-}
-
-impl<T> LaneSender<T> {
-    /// Send one item (see [`RingSender::send`] / [`SpscSender::send`]).
-    pub fn send(&self, item: T) {
-        match self {
-            LaneSender::Ring(tx) => tx.send(item),
-            LaneSender::MutexRef(tx) => tx.send(item),
-        }
-    }
-
-    /// Send a batch with at most one wakeup per published chunk.
-    pub fn send_batch(&self, items: Vec<T>) {
-        match self {
-            LaneSender::Ring(tx) => tx.send_batch(items),
-            LaneSender::MutexRef(tx) => tx.send_batch(items),
-        }
-    }
-
-    /// Snapshot this lane's telemetry counters.
-    pub fn stats(&self) -> LaneStats {
-        match self {
-            LaneSender::Ring(tx) => tx.stats(),
-            LaneSender::MutexRef(tx) => tx.stats(),
-        }
-    }
-}
-
-impl<T> LaneReceiver<T> {
-    /// Block until the next item, or `None` once closed and drained.
-    pub fn recv(&self) -> Option<T> {
-        match self {
-            LaneReceiver::Ring(rx) => rx.recv(),
-            LaneReceiver::MutexRef(rx) => rx.recv(),
-        }
-    }
-
-    /// Move up to `max` items into `out`; `0` means closed and drained.
-    pub fn recv_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
-        match self {
-            LaneReceiver::Ring(rx) => rx.recv_batch(out, max),
-            LaneReceiver::MutexRef(rx) => rx.recv_batch(out, max),
-        }
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<T> {
-        match self {
-            LaneReceiver::Ring(rx) => rx.try_recv(),
-            LaneReceiver::MutexRef(rx) => rx.try_recv(),
-        }
-    }
-
-    /// Snapshot this lane's telemetry counters.
-    pub fn stats(&self) -> LaneStats {
-        match self {
-            LaneReceiver::Ring(rx) => rx.stats(),
-            LaneReceiver::MutexRef(rx) => rx.stats(),
-        }
+        self.shared.lock().rx_gone = true;
+        self.shared.room.notify_all();
     }
 }
 
@@ -900,12 +362,12 @@ impl<T> LaneReceiver<T> {
 /// Where shard workers execute: threads in this process, or child
 /// processes speaking length-prefixed `coach-wire` frames over pipes.
 ///
-/// The generic [`with_shard_workers_configured`] pool always runs
-/// threads — its `Cmd`/`Res` types are arbitrary and cannot cross a
-/// process boundary. `Process` is honoured by dispatchers whose command
-/// vocabulary has a wire encoding (the `coach-serve` sharded controller):
-/// they keep the same session/barrier protocol but route each shard's
-/// frames through a [`ProcessPool`] child instead of a thread.
+/// The generic [`with_shard_workers`] pool always runs threads — its
+/// `Cmd`/`Res` types are arbitrary and cannot cross a process boundary.
+/// `Process` is honoured by dispatchers whose command vocabulary has a
+/// wire encoding (the `coach-serve` sharded controller): they keep the
+/// same session/barrier protocol but route each shard's frames through a
+/// [`ProcessPool`] child instead of a thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WorkerBackend {
     /// In-process worker threads (default).
@@ -935,48 +397,23 @@ impl WorkerBackend {
     }
 }
 
-/// Tuning knobs for [`with_shard_workers_configured`].
-#[derive(Debug, Clone, Default)]
-pub struct WorkerConfig {
-    /// Worker execution backend. Carried here so one config describes the
-    /// whole pool; see [`WorkerBackend`] for which dispatchers honour
-    /// `Process`.
-    pub backend: WorkerBackend,
-    /// Command-lane implementation (replies always use the unbounded
-    /// mutex lane — see the module docs on why a bounded reply lane
-    /// could deadlock a deferred-drain dispatcher).
-    pub lanes: LaneKind,
-    /// Ring capacity for command lanes (0 ⇒ [`DEFAULT_RING_CAPACITY`]).
-    pub ring_capacity: usize,
-    /// Per-worker CPU assignment: worker `i` is pinned to `pins[i]` when
-    /// present (best effort — see
-    /// [`pin_current_thread`](crate::topology::pin_current_thread)).
-    /// Usually produced by
-    /// [`PlacementPolicy::assign`](crate::topology::PlacementPolicy::assign).
-    pub pins: Vec<Option<usize>>,
-}
-
 /// Handles to a running pool of shard workers (inside
 /// [`with_shard_workers`]): one FIFO command lane and one FIFO reply lane
 /// per worker.
 ///
-/// With two or more shards each command lane is a bounded lock-free ring
-/// (or the mutex reference lane, per [`WorkerConfig::lanes`]) to a worker
-/// thread, and each reply lane an unbounded mutex lane back; with zero or
-/// one shard the pool degenerates to an inline executor (commands run on
-/// the caller's thread at [`send`](Self::send) time), preserving
-/// identical FIFO semantics without lane hops.
+/// With two or more shards each command lane is a bounded lane to a worker
+/// thread and each reply lane an unbounded lane back (see the module docs
+/// for why); with zero or one shard the pool degenerates to an inline
+/// executor (commands run on the caller's thread at [`send`](Self::send)
+/// time), preserving identical FIFO semantics without lane hops.
 pub struct ShardWorkers<'pool, Cmd, Res> {
     inner: Pool<'pool, Cmd, Res>,
 }
 
 enum Pool<'pool, Cmd, Res> {
     Threads {
-        senders: Vec<LaneSender<Cmd>>,
-        receivers: Vec<LaneReceiver<Res>>,
-        /// Workers that successfully pinned themselves (best effort:
-        /// updated as each worker starts).
-        pinned: Arc<AtomicUsize>,
+        senders: Vec<SpscSender<Cmd>>,
+        receivers: Vec<SpscReceiver<Res>>,
     },
     Inline {
         /// Runs the handler against the single shard's state.
@@ -1000,7 +437,7 @@ impl<Cmd, Res> ShardWorkers<'_, Cmd, Res> {
         self.len() == 0
     }
 
-    /// Send a command to worker `shard` (blocks only on command-ring
+    /// Send a command to worker `shard` (blocks only on command-lane
     /// backpressure in the threaded pool; runs the handler inline in the
     /// ≤ 1-shard pool).
     ///
@@ -1069,9 +506,7 @@ impl<Cmd, Res> ShardWorkers<'_, Cmd, Res> {
     /// the pool (all zero for the inline pool, which has no lanes).
     pub fn lane_stats(&self) -> LaneStats {
         match &self.inner {
-            Pool::Threads {
-                senders, receivers, ..
-            } => {
+            Pool::Threads { senders, receivers } => {
                 let mut total = LaneStats::default();
                 for tx in senders {
                     total.merge(&tx.stats());
@@ -1084,50 +519,23 @@ impl<Cmd, Res> ShardWorkers<'_, Cmd, Res> {
             Pool::Inline { .. } => LaneStats::default(),
         }
     }
-
-    /// How many workers successfully pinned themselves to their assigned
-    /// CPU so far (best effort; 0 for the inline pool).
-    pub fn workers_pinned(&self) -> usize {
-        match &self.inner {
-            Pool::Threads { pinned, .. } => pinned.load(Ordering::Relaxed),
-            Pool::Inline { .. } => 0,
-        }
-    }
-}
-
-/// Run `body` against a pool of persistent shard workers with default
-/// lanes (lock-free rings, [`DEFAULT_RING_CAPACITY`]) and no pinning.
-/// See [`with_shard_workers_configured`].
-pub fn with_shard_workers<T, Cmd, Res, R>(
-    states: Vec<T>,
-    handler: impl Fn(usize, &mut T, Cmd) -> Res + Sync,
-    body: impl FnOnce(&mut ShardWorkers<'_, Cmd, Res>) -> R,
-) -> (Vec<T>, R)
-where
-    T: Send,
-    Cmd: Send,
-    Res: Send,
-{
-    with_shard_workers_configured(&WorkerConfig::default(), states, handler, body)
 }
 
 /// Run `body` against a pool of persistent shard workers, one long-lived
-/// thread per entry of `states`, with lanes and placement from `config`.
+/// thread per entry of `states`.
 ///
 /// Each worker owns its state for the whole session: it drains command
 /// bursts from its lane (up to `WORKER_BURST` per wakeup), applies
 /// `handler(shard, &mut state, cmd)` to each, and sends the results back
 /// on its reply lane — so per-shard command order is execution order, and
 /// consecutive commands to the same shard never pay a thread spawn (or,
-/// with batched sends, more than one wakeup). Workers with a CPU
-/// assignment in `config.pins` pin themselves at startup, best effort.
-/// When `body` returns, the command lanes close, the workers drain and
-/// exit, and the (mutated) states are returned alongside `body`'s result.
+/// with batched sends, more than one wakeup). When `body` returns, the
+/// command lanes close, the workers drain and exit, and the (mutated)
+/// states are returned alongside `body`'s result.
 ///
 /// A panic in `body` or any worker propagates to the caller (workers are
 /// joined either way).
-pub fn with_shard_workers_configured<T, Cmd, Res, R>(
-    config: &WorkerConfig,
+pub fn with_shard_workers<T, Cmd, Res, R>(
     states: Vec<T>,
     handler: impl Fn(usize, &mut T, Cmd) -> Res + Sync,
     body: impl FnOnce(&mut ShardWorkers<'_, Cmd, Res>) -> R,
@@ -1151,43 +559,26 @@ where
                 None => Pool::Threads {
                     senders: Vec::new(),
                     receivers: Vec::new(),
-                    pinned: Arc::new(AtomicUsize::new(0)),
                 },
             };
             body(&mut ShardWorkers { inner })
         };
         return (states, out);
     }
-    let ring_capacity = if config.ring_capacity == 0 {
-        DEFAULT_RING_CAPACITY
-    } else {
-        config.ring_capacity
-    };
     std::thread::scope(|scope| {
         let handler = &handler;
-        let pinned = Arc::new(AtomicUsize::new(0));
         let mut senders = Vec::with_capacity(states.len());
         let mut receivers = Vec::with_capacity(states.len());
         let joins: Vec<_> = states
             .into_iter()
             .enumerate()
             .map(|(shard, mut state)| {
-                let (cmd_tx, cmd_rx) = lane_channel::<Cmd>(config.lanes, ring_capacity);
-                // Replies ride the unbounded mutex lane: callers may
-                // defer draining replies until a barrier, and a bounded
-                // reply lane would let a slow drainer deadlock a worker
-                // against its own backpressure.
-                let (res_tx, res_rx) = lane_channel::<Res>(LaneKind::MutexRef, ring_capacity);
+                let (cmd_tx, cmd_rx) = spsc_channel_bounded::<Cmd>(COMMAND_LANE_CAPACITY);
+                // Unbounded on purpose: see the module docs.
+                let (res_tx, res_rx) = spsc_channel::<Res>();
                 senders.push(cmd_tx);
                 receivers.push(res_rx);
-                let pin = config.pins.get(shard).copied().flatten();
-                let pinned = Arc::clone(&pinned);
                 scope.spawn(move || {
-                    if let Some(cpu) = pin {
-                        if crate::topology::pin_current_thread(cpu) {
-                            pinned.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
                     let mut burst = Vec::with_capacity(WORKER_BURST);
                     while cmd_rx.recv_batch(&mut burst, WORKER_BURST) > 0 {
                         for cmd in burst.drain(..) {
@@ -1199,11 +590,7 @@ where
             })
             .collect();
         let mut workers = ShardWorkers {
-            inner: Pool::Threads {
-                senders,
-                receivers,
-                pinned,
-            },
+            inner: Pool::Threads { senders, receivers },
         };
         let out = body(&mut workers);
         // Close the command lanes so the workers drain and exit.
@@ -1583,6 +970,7 @@ mod tests {
         assert_eq!(rx.try_recv(), None);
         drop(tx);
         assert_eq!(rx.recv(), None);
+        assert_eq!(rx.recv(), None);
     }
 
     #[test]
@@ -1601,152 +989,204 @@ mod tests {
         });
     }
 
-    #[test]
-    fn ring_fifo_and_close() {
-        let (tx, rx) = ring_channel::<u32>(8);
-        tx.send(1);
-        tx.send(2);
-        assert_eq!(rx.try_recv(), Some(1));
-        assert_eq!(rx.recv(), Some(2));
-        assert_eq!(rx.try_recv(), None);
-        drop(tx);
-        assert_eq!(rx.recv(), None);
-        assert_eq!(rx.recv(), None);
-    }
-
-    #[test]
-    fn ring_crosses_threads_with_wraparound() {
-        // Capacity far below the item count: the indices wrap many times
-        // and the producer hits backpressure.
-        let (tx, rx) = ring_channel::<u64>(4);
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                for i in 0..10_000 {
-                    tx.send(i);
-                }
-            });
-            for i in 0..10_000 {
-                assert_eq!(rx.recv(), Some(i));
-            }
-            assert_eq!(rx.recv(), None);
-        });
-    }
-
-    #[test]
-    fn ring_batches_cross_threads() {
-        let (tx, rx) = ring_channel::<u32>(16);
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                // Batches larger than capacity must publish in chunks.
-                tx.send_batch((0..100).collect());
-                tx.send_batch((100..103).collect());
-                tx.send_batch(Vec::new());
-                tx.send(103);
-            });
-            let mut got = Vec::new();
-            let mut buf = Vec::new();
-            loop {
-                buf.clear();
-                let n = rx.recv_batch(&mut buf, 7);
-                if n == 0 {
-                    break;
-                }
-                got.append(&mut buf);
-            }
-            assert_eq!(got, (0..104).collect::<Vec<u32>>());
-            let stats = rx.stats();
-            assert_eq!(stats.sends, 104);
-            assert_eq!(stats.batched_sends, 2);
-        });
-    }
-
-    #[test]
-    fn ring_drops_sends_after_receiver_gone() {
-        let (tx, rx) = ring_channel::<String>(2);
-        tx.send("kept-then-freed".to_string());
-        drop(rx);
-        // Must not block (ring is size 2 and nobody drains) or leak.
-        for i in 0..10 {
-            tx.send(format!("dropped {i}"));
+    /// Spin (yielding) until `pred` holds for the lane's state. The flags
+    /// it reads are written under the queue mutex by a peer that keeps the
+    /// mutex until it is inside its condvar wait, so once `pred` has been
+    /// seen the peer is parked — no sleep needed to order the test.
+    fn await_state<T>(shared: &Shared<T>, pred: impl Fn(&ChannelState<T>) -> bool) {
+        while !pred(&shared.lock()) {
+            std::thread::yield_now();
         }
-        tx.send_batch(vec!["batch".to_string(); 10]);
     }
 
+    /// Every mix of scalar sends, batched sends larger than the lane,
+    /// scalar and batched receives delivers exactly the sent sequence, on
+    /// lanes from one slot (a stall per item) to unbounded, with the
+    /// sender dropped while the consumer is still draining.
     #[test]
-    fn ring_sender_drop_wakes_blocked_receiver() {
-        let (tx, rx) = ring_channel::<u8>(4);
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                // Let the receiver reach its parked state first.
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                drop(tx);
+    fn lanes_deliver_the_sent_sequence_across_threads() {
+        let sent: Vec<u32> = (0..5_000).collect();
+        let chunks = [1usize, 3, 32, 7, 1, 16, 2];
+        let maxes = [1usize, 5, 2, 16];
+        for capacity in [Some(1), Some(2), Some(4), Some(64), None] {
+            let (tx, rx) = match capacity {
+                Some(capacity) => spsc_channel_bounded::<u32>(capacity),
+                None => spsc_channel(),
+            };
+            let (got, batches) = std::thread::scope(|scope| {
+                let producer = scope.spawn(|| {
+                    let tx = tx;
+                    let mut batches = 0;
+                    let mut rest = &sent[..];
+                    for chunk in chunks.iter().cycle() {
+                        if rest.is_empty() {
+                            break;
+                        }
+                        let (now, later) = rest.split_at((*chunk).min(rest.len()));
+                        if let [item] = now {
+                            tx.send(*item);
+                        } else {
+                            tx.send_batch(now.to_vec());
+                            batches += 1;
+                        }
+                        rest = later;
+                    }
+                    batches
+                });
+                let mut got = Vec::with_capacity(sent.len());
+                for max in maxes.iter().cycle() {
+                    if *max == 1 {
+                        match rx.recv() {
+                            Some(item) => got.push(item),
+                            None => break,
+                        }
+                    } else if rx.recv_batch(&mut got, *max) == 0 {
+                        break;
+                    }
+                }
+                (got, producer.join().expect("producer"))
             });
-            assert_eq!(rx.recv(), None);
-        });
+            assert_eq!(got, sent, "capacity {capacity:?}");
+            let stats = rx.stats();
+            assert_eq!(stats.sends, sent.len() as u64, "capacity {capacity:?}");
+            assert_eq!(stats.batched_sends, batches, "capacity {capacity:?}");
+            if capacity.is_none() {
+                assert_eq!(stats.full_stalls, 0, "an unbounded lane never stalls");
+            }
+        }
     }
 
     #[test]
-    fn ring_receiver_drop_unblocks_full_producer() {
-        let (tx, rx) = ring_channel::<u64>(2);
+    fn receiver_drop_releases_a_producer_parked_on_a_full_lane() {
+        let (tx, rx) = spsc_channel_bounded::<u64>(2);
         std::thread::scope(|scope| {
             scope.spawn(move || {
-                // 2 fit, the rest must stall on the full ring until the
-                // receiver drop flips rx_gone.
+                // Two fit; the third parks until the receiver goes away,
+                // after which every send is a drop.
                 for i in 0..100 {
                     tx.send(i);
                 }
+                tx.send_batch((100..200).collect());
             });
-            std::thread::sleep(std::time::Duration::from_millis(20));
+            await_state(&rx.shared, |state| state.stalled);
+            assert_eq!(rx.shared.lock().items.len(), 2);
             drop(rx);
         });
     }
 
     #[test]
-    fn ring_counts_full_stalls() {
-        let (tx, rx) = ring_channel::<u32>(2);
+    fn sends_after_the_receiver_is_gone_are_drops_and_never_block() {
+        for capacity in [Some(2), None] {
+            let (tx, rx) = match capacity {
+                Some(capacity) => spsc_channel_bounded(capacity),
+                None => spsc_channel(),
+            };
+            let payload = Arc::new(());
+            tx.send(Arc::clone(&payload));
+            drop(rx);
+            // Far more than a bounded lane holds, with nobody draining.
+            for _ in 0..10 {
+                tx.send(Arc::clone(&payload));
+            }
+            tx.send_batch(vec![Arc::clone(&payload); 10]);
+            // Only the item queued before the drop is still alive.
+            assert_eq!(Arc::strong_count(&payload), 2, "capacity {capacity:?}");
+            drop(tx);
+            assert_eq!(Arc::strong_count(&payload), 1, "capacity {capacity:?}");
+        }
+    }
+
+    #[test]
+    fn sender_drop_wakes_a_parked_receiver() {
+        let (tx, rx) = spsc_channel_bounded::<u8>(4);
+        std::thread::scope(|scope| {
+            let receiver = scope.spawn(move || rx.recv());
+            await_state(&tx.shared, |state| state.waiting);
+            drop(tx);
+            assert_eq!(receiver.join().expect("receiver"), None);
+        });
+    }
+
+    #[test]
+    fn full_stalls_count_one_per_stall() {
+        let (tx, rx) = spsc_channel_bounded::<u32>(2);
         tx.send(1);
         tx.send(2);
+        assert_eq!(tx.stats().full_stalls, 0, "filling the lane is not a stall");
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                tx.send(3);
+                tx.send_batch(vec![4, 5]);
+            });
+            // `send(3)` parks on the full lane; one recv lets it through.
+            await_state(&rx.shared, |state| state.stalled);
+            assert_eq!(rx.recv(), Some(1));
+            // The batch finds the lane full again (2, 3 queued); freeing
+            // both slots lets it through in one piece.
+            await_state(&rx.shared, |state| state.stalled);
+            let mut got = Vec::new();
+            assert_eq!(rx.recv_batch(&mut got, 8), 2);
+            while got.len() < 4 {
+                rx.recv_batch(&mut got, 8);
+            }
+            assert_eq!(got, vec![2, 3, 4, 5]);
+        });
+        let stats = rx.stats();
+        assert_eq!(stats.sends, 5);
+        assert_eq!(stats.full_stalls, 2, "{stats:?}");
+        // Each stall ended in one producer wakeup (consumer wakeups, if
+        // the drain loop outran the batch, come on top).
+        assert!(stats.wakeups >= 2, "{stats:?}");
+
+        let (tx, rx) = spsc_channel::<u32>();
+        tx.send_batch((0..10_000).collect());
+        tx.send(10_000);
+        assert_eq!(rx.stats().full_stalls, 0);
+    }
+
+    /// A consumer that takes an item only once the producer is parked on
+    /// a full lane (or done): maximal backpressure, and the queue is never
+    /// longer than the bound.
+    #[test]
+    fn queue_length_never_exceeds_capacity_under_a_slow_consumer() {
+        const CAPACITY: usize = 4;
+        let (tx, rx) = spsc_channel_bounded::<u32>(CAPACITY);
         std::thread::scope(|scope| {
             scope.spawn(move || {
-                tx.send(3); // must stall: ring full until a recv
+                for i in 0..50 {
+                    tx.send(i);
+                }
+                // Batches above the bound are published in chunks.
+                tx.send_batch((50..150).collect());
+                tx.send_batch((150..153).collect());
             });
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            assert_eq!(rx.recv(), Some(1));
-            assert_eq!(rx.recv(), Some(2));
-            assert_eq!(rx.recv(), Some(3));
+            let mut next = 0;
+            loop {
+                await_state(&rx.shared, |state| state.stalled || state.closed);
+                {
+                    let state = rx.shared.lock();
+                    assert!(
+                        state.items.len() <= CAPACITY,
+                        "{} queued",
+                        state.items.len()
+                    );
+                    assert!(!state.stalled || state.items.len() == CAPACITY);
+                }
+                match rx.recv() {
+                    Some(item) => {
+                        assert_eq!(item, next);
+                        next += 1;
+                    }
+                    None => break,
+                }
+            }
+            assert_eq!(next, 153);
         });
-        assert!(rx.stats().full_stalls >= 1);
-        assert_eq!(rx.stats().sends, 3);
-    }
-
-    #[test]
-    fn lane_kinds_parse_and_label() {
-        assert_eq!(LaneKind::parse("ring"), Some(LaneKind::Ring));
-        assert_eq!(LaneKind::parse("mutex"), Some(LaneKind::MutexRef));
-        assert_eq!(LaneKind::parse("bogus"), None);
-        for kind in [LaneKind::Ring, LaneKind::MutexRef] {
-            assert_eq!(LaneKind::parse(kind.label()), Some(kind));
-        }
-    }
-
-    #[test]
-    fn lane_channel_both_kinds_fifo() {
-        for kind in [LaneKind::Ring, LaneKind::MutexRef] {
-            let (tx, rx) = lane_channel::<u32>(kind, 8);
-            tx.send_batch(vec![1, 2, 3]);
-            tx.send(4);
-            let mut buf = Vec::new();
-            assert_eq!(rx.recv_batch(&mut buf, 2), 2);
-            assert_eq!(rx.recv(), Some(3));
-            assert_eq!(rx.try_recv(), Some(4));
-            assert_eq!(rx.try_recv(), None);
-            assert_eq!(buf, vec![1, 2]);
-            let stats = tx.stats();
-            assert_eq!(stats.sends, 4, "{kind:?}");
-            assert_eq!(stats.batched_sends, 1, "{kind:?}");
-            drop(tx);
-            assert_eq!(rx.recv(), None);
-        }
+        // Every item past the first `CAPACITY` waited for its slot: one
+        // stall and one producer wakeup each (the consumer never parked).
+        let stats = rx.stats();
+        assert_eq!(stats.full_stalls, (153 - CAPACITY) as u64);
+        assert_eq!(stats.wakeups, stats.full_stalls);
     }
 
     #[test]
@@ -1783,34 +1223,6 @@ mod tests {
     }
 
     #[test]
-    fn workers_on_mutex_reference_lanes_match() {
-        let config = WorkerConfig {
-            lanes: LaneKind::MutexRef,
-            ..WorkerConfig::default()
-        };
-        let (states, ()) = with_shard_workers_configured(
-            &config,
-            vec![Vec::new(); 3],
-            |_, log: &mut Vec<u32>, cmd: u32| log.push(cmd),
-            |workers| {
-                for round in 0..20 {
-                    for shard in 0..workers.len() {
-                        workers.send(shard, round);
-                    }
-                }
-                for _round in 0..20 {
-                    for shard in 0..workers.len() {
-                        workers.recv(shard);
-                    }
-                }
-            },
-        );
-        for log in &states {
-            assert_eq!(*log, (0..20).collect::<Vec<u32>>());
-        }
-    }
-
-    #[test]
     fn worker_send_batch_and_lane_stats() {
         let (states, stats) = with_shard_workers(
             vec![0u64; 2],
@@ -1837,31 +1249,48 @@ mod tests {
         assert_eq!(stats.batched_sends, 2);
     }
 
-    #[cfg(target_os = "linux")]
+    /// Why reply lanes are unbounded: a caller may queue far more commands
+    /// than a command lane holds before it reads a single reply. With a
+    /// bounded reply lane the workers would park on it, their command
+    /// lanes would fill, and the caller would park behind them for good.
     #[test]
-    fn workers_pin_when_asked() {
-        let config = WorkerConfig {
-            // CPU 0 always exists; pin both workers to it.
-            pins: vec![Some(0), Some(0)],
-            ..WorkerConfig::default()
-        };
-        let (_, pinned) = with_shard_workers_configured(
-            &config,
-            vec![(), ()],
-            |_, _, cmd: u8| cmd,
-            |workers| {
-                // One round trip per worker guarantees both workers ran
-                // their pin preamble before we read the counter.
-                for shard in 0..workers.len() {
-                    workers.send(shard, 1);
-                }
-                for shard in 0..workers.len() {
-                    workers.recv(shard);
-                }
-                workers.workers_pinned()
-            },
-        );
-        assert_eq!(pinned, 2);
+    fn deferred_reply_drain_does_not_deadlock() {
+        const PER_WORKER: usize = 4 * COMMAND_LANE_CAPACITY;
+        let (done, finished) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let (states, replies) = with_shard_workers(
+                vec![0usize; 2],
+                |shard, seen, cmd: usize| {
+                    *seen += 1;
+                    (shard, cmd)
+                },
+                |workers| {
+                    for shard in 0..workers.len() {
+                        for cmd in 0..PER_WORKER / 2 {
+                            workers.send(shard, cmd);
+                        }
+                        workers.send_batch(shard, (PER_WORKER / 2..PER_WORKER).collect());
+                    }
+                    let mut replies = Vec::new();
+                    for shard in 0..workers.len() {
+                        for _ in 0..PER_WORKER {
+                            replies.push(workers.recv(shard));
+                        }
+                    }
+                    replies
+                },
+            );
+            let _ = done.send((states, replies));
+        });
+        let (states, replies) = finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the pool deadlocked on deferred replies");
+        runner.join().expect("runner");
+        assert_eq!(states, vec![PER_WORKER; 2]);
+        let expect: Vec<(usize, usize)> = (0..2)
+            .flat_map(|shard| (0..PER_WORKER).map(move |cmd| (shard, cmd)))
+            .collect();
+        assert_eq!(replies, expect, "replies in command order");
     }
 
     #[test]
@@ -1968,7 +1397,6 @@ mod tests {
         for backend in [WorkerBackend::Thread, WorkerBackend::Process] {
             assert_eq!(WorkerBackend::parse(backend.label()), Some(backend));
         }
-        assert_eq!(WorkerConfig::default().backend, WorkerBackend::Thread);
     }
 
     /// `cat` is a perfectly deterministic 1:1 frame echo: the length

@@ -13,10 +13,9 @@ use coach_wire::{Decode, Decoder, Encode, Encoder, WireError};
 use crate::config::{HardwareConfig, Offering, SubscriptionType, VmConfig};
 use crate::ids::{ClusterId, ServerId, SubscriptionId, VmId};
 use crate::resource::ResourceVec;
-use crate::runtime::{LaneKind, WorkerBackend};
+use crate::runtime::WorkerBackend;
 use crate::series::Percentile;
 use crate::time::{SimDuration, TimeWindows, Timestamp, TICKS_PER_DAY};
-use crate::topology::PlacementPolicy;
 use crate::winvec::WindowVec;
 
 /// Implement `Encode`/`Decode` for an id newtype over `u64`.
@@ -179,20 +178,9 @@ tag_wire!(SubscriptionType, "SubscriptionType", {
     2 => SubscriptionType::External,
 });
 
-tag_wire!(LaneKind, "LaneKind", {
-    0 => LaneKind::Ring,
-    1 => LaneKind::MutexRef,
-});
-
 tag_wire!(WorkerBackend, "WorkerBackend", {
     0 => WorkerBackend::Thread,
     1 => WorkerBackend::Process,
-});
-
-tag_wire!(PlacementPolicy, "PlacementPolicy", {
-    0 => PlacementPolicy::None,
-    1 => PlacementPolicy::Compact,
-    2 => PlacementPolicy::Spread,
 });
 
 impl Encode for VmConfig {
@@ -283,9 +271,7 @@ mod tests {
     fn enums_and_configs_roundtrip() {
         roundtrip(Offering::Paas);
         roundtrip(SubscriptionType::External);
-        roundtrip(LaneKind::MutexRef);
         roundtrip(WorkerBackend::Process);
-        roundtrip(PlacementPolicy::Spread);
         roundtrip(VmConfig::general_purpose(4));
         roundtrip(HardwareConfig::general_purpose_gen4());
     }

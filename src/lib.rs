@@ -119,31 +119,6 @@ pub use coach_workloads as workloads;
 ///   Nothing of the old map surface was public, so no caller changes are
 ///   required; new code addressing residents should hold `Handle`s.
 ///
-/// # Lock-free shard lanes (PR 7 migration note)
-///
-/// The shard-worker lanes are no longer Mutex+Condvar deques by default:
-/// worker sessions now run on a bounded lock-free SPSC ring
-/// ([`ring_channel`](coach_types::ring_channel), cache-padded indices,
-/// park/wake only on the empty→non-empty edge).
-/// [`spsc_channel`](coach_types::spsc_channel) still exists — it is the
-/// `MutexRef` reference lane that the differential suite pins the ring
-/// against — and [`lane_channel`](coach_types::lane_channel) picks either
-/// behind the unified [`LaneSender`](coach_types::LaneSender)/
-/// [`LaneReceiver`](coach_types::LaneReceiver) surface. Code that called
-/// `spsc_channel` directly keeps compiling; to opt a worker pool into a
-/// specific lane kind, ring capacity, or CPU pinning, call
-/// [`with_shard_workers_configured`](coach_types::with_shard_workers_configured)
-/// with a [`WorkerConfig`](coach_types::WorkerConfig) (the plain
-/// [`with_shard_workers`](coach_types::with_shard_workers) now defaults to
-/// the ring). At the serving layer,
-/// [`ServeConfig`](coach_serve::ServeConfig) grew `lanes:`
-/// [`LaneKind`](coach_types::LaneKind) and `placement:`
-/// [`PlacementPolicy`](coach_types::PlacementPolicy) (assigned against the
-/// detected [`CpuTopology`](coach_types::CpuTopology)); both default to
-/// the old observable behavior decision-wise — lane kind and placement
-/// never change admissions, only throughput — and lane traffic shows up
-/// in [`StatsReport`](coach_serve::StatsReport)'s `lane_*` counters.
-///
 /// # Distributed control plane (PR 8 migration note)
 ///
 /// Shard workers can now live in supervised child *processes* speaking
@@ -183,14 +158,14 @@ pub use coach_workloads as workloads;
 ///
 /// * [`ServeConfig`](coach_serve::ServeConfig) grew `telemetry:`
 ///   [`TelemetryConfig`](coach_telemetry::TelemetryConfig) (`Off`, the
-///   allocation-free default; `CountersOnly`; `Full`, which also records
-///   spans). Decisions are bit-identical across all three modes — the
-///   subsystem observes, it never participates.
+///   allocation-free default, or `Full`: the registry plus span rings).
+///   Decisions are bit-identical in both modes — the subsystem observes,
+///   it never participates.
 /// * An armed deployment exposes one merged
 ///   [`Registry`](coach_telemetry::Registry) via
 ///   [`ShardedController::telemetry_registry`](coach_serve::ShardedController::telemetry_registry):
 ///   atomic counters/gauges/log2-bucket histograms addressed by
-///   `coach_serve_*` series names with `shard`/`policy`/`lane` labels.
+///   `coach_serve_*` series names with `shard`/`policy` labels.
 ///   Under the process backend each child keeps a private registry and
 ///   ships drained deltas over a `coach-wire` frame at session barriers,
 ///   so the merged counters equal the thread backend's exactly. Exports:

@@ -1,7 +1,11 @@
 //! Prediction-stack benchmarks: forest training/inference and the local
 //! predictor's 0.86 ms train/inference cycle (§4.5).
 
-use coach_predict::{Ewma, ForestParams, LocalPredictor, Lstm, LstmParams, RandomForest};
+use coach_bench::small_eval_trace;
+use coach_predict::{
+    Ewma, ForestParams, LocalPredictor, Lstm, LstmParams, ModelConfig, RandomForest,
+    UtilizationModel,
+};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -36,6 +40,36 @@ fn bench_forest(c: &mut Criterion) {
     c.bench_function("forest_predict", |b| {
         b.iter(|| std::hint::black_box(forest.predict_bucketed(&xs[17])))
     });
+    // One derive chunk's worth of rows (64 VMs x 6 windows) in one sweep:
+    // divide by 384 for ns/row against `forest_predict`'s one row.
+    let rows = &xs[..384];
+    let mut out = Vec::new();
+    c.bench_function("forest_predict_rows_384", |b| {
+        b.iter(|| {
+            forest.predict_rows(std::hint::black_box(rows), &mut out);
+            std::hint::black_box(out[383])
+        })
+    });
+}
+
+fn bench_model(c: &mut Criterion) {
+    let trace = small_eval_trace();
+    let history: Vec<_> = trace.vms.iter().collect();
+    let model = UtilizationModel::train(
+        &history,
+        ModelConfig {
+            forest: ForestParams {
+                n_trees: 24,
+                ..ForestParams::default()
+            },
+            ..ModelConfig::default()
+        },
+    );
+    // The serving controller's chunk size: divide by 64 for ns/VM.
+    let chunk = &history[..64];
+    c.bench_function("model_predict_batch_64vms", |b| {
+        b.iter(|| std::hint::black_box(model.predict_batch(std::hint::black_box(chunk))))
+    });
 }
 
 fn bench_local_predictor(c: &mut Criterion) {
@@ -60,5 +94,5 @@ fn bench_local_predictor(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_forest, bench_local_predictor);
+criterion_group!(benches, bench_forest, bench_model, bench_local_predictor);
 criterion_main!(benches);

@@ -34,6 +34,25 @@ fn main() {
     );
     println!("  paper: ~1M VMs, 121 s daily offline training, 186 MB model");
 
+    // --- Request-time model inference: one VM per call, and the serving
+    // controller's 64-VM chunks.
+    let requests = &history[..640];
+    let t0 = Instant::now();
+    let one_by_one = requests.iter().filter_map(|vm| model.predict(vm)).count();
+    let per_vm_single = t0.elapsed().as_secs_f64() / requests.len() as f64;
+    let t0 = Instant::now();
+    let batched: usize = requests
+        .chunks(64)
+        .map(|chunk| model.predict_batch(chunk).iter().flatten().count())
+        .sum();
+    let per_vm_batched = t0.elapsed().as_secs_f64() / requests.len() as f64;
+    assert_eq!(one_by_one, batched, "batch and per-VM inference disagree");
+    println!(
+        "model inference: {:.1} us/VM one VM per call, {:.1} us/VM in 64-VM batches",
+        per_vm_single * 1e6,
+        per_vm_batched * 1e6
+    );
+
     // --- Scheduling overhead per VM.
     let servers: Vec<ServerId> = (0..100).map(ServerId::new).collect();
     let mut sched = ClusterScheduler::new(

@@ -4,6 +4,24 @@
 //! prone to overfitting, improving robustness and reducing underpredictions
 //! — which matters because an underprediction risks contention (G2) while an
 //! overprediction merely costs savings.
+//!
+//! # Inference
+//!
+//! [`RandomForest::predict_rows`] is the one traversal, and it runs
+//! **tree-major**: the outer loop is over trees, the inner one over the
+//! batch's rows (in lock-step blocks, see [`crate::tree`]). A tree of a
+//! cluster-scale model is tens of kilobytes, so walking the whole batch
+//! through it while it is cache-resident costs one fetch of the tree per
+//! batch instead of one per row. [`RandomForest::predict`] is the one-row
+//! batch.
+//!
+//! Tree-major order does not change a single bit of the result. Row `i`'s
+//! sum starts at the additive identity `-0.0` (where `Iterator::sum`
+//! starts) and receives tree 0's leaf, then tree 1's, … — the same
+//! additions in the same order as the row-major
+//! `trees.map(predict).sum()` — and is divided by the tree count once at
+//! the end. Only the interleaving *between* rows differs, and rows share no
+//! arithmetic.
 
 use crate::tree::{RegressionTree, TreeParams};
 use coach_types::Bucket;
@@ -43,11 +61,16 @@ impl Default for ForestParams {
 ///
 /// ```
 /// use coach_predict::forest::{RandomForest, ForestParams};
-/// let xs: Vec<Vec<f64>> = (0..200).map(|i| vec![(i % 10) as f64, i as f64 / 200.0]).collect();
+/// let xs: Vec<[f64; 2]> = (0..200).map(|i| [(i % 10) as f64, i as f64 / 200.0]).collect();
 /// let ys: Vec<f64> = xs.iter().map(|x| x[0] / 20.0).collect();
 /// let forest = RandomForest::fit(&xs, &ys, ForestParams::default());
 /// let p = forest.predict(&[8.0, 0.3]);
 /// assert!((p - 0.4).abs() < 0.1);
+///
+/// // A batch is the same computation, to the bit.
+/// let mut batch = Vec::new();
+/// forest.predict_rows(&xs, &mut batch);
+/// assert!(xs.iter().zip(&batch).all(|(x, &b)| forest.predict(x) == b));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RandomForest {
@@ -56,14 +79,15 @@ pub struct RandomForest {
 
 impl RandomForest {
     /// Fit a forest with bootstrap sampling and √F feature subsampling.
+    /// Rows are anything that views as a `[f64]` (`Vec<f64>`, `[f64; N]`).
     ///
     /// # Panics
     ///
     /// Panics on an empty training set or mismatched lengths (see
     /// [`RegressionTree::fit`]).
-    pub fn fit(xs: &[Vec<f64>], ys: &[f64], params: ForestParams) -> Self {
+    pub fn fit<R: AsRef<[f64]> + Clone>(xs: &[R], ys: &[f64], params: ForestParams) -> Self {
         assert!(!xs.is_empty(), "training set must be non-empty");
-        let n_features = xs[0].len();
+        let n_features = xs[0].as_ref().len();
         let mut tree_params = params.tree;
         if tree_params.max_features.is_none() {
             // Default mtry for regression forests: max(1, F/3).
@@ -76,7 +100,7 @@ impl RandomForest {
                 // Bootstrap sample (with replacement).
                 let sample: Vec<usize> =
                     (0..xs.len()).map(|_| rng.gen_range(0..xs.len())).collect();
-                let bx: Vec<Vec<f64>> = sample.iter().map(|&i| xs[i].clone()).collect();
+                let bx: Vec<R> = sample.iter().map(|&i| xs[i].clone()).collect();
                 let by: Vec<f64> = sample.iter().map(|&i| ys[i]).collect();
                 let mut tree_rng = SmallRng::seed_from_u64(rng.gen());
                 RegressionTree::fit(&bx, &by, tree_params, Some(&mut tree_rng))
@@ -86,10 +110,35 @@ impl RandomForest {
         RandomForest { trees }
     }
 
+    /// Mean prediction across trees for every row of a batch: `out` is
+    /// cleared and receives one value per row, in row order. Bit-identical
+    /// to calling [`RandomForest::predict`] per row (module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row's length differs from the training feature count.
+    pub fn predict_rows<R: AsRef<[f64]>>(&self, rows: &[R], out: &mut Vec<f64>) {
+        let n_features = self.trees[0].n_features();
+        assert!(
+            rows.iter().all(|r| r.as_ref().len() == n_features),
+            "feature count mismatch"
+        );
+        out.clear();
+        out.resize(rows.len(), -0.0);
+        for tree in &self.trees {
+            tree.add_predictions(rows, out);
+        }
+        let n = self.trees.len() as f64;
+        for sum in out.iter_mut() {
+            *sum /= n;
+        }
+    }
+
     /// Mean prediction across trees.
     pub fn predict(&self, x: &[f64]) -> f64 {
-        let sum: f64 = self.trees.iter().map(|t| t.predict(x)).sum();
-        sum / self.trees.len() as f64
+        let mut out = Vec::with_capacity(1);
+        self.predict_rows(&[x], &mut out);
+        out[0]
     }
 
     /// Prediction snapped *up* to the next 5 % bucket — the conservative
@@ -112,16 +161,56 @@ impl RandomForest {
         self.trees.len()
     }
 
-    /// Approximate in-memory size in bytes (for the §4.5 overhead table).
+    /// In-memory size of the node arenas in bytes (for the §4.5 overhead
+    /// table).
     pub fn approx_size_bytes(&self) -> usize {
-        // Each node stores ~32 bytes (enum discriminant + payload).
-        self.trees.iter().map(|t| t.node_count() * 32).sum()
+        self.trees.iter().map(RegressionTree::size_bytes).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::reference;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Tree-major `predict_rows` == the row-major mean of the
+        /// pre-flattening enum walks, to the bit, at every batch length.
+        #[test]
+        fn predict_rows_matches_row_major_reference(seed in 0u64..u64::MAX, n_trees in 1usize..6) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let arenas: Vec<_> = (0..n_trees)
+                .map(|_| {
+                    let shape = reference::SHAPES[rng.gen_range(0..reference::SHAPES.len())];
+                    reference::random_tree(&mut rng, shape)
+                })
+                .collect();
+            let forest = RandomForest {
+                trees: arenas.iter().map(|a| reference::flatten(a)).collect(),
+            };
+            let mut got = vec![f64::NAN; 3]; // stale contents must not leak
+            for len in reference::BATCH_LENS {
+                let rows = reference::random_rows(&mut rng, len);
+                forest.predict_rows(&rows, &mut got);
+                prop_assert_eq!(got.len(), len);
+                for (row, got) in rows.iter().zip(&got) {
+                    let sum: f64 = arenas.iter().map(|a| reference::predict(a, row)).sum();
+                    let want = sum / n_trees as f64;
+                    prop_assert_eq!(got.to_bits(), want.to_bits());
+                    prop_assert_eq!(forest.predict(row).to_bits(), want.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "feature count")]
+    fn wrong_feature_count_rejected() {
+        let (xs, ys) = make_data(50);
+        let forest = RandomForest::fit(&xs, &ys, ForestParams::default());
+        forest.predict_rows(&[[0.0; 2]], &mut Vec::new());
+    }
 
     fn make_data(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
         let mut rng = SmallRng::seed_from_u64(7);
@@ -195,7 +284,8 @@ mod tests {
     fn size_accounting_positive() {
         let (xs, ys) = make_data(100);
         let forest = RandomForest::fit(&xs, &ys, ForestParams::default());
-        assert!(forest.approx_size_bytes() > 0);
+        let nodes: usize = forest.trees.iter().map(RegressionTree::node_count).sum();
+        assert_eq!(forest.approx_size_bytes(), nodes * 16);
         assert_eq!(forest.tree_count(), ForestParams::default().n_trees);
     }
 }

@@ -30,6 +30,16 @@ pub enum TargetKind {
     WindowPercentile,
 }
 
+impl TargetKind {
+    /// Number of targets.
+    pub const COUNT: usize = 2;
+
+    /// Dense index (0..COUNT) for array-backed storage.
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+}
+
 /// Model configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelConfig {
@@ -96,7 +106,8 @@ struct GroupStats {
 pub struct UtilizationModel {
     config: ModelConfig,
     groups: HashMap<u64, GroupStats>,
-    forests: HashMap<(ResourceKind, TargetKind), RandomForest>,
+    /// Indexed `[kind.index()][target.index()]`.
+    forests: [[RandomForest; TargetKind::COUNT]; ResourceKind::COUNT],
     training_rows: usize,
 }
 
@@ -149,41 +160,27 @@ impl UtilizationModel {
 
         // Pass 2: training rows. Features must only use *other* VMs'
         // history in principle; using the full-pass group means is a
-        // standard simplification that keeps training O(n).
-        let mut xs: HashMap<(ResourceKind, TargetKind), Vec<Vec<f64>>> = HashMap::new();
-        let mut ys: HashMap<(ResourceKind, TargetKind), Vec<f64>> = HashMap::new();
+        // standard simplification that keeps training O(n). A resource's
+        // two targets share one feature matrix.
         let mut rows = 0usize;
-
-        for (vm, window_stats) in &usable {
-            let key = vm.group_by_subscription_and_config();
-            let stats = &groups[&key];
-            let meta = VmMeta::from(**vm);
-            for kind in ResourceKind::ALL {
+        let forests = ResourceKind::ALL.map(|kind| {
+            let mut xs = Vec::new();
+            let mut ys = [const { Vec::new() }; TargetKind::COUNT];
+            for (vm, window_stats) in &usable {
+                let stats = &groups[&vm.group_by_subscription_and_config()];
+                let meta = VmMeta::from(**vm);
                 let ws = window_stats.get(kind);
                 for w in config.tw.indices() {
-                    let feats = features(&meta, kind, w, Some(stats));
+                    xs.push(features(&meta, kind, w, stats));
                     // Targets straight from the windowed statistics.
-                    let t_max = f64::from(ws.lifetime_max(w));
-                    let t_px = f64::from(ws.maxima_percentile(w, config.percentile));
-                    for (target, y) in [
-                        (TargetKind::WindowMax, t_max),
-                        (TargetKind::WindowPercentile, t_px),
-                    ] {
-                        xs.entry((kind, target)).or_default().push(feats.clone());
-                        ys.entry((kind, target)).or_default().push(y);
-                        rows += 1;
-                    }
+                    ys[TargetKind::WindowMax.index()].push(f64::from(ws.lifetime_max(w)));
+                    ys[TargetKind::WindowPercentile.index()]
+                        .push(f64::from(ws.maxima_percentile(w, config.percentile)));
                 }
             }
-        }
-
-        let forests = xs
-            .into_iter()
-            .map(|(k, x)| {
-                let y = &ys[&k];
-                (k, RandomForest::fit(&x, y, config.forest))
-            })
-            .collect();
+            rows += TargetKind::COUNT * xs.len();
+            ys.map(|y| RandomForest::fit(&xs, &y, config.forest))
+        });
 
         UtilizationModel {
             config,
@@ -202,28 +199,64 @@ impl UtilizationModel {
     /// Predict from request-time metadata alone (no observed series needed)
     /// — what the cluster manager calls when a VM creation request arrives.
     pub fn predict_meta(&self, vm: &VmMeta) -> Option<DemandPrediction> {
-        let stats = self.groups.get(&vm.group_key())?;
+        self.predict_metas(std::slice::from_ref(vm))
+            .pop()
+            .expect("one slot per input")
+    }
+
+    /// [`UtilizationModel::predict`] for a whole batch: one slot per input
+    /// VM, in input order, each exactly what `predict` returns for that VM.
+    /// Every forest sees the batch's feature rows in a single
+    /// [`RandomForest::predict_rows`] sweep.
+    pub fn predict_batch(&self, vms: &[&VmRecord]) -> Vec<Option<DemandPrediction>> {
+        let metas: Vec<VmMeta> = vms.iter().map(|vm| VmMeta::from(*vm)).collect();
+        self.predict_metas(&metas)
+    }
+
+    /// The one prediction routine: per resource, build the feature rows of
+    /// every group-known VM × window once, run that resource's two forests
+    /// over them, and scatter the bucketed results into the VMs' slots.
+    fn predict_metas(&self, vms: &[VmMeta]) -> Vec<Option<DemandPrediction>> {
         let tw = self.config.tw;
-        let mut pmax = WindowVec::new();
-        let mut px = WindowVec::new();
-        for w in tw.indices() {
-            let mut vmax = ResourceVec::ZERO;
-            let mut vpx = ResourceVec::ZERO;
-            for kind in ResourceKind::ALL {
-                let feats = features(vm, kind, w, Some(stats));
-                vmax[kind] = self.forests[&(kind, TargetKind::WindowMax)]
-                    .predict_bucketed(&feats)
-                    .fraction();
-                vpx[kind] = self.forests[&(kind, TargetKind::WindowPercentile)]
-                    .predict_bucketed(&feats)
-                    .fraction();
+        let stats: Vec<Option<&GroupStats>> = vms
+            .iter()
+            .map(|vm| self.groups.get(&vm.group_key()))
+            .collect();
+        let blank = DemandPrediction {
+            tw,
+            pmax: WindowVec::from_elem(ResourceVec::ZERO, tw.count()),
+            px: WindowVec::from_elem(ResourceVec::ZERO, tw.count()),
+        };
+        let mut out: Vec<Option<DemandPrediction>> =
+            stats.iter().map(|s| s.map(|_| blank.clone())).collect();
+
+        let mut rows = Vec::new();
+        let (mut raw_max, mut raw_px) = (Vec::new(), Vec::new());
+        let bucketed = |raw: f64| bucket_up(raw.clamp(0.0, 1.0));
+        for kind in ResourceKind::ALL {
+            rows.clear();
+            for (vm, stats) in vms.iter().zip(&stats) {
+                if let Some(stats) = stats {
+                    rows.extend(tw.indices().map(|w| features(vm, kind, w, stats)));
+                }
             }
-            // Invariant: the max prediction dominates the percentile.
-            vmax = vmax.max(&vpx);
-            pmax.push(vmax);
-            px.push(vpx);
+            let forests = &self.forests[kind.index()];
+            forests[TargetKind::WindowMax.index()].predict_rows(&rows, &mut raw_max);
+            forests[TargetKind::WindowPercentile.index()].predict_rows(&rows, &mut raw_px);
+
+            // Rows were pushed in slot order, one per window of each known VM.
+            let mut raw = raw_max.iter().zip(&raw_px);
+            for p in out.iter_mut().flatten() {
+                for w in tw.indices() {
+                    let (&vmax, &vpx) = raw.next().expect("one raw pair per row");
+                    let vpx = bucketed(vpx);
+                    p.px[w][kind] = vpx;
+                    // Invariant: the max prediction dominates the percentile.
+                    p.pmax[w][kind] = bucketed(vmax).max(vpx);
+                }
+            }
         }
-        Some(DemandPrediction { tw, pmax, px })
+        out
     }
 
     /// The *oracle* prediction computed from a VM's own utilization — the
@@ -344,7 +377,12 @@ impl UtilizationModel {
 
     /// Approximate model memory (forests + group table), §4.5.
     pub fn approx_size_bytes(&self) -> usize {
-        let forest_bytes: usize = self.forests.values().map(|f| f.approx_size_bytes()).sum();
+        let forest_bytes: usize = self
+            .forests
+            .iter()
+            .flatten()
+            .map(RandomForest::approx_size_bytes)
+            .sum();
         let group_bytes = self.groups.len()
             * (std::mem::size_of::<u64>()
                 + std::mem::size_of::<GroupStats>()
@@ -402,18 +440,10 @@ fn features(
     vm: &VmMeta,
     kind: ResourceKind,
     window: usize,
-    group: Option<&GroupStats>,
-) -> Vec<f64> {
+    group: &GroupStats,
+) -> [f64; FEATURE_COUNT] {
     let weekday = vm.arrival.weekday();
-    let (g_count, g_mean, g_peak) = match group {
-        Some(g) => (
-            (1.0 + g.count as f64).ln(),
-            g.mean[window][kind],
-            g.mean_peak[kind],
-        ),
-        None => (0.0, 0.0, 0.0),
-    };
-    vec![
+    [
         f64::from(vm.config.cores).ln(),
         vm.config.memory_gb.ln(),
         vm.config.gb_per_core(),
@@ -430,9 +460,9 @@ fn features(
         },
         window as f64,
         kind.index() as f64,
-        g_count,
-        g_mean,
-        g_peak,
+        (1.0 + group.count as f64).ln(),
+        group.mean[window][kind],
+        group.mean_peak[kind],
     ]
 }
 
@@ -457,14 +487,44 @@ mod tests {
         (trace, model)
     }
 
+    /// `predict_batch` == per-item `predict`, slot for slot, on a batch
+    /// that interleaves unknown-group VMs (their `None`s keep their
+    /// positions) and is not a multiple of the lane width, for a P95 and a
+    /// P50 model.
     #[test]
-    fn feature_row_has_declared_count() {
-        let trace = generate(&TraceConfig::small(82));
-        let vm = &trace.vms[0];
-        assert_eq!(
-            features(&VmMeta::from(vm), ResourceKind::Cpu, 0, None).len(),
-            FEATURE_COUNT
-        );
+    fn predict_batch_matches_per_item_predict() {
+        let trace = generate(&TraceConfig::small(84));
+        let (train, test) = trace.split_by_arrival(Timestamp::from_days(4));
+        for percentile in [Percentile::P95, Percentile::P50] {
+            let model = UtilizationModel::train(
+                &train,
+                ModelConfig {
+                    percentile,
+                    forest: ForestParams {
+                        n_trees: 6,
+                        ..ForestParams::default()
+                    },
+                    ..ModelConfig::default()
+                },
+            );
+            let mut batch: Vec<VmRecord> = Vec::new();
+            for (i, vm) in test.iter().take(75).enumerate() {
+                let mut vm = (*vm).clone();
+                if i % 3 == 1 {
+                    vm.subscription = SubscriptionId::new(9_000_000 + i as u64);
+                }
+                batch.push(vm);
+            }
+            let refs: Vec<&VmRecord> = batch.iter().collect();
+            let got = model.predict_batch(&refs);
+            assert_eq!(got.len(), refs.len());
+            let want: Vec<_> = refs.iter().map(|vm| model.predict(vm)).collect();
+            assert_eq!(got, want, "{percentile:?}");
+            let known = want.iter().flatten().count();
+            assert!(known > 10, "only {known} group-known VMs in the batch");
+            assert!(want.iter().skip(1).step_by(3).all(Option::is_none));
+            assert!(model.predict_batch(&[]).is_empty());
+        }
     }
 
     #[test]

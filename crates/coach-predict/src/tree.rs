@@ -3,6 +3,43 @@
 //! Standard classification-and-regression-tree construction with
 //! variance-reduction (MSE) splits, depth/size stopping rules, and optional
 //! per-split feature subsampling (used by the forest for decorrelation).
+//!
+//! # Node layout
+//!
+//! A trained tree is one flat `Vec` of 16-byte nodes in `build`'s push
+//! order (pre-order: a split, then its whole left subtree, then its right
+//! subtree), root at index 0:
+//!
+//! | field     | type  | split                    | leaf               |
+//! |-----------|-------|--------------------------|--------------------|
+//! | `value`   | `f64` | threshold                | prediction         |
+//! | `right`   | `u32` | index of the right child | the leaf's own index |
+//! | `feature` | `u16` | column compared          | 0 (any valid column) |
+//! | `step`    | `u16` | 1                        | 0                  |
+//!
+//! * **Implicit left child.** The left child of the split at index `i` is
+//!   always `i + 1`, because `build` reserves the split's slot and recurses
+//!   into the left subtree first; only the right child needs storing. The
+//!   walk computes `left = i + step`. `build` asserts the invariant where it
+//!   writes each split.
+//! * **Self-looping leaf.** A leaf has `step = 0` and `right = i`, so both
+//!   of its "children" are itself: stepping from a leaf is a no-op whatever
+//!   the comparison says. Every row can therefore take exactly `depth`
+//!   steps (the tree's deepest leaf) and end on the leaf an early-exit walk
+//!   would have returned.
+//!
+//! # Traversal
+//!
+//! There is one walk. It moves a block of `LANES` rows down the tree in
+//! lock-step, `depth` levels, and picks each lane's next node with
+//! [`std::hint::select_unpredictable`] — a conditional move, not a
+//! data-dependent branch. The comparison outcome of a forest walk is close
+//! to a coin flip, so a branch here mispredicts about every other level.
+//! (Spelling the select as arithmetic, `right ^ ((left ^ right) & mask)`,
+//! does not survive the optimizer: LLVM recognises the idiom and emits the
+//! branch again.) The lanes are independent, which lets the core overlap
+//! their node loads. [`RegressionTree::predict`] is the same walk one lane
+//! wide; the forest feeds it whole batches (see [`crate::forest`]).
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -32,19 +69,21 @@ impl Default for TreeParams {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum Node {
-    Leaf {
-        value: f64,
-    },
-    Split {
-        feature: usize,
-        threshold: f64,
-        /// Index of the left child in the arena.
-        left: usize,
-        /// Index of the right child in the arena.
-        right: usize,
-    },
+/// Rows the walk advances in lock-step. Eight independent lanes keep the
+/// load pipeline busy without spilling the lane state out of registers.
+const LANES: usize = 8;
+
+/// One node of the flat arena (see the module docs for the layout).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+struct Node {
+    /// Split threshold, or the prediction when this is a leaf.
+    value: f64,
+    /// Arena index of the right child; a leaf points at itself.
+    right: u32,
+    /// Column compared against `value`; 0 on a leaf.
+    feature: u16,
+    /// Distance to the left child: 1 on a split, 0 on a leaf.
+    step: u16,
 }
 
 /// A trained regression tree.
@@ -64,10 +103,15 @@ enum Node {
 pub struct RegressionTree {
     nodes: Vec<Node>,
     n_features: usize,
+    /// Depth of the deepest leaf (root = 0): the number of steps after
+    /// which every row has reached its leaf.
+    depth: usize,
 }
 
 impl RegressionTree {
     /// Fit a tree on rows `xs` (each of equal length) and targets `ys`.
+    /// Rows are anything that views as a `[f64]` — `Vec<f64>`, `[f64; N]`,
+    /// `&[f64]`.
     ///
     /// `rng` enables per-split feature subsampling when
     /// `params.max_features` is set (pass `None` for deterministic
@@ -77,32 +121,46 @@ impl RegressionTree {
     ///
     /// Panics if `xs` is empty, rows have inconsistent lengths, or
     /// `xs.len() != ys.len()`.
-    pub fn fit(
-        xs: &[Vec<f64>],
+    pub fn fit<R: AsRef<[f64]>>(
+        xs: &[R],
         ys: &[f64],
         params: TreeParams,
         mut rng: Option<&mut SmallRng>,
     ) -> Self {
         assert!(!xs.is_empty(), "training set must be non-empty");
         assert_eq!(xs.len(), ys.len(), "features/targets length mismatch");
-        let n_features = xs[0].len();
+        let n_features = xs[0].as_ref().len();
         assert!(
-            xs.iter().all(|r| r.len() == n_features),
+            xs.iter().all(|r| r.as_ref().len() == n_features),
             "inconsistent feature row lengths"
         );
 
         let mut tree = RegressionTree {
             nodes: Vec::new(),
             n_features,
+            depth: 0,
         };
         let idx: Vec<usize> = (0..xs.len()).collect();
         tree.build(xs, ys, idx, 0, &params, &mut rng);
         tree
     }
 
-    fn build(
+    /// Push a self-looping leaf and return its index.
+    fn push_leaf(&mut self, value: f64, depth: usize) -> usize {
+        let slot = self.nodes.len();
+        self.nodes.push(Node {
+            value,
+            right: u32::try_from(slot).expect("tree arena exceeds u32 indices"),
+            feature: 0,
+            step: 0,
+        });
+        self.depth = self.depth.max(depth);
+        slot
+    }
+
+    fn build<R: AsRef<[f64]>>(
         &mut self,
-        xs: &[Vec<f64>],
+        xs: &[R],
         ys: &[f64],
         idx: Vec<usize>,
         depth: usize,
@@ -115,8 +173,7 @@ impl RegressionTree {
             || idx.len() < params.min_samples_split
             || is_constant(ys, &idx);
         if stop {
-            self.nodes.push(Node::Leaf { value: mean });
-            return self.nodes.len() - 1;
+            return self.push_leaf(mean, depth);
         }
 
         // Choose the candidate feature set for this split.
@@ -128,25 +185,66 @@ impl RegressionTree {
 
         let best = best_split(xs, ys, &idx, &features, params.min_samples_leaf);
         let Some((feature, threshold)) = best else {
-            self.nodes.push(Node::Leaf { value: mean });
-            return self.nodes.len() - 1;
+            return self.push_leaf(mean, depth);
         };
 
-        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
-            idx.into_iter().partition(|&i| xs[i][feature] <= threshold);
+        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = idx
+            .into_iter()
+            .partition(|&i| xs[i].as_ref()[feature] <= threshold);
 
-        // Reserve the split node slot, then recurse.
-        let slot = self.nodes.len();
-        self.nodes.push(Node::Leaf { value: mean }); // placeholder
+        // Reserve the split's slot (a placeholder leaf), then recurse: the
+        // left subtree lands right behind it.
+        let slot = self.push_leaf(mean, depth);
         let left = self.build(xs, ys, left_idx, depth + 1, params, rng);
         let right = self.build(xs, ys, right_idx, depth + 1, params, rng);
-        self.nodes[slot] = Node::Split {
-            feature,
-            threshold,
-            left,
-            right,
+        assert_eq!(left, slot + 1, "left child must follow its parent");
+        self.nodes[slot] = Node {
+            value: threshold,
+            right: u32::try_from(right).expect("tree arena exceeds u32 indices"),
+            feature: u16::try_from(feature).expect("feature index exceeds u16"),
+            step: 1,
         };
         slot
+    }
+
+    /// Walk `N` rows to their leaves in lock-step and return the leaf
+    /// values, lane `l` for `block[l]`.
+    fn leaf_values<const N: usize, R: AsRef<[f64]>>(&self, block: &[R; N]) -> [f64; N] {
+        let nodes = self.nodes.as_slice();
+        let mut at = [0u32; N]; // the root is the first node pushed
+        for _ in 0..self.depth {
+            for (at, row) in at.iter_mut().zip(block) {
+                let node = nodes[*at as usize];
+                let left = *at + u32::from(node.step);
+                let goes_left = row.as_ref()[usize::from(node.feature)] <= node.value;
+                *at = std::hint::select_unpredictable(goes_left, left, node.right);
+            }
+        }
+        at.map(|i| nodes[i as usize].value)
+    }
+
+    /// Add this tree's prediction for `rows[i]` to `sums[i]`, in blocks of
+    /// [`LANES`] — the forest's per-tree step. A short last block repeats
+    /// its final row in the spare lanes; a lone last row walks alone.
+    pub(crate) fn add_predictions<R: AsRef<[f64]>>(&self, rows: &[R], sums: &mut [f64]) {
+        let (blocks, tail) = rows.as_chunks::<LANES>();
+        let (block_sums, tail_sums) = sums.as_chunks_mut::<LANES>();
+        for (block, sums) in blocks.iter().zip(block_sums) {
+            for (sum, leaf) in sums.iter_mut().zip(self.leaf_values(block)) {
+                *sum += leaf;
+            }
+        }
+        match tail {
+            [] => {}
+            [row] => tail_sums[0] += self.leaf_values(std::array::from_ref(row))[0],
+            [.., last] => {
+                let padded: [&[f64]; LANES] =
+                    std::array::from_fn(|l| tail.get(l).unwrap_or(last).as_ref());
+                for (sum, leaf) in tail_sums.iter_mut().zip(self.leaf_values(&padded)) {
+                    *sum += leaf;
+                }
+            }
+        }
     }
 
     /// Predict the target for one feature row.
@@ -156,12 +254,112 @@ impl RegressionTree {
     /// Panics if `x.len()` differs from the training feature count.
     pub fn predict(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.n_features, "feature count mismatch");
-        let mut node = 0usize; // the root is always the first node pushed...
-                               // NOTE: the root is the node created by the outermost `build` call.
-                               // Because children are pushed after their parent's slot is reserved,
-                               // index 0 is the root.
+        self.leaf_values(&[x])[0]
+    }
+
+    /// Number of nodes (diagnostics).
+    pub fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Bytes of the node arena.
+    pub(crate) fn size_bytes(&self) -> usize {
+        std::mem::size_of_val(self.nodes.as_slice())
+    }
+
+    /// Number of features expected by [`RegressionTree::predict`].
+    pub fn n_features(&self) -> usize {
+        self.n_features
+    }
+}
+
+fn is_constant(ys: &[f64], idx: &[usize]) -> bool {
+    let first = ys[idx[0]];
+    idx.iter().all(|&i| (ys[i] - first).abs() < 1e-12)
+}
+
+/// Exhaustive best split over the candidate features: O(F · n log n).
+/// Returns `None` when no split satisfies the leaf-size constraint or
+/// reduces variance.
+fn best_split<R: AsRef<[f64]>>(
+    xs: &[R],
+    ys: &[f64],
+    idx: &[usize],
+    features: &[usize],
+    min_leaf: usize,
+) -> Option<(usize, f64)> {
+    let n = idx.len() as f64;
+    let total_sum: f64 = idx.iter().map(|&i| ys[i]).sum();
+    let parent_score = total_sum * total_sum / n; // constant shift of -SSE
+
+    let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, score)
+
+    for &f in features {
+        let x = |i: usize| xs[i].as_ref()[f];
+        // Sort indices by the feature value.
+        let mut order: Vec<usize> = idx.to_vec();
+        order.sort_by(|&a, &b| x(a).partial_cmp(&x(b)).unwrap_or(std::cmp::Ordering::Equal));
+
+        let mut left_sum = 0.0;
+        let mut left_n = 0.0;
+        for k in 0..order.len() - 1 {
+            let i = order[k];
+            left_sum += ys[i];
+            left_n += 1.0;
+            // Can't split between equal feature values.
+            if x(order[k]) == x(order[k + 1]) {
+                continue;
+            }
+            let right_n = n - left_n;
+            if (left_n as usize) < min_leaf || (right_n as usize) < min_leaf {
+                continue;
+            }
+            let right_sum = total_sum - left_sum;
+            // Maximizing sum_of(children n*mean^2) minimizes SSE.
+            let score = left_sum * left_sum / left_n + right_sum * right_sum / right_n;
+            if score > parent_score + 1e-12 && best.is_none_or(|(_, _, s)| score > s) {
+                let threshold = 0.5 * (x(order[k]) + x(order[k + 1]));
+                best = Some((f, threshold, score));
+            }
+        }
+    }
+
+    best.map(|(f, t, _)| (f, t))
+}
+
+/// The pre-flattening representation — an arena of `Leaf`/`Split` nodes
+/// with both children explicit — and its early-exit walk: the reference the
+/// flat lock-step kernel is differentially tested against, plus a generator
+/// of random trees in that form.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::RegressionTree;
+    use rand::rngs::SmallRng;
+    use rand::Rng;
+
+    /// Columns of the generated trees and rows.
+    pub(crate) const FEATURES: usize = 4;
+    /// Depth cap of the generated trees (the shipped `max_depth`).
+    pub(crate) const MAX_DEPTH: usize = 12;
+
+    #[derive(Debug, Clone, PartialEq)]
+    pub(crate) enum Node {
+        Leaf {
+            value: f64,
+        },
+        Split {
+            feature: usize,
+            threshold: f64,
+            left: usize,
+            right: usize,
+        },
+    }
+
+    /// The walk `RegressionTree::predict` used before flattening.
+    pub(crate) fn predict(nodes: &[Node], x: &[f64]) -> f64 {
+        let mut node = 0usize;
         loop {
-            match &self.nodes[node] {
+            match &nodes[node] {
                 Node::Leaf { value } => return *value,
                 Node::Split {
                     feature,
@@ -179,78 +377,186 @@ impl RegressionTree {
         }
     }
 
-    /// Number of nodes (diagnostics).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
+    /// A value on a coarse grid, so rows land *exactly on* thresholds often.
+    pub(crate) fn grid(rng: &mut SmallRng) -> f64 {
+        f64::from(rng.gen_range(-2i32..=6)) * 0.25
     }
 
-    /// Number of features expected by [`RegressionTree::predict`].
-    pub fn n_features(&self) -> usize {
-        self.n_features
+    /// Tree shapes: how likely the left and the right child of a split are
+    /// to split again (the root splits with the larger of the two).
+    pub(crate) const SHAPES: [(f64, f64); 4] = [
+        (0.0, 0.0), // a single leaf
+        (1.0, 0.0), // fully unbalanced: a left spine down to MAX_DEPTH
+        (0.0, 1.0), // fully unbalanced: a right spine down to MAX_DEPTH
+        (0.8, 0.7), // bushy, reaching MAX_DEPTH
+    ];
+
+    /// A random tree in `build`'s push order (a split, its left subtree,
+    /// its right subtree).
+    pub(crate) fn random_tree(rng: &mut SmallRng, shape: (f64, f64)) -> Vec<Node> {
+        fn grow(
+            nodes: &mut Vec<Node>,
+            rng: &mut SmallRng,
+            depth: usize,
+            p_split: f64,
+            shape: (f64, f64),
+        ) -> usize {
+            let slot = nodes.len();
+            nodes.push(Node::Leaf {
+                value: rng.gen_range(-1.0..1.0),
+            });
+            if depth < MAX_DEPTH && rng.gen_bool(p_split) {
+                let left = grow(nodes, rng, depth + 1, shape.0, shape);
+                let right = grow(nodes, rng, depth + 1, shape.1, shape);
+                nodes[slot] = Node::Split {
+                    feature: rng.gen_range(0..FEATURES),
+                    threshold: grid(rng),
+                    left,
+                    right,
+                };
+            }
+            slot
+        }
+        let mut nodes = Vec::new();
+        grow(&mut nodes, rng, 0, shape.0.max(shape.1), shape);
+        nodes
     }
-}
 
-fn is_constant(ys: &[f64], idx: &[usize]) -> bool {
-    let first = ys[idx[0]];
-    idx.iter().all(|&i| (ys[i] - first).abs() < 1e-12)
-}
-
-/// Exhaustive best split over the candidate features: O(F · n log n).
-/// Returns `None` when no split satisfies the leaf-size constraint or
-/// reduces variance.
-fn best_split(
-    xs: &[Vec<f64>],
-    ys: &[f64],
-    idx: &[usize],
-    features: &[usize],
-    min_leaf: usize,
-) -> Option<(usize, f64)> {
-    let n = idx.len() as f64;
-    let total_sum: f64 = idx.iter().map(|&i| ys[i]).sum();
-    let parent_score = total_sum * total_sum / n; // constant shift of -SSE
-
-    let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, score)
-
-    for &f in features {
-        // Sort indices by the feature value.
-        let mut order: Vec<usize> = idx.to_vec();
-        order.sort_by(|&a, &b| {
-            xs[a][f]
-                .partial_cmp(&xs[b][f])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-
-        let mut left_sum = 0.0;
-        let mut left_n = 0.0;
-        for k in 0..order.len() - 1 {
-            let i = order[k];
-            left_sum += ys[i];
-            left_n += 1.0;
-            // Can't split between equal feature values.
-            if xs[order[k]][f] == xs[order[k + 1]][f] {
-                continue;
+    /// Flatten a reference arena into the production layout, asserting the
+    /// implicit-left invariant on the way.
+    pub(crate) fn flatten(nodes: &[Node]) -> RegressionTree {
+        fn depth_of(nodes: &[Node], at: usize) -> usize {
+            match nodes[at] {
+                Node::Leaf { .. } => 0,
+                Node::Split { left, right, .. } => {
+                    1 + depth_of(nodes, left).max(depth_of(nodes, right))
+                }
             }
-            let right_n = n - left_n;
-            if (left_n as usize) < min_leaf || (right_n as usize) < min_leaf {
-                continue;
-            }
-            let right_sum = total_sum - left_sum;
-            // Maximizing sum_of(children n*mean^2) minimizes SSE.
-            let score = left_sum * left_sum / left_n + right_sum * right_sum / right_n;
-            if score > parent_score + 1e-12 && best.is_none_or(|(_, _, s)| score > s) {
-                let threshold = 0.5 * (xs[order[k]][f] + xs[order[k + 1]][f]);
-                best = Some((f, threshold, score));
-            }
+        }
+        let flat = nodes
+            .iter()
+            .enumerate()
+            .map(|(i, node)| match *node {
+                Node::Leaf { value } => super::Node {
+                    value,
+                    right: i as u32,
+                    feature: 0,
+                    step: 0,
+                },
+                Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => {
+                    assert_eq!(left, i + 1, "left child must follow its parent");
+                    super::Node {
+                        value: threshold,
+                        right: right as u32,
+                        feature: feature as u16,
+                        step: 1,
+                    }
+                }
+            })
+            .collect();
+        RegressionTree {
+            nodes: flat,
+            n_features: FEATURES,
+            depth: depth_of(nodes, 0),
         }
     }
 
-    best.map(|(f, t, _)| (f, t))
+    /// Batch lengths around the lane width and the serving chunk's row
+    /// count (64 VMs x 6 windows).
+    pub(crate) const BATCH_LENS: [usize; 7] = [0, 1, 7, 8, 9, 384, 385];
+
+    pub(crate) fn random_rows(rng: &mut SmallRng, len: usize) -> Vec<[f64; FEATURES]> {
+        (0..len)
+            .map(|_| std::array::from_fn(|_| grid(rng)))
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn node_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Node>(), 16);
+    }
+
+    #[test]
+    fn value_exactly_at_threshold_goes_left() {
+        use reference::Node::{Leaf, Split};
+        let nodes = [
+            Split {
+                feature: 1,
+                threshold: 0.5,
+                left: 1,
+                right: 2,
+            },
+            Leaf { value: -1.0 },
+            Leaf { value: 1.0 },
+        ];
+        let tree = reference::flatten(&nodes);
+        assert_eq!(tree.predict(&[9.0, 0.5, 9.0, 9.0]), -1.0);
+        assert_eq!(tree.predict(&[0.0, 0.5000000001, 0.0, 0.0]), 1.0);
+        assert_eq!(
+            tree.predict(&[0.0, f64::NAN, 0.0, 0.0]),
+            1.0,
+            "NaN <= t is false"
+        );
+    }
+
+    #[test]
+    fn fitted_tree_records_its_deepest_leaf() {
+        let mut rng = SmallRng::seed_from_u64(3);
+        let xs: Vec<[f64; 2]> = (0..400).map(|_| [rng.gen(), rng.gen()]).collect();
+        let ys: Vec<f64> = xs.iter().map(|x| (x[0] * 9.0).sin() * x[1]).collect();
+        let params = TreeParams {
+            max_depth: 5,
+            ..TreeParams::default()
+        };
+        let tree = RegressionTree::fit(&xs, &ys, params, None);
+        assert_eq!(tree.depth, 5, "400 noisy rows fill a depth-5 tree");
+        assert!(tree.nodes.iter().enumerate().all(|(i, n)| {
+            (n.step == 0 && n.right as usize == i) || (n.step == 1 && n.right as usize > i + 1)
+        }));
+    }
+
+    proptest! {
+        /// The flat lock-step kernel == the pre-flattening enum walk, to
+        /// the bit, per row and accumulated over a batch, for every shape
+        /// and every batch length around the lane width.
+        #[test]
+        fn kernel_matches_reference_walk(seed in 0u64..u64::MAX, shape in 0usize..reference::SHAPES.len()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let nodes = reference::random_tree(&mut rng, reference::SHAPES[shape]);
+            let tree = reference::flatten(&nodes);
+            match shape {
+                0 => prop_assert_eq!((tree.node_count(), tree.depth), (1, 0)),
+                1 | 2 => prop_assert_eq!(
+                    (tree.node_count(), tree.depth),
+                    (2 * reference::MAX_DEPTH + 1, reference::MAX_DEPTH)
+                ),
+                _ => {}
+            }
+            for len in reference::BATCH_LENS {
+                let rows = reference::random_rows(&mut rng, len);
+                let start: Vec<f64> = (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                let mut sums = start.clone();
+                tree.add_predictions(&rows, &mut sums);
+                for ((row, got), start) in rows.iter().zip(&sums).zip(&start) {
+                    let want = reference::predict(&nodes, row);
+                    prop_assert_eq!(got.to_bits(), (start + want).to_bits());
+                    prop_assert_eq!(tree.predict(row).to_bits(), want.to_bits());
+                }
+            }
+        }
+    }
 
     #[test]
     fn fits_step_function() {
@@ -350,7 +656,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_training_set_rejected() {
-        let _ = RegressionTree::fit(&[], &[], TreeParams::default(), None);
+        let _ = RegressionTree::fit::<Vec<f64>>(&[], &[], TreeParams::default(), None);
     }
 
     #[test]

@@ -1045,17 +1045,12 @@ mod tests {
             .unwrap_or("<non-string panic>")
     }
 
-    /// Pipelined `handle_arrivals` == the per-item `handle` loop, response
-    /// for response and in the final result, at every segment length
-    /// around the chunk and dispatcher-segment boundaries, with the derive
-    /// stage inline and on its helper thread.
-    #[test]
-    fn pipelined_segments_match_the_per_item_loop() {
-        let trace = dense_trace(12_001);
+    /// Assert pipelined `handle_arrivals` == the per-item `handle` loop,
+    /// response for response and in the final result, for each head-segment
+    /// length, with the derive stage inline and on its helper thread.
+    fn assert_segments_match_per_item(trace: &Trace, predictor: &dyn Predictor, lens: &[usize]) {
         let recs: Vec<&VmRecord> = trace.vms.iter().collect();
-        let oracle = Oracle::new(TimeWindows::paper_default());
-
-        let mut reference = coach_controller(&trace, &oracle);
+        let mut reference = coach_controller(trace, predictor);
         let want: Vec<Response> = recs
             .iter()
             .map(|rec| reference.handle(Request::Arrive(rec)))
@@ -1064,16 +1059,8 @@ mod tests {
         assert!(want_result.rejected > 0, "the trace exercises rejections");
 
         for helper in [false, true] {
-            for len in [
-                0,
-                1,
-                DERIVE_CHUNK - 1,
-                DERIVE_CHUNK,
-                DERIVE_CHUNK + 1,
-                SEGMENT,
-                SEGMENT + 1,
-            ] {
-                let mut controller = coach_controller(&trace, &oracle);
+            for &len in lens {
+                let mut controller = coach_controller(trace, predictor);
                 controller.set_derive_helper(helper);
                 let (head, tail) = recs.split_at(len);
                 let mut got = controller.handle_arrivals(head);
@@ -1089,6 +1076,52 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Segments == per-item at every segment length around the chunk and
+    /// dispatcher-segment boundaries.
+    #[test]
+    fn pipelined_segments_match_the_per_item_loop() {
+        let oracle = Oracle::new(TimeWindows::paper_default());
+        assert_segments_match_per_item(
+            &dense_trace(12_001),
+            &oracle,
+            &[
+                0,
+                1,
+                DERIVE_CHUNK - 1,
+                DERIVE_CHUNK,
+                DERIVE_CHUNK + 1,
+                SEGMENT,
+                SEGMENT + 1,
+            ],
+        );
+    }
+
+    /// The same under the trained forest: `admit_segment` feeds `Model` a
+    /// chunk per `predict_batch` (one tree-major sweep) while `handle`
+    /// asks it one VM at a time.
+    #[test]
+    fn pipelined_segments_match_the_per_item_loop_under_the_model() {
+        use coach_predict::{ForestParams, ModelConfig, UtilizationModel};
+
+        let trace = dense_trace(12_005);
+        let history: Vec<&VmRecord> = trace.vms.iter().collect();
+        let model = UtilizationModel::train(
+            &history,
+            ModelConfig {
+                forest: ForestParams {
+                    n_trees: 4,
+                    ..ForestParams::default()
+                },
+                ..ModelConfig::default()
+            },
+        );
+        assert_segments_match_per_item(
+            &trace,
+            &coach_sim::Model::new(&model),
+            &[DERIVE_CHUNK + 1, SEGMENT + 1],
+        );
     }
 
     /// Records every `predict_batch` call — its thread and its inputs —

@@ -44,8 +44,9 @@ pub trait Predictor: Sync {
     ///
     /// The default forwards each VM to [`Predictor::predict`]. Sources with
     /// shareable derivation state override it — [`Oracle`] groups the batch
-    /// by envelope template so consecutive VMs reuse one envelope table —
-    /// but every override must return exactly what the per-item loop would:
+    /// by envelope template so consecutive VMs reuse one envelope table,
+    /// [`Model`] walks the whole batch through each tree of its forests
+    /// while the tree is cache-resident — but every override must return exactly what the per-item loop would:
     /// `predict_batch` is a throughput entry point, never a semantic one
     /// (the `predict_batch_matches_per_item_loop` differential test holds
     /// all shipped sources to this).
@@ -264,6 +265,17 @@ impl Predictor for Model<'_> {
     fn predict(&self, vm: &VmRecord, _percentile: Percentile) -> Option<DemandPrediction> {
         self.model.predict(vm)
     }
+
+    /// One tree-major sweep per forest over the whole batch's feature rows
+    /// ([`UtilizationModel::predict_batch`]); `predict` is the one-VM case
+    /// of the same routine.
+    fn predict_batch(
+        &self,
+        vms: &[&VmRecord],
+        _percentile: Percentile,
+    ) -> Vec<Option<DemandPrediction>> {
+        self.model.predict_batch(vms)
+    }
 }
 
 /// The pre-redesign eager oracle: materialize each VM's full 5-minute
@@ -418,9 +430,9 @@ mod tests {
 
     /// `predict_batch` is a throughput entry point, never a semantic one:
     /// for every shipped source it must equal the per-item loop exactly.
-    /// `Oracle` overrides it (shared envelope cache, memo bypassed), so
-    /// this differentially pins the override; `Model` and `NaiveReference`
-    /// exercise the default loop.
+    /// `Oracle` (shared envelope cache, memo bypassed) and `Model` (one
+    /// forest sweep per batch) override it, so this differentially pins
+    /// the overrides; `NaiveReference` exercises the default loop.
     #[test]
     fn predict_batch_matches_per_item_loop() {
         use coach_predict::{ForestParams, ModelConfig};

@@ -105,10 +105,11 @@ mod tests {
     use super::*;
 
     // The allocator is not installed as the test harness's global, so the
-    // counters only move through direct calls here — but other tests in
-    // this binary share the statics, so assertions stay one-sided.
+    // counters only move through the direct calls here. One test, not two:
+    // the statics are shared and the harness runs tests on parallel
+    // threads, so a second test's blocks would land inside these windows.
     #[test]
-    fn tracks_live_bytes_and_peak() {
+    fn tracks_live_bytes_peak_and_realloc_delta() {
         let a = TrackingAllocator;
         let layout = Layout::from_size_align(1 << 20, 8).unwrap();
         reset_peak();
@@ -125,11 +126,7 @@ mod tests {
         assert!(current_bytes() < before + (1 << 20));
         // The peak survives the dealloc until the next reset.
         assert!(peak_bytes() >= before + (1 << 20));
-    }
 
-    #[test]
-    fn realloc_accounts_the_delta() {
-        let a = TrackingAllocator;
         let layout = Layout::from_size_align(4096, 8).unwrap();
         // SAFETY: non-zero sizes throughout; the block is reallocated with
         // the layout it was allocated with and freed once with its new

@@ -6,8 +6,7 @@
 //!
 //! Phases and their fast/reference pairs:
 //!
-//! * **generate** — indexed first-fit trace generator
-//!   (`coach_trace::GenScan`).
+//! * **generate** — the first-fit trace generator (wall only).
 //! * **derive** — lazy analytic oracle (`coach_sim::Oracle`, via
 //!   `WindowStats`) vs. the eager materializing path
 //!   (`coach_sim::NaiveReference`); derived demands must be identical and

@@ -24,11 +24,10 @@
 //! * **cold / accounting** — cold-path demand derivation two ways: the
 //!   per-item inline oracle (trajectory only) and the batched segment
 //!   path (the dispatcher hands ≤1024-arrival segments to
-//!   `predict_batch`, which sorts by envelope template for cache reuse).
-//!   The batched run must agree with the per-item run decision-for-
-//!   decision and carries its own floor-gated placements/s, plus the
-//!   envelope-cache hit/miss telemetry. Live 2-hour violation sampling
-//!   stays a trajectory metric.
+//!   `predict_batch`, which derives each VM once past the oracle's
+//!   per-item memo). The batched run must agree with the per-item run
+//!   decision-for-decision and carries its own floor-gated placements/s.
+//!   Live 2-hour violation sampling stays a trajectory metric.
 //! * **sharded** — the same stream through the persistent-worker
 //!   `ShardedController` (`--shards N`, default ≈ available cores), probe
 //!   mode from `--probe-mode` (default `differential`: every measurement
@@ -124,10 +123,9 @@ struct Prederived {
 }
 
 impl Prederived {
-    /// Pre-derive every prediction through the batch path (template-sorted
-    /// envelope reuse) in parallel chunks, returning the table plus the
-    /// oracle's envelope `(hits, misses)` counters for the derivation.
-    fn derive(trace: &Trace, tw: TimeWindows, percentile: Percentile) -> (Self, (u64, u64)) {
+    /// Pre-derive every prediction through the batch path in parallel
+    /// chunks.
+    fn derive(trace: &Trace, tw: TimeWindows, percentile: Percentile) -> Self {
         let oracle = Oracle::new(tw);
         let chunks: Vec<&[VmRecord]> = trace.vms.chunks(4096).collect();
         let by_vm = par_map(&chunks, |chunk| {
@@ -137,7 +135,7 @@ impl Prederived {
         .into_iter()
         .flatten()
         .collect();
-        (Prederived { tw, by_vm }, oracle.envelope_counters())
+        Prederived { tw, by_vm }
     }
 }
 
@@ -737,9 +735,8 @@ fn main() {
         (
             TraceConfig {
                 vm_count: 8000,
-                // Eight clusters so the CI scale-out matrix's `--shards 8`
-                // run (and the scaling sweep's top count) is genuinely
-                // eight shards.
+                // Eight clusters so the scaling sweep's top count is
+                // genuinely eight shards.
                 cluster_count: 8,
                 subscription_count: 400,
                 ..TraceConfig::medium(2026)
@@ -772,19 +769,13 @@ fn main() {
     );
     let trace = generate(&config);
 
-    // --- Phase 1: derive (warm table, via the batched envelope-sharing
-    // path; its cache telemetry is the honest measure of how much
-    // cross-VM template sharing the trace offers).
+    // --- Phase 1: derive (warm table, via the batched path).
     eprintln!("bench_serve: pre-deriving predictions (batched)...");
     let t0 = Instant::now();
-    let (warm, (derive_hits, derive_misses)) = Prederived::derive(&trace, tw, Percentile::P95);
+    let warm = Prederived::derive(&trace, tw, Percentile::P95);
     let derive_s = t0.elapsed().as_secs_f64();
     let derive_per_s = trace.vms.len() as f64 / derive_s.max(1e-9);
-    let derive_hit_rate = derive_hits as f64 / ((derive_hits + derive_misses).max(1)) as f64;
-    eprintln!(
-        "bench_serve:   {derive_s:.2}s ({derive_per_s:.0} VMs/s, envelope cache \
-         {derive_hits} hits / {derive_misses} misses)"
-    );
+    eprintln!("bench_serve:   {derive_s:.2}s ({derive_per_s:.0} VMs/s)");
 
     // Footprint: the demands the scheduler actually packs.
     let demands: Vec<VmDemand> = trace
@@ -893,15 +884,12 @@ fn main() {
     let cold_batched_result = cold_sharded.run(RequestSource::new(&trace.vms, Vec::new()));
     let cold_batched_wall = t0.elapsed().as_secs_f64();
     let cold_batched_per_s = cold_batched_result.accepted as f64 / cold_batched_wall.max(1e-9);
-    let (cold_hits, cold_misses) = cold_batch_oracle.envelope_counters();
-    let cold_hit_rate = cold_hits as f64 / ((cold_hits + cold_misses).max(1)) as f64;
     let cold_matches = cold_batched_result.accepted == cold.result.accepted
         && cold_batched_result.rejected == cold.result.rejected
         && cold_batched_result.peak_servers_in_use == cold.result.peak_servers_in_use;
     let cold_floor_met = cold_batched_per_s >= cold_floor;
     eprintln!(
-        "bench_serve:   {cold_batched_wall:.2}s, {cold_batched_per_s:.0} placements/s \
-         (envelope cache {cold_hits} hits / {cold_misses} misses), \
+        "bench_serve:   {cold_batched_wall:.2}s, {cold_batched_per_s:.0} placements/s, \
          matches per-item: {cold_matches}"
     );
 
@@ -1178,12 +1166,10 @@ fn main() {
         .map(|d| d.as_secs())
         .unwrap_or(0);
     let json = format!(
-        "{{\n  \"schema\": \"coach/bench_serve/v8\",\n  \"mode\": \"{mode}\",\n  \
+        "{{\n  \"schema\": \"coach/bench_serve/v9\",\n  \"mode\": \"{mode}\",\n  \
          \"unix_time\": {unix_time},\n  \
          \"trace\": {{\"vms\": {vms}, \"servers\": {servers}, \"clusters\": {clusters}}},\n  \
-         \"derive\": {{\"wall_s\": {derive_s:.3}, \"vms_per_s\": {derive_per_s:.0}, \
-         \"envelope_hits\": {derive_hits}, \"envelope_misses\": {derive_misses}, \
-         \"envelope_hit_rate\": {derive_hit_rate:.4}}},\n  \
+         \"derive\": {{\"wall_s\": {derive_s:.3}, \"vms_per_s\": {derive_per_s:.0}}},\n  \
          \"identity\": {{\"online_equals_batch\": {identical}, \
          \"sharded_equals_single\": {sharded_identical}}},\n  \
          \"serve\": {serve},\n  \
@@ -1200,9 +1186,7 @@ fn main() {
          \"wall_s_per_probe\": {probe_wall_s:.3}}},\n  \
          \"serve_cold_derive\": {{\"per_item\": {cold}, \
          \"batched\": {{\"wall_s\": {cb_wall:.6}, \"accepted\": {cb_accepted}, \
-         \"placed_per_s\": {cold_batched_per_s:.1}, \"matches_per_item\": {cold_matches}, \
-         \"envelope_hits\": {cold_hits}, \"envelope_misses\": {cold_misses}, \
-         \"envelope_hit_rate\": {cold_hit_rate:.4}}}, \
+         \"placed_per_s\": {cold_batched_per_s:.1}, \"matches_per_item\": {cold_matches}}}, \
          \"placed_per_s_floor\": {cold_floor:.0}, \
          \"placed_per_s_floor_quick\": {SERVE_COLD_FLOOR_QUICK:.0}, \
          \"met\": {cold_floor_met}}},\n  \

@@ -106,12 +106,11 @@ pub(crate) struct ShardSnapshot {
     pub(crate) timeline_delta: Vec<OccDelta>,
 }
 
-/// The worker loop body: apply one command to the owned controller.
-fn worker_step<'a>(
-    _shard: usize,
-    controller: &mut Controller<'a>,
-    cmd: ShardCmd<'a>,
-) -> ShardReply {
+/// The worker loop body: apply one command to the owned controller. The
+/// command borrows for its own lifetime, not the controller's — the
+/// controller copies what it keeps of a record — so a process-backend
+/// child can feed a `Controller<'static>` from each decoded frame.
+fn worker_step(_shard: usize, controller: &mut Controller<'_>, cmd: ShardCmd<'_>) -> ShardReply {
     match cmd {
         ShardCmd::Batch(batch) => {
             let (idxs, recs): (Vec<usize>, Vec<&VmRecord>) = batch
@@ -834,25 +833,13 @@ fn child_step(shard: u32, state: &mut Option<Controller<'static>>, cmd: WireCmd)
         .expect("Init frame precedes every other command");
     match cmd {
         WireCmd::Batch(batch) => {
-            let batch: Vec<(usize, Request<'static>)> = batch
-                .into_iter()
-                .map(|(idx, rec)| {
-                    let rec: &'static VmRecord = Box::leak(Box::new(rec));
-                    (idx as usize, Request::Arrive(rec))
-                })
+            let batch = batch
+                .iter()
+                .map(|(idx, rec)| (*idx as usize, Request::Arrive(rec)))
                 .collect();
             reply_frame(worker_step(0, controller, ShardCmd::Batch(batch)))
         }
-        WireCmd::Run(recs) => {
-            let batch: Vec<Request<'static>> = recs
-                .into_iter()
-                .map(|rec| {
-                    let rec: &'static VmRecord = Box::leak(Box::new(rec));
-                    Request::Arrive(rec)
-                })
-                .collect();
-            reply_frame(worker_step(0, controller, ShardCmd::Run(batch)))
-        }
+        WireCmd::Run(recs) => reply_frame(worker_step(0, controller, ShardCmd::RunOwned(recs))),
         WireCmd::Token(token) => {
             let request = match token {
                 TokenCmd::Depart { vm, now } => Request::Depart { vm, now },

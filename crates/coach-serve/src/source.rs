@@ -15,6 +15,81 @@ use coach_sim::paper_probe_times;
 use coach_trace::{StreamingTrace, Trace, VmRecord};
 use coach_types::prelude::*;
 
+/// A scheduled (non-arrival) event due ahead of the next arrival.
+enum Due {
+    Probe(Timestamp),
+    Stats(Timestamp),
+}
+
+/// The probe schedule and stats cadence both sources interleave with their
+/// arrivals, gated by the next arrival's time.
+#[derive(Debug, Clone)]
+struct Schedule {
+    probes: Vec<Timestamp>,
+    probe_idx: usize,
+    stats_every: Option<SimDuration>,
+    next_stats: Timestamp,
+}
+
+impl Schedule {
+    fn new(probes: Vec<Timestamp>) -> Self {
+        debug_assert!(
+            probes.windows(2).all(|w| w[0] <= w[1]),
+            "probe times must be sorted"
+        );
+        Schedule {
+            probes,
+            probe_idx: 0,
+            stats_every: None,
+            next_stats: Timestamp::ZERO,
+        }
+    }
+
+    fn set_stats_every(&mut self, every: SimDuration) {
+        assert!(every.ticks() > 0, "stats cadence must be positive");
+        self.stats_every = Some(every);
+        self.next_stats = Timestamp::ZERO + every;
+    }
+
+    fn probes_left(&self) -> usize {
+        self.probes.len() - self.probe_idx
+    }
+
+    /// The scheduled event to emit before the next arrival, whose time is
+    /// `gate` (`None`: no arrivals remain — probes drain, stats stop). A
+    /// scheduled event is due when the next arrival is at-or-after it.
+    fn due(&mut self, gate: Option<Timestamp>) -> Option<Due> {
+        let probe_due = self.probe_idx < self.probes.len()
+            && gate.is_none_or(|t| t >= self.probes[self.probe_idx]);
+        let stats_due = self.stats_every.is_some() && gate.is_some_and(|t| t >= self.next_stats);
+        if probe_due && (!stats_due || self.probes[self.probe_idx] <= self.next_stats) {
+            let now = self.probes[self.probe_idx];
+            self.probe_idx += 1;
+            return Some(Due::Probe(now));
+        }
+        if stats_due {
+            let now = self.next_stats;
+            self.next_stats = now + self.stats_every.expect("stats cadence set");
+            return Some(Due::Stats(now));
+        }
+        None
+    }
+
+    /// The source's size hint given its arrivals' hint: plus the remaining
+    /// probes, open-ended once a stats cadence is set.
+    fn size_hint(&self, (lo, hi): (usize, Option<usize>)) -> (usize, Option<usize>) {
+        let probes = self.probes_left();
+        (
+            lo + probes,
+            if self.stats_every.is_none() {
+                hi.map(|h| h + probes)
+            } else {
+                None
+            },
+        )
+    }
+}
+
 /// An iterator deriving a [`Request`] stream lazily from arrival-sorted
 /// [`VmRecord`]s — no event vector, no sort, no series materialization.
 /// Arrivals are borrowed straight from the slice; departures are *not*
@@ -26,10 +101,7 @@ use coach_types::prelude::*;
 pub struct RequestSource<'a> {
     vms: &'a [VmRecord],
     idx: usize,
-    probes: Vec<Timestamp>,
-    probe_idx: usize,
-    stats_every: Option<SimDuration>,
-    next_stats: Timestamp,
+    schedule: Schedule,
 }
 
 impl<'a> RequestSource<'a> {
@@ -45,17 +117,10 @@ impl<'a> RequestSource<'a> {
             vms.windows(2).all(|w| w[0].arrival <= w[1].arrival),
             "records must be sorted by arrival"
         );
-        debug_assert!(
-            probes.windows(2).all(|w| w[0] <= w[1]),
-            "probe times must be sorted"
-        );
         RequestSource {
             vms,
             idx: 0,
-            probes,
-            probe_idx: 0,
-            stats_every: None,
-            next_stats: Timestamp::ZERO,
+            schedule: Schedule::new(probes),
         }
     }
 
@@ -94,16 +159,14 @@ impl<'a> RequestSource<'a> {
     ///
     /// Panics if `every` is zero.
     pub fn with_stats_every(mut self, every: SimDuration) -> Self {
-        assert!(every.ticks() > 0, "stats cadence must be positive");
-        self.stats_every = Some(every);
-        self.next_stats = Timestamp::ZERO + every;
+        self.schedule.set_stats_every(every);
         self
     }
 
     /// Requests remaining (arrivals + probes; scheduled stats queries are
     /// open-ended and not counted).
     pub fn remaining(&self) -> usize {
-        (self.vms.len() - self.idx) + (self.probes.len() - self.probe_idx)
+        (self.vms.len() - self.idx) + self.schedule.probes_left()
     }
 }
 
@@ -111,38 +174,21 @@ impl<'a> Iterator for RequestSource<'a> {
     type Item = Request<'a>;
 
     fn next(&mut self) -> Option<Request<'a>> {
-        // The next arrival's time gates the scheduled events: a scheduled
-        // probe is due when the next arrival is at-or-after it (or no
-        // arrivals remain — probes drain, stats stop).
         let gate = self.vms.get(self.idx).map(|vm| vm.arrival);
-        let probe_due = self.probe_idx < self.probes.len()
-            && gate.is_none_or(|t| t >= self.probes[self.probe_idx]);
-        let stats_due = self.stats_every.is_some() && gate.is_some_and(|t| t >= self.next_stats);
-        if probe_due && (!stats_due || self.probes[self.probe_idx] <= self.next_stats) {
-            let now = self.probes[self.probe_idx];
-            self.probe_idx += 1;
-            return Some(Request::Probe { now });
+        match self.schedule.due(gate) {
+            Some(Due::Probe(now)) => Some(Request::Probe { now }),
+            Some(Due::Stats(now)) => Some(Request::Stats { now }),
+            None => {
+                let vm = self.vms.get(self.idx)?;
+                self.idx += 1;
+                Some(Request::Arrive(vm))
+            }
         }
-        if stats_due {
-            let now = self.next_stats;
-            self.next_stats = now + self.stats_every.expect("stats cadence set");
-            return Some(Request::Stats { now });
-        }
-        let vm = self.vms.get(self.idx)?;
-        self.idx += 1;
-        Some(Request::Arrive(vm))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.remaining();
-        (
-            n,
-            if self.stats_every.is_none() {
-                Some(n)
-            } else {
-                None
-            },
-        )
+        let arrivals = self.vms.len() - self.idx;
+        self.schedule.size_hint((arrivals, Some(arrivals)))
     }
 }
 
@@ -159,10 +205,7 @@ impl<'a> Iterator for RequestSource<'a> {
 #[derive(Debug, Clone)]
 pub struct StreamSource<I: Iterator<Item = VmRecord>> {
     vms: std::iter::Peekable<I>,
-    probes: Vec<Timestamp>,
-    probe_idx: usize,
-    stats_every: Option<SimDuration>,
-    next_stats: Timestamp,
+    schedule: Schedule,
 }
 
 impl<I: Iterator<Item = VmRecord>> StreamSource<I> {
@@ -170,16 +213,9 @@ impl<I: Iterator<Item = VmRecord>> StreamSource<I> {
     /// (which must be sorted ascending). Record order is the caller's
     /// contract — it cannot be checked up front on a lazy iterator.
     pub fn new(vms: I, probes: Vec<Timestamp>) -> Self {
-        debug_assert!(
-            probes.windows(2).all(|w| w[0] <= w[1]),
-            "probe times must be sorted"
-        );
         StreamSource {
             vms: vms.peekable(),
-            probes,
-            probe_idx: 0,
-            stats_every: None,
-            next_stats: Timestamp::ZERO,
+            schedule: Schedule::new(probes),
         }
     }
 
@@ -190,9 +226,7 @@ impl<I: Iterator<Item = VmRecord>> StreamSource<I> {
     ///
     /// Panics if `every` is zero.
     pub fn with_stats_every(mut self, every: SimDuration) -> Self {
-        assert!(every.ticks() > 0, "stats cadence must be positive");
-        self.stats_every = Some(every);
-        self.next_stats = Timestamp::ZERO + every;
+        self.schedule.set_stats_every(every);
         self
     }
 }
@@ -210,35 +244,16 @@ impl<I: Iterator<Item = VmRecord>> Iterator for StreamSource<I> {
     type Item = StreamRequest;
 
     fn next(&mut self) -> Option<StreamRequest> {
-        // Same gating as `RequestSource::next`, against the peeked arrival.
         let gate = self.vms.peek().map(|vm| vm.arrival);
-        let probe_due = self.probe_idx < self.probes.len()
-            && gate.is_none_or(|t| t >= self.probes[self.probe_idx]);
-        let stats_due = self.stats_every.is_some() && gate.is_some_and(|t| t >= self.next_stats);
-        if probe_due && (!stats_due || self.probes[self.probe_idx] <= self.next_stats) {
-            let now = self.probes[self.probe_idx];
-            self.probe_idx += 1;
-            return Some(StreamRequest::Probe { now });
+        match self.schedule.due(gate) {
+            Some(Due::Probe(now)) => Some(StreamRequest::Probe { now }),
+            Some(Due::Stats(now)) => Some(StreamRequest::Stats { now }),
+            None => self.vms.next().map(StreamRequest::Arrive),
         }
-        if stats_due {
-            let now = self.next_stats;
-            self.next_stats = now + self.stats_every.expect("stats cadence set");
-            return Some(StreamRequest::Stats { now });
-        }
-        self.vms.next().map(StreamRequest::Arrive)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let (lo, hi) = self.vms.size_hint();
-        let probes = self.probes.len() - self.probe_idx;
-        (
-            lo + probes,
-            if self.stats_every.is_none() {
-                hi.map(|h| h + probes)
-            } else {
-                None
-            },
-        )
+        self.schedule.size_hint(self.vms.size_hint())
     }
 }
 

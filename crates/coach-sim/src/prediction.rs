@@ -16,10 +16,9 @@
 //!   against [`Oracle`].
 
 use coach_predict::{DemandPrediction, UtilizationModel};
-use coach_trace::{EnvelopeCache, EnvelopeKey, VmRecord};
+use coach_trace::VmRecord;
 use coach_types::prelude::*;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Where per-VM demand predictions come from.
@@ -43,13 +42,14 @@ pub trait Predictor: Sync {
     /// VM **in input order**.
     ///
     /// The default forwards each VM to [`Predictor::predict`]. Sources with
-    /// shareable derivation state override it — [`Oracle`] groups the batch
-    /// by envelope template so consecutive VMs reuse one envelope table,
+    /// a cheaper batch form override it — [`Oracle`] derives each VM once
+    /// without fingerprinting, locking or filling its per-item memo,
     /// [`Model`] walks the whole batch through each tree of its forests
-    /// while the tree is cache-resident — but every override must return exactly what the per-item loop would:
-    /// `predict_batch` is a throughput entry point, never a semantic one
-    /// (the `predict_batch_matches_per_item_loop` differential test holds
-    /// all shipped sources to this).
+    /// while the tree is cache-resident — but every override must return
+    /// exactly what the per-item loop would: `predict_batch` is a
+    /// throughput entry point, never a semantic one (the
+    /// `predict_batch_matches_per_item_loop` differential test holds all
+    /// shipped sources to this).
     ///
     /// How the serving controller calls it: possibly from a thread other
     /// than the controller's own (when the box has a core to spare —
@@ -97,11 +97,6 @@ fn too_short(vm: &VmRecord) -> bool {
 pub struct Oracle {
     tw: TimeWindows,
     cache: Mutex<HashMap<(VmId, u64, u64), DemandPrediction>>,
-    /// Envelope-table reuses across all [`Predictor::predict_batch`] calls.
-    env_hits: AtomicU64,
-    /// Envelope-table derivations across all [`Predictor::predict_batch`]
-    /// calls (one per cache miss).
-    env_misses: AtomicU64,
 }
 
 impl Oracle {
@@ -120,21 +115,21 @@ impl Oracle {
         Oracle {
             tw,
             cache: Mutex::new(HashMap::new()),
-            env_hits: AtomicU64::new(0),
-            env_misses: AtomicU64::new(0),
         }
     }
 
-    /// Envelope-cache telemetry accumulated over every
-    /// [`Predictor::predict_batch`] call: `(hits, misses)`. A *miss* is an
-    /// envelope-table derivation, a *hit* a table reuse by a same-template
-    /// VM later in a batch; the per-item [`Predictor::predict`] path does
-    /// not touch these.
+    /// Always `(0, 0)`: the envelope cache these counters reported on is
+    /// gone. Retained only because the frozen `examples/benchmark` calls
+    /// it; the next `[benchmark]` PR removes the call and this method.
     pub fn envelope_counters(&self) -> (u64, u64) {
-        (
-            self.env_hits.load(Ordering::Relaxed),
-            self.env_misses.load(Ordering::Relaxed),
-        )
+        (0, 0)
+    }
+
+    /// One fresh derivation, bucketed — what the memo stores.
+    fn derive(&self, vm: &VmRecord, percentile: Percentile) -> DemandPrediction {
+        let mut p = UtilizationModel::oracle(vm, self.tw, percentile);
+        bucket_prediction(&mut p);
+        p
     }
 
     /// Cache discriminator beyond the VM id: ids restart at 0 in every
@@ -185,8 +180,7 @@ impl Predictor for Oracle {
         if let Some(hit) = self.cache.lock().expect("oracle cache").get(&key) {
             return Some(hit.clone());
         }
-        let mut p = UtilizationModel::oracle(vm, self.tw, percentile);
-        bucket_prediction(&mut p);
+        let p = self.derive(vm, percentile);
         let mut cache = self.cache.lock().expect("oracle cache");
         if cache.len() < Self::MAX_CACHED {
             cache.insert(key, p.clone());
@@ -194,49 +188,21 @@ impl Predictor for Oracle {
         Some(p)
     }
 
-    /// The cold-path batch derivation: sort the batch's long-running VMs by
-    /// envelope template so equal-envelope VMs are adjacent, then derive
-    /// them in that order through one shared [`EnvelopeCache`] — envelope
-    /// reuse becomes a pure iteration pattern. Results come back in input
-    /// order.
-    ///
-    /// The `(VM, percentile)` memo is deliberately bypassed in both
-    /// directions: a batch derives each VM exactly once, so fingerprinting
-    /// and locking per VM buys nothing, and a million-VM replay must not
-    /// leave a million-entry footprint behind. The memo stays the fallback
-    /// for the per-item path, and skipping it cannot change results —
-    /// [`UtilizationModel::oracle_cached`] is bit-identical to the fresh
-    /// derivation the memo stores.
+    /// The cold-path batch derivation: skip the short VMs, derive each
+    /// survivor once, bucket. Same results as the per-item loop, but the
+    /// `(VM, percentile)` memo is bypassed in both directions: a batch
+    /// derives each VM exactly once, so fingerprinting and locking per VM
+    /// buys nothing, and the default loop would push a 500k-VM stream into
+    /// the 2^18-entry (~128 MB) memo. Skipping it cannot change results —
+    /// the memo stores exactly this derivation.
     fn predict_batch(
         &self,
         vms: &[&VmRecord],
         percentile: Percentile,
     ) -> Vec<Option<DemandPrediction>> {
-        // Short VMs (most of a cloud trace) get no prediction: drop them
-        // before paying for sort keys. The sort is stable, so the long VMs
-        // meet the envelope cache in the order they always did.
-        let mut order: Vec<u32> = (0..vms.len() as u32)
-            .filter(|&i| !too_short(vms[i as usize]))
-            .collect();
-        order.sort_by_cached_key(|&i| {
-            vms[i as usize]
-                .profile
-                .per_resource
-                .each_ref()
-                .map(EnvelopeKey::of)
-        });
-        let mut env = EnvelopeCache::new();
-        let mut out = vec![None; vms.len()];
-        for &i in &order {
-            let vm = vms[i as usize];
-            let mut p = UtilizationModel::oracle_cached(vm, self.tw, percentile, &mut env);
-            bucket_prediction(&mut p);
-            out[i as usize] = Some(p);
-        }
-        let (hits, misses) = env.counters();
-        self.env_hits.fetch_add(hits, Ordering::Relaxed);
-        self.env_misses.fetch_add(misses, Ordering::Relaxed);
-        out
+        vms.iter()
+            .map(|vm| (!too_short(vm)).then(|| self.derive(vm, percentile)))
+            .collect()
     }
 }
 
@@ -430,9 +396,9 @@ mod tests {
 
     /// `predict_batch` is a throughput entry point, never a semantic one:
     /// for every shipped source it must equal the per-item loop exactly.
-    /// `Oracle` (shared envelope cache, memo bypassed) and `Model` (one
-    /// forest sweep per batch) override it, so this differentially pins
-    /// the overrides; `NaiveReference` exercises the default loop.
+    /// `Oracle` (memo bypassed) and `Model` (one forest sweep per batch)
+    /// override it, so this differentially pins the overrides;
+    /// `NaiveReference` exercises the default loop.
     #[test]
     fn predict_batch_matches_per_item_loop() {
         use coach_predict::{ForestParams, ModelConfig};
@@ -471,13 +437,6 @@ mod tests {
                 }
             }
         }
-
-        // The override's telemetry is consistent: every long VM asked the
-        // shared cache for its four per-resource envelope tables.
-        let long = trace.long_running().count() as u64;
-        let (hits, misses) = oracle.envelope_counters();
-        assert_eq!(hits + misses, 2 * 4 * long, "oracle envelope lookups");
-        assert!(misses > 0, "batch derived no envelope tables");
     }
 
     /// Pins the memo sizing arithmetic that justifies [`Oracle::MAX_CACHED`]:

@@ -69,9 +69,8 @@ impl TraceConfig {
     }
 
     /// The million-VM trace (paper scale: >1M VMs over two weeks) — the
-    /// ROADMAP north-star workload. Only runnable end-to-end with the
-    /// indexed generator first-fit and the lazy demand derivation;
-    /// `bench_pipeline --large` replays it.
+    /// ROADMAP north-star workload. Only runnable end-to-end with the lazy
+    /// demand derivation; `bench_pipeline --large` replays it.
     pub fn large(seed: u64) -> Self {
         TraceConfig {
             seed,
@@ -212,31 +211,31 @@ pub(crate) fn template_seed_for(seed: u64, group_key: (u64, u64)) -> u64 {
 }
 
 /// The first-fit placement state machine shared by both generators: per
-/// cluster, the free vectors, the leftmost-fit index, and the departure
-/// heap. Skeletons must be fed in the global `(arrival, draw index)`
-/// order; servers grow on demand with globally sequential ids.
+/// cluster, the free vectors and the departure heap. Skeletons must be fed
+/// in the global `(arrival, draw index)` order; servers grow on demand with
+/// globally sequential ids.
+///
+/// First-fit is a linear scan of the cluster's free vectors: churn keeps
+/// low-index servers feasible, so it usually hits within a few probes
+/// (~3.1 s of placement work for the 1M-VM `large` config, against ~5.4 s
+/// measured for a leftmost-fit segment tree over the same vectors).
 pub(crate) struct PlacementMachine {
-    indexed: bool,
     places: Vec<Placement>,
     next_server_id: u64,
 }
 
 struct Placement {
     free: Vec<ResourceVec>,
-    /// Leftmost-fit index mirroring `free` (maintained when indexed).
-    index: FreeIndex,
     /// Min-heap of (departure tick, server index, demand as f64 bits).
     departures: BinaryHeap<std::cmp::Reverse<(u64, usize, [u64; 4])>>,
 }
 
 impl PlacementMachine {
-    pub(crate) fn new(cluster_count: usize, scan: GenScan) -> Self {
+    pub(crate) fn new(cluster_count: usize) -> Self {
         PlacementMachine {
-            indexed: scan == GenScan::Indexed,
             places: (0..cluster_count)
                 .map(|_| Placement {
                     free: Vec::new(),
-                    index: FreeIndex::new(),
                     departures: BinaryHeap::new(),
                 })
                 .collect(),
@@ -270,34 +269,21 @@ impl PlacementMachine {
             ]);
             place.free[srv] += demand;
             place.free[srv] = place.free[srv].min(&hw_capacity);
-            if self.indexed {
-                place.index.set(srv, place.free[srv]);
-            }
         }
 
         // First-fit into an existing server; grow the cluster if none fits.
         let demand = sk.config.demand();
-        let found = if self.indexed {
-            place.index.first_fit(&demand)
-        } else {
-            place.free.iter().position(|f| demand.fits_within(f))
-        };
+        let found = place.free.iter().position(|f| demand.fits_within(f));
         let (srv_idx, grew) = match found {
             Some(idx) => (idx, None),
             None => {
                 place.free.push(hw_capacity);
-                if self.indexed {
-                    place.index.push(hw_capacity);
-                }
                 let id = ServerId::new(self.next_server_id);
                 self.next_server_id += 1;
                 (place.free.len() - 1, Some(id))
             }
         };
         place.free[srv_idx] -= demand;
-        if self.indexed {
-            place.index.set(srv_idx, place.free[srv_idx]);
-        }
         place.departures.push(std::cmp::Reverse((
             sk.departure.ticks(),
             srv_idx,
@@ -309,131 +295,6 @@ impl PlacementMachine {
             ],
         )));
         (srv_idx, grew)
-    }
-}
-
-/// How [`generate`] searches a cluster's servers for the first fit.
-///
-/// Mirrors `coach_sched::ScanStrategy`: the default indexed search is
-/// decision-identical to the exhaustive scan (asserted by
-/// `indexed_first_fit_matches_naive_scan`), which is retained for
-/// differential testing.
-///
-/// Measured honestly: on the shipped trace configs the linear scan is
-/// competitive (its churn keeps low-index servers feasible, so first-fit
-/// usually hits within a few probes — ~3.1 s vs ~5.4 s of placement work
-/// for the 1M-VM `large` config). The index stays the default because its
-/// worst case is O(log servers) per placement instead of O(servers):
-/// denser configurations (higher initial fraction, capacity-capped
-/// clusters) push first-fit toward deep scans, and an 8 % cost on the
-/// current million-VM run buys immunity to that quadratic cliff.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GenScan {
-    /// Leftmost-fit free-headroom index: a segment tree over per-server
-    /// free vectors whose nodes hold the elementwise max of their subtree,
-    /// so full prefixes of the cluster (the common case under first-fit)
-    /// are skipped in O(log servers) (default).
-    #[default]
-    Indexed,
-    /// The seed's exhaustive linear scan, O(servers) per VM — the reference
-    /// implementation.
-    NaiveReference,
-}
-
-/// Leftmost-first-fit index over per-server free resource vectors.
-///
-/// A binary segment tree: leaf `i` holds server `i`'s free vector, and each
-/// internal node the *elementwise max* of its children. A subtree can host a
-/// demand only if the demand fits the node's elementwise max (a sound
-/// pruning bound — the max overestimates any single server), so the search
-/// descends left-first and backtracks, returning the lowest-index feasible
-/// server. Feasibility uses the same [`ResourceVec::fits_within`] on the
-/// same free values as the naive scan, so decisions are identical.
-struct FreeIndex {
-    n: usize,
-    cap: usize,
-    /// `2 * cap` nodes; leaves live at `cap..cap + n`, unused leaves ZERO.
-    tree: Vec<ResourceVec>,
-}
-
-impl FreeIndex {
-    fn new() -> Self {
-        FreeIndex {
-            n: 0,
-            cap: 1,
-            tree: vec![ResourceVec::ZERO; 2],
-        }
-    }
-
-    fn leaf(&self, i: usize) -> ResourceVec {
-        self.tree[self.cap + i]
-    }
-
-    fn bubble_up(&mut self, mut node: usize) {
-        node /= 2;
-        while node >= 1 {
-            let combined = self.tree[2 * node].max(&self.tree[2 * node + 1]);
-            if combined == self.tree[node] {
-                // Ancestors already reflect this max — most updates touch a
-                // leaf that doesn't dominate its subtree, so they stop here.
-                return;
-            }
-            self.tree[node] = combined;
-            node /= 2;
-        }
-    }
-
-    /// Append a server with free vector `v`.
-    fn push(&mut self, v: ResourceVec) {
-        if self.n == self.cap {
-            // Double the leaf capacity and rebuild bottom-up (amortized O(1)
-            // per push).
-            let new_cap = self.cap * 2;
-            let mut tree = vec![ResourceVec::ZERO; 2 * new_cap];
-            for i in 0..self.n {
-                tree[new_cap + i] = self.leaf(i);
-            }
-            for node in (1..new_cap).rev() {
-                tree[node] = tree[2 * node].max(&tree[2 * node + 1]);
-            }
-            self.cap = new_cap;
-            self.tree = tree;
-        }
-        self.tree[self.cap + self.n] = v;
-        self.n += 1;
-        self.bubble_up(self.cap + self.n - 1);
-    }
-
-    /// Overwrite server `i`'s free vector.
-    fn set(&mut self, i: usize, v: ResourceVec) {
-        self.tree[self.cap + i] = v;
-        self.bubble_up(self.cap + i);
-    }
-
-    /// Lowest-index server whose free vector fits `demand`, or `None`.
-    fn first_fit(&self, demand: &ResourceVec) -> Option<usize> {
-        if self.n == 0 {
-            return None;
-        }
-        let leaf = self.search(1, demand)?;
-        let i = leaf - self.cap;
-        debug_assert!(i < self.n, "padding leaves are ZERO and cannot fit");
-        Some(i)
-    }
-
-    /// Left-first depth-first search with bound pruning. The elementwise-max
-    /// bound can pass at a node whose children both fail (CPU headroom from
-    /// one child, memory from the other), so the search backtracks; pruning
-    /// keeps it near O(log servers) when a prefix of the cluster is full.
-    fn search(&self, node: usize, demand: &ResourceVec) -> Option<usize> {
-        if !demand.fits_within(&self.tree[node]) {
-            return None;
-        }
-        if node >= self.cap {
-            return Some(node);
-        }
-        self.search(2 * node, demand)
-            .or_else(|| self.search(2 * node + 1, demand))
     }
 }
 
@@ -452,12 +313,6 @@ impl FreeIndex {
 ///
 /// Panics if `vm_count` or `cluster_count` is zero.
 pub fn generate(config: &TraceConfig) -> Trace {
-    generate_with(config, GenScan::Indexed)
-}
-
-/// [`generate`] with an explicit first-fit scan strategy — the naive scan is
-/// retained for differential testing against the free-headroom index.
-pub fn generate_with(config: &TraceConfig, scan: GenScan) -> Trace {
     assert!(config.vm_count > 0 && config.cluster_count > 0);
     let mut rng = SmallRng::seed_from_u64(config.seed);
 
@@ -480,7 +335,7 @@ pub fn generate_with(config: &TraceConfig, scan: GenScan) -> Trace {
     let mut order: Vec<usize> = (0..skeletons.len()).collect();
     order.sort_by_key(|&i| skeletons[i].arrival);
 
-    let mut machine = PlacementMachine::new(config.cluster_count, scan);
+    let mut machine = PlacementMachine::new(config.cluster_count);
 
     // Behavior templates are per subscription × configuration group, created
     // lazily — this is what makes group history predictive (Fig 12).
@@ -598,50 +453,6 @@ mod tests {
         assert_eq!(a, b);
         let c = generate(&TraceConfig::small(6));
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn indexed_first_fit_matches_naive_scan() {
-        // The free-headroom index must place every VM on the same server as
-        // the exhaustive scan — whole-trace equality covers placement,
-        // server growth order, and ids. A denser single-cluster config
-        // exercises deep backtracking (many near-full servers).
-        for config in [
-            TraceConfig::small(3),
-            TraceConfig::small(77),
-            TraceConfig {
-                vm_count: 3000,
-                cluster_count: 1,
-                subscription_count: 40,
-                ..TraceConfig::small(8)
-            },
-        ] {
-            let indexed = generate_with(&config, GenScan::Indexed);
-            let naive = generate_with(&config, GenScan::NaiveReference);
-            assert_eq!(indexed, naive, "scan strategies diverged");
-        }
-    }
-
-    #[test]
-    fn free_index_finds_leftmost_and_handles_growth() {
-        let mut idx = FreeIndex::new();
-        assert_eq!(idx.first_fit(&ResourceVec::splat(1.0)), None);
-        // Grow past several capacity doublings.
-        for i in 0..9 {
-            idx.push(ResourceVec::new(8.0, 32.0, 10.0, 100.0));
-            assert_eq!(idx.leaf(i).cpu(), 8.0);
-        }
-        // Fill server 0's memory and server 1's cpu: a demand needing both
-        // must skip to server 2 even though the root bound passes.
-        idx.set(0, ResourceVec::new(8.0, 0.0, 10.0, 100.0));
-        idx.set(1, ResourceVec::new(0.0, 32.0, 10.0, 100.0));
-        let demand = ResourceVec::new(2.0, 4.0, 1.0, 16.0);
-        assert_eq!(idx.first_fit(&demand), Some(2));
-        // Leftmost wins once feasible again.
-        idx.set(0, ResourceVec::new(8.0, 32.0, 10.0, 100.0));
-        assert_eq!(idx.first_fit(&demand), Some(0));
-        // Infeasible everywhere.
-        assert_eq!(idx.first_fit(&ResourceVec::splat(1e6)), None);
     }
 
     #[test]

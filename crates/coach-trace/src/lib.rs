@@ -33,10 +33,7 @@ pub mod profile;
 pub mod stream;
 pub mod wire;
 
-pub use gen::{generate, generate_with, GenScan, TraceConfig};
+pub use gen::{generate, TraceConfig};
 pub use model::{Cluster, Trace, VmRecord};
-pub use profile::{
-    BehaviorTemplate, EnvelopeCache, EnvelopeKey, EnvelopeTable, PatternKind, ResourceProfile,
-    VmProfile,
-};
+pub use profile::{BehaviorTemplate, PatternKind, ResourceProfile, VmProfile};
 pub use stream::{StreamingRecords, StreamingTrace, DEFAULT_CHUNK_BUDGET};

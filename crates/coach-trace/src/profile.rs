@@ -17,8 +17,6 @@ use coach_types::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::f64::consts::TAU;
 
 /// High-level temporal pattern class (prior work's taxonomy cited in §2.3:
@@ -112,53 +110,15 @@ const SEG_TICKS: u64 = 8;
 /// negligible against the ≥1e-2-scale noise terms they compare against.
 const ENV_PAD: f64 = 1e-12;
 
-/// Identity of a [`ResourceProfile`]'s deterministic diurnal envelope: the
-/// exact bit patterns of the four parameters the envelope depends on
-/// (`base`, `amplitude`, `peak_hour`, `peak_width_hours`). Per-VM noise,
-/// drift, weekend, and lifetime parameters are *not* part of the key — they
-/// apply on top of a shared table — so any two profiles with equal keys
-/// share one [`EnvelopeTable`] bit-exactly.
-///
-/// The `Ord` impl is an arbitrary (bit-pattern lexicographic) total order;
-/// it exists so batch consumers can sort VMs to make equal-envelope runs
-/// adjacent, not because envelope identities compare meaningfully.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EnvelopeKey {
-    base: u64,
-    amplitude: u64,
-    peak_hour: u64,
-    peak_width_hours: u64,
-}
-
-impl EnvelopeKey {
-    /// The envelope identity of `p`.
-    pub fn of(p: &ResourceProfile) -> Self {
-        EnvelopeKey {
-            base: p.base.to_bits(),
-            amplitude: p.amplitude.to_bits(),
-            peak_hour: p.peak_hour.to_bits(),
-            peak_width_hours: p.peak_width_hours.to_bits(),
-        }
-    }
-}
-
-/// The deterministic diurnal envelope *geometry* of one
-/// [`ResourceProfile`], derived once and reusable across every scan — and
-/// every *VM* — whose profile has the same [`EnvelopeKey`].
-///
-/// Holds the exact off-bump level, the bump center, and the day's bump
-/// intervals, which the scan uses to split every window into exactly-flat
+/// The bump geometry of one [`ResourceProfile`]'s deterministic diurnal
+/// envelope, computed at the top of each analytic scan: a handful of
+/// arithmetic ops that let the scan split every window into exactly-flat
 /// spans (one integer hash-max each) and bump spans (segment-screened cell
 /// checks). Envelope *values* are deliberately not tabulated: the screens
 /// are cosine-free (a padded polynomial majorant of the raised cosine) and
-/// the few cells that survive them resolve through the scan's own per-tick-of-day
-/// memo, so a cosine is paid once per distinct surviving cell rather than
-/// once per tabulated cell. That keeps construction down to a handful of
-/// arithmetic ops — cheap enough that a cache miss costs nothing beyond
-/// the scan it serves — and the table trivially immutable and shareable.
-#[derive(Debug, Clone)]
-pub struct EnvelopeTable {
-    key: EnvelopeKey,
+/// the few cells that survive them resolve through the scan's own
+/// per-tick-of-day memo.
+struct BumpGeometry {
     /// Exact off-bump level `base + amplitude · 0`.
     flat: f64,
     /// Bump center in (fractional) ticks-of-day.
@@ -170,12 +130,12 @@ pub struct EnvelopeTable {
     nspans: u8,
 }
 
-impl EnvelopeTable {
-    /// Derive the envelope geometry for `p`. Outside the raised-cosine bump
-    /// the shape is exactly 0, so those cells sit at the exact constant
-    /// `base + amplitude · 0`; the (conservatively widened) bump range is
-    /// derived by interval arithmetic, not by scanning the 288 cells.
-    pub fn new(p: &ResourceProfile) -> Self {
+impl BumpGeometry {
+    /// Outside the raised-cosine bump the shape is exactly 0, so those
+    /// cells sit at the exact constant `base + amplitude · 0`; the
+    /// (conservatively widened) bump range is derived by interval
+    /// arithmetic, not by scanning the 288 cells.
+    fn of(p: &ResourceProfile) -> Self {
         let flat = p.base + p.amplitude * 0.0;
         let half_ticks = p.peak_width_hours.max(0.5) * TICKS_PER_HOUR as f64;
         let center = p.peak_hour.rem_euclid(24.0) * TICKS_PER_HOUR as f64;
@@ -204,102 +164,12 @@ impl EnvelopeTable {
             }
         };
 
-        EnvelopeTable {
-            key: EnvelopeKey::of(p),
+        BumpGeometry {
             flat,
             center,
             bump_spans,
             nspans,
         }
-    }
-
-    /// The key this table was built for.
-    pub fn key(&self) -> EnvelopeKey {
-        self.key
-    }
-}
-
-/// A bounded cache of [`EnvelopeTable`]s keyed by [`EnvelopeKey`], for
-/// batch derivation over many VMs: repeat queries of one VM and
-/// same-template VMs whose jitter collides exactly share tables.
-///
-/// The map is capped (default [`EnvelopeCache::DEFAULT_CAP`]); at capacity
-/// a miss is served from a single scratch slot instead of evicting, so
-/// memory stays bounded by `cap + 1` tables (a few dozen bytes each) no
-/// matter how diverse the batch. Hit/miss counters are exposed for
-/// telemetry — on jittered traces, where envelope keys rarely collide
-/// across VMs, the miss counter doubles as a derivation count.
-#[derive(Debug)]
-pub struct EnvelopeCache {
-    map: HashMap<EnvelopeKey, EnvelopeTable>,
-    cap: usize,
-    scratch: Option<EnvelopeTable>,
-    hits: u64,
-    misses: u64,
-}
-
-impl EnvelopeCache {
-    /// Default table cap: bounds a cache to a few MB while covering every
-    /// realistic per-segment working set.
-    pub const DEFAULT_CAP: usize = 1024;
-
-    /// An empty cache with the default cap.
-    pub fn new() -> Self {
-        Self::with_capacity(Self::DEFAULT_CAP)
-    }
-
-    /// An empty cache holding at most `cap` keyed tables (plus one scratch
-    /// slot that serves misses once full).
-    pub fn with_capacity(cap: usize) -> Self {
-        EnvelopeCache {
-            map: HashMap::new(),
-            cap,
-            scratch: None,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// The table for `p`, built on first sight. At capacity, unknown keys
-    /// are served from the scratch slot (rebuilt per miss) — correctness
-    /// never depends on residency, only speed.
-    pub fn table_for(&mut self, p: &ResourceProfile) -> &EnvelopeTable {
-        let key = EnvelopeKey::of(p);
-        if self.map.len() >= self.cap && !self.map.contains_key(&key) {
-            self.misses += 1;
-            return self.scratch.insert(EnvelopeTable::new(p));
-        }
-        match self.map.entry(key) {
-            Entry::Occupied(e) => {
-                self.hits += 1;
-                e.into_mut()
-            }
-            Entry::Vacant(v) => {
-                self.misses += 1;
-                v.insert(EnvelopeTable::new(p))
-            }
-        }
-    }
-
-    /// `(hits, misses)` since construction.
-    pub fn counters(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Number of resident keyed tables.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether no keyed table has been built yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
-impl Default for EnvelopeCache {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -390,10 +260,9 @@ impl VmProfile {
     /// cheaper:
     ///
     /// * the deterministic diurnal envelope `base + amplitude · shape(hour)`
-    ///   is periodic per day, so it is tabulated once into an
-    ///   [`EnvelopeTable`] instead of recomputed per tick per day — and the
-    ///   table can be shared across calls and VMs (see
-    ///   [`VmProfile::window_stats_for_with`] / [`EnvelopeCache`]);
+    ///   is periodic per day: off the bump it is one exact constant, and a
+    ///   bump cell's cosine resolves at most once per scan (a per-scan
+    ///   tick-of-day memo) instead of once per tick per day;
     /// * weekend factor and day drift are per-day constants, the
     ///   unpredictable-pattern walk a per-hour-block constant — hashed once
     ///   per day/block instead of per tick;
@@ -417,68 +286,7 @@ impl VmProfile {
         if Self::needs_eager_fallback(p) {
             return self.eager_window_stats(resource, tw, start, end);
         }
-        let table = EnvelopeTable::new(p);
-        self.window_stats_for_with(resource, tw, start, end, &table)
-    }
-
-    /// Every pruning bound and the integer hash-max reduction in the
-    /// analytic scan rely on `noise`, `amplitude`, and `weekend_factor`
-    /// being non-negative (the monotonicity arguments flip sign otherwise).
-    /// Generated profiles always satisfy that, but the fields are pub and
-    /// unvalidated — degenerate hand-built parameters take a plain per-tick
-    /// eager walk instead, keeping the exactness contract unconditional.
-    /// (`!(x >= 0)` also catches NaN.)
-    fn needs_eager_fallback(p: &ResourceProfile) -> bool {
-        !(p.noise >= 0.0 && p.amplitude >= 0.0 && p.weekend_factor >= 0.0)
-    }
-
-    fn eager_window_stats(
-        &self,
-        resource: ResourceKind,
-        tw: TimeWindows,
-        start: Timestamp,
-        end: Timestamp,
-    ) -> WindowStats {
-        let ticks = (end.ticks() - start.ticks()) as usize;
-        let mut samples = Vec::with_capacity(ticks);
-        let mut t = start;
-        while t < end {
-            samples.push(self.util_at(resource, t) as f32);
-            t += SimDuration::from_ticks(1);
-        }
-        WindowStats::from_samples(tw, start, &samples)
-    }
-
-    /// [`VmProfile::window_stats_for`] scanning through a caller-provided
-    /// [`EnvelopeTable`] — the cold-path batch entry point. The table must
-    /// have been built for this resource's envelope parameters
-    /// ([`EnvelopeKey::of`]; asserted), and is typically shared across many
-    /// calls — across days, repeat queries, and *VMs whose profiles carry
-    /// equal envelope parameters* — so its construction and lazily-memoized
-    /// cosine cells amortize over a whole batch. Results are bit-identical
-    /// to the fresh-table path: cell resolution is deterministic in the
-    /// key, and per-VM noise/drift/weekend/lifetime terms never touch the
-    /// table.
-    pub fn window_stats_for_with(
-        &self,
-        resource: ResourceKind,
-        tw: TimeWindows,
-        start: Timestamp,
-        end: Timestamp,
-        table: &EnvelopeTable,
-    ) -> WindowStats {
-        if start >= end {
-            return WindowStats::empty(tw, start.day());
-        }
-        let p = &self.per_resource[resource.index()];
-        if Self::needs_eager_fallback(p) {
-            return self.eager_window_stats(resource, tw, start, end);
-        }
-        assert_eq!(
-            table.key,
-            EnvelopeKey::of(p),
-            "EnvelopeTable built for different envelope parameters"
-        );
+        let geom = BumpGeometry::of(p);
         let r = resource.index() as u64;
         let wcount = tw.count();
         let wticks = tw.window_ticks();
@@ -491,8 +299,8 @@ impl VmProfile {
         let walk_pre = hash_prefix(self.noise_seed, r, 2);
         let drift_pre = hash_prefix(self.noise_seed, r, 0);
 
-        let flat = table.flat;
-        let center = table.center;
+        let flat = geom.flat;
+        let center = geom.center;
 
         // Per-scan envelope memo: a cell's envelope value resolves on first
         // touch with exactly `util_at`'s arithmetic (off the bump the shape
@@ -618,7 +426,7 @@ impl VmProfile {
                 if unpredictable {
                     // The hourly walk is constant within each block, so the
                     // scan advances block by block, and each block splits by
-                    // the table's bump intervals: a flat run (constant level
+                    // the bump intervals: a flat run (constant level
                     // + constant walk) reduces to one integer hash max —
                     // monotone in the white draw, identical to per-tick
                     // evaluation — while a bump run is screened first by its
@@ -639,8 +447,8 @@ impl VmProfile {
                         let level = env_at!((t_lo - day_start) as usize) * wf_day + drift;
                         eval_tick!(t_lo, level, walk_term);
                     }
-                    let spans = table.bump_spans;
-                    let nspans = table.nspans as usize;
+                    let spans = geom.bump_spans;
+                    let nspans = geom.nspans as usize;
                     let mut t = t_lo;
                     while t < t_hi {
                         let block = t / TICKS_PER_HOUR;
@@ -727,7 +535,7 @@ impl VmProfile {
                     eval_tick!(t0, level0, 0.0);
 
                     // Split the window's tick-of-day range into exactly-flat
-                    // spans (the complement of the table's bump intervals)
+                    // spans (the complement of the bump intervals)
                     // and bump spans. A flat span's maximum value is the
                     // value at its maximum noise draw — `unit_from_hash` is
                     // monotone in the mixed hash, so one pure integer max
@@ -769,10 +577,10 @@ impl VmProfile {
                     // max, so the reorder is bit-exact; it exists purely so
                     // the bump screens below face the strongest possible
                     // `m64`.
-                    let spans = table.bump_spans;
+                    let spans = geom.bump_spans;
                     {
                         let mut cursor = a0;
-                        for (ls, hs) in spans[..table.nspans as usize].iter().copied() {
+                        for (ls, hs) in spans[..geom.nspans as usize].iter().copied() {
                             let bs = ls.max(a0);
                             let be = (hs + 1).min(b0);
                             if be <= bs {
@@ -796,7 +604,7 @@ impl VmProfile {
                     // segment is then screened cell by cell with each
                     // cell's own draw, so a cosine only ever resolves for a
                     // cell whose draw could actually beat the running max.
-                    for (ls, hs) in spans[..table.nspans as usize].iter().copied() {
+                    for (ls, hs) in spans[..geom.nspans as usize].iter().copied() {
                         let bs = ls.max(a0);
                         let be = (hs + 1).min(b0);
                         if be <= bs {
@@ -880,6 +688,34 @@ impl VmProfile {
         WindowStats::from_parts(tw, first_day, days, per_day_max)
     }
 
+    /// Every pruning bound and the integer hash-max reduction in the
+    /// analytic scan rely on `noise`, `amplitude`, and `weekend_factor`
+    /// being non-negative (the monotonicity arguments flip sign otherwise).
+    /// Generated profiles always satisfy that, but the fields are pub and
+    /// unvalidated — degenerate hand-built parameters take a plain per-tick
+    /// eager walk instead, keeping the exactness contract unconditional.
+    /// (`!(x >= 0)` also catches NaN.)
+    fn needs_eager_fallback(p: &ResourceProfile) -> bool {
+        !(p.noise >= 0.0 && p.amplitude >= 0.0 && p.weekend_factor >= 0.0)
+    }
+
+    fn eager_window_stats(
+        &self,
+        resource: ResourceKind,
+        tw: TimeWindows,
+        start: Timestamp,
+        end: Timestamp,
+    ) -> WindowStats {
+        let ticks = (end.ticks() - start.ticks()) as usize;
+        let mut samples = Vec::with_capacity(ticks);
+        let mut t = start;
+        while t < end {
+            samples.push(self.util_at(resource, t) as f32);
+            t += SimDuration::from_ticks(1);
+        }
+        WindowStats::from_samples(tw, start, &samples)
+    }
+
     /// Analytic windowed statistics for all four resources over
     /// `[start, end)` — the lazy replacement for
     /// `materialize(start, end)` + per-resource sample walks.
@@ -892,29 +728,6 @@ impl VmProfile {
         ResourceWindowStats::new(
             ResourceKind::ALL.map(|kind| self.window_stats_for(kind, tw, start, end)),
         )
-    }
-
-    /// [`VmProfile::window_stats`] through a shared [`EnvelopeCache`] — the
-    /// batch entry point. Per-resource envelope tables are fetched from
-    /// (and retained in) `cache`, so a batch of queries builds each
-    /// distinct table once instead of once per call, and every resolved
-    /// cosine cell stays resolved for the rest of the batch. Bit-identical
-    /// to [`VmProfile::window_stats`].
-    pub fn window_stats_cached(
-        &self,
-        tw: TimeWindows,
-        start: Timestamp,
-        end: Timestamp,
-        cache: &mut EnvelopeCache,
-    ) -> ResourceWindowStats {
-        ResourceWindowStats::new(ResourceKind::ALL.map(|kind| {
-            let p = &self.per_resource[kind.index()];
-            if start >= end || Self::needs_eager_fallback(p) {
-                self.window_stats_for(kind, tw, start, end)
-            } else {
-                self.window_stats_for_with(kind, tw, start, end, cache.table_for(p))
-            }
-        }))
     }
 }
 
@@ -1408,63 +1221,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_table_resolution_state_is_reusable() {
-        // One profile queried repeatedly through one cache: the second and
-        // third calls reuse tables whose bump cells the earlier calls
-        // already resolved — results must stay bit-identical, and the cache
-        // must count one miss per resource and hits thereafter.
-        let p = sample_profile(21);
-        let tw = TimeWindows::paper_default();
-        let mut cache = EnvelopeCache::new();
-        for (s, e) in [(0u64, 2u64), (5, 9), (1, 3)] {
-            let start = Timestamp::from_days(s);
-            let end = Timestamp::from_days(e);
-            assert_stats_equal(
-                &p.window_stats_cached(tw, start, end, &mut cache),
-                &p.window_stats(tw, start, end),
-            );
-        }
-        let (hits, misses) = cache.counters();
-        assert_eq!(misses, ResourceKind::COUNT as u64);
-        assert_eq!(hits, 2 * ResourceKind::COUNT as u64);
-        assert_eq!(cache.len(), ResourceKind::COUNT);
-    }
-
-    #[test]
-    fn envelope_cache_scratch_and_degenerate_paths_are_exact() {
-        // A cap-1 cache thrashes through the scratch slot; degenerate
-        // parameters must route to the eager fallback without touching the
-        // cache. Both must stay bit-identical to the plain path.
-        let tw = TimeWindows::paper_default();
-        let start = Timestamp::from_days(1);
-        let end = Timestamp::from_days(4);
-        let mut cache = EnvelopeCache::with_capacity(1);
-        for seed in [2u64, 9, 2, 9] {
-            let p = sample_profile(seed);
-            assert_stats_equal(
-                &p.window_stats_cached(tw, start, end, &mut cache),
-                &p.window_stats(tw, start, end),
-            );
-        }
-        assert_eq!(cache.len(), 1);
-        let (_, misses) = cache.counters();
-        assert!(misses > ResourceKind::COUNT as u64, "scratch never used");
-
-        let mut q = sample_profile(5);
-        q.per_resource[0].noise = -0.05;
-        q.per_resource[2].weekend_factor = -0.5;
-        let before = cache.counters();
-        let got = q.window_stats_cached(tw, start, end, &mut cache);
-        assert_stats_equal(&got, &q.window_stats(tw, start, end));
-        let after = cache.counters();
-        // The two degenerate resources bypassed the cache entirely.
-        assert_eq!(
-            after.0 + after.1,
-            before.0 + before.1 + (ResourceKind::COUNT as u64 - 2)
-        );
-    }
-
-    #[test]
     fn analytic_stats_empty_range() {
         let p = sample_profile(5);
         let t = Timestamp::from_hours(30);
@@ -1489,37 +1245,6 @@ mod tests {
             let start = Timestamp::from_ticks(start_ticks);
             let end = Timestamp::from_ticks(start_ticks + len);
             assert_stats_equal(&p.window_stats(tw, start, end), &reference_stats(&p, tw, start, end));
-        }
-
-        /// Template-shared envelope tables are bit-identical to the per-VM
-        /// fresh-table path: many VMs instantiated from one template, all
-        /// derived through one shared [`EnvelopeCache`], match the plain
-        /// `window_stats` (itself pinned to the materialized reference
-        /// above) across random templates, seeds, lifetimes, and window
-        /// partitions.
-        #[test]
-        fn prop_shared_envelope_table_is_bit_identical(
-            template_seed in 0u64..500,
-            vm_seeds in prop::collection::vec(0u64..10_000, 1..6),
-            start_ticks in 0u64..(3 * TICKS_PER_DAY),
-            len in 1u64..(4 * TICKS_PER_DAY),
-            wpd_idx in 0usize..5,
-        ) {
-            let tw = TimeWindows::new([1u32, 2, 6, 24, 288][wpd_idx]);
-            let mut rng = SmallRng::seed_from_u64(template_seed);
-            let template = BehaviorTemplate::sample(&mut rng);
-            let mut cache = EnvelopeCache::new();
-            let start = Timestamp::from_ticks(start_ticks);
-            let end = Timestamp::from_ticks(start_ticks + len);
-            for &vs in &vm_seeds {
-                let p = template.instantiate(vs);
-                let shared = p.window_stats_cached(tw, start, end, &mut cache);
-                let fresh = p.window_stats(tw, start, end);
-                assert_stats_equal(&shared, &fresh);
-            }
-            // Every (vm, resource) derivation went through the cache.
-            let (hits, misses) = cache.counters();
-            prop_assert_eq!(hits + misses, (vm_seeds.len() * ResourceKind::COUNT) as u64);
         }
 
         #[test]

@@ -41,8 +41,8 @@ use rand::SeedableRng;
 use coach_types::prelude::*;
 
 use crate::gen::{
-    build_clusters, draw_skeleton, draw_subscriptions, template_seed_for, GenScan,
-    PlacementMachine, Skeleton, Subscription, TraceConfig,
+    build_clusters, draw_skeleton, draw_subscriptions, template_seed_for, PlacementMachine,
+    Skeleton, Subscription, TraceConfig,
 };
 use crate::model::{Cluster, VmRecord};
 use crate::profile::BehaviorTemplate;
@@ -89,7 +89,6 @@ impl Bucket {
 #[derive(Debug, Clone)]
 pub struct StreamingTrace {
     config: TraceConfig,
-    scan: GenScan,
     /// Final clusters, server lists fully grown by the placement pass.
     clusters: Vec<Cluster>,
     buckets: Vec<Bucket>,
@@ -113,7 +112,6 @@ impl StreamingTrace {
     pub fn with_chunk_budget(config: &TraceConfig, chunk_budget: usize) -> Self {
         assert!(chunk_budget > 0, "chunk budget must be positive");
         assert!(config.vm_count > 0 && config.cluster_count > 0);
-        let scan = GenScan::Indexed;
         let mut rng = SmallRng::seed_from_u64(config.seed);
         let subscriptions = draw_subscriptions(&mut rng, config);
         let rng0 = rng.clone();
@@ -179,13 +177,12 @@ impl StreamingTrace {
         // Placement pass: grow the final cluster server lists.
         let mut this = StreamingTrace {
             config: config.clone(),
-            scan,
             clusters: build_clusters(config.cluster_count),
             buckets,
             subscriptions,
             rng0,
         };
-        let mut machine = PlacementMachine::new(config.cluster_count, scan);
+        let mut machine = PlacementMachine::new(config.cluster_count);
         let buckets = this.buckets.clone();
         for bucket in &buckets {
             this.visit_bucket(bucket, |this, sk| {
@@ -235,7 +232,7 @@ impl StreamingTrace {
     pub fn records(&self) -> StreamingRecords<'_> {
         StreamingRecords {
             stream: self,
-            machine: PlacementMachine::new(self.config.cluster_count, self.scan),
+            machine: PlacementMachine::new(self.config.cluster_count),
             templates: HashMap::new(),
             bucket_idx: 0,
             mode: BucketMode::Done,
@@ -425,6 +422,83 @@ mod tests {
             let collected: Vec<VmRecord> = streaming.records().collect();
             assert_eq!(collected, batch.vms, "budget {budget}");
         }
+    }
+
+    /// 64-bit FNV-1a over a stream of words (each fed little-endian).
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn new() -> Self {
+            Fnv(0xcbf2_9ce4_8422_2325)
+        }
+
+        fn word(&mut self, w: u64) {
+            for byte in w.to_le_bytes() {
+                self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+
+        fn server_lists(&mut self, clusters: &[Cluster]) {
+            for cluster in clusters {
+                self.word(cluster.id.raw());
+                self.word(cluster.servers.len() as u64);
+                for server in &cluster.servers {
+                    self.word(server.raw());
+                }
+            }
+        }
+
+        /// Every field of a record, floats by bit pattern.
+        fn record(&mut self, vm: &VmRecord) {
+            self.word(vm.id.raw());
+            self.word(vm.subscription.raw());
+            self.word(vm.subscription_type as u64);
+            self.word(vm.offering as u64);
+            self.word(u64::from(vm.config.cores));
+            self.word(vm.config.memory_gb.to_bits());
+            self.word(vm.config.network_gbps.to_bits());
+            self.word(vm.config.ssd_gb.to_bits());
+            self.word(vm.cluster.raw());
+            self.word(vm.server.raw());
+            self.word(vm.arrival.ticks());
+            self.word(vm.departure.ticks());
+            self.word(vm.profile.kind as u64);
+            self.word(vm.profile.noise_seed);
+            for p in &vm.profile.per_resource {
+                for f in [
+                    p.base,
+                    p.amplitude,
+                    p.peak_hour,
+                    p.peak_width_hours,
+                    p.noise,
+                    p.weekend_factor,
+                    p.daily_drift,
+                ] {
+                    self.word(f.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn trace_digest_is_stable() {
+        // Pins the generators' output bit for bit: any change to the draw
+        // order, the first-fit placement or the template jitter moves these.
+        let batch = generate(&TraceConfig::small(1));
+        let mut h = Fnv::new();
+        for vm in &batch.vms {
+            h.record(vm);
+        }
+        h.server_lists(&batch.clusters);
+        assert_eq!(h.0, 13_744_125_390_847_439_038, "generate(small(1))");
+
+        let streaming = StreamingTrace::new(&TraceConfig::medium(7));
+        let mut h = Fnv::new();
+        for vm in streaming.records() {
+            h.record(&vm);
+        }
+        h.server_lists(streaming.clusters());
+        assert_eq!(h.0, 8_256_388_341_943_253_780, "StreamingTrace(medium(7))");
     }
 
     #[test]

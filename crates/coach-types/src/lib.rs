@@ -46,7 +46,7 @@ pub use bucket::{bucket_down, bucket_up, Bucket};
 pub use config::{HardwareConfig, Offering, SubscriptionType, VmConfig};
 pub use error::TypeError;
 pub use ids::{ClusterId, ServerId, SubscriptionId, VmId};
-pub use par::{available_threads, par_map, par_map_mut, par_map_threads};
+pub use par::{available_threads, par_map, par_map_threads};
 pub use resource::{Fungibility, ResourceKind, ResourceVec, SharingMechanism};
 pub use runtime::{
     serve_child_frames, spsc_channel, spsc_channel_bounded, with_shard_workers, LaneStats,
@@ -63,7 +63,7 @@ pub mod prelude {
     pub use crate::config::{HardwareConfig, Offering, SubscriptionType, VmConfig};
     pub use crate::error::TypeError;
     pub use crate::ids::{ClusterId, ServerId, SubscriptionId, VmId};
-    pub use crate::par::{available_threads, par_map, par_map_mut, par_map_threads};
+    pub use crate::par::{available_threads, par_map, par_map_threads};
     pub use crate::resource::{Fungibility, ResourceKind, ResourceVec, SharingMechanism};
     pub use crate::runtime::{
         serve_child_frames, spsc_channel, spsc_channel_bounded, with_shard_workers, LaneStats,

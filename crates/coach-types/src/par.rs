@@ -83,43 +83,6 @@ where
         .collect()
 }
 
-/// Map `f` over *mutable* items, one scoped thread per item, returning
-/// results in input order.
-///
-/// Intended for a handful of coarse shards (e.g. `coach-serve`'s
-/// per-cluster-group controllers), where one thread per item is the right
-/// granularity; use [`par_map`] for fine-grained work over many items.
-/// Panics in `f` are propagated after all threads finish.
-pub fn par_map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    if items.len() <= 1 {
-        return items
-            .iter_mut()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect();
-    }
-    let f = &f;
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = items
-            .iter_mut()
-            .enumerate()
-            .map(|(i, item)| scope.spawn(move || f(i, item)))
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| {
-                w.join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            })
-            .collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,31 +120,6 @@ mod tests {
             (0..spin).fold(x, |acc, i| acc.wrapping_add(i))
         });
         assert_eq!(out.len(), 64);
-    }
-
-    #[test]
-    fn mut_map_mutates_and_preserves_order() {
-        let mut items: Vec<u64> = (0..6).collect();
-        let out = par_map_mut(&mut items, |i, x| {
-            *x += 100;
-            *x + i as u64
-        });
-        assert_eq!(items, vec![100, 101, 102, 103, 104, 105]);
-        assert_eq!(out, vec![100, 102, 104, 106, 108, 110]);
-        let mut empty: Vec<u64> = Vec::new();
-        assert!(par_map_mut(&mut empty, |_, x| *x).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "shard boom")]
-    fn mut_map_panics_propagate() {
-        let mut items: Vec<u32> = (0..4).collect();
-        let _ = par_map_mut(&mut items, |_, x| {
-            if *x == 2 {
-                panic!("shard boom");
-            }
-            *x
-        });
     }
 
     #[test]

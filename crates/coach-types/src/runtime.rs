@@ -1,14 +1,13 @@
 //! A persistent shard-worker runtime: long-lived worker threads owning
 //! their per-shard state, fed over FIFO SPSC lanes.
 //!
-//! [`par_map_mut`](crate::par_map_mut) forks one thread per item per call —
-//! the right shape for a handful of coarse, independent dispatches, but on
-//! multi-core hardware the spawn/join cost is paid again at every
-//! synchronization point. When the same shards are dispatched thousands of
-//! times (the `coach-serve` sharded controller processes one segment per
-//! barrier request), the fork-join overhead eats the parallelism.
+//! Forking one scoped thread per shard per dispatch pays the spawn/join
+//! cost again at every synchronization point. When the same shards are
+//! dispatched thousands of times (the `coach-serve` sharded controller
+//! processes one segment per barrier request), that fork-join overhead eats
+//! the parallelism.
 //!
-//! [`with_shard_workers`] replaces that with the persistent-worker shape
+//! [`with_shard_workers`] instead takes the persistent-worker shape
 //! from the fine-grain ordered-parallelism literature: each shard's state
 //! moves into a long-lived worker thread once per *session*, commands
 //! stream to it over an SPSC lane (preserving per-shard order), and

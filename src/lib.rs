@@ -97,11 +97,8 @@ pub use coach_workloads as workloads;
 /// * [`coach_sim::Predictor`] gained
 ///   [`predict_batch`](coach_sim::Predictor::predict_batch) (default: the
 ///   per-item loop, so existing implementations are unaffected). The
-///   `Oracle` override sorts a batch by envelope-template key and derives
-///   through one [`coach_trace::EnvelopeCache`], bypassing its per-item
-///   memo in both directions; its
-///   [`envelope_counters`](coach_sim::Oracle::envelope_counters) expose
-///   the cache's hit/miss telemetry.
+///   `Oracle` override derives each long-running VM of a batch exactly
+///   once, bypassing its per-item memo in both directions.
 /// * [`Controller::handle_arrivals`](coach_serve::Controller::handle_arrivals)
 ///   admits an arrival slice chunk by chunk — one `predict_batch` call per
 ///   chunk, serial and in stream order, overlapped with the placement of

@@ -381,8 +381,8 @@ fn run_large(coach: PolicyConfig) -> (String, bool) {
 
     // Serve the stream cold (no pre-derived table — there is no
     // materialized trace to derive it from, which is the scenario this
-    // path exists for): the dispatcher's owned segments feed
-    // `predict_batch` exactly like the borrowed cold-batched phase.
+    // path exists for): the dispatcher's segments feed `predict_batch`
+    // exactly like the cold-batched phase.
     eprintln!("bench_serve: [large]   serving the stream (cold, batched segments)...");
     let oracle = Oracle::new(TimeWindows::paper_default());
     let mut serve_config = ServeConfig::replaying(coach, 0.9, streaming.horizon());
@@ -426,9 +426,9 @@ struct ScenarioOutcome {
     placed_per_s: Vec<(usize, f64)>,
 }
 
-/// Serve `requests` on `clusters` at each shard count, streamed (owned
-/// segments via `run_stream`) and materialized (borrowed segments over
-/// the same sequence); the two `PackingResult`s must be equal — same
+/// Serve `requests` on `clusters` at each shard count through both entry
+/// points (`run_stream` over the values, `run` over borrows of them —
+/// one dispatcher); the two `PackingResult`s must be equal — same
 /// segmentation, same float order. Returns per-shard-count streamed
 /// throughput and the conjunction of the identity checks.
 fn scenario_serve(

@@ -22,7 +22,7 @@
 //! value must stay at or under the committed ceiling, and the fresh
 //! ceiling field must not be silently *raised*.
 //!
-//! The vendored `serde` shim has no JSON support, so this module carries a
+//! No JSON crate resolves offline, so this module carries a
 //! small recursive-descent JSON parser sufficient for the bench schemas.
 
 use std::fmt;

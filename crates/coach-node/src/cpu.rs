@@ -5,11 +5,10 @@
 //! idle guaranteed cores, because CPU is fungible — when it bursts.
 
 use coach_types::VmId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Per-VM CPU allocation state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VmCpuState {
     /// Guaranteed cores (the VM's CPU group).
     pub guaranteed: f64,

@@ -18,11 +18,10 @@
 //!   (§4.5 — mapping needs no data movement).
 
 use coach_types::VmId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Bandwidths and latencies of the memory/storage substrate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryParams {
     /// Cold-page trim bandwidth, GB/s (paper: 1.1 GB/s).
     pub trim_gb_per_sec: f64,
@@ -49,7 +48,7 @@ impl Default for MemoryParams {
 }
 
 /// A CoachVM's memory shape on this server.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VmMemoryConfig {
     /// Total guest memory, GB.
     pub size_gb: f64,
@@ -97,7 +96,7 @@ impl VmMemoryConfig {
 }
 
 /// Per-VM dynamic memory state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VmMemoryState {
     /// Shape.
     pub config: VmMemoryConfig,
@@ -139,7 +138,7 @@ impl VmMemoryState {
 }
 
 /// Per-step, per-VM memory telemetry (what the monitoring component reads).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VmMemoryStats {
     /// VM id.
     pub vm: VmId,

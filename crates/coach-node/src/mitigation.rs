@@ -10,13 +10,12 @@
 
 use crate::memory::MemoryServer;
 use coach_types::VmId;
-use serde::{Deserialize, Serialize};
 
 /// Which mitigation actions a policy may take (Fig 21's six policies are
 /// `{Trim, Extend, Migrate} × {Reactive, Proactive}`; `Extend` implies trim
 /// first, `Migrate` implies trim+extend first, matching the paper's
 /// escalation order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MitigationPolicy {
     /// Trim cold pages.
     pub trim: bool,
@@ -92,7 +91,7 @@ impl MitigationPolicy {
 }
 
 /// An action the engine took this step (for experiment logging).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MitigationAction {
     /// Trimmed this many GB from a VM.
     Trimmed {
@@ -121,7 +120,7 @@ pub enum MitigationAction {
 }
 
 /// In-flight migration bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Migration {
     vm: VmId,
     remaining_gb: f64,

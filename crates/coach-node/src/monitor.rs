@@ -8,10 +8,9 @@
 
 use crate::memory::{MemoryServer, VmMemoryStats};
 use coach_types::VmId;
-use serde::{Deserialize, Serialize};
 
 /// Monitoring cadence and thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonitorConfig {
     /// Sampling interval, seconds (paper: 20 s).
     pub interval_secs: f64,
@@ -40,7 +39,7 @@ impl Default for MonitorConfig {
 }
 
 /// What kind of contention was detected.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ContentionKind {
     /// Memory: page faults or exhausted pool.
     Memory,
@@ -49,7 +48,7 @@ pub enum ContentionKind {
 }
 
 /// A detected (or predicted) contention episode.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContentionEvent {
     /// Simulation time, seconds.
     pub at_secs: f64,

@@ -7,10 +7,9 @@
 //! the pre-copy phase, so VA-backing does **not** extend VM downtime.
 
 use crate::memory::VmMemoryState;
-use serde::{Deserialize, Serialize};
 
 /// Bandwidths for migration/host-update timing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlatformParams {
     /// Network copy bandwidth for live migration, GB/s.
     pub migration_gb_per_sec: f64,
@@ -38,7 +37,7 @@ impl Default for PlatformParams {
 }
 
 /// Timing breakdown of a live migration (pre-copy model, §3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationTiming {
     /// Seconds spent paging in trimmed cold memory (overlapped with
     /// pre-copy).
@@ -77,7 +76,7 @@ pub fn live_migration_timing(vm: &VmMemoryState, params: &PlatformParams) -> Mig
 /// Timing of a VM-preserving host update (§3.2): VMs pause, host reboots,
 /// VMs resume; PA memory survives directly, VA memory needs its management
 /// metadata persisted.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostUpdateTiming {
     /// Seconds to persist VA-backing metadata.
     pub metadata_secs: f64,

@@ -6,8 +6,6 @@
 //! short horizons, which is why this trivial predictor achieves <4 % error
 //! for 85 % of VMs (§4.4).
 
-use serde::{Deserialize, Serialize};
-
 /// An EWMA state for one metric.
 ///
 /// # Example
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// // α = 0.5: prediction = 0.5·0.6 + 0.5·0.4 = 0.5
 /// assert!((e.predict() - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ewma {
     alpha: f64,
     state: Option<f64>,

@@ -27,10 +27,9 @@ use crate::tree::{RegressionTree, TreeParams};
 use coach_types::Bucket;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Forest hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ForestParams {
     /// Number of trees.
     pub n_trees: usize,
@@ -72,7 +71,7 @@ impl Default for ForestParams {
 /// forest.predict_rows(&xs, &mut batch);
 /// assert!(xs.iter().zip(&batch).all(|(x, &b)| forest.predict(x) == b));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RandomForest {
     trees: Vec<RegressionTree>,
 }

@@ -9,7 +9,6 @@
 
 use crate::ewma::Ewma;
 use crate::lstm::{Lstm, LstmParams, LstmScratch, INPUT_DIM, SEQ_LEN};
-use serde::{Deserialize, Serialize};
 
 /// 20-second observations per 5-minute window.
 pub const OBS_PER_WINDOW: usize = 15;
@@ -26,7 +25,7 @@ pub const WARMUP_WINDOWS: u64 = 288;
 /// for _ in 0..100 { p.observe(0.3); }
 /// assert!((p.predict_short() - 0.3).abs() < 0.05);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocalPredictor {
     ewma: Ewma,
     lstm: Lstm,

@@ -9,7 +9,6 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Sequence length: five previous 5-minute windows.
 pub const SEQ_LEN: usize = 5;
@@ -17,7 +16,7 @@ pub const SEQ_LEN: usize = 5;
 pub const INPUT_DIM: usize = 2;
 
 /// LSTM hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LstmParams {
     /// Hidden state width.
     pub hidden: usize,
@@ -41,7 +40,7 @@ impl Default for LstmParams {
 }
 
 /// Trainable matrix stored row-major.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Mat {
     rows: usize,
     cols: usize,
@@ -187,7 +186,7 @@ impl PartialEq for LstmScratch {
 /// for _ in 0..300 { net.train_step(&window, 0.55); }
 /// assert!((net.predict(&window) - 0.55).abs() < 0.05);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Lstm {
     params: LstmParams,
     /// Gate weights: each `hidden × (INPUT_DIM + hidden)` (x ++ h_prev).

@@ -14,14 +14,13 @@
 use crate::forest::{ForestParams, RandomForest};
 use coach_trace::VmRecord;
 use coach_types::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Number of features fed to the forest.
 pub const FEATURE_COUNT: usize = 12;
 
 /// What a forest predicts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TargetKind {
     /// The maximum utilization in the window (`Pmax_t` of Formula 2).
     WindowMax,

@@ -43,10 +43,9 @@
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
 
 /// Training hyperparameters for a single tree.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreeParams {
     /// Maximum depth (root = depth 0).
     pub max_depth: usize,
@@ -74,7 +73,7 @@ impl Default for TreeParams {
 const LANES: usize = 8;
 
 /// One node of the flat arena (see the module docs for the layout).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Node {
     /// Split threshold, or the prediction when this is a leaf.
     value: f64,
@@ -99,7 +98,7 @@ struct Node {
 /// assert!(tree.predict(&[0.9]) > 0.9);
 /// assert!(tree.predict(&[0.1]) < 0.1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegressionTree {
     nodes: Vec<Node>,
     n_features: usize,

@@ -3,10 +3,9 @@
 
 use coach_predict::DemandPrediction;
 use coach_types::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// The oversubscription policies evaluated in §4.3 (Fig 20).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Policy {
     /// No oversubscription: allocate the full request for the VM lifetime.
     None,
@@ -34,7 +33,7 @@ impl std::fmt::Display for Policy {
 ///
 /// All vectors are absolute quantities (cores, GB, …), obtained by scaling
 /// the VM's request by predicted utilization fractions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VmDemand {
     /// The VM.
     pub vm: VmId,

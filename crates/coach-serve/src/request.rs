@@ -74,9 +74,10 @@ impl Request<'_> {
 /// — cloning is a memcpy, no heap graph), so request streams can be derived
 /// from bounded-memory generators ([`coach_trace::StreamingTrace`]) or
 /// synthesized by scenario combinators ([`crate::scenario`]) without any
-/// backing storage. The sharded dispatcher moves owned records into routed
-/// segments; the controller copies what it keeps, so nothing outlives the
-/// segment.
+/// backing storage. It is also what every request becomes at the sharded
+/// dispatcher's front door (a borrowed [`Request`] is lifted with
+/// [`StreamRequest::from_request`]); the controller copies what it keeps of
+/// a record, so nothing outlives its segment.
 ///
 /// Broadcast variants are identical to [`Request`]'s; use
 /// [`StreamRequest::as_request`] to view any variant as a borrowed request.

@@ -16,6 +16,13 @@
 //! telemetry (sends, batched handoffs, wakeups, full-lane stalls) through
 //! [`StatsReport`] and [`ShardedController::lane_totals`].
 //!
+//! One rule governs ownership: a record is **borrowed at the
+//! [`Controller`], owned across a lane**. Past the dispatcher's front door
+//! every arrival travels by value inside a `WireCmd` and every reply is
+//! a `WireReply` — the one command vocabulary both backends carry. The
+//! thread lanes move the values; the process backend seals the same value
+//! into a frame and opens it on the other side of the pipe.
+//!
 //! Ordering and exactness are unchanged from the fork-join version:
 //!
 //! * within a shard, channel FIFO preserves the stream order around every
@@ -45,8 +52,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Environment variable that re-routes an embedding binary into the shard
-/// worker loop (see [`maybe_run_shard_worker`]). The value is the shard
-/// index, for diagnostics only — state arrives via `WireCmd::Init`.
+/// worker loop (see [`maybe_run_shard_worker`]). The value must be the
+/// shard index — the label the worker's telemetry series carry; state
+/// arrives via `WireCmd::Init`.
 pub const SHARD_WORKER_ENV: &str = "COACH_SHARD_WORKER";
 
 /// Routed requests per channel command: large enough to amortize a channel
@@ -55,42 +63,6 @@ pub const SHARD_WORKER_ENV: &str = "COACH_SHARD_WORKER";
 /// that workers start while the dispatcher is still routing the rest of
 /// the stream.
 const SEGMENT: usize = 1024;
-
-/// One command on a shard worker's SPSC lane.
-enum ShardCmd<'a> {
-    /// A segment of shard-routed requests with their stream positions; the
-    /// worker answers each (a [`Self::handle_batch`] session collects the
-    /// per-request responses).
-    Batch(Vec<(usize, Request<'a>)>),
-    /// A segment whose per-request responses nobody will read
-    /// ([`Self::run`]): the worker never collects them, replying with a
-    /// bare acknowledgement — reply-lane memory stays O(segments), not
-    /// O(requests), over a million-VM stream.
-    Run(Vec<Request<'a>>),
-    /// [`Self::Run`]'s owning form ([`Self::run_stream`]): the records
-    /// moved in from a streaming source, so nothing borrows the (possibly
-    /// never-materialized) trace. The segment is dropped worker-side after
-    /// admission — the controller copies what it keeps — so in-flight
-    /// memory is O(segments in the lane), the lanes' backpressure bound.
-    RunOwned(Vec<VmRecord>),
-    /// A broadcast/barrier token: every worker receives it at the same
-    /// stream position (channel FIFO orders it against that shard's
-    /// segments — no stop-the-world join).
-    Token(Request<'a>),
-    /// Retire remaining departures, flush accounting, report the final
-    /// result and snapshot.
-    Finalize,
-}
-
-/// One reply per command, in command order.
-enum ShardReply {
-    Answers(Vec<(usize, Response)>),
-    /// A [`ShardCmd::Run`] segment was processed.
-    Ran,
-    Token(Response),
-    Stats(Box<ShardSnapshot>),
-    Finalized(Box<(PackingResult, ShardSnapshot)>),
-}
 
 /// A shard's contribution to a merged stats report — the state the
 /// dispatcher can no longer read directly once the controller lives inside
@@ -106,53 +78,35 @@ pub(crate) struct ShardSnapshot {
     pub(crate) timeline_delta: Vec<OccDelta>,
 }
 
-/// The worker loop body: apply one command to the owned controller. The
-/// command borrows for its own lifetime, not the controller's — the
-/// controller copies what it keeps of a record — so a process-backend
-/// child can feed a `Controller<'static>` from each decoded frame.
-fn worker_step(_shard: usize, controller: &mut Controller<'_>, cmd: ShardCmd<'_>) -> ShardReply {
+/// The worker loop body of both backends: apply one dispatch command to
+/// the owned controller. The segment's records are borrowed here, for the
+/// one call — the controller copies what it keeps of a record — and
+/// dropped with the command.
+fn worker_step(_shard: usize, controller: &mut Controller<'_>, cmd: WireCmd) -> WireReply {
     match cmd {
-        ShardCmd::Batch(batch) => {
-            let (idxs, recs): (Vec<usize>, Vec<&VmRecord>) = batch
-                .into_iter()
-                .map(|(idx, req)| (idx, arrival(req)))
-                .unzip();
+        WireCmd::Batch(batch) => {
+            let recs: Vec<&VmRecord> = batch.iter().map(|(_, rec)| rec).collect();
             let responses = controller.handle_arrivals(&recs);
-            ShardReply::Answers(idxs.into_iter().zip(responses).collect())
+            WireReply::Answers(batch.iter().map(|(idx, _)| *idx).zip(responses).collect())
         }
-        ShardCmd::Run(batch) => {
-            let recs: Vec<&VmRecord> = batch.into_iter().map(arrival).collect();
-            controller.admit_segment(&recs, |_| {});
-            ShardReply::Ran
-        }
-        ShardCmd::RunOwned(batch) => {
+        WireCmd::Run(batch) => {
             let recs: Vec<&VmRecord> = batch.iter().collect();
             controller.admit_segment(&recs, |_| {});
-            ShardReply::Ran
+            WireReply::Ran
         }
-        ShardCmd::Token(req) => match req {
-            Request::Stats { .. } => {
-                let Response::Stats(stats) = controller.handle(req) else {
-                    unreachable!("stats request answered with stats");
-                };
-                ShardReply::Stats(Box::new(snapshot_of(controller, stats)))
-            }
-            _ => ShardReply::Token(controller.handle(req)),
+        WireCmd::Token(token) => match controller.handle(token.into()) {
+            Response::Stats(stats) => WireReply::Stats(Box::new(snapshot_of(controller, stats))),
+            response => WireReply::Token(response),
         },
-        ShardCmd::Finalize => {
+        WireCmd::Finalize => {
             let result = controller.finalize();
             let stats = controller.stats(controller.config().horizon);
-            ShardReply::Finalized(Box::new((result, snapshot_of(controller, stats))))
+            WireReply::Finalized(result, Box::new(snapshot_of(controller, stats)))
+        }
+        WireCmd::Init { .. } | WireCmd::Export | WireCmd::Telemetry { .. } => {
+            unreachable!("supervision verbs are answered by child_step")
         }
     }
-}
-
-/// Routed segments carry only arrivals (broadcasts travel as tokens).
-fn arrival<'a>(req: Request<'a>) -> &'a VmRecord {
-    let Request::Arrive(rec) = req else {
-        unreachable!("routed segments carry only arrivals")
-    };
-    rec
 }
 
 fn snapshot_of(controller: &mut Controller<'_>, stats: StatsReport) -> ShardSnapshot {
@@ -162,6 +116,26 @@ fn snapshot_of(controller: &mut Controller<'_>, stats: StatsReport) -> ShardSnap
         probe_counts: controller.probe_counts().to_vec(),
         timeline_delta: controller.take_timeline(),
     }
+}
+
+/// What every worker session routes and merges with, and what outlives
+/// it: the [`Dispatcher`] borrows this whole.
+struct SessionState {
+    /// Cluster → shard routing table, sorted by cluster id (arrivals
+    /// resolve their shard by binary search).
+    route: Vec<(ClusterId, u32)>,
+    label: &'static str,
+    horizon: Timestamp,
+    /// Per-shard accumulated occupancy-delta timelines (extended by each
+    /// snapshot's drain; spans sessions).
+    timelines: Vec<Vec<OccDelta>>,
+    /// Streaming k-way-merge state over `timelines` (spans sessions), so a
+    /// stats cadence pays O(new deltas) per query instead of re-merging
+    /// from t = 0.
+    peak: PeakMerge,
+    /// Lane telemetry accumulated from completed sessions (the open
+    /// session's live counters are added on top at merge time).
+    lane_base: LaneStats,
 }
 
 /// A cluster controller sharded by cluster group.
@@ -185,21 +159,9 @@ pub struct ShardedController<'a> {
     /// controllers persist exactly like the thread backend's do between
     /// calls. `None` under [`WorkerBackend::Thread`].
     process: Option<ProcessPool>,
-    /// Cluster → shard routing table, sorted by cluster id (arrivals
-    /// resolve their shard by binary search).
-    route: Vec<(ClusterId, u32)>,
-    label: &'static str,
-    horizon: Timestamp,
-    /// Per-shard accumulated occupancy-delta timelines (extended by each
-    /// snapshot's drain; spans sessions).
-    timelines: Vec<Vec<OccDelta>>,
-    /// Streaming k-way-merge state over `timelines` (spans sessions), so a
-    /// stats cadence pays O(new deltas) per query instead of re-merging
-    /// from t = 0.
-    peak: PeakMerge,
-    /// Lane telemetry accumulated from completed sessions (the open
-    /// session's live counters are added on top at merge time).
-    lane_base: LaneStats,
+    /// Routing table and cross-session merge state, lent whole to each
+    /// session's [`Dispatcher`].
+    session: SessionState,
     /// Deployment-wide metrics registry + dispatcher span ring, `None`
     /// when [`ServeConfig::telemetry`] is `Off`. Thread-backed shards
     /// share its registry; process-backed shards ship drained deltas
@@ -265,17 +227,19 @@ impl<'a> ShardedController<'a> {
             t
         });
         ShardedController {
-            timelines: vec![Vec::new(); shards.len()],
-            peak: PeakMerge::new(shards.len()),
-            lane_base: LaneStats::default(),
+            session: SessionState {
+                timelines: vec![Vec::new(); shards.len()],
+                peak: PeakMerge::new(shards.len()),
+                lane_base: LaneStats::default(),
+                route,
+                label: config.policy.label,
+                horizon: config.horizon,
+            },
             telemetry,
             predictor,
             backend: config.backend,
             process: None,
             shards,
-            route,
-            label: config.policy.label,
-            horizon: config.horizon,
         }
     }
 
@@ -310,7 +274,7 @@ impl<'a> ShardedController<'a> {
     fn with_session<R>(
         &mut self,
         collect: bool,
-        body: impl FnOnce(&mut Dispatcher<'_, '_, 'a>) -> R,
+        body: impl FnOnce(&mut Dispatcher<'_, '_>) -> R,
     ) -> R {
         match self.backend {
             WorkerBackend::Thread => self.with_thread_session(collect, body),
@@ -321,52 +285,30 @@ impl<'a> ShardedController<'a> {
     fn with_thread_session<R>(
         &mut self,
         collect: bool,
-        body: impl FnOnce(&mut Dispatcher<'_, '_, 'a>) -> R,
+        body: impl FnOnce(&mut Dispatcher<'_, '_>) -> R,
     ) -> R {
         let ShardedController {
             shards,
-            route,
-            label,
-            horizon,
-            timelines,
-            peak,
-            lane_base,
+            session,
             telemetry,
             ..
         } = self;
-        let n = shards.len();
         // One derive helper per shard, but only beside — never instead of
         // — a core for each placement thread.
-        let helper = spare_core_per_shard(n);
+        let helper = spare_core_per_shard(shards.len());
         for shard in shards.iter_mut() {
             shard.set_derive_helper(helper);
         }
         let owned = std::mem::take(shards);
-        let session_base = *lane_base;
         let spans = telemetry.as_deref_mut().map(|t| &mut t.spans);
         let (owned, (out, session_lanes)) = with_shard_workers(owned, worker_step, |workers| {
-            let mut dispatcher = Dispatcher {
-                link: Link::Threads(workers),
-                route,
-                timelines,
-                peak,
-                pending: (0..n).map(|_| Vec::new()).collect(),
-                pending_owned: (0..n).map(|_| Vec::new()).collect(),
-                stream_records: 0,
-                stream_segments: 0,
-                log: Vec::new(),
-                next_idx: 0,
-                collect,
-                label,
-                horizon: *horizon,
-                lane_base: session_base,
-                spans,
-            };
+            let mut dispatcher =
+                Dispatcher::new(Link::Threads(workers), &mut *session, collect, spans);
             let out = body(&mut dispatcher);
             (out, dispatcher.link.lane_stats())
         });
         *shards = owned;
-        lane_base.merge(&session_lanes);
+        session.lane_base.merge(&session_lanes);
         self.sync_session_telemetry();
         out
     }
@@ -374,7 +316,7 @@ impl<'a> ShardedController<'a> {
     fn with_process_session<R>(
         &mut self,
         collect: bool,
-        body: impl FnOnce(&mut Dispatcher<'_, '_, 'a>) -> R,
+        body: impl FnOnce(&mut Dispatcher<'_, '_>) -> R,
     ) -> R {
         self.ensure_process_pool();
         // Arm the children before the session's commands flow (idempotent
@@ -383,42 +325,18 @@ impl<'a> ShardedController<'a> {
         // the recovered child recounts exactly what the dead one had).
         self.exchange_process_telemetry();
         let out = {
-            let ShardedController {
-                route,
-                label,
-                horizon,
-                timelines,
-                peak,
-                lane_base,
-                process,
-                telemetry,
-                ..
-            } = self;
-            let pool = process.as_mut().expect("process pool spawned above");
-            let n = pool.len();
-            let session_base = *lane_base;
-            let (spans, wire) = match telemetry.as_deref_mut() {
+            let pool = self.process.as_mut().expect("process pool spawned above");
+            let (spans, wire) = match self.telemetry.as_deref_mut() {
                 Some(t) => (Some(&mut t.spans), Some(t.wire.clone())),
                 None => (None, None),
             };
-            let mut dispatcher = Dispatcher {
-                link: Link::Process(pool, wire),
-                route,
-                timelines,
-                peak,
-                pending: (0..n).map(|_| Vec::new()).collect(),
-                pending_owned: (0..n).map(|_| Vec::new()).collect(),
-                stream_records: 0,
-                stream_segments: 0,
-                log: Vec::new(),
-                next_idx: 0,
+            let link = Link::Process(pool, wire);
+            body(&mut Dispatcher::new(
+                link,
+                &mut self.session,
                 collect,
-                label,
-                horizon: *horizon,
-                lane_base: session_base,
                 spans,
-            };
-            body(&mut dispatcher)
+            ))
         };
         // Fold the session into each child's checkpoint: export the
         // child's (unchanged) state and re-anchor recovery there, so a
@@ -461,7 +379,7 @@ impl<'a> ShardedController<'a> {
     /// restarts and replay time, dispatcher span drops) into the registry
     /// as deltas. Called at the end of every session.
     fn sync_session_telemetry(&mut self) {
-        let lanes = self.lane_base;
+        let lanes = self.session.lane_base;
         let (restarts, replay_ns) = self
             .process
             .as_ref()
@@ -539,11 +457,13 @@ impl<'a> ShardedController<'a> {
     /// request order. The shard workers persist across the whole batch:
     /// routed spans stream to them in pipelined segments, and broadcast
     /// requests (tick / probe / stats / depart) are ordering tokens on
-    /// every lane rather than fork-join barriers.
-    pub fn handle_batch(&mut self, requests: &[Request<'a>]) -> Vec<Response> {
+    /// every lane rather than fork-join barriers. Records are borrowed at
+    /// the [`Controller`], owned across a lane: each arrival is cloned
+    /// into its collecting segment.
+    pub fn handle_batch(&mut self, requests: &[Request<'_>]) -> Vec<Response> {
         self.with_session(true, |dispatcher| {
             for request in requests {
-                dispatcher.submit(*request);
+                dispatcher.submit(StreamRequest::from_request(*request));
             }
             let (responses, _) = dispatcher.drain();
             responses
@@ -553,44 +473,39 @@ impl<'a> ShardedController<'a> {
         })
     }
 
-    /// Stream an entire request sequence and finalize, all in a single
-    /// worker session — the scale-out serving loop. Per-request responses
-    /// are never materialized (workers acknowledge whole segments), so
-    /// memory stays O(segments) over a million-VM stream; the merged final
-    /// [`PackingResult`] is returned.
-    pub fn run(&mut self, requests: impl IntoIterator<Item = Request<'a>>) -> PackingResult {
-        self.with_session(false, |dispatcher| {
-            for request in requests {
-                dispatcher.submit(request);
-            }
-            dispatcher.send_finalize();
-            let (_, result) = dispatcher.drain();
-            result.expect("finalize merged")
-        })
+    /// [`Self::run_stream`] for a *borrowing* request sequence (e.g. a
+    /// [`RequestSource`](crate::RequestSource) over a materialized trace).
+    /// Records are borrowed at the [`Controller`], owned across a lane:
+    /// `run` is `run_stream` over cloned records.
+    pub fn run<'r>(&mut self, requests: impl IntoIterator<Item = Request<'r>>) -> PackingResult {
+        self.run_stream(requests.into_iter().map(StreamRequest::from_request))
     }
 
-    /// [`Self::run`] for *owning* request streams: drive the controller
-    /// from any `Iterator<Item = StreamRequest>` — e.g. a
+    /// Stream an entire request sequence and finalize, all in a single
+    /// worker session — the scale-out serving loop, driven from any
+    /// `Iterator<Item = StreamRequest>`: a
     /// [`StreamSource`](crate::StreamSource) over
-    /// [`coach_trace::StreamingTrace::records`], or a
-    /// [`crate::scenario`] combinator chain — with no materialized trace
-    /// behind it. Records move into routed segments and are dropped
-    /// worker-side after admission; the bounded command lanes provide
-    /// backpressure (a producer stalls when a worker falls a full lane
-    /// behind), so in-flight memory is O(shards × segment) regardless of
-    /// stream length. Decisions are bit-identical to [`Self::run`] over
-    /// the materialized equivalent of the same stream.
+    /// [`coach_trace::StreamingTrace::records`], a [`crate::scenario`]
+    /// combinator chain, or [`Self::run`]'s clones — no materialized trace
+    /// need sit behind it. Records are borrowed at the [`Controller`],
+    /// owned across a lane: they move into routed segments and are dropped
+    /// worker-side after admission. Per-request responses are never
+    /// materialized (workers acknowledge whole segments) and the bounded
+    /// command lanes provide backpressure (a producer stalls when a worker
+    /// falls a full lane behind), so in-flight memory is O(shards ×
+    /// segment) regardless of stream length; the merged final
+    /// [`PackingResult`] is returned.
     ///
     /// Two `serve.stream_*` counters land in the telemetry registry per
-    /// call (when armed): `stream_records` (owned arrivals submitted) and
-    /// `stream_segments` (owned segments shipped).
+    /// call (when armed): `stream_records` (arrivals submitted) and
+    /// `stream_segments` (segments shipped).
     pub fn run_stream(
         &mut self,
         requests: impl IntoIterator<Item = StreamRequest>,
     ) -> PackingResult {
         let (result, records, segments) = self.with_session(false, |dispatcher| {
             for request in requests {
-                dispatcher.submit_owned(request);
+                dispatcher.submit(request);
             }
             dispatcher.send_finalize();
             let counts = (dispatcher.stream_records, dispatcher.stream_segments);
@@ -620,7 +535,7 @@ impl<'a> ShardedController<'a> {
     /// completed session. Zero for single-shard controllers, whose inline
     /// pool has no lanes.
     pub fn lane_totals(&self) -> LaneStats {
-        self.lane_base
+        self.session.lane_base
     }
 
     /// Checkpoint-recovery respawns the process backend has performed so
@@ -791,7 +706,8 @@ impl<'a> ShardedController<'a> {
 /// record table and an [`Oracle`] — a worker process serves exactly one
 /// controller for its lifetime, so the leaks are bounded and deliberate),
 /// then segments, tokens, finalize, and export frames each produce exactly
-/// one reply. Clean stdin EOF exits 0.
+/// one reply. Clean stdin EOF exits 0; a [`SHARD_WORKER_ENV`] value that
+/// is not a shard index exits 2 with a one-line message on stderr.
 pub fn maybe_run_shard_worker() {
     let Some(value) = std::env::var_os(SHARD_WORKER_ENV) else {
         return;
@@ -799,7 +715,10 @@ pub fn maybe_run_shard_worker() {
     // The env value is the shard index — the label the child's telemetry
     // series carry so the parent-side merge lines them up with the thread
     // backend's.
-    let shard: u32 = value.to_string_lossy().parse().unwrap_or(0);
+    let Some(shard) = value.to_str().and_then(|v| v.parse::<u32>().ok()) else {
+        eprintln!("{SHARD_WORKER_ENV}={value:?} is not a shard index");
+        std::process::exit(2);
+    };
     let mut state: Option<Controller<'static>> = None;
     serve_child_frames(|frame| {
         let cmd: WireCmd = open_frame(&frame).expect("decode shard worker command frame");
@@ -808,7 +727,9 @@ pub fn maybe_run_shard_worker() {
     std::process::exit(0);
 }
 
-/// Apply one command frame to the worker's controller.
+/// Apply one command frame to the worker's controller: the supervision
+/// verbs here, every dispatch command through the [`worker_step`] the
+/// thread pool runs.
 fn child_step(shard: u32, state: &mut Option<Controller<'static>>, cmd: WireCmd) -> WireReply {
     if let WireCmd::Init { spec, snapshot } = cmd {
         let PredictorSpec::Oracle { windows_per_day } = spec;
@@ -832,24 +753,6 @@ fn child_step(shard: u32, state: &mut Option<Controller<'static>>, cmd: WireCmd)
         .as_mut()
         .expect("Init frame precedes every other command");
     match cmd {
-        WireCmd::Batch(batch) => {
-            let batch = batch
-                .iter()
-                .map(|(idx, rec)| (*idx as usize, Request::Arrive(rec)))
-                .collect();
-            reply_frame(worker_step(0, controller, ShardCmd::Batch(batch)))
-        }
-        WireCmd::Run(recs) => reply_frame(worker_step(0, controller, ShardCmd::RunOwned(recs))),
-        WireCmd::Token(token) => {
-            let request = match token {
-                TokenCmd::Depart { vm, now } => Request::Depart { vm, now },
-                TokenCmd::Tick { now } => Request::Tick { now },
-                TokenCmd::Probe { now } => Request::Probe { now },
-                TokenCmd::Stats { now } => Request::Stats { now },
-            };
-            reply_frame(worker_step(0, controller, ShardCmd::Token(request)))
-        }
-        WireCmd::Finalize => reply_frame(worker_step(0, controller, ShardCmd::Finalize)),
         WireCmd::Export => WireReply::Exported(controller.snapshot().into_bytes()),
         WireCmd::Telemetry { mode } => {
             // Arm on first contact (a restored controller is un-armed) and
@@ -870,25 +773,7 @@ fn child_step(shard: u32, state: &mut Option<Controller<'static>>, cmd: WireCmd)
             }))
         }
         WireCmd::Init { .. } => unreachable!("handled above"),
-    }
-}
-
-/// Lift a thread-backend reply into its wire form.
-fn reply_frame(reply: ShardReply) -> WireReply {
-    match reply {
-        ShardReply::Answers(answers) => WireReply::Answers(
-            answers
-                .into_iter()
-                .map(|(idx, response)| (idx as u64, response))
-                .collect(),
-        ),
-        ShardReply::Ran => WireReply::Ran,
-        ShardReply::Token(response) => WireReply::Token(response),
-        ShardReply::Stats(snapshot) => WireReply::Stats(*snapshot),
-        ShardReply::Finalized(boxed) => {
-            let (result, snapshot) = *boxed;
-            WireReply::Finalized(result, snapshot)
-        }
+        cmd => worker_step(shard as usize, controller, cmd),
     }
 }
 
@@ -896,35 +781,36 @@ impl std::fmt::Debug for ShardedController<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedController")
             .field("shards", &self.shards.len())
-            .field("clusters", &self.route.len())
+            .field("clusters", &self.session.route.len())
             .finish_non_exhaustive()
     }
 }
 
 /// What the dispatcher has sent and not yet collected, in global order.
-enum Sent<'a> {
-    /// One [`ShardReply::Answers`] expected from `shard`.
+enum Sent {
+    /// One segment reply ([`WireReply::Answers`] or [`WireReply::Ran`])
+    /// expected from `shard`.
     Batch { shard: usize },
     /// One token reply expected from *every* shard; `idx` is the
-    /// broadcast's stream position, `request` drives the merge.
-    Token { idx: usize, request: Request<'a> },
-    /// One [`ShardReply::Finalized`] expected from every shard.
+    /// broadcast's stream position, `token` drives the merge.
+    Token { idx: usize, token: TokenCmd },
+    /// One [`WireReply::Finalized`] expected from every shard.
     Finalize,
 }
 
 /// The dispatcher's transport: in-process worker lanes, or the process
-/// backend's frame pipes. Both are per-shard FIFO command/reply channels,
-/// so the session/barrier protocol above is backend-agnostic; the process
-/// arm pays an encode (cloning each routed record into its frame) and a
-/// decode per hop.
-enum Link<'s, 'pool, 'a> {
-    Threads(&'s mut ShardWorkers<'pool, ShardCmd<'a>, ShardReply>),
+/// backend's frame pipes. Both are per-shard FIFO channels of the same
+/// [`WireCmd`]/[`WireReply`] values, so the session/barrier protocol above
+/// is backend-agnostic; the process arm seals each command into a frame
+/// and opens each reply frame, nothing more.
+enum Link<'s, 'pool> {
+    Threads(&'s mut ShardWorkers<'pool, WireCmd, WireReply>),
     /// The pool plus (when telemetry is armed) the parent-side frame
     /// byte/count instruments, so every pipe hop is weighed.
     Process(&'s mut ProcessPool, Option<WireTelemetry>),
 }
 
-impl<'a> Link<'_, '_, 'a> {
+impl Link<'_, '_> {
     fn len(&self) -> usize {
         match self {
             Link::Threads(workers) => workers.len(),
@@ -932,11 +818,11 @@ impl<'a> Link<'_, '_, 'a> {
         }
     }
 
-    fn send(&mut self, shard: usize, cmd: ShardCmd<'a>) {
+    fn send(&mut self, shard: usize, cmd: WireCmd) {
         match self {
             Link::Threads(workers) => workers.send(shard, cmd),
             Link::Process(pool, wire) => {
-                let frame = cmd_frame(&cmd);
+                let frame = seal_frame(&cmd);
                 if let Some(w) = wire {
                     w.sent(frame.len());
                 }
@@ -945,25 +831,21 @@ impl<'a> Link<'_, '_, 'a> {
         }
     }
 
-    fn send_batch(&mut self, shard: usize, cmds: Vec<ShardCmd<'a>>) {
+    fn send_batch(&mut self, shard: usize, cmds: Vec<WireCmd>) {
         match self {
             Link::Threads(workers) => workers.send_batch(shard, cmds),
-            Link::Process(pool, wire) => {
-                // The pipe has no burst primitive; the kernel buffer plays
-                // the lane's role and the frames stay one journal entry
-                // each for recovery replay.
-                for cmd in &cmds {
-                    let frame = cmd_frame(cmd);
-                    if let Some(w) = wire {
-                        w.sent(frame.len());
-                    }
-                    pool.send(shard, frame);
+            // The pipe has no burst primitive; the kernel buffer plays the
+            // lane's role and the frames stay one journal entry each for
+            // recovery replay.
+            Link::Process(..) => {
+                for cmd in cmds {
+                    self.send(shard, cmd);
                 }
             }
         }
     }
 
-    fn recv(&mut self, shard: usize) -> ShardReply {
+    fn recv(&mut self, shard: usize) -> WireReply {
         match self {
             Link::Threads(workers) => workers.recv(shard),
             Link::Process(pool, wire) => {
@@ -971,24 +853,7 @@ impl<'a> Link<'_, '_, 'a> {
                 if let Some(w) = wire {
                     w.received(bytes.len());
                 }
-                let reply: WireReply = open_frame(&bytes).expect("decode shard worker reply frame");
-                match reply {
-                    WireReply::Answers(answers) => ShardReply::Answers(
-                        answers
-                            .into_iter()
-                            .map(|(idx, response)| (idx as usize, response))
-                            .collect(),
-                    ),
-                    WireReply::Ran => ShardReply::Ran,
-                    WireReply::Token(response) => ShardReply::Token(response),
-                    WireReply::Stats(snapshot) => ShardReply::Stats(Box::new(snapshot)),
-                    WireReply::Finalized(result, snapshot) => {
-                        ShardReply::Finalized(Box::new((result, snapshot)))
-                    }
-                    WireReply::InitOk | WireReply::Exported(_) | WireReply::Telemetry(_) => {
-                        unreachable!("supervision reply inside a dispatch session")
-                    }
-                }
+                open_frame(&bytes).expect("decode shard worker reply frame")
             }
         }
     }
@@ -1008,66 +873,47 @@ impl<'a> Link<'_, '_, 'a> {
     }
 }
 
-/// Encode one thread-backend command as its process-backend frame.
-/// Arrivals lose their borrow here: each routed record is cloned into the
-/// frame (the child leaks its copy to serve `Request<'static>`s).
-fn cmd_frame(cmd: &ShardCmd<'_>) -> Vec<u8> {
-    let wire = match cmd {
-        ShardCmd::Batch(batch) => WireCmd::Batch(
-            batch
-                .iter()
-                .map(|(idx, req)| (*idx as u64, arrival(*req).clone()))
-                .collect(),
-        ),
-        ShardCmd::Run(batch) => {
-            WireCmd::Run(batch.iter().map(|req| arrival(*req).clone()).collect())
-        }
-        // Owned segments reuse the `Run` frame: the wire protocol already
-        // carries records by value, so streaming needs no protocol change.
-        ShardCmd::RunOwned(batch) => WireCmd::Run(batch.clone()),
-        ShardCmd::Token(req) => WireCmd::Token(match *req {
-            Request::Depart { vm, now } => TokenCmd::Depart { vm, now },
-            Request::Tick { now } => TokenCmd::Tick { now },
-            Request::Probe { now } => TokenCmd::Probe { now },
-            Request::Stats { now } => TokenCmd::Stats { now },
-            Request::Arrive(_) => unreachable!("arrivals travel in routed segments"),
-        }),
-        ShardCmd::Finalize => WireCmd::Finalize,
-    };
-    seal_frame(&wire)
-}
-
-/// The session-scoped request router: queues shard-routed requests into
+/// The session-scoped request router: queues shard-routed arrivals into
 /// per-shard segments, turns broadcasts into per-lane tokens, and merges
 /// the FIFO replies.
-struct Dispatcher<'s, 'pool, 'a> {
-    link: Link<'s, 'pool, 'a>,
-    route: &'s [(ClusterId, u32)],
-    timelines: &'s mut Vec<Vec<OccDelta>>,
-    peak: &'s mut PeakMerge,
-    pending: Vec<Vec<(usize, Request<'a>)>>,
-    /// Owned-arrival staging for streaming sessions ([`Self::submit_owned`]);
-    /// a session uses either this or `pending`, never both.
-    pending_owned: Vec<Vec<VmRecord>>,
-    /// Owned records submitted this session (`serve.stream_records`).
+struct Dispatcher<'s, 'pool> {
+    link: Link<'s, 'pool>,
+    state: &'s mut SessionState,
+    /// Per-shard staged arrivals with their stream positions.
+    pending: Vec<Vec<(u64, VmRecord)>>,
+    /// Arrivals submitted this session (`serve.stream_records`).
     stream_records: u64,
-    /// Owned segments shipped this session (`serve.stream_segments`).
+    /// Segments shipped this session (`serve.stream_segments`).
     stream_segments: u64,
-    log: Vec<Sent<'a>>,
+    log: Vec<Sent>,
     next_idx: usize,
     /// Whether routed segments carry per-request responses back.
     collect: bool,
-    label: &'static str,
-    horizon: Timestamp,
-    /// Lane telemetry from sessions before this one; a stats merge adds
-    /// the live pool's counters on top.
-    lane_base: LaneStats,
     /// Barrier spans (armed telemetry only): staging, drains, and merges
     /// record into the deployment's dispatcher ring.
     spans: Option<&'s mut SpanRing>,
 }
 
-impl<'a> Dispatcher<'_, '_, 'a> {
+impl<'s, 'pool> Dispatcher<'s, 'pool> {
+    fn new(
+        link: Link<'s, 'pool>,
+        state: &'s mut SessionState,
+        collect: bool,
+        spans: Option<&'s mut SpanRing>,
+    ) -> Self {
+        Dispatcher {
+            pending: (0..link.len()).map(|_| Vec::new()).collect(),
+            link,
+            state,
+            stream_records: 0,
+            stream_segments: 0,
+            log: Vec::new(),
+            next_idx: 0,
+            collect,
+            spans,
+        }
+    }
+
     /// Open a barrier span, if the dispatcher ring is armed.
     #[inline]
     fn begin_span(&self) -> Option<SpanStart> {
@@ -1081,91 +927,72 @@ impl<'a> Dispatcher<'_, '_, 'a> {
             ring.end(name, start);
         }
     }
+
     /// Feed one request into the session (requests must be submitted in
-    /// stream order).
-    fn submit(&mut self, request: Request<'a>) {
+    /// stream order): the dispatcher's one front door. Arrivals stage by
+    /// value into their shard's segment; everything else becomes a token
+    /// on every lane.
+    fn submit(&mut self, request: StreamRequest) {
         let idx = self.next_idx;
         self.next_idx += 1;
-        if request.is_broadcast() {
-            let span = self.begin_span();
-            // Hand each shard its staged segment *and* the token in one
-            // batched lane handoff — the segment still lands before the
-            // token (same stream position as a flush-then-send), but the
-            // lane wakes the worker at most once per barrier instead of
-            // once per command.
-            for shard in 0..self.link.len() {
-                let mut burst = Vec::with_capacity(2);
-                if let Some(cmd) = self.take_segment(shard) {
-                    burst.push(cmd);
-                    self.log.push(Sent::Batch { shard });
-                }
-                burst.push(ShardCmd::Token(request));
-                self.link.send_batch(shard, burst);
-            }
-            self.log.push(Sent::Token { idx, request });
-            self.end_span("dispatch.stage", span);
-        } else {
-            let Request::Arrive(rec) = request else {
-                unreachable!("non-broadcast requests are arrivals")
-            };
-            let at = self
-                .route
-                .binary_search_by_key(&rec.cluster, |&(id, _)| id)
-                .expect("arrival for a cluster this controller owns");
-            let shard = self.route[at].1 as usize;
-            self.pending[shard].push((idx, request));
-            if self.pending[shard].len() >= SEGMENT {
-                self.flush(shard);
-            }
-        }
-    }
-
-    /// Feed one owning request into the session (same stream-order
-    /// contract as [`Self::submit`]). Owned arrivals stage into per-shard
-    /// owned segments and ship as [`ShardCmd::RunOwned`]; broadcasts reuse
-    /// the borrowed token path (no broadcast variant carries a record).
-    /// Only valid in non-collecting sessions — per-request responses are
-    /// never materialized for streams.
-    fn submit_owned(&mut self, request: StreamRequest) {
-        debug_assert!(!self.collect, "streams never collect responses");
-        match request {
+        let token = match request {
             StreamRequest::Arrive(rec) => {
-                self.next_idx += 1;
                 self.stream_records += 1;
-                let at = self
-                    .route
+                let route = &self.state.route;
+                let at = route
                     .binary_search_by_key(&rec.cluster, |&(id, _)| id)
                     .expect("arrival for a cluster this controller owns");
-                let shard = self.route[at].1 as usize;
-                self.pending_owned[shard].push(rec);
-                if self.pending_owned[shard].len() >= SEGMENT {
+                let shard = route[at].1 as usize;
+                self.pending[shard].push((idx as u64, rec));
+                if self.pending[shard].len() >= SEGMENT {
                     self.flush(shard);
                 }
+                return;
             }
-            StreamRequest::Depart { vm, now } => self.submit(Request::Depart { vm, now }),
-            StreamRequest::Tick { now } => self.submit(Request::Tick { now }),
-            StreamRequest::Probe { now } => self.submit(Request::Probe { now }),
-            StreamRequest::Stats { now } => self.submit(Request::Stats { now }),
-        }
+            StreamRequest::Depart { vm, now } => TokenCmd::Depart { vm, now },
+            StreamRequest::Tick { now } => TokenCmd::Tick { now },
+            StreamRequest::Probe { now } => TokenCmd::Probe { now },
+            StreamRequest::Stats { now } => TokenCmd::Stats { now },
+        };
+        let span = self.begin_span();
+        // Hand each shard its staged segment *and* the token in one
+        // batched lane handoff — the segment still lands before the token
+        // (same stream position as a flush-then-send), but the lane wakes
+        // the worker at most once per barrier instead of once per command.
+        self.send_after_segments(WireCmd::Token(token));
+        self.log.push(Sent::Token { idx, token });
+        self.end_span("dispatch.stage", span);
     }
 
     /// Take `shard`'s staged segment as a ready-to-send command, if any.
-    fn take_segment(&mut self, shard: usize) -> Option<ShardCmd<'a>> {
-        if !self.pending_owned[shard].is_empty() {
-            self.stream_segments += 1;
-            return Some(ShardCmd::RunOwned(std::mem::take(
-                &mut self.pending_owned[shard],
-            )));
-        }
+    /// Only a collecting session ships the stream positions; otherwise the
+    /// worker acknowledges the whole segment — reply-lane memory stays
+    /// O(segments), not O(requests), over a million-VM stream.
+    fn take_segment(&mut self, shard: usize) -> Option<WireCmd> {
         if self.pending[shard].is_empty() {
             return None;
         }
+        self.stream_segments += 1;
         let segment = std::mem::take(&mut self.pending[shard]);
         Some(if self.collect {
-            ShardCmd::Batch(segment)
+            WireCmd::Batch(segment)
         } else {
-            ShardCmd::Run(segment.into_iter().map(|(_, req)| req).collect())
+            WireCmd::Run(segment.into_iter().map(|(_, rec)| rec).collect())
         })
+    }
+
+    /// Send every shard its staged segment (if any) and then `cmd`, as one
+    /// burst per lane.
+    fn send_after_segments(&mut self, cmd: WireCmd) {
+        for shard in 0..self.link.len() {
+            let mut burst = Vec::with_capacity(2);
+            if let Some(segment) = self.take_segment(shard) {
+                burst.push(segment);
+                self.log.push(Sent::Batch { shard });
+            }
+            burst.push(cmd.clone());
+            self.link.send_batch(shard, burst);
+        }
     }
 
     fn flush(&mut self, shard: usize) {
@@ -1185,15 +1012,7 @@ impl<'a> Dispatcher<'_, '_, 'a> {
         let span = self.begin_span();
         // Same batched handoff as a broadcast: segment + finalize arrive
         // in one burst per shard.
-        for shard in 0..self.link.len() {
-            let mut burst = Vec::with_capacity(2);
-            if let Some(cmd) = self.take_segment(shard) {
-                burst.push(cmd);
-                self.log.push(Sent::Batch { shard });
-            }
-            burst.push(ShardCmd::Finalize);
-            self.link.send_batch(shard, burst);
-        }
+        self.send_after_segments(WireCmd::Finalize);
         self.log.push(Sent::Finalize);
         self.end_span("dispatch.finalize", span);
     }
@@ -1215,18 +1034,16 @@ impl<'a> Dispatcher<'_, '_, 'a> {
         for sent in std::mem::take(&mut self.log) {
             match sent {
                 Sent::Batch { shard } => match self.link.recv(shard) {
-                    ShardReply::Answers(answers) => {
-                        if self.collect {
-                            for (idx, response) in answers {
-                                responses[idx] = Some(response);
-                            }
+                    WireReply::Answers(answers) => {
+                        for (idx, response) in answers {
+                            responses[idx as usize] = Some(response);
                         }
                     }
-                    ShardReply::Ran => {}
+                    WireReply::Ran => {}
                     _ => unreachable!("segment answered with answers or an ack"),
                 },
-                Sent::Token { idx, request } => {
-                    let merged = self.merge_token(request);
+                Sent::Token { idx, token } => {
+                    let merged = self.merge_token(token);
                     if self.collect {
                         responses[idx] = Some(merged);
                     }
@@ -1241,12 +1058,12 @@ impl<'a> Dispatcher<'_, '_, 'a> {
     }
 
     /// Collect one token reply per shard and merge by request kind.
-    fn merge_token(&mut self, request: Request<'a>) -> Response {
-        match request {
-            Request::Stats { now } => {
+    fn merge_token(&mut self, token: TokenCmd) -> Response {
+        match token {
+            TokenCmd::Stats { now } => {
                 let snapshots: Vec<ShardSnapshot> = (0..self.link.len())
                     .map(|shard| {
-                        let ShardReply::Stats(snapshot) = self.link.recv(shard) else {
+                        let WireReply::Stats(snapshot) = self.link.recv(shard) else {
                             unreachable!("stats token answered with a snapshot");
                         };
                         *snapshot
@@ -1257,14 +1074,14 @@ impl<'a> Dispatcher<'_, '_, 'a> {
             _ => {
                 let answers: Vec<Response> = (0..self.link.len())
                     .map(|shard| {
-                        let ShardReply::Token(response) = self.link.recv(shard) else {
+                        let WireReply::Token(response) = self.link.recv(shard) else {
                             unreachable!("token answered with a token response");
                         };
                         response
                     })
                     .collect();
-                match request {
-                    Request::Probe { .. } => {
+                match token {
+                    TokenCmd::Probe { .. } => {
                         let total = answers
                             .iter()
                             .map(|a| match a {
@@ -1274,16 +1091,14 @@ impl<'a> Dispatcher<'_, '_, 'a> {
                             .sum();
                         Response::ProbeCapacity(total)
                     }
-                    Request::Depart { vm, .. } => {
+                    TokenCmd::Depart { vm, .. } => {
                         let found = answers
                             .iter()
                             .any(|a| matches!(a, Response::Departed { found: true, .. }));
                         Response::Departed { vm, found }
                     }
-                    Request::Tick { .. } => Response::Ticked,
-                    Request::Stats { .. } | Request::Arrive(_) => {
-                        unreachable!("handled above / shard-routed")
-                    }
+                    TokenCmd::Tick { .. } => Response::Ticked,
+                    TokenCmd::Stats { .. } => unreachable!("handled above"),
                 }
             }
         }
@@ -1295,16 +1110,15 @@ impl<'a> Dispatcher<'_, '_, 'a> {
         let mut snapshots = Vec::with_capacity(self.link.len());
         let mut partial_accepted = 0u64;
         for shard in 0..self.link.len() {
-            let ShardReply::Finalized(boxed) = self.link.recv(shard) else {
+            let WireReply::Finalized(partial, snapshot) = self.link.recv(shard) else {
                 unreachable!("finalize answered with a final result");
             };
-            let (partial, snapshot) = *boxed;
             partial_accepted += partial.accepted;
-            snapshots.push(snapshot);
+            snapshots.push(*snapshot);
         }
-        let merged = self.merge_snapshots(self.horizon, &snapshots);
+        let merged = self.merge_snapshots(self.state.horizon, &snapshots);
         debug_assert_eq!(partial_accepted, merged.accepted);
-        merged.to_packing_result(self.label)
+        merged.to_packing_result(self.state.label)
     }
 
     /// Merge per-shard snapshots into a cluster-wide report. Integer
@@ -1317,7 +1131,7 @@ impl<'a> Dispatcher<'_, '_, 'a> {
         };
         let mut latency = LatencyHistogram::new();
         for (shard, snapshot) in snapshots.iter().enumerate() {
-            self.timelines[shard].extend_from_slice(&snapshot.timeline_delta);
+            self.state.timelines[shard].extend_from_slice(&snapshot.timeline_delta);
             let s = &snapshot.stats;
             merged.accepted += s.accepted;
             merged.rejected += s.rejected;
@@ -1345,14 +1159,17 @@ impl<'a> Dispatcher<'_, '_, 'a> {
         // barrier — a departure at exactly `now` may still be drained by a
         // later event, so same-time entries stay in the tail), then fold
         // the small tail in non-destructively for this report's peak.
-        self.peak.advance(self.timelines, now.ticks());
-        merged.peak_servers_in_use = self.peak.peak_with_tail(self.timelines);
+        let SessionState {
+            peak, timelines, ..
+        } = &mut *self.state;
+        peak.advance(timelines, now.ticks());
+        merged.peak_servers_in_use = peak.peak_with_tail(timelines);
         merged.admission_p50_us = latency.quantile_us(0.50);
         merged.admission_p99_us = latency.quantile_us(0.99);
         // Lane telemetry: completed sessions plus the live pool. Pure
         // observability — never part of the bit-identity contract (wakeup
         // counts depend on scheduling).
-        let mut lanes = self.lane_base;
+        let mut lanes = self.state.lane_base;
         lanes.merge(&self.link.lane_stats());
         merged.lane_sends = lanes.sends;
         merged.lane_batched_sends = lanes.batched_sends;

@@ -129,16 +129,16 @@ pub mod metric {
         "coach_serve_wire_rx_frames_total",
         "Reply frames received from process shard workers.",
     );
-    /// Owned records submitted through streaming sessions
-    /// (`ShardedController::run_stream`; no labels).
+    /// Arrivals submitted through streaming sessions
+    /// (`ShardedController::{run, run_stream}`; no labels).
     pub const STREAM_RECORDS: MetricId = MetricId::new(
         "coach_serve_stream_records_total",
-        "Owned arrival records submitted by streaming sessions.",
+        "Arrival records submitted by streaming sessions.",
     );
-    /// Owned segments shipped to workers by streaming sessions (no labels).
+    /// Segments shipped to workers by streaming sessions (no labels).
     pub const STREAM_SEGMENTS: MetricId = MetricId::new(
         "coach_serve_stream_segments_total",
-        "Owned record segments shipped by streaming sessions.",
+        "Record segments shipped by streaming sessions.",
     );
     /// Snapshot encode throughput of the latest export (labels: shard).
     pub const SNAPSHOT_ENCODE_BPS: MetricId = MetricId::new(

@@ -1,6 +1,7 @@
 //! The serving subsystem's wire vocabulary: [`Snapshot`] frames for live
-//! snapshot/restore, and the command/reply protocol process-backed shard
-//! workers speak over their pipes.
+//! snapshot/restore, and the one command/reply vocabulary every shard
+//! worker speaks — by value over a thread lane, as frames over a
+//! process-backed worker's pipes.
 //!
 //! Everything here rides the dependency-free [`coach_wire`] codec: frames
 //! are magic- and version-pinned, accumulated `f64`s travel as raw
@@ -10,7 +11,7 @@
 
 use crate::account::{AccountantDump, ServerAccountDump, VmEntryDump};
 use crate::controller::{ControllerDump, ServeConfig};
-use crate::request::{LatencyHistogram, Response, StatsReport};
+use crate::request::{LatencyHistogram, Request, Response, StatsReport};
 use crate::shard::ShardSnapshot;
 use crate::store::StoreDump;
 use coach_sim::PackingResult;
@@ -499,17 +500,28 @@ impl Decode for PredictorSpec {
     }
 }
 
-/// A broadcast/barrier request as it crosses the pipe — every [`Request`]
-/// kind except arrivals, which travel in routed segments with their
-/// records inline.
-///
-/// [`Request`]: crate::Request
+/// A broadcast/barrier request as it crosses a lane or the pipe — every
+/// [`Request`] kind except arrivals, which travel in routed segments with
+/// their records inline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TokenCmd {
     Depart { vm: VmId, now: Timestamp },
     Tick { now: Timestamp },
     Probe { now: Timestamp },
     Stats { now: Timestamp },
+}
+
+/// The one place a token turns back into a request: at
+/// [`Controller::handle`](crate::Controller::handle), worker-side.
+impl From<TokenCmd> for Request<'static> {
+    fn from(token: TokenCmd) -> Self {
+        match token {
+            TokenCmd::Depart { vm, now } => Request::Depart { vm, now },
+            TokenCmd::Tick { now } => Request::Tick { now },
+            TokenCmd::Probe { now } => Request::Probe { now },
+            TokenCmd::Stats { now } => Request::Stats { now },
+        }
+    }
 }
 
 impl Encode for TokenCmd {
@@ -560,10 +572,13 @@ impl Decode for TokenCmd {
     }
 }
 
-/// One command frame on a process worker's stdin. Mirrors the thread
-/// backend's `ShardCmd` plus the supervision verbs (`Init`, `Export`);
-/// every command produces exactly one [`WireReply`] frame — the 1:1
-/// contract [`coach_types::runtime::ProcessPool`] recovery counts on.
+/// One command to a shard worker — the vocabulary both backends carry:
+/// by value on a thread lane, sealed into a frame on a process worker's
+/// stdin. The dispatch verbs (`Batch`, `Run`, `Token`, `Finalize`) are
+/// what a session sends either kind of worker; the supervision verbs
+/// (`Init`, `Export`, `Telemetry`) only ever reach a child process. Every
+/// command produces exactly one [`WireReply`] — the 1:1 contract
+/// [`coach_types::runtime::ProcessPool`] recovery counts on.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum WireCmd {
     /// Build the worker's controller: a predictor recipe plus a sealed
@@ -656,7 +671,8 @@ impl Decode for WireCmd {
     }
 }
 
-/// One reply frame on a process worker's stdout, in command order.
+/// One reply per [`WireCmd`], in command order: by value on a thread
+/// lane, a frame on a process worker's stdout.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum WireReply {
     /// [`WireCmd::Init`] applied; the controller is live.
@@ -667,10 +683,12 @@ pub(crate) enum WireReply {
     Ran,
     /// A non-stats token's merged-side input.
     Token(Response),
-    /// A stats token's shard contribution.
-    Stats(ShardSnapshot),
+    /// A stats token's shard contribution. Boxed (as below): a snapshot is
+    /// ~0.75 kB, and a session's reply lanes queue one `WireReply` per
+    /// segment and token until the next drain.
+    Stats(Box<ShardSnapshot>),
     /// The shard's final result and closing stats contribution.
-    Finalized(PackingResult, ShardSnapshot),
+    Finalized(PackingResult, Box<ShardSnapshot>),
     /// A sealed [`Snapshot`] frame for [`WireCmd::Export`].
     Exported(Vec<u8>),
     /// The registry delta for a [`WireCmd::Telemetry`] barrier collection
@@ -719,8 +737,11 @@ impl Decode for WireReply {
             1 => Ok(WireReply::Answers(Decode::decode(d)?)),
             2 => Ok(WireReply::Ran),
             3 => Ok(WireReply::Token(Decode::decode(d)?)),
-            4 => Ok(WireReply::Stats(Decode::decode(d)?)),
-            5 => Ok(WireReply::Finalized(Decode::decode(d)?, Decode::decode(d)?)),
+            4 => Ok(WireReply::Stats(Box::new(Decode::decode(d)?))),
+            5 => Ok(WireReply::Finalized(
+                Decode::decode(d)?,
+                Box::new(Decode::decode(d)?),
+            )),
             6 => Ok(WireReply::Exported(d.bytes("WireReply snapshot")?.to_vec())),
             7 => Ok(WireReply::Telemetry(decode_registry_snapshot(d)?)),
             tag => Err(WireError::UnknownTag {
@@ -859,7 +880,7 @@ mod tests {
             )]),
             WireReply::Ran,
             WireReply::Token(Response::Ticked),
-            WireReply::Stats(snapshot.clone()),
+            WireReply::Stats(Box::new(snapshot.clone())),
             WireReply::Finalized(
                 PackingResult {
                     label: "Coach",
@@ -872,7 +893,7 @@ mod tests {
                     cpu_violation_rate: 0.25,
                     mem_violation_rate: 0.125,
                 },
-                snapshot,
+                Box::new(snapshot),
             ),
             WireReply::Exported(vec![9, 9, 9]),
         ];

@@ -8,7 +8,8 @@
 //! before any test logic.
 
 use coach_serve::{
-    serve_trace_sharded, Request, RequestSource, Response, ServeConfig, ShardedController, Snapshot,
+    serve_trace_sharded, Request, RequestSource, Response, ServeConfig, ShardedController,
+    Snapshot, StatsReport, SHARD_WORKER_ENV,
 };
 use coach_sim::{packing_experiment, Oracle, PolicyConfig};
 use coach_trace::{generate, Trace, TraceConfig, VmRecord};
@@ -153,6 +154,107 @@ fn process_drain_resume_roundtrip() {
     assert_eq!(second.finalize(), expected, "process drain/resume is exact");
 }
 
+/// Every request kind crosses both backends through the one worker step:
+/// arrivals interleaved with a `Depart` of a resident VM, a `Depart` of a
+/// VM nobody admitted, `Tick`, `Probe` and mid-stream `Stats`. Thread and
+/// process answer identically, response for response, and finalize alike.
+fn every_request_kind_agrees_across_backends() {
+    let trace = generate(&TraceConfig {
+        cluster_count: 4,
+        ..TraceConfig::small(1717)
+    });
+    let oracle = Oracle::new(TimeWindows::paper_default());
+    let coach = PolicyConfig::paper_set().remove(2);
+
+    let mut requests: Vec<Request> = Vec::new();
+    let mut arrivals = 0u64;
+    for request in RequestSource::replaying(&trace) {
+        requests.push(request);
+        let Request::Arrive(rec) = request else {
+            continue;
+        };
+        arrivals += 1;
+        if arrivals.is_multiple_of(40) {
+            let now = rec.arrival;
+            requests.extend([
+                Request::Depart { vm: rec.id, now },
+                Request::Depart {
+                    vm: VmId::new(u64::MAX - arrivals),
+                    now,
+                },
+                Request::Tick { now },
+                Request::Stats { now },
+            ]);
+        }
+    }
+
+    // Admission latency is wall time and lane counters exist only on
+    // thread lanes: telemetry outside the bit-identity contract.
+    let decisions = |responses: Vec<Response>| -> Vec<Response> {
+        responses
+            .into_iter()
+            .map(|response| match response {
+                Response::Stats(report) => Response::Stats(StatsReport {
+                    admission_p50_us: 0.0,
+                    admission_p99_us: 0.0,
+                    lane_sends: 0,
+                    lane_batched_sends: 0,
+                    lane_wakeups: 0,
+                    lane_full_stalls: 0,
+                    ..report
+                }),
+                other => other,
+            })
+            .collect()
+    };
+
+    for shards in [1usize, 2, 4] {
+        let mut threaded = ShardedController::replaying(&trace, &oracle, coach, 0.7, shards);
+        let mut processed = process_controller(&trace, &oracle, coach, 0.7, shards);
+        let expected = decisions(threaded.handle_batch(&requests));
+        let got = decisions(processed.handle_batch(&requests));
+        assert_eq!(got.len(), requests.len());
+        assert_eq!(got, expected, "{shards} shards: process == thread");
+        let exercised = |kind: &str, is_kind: fn(&Response) -> bool| {
+            assert!(
+                got.iter().any(is_kind),
+                "{shards} shards: the stream exercised a {kind}"
+            );
+        };
+        exercised("resident depart", |r| {
+            matches!(r, Response::Departed { found: true, .. })
+        });
+        exercised("unknown depart", |r| {
+            matches!(r, Response::Departed { found: false, .. })
+        });
+        exercised("tick", |r| matches!(r, Response::Ticked));
+        exercised("probe", |r| matches!(r, Response::ProbeCapacity(_)));
+        exercised("stats", |r| matches!(r, Response::Stats(_)));
+        assert_eq!(
+            processed.finalize(),
+            threaded.finalize(),
+            "{shards} shards: finalize agrees"
+        );
+    }
+}
+
+/// A malformed worker env value is refused loudly instead of silently
+/// becoming shard 0 (whose telemetry series it would collide with).
+fn malformed_worker_env_is_refused() {
+    let exe = std::env::current_exe().expect("resolve the test binary");
+    let output = std::process::Command::new(exe)
+        .env(SHARD_WORKER_ENV, "not-a-number")
+        .stdin(std::process::Stdio::null())
+        .output()
+        .expect("re-exec the test binary as a worker");
+    assert!(!output.status.success(), "a bad shard index exits non-zero");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains(SHARD_WORKER_ENV) && stderr.contains("not-a-number"),
+        "stderr names the variable and the value, got {stderr:?}"
+    );
+}
+
 fn run(name: &str, test: fn(), failures: &mut u32) {
     // One child may die mid-`recv` when its half of a killed pipe closes;
     // catch_unwind keeps the runner going and reports per-test.
@@ -184,6 +286,16 @@ fn main() {
     run(
         "process_drain_resume_roundtrip",
         process_drain_resume_roundtrip,
+        &mut failures,
+    );
+    run(
+        "every_request_kind_agrees_across_backends",
+        every_request_kind_agrees_across_backends,
+        &mut failures,
+    );
+    run(
+        "malformed_worker_env_is_refused",
+        malformed_worker_env_is_refused,
         &mut failures,
     );
     if failures > 0 {

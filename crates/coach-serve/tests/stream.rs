@@ -18,9 +18,9 @@ fn four_cluster_config(seed: u64) -> TraceConfig {
     }
 }
 
-/// Serve an owning request sequence at `shards`, both streamed (owned
-/// segments) and materialized (borrowed segments over the same sequence);
-/// the two must agree exactly — same segmentation, same float order.
+/// Serve an owning request sequence at `shards` through both entry points
+/// — `run_stream` over the values, `run` over borrows of them; the two
+/// must agree exactly — same segmentation, same float order.
 fn assert_stream_equals_materialized(
     label: &str,
     clusters: &[Cluster],
@@ -217,6 +217,40 @@ fn stream_counters_reach_registry() {
             .expect("segments counter registered")
             >= 1
     );
+}
+
+/// Two entry points, one dispatcher: `run` over a borrowed replay and
+/// `run_stream` over its cloned equivalent produce the same result from
+/// the same number of records in the same number of segments.
+#[test]
+fn run_and_run_stream_ship_the_same_segments() {
+    let trace = generate(&four_cluster_config(43));
+    let oracle = Oracle::new(TimeWindows::paper_default());
+    let coach = PolicyConfig::paper_set().remove(2);
+    let serve = ServeConfig {
+        telemetry: coach_serve::TelemetryConfig::Full,
+        ..ServeConfig::replaying(coach, 0.7, trace.horizon)
+    };
+    let shipped = |controller: &ShardedController| {
+        let snapshot = controller
+            .telemetry_registry()
+            .expect("telemetry armed")
+            .snapshot();
+        (
+            snapshot.counter("coach_serve_stream_records_total", &[]),
+            snapshot.counter("coach_serve_stream_segments_total", &[]),
+        )
+    };
+    for shards in [1usize, 2, 4] {
+        let mut borrowed = ShardedController::new(&trace.clusters, &oracle, serve, shards);
+        let borrowed_result = borrowed.run(RequestSource::replaying(&trace));
+        let mut owned = ShardedController::new(&trace.clusters, &oracle, serve, shards);
+        let owned_result =
+            owned.run_stream(RequestSource::replaying(&trace).map(StreamRequest::from_request));
+        assert_eq!(borrowed_result, owned_result, "{shards} shards");
+        assert_eq!(shipped(&borrowed), shipped(&owned), "{shards} shards");
+        assert_eq!(shipped(&owned).0, Some(trace.vms.len() as u64));
+    }
 }
 
 mod proptests {

@@ -8,8 +8,7 @@
 //!
 //! * [`Oracle`] — percentiles of each VM's own utilization, derived
 //!   *lazily* from the behavior profile's closed form
-//!   ([`VmRecord::window_stats`]) and cached per `(VM, percentile)` so the
-//!   parallel four-policy sweep derives each VM once;
+//!   ([`VmRecord::window_stats`]) on every call;
 //! * [`Model`] — the trained long-term random forest (§3.3);
 //! * [`NaiveReference`] — the old eager path (materialize the 5-minute
 //!   series, walk its samples), retained purely for differential testing
@@ -18,8 +17,6 @@
 use coach_predict::{DemandPrediction, UtilizationModel};
 use coach_trace::VmRecord;
 use coach_types::prelude::*;
-use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// Where per-VM demand predictions come from.
 ///
@@ -42,14 +39,12 @@ pub trait Predictor: Sync {
     /// VM **in input order**.
     ///
     /// The default forwards each VM to [`Predictor::predict`]. Sources with
-    /// a cheaper batch form override it — [`Oracle`] derives each VM once
-    /// without fingerprinting, locking or filling its per-item memo,
-    /// [`Model`] walks the whole batch through each tree of its forests
-    /// while the tree is cache-resident — but every override must return
-    /// exactly what the per-item loop would: `predict_batch` is a
-    /// throughput entry point, never a semantic one (the
-    /// `predict_batch_matches_per_item_loop` differential test holds all
-    /// shipped sources to this).
+    /// a cheaper batch form override it — [`Model`] walks the whole batch
+    /// through each tree of its forests while the tree is cache-resident —
+    /// but every override must return exactly what the per-item loop
+    /// would: `predict_batch` is a throughput entry point, never a
+    /// semantic one (the `predict_batch_matches_per_item_loop`
+    /// differential test holds all shipped sources to this).
     ///
     /// How the serving controller calls it: possibly from a thread other
     /// than the controller's own (when the box has a core to spare —
@@ -87,35 +82,17 @@ fn too_short(vm: &VmRecord) -> bool {
 /// "ideal allocation" reference of Fig 19 and an upper bound for the
 /// packing experiments.
 ///
-/// Derivations go through the lazy analytic [`VmRecord::window_stats`] path
-/// and are memoized: `policy_sweep` replays the same trace under four
-/// policies concurrently, and the cache collapses those four derivations
-/// into one. Single-pass consumers (one prediction per VM, e.g. a batch
-/// derive) gain nothing from the memo — it is bounded and correct either
-/// way, but a fresh `Oracle` per pass keeps its footprint transient.
+/// Stateless: every call derives through the lazy analytic
+/// [`VmRecord::window_stats`] path.
 #[derive(Debug)]
 pub struct Oracle {
     tw: TimeWindows,
-    cache: Mutex<HashMap<(VmId, u64, u64), DemandPrediction>>,
 }
 
 impl Oracle {
-    /// Derivations cached before the memo stops growing. Deliberately below
-    /// million-VM scale: the memo exists for multi-policy reuse on
-    /// evaluation-sized traces, not to mirror a whole million-VM replay in
-    /// memory. A memoized prediction for the shipped 6-window partition
-    /// stays inline (no spill past [`WindowVec::INLINE`]), so an entry is
-    /// the key plus `size_of::<DemandPrediction>()` ≈ 0.5 kB of table
-    /// payload — `memo_entries_for_paper_windows_stay_inline_and_small`
-    /// pins the exact figure — and the cap holds the memo near ~128 MB.
-    const MAX_CACHED: usize = 1 << 18;
-
     /// An oracle over the given window partition.
     pub fn new(tw: TimeWindows) -> Self {
-        Oracle {
-            tw,
-            cache: Mutex::new(HashMap::new()),
-        }
+        Oracle { tw }
     }
 
     /// Always `(0, 0)`: the envelope cache these counters reported on is
@@ -123,43 +100,6 @@ impl Oracle {
     /// it; the next `[benchmark]` PR removes the call and this method.
     pub fn envelope_counters(&self) -> (u64, u64) {
         (0, 0)
-    }
-
-    /// One fresh derivation, bucketed — what the memo stores.
-    fn derive(&self, vm: &VmRecord, percentile: Percentile) -> DemandPrediction {
-        let mut p = UtilizationModel::oracle(vm, self.tw, percentile);
-        bucket_prediction(&mut p);
-        p
-    }
-
-    /// Cache discriminator beyond the VM id: ids restart at 0 in every
-    /// generated trace, so an `Oracle` shared across traces must not serve
-    /// trace A's derivation for trace B's VM. Folding the lifetime and the
-    /// full behavior profile (the only inputs of the derivation) into the
-    /// key makes a stale hit require an identical derivation anyway.
-    fn vm_fingerprint(vm: &VmRecord) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a style fold
-        let mut mix = |v: u64| {
-            h = (h ^ v).wrapping_mul(0x0000_0100_0000_01B3);
-        };
-        mix(vm.arrival.ticks());
-        mix(vm.departure.ticks());
-        mix(vm.profile.noise_seed);
-        mix(vm.profile.kind as u64);
-        for p in &vm.profile.per_resource {
-            for v in [
-                p.base,
-                p.amplitude,
-                p.peak_hour,
-                p.peak_width_hours,
-                p.noise,
-                p.weekend_factor,
-                p.daily_drift,
-            ] {
-                mix(v.to_bits());
-            }
-        }
-        h
     }
 }
 
@@ -172,37 +112,9 @@ impl Predictor for Oracle {
         if too_short(vm) {
             return None;
         }
-        let key = (
-            vm.id,
-            percentile.value().to_bits(),
-            Self::vm_fingerprint(vm),
-        );
-        if let Some(hit) = self.cache.lock().expect("oracle cache").get(&key) {
-            return Some(hit.clone());
-        }
-        let p = self.derive(vm, percentile);
-        let mut cache = self.cache.lock().expect("oracle cache");
-        if cache.len() < Self::MAX_CACHED {
-            cache.insert(key, p.clone());
-        }
+        let mut p = UtilizationModel::oracle(vm, self.tw, percentile);
+        bucket_prediction(&mut p);
         Some(p)
-    }
-
-    /// The cold-path batch derivation: skip the short VMs, derive each
-    /// survivor once, bucket. Same results as the per-item loop, but the
-    /// `(VM, percentile)` memo is bypassed in both directions: a batch
-    /// derives each VM exactly once, so fingerprinting and locking per VM
-    /// buys nothing, and the default loop would push a 500k-VM stream into
-    /// the 2^18-entry (~128 MB) memo. Skipping it cannot change results —
-    /// the memo stores exactly this derivation.
-    fn predict_batch(
-        &self,
-        vms: &[&VmRecord],
-        percentile: Percentile,
-    ) -> Vec<Option<DemandPrediction>> {
-        vms.iter()
-            .map(|vm| (!too_short(vm)).then(|| self.derive(vm, percentile)))
-            .collect()
     }
 }
 
@@ -303,8 +215,8 @@ mod tests {
                 );
             }
         }
-        // Cached result is identical.
-        let again = src.predict(long, Percentile::P95).expect("cached");
+        // Deterministic in `(vm, percentile)`.
+        let again = src.predict(long, Percentile::P95).expect("prediction");
         assert_eq!(p, again);
     }
 
@@ -372,33 +284,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn oracle_cache_distinguishes_traces_with_colliding_vm_ids() {
-        // VM ids restart at 0 in every generated trace; an Oracle reused
-        // across traces must key on more than the id.
-        let tw = TimeWindows::paper_default();
-        let a = generate(&TraceConfig::small(41));
-        let b = generate(&TraceConfig::small(42));
-        let oracle = Oracle::new(tw);
-        let reference = NaiveReference::new(tw);
-        let mut checked = 0;
-        for (va, vb) in a.vms.iter().zip(&b.vms) {
-            assert_eq!(va.id, vb.id, "trace vm ids are expected to collide");
-            let first = oracle.predict(va, Percentile::P95);
-            let second = oracle.predict(vb, Percentile::P95);
-            assert_eq!(second, reference.predict(vb, Percentile::P95));
-            if let (Some(x), Some(y)) = (first, second) {
-                checked += usize::from(x != y);
-            }
-        }
-        assert!(checked > 5, "colliding ids never diverged: {checked}");
-    }
-
     /// `predict_batch` is a throughput entry point, never a semantic one:
     /// for every shipped source it must equal the per-item loop exactly.
-    /// `Oracle` (memo bypassed) and `Model` (one forest sweep per batch)
-    /// override it, so this differentially pins the overrides;
-    /// `NaiveReference` exercises the default loop.
+    /// `Model` (one forest sweep per batch) overrides it, so this
+    /// differentially pins the override; `Oracle` and `NaiveReference`
+    /// exercise the default loop.
     #[test]
     fn predict_batch_matches_per_item_loop() {
         use coach_predict::{ForestParams, ModelConfig};
@@ -437,36 +327,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Pins the memo sizing arithmetic that justifies [`Oracle::MAX_CACHED`]:
-    /// a prediction for the shipped 6-window partition stays inline (no
-    /// [`WindowVec`] spill), and the per-entry estimate the cap comment
-    /// cites — key + inline prediction — stays a hair under 0.5 kB, keeping
-    /// the full memo near ~128 MB.
-    #[test]
-    fn memo_entries_for_paper_windows_stay_inline_and_small() {
-        use std::mem::size_of;
-
-        let trace = generate(&TraceConfig::small(98));
-        let oracle = Oracle::new(TimeWindows::paper_default());
-        let vm = trace.long_running().next().expect("a long vm");
-        let p = oracle.predict(vm, Percentile::P95).expect("prediction");
-        assert!(
-            !p.pmax.spilled() && !p.px.spilled(),
-            "6-window predictions must stay inline"
-        );
-
-        let entry = size_of::<(VmId, u64, u64)>() + size_of::<DemandPrediction>();
-        assert!(
-            (256..=512).contains(&entry),
-            "memo entry estimate drifted from ~0.5 kB: {entry} B"
-        );
-        let total_mb = (Oracle::MAX_CACHED * entry) >> 20;
-        assert!(
-            (64..=160).contains(&total_mb),
-            "capped memo no longer ~128 MB: {total_mb} MB"
-        );
     }
 
     #[test]

@@ -2,13 +2,12 @@
 
 use crate::profile::VmProfile;
 use coach_types::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// One VM allocation in the trace — everything the paper records per VM
 /// (§2 methodology): allocation/deallocation times, resource allocation, the
 /// server it ran on, plus the behavior profile from which utilization is
 /// materialized.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VmRecord {
     /// Unique id of this allocation.
     pub id: VmId,
@@ -126,7 +125,7 @@ impl VmRecord {
 }
 
 /// A homogeneous pool of servers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     /// Cluster id.
     pub id: ClusterId,
@@ -144,7 +143,7 @@ impl Cluster {
 }
 
 /// A complete trace: clusters, servers, and VM records over a time span.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// All clusters.
     pub clusters: Vec<Cluster>,

@@ -16,12 +16,11 @@
 use coach_types::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::f64::consts::TAU;
 
 /// High-level temporal pattern class (prior work's taxonomy cited in §2.3:
 /// periodic, constant, or unpredictable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PatternKind {
     /// Clear diurnal cycle with a consistent peak window.
     Periodic,
@@ -32,7 +31,7 @@ pub enum PatternKind {
 }
 
 /// Per-resource pattern parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceProfile {
     /// Baseline utilization fraction.
     pub base: f64,
@@ -178,7 +177,7 @@ impl BumpGeometry {
 ///
 /// Materialization is deterministic: the same profile always yields the same
 /// series, which keeps every experiment reproducible.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VmProfile {
     /// Pattern class (affects noise structure).
     pub kind: PatternKind,
@@ -834,7 +833,7 @@ fn max_hash_in(pre: u64, a: u64, b: u64) -> u64 {
 /// Group members draw their [`VmProfile`]s from this template with small
 /// jitter, so their peak utilizations cluster (Fig 12: sub+config groups have
 /// the smallest range).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BehaviorTemplate {
     /// Pattern class for the group.
     pub kind: PatternKind,

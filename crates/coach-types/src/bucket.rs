@@ -6,8 +6,6 @@
 //! robust: actual VA accesses stay well below the prediction percentile
 //! (Fig 17a, `Worst` vs. measured).
 
-use serde::{Deserialize, Serialize};
-
 /// Bucket width as a fraction (5 %).
 pub const BUCKET_WIDTH: f64 = 0.05;
 
@@ -21,9 +19,7 @@ pub const BUCKET_WIDTH: f64 = 0.05;
 /// assert_eq!(b.fraction(), 0.20);
 /// assert_eq!(b.index(), 4);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Bucket(u8);
 
 impl Bucket {

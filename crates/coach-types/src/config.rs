@@ -6,12 +6,11 @@
 //! (Fig 1b), so both sides are first-class here.
 
 use crate::resource::ResourceVec;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Service model of the VM. IaaS VMs tend to run hotter than PaaS (§3.3,
 /// prediction features).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Offering {
     /// Infrastructure-as-a-service: opaque customer VM.
     Iaas,
@@ -29,7 +28,7 @@ impl fmt::Display for Offering {
 }
 
 /// Subscription type — a customer-specific prediction feature (§3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SubscriptionType {
     /// Internal production subscription.
     InternalProduction,
@@ -59,7 +58,7 @@ impl fmt::Display for SubscriptionType {
 /// assert_eq!(vm.gb_per_core(), 4.0);
 /// assert_eq!(vm.demand().memory(), 32.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VmConfig {
     /// vCPUs normalized to cores.
     pub cores: u32,
@@ -159,7 +158,7 @@ impl fmt::Display for VmConfig {
 /// (§2 methodology). Generations differ in their GB/core ratio, which is
 /// what makes some clusters CPU-bottlenecked and others memory-bottlenecked
 /// (Fig 5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HardwareConfig {
     /// Human-readable generation name.
     pub name: String,

@@ -6,7 +6,6 @@
 //! SSD GB). The units are absolute quantities, not fractions; utilization
 //! fractions live in [`crate::series`].
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Index, IndexMut, Mul, Sub, SubAssign};
 
@@ -22,7 +21,7 @@ use std::ops::{Add, AddAssign, Div, Index, IndexMut, Mul, Sub, SubAssign};
 /// assert_eq!(ResourceKind::ALL.len(), 4);
 /// assert_eq!(ResourceKind::Cpu.to_string(), "CPU");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ResourceKind {
     /// CPU cores (hyper-threaded vCPUs normalized to cores, as in §2.1).
     Cpu,
@@ -121,7 +120,7 @@ impl fmt::Display for ResourceKind {
 }
 
 /// Whether a resource can be rapidly reassigned between VMs (paper Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Fungibility {
     /// Quickly reassignable (CPU time, bandwidths): the hypervisor multiplexes
     /// several VMs onto the same capacity.
@@ -133,7 +132,7 @@ pub enum Fungibility {
 
 /// Mechanism used to split a resource into guaranteed/oversubscribed portions
 /// (paper Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SharingMechanism {
     /// Static CPU groups for the guaranteed cores; the rest is oversubscribed.
     CpuGroups,
@@ -174,7 +173,7 @@ impl fmt::Display for SharingMechanism {
 /// assert!(demand.fits_within(&free));
 /// assert_eq!((free - demand)[ResourceKind::Memory], 8.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResourceVec(pub [f64; ResourceKind::COUNT]);
 
 impl ResourceVec {

@@ -7,7 +7,6 @@
 
 use crate::resource::{ResourceKind, ResourceVec};
 use crate::time::{TimeWindows, Timestamp, TICKS_PER_DAY};
-use serde::{Deserialize, Serialize};
 
 /// A percentile in `[0, 100]`, e.g. `Percentile::P95`.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.value(), 95.0);
 /// assert_eq!(p, Percentile::P95);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Percentile(f64);
 
 impl Percentile {
@@ -108,7 +107,7 @@ pub fn percentile_of_sorted(sorted: &[f32], p: Percentile) -> f32 {
 /// assert_eq!(s.max(), 0.5);
 /// assert!(s.mean() > 0.29 && s.mean() < 0.31);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UtilSeries {
     start: Timestamp,
     samples: Vec<f32>,
@@ -257,7 +256,7 @@ impl UtilSeries {
 }
 
 /// One [`UtilSeries`] per resource kind, sharing a common start.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourceSeries {
     per_resource: [UtilSeries; ResourceKind::COUNT],
 }

@@ -15,7 +15,6 @@
 use crate::resource::{ResourceKind, ResourceVec};
 use crate::series::{percentile_of, percentile_of_sorted, Percentile, ResourceSeries, UtilSeries};
 use crate::time::{TimeWindows, Timestamp, TICKS_PER_DAY};
-use serde::{Deserialize, Serialize};
 
 /// Per-window utilization statistics of one resource over a `[start, end)`
 /// span: the maximum utilization inside each `(day, window)` cell plus the
@@ -38,7 +37,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(ws.lifetime_max(3), 0.2);
 /// assert_eq!(ws.maxima_percentile(3, Percentile::P95), 0.2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowStats {
     tw: TimeWindows,
     first_day: u64,
@@ -220,7 +219,7 @@ impl WindowStats {
 
 /// One [`WindowStats`] per resource kind, sharing the partition and day
 /// range (the windowed analogue of [`ResourceSeries`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourceWindowStats {
     per_resource: [WindowStats; ResourceKind::COUNT],
 }

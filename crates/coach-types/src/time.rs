@@ -5,7 +5,6 @@
 //! day by default, §3.3). We model time as an integer count of 5-minute
 //! ticks from the start of the trace, which is defined to be **Monday 00:00**.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -28,9 +27,7 @@ pub const SECONDS_PER_TICK: u64 = 300;
 /// assert_eq!(t.weekday(), Weekday::Tuesday);
 /// assert_eq!(t.hour_of_day(), 13);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Timestamp(u64);
 
 impl Timestamp {
@@ -122,9 +119,7 @@ impl fmt::Display for Timestamp {
 }
 
 /// A span of simulated time in 5-minute ticks.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {
@@ -194,7 +189,7 @@ impl fmt::Display for SimDuration {
 }
 
 /// Day of the week. The trace origin is Monday (§2: two weeks starting Monday).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum Weekday {
     Monday,
@@ -266,7 +261,7 @@ impl fmt::Display for Weekday {
 /// // 13:00 falls in window 3 (12:00-16:00).
 /// assert_eq!(tw.window_of(Timestamp::from_hours(13)), 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimeWindows {
     windows_per_day: u32,
 }

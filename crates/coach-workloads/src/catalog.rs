@@ -11,10 +11,8 @@
 //! on their critical path; LLM-FT has the largest working set and high
 //! allocation churn; the rest are tolerant.
 
-use serde::{Deserialize, Serialize};
-
 /// The metric a workload reports (Table 2's "Key metric").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KeyMetric {
     /// P99 tail latency, milliseconds — lower is better.
     TailLatencyMs,
@@ -35,7 +33,7 @@ impl std::fmt::Display for KeyMetric {
 }
 
 /// A workload model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Short name as in Table 2.
     pub name: &'static str,

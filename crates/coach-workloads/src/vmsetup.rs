@@ -5,10 +5,9 @@
 use crate::catalog::{KeyMetric, Workload};
 use coach_node::memory::VmMemoryConfig;
 use coach_types::bucket_up;
-use serde::{Deserialize, Serialize};
 
 /// The §4.2 VM configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VmSetup {
     /// Fully guaranteed (all PA): the baseline.
     Gpvm,
@@ -70,7 +69,7 @@ impl std::fmt::Display for VmSetup {
 ///   "limited memory reuse and frequent turnover stress the lower TLB reach
 ///   and on-demand allocation" effect that makes LLM-FT the most sensitive
 ///   batch workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfModel {
     /// Amplitude of the spill penalty.
     pub spill_amp: f64,

@@ -5,10 +5,9 @@ use coach_node::memory::VmMemoryConfig;
 use coach_predict::{DemandPrediction, VmMeta};
 use coach_sched::{Policy, VmDemand};
 use coach_types::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// A VM creation request, as the cluster manager receives it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VmRequest {
     /// The VM id the platform assigned.
     pub id: VmId,

@@ -191,10 +191,12 @@ pub use coach_workloads as workloads;
 ///   of [`RequestSource`](coach_serve::RequestSource): it drives
 ///   [`ShardedController::run_stream`](coach_serve::ShardedController::run_stream)
 ///   from any `Iterator<Item = VmRecord>` with backpressure through the
-///   existing bounded shard lanes. At equal shard counts `run_stream`
-///   equals the materialized `run` **exactly** (same segmentation, same
-///   float-summation order) — the differential and proptest suites pin
-///   it across chunk budgets, policies, and shard counts.
+///   existing bounded shard lanes. Records are borrowed at the
+///   `Controller`, owned across a lane: `run` is `run_stream` over cloned
+///   records (two entry points, one dispatcher), so at equal shard counts
+///   the two agree **exactly** (same segmentation, same float-summation
+///   order) — the differential and proptest suites pin it across chunk
+///   budgets, policies, and shard counts.
 /// * [`coach_serve::scenario`] is a catalog of composable stream
 ///   combinators — [`Surge`](coach_serve::scenario::Surge) (×N arrivals
 ///   in a window), [`Evacuate`](coach_serve::scenario::Evacuate)

@@ -6,7 +6,9 @@ use coach_predict::{
     Ewma, ForestParams, LocalPredictor, Lstm, LstmParams, ModelConfig, RandomForest,
     UtilizationModel,
 };
-use criterion::{criterion_group, criterion_main, Criterion};
+use coach_trace::{generate, TraceConfig, VmRecord};
+use coach_types::{Percentile, TimeWindows};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -72,6 +74,41 @@ fn bench_model(c: &mut Criterion) {
     });
 }
 
+/// The Oracle's derive kernel on its own, outside the end-to-end
+/// benchmark: the exact policy (`window_stats` + `oracle_from_stats`)
+/// against the order-statistic one (`oracle`), over the same long-running
+/// VMs of a `medium` trace. Each iteration derives one VM, cycling through
+/// the set, so `ns/iter` is ns per VM; P95 reads 2 of 14 day maxima per
+/// window, P50 reads 8, where the policy has the least to prune and must
+/// still not lose to the exact one.
+fn bench_oracle_derive(c: &mut Criterion) {
+    let trace = generate(&TraceConfig::medium(7));
+    let vms: Vec<&VmRecord> = trace.long_running().take(2048).collect();
+    let tw = TimeWindows::paper_default();
+    let mut group = c.benchmark_group("oracle_derive");
+    for (name, percentile) in [("p95", Percentile::P95), ("p50", Percentile::P50)] {
+        group.bench_with_input(BenchmarkId::new("exact", name), &percentile, |b, &p| {
+            let mut cycle = vms.iter().cycle();
+            b.iter(|| {
+                let stats = cycle.next().expect("non-empty").window_stats(tw);
+                std::hint::black_box(UtilizationModel::oracle_from_stats(&stats, p))
+            })
+        });
+        group.bench_with_input(
+            BenchmarkId::new("order_statistic", name),
+            &percentile,
+            |b, &p| {
+                let mut cycle = vms.iter().cycle();
+                b.iter(|| {
+                    let vm = cycle.next().expect("non-empty");
+                    std::hint::black_box(UtilizationModel::oracle(vm, tw, p))
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
 fn bench_local_predictor(c: &mut Criterion) {
     c.bench_function("lstm_train_step", |b| {
         let mut net = Lstm::new(LstmParams::default());
@@ -94,5 +131,11 @@ fn bench_local_predictor(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_forest, bench_model, bench_local_predictor);
+criterion_group!(
+    benches,
+    bench_forest,
+    bench_model,
+    bench_oracle_derive,
+    bench_local_predictor
+);
 criterion_main!(benches);

@@ -77,6 +77,16 @@ pub struct DemandPrediction {
 }
 
 impl DemandPrediction {
+    /// `Pmax_t` is the lifetime window max, `PX_t` the percentile of the
+    /// per-day window maxima (Formulas 1–2).
+    fn from_peaks(tw: TimeWindows, peaks: WindowPeaks) -> Self {
+        DemandPrediction {
+            tw,
+            pmax: peaks.lifetime_max,
+            px: peaks.percentile,
+        }
+    }
+
     /// Formula (1): the guaranteed (PA) fraction per resource = the max of
     /// the PX predictions across windows.
     pub fn pa_fraction(&self) -> ResourceVec {
@@ -261,12 +271,17 @@ impl UtilizationModel {
     /// The *oracle* prediction computed from a VM's own utilization — the
     /// "ideal allocation" baseline of the Fig 19 accuracy experiment.
     ///
-    /// Derived lazily via [`VmRecord::window_stats`]: the per-window maxima
-    /// and percentile come straight from the profile's closed form, without
-    /// materializing the 5-minute series. [`UtilizationModel::oracle_eager`]
-    /// is the retained materializing path for differential testing.
+    /// Derived through [`VmRecord::window_peaks`]: Formulas 1–2 read two
+    /// numbers per window and resource, and the profile's order-statistic
+    /// scan derives exactly those — most `(day, window)` cells are never
+    /// resolved, and no series is materialized. The result is
+    /// bit-identical to [`UtilizationModel::oracle_from_stats`] over the
+    /// exact [`VmRecord::window_stats`] (held equal by
+    /// `oracle_equals_oracle_from_exact_stats`);
+    /// [`UtilizationModel::oracle_eager`] is the retained materializing
+    /// path for differential testing.
     pub fn oracle(vm: &VmRecord, tw: TimeWindows, percentile: Percentile) -> DemandPrediction {
-        Self::oracle_from_stats(&vm.window_stats(tw), percentile)
+        DemandPrediction::from_peaks(tw, vm.window_peaks(tw, percentile))
     }
 
     /// [`UtilizationModel::oracle`] through the pre-redesign eager pipeline,
@@ -339,14 +354,7 @@ impl UtilizationModel {
         stats: &ResourceWindowStats,
         percentile: Percentile,
     ) -> DemandPrediction {
-        let tw = stats.tw();
-        let mut pmax = WindowVec::new();
-        let mut px = WindowVec::new();
-        for w in tw.indices() {
-            pmax.push(stats.lifetime_window_max(w));
-            px.push(stats.maxima_percentile(w, percentile));
-        }
-        DemandPrediction { tw, pmax, px }
+        DemandPrediction::from_peaks(stats.tw(), WindowPeaks::from_stats(stats, percentile))
     }
 
     /// Model configuration.
@@ -557,6 +565,27 @@ mod tests {
                 assert!(o.pmax[w][kind] >= o.px[w][kind] - 1e-6);
             }
         }
+    }
+
+    /// The order-statistic derive against the exact statistics, one layer
+    /// above the kernel's own proptests: every VM of a trace (short ones
+    /// included — `oracle` itself has no lifetime cut-off), three
+    /// percentiles, exact `==` on the whole prediction.
+    #[test]
+    fn oracle_equals_oracle_from_exact_stats() {
+        let trace = generate(&TraceConfig::small(85));
+        let tw = TimeWindows::paper_default();
+        for percentile in [Percentile::P50, Percentile::P80, Percentile::P95] {
+            for vm in &trace.vms {
+                assert_eq!(
+                    UtilizationModel::oracle(vm, tw, percentile),
+                    UtilizationModel::oracle_from_stats(&vm.window_stats(tw), percentile),
+                    "vm {} {percentile}",
+                    vm.id
+                );
+            }
+        }
+        assert!(trace.long_running().count() > 50);
     }
 
     #[test]

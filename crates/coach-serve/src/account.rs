@@ -124,11 +124,20 @@ impl ServerAccount {
 
             if !self.resident.is_empty() {
                 self.samples += 1;
-                let mut used = ResourceVec::ZERO;
+                // Only CPU and memory are compared below, so only they are
+                // sampled: each sum takes `VmRecord::used_at`'s terms for
+                // its resource, in resident order, and keeps that float
+                // trajectory (a VM not alive at `t` adds +0.0 there).
+                let (mut used_cpu, mut used_mem) = (0.0f64, 0.0f64);
                 for e in &self.resident {
-                    used += e.rec.used_at(t);
+                    if e.rec.alive_at(t) {
+                        let demand = e.rec.demand();
+                        used_cpu += demand.cpu() * e.rec.profile.util_at(ResourceKind::Cpu, t);
+                        used_mem +=
+                            demand.memory() * e.rec.profile.util_at(ResourceKind::Memory, t);
+                    }
                 }
-                if used.cpu() > 0.5 * self.capacity.cpu() {
+                if used_cpu > 0.5 * self.capacity.cpu() {
                     self.cpu_violations += 1;
                 }
                 // Memory contention: the working set exceeds the *backed*
@@ -137,7 +146,7 @@ impl ServerAccount {
                 // floating-point dust from the incremental sums.
                 let pool = self.va_sums.iter().copied().fold(0.0, f64::max);
                 let backed = (self.pa_sum.max(0.0) + pool).min(self.capacity.memory());
-                if used.memory() > backed + 1e-9 {
+                if used_mem > backed + 1e-9 {
                     self.mem_violations += 1;
                 }
             }

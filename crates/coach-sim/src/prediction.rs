@@ -7,8 +7,8 @@
 //! to touch. Three sources ship:
 //!
 //! * [`Oracle`] — percentiles of each VM's own utilization, derived
-//!   *lazily* from the behavior profile's closed form
-//!   ([`VmRecord::window_stats`]) on every call;
+//!   *lazily* from the behavior profile's closed form on every call, and
+//!   only as far as Formulas 1–2 read it ([`VmRecord::window_peaks`]);
 //! * [`Model`] — the trained long-term random forest (§3.3);
 //! * [`NaiveReference`] — the old eager path (materialize the 5-minute
 //!   series, walk its samples), retained purely for differential testing
@@ -82,8 +82,14 @@ fn too_short(vm: &VmRecord) -> bool {
 /// "ideal allocation" reference of Fig 19 and an upper bound for the
 /// packing experiments.
 ///
-/// Stateless: every call derives through the lazy analytic
-/// [`VmRecord::window_stats`] path.
+/// Stateless: every call derives through [`VmRecord::window_peaks`], the
+/// order-statistic policy of the lazy analytic scan. Per window it
+/// resolves the few largest day maxima the requested percentile
+/// interpolates between (two at P95 over two weeks) and floors the rest,
+/// which leaves `Pmax_t` and `PX_t` bit-identical to reading them off the
+/// exact [`VmRecord::window_stats`] — [`NaiveReference`] and
+/// `UtilizationModel::oracle_from_stats` stay as the references that hold
+/// it to that.
 #[derive(Debug)]
 pub struct Oracle {
     tw: TimeWindows,

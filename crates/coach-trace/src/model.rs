@@ -86,6 +86,16 @@ impl VmRecord {
         self.profile.window_stats(tw, self.arrival, self.departure)
     }
 
+    /// What Formulas 1–2 read of [`VmRecord::window_stats`] — per window,
+    /// the lifetime maximum and percentile `p` of the per-day maxima —
+    /// bit-identical to reading them off the exact statistics, without
+    /// resolving most `(day, window)` cells
+    /// ([`VmProfile::window_peaks`]).
+    pub fn window_peaks(&self, tw: TimeWindows, p: Percentile) -> WindowPeaks {
+        self.profile
+            .window_peaks(tw, self.arrival, self.departure, p)
+    }
+
     /// [`VmRecord::window_stats`] for a single resource.
     pub fn window_stats_for(&self, resource: ResourceKind, tw: TimeWindows) -> WindowStats {
         self.profile

@@ -14,6 +14,7 @@
 //! group-history features predictive (§3.3).
 
 use coach_types::prelude::*;
+use coach_types::series::PercentileRank;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::f64::consts::TAU;
@@ -271,6 +272,10 @@ impl VmProfile {
     ///   VMs that prunes most off-peak ticks;
     /// * nothing is materialized: maxima accumulate into the flat
     ///   [`WindowStats`] buffer directly.
+    ///
+    /// This is the *exact* visiting policy over the scan's cell kernel
+    /// (`CellScan::cell`): day-major, every covered cell resolved with no
+    /// floor. [`VmProfile::window_peaks`] is the other one.
     pub fn window_stats_for(
         &self,
         resource: ResourceKind,
@@ -285,110 +290,18 @@ impl VmProfile {
         if Self::needs_eager_fallback(p) {
             return self.eager_window_stats(resource, tw, start, end);
         }
-        let geom = BumpGeometry::of(p);
-        let r = resource.index() as u64;
+        let mut scan = CellScan::new(self, resource, tw);
         let wcount = tw.count();
-        let wticks = tw.window_ticks();
-        let unpredictable = self.kind == PatternKind::Unpredictable;
-        let noise = p.noise;
-        // The (seed, resource, channel) prefixes of the noise hashes are
-        // loop constants — hoisted via `hash_prefix` (bit-identical to
-        // `hash_unit`, see its doc).
-        let white_pre = hash_prefix(self.noise_seed, r, 1);
-        let walk_pre = hash_prefix(self.noise_seed, r, 2);
-        let drift_pre = hash_prefix(self.noise_seed, r, 0);
+        let wticks = scan.wticks;
 
-        let flat = geom.flat;
-        let center = geom.center;
-
-        // Per-scan envelope memo: a cell's envelope value resolves on first
-        // touch with exactly `util_at`'s arithmetic (off the bump the shape
-        // is exactly 0, so the uniform expression reproduces `flat`
-        // bit-for-bit there too) and is reused across every later day and
-        // window of the scan — a cosine is paid once per *distinct*
-        // tick-of-day that survives the screens, not once per day it is
-        // inspected.
-        let mut env_seen = [false; TICKS_PER_DAY as usize];
-        let mut env_val = [0.0f64; TICKS_PER_DAY as usize];
-        macro_rules! env_at {
-            ($tod:expr) => {{
-                let tod: usize = $tod;
-                if !env_seen[tod] {
-                    let hour = tod as f64 / TICKS_PER_HOUR as f64;
-                    env_val[tod] = p.base + p.amplitude * p.diurnal_shape(hour);
-                    env_seen[tod] = true;
-                }
-                env_val[tod]
-            }};
-        }
-
-        // Cosine-free envelope upper bound for the cells at circular
-        // distance ≥ `d_min_ticks` from the bump center: the degree-4
-        // Taylor majorant `cos x ≤ 1 − x²/2 + x⁴/24` (tight near the peak)
-        // intersected with the reflection bound `cos x ≤ (π−x)²/2 − 1`,
-        // i.e. `cos(π−x) ≥ 1 − (π−x)²/2` (tight toward the valley). Each
-        // dominates the real cosine for every `x ≥ 0`, so their min does
-        // too, and both are monotone bounds in `d`. The argument uses a
-        // precomputed radians-per-tick factor and folded reciprocals
-        // rather than `shape_at_distance`'s exact expression — every
-        // rounding discrepancy that opens (≈1e-15 absolute at worst,
-        // including the tick→hour conversion and libm's ≤1-ulp cosine on
-        // the resolved side) is swallowed by `ENV_PAD`, which only ever
-        // *loosens* the screen.
-        let half_ticks_f = p.peak_width_hours.max(0.5) * TICKS_PER_HOUR as f64;
-        let rad_per_tick = TAU / 2.0 / half_ticks_f;
-        let amp = p.amplitude;
-        let env_ub_at = |d_min_ticks: f64| {
-            if d_min_ticks >= half_ticks_f {
-                flat + ENV_PAD
-            } else {
-                let x = d_min_ticks * rad_per_tick;
-                let x2 = x * x;
-                let taylor = 1.0 - x2 * 0.5 + x2 * x2 * (1.0 / 24.0);
-                let y = TAU / 2.0 - x;
-                let refl = y * y * 0.5 - 1.0;
-                (flat + amp * (0.5 * (1.0 + taylor.min(refl)))) + ENV_PAD
-            }
-        };
-
-        let circ = |a: f64, b: f64| {
-            let d = (a - b).abs();
-            d.min(TICKS_PER_DAY as f64 - d)
-        };
-
-        // Seed tick of each window: the in-window tod circularly closest to
-        // the bump center maximizes the shape (raised cosine decreases with
-        // distance), so evaluating it first drives the running max near the
-        // top before the scan. Any choice is correct; this one prunes best.
-        let seed_of = |w: u64| {
-            let (a, b) = (w * wticks, (w + 1) * wticks - 1);
-            if center >= a as f64 && center <= b as f64 {
-                (center.round() as u64).clamp(a, b)
-            } else if circ(a as f64, center) <= circ(b as f64, center) {
-                a
-            } else {
-                b
-            }
-        };
-
-        let first_day = start.day();
-        let last_day = Timestamp::from_ticks(end.ticks() - 1).day();
-        let days = (last_day - first_day + 1) as usize;
+        let (first_day, days) = day_rows(start, end);
         let mut per_day_max = vec![WindowStats::UNCOVERED; days * wcount];
 
-        for day in first_day..=last_day {
-            let day_start = day * TICKS_PER_DAY;
+        for day in first_day..first_day + days as u64 {
+            let terms = scan.day_terms(day);
+            let day_start = terms.day_start;
             let lo = start.ticks().max(day_start);
             let hi = end.ticks().min(day_start + TICKS_PER_DAY);
-            // Multiplying by 1.0 on weekdays is exact, so the weekend branch
-            // hoists out of the tick loop.
-            let wf_day = if Timestamp::from_ticks(day_start).is_weekend() {
-                p.weekend_factor
-            } else {
-                1.0
-            };
-            let drift_u = hash_unit_pre(drift_pre, day);
-            let drift = p.daily_drift * (2.0 * drift_u - 1.0);
             let row = (day - first_day) as usize * wcount;
 
             let w_lo = ((lo - day_start) / wticks) as usize;
@@ -397,291 +310,7 @@ impl VmProfile {
                 let wstart = day_start + w as u64 * wticks;
                 let t_lo = lo.max(wstart);
                 let t_hi = hi.min(wstart + wticks);
-                // Running max, shadowed in f64 for the per-tick bound
-                // compare. Starts at −1 (UNCOVERED) so the first candidate
-                // tick always evaluates — coverage is never skipped.
-                let mut m = per_day_max[row + w];
-                let mut m64 = f64::from(m);
-
-                // Evaluate a tick: the same term order as `util_at` (white
-                // noise, then the unpredictable walk).
-                macro_rules! eval_tick {
-                    ($t:expr, $level:expr, $extra:expr) => {{
-                        let white = 2.0 * hash_unit_pre(white_pre, $t) - 1.0;
-                        let value = (($level + noise * white) + $extra).clamp(0.0, 1.0) as f32;
-                        if value > m {
-                            m = value;
-                            m64 = f64::from(m);
-                        }
-                    }};
-                }
-
-                // Day-constant levels/bounds for the exact off-bump cells
-                // and the unresolved-bump upper bound (identical arithmetic
-                // to the per-tick expressions, so hoisting is exact).
-                let flat_level = flat * wf_day + drift;
-                let flat_bound = flat_level + noise;
-
-                if unpredictable {
-                    // The hourly walk is constant within each block, so the
-                    // scan advances block by block, and each block splits by
-                    // the bump intervals: a flat run (constant level
-                    // + constant walk) reduces to one integer hash max —
-                    // monotone in the white draw, identical to per-tick
-                    // evaluation — while a bump run is screened first by its
-                    // envelope bound and then by the bound with the run's
-                    // *actual* maximal white draw before any cell evaluates
-                    // (the same two-screen structure as the periodic arm).
-                    //
-                    // Coverage is guaranteed by evaluating the first tick
-                    // unconditionally (its later re-evaluation inside the
-                    // scan yields the same value and cannot change the max):
-                    // with pathological hand-built parameters the pruning
-                    // bounds could otherwise sit at or below the −1
-                    // UNCOVERED sentinel and skip a window entirely.
-                    {
-                        let block = t_lo / TICKS_PER_HOUR;
-                        let walk = 2.0 * hash_unit_pre(walk_pre, block) - 1.0;
-                        let walk_term = 3.0 * noise * walk;
-                        let level = env_at!((t_lo - day_start) as usize) * wf_day + drift;
-                        eval_tick!(t_lo, level, walk_term);
-                    }
-                    let spans = geom.bump_spans;
-                    let nspans = geom.nspans as usize;
-                    let mut t = t_lo;
-                    while t < t_hi {
-                        let block = t / TICKS_PER_HOUR;
-                        let block_end = ((block + 1) * TICKS_PER_HOUR).min(t_hi);
-                        let walk = 2.0 * hash_unit_pre(walk_pre, block) - 1.0;
-                        let walk_term = 3.0 * noise * walk;
-                        let c0 = (t - day_start) as u32;
-                        let d0 = (block_end - day_start) as u32;
-                        macro_rules! flat_run {
-                            ($s:expr, $e:expr) => {{
-                                let (s, e): (u32, u32) = ($s, $e);
-                                if s < e && flat_bound + walk_term > m64 {
-                                    let best = max_hash_in(
-                                        white_pre,
-                                        day_start + u64::from(s),
-                                        day_start + u64::from(e),
-                                    );
-                                    let white = 2.0 * unit_from_hash(best) - 1.0;
-                                    let value = ((flat_level + noise * white) + walk_term)
-                                        .clamp(0.0, 1.0) as f32;
-                                    if value > m {
-                                        m = value;
-                                        m64 = f64::from(m);
-                                    }
-                                }
-                            }};
-                        }
-                        let mut cursor = c0;
-                        for (ls, hs) in spans[..nspans].iter().copied() {
-                            let bs = ls.max(c0);
-                            let be = (hs + 1).min(d0);
-                            if be <= bs {
-                                continue;
-                            }
-                            flat_run!(cursor, bs);
-                            cursor = be;
-                            // Bump run [bs, be): bounded by the cosine-free
-                            // envelope majorant at the run's
-                            // distance-minimal cell, then screened again
-                            // with the run's actual maximal white draw, then
-                            // cell by cell with each cell's own draw — a
-                            // cosine only resolves for a cell whose draw
-                            // could beat the running max. Bounds reuse the
-                            // value's own association, `(level +
-                            // noise·white) + walk_term`, so each comparison
-                            // step is a monotone IEEE op — reassociating
-                            // here could dip an ulp below the evaluated
-                            // value and unsoundly skip.
-                            let (ra, rb) = (day_start + u64::from(bs), day_start + u64::from(be));
-                            let (sa, sb) = (f64::from(bs), f64::from(be - 1));
-                            let d_min = if center >= sa && center <= sb {
-                                0.0
-                            } else {
-                                circ(sa, center).min(circ(sb, center))
-                            };
-                            let run_env = env_ub_at(d_min) * wf_day + drift;
-                            if (run_env + noise) + walk_term <= m64 {
-                                continue;
-                            }
-                            let white_max =
-                                2.0 * unit_from_hash(max_hash_in(white_pre, ra, rb)) - 1.0;
-                            if (run_env + noise * white_max) + walk_term <= m64 {
-                                continue;
-                            }
-                            for t2 in ra..rb {
-                                let white = 2.0 * hash_unit_pre(white_pre, t2) - 1.0;
-                                if (run_env + noise * white) + walk_term > m64 {
-                                    let level = env_at!((t2 - day_start) as usize) * wf_day + drift;
-                                    eval_tick!(t2, level, walk_term);
-                                }
-                            }
-                        }
-                        flat_run!(cursor, d0);
-                        t = block_end;
-                    }
-                } else {
-                    // Seed the running max from the covered cell nearest the
-                    // bump center (the clamp keeps partial edge windows
-                    // seeded too): with `m` already near the top, the bounds
-                    // prune the white-noise hash (and the cosine resolution)
-                    // for every clearly sub-peak tick.
-                    let t0 = (day_start + seed_of(w as u64)).clamp(t_lo, t_hi - 1);
-                    let level0 = env_at!((t0 - day_start) as usize) * wf_day + drift;
-                    eval_tick!(t0, level0, 0.0);
-
-                    // Split the window's tick-of-day range into exactly-flat
-                    // spans (the complement of the bump intervals)
-                    // and bump spans. A flat span's maximum value is the
-                    // value at its maximum noise draw — `unit_from_hash` is
-                    // monotone in the mixed hash, so one pure integer max
-                    // over the *whole span*, converted once, matches
-                    // per-tick evaluation exactly (`flat_bound` is constant
-                    // and `m64` only grows, so one check prunes the span).
-                    // This is the cold-path workhorse: an off-peak window is
-                    // one branch plus one long `max_hash_in`, with no
-                    // per-8-tick segmentation overhead.
-                    let a0 = (t_lo - day_start) as u32;
-                    let b0 = (t_hi - day_start) as u32;
-                    macro_rules! flat_span {
-                        ($s:expr, $e:expr) => {{
-                            let (s, e): (u32, u32) = ($s, $e);
-                            // The seed's hash may re-enter the max (window
-                            // misses the bump): harmless, the max cannot
-                            // change.
-                            if s < e && flat_bound > m64 {
-                                let best = max_hash_in(
-                                    white_pre,
-                                    day_start + u64::from(s),
-                                    day_start + u64::from(e),
-                                );
-                                let white = 2.0 * unit_from_hash(best) - 1.0;
-                                let value =
-                                    ((flat_level + noise * white) + 0.0).clamp(0.0, 1.0) as f32;
-                                if value > m {
-                                    m = value;
-                                    m64 = f64::from(m);
-                                }
-                            }
-                        }};
-                    }
-
-                    // Pass 1 — every flat span first: cheap, ILP-friendly
-                    // integer hashing drives the running max to (or near)
-                    // its final value before any bump cell is touched.
-                    // Evaluation order within a window cannot change its
-                    // max, so the reorder is bit-exact; it exists purely so
-                    // the bump screens below face the strongest possible
-                    // `m64`.
-                    let spans = geom.bump_spans;
-                    {
-                        let mut cursor = a0;
-                        for (ls, hs) in spans[..geom.nspans as usize].iter().copied() {
-                            let bs = ls.max(a0);
-                            let be = (hs + 1).min(b0);
-                            if be <= bs {
-                                continue;
-                            }
-                            flat_span!(cursor, bs);
-                            cursor = be;
-                        }
-                        flat_span!(cursor, b0);
-                    }
-
-                    // Pass 2 — bump spans, 8-tick segment by segment,
-                    // behind two screens: first the cosine-free envelope
-                    // majorant
-                    // at the segment's distance-minimal cell (a few flops),
-                    // then the same bound with the segment's *actual*
-                    // maximal white draw (one short `max_hash_in`) in place
-                    // of the worst-case +1 — `unit_from_hash` is monotone
-                    // in the mixed hash and all factors are non-negative,
-                    // so the product bounds every cell's value. A surviving
-                    // segment is then screened cell by cell with each
-                    // cell's own draw, so a cosine only ever resolves for a
-                    // cell whose draw could actually beat the running max.
-                    for (ls, hs) in spans[..geom.nspans as usize].iter().copied() {
-                        let bs = ls.max(a0);
-                        let be = (hs + 1).min(b0);
-                        if be <= bs {
-                            continue;
-                        }
-                        let seg_lo = bs as usize / SEG_TICKS as usize;
-                        let seg_hi = (be as usize - 1) / SEG_TICKS as usize;
-                        for seg in seg_lo..=seg_hi {
-                            let sa = u64::from(bs).max(seg as u64 * SEG_TICKS);
-                            let sb = u64::from(be).min((seg as u64 + 1) * SEG_TICKS);
-                            let (a, b) = (day_start + sa, day_start + sb);
-                            let d_min = if center >= sa as f64 && center <= (sb - 1) as f64 {
-                                0.0
-                            } else {
-                                circ(sa as f64, center).min(circ((sb - 1) as f64, center))
-                            };
-                            let seg_env = env_ub_at(d_min) * wf_day + drift;
-                            if seg_env + noise > m64 {
-                                // One hashing pass fills the segment's
-                                // mixed draws; their max drives the
-                                // white-max screen, bit-identical to
-                                // `max_hash_in` over the same range.
-                                let mut hbuf = [0u64; SEG_TICKS as usize];
-                                let n = (b - a) as usize;
-                                let mut best = 0u64;
-                                for (i, slot) in hbuf[..n].iter_mut().enumerate() {
-                                    let h = hash_mix(white_pre, a + i as u64);
-                                    *slot = h;
-                                    best = best.max(h);
-                                }
-                                let white_max = 2.0 * unit_from_hash(best) - 1.0;
-                                if seg_env + noise * white_max <= m64 {
-                                    continue;
-                                }
-                                // Per-cell screening in *integer hash
-                                // space*: the float screen `seg_env +
-                                // noise·white > m64` is monotone in the
-                                // cell's mixed hash, so a conservative
-                                // threshold on the hash's 53-bit payload
-                                // rejects sub-threshold cells with one
-                                // integer compare. The threshold white
-                                // `(m64 − seg_env)/noise` is lowered by
-                                // 1e-6 before converting — for noise >
-                                // 1e-6 that slack exceeds every rounding
-                                // term in the conversion by three orders
-                                // of magnitude (each term is ≤ ~2e-15),
-                                // so no cell the float screen would pass
-                                // is ever rejected; survivors re-run the
-                                // exact float screen, keeping the result
-                                // bit-identical. The float→u64 cast
-                                // saturates (NaN→0), so degenerate
-                                // thresholds fall back to screening every
-                                // cell. A skipped cell provably cannot
-                                // exceed `m64` (≥ 0 after the
-                                // unconditional seed, so the clamp cannot
-                                // resurrect it).
-                                let h_thresh = if noise > 1e-6 {
-                                    let w_lo = (m64 - seg_env) / noise - 1e-6;
-                                    ((w_lo + 1.0) * (0.5 * (1u64 << 53) as f64)) as u64
-                                } else {
-                                    0
-                                };
-                                for (i, &h) in hbuf[..n].iter().enumerate() {
-                                    if (h >> 11) > h_thresh {
-                                        let white = 2.0 * unit_from_hash(h) - 1.0;
-                                        if seg_env + noise * white > m64 {
-                                            let t = a + i as u64;
-                                            let level =
-                                                env_at!((t - day_start) as usize) * wf_day + drift;
-                                            eval_tick!(t, level, 0.0);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                per_day_max[row + w] = m;
+                per_day_max[row + w] = scan.cell(terms, w, t_lo, t_hi, WindowStats::UNCOVERED);
             }
         }
         WindowStats::from_parts(tw, first_day, days, per_day_max)
@@ -728,6 +357,644 @@ impl VmProfile {
             ResourceKind::ALL.map(|kind| self.window_stats_for(kind, tw, start, end)),
         )
     }
+
+    /// What Formulas 1–2 read of [`VmProfile::window_stats`] — per window
+    /// the lifetime maximum and percentile `p` of the per-day maxima —
+    /// bit-identical to `WindowPeaks::from_stats(&self.window_stats(tw,
+    /// start, end), p)` and cheaper, because most `(day, window)` cells are
+    /// never resolved.
+    ///
+    /// The percentile interpolates between two adjacent order statistics,
+    /// so of a window's `n` day maxima only the `k` largest are read
+    /// ([`PercentileRank::top_k`]: 2 at P95 over 14 days). This is the
+    /// *order-statistic* visiting policy over the same cell kernel as
+    /// [`VmProfile::window_stats_for`]: each window's days are walked in
+    /// descending order of a cheap upper bound on their cell, and once `k`
+    /// days are in, every further cell is *floored* at the `k`-th largest
+    /// value reported so far — skipped outright when its upper bound cannot
+    /// beat the floor, otherwise scanned with its running max seeded at the
+    /// floor, so the kernel's own screens prune against a near-final
+    /// maximum from the first tick. A floored cell reports `max(true,
+    /// floor)`. That never changes the top-`k` multiset (a true value at or
+    /// below the `k`-th largest was not in it; one above is reported
+    /// exactly), so by induction over the visited days — in *any* order;
+    /// the order only decides how much is pruned — the maximum and both
+    /// interpolated order statistics are those of the exact column.
+    ///
+    /// Spans of more than 64 day-rows (the scratch lives on the stack),
+    /// empty ranges and the degenerate parameters of the eager fallback
+    /// derive from the exact statistics instead.
+    pub fn window_peaks(
+        &self,
+        tw: TimeWindows,
+        start: Timestamp,
+        end: Timestamp,
+        p: Percentile,
+    ) -> WindowPeaks {
+        let zeros = WindowVec::from_elem(ResourceVec::ZERO, tw.count());
+        let mut out = WindowPeaks {
+            lifetime_max: zeros.clone(),
+            percentile: zeros,
+        };
+        for kind in ResourceKind::ALL {
+            self.window_peaks_into(kind, tw, start, end, p, &mut out);
+        }
+        out
+    }
+
+    /// One resource of [`VmProfile::window_peaks`], written into its slots
+    /// of `out`. Returns how many cells were handed to the kernel — the
+    /// pruning guard in the tests reads it; cells skipped by the pre-screen
+    /// and the fallback paths count as none.
+    fn window_peaks_into(
+        &self,
+        resource: ResourceKind,
+        tw: TimeWindows,
+        start: Timestamp,
+        end: Timestamp,
+        p: Percentile,
+        out: &mut WindowPeaks,
+    ) -> usize {
+        let profile = &self.per_resource[resource.index()];
+        let (first_day, days) = day_rows(start, end);
+        if days == 0 || days > MAX_ORDERED_DAYS || Self::needs_eager_fallback(profile) {
+            let exact = self.window_stats_for(resource, tw, start, end);
+            for w in tw.indices() {
+                out.lifetime_max[w][resource] = f64::from(exact.lifetime_max(w));
+                out.percentile[w][resource] = f64::from(exact.maxima_percentile(w, p));
+            }
+            return 0;
+        }
+
+        let rank = PercentileRank::of(days, p);
+        let k = rank.top_k(days);
+        let mut scan = CellScan::new(self, resource, tw);
+        let wticks = scan.wticks;
+        let mut terms = [DayTerms::default(); MAX_ORDERED_DAYS];
+        for (i, slot) in terms[..days].iter_mut().enumerate() {
+            *slot = scan.day_terms(first_day + i as u64);
+        }
+        // The most any tick's noise and walk terms can add to its level:
+        // `white < 1` and `walk < 1`, scaled by non-negative factors.
+        let noise = profile.noise;
+        let walk_max = if scan.unpredictable { 3.0 * noise } else { 0.0 };
+
+        let mut evaluated = 0;
+        for w in tw.indices() {
+            // Upper bound of each day's cell level: the cosine-free envelope
+            // majorant at the window's distance-minimal tick (valid for a
+            // partial edge cell too — its ticks are a subset), through the
+            // day's own weekend factor and drift.
+            let tod_lo = w as u64 * wticks;
+            let env_ub = scan.env_ub_at(scan.d_min(tod_lo as f64, (tod_lo + wticks - 1) as f64));
+            let mut bound = [0.0f64; MAX_ORDERED_DAYS];
+            let mut order = [0u8; MAX_ORDERED_DAYS];
+            for i in 0..days {
+                bound[i] = env_ub * terms[i].wf + terms[i].drift;
+                let mut j = i;
+                while j > 0 && bound[usize::from(order[j - 1])] < bound[i] {
+                    order[j] = order[j - 1];
+                    j -= 1;
+                }
+                order[j] = i as u8;
+            }
+
+            let mut top = TopK::new(k);
+            for &i in &order[..days] {
+                let i = usize::from(i);
+                let wstart = terms[i].day_start + tod_lo;
+                let t_lo = start.ticks().max(wstart);
+                let t_hi = end.ticks().min(wstart + wticks);
+                if t_lo >= t_hi {
+                    // Uncovered cells count as 0.0, as `day_max_or_zero`
+                    // reads them.
+                    top.offer(0.0);
+                    continue;
+                }
+                let floor = top.floor();
+                // Pre-screen, with the value's own association `(level +
+                // noise·white) + walk_term` so every step is a monotone
+                // IEEE op: no tick of the cell can beat the floor, the cell
+                // reports the floor, the top-k does not move. Only once the
+                // top-k is full — every reported value is ≥ 0, so the clamp
+                // cannot lift a skipped tick above the floor.
+                if floor >= 0.0 && (bound[i] + noise) + walk_max <= f64::from(floor) {
+                    continue;
+                }
+                evaluated += 1;
+                top.offer(scan.cell(terms[i], w, t_lo, t_hi, floor));
+            }
+            out.lifetime_max[w][resource] = f64::from(top.nth_largest(1));
+            out.percentile[w][resource] = f64::from(rank.interpolate(
+                top.nth_largest(days - rank.lo),
+                top.nth_largest(days - rank.hi),
+            ));
+        }
+        evaluated
+    }
+}
+
+/// First day and number of day-rows `[start, end)` touches (0 when empty).
+fn day_rows(start: Timestamp, end: Timestamp) -> (u64, usize) {
+    let first_day = start.day();
+    if start >= end {
+        return (first_day, 0);
+    }
+    let last_day = Timestamp::from_ticks(end.ticks() - 1).day();
+    (first_day, (last_day - first_day + 1) as usize)
+}
+
+/// Longest span, in day-rows, the order-statistic policy walks: its
+/// per-window visiting order and top-k live in stack arrays of this size
+/// (the same bound under which [`WindowStats::maxima_percentile`] sorts on
+/// the stack). Longer spans derive from the exact statistics.
+const MAX_ORDERED_DAYS: usize = 64;
+
+/// The `k` largest values offered so far, descending.
+struct TopK {
+    vals: [f32; MAX_ORDERED_DAYS],
+    len: usize,
+    k: usize,
+}
+
+impl TopK {
+    fn new(k: usize) -> Self {
+        debug_assert!((1..=MAX_ORDERED_DAYS).contains(&k));
+        TopK {
+            vals: [0.0; MAX_ORDERED_DAYS],
+            len: 0,
+            k,
+        }
+    }
+
+    /// The `k`-th largest value so far; `UNCOVERED` (the exact kernel's own
+    /// starting point) until `k` values are in.
+    fn floor(&self) -> f32 {
+        if self.len == self.k {
+            self.vals[self.k - 1]
+        } else {
+            WindowStats::UNCOVERED
+        }
+    }
+
+    fn offer(&mut self, v: f32) {
+        if self.len == self.k {
+            if v <= self.vals[self.k - 1] {
+                return;
+            }
+            self.len -= 1;
+        }
+        let mut i = self.len;
+        while i > 0 && self.vals[i - 1] < v {
+            self.vals[i] = self.vals[i - 1];
+            i -= 1;
+        }
+        self.vals[i] = v;
+        self.len += 1;
+    }
+
+    /// The `n`-th largest value offered (1-based, `n ≤ k`).
+    fn nth_largest(&self, n: usize) -> f32 {
+        self.vals[..self.len][n - 1]
+    }
+}
+
+/// The per-day constants of the scan: multiplying by 1.0 on weekdays is
+/// exact, so the weekend branch hoists out of the tick loop, and the drift
+/// is hashed once per day.
+#[derive(Clone, Copy, Default)]
+struct DayTerms {
+    day_start: u64,
+    wf: f64,
+    drift: f64,
+}
+
+#[inline]
+fn circ_ticks(a: f64, b: f64) -> f64 {
+    let d = (a - b).abs();
+    d.min(TICKS_PER_DAY as f64 - d)
+}
+
+/// One analytic scan of one resource of one profile: the loop constants,
+/// the per-scan envelope memo, and the `(day, window)` cell kernel both
+/// visiting policies ([`VmProfile::window_stats_for`],
+/// [`VmProfile::window_peaks`]) run.
+struct CellScan<'a> {
+    p: &'a ResourceProfile,
+    geom: BumpGeometry,
+    unpredictable: bool,
+    wticks: u64,
+    // The (seed, resource, channel) prefixes of the noise hashes are loop
+    // constants — hoisted via `hash_prefix` (bit-identical to `hash_unit`,
+    // see its doc).
+    white_pre: u64,
+    walk_pre: u64,
+    drift_pre: u64,
+    half_ticks_f: f64,
+    rad_per_tick: f64,
+    // Per-scan envelope memo: a cell's envelope value resolves on first
+    // touch with exactly `util_at`'s arithmetic (off the bump the shape is
+    // exactly 0, so the uniform expression reproduces `flat` bit-for-bit
+    // there too) and is reused across every later day and window of the
+    // scan — a cosine is paid once per *distinct* tick-of-day that survives
+    // the screens, not once per day it is inspected.
+    env_seen: [bool; TICKS_PER_DAY as usize],
+    env_val: [f64; TICKS_PER_DAY as usize],
+}
+
+impl<'a> CellScan<'a> {
+    fn new(profile: &'a VmProfile, resource: ResourceKind, tw: TimeWindows) -> Self {
+        let p = &profile.per_resource[resource.index()];
+        let r = resource.index() as u64;
+        let half_ticks_f = p.peak_width_hours.max(0.5) * TICKS_PER_HOUR as f64;
+        CellScan {
+            p,
+            geom: BumpGeometry::of(p),
+            unpredictable: profile.kind == PatternKind::Unpredictable,
+            wticks: tw.window_ticks(),
+            white_pre: hash_prefix(profile.noise_seed, r, 1),
+            walk_pre: hash_prefix(profile.noise_seed, r, 2),
+            drift_pre: hash_prefix(profile.noise_seed, r, 0),
+            half_ticks_f,
+            rad_per_tick: TAU / 2.0 / half_ticks_f,
+            env_seen: [false; TICKS_PER_DAY as usize],
+            env_val: [0.0; TICKS_PER_DAY as usize],
+        }
+    }
+
+    fn day_terms(&self, day: u64) -> DayTerms {
+        let day_start = day * TICKS_PER_DAY;
+        let wf = if Timestamp::from_ticks(day_start).is_weekend() {
+            self.p.weekend_factor
+        } else {
+            1.0
+        };
+        let drift_u = hash_unit_pre(self.drift_pre, day);
+        DayTerms {
+            day_start,
+            wf,
+            drift: self.p.daily_drift * (2.0 * drift_u - 1.0),
+        }
+    }
+
+    #[inline]
+    fn env_at(&mut self, tod: usize) -> f64 {
+        if !self.env_seen[tod] {
+            let hour = tod as f64 / TICKS_PER_HOUR as f64;
+            self.env_val[tod] = self.p.base + self.p.amplitude * self.p.diurnal_shape(hour);
+            self.env_seen[tod] = true;
+        }
+        self.env_val[tod]
+    }
+
+    /// Cosine-free envelope upper bound for the cells at circular distance
+    /// ≥ `d_min_ticks` from the bump center: the degree-4 Taylor majorant
+    /// `cos x ≤ 1 − x²/2 + x⁴/24` (tight near the peak) intersected with
+    /// the reflection bound `cos x ≤ (π−x)²/2 − 1`, i.e. `cos(π−x) ≥ 1 −
+    /// (π−x)²/2` (tight toward the valley). Each dominates the real cosine
+    /// for every `x ≥ 0`, so their min does too, and both are monotone
+    /// bounds in `d`. The argument uses a precomputed radians-per-tick
+    /// factor and folded reciprocals rather than `shape_at_distance`'s
+    /// exact expression — every rounding discrepancy that opens (≈1e-15
+    /// absolute at worst, including the tick→hour conversion and libm's
+    /// ≤1-ulp cosine on the resolved side) is swallowed by `ENV_PAD`, which
+    /// only ever *loosens* the screen.
+    #[inline]
+    fn env_ub_at(&self, d_min_ticks: f64) -> f64 {
+        let flat = self.geom.flat;
+        if d_min_ticks >= self.half_ticks_f {
+            flat + ENV_PAD
+        } else {
+            let x = d_min_ticks * self.rad_per_tick;
+            let x2 = x * x;
+            let taylor = 1.0 - x2 * 0.5 + x2 * x2 * (1.0 / 24.0);
+            let y = TAU / 2.0 - x;
+            let refl = y * y * 0.5 - 1.0;
+            (flat + self.p.amplitude * (0.5 * (1.0 + taylor.min(refl)))) + ENV_PAD
+        }
+    }
+
+    /// Smallest circular distance (ticks) from the bump center to any cell
+    /// of the inclusive tick-of-day run `[sa, sb]` — where
+    /// [`CellScan::env_ub_at`] bounds the whole run.
+    #[inline]
+    fn d_min(&self, sa: f64, sb: f64) -> f64 {
+        let center = self.geom.center;
+        if center >= sa && center <= sb {
+            0.0
+        } else {
+            circ_ticks(sa, center).min(circ_ticks(sb, center))
+        }
+    }
+
+    /// Seed tick of each window: the in-window tod circularly closest to
+    /// the bump center maximizes the shape (raised cosine decreases with
+    /// distance), so evaluating it first drives the running max near the
+    /// top before the scan. Any choice is correct; this one prunes best.
+    fn seed_of(&self, w: u64) -> u64 {
+        let center = self.geom.center;
+        let (a, b) = (w * self.wticks, (w + 1) * self.wticks - 1);
+        if center >= a as f64 && center <= b as f64 {
+            (center.round() as u64).clamp(a, b)
+        } else if circ_ticks(a as f64, center) <= circ_ticks(b as f64, center) {
+            a
+        } else {
+            b
+        }
+    }
+
+    /// The cell kernel: the maximum of window `w`'s ticks `[t_lo, t_hi)` on
+    /// one day, as `f32`, with the running max seeded from `floor` — so the
+    /// result is `max(floor, true cell max)`, and it is the true max for
+    /// `floor = UNCOVERED`. The range must be non-empty and lie inside the
+    /// window.
+    #[inline]
+    fn cell(&mut self, day: DayTerms, w: usize, t_lo: u64, t_hi: u64, floor: f32) -> f32 {
+        let DayTerms {
+            day_start,
+            wf: wf_day,
+            drift,
+        } = day;
+        let noise = self.p.noise;
+        let flat = self.geom.flat;
+        let (white_pre, walk_pre) = (self.white_pre, self.walk_pre);
+        // Running max, shadowed in f64 for the per-tick bound compare. The
+        // exact policy starts it at −1 (UNCOVERED) so the first candidate
+        // tick always evaluates — coverage is never skipped; a higher floor
+        // only makes every screen below prune more, and the result is
+        // `max(floor, true cell max)`.
+        let mut m = floor;
+        let mut m64 = f64::from(m);
+
+        // Evaluate a tick: the same term order as `util_at` (white
+        // noise, then the unpredictable walk).
+        macro_rules! eval_tick {
+            ($t:expr, $level:expr, $extra:expr) => {{
+                let white = 2.0 * hash_unit_pre(white_pre, $t) - 1.0;
+                let value = (($level + noise * white) + $extra).clamp(0.0, 1.0) as f32;
+                if value > m {
+                    m = value;
+                    m64 = f64::from(m);
+                }
+            }};
+        }
+
+        // Day-constant levels/bounds for the exact off-bump cells
+        // and the unresolved-bump upper bound (identical arithmetic
+        // to the per-tick expressions, so hoisting is exact).
+        let flat_level = flat * wf_day + drift;
+        let flat_bound = flat_level + noise;
+
+        if self.unpredictable {
+            // The hourly walk is constant within each block, so the
+            // scan advances block by block, and each block splits by
+            // the bump intervals: a flat run (constant level
+            // + constant walk) reduces to one integer hash max —
+            // monotone in the white draw, identical to per-tick
+            // evaluation — while a bump run is screened first by its
+            // envelope bound and then by the bound with the run's
+            // *actual* maximal white draw before any cell evaluates
+            // (the same two-screen structure as the periodic arm).
+            //
+            // Coverage is guaranteed by evaluating the first tick
+            // unconditionally (its later re-evaluation inside the
+            // scan yields the same value and cannot change the max):
+            // with pathological hand-built parameters the pruning
+            // bounds could otherwise sit at or below the −1
+            // UNCOVERED sentinel and skip a window entirely.
+            {
+                let block = t_lo / TICKS_PER_HOUR;
+                let walk = 2.0 * hash_unit_pre(walk_pre, block) - 1.0;
+                let walk_term = 3.0 * noise * walk;
+                let level = self.env_at((t_lo - day_start) as usize) * wf_day + drift;
+                eval_tick!(t_lo, level, walk_term);
+            }
+            let spans = self.geom.bump_spans;
+            let nspans = self.geom.nspans as usize;
+            let mut t = t_lo;
+            while t < t_hi {
+                let block = t / TICKS_PER_HOUR;
+                let block_end = ((block + 1) * TICKS_PER_HOUR).min(t_hi);
+                let walk = 2.0 * hash_unit_pre(walk_pre, block) - 1.0;
+                let walk_term = 3.0 * noise * walk;
+                let c0 = (t - day_start) as u32;
+                let d0 = (block_end - day_start) as u32;
+                macro_rules! flat_run {
+                    ($s:expr, $e:expr) => {{
+                        let (s, e): (u32, u32) = ($s, $e);
+                        if s < e && flat_bound + walk_term > m64 {
+                            let best = max_hash_in(
+                                white_pre,
+                                day_start + u64::from(s),
+                                day_start + u64::from(e),
+                            );
+                            let white = 2.0 * unit_from_hash(best) - 1.0;
+                            let value =
+                                ((flat_level + noise * white) + walk_term).clamp(0.0, 1.0) as f32;
+                            if value > m {
+                                m = value;
+                                m64 = f64::from(m);
+                            }
+                        }
+                    }};
+                }
+                let mut cursor = c0;
+                for (ls, hs) in spans[..nspans].iter().copied() {
+                    let bs = ls.max(c0);
+                    let be = (hs + 1).min(d0);
+                    if be <= bs {
+                        continue;
+                    }
+                    flat_run!(cursor, bs);
+                    cursor = be;
+                    // Bump run [bs, be): bounded by the cosine-free
+                    // envelope majorant at the run's
+                    // distance-minimal cell, then screened again
+                    // with the run's actual maximal white draw, then
+                    // cell by cell with each cell's own draw — a
+                    // cosine only resolves for a cell whose draw
+                    // could beat the running max. Bounds reuse the
+                    // value's own association, `(level +
+                    // noise·white) + walk_term`, so each comparison
+                    // step is a monotone IEEE op — reassociating
+                    // here could dip an ulp below the evaluated
+                    // value and unsoundly skip.
+                    let (ra, rb) = (day_start + u64::from(bs), day_start + u64::from(be));
+                    let (sa, sb) = (f64::from(bs), f64::from(be - 1));
+                    let run_env = self.env_ub_at(self.d_min(sa, sb)) * wf_day + drift;
+                    if (run_env + noise) + walk_term <= m64 {
+                        continue;
+                    }
+                    let white_max = 2.0 * unit_from_hash(max_hash_in(white_pre, ra, rb)) - 1.0;
+                    if (run_env + noise * white_max) + walk_term <= m64 {
+                        continue;
+                    }
+                    for t2 in ra..rb {
+                        let white = 2.0 * hash_unit_pre(white_pre, t2) - 1.0;
+                        if (run_env + noise * white) + walk_term > m64 {
+                            let level = self.env_at((t2 - day_start) as usize) * wf_day + drift;
+                            eval_tick!(t2, level, walk_term);
+                        }
+                    }
+                }
+                flat_run!(cursor, d0);
+                t = block_end;
+            }
+        } else {
+            // Seed the running max from the covered cell nearest the
+            // bump center (the clamp keeps partial edge windows
+            // seeded too): with `m` already near the top, the bounds
+            // prune the white-noise hash (and the cosine resolution)
+            // for every clearly sub-peak tick.
+            let t0 = (day_start + self.seed_of(w as u64)).clamp(t_lo, t_hi - 1);
+            let level0 = self.env_at((t0 - day_start) as usize) * wf_day + drift;
+            eval_tick!(t0, level0, 0.0);
+
+            // Split the window's tick-of-day range into exactly-flat
+            // spans (the complement of the bump intervals)
+            // and bump spans. A flat span's maximum value is the
+            // value at its maximum noise draw — `unit_from_hash` is
+            // monotone in the mixed hash, so one pure integer max
+            // over the *whole span*, converted once, matches
+            // per-tick evaluation exactly (`flat_bound` is constant
+            // and `m64` only grows, so one check prunes the span).
+            // This is the cold-path workhorse: an off-peak window is
+            // one branch plus one long `max_hash_in`, with no
+            // per-8-tick segmentation overhead.
+            let a0 = (t_lo - day_start) as u32;
+            let b0 = (t_hi - day_start) as u32;
+            macro_rules! flat_span {
+                ($s:expr, $e:expr) => {{
+                    let (s, e): (u32, u32) = ($s, $e);
+                    // The seed's hash may re-enter the max (window
+                    // misses the bump): harmless, the max cannot
+                    // change.
+                    if s < e && flat_bound > m64 {
+                        let best = max_hash_in(
+                            white_pre,
+                            day_start + u64::from(s),
+                            day_start + u64::from(e),
+                        );
+                        let white = 2.0 * unit_from_hash(best) - 1.0;
+                        let value = ((flat_level + noise * white) + 0.0).clamp(0.0, 1.0) as f32;
+                        if value > m {
+                            m = value;
+                            m64 = f64::from(m);
+                        }
+                    }
+                }};
+            }
+
+            // Pass 1 — every flat span first: cheap, ILP-friendly
+            // integer hashing drives the running max to (or near)
+            // its final value before any bump cell is touched.
+            // Evaluation order within a window cannot change its
+            // max, so the reorder is bit-exact; it exists purely so
+            // the bump screens below face the strongest possible
+            // `m64`.
+            let spans = self.geom.bump_spans;
+            {
+                let mut cursor = a0;
+                for (ls, hs) in spans[..self.geom.nspans as usize].iter().copied() {
+                    let bs = ls.max(a0);
+                    let be = (hs + 1).min(b0);
+                    if be <= bs {
+                        continue;
+                    }
+                    flat_span!(cursor, bs);
+                    cursor = be;
+                }
+                flat_span!(cursor, b0);
+            }
+
+            // Pass 2 — bump spans, 8-tick segment by segment,
+            // behind two screens: first the cosine-free envelope
+            // majorant
+            // at the segment's distance-minimal cell (a few flops),
+            // then the same bound with the segment's *actual*
+            // maximal white draw (one short `max_hash_in`) in place
+            // of the worst-case +1 — `unit_from_hash` is monotone
+            // in the mixed hash and all factors are non-negative,
+            // so the product bounds every cell's value. A surviving
+            // segment is then screened cell by cell with each
+            // cell's own draw, so a cosine only ever resolves for a
+            // cell whose draw could actually beat the running max.
+            for (ls, hs) in spans[..self.geom.nspans as usize].iter().copied() {
+                let bs = ls.max(a0);
+                let be = (hs + 1).min(b0);
+                if be <= bs {
+                    continue;
+                }
+                let seg_lo = bs as usize / SEG_TICKS as usize;
+                let seg_hi = (be as usize - 1) / SEG_TICKS as usize;
+                for seg in seg_lo..=seg_hi {
+                    let sa = u64::from(bs).max(seg as u64 * SEG_TICKS);
+                    let sb = u64::from(be).min((seg as u64 + 1) * SEG_TICKS);
+                    let (a, b) = (day_start + sa, day_start + sb);
+                    let d_min = self.d_min(sa as f64, (sb - 1) as f64);
+                    let seg_env = self.env_ub_at(d_min) * wf_day + drift;
+                    if seg_env + noise > m64 {
+                        // One hashing pass fills the segment's
+                        // mixed draws; their max drives the
+                        // white-max screen, bit-identical to
+                        // `max_hash_in` over the same range.
+                        let mut hbuf = [0u64; SEG_TICKS as usize];
+                        let n = (b - a) as usize;
+                        let mut best = 0u64;
+                        for (i, slot) in hbuf[..n].iter_mut().enumerate() {
+                            let h = hash_mix(white_pre, a + i as u64);
+                            *slot = h;
+                            best = best.max(h);
+                        }
+                        let white_max = 2.0 * unit_from_hash(best) - 1.0;
+                        if seg_env + noise * white_max <= m64 {
+                            continue;
+                        }
+                        // Per-cell screening in *integer hash
+                        // space*: the float screen `seg_env +
+                        // noise·white > m64` is monotone in the
+                        // cell's mixed hash, so a conservative
+                        // threshold on the hash's 53-bit payload
+                        // rejects sub-threshold cells with one
+                        // integer compare. The threshold white
+                        // `(m64 − seg_env)/noise` is lowered by
+                        // 1e-6 before converting — for noise >
+                        // 1e-6 that slack exceeds every rounding
+                        // term in the conversion by three orders
+                        // of magnitude (each term is ≤ ~2e-15),
+                        // so no cell the float screen would pass
+                        // is ever rejected; survivors re-run the
+                        // exact float screen, keeping the result
+                        // bit-identical. The float→u64 cast
+                        // saturates (NaN→0), so degenerate
+                        // thresholds fall back to screening every
+                        // cell. A skipped cell provably cannot
+                        // exceed `m64` (≥ 0 after the
+                        // unconditional seed, so the clamp cannot
+                        // resurrect it).
+                        let h_thresh = if noise > 1e-6 {
+                            let w_lo = (m64 - seg_env) / noise - 1e-6;
+                            ((w_lo + 1.0) * (0.5 * (1u64 << 53) as f64)) as u64
+                        } else {
+                            0
+                        };
+                        for (i, &h) in hbuf[..n].iter().enumerate() {
+                            if (h >> 11) > h_thresh {
+                                let white = 2.0 * unit_from_hash(h) - 1.0;
+                                if seg_env + noise * white > m64 {
+                                    let t = a + i as u64;
+                                    let level =
+                                        self.env_at((t - day_start) as usize) * wf_day + drift;
+                                    eval_tick!(t, level, 0.0);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        m
+    }
 }
 
 impl UtilizationSource for VmProfile {
@@ -742,6 +1009,16 @@ impl UtilizationSource for VmProfile {
         end: Timestamp,
     ) -> ResourceWindowStats {
         VmProfile::window_stats(self, tw, start, end)
+    }
+
+    fn window_peaks(
+        &self,
+        tw: TimeWindows,
+        start: Timestamp,
+        end: Timestamp,
+        p: Percentile,
+    ) -> WindowPeaks {
+        VmProfile::window_peaks(self, tw, start, end, p)
     }
 }
 
@@ -1155,6 +1432,46 @@ mod tests {
         }
     }
 
+    const SWEPT_PERCENTILES: [f64; 6] = [0.0, 50.0, 80.0, 95.0, 99.0, 100.0];
+
+    /// The order-statistic policy against the exact one, bit for bit: every
+    /// window's `lifetime_max` and `maxima_percentile` of `window_stats_for`
+    /// at each swept percentile. Returns the cells the policy handed to the
+    /// kernel, summed over resources and percentiles.
+    fn assert_peaks_bit_identical(
+        p: &VmProfile,
+        tw: TimeWindows,
+        start: Timestamp,
+        end: Timestamp,
+    ) -> usize {
+        let exact = p.window_stats(tw, start, end);
+        let mut evaluated = 0;
+        for pct in SWEPT_PERCENTILES.map(Percentile::new) {
+            let peaks = p.window_peaks(tw, start, end, pct);
+            assert_eq!(peaks.lifetime_max.len(), tw.count());
+            assert_eq!(peaks.percentile.len(), tw.count());
+            for kind in ResourceKind::ALL {
+                let ws = exact.get(kind);
+                for w in tw.indices() {
+                    assert_eq!(
+                        peaks.lifetime_max[w][kind].to_bits(),
+                        f64::from(ws.lifetime_max(w)).to_bits(),
+                        "{kind} window {w} lifetime max"
+                    );
+                    assert_eq!(
+                        peaks.percentile[w][kind].to_bits(),
+                        f64::from(ws.maxima_percentile(w, pct)).to_bits(),
+                        "{kind} window {w} {pct}"
+                    );
+                }
+                let mut sink = peaks.clone();
+                evaluated += p.window_peaks_into(kind, tw, start, end, pct, &mut sink);
+                assert_eq!(sink, peaks, "{kind}: per-resource pass rewrote its slots");
+            }
+        }
+        evaluated
+    }
+
     #[test]
     fn analytic_stats_match_reference_for_unpredictable_weekend_span() {
         // Force the noisiest pattern class across a weekend boundary, where
@@ -1173,6 +1490,7 @@ mod tests {
                 &p.window_stats(tw, start, end),
                 &reference_stats(&p, tw, start, end),
             );
+            assert_peaks_bit_identical(&p, tw, start, end);
         }
     }
 
@@ -1204,6 +1522,9 @@ mod tests {
                 &p.window_stats(tw, start, end),
                 &reference_stats(&p, tw, start, end),
             );
+            // Every day clamps to 0.0 or sits at its drift: floors tie with
+            // true values all the way down.
+            assert_peaks_bit_identical(&p, tw, start, end);
             // Negative noise/amplitude/weekend factor invert the pruning
             // monotonicity — those parameters must route through the eager
             // fallback and still match exactly.
@@ -1216,6 +1537,7 @@ mod tests {
                 &q.window_stats(tw, start, end),
                 &reference_stats(&q, tw, start, end),
             );
+            assert_peaks_bit_identical(&q, tw, start, end);
         }
     }
 
@@ -1228,7 +1550,107 @@ mod tests {
         assert_eq!(stats.lifetime_window_max(0), ResourceVec::ZERO);
     }
 
+    #[test]
+    fn window_peaks_empty_range() {
+        let p = sample_profile(5);
+        let t = Timestamp::from_hours(30);
+        let tw = TimeWindows::paper_default();
+        assert_eq!(assert_peaks_bit_identical(&p, tw, t, t), 0);
+        let peaks = p.window_peaks(tw, t, t, Percentile::P95);
+        assert!(peaks
+            .lifetime_max
+            .iter()
+            .chain(peaks.percentile.iter())
+            .all(|v| *v == ResourceVec::ZERO));
+    }
+
+    /// P95 reads the two largest day maxima up to 21 day-rows and the three
+    /// largest from 22 on; 65 rows is past the stack scratch and derives
+    /// from the exact statistics.
+    #[test]
+    fn window_peaks_across_the_k_step_and_the_long_span_fallback() {
+        let tw = TimeWindows::paper_default();
+        let start = Timestamp::from_days(1) + SimDuration::from_hours(7);
+        for (rows, k) in [(21usize, 2usize), (22, 3), (23, 3)] {
+            assert_eq!(PercentileRank::of(rows, Percentile::P95).top_k(rows), k);
+            let end = Timestamp::from_days(rows as u64) + SimDuration::from_hours(3);
+            for seed in [2u64, 17, 40] {
+                let p = sample_profile(seed);
+                assert_eq!(
+                    p.window_stats_for(ResourceKind::Cpu, tw, start, end).days(),
+                    rows
+                );
+                assert!(assert_peaks_bit_identical(&p, tw, start, end) > 0);
+            }
+        }
+        for rows in [MAX_ORDERED_DAYS, MAX_ORDERED_DAYS + 1] {
+            let end = Timestamp::from_days(rows as u64) + SimDuration::from_hours(3);
+            let p = sample_profile(23);
+            let evaluated = assert_peaks_bit_identical(&p, tw, start, end);
+            assert_eq!(evaluated > 0, rows <= MAX_ORDERED_DAYS, "{rows} day-rows");
+        }
+    }
+
+    /// A refactor that silently stops pruning must fail here, not in a
+    /// benchmark: at P95 over 14 days only the two largest day maxima per
+    /// window matter, and on a diurnal profile whose day-to-day drift
+    /// dominates its noise the upper-bound order finds them first — so the
+    /// policy resolves fewer than half of the covered cells.
+    #[test]
+    fn order_statistic_policy_prunes_most_cells() {
+        let mut rng = SmallRng::seed_from_u64(12);
+        let mut template = BehaviorTemplate::sample(&mut rng);
+        template.kind = PatternKind::Periodic;
+        let mut p = template.instantiate(12);
+        for r in p.per_resource.iter_mut() {
+            r.noise = 0.01;
+            r.daily_drift = 0.05;
+        }
+        let tw = TimeWindows::paper_default();
+        let (start, end) = (Timestamp::ZERO, Timestamp::from_days(14));
+        let mut out = p.window_peaks(tw, start, end, Percentile::P95);
+        let covered = 14 * tw.count() * ResourceKind::COUNT;
+        let evaluated: usize = ResourceKind::ALL
+            .iter()
+            .map(|&kind| p.window_peaks_into(kind, tw, start, end, Percentile::P95, &mut out))
+            .sum();
+        // Two cells per window are always resolved (the top-k has to fill).
+        assert!(evaluated >= 2 * tw.count() * ResourceKind::COUNT);
+        assert!(
+            2 * evaluated < covered,
+            "resolved {evaluated} of {covered} covered cells"
+        );
+        // At P0 every day is in the top-k: nothing may be pruned.
+        let all: usize = ResourceKind::ALL
+            .iter()
+            .map(|&kind| p.window_peaks_into(kind, tw, start, end, Percentile::new(0.0), &mut out))
+            .sum();
+        assert_eq!(all, covered);
+    }
+
     proptest! {
+        /// The order-statistic policy reports, bit for bit, what the exact
+        /// policy's statistics say — across random templates, per-VM seeds,
+        /// spans from one tick to 40 days, and partitions; every case
+        /// sweeps P0/P50/P80/P95/P99/P100.
+        #[test]
+        fn prop_window_peaks_match_exact_stats(
+            seed in 0u64..10_000,
+            start_ticks in 0u64..(3 * TICKS_PER_DAY),
+            len in 1u64..(40 * TICKS_PER_DAY),
+            short in 0u64..4,
+            wpd_idx in 0usize..5,
+        ) {
+            let tw = TimeWindows::new([1u32, 2, 6, 24, 288][wpd_idx]);
+            let p = sample_profile(seed);
+            // A quarter of the cases stay under two days, where partial
+            // cells and `k = n` dominate.
+            let len = if short == 0 { 1 + len % (2 * TICKS_PER_DAY) } else { len };
+            let start = Timestamp::from_ticks(start_ticks);
+            let end = Timestamp::from_ticks(start_ticks + len);
+            assert_peaks_bit_identical(&p, tw, start, end);
+        }
+
         /// The tentpole equivalence: analytic window statistics are
         /// *exactly* the statistics of the materialized series, across
         /// random templates, per-VM seeds, lifetimes, and partitions.

@@ -53,7 +53,7 @@ pub use runtime::{
     ProcessPool, ShardWorkers, SpscReceiver, SpscSender, WorkerBackend,
 };
 pub use series::{Percentile, ResourceSeries, UtilSeries};
-pub use stats::{ResourceWindowStats, UtilizationSource, WindowStats};
+pub use stats::{ResourceWindowStats, UtilizationSource, WindowPeaks, WindowStats};
 pub use time::{SimDuration, TimeWindows, Timestamp, Weekday, TICKS_PER_DAY, TICKS_PER_HOUR};
 pub use winvec::WindowVec;
 
@@ -70,7 +70,7 @@ pub mod prelude {
         ProcessPool, ShardWorkers, SpscReceiver, SpscSender, WorkerBackend,
     };
     pub use crate::series::{Percentile, ResourceSeries, UtilSeries};
-    pub use crate::stats::{ResourceWindowStats, UtilizationSource, WindowStats};
+    pub use crate::stats::{ResourceWindowStats, UtilizationSource, WindowPeaks, WindowStats};
     pub use crate::time::{
         SimDuration, TimeWindows, Timestamp, Weekday, TICKS_PER_DAY, TICKS_PER_HOUR,
     };

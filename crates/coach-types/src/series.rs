@@ -76,24 +76,74 @@ pub fn percentile_of(values: &[f32], p: Percentile) -> f32 {
     percentile_of_sorted(&sorted, p)
 }
 
+/// Where a percentile sits among `n` ascending-sorted values under the
+/// linear (type-7) estimator: the two adjacent order statistics it
+/// interpolates between and the weight of the upper one.
+///
+/// This is the single definition of that rank. [`percentile_of_sorted`]
+/// reads it, and so does any producer that wants the percentile without
+/// the sorted column — it only has to get the largest
+/// [`PercentileRank::top_k`] values right (see
+/// [`crate::stats::UtilizationSource::window_peaks`]).
+///
+/// ```
+/// use coach_types::{series::PercentileRank, Percentile};
+/// // P95 of 14 values interpolates between the 2nd and the 1st largest.
+/// let r = PercentileRank::of(14, Percentile::P95);
+/// assert_eq!((r.lo, r.hi, r.top_k(14)), (12, 13, 2));
+/// assert_eq!(PercentileRank::of(14, Percentile::MAX).top_k(14), 1);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PercentileRank {
+    /// Ascending index of the lower order statistic.
+    pub lo: usize,
+    /// Ascending index of the upper one: `lo` or `lo + 1`.
+    pub hi: usize,
+    /// Weight of `sorted[hi]`; unused when `lo == hi`.
+    pub weight: f32,
+}
+
+impl PercentileRank {
+    /// The rank of percentile `p` among `n` values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` (an empty column has no order statistics).
+    pub fn of(n: usize, p: Percentile) -> Self {
+        assert!(n > 0, "percentile rank of an empty column");
+        let rank = p.fraction() * (n - 1) as f64;
+        let lo = rank.floor() as usize;
+        PercentileRank {
+            lo,
+            hi: rank.ceil() as usize,
+            weight: (rank - lo as f64) as f32,
+        }
+    }
+
+    /// How many of the *largest* of the `n` values the percentile (and the
+    /// maximum) can depend on: `sorted[lo]` is the `n − lo`-th largest.
+    pub fn top_k(&self, n: usize) -> usize {
+        n - self.lo
+    }
+
+    /// The percentile given the two order statistics `sorted[lo]` and
+    /// `sorted[hi]`.
+    pub fn interpolate(&self, at_lo: f32, at_hi: f32) -> f32 {
+        if self.lo == self.hi {
+            at_lo
+        } else {
+            at_lo * (1.0 - self.weight) + at_hi * self.weight
+        }
+    }
+}
+
 /// Percentile of an already-sorted slice (ascending). See [`percentile_of`].
 pub fn percentile_of_sorted(sorted: &[f32], p: Percentile) -> f32 {
     if sorted.is_empty() {
         return 0.0;
     }
-    let n = sorted.len();
-    if n == 1 {
-        return sorted[0];
-    }
-    let rank = p.fraction() * (n - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let w = (rank - lo as f64) as f32;
-        sorted[lo] * (1.0 - w) + sorted[hi] * w
-    }
+    let rank = PercentileRank::of(sorted.len(), p);
+    rank.interpolate(sorted[rank.lo], sorted[rank.hi])
 }
 
 /// A utilization time series: one `f32` fraction per 5-minute tick, starting
@@ -356,6 +406,62 @@ mod tests {
         assert_eq!(percentile_of(&v, Percentile::P50), 25.0);
         assert_eq!(percentile_of(&[], Percentile::P95), 0.0);
         assert_eq!(percentile_of(&[7.0], Percentile::P50), 7.0);
+    }
+
+    /// The rank helper against the closed form `percentile_of_sorted` had
+    /// before it was rewritten to call the helper (kept here as the spec),
+    /// and its top-k claim: replacing everything below the k-th largest
+    /// value with that value leaves the percentile's bits alone.
+    #[test]
+    fn percentile_rank_reproduces_the_type7_estimator() {
+        fn spec(sorted: &[f32], p: Percentile) -> f32 {
+            let n = sorted.len();
+            if n == 1 {
+                return sorted[0];
+            }
+            let rank = p.fraction() * (n - 1) as f64;
+            let lo = rank.floor() as usize;
+            let hi = rank.ceil() as usize;
+            if lo == hi {
+                sorted[lo]
+            } else {
+                let w = (rank - lo as f64) as f32;
+                sorted[lo] * (1.0 - w) + sorted[hi] * w
+            }
+        }
+        for n in 1..=70usize {
+            // Ascending, irregularly spaced, with a tie.
+            let mut sorted: Vec<f32> = (0..n)
+                .map(|i| (i * i % 17) as f32 / 40.0 + i as f32 / 97.0)
+                .collect();
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            if n > 3 {
+                sorted[n - 2] = sorted[n - 3];
+            }
+            for p in [0.0, 50.0, 80.0, 95.0, 99.0, 100.0].map(Percentile::new) {
+                let rank = PercentileRank::of(n, p);
+                let want = spec(&sorted, p);
+                assert_eq!(
+                    rank.interpolate(sorted[rank.lo], sorted[rank.hi]).to_bits(),
+                    want.to_bits(),
+                    "n {n} {p}"
+                );
+                assert_eq!(percentile_of_sorted(&sorted, p).to_bits(), want.to_bits());
+
+                let k = rank.top_k(n);
+                assert!((1..=n).contains(&k) && rank.hi >= rank.lo && rank.hi < n);
+                let mut floored = sorted.clone();
+                let kth = sorted[n - k];
+                for v in &mut floored[..n - k] {
+                    *v = kth;
+                }
+                assert_eq!(
+                    percentile_of_sorted(&floored, p).to_bits(),
+                    want.to_bits(),
+                    "n {n} {p}: below the top {k}"
+                );
+            }
+        }
     }
 
     #[test]

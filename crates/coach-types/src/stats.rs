@@ -15,10 +15,17 @@
 use crate::resource::{ResourceKind, ResourceVec};
 use crate::series::{percentile_of, percentile_of_sorted, Percentile, ResourceSeries, UtilSeries};
 use crate::time::{TimeWindows, Timestamp, TICKS_PER_DAY};
+use crate::winvec::WindowVec;
 
 /// Per-window utilization statistics of one resource over a `[start, end)`
 /// span: the maximum utilization inside each `(day, window)` cell plus the
 /// per-window lifetime maximum.
+///
+/// This is the *exact* product: every `day_max` is the true maximum of its
+/// cell, which is what training targets and the `fig*` analytics read. A
+/// consumer that only wants Formulas 1–2's two numbers per window asks for
+/// [`WindowPeaks`] instead, which a producer may derive without resolving
+/// every cell.
 ///
 /// Built either from recorded samples ([`WindowStats::from_series`] /
 /// [`WindowStats::from_samples`], the eager reference) or analytically by a
@@ -302,13 +309,48 @@ impl ResourceWindowStats {
     }
 }
 
+/// What Formulas 1–2 read of a `[start, end)` span, per window and
+/// resource: the lifetime window maximum (`Pmax_t`) and one percentile of
+/// the per-day window maxima (`PX_t`) — and nothing else. Unlike
+/// [`WindowStats`] it carries no per-day cells, so a producer is free to
+/// leave most of them unresolved ([`UtilizationSource::window_peaks`]).
+///
+/// Both vectors hold one [`ResourceVec`] per window and stay inline (no
+/// heap allocation) for every shipped partition.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WindowPeaks {
+    /// `Pmax_t`: per-resource maximum of window `t` across all days (0.0
+    /// where never covered) — [`ResourceWindowStats::lifetime_window_max`].
+    pub lifetime_max: WindowVec,
+    /// `PX_t`: per-resource percentile of window `t`'s per-day maxima,
+    /// uncovered cells counting as 0.0 —
+    /// [`ResourceWindowStats::maxima_percentile`].
+    pub percentile: WindowVec,
+}
+
+impl WindowPeaks {
+    /// Read the peaks off exact statistics — the reference every cheaper
+    /// derivation must equal.
+    pub fn from_stats(stats: &ResourceWindowStats, p: Percentile) -> Self {
+        let tw = stats.tw();
+        WindowPeaks {
+            lifetime_max: tw.indices().map(|w| stats.lifetime_window_max(w)).collect(),
+            percentile: tw
+                .indices()
+                .map(|w| stats.maxima_percentile(w, p))
+                .collect(),
+        }
+    }
+}
+
 /// Anything that can answer utilization queries for a VM: a recorded series
 /// (eager) or a behavior profile (analytic, lazy).
 ///
 /// The key method is [`UtilizationSource::window_stats`]: consumers that
-/// only need windowed statistics — the oracle, model training, accuracy
-/// experiments — ask for them directly, and the producer is free to derive
-/// them far cheaper than materializing every 5-minute sample. Point queries
+/// only need windowed statistics — model training, accuracy experiments —
+/// ask for them directly, and the producer is free to derive them far
+/// cheaper than materializing every 5-minute sample. The oracle needs less
+/// still and asks for [`UtilizationSource::window_peaks`]. Point queries
 /// stay available for consumers that genuinely sample the timeline (the
 /// violation sweep).
 pub trait UtilizationSource {
@@ -324,6 +366,29 @@ pub trait UtilizationSource {
         start: Timestamp,
         end: Timestamp,
     ) -> ResourceWindowStats;
+
+    /// Only what Formulas 1–2 read of [`UtilizationSource::window_stats`]:
+    /// per window, the lifetime maximum and percentile `p` of the per-day
+    /// maxima. Always equal to `WindowPeaks::from_stats(&self.window_stats(
+    /// tw, start, end), p)` — which is what the default does, so recorded
+    /// series need nothing more.
+    ///
+    /// A producer overrides it when it can get there cheaper. The percentile
+    /// interpolates between two adjacent order statistics
+    /// ([`crate::series::PercentileRank`]), so of a window's `n` day maxima
+    /// only the `k = PercentileRank::top_k(n)` largest matter (2 at P95 over
+    /// 14 days): any cell that provably cannot enter that top-`k` may be
+    /// reported as the current `k`-th largest value instead of being
+    /// resolved, and the result does not change by a bit.
+    fn window_peaks(
+        &self,
+        tw: TimeWindows,
+        start: Timestamp,
+        end: Timestamp,
+        p: Percentile,
+    ) -> WindowPeaks {
+        WindowPeaks::from_stats(&self.window_stats(tw, start, end), p)
+    }
 }
 
 impl UtilizationSource for ResourceSeries {

@@ -97,8 +97,10 @@ pub use coach_workloads as workloads;
 /// * [`coach_sim::Predictor`] gained
 ///   [`predict_batch`](coach_sim::Predictor::predict_batch) (default: the
 ///   per-item loop, so existing implementations are unaffected). The
-///   `Oracle` override derives each long-running VM of a batch exactly
-///   once, bypassing its per-item memo in both directions.
+///   `Oracle` is stateless and uses that default; each derive goes
+///   through the order-statistic
+///   [`window_peaks`](coach_types::UtilizationSource::window_peaks) scan,
+///   which resolves only the day maxima Formulas 1–2 can read.
 /// * [`Controller::handle_arrivals`](coach_serve::Controller::handle_arrivals)
 ///   admits an arrival slice chunk by chunk — one `predict_batch` call per
 ///   chunk, serial and in stream order, overlapped with the placement of

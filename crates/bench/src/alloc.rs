@@ -1,14 +1,13 @@
 //! A counting [`GlobalAlloc`] wrapper: live heap bytes plus their
 //! high-water mark, behind two relaxed atomics per allocation.
 //!
-//! The bench binaries install [`TrackingAllocator`] with
-//! `#[global_allocator]` and bracket a measured region with
-//! [`reset_peak`] / [`peak_bytes`]. Because the workloads are
+//! The memory tests (`tests/ingest_memory.rs`) install
+//! [`TrackingAllocator`] with `#[global_allocator]` and bracket a measured
+//! region with [`reset_peak`] / [`peak_bytes`]. Because the workloads are
 //! deterministic (fixed seeds, no wall-clock-dependent allocation), the
 //! recorded high-water mark is reproducible run over run and machine
-//! over machine — tight enough to commit as a ceiling that
-//! `bench_trend` gates CI against (the streaming-ingestion flat-memory
-//! contract).
+//! over machine — tight enough to assert a ceiling on (the
+//! streaming-ingestion flat-memory contract).
 //!
 //! Accounting is by requested [`Layout`] size, not allocator-internal
 //! bucket size: the number measures what the code asked for, which is

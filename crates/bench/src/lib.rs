@@ -2,13 +2,19 @@
 //! benches.
 //!
 //! Each paper figure/table has a binary under `src/bin/` that prints the
-//! same rows/series the paper plots (see `EXPERIMENTS.md` at the workspace
-//! root for the index and paper-vs-measured records). Absolute numbers
-//! differ from the paper (our substrate is a simulator, the trace is
-//! synthetic); shapes and orderings are the reproduction target.
+//! same rows/series the paper plots (the README's figure table is the
+//! index). Absolute numbers differ from the paper (our substrate is a
+//! simulator, the trace is synthetic); shapes and orderings are the
+//! reproduction target.
+//!
+//! How fast the system is has one harness: `examples/benchmark`. What
+//! lives here beside the figures is the counting allocator the memory
+//! ceiling tests run under ([`alloc`]), the strict JSON parser the
+//! telemetry-export test reads exports back with ([`json`]), and the
+//! Criterion benches under `benches/`.
 
 pub mod alloc;
-pub mod trend;
+pub mod json;
 
 use coach_trace::{generate, Trace, TraceConfig};
 

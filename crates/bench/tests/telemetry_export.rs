@@ -1,9 +1,9 @@
-//! The telemetry exports a `--metrics-out` run writes must be machine-
-//! readable: the Chrome trace and every JSONL series line have to parse
-//! with the same strict JSON parser `bench_trend` uses, and the
-//! Prometheus text must follow the HELP/TYPE/sample line discipline.
+//! The telemetry exports must be machine-readable: the Chrome trace and
+//! every JSONL series line have to parse with a strict JSON parser that
+//! shares no code with the exporter, and the Prometheus text must follow
+//! the HELP/TYPE/sample line discipline.
 
-use coach_bench::trend::Json;
+use coach_bench::json::Json;
 use coach_serve::{Request, RequestSource, ServeConfig, ShardedController, TelemetryConfig};
 use coach_sim::{Oracle, PolicyConfig};
 use coach_trace::{generate, TraceConfig};

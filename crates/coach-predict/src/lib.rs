@@ -1,6 +1,6 @@
 //! Coach's prediction stack: random-forest long-term utilization model,
 //! EWMA short-term predictor, and an online-trained LSTM — all from scratch
-//! (the paper used scikit-learn and PyTorch; see `DESIGN.md` §1).
+//! (the paper used scikit-learn and PyTorch; nothing resolves offline).
 //!
 //! # Layers
 //!

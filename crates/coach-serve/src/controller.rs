@@ -734,13 +734,6 @@ impl<'a> Controller<'a> {
         &self.config
     }
 
-    /// Switch how subsequent [`Request::Probe`]s are measured — a live
-    /// reconfiguration (e.g. flip an exhaustive-probing controller to the
-    /// read-only estimator once its differential window ends).
-    pub fn set_probe_mode(&mut self, mode: ProbeMode) {
-        self.config.probe_mode = mode;
-    }
-
     /// Per-measurement probe counts (a sharded deployment sums these
     /// elementwise across shards).
     pub(crate) fn probe_counts(&self) -> &[u64] {

@@ -547,7 +547,8 @@ impl<'a> ShardedController<'a> {
 
     /// OS process id of shard `shard`'s current child worker, if the
     /// process backend is active and its pool has been spawned. Changes
-    /// after a recovery respawn; `None` under the thread backend.
+    /// after a recovery respawn or a [`Self::resume_shard`]; `None` under
+    /// the thread backend.
     pub fn worker_pid(&self, shard: usize) -> Option<u32> {
         self.process.as_ref().map(|pool| pool.pid(shard))
     }
@@ -635,8 +636,9 @@ impl<'a> ShardedController<'a> {
     /// after an upgrade, or to roll a shard back). `resolve` re-resolves
     /// the accounting state's record references, exactly as in
     /// [`Controller::restore`]. Under the process backend the snapshot is
-    /// additionally installed as the child's checkpoint, replacing its
-    /// live state.
+    /// additionally installed as the shard's checkpoint in a fresh child
+    /// that replaces the live one ([`Self::worker_pid`] changes;
+    /// [`Self::worker_restarts`] does not count it).
     ///
     /// The restored shard must cover the same clusters the slot covered
     /// (routing is deterministic, so snapshots from the same shard index
@@ -704,7 +706,9 @@ impl<'a> ShardedController<'a> {
 /// ([`coach_types::runtime::serve_child_frames`]): an `WireCmd::Init`
 /// frame builds its controller from a [`Snapshot`] (leaking the embedded
 /// record table and an [`Oracle`] — a worker process serves exactly one
-/// controller for its lifetime, so the leaks are bounded and deliberate),
+/// controller for its lifetime, so the leaks are bounded and deliberate:
+/// [`ProcessPool::install_checkpoint`] hands a second `Init` to a
+/// replacement process, never to this one),
 /// then segments, tokens, finalize, and export frames each produce exactly
 /// one reply. Clean stdin EOF exits 0; a [`SHARD_WORKER_ENV`] value that
 /// is not a shard index exits 2 with a one-line message on stderr.

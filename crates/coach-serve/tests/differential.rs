@@ -132,6 +132,29 @@ fn sharded_matches_batch() {
     }
 }
 
+/// Eight shards over eight clusters — one worker per cluster, the widest
+/// fan-out any caller asks for — stay integer-exact against the
+/// single-shard controller on the replay stream, probes included.
+#[test]
+fn eight_shards_match_single_shard() {
+    let trace = generate(&TraceConfig {
+        cluster_count: 8,
+        ..TraceConfig::small(808)
+    });
+    let oracle = Oracle::new(TimeWindows::paper_default());
+    let coach = PolicyConfig::paper_set().remove(2);
+    let single = serve_trace(&trace, &oracle, coach, 0.7);
+    let mut sharded = ShardedController::replaying(&trace, &oracle, coach, 0.7, 8);
+    assert_eq!(sharded.shard_count(), 8, "eight genuinely distinct shards");
+    let online = sharded.run(RequestSource::replaying(&trace));
+    assert_eq!(online.accepted, single.accepted);
+    assert_eq!(online.rejected, single.rejected);
+    assert_eq!(online.probe_capacity, single.probe_capacity);
+    assert_eq!(online.peak_servers_in_use, single.peak_servers_in_use);
+    assert_eq!(online.cpu_violation_rate, single.cpu_violation_rate);
+    assert_eq!(online.mem_violation_rate, single.mem_violation_rate);
+}
+
 /// `handle_batch` + `finalize` (two worker sessions) and `run` (one
 /// session, responses discarded) produce the same merged result — and both
 /// match the batch experiment.

@@ -9,9 +9,9 @@
 
 use coach_serve::{
     serve_trace_sharded, Request, RequestSource, Response, ServeConfig, ShardedController,
-    Snapshot, StatsReport, SHARD_WORKER_ENV,
+    Snapshot, StatsReport, TelemetryConfig, SHARD_WORKER_ENV,
 };
-use coach_sim::{packing_experiment, Oracle, PolicyConfig};
+use coach_sim::{packing_experiment, Oracle, PolicyConfig, ProbeMode};
 use coach_trace::{generate, Trace, TraceConfig, VmRecord};
 use coach_types::prelude::*;
 use std::collections::HashMap;
@@ -69,6 +69,57 @@ fn thread_vs_process_identity() {
     }
 }
 
+/// The far corner of the knob matrix, all at once: process backend × 4
+/// shards × differential probes (every measurement asserts estimator ==
+/// exhaustive inside the child) × full telemetry, over a medium-trace
+/// slice. Anchors to the batch experiment — integers exactly, the
+/// cross-shard hour sums to 1e-9 — and equals the thread backend under the
+/// same knobs on the whole `PackingResult`.
+fn process_differential_full_telemetry_four_shards() {
+    let mut trace = generate(&TraceConfig::medium(7));
+    trace.vms.truncate(8_000);
+    let oracle = Oracle::new(TimeWindows::paper_default());
+    let coach = PolicyConfig::paper_set().remove(2);
+    let batch = packing_experiment(&trace, &oracle, coach, 0.9);
+
+    let serve = |backend: WorkerBackend| {
+        let config = ServeConfig {
+            backend,
+            probe_mode: ProbeMode::Differential,
+            telemetry: TelemetryConfig::Full,
+            ..ServeConfig::replaying(coach, 0.9, trace.horizon)
+        };
+        let mut controller = ShardedController::new(&trace.clusters, &oracle, config, 4);
+        assert_eq!(
+            controller.shard_count(),
+            4,
+            "four genuinely distinct shards"
+        );
+        let result = controller.run(RequestSource::replaying(&trace));
+        assert_eq!(
+            controller.worker_restarts(),
+            0,
+            "clean replay never recovers"
+        );
+        result
+    };
+    let processed = serve(WorkerBackend::Process);
+    assert_eq!(processed, serve(WorkerBackend::Thread), "process == thread");
+
+    assert_eq!(processed.accepted, batch.accepted);
+    assert_eq!(processed.rejected, batch.rejected);
+    assert_eq!(processed.probe_capacity, batch.probe_capacity);
+    assert_eq!(processed.peak_servers_in_use, batch.peak_servers_in_use);
+    assert_eq!(processed.cpu_violation_rate, batch.cpu_violation_rate);
+    assert_eq!(processed.mem_violation_rate, batch.mem_violation_rate);
+    let rel = (processed.accepted_core_hours - batch.accepted_core_hours).abs()
+        / batch.accepted_core_hours.max(1.0);
+    assert!(rel < 1e-9, "core-hours rel err {rel}");
+    let rel = (processed.accepted_gb_hours - batch.accepted_gb_hours).abs()
+        / batch.accepted_gb_hours.max(1.0);
+    assert!(rel < 1e-9, "gb-hours rel err {rel}");
+}
+
 /// SIGKILL a live worker between sessions: checkpoint recovery respawns it
 /// with its exact exported state, the stream finishes bit-identically to
 /// the uninterrupted replay, and the restart is visible in the merged
@@ -121,9 +172,11 @@ fn sigkill_recovery_is_exact() {
 }
 
 /// Drain/resume under the process backend: snapshots exported by live
-/// children restore into a fresh process-backed deployment (seeding the
-/// children it spawns), and the finished stream matches the uninterrupted
-/// thread replay.
+/// children restore into another process-backed deployment whose children
+/// are already serving (a shorter prefix of the stream), and the finished
+/// stream matches the uninterrupted thread replay. A worker process serves
+/// one controller for its lifetime, so each resume replaces the child — a
+/// new pid, and not a recovery.
 fn process_drain_resume_roundtrip() {
     let trace = generate(&TraceConfig {
         cluster_count: 4,
@@ -145,11 +198,19 @@ fn process_drain_resume_roundtrip() {
     drop(first);
 
     let mut second = process_controller(&trace, &oracle, coach, 0.7, shards);
+    second.handle_batch(&requests[..split / 2]);
     for (shard, snapshot) in snapshots.iter().enumerate() {
+        let before = second.worker_pid(shard).expect("process pool is live");
         second
             .resume_shard(shard, snapshot, |vm| table.get(&vm).copied())
             .expect("exported snapshot restores");
+        assert_ne!(
+            second.worker_pid(shard),
+            Some(before),
+            "shard {shard}: resume replaced the live child"
+        );
     }
+    assert_eq!(second.worker_restarts(), 0, "a resume is not a recovery");
     second.handle_batch(&requests[split..]);
     assert_eq!(second.finalize(), expected, "process drain/resume is exact");
 }
@@ -276,6 +337,11 @@ fn main() {
     run(
         "thread_vs_process_identity",
         thread_vs_process_identity,
+        &mut failures,
+    );
+    run(
+        "process_differential_full_telemetry_four_shards",
+        process_differential_full_telemetry_four_shards,
         &mut failures,
     );
     run(

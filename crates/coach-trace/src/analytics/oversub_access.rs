@@ -10,7 +10,8 @@
 //! (the 5 % rounding absorbs most of the tail), higher percentiles reduce
 //! accesses, and the window length matters much more at low percentiles.
 //! (The sign of the window-length effect depends on the allocation
-//! estimator; see EXPERIMENTS.md for the caveat.)
+//! estimator, so the tests below pin the spread between window lengths,
+//! not its direction.)
 //!
 //! Assuming the VM uniformly accesses its utilized memory, the fraction of
 //! accesses hitting the oversubscribed portion at a tick with utilization

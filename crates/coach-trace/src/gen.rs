@@ -2,7 +2,7 @@
 //!
 //! Substitutes for the paper's proprietary two-week trace of >1M opaque VMs
 //! (§2 methodology). Every marginal the paper reports is a calibration
-//! target; see `DESIGN.md` §1 for the full substitution argument. The
+//! target; the §2 analytics ([`crate::analytics`]) measure them back. The
 //! generator is fully deterministic in the seed.
 
 use crate::model::{Cluster, Trace, VmRecord};
@@ -42,9 +42,9 @@ impl TraceConfig {
         }
     }
 
-    /// A mid-size trace for performance benchmarking (100k VMs over four
-    /// dense ~1000-server clusters, 2 weeks) — the scale `bench_pipeline`
-    /// replays end-to-end on the way to million-VM traces.
+    /// A mid-size trace for performance work (100k VMs over four dense
+    /// ~1000-server clusters, 2 weeks) — the scale `examples/benchmark`'s
+    /// workloads are multiples of.
     pub fn medium(seed: u64) -> Self {
         TraceConfig {
             seed,
@@ -68,24 +68,11 @@ impl TraceConfig {
         }
     }
 
-    /// The million-VM trace (paper scale: >1M VMs over two weeks) — the
-    /// ROADMAP north-star workload. Only runnable end-to-end with the lazy
-    /// demand derivation; `bench_pipeline --large` replays it.
-    pub fn large(seed: u64) -> Self {
-        TraceConfig {
-            seed,
-            vm_count: 1_000_000,
-            horizon: Timestamp::from_days(14),
-            cluster_count: 10,
-            subscription_count: 20_000,
-            initial_fraction: 0.45,
-        }
-    }
-
     /// The ten-million-VM trace. Deliberately *not* materializable in
     /// sensible memory as a `Vec<VmRecord>` — this is the scale the
-    /// streaming generator ([`crate::StreamingTrace`]) exists for;
-    /// `bench_serve --large` streams it end-to-end.
+    /// streaming generator ([`crate::StreamingTrace`]) exists for; the
+    /// ignored `ten_million_vms_stream_end_to_end` test in `coach-bench`
+    /// streams it end-to-end.
     pub fn huge(seed: u64) -> Self {
         TraceConfig {
             seed,
@@ -453,14 +440,6 @@ mod tests {
         assert_eq!(a, b);
         let c = generate(&TraceConfig::small(6));
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn large_config_is_million_vms() {
-        let c = TraceConfig::large(1);
-        assert_eq!(c.vm_count, 1_000_000);
-        assert_eq!(c.horizon, Timestamp::from_days(14));
-        assert!(c.cluster_count >= 10);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //!
 //! 1. a **generator** ([`generate`]) producing traces whose marginals match
 //!    everything §2 reports (lifetimes, sizes, utilization ranges, diurnal
-//!    peaks/valleys, group similarity) — see `DESIGN.md` for the calibration
-//!    table, and
+//!    peaks/valleys, group similarity) — the calibration constants sit
+//!    beside the draws they shape in `gen.rs` and `profile.rs`, and
 //! 2. the **analytics** ([`analytics`]) that reproduce Figures 2–12 and 17
 //!    from any trace.
 //!

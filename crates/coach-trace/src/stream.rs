@@ -183,17 +183,16 @@ impl StreamingTrace {
             rng0,
         };
         let mut machine = PlacementMachine::new(config.cluster_count);
-        let buckets = this.buckets.clone();
-        for bucket in &buckets {
-            this.visit_bucket(bucket, |this, sk| {
-                let sub = &this.subscriptions[sk.sub_idx];
-                let ci = sub.home_cluster;
+        let mut cursor = SkeletonCursor::default();
+        while let Some(run) = cursor.next_run(&this) {
+            for sk in run {
+                let ci = this.subscriptions[sk.sub_idx].home_cluster;
                 let hw = this.clusters[ci].hardware.capacity;
                 let (_, grew) = machine.place(ci, hw, sk);
                 if let Some(id) = grew {
                     this.clusters[ci].servers.push(id);
                 }
-            });
+            }
         }
         this
     }
@@ -234,50 +233,71 @@ impl StreamingTrace {
             stream: self,
             machine: PlacementMachine::new(self.config.cluster_count),
             templates: HashMap::new(),
-            bucket_idx: 0,
-            mode: BucketMode::Done,
+            cursor: SkeletonCursor::default(),
+            run_pos: 0,
             vm_idx: 0,
-        }
-    }
-
-    /// Drive one bucket's skeletons through `f` in global arrival order,
-    /// buffering at most `chunk_budget` skeletons (none for single-tick
-    /// buckets).
-    fn visit_bucket(&mut self, bucket: &Bucket, mut f: impl FnMut(&mut Self, &Skeleton)) {
-        let horizon_ticks = self.config.horizon.ticks();
-        let mut rng = self.rng0.clone();
-        if bucket.is_single_tick() {
-            for _ in 0..self.config.vm_count {
-                let sk = draw_skeleton(&mut rng, &self.subscriptions, &self.config, horizon_ticks);
-                if sk.arrival.ticks() == bucket.lo {
-                    f(self, &sk);
-                }
-            }
-        } else {
-            let mut buf: Vec<Skeleton> = Vec::with_capacity(bucket.count as usize);
-            for _ in 0..self.config.vm_count {
-                let sk = draw_skeleton(&mut rng, &self.subscriptions, &self.config, horizon_ticks);
-                if (bucket.lo..bucket.hi).contains(&sk.arrival.ticks()) {
-                    buf.push(sk);
-                }
-            }
-            buf.sort_by_key(|sk| sk.arrival); // stable: ties keep draw order
-            for sk in &buf {
-                f(self, sk);
-            }
         }
     }
 }
 
-/// How a [`StreamingRecords`] pass is traversing the current bucket.
-enum BucketMode {
-    /// Single-tick bucket: re-scan the skeleton stream, emitting matches
-    /// immediately (no buffer; draw order is emission order).
-    Scan { rng: SmallRng, drawn: usize },
-    /// Multi-tick bucket: skeletons collected and stable-sorted up front.
-    Buffered { buf: Vec<Skeleton>, pos: usize },
-    /// Between buckets (or finished).
-    Done,
+/// One pass over the skeleton sequence in global arrival order, handed out
+/// in runs: a multi-tick bucket is one run (collected and stable-sorted up
+/// front, at most `chunk_budget` skeletons); a single-tick bucket is
+/// re-scanned and each match is a run of one (no buffer; draw order is
+/// emission order). Both the construction-time placement pass and
+/// [`StreamingTrace::records`] drive this walk; it reads only the stream's
+/// buckets, subscriptions, config and RNG snapshot, so the placement pass
+/// may grow the cluster lists while it holds a run.
+#[derive(Default)]
+struct SkeletonCursor {
+    /// Index of the next bucket to open.
+    next_bucket: usize,
+    /// The open single-tick bucket's scan, if one is open: the RNG,
+    /// skeletons drawn so far, and the bucket's tick.
+    scan: Option<(SmallRng, usize, u64)>,
+    /// The current run; never empty once [`Self::next_run`] returned it.
+    run: Vec<Skeleton>,
+}
+
+impl SkeletonCursor {
+    fn next_run(&mut self, st: &StreamingTrace) -> Option<&[Skeleton]> {
+        let horizon_ticks = st.config.horizon.ticks();
+        let draw =
+            |rng: &mut SmallRng| draw_skeleton(rng, &st.subscriptions, &st.config, horizon_ticks);
+        loop {
+            if let Some((rng, drawn, tick)) = &mut self.scan {
+                self.run.clear();
+                while *drawn < st.config.vm_count {
+                    let sk = draw(rng);
+                    *drawn += 1;
+                    if sk.arrival.ticks() == *tick {
+                        self.run.push(sk);
+                        return Some(&self.run);
+                    }
+                }
+                self.scan = None;
+            }
+            // Free a finished bucket's buffer before the next one's is
+            // collected, so at most one is ever live.
+            self.run = Vec::new();
+            let bucket = *st.buckets.get(self.next_bucket)?;
+            self.next_bucket += 1;
+            let mut rng = st.rng0.clone();
+            if bucket.is_single_tick() {
+                self.scan = Some((rng, 0, bucket.lo));
+                continue;
+            }
+            self.run.reserve_exact(bucket.count as usize);
+            for _ in 0..st.config.vm_count {
+                let sk = draw(&mut rng);
+                if (bucket.lo..bucket.hi).contains(&sk.arrival.ticks()) {
+                    self.run.push(sk);
+                }
+            }
+            self.run.sort_by_key(|sk| sk.arrival); // stable: ties keep draw order
+            return Some(&self.run);
+        }
+    }
 }
 
 /// Lazy record iterator over a [`StreamingTrace`].
@@ -288,8 +308,9 @@ pub struct StreamingRecords<'a> {
     stream: &'a StreamingTrace,
     machine: PlacementMachine,
     templates: HashMap<(u64, u64), BehaviorTemplate>,
-    bucket_idx: usize,
-    mode: BucketMode,
+    cursor: SkeletonCursor,
+    /// Skeletons of the cursor's current run already emitted.
+    run_pos: usize,
     vm_idx: u64,
 }
 
@@ -335,57 +356,13 @@ impl Iterator for StreamingRecords<'_> {
     type Item = VmRecord;
 
     fn next(&mut self) -> Option<VmRecord> {
-        let st = self.stream;
-        let horizon_ticks = st.config.horizon.ticks();
-        loop {
-            match &mut self.mode {
-                BucketMode::Scan { rng, drawn } => {
-                    let bucket = st.buckets[self.bucket_idx - 1];
-                    while *drawn < st.config.vm_count {
-                        let sk = draw_skeleton(rng, &st.subscriptions, &st.config, horizon_ticks);
-                        *drawn += 1;
-                        if sk.arrival.ticks() == bucket.lo {
-                            return Some(self.emit(&sk));
-                        }
-                    }
-                    self.mode = BucketMode::Done;
-                }
-                BucketMode::Buffered { buf, pos } => {
-                    if *pos < buf.len() {
-                        let sk = buf[*pos].clone();
-                        *pos += 1;
-                        return Some(self.emit(&sk));
-                    }
-                    self.mode = BucketMode::Done;
-                }
-                BucketMode::Done => {
-                    let bucket = *st.buckets.get(self.bucket_idx)?;
-                    self.bucket_idx += 1;
-                    if bucket.is_single_tick() {
-                        self.mode = BucketMode::Scan {
-                            rng: st.rng0.clone(),
-                            drawn: 0,
-                        };
-                    } else {
-                        let mut rng = st.rng0.clone();
-                        let mut buf: Vec<Skeleton> = Vec::with_capacity(bucket.count as usize);
-                        for _ in 0..st.config.vm_count {
-                            let sk = draw_skeleton(
-                                &mut rng,
-                                &st.subscriptions,
-                                &st.config,
-                                horizon_ticks,
-                            );
-                            if (bucket.lo..bucket.hi).contains(&sk.arrival.ticks()) {
-                                buf.push(sk);
-                            }
-                        }
-                        buf.sort_by_key(|sk| sk.arrival); // stable: ties keep draw order
-                        self.mode = BucketMode::Buffered { buf, pos: 0 };
-                    }
-                }
-            }
+        if self.run_pos == self.cursor.run.len() {
+            self.run_pos = 0;
+            self.cursor.next_run(self.stream)?;
         }
+        let sk = self.cursor.run[self.run_pos].clone();
+        self.run_pos += 1;
+        Some(self.emit(&sk))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {

@@ -377,25 +377,6 @@ pub enum WorkerBackend {
     Process,
 }
 
-impl WorkerBackend {
-    /// Parse a CLI spelling (`"thread"` / `"process"`).
-    pub fn parse(s: &str) -> Option<WorkerBackend> {
-        match s {
-            "thread" | "threads" => Some(WorkerBackend::Thread),
-            "process" | "proc" => Some(WorkerBackend::Process),
-            _ => None,
-        }
-    }
-
-    /// Stable lowercase label (inverse of [`WorkerBackend::parse`]).
-    pub fn label(self) -> &'static str {
-        match self {
-            WorkerBackend::Thread => "thread",
-            WorkerBackend::Process => "process",
-        }
-    }
-}
-
 /// Handles to a running pool of shard workers (inside
 /// [`with_shard_workers`]): one FIFO command lane and one FIFO reply lane
 /// per worker.
@@ -638,6 +619,10 @@ struct ChildWorker {
     /// after a replay, this many regenerated replies are discarded so the
     /// caller never sees a duplicate.
     delivered: u64,
+    /// Whether this process has acked a checkpoint (`Init`) frame. A
+    /// worker process builds exactly one controller in its lifetime, so
+    /// the next checkpoint goes to a replacement process.
+    initialized: bool,
 }
 
 impl ChildWorker {
@@ -734,6 +719,7 @@ fn spawn_child(
         checkpoint: None,
         journal: Vec::new(),
         delivered: 0,
+        initialized: false,
     })
 }
 
@@ -770,7 +756,7 @@ impl ProcessPool {
     }
 
     /// OS process id of shard `shard`'s current child (changes after a
-    /// recovery respawn).
+    /// recovery respawn or a checkpoint replacement).
     pub fn pid(&self, shard: usize) -> u32 {
         self.children[shard].child.id()
     }
@@ -790,17 +776,25 @@ impl ProcessPool {
         self.replay_ns
     }
 
-    /// Install `frame` as shard `shard`'s checkpoint and apply it to the
-    /// live child now (consuming the child's single ack reply). Resets the
-    /// journal: recovery replays from this frame.
+    /// Install `frame` as shard `shard`'s checkpoint and apply it now
+    /// (consuming the single ack reply). Resets the journal: recovery
+    /// replays from this frame. A child that has already built a
+    /// controller from an earlier checkpoint is replaced by a fresh
+    /// process first — a worker serves exactly one controller for its
+    /// lifetime — which [`ProcessPool::restarts`] does not count.
     pub fn install_checkpoint(&mut self, shard: usize, frame: Vec<u8>) {
+        if self.children[shard].initialized {
+            // Dropping the old `ChildWorker` reaps it.
+            self.children[shard] = spawn_child(self.factory.as_ref(), shard)
+                .unwrap_or_else(|err| panic!("replacing shard {shard} worker failed: {err}"));
+        }
         {
             let c = &mut self.children[shard];
             c.checkpoint = Some(frame);
             c.journal.clear();
             c.delivered = 0;
         }
-        // Apply to the running child; on failure full recovery converges
+        // Apply to the (fresh) child; on failure full recovery converges
         // to the same state (checkpoint applied, ack consumed, journal
         // empty).
         if self.apply_checkpoint(shard).is_err() {
@@ -874,6 +868,7 @@ impl ProcessPool {
         coach_wire::write_frame(stdin, &frame).map_err(|_| ())?;
         std::io::Write::flush(stdin).map_err(|_| ())?;
         c.replies.recv().ok_or(())?;
+        c.initialized = true;
         Ok(())
     }
 
@@ -1383,19 +1378,6 @@ mod tests {
                 a + b
             },
         );
-    }
-
-    #[test]
-    fn worker_backends_parse_and_label() {
-        assert_eq!(WorkerBackend::parse("thread"), Some(WorkerBackend::Thread));
-        assert_eq!(
-            WorkerBackend::parse("process"),
-            Some(WorkerBackend::Process)
-        );
-        assert_eq!(WorkerBackend::parse("bogus"), None);
-        for backend in [WorkerBackend::Thread, WorkerBackend::Process] {
-            assert_eq!(WorkerBackend::parse(backend.label()), Some(backend));
-        }
     }
 
     /// `cat` is a perfectly deterministic 1:1 frame echo: the length

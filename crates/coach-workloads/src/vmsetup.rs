@@ -80,7 +80,7 @@ pub struct PerfModel {
 }
 
 impl PerfModel {
-    /// Calibrated coefficients per Table 2 workload (see `DESIGN.md` —
+    /// Calibrated coefficients per Table 2 workload (the
     /// targets are the §4.2 numbers: CVM ≤ 10 %, KV-Store OVM ≈ 2.35×,
     /// CVM-Floor ≈ 1.8× for KV-Store, LLM-FT CVM ≈ 1.24×).
     pub fn for_workload(w: &Workload) -> PerfModel {

@@ -133,7 +133,10 @@ pub use coach_workloads as workloads;
 ///   as its workers. Child crashes — including SIGKILL — are recovered
 ///   from a per-session checkpoint plus a command journal,
 ///   decision-exactly; recoveries are counted in
-///   [`StatsReport::worker_restarts`](coach_serve::StatsReport).
+///   [`StatsReport::worker_restarts`](coach_serve::StatsReport). A worker
+///   process builds one controller in its lifetime:
+///   [`resume_shard`](coach_serve::ShardedController::resume_shard) onto
+///   a live child replaces the process (a new pid, not a restart).
 /// * The process backend rebuilds the child's predictor from a
 ///   wire-serializable spec, so it requires an oracle-equivalent
 ///   predictor (the pre-derived warm table qualifies; a trained forest

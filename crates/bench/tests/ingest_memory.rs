@@ -2,11 +2,13 @@
 //! counting allocator: draining [`StreamingTrace::records`] may keep only
 //! O(servers + subscriptions + chunk budget) bytes live, so the
 //! high-water mark per VM *falls* as the trace grows — growth here means
-//! someone started materializing. The workloads are seed-pinned, so the
-//! peaks are reproducible to the byte and the ceilings carry headroom for
-//! allocator/std drift only, not for workload growth.
+//! someone started materializing. Beside it, the serving path's contract:
+//! what a controller holds follows what is resident, not what has
+//! streamed. The workloads are seed-pinned, so the peaks are reproducible
+//! to the byte and the ceilings carry headroom for allocator/std drift
+//! only, not for workload growth.
 //!
-//! The ten-million-VM run is `#[ignore]`d (minutes to hours, ~15 GB):
+//! The ten-million-VM run is `#[ignore]`d (minutes to hours, ~5 GB expected):
 //!
 //! ```text
 //! cargo test --release -p coach-bench --test ingest_memory -- --ignored --nocapture
@@ -14,7 +16,7 @@
 
 use coach_bench::alloc::{self, TrackingAllocator};
 use coach_serve::{ServeConfig, ShardedController, StreamSource};
-use coach_sim::{Oracle, PolicyConfig};
+use coach_sim::{Oracle, PackingResult, PolicyConfig};
 use coach_trace::{StreamingTrace, TraceConfig};
 use coach_types::prelude::*;
 use std::sync::Mutex;
@@ -45,6 +47,33 @@ fn drain_peak(streaming: &StreamingTrace) -> (u64, f64) {
     (alloc::peak_bytes().saturating_sub(baseline), wall_s)
 }
 
+/// Stream every record cold through one shard under `config`; returns the
+/// result, the allocator high-water mark over the run (above the live
+/// bytes it started from) and the run's wall seconds.
+fn serve_peak(streaming: &StreamingTrace, config: ServeConfig) -> (PackingResult, u64, f64) {
+    let oracle = Oracle::new(TimeWindows::paper_default());
+    let mut controller = ShardedController::new(streaming.clusters(), &oracle, config, 1);
+    alloc::reset_peak();
+    let baseline = alloc::current_bytes();
+    let t0 = Instant::now();
+    let result = controller.run_stream(StreamSource::new(streaming.records(), Vec::new()));
+    let wall_s = t0.elapsed().as_secs_f64();
+    assert_eq!(
+        result.accepted + result.rejected,
+        streaming.len() as u64,
+        "every arrival answered"
+    );
+    (result, alloc::peak_bytes().saturating_sub(baseline), wall_s)
+}
+
+fn coach_config(streaming: &StreamingTrace) -> ServeConfig {
+    ServeConfig::replaying(
+        PolicyConfig::paper_set().remove(2),
+        0.9,
+        streaming.horizon(),
+    )
+}
+
 /// Both sizes in one test, in sequence (see [`MEASURING`]). Measured when
 /// this test was written: 148.09 B/VM at 5k VMs, 112.00 B/VM at 100k —
 /// the same in debug and release.
@@ -68,15 +97,50 @@ fn ingest_peak_stays_under_the_per_vm_ceilings() {
     }
 }
 
+/// One hundred thousand VMs cold through one shard with the default 2 h
+/// violation sampling: the peak is set at the t=0 cohort (45 % of the
+/// stream resident at once) and everything after it stays below, because
+/// the accountant drops a VM within nine samples of its departure. Measured
+/// when this test was written: 587 B per attempted VM (1,091 B before the
+/// accountant stopped keeping whole records for the length of the stream),
+/// within 0.1 B of that in debug and release and with the derive stage
+/// inline or on its helper thread.
+#[test]
+fn serve_peak_stays_under_the_per_vm_ceiling() {
+    const CEILING: f64 = 650.0;
+    let _measuring = MEASURING.lock().expect("no measuring test panicked");
+    let streaming = StreamingTrace::new(&TraceConfig {
+        cluster_count: 8,
+        ..TraceConfig::medium(2026)
+    });
+    let (result, peak, _) = serve_peak(&streaming, coach_config(&streaming));
+    assert!(result.cpu_violation_rate > 0.0, "sampling was on");
+    let per_vm = peak as f64 / streaming.len() as f64;
+    println!(
+        "serve peak at {} VMs: {peak} B = {per_vm:.2} B/VM (ceiling {CEILING})",
+        streaming.len()
+    );
+    assert!(
+        per_vm <= CEILING,
+        "serve peak {per_vm:.2} B per attempted VM above the {CEILING} B/VM ceiling"
+    );
+}
+
 /// Ten million VMs (`TraceConfig::huge`) through the bounded-memory
 /// generator and the owned-segment serving path; no `Vec<VmRecord>` is
 /// ever materialized. The ingestion ceiling is absolute, not per-VM: the
 /// stream's peak is O(servers + subscriptions + chunk budget) state, so it
 /// stays put as `vm_count` grows — that is the point being asserted. The
 /// serve half runs cold at one shard (there is no materialized trace to
-/// pre-derive a table from) and only reports.
+/// pre-derive a table from) and only reports. Its peak was 14.8 GB
+/// (~1,480 B per attempted VM) when the accountant held a whole record per
+/// placed VM until `finalize`; with this configuration (`sample_every` =
+/// the horizon, as in the benchmark's `warm_admit`: 1,434 → 466 B per
+/// attempted VM at 100k) nothing survives the t=0 sample, so expect about
+/// 5 GB — an expectation, not a measurement: the run has not been
+/// repeated since.
 #[test]
-#[ignore = "ten million VMs: minutes to hours and ~15 GB; run alone, in release"]
+#[ignore = "ten million VMs: minutes to hours and ~5 GB (expected); run alone, in release"]
 fn ten_million_vms_stream_end_to_end() {
     const INGEST_PEAK_CEILING_BYTES: u64 = 512 * 1024 * 1024;
     let _measuring = MEASURING.lock().expect("no measuring test panicked");
@@ -103,27 +167,14 @@ fn ten_million_vms_stream_end_to_end() {
         "ingestion high-water mark {ingest_peak} B above the {INGEST_PEAK_CEILING_BYTES} B ceiling"
     );
 
-    let oracle = Oracle::new(TimeWindows::paper_default());
-    let coach = PolicyConfig::paper_set().remove(2);
-    let mut config = ServeConfig::replaying(coach, 0.9, streaming.horizon());
+    let mut config = coach_config(&streaming);
     config.sample_every = streaming.horizon().since(Timestamp::ZERO);
-    let mut controller = ShardedController::new(streaming.clusters(), &oracle, config, 1);
-    alloc::reset_peak();
-    let baseline = alloc::current_bytes();
-    let t0 = Instant::now();
-    let result = controller.run_stream(StreamSource::new(streaming.records(), Vec::new()));
-    let serve_s = t0.elapsed().as_secs_f64();
-    let serve_peak = alloc::peak_bytes().saturating_sub(baseline);
+    let (result, peak, serve_s) = serve_peak(&streaming, config);
     println!(
         "serve:  {serve_s:.1} s, {} accepted / {} rejected ({:.0} placed/s), serve-side peak {:.1} MB",
         result.accepted,
         result.rejected,
         result.accepted as f64 / serve_s,
-        serve_peak as f64 / 1e6,
-    );
-    assert_eq!(
-        result.accepted + result.rejected,
-        streaming.len() as u64,
-        "every arrival answered"
+        peak as f64 / 1e6,
     );
 }

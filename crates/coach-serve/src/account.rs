@@ -7,76 +7,149 @@
 //! dominates the replay (ROADMAP: the Fig 20 bottleneck).
 //!
 //! The online accountant maintains the same per-server Formula 3/4 running
-//! sums *during* the event stream instead. The trick that makes it both
-//! incremental and **bit-identical** to the batch sweep: between two
-//! events on a server its resident set is constant, so utilization samples
-//! falling in that gap can be evaluated lazily — in arrival order, with the
-//! exact same floating-point operation order the batch sweep uses — the
-//! next time that server sees an event (or at a flush point: tick, stats
-//! query, finalization). Per-event work is bounded by the samples elapsed
-//! on that one server times its resident VMs; nothing is re-scanned per
-//! probe and no global placement map, per-server sort, or second pass over
-//! the trace exists at all.
+//! sums *during* the event stream instead, and stays **bit-identical** to
+//! the batch sweep. Every server is sampled on one shared grid (`0`,
+//! `sample_every`, ...). Events arrive in time order, so once the stream's
+//! clock has passed `t`, the sample at `t` has seen every event it can and
+//! may be evaluated at any later moment — in arrival order, with the exact
+//! floating-point operation order the batch sweep uses. A server is caught
+//! up when it sees a placement or an early departure, at a flush point
+//! (tick, stats query, finalization), and — so that an idle server cannot
+//! sit on departed VMs — once per `SWEEP_SAMPLES` samples by a sweep that
+//! is phased over the clock: at each new tick the servers of that tick's
+//! residue class (`index mod SWEEP_SAMPLES · sample_every`) catch up,
+//! which spreads the sampling work evenly over the stream instead of
+//! stalling it once per sample, and lets a server evaluate several samples
+//! per visit while its entries are in cache. No global placement map,
+//! per-server sort, or second pass over the trace exists at all.
+//!
+//! **What it keeps, and for how long.** State is a function of what is
+//! resident, not of what has streamed. A tracked VM is a self-contained
+//! `VmEntry` holding exactly what a sample reads — no trace record, no
+//! demand vector — so the accountant borrows nothing from the request
+//! stream and a snapshot carries its entries as they are. An entry is
+//! dropped at the first sample at or after its departure, which its server
+//! evaluates within `SWEEP_SAMPLES + 1` samples of that departure (one at
+//! a flush point); a VM no remaining sample can see (it departs by its server's
+//! next sample, or that sample is past the horizon) is never stored; and
+//! nothing outlives the last sample. Each server keeps one buffer, shrunk
+//! as it drains.
 
 use coach_sched::VmDemand;
-use coach_trace::VmRecord;
+use coach_trace::{UtilSampler, VmRecord};
 use coach_types::prelude::*;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
-/// A placed VM as the accountant tracks it: the record (for closed-form
-/// utilization queries), its guaranteed memory, and its per-window demand
-/// maxima (inline for ≤ 6 windows — no heap per VM).
-///
-/// The record is *owned* (a `VmRecord` is a flat value — cloning is a
-/// memcpy, no heap), so the accountant's lifetime is decoupled from the
-/// request stream's: records can arrive from transient chunk buffers (the
-/// streaming ingestion path) and are freed when the entry retires.
-#[derive(Debug, Clone)]
-struct VmEntry {
-    rec: VmRecord,
-    guar_mem: f64,
-    windows: WindowVec,
+/// A VM's Formula 2 oversubscribed memory per window — inline for up to
+/// [`WindowVec::INLINE`] windows (no heap per VM), spilling beyond.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum VaMem {
+    Inline {
+        len: u8,
+        vals: [f64; WindowVec::INLINE],
+    },
+    Spilled(Box<[f64]>),
+}
+
+impl VaMem {
+    pub(crate) fn as_slice(&self) -> &[f64] {
+        match self {
+            VaMem::Inline { len, vals } => &vals[..*len as usize],
+            VaMem::Spilled(vals) => vals,
+        }
+    }
+}
+
+impl FromIterator<f64> for VaMem {
+    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        let mut vals = [0.0; WindowVec::INLINE];
+        let mut len = 0;
+        for v in iter.by_ref().take(WindowVec::INLINE) {
+            vals[len] = v;
+            len += 1;
+        }
+        match iter.next() {
+            None => VaMem::Inline {
+                len: len as u8,
+                vals,
+            },
+            Some(next) => VaMem::Spilled(vals.into_iter().chain([next]).chain(iter).collect()),
+        }
+    }
+}
+
+/// A placed VM as the accountant tracks it: exactly what a sample reads.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct VmEntry {
+    pub id: VmId,
+    pub arrival: Timestamp,
     /// Effective departure: the record's, unless an explicit early
     /// departure overrode it.
-    depart: Timestamp,
+    pub depart: Timestamp,
+    /// Requested CPU and memory (what utilization fractions scale).
+    pub req_cpu: f64,
+    pub req_mem: f64,
+    /// Formula 1's guaranteed memory.
+    pub guar_mem: f64,
+    /// Formula 2's oversubscribed memory per window — identical
+    /// arithmetic to `VmDemand::va_demand(w).memory()`.
+    pub va_mem: VaMem,
+    /// CPU and memory utilization at a time — `VmProfile::util_at`'s bits.
+    pub util: UtilSampler,
 }
 
 impl VmEntry {
-    /// Formula 2's oversubscribed memory in window `w` — identical
-    /// arithmetic to `VmDemand::va_demand(w).memory()`.
-    #[inline]
-    fn va_mem(&self, w: usize) -> f64 {
-        (self.windows[w].memory() - self.guar_mem).max(0.0)
+    fn new(rec: &VmRecord, demand: &VmDemand) -> Self {
+        let requested = rec.demand();
+        let guar_mem = demand.guaranteed.memory();
+        VmEntry {
+            id: rec.id,
+            arrival: rec.arrival,
+            depart: rec.departure,
+            req_cpu: requested.cpu(),
+            req_mem: requested.memory(),
+            guar_mem,
+            va_mem: demand
+                .window_max
+                .iter()
+                .map(|w| (w.memory() - guar_mem).max(0.0))
+                .collect(),
+            util: rec.profile.sampler(),
+        }
     }
 }
 
 /// One server's incremental sampling state.
-#[derive(Debug, Clone)]
-struct ServerAccount {
-    capacity: ResourceVec,
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ServerAccount {
+    pub server: ServerId,
+    pub capacity: ResourceVec,
     /// The next utilization sample to evaluate.
-    next_sample: Timestamp,
-    /// Placed VMs not yet admitted by the sampler, in (arrival, seq) order
-    /// — the order placements happen in, so no sort is ever needed.
-    pending: VecDeque<VmEntry>,
-    /// VMs admitted by the sampler and not yet retired, in admission order.
-    resident: Vec<VmEntry>,
-    /// Formula 3 running sum: Σ guaranteed memory over `resident`.
-    pa_sum: f64,
-    /// Formula 4 running sums: Σ VA memory per window over `resident`.
-    va_sums: Vec<f64>,
-    samples: u64,
-    cpu_violations: u64,
-    mem_violations: u64,
+    pub next_sample: Timestamp,
+    /// The tracked VMs in one buffer. `entries[..admitted]` are those the
+    /// sampler has admitted and not yet retired, in admission order; the
+    /// rest are placed but not yet sampled, in (arrival, seq) order — the
+    /// order placements happen in, so no sort is ever needed.
+    pub entries: Vec<VmEntry>,
+    pub admitted: usize,
+    /// Formula 3 running sum: Σ guaranteed memory over the admitted.
+    pub pa_sum: f64,
+    /// Formula 4 running sums: Σ VA memory per window over the admitted.
+    pub va_sums: Vec<f64>,
+    pub samples: u64,
+    pub cpu_violations: u64,
+    pub mem_violations: u64,
 }
 
 impl ServerAccount {
-    fn new(capacity: ResourceVec) -> Self {
+    fn new(server: ServerId, capacity: ResourceVec) -> Self {
         ServerAccount {
+            server,
             capacity,
             next_sample: Timestamp::ZERO,
-            pending: VecDeque::new(),
-            resident: Vec::new(),
+            entries: Vec::new(),
+            admitted: 0,
             pa_sum: 0.0,
             va_sums: Vec::new(),
             samples: 0,
@@ -86,74 +159,114 @@ impl ServerAccount {
     }
 
     /// Evaluate every sample strictly before `up_to` (and before the
-    /// horizon). Admission, retirement, summation, and comparison order all
-    /// mirror the batch sweep exactly.
+    /// horizon).
     fn catch_up(&mut self, up_to: Timestamp, horizon: Timestamp, sample_every: SimDuration) {
         let bound = up_to.min(horizon);
         while self.next_sample < bound {
-            let t = self.next_sample;
-            // Admit VMs that have arrived by now, skipping any that already
-            // departed between samples (they never touch the sums — exactly
-            // as the batch sweep skips them).
-            while self.pending.front().is_some_and(|e| e.rec.arrival <= t) {
-                let e = self.pending.pop_front().expect("front exists");
-                if e.depart > t {
-                    self.pa_sum += e.guar_mem;
-                    if self.va_sums.len() < e.windows.len() {
-                        self.va_sums.resize(e.windows.len(), 0.0);
-                    }
-                    for w in 0..e.windows.len() {
-                        self.va_sums[w] += e.va_mem(w);
-                    }
-                    self.resident.push(e);
-                }
+            if self.entries.is_empty() {
+                // Nothing to sample until the next placement (`samples`
+                // counts only non-empty servers): skip to the first grid
+                // point at or after the bound.
+                let ticks = bound.ticks().next_multiple_of(sample_every.ticks());
+                self.next_sample = Timestamp::from_ticks(ticks);
+                break;
             }
-            // Retire the departed, subtracting their sums in resident order.
-            let (pa_sum, va_sums) = (&mut self.pa_sum, &mut self.va_sums);
-            self.resident.retain(|e| {
-                if e.depart <= t {
-                    *pa_sum -= e.guar_mem;
-                    for (w, sum) in va_sums.iter_mut().enumerate().take(e.windows.len()) {
-                        *sum -= e.va_mem(w);
-                    }
-                    false
-                } else {
-                    true
-                }
-            });
-
-            if !self.resident.is_empty() {
-                self.samples += 1;
-                // Only CPU and memory are compared below, so only they are
-                // sampled: each sum takes `VmRecord::used_at`'s terms for
-                // its resource, in resident order, and keeps that float
-                // trajectory (a VM not alive at `t` adds +0.0 there).
-                let (mut used_cpu, mut used_mem) = (0.0f64, 0.0f64);
-                for e in &self.resident {
-                    if e.rec.alive_at(t) {
-                        let demand = e.rec.demand();
-                        used_cpu += demand.cpu() * e.rec.profile.util_at(ResourceKind::Cpu, t);
-                        used_mem +=
-                            demand.memory() * e.rec.profile.util_at(ResourceKind::Memory, t);
-                    }
-                }
-                if used_cpu > 0.5 * self.capacity.cpu() {
-                    self.cpu_violations += 1;
-                }
-                // Memory contention: the working set exceeds the *backed*
-                // memory — guaranteed (Formula 3) plus the multiplexed pool
-                // (Formula 4) — capped at physical capacity. max(0) clamps
-                // floating-point dust from the incremental sums.
-                let pool = self.va_sums.iter().copied().fold(0.0, f64::max);
-                let backed = (self.pa_sum.max(0.0) + pool).min(self.capacity.memory());
-                if used_mem > backed + 1e-9 {
-                    self.mem_violations += 1;
-                }
-            }
+            self.sample(self.next_sample);
             self.next_sample += sample_every;
+        }
+        if self.next_sample >= horizon && !self.entries.is_empty() {
+            // Past the last sample nothing reads an entry again.
+            self.entries = Vec::new();
+            self.admitted = 0;
+        }
+    }
+
+    /// Evaluate the sample at `t`. Admission, retirement, summation, and
+    /// comparison order all mirror the batch sweep exactly: every addition
+    /// in placement order, then every subtraction in admission order.
+    fn sample(&mut self, t: Timestamp) {
+        // Admit VMs that have arrived by now, skipping any that already
+        // departed (an early departure before the VM's first sample: it
+        // never touches the sums — exactly as the batch sweep skips it).
+        let was_admitted = self.admitted;
+        let mut arrived = was_admitted;
+        while let Some(e) = self.entries.get(arrived).filter(|e| e.arrival <= t) {
+            if e.depart > t {
+                self.pa_sum += e.guar_mem;
+                let va = e.va_mem.as_slice();
+                if self.va_sums.len() < va.len() {
+                    self.va_sums.resize(va.len(), 0.0);
+                }
+                for (sum, v) in self.va_sums.iter_mut().zip(va) {
+                    *sum += v;
+                }
+            }
+            arrived += 1;
+        }
+        // Retire the departed, subtracting what was added for them.
+        let (pa_sum, va_sums) = (&mut self.pa_sum, &mut self.va_sums);
+        let (mut index, mut kept) = (0, 0);
+        self.entries.retain(|e| {
+            let i = index;
+            index += 1;
+            if i >= arrived {
+                return true;
+            }
+            if e.depart > t {
+                kept += 1;
+                return true;
+            }
+            if i < was_admitted {
+                *pa_sum -= e.guar_mem;
+                for (sum, v) in va_sums.iter_mut().zip(e.va_mem.as_slice()) {
+                    *sum -= v;
+                }
+            }
+            false
+        });
+        self.admitted = kept;
+        if self.entries.len() * 4 < self.entries.capacity() {
+            self.entries.shrink_to(self.entries.len() * 2);
+        }
+
+        let resident = &self.entries[..self.admitted];
+        if !resident.is_empty() {
+            self.samples += 1;
+            // Only CPU and memory are compared below, so only they are
+            // sampled: each sum takes `VmRecord::used_at`'s terms for its
+            // resource, in admission order, and keeps that float
+            // trajectory. (Every admitted VM is alive at `t`: it arrived
+            // by `t` and the retirement above left `depart > t`.)
+            let (mut used_cpu, mut used_mem) = (0.0f64, 0.0f64);
+            for e in resident {
+                used_cpu += e.req_cpu * e.util.cpu_at(t);
+                used_mem += e.req_mem * e.util.memory_at(t);
+            }
+            if used_cpu > 0.5 * self.capacity.cpu() {
+                self.cpu_violations += 1;
+            }
+            // Memory contention: the working set exceeds the *backed*
+            // memory — guaranteed (Formula 3) plus the multiplexed pool
+            // (Formula 4) — capped at physical capacity. max(0) clamps
+            // floating-point dust from the incremental sums.
+            let pool = self.va_sums.iter().copied().fold(0.0, f64::max);
+            let backed = (self.pa_sum.max(0.0) + pool).min(self.capacity.memory());
+            if used_mem > backed + 1e-9 {
+                self.mem_violations += 1;
+            }
         }
     }
 }
+
+/// How many samples a server may fall behind before the phased sweep
+/// reaches it. Every visit streams the server's entries through the cache
+/// once, so visiting per sample makes the accountant's memory traffic — and
+/// with it the run's sensitivity to whatever else shares the cache — several
+/// times that of evaluating a few samples per visit; the price is departed
+/// VMs tracked for up to this many samples longer (16 h at the 2 h default:
+/// about a tenth more entries than residents on the medium trace once the
+/// t=0 cohort's first day is over, and never more than that cohort).
+const SWEEP_SAMPLES: u64 = 8;
 
 /// The cluster-wide incremental accountant: per-server Formula 3/4 running
 /// sums plus CPU/memory violation counters, maintained at event
@@ -162,7 +275,13 @@ impl ServerAccount {
 pub struct ViolationAccountant {
     sample_every: SimDuration,
     horizon: Timestamp,
-    servers: HashMap<ServerId, ServerAccount>,
+    /// The clock the phased sweep has reached: every server whose residue
+    /// class came up at or before it has caught up to that moment.
+    swept_to: Timestamp,
+    /// Per-server states in first-placement order — the order the phased
+    /// sweep strides over, and the dump's.
+    servers: Vec<ServerAccount>,
+    index: HashMap<ServerId, u32>,
 }
 
 impl ViolationAccountant {
@@ -172,13 +291,40 @@ impl ViolationAccountant {
         ViolationAccountant {
             sample_every,
             horizon,
-            servers: HashMap::new(),
+            swept_to: Timestamp::ZERO,
+            servers: Vec::new(),
+            index: HashMap::new(),
         }
     }
 
-    /// Record a placement. Also opportunistically evaluates the samples the
-    /// placement's server has pending (its state was constant since its
-    /// previous event), which keeps per-server queues short.
+    /// Move the phased sweep's clock to `now`: the servers in the residue
+    /// class of each tick it passes catch up to `now`, so no server goes
+    /// [`SWEEP_SAMPLES`] samples without catching up. Once the clock is past the
+    /// last sample every server is due at once, and none is afterwards.
+    fn sweep(&mut self, now: Timestamp) {
+        if now <= self.swept_to {
+            return;
+        }
+        let every = self.sample_every.ticks();
+        let last_sample = self.horizon.ticks().saturating_sub(1) / every * every;
+        let (from, to) = (self.swept_to.ticks() + 1, now.ticks());
+        if from > last_sample + 1 {
+            return;
+        }
+        self.swept_to = now;
+        let period = every.saturating_mul(SWEEP_SAMPLES);
+        if to > last_sample || to - from >= period - 1 {
+            return self.advance(now);
+        }
+        for tick in from..=to {
+            let class = (tick % period) as usize;
+            for account in self.servers.iter_mut().skip(class).step_by(period as usize) {
+                account.catch_up(now, self.horizon, self.sample_every);
+            }
+        }
+    }
+
+    /// Record a placement at `rec.arrival`.
     pub fn on_placed(
         &mut self,
         server: ServerId,
@@ -186,42 +332,42 @@ impl ViolationAccountant {
         rec: &VmRecord,
         demand: &VmDemand,
     ) {
-        let account = self
-            .servers
-            .entry(server)
-            .or_insert_with(|| ServerAccount::new(capacity));
+        self.sweep(rec.arrival);
+        let next = self.servers.len();
+        let i = *self.index.entry(server).or_insert(next as u32) as usize;
+        if i == next {
+            self.servers.push(ServerAccount::new(server, capacity));
+        }
+        let account = &mut self.servers[i];
         account.catch_up(rec.arrival, self.horizon, self.sample_every);
-        account.pending.push_back(VmEntry {
-            rec: rec.clone(),
-            guar_mem: demand.guaranteed.memory(),
-            windows: demand.window_max.clone(),
-            depart: rec.departure,
-        });
+        // The first sample that could admit this VM is the server's next.
+        // If the VM is gone by then, or there is no such sample, no sample
+        // ever reads it (the batch sweep skips it the same way).
+        if rec.departure > account.next_sample && account.next_sample < self.horizon {
+            account.entries.push(VmEntry::new(rec, demand));
+        }
     }
 
     /// Record an explicit early departure at `now`: samples before `now`
     /// still see the VM, later ones do not.
     pub fn on_early_departure(&mut self, server: ServerId, vm: VmId, now: Timestamp) {
-        let Some(account) = self.servers.get_mut(&server) else {
+        self.sweep(now);
+        let Some(&i) = self.index.get(&server) else {
             return;
         };
+        let account = &mut self.servers[i as usize];
         account.catch_up(now, self.horizon, self.sample_every);
-        for e in account
-            .pending
-            .iter_mut()
-            .chain(account.resident.iter_mut())
-        {
-            if e.rec.id == vm {
-                e.depart = e.depart.min(now);
-            }
+        for e in account.entries.iter_mut().filter(|e| e.id == vm) {
+            e.depart = e.depart.min(now);
         }
     }
 
     /// Evaluate all servers' samples strictly before `now`.
     pub fn advance(&mut self, now: Timestamp) {
-        for account in self.servers.values_mut() {
+        for account in &mut self.servers {
             account.catch_up(now, self.horizon, self.sample_every);
         }
+        self.swept_to = self.swept_to.max(now);
     }
 
     /// Evaluate every remaining sample up to the horizon.
@@ -231,156 +377,72 @@ impl ViolationAccountant {
 
     /// Aggregate `(samples, cpu_violations, mem_violations)` so far.
     pub fn totals(&self) -> (u64, u64, u64) {
-        self.servers.values().fold((0, 0, 0), |(s, c, m), a| {
+        self.servers.iter().fold((0, 0, 0), |(s, c, m), a| {
             (s + a.samples, c + a.cpu_violations, m + a.mem_violations)
         })
     }
 
+    /// How many VMs the accountant holds an entry for right now. After a
+    /// flush at `now` ([`Self::advance`]): at most the residents plus
+    /// those that departed within the last `sample_every`.
+    pub fn tracked(&self) -> usize {
+        self.servers.iter().map(|a| a.entries.len()).sum()
+    }
+
     /// Copy out the full sampling state for the snapshot codec.
     ///
-    /// Servers are emitted sorted by id (the `HashMap` order is
-    /// per-process), but each server's `pending`/`resident` entry order is
-    /// preserved **verbatim**: admission, retirement, and the Formula 3/4
-    /// running sums all execute in entry order, so reordering here would
-    /// change floating-point results after a restore. The running sums
-    /// themselves travel as raw bits and are never recomputed.
+    /// Servers travel in first-placement order — a function of the event
+    /// stream, not of the per-process `HashMap` — and each server's entry
+    /// order is preserved **verbatim**: admission, retirement, and the
+    /// Formula 3/4 running sums all execute in entry order, so reordering
+    /// here would change floating-point results after a restore. The
+    /// running sums themselves travel as raw bits and are never
+    /// recomputed.
     pub(crate) fn dump(&self) -> AccountantDump {
-        let mut servers: Vec<ServerAccountDump> = self
-            .servers
-            .iter()
-            .map(|(&server, a)| ServerAccountDump {
-                server,
-                capacity: a.capacity,
-                next_sample: a.next_sample,
-                pending: a.pending.iter().map(VmEntry::dump).collect(),
-                resident: a.resident.iter().map(VmEntry::dump).collect(),
-                pa_sum: a.pa_sum,
-                va_sums: a.va_sums.clone(),
-                samples: a.samples,
-                cpu_violations: a.cpu_violations,
-                mem_violations: a.mem_violations,
-            })
-            .collect();
-        servers.sort_unstable_by_key(|s| s.server);
-        AccountantDump { servers }
-    }
-
-    /// Every VM record the sampling state references, deduplicated, in
-    /// dump order — the snapshot's embedded record table.
-    pub(crate) fn referenced_records(&self) -> Vec<&VmRecord> {
-        let mut seen = std::collections::HashSet::new();
-        let mut records = Vec::new();
-        let mut ids: Vec<ServerId> = self.servers.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let a = &self.servers[&id];
-            for e in a.pending.iter().chain(a.resident.iter()) {
-                if seen.insert(e.rec.id) {
-                    records.push(&e.rec);
-                }
-            }
+        AccountantDump {
+            swept_to: self.swept_to,
+            servers: self.servers.clone(),
         }
-        records
     }
 
-    /// Rebuild an accountant from a dump, re-resolving each entry's record
-    /// reference through `resolve` (a trace lookup on the parent side, the
-    /// snapshot's leaked record table inside a process worker).
+    /// Rebuild an accountant from a dump.
     ///
     /// # Panics
     ///
-    /// Panics if `resolve` cannot produce a record for a referenced VM or
-    /// the dump names a server twice — the snapshot and the record source
-    /// disagree, and resampling from partial state would silently corrupt
-    /// the violation counters.
-    pub(crate) fn from_dump<'r>(
+    /// Panics if the dump names a server twice — resampling from partial
+    /// state would silently corrupt the violation counters.
+    pub(crate) fn from_dump(
         sample_every: SimDuration,
         horizon: Timestamp,
         dump: AccountantDump,
-        resolve: &impl Fn(VmId) -> Option<&'r VmRecord>,
     ) -> ViolationAccountant {
         assert!(sample_every.ticks() > 0, "sample cadence must be positive");
-        let revive = |e: &VmEntryDump| -> VmEntry {
-            let rec = resolve(e.vm)
-                .unwrap_or_else(|| panic!("snapshot references unresolvable VM {:?}", e.vm));
-            VmEntry {
-                rec: rec.clone(),
-                guar_mem: e.guar_mem,
-                windows: e.windows.clone(),
-                depart: e.depart,
-            }
-        };
-        let mut servers = HashMap::with_capacity(dump.servers.len());
-        for s in &dump.servers {
-            let account = ServerAccount {
-                capacity: s.capacity,
-                next_sample: s.next_sample,
-                pending: s.pending.iter().map(revive).collect(),
-                resident: s.resident.iter().map(revive).collect(),
-                pa_sum: s.pa_sum,
-                va_sums: s.va_sums.clone(),
-                samples: s.samples,
-                cpu_violations: s.cpu_violations,
-                mem_violations: s.mem_violations,
-            };
-            let previous = servers.insert(s.server, account);
+        let mut index = HashMap::with_capacity(dump.servers.len());
+        for (i, account) in dump.servers.iter().enumerate() {
+            let previous = index.insert(account.server, i as u32);
             assert!(
                 previous.is_none(),
                 "accountant dump names server {:?} twice",
-                s.server
+                account.server
             );
         }
         ViolationAccountant {
             sample_every,
             horizon,
-            servers,
+            swept_to: dump.swept_to,
+            servers: dump.servers,
+            index,
         }
     }
 }
 
-impl VmEntry {
-    /// The wire-facing image of this entry (the record becomes an id).
-    fn dump(&self) -> VmEntryDump {
-        VmEntryDump {
-            vm: self.rec.id,
-            guar_mem: self.guar_mem,
-            windows: self.windows.clone(),
-            depart: self.depart,
-        }
-    }
-}
-
-/// One tracked VM as it crosses the wire: the `&VmRecord` collapses to its
-/// id and is re-resolved on restore.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct VmEntryDump {
-    pub vm: VmId,
-    pub guar_mem: f64,
-    pub windows: WindowVec,
-    pub depart: Timestamp,
-}
-
-/// One server's sampling state on the wire. Entry order in
-/// `pending`/`resident` is decision-bearing (see
-/// [`ViolationAccountant::dump`]).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ServerAccountDump {
-    pub server: ServerId,
-    pub capacity: ResourceVec,
-    pub next_sample: Timestamp,
-    pub pending: Vec<VmEntryDump>,
-    pub resident: Vec<VmEntryDump>,
-    pub pa_sum: f64,
-    pub va_sums: Vec<f64>,
-    pub samples: u64,
-    pub cpu_violations: u64,
-    pub mem_violations: u64,
-}
-
-/// The accountant's wire image: per-server states sorted by server id.
+/// The accountant's wire image: the phased sweep's clock and the
+/// per-server states in first-placement order. Entry order within a
+/// server is decision-bearing (see [`ViolationAccountant::dump`]).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct AccountantDump {
-    pub servers: Vec<ServerAccountDump>,
+    pub swept_to: Timestamp,
+    pub servers: Vec<ServerAccount>,
 }
 
 #[cfg(test)]
@@ -481,16 +543,12 @@ mod tests {
             let demand = VmDemand::unpredicted(vm.id, vm.demand());
             acc.on_placed(ServerId::new((i % 3) as u64), capacity, vm, &demand);
         }
-        // Catch up partway so both queues and the running sums are nonempty.
+        // Catch up partway so the admitted prefix, the not-yet-sampled
+        // tail and the running sums are all nonempty.
         acc.advance(Timestamp::from_ticks(trace.horizon.ticks() / 2));
 
         let dump = acc.dump();
-        let by_id: std::collections::HashMap<VmId, &VmRecord> =
-            trace.vms.iter().map(|v| (v.id, v)).collect();
-        let mut restored =
-            ViolationAccountant::from_dump(every, trace.horizon, dump.clone(), &|vm| {
-                by_id.get(&vm).copied()
-            });
+        let mut restored = ViolationAccountant::from_dump(every, trace.horizon, dump.clone());
         assert_eq!(restored.dump(), dump, "restore re-dumps identically");
 
         // Both halves finish to the horizon with identical counters: the
@@ -501,20 +559,165 @@ mod tests {
         assert_eq!(restored.dump(), acc.dump());
     }
 
+    /// A server that never sees another event still gives its departed
+    /// VMs back: the phased sweep reaches it within `SWEEP_SAMPLES`
+    /// samples, with no flush.
     #[test]
-    #[should_panic(expected = "unresolvable VM")]
-    fn restore_with_missing_record_panics() {
-        let trace = generate(&TraceConfig::small(11));
-        let every = SimDuration::from_hours(2);
-        let mut acc = ViolationAccountant::new(every, trace.horizon);
-        let vm = &trace.vms[0];
-        acc.on_placed(
-            ServerId::new(0),
-            ResourceVec::new(48.0, 192.0, 40.0, 4096.0),
-            vm,
-            &VmDemand::unpredicted(vm.id, vm.demand()),
-        );
-        let dump = acc.dump();
-        let _ = ViolationAccountant::from_dump(every, trace.horizon, dump, &|_| None);
+    fn an_idle_server_is_swept_without_a_flush() {
+        let trace = generate(&TraceConfig::small(7));
+        let capacity = ResourceVec::new(96.0, 384.0, 40.0, 4096.0);
+        let mut acc = ViolationAccountant::new(SimDuration::from_hours(2), trace.horizon);
+        let place = |acc: &mut ViolationAccountant, server, arrival, hours| {
+            let mut rec = trace.vms[0].clone();
+            rec.arrival = Timestamp::from_hours(arrival);
+            rec.departure = Timestamp::from_hours(arrival + hours);
+            let demand = VmDemand::unpredicted(rec.id, rec.demand());
+            acc.on_placed(ServerId::new(server), capacity, &rec, &demand);
+        };
+        place(&mut acc, 0, 0, 3);
+        // The stream moves on to server 1 (zero-length VMs: never stored).
+        let turn = 2 * SWEEP_SAMPLES;
+        for hour in 1..turn {
+            place(&mut acc, 1, hour, 0);
+            assert_eq!(
+                acc.tracked(),
+                1,
+                "hour {hour}: server 0's turn is at {turn} h"
+            );
+        }
+        place(&mut acc, 1, turn, 0);
+        assert_eq!(acc.tracked(), 0, "retired by the 4 h sample");
+        assert_eq!(acc.totals().0, 2, "the 0 h and 2 h samples saw it");
+    }
+
+    #[test]
+    fn an_entry_stays_under_240_bytes() {
+        assert!(std::mem::size_of::<VmEntry>() <= 240);
+        let spilled: VaMem = (0..8).map(f64::from).collect();
+        assert!(matches!(spilled, VaMem::Spilled(_)));
+        assert_eq!(spilled.as_slice().len(), 8);
+        assert_eq!(spilled.as_slice()[7], 7.0);
+    }
+
+    /// With the cadence at or past the horizon only the t=0 sample exists:
+    /// once it is evaluated nothing is tracked, and later placements are
+    /// never stored. Under a real cadence `finish` leaves nothing behind.
+    #[test]
+    fn no_entry_survives_the_last_sample() {
+        let trace = generate(&TraceConfig::small(13));
+        let capacity = ResourceVec::new(96.0, 384.0, 40.0, 4096.0);
+        let place_all = |acc: &mut ViolationAccountant| {
+            for (i, vm) in trace.vms.iter().enumerate() {
+                let demand = VmDemand::unpredicted(vm.id, vm.demand());
+                acc.on_placed(ServerId::new((i % 5) as u64), capacity, vm, &demand);
+                if vm.arrival > Timestamp::ZERO {
+                    assert_eq!(acc.tracked(), 0, "sampling is over after t=0");
+                }
+            }
+        };
+        let mut off = ViolationAccountant::new(trace.horizon.since(Timestamp::ZERO), trace.horizon);
+        place_all(&mut off);
+        let at_zero = trace.vms.iter().filter(|v| v.arrival == Timestamp::ZERO);
+        assert_eq!(off.totals().0, at_zero.count().min(5) as u64);
+
+        let mut on = ViolationAccountant::new(SimDuration::from_hours(2), trace.horizon);
+        let mut peak = 0;
+        for (i, vm) in trace.vms.iter().enumerate() {
+            let demand = VmDemand::unpredicted(vm.id, vm.demand());
+            on.on_placed(ServerId::new((i % 5) as u64), capacity, vm, &demand);
+            peak = peak.max(on.tracked());
+        }
+        assert!(peak > 0);
+        on.finish();
+        assert_eq!(on.tracked(), 0);
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One accountant call, `gap` ticks after the previous one.
+        #[derive(Debug, Clone)]
+        enum Step {
+            Place { vm: usize, server: u64 },
+            Depart { placed: usize },
+            Advance,
+        }
+
+        fn steps() -> impl Strategy<Value = Vec<(u64, Step)>> {
+            let step = (0u8..7, 0usize..64, 0u64..3).prop_map(|(kind, vm, server)| match kind {
+                0..=3 => Step::Place { vm, server },
+                4 => Step::Depart { placed: vm },
+                _ => Step::Advance,
+            });
+            prop::collection::vec((0u64..40, step), 1..60)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+            /// Catching up is time-consistent: `advance(t)` injected at
+            /// random non-decreasing times changes neither the counters
+            /// nor a byte of the final state.
+            #[test]
+            fn catch_up_is_time_consistent(steps in steps(), seed in 0u64..8) {
+                let trace = generate(&TraceConfig::small(100 + seed));
+                let capacity = ResourceVec::new(24.0, 96.0, 40.0, 4096.0);
+                let every = SimDuration::from_hours(2);
+                let run = |with_advances: bool| {
+                    let mut acc = ViolationAccountant::new(every, trace.horizon);
+                    let mut now = Timestamp::ZERO;
+                    let mut placed: Vec<(ServerId, VmId)> = Vec::new();
+                    for (gap, step) in &steps {
+                        now += SimDuration::from_ticks(*gap);
+                        match step {
+                            Step::Place { vm, server } => {
+                                // The trace's profile and lifetime, arriving now.
+                                let mut rec = trace.vms[*vm].clone();
+                                rec.departure = now + rec.lifetime();
+                                rec.arrival = now;
+                                rec.id = VmId::new(placed.len() as u64);
+                                let demand = VmDemand::unpredicted(rec.id, rec.demand());
+                                let server = ServerId::new(*server);
+                                acc.on_placed(server, capacity, &rec, &demand);
+                                placed.push((server, rec.id));
+                            }
+                            Step::Depart { placed: i } => {
+                                if let Some(&(server, vm)) = placed.get(*i) {
+                                    acc.on_early_departure(server, vm, now);
+                                }
+                            }
+                            Step::Advance if with_advances => acc.advance(now),
+                            Step::Advance => {}
+                        }
+                    }
+                    acc.finish();
+                    (acc.totals(), coach_wire::seal_frame(&acc.dump()))
+                };
+                prop_assert_eq!(run(true), run(false));
+            }
+
+            /// The entry's sampler returns `VmProfile::util_at`'s bits.
+            #[test]
+            fn slim_entry_samples_like_the_record(
+                seed in 0u64..64,
+                vm in 0usize..200,
+                ticks in prop::collection::vec(0u64..(28 * TICKS_PER_DAY), 1..32),
+            ) {
+                let trace = generate(&TraceConfig::small(seed));
+                let rec = &trace.vms[vm % trace.vms.len()];
+                let demand = VmDemand::unpredicted(rec.id, rec.demand());
+                let entry = VmEntry::new(rec, &demand);
+                for t in ticks.into_iter().map(Timestamp::from_ticks) {
+                    let cpu = rec.profile.util_at(ResourceKind::Cpu, t);
+                    let mem = rec.profile.util_at(ResourceKind::Memory, t);
+                    prop_assert_eq!(entry.util.cpu_at(t).to_bits(), cpu.to_bits());
+                    prop_assert_eq!(entry.util.memory_at(t).to_bits(), mem.to_bits());
+                    prop_assert_eq!(
+                        (entry.req_cpu * cpu).to_bits(),
+                        (rec.demand().cpu() * cpu).to_bits()
+                    );
+                }
+            }
+        }
     }
 }

@@ -158,10 +158,10 @@ struct Counters {
 /// tests across seeds, policies, and random interleavings.
 ///
 /// The `'a` lifetime ties the controller to its *predictor* only. Request
-/// records are copied into the controller's own state where needed (the
-/// accountant owns its records since PR 10), so arrivals may borrow from
-/// transient buffers — the streaming ingestion path feeds bounded chunks
-/// that are dropped as soon as each segment is handled.
+/// records are never kept: the store and the accountant copy out the few
+/// fields they read, so arrivals may borrow from transient buffers — the
+/// streaming ingestion path feeds bounded chunks that are dropped as soon
+/// as each segment is handled.
 pub struct Controller<'a> {
     config: ServeConfig,
     predictor: &'a dyn Predictor,
@@ -763,9 +763,10 @@ impl<'a> Controller<'a> {
     /// Serialize the full decision-bearing state into a versioned
     /// [`Snapshot`] frame — schedulers, resident store, departure heap,
     /// accountant, counters, latency histogram, and the undrained
-    /// occupancy timeline, plus an embedded table of every [`VmRecord`]
-    /// the accountant still references (so the snapshot restores without
-    /// the original trace in hand).
+    /// occupancy timeline. The accountant's entries are self-contained
+    /// (each carries the sampler cut from its VM's profile, not a record
+    /// reference), so the snapshot restores without the original trace in
+    /// hand.
     ///
     /// Non-destructive: the controller keeps serving, and snapshotting
     /// twice at the same point yields identical bytes. Every accumulated
@@ -807,12 +808,6 @@ impl<'a> Controller<'a> {
             in_use: self.in_use,
             peak_in_use: self.peak_in_use,
             timeline: self.timeline.clone(),
-            records: self
-                .accountant
-                .referenced_records()
-                .into_iter()
-                .cloned()
-                .collect(),
         };
         if let Some(t) = &self.telemetry {
             let t0 = Instant::now();
@@ -827,10 +822,11 @@ impl<'a> Controller<'a> {
     }
 
     /// Rebuild a controller from a [`Snapshot`], resuming service exactly
-    /// where [`Controller::snapshot`] left off. Each accountant entry's
-    /// record reference is re-resolved through `resolve` — a trace lookup
-    /// on the parent side, or the snapshot's own leaked
-    /// [`Snapshot::records`] table inside a process worker.
+    /// where [`Controller::snapshot`] left off. The snapshot is all it
+    /// reads: `_resolve` is **ignored** (accountant entries stopped
+    /// referencing trace records) and survives only because the frozen
+    /// `examples/benchmark` passes it; the next `[benchmark]` change drops
+    /// the argument.
     ///
     /// Structural problems in the bytes (truncation, bad tags, a window
     /// partition that disagrees with `predictor`, an out-of-range server
@@ -839,12 +835,12 @@ impl<'a> Controller<'a> {
     /// # Panics
     ///
     /// Panics if a structurally valid dump is semantically inconsistent:
-    /// `resolve` cannot produce a referenced record, a VM occupies two
-    /// resident slots, or the accountant names a server twice.
+    /// a VM occupies two resident slots, or the accountant names a server
+    /// twice.
     pub fn restore<'r>(
         predictor: &'a dyn Predictor,
         snapshot: &Snapshot,
-        resolve: impl Fn(VmId) -> Option<&'r VmRecord>,
+        _resolve: impl Fn(VmId) -> Option<&'r VmRecord>,
     ) -> Result<Controller<'a>, WireError> {
         let dump: ControllerDump = coach_wire::open_frame(snapshot.bytes())?;
         let tw = predictor.time_windows();
@@ -880,7 +876,6 @@ impl<'a> Controller<'a> {
                 config.sample_every,
                 config.horizon,
                 dump.accountant,
-                &resolve,
             ),
             config,
             predictor,
@@ -957,9 +952,6 @@ pub(crate) struct ControllerDump {
     pub in_use: usize,
     pub peak_in_use: usize,
     pub timeline: Vec<OccDelta>,
-    /// Every record the accountant references, deduplicated — the
-    /// self-contained table a process worker leaks and resolves against.
-    pub records: Vec<VmRecord>,
 }
 
 impl std::fmt::Debug for Controller<'_> {
@@ -1115,6 +1107,58 @@ mod tests {
             &coach_sim::Model::new(&model),
             &[DERIVE_CHUNK + 1, SEGMENT + 1],
         );
+    }
+
+    /// The accountant's footprint follows residency, not the stream: at
+    /// every 6 h stats barrier it tracks no more than the resident VMs
+    /// plus those that departed within the last sample.
+    #[test]
+    fn accountant_tracks_residents_plus_one_sample_of_departures() {
+        let trace = generate(&TraceConfig {
+            vm_count: 4_000,
+            cluster_count: 2,
+            subscription_count: 200,
+            ..TraceConfig::medium(2026)
+        });
+        let oracle = Oracle::new(TimeWindows::paper_default());
+        let mut controller = coach_controller(&trace, &oracle);
+        let every = controller.config.sample_every;
+        let mut departures: Vec<Timestamp> = Vec::new();
+        let barrier = |controller: &mut Controller, departures: &[Timestamp], now| {
+            let Response::Stats(stats) = controller.handle(Request::Stats { now }) else {
+                panic!("a stats request answers with stats");
+            };
+            let just_departed = departures
+                .iter()
+                .filter(|&&d| d > now.saturating_sub(every) && d < now)
+                .count();
+            let tracked = controller.accountant.tracked();
+            assert!(
+                tracked <= stats.resident_vms + just_departed,
+                "{now}: {tracked} tracked, {} resident, {just_departed} just departed",
+                stats.resident_vms
+            );
+            tracked
+        };
+        let mut now = Timestamp::ZERO;
+        let mut tracked = Vec::new();
+        for rec in &trace.vms {
+            while now + SimDuration::from_hours(6) <= rec.arrival {
+                now += SimDuration::from_hours(6);
+                tracked.push(barrier(&mut controller, &departures, now));
+            }
+            if let Response::Admission {
+                outcome: PlacementOutcome::Placed(_),
+                ..
+            } = controller.handle(Request::Arrive(rec))
+            {
+                departures.push(rec.departure);
+            }
+        }
+        tracked.push(barrier(&mut controller, &departures, trace.horizon));
+        let peak = tracked.iter().copied().max().expect("barriers ran");
+        assert!(peak > 0 && peak < departures.len() / 2, "peak {peak}");
+        assert_eq!(tracked.last(), Some(&0), "nothing outlives the last sample");
     }
 
     /// Records every `predict_batch` call — its thread and its inputs —

@@ -47,7 +47,6 @@ use coach_telemetry::{
 use coach_trace::{Cluster, Trace, VmRecord};
 use coach_types::prelude::*;
 use coach_wire::{open_frame, seal_frame, WireError};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -633,11 +632,10 @@ impl<'a> ShardedController<'a> {
 
     /// Replace one shard's state with a restored [`Snapshot`] — the resume
     /// half of live servicing (e.g. into a freshly constructed controller
-    /// after an upgrade, or to roll a shard back). `resolve` re-resolves
-    /// the accounting state's record references, exactly as in
-    /// [`Controller::restore`]. Under the process backend the snapshot is
-    /// additionally installed as the shard's checkpoint in a fresh child
-    /// that replaces the live one ([`Self::worker_pid`] changes;
+    /// after an upgrade, or to roll a shard back); the snapshot is all it
+    /// reads. Under the process backend the snapshot is additionally
+    /// installed as the shard's checkpoint in a fresh child that replaces
+    /// the live one ([`Self::worker_pid`] changes;
     /// [`Self::worker_restarts`] does not count it).
     ///
     /// The restored shard must cover the same clusters the slot covered
@@ -648,17 +646,12 @@ impl<'a> ShardedController<'a> {
     ///
     /// Panics if `shard` is out of range, or on a semantically
     /// inconsistent dump (see [`Controller::restore`]).
-    pub fn resume_shard(
-        &mut self,
-        shard: usize,
-        snapshot: &Snapshot,
-        resolve: impl Fn(VmId) -> Option<&'a VmRecord>,
-    ) -> Result<(), WireError> {
+    pub fn resume_shard(&mut self, shard: usize, snapshot: &Snapshot) -> Result<(), WireError> {
         assert!(shard < self.shards.len(), "shard {shard} out of range");
         // Restoring parent-side first validates the bytes (and keeps the
         // parent copy authoritative for the next pool spawn).
         let t0 = Instant::now();
-        self.shards[shard] = Controller::restore(self.predictor, snapshot, resolve)?;
+        self.shards[shard] = Controller::restore(self.predictor, snapshot, |_| None)?;
         if let Some(t) = self.telemetry.as_deref() {
             let secs = t0.elapsed().as_secs_f64();
             if secs > 0.0 {
@@ -704,9 +697,9 @@ impl<'a> ShardedController<'a> {
 ///
 /// The worker speaks the frame protocol on stdin/stdout
 /// ([`coach_types::runtime::serve_child_frames`]): an `WireCmd::Init`
-/// frame builds its controller from a [`Snapshot`] (leaking the embedded
-/// record table and an [`Oracle`] — a worker process serves exactly one
-/// controller for its lifetime, so the leaks are bounded and deliberate:
+/// frame builds its controller from a [`Snapshot`] (leaking an
+/// [`Oracle`] — a worker process serves exactly one controller for its
+/// lifetime, so the leak is bounded and deliberate:
 /// [`ProcessPool::install_checkpoint`] hands a second `Init` to a
 /// replacement process, never to this one),
 /// then segments, tokens, finalize, and export frames each produce exactly
@@ -739,13 +732,8 @@ fn child_step(shard: u32, state: &mut Option<Controller<'static>>, cmd: WireCmd)
         let PredictorSpec::Oracle { windows_per_day } = spec;
         let predictor: &'static Oracle =
             Box::leak(Box::new(Oracle::new(TimeWindows::new(windows_per_day))));
-        let snapshot = Snapshot::from_bytes(snapshot);
-        let records: &'static [VmRecord] =
-            Vec::leak(snapshot.records().expect("decode checkpoint record table"));
-        let table: HashMap<VmId, &'static VmRecord> =
-            records.iter().map(|rec| (rec.id, rec)).collect();
         let mut controller =
-            Controller::restore(predictor, &snapshot, |vm| table.get(&vm).copied())
+            Controller::restore(predictor, &Snapshot::from_bytes(snapshot), |_| None)
                 .expect("restore controller from checkpoint frame");
         // A child cannot see how many siblings share the box, so it never
         // claims a second core.

@@ -9,7 +9,7 @@
 //! problems are [`WireError`]s; only *semantically* inconsistent dumps —
 //! which no honest snapshot produces — panic at restore time).
 
-use crate::account::{AccountantDump, ServerAccountDump, VmEntryDump};
+use crate::account::{AccountantDump, ServerAccount, VmEntry};
 use crate::controller::{ControllerDump, ServeConfig};
 use crate::request::{LatencyHistogram, Request, Response, StatsReport};
 use crate::shard::ShardSnapshot;
@@ -18,7 +18,7 @@ use coach_sim::PackingResult;
 use coach_telemetry::{MetricEntry, MetricValue, RegistrySnapshot, TelemetryConfig};
 use coach_trace::VmRecord;
 use coach_types::prelude::*;
-use coach_wire::{open_frame, seal_frame, Decode, Decoder, Encode, Encoder, WireError};
+use coach_wire::{seal_frame, Decode, Decoder, Encode, Encoder, WireError};
 
 /// A sealed, self-contained image of one [`Controller`](crate::Controller)
 /// — the unit of live servicing. Produced by
@@ -28,9 +28,8 @@ use coach_wire::{open_frame, seal_frame, Decode, Decoder, Encode, Encoder, WireE
 /// [`ShardedController::resume_shard`](crate::ShardedController::resume_shard),
 /// and shipped verbatim as the process backend's checkpoint payload.
 ///
-/// The bytes embed every [`VmRecord`] the accounting state still
-/// references ([`Snapshot::records`]), so a snapshot restores in a process
-/// that has never seen the trace.
+/// The accounting state's entries are self-contained, so a snapshot
+/// restores in a process that has never seen the trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     bytes: Vec<u8>,
@@ -68,14 +67,6 @@ impl Snapshot {
     /// Whether the frame is empty (never true for a sealed snapshot).
     pub fn is_empty(&self) -> bool {
         self.bytes.is_empty()
-    }
-
-    /// The embedded record table: every VM record the snapshotted
-    /// accounting state references, deduplicated. A restoring process can
-    /// leak these and resolve against them — no trace required.
-    pub fn records(&self) -> Result<Vec<VmRecord>, WireError> {
-        let dump: ControllerDump = open_frame(&self.bytes)?;
-        Ok(dump.records)
     }
 }
 
@@ -272,33 +263,45 @@ impl Decode for StoreDump {
     }
 }
 
-impl Encode for VmEntryDump {
+impl Encode for VmEntry {
     fn encode(&self, e: &mut Encoder) {
-        self.vm.encode(e);
-        e.f64(self.guar_mem);
-        self.windows.encode(e);
+        self.id.encode(e);
+        self.arrival.encode(e);
         self.depart.encode(e);
+        e.f64(self.req_cpu);
+        e.f64(self.req_mem);
+        e.f64(self.guar_mem);
+        let va_mem = self.va_mem.as_slice();
+        e.usize(va_mem.len());
+        for v in va_mem {
+            e.f64(*v);
+        }
+        self.util.encode(e);
     }
 }
 
-impl Decode for VmEntryDump {
+impl Decode for VmEntry {
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(VmEntryDump {
-            vm: Decode::decode(d)?,
-            guar_mem: d.f64("VmEntryDump guar_mem")?,
-            windows: Decode::decode(d)?,
+        Ok(VmEntry {
+            id: Decode::decode(d)?,
+            arrival: Decode::decode(d)?,
             depart: Decode::decode(d)?,
+            req_cpu: d.f64("VmEntry req_cpu")?,
+            req_mem: d.f64("VmEntry req_mem")?,
+            guar_mem: d.f64("VmEntry guar_mem")?,
+            va_mem: Vec::<f64>::decode(d)?.into_iter().collect(),
+            util: Decode::decode(d)?,
         })
     }
 }
 
-impl Encode for ServerAccountDump {
+impl Encode for ServerAccount {
     fn encode(&self, e: &mut Encoder) {
         self.server.encode(e);
         self.capacity.encode(e);
         self.next_sample.encode(e);
-        self.pending.encode(e);
-        self.resident.encode(e);
+        self.entries.encode(e);
+        e.usize(self.admitted);
         e.f64(self.pa_sum);
         self.va_sums.encode(e);
         e.u64(self.samples);
@@ -307,25 +310,32 @@ impl Encode for ServerAccountDump {
     }
 }
 
-impl Decode for ServerAccountDump {
+impl Decode for ServerAccount {
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(ServerAccountDump {
+        let account = ServerAccount {
             server: Decode::decode(d)?,
             capacity: Decode::decode(d)?,
             next_sample: Decode::decode(d)?,
-            pending: Decode::decode(d)?,
-            resident: Decode::decode(d)?,
-            pa_sum: d.f64("ServerAccountDump pa_sum")?,
+            entries: Decode::decode(d)?,
+            admitted: d.usize("ServerAccount admitted")?,
+            pa_sum: d.f64("ServerAccount pa_sum")?,
             va_sums: Decode::decode(d)?,
-            samples: d.u64("ServerAccountDump samples")?,
-            cpu_violations: d.u64("ServerAccountDump cpu_violations")?,
-            mem_violations: d.u64("ServerAccountDump mem_violations")?,
-        })
+            samples: d.u64("ServerAccount samples")?,
+            cpu_violations: d.u64("ServerAccount cpu_violations")?,
+            mem_violations: d.u64("ServerAccount mem_violations")?,
+        };
+        if account.admitted > account.entries.len() {
+            return Err(WireError::Invalid {
+                context: "ServerAccount admitted prefix",
+            });
+        }
+        Ok(account)
     }
 }
 
 impl Encode for AccountantDump {
     fn encode(&self, e: &mut Encoder) {
+        self.swept_to.encode(e);
         self.servers.encode(e);
     }
 }
@@ -333,6 +343,7 @@ impl Encode for AccountantDump {
 impl Decode for AccountantDump {
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         Ok(AccountantDump {
+            swept_to: Decode::decode(d)?,
             servers: Decode::decode(d)?,
         })
     }
@@ -360,7 +371,6 @@ impl Encode for ControllerDump {
         e.usize(self.in_use);
         e.usize(self.peak_in_use);
         self.timeline.encode(e);
-        self.records.encode(e);
     }
 }
 
@@ -387,7 +397,6 @@ impl Decode for ControllerDump {
             in_use: d.usize("ControllerDump in_use")?,
             peak_in_use: d.usize("ControllerDump peak_in_use")?,
             timeline: Decode::decode(d)?,
-            records: Decode::decode(d)?,
         })
     }
 }
@@ -757,6 +766,7 @@ mod tests {
     use super::*;
     use coach_sim::{PackingResult, PolicyConfig};
     use coach_trace::{generate, TraceConfig};
+    use coach_wire::open_frame;
 
     #[test]
     fn serve_config_roundtrips() {
@@ -941,7 +951,7 @@ mod tests {
         }
 
         let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("tests/fixtures/protocol_v2.bin");
+            .join("tests/fixtures/protocol_v3.bin");
         if std::env::var_os("COACH_WIRE_BLESS").is_some() {
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
             std::fs::write(&path, &stream).unwrap();
@@ -950,7 +960,7 @@ mod tests {
             std::fs::read(&path).unwrap_or_else(|e| panic!("missing golden fixture: {e}"));
         assert_eq!(
             stream, fixture,
-            "protocol frame encoding drifted from the committed v2 fixture — \
+            "protocol frame encoding drifted from the committed v3 fixture — \
              this is a wire format change and needs a VERSION bump"
         );
 
@@ -979,6 +989,6 @@ mod tests {
 
         // A truncated snapshot frame decodes to an error, not a panic.
         let snap = Snapshot::from_bytes(vec![0x43, 0x57]);
-        assert!(snap.records().is_err());
+        assert!(open_frame::<ControllerDump>(snap.bytes()).is_err());
     }
 }

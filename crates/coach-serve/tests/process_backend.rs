@@ -12,13 +12,8 @@ use coach_serve::{
     Snapshot, StatsReport, TelemetryConfig, SHARD_WORKER_ENV,
 };
 use coach_sim::{packing_experiment, Oracle, PolicyConfig, ProbeMode};
-use coach_trace::{generate, Trace, TraceConfig, VmRecord};
+use coach_trace::{generate, Trace, TraceConfig};
 use coach_types::prelude::*;
-use std::collections::HashMap;
-
-fn record_table(trace: &Trace) -> HashMap<VmId, &VmRecord> {
-    trace.vms.iter().map(|rec| (rec.id, rec)).collect()
-}
 
 /// A process-backed sharded controller replaying the batch semantics.
 fn process_controller<'a>(
@@ -185,7 +180,6 @@ fn process_drain_resume_roundtrip() {
     let oracle = Oracle::new(TimeWindows::paper_default());
     let coach = PolicyConfig::paper_set().remove(2);
     let shards = 2usize;
-    let table = record_table(&trace);
     let expected = serve_trace_sharded(&trace, &oracle, coach, 0.7, shards);
 
     let requests: Vec<Request> = RequestSource::replaying(&trace).collect();
@@ -202,7 +196,7 @@ fn process_drain_resume_roundtrip() {
     for (shard, snapshot) in snapshots.iter().enumerate() {
         let before = second.worker_pid(shard).expect("process pool is live");
         second
-            .resume_shard(shard, snapshot, |vm| table.get(&vm).copied())
+            .resume_shard(shard, snapshot)
             .expect("exported snapshot restores");
         assert_ne!(
             second.worker_pid(shard),

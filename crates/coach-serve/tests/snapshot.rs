@@ -13,13 +13,6 @@ use coach_types::prelude::*;
 use coach_wire::WireError;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
-
-/// Record-resolution table for restores: snapshots carry accounting state
-/// that references trace records by id.
-fn record_table(trace: &Trace) -> HashMap<VmId, &VmRecord> {
-    trace.vms.iter().map(|rec| (rec.id, rec)).collect()
-}
 
 /// Drain every shard at `split`, restore into a brand-new controller, and
 /// finish the stream there; return the merged final result.
@@ -33,7 +26,6 @@ fn interrupted_replay(
 ) -> coach_sim::PackingResult {
     let requests: Vec<Request> = RequestSource::replaying(trace).collect();
     let split = split.min(requests.len());
-    let table = record_table(trace);
 
     let mut first = ShardedController::replaying(trace, oracle, policy, fraction, shards);
     first.handle_batch(&requests[..split]);
@@ -47,7 +39,7 @@ fn interrupted_replay(
     let mut second = ShardedController::replaying(trace, oracle, policy, fraction, shards);
     for (shard, snapshot) in snapshots.iter().enumerate() {
         second
-            .resume_shard(shard, snapshot, |vm| table.get(&vm).copied())
+            .resume_shard(shard, snapshot)
             .expect("drained snapshot restores");
     }
     second.handle_batch(&requests[split..]);
@@ -94,7 +86,6 @@ fn snapshot_is_nondestructive_and_roundtrips_bytes() {
     let trace = generate(&TraceConfig::small(777));
     let oracle = Oracle::new(TimeWindows::paper_default());
     let coach = PolicyConfig::paper_set().remove(2);
-    let table = record_table(&trace);
     let requests: Vec<Request> = RequestSource::replaying(&trace).collect();
     let split = requests.len() / 2;
 
@@ -107,8 +98,7 @@ fn snapshot_is_nondestructive_and_roundtrips_bytes() {
     assert_eq!(s1, s2, "snapshot is a pure read");
     assert!(!s1.is_empty());
 
-    let mut restored =
-        Controller::restore(&oracle, &s1, |vm| table.get(&vm).copied()).expect("snapshot restores");
+    let mut restored = Controller::restore(&oracle, &s1, |_| None).expect("snapshot restores");
     assert_eq!(
         restored.snapshot(),
         s1,
@@ -131,7 +121,6 @@ fn restore_rejects_mismatched_or_corrupt_snapshots() {
     let trace = generate(&TraceConfig::small(31));
     let oracle = Oracle::new(TimeWindows::paper_default());
     let coach = PolicyConfig::paper_set().remove(2);
-    let table = record_table(&trace);
     let mut controller = Controller::replaying(&trace, &oracle, coach, 0.6);
     let requests: Vec<Request> = RequestSource::replaying(&trace).collect();
     for request in &requests[..requests.len() / 2] {
@@ -143,7 +132,7 @@ fn restore_rejects_mismatched_or_corrupt_snapshots() {
     let other = Oracle::new(TimeWindows::new(
         TimeWindows::paper_default().count() as u32 * 2,
     ));
-    let Err(err) = Controller::restore(&other, &snapshot, |vm| table.get(&vm).copied()) else {
+    let Err(err) = Controller::restore(&other, &snapshot, |_| None) else {
         panic!("window mismatch rejected");
     };
     assert!(
@@ -153,26 +142,16 @@ fn restore_rejects_mismatched_or_corrupt_snapshots() {
 
     // Truncated bytes fail structurally, never panic.
     let truncated = Snapshot::from_bytes(snapshot.bytes()[..snapshot.len() / 2].to_vec());
-    assert!(Controller::restore(&oracle, &truncated, |vm| table.get(&vm).copied()).is_err());
+    assert!(Controller::restore(&oracle, &truncated, |_| None).is_err());
 
     // A corrupted magic is rejected before any field decodes.
     let mut garbled = snapshot.bytes().to_vec();
     garbled[0] ^= 0xff;
     let garbled = Snapshot::from_bytes(garbled);
     assert!(matches!(
-        Controller::restore(&oracle, &garbled, |vm| table.get(&vm).copied()).err(),
+        Controller::restore(&oracle, &garbled, |_| None).err(),
         Some(WireError::Magic { .. })
     ));
-
-    // An unresolvable record reference is a caller bug and panics with a
-    // named VM (resolve returning None means the record table is stale).
-    let resolves_nothing = std::panic::catch_unwind(|| {
-        let _ = Controller::restore(&oracle, &snapshot, |_| None);
-    });
-    assert!(
-        resolves_nothing.is_err(),
-        "restore with an empty record table panics"
-    );
 }
 
 /// Build a synthetic trace from raw (arrival, lifetime, size) triples —

@@ -13,7 +13,6 @@ use coach_sim::{Oracle, PolicyConfig};
 use coach_trace::{generate, TraceConfig};
 use coach_types::prelude::*;
 use coach_wire::WireError;
-use std::collections::HashMap;
 use std::path::PathBuf;
 
 fn fixture_path(name: &str) -> PathBuf {
@@ -55,11 +54,11 @@ fn golden_snapshot() -> (coach_trace::Trace, Snapshot) {
 #[test]
 fn golden_snapshot_bytes_are_pinned() {
     let (_trace, snapshot) = golden_snapshot();
-    let fixture = load_or_bless("snapshot_v2.bin", snapshot.bytes());
+    let fixture = load_or_bless("snapshot_v3.bin", snapshot.bytes());
     assert_eq!(
         snapshot.bytes(),
         &fixture[..],
-        "snapshot encoding drifted from the committed v2 fixture — \
+        "snapshot encoding drifted from the committed v3 fixture — \
          this is a wire format change and needs a VERSION bump"
     );
 }
@@ -67,20 +66,18 @@ fn golden_snapshot_bytes_are_pinned() {
 #[test]
 fn golden_snapshot_restores_and_resumes() {
     let (trace, live) = golden_snapshot();
-    let fixture = load_or_bless("snapshot_v2.bin", live.bytes());
+    let fixture = load_or_bless("snapshot_v3.bin", live.bytes());
     let committed = Snapshot::from_bytes(fixture);
 
     // The committed bytes restore, re-snapshot to themselves, and finish
     // the stream to the same result as the freshly taken snapshot.
     let oracle = Oracle::new(TimeWindows::paper_default());
-    let table: HashMap<VmId, &coach_trace::VmRecord> =
-        trace.vms.iter().map(|rec| (rec.id, rec)).collect();
-    let mut from_fixture = Controller::restore(&oracle, &committed, |vm| table.get(&vm).copied())
-        .expect("committed snapshot restores");
+    let mut from_fixture =
+        Controller::restore(&oracle, &committed, |_| None).expect("committed snapshot restores");
     assert_eq!(from_fixture.snapshot(), committed);
 
-    let mut from_live = Controller::restore(&oracle, &live, |vm| table.get(&vm).copied())
-        .expect("fresh snapshot restores");
+    let mut from_live =
+        Controller::restore(&oracle, &live, |_| None).expect("fresh snapshot restores");
     let requests: Vec<Request> = RequestSource::replaying(&trace).collect();
     for request in &requests[requests.len() / 2..] {
         from_fixture.handle(*request);
@@ -90,20 +87,23 @@ fn golden_snapshot_restores_and_resumes() {
 }
 
 #[test]
-fn v1_versioned_snapshot_is_rejected_structurally() {
-    // A checkpoint sealed before the v2 layout change carries version 1
-    // in its header: restoring it must fail with the typed version error,
-    // never re-interpret the old `ServeConfig` layout.
+fn older_versioned_snapshots_are_rejected_structurally() {
+    // A checkpoint sealed before a layout change carries the old version
+    // in its header (1: the old `ServeConfig`; 2: accountant entries as
+    // record references plus a record table): restoring it must fail with
+    // the typed version error, never re-interpret the old layout.
     let (_trace, live) = golden_snapshot();
-    let mut bytes = load_or_bless("snapshot_v2.bin", live.bytes());
-    bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
     let oracle = Oracle::new(TimeWindows::paper_default());
-    let restored = Controller::restore(&oracle, &Snapshot::from_bytes(bytes), |_| None);
-    assert_eq!(
-        restored.err(),
-        Some(WireError::Version {
-            got: 1,
-            expected: coach_wire::VERSION,
-        })
-    );
+    for old in [1u16, 2] {
+        let mut bytes = load_or_bless("snapshot_v3.bin", live.bytes());
+        bytes[4..6].copy_from_slice(&old.to_le_bytes());
+        let restored = Controller::restore(&oracle, &Snapshot::from_bytes(bytes), |_| None);
+        assert_eq!(
+            restored.err(),
+            Some(WireError::Version {
+                got: old,
+                expected: coach_wire::VERSION,
+            })
+        );
+    }
 }

@@ -16,7 +16,7 @@
 use crate::prediction::Predictor;
 use crate::probe::{measure_probe_capacity, paper_probe_times, probe_demand};
 use coach_sched::{ClusterScheduler, PlacementHeuristic, PlacementOutcome, Policy, VmDemand};
-use coach_trace::Trace;
+use coach_trace::{Trace, VmRecord};
 use coach_types::prelude::*;
 use coach_types::{available_threads, par_map, par_map_threads};
 use std::collections::HashMap;
@@ -258,9 +258,18 @@ fn packing_experiment_threads(
     // alive set and its Formula 3/4 sums are maintained by an event sweep
     // over precomputed VM lifetimes instead of re-scanning every hosted VM
     // at every sample time.
+    let sample_every = VIOLATION_SAMPLE_EVERY;
+    // A VM no sample can see never touches a sum: it departs by the first
+    // sample at or after its arrival, or that sample is past the horizon.
+    let sampled = |vm: &VmRecord| {
+        let first = vm.arrival.ticks().next_multiple_of(sample_every.ticks());
+        first < vm.departure.ticks().min(trace.horizon.ticks())
+    };
     let mut by_server_map: HashMap<ServerId, Vec<usize>> = HashMap::new();
     for (&i, (server, _, _)) in &placement {
-        by_server_map.entry(*server).or_default().push(i);
+        if sampled(&trace.vms[i]) {
+            by_server_map.entry(*server).or_default().push(i);
+        }
     }
     // Deterministic worker inputs regardless of hash order.
     let mut by_server: Vec<(ServerId, Vec<usize>)> = by_server_map.into_iter().collect();
@@ -271,7 +280,6 @@ fn packing_experiment_threads(
         .flat_map(|c| c.servers.iter().map(move |&s| (s, c.hardware.capacity)))
         .collect();
 
-    let sample_every = VIOLATION_SAMPLE_EVERY;
     let per_server = par_map_threads(&by_server, violation_threads, |(server, vm_idxs)| {
         server_violation_stats(
             trace,

@@ -173,6 +173,74 @@ impl BumpGeometry {
     }
 }
 
+/// One resource's utilization fraction at `t` — the arithmetic behind
+/// [`VmProfile::util_at`] and [`UtilSampler`], in one place so the two
+/// agree bit for bit.
+fn resource_util_at(
+    p: &ResourceProfile,
+    kind: PatternKind,
+    noise_seed: u64,
+    resource: ResourceKind,
+    t: Timestamp,
+) -> f64 {
+    let hour = t.tick_of_day() as f64 / TICKS_PER_HOUR as f64;
+    let day = t.day();
+
+    let mut level = p.base + p.amplitude * p.diurnal_shape(hour);
+    if t.is_weekend() {
+        level *= p.weekend_factor;
+    }
+
+    // Day-to-day drift: deterministic pseudo-random walk bounded by
+    // daily_drift. Uses a hash of (seed, resource, day) so that the same
+    // day always drifts identically.
+    let drift_u = hash_unit(noise_seed, resource.index() as u64, day, 0);
+    level += p.daily_drift * (2.0 * drift_u - 1.0);
+
+    // Per-tick noise. Unpredictable VMs get slow random-walk-ish noise
+    // (correlated across 1 hour) on top of white noise.
+    let tick = t.ticks();
+    let white = 2.0 * hash_unit(noise_seed, resource.index() as u64, tick, 1) - 1.0;
+    level += p.noise * white;
+    if kind == PatternKind::Unpredictable {
+        let hour_block = tick / TICKS_PER_HOUR;
+        let walk = 2.0 * hash_unit(noise_seed, resource.index() as u64, hour_block, 2) - 1.0;
+        level += 3.0 * p.noise * walk;
+    }
+
+    level.clamp(0.0, 1.0)
+}
+
+/// What sampling a VM's CPU and memory utilization reads of its
+/// [`VmProfile`], and nothing else: two [`ResourceProfile`]s, the pattern
+/// class and the noise seed (128 bytes against the profile's 240). The
+/// serving path's violation accountant keeps one per tracked VM.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct UtilSampler {
+    pub(crate) cpu: ResourceProfile,
+    pub(crate) memory: ResourceProfile,
+    pub(crate) noise_seed: u64,
+    pub(crate) kind: PatternKind,
+}
+
+impl UtilSampler {
+    /// CPU utilization fraction at `t`: `VmProfile::util_at(Cpu, t)`.
+    pub fn cpu_at(&self, t: Timestamp) -> f64 {
+        resource_util_at(&self.cpu, self.kind, self.noise_seed, ResourceKind::Cpu, t)
+    }
+
+    /// Memory utilization fraction at `t`: `VmProfile::util_at(Memory, t)`.
+    pub fn memory_at(&self, t: Timestamp) -> f64 {
+        resource_util_at(
+            &self.memory,
+            self.kind,
+            self.noise_seed,
+            ResourceKind::Memory,
+            t,
+        )
+    }
+}
+
 /// The full temporal behavior of one VM: one [`ResourceProfile`] per
 /// resource plus the pattern class and the RNG stream for noise.
 ///
@@ -199,33 +267,17 @@ impl VmProfile {
     /// * high-frequency noise whose magnitude depends on the pattern class.
     pub fn util_at(&self, resource: ResourceKind, t: Timestamp) -> f64 {
         let p = &self.per_resource[resource.index()];
-        let hour = t.tick_of_day() as f64 / TICKS_PER_HOUR as f64;
-        let day = t.day();
+        resource_util_at(p, self.kind, self.noise_seed, resource, t)
+    }
 
-        let mut level = p.base + p.amplitude * p.diurnal_shape(hour);
-        if t.is_weekend() {
-            level *= p.weekend_factor;
+    /// The CPU and memory halves of this profile as one small `Copy` value.
+    pub fn sampler(&self) -> UtilSampler {
+        UtilSampler {
+            cpu: self.per_resource[ResourceKind::Cpu.index()],
+            memory: self.per_resource[ResourceKind::Memory.index()],
+            noise_seed: self.noise_seed,
+            kind: self.kind,
         }
-
-        // Day-to-day drift: deterministic pseudo-random walk bounded by
-        // daily_drift. Uses a hash of (seed, resource, day) so that the same
-        // day always drifts identically.
-        let drift_u = hash_unit(self.noise_seed, resource.index() as u64, day, 0);
-        level += p.daily_drift * (2.0 * drift_u - 1.0);
-
-        // Per-tick noise. Unpredictable VMs get slow random-walk-ish noise
-        // (correlated across 1 hour) on top of white noise.
-        let tick = t.ticks();
-        let white = 2.0 * hash_unit(self.noise_seed, resource.index() as u64, tick, 1) - 1.0;
-        level += p.noise * white;
-        if self.kind == PatternKind::Unpredictable {
-            let hour_block = tick / TICKS_PER_HOUR;
-            let walk =
-                2.0 * hash_unit(self.noise_seed, resource.index() as u64, hour_block, 2) - 1.0;
-            level += 3.0 * p.noise * walk;
-        }
-
-        level.clamp(0.0, 1.0)
     }
 
     /// All four resources at `t`, as utilization fractions.

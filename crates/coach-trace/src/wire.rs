@@ -1,16 +1,16 @@
 //! [`coach_wire`] codecs for trace records.
 //!
-//! A [`VmRecord`] crosses the process boundary twice in the distributed
-//! control plane: inside `Arrive` requests streamed to process-backed shard
-//! workers, and inside snapshot record tables (the violation accountant
-//! holds per-VM references that must be re-resolved after a restore). Both
-//! paths demand bit-exact round-trips — every `f64` travels as raw bits and
-//! decode uses struct literals, never validating constructors.
+//! A [`VmRecord`] crosses the process boundary inside the `Arrive`
+//! requests streamed to process-backed shard workers; the [`UtilSampler`]
+//! cut from its profile crosses inside snapshots (the violation accountant
+//! keeps one per tracked VM). Both demand bit-exact round-trips — every
+//! `f64` travels as raw bits and decode uses struct literals, never
+//! validating constructors.
 
 use coach_wire::{Decode, Decoder, Encode, Encoder, WireError};
 
 use crate::model::{Cluster, VmRecord};
-use crate::profile::{PatternKind, ResourceProfile, VmProfile};
+use crate::profile::{PatternKind, ResourceProfile, UtilSampler, VmProfile};
 use coach_types::ResourceKind;
 
 impl Encode for PatternKind {
@@ -84,6 +84,26 @@ impl Decode for VmProfile {
             kind,
             per_resource,
             noise_seed: d.u64("VmProfile noise_seed")?,
+        })
+    }
+}
+
+impl Encode for UtilSampler {
+    fn encode(&self, e: &mut Encoder) {
+        self.kind.encode(e);
+        self.cpu.encode(e);
+        self.memory.encode(e);
+        e.u64(self.noise_seed);
+    }
+}
+
+impl Decode for UtilSampler {
+    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
+        Ok(UtilSampler {
+            kind: Decode::decode(d)?,
+            cpu: Decode::decode(d)?,
+            memory: Decode::decode(d)?,
+            noise_seed: d.u64("UtilSampler noise_seed")?,
         })
     }
 }

@@ -1,6 +1,7 @@
 //! Scheduling-overhead benchmarks (§4.5: the six extra bin-packing
-//! dimensions add <1 ms per VM), the window-count ablation, and the
-//! headroom-index scaling matrix (servers × windows × occupancy).
+//! dimensions add <1 ms per VM), the window-count ablation, the
+//! headroom-index scaling matrix (servers × windows × occupancy), and one
+//! server's place/remove against the number of VMs it hosts.
 
 use coach_sched::{
     ClusterScheduler, PlacementHeuristic, PlacementOutcome, ScanStrategy, ServerState, VmDemand,
@@ -130,7 +131,7 @@ fn bench_can_fit(c: &mut Criterion) {
             windows,
         );
         for i in 0..12u64 {
-            let _ = state.place(demand(i, windows));
+            let _ = state.place(&demand(i, windows));
         }
         let probe = demand(999, windows);
         let peak = probe.window_peak();
@@ -151,6 +152,38 @@ fn bench_can_fit(c: &mut Criterion) {
     group.finish();
 }
 
+/// One server's dense columns on their own: place one VM on, then remove
+/// the oldest from, a six-window server hosting N. The demands are
+/// one-window (no boxed maxima), so what grows with N is the id scan in
+/// the duplicate check and in `remove`'s lookup — a hash probe before the
+/// columns. Sixteen is what `stream_cold` averages; 256 is past where the
+/// scan loses to the probe it replaced (about 130 on the reference box:
+/// 116 / 145 / 314 ns here against the map's flat 200).
+fn bench_server_columns(c: &mut Criterion) {
+    let mut group = c.benchmark_group("server");
+    let request = VmConfig::general_purpose(4).demand() * 0.01;
+    for hosted in [16u64, 64, 256] {
+        let mut state = ServerState::new(
+            ServerId::new(0),
+            HardwareConfig::general_purpose_gen4().capacity,
+            6,
+        );
+        for i in 0..hosted {
+            assert!(state.place(&VmDemand::unpredicted(VmId::new(i), request)));
+        }
+        let mut next = hosted;
+        group.bench_with_input(BenchmarkId::new("place_remove", hosted), &hosted, |b, _| {
+            b.iter(|| {
+                let placed = state.place(&VmDemand::unpredicted(VmId::new(next), request));
+                let removed = state.remove(VmId::new(next - hosted));
+                next += 1;
+                std::hint::black_box(placed && removed)
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_formula4_ablation(c: &mut Criterion) {
     // Multiplexed (Formula 4) vs. summed VA pool accounting.
     let mut state = coach_sched::ServerState::new(
@@ -159,7 +192,7 @@ fn bench_formula4_ablation(c: &mut Criterion) {
         6,
     );
     for i in 0..20u64 {
-        let _ = state.place(demand(i, 6));
+        let _ = state.place(&demand(i, 6));
     }
     c.bench_function("pool_multiplexed_formula4", |b| {
         b.iter(|| std::hint::black_box(state.oversub_pool_memory()))
@@ -174,6 +207,7 @@ criterion_group!(
     bench_placement,
     bench_index_scaling,
     bench_can_fit,
+    bench_server_columns,
     bench_formula4_ablation
 );
 criterion_main!(benches);

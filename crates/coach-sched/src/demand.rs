@@ -43,9 +43,11 @@ pub struct VmDemand {
     pub guaranteed: ResourceVec,
     /// Predicted maximum demand per time window (PA+VA working set).
     ///
-    /// Stored in an inline-capable [`WindowVec`]: for the shipped window
-    /// partitions (≤ 6 windows per day) a `VmDemand` owns no heap memory at
-    /// all — the ROADMAP's per-VM allocation hot spot at million-VM scale.
+    /// An inline-capable [`WindowVec`]: for the shipped window partitions
+    /// (≤ 6 windows per day) building a demand and offering it to servers
+    /// allocates nothing. That holds for the demand in flight, not for
+    /// what a server keeps of one it hosts: [`crate::HostedDemand`] stores
+    /// one window inline and boxes six.
     pub window_max: WindowVec,
 }
 

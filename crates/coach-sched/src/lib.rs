@@ -37,4 +37,4 @@ pub use demand::{Policy, VmDemand};
 pub use scheduler::{
     ClusterScheduler, ClusterSchedulerDump, PlacementHeuristic, PlacementOutcome, ScanStrategy,
 };
-pub use server::{ProbeSummary, ServerState, ServerStateDump};
+pub use server::{HostedDemand, ProbeSummary, ServerState, ServerStateDump};

@@ -16,6 +16,7 @@
 use crate::demand::VmDemand;
 use crate::server::ServerState;
 use coach_types::prelude::*;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 /// Placement heuristic.
@@ -203,27 +204,31 @@ impl ClusterScheduler {
         self.heuristic
     }
 
-    /// Try to place a VM demand; returns where it landed.
-    pub fn place(&mut self, demand: VmDemand) -> PlacementOutcome {
-        self.place_excluding(demand, &[])
+    /// Try to place a VM demand; returns where it landed. The demand is
+    /// only read — pass a reference to keep it.
+    pub fn place(&mut self, demand: impl Borrow<VmDemand>) -> PlacementOutcome {
+        self.place_excluding(demand.borrow(), &[])
     }
 
     /// Place, skipping the servers in `excluded` (used when the runtime
     /// layer refuses a logically-feasible placement and the caller retries
     /// elsewhere).
-    pub fn place_excluding(&mut self, demand: VmDemand, excluded: &[ServerId]) -> PlacementOutcome {
+    pub fn place_excluding(
+        &mut self,
+        demand: impl Borrow<VmDemand>,
+        excluded: &[ServerId],
+    ) -> PlacementOutcome {
+        let demand = demand.borrow();
         let excluded_idx = self.excluded_indices(excluded);
         let candidate = match self.scan {
-            ScanStrategy::Indexed => self.pick_server_indexed(&demand, &excluded_idx),
-            ScanStrategy::NaiveReference => self.pick_server_naive(&demand, &excluded_idx),
+            ScanStrategy::Indexed => self.pick_server_indexed(demand, &excluded_idx),
+            ScanStrategy::NaiveReference => self.pick_server_naive(demand, &excluded_idx),
         };
         match candidate {
             Some(idx) => {
                 let id = self.servers[idx].id();
                 let vm = demand.vm;
-                self.servers[idx]
-                    .place(demand)
-                    .expect("picked server must fit");
+                assert!(self.servers[idx].place(demand), "picked server must fit");
                 if self.servers[idx].vm_count() == 1 {
                     self.in_use += 1;
                 }
@@ -354,12 +359,12 @@ impl ClusterScheduler {
         None
     }
 
-    /// Deallocate a VM (no-op if unknown).
-    pub fn remove(&mut self, vm: VmId) -> Option<VmDemand> {
+    /// Deallocate a VM, returning the server that hosted it (no-op and
+    /// `None` if unknown).
+    pub fn remove(&mut self, vm: VmId) -> Option<ServerId> {
         let server = self.vm_to_server.remove(&vm)?;
         let idx = self.by_id[&server];
-        let demand = self.servers[idx].remove(vm);
-        if demand.is_some() {
+        if self.servers[idx].remove(vm) {
             if self.servers[idx].vm_count() == 0 {
                 self.in_use -= 1;
             }
@@ -368,7 +373,7 @@ impl ClusterScheduler {
                     .update(idx, self.servers[idx].free_guaranteed().memory());
             }
         }
-        demand
+        Some(server)
     }
 
     /// The server hosting a VM.
@@ -646,9 +651,9 @@ mod tests {
         s.place(full_demand(1, 2.0, 8.0));
         s.place(full_demand(2, 2.0, 8.0));
         let mut dump = s.dump();
-        // Claim VM 1 on both servers.
+        // Claim VM 1 on both servers (ahead of VM 2: dumps are id-sorted).
         let stolen = dump.servers[0].vms[0].clone();
-        dump.servers[1].vms.push(stolen);
+        dump.servers[1].vms.insert(0, stolen);
         let _ = ClusterScheduler::from_dump(dump);
     }
 }

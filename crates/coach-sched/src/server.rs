@@ -1,14 +1,88 @@
-//! Per-server scheduling state: the W+1-dimensional feasibility vectors and
-//! the Formula 3/4 memory-pool accounting.
+//! Per-server scheduling state: the W+1-dimensional feasibility vectors,
+//! the Formula 3/4 memory-pool accounting, and — per hosted VM — only what
+//! deallocation must subtract again.
 //!
-//! The hot path (`can_fit` → `place`/`remove`) is allocation-free: demands
-//! whose window count differs from the server's are broadcast by iteration,
-//! never by materializing a normalized vector, and the Formula 3/4 pools are
-//! maintained incrementally so queries never re-walk the hosted VMs.
+//! §3.3 has the scheduler keep W+1 sums per server. Beside them a server
+//! keeps two dense columns, one entry per hosted VM: the ids (what the
+//! duplicate check in `place` and the lookup in `remove` scan — 8 bytes
+//! each, two cache lines at sixteen VMs) and a [`HostedDemand`] row of the
+//! guaranteed vector plus the per-window maxima of Formulas 1–2. A
+//! one-window demand (the `None` / `Single` policies, or no prediction)
+//! carries its one window inline; only a W-window demand carries W, boxed.
+//! The customer's request is not kept: nothing reads it after placement.
+//!
+//! The hot path (`can_fit` → `place`/`remove`) never materializes a
+//! normalized vector: demands whose window count differs from the server's
+//! are broadcast by iteration, the Formula 3/4 pools are maintained
+//! incrementally so queries never re-walk the hosted VMs, and placing a
+//! one-window demand allocates nothing once the columns have room.
+//!
+//! The columns are never shrunk. A departure frees the boxed windows at
+//! once; the dense part (80 bytes a slot) stays at the most VMs the server
+//! has hosted at one time, which the hardware bounds and the length of the
+//! stream does not (`stream_cold`: 25 MB at its 224k-resident peak, 27 MB
+//! by its last arrival). `remove` cannot tell a tenant leaving from a probe
+//! unwinding, and every exhaustive probe fills each server and empties it
+//! again: whatever `remove` gave back on the way down, the next fill would
+//! allocate again.
 
 use crate::demand::VmDemand;
 use coach_types::prelude::*;
-use std::collections::HashMap;
+
+/// What a server keeps of a hosted VM's demand: the guaranteed portion and
+/// the per-window maxima, which is all `remove` subtracts.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HostedDemand {
+    /// Guaranteed portion (Formula 1 × request).
+    pub guaranteed: ResourceVec,
+    window_max: WindowMaxima,
+}
+
+/// One window inline, or one per server window on the heap.
+#[derive(Debug, Clone, PartialEq)]
+enum WindowMaxima {
+    One(ResourceVec),
+    PerWindow(Box<[ResourceVec]>),
+}
+
+impl HostedDemand {
+    /// Keep `guaranteed` and a copy of `window_max`; a single window is
+    /// stored inline, without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window_max` is empty.
+    pub fn new(guaranteed: ResourceVec, window_max: &[ResourceVec]) -> Self {
+        let window_max = match window_max {
+            [] => panic!("demand has at least one window"),
+            [one] => WindowMaxima::One(*one),
+            many => WindowMaxima::PerWindow(many.into()),
+        };
+        HostedDemand {
+            guaranteed,
+            window_max,
+        }
+    }
+
+    /// [`HostedDemand::new`] for maxima already on the heap (the codec's).
+    /// `window_max` holds at least two windows.
+    pub(crate) fn per_window(guaranteed: ResourceVec, window_max: Box<[ResourceVec]>) -> Self {
+        debug_assert!(window_max.len() > 1, "one window is kept inline");
+        HostedDemand {
+            guaranteed,
+            window_max: WindowMaxima::PerWindow(window_max),
+        }
+    }
+
+    /// Predicted maximum demand per time window: one entry (broadcast to
+    /// every server window) or one per server window.
+    pub fn window_max(&self) -> &[ResourceVec] {
+        match &self.window_max {
+            WindowMaxima::One(one) => std::slice::from_ref(one),
+            WindowMaxima::PerWindow(many) => many,
+        }
+    }
+}
 
 /// One server's packing state under time-window scheduling (§3.3).
 ///
@@ -16,7 +90,11 @@ use std::collections::HashMap;
 /// resource, `Σ window_max[w] ≤ capacity` in every window *and*
 /// `Σ guaranteed ≤ capacity` — "the scheduler considers the number of
 /// windows plus one for each resource".
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality is that of the [`ServerState::dump`]s: two servers that host
+/// the same VMs with the same sums are equal whatever order departures
+/// left their columns in.
+#[derive(Debug, Clone)]
 pub struct ServerState {
     id: ServerId,
     capacity: ResourceVec,
@@ -37,7 +115,16 @@ pub struct ServerState {
     /// Σ over hosted VMs of their peak VA memory (the non-multiplexed
     /// ablation), maintained incrementally.
     va_peak_mem_sum: f64,
-    vms: HashMap<VmId, VmDemand>,
+    /// Hosted VM ids; `rows[i]` is what `ids[i]` was placed with.
+    ids: Vec<VmId>,
+    rows: Vec<HostedDemand>,
+}
+
+impl PartialEq for ServerState {
+    fn eq(&self, other: &Self) -> bool {
+        // The slack summaries are a pure function of what the dump holds.
+        self.dump() == other.dump()
+    }
 }
 
 impl ServerState {
@@ -62,7 +149,8 @@ impl ServerState {
             max_window_slack: capacity,
             va_mem_sum: vec![0.0; windows],
             va_peak_mem_sum: 0.0,
-            vms: HashMap::new(),
+            ids: Vec::new(),
+            rows: Vec::new(),
         }
     }
 
@@ -78,17 +166,22 @@ impl ServerState {
 
     /// Number of hosted VMs.
     pub fn vm_count(&self) -> usize {
-        self.vms.len()
+        self.ids.len()
     }
 
     /// Hosted VM ids.
     pub fn vm_ids(&self) -> impl Iterator<Item = VmId> + '_ {
-        self.vms.keys().copied()
+        self.ids.iter().copied()
     }
 
-    /// The demand record of a hosted VM.
-    pub fn demand(&self, vm: VmId) -> Option<&VmDemand> {
-        self.vms.get(&vm)
+    /// What the server keeps of a hosted VM's demand.
+    pub fn demand(&self, vm: VmId) -> Option<&HostedDemand> {
+        self.position(vm).map(|i| &self.rows[i])
+    }
+
+    #[inline]
+    fn position(&self, vm: VmId) -> Option<usize> {
+        self.ids.iter().position(|&id| id == vm)
     }
 
     /// Validate the demand's window count against the server's, panicking on
@@ -179,19 +272,12 @@ impl ServerState {
         self.max_window_slack = max;
     }
 
-    /// Place a VM.
-    ///
-    /// # Errors
-    ///
-    /// Returns the demand back if it does not fit or the VM is already
-    /// hosted. The `Err` variant is the full (now inline-buffered, hence
-    /// large) demand by design: boxing it would reintroduce the
-    /// per-placement heap allocation the inline `WindowVec` removed from
-    /// this hot path, and rejection is the rare branch.
-    #[allow(clippy::result_large_err)]
-    pub fn place(&mut self, d: VmDemand) -> Result<(), VmDemand> {
-        if self.vms.contains_key(&d.vm) || !self.can_fit(&d) {
-            return Err(d);
+    /// Place a VM, keeping a [`HostedDemand`] of it. Returns whether it was
+    /// placed: `false` if it does not fit or the VM is already hosted, and
+    /// then nothing changed.
+    pub fn place(&mut self, d: &VmDemand) -> bool {
+        if self.ids.contains(&d.vm) || !self.can_fit(d) {
+            return false;
         }
         self.guaranteed_sum += d.guaranteed;
         let guar_mem = d.guaranteed.memory();
@@ -210,22 +296,30 @@ impl ServerState {
         }
         self.va_peak_mem_sum += va_peak;
         self.refresh_slack();
-        self.vms.insert(d.vm, d);
-        Ok(())
+        self.ids.push(d.vm);
+        self.rows
+            .push(HostedDemand::new(d.guaranteed, &d.window_max));
+        true
     }
 
-    /// Remove a VM, returning its demand record.
-    pub fn remove(&mut self, vm: VmId) -> Option<VmDemand> {
-        let d = self.vms.remove(&vm)?;
+    /// Remove a VM, subtracting what it was placed with. Returns whether
+    /// it was hosted.
+    pub fn remove(&mut self, vm: VmId) -> bool {
+        let Some(i) = self.position(vm) else {
+            return false;
+        };
+        self.ids.swap_remove(i);
+        let d = self.rows.swap_remove(i);
+        let window_max = d.window_max();
         self.guaranteed_sum -= d.guaranteed;
         let guar_mem = d.guaranteed.memory();
         let mut va_peak = 0.0f64;
-        let broadcast = d.window_count() != self.windows;
+        let broadcast = window_max.len() != self.windows;
         for (w, sum) in self.window_sum.iter_mut().enumerate() {
             let wd = if broadcast {
-                &d.window_max[0]
+                &window_max[0]
             } else {
-                &d.window_max[w]
+                &window_max[w]
             };
             *sum -= *wd;
             // Clamp floating-point dust.
@@ -237,7 +331,7 @@ impl ServerState {
         self.guaranteed_sum = self.guaranteed_sum.max(&ResourceVec::ZERO);
         self.va_peak_mem_sum = (self.va_peak_mem_sum - va_peak).max(0.0);
         self.refresh_slack();
-        Some(d)
+        true
     }
 
     /// Formula (3): total guaranteed memory, GB.
@@ -307,11 +401,17 @@ impl ServerState {
     /// they are* — never re-derived from the hosted demands — so a restored
     /// server continues from the scheduler's exact arithmetic state and all
     /// subsequent `can_fit` decisions are bit-identical to the uninterrupted
-    /// run. Hosted demands are emitted sorted by [`VmId`] (the map itself is
-    /// order-insensitive; sorting makes the encoding canonical).
+    /// run. Hosted demands are emitted sorted by [`VmId`]: departures leave
+    /// the columns in an order of their own, and sorting makes the encoding
+    /// canonical.
     pub fn dump(&self) -> ServerStateDump {
-        let mut vms: Vec<VmDemand> = self.vms.values().cloned().collect();
-        vms.sort_unstable_by_key(|d| d.vm);
+        let mut vms: Vec<(VmId, HostedDemand)> = self
+            .ids
+            .iter()
+            .copied()
+            .zip(self.rows.iter().cloned())
+            .collect();
+        vms.sort_unstable_by_key(|(vm, _)| *vm);
         ServerStateDump {
             id: self.id,
             capacity: self.capacity,
@@ -332,17 +432,11 @@ impl ServerState {
     ///
     /// # Panics
     ///
-    /// Panics if the dump is structurally inconsistent (zero windows,
-    /// mismatched per-window vector lengths, or duplicate VM ids).
+    /// Panics if the dump fails [`ServerStateDump::is_consistent`]. A dump
+    /// decoded from the wire never does: the codec refuses it first.
     pub fn from_dump(dump: ServerStateDump) -> Self {
-        assert!(dump.windows > 0, "dump has zero windows");
-        assert_eq!(dump.window_sum.len(), dump.windows, "window_sum length");
-        assert_eq!(dump.va_mem_sum.len(), dump.windows, "va_mem_sum length");
-        let mut vms = HashMap::with_capacity(dump.vms.len());
-        for d in dump.vms {
-            let id = d.vm;
-            assert!(vms.insert(id, d).is_none(), "duplicate VM {id} in dump");
-        }
+        assert!(dump.is_consistent(), "inconsistent server dump");
+        let (ids, rows) = dump.vms.into_iter().unzip();
         let mut server = ServerState {
             id: dump.id,
             capacity: dump.capacity,
@@ -353,7 +447,8 @@ impl ServerState {
             max_window_slack: dump.capacity,
             va_mem_sum: dump.va_mem_sum,
             va_peak_mem_sum: dump.va_peak_mem_sum,
-            vms,
+            ids,
+            rows,
         };
         server.refresh_slack();
         server
@@ -379,7 +474,24 @@ pub struct ServerStateDump {
     /// Σ of per-VM peak VA memory (the non-multiplexed ablation).
     pub va_peak_mem_sum: f64,
     /// Hosted demands, sorted ascending by [`VmId`].
-    pub vms: Vec<VmDemand>,
+    pub vms: Vec<(VmId, HostedDemand)>,
+}
+
+impl ServerStateDump {
+    /// Whether a server can be rebuilt from this dump: at least one
+    /// window, one sum per window, hosted VMs in strictly ascending id
+    /// order (so none twice), each with one window or one per server
+    /// window — anything else and `remove` would subtract the wrong sums.
+    pub fn is_consistent(&self) -> bool {
+        self.windows > 0
+            && self.window_sum.len() == self.windows
+            && self.va_mem_sum.len() == self.windows
+            && self.vms.windows(2).all(|pair| pair[0].0 < pair[1].0)
+            && self.vms.iter().all(|(_, d)| {
+                let n = d.window_max().len();
+                n == 1 || n == self.windows
+            })
+    }
 }
 
 /// A server's spare-capacity summary as seen by the probe estimator: the
@@ -444,9 +556,9 @@ mod tests {
         let cvm1 = demand(1, 16.0, [28.0, 8.0, 22.0]);
         let cvm2 = demand(2, 12.0, [10.0, 18.0, 24.0]);
         assert!(s.can_fit(&cvm1));
-        s.place(cvm1).unwrap();
+        assert!(s.place(&cvm1));
         assert!(s.can_fit(&cvm2));
-        s.place(cvm2).unwrap();
+        assert!(s.place(&cvm2));
 
         // Formula 3: guaranteed = 16 + 12 = 28 GB.
         assert_eq!(s.guaranteed_memory(), 28.0);
@@ -464,7 +576,7 @@ mod tests {
     fn feasibility_is_per_window() {
         let mut s = server();
         // Fills window 0 with 40 GB.
-        s.place(demand(1, 8.0, [40.0, 8.0, 8.0])).unwrap();
+        assert!(s.place(&demand(1, 8.0, [40.0, 8.0, 8.0])));
         // Another 40 GB peak in window 0 cannot fit (80 > 48)...
         assert!(!s.can_fit(&demand(2, 8.0, [40.0, 8.0, 8.0])));
         // ...but a complementary VM peaking in window 1 fits.
@@ -475,8 +587,8 @@ mod tests {
     fn guaranteed_dimension_checked() {
         let mut s = server();
         // Three VMs each guaranteeing 20 GB: windows fine, guaranteed not.
-        s.place(demand(1, 20.0, [20.0, 20.0, 20.0])).unwrap();
-        s.place(demand(2, 20.0, [20.0, 20.0, 20.0])).unwrap();
+        assert!(s.place(&demand(1, 20.0, [20.0, 20.0, 20.0])));
+        assert!(s.place(&demand(2, 20.0, [20.0, 20.0, 20.0])));
         let third = demand(3, 20.0, [20.0, 20.0, 20.0]);
         assert!(!s.can_fit(&third), "3 x 20 GB guaranteed > 48 GB");
     }
@@ -485,21 +597,23 @@ mod tests {
     fn place_remove_roundtrip() {
         let mut s = server();
         let d = demand(1, 16.0, [28.0, 8.0, 22.0]);
-        s.place(d.clone()).unwrap();
+        assert!(s.place(&d));
         assert_eq!(s.vm_count(), 1);
-        let back = s.remove(VmId::new(1)).unwrap();
-        assert_eq!(back, d);
+        let kept = s.demand(VmId::new(1)).unwrap();
+        assert_eq!(kept.guaranteed, d.guaranteed);
+        assert_eq!(kept.window_max(), &d.window_max[..]);
+        assert!(s.remove(VmId::new(1)));
         assert_eq!(s.vm_count(), 0);
         assert_eq!(s.guaranteed_memory(), 0.0);
         assert_eq!(s.oversub_pool_memory(), 0.0);
-        assert!(s.remove(VmId::new(1)).is_none());
+        assert!(!s.remove(VmId::new(1)));
     }
 
     #[test]
     fn duplicate_placement_rejected() {
         let mut s = server();
-        s.place(demand(1, 8.0, [8.0, 8.0, 8.0])).unwrap();
-        assert!(s.place(demand(1, 8.0, [8.0, 8.0, 8.0])).is_err());
+        assert!(s.place(&demand(1, 8.0, [8.0, 8.0, 8.0])));
+        assert!(!s.place(&demand(1, 8.0, [8.0, 8.0, 8.0])));
     }
 
     #[test]
@@ -507,7 +621,7 @@ mod tests {
         let mut s = server();
         let d = VmDemand::unpredicted(VmId::new(9), ResourceVec::new(4.0, 16.0, 1.0, 64.0));
         assert_eq!(d.window_count(), 1);
-        s.place(d).unwrap();
+        assert!(s.place(&d));
         assert_eq!(s.guaranteed_memory(), 16.0);
         // All three windows carry the same load.
         assert_eq!(s.peak_commitment().memory(), 16.0 / 48.0);
@@ -529,7 +643,7 @@ mod tests {
         for i in 0..4 {
             let mut win = [4.0, 4.0, 4.0];
             win[(i % 3) as usize] = 10.0;
-            let _ = s.place(demand(i, 2.0, win));
+            let _ = s.place(&demand(i, 2.0, win));
         }
         assert!(s.oversub_pool_memory() <= s.oversub_pool_memory_summed() + 1e-9);
     }
@@ -537,7 +651,7 @@ mod tests {
     #[test]
     fn can_fit_with_bounds_matches_can_fit() {
         let mut s = server();
-        s.place(demand(1, 8.0, [40.0, 8.0, 8.0])).unwrap();
+        assert!(s.place(&demand(1, 8.0, [40.0, 8.0, 8.0])));
         for (guar, win) in [
             (8.0, [40.0, 8.0, 8.0]),
             (8.0, [8.0, 40.0, 8.0]),
@@ -564,7 +678,7 @@ mod tests {
         assert_eq!(fresh.headroom_memory(), 48.0);
         assert_eq!(fresh.window_sums.len(), 3);
 
-        s.place(demand(1, 16.0, [28.0, 8.0, 22.0])).unwrap();
+        assert!(s.place(&demand(1, 16.0, [28.0, 8.0, 22.0])));
         let loaded = s.probe_summary();
         assert_eq!(loaded.guaranteed_sum, ResourceVec::new(1.0, 16.0, 0.1, 1.0));
         assert_eq!(loaded.window_sums[0].memory(), 28.0);
@@ -580,17 +694,23 @@ mod tests {
             .all(|(w, sum)| (*sum + *w).fits_within(&loaded.capacity));
         assert_eq!(guar_ok && windows_ok, s.can_fit(&cand));
 
-        s.remove(VmId::new(1)).unwrap();
+        assert!(s.remove(VmId::new(1)));
         assert_eq!(s.probe_summary().headroom_memory(), 48.0);
     }
 
     #[test]
     fn slack_summaries_track_window_sums() {
         let mut s = server();
-        s.place(demand(1, 8.0, [40.0, 8.0, 8.0])).unwrap();
+        assert!(s.place(&demand(1, 8.0, [40.0, 8.0, 8.0])));
         // Tightest window is w0: 48 - 40 = 8 GB slack.
         assert_eq!(s.min_window_slack().memory(), 8.0);
-        s.remove(VmId::new(1)).unwrap();
+        assert!(s.remove(VmId::new(1)));
         assert_eq!(s.min_window_slack().memory(), 48.0);
+    }
+
+    #[test]
+    fn a_hosted_row_stays_under_80_bytes() {
+        // Guaranteed vector + one inline window (or the boxed slice) + tag.
+        assert!(std::mem::size_of::<HostedDemand>() <= 80);
     }
 }

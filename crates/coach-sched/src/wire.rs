@@ -10,9 +10,11 @@
 
 use coach_wire::{Decode, Decoder, Encode, Encoder, WireError};
 
-use crate::demand::{Policy, VmDemand};
+use crate::demand::Policy;
 use crate::scheduler::{ClusterSchedulerDump, PlacementHeuristic, PlacementOutcome, ScanStrategy};
-use crate::server::ServerStateDump;
+use crate::server::{HostedDemand, ServerStateDump};
+use coach_types::{ResourceVec, ServerId, VmId};
+use std::collections::HashSet;
 
 impl Encode for PlacementOutcome {
     fn encode(&self, e: &mut Encoder) {
@@ -109,23 +111,34 @@ impl Decode for ScanStrategy {
     }
 }
 
-impl Encode for VmDemand {
+impl Encode for HostedDemand {
     fn encode(&self, e: &mut Encoder) {
-        self.vm.encode(e);
-        self.requested.encode(e);
         self.guaranteed.encode(e);
-        self.window_max.encode(e);
+        let window_max = self.window_max();
+        e.usize(window_max.len());
+        for w in window_max {
+            w.encode(e);
+        }
     }
 }
 
-impl Decode for VmDemand {
+impl Decode for HostedDemand {
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(VmDemand {
-            vm: Decode::decode(d)?,
-            requested: Decode::decode(d)?,
-            guaranteed: Decode::decode(d)?,
-            window_max: Decode::decode(d)?,
-        })
+        let guaranteed = Decode::decode(d)?;
+        match d.seq_len("HostedDemand windows")? {
+            0 => Err(WireError::Invalid {
+                context: "HostedDemand windows",
+            }),
+            // The common case, kept off the heap as `place` keeps it.
+            1 => Ok(HostedDemand::new(guaranteed, &[Decode::decode(d)?])),
+            n => {
+                let mut many = Vec::with_capacity(n);
+                for _ in 0..n {
+                    many.push(ResourceVec::decode(d)?);
+                }
+                Ok(HostedDemand::per_window(guaranteed, many.into()))
+            }
+        }
     }
 }
 
@@ -142,9 +155,11 @@ impl Encode for ServerStateDump {
     }
 }
 
+/// Refuses what [`crate::ServerState::from_dump`] would panic on, or
+/// silently mis-subtract: see [`ServerStateDump::is_consistent`].
 impl Decode for ServerStateDump {
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(ServerStateDump {
+        let dump = ServerStateDump {
             id: Decode::decode(d)?,
             capacity: Decode::decode(d)?,
             windows: d.usize("ServerStateDump windows")?,
@@ -153,7 +168,13 @@ impl Decode for ServerStateDump {
             va_mem_sum: Decode::decode(d)?,
             va_peak_mem_sum: d.f64("ServerStateDump va_peak_mem_sum")?,
             vms: Decode::decode(d)?,
-        })
+        };
+        if !dump.is_consistent() {
+            return Err(WireError::Invalid {
+                context: "ServerStateDump",
+            });
+        }
+        Ok(dump)
     }
 }
 
@@ -167,27 +188,43 @@ impl Encode for ClusterSchedulerDump {
     }
 }
 
+/// Refuses what [`crate::ClusterScheduler::from_dump`] would panic on: no
+/// servers, a server id twice, a VM hosted on two servers.
 impl Decode for ClusterSchedulerDump {
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(ClusterSchedulerDump {
+        let dump = ClusterSchedulerDump {
             servers: Decode::decode(d)?,
             heuristic: Decode::decode(d)?,
             scan: Decode::decode(d)?,
             placed: d.u64("ClusterSchedulerDump placed")?,
             rejected: d.u64("ClusterSchedulerDump rejected")?,
-        })
+        };
+        let mut servers: HashSet<ServerId> = HashSet::with_capacity(dump.servers.len());
+        let hosted = dump.servers.iter().map(|s| s.vms.len()).sum();
+        let mut vms: HashSet<VmId> = HashSet::with_capacity(hosted);
+        let distinct = dump
+            .servers
+            .iter()
+            .all(|s| servers.insert(s.id) && s.vms.iter().all(|(vm, _)| vms.insert(*vm)));
+        if dump.servers.is_empty() || !distinct {
+            return Err(WireError::Invalid {
+                context: "ClusterSchedulerDump",
+            });
+        }
+        Ok(dump)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClusterScheduler, PlacementHeuristic, PlacementOutcome};
-    use coach_types::{ResourceVec, ServerId, VmId, WindowVec};
+    use crate::{ClusterScheduler, PlacementHeuristic, PlacementOutcome, VmDemand};
+    use coach_types::WindowVec;
     use coach_wire::{open_frame, seal_frame};
 
-    #[test]
-    fn scheduler_dump_roundtrips_and_restores_identically() {
+    /// Four three-window servers hosting nine three-window VMs between
+    /// them, best-fit: servers 0 and 1 host several each.
+    fn packed_scheduler() -> ClusterScheduler {
         let ids: Vec<ServerId> = (0..4).map(ServerId::new).collect();
         let capacity = ResourceVec::new(16.0, 64.0, 10.0, 1024.0);
         let mut sched = ClusterScheduler::new(&ids, capacity, 3, PlacementHeuristic::BestFit);
@@ -200,10 +237,78 @@ mod tests {
             };
             assert!(matches!(sched.place(demand), PlacementOutcome::Placed(_)));
         }
+        sched
+    }
 
+    #[test]
+    fn scheduler_dump_roundtrips_and_restores_identically() {
+        let sched = packed_scheduler();
         let frame = seal_frame(&sched.dump());
         let dump: ClusterSchedulerDump = open_frame(&frame).expect("decode scheduler dump");
         let restored = ClusterScheduler::from_dump(dump);
         assert_eq!(restored, sched);
+    }
+
+    /// A valid frame with one field of its dump changed decodes to the
+    /// typed error, where `from_dump` would have panicked (or, for the
+    /// window count of a hosted demand, mis-subtracted on `remove`).
+    fn refused(mutate: impl FnOnce(&mut ClusterSchedulerDump)) {
+        let mut dump = packed_scheduler().dump();
+        mutate(&mut dump);
+        let decoded = open_frame::<ClusterSchedulerDump>(&seal_frame(&dump));
+        assert!(
+            matches!(decoded, Err(WireError::Invalid { .. })),
+            "{decoded:?}"
+        );
+    }
+
+    #[test]
+    fn zero_windows_are_refused() {
+        refused(|dump| {
+            let server = &mut dump.servers[0];
+            server.windows = 0;
+            server.window_sum.clear();
+            server.va_mem_sum.clear();
+        });
+    }
+
+    #[test]
+    fn a_window_sum_of_the_wrong_length_is_refused() {
+        refused(|dump| dump.servers[0].window_sum.push(ResourceVec::ZERO));
+    }
+
+    #[test]
+    fn a_va_mem_sum_of_the_wrong_length_is_refused() {
+        refused(|dump| dump.servers[0].va_mem_sum.truncate(2));
+    }
+
+    #[test]
+    fn a_hosted_demand_with_a_foreign_window_count_is_refused() {
+        refused(|dump| {
+            let hosted = &mut dump.servers[0].vms[0].1;
+            *hosted = HostedDemand::new(hosted.guaranteed, &hosted.window_max()[..2]);
+        });
+    }
+
+    #[test]
+    fn a_vm_twice_on_one_server_is_refused() {
+        refused(|dump| {
+            let again = dump.servers[0].vms[0].clone();
+            dump.servers[0].vms.insert(0, again);
+        });
+    }
+
+    #[test]
+    fn a_vm_on_two_servers_is_refused() {
+        refused(|dump| {
+            let stolen = dump.servers[0].vms[0].clone();
+            dump.servers[1].vms.insert(0, stolen);
+        });
+    }
+
+    #[test]
+    fn no_servers_or_one_server_id_twice_is_refused() {
+        refused(|dump| dump.servers.clear());
+        refused(|dump| dump.servers[1].id = dump.servers[0].id);
     }
 }

@@ -527,10 +527,10 @@ impl<'a> Controller<'a> {
         let in_use_before = cluster.sched.servers_in_use();
         let (outcome, elapsed_ns, t0_sampled) = if sample_latency {
             let t0 = Instant::now();
-            let outcome = cluster.sched.place(demand.clone());
+            let outcome = cluster.sched.place(&demand);
             (outcome, Some(t0.elapsed().as_nanos() as u64), Some(t0))
         } else {
-            (cluster.sched.place(demand.clone()), None, None)
+            (cluster.sched.place(&demand), None, None)
         };
         match outcome {
             PlacementOutcome::Placed(server) => {
@@ -538,7 +538,7 @@ impl<'a> Controller<'a> {
                 let rh = rec.resource_hours();
                 self.counters.accepted_core_hours += rh.cpu();
                 self.counters.accepted_gb_hours += rh.memory();
-                let handle = self.residents.insert(rec.id, ci as u32, server, &demand);
+                let handle = self.residents.insert(rec.id, ci as u32, server);
                 // A zero-length VM's departure event precedes its arrival
                 // in the batch sort and no-ops there; never scheduling it
                 // preserves that behavior.
@@ -753,13 +753,6 @@ impl<'a> Controller<'a> {
         self.clusters.iter().map(|c| c.id)
     }
 
-    /// The summed guaranteed portion across every resident VM's admitted
-    /// demand — an O(residents) fold over one contiguous resident-store
-    /// column, without touching the schedulers.
-    pub fn resident_guaranteed(&self) -> ResourceVec {
-        self.residents.guaranteed_total()
-    }
-
     /// Serialize the full decision-bearing state into a versioned
     /// [`Snapshot`] frame — schedulers, resident store, departure heap,
     /// accountant, counters, latency histogram, and the undrained
@@ -830,7 +823,8 @@ impl<'a> Controller<'a> {
     ///
     /// Structural problems in the bytes (truncation, bad tags, a window
     /// partition that disagrees with `predictor`, an out-of-range server
-    /// fraction) surface as `Err(WireError)`.
+    /// fraction, a scheduler dump its `from_dump` would refuse) surface as
+    /// `Err(WireError)`.
     ///
     /// # Panics
     ///
@@ -857,6 +851,15 @@ impl<'a> Controller<'a> {
         if dump.clusters.is_empty() || dump.clusters.windows(2).any(|w| w[0].0 >= w[1].0) {
             return Err(WireError::Invalid {
                 context: "snapshot cluster set",
+            });
+        }
+        let mut servers = dump
+            .clusters
+            .iter()
+            .flat_map(|(_, _, sched)| &sched.servers);
+        if servers.any(|server| server.windows != tw.count()) {
+            return Err(WireError::Invalid {
+                context: "snapshot scheduler windows",
             });
         }
         let config = dump.config;
@@ -1061,6 +1064,50 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A snapshot whose scheduler half is inconsistent restores to the typed
+    /// error, not to a `from_dump` assertion (`coach-sched`'s codec tests
+    /// have one case per field) — and so does one whose servers pack a
+    /// window count that is not the predictor's.
+    #[test]
+    fn restore_refuses_an_inconsistent_scheduler_dump() {
+        let trace = generate(&TraceConfig::small(23));
+        let oracle = Oracle::new(TimeWindows::paper_default());
+        let mut controller = coach_controller(&trace, &oracle);
+        for rec in &trace.vms[..trace.vms.len() / 2] {
+            controller.handle(Request::Arrive(rec));
+        }
+        let snapshot = controller.snapshot();
+        assert!(Controller::restore(&oracle, &snapshot, |_| None).is_ok());
+
+        // One VM twice on a server.
+        let mut dump: ControllerDump = coach_wire::open_frame(snapshot.bytes()).unwrap();
+        let servers = &mut dump.clusters[0].2.servers;
+        let packed = servers.iter_mut().find(|s| s.vms.len() > 1).unwrap();
+        packed.vms[1].0 = packed.vms[0].0;
+        let restored = Controller::restore(&oracle, &Snapshot::seal(&dump), |_| None);
+        assert!(
+            matches!(restored, Err(WireError::Invalid { .. })),
+            "{:?}",
+            restored.err()
+        );
+
+        // Every sum has the right length for its own window count, but the
+        // count is not the predictor's: arrivals would panic in `can_fit`.
+        let mut dump: ControllerDump = coach_wire::open_frame(snapshot.bytes()).unwrap();
+        let server = &mut dump.clusters[0].2.servers[0];
+        server.vms.clear();
+        server.windows = 1;
+        server.window_sum.truncate(1);
+        server.va_mem_sum.truncate(1);
+        let restored = Controller::restore(&oracle, &Snapshot::seal(&dump), |_| None);
+        assert_eq!(
+            restored.err(),
+            Some(WireError::Invalid {
+                context: "snapshot scheduler windows"
+            })
+        );
     }
 
     /// Segments == per-item at every segment length around the chunk and

@@ -1,23 +1,18 @@
-//! The arena-backed resident store: struct-of-arrays state for every VM a
-//! controller currently hosts, addressed by generational [`Handle`]s.
+//! The arena-backed resident store: where every VM a controller currently
+//! hosts was placed, addressed by generational [`Handle`]s.
 //!
-//! The PR 4/5 controller kept residency in a `HashMap<VmId, u32>` and let
-//! the departure heap carry raw VM ids, so every scheduled departure paid a
-//! hash probe just to learn whether its entry was stale. Here residency is
-//! an arena: each placed VM occupies one slot across parallel columns (id,
-//! cluster, server, and the demand summary fields), slots are recycled
-//! through a free list, and a slot's generation bumps on every removal.
-//! A [`Handle`] — slot index + the generation it was issued under — then
-//! makes staleness a single integer comparison: the heap stores handles,
-//! and a lazily-cancelled departure fails generation validation instead of
-//! consulting a map. Only the explicit early-departure path (keyed by
-//! [`VmId`] on the wire) still goes through a hash lookup.
-//!
-//! The columns are struct-of-arrays on purpose: aggregate gauges (e.g.
-//! [`ResidentStore::guaranteed_total`]) fold one contiguous `ResourceVec`
-//! column without touching ids, servers, or the scheduler.
+//! Each placed VM occupies one slot across three parallel columns — id,
+//! cluster, server — which is what a departure needs to find the
+//! scheduler and the accountant entry to release; the admitted demand is
+//! not copied here (the server that hosts the VM keeps what `remove`
+//! subtracts, and nothing else read the copy). Slots are recycled through
+//! a free list and a slot's generation bumps on every removal, so a
+//! [`Handle`] — slot index + the generation it was issued under — makes
+//! staleness a single integer comparison: the departure heap stores
+//! handles, and a lazily-cancelled departure fails generation validation
+//! instead of consulting a map. Only the explicit early-departure path
+//! (keyed by [`VmId`] on the wire) goes through the `by_id` hash lookup.
 
-use coach_sched::VmDemand;
 use coach_types::prelude::*;
 use std::collections::HashMap;
 
@@ -58,10 +53,6 @@ pub struct Resident {
     pub cluster: u32,
     /// The server hosting it.
     pub server: ServerId,
-    /// The guaranteed portion of its admitted demand.
-    pub guaranteed: ResourceVec,
-    /// The elementwise peak over its per-window maxima.
-    pub window_peak: ResourceVec,
 }
 
 /// The resident-VM arena. See the [module docs](self) for the layout.
@@ -70,8 +61,6 @@ pub struct ResidentStore {
     vm: Vec<VmId>,
     cluster: Vec<u32>,
     server: Vec<ServerId>,
-    guaranteed: Vec<ResourceVec>,
-    window_peak: Vec<ResourceVec>,
     /// Current generation per slot; odd while occupied, even while free
     /// (bumped on both insert and remove), so liveness needs no separate
     /// bitmap.
@@ -103,21 +92,13 @@ impl ResidentStore {
     ///
     /// Panics if `vm` is already resident (the controller never places a
     /// VM twice).
-    pub fn insert(
-        &mut self,
-        vm: VmId,
-        cluster: u32,
-        server: ServerId,
-        demand: &VmDemand,
-    ) -> Handle {
+    pub fn insert(&mut self, vm: VmId, cluster: u32, server: ServerId) -> Handle {
         let index = match self.free.pop() {
             Some(slot) => {
                 let i = slot as usize;
                 self.vm[i] = vm;
                 self.cluster[i] = cluster;
                 self.server[i] = server;
-                self.guaranteed[i] = demand.guaranteed;
-                self.window_peak[i] = demand.window_peak();
                 self.generation[i] = self.generation[i].wrapping_add(1);
                 slot
             }
@@ -126,8 +107,6 @@ impl ResidentStore {
                 self.vm.push(vm);
                 self.cluster.push(cluster);
                 self.server.push(server);
-                self.guaranteed.push(demand.guaranteed);
-                self.window_peak.push(demand.window_peak());
                 self.generation.push(1);
                 slot
             }
@@ -170,29 +149,17 @@ impl ResidentStore {
         Some(row)
     }
 
-    /// Elementwise sum of the guaranteed portions of every resident demand
-    /// — one contiguous column fold, no per-VM chasing.
-    pub fn guaranteed_total(&self) -> ResourceVec {
-        self.guaranteed
-            .iter()
-            .zip(&self.generation)
-            .filter(|(_, g)| *g % 2 == 1)
-            .fold(ResourceVec::ZERO, |acc, (g, _)| acc + *g)
-    }
-
     /// Copy out the full column state for the snapshot codec.
     ///
     /// Free slots' columns are carried verbatim (their stale values are
     /// deterministic leftovers of a deterministic run), so a restored
-    /// store re-snapshots to identical bytes — the property the
-    /// `snapshot_roundtrip_identical` bench flag pins.
+    /// store re-snapshots to identical bytes — the property
+    /// `snapshot_is_nondestructive_and_roundtrips_bytes` pins.
     pub(crate) fn dump(&self) -> StoreDump {
         StoreDump {
             vm: self.vm.clone(),
             cluster: self.cluster.clone(),
             server: self.server.clone(),
-            guaranteed: self.guaranteed.clone(),
-            window_peak: self.window_peak.clone(),
             generation: self.generation.clone(),
             free: self.free.clone(),
         }
@@ -210,8 +177,6 @@ impl ResidentStore {
         assert!(
             dump.cluster.len() == slots
                 && dump.server.len() == slots
-                && dump.guaranteed.len() == slots
-                && dump.window_peak.len() == slots
                 && dump.generation.len() == slots,
             "resident store dump columns disagree on length"
         );
@@ -234,8 +199,6 @@ impl ResidentStore {
             vm: dump.vm,
             cluster: dump.cluster,
             server: dump.server,
-            guaranteed: dump.guaranteed,
-            window_peak: dump.window_peak,
             generation: dump.generation,
             free: dump.free,
             by_id,
@@ -247,8 +210,6 @@ impl ResidentStore {
             vm: self.vm[i],
             cluster: self.cluster[i],
             server: self.server[i],
-            guaranteed: self.guaranteed[i],
-            window_peak: self.window_peak[i],
         }
     }
 
@@ -267,8 +228,6 @@ pub(crate) struct StoreDump {
     pub vm: Vec<VmId>,
     pub cluster: Vec<u32>,
     pub server: Vec<ServerId>,
-    pub guaranteed: Vec<ResourceVec>,
-    pub window_peak: Vec<ResourceVec>,
     pub generation: Vec<u32>,
     pub free: Vec<u32>,
 }
@@ -277,22 +236,15 @@ pub(crate) struct StoreDump {
 mod tests {
     use super::*;
 
-    fn demand(vm: u64, guar: f64) -> VmDemand {
-        VmDemand::unpredicted(VmId::new(vm), ResourceVec::new(guar, 2.0 * guar, 0.5, 16.0))
-    }
-
     #[test]
     fn handles_round_trip_and_go_stale() {
         let mut store = ResidentStore::new();
-        let d = demand(7, 4.0);
-        let h = store.insert(VmId::new(7), 3, ServerId::new(40), &d);
+        let h = store.insert(VmId::new(7), 3, ServerId::new(40));
         assert_eq!(Handle::from_raw(h.to_raw()), h);
         let row = store.get(h).expect("live handle resolves");
         assert_eq!(row.vm, VmId::new(7));
         assert_eq!(row.cluster, 3);
         assert_eq!(row.server, ServerId::new(40));
-        assert_eq!(row.guaranteed, d.guaranteed);
-        assert_eq!(row.window_peak, d.window_peak());
 
         assert_eq!(store.remove(h), Some(row));
         assert_eq!(store.get(h), None, "removed handle is stale");
@@ -300,7 +252,7 @@ mod tests {
         assert!(store.is_empty());
 
         // The recycled slot's new tenant does not resurrect the old handle.
-        let h2 = store.insert(VmId::new(8), 0, ServerId::new(41), &demand(8, 1.0));
+        let h2 = store.insert(VmId::new(8), 0, ServerId::new(41));
         assert_eq!(store.get(h), None);
         assert_eq!(store.get(h2).unwrap().vm, VmId::new(8));
     }
@@ -308,7 +260,7 @@ mod tests {
     #[test]
     fn explicit_departure_cancels_scheduled_handle() {
         let mut store = ResidentStore::new();
-        let h = store.insert(VmId::new(1), 0, ServerId::new(9), &demand(1, 2.0));
+        let h = store.insert(VmId::new(1), 0, ServerId::new(9));
         assert_eq!(store.handle_of(VmId::new(1)), Some(h));
         // The wire departs the VM by id first...
         assert!(store.remove_by_id(VmId::new(1)).is_some());
@@ -319,23 +271,10 @@ mod tests {
     }
 
     #[test]
-    fn guaranteed_total_tracks_the_live_column() {
-        let mut store = ResidentStore::new();
-        let a = store.insert(VmId::new(1), 0, ServerId::new(1), &demand(1, 2.0));
-        store.insert(VmId::new(2), 0, ServerId::new(2), &demand(2, 3.0));
-        assert_eq!(store.guaranteed_total().cpu(), 5.0);
-        store.remove(a);
-        assert_eq!(store.guaranteed_total().cpu(), 3.0);
-        store.insert(VmId::new(3), 0, ServerId::new(3), &demand(3, 7.0));
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.guaranteed_total().cpu(), 10.0);
-    }
-
-    #[test]
     fn dump_restore_preserves_handles_and_free_list() {
         let mut store = ResidentStore::new();
-        let a = store.insert(VmId::new(1), 0, ServerId::new(1), &demand(1, 2.0));
-        let b = store.insert(VmId::new(2), 1, ServerId::new(2), &demand(2, 3.0));
+        let a = store.insert(VmId::new(1), 0, ServerId::new(1));
+        let b = store.insert(VmId::new(2), 1, ServerId::new(2));
         store.remove(a); // slot 0 freed; its columns keep stale values
 
         let restored = ResidentStore::from_dump(store.dump());
@@ -345,9 +284,9 @@ mod tests {
         assert_eq!(restored.handle_of(VmId::new(2)), Some(b));
         // The freed slot is recycled in the same order as the original.
         let mut original = store;
-        let c1 = original.insert(VmId::new(3), 0, ServerId::new(3), &demand(3, 1.0));
+        let c1 = original.insert(VmId::new(3), 0, ServerId::new(3));
         let mut restored = restored;
-        let c2 = restored.insert(VmId::new(3), 0, ServerId::new(3), &demand(3, 1.0));
+        let c2 = restored.insert(VmId::new(3), 0, ServerId::new(3));
         assert_eq!(c1, c2);
         assert_eq!(original.dump(), restored.dump());
     }
@@ -356,8 +295,8 @@ mod tests {
     #[should_panic(expected = "occupies two resident slots")]
     fn conflicting_dump_rejected() {
         let mut store = ResidentStore::new();
-        store.insert(VmId::new(1), 0, ServerId::new(1), &demand(1, 2.0));
-        store.insert(VmId::new(2), 0, ServerId::new(2), &demand(2, 3.0));
+        store.insert(VmId::new(1), 0, ServerId::new(1));
+        store.insert(VmId::new(2), 0, ServerId::new(2));
         let mut dump = store.dump();
         dump.vm[1] = VmId::new(1); // forge a duplicate occupancy
         ResidentStore::from_dump(dump);
@@ -367,7 +306,7 @@ mod tests {
     #[should_panic(expected = "already resident")]
     fn double_insert_panics() {
         let mut store = ResidentStore::new();
-        store.insert(VmId::new(1), 0, ServerId::new(1), &demand(1, 1.0));
-        store.insert(VmId::new(1), 0, ServerId::new(2), &demand(1, 1.0));
+        store.insert(VmId::new(1), 0, ServerId::new(1));
+        store.insert(VmId::new(1), 0, ServerId::new(2));
     }
 }

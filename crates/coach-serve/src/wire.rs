@@ -242,8 +242,6 @@ impl Encode for StoreDump {
         self.vm.encode(e);
         self.cluster.encode(e);
         self.server.encode(e);
-        self.guaranteed.encode(e);
-        self.window_peak.encode(e);
         self.generation.encode(e);
         self.free.encode(e);
     }
@@ -255,8 +253,6 @@ impl Decode for StoreDump {
             vm: Decode::decode(d)?,
             cluster: Decode::decode(d)?,
             server: Decode::decode(d)?,
-            guaranteed: Decode::decode(d)?,
-            window_peak: Decode::decode(d)?,
             generation: Decode::decode(d)?,
             free: Decode::decode(d)?,
         })
@@ -951,7 +947,7 @@ mod tests {
         }
 
         let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("tests/fixtures/protocol_v3.bin");
+            .join("tests/fixtures/protocol_v4.bin");
         if std::env::var_os("COACH_WIRE_BLESS").is_some() {
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
             std::fs::write(&path, &stream).unwrap();
@@ -960,7 +956,7 @@ mod tests {
             std::fs::read(&path).unwrap_or_else(|e| panic!("missing golden fixture: {e}"));
         assert_eq!(
             stream, fixture,
-            "protocol frame encoding drifted from the committed v3 fixture — \
+            "protocol frame encoding drifted from the committed v4 fixture — \
              this is a wire format change and needs a VERSION bump"
         );
 

@@ -219,7 +219,7 @@ fn packing_experiment_threads(
                 let va_mem: Vec<f64> = (0..demand.window_count())
                     .map(|w| demand.va_demand(w).memory())
                     .collect();
-                match sched.place(demand) {
+                match sched.place(&demand) {
                     PlacementOutcome::Placed(server) => {
                         accepted += 1;
                         let rh = vm.resource_hours();

@@ -113,6 +113,9 @@ pub fn measure_probe_capacity<'a>(
     templates: &[VmDemand],
 ) -> u64 {
     let windows = templates.len();
+    // The scheduler borrows the demand, so one copy per rotation serves
+    // every probe: only the id changes.
+    let mut probes = templates.to_vec();
     let mut placed_ids: Vec<u64> = Vec::new();
     let mut count = 0u64;
     let mut next_id = 1u64 << 40;
@@ -120,9 +123,8 @@ pub fn measure_probe_capacity<'a>(
         let mut consecutive_rejections = 0usize;
         let mut rotation = 0usize;
         while consecutive_rejections < windows {
-            let mut demand = templates[rotation].clone();
-            demand.vm = VmId::new(next_id);
-            match sched.place(demand) {
+            probes[rotation].vm = VmId::new(next_id);
+            match sched.place(&probes[rotation]) {
                 PlacementOutcome::Placed(_) => {
                     placed_ids.push(next_id);
                     count += 1;

@@ -147,7 +147,7 @@ impl ClusterManager {
             .schedulers
             .get_mut(&cluster)
             .ok_or(AllocationError::UnknownCluster(cluster))?;
-        match sched.place_excluding(vm.demand.clone(), excluded) {
+        match sched.place_excluding(&vm.demand, excluded) {
             PlacementOutcome::Placed(server) => {
                 self.placements.insert(request.id, (cluster, server));
                 Ok(Placement { server, vm })

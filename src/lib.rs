@@ -112,11 +112,9 @@ pub use coach_workloads as workloads;
 ///   cluster) is replaced by the struct-of-arrays
 ///   [`ResidentStore`](coach_serve::ResidentStore): scheduled departures
 ///   hold generational [`Handle`](coach_serve::Handle)s (stale = one
-///   integer compare, no hash probe), and column folds back aggregate
-///   gauges such as
-///   [`Controller::resident_guaranteed`](coach_serve::Controller::resident_guaranteed).
-///   Nothing of the old map surface was public, so no caller changes are
-///   required; new code addressing residents should hold `Handle`s.
+///   integer compare, no hash probe). Nothing of the old map surface was
+///   public, so no caller changes are required; new code addressing
+///   residents should hold `Handle`s.
 ///
 /// # Distributed control plane (PR 8 migration note)
 ///

@@ -102,12 +102,12 @@ fn ingest_peak_stays_under_the_per_vm_ceilings() {
 /// violation sampling: the peak is set at the t=0 cohort (45 % of the
 /// stream resident at once) and everything after it stays below, because
 /// the accountant drops a VM within nine samples of its departure. Measured
-/// when this ceiling was set: 401.93 B per attempted VM (587 B while each
-/// server kept a whole 296-byte demand per hosted VM in a hash map and the
-/// store two demand columns nothing read; 1,091 B before the accountant
-/// stopped keeping whole records for the length of the stream), within
-/// 0.1 B of that in debug and release and with the derive stage inline or
-/// on its helper thread.
+/// when this ceiling was set: 401.93 B per attempted VM, 390.12 B since
+/// the controller's residents are one map (587 B while each server kept a
+/// whole 296-byte demand per hosted VM in a hash map; 1,091 B before the
+/// accountant stopped keeping whole records for the length of the stream),
+/// within 0.1 B of that in debug and release and with the derive stage
+/// inline or on its helper thread.
 #[test]
 fn serve_peak_stays_under_the_per_vm_ceiling() {
     const CEILING: f64 = 440.0;

@@ -38,6 +38,7 @@
 use coach_sched::VmDemand;
 use coach_trace::{UtilSampler, VmRecord};
 use coach_types::prelude::*;
+use coach_wire::WireError;
 use std::collections::HashMap;
 
 /// A VM's Formula 2 oversubscribed memory per window — inline for up to
@@ -405,34 +406,30 @@ impl ViolationAccountant {
         }
     }
 
-    /// Rebuild an accountant from a dump.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dump names a server twice — resampling from partial
-    /// state would silently corrupt the violation counters.
+    /// Rebuild an accountant from a dump. `sample_every` must be positive
+    /// (the caller checks it with the rest of the config). A dump that
+    /// names a server twice is refused — resampling from partial state
+    /// would silently corrupt the violation counters.
     pub(crate) fn from_dump(
         sample_every: SimDuration,
         horizon: Timestamp,
         dump: AccountantDump,
-    ) -> ViolationAccountant {
-        assert!(sample_every.ticks() > 0, "sample cadence must be positive");
+    ) -> Result<ViolationAccountant, WireError> {
         let mut index = HashMap::with_capacity(dump.servers.len());
         for (i, account) in dump.servers.iter().enumerate() {
-            let previous = index.insert(account.server, i as u32);
-            assert!(
-                previous.is_none(),
-                "accountant dump names server {:?} twice",
-                account.server
-            );
+            if index.insert(account.server, i as u32).is_some() {
+                return Err(WireError::Invalid {
+                    context: "AccountantDump names a server twice",
+                });
+            }
         }
-        ViolationAccountant {
+        Ok(ViolationAccountant {
             sample_every,
             horizon,
             swept_to: dump.swept_to,
             servers: dump.servers,
             index,
-        }
+        })
     }
 }
 
@@ -548,7 +545,8 @@ mod tests {
         acc.advance(Timestamp::from_ticks(trace.horizon.ticks() / 2));
 
         let dump = acc.dump();
-        let mut restored = ViolationAccountant::from_dump(every, trace.horizon, dump.clone());
+        let mut restored =
+            ViolationAccountant::from_dump(every, trace.horizon, dump.clone()).expect("valid dump");
         assert_eq!(restored.dump(), dump, "restore re-dumps identically");
 
         // Both halves finish to the horizon with identical counters: the

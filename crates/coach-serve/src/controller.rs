@@ -2,7 +2,6 @@
 
 use crate::account::{AccountantDump, ViolationAccountant};
 use crate::request::{LatencyHistogram, Request, Response, StatsReport};
-use crate::store::{Handle, ResidentStore, StoreDump};
 use crate::telemetry::ControllerTelemetry;
 use crate::wire::Snapshot;
 use coach_predict::DemandPrediction;
@@ -19,7 +18,8 @@ use coach_trace::{Cluster, Trace, VmRecord};
 use coach_types::prelude::*;
 use coach_wire::WireError;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::mpsc;
 use std::time::Instant;
 
@@ -69,10 +69,6 @@ pub struct ServeConfig {
     /// Record admission latency for every `latency_stride`-th arrival (the
     /// clock reads would otherwise bias sub-microsecond placements).
     pub latency_stride: usize,
-    /// Record an occupancy-delta timeline so a sharded deployment can
-    /// reconstruct the exact global `peak_servers_in_use` (the running peak
-    /// of a *sum* across shards is not the sum of per-shard peaks).
-    pub occupancy_timeline: bool,
     /// How [`Request::Probe`] measurements are produced: the exhaustive
     /// pack/unpack fill (the batch replay's exact float trajectory), the
     /// read-only incremental estimator over cached per-server summaries, or
@@ -110,7 +106,6 @@ impl ServeConfig {
             horizon,
             sample_every: VIOLATION_SAMPLE_EVERY,
             latency_stride: 8,
-            occupancy_timeline: false,
             // Exhaustive keeps even the probe fill's add/remove float dust
             // identical to the batch experiment; a deployment that doesn't
             // need batch bit-identity should switch to `Estimated`.
@@ -119,6 +114,14 @@ impl ServeConfig {
             telemetry: TelemetryConfig::Off,
         }
     }
+}
+
+/// The probe VM of each window rotation — a pure function of the policy
+/// and the window partition, so snapshots leave it out.
+fn probe_templates(policy: &PolicyConfig, tw: TimeWindows) -> Vec<VmDemand> {
+    (0..tw.count())
+        .map(|rotation| probe_demand(0, policy.policy, policy.percentile, tw.count(), rotation))
+        .collect()
 }
 
 /// One cluster as the controller runs it.
@@ -158,10 +161,10 @@ struct Counters {
 /// tests across seeds, policies, and random interleavings.
 ///
 /// The `'a` lifetime ties the controller to its *predictor* only. Request
-/// records are never kept: the store and the accountant copy out the few
-/// fields they read, so arrivals may borrow from transient buffers — the
-/// streaming ingestion path feeds bounded chunks that are dropped as soon
-/// as each segment is handled.
+/// records are never kept: the resident map and the accountant copy out
+/// the few fields they read, so arrivals may borrow from transient buffers
+/// — the streaming ingestion path feeds bounded chunks that are dropped as
+/// soon as each segment is handled.
 pub struct Controller<'a> {
     config: ServeConfig,
     predictor: &'a dyn Predictor,
@@ -169,13 +172,16 @@ pub struct Controller<'a> {
     /// Sorted by cluster id; arrivals resolve their cluster by binary
     /// search instead of a hash probe.
     clusters: Vec<ClusterState>,
-    /// Resident VMs in an arena of struct-of-arrays columns. Generational
-    /// handles make the heap's lazy cancellation an integer comparison.
-    residents: ResidentStore,
-    /// Scheduled departures: `Reverse((time, seq, handle))` pops in the
-    /// batch replay's exact departure order (`seq` is unique, so packing a
-    /// store handle in the third slot never reorders anything).
-    departures: BinaryHeap<Reverse<(Timestamp, u64, u64)>>,
+    /// Resident VMs: the index of the cluster each was placed in (into
+    /// `clusters`) and the arrival `seq` it was admitted under. The server
+    /// is not kept: the cluster's scheduler returns it from `remove`.
+    residents: HashMap<VmId, (u32, u64)>,
+    /// Scheduled departures: `Reverse((time, seq, vm))` pops in the batch
+    /// replay's exact departure order (`seq` is unique, so the id in the
+    /// third slot never reorders anything). An entry is live only while
+    /// `residents` holds its id under its `seq`; an explicit departure or
+    /// a re-admission of the id leaves it behind to be skipped.
+    departures: BinaryHeap<Reverse<(Timestamp, u64, VmId)>>,
     /// Arrival sequence number (the batch replay's trace index).
     seq: u64,
     probe_templates: Vec<VmDemand>,
@@ -185,6 +191,11 @@ pub struct Controller<'a> {
     counters: Counters,
     in_use: usize,
     peak_in_use: usize,
+    /// Whether occupancy changes are also recorded in `timeline`, so a
+    /// sharded deployment can reconstruct the exact global
+    /// `peak_servers_in_use` (the running peak of a *sum* across shards is
+    /// not the sum of per-shard peaks). Set by [`Self::record_timeline`].
+    occupancy_timeline: bool,
     timeline: Vec<OccDelta>,
     /// Armed telemetry, or `None` under [`TelemetryConfig::Off`] — the
     /// guarded fast path every instrumented site branches on.
@@ -231,32 +242,22 @@ impl<'a> Controller<'a> {
             })
             .collect();
         states.sort_by_key(|c| c.id);
-        let probe_templates = (0..tw.count())
-            .map(|rotation| {
-                probe_demand(
-                    0,
-                    config.policy.policy,
-                    config.policy.percentile,
-                    tw.count(),
-                    rotation,
-                )
-            })
-            .collect();
         let mut controller = Controller {
             accountant: ViolationAccountant::new(config.sample_every, config.horizon),
             config,
             predictor,
             tw,
             clusters: states,
-            residents: ResidentStore::new(),
+            residents: HashMap::new(),
             departures: BinaryHeap::new(),
             seq: 0,
-            probe_templates,
+            probe_templates: probe_templates(&config.policy, tw),
             probe_counts: Vec::new(),
             latency: LatencyHistogram::new(),
             counters: Counters::default(),
             in_use: 0,
             peak_in_use: 0,
+            occupancy_timeline: false,
             timeline: Vec::new(),
             telemetry: None,
             derive_helper: spare_core_per_shard(1),
@@ -538,13 +539,13 @@ impl<'a> Controller<'a> {
                 let rh = rec.resource_hours();
                 self.counters.accepted_core_hours += rh.cpu();
                 self.counters.accepted_gb_hours += rh.memory();
-                let handle = self.residents.insert(rec.id, ci as u32, server);
+                let previous = self.residents.insert(rec.id, (ci as u32, seq));
+                assert!(previous.is_none(), "VM {:?} already resident", rec.id);
                 // A zero-length VM's departure event precedes its arrival
                 // in the batch sort and no-ops there; never scheduling it
                 // preserves that behavior.
                 if rec.departure > rec.arrival {
-                    self.departures
-                        .push(Reverse((rec.departure, seq, handle.to_raw())));
+                    self.departures.push(Reverse((rec.departure, seq, rec.id)));
                 }
                 self.accountant
                     .on_placed(server, cluster.capacity, rec, &demand);
@@ -573,19 +574,10 @@ impl<'a> Controller<'a> {
 
     fn handle_departure(&mut self, vm: VmId, now: Timestamp) -> Response {
         self.drain_departures(now, true);
-        let found = match self.residents.remove_by_id(vm) {
-            Some(row) => {
-                let ci = row.cluster as usize;
-                // The store remembers where the VM landed, so the early
-                // departure needs no scheduler lookup.
-                self.accountant.on_early_departure(row.server, vm, now);
-                let before = self.clusters[ci].sched.servers_in_use();
-                self.clusters[ci].sched.remove(vm);
-                self.counters.departed += 1;
-                if let Some(t) = &self.telemetry {
-                    t.departed.inc();
-                }
-                self.note_occupancy(ci, before, now.ticks(), 0, u64::MAX);
+        let found = match self.residents.remove(&vm) {
+            Some((ci, _)) => {
+                let server = self.release(ci as usize, vm, now.ticks(), u64::MAX);
+                self.accountant.on_early_departure(server, vm, now);
                 true
             }
             None => false,
@@ -596,24 +588,36 @@ impl<'a> Controller<'a> {
     /// Pop and apply scheduled departures up to `t` (inclusive when
     /// `inclusive`), in the batch replay's `(time, seq)` order.
     fn drain_departures(&mut self, t: Timestamp, inclusive: bool) {
-        while let Some(&Reverse((when, seq, handle_raw))) = self.departures.peek() {
+        while let Some(&Reverse((when, seq, vm))) = self.departures.peek() {
             if when > t || (!inclusive && when == t) {
                 break;
             }
             self.departures.pop();
-            // Lazily cancelled (stale generation) if an explicit departure
-            // already removed it.
-            if let Some(row) = self.residents.remove(Handle::from_raw(handle_raw)) {
-                let ci = row.cluster as usize;
-                let before = self.clusters[ci].sched.servers_in_use();
-                self.clusters[ci].sched.remove(row.vm);
-                self.counters.departed += 1;
-                if let Some(t) = &self.telemetry {
-                    t.departed.inc();
+            // Lazily cancelled unless the id is still resident under the
+            // seq this entry was scheduled for.
+            if let Entry::Occupied(resident) = self.residents.entry(vm) {
+                if resident.get().1 == seq {
+                    let (ci, _) = resident.remove();
+                    self.release(ci as usize, vm, when.ticks(), seq);
                 }
-                self.note_occupancy(ci, before, when.ticks(), 0, seq);
             }
         }
+    }
+
+    /// Take a VM that just left `residents` off its cluster's scheduler,
+    /// count the departure, and return the server that hosted it.
+    fn release(&mut self, ci: usize, vm: VmId, ticks: u64, seq: u64) -> ServerId {
+        let sched = &mut self.clusters[ci].sched;
+        let before = sched.servers_in_use();
+        let server = sched
+            .remove(vm)
+            .expect("a resident VM is hosted by its cluster's scheduler");
+        self.counters.departed += 1;
+        if let Some(t) = &self.telemetry {
+            t.departed.inc();
+        }
+        self.note_occupancy(ci, before, ticks, 0, seq);
+        server
     }
 
     /// Fold one cluster's occupancy change into the running total, the
@@ -625,7 +629,7 @@ impl<'a> Controller<'a> {
         }
         self.in_use = self.in_use + after - before;
         self.peak_in_use = self.peak_in_use.max(self.in_use);
-        if self.config.occupancy_timeline {
+        if self.occupancy_timeline {
             self.timeline
                 .push((ticks, kind, seq, after as i32 - before as i32));
         }
@@ -740,8 +744,15 @@ impl<'a> Controller<'a> {
         &self.probe_counts
     }
 
+    /// Record every occupancy change in the delta timeline from now on —
+    /// what [`crate::ShardedController`] switches on for each of its
+    /// shards; a standalone controller's own running peak is exact.
+    pub(crate) fn record_timeline(&mut self) {
+        self.occupancy_timeline = true;
+    }
+
     /// Drain the occupancy-delta timeline recorded since the last call
-    /// (empty unless [`ServeConfig::occupancy_timeline`] was set). The
+    /// (empty unless [`Self::record_timeline`] was called). The
     /// sharded dispatcher accumulates these drains per shard, so each
     /// snapshot ships only the deltas since the previous synchronization.
     pub(crate) fn take_timeline(&mut self) -> Vec<OccDelta> {
@@ -754,7 +765,7 @@ impl<'a> Controller<'a> {
     }
 
     /// Serialize the full decision-bearing state into a versioned
-    /// [`Snapshot`] frame — schedulers, resident store, departure heap,
+    /// [`Snapshot`] frame — schedulers, resident map, departure heap,
     /// accountant, counters, latency histogram, and the undrained
     /// occupancy timeline. The accountant's entries are self-contained
     /// (each carries the sampler cut from its VM's profile, not a record
@@ -769,12 +780,19 @@ impl<'a> Controller<'a> {
         // BinaryHeap iteration order is unspecified; the sorted vector is
         // the canonical wire form (and `BinaryHeap::from` on restore pops
         // it in the identical order — entries are unique).
-        let mut departures: Vec<(Timestamp, u64, u64)> = self
+        let mut departures: Vec<(Timestamp, u64, VmId)> = self
             .departures
             .iter()
             .map(|Reverse(entry)| *entry)
             .collect();
         departures.sort_unstable();
+        // Likewise the resident map: rows sorted by id.
+        let mut residents: Vec<(VmId, u32, u64)> = self
+            .residents
+            .iter()
+            .map(|(&vm, &(cluster, seq))| (vm, cluster, seq))
+            .collect();
+        residents.sort_unstable();
         let (buckets, latency_count, latency_sum_ns) = self.latency.parts();
         let dump = ControllerDump {
             config: self.config,
@@ -784,7 +802,7 @@ impl<'a> Controller<'a> {
                 .iter()
                 .map(|c| (c.id, c.capacity, c.sched.dump()))
                 .collect(),
-            store: self.residents.dump(),
+            residents,
             departures,
             seq: self.seq,
             probe_counts: self.probe_counts.clone(),
@@ -800,6 +818,7 @@ impl<'a> Controller<'a> {
             accepted_gb_hours: self.counters.accepted_gb_hours,
             in_use: self.in_use,
             peak_in_use: self.peak_in_use,
+            occupancy_timeline: self.occupancy_timeline,
             timeline: self.timeline.clone(),
         };
         if let Some(t) = &self.telemetry {
@@ -821,83 +840,88 @@ impl<'a> Controller<'a> {
     /// `examples/benchmark` passes it; the next `[benchmark]` change drops
     /// the argument.
     ///
-    /// Structural problems in the bytes (truncation, bad tags, a window
-    /// partition that disagrees with `predictor`, an out-of-range server
-    /// fraction, a scheduler dump its `from_dump` would refuse) surface as
-    /// `Err(WireError)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a structurally valid dump is semantically inconsistent:
-    /// a VM occupies two resident slots, or the accountant names a server
-    /// twice.
+    /// Anything wrong with the bytes surfaces as `Err(WireError)`:
+    /// truncation and bad tags, a window partition that disagrees with
+    /// `predictor`, an out-of-range server fraction or sampling cadence, a
+    /// scheduler or accountant dump its `from_dump` would refuse, and a
+    /// resident map that disagrees with the schedulers about who is hosted
+    /// where.
     pub fn restore<'r>(
         predictor: &'a dyn Predictor,
         snapshot: &Snapshot,
         _resolve: impl Fn(VmId) -> Option<&'r VmRecord>,
     ) -> Result<Controller<'a>, WireError> {
         let dump: ControllerDump = coach_wire::open_frame(snapshot.bytes())?;
+        let invalid = |context| Err(WireError::Invalid { context });
         let tw = predictor.time_windows();
         if dump.windows_per_day as usize != tw.count() {
-            return Err(WireError::Invalid {
-                context: "snapshot window partition",
-            });
+            return invalid("snapshot window partition");
         }
-        if !(dump.config.server_fraction > 0.0 && dump.config.server_fraction <= 1.0) {
-            return Err(WireError::Invalid {
-                context: "snapshot server fraction",
-            });
+        let config = dump.config;
+        if !(config.server_fraction > 0.0 && config.server_fraction <= 1.0) {
+            return invalid("snapshot server fraction");
+        }
+        if config.sample_every.ticks() == 0 {
+            return invalid("snapshot sample cadence");
         }
         if dump.clusters.is_empty() || dump.clusters.windows(2).any(|w| w[0].0 >= w[1].0) {
-            return Err(WireError::Invalid {
-                context: "snapshot cluster set",
-            });
+            return invalid("snapshot cluster set");
         }
         let mut servers = dump
             .clusters
             .iter()
             .flat_map(|(_, _, sched)| &sched.servers);
         if servers.any(|server| server.windows != tw.count()) {
-            return Err(WireError::Invalid {
-                context: "snapshot scheduler windows",
-            });
+            return invalid("snapshot scheduler windows");
         }
-        let config = dump.config;
-        let probe_templates = (0..tw.count())
-            .map(|rotation| {
-                probe_demand(
-                    0,
-                    config.policy.policy,
-                    config.policy.percentile,
-                    tw.count(),
-                    rotation,
-                )
+        let clusters: Vec<ClusterState> = dump
+            .clusters
+            .into_iter()
+            .map(|(id, capacity, sched)| ClusterState {
+                id,
+                capacity,
+                sched: ClusterScheduler::from_dump(sched),
             })
             .collect();
+        // The resident map and the schedulers describe the same VMs: rows
+        // in the canonical id order, each hosted by the cluster it names,
+        // and no scheduler hosting a VM the map does not know.
+        let rows = &dump.residents;
+        let hosted = |&(vm, cluster, _): &(VmId, u32, u64)| {
+            clusters
+                .get(cluster as usize)
+                .is_some_and(|c| c.sched.server_of(vm).is_some())
+        };
+        if rows.windows(2).any(|w| w[0].0 >= w[1].0)
+            || !rows.iter().all(hosted)
+            || clusters.iter().map(|c| c.sched.vm_count()).sum::<usize>() != rows.len()
+        {
+            return invalid("snapshot resident map");
+        }
+        let in_use: usize = clusters.iter().map(|c| c.sched.servers_in_use()).sum();
+        if dump.in_use != in_use || dump.peak_in_use < in_use {
+            return invalid("snapshot occupancy");
+        }
         Ok(Controller {
             accountant: ViolationAccountant::from_dump(
                 config.sample_every,
                 config.horizon,
                 dump.accountant,
-            ),
+            )?,
             config,
             predictor,
             tw,
-            clusters: dump
-                .clusters
+            clusters,
+            residents: dump
+                .residents
                 .into_iter()
-                .map(|(id, capacity, sched)| ClusterState {
-                    id,
-                    capacity,
-                    sched: ClusterScheduler::from_dump(sched),
-                })
+                .map(|(vm, cluster, seq)| (vm, (cluster, seq)))
                 .collect(),
-            residents: ResidentStore::from_dump(dump.store),
             departures: BinaryHeap::from(
                 dump.departures.into_iter().map(Reverse).collect::<Vec<_>>(),
             ),
             seq: dump.seq,
-            probe_templates,
+            probe_templates: probe_templates(&config.policy, tw),
             probe_counts: dump.probe_counts,
             latency: LatencyHistogram::from_parts(
                 dump.latency_buckets,
@@ -914,6 +938,7 @@ impl<'a> Controller<'a> {
             },
             in_use: dump.in_use,
             peak_in_use: dump.peak_in_use,
+            occupancy_timeline: dump.occupancy_timeline,
             timeline: dump.timeline,
             // Telemetry never crosses the wire (the decoded config is Off);
             // the restoring deployment re-arms via `enable_telemetry`.
@@ -936,10 +961,13 @@ pub(crate) struct ControllerDump {
     /// `(id, hardware capacity, scheduler state)` per cluster, in the
     /// controller's sorted-by-id order.
     pub clusters: Vec<(ClusterId, ResourceVec, ClusterSchedulerDump)>,
-    pub store: StoreDump,
-    /// The departure heap's entries, sorted ascending (the canonical
-    /// form; the heap rebuilds losslessly because pop order is total).
-    pub departures: Vec<(Timestamp, u64, u64)>,
+    /// The resident map as `(vm, cluster index, arrival seq)` rows, sorted
+    /// by id (the canonical form).
+    pub residents: Vec<(VmId, u32, u64)>,
+    /// The departure heap's `(time, seq, vm)` entries, sorted ascending
+    /// (the canonical form; the heap rebuilds losslessly because pop order
+    /// is total).
+    pub departures: Vec<(Timestamp, u64, VmId)>,
     pub seq: u64,
     pub probe_counts: Vec<u64>,
     pub accountant: AccountantDump,
@@ -954,6 +982,7 @@ pub(crate) struct ControllerDump {
     pub accepted_gb_hours: f64,
     pub in_use: usize,
     pub peak_in_use: usize,
+    pub occupancy_timeline: bool,
     pub timeline: Vec<OccDelta>,
 }
 
@@ -1066,12 +1095,12 @@ mod tests {
         }
     }
 
-    /// A snapshot whose scheduler half is inconsistent restores to the typed
-    /// error, not to a `from_dump` assertion (`coach-sched`'s codec tests
-    /// have one case per field) — and so does one whose servers pack a
-    /// window count that is not the predictor's.
+    /// A structurally valid snapshot that contradicts itself restores to
+    /// the typed error, never to a `from_dump` assertion or a controller
+    /// that panics later: one field-wise mutation of a valid dump per case
+    /// (`coach-sched`'s codec tests have one per scheduler field).
     #[test]
-    fn restore_refuses_an_inconsistent_scheduler_dump() {
+    fn restore_refuses_an_inconsistent_dump() {
         let trace = generate(&TraceConfig::small(23));
         let oracle = Oracle::new(TimeWindows::paper_default());
         let mut controller = coach_controller(&trace, &oracle);
@@ -1081,33 +1110,197 @@ mod tests {
         let snapshot = controller.snapshot();
         assert!(Controller::restore(&oracle, &snapshot, |_| None).is_ok());
 
-        // One VM twice on a server.
-        let mut dump: ControllerDump = coach_wire::open_frame(snapshot.bytes()).unwrap();
-        let servers = &mut dump.clusters[0].2.servers;
-        let packed = servers.iter_mut().find(|s| s.vms.len() > 1).unwrap();
-        packed.vms[1].0 = packed.vms[0].0;
-        let restored = Controller::restore(&oracle, &Snapshot::seal(&dump), |_| None);
-        assert!(
-            matches!(restored, Err(WireError::Invalid { .. })),
-            "{:?}",
-            restored.err()
-        );
+        type Mutation = fn(&mut ControllerDump);
+        let cases: [(&str, &str, Mutation); 11] = [
+            ("one VM twice on a server", "ServerStateDump", |dump| {
+                let servers = &mut dump.clusters[0].2.servers;
+                let packed = servers.iter_mut().find(|s| s.vms.len() > 1).unwrap();
+                packed.vms[1].0 = packed.vms[0].0;
+            }),
+            // Every sum has the right length for its own window count, but
+            // the count is not the predictor's: `can_fit` would panic.
+            (
+                "servers over another window partition",
+                "snapshot scheduler windows",
+                |dump| {
+                    let server = &mut dump.clusters[0].2.servers[0];
+                    server.vms.clear();
+                    server.windows = 1;
+                    server.window_sum.truncate(1);
+                    server.va_mem_sum.truncate(1);
+                },
+            ),
+            (
+                "resident rows out of id order",
+                "snapshot resident map",
+                |dump| dump.residents.swap(0, 1),
+            ),
+            (
+                "one id in two resident rows",
+                "snapshot resident map",
+                |dump| dump.residents[1].0 = dump.residents[0].0,
+            ),
+            (
+                "a resident in a cluster the controller does not own",
+                "snapshot resident map",
+                |dump| dump.residents[0].1 = dump.clusters.len() as u32,
+            ),
+            // Still ascending, still as many rows as hosted VMs.
+            (
+                "a resident no scheduler hosts",
+                "snapshot resident map",
+                |dump| dump.residents.last_mut().unwrap().0 = VmId::new(u64::MAX),
+            ),
+            (
+                "a hosted VM the resident map lacks",
+                "snapshot resident map",
+                |dump| dump.residents.truncate(1),
+            ),
+            (
+                "the accountant naming a server twice",
+                "AccountantDump names a server twice",
+                |dump| dump.accountant.servers[1].server = dump.accountant.servers[0].server,
+            ),
+            ("a zero sample cadence", "snapshot sample cadence", |dump| {
+                dump.config.sample_every = SimDuration::from_ticks(0)
+            }),
+            (
+                "fewer servers in use than the schedulers count",
+                "snapshot occupancy",
+                |dump| dump.in_use -= 1,
+            ),
+            (
+                "a peak below the current occupancy",
+                "snapshot occupancy",
+                |dump| dump.peak_in_use = 0,
+            ),
+        ];
+        for (case, context, mutate) in cases {
+            let mut dump: ControllerDump = coach_wire::open_frame(snapshot.bytes()).unwrap();
+            mutate(&mut dump);
+            let restored = Controller::restore(&oracle, &Snapshot::seal(&dump), |_| None);
+            assert_eq!(
+                restored.err(),
+                Some(WireError::Invalid { context }),
+                "{case}"
+            );
+        }
+    }
 
-        // Every sum has the right length for its own window count, but the
-        // count is not the predictor's: arrivals would panic in `can_fit`.
-        let mut dump: ControllerDump = coach_wire::open_frame(snapshot.bytes()).unwrap();
-        let server = &mut dump.clusters[0].2.servers[0];
-        server.vms.clear();
-        server.windows = 1;
-        server.window_sum.truncate(1);
-        server.va_mem_sum.truncate(1);
-        let restored = Controller::restore(&oracle, &Snapshot::seal(&dump), |_| None);
-        assert_eq!(
-            restored.err(),
-            Some(WireError::Invalid {
-                context: "snapshot scheduler windows"
-            })
-        );
+    /// `trace`'s first record, re-addressed: the controller reads a
+    /// record's id and times, whatever profile it carries.
+    fn record(trace: &Trace, id: u64, arrival: u64, departure: u64) -> VmRecord {
+        VmRecord {
+            id: VmId::new(id),
+            arrival: Timestamp::from_hours(arrival),
+            departure: Timestamp::from_hours(departure),
+            ..trace.vms[0].clone()
+        }
+    }
+
+    fn stats_at(controller: &mut Controller, hours: u64) -> StatsReport {
+        let now = Timestamp::from_hours(hours);
+        match controller.handle(Request::Stats { now }) {
+            Response::Stats(stats) => stats,
+            other => panic!("a stats request answers with stats, not {other:?}"),
+        }
+    }
+
+    /// An id departed explicitly and admitted again is a new resident: the
+    /// first admission's scheduled departure must not evict it.
+    #[test]
+    fn a_stale_departure_never_removes_a_readmitted_id() {
+        let trace = generate(&TraceConfig::small(31));
+        let oracle = Oracle::new(TimeWindows::paper_default());
+        let mut controller = coach_controller(&trace, &oracle);
+        let vm = VmId::new(7);
+        controller.handle(Request::Arrive(&record(&trace, 7, 0, 10)));
+        let departed = controller.handle(Request::Depart {
+            vm,
+            now: Timestamp::from_hours(2),
+        });
+        assert_eq!(departed, Response::Departed { vm, found: true });
+        let Response::Admission {
+            outcome: PlacementOutcome::Placed(server),
+            ..
+        } = controller.handle(Request::Arrive(&record(&trace, 7, 3, 20)))
+        else {
+            panic!("an empty cluster places the VM");
+        };
+
+        controller.handle(Request::Tick {
+            now: Timestamp::from_hours(11),
+        });
+        assert_eq!(stats_at(&mut controller, 11).resident_vms, 1);
+        let hosts: Vec<_> = controller
+            .clusters
+            .iter()
+            .filter_map(|c| c.sched.server_of(vm))
+            .collect();
+        assert_eq!(hosts, [server], "still on the server it was re-admitted to");
+
+        controller.handle(Request::Tick {
+            now: Timestamp::from_hours(21),
+        });
+        let stats = stats_at(&mut controller, 21);
+        assert_eq!((stats.resident_vms, stats.departed), (0, 2));
+        assert!(controller.clusters.iter().all(|c| c.sched.vm_count() == 0));
+    }
+
+    #[test]
+    fn an_explicit_departure_cancels_the_scheduled_one() {
+        let trace = generate(&TraceConfig::small(31));
+        let oracle = Oracle::new(TimeWindows::paper_default());
+        let mut controller = coach_controller(&trace, &oracle);
+        let vm = VmId::new(7);
+        controller.handle(Request::Arrive(&record(&trace, 7, 0, 10)));
+        let now = Timestamp::from_hours(2);
+        let first = controller.handle(Request::Depart { vm, now });
+        assert_eq!(first, Response::Departed { vm, found: true });
+        let second = controller.handle(Request::Depart { vm, now });
+        assert_eq!(second, Response::Departed { vm, found: false });
+        // The scheduled departure at t=10 pops here and finds nobody.
+        let stats = stats_at(&mut controller, 11);
+        assert_eq!((stats.resident_vms, stats.departed), (0, 1));
+    }
+
+    /// A snapshot taken while cancelled departures still sit in the heap
+    /// restores into a controller that skips them the same way.
+    #[test]
+    fn a_snapshot_between_a_departure_and_its_stale_pop_resumes_identically() {
+        let trace = generate(&TraceConfig::small(37));
+        let oracle = Oracle::new(TimeWindows::paper_default());
+        let mut live = coach_controller(&trace, &oracle);
+        let (head, tail) = trace.vms.split_at(trace.vms.len() / 2);
+        let now = tail[0].arrival;
+        for rec in head {
+            live.handle(Request::Arrive(rec));
+        }
+        // Every fourth VM that would outlive the cut leaves at it instead.
+        let mut cancelled = 0;
+        for rec in head {
+            if rec.departure > now && rec.id.raw() % 4 == 0 {
+                let vm = rec.id;
+                let departed = live.handle(Request::Depart { vm, now });
+                cancelled += usize::from(departed == Response::Departed { vm, found: true });
+            }
+        }
+        assert!(cancelled > 0, "the head leaves long-lived residents");
+        let stale = live
+            .departures
+            .iter()
+            .filter(|Reverse((_, _, vm))| !live.residents.contains_key(vm))
+            .count();
+        assert_eq!(stale, cancelled, "cancelled entries are still scheduled");
+
+        let snapshot = live.snapshot();
+        let mut restored = Controller::restore(&oracle, &snapshot, |_| None).unwrap();
+        assert_eq!(restored.snapshot(), snapshot);
+        for rec in tail {
+            let request = Request::Arrive(rec);
+            assert_eq!(restored.handle(request), live.handle(request));
+        }
+        assert_eq!(restored.finalize(), live.finalize());
     }
 
     /// Segments == per-item at every segment length around the chunk and

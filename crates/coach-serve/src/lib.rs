@@ -18,10 +18,9 @@
 //!   order, run ahead of the placement loop on a helper thread when the
 //!   box has a core to spare — the cold path the sharded dispatcher uses
 //!   per segment.
-//! * [`ResidentStore`] — the arena-backed struct-of-arrays record of every
-//!   hosted VM. Scheduled departures carry generational [`Handle`]s, so a
-//!   stale (already-departed) heap entry cancels with one integer compare
-//!   instead of a hash probe; aggregate gauges fold contiguous columns.
+//!   Residents are one `HashMap` from VM id to (cluster, arrival seq); a
+//!   scheduled departure whose id is no longer resident under its seq —
+//!   an explicit `Depart` got there first — is skipped when it pops.
 //! * [`ViolationAccountant`] — per-server Formula 3/4 running sums and
 //!   CPU/memory violation counters maintained at event granularity,
 //!   replacing the batch experiment's post-replay sweep (the large-scale
@@ -45,12 +44,15 @@
 //!   [`ShardedController::drain_shard`] /
 //!   [`ShardedController::resume_shard`] for drain-upgrade-resume live
 //!   servicing.
-//! * [`RequestSource`] — derives the request stream lazily from
-//!   arrival-sorted [`coach_trace::VmRecord`]s: no event vector, no sort,
-//!   no utilization-series materialization.
+//! * [`Source`] — derives the request stream lazily from arrival-ordered
+//!   [`coach_trace::VmRecord`]s: no event vector, no sort, no
+//!   utilization-series materialization. [`RequestSource`] borrows the
+//!   records from a slice and yields [`Request`]s; [`StreamSource`] owns
+//!   them and yields [`StreamRequest`]s — two names for one iterator over
+//!   one [`RequestOf`] enum.
 //! * [`LatencyHistogram`] / [`StatsReport`] — O(1) admission-latency and
 //!   occupancy/probe/violation telemetry, queryable mid-stream through
-//!   [`Request::Stats`] without touching scheduler internals.
+//!   [`RequestOf::Stats`] without touching scheduler internals.
 //!
 //! # Example
 //!
@@ -81,15 +83,13 @@ pub mod request;
 pub mod scenario;
 pub mod shard;
 pub mod source;
-pub mod store;
 pub mod telemetry;
 pub mod wire;
 
 pub use account::ViolationAccountant;
 pub use coach_telemetry::TelemetryConfig;
 pub use controller::{serve_trace, Controller, ServeConfig};
-pub use request::{LatencyHistogram, Request, Response, StatsReport, StreamRequest};
+pub use request::{LatencyHistogram, Request, RequestOf, Response, StatsReport, StreamRequest};
 pub use shard::{maybe_run_shard_worker, serve_trace_sharded, ShardedController, SHARD_WORKER_ENV};
-pub use source::{RequestSource, StreamSource};
-pub use store::{Handle, Resident, ResidentStore};
-pub use wire::{PredictorSpec, Snapshot};
+pub use source::{RequestSource, Source, StreamSource};
+pub use wire::Snapshot;

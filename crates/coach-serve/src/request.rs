@@ -4,18 +4,21 @@ use coach_sched::PlacementOutcome;
 use coach_sim::PackingResult;
 use coach_trace::VmRecord;
 use coach_types::prelude::*;
+use std::borrow::Borrow;
 
-/// One unit of work for the [`Controller`](crate::Controller).
+/// One unit of work for the [`Controller`](crate::Controller), generic
+/// over how an arrival holds its record: [`Request`] borrows it,
+/// [`StreamRequest`] owns it.
 ///
 /// Requests must be fed in non-decreasing time order (the order a real
 /// control plane receives them); the controller's departure heap supplies
 /// every event *between* requests, so the caller never pre-sorts a batch.
-#[derive(Debug, Clone, Copy)]
-pub enum Request<'a> {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RequestOf<R> {
     /// A VM allocation request. The controller predicts its per-window
     /// demand, attempts placement, and (on success) schedules its departure
     /// from the record's deallocation time.
-    Arrive(&'a VmRecord),
+    Arrive(R),
     /// An explicit early deallocation (ahead of the scheduled departure).
     Depart {
         /// The VM to deallocate.
@@ -35,7 +38,7 @@ pub enum Request<'a> {
         /// Measurement time: state reflects every event strictly before it.
         now: Timestamp,
     },
-    /// Snapshot the controller's counters. Like [`Request::Tick`], the
+    /// Snapshot the controller's counters. Like [`RequestOf::Tick`], the
     /// query advances the clock to `now` first (due departures retire, the
     /// accountant samples up to but excluding `now`), so the report is
     /// consistent with that time.
@@ -45,15 +48,28 @@ pub enum Request<'a> {
     },
 }
 
-impl Request<'_> {
+/// A request whose arrival borrows its record from a materialized slice —
+/// zero copies, and what [`Controller::handle`](crate::Controller::handle)
+/// takes: the controller copies out what it keeps of a record.
+pub type Request<'a> = RequestOf<&'a VmRecord>;
+
+/// A request that owns its arrival record (a [`VmRecord`] is a flat value
+/// — moving one is a memcpy, no heap graph), so request streams can be
+/// derived from bounded-memory generators
+/// ([`coach_trace::StreamingTrace`]) or synthesized by scenario
+/// combinators ([`crate::scenario`]) without any backing storage. It is
+/// also what every request becomes at the sharded dispatcher's front door.
+pub type StreamRequest = RequestOf<VmRecord>;
+
+impl<R: Borrow<VmRecord>> RequestOf<R> {
     /// The simulated time this request is for.
     pub fn time(&self) -> Timestamp {
         match self {
-            Request::Arrive(vm) => vm.arrival,
-            Request::Depart { now, .. }
-            | Request::Tick { now }
-            | Request::Probe { now }
-            | Request::Stats { now } => *now,
+            RequestOf::Arrive(vm) => vm.borrow().arrival,
+            RequestOf::Depart { now, .. }
+            | RequestOf::Tick { now }
+            | RequestOf::Probe { now }
+            | RequestOf::Stats { now } => *now,
         }
     }
 
@@ -62,98 +78,32 @@ impl Request<'_> {
     /// to one. Arrivals route by cluster; everything else touches — or may
     /// touch — every shard.
     pub fn is_broadcast(&self) -> bool {
-        !matches!(self, Request::Arrive(_))
-    }
-}
-
-/// An *owning* request: the streaming counterpart of [`Request`].
-///
-/// [`Request`] borrows its arrival record from a materialized slice, which
-/// pins the whole trace in memory for the stream's lifetime. A
-/// `StreamRequest` owns its record instead (a [`VmRecord`] is a flat value
-/// — cloning is a memcpy, no heap graph), so request streams can be derived
-/// from bounded-memory generators ([`coach_trace::StreamingTrace`]) or
-/// synthesized by scenario combinators ([`crate::scenario`]) without any
-/// backing storage. It is also what every request becomes at the sharded
-/// dispatcher's front door (a borrowed [`Request`] is lifted with
-/// [`StreamRequest::from_request`]); the controller copies what it keeps of
-/// a record, so nothing outlives its segment.
-///
-/// Broadcast variants are identical to [`Request`]'s; use
-/// [`StreamRequest::as_request`] to view any variant as a borrowed request.
-// Arrive dwarfs the broadcast variants, but boxing it would put a heap
-// allocation on every record in the streaming hot path — the whole point
-// of the flat by-value record is that moving one is a memcpy. Streams are
-// overwhelmingly Arrive anyway, so the broadcast variants' padding is
-// noise.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq)]
-pub enum StreamRequest {
-    /// A VM allocation request carrying its record by value.
-    Arrive(VmRecord),
-    /// An explicit early deallocation (ahead of the scheduled departure).
-    Depart {
-        /// The VM to deallocate.
-        vm: VmId,
-        /// Request time.
-        now: Timestamp,
-    },
-    /// Advance the clock (see [`Request::Tick`]).
-    Tick {
-        /// The new current time.
-        now: Timestamp,
-    },
-    /// Measure spare capacity (see [`Request::Probe`]).
-    Probe {
-        /// Measurement time.
-        now: Timestamp,
-    },
-    /// Snapshot the controller's counters (see [`Request::Stats`]).
-    Stats {
-        /// Query time.
-        now: Timestamp,
-    },
-}
-
-impl StreamRequest {
-    /// The simulated time this request is for.
-    pub fn time(&self) -> Timestamp {
-        match self {
-            StreamRequest::Arrive(vm) => vm.arrival,
-            StreamRequest::Depart { now, .. }
-            | StreamRequest::Tick { now }
-            | StreamRequest::Probe { now }
-            | StreamRequest::Stats { now } => *now,
-        }
-    }
-
-    /// Whether a sharded deployment must deliver this request to every
-    /// shard (see [`Request::is_broadcast`]).
-    pub fn is_broadcast(&self) -> bool {
-        !matches!(self, StreamRequest::Arrive(_))
+        !matches!(self, RequestOf::Arrive(_))
     }
 
     /// View as a borrowed [`Request`] (e.g. to feed a single-shard
     /// [`Controller::handle`](crate::Controller::handle)).
     pub fn as_request(&self) -> Request<'_> {
-        match self {
-            StreamRequest::Arrive(vm) => Request::Arrive(vm),
-            StreamRequest::Depart { vm, now } => Request::Depart { vm: *vm, now: *now },
-            StreamRequest::Tick { now } => Request::Tick { now: *now },
-            StreamRequest::Probe { now } => Request::Probe { now: *now },
-            StreamRequest::Stats { now } => Request::Stats { now: *now },
+        match *self {
+            RequestOf::Arrive(ref vm) => RequestOf::Arrive(vm.borrow()),
+            RequestOf::Depart { vm, now } => RequestOf::Depart { vm, now },
+            RequestOf::Tick { now } => RequestOf::Tick { now },
+            RequestOf::Probe { now } => RequestOf::Probe { now },
+            RequestOf::Stats { now } => RequestOf::Stats { now },
         }
     }
+}
 
-    /// Lift a borrowed [`Request`] into an owning one (arrival records are
-    /// cloned).
+impl StreamRequest {
+    /// Lift a borrowed [`Request`] into an owning one — the one place an
+    /// arrival record is cloned.
     pub fn from_request(req: Request<'_>) -> StreamRequest {
         match req {
-            Request::Arrive(vm) => StreamRequest::Arrive(vm.clone()),
-            Request::Depart { vm, now } => StreamRequest::Depart { vm, now },
-            Request::Tick { now } => StreamRequest::Tick { now },
-            Request::Probe { now } => StreamRequest::Probe { now },
-            Request::Stats { now } => StreamRequest::Stats { now },
+            RequestOf::Arrive(vm) => RequestOf::Arrive(vm.clone()),
+            RequestOf::Depart { vm, now } => RequestOf::Depart { vm, now },
+            RequestOf::Tick { now } => RequestOf::Tick { now },
+            RequestOf::Probe { now } => RequestOf::Probe { now },
+            RequestOf::Stats { now } => RequestOf::Stats { now },
         }
     }
 }

@@ -39,7 +39,7 @@
 use crate::controller::{spare_core_per_shard, Controller, OccDelta, ServeConfig};
 use crate::request::{LatencyHistogram, Request, Response, StatsReport, StreamRequest};
 use crate::telemetry::{metric, ShardTelemetry, WireTelemetry};
-use crate::wire::{PredictorSpec, Snapshot, TokenCmd, WireCmd, WireReply};
+use crate::wire::{Snapshot, TokenCmd, WireCmd, WireReply};
 use coach_sim::{Oracle, PackingResult, PolicyConfig, Predictor};
 use coach_telemetry::{
     LabelValue, Registry, RegistrySnapshot, SpanRing, SpanStart, TelemetryConfig,
@@ -195,12 +195,6 @@ impl<'a> ShardedController<'a> {
             groups[i % shard_count].push((*cluster).clone());
             route.push((cluster.id, (i % shard_count) as u32));
         }
-        let config = ServeConfig {
-            // Shard-local peaks cannot be summed; the delta timelines are
-            // merged instead.
-            occupancy_timeline: true,
-            ..config
-        };
         // Constructed un-armed, then re-armed below onto the deployment's
         // shared registry (so per-shard construction never registers a
         // private registry that would immediately be thrown away).
@@ -210,7 +204,13 @@ impl<'a> ShardedController<'a> {
         };
         let mut shards: Vec<Controller<'a>> = groups
             .into_iter()
-            .map(|group| Controller::new(&group, predictor, shard_config))
+            .map(|group| {
+                let mut shard = Controller::new(&group, predictor, shard_config);
+                // Shard-local peaks cannot be summed; the delta timelines
+                // are merged instead.
+                shard.record_timeline();
+                shard
+            })
             .collect();
         let telemetry = (!config.telemetry.is_off()).then(|| {
             let origin = Instant::now();
@@ -358,15 +358,12 @@ impl<'a> ShardedController<'a> {
         let Some(pool) = self.process.as_mut() else {
             return;
         };
+        let arm = WireCmd::Telemetry {
+            mode: TelemetryConfig::Full,
+        };
         for shard in 0..pool.len() {
-            let frame = seal_frame(&WireCmd::Telemetry {
-                mode: TelemetryConfig::Full,
-            });
-            t.wire.sent(frame.len());
-            pool.send(shard, frame);
-            let reply = pool.recv(shard);
-            t.wire.received(reply.len());
-            let reply: WireReply = open_frame(&reply).expect("decode shard telemetry reply");
+            send_frame(pool, Some(&t.wire), shard, &arm);
+            let reply = recv_frame(pool, Some(&t.wire), shard);
             let WireReply::Telemetry(delta) = reply else {
                 unreachable!("telemetry frame answered with a delta, got {reply:?}");
             };
@@ -393,13 +390,6 @@ impl<'a> ShardedController<'a> {
         }
     }
 
-    /// The process backend's predictor recipe (see [`PredictorSpec`]).
-    fn predictor_spec(&self) -> PredictorSpec {
-        PredictorSpec::Oracle {
-            windows_per_day: self.predictor.time_windows().count() as u32,
-        }
-    }
-
     /// Spawn the supervised children on first use and install each
     /// shard's current controller state as its checkpoint.
     fn ensure_process_pool(&mut self) {
@@ -414,16 +404,12 @@ impl<'a> ShardedController<'a> {
         })
         .expect("spawn shard worker processes");
         self.process = Some(pool);
-        let spec = self.predictor_spec();
         for shard in 0..self.shards.len() {
-            let frame = seal_frame(&WireCmd::Init {
-                spec,
-                snapshot: self.shards[shard].snapshot().into_bytes(),
-            });
+            let snapshot = self.shards[shard].snapshot().into_bytes();
             self.process
                 .as_mut()
                 .expect("pool just spawned")
-                .install_checkpoint(shard, frame);
+                .install_checkpoint(shard, init_frame(self.predictor, snapshot));
         }
     }
 
@@ -431,25 +417,25 @@ impl<'a> ShardedController<'a> {
     /// (without touching the child — its live state already equals the
     /// export), bounding journal replay to one session.
     fn refresh_process_checkpoints(&mut self) {
-        let spec = self.predictor_spec();
-        let wire = self.telemetry.as_deref().map(|t| &t.wire);
-        let pool = self.process.as_mut().expect("process session open");
-        for shard in 0..pool.len() {
-            let frame = seal_frame(&WireCmd::Export);
-            if let Some(w) = wire {
-                w.sent(frame.len());
-            }
-            pool.send(shard, frame);
-            let reply = pool.recv(shard);
-            if let Some(w) = wire {
-                w.received(reply.len());
-            }
-            let reply: WireReply = open_frame(&reply).expect("decode shard worker export reply");
-            let WireReply::Exported(snapshot) = reply else {
-                unreachable!("export answered with a snapshot, got {reply:?}");
-            };
-            pool.refresh_checkpoint(shard, seal_frame(&WireCmd::Init { spec, snapshot }));
+        for shard in 0..self.shards.len() {
+            let exported = self.export_child(shard);
+            self.process
+                .as_mut()
+                .expect("process session open")
+                .refresh_checkpoint(shard, init_frame(self.predictor, exported));
         }
+    }
+
+    /// Ask `shard`'s live child for its sealed [`Snapshot`] frame.
+    fn export_child(&mut self, shard: usize) -> Vec<u8> {
+        let wire = self.telemetry.as_deref().map(|t| &t.wire);
+        let pool = self.process.as_mut().expect("process pool spawned");
+        send_frame(pool, wire, shard, &WireCmd::Export);
+        let reply = recv_frame(pool, wire, shard);
+        let WireReply::Exported(snapshot) = reply else {
+            unreachable!("export answered with a snapshot, got {reply:?}");
+        };
+        snapshot
     }
 
     /// Process a batch of time-ordered requests, returning responses in
@@ -595,23 +581,7 @@ impl<'a> ShardedController<'a> {
             WorkerBackend::Process => {
                 self.ensure_process_pool();
                 let t0 = Instant::now();
-                let wire = self.telemetry.as_deref().map(|t| &t.wire);
-                let pool = self.process.as_mut().expect("process pool spawned above");
-                let frame = seal_frame(&WireCmd::Export);
-                if let Some(w) = wire {
-                    w.sent(frame.len());
-                }
-                pool.send(shard, frame);
-                let reply = pool.recv(shard);
-                if let Some(w) = wire {
-                    w.received(reply.len());
-                }
-                let reply: WireReply =
-                    open_frame(&reply).expect("decode shard worker export reply");
-                let WireReply::Exported(bytes) = reply else {
-                    unreachable!("export answered with a snapshot, got {reply:?}");
-                };
-                let snapshot = Snapshot::from_bytes(bytes);
+                let snapshot = Snapshot::from_bytes(self.export_child(shard));
                 if let Some(t) = self.telemetry.as_deref() {
                     // Includes the pipe round trip: the observable cost of
                     // draining a live child.
@@ -644,8 +614,7 @@ impl<'a> ShardedController<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `shard` is out of range, or on a semantically
-    /// inconsistent dump (see [`Controller::restore`]).
+    /// Panics if `shard` is out of range.
     pub fn resume_shard(&mut self, shard: usize, snapshot: &Snapshot) -> Result<(), WireError> {
         assert!(shard < self.shards.len(), "shard {shard} out of range");
         // Restoring parent-side first validates the bytes (and keeps the
@@ -673,12 +642,7 @@ impl<'a> ShardedController<'a> {
         }
         if self.backend == WorkerBackend::Process {
             if let Some(pool) = self.process.as_mut() {
-                let frame = seal_frame(&WireCmd::Init {
-                    spec: PredictorSpec::Oracle {
-                        windows_per_day: self.predictor.time_windows().count() as u32,
-                    },
-                    snapshot: snapshot.bytes().to_vec(),
-                });
+                let frame = init_frame(self.predictor, snapshot.bytes().to_vec());
                 pool.install_checkpoint(shard, frame);
             }
             // No pool yet: the next session's `ensure_process_pool` seeds
@@ -728,8 +692,11 @@ pub fn maybe_run_shard_worker() {
 /// verbs here, every dispatch command through the [`worker_step`] the
 /// thread pool runs.
 fn child_step(shard: u32, state: &mut Option<Controller<'static>>, cmd: WireCmd) -> WireReply {
-    if let WireCmd::Init { spec, snapshot } = cmd {
-        let PredictorSpec::Oracle { windows_per_day } = spec;
+    if let WireCmd::Init {
+        windows_per_day,
+        snapshot,
+    } = cmd
+    {
         let predictor: &'static Oracle =
             Box::leak(Box::new(Oracle::new(TimeWindows::new(windows_per_day))));
         let mut controller =
@@ -790,6 +757,33 @@ enum Sent {
     Finalize,
 }
 
+/// The `Init` frame that seeds (or re-seeds) a child from `snapshot`.
+fn init_frame(predictor: &dyn Predictor, snapshot: Vec<u8>) -> Vec<u8> {
+    seal_frame(&WireCmd::Init {
+        windows_per_day: predictor.time_windows().count() as u32,
+        snapshot,
+    })
+}
+
+/// Seal `cmd` into a frame on `shard`'s pipe, weighing the frame when the
+/// wire instruments are armed.
+fn send_frame(pool: &mut ProcessPool, wire: Option<&WireTelemetry>, shard: usize, cmd: &WireCmd) {
+    let frame = seal_frame(cmd);
+    if let Some(w) = wire {
+        w.sent(frame.len());
+    }
+    pool.send(shard, frame);
+}
+
+/// Open the next reply frame off `shard`'s pipe, weighed likewise.
+fn recv_frame(pool: &mut ProcessPool, wire: Option<&WireTelemetry>, shard: usize) -> WireReply {
+    let bytes = pool.recv(shard);
+    if let Some(w) = wire {
+        w.received(bytes.len());
+    }
+    open_frame(&bytes).expect("decode shard worker reply frame")
+}
+
 /// The dispatcher's transport: in-process worker lanes, or the process
 /// backend's frame pipes. Both are per-shard FIFO channels of the same
 /// [`WireCmd`]/[`WireReply`] values, so the session/barrier protocol above
@@ -813,13 +807,7 @@ impl Link<'_, '_> {
     fn send(&mut self, shard: usize, cmd: WireCmd) {
         match self {
             Link::Threads(workers) => workers.send(shard, cmd),
-            Link::Process(pool, wire) => {
-                let frame = seal_frame(&cmd);
-                if let Some(w) = wire {
-                    w.sent(frame.len());
-                }
-                pool.send(shard, frame);
-            }
+            Link::Process(pool, wire) => send_frame(pool, wire.as_ref(), shard, &cmd),
         }
     }
 
@@ -840,13 +828,7 @@ impl Link<'_, '_> {
     fn recv(&mut self, shard: usize) -> WireReply {
         match self {
             Link::Threads(workers) => workers.recv(shard),
-            Link::Process(pool, wire) => {
-                let bytes = pool.recv(shard);
-                if let Some(w) = wire {
-                    w.received(bytes.len());
-                }
-                open_frame(&bytes).expect("decode shard worker reply frame")
-            }
+            Link::Process(pool, wire) => recv_frame(pool, wire.as_ref(), shard),
         }
     }
 

@@ -5,15 +5,13 @@
 //!
 //! Everything here rides the dependency-free [`coach_wire`] codec: frames
 //! are magic- and version-pinned, accumulated `f64`s travel as raw
-//! IEEE-754 bits, and decode never panics on malformed bytes (structural
-//! problems are [`WireError`]s; only *semantically* inconsistent dumps —
-//! which no honest snapshot produces — panic at restore time).
+//! IEEE-754 bits, and neither decode nor restore panics on malformed or
+//! inconsistent bytes: both end in a [`WireError`].
 
 use crate::account::{AccountantDump, ServerAccount, VmEntry};
 use crate::controller::{ControllerDump, ServeConfig};
 use crate::request::{LatencyHistogram, Request, Response, StatsReport};
 use crate::shard::ShardSnapshot;
-use crate::store::StoreDump;
 use coach_sim::PackingResult;
 use coach_telemetry::{MetricEntry, MetricValue, RegistrySnapshot, TelemetryConfig};
 use coach_trace::VmRecord;
@@ -79,7 +77,6 @@ impl Encode for ServeConfig {
         self.horizon.encode(e);
         self.sample_every.encode(e);
         e.usize(self.latency_stride);
-        e.bool(self.occupancy_timeline);
         self.probe_mode.encode(e);
         self.backend.encode(e);
         // `telemetry` is deliberately NOT encoded: it is a pure-observability
@@ -101,7 +98,6 @@ impl Decode for ServeConfig {
             horizon: Decode::decode(d)?,
             sample_every: Decode::decode(d)?,
             latency_stride: d.usize("ServeConfig latency_stride")?,
-            occupancy_timeline: d.bool("ServeConfig occupancy_timeline")?,
             probe_mode: Decode::decode(d)?,
             backend: Decode::decode(d)?,
             telemetry: TelemetryConfig::default(),
@@ -237,28 +233,6 @@ fn decode_registry_snapshot(d: &mut Decoder<'_>) -> Result<RegistrySnapshot, Wir
     Ok(RegistrySnapshot { entries })
 }
 
-impl Encode for StoreDump {
-    fn encode(&self, e: &mut Encoder) {
-        self.vm.encode(e);
-        self.cluster.encode(e);
-        self.server.encode(e);
-        self.generation.encode(e);
-        self.free.encode(e);
-    }
-}
-
-impl Decode for StoreDump {
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(StoreDump {
-            vm: Decode::decode(d)?,
-            cluster: Decode::decode(d)?,
-            server: Decode::decode(d)?,
-            generation: Decode::decode(d)?,
-            free: Decode::decode(d)?,
-        })
-    }
-}
-
 impl Encode for VmEntry {
     fn encode(&self, e: &mut Encoder) {
         self.id.encode(e);
@@ -350,7 +324,7 @@ impl Encode for ControllerDump {
         self.config.encode(e);
         e.u32(self.windows_per_day);
         self.clusters.encode(e);
-        self.store.encode(e);
+        self.residents.encode(e);
         self.departures.encode(e);
         e.u64(self.seq);
         self.probe_counts.encode(e);
@@ -366,6 +340,7 @@ impl Encode for ControllerDump {
         e.f64(self.accepted_gb_hours);
         e.usize(self.in_use);
         e.usize(self.peak_in_use);
+        e.bool(self.occupancy_timeline);
         self.timeline.encode(e);
     }
 }
@@ -376,7 +351,7 @@ impl Decode for ControllerDump {
             config: Decode::decode(d)?,
             windows_per_day: d.u32("ControllerDump windows_per_day")?,
             clusters: Decode::decode(d)?,
-            store: Decode::decode(d)?,
+            residents: Decode::decode(d)?,
             departures: Decode::decode(d)?,
             seq: d.u64("ControllerDump seq")?,
             probe_counts: Decode::decode(d)?,
@@ -392,6 +367,7 @@ impl Decode for ControllerDump {
             accepted_gb_hours: d.f64("ControllerDump accepted_gb_hours")?,
             in_use: d.usize("ControllerDump in_use")?,
             peak_in_use: d.usize("ControllerDump peak_in_use")?,
+            occupancy_timeline: d.bool("ControllerDump occupancy_timeline")?,
             timeline: Decode::decode(d)?,
         })
     }
@@ -462,46 +438,6 @@ impl Decode for ShardSnapshot {
             probe_counts: Decode::decode(d)?,
             timeline_delta: Decode::decode(d)?,
         })
-    }
-}
-
-/// How a process worker builds its prediction source: the parent cannot
-/// ship a live `&dyn Predictor` across an exec boundary, so it ships a
-/// recipe. The process backend assumes an Oracle-equivalent predictor —
-/// the prederived cache is bit-identical to [`coach_sim::Oracle`] by
-/// construction, so only the window partition needs to travel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PredictorSpec {
-    /// A lazy [`coach_sim::Oracle`] over this many windows per day.
-    Oracle {
-        /// Windows per day of the partition (see
-        /// [`coach_types::TimeWindows::new`]).
-        windows_per_day: u32,
-    },
-}
-
-impl Encode for PredictorSpec {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            PredictorSpec::Oracle { windows_per_day } => {
-                e.u8(0);
-                e.u32(*windows_per_day);
-            }
-        }
-    }
-}
-
-impl Decode for PredictorSpec {
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        match d.u8("PredictorSpec")? {
-            0 => Ok(PredictorSpec::Oracle {
-                windows_per_day: d.u32("PredictorSpec windows_per_day")?,
-            }),
-            tag => Err(WireError::UnknownTag {
-                context: "PredictorSpec",
-                tag: tag as u64,
-            }),
-        }
     }
 }
 
@@ -586,11 +522,15 @@ impl Decode for TokenCmd {
 /// [`coach_types::runtime::ProcessPool`] recovery counts on.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum WireCmd {
-    /// Build the worker's controller: a predictor recipe plus a sealed
-    /// [`Snapshot`] frame to restore from. Doubles as the checkpoint
-    /// payload a recovery replays.
+    /// Build the worker's controller from a sealed [`Snapshot`] frame.
+    /// The parent cannot ship a live `&dyn Predictor` across an exec
+    /// boundary, so the worker predicts with a lazy [`coach_sim::Oracle`]
+    /// over `windows_per_day` windows (the process backend assumes an
+    /// Oracle-equivalent predictor; the prederived cache is bit-identical
+    /// to it by construction). Doubles as the checkpoint payload a
+    /// recovery replays.
     Init {
-        spec: PredictorSpec,
+        windows_per_day: u32,
         snapshot: Vec<u8>,
     },
     /// A routed arrival segment whose per-request responses come back
@@ -614,9 +554,12 @@ pub(crate) enum WireCmd {
 impl Encode for WireCmd {
     fn encode(&self, e: &mut Encoder) {
         match self {
-            WireCmd::Init { spec, snapshot } => {
+            WireCmd::Init {
+                windows_per_day,
+                snapshot,
+            } => {
                 e.u8(0);
-                spec.encode(e);
+                e.u32(*windows_per_day);
                 e.bytes(snapshot);
             }
             WireCmd::Batch(batch) => {
@@ -648,7 +591,7 @@ impl Decode for WireCmd {
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         match d.u8("WireCmd")? {
             0 => Ok(WireCmd::Init {
-                spec: Decode::decode(d)?,
+                windows_per_day: d.u32("WireCmd windows_per_day")?,
                 snapshot: d.bytes("WireCmd snapshot")?.to_vec(),
             }),
             1 => Ok(WireCmd::Batch(Decode::decode(d)?)),
@@ -772,7 +715,6 @@ mod tests {
             Timestamp::from_ticks(1_000_000),
         );
         config.backend = WorkerBackend::Process;
-        config.occupancy_timeline = true;
         let frame = seal_frame(&config);
         let back: ServeConfig = open_frame(&frame).expect("decode ServeConfig");
         assert_eq!(format!("{back:?}"), format!("{config:?}"));
@@ -848,7 +790,7 @@ mod tests {
         let recs: Vec<VmRecord> = trace.vms.iter().take(3).cloned().collect();
         let cmds = vec![
             WireCmd::Init {
-                spec: PredictorSpec::Oracle { windows_per_day: 6 },
+                windows_per_day: 6,
                 snapshot: vec![1, 2, 3],
             },
             WireCmd::Batch(recs.iter().map(|r| (7u64, r.clone())).collect()),
@@ -920,7 +862,7 @@ mod tests {
         let now = Timestamp::from_ticks(424_242);
         let frames: Vec<Vec<u8>> = vec![
             seal_frame(&WireCmd::Init {
-                spec: PredictorSpec::Oracle { windows_per_day: 6 },
+                windows_per_day: 6,
                 snapshot: vec![0xAA, 0xBB, 0xCC],
             }),
             seal_frame(&WireCmd::Token(TokenCmd::Depart {
@@ -947,7 +889,7 @@ mod tests {
         }
 
         let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("tests/fixtures/protocol_v4.bin");
+            .join("tests/fixtures/protocol_v5.bin");
         if std::env::var_os("COACH_WIRE_BLESS").is_some() {
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
             std::fs::write(&path, &stream).unwrap();
@@ -956,7 +898,7 @@ mod tests {
             std::fs::read(&path).unwrap_or_else(|e| panic!("missing golden fixture: {e}"));
         assert_eq!(
             stream, fixture,
-            "protocol frame encoding drifted from the committed v4 fixture — \
+            "protocol frame encoding drifted from the committed v5 fixture — \
              this is a wire format change and needs a VERSION bump"
         );
 

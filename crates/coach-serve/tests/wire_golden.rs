@@ -54,11 +54,11 @@ fn golden_snapshot() -> (coach_trace::Trace, Snapshot) {
 #[test]
 fn golden_snapshot_bytes_are_pinned() {
     let (_trace, snapshot) = golden_snapshot();
-    let fixture = load_or_bless("snapshot_v4.bin", snapshot.bytes());
+    let fixture = load_or_bless("snapshot_v5.bin", snapshot.bytes());
     assert_eq!(
         snapshot.bytes(),
         &fixture[..],
-        "snapshot encoding drifted from the committed v4 fixture — \
+        "snapshot encoding drifted from the committed v5 fixture — \
          this is a wire format change and needs a VERSION bump"
     );
 }
@@ -66,7 +66,7 @@ fn golden_snapshot_bytes_are_pinned() {
 #[test]
 fn golden_snapshot_restores_and_resumes() {
     let (trace, live) = golden_snapshot();
-    let fixture = load_or_bless("snapshot_v4.bin", live.bytes());
+    let fixture = load_or_bless("snapshot_v5.bin", live.bytes());
     let committed = Snapshot::from_bytes(fixture);
 
     // The committed bytes restore, re-snapshot to themselves, and finish
@@ -91,12 +91,14 @@ fn older_versioned_snapshots_are_rejected_structurally() {
     // A checkpoint sealed before a layout change carries the old version
     // in its header (1: the old `ServeConfig`; 2: accountant entries as
     // record references plus a record table; 3: whole demands per hosted
-    // VM and two demand columns in the store): restoring it must fail
-    // with the typed version error, never re-interpret the old layout.
+    // VM and two demand columns in the store; 4: the resident store's slot
+    // columns and free list, `occupancy_timeline` inside `ServeConfig`):
+    // restoring it must fail with the typed version error, never
+    // re-interpret the old layout.
     let (_trace, live) = golden_snapshot();
     let oracle = Oracle::new(TimeWindows::paper_default());
-    for old in [1u16, 2, 3] {
-        let mut bytes = load_or_bless("snapshot_v4.bin", live.bytes());
+    for old in [1u16, 2, 3, 4] {
+        let mut bytes = load_or_bless("snapshot_v5.bin", live.bytes());
         bytes[4..6].copy_from_slice(&old.to_le_bytes());
         let restored = Controller::restore(&oracle, &Snapshot::from_bytes(bytes), |_| None);
         assert_eq!(

@@ -65,161 +65,42 @@ pub use coach_workloads as workloads;
 
 /// One-stop imports for applications.
 ///
-/// # Eager → lazy demand derivation (PR 3 migration note)
-///
-/// The demand pipeline is window-native and lazy. `VmRecord::series()` is
-/// gone: call [`coach_trace::VmRecord::window_stats`] (analytic, no
-/// materialization — exactly equal to walking the full series) for
-/// windowed maxima/percentiles, or the explicit opt-in
-/// [`coach_trace::VmRecord::materialized`] when you genuinely need every
-/// 5-minute sample. The prelude re-exports the windowed vocabulary
-/// ([`WindowStats`](coach_types::WindowStats),
-/// [`ResourceWindowStats`](coach_types::ResourceWindowStats),
-/// [`UtilizationSource`](coach_types::UtilizationSource)); prediction
-/// sources live behind [`coach_sim::Predictor`] (`Oracle`, `Model`,
-/// `NaiveReference`), which replaced the old `PredictionSource` enum.
-///
-/// # Online serving (PR 4)
-///
-/// The prelude also re-exports the `coach-serve` control plane: stream
-/// [`Request`](coach_serve::Request)s through a
-/// [`Controller`](coach_serve::Controller) (or a
-/// [`ShardedController`](coach_serve::ShardedController)) to admit VMs
-/// online — decision-identical to the batch
-/// [`coach_sim::packing_experiment`] — and read occupancy/violation
-/// telemetry through [`StatsReport`](coach_serve::StatsReport).
-///
-/// # Cold-path demand engine (PR 6 migration note)
-///
-/// Cold-path derivation (predicting at request time instead of from a
-/// pre-derived table) is now batched and arena-backed end to end:
-///
-/// * [`coach_sim::Predictor`] gained
-///   [`predict_batch`](coach_sim::Predictor::predict_batch) (default: the
-///   per-item loop, so existing implementations are unaffected). The
-///   `Oracle` is stateless and uses that default; each derive goes
-///   through the order-statistic
-///   [`window_peaks`](coach_types::UtilizationSource::window_peaks) scan,
-///   which resolves only the day maxima Formulas 1–2 can read.
-/// * [`Controller::handle_arrivals`](coach_serve::Controller::handle_arrivals)
-///   admits an arrival slice chunk by chunk — one `predict_batch` call per
-///   chunk, serial and in stream order, overlapped with the placement of
-///   the chunk before it on a helper thread when a core is spare (PR 12);
-///   the sharded dispatcher feeds it ≤1024-arrival segments. Decisions are
-///   unchanged — predictions depend only on the record, and the
-///   differential suites pin batch == per-item.
-/// * The controller's residency bookkeeping (`HashMap<VmId, ..>` per
-///   cluster) is replaced by the struct-of-arrays
-///   [`ResidentStore`](coach_serve::ResidentStore): scheduled departures
-///   hold generational [`Handle`](coach_serve::Handle)s (stale = one
-///   integer compare, no hash probe). Nothing of the old map surface was
-///   public, so no caller changes are required; new code addressing
-///   residents should hold `Handle`s.
-///
-/// # Distributed control plane (PR 8 migration note)
-///
-/// Shard workers can now live in supervised child *processes* speaking
-/// the [`coach_wire`] framed protocol (`CWIR` magic, little-endian `u16`
-/// version, `u32`-length-prefixed frames on the pipe):
-///
-/// * [`ServeConfig`](coach_serve::ServeConfig) grew `backend:`
-///   [`WorkerBackend`](coach_types::WorkerBackend) (`Thread`, the old
-///   behavior and still the default, or `Process`). Binaries that select
-///   `Process` must call
-///   [`maybe_run_shard_worker`](coach_serve::maybe_run_shard_worker)
-///   first thing in `main`, because the pool re-execs the current binary
-///   as its workers. Child crashes — including SIGKILL — are recovered
-///   from a per-session checkpoint plus a command journal,
-///   decision-exactly; recoveries are counted in
-///   [`StatsReport::worker_restarts`](coach_serve::StatsReport). A worker
-///   process builds one controller in its lifetime:
-///   [`resume_shard`](coach_serve::ShardedController::resume_shard) onto
-///   a live child replaces the process (a new pid, not a restart).
-/// * The process backend rebuilds the child's predictor from a
-///   wire-serializable spec, so it requires an oracle-equivalent
-///   predictor (the pre-derived warm table qualifies; a trained forest
-///   does not — keep those on the thread backend).
-/// * Live servicing without a pool:
-///   [`Controller::snapshot`](coach_serve::Controller::snapshot) is a
-///   pure read producing a versioned [`Snapshot`](coach_serve::Snapshot)
-///   frame, and [`Controller::restore`](coach_serve::Controller::restore)
-///   (or [`ShardedController::drain_shard`](coach_serve::ShardedController::drain_shard)
-///   / [`resume_shard`](coach_serve::ShardedController::resume_shard))
-///   rebuilds a controller that finishes the stream bit-identically.
-///   Malformed or version-skewed frames are rejected with typed
-///   [`WireError`](coach_wire::WireError)s — bump
-///   [`coach_wire::VERSION`] when the format changes; the golden-fixture
-///   tests will insist.
-///
-/// # Observability (PR 9 migration note)
-///
-/// The serving control plane is instrumented end to end by the
-/// dependency-free [`coach_telemetry`] crate:
-///
-/// * [`ServeConfig`](coach_serve::ServeConfig) grew `telemetry:`
-///   [`TelemetryConfig`](coach_telemetry::TelemetryConfig) (`Off`, the
-///   allocation-free default, or `Full`: the registry plus span rings).
-///   Decisions are bit-identical in both modes — the subsystem observes,
-///   it never participates.
-/// * An armed deployment exposes one merged
-///   [`Registry`](coach_telemetry::Registry) via
-///   [`ShardedController::telemetry_registry`](coach_serve::ShardedController::telemetry_registry):
-///   atomic counters/gauges/log2-bucket histograms addressed by
-///   `coach_serve_*` series names with `shard`/`policy` labels.
-///   Under the process backend each child keeps a private registry and
-///   ships drained deltas over a `coach-wire` frame at session barriers,
-///   so the merged counters equal the thread backend's exactly. Exports:
-///   [`Registry::render_text`](coach_telemetry::Registry::render_text)
-///   (Prometheus), [`render_jsonl`](coach_telemetry::Registry::render_jsonl),
-///   and [`chrome_trace`](coach_telemetry::chrome_trace) over
-///   [`telemetry_span_rings`](coach_serve::ShardedController::telemetry_span_rings)
-///   (loadable in `chrome://tracing` / Perfetto).
-/// * The old `coach_serve::LatencyHistogram` is now a re-export of
-///   [`coach_telemetry::Histogram`] — same API, one implementation; code
-///   that named it keeps compiling.
-///
-/// # Streaming ingestion & the scenario catalog (PR 10 migration note)
-///
-/// Traces no longer have to be materialized to be served:
-///
-/// * [`StreamingTrace`](coach_trace::StreamingTrace) generates the exact
-///   record sequence of [`coach_trace::generate`] — same clusters, same
-///   ids, same arrival order, bit-identical records — in bounded chunks
-///   (`with_chunk_budget`, default
-///   [`DEFAULT_CHUNK_BUDGET`](coach_trace::DEFAULT_CHUNK_BUDGET)), so
-///   trace size no longer implies a resident `Vec<VmRecord>`.
-/// * [`StreamRequest`](coach_serve::StreamRequest) is the owning
-///   counterpart of the borrowed [`Request`](coach_serve::Request), and
-///   [`StreamSource`](coach_serve::StreamSource) the owning counterpart
-///   of [`RequestSource`](coach_serve::RequestSource): it drives
-///   [`ShardedController::run_stream`](coach_serve::ShardedController::run_stream)
-///   from any `Iterator<Item = VmRecord>` with backpressure through the
-///   existing bounded shard lanes. Records are borrowed at the
-///   `Controller`, owned across a lane: `run` is `run_stream` over cloned
-///   records (two entry points, one dispatcher), so at equal shard counts
-///   the two agree **exactly** (same segmentation, same float-summation
-///   order) — the differential and proptest suites pin it across chunk
-///   budgets, policies, and shard counts.
-/// * [`coach_serve::scenario`] is a catalog of composable stream
-///   combinators — [`Surge`](coach_serve::scenario::Surge) (×N arrivals
-///   in a window), [`Evacuate`](coach_serve::scenario::Evacuate)
-///   (cluster drain + re-route),
-///   [`GroupFailure`](coach_serve::scenario::GroupFailure) (correlated
-///   departure + re-placement storm), and
-///   [`sku_mix`](coach_serve::scenario::sku_mix) (heterogeneous-SKU
-///   fleet rotation) — each differentially tested against its
-///   hand-materialized equivalent.
-/// * `RequestSource::with_stats_every` / `StreamSource::with_stats_every`
-///   cadence semantics at the end of a stream are now documented and
-///   pinned: a barrier falling exactly on the final arrival's timestamp
-///   is emitted (before that arrival), and no trailing barrier follows
-///   the last arrival.
+/// * **Vocabulary** — everything in [`coach_types::prelude`]: ids,
+///   resource vectors, timestamps, time windows, the windowed statistics
+///   ([`WindowStats`](coach_types::WindowStats),
+///   [`UtilizationSource`](coach_types::UtilizationSource)) and
+///   [`WorkerBackend`](coach_types::WorkerBackend).
+/// * **The system** — [`Coach`](coach_core::Coach) with its config, server
+///   and VM views, and [`VmRequest`](coach_core::VmRequest).
+/// * **Online serving** — [`Controller`](coach_serve::Controller) and
+///   [`ShardedController`](coach_serve::ShardedController) under a
+///   [`ServeConfig`](coach_serve::ServeConfig); [`Request`](coach_serve::Request)
+///   (borrowing its arrival record) and
+///   [`StreamRequest`](coach_serve::StreamRequest) (owning it), one enum
+///   under two names, produced by [`RequestSource`](coach_serve::RequestSource)
+///   over a slice or [`StreamSource`](coach_serve::StreamSource) over any
+///   record iterator such as a [`StreamingTrace`](coach_trace::StreamingTrace)'s;
+///   [`Response`](coach_serve::Response) and
+///   [`StatsReport`](coach_serve::StatsReport) coming back. Decisions are
+///   identical to the batch [`coach_sim::packing_experiment`]. A binary
+///   that selects the process backend calls
+///   [`maybe_run_shard_worker`](coach_serve::maybe_run_shard_worker) first
+///   thing in `main`.
+/// * **Live servicing** — a [`Snapshot`](coach_serve::Snapshot) frame from
+///   [`Controller::snapshot`](coach_serve::Controller::snapshot) restores
+///   into a controller that finishes the stream bit-identically; anything
+///   wrong with the bytes is a [`WireError`](coach_wire::WireError), and
+///   `WIRE_VERSION` ([`coach_wire::VERSION`]) names the one layout this
+///   build reads.
+/// * **Telemetry** — [`TelemetryConfig`](coach_telemetry::TelemetryConfig)
+///   arms a [`Registry`](coach_telemetry::Registry) and
+///   [`SpanRing`](coach_telemetry::SpanRing)s;
+///   [`chrome_trace`](coach_telemetry::chrome_trace) exports the spans.
 pub mod prelude {
     pub use coach_core::{Coach, CoachConfig, CoachServer, CoachVm, VmRequest};
     pub use coach_serve::{
-        maybe_run_shard_worker, Controller, Handle, Request, RequestSource, ResidentStore,
-        Response, ServeConfig, ShardedController, Snapshot, StatsReport, StreamRequest,
-        StreamSource,
+        maybe_run_shard_worker, Controller, Request, RequestSource, Response, ServeConfig,
+        ShardedController, Snapshot, StatsReport, StreamRequest, StreamSource,
     };
     pub use coach_telemetry::{
         chrome_trace, Registry, RegistrySnapshot, SpanRing, TelemetryConfig,

@@ -3,12 +3,12 @@
 
 use coach_bench::small_eval_trace;
 use coach_predict::{
-    Ewma, ForestParams, LocalPredictor, Lstm, LstmParams, ModelConfig, RandomForest,
+    Ewma, ForestParams, LocalPredictor, Lstm, LstmParams, ModelConfig, RandomForest, TargetKind,
     UtilizationModel,
 };
 use coach_trace::{generate, TraceConfig, VmRecord};
-use coach_types::{Percentile, TimeWindows};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use coach_types::{Percentile, ResourceKind, TimeWindows, Timestamp};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -54,19 +54,50 @@ fn bench_forest(c: &mut Criterion) {
     });
 }
 
+/// The model the figures and the benchmark train: paper defaults, 24 trees.
+fn model_config() -> ModelConfig {
+    ModelConfig {
+        forest: ForestParams {
+            n_trees: 24,
+            ..ForestParams::default()
+        },
+        ..ModelConfig::default()
+    }
+}
+
+/// Training on the shape that is actually trained: `paper_scale(2026)`'s
+/// history before day 7 (1,834 usable VMs, 11,004 rows per forest), the
+/// benchmark's `model_sweep` set-up. Nine of its twelve columns take a
+/// handful of values and one is constant — the opposite regime from
+/// `forest_train_2000rows`' twelve uniform-random ones.
+fn bench_training(c: &mut Criterion) {
+    let trace = generate(&TraceConfig::paper_scale(2026));
+    let (history, _) = trace.split_by_arrival(Timestamp::from_days(7));
+    let config = model_config();
+    let (xs, ys) = UtilizationModel::training_set(&history, &config, ResourceKind::Cpu);
+    let ys = &ys[TargetKind::WindowMax.index()];
+    // `iter_batched` times single calls; `iter` would run 67 of them.
+    // One of a model's eight forests.
+    c.bench_function("forest_train_model_shape", |b| {
+        b.iter_batched(
+            || (),
+            |()| RandomForest::fit(&xs, ys, config.forest),
+            BatchSize::LargeInput,
+        )
+    });
+    c.bench_function("model_train_paper_scale", |b| {
+        b.iter_batched(
+            || (),
+            |()| UtilizationModel::train(&history, config),
+            BatchSize::LargeInput,
+        )
+    });
+}
+
 fn bench_model(c: &mut Criterion) {
     let trace = small_eval_trace();
     let history: Vec<_> = trace.vms.iter().collect();
-    let model = UtilizationModel::train(
-        &history,
-        ModelConfig {
-            forest: ForestParams {
-                n_trees: 24,
-                ..ForestParams::default()
-            },
-            ..ModelConfig::default()
-        },
-    );
+    let model = UtilizationModel::train(&history, model_config());
     // The serving controller's chunk size: divide by 64 for ns/VM.
     let chunk = &history[..64];
     c.bench_function("model_predict_batch_64vms", |b| {
@@ -134,6 +165,7 @@ fn bench_local_predictor(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_forest,
+    bench_training,
     bench_model,
     bench_oracle_derive,
     bench_local_predictor

@@ -12,6 +12,7 @@
 //! returns `None`), the paper's conservative fallback.
 
 use crate::forest::{ForestParams, RandomForest};
+use crate::tree::Columns;
 use coach_trace::VmRecord;
 use coach_types::prelude::*;
 use std::collections::HashMap;
@@ -129,66 +130,21 @@ impl UtilizationModel {
     ///
     /// Panics if `history` contains no usable (≥ 1 day) VM.
     pub fn train(history: &[&VmRecord], config: ModelConfig) -> Self {
-        // Pass 1: group statistics (these are also features). Window
-        // statistics are derived lazily from each VM's profile — training
-        // never materializes a utilization series.
-        let mut groups: HashMap<u64, GroupStats> = HashMap::new();
-        let usable: Vec<(&&VmRecord, ResourceWindowStats)> = history
-            .iter()
-            .filter(|vm| vm.lifetime() >= SimDuration::from_days(1))
-            .map(|vm| (vm, vm.window_stats(config.tw)))
-            .collect();
-        assert!(!usable.is_empty(), "no usable training VMs (need >= 1 day)");
+        Self::train_on(history, config, available_threads())
+    }
 
-        for (vm, stats) in &usable {
-            let key = vm.group_by_subscription_and_config();
-            let entry = groups.entry(key).or_insert_with(|| GroupStats {
-                count: 0,
-                mean: vec![ResourceVec::ZERO; config.tw.count()],
-                mean_peak: ResourceVec::ZERO,
-            });
-            // Per-VM mean of per-day window maxima; peak across all.
-            let mut vm_mean = vec![ResourceVec::ZERO; config.tw.count()];
-            let mut vm_peak = ResourceVec::ZERO;
-            let days = stats.days().max(1) as f64;
-            for d in 0..stats.days() {
-                for (w, slot) in vm_mean.iter_mut().enumerate() {
-                    let v = stats.day_window_max(d, w);
-                    *slot += v / days;
-                    vm_peak = vm_peak.max(&v);
-                }
-            }
-            // Incremental mean over VMs.
-            let n = entry.count as f64;
-            for (mean, vm) in entry.mean.iter_mut().zip(&vm_mean) {
-                *mean = (*mean * n + *vm) / (n + 1.0);
-            }
-            entry.mean_peak = (entry.mean_peak * n + vm_peak) / (n + 1.0);
-            entry.count += 1;
-        }
-
-        // Pass 2: training rows. Features must only use *other* VMs'
-        // history in principle; using the full-pass group means is a
-        // standard simplification that keeps training O(n). A resource's
-        // two targets share one feature matrix.
+    /// [`UtilizationModel::train`] on up to `threads` workers; the model
+    /// does not depend on `threads`.
+    fn train_on(history: &[&VmRecord], config: ModelConfig, threads: usize) -> Self {
+        let (groups, usable) = group_history(history, config.tw, threads);
+        let usable = resolve_groups(&groups, &usable);
         let mut rows = 0usize;
         let forests = ResourceKind::ALL.map(|kind| {
-            let mut xs = Vec::new();
-            let mut ys = [const { Vec::new() }; TargetKind::COUNT];
-            for (vm, window_stats) in &usable {
-                let stats = &groups[&vm.group_by_subscription_and_config()];
-                let meta = VmMeta::from(**vm);
-                let ws = window_stats.get(kind);
-                for w in config.tw.indices() {
-                    xs.push(features(&meta, kind, w, stats));
-                    // Targets straight from the windowed statistics.
-                    ys[TargetKind::WindowMax.index()].push(f64::from(ws.lifetime_max(w)));
-                    ys[TargetKind::WindowPercentile.index()]
-                        .push(f64::from(ws.maxima_percentile(w, config.percentile)));
-                }
-            }
+            let (xs, ys) = resource_training_set(&usable, kind, &config);
             rows += TargetKind::COUNT * xs.len();
-            ys.map(|y| RandomForest::fit(&xs, &y, config.forest))
+            // A resource's two targets share one feature matrix.
+            let xs = Columns::from_rows(&xs);
+            ys.map(|y| RandomForest::fit_columns(&xs, &y, config.forest, threads))
         });
 
         UtilizationModel {
@@ -197,6 +153,23 @@ impl UtilizationModel {
             forests,
             training_rows: rows,
         }
+    }
+
+    /// The feature rows [`UtilizationModel::train`] fits `kind`'s two
+    /// forests on, and their targets indexed by [`TargetKind::index`] — for
+    /// benches that time [`RandomForest::fit`] on the shape that is actually
+    /// trained.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `history` contains no usable (≥ 1 day) VM.
+    pub fn training_set(
+        history: &[&VmRecord],
+        config: &ModelConfig,
+        kind: ResourceKind,
+    ) -> (Vec<[f64; FEATURE_COUNT]>, [Vec<f64>; TargetKind::COUNT]) {
+        let (groups, usable) = group_history(history, config.tw, available_threads());
+        resource_training_set(&resolve_groups(&groups, &usable), kind, config)
     }
 
     /// Predict per-window demand for a new VM, or `None` if its group has no
@@ -388,6 +361,97 @@ impl UtilizationModel {
     }
 }
 
+/// Pass 1 of training: the usable (≥ 1 day) VMs with their window
+/// statistics, and the group statistics over them (these are also
+/// features). Window statistics are derived lazily from each VM's profile —
+/// training never materializes a utilization series — one VM per worker at
+/// a time.
+fn group_history(
+    history: &[&VmRecord],
+    tw: TimeWindows,
+    threads: usize,
+) -> (HashMap<u64, GroupStats>, Vec<(VmMeta, ResourceWindowStats)>) {
+    let long_enough: Vec<&VmRecord> = history
+        .iter()
+        .copied()
+        .filter(|vm| vm.lifetime() >= SimDuration::from_days(1))
+        .collect();
+    assert!(
+        !long_enough.is_empty(),
+        "no usable training VMs (need >= 1 day)"
+    );
+    let window_stats = par_map_threads(&long_enough, threads, |vm| vm.window_stats(tw));
+    let usable: Vec<(VmMeta, ResourceWindowStats)> = long_enough
+        .into_iter()
+        .map(VmMeta::from)
+        .zip(window_stats)
+        .collect();
+
+    let mut groups: HashMap<u64, GroupStats> = HashMap::new();
+    for (vm, stats) in &usable {
+        let entry = groups.entry(vm.group_key()).or_insert_with(|| GroupStats {
+            count: 0,
+            mean: vec![ResourceVec::ZERO; tw.count()],
+            mean_peak: ResourceVec::ZERO,
+        });
+        // Per-VM mean of per-day window maxima; peak across all.
+        let mut vm_mean = vec![ResourceVec::ZERO; tw.count()];
+        let mut vm_peak = ResourceVec::ZERO;
+        let days = stats.days().max(1) as f64;
+        for d in 0..stats.days() {
+            for (w, slot) in vm_mean.iter_mut().enumerate() {
+                let v = stats.day_window_max(d, w);
+                *slot += v / days;
+                vm_peak = vm_peak.max(&v);
+            }
+        }
+        // Incremental mean over VMs.
+        let n = entry.count as f64;
+        for (mean, vm) in entry.mean.iter_mut().zip(&vm_mean) {
+            *mean = (*mean * n + *vm) / (n + 1.0);
+        }
+        entry.mean_peak = (entry.mean_peak * n + vm_peak) / (n + 1.0);
+        entry.count += 1;
+    }
+    (groups, usable)
+}
+
+/// Each usable VM beside its group's statistics, looked up once for all
+/// four resources.
+fn resolve_groups<'a>(
+    groups: &'a HashMap<u64, GroupStats>,
+    usable: &'a [(VmMeta, ResourceWindowStats)],
+) -> Vec<(&'a VmMeta, &'a GroupStats, &'a ResourceWindowStats)> {
+    usable
+        .iter()
+        .map(|(vm, window_stats)| (vm, &groups[&vm.group_key()], window_stats))
+        .collect()
+}
+
+/// Pass 2 of training, for one resource: a feature row and both targets per
+/// usable VM × window. Features must only use *other* VMs' history in
+/// principle; using the full-pass group means is a standard simplification
+/// that keeps training O(n).
+fn resource_training_set(
+    usable: &[(&VmMeta, &GroupStats, &ResourceWindowStats)],
+    kind: ResourceKind,
+    config: &ModelConfig,
+) -> (Vec<[f64; FEATURE_COUNT]>, [Vec<f64>; TargetKind::COUNT]) {
+    let mut xs = Vec::new();
+    let mut ys = [const { Vec::new() }; TargetKind::COUNT];
+    for (vm, group, window_stats) in usable {
+        let ws = window_stats.get(kind);
+        for w in config.tw.indices() {
+            xs.push(features(vm, kind, w, group));
+            // Targets straight from the windowed statistics.
+            ys[TargetKind::WindowMax.index()].push(f64::from(ws.lifetime_max(w)));
+            ys[TargetKind::WindowPercentile.index()]
+                .push(f64::from(ws.maxima_percentile(w, config.percentile)));
+        }
+    }
+    (xs, ys)
+}
+
 /// Request-time metadata of a VM: everything the prediction model may use
 /// (§3.3 — "the existing platform telemetry already collects all these
 /// inputs in the background, requiring no user input").
@@ -466,16 +530,7 @@ mod tests {
     fn trained() -> (coach_trace::Trace, UtilizationModel) {
         let trace = generate(&TraceConfig::small(81));
         let (train, _) = trace.split_by_arrival(Timestamp::from_days(4));
-        let model = UtilizationModel::train(
-            &train,
-            ModelConfig {
-                forest: ForestParams {
-                    n_trees: 12,
-                    ..ForestParams::default()
-                },
-                ..ModelConfig::default()
-            },
-        );
+        let model = UtilizationModel::train(&train, small_forest(Percentile::P95));
         (trace, model)
     }
 
@@ -517,6 +572,96 @@ mod tests {
             assert!(want.iter().skip(1).step_by(3).all(Option::is_none));
             assert!(model.predict_batch(&[]).is_empty());
         }
+    }
+
+    fn small_forest(percentile: Percentile) -> ModelConfig {
+        ModelConfig {
+            percentile,
+            forest: ForestParams {
+                n_trees: 12,
+                ..ForestParams::default()
+            },
+            ..ModelConfig::default()
+        }
+    }
+
+    /// Same trees as PR 21, which trained them serially from row-major
+    /// rows: the constants were recorded at that commit. FNV-1a over every
+    /// bucketed `pmax` / `px` bit the model predicts for `small(81)`'s 200
+    /// VMs (`u64::MAX` for an unknown group), then over every forest's raw
+    /// output for the group-known rows, plus the model's size. A change that
+    /// grows different trees on purpose (histogram-binned splits, ROADMAP's
+    /// parked item) re-records these and says so.
+    #[test]
+    fn trained_model_matches_pinned_digest() {
+        let trace = generate(&TraceConfig::small(81));
+        let (train, _) = trace.split_by_arrival(Timestamp::from_days(4));
+        let all: Vec<&VmRecord> = trace.vms.iter().collect();
+        let metas: Vec<VmMeta> = all.iter().map(|vm| VmMeta::from(*vm)).collect();
+        for (percentile, digest, bytes) in [
+            (Percentile::P95, 159_043_370_127_182_459_u64, 166_800),
+            (Percentile::P50, 3_546_127_260_220_190_663_u64, 167_856),
+        ] {
+            let model = UtilizationModel::train(&train, small_forest(percentile));
+            let mut h = 0xcbf2_9ce4_8422_2325_u64;
+            let mut word = |w: u64| {
+                for byte in w.to_le_bytes() {
+                    h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            };
+            for p in model.predict_batch(&all) {
+                let Some(p) = p else {
+                    word(u64::MAX);
+                    continue;
+                };
+                for w in p.tw.indices() {
+                    for kind in ResourceKind::ALL {
+                        word(p.pmax[w][kind].to_bits());
+                        word(p.px[w][kind].to_bits());
+                    }
+                }
+            }
+            let mut raw = Vec::new();
+            for kind in ResourceKind::ALL {
+                let mut rows = Vec::new();
+                for meta in &metas {
+                    if let Some(stats) = model.groups.get(&meta.group_key()) {
+                        rows.extend(
+                            model
+                                .config
+                                .tw
+                                .indices()
+                                .map(|w| features(meta, kind, w, stats)),
+                        );
+                    }
+                }
+                for forest in &model.forests[kind.index()] {
+                    forest.predict_rows(&rows, &mut raw);
+                    raw.iter().for_each(|v| word(v.to_bits()));
+                }
+            }
+            assert_eq!(
+                (h, model.approx_size_bytes()),
+                (digest, bytes),
+                "{percentile:?}"
+            );
+        }
+    }
+
+    /// The worker count decides who fits a tree, not what is fitted.
+    #[test]
+    fn train_is_thread_count_invariant() {
+        let trace = generate(&TraceConfig::small(81));
+        let (train, _) = trace.split_by_arrival(Timestamp::from_days(4));
+        let all: Vec<&VmRecord> = trace.vms.iter().collect();
+        let config = small_forest(Percentile::P95);
+        let serial = UtilizationModel::train_on(&train, config, 1);
+        let four = UtilizationModel::train_on(&train, config, 4);
+        assert_eq!(serial.forests, four.forests);
+        assert_eq!(serial.groups, four.groups);
+        let predicted = serial.predict_batch(&all);
+        assert_eq!(predicted, four.predict_batch(&all));
+        assert!(predicted.iter().flatten().count() > 100);
     }
 
     #[test]

@@ -40,9 +40,71 @@
 //! branch again.) The lanes are independent, which lets the core overlap
 //! their node loads. [`RegressionTree::predict`] is the same walk one lane
 //! wide; the forest feeds it whole batches (see [`crate::forest`]).
+//!
+//! # Training
+//!
+//! The training rows are transposed once into a column-major `Columns`
+//! matrix: a split search reads one feature of many rows, which is
+//! contiguous there and 8·F bytes apart in the caller's rows. A tree's rows
+//! are `u32` indices into it, kept in **one** array per tree: a node owns a
+//! sub-slice in ascending row order, and a split partitions that slice in
+//! place and stably, so both children ascend too. The candidate list, the
+//! sort buffer, the partition's spill and the counting sort's cursors are
+//! one scratch per tree — a node is done with them before it recurses.
+//!
+//! For each candidate feature a node (i) skips the column if it holds one
+//! value there — it cannot split, and at depth most of the low-cardinality
+//! columns are in that state; (ii) lays the node's `(value, target)` pairs
+//! out ordered by value, equal values in ascending row order; (iii) scans
+//! them once, accumulating the left sum. Step (ii) is a stable counting
+//! sort by the value's dense rank within its column (`Columns` ranks every
+//! column once per matrix) where the node is at least half as large as the
+//! column's distinct count — O(n + distinct), and nine of the model's
+//! twelve features take a handful of values — and a stable comparison sort
+//! of the pairs below that. The two produce the same sequence; which one
+//! runs is decided by two integers the node already has.
+//!
+//! **The trees are the ones the serial row-major trainer grew, to the bit**
+//! (`reference` keeps that trainer verbatim; `parallel_fit_equals_serial_
+//! reference` holds the two equal node for node, and
+//! `trained_model_matches_pinned_digest` pins the model they produce):
+//!
+//! * it stably sorted the node's ascending row indices by value, so its
+//!   ties were in ascending row order — the order both sorts here produce
+//!   (a rank is equal exactly where `==` on the values is, `-0.0` and `0.0`
+//!   included, and every value is finite, so `partial_cmp` is total);
+//! * its `partition` kept ascending order in both halves, as the in-place
+//!   one does;
+//! * every `total_sum`, `left_sum` and leaf mean therefore adds the same
+//!   targets in the same order, starting from the same identity, and a
+//!   threshold is the mean of the same two `f64`s;
+//! * the per-tree RNG is consumed in the same pre-order — one shuffle of
+//!   `0..F` per node that reaches the split search — because skipping a
+//!   constant column happens after the shuffle and draws nothing.
+//!
+//! Measured on the 2-core reference box, one forest of the benchmark's
+//! model (11,004 × 12, 24 trees) on one thread: about 240 ms on the
+//! row-major trainer, 116 ms here; with a timer around each step, 166 ms
+//! without the counting sort (95 ms of it in the comparison sort) and
+//! 124 ms with it. End to end, `model_sweep`'s `setup_s` (two models, two
+//! threads) read 1.37 s without the counting sort and 1.09 s with it,
+//! medians of six alternating pairs, the latter ahead in all six — which is
+//! why it is here.
+//!
+//! Tried and not built, from the issue that sized this work: sorting packed
+//! `(rank << 32 | index)` keys is slower than the row-major trainer (3.3 vs
+//! 2.0 s per model — distinct keys forfeit the stable sort's cheap handling
+//! of few-valued columns), and a classic presort that carries all twelve
+//! per-feature orders through every partition is no faster (1.94 s:
+//! partitioning thirteen columns per split costs what sorting the four
+//! candidate columns did). Mapping the values to order-preserving integer
+//! keys before the comparison sort measured level with sorting the floats.
+//! Histogram-binned split finding grows *different* trees and stays parked
+//! behind a fidelity band (ROADMAP).
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
+use std::cmp::Ordering;
 
 /// Training hyperparameters for a single tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,30 +180,49 @@ impl RegressionTree {
     ///
     /// # Panics
     ///
-    /// Panics if `xs` is empty, rows have inconsistent lengths, or
-    /// `xs.len() != ys.len()`.
+    /// Panics if `xs` is empty, rows have inconsistent lengths,
+    /// `xs.len() != ys.len()`, or any feature or target is NaN or infinite:
+    /// the split search orders rows with `partial_cmp`, which is a total
+    /// order only over finite values, and scores splits by sums of targets.
+    /// A NaN would not fail; it would grow a tree from an unspecified order.
     pub fn fit<R: AsRef<[f64]>>(
         xs: &[R],
         ys: &[f64],
         params: TreeParams,
-        mut rng: Option<&mut SmallRng>,
+        rng: Option<&mut SmallRng>,
     ) -> Self {
-        assert!(!xs.is_empty(), "training set must be non-empty");
-        assert_eq!(xs.len(), ys.len(), "features/targets length mismatch");
-        let n_features = xs[0].as_ref().len();
-        assert!(
-            xs.iter().all(|r| r.as_ref().len() == n_features),
-            "inconsistent feature row lengths"
-        );
+        let xs = Columns::from_rows(xs);
+        xs.assert_targets(ys);
+        Self::grow(&xs, ys, &params, rng)
+    }
 
-        let mut tree = RegressionTree {
-            nodes: Vec::new(),
-            n_features,
-            depth: 0,
+    /// Grow a tree over every row of `xs` (module docs, "Training"); `ys`
+    /// has passed [`Columns::assert_targets`].
+    pub(crate) fn grow(
+        xs: &Columns,
+        ys: &[f64],
+        params: &TreeParams,
+        rng: Option<&mut SmallRng>,
+    ) -> Self {
+        let mut builder = Builder {
+            xs,
+            ys,
+            params,
+            rng,
+            tree: RegressionTree {
+                nodes: Vec::new(),
+                n_features: xs.n_features,
+                depth: 0,
+            },
+            features: Vec::with_capacity(xs.n_features),
+            sorted: Vec::with_capacity(xs.n_rows),
+            spill: Vec::new(),
+            cursors: Vec::new(),
         };
-        let idx: Vec<usize> = (0..xs.len()).collect();
-        tree.build(xs, ys, idx, 0, &params, &mut rng);
-        tree
+        // `Columns` caps its row count at `u32::MAX`.
+        let mut idx: Vec<u32> = (0..xs.n_rows as u32).collect();
+        builder.build(&mut idx, 0);
+        builder.tree
     }
 
     /// Push a self-looping leaf and return its index.
@@ -154,55 +235,6 @@ impl RegressionTree {
             step: 0,
         });
         self.depth = self.depth.max(depth);
-        slot
-    }
-
-    fn build<R: AsRef<[f64]>>(
-        &mut self,
-        xs: &[R],
-        ys: &[f64],
-        idx: Vec<usize>,
-        depth: usize,
-        params: &TreeParams,
-        rng: &mut Option<&mut SmallRng>,
-    ) -> usize {
-        let mean = idx.iter().map(|&i| ys[i]).sum::<f64>() / idx.len() as f64;
-
-        let stop = depth >= params.max_depth
-            || idx.len() < params.min_samples_split
-            || is_constant(ys, &idx);
-        if stop {
-            return self.push_leaf(mean, depth);
-        }
-
-        // Choose the candidate feature set for this split.
-        let mut features: Vec<usize> = (0..self.n_features).collect();
-        if let (Some(k), Some(r)) = (params.max_features, rng.as_deref_mut()) {
-            features.shuffle(r);
-            features.truncate(k.clamp(1, self.n_features));
-        }
-
-        let best = best_split(xs, ys, &idx, &features, params.min_samples_leaf);
-        let Some((feature, threshold)) = best else {
-            return self.push_leaf(mean, depth);
-        };
-
-        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = idx
-            .into_iter()
-            .partition(|&i| xs[i].as_ref()[feature] <= threshold);
-
-        // Reserve the split's slot (a placeholder leaf), then recurse: the
-        // left subtree lands right behind it.
-        let slot = self.push_leaf(mean, depth);
-        let left = self.build(xs, ys, left_idx, depth + 1, params, rng);
-        let right = self.build(xs, ys, right_idx, depth + 1, params, rng);
-        assert_eq!(left, slot + 1, "left child must follow its parent");
-        self.nodes[slot] = Node {
-            value: threshold,
-            right: u32::try_from(right).expect("tree arena exceeds u32 indices"),
-            feature: u16::try_from(feature).expect("feature index exceeds u16"),
-            step: 1,
-        };
         slot
     }
 
@@ -272,68 +304,315 @@ impl RegressionTree {
     }
 }
 
-fn is_constant(ys: &[f64], idx: &[usize]) -> bool {
-    let first = ys[idx[0]];
-    idx.iter().all(|&i| (ys[i] - first).abs() < 1e-12)
+/// The training rows as one column-major matrix: what a split search reads
+/// is one feature of many rows, which is contiguous here and 8·F bytes
+/// apart in the caller's rows.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Columns {
+    n_rows: usize,
+    n_features: usize,
+    /// Feature `f` of row `i` at `f * n_rows + i`.
+    data: Vec<f64>,
+    /// Laid out like `data`: the dense rank of each value among the
+    /// distinct values of its column (in the matrix `from_rows` built; a
+    /// gathered sample keeps those ranks and may skip some).
+    ranks: Vec<u32>,
+    /// The number of ranks per column.
+    distinct: Vec<u32>,
 }
 
-/// Exhaustive best split over the candidate features: O(F · n log n).
-/// Returns `None` when no split satisfies the leaf-size constraint or
-/// reduces variance.
-fn best_split<R: AsRef<[f64]>>(
-    xs: &[R],
-    ys: &[f64],
-    idx: &[usize],
-    features: &[usize],
-    min_leaf: usize,
-) -> Option<(usize, f64)> {
-    let n = idx.len() as f64;
-    let total_sum: f64 = idx.iter().map(|&i| ys[i]).sum();
-    let parent_score = total_sum * total_sum / n; // constant shift of -SSE
-
-    let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, score)
-
-    for &f in features {
-        let x = |i: usize| xs[i].as_ref()[f];
-        // Sort indices by the feature value.
-        let mut order: Vec<usize> = idx.to_vec();
-        order.sort_by(|&a, &b| x(a).partial_cmp(&x(b)).unwrap_or(std::cmp::Ordering::Equal));
-
-        let mut left_sum = 0.0;
-        let mut left_n = 0.0;
-        for k in 0..order.len() - 1 {
-            let i = order[k];
-            left_sum += ys[i];
-            left_n += 1.0;
-            // Can't split between equal feature values.
-            if x(order[k]) == x(order[k + 1]) {
-                continue;
+impl Columns {
+    /// Transpose `xs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` is empty, holds more than `u32::MAX` rows, rows have
+    /// inconsistent lengths, or a feature is NaN or infinite. The split
+    /// search orders rows with `partial_cmp`, which is a total order only
+    /// over finite values: with a NaN in a column the sort's result is
+    /// unspecified and the tree built from it is silent garbage, so the one
+    /// pass that builds the matrix refuses it. (`model::features` never
+    /// produces one: `ln` of positive sizes, small integer codes, and means
+    /// of utilization fractions.)
+    pub(crate) fn from_rows<R: AsRef<[f64]>>(xs: &[R]) -> Self {
+        assert!(!xs.is_empty(), "training set must be non-empty");
+        assert!(
+            u32::try_from(xs.len()).is_ok(),
+            "training set exceeds u32 row indices"
+        );
+        let (n_rows, n_features) = (xs.len(), xs[0].as_ref().len());
+        let mut data = vec![0.0; n_rows * n_features];
+        for (i, row) in xs.iter().enumerate() {
+            let row = row.as_ref();
+            assert_eq!(row.len(), n_features, "inconsistent feature row lengths");
+            assert!(
+                row.iter().all(|v| v.is_finite()),
+                "training features must be finite"
+            );
+            for (f, &v) in row.iter().enumerate() {
+                data[f * n_rows + i] = v;
             }
-            let right_n = n - left_n;
-            if (left_n as usize) < min_leaf || (right_n as usize) < min_leaf {
-                continue;
-            }
-            let right_sum = total_sum - left_sum;
-            // Maximizing sum_of(children n*mean^2) minimizes SSE.
-            let score = left_sum * left_sum / left_n + right_sum * right_sum / right_n;
-            if score > parent_score + 1e-12 && best.is_none_or(|(_, _, s)| score > s) {
-                let threshold = 0.5 * (x(order[k]) + x(order[k + 1]));
-                best = Some((f, threshold, score));
-            }
+        }
+        let mut ranks = vec![0; data.len()];
+        let mut order: Vec<u32> = Vec::with_capacity(n_rows);
+        let distinct = data
+            .chunks_exact(n_rows)
+            .zip(ranks.chunks_exact_mut(n_rows))
+            .map(|(column, ranks)| {
+                order.clear();
+                order.extend(0..n_rows as u32);
+                order.sort_unstable_by(|&a, &b| {
+                    column[a as usize]
+                        .partial_cmp(&column[b as usize])
+                        .unwrap_or(Ordering::Equal)
+                });
+                let mut rank = 0;
+                for pair in order.windows(2) {
+                    rank += u32::from(column[pair[0] as usize] != column[pair[1] as usize]);
+                    ranks[pair[1] as usize] = rank;
+                }
+                rank + 1
+            })
+            .collect();
+        Columns {
+            n_rows,
+            n_features,
+            data,
+            ranks,
+            distinct,
         }
     }
 
-    best.map(|(f, t, _)| (f, t))
+    /// # Panics
+    ///
+    /// Panics unless `ys` is one finite target per row: a split's score is
+    /// built from sums of targets, and one NaN turns every comparison false.
+    pub(crate) fn assert_targets(&self, ys: &[f64]) {
+        assert_eq!(self.n_rows, ys.len(), "features/targets length mismatch");
+        assert!(
+            ys.iter().all(|y| y.is_finite()),
+            "training targets must be finite"
+        );
+    }
+
+    pub(crate) fn n_features(&self) -> usize {
+        self.n_features
+    }
+
+    fn column(&self, f: usize) -> &[f64] {
+        &self.data[f * self.n_rows..][..self.n_rows]
+    }
+
+    fn rank_column(&self, f: usize) -> &[u32] {
+        &self.ranks[f * self.n_rows..][..self.n_rows]
+    }
+
+    /// The matrix of rows `sample[0]`, `sample[1]`, … — a tree's bootstrap
+    /// sample, duplicates included, in draw order.
+    pub(crate) fn gather(&self, sample: &[u32]) -> Columns {
+        let mut data = Vec::with_capacity(sample.len() * self.n_features);
+        let mut ranks = Vec::with_capacity(sample.len() * self.n_features);
+        for f in 0..self.n_features {
+            let (column, rank_column) = (self.column(f), self.rank_column(f));
+            data.extend(sample.iter().map(|&i| column[i as usize]));
+            ranks.extend(sample.iter().map(|&i| rank_column[i as usize]));
+        }
+        Columns {
+            n_rows: sample.len(),
+            n_features: self.n_features,
+            data,
+            ranks,
+            distinct: self.distinct.clone(),
+        }
+    }
+}
+
+/// One tree under construction: the training set, the arena so far, and the
+/// buffers every node reuses (a node is done with them before it recurses).
+struct Builder<'a> {
+    xs: &'a Columns,
+    ys: &'a [f64],
+    params: &'a TreeParams,
+    rng: Option<&'a mut SmallRng>,
+    tree: RegressionTree,
+    /// The node's candidate features: `0..F`, shuffled, the first `mtry`
+    /// of them searched.
+    features: Vec<usize>,
+    /// The node's `(feature value, target)` pairs, ordered by value.
+    sorted: Vec<(f64, f64)>,
+    /// The rows `partition` sends right, until they are copied back.
+    spill: Vec<u32>,
+    /// The counting sort's per-rank counts, then write cursors.
+    cursors: Vec<u32>,
+}
+
+impl Builder<'_> {
+    /// Build the subtree over rows `idx` (ascending) and return its root's
+    /// arena index.
+    fn build(&mut self, idx: &mut [u32], depth: usize) -> usize {
+        let ys = self.ys;
+        let total_sum: f64 = idx.iter().map(|&i| ys[i as usize]).sum();
+        let mean = total_sum / idx.len() as f64;
+
+        let stop = depth >= self.params.max_depth
+            || idx.len() < self.params.min_samples_split
+            || is_constant(ys, idx);
+        if stop {
+            return self.tree.push_leaf(mean, depth);
+        }
+
+        // Choose the candidate feature set for this split.
+        let n_features = self.xs.n_features;
+        self.features.clear();
+        self.features.extend(0..n_features);
+        let mut candidates = n_features;
+        if let (Some(k), Some(r)) = (self.params.max_features, self.rng.as_deref_mut()) {
+            self.features.shuffle(r);
+            candidates = k.clamp(1, n_features);
+        }
+
+        let Some((feature, threshold)) = self.best_split(idx, candidates, total_sum) else {
+            return self.tree.push_leaf(mean, depth);
+        };
+        let (left_idx, right_idx) = self.partition(idx, feature, threshold);
+
+        // Reserve the split's slot (a placeholder leaf), then recurse: the
+        // left subtree lands right behind it.
+        let slot = self.tree.push_leaf(mean, depth);
+        let left = self.build(left_idx, depth + 1);
+        let right = self.build(right_idx, depth + 1);
+        assert_eq!(left, slot + 1, "left child must follow its parent");
+        self.tree.nodes[slot] = Node {
+            value: threshold,
+            right: u32::try_from(right).expect("tree arena exceeds u32 indices"),
+            feature: u16::try_from(feature).expect("feature index exceeds u16"),
+            step: 1,
+        };
+        slot
+    }
+
+    /// Exhaustive best split of rows `idx` over the first `candidates`
+    /// entries of `self.features`: O(F · n log n). Returns `None` when no
+    /// split satisfies the leaf-size constraint or reduces variance.
+    fn best_split(
+        &mut self,
+        idx: &[u32],
+        candidates: usize,
+        total_sum: f64,
+    ) -> Option<(usize, f64)> {
+        let n = idx.len() as f64;
+        let min_leaf = self.params.min_samples_leaf;
+        let parent_score = total_sum * total_sum / n; // constant shift of -SSE
+
+        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, score)
+
+        for &f in &self.features[..candidates] {
+            let column = self.xs.column(f);
+            // A column with one value in this node cannot split it.
+            let first = column[idx[0] as usize];
+            if idx.iter().all(|&i| column[i as usize] == first) {
+                continue;
+            }
+            // Order the node's rows by the feature value, equal values in
+            // ascending row order (`idx` ascends). Every value is finite,
+            // so `partial_cmp` is total.
+            let distinct = self.xs.distinct[f] as usize;
+            let sorted = &mut self.sorted;
+            sorted.clear();
+            if 2 * idx.len() >= distinct {
+                // A stable counting sort by rank: O(n + distinct).
+                let ranks = self.xs.rank_column(f);
+                let cursors = &mut self.cursors;
+                cursors.clear();
+                cursors.resize(distinct, 0);
+                for &i in idx {
+                    cursors[ranks[i as usize] as usize] += 1;
+                }
+                let mut start = 0;
+                for cursor in cursors.iter_mut() {
+                    start += std::mem::replace(cursor, start);
+                }
+                sorted.resize(idx.len(), (0.0, 0.0));
+                for &i in idx {
+                    let cursor = &mut cursors[ranks[i as usize] as usize];
+                    sorted[*cursor as usize] = (column[i as usize], self.ys[i as usize]);
+                    *cursor += 1;
+                }
+            } else {
+                // A stable comparison sort: O(n log n), whatever the column.
+                sorted.extend(
+                    idx.iter()
+                        .map(|&i| (column[i as usize], self.ys[i as usize])),
+                );
+                sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
+            }
+
+            let mut left_sum = 0.0;
+            let mut left_n = 0.0;
+            for pair in sorted.windows(2) {
+                let ((x, y), (next_x, _)) = (pair[0], pair[1]);
+                left_sum += y;
+                left_n += 1.0;
+                // Can't split between equal feature values.
+                if x == next_x {
+                    continue;
+                }
+                let right_n = n - left_n;
+                if (left_n as usize) < min_leaf || (right_n as usize) < min_leaf {
+                    continue;
+                }
+                let right_sum = total_sum - left_sum;
+                // Maximizing sum_of(children n*mean^2) minimizes SSE.
+                let score = left_sum * left_sum / left_n + right_sum * right_sum / right_n;
+                if score > parent_score + 1e-12 && best.is_none_or(|(_, _, s)| score > s) {
+                    best = Some((f, 0.5 * (x + next_x), score));
+                }
+            }
+        }
+
+        best.map(|(f, t, _)| (f, t))
+    }
+
+    /// Stable in-place partition of `idx` by `feature <= threshold`: both
+    /// halves keep ascending row order.
+    fn partition<'i>(
+        &mut self,
+        idx: &'i mut [u32],
+        feature: usize,
+        threshold: f64,
+    ) -> (&'i mut [u32], &'i mut [u32]) {
+        let column = self.xs.column(feature);
+        self.spill.clear();
+        let mut kept = 0;
+        for k in 0..idx.len() {
+            let i = idx[k];
+            if column[i as usize] <= threshold {
+                idx[kept] = i;
+                kept += 1;
+            } else {
+                self.spill.push(i);
+            }
+        }
+        idx[kept..].copy_from_slice(&self.spill);
+        idx.split_at_mut(kept)
+    }
+}
+
+fn is_constant(ys: &[f64], idx: &[u32]) -> bool {
+    let first = ys[idx[0] as usize];
+    idx.iter().all(|&i| (ys[i as usize] - first).abs() < 1e-12)
 }
 
 /// The pre-flattening representation — an arena of `Leaf`/`Split` nodes
 /// with both children explicit — and its early-exit walk: the reference the
 /// flat lock-step kernel is differentially tested against, plus a generator
-/// of random trees in that form.
+/// of random trees in that form — and, at the end, the serial row-major
+/// trainer the column-major one is differentially tested against.
 #[cfg(test)]
 pub(crate) mod reference {
-    use super::RegressionTree;
+    use super::{RegressionTree, TreeParams};
     use rand::rngs::SmallRng;
+    use rand::seq::SliceRandom;
     use rand::Rng;
 
     /// Columns of the generated trees and rows.
@@ -473,6 +752,140 @@ pub(crate) mod reference {
         (0..len)
             .map(|_| std::array::from_fn(|_| grid(rng)))
             .collect()
+    }
+
+    /// Training as it was before the column-major builder, verbatim: rows
+    /// stay row-major and `usize`-indexed, every node allocates its index
+    /// vectors and re-sorts through an indirect comparator. Serial and slow;
+    /// the reference `RegressionTree::fit` and `RandomForest::fit` are held
+    /// equal to, node for node.
+    impl RegressionTree {
+        pub(crate) fn fit_reference<R: AsRef<[f64]>>(
+            xs: &[R],
+            ys: &[f64],
+            params: TreeParams,
+            mut rng: Option<&mut SmallRng>,
+        ) -> Self {
+            assert!(!xs.is_empty(), "training set must be non-empty");
+            assert_eq!(xs.len(), ys.len(), "features/targets length mismatch");
+            let n_features = xs[0].as_ref().len();
+            assert!(
+                xs.iter().all(|r| r.as_ref().len() == n_features),
+                "inconsistent feature row lengths"
+            );
+
+            let mut tree = RegressionTree {
+                nodes: Vec::new(),
+                n_features,
+                depth: 0,
+            };
+            let idx: Vec<usize> = (0..xs.len()).collect();
+            tree.build(xs, ys, idx, 0, &params, &mut rng);
+            tree
+        }
+
+        fn build<R: AsRef<[f64]>>(
+            &mut self,
+            xs: &[R],
+            ys: &[f64],
+            idx: Vec<usize>,
+            depth: usize,
+            params: &TreeParams,
+            rng: &mut Option<&mut SmallRng>,
+        ) -> usize {
+            let mean = idx.iter().map(|&i| ys[i]).sum::<f64>() / idx.len() as f64;
+
+            let stop = depth >= params.max_depth
+                || idx.len() < params.min_samples_split
+                || is_constant(ys, &idx);
+            if stop {
+                return self.push_leaf(mean, depth);
+            }
+
+            // Choose the candidate feature set for this split.
+            let mut features: Vec<usize> = (0..self.n_features).collect();
+            if let (Some(k), Some(r)) = (params.max_features, rng.as_deref_mut()) {
+                features.shuffle(r);
+                features.truncate(k.clamp(1, self.n_features));
+            }
+
+            let best = best_split(xs, ys, &idx, &features, params.min_samples_leaf);
+            let Some((feature, threshold)) = best else {
+                return self.push_leaf(mean, depth);
+            };
+
+            let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = idx
+                .into_iter()
+                .partition(|&i| xs[i].as_ref()[feature] <= threshold);
+
+            // Reserve the split's slot (a placeholder leaf), then recurse: the
+            // left subtree lands right behind it.
+            let slot = self.push_leaf(mean, depth);
+            let left = self.build(xs, ys, left_idx, depth + 1, params, rng);
+            let right = self.build(xs, ys, right_idx, depth + 1, params, rng);
+            assert_eq!(left, slot + 1, "left child must follow its parent");
+            self.nodes[slot] = super::Node {
+                value: threshold,
+                right: u32::try_from(right).expect("tree arena exceeds u32 indices"),
+                feature: u16::try_from(feature).expect("feature index exceeds u16"),
+                step: 1,
+            };
+            slot
+        }
+    }
+
+    fn is_constant(ys: &[f64], idx: &[usize]) -> bool {
+        let first = ys[idx[0]];
+        idx.iter().all(|&i| (ys[i] - first).abs() < 1e-12)
+    }
+
+    /// Exhaustive best split over the candidate features: O(F · n log n).
+    /// Returns `None` when no split satisfies the leaf-size constraint or
+    /// reduces variance.
+    fn best_split<R: AsRef<[f64]>>(
+        xs: &[R],
+        ys: &[f64],
+        idx: &[usize],
+        features: &[usize],
+        min_leaf: usize,
+    ) -> Option<(usize, f64)> {
+        let n = idx.len() as f64;
+        let total_sum: f64 = idx.iter().map(|&i| ys[i]).sum();
+        let parent_score = total_sum * total_sum / n; // constant shift of -SSE
+
+        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, score)
+
+        for &f in features {
+            let x = |i: usize| xs[i].as_ref()[f];
+            // Sort indices by the feature value.
+            let mut order: Vec<usize> = idx.to_vec();
+            order.sort_by(|&a, &b| x(a).partial_cmp(&x(b)).unwrap_or(std::cmp::Ordering::Equal));
+
+            let mut left_sum = 0.0;
+            let mut left_n = 0.0;
+            for k in 0..order.len() - 1 {
+                let i = order[k];
+                left_sum += ys[i];
+                left_n += 1.0;
+                // Can't split between equal feature values.
+                if x(order[k]) == x(order[k + 1]) {
+                    continue;
+                }
+                let right_n = n - left_n;
+                if (left_n as usize) < min_leaf || (right_n as usize) < min_leaf {
+                    continue;
+                }
+                let right_sum = total_sum - left_sum;
+                // Maximizing sum_of(children n*mean^2) minimizes SSE.
+                let score = left_sum * left_sum / left_n + right_sum * right_sum / right_n;
+                if score > parent_score + 1e-12 && best.is_none_or(|(_, _, s)| score > s) {
+                    let threshold = 0.5 * (x(order[k]) + x(order[k + 1]));
+                    best = Some((f, threshold, score));
+                }
+            }
+        }
+
+        best.map(|(f, t, _)| (f, t))
     }
 }
 
@@ -662,6 +1075,24 @@ mod tests {
     #[should_panic(expected = "mismatch")]
     fn mismatched_lengths_rejected() {
         let _ = RegressionTree::fit(&[vec![1.0]], &[1.0, 2.0], TreeParams::default(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "features must be finite")]
+    fn non_finite_feature_rejected() {
+        let mut xs: Vec<[f64; 2]> = (0..40).map(|i| [f64::from(i), 1.0]).collect();
+        let ys: Vec<f64> = xs.iter().map(|x| x[0] * 0.01).collect();
+        xs[7][0] = f64::NAN;
+        let _ = RegressionTree::fit(&xs, &ys, TreeParams::default(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "targets must be finite")]
+    fn non_finite_target_rejected() {
+        let xs: Vec<[f64; 1]> = (0..40).map(|i| [f64::from(i)]).collect();
+        let mut ys = vec![0.5; 40];
+        ys[11] = f64::INFINITY;
+        let _ = RegressionTree::fit(&xs, &ys, TreeParams::default(), None);
     }
 
     #[test]

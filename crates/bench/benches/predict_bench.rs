@@ -6,6 +6,7 @@ use coach_predict::{
     Ewma, ForestParams, LocalPredictor, Lstm, LstmParams, ModelConfig, RandomForest, TargetKind,
     UtilizationModel,
 };
+use coach_sim::{Model, Predictor};
 use coach_trace::{generate, TraceConfig, VmRecord};
 use coach_types::{Percentile, ResourceKind, TimeWindows, Timestamp};
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
@@ -102,6 +103,24 @@ fn bench_model(c: &mut Criterion) {
     let chunk = &history[..64];
     c.bench_function("model_predict_batch_64vms", |b| {
         b.iter(|| std::hint::black_box(model.predict_batch(std::hint::black_box(chunk))))
+    });
+
+    // The benchmark's `model_sweep` stream for one policy: `paper_scale(2026)`'s
+    // 8,000 VMs in the controller's 64-VM chunks through one memoized
+    // `Model`, fresh per iteration so each pays its first sight of every
+    // key. Divide by 8,000 for ns/VM against the row above.
+    let trace = generate(&TraceConfig::paper_scale(2026));
+    let (history, _) = trace.split_by_arrival(Timestamp::from_days(7));
+    let model = UtilizationModel::train(&history, model_config());
+    let stream: Vec<&VmRecord> = trace.vms.iter().collect();
+    c.bench_function("model_predict_stream_memo", |b| {
+        b.iter(|| {
+            let memoized = Model::new(&model);
+            for chunk in stream.chunks(64) {
+                std::hint::black_box(memoized.predict_batch(chunk, Percentile::P95));
+            }
+            memoized.memoized_keys()
+        })
     });
 }
 

@@ -4,6 +4,7 @@ use coach_bench::{figure_header, small_eval_trace};
 use coach_node::memory::{MemoryParams, MemoryServer, VmMemoryConfig};
 use coach_predict::{ForestParams, LocalPredictor, ModelConfig, UtilizationModel};
 use coach_sched::{ClusterScheduler, PlacementHeuristic, VmDemand};
+use coach_sim::{Model, Predictor};
 use coach_types::prelude::*;
 use std::time::Instant;
 
@@ -41,23 +42,39 @@ fn main() {
         history.len() as f64 / train_time.as_secs_f64()
     );
 
-    // --- Request-time model inference: one VM per call, and the serving
-    // controller's 64-VM chunks.
+    // --- Request-time model inference: one VM per call, the serving
+    // controller's 64-VM chunks, and those chunks through one memoized
+    // `Model` (one forest walk per distinct feature key).
     let requests = &history[..640];
     let t0 = Instant::now();
-    let one_by_one = requests.iter().filter_map(|vm| model.predict(vm)).count();
+    let one_by_one: Vec<_> = requests.iter().map(|vm| model.predict(vm)).collect();
     let per_vm_single = t0.elapsed().as_secs_f64() / requests.len() as f64;
     let t0 = Instant::now();
-    let batched: usize = requests
+    let batched: Vec<_> = requests
         .chunks(64)
-        .map(|chunk| model.predict_batch(chunk).iter().flatten().count())
-        .sum();
+        .flat_map(|chunk| model.predict_batch(chunk))
+        .collect();
     let per_vm_batched = t0.elapsed().as_secs_f64() / requests.len() as f64;
-    assert_eq!(one_by_one, batched, "batch and per-VM inference disagree");
+    let memoized = Model::new(&model);
+    let t0 = Instant::now();
+    let through_memo: Vec<_> = requests
+        .chunks(64)
+        .flat_map(|chunk| memoized.predict_batch(chunk, model.config().percentile))
+        .collect();
+    let per_vm_memoized = t0.elapsed().as_secs_f64() / requests.len() as f64;
+    assert!(
+        one_by_one == batched && batched == through_memo,
+        "batched, memoized and per-VM inference disagree"
+    );
     println!(
-        "model inference: {:.1} us/VM one VM per call, {:.1} us/VM in 64-VM batches",
+        "model inference: {:.1} us/VM one VM per call, {:.1} us/VM in 64-VM batches, \
+         {:.1} us/VM memoized ({} distinct keys for {} group-known of {} VMs)",
         per_vm_single * 1e6,
-        per_vm_batched * 1e6
+        per_vm_batched * 1e6,
+        per_vm_memoized * 1e6,
+        memoized.memoized_keys(),
+        through_memo.iter().flatten().count(),
+        requests.len()
     );
 
     // --- Scheduling overhead per VM.

@@ -39,5 +39,6 @@ pub use forest::{ForestParams, RandomForest};
 pub use local::LocalPredictor;
 pub use lstm::{Lstm, LstmParams, LstmScratch};
 pub use model::{
-    DemandPrediction, ModelConfig, TargetKind, UtilizationModel, VmMeta, FEATURE_COUNT,
+    DemandPrediction, ModelConfig, PredictionMemo, TargetKind, UtilizationModel, VmMeta,
+    FEATURE_COUNT,
 };

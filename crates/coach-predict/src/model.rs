@@ -10,12 +10,75 @@
 //!
 //! VMs whose group has no history are *not* oversubscribed (the model
 //! returns `None`), the paper's conservative fallback.
+//!
+//! # Inference
+//!
+//! Nothing in a feature row is particular to one VM: every VM of a group
+//! that arrives on the same weekday (with the same exact size, offering and
+//! subscription type) gets the same 24 rows per resource, hence the same
+//! prediction to the bit. So the one prediction routine walks the forests
+//! once per distinct *key*, not once per VM, and remembers the answer in a
+//! [`PredictionMemo`].
+//!
+//! * **The key is complete.** It holds exactly what `features` and the
+//!   group lookup read: [`VmMeta::group_key`]; `cores` and the bits of
+//!   `memory_gb` (`ln(cores)`, `ln(memory)` and `gb_per_core` come from
+//!   these, and `config_key` truncates memory, so the group alone does not
+//!   pin them); the weekday of arrival (`is_weekend` is a function of it);
+//!   the offering and the subscription type. Network, SSD, the subscription
+//!   beyond its group and the arrival beyond its weekday are read by
+//!   nothing. `memo_key_covers_every_feature_input` perturbs each field in
+//!   turn and holds equal keys to equal rows.
+//! * **An entry is `2 × W × 4` [`Bucket`] indices, one byte each**, never a
+//!   [`DemandPrediction`]. The round trip is exact by construction: `px` is
+//!   `Bucket::round_up(raw).fraction()`, and `pmax` is the larger of two
+//!   bucket fractions, which is the fraction of the larger index, so
+//!   rebuilding with [`Bucket::fraction`] yields the same `f64`s
+//!   (`memoized_predictions_equal_fresh` holds random chunkings through one
+//!   memo to the pre-memo routine, slot for slot).
+//! * **Per batch**: a VM whose group has no history gets `None` and is
+//!   never memoized; every other VM's key is looked up; feature rows are
+//!   built for the misses only, once per key even when it repeats within
+//!   the batch, and walked in the same tree-major
+//!   [`RandomForest::predict_rows`] sweep; every slot is rebuilt from its
+//!   entry. `predict`, `predict_meta` and `predict_batch` run this with a
+//!   fresh memo (so they dedup within the call); `coach_sim::Model` keeps
+//!   one for its lifetime through
+//!   [`UtilizationModel::predict_batch_memoized`].
+//! * **Locking.** A shared memo sits in a `Mutex` held to look up and to
+//!   insert, never across a forest walk. Two callers that miss the same key
+//!   both compute it and the first insert is kept (the second is
+//!   `debug_assert`ed equal). Only complete entries are inserted, so a
+//!   panic, or a poisoned lock (recovered: every update leaves the memo
+//!   valid), never leaves a half-filled entry to be served.
+//! * **Bound.** At most one entry per distinct key among the group-known
+//!   VMs predicted — groups with history × their exact sizes × 7 weekdays ×
+//!   offerings × subscription types — however long the stream; each is
+//!   48 B of buckets (6 windows) plus a 32 B table slot. There is no cap,
+//!   option or knob.
+//!
+//! On the benchmark's `model_sweep` (8,000 VMs, four policies, 2-core box)
+//! seed 2026's 7,229 group-known VMs hold 2,387 distinct keys (seed 7:
+//! 7,278 and 2,435), so each policy's run walks the forests a third as
+//! often: traced `predict.busy_s` 0.79 → 0.30 s (`predict.ns_per_vm`
+//! 24.7 → 9.3 µs), `wall_s` halved (medians 0.99 → 0.50 s and
+//! 1.21 → 0.47 s over two sets of ten pairs, change ahead 20/20),
+//! `peak_bytes_per_vm` 93.5 → 96.7 B (CHANGES.md, PR 25, lists every
+//! pair).
+//!
+//! Two designs not to build: memoizing whole `DemandPrediction`s (456 B
+//! each, ~2.4k per run, pushes `model_sweep`'s `peak_bytes_per_vm` past its
+//! 25 % bound), and deduplicating only within one 64-VM derive chunk (the
+//! chunks together still hold 6,497 distinct keys among the 7,229
+//! group-known VMs: 10 % saved — the duplicates are spread across the
+//! whole stream).
 
 use crate::forest::{ForestParams, RandomForest};
 use crate::tree::Columns;
 use coach_trace::VmRecord;
 use coach_types::prelude::*;
 use std::collections::HashMap;
+use std::sync::{Mutex, PoisonError};
 
 /// Number of features fed to the forest.
 pub const FEATURE_COUNT: usize = 12;
@@ -181,24 +244,159 @@ impl UtilizationModel {
     /// Predict from request-time metadata alone (no observed series needed)
     /// — what the cluster manager calls when a VM creation request arrives.
     pub fn predict_meta(&self, vm: &VmMeta) -> Option<DemandPrediction> {
-        self.predict_metas(std::slice::from_ref(vm))
+        self.predict_metas(std::slice::from_ref(vm), &Mutex::default())
             .pop()
             .expect("one slot per input")
     }
 
     /// [`UtilizationModel::predict`] for a whole batch: one slot per input
     /// VM, in input order, each exactly what `predict` returns for that VM.
-    /// Every forest sees the batch's feature rows in a single
+    /// Every forest sees the rows of the batch's distinct keys in a single
     /// [`RandomForest::predict_rows`] sweep.
     pub fn predict_batch(&self, vms: &[&VmRecord]) -> Vec<Option<DemandPrediction>> {
-        let metas: Vec<VmMeta> = vms.iter().map(|vm| VmMeta::from(*vm)).collect();
-        self.predict_metas(&metas)
+        self.predict_batch_memoized(vms, &Mutex::default())
     }
 
-    /// The one prediction routine: per resource, build the feature rows of
-    /// every group-known VM × window once, run that resource's two forests
-    /// over them, and scatter the bucketed results into the VMs' slots.
-    fn predict_metas(&self, vms: &[VmMeta]) -> Vec<Option<DemandPrediction>> {
+    /// [`UtilizationModel::predict_batch`] through a memo that outlives the
+    /// call: a key `memo` already holds is not walked again, and the keys
+    /// this batch walks are added to it. Safe to call from several threads
+    /// sharing one memo; the lock is never held across a forest walk. The
+    /// memo must only ever be used with this model.
+    pub fn predict_batch_memoized(
+        &self,
+        vms: &[&VmRecord],
+        memo: &Mutex<PredictionMemo>,
+    ) -> Vec<Option<DemandPrediction>> {
+        let metas: Vec<VmMeta> = vms.iter().map(|vm| VmMeta::from(*vm)).collect();
+        self.predict_metas(&metas, memo)
+    }
+
+    /// The one prediction routine (module docs, "Inference"): resolve each
+    /// VM's key, copy the entries `memo` holds, walk each resource's two
+    /// forests once over the feature rows of the keys it lacks, add those
+    /// entries to `memo`, and rebuild every slot from its entry.
+    fn predict_metas(
+        &self,
+        vms: &[VmMeta],
+        memo: &Mutex<PredictionMemo>,
+    ) -> Vec<Option<DemandPrediction>> {
+        let stride = self.entry_len();
+        // One entry per distinct key of this batch, copied or computed.
+        let mut local: Vec<Bucket> = Vec::new();
+        let mut seen: HashMap<MemoKey, usize> = HashMap::new();
+        let mut misses: Vec<Miss<'_>> = Vec::new();
+        let slots: Vec<Option<usize>> = {
+            let held = memo.lock().unwrap_or_else(PoisonError::into_inner);
+            vms.iter()
+                .map(|vm| {
+                    let key = MemoKey::of(vm);
+                    // A group without history gets `None`, never an entry.
+                    let group = self.groups.get(&key.group)?;
+                    Some(*seen.entry(key).or_insert_with(|| {
+                        let entry = local.len() / stride;
+                        match held.get(&key, stride) {
+                            Some(buckets) => local.extend_from_slice(buckets),
+                            None => {
+                                local.resize(local.len() + stride, Bucket::default());
+                                misses.push(Miss {
+                                    entry,
+                                    key,
+                                    vm,
+                                    group,
+                                });
+                            }
+                        }
+                        entry
+                    }))
+                })
+                .collect()
+        };
+
+        if !misses.is_empty() {
+            self.walk(&misses, &mut local);
+            let mut held = memo.lock().unwrap_or_else(PoisonError::into_inner);
+            for miss in &misses {
+                held.insert(miss.key, &local[miss.entry * stride..][..stride]);
+            }
+        }
+        slots
+            .iter()
+            .map(|slot| slot.map(|e| self.rebuild(&local[e * stride..][..stride])))
+            .collect()
+    }
+
+    /// Buckets per memo entry: `TargetKind::COUNT × windows × resources`.
+    fn entry_len(&self) -> usize {
+        TargetKind::COUNT * self.config.tw.count() * ResourceKind::COUNT
+    }
+
+    /// Where `(target, window, kind)` sits in an entry.
+    fn bucket_at(&self, target: TargetKind, window: usize, kind: ResourceKind) -> usize {
+        (target.index() * self.config.tw.count() + window) * ResourceKind::COUNT + kind.index()
+    }
+
+    /// Per resource, build the feature rows of every miss × window, run
+    /// that resource's two forests over them in one tree-major sweep each,
+    /// and write the bucketed results into the misses' entries of `local`.
+    fn walk(&self, misses: &[Miss<'_>], local: &mut [Bucket]) {
+        let tw = self.config.tw;
+        let stride = self.entry_len();
+        let mut rows = Vec::with_capacity(misses.len() * tw.count());
+        let (mut raw_max, mut raw_px) = (Vec::new(), Vec::new());
+        let bucketed = |raw: f64| Bucket::round_up(raw.clamp(0.0, 1.0));
+        for kind in ResourceKind::ALL {
+            rows.clear();
+            for miss in misses {
+                rows.extend(tw.indices().map(|w| features(miss.vm, kind, w, miss.group)));
+            }
+            let forests = &self.forests[kind.index()];
+            forests[TargetKind::WindowMax.index()].predict_rows(&rows, &mut raw_max);
+            forests[TargetKind::WindowPercentile.index()].predict_rows(&rows, &mut raw_px);
+
+            // Rows were pushed in miss order, one per window of each miss.
+            let mut raw = raw_max.iter().zip(&raw_px);
+            for miss in misses {
+                let entry = &mut local[miss.entry * stride..][..stride];
+                for w in tw.indices() {
+                    let (&vmax, &vpx) = raw.next().expect("one raw pair per row");
+                    let vpx = bucketed(vpx);
+                    entry[self.bucket_at(TargetKind::WindowPercentile, w, kind)] = vpx;
+                    // Invariant: the max prediction dominates the percentile.
+                    entry[self.bucket_at(TargetKind::WindowMax, w, kind)] = bucketed(vmax).max(vpx);
+                }
+            }
+        }
+    }
+
+    /// The prediction an entry encodes: each value is its bucket's
+    /// [`Bucket::fraction`], exactly the `f64` the forest's bucketed output
+    /// was.
+    fn rebuild(&self, entry: &[Bucket]) -> DemandPrediction {
+        let tw = self.config.tw;
+        let window = |target: TargetKind, w: usize| {
+            let mut v = ResourceVec::ZERO;
+            for kind in ResourceKind::ALL {
+                v[kind] = entry[self.bucket_at(target, w, kind)].fraction();
+            }
+            v
+        };
+        DemandPrediction {
+            tw,
+            pmax: tw
+                .indices()
+                .map(|w| window(TargetKind::WindowMax, w))
+                .collect(),
+            px: tw
+                .indices()
+                .map(|w| window(TargetKind::WindowPercentile, w))
+                .collect(),
+        }
+    }
+
+    /// The single-walk routine before the memo, verbatim: the reference
+    /// `memoized_predictions_equal_fresh` holds the memo to.
+    #[cfg(test)]
+    fn predict_metas_reference(&self, vms: &[VmMeta]) -> Vec<Option<DemandPrediction>> {
         let tw = self.config.tw;
         let stats: Vec<Option<&GroupStats>> = vms
             .iter()
@@ -491,6 +689,92 @@ impl From<&VmRecord> for VmMeta {
     }
 }
 
+/// Exactly what [`features`] and the group lookup read of a [`VmMeta`]: two
+/// VMs with equal keys get equal feature rows for every (resource, window)
+/// and the same [`GroupStats`], hence the same prediction to the bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct MemoKey {
+    /// [`VmMeta::group_key`]: whose history the rows read.
+    group: u64,
+    /// `ln(cores)`, `ln(memory)` and `gb_per_core` come from these two;
+    /// `config_key` truncates memory, so the group does not pin them.
+    cores: u32,
+    memory_bits: u64,
+    /// `is_weekend` is a function of the weekday.
+    weekday: Weekday,
+    offering: Offering,
+    subscription_type: SubscriptionType,
+}
+
+impl MemoKey {
+    fn of(vm: &VmMeta) -> MemoKey {
+        MemoKey {
+            group: vm.group_key(),
+            cores: vm.config.cores,
+            memory_bits: vm.config.memory_gb.to_bits(),
+            weekday: vm.arrival.weekday(),
+            offering: vm.offering,
+            subscription_type: vm.subscription_type,
+        }
+    }
+}
+
+/// A key of the batch that no memo entry covers yet: the first VM that
+/// carries it, and where its entry goes in the batch's buffer.
+struct Miss<'a> {
+    entry: usize,
+    key: MemoKey,
+    vm: &'a VmMeta,
+    group: &'a GroupStats,
+}
+
+/// Bucketed predictions of one [`UtilizationModel`], one entry per distinct
+/// key of its group-known VMs (module docs, "Inference").
+///
+/// An entry is `TargetKind::COUNT × windows × resources` [`Bucket`]
+/// indices, one byte each, never a [`DemandPrediction`]. The memo is
+/// bounded by the model, not the stream: at most one entry per (group with
+/// history × exact configuration × weekday × offering × subscription type).
+/// There is no size cap to set. Entries are the outputs of the model the
+/// memo is used with, so a memo serves one model.
+#[derive(Debug, Default)]
+pub struct PredictionMemo {
+    /// Key → entry number; entry `e` is `buckets[e * stride..][..stride]`.
+    entries: HashMap<MemoKey, usize>,
+    /// Every entry's buckets, `[target][window][resource]`, back to back.
+    buckets: Vec<Bucket>,
+}
+
+impl PredictionMemo {
+    /// Number of memoized keys.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True until a group-known VM has been predicted through the memo.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    fn get(&self, key: &MemoKey, stride: usize) -> Option<&[Bucket]> {
+        let &e = self.entries.get(key)?;
+        Some(&self.buckets[e * stride..][..stride])
+    }
+
+    /// Keep `entry` for `key` unless a caller that missed the same key
+    /// already did; both computed the same buckets.
+    fn insert(&mut self, key: MemoKey, entry: &[Bucket]) {
+        if let Some(kept) = self.get(&key, entry.len()) {
+            debug_assert_eq!(kept, entry, "an entry depends only on its key");
+            return;
+        }
+        // The buckets are in place before the key can lead to them.
+        let e = self.buckets.len() / entry.len();
+        self.buckets.extend_from_slice(entry);
+        self.entries.insert(key, e);
+    }
+}
+
 /// Build the feature row for (VM, resource, window).
 fn features(
     vm: &VmMeta,
@@ -571,6 +855,164 @@ mod tests {
             assert!(known > 10, "only {known} group-known VMs in the batch");
             assert!(want.iter().skip(1).step_by(3).all(Option::is_none));
             assert!(model.predict_batch(&[]).is_empty());
+        }
+    }
+
+    /// `small(81)`'s 200 VMs, a copy of every third under an unknown
+    /// subscription, and a copy of every VM arriving on its weekday a week
+    /// later at another hour (same key, other day and hour); the model;
+    /// and the pre-memo routine's prediction for every slot.
+    fn memo_fixture() -> &'static (Vec<VmMeta>, UtilizationModel, Vec<Option<DemandPrediction>>) {
+        static FIXTURE: std::sync::OnceLock<(
+            Vec<VmMeta>,
+            UtilizationModel,
+            Vec<Option<DemandPrediction>>,
+        )> = std::sync::OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let (trace, model) = trained();
+            let mut metas: Vec<VmMeta> = trace.vms.iter().map(VmMeta::from).collect();
+            for (i, vm) in trace.vms.iter().enumerate() {
+                let mut meta = VmMeta::from(vm);
+                if i % 3 == 0 {
+                    let mut unknown = meta;
+                    unknown.subscription = SubscriptionId::new(9_000_000 + i as u64);
+                    metas.push(unknown);
+                }
+                let tick = (meta.arrival.tick_of_day() + 37 * i as u64) % TICKS_PER_DAY;
+                meta.arrival = Timestamp::from_ticks(
+                    Timestamp::from_days(meta.arrival.day() + 7).ticks() + tick,
+                );
+                metas.push(meta);
+            }
+            let want = model.predict_metas_reference(&metas);
+            (metas, model, want)
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+        /// One memo fed the fixture's stream, rotated, in random chunks of
+        /// 1–200 VMs: every slot equals the pre-memo routine's, and after
+        /// each call the memo holds one entry per distinct group-known key
+        /// seen so far.
+        #[test]
+        fn memoized_predictions_equal_fresh(
+            start in 0usize..500,
+            sizes in proptest::collection::vec(1usize..=200, 1..8),
+        ) {
+            let (metas, model, want) = memo_fixture();
+            let order: Vec<usize> = (0..metas.len()).map(|i| (start + i) % metas.len()).collect();
+            let memo = Mutex::default();
+            let mut keys = std::collections::HashSet::new();
+            let (mut at, mut known) = (0, 0);
+            for &size in sizes.iter().cycle() {
+                if at == order.len() {
+                    break;
+                }
+                let chunk = &order[at..(at + size).min(order.len())];
+                at += chunk.len();
+                let batch: Vec<VmMeta> = chunk.iter().map(|&i| metas[i]).collect();
+                let got = model.predict_metas(&batch, &memo);
+                for (&i, got) in chunk.iter().zip(&got) {
+                    proptest::prop_assert!(got == &want[i], "slot {}: {:?} != {:?}", i, got, want[i]);
+                }
+                for vm in &batch {
+                    if model.groups.contains_key(&vm.group_key()) {
+                        keys.insert(MemoKey::of(vm));
+                        known += 1;
+                    }
+                }
+                proptest::prop_assert_eq!(memo.lock().unwrap().len(), keys.len());
+            }
+            // The fixture repeats keys: the memo is smaller than the stream.
+            proptest::prop_assert!(keys.len() < known, "{} keys, {} known", keys.len(), known);
+        }
+    }
+
+    /// Each `VmMeta` field perturbed on its own: an equal key implies the
+    /// same group and `to_bits`-equal feature rows for every (resource,
+    /// window); a key that differs within one group differs in some row, so
+    /// no field is in the key for nothing.
+    #[test]
+    fn memo_key_covers_every_feature_input() {
+        let (trace, model) = trained();
+        let base = trace
+            .vms
+            .iter()
+            .map(VmMeta::from)
+            .find(|vm| model.groups.contains_key(&vm.group_key()))
+            .expect("a group-known VM");
+        let rows = |vm: &VmMeta, group: &GroupStats| -> Vec<u64> {
+            ResourceKind::ALL
+                .into_iter()
+                .flat_map(|kind| model.config.tw.indices().map(move |w| (kind, w)))
+                .flat_map(|(kind, w)| features(vm, kind, w, group))
+                .map(f64::to_bits)
+                .collect()
+        };
+        let day_start = Timestamp::from_days(base.arrival.day());
+        let other_hour = Timestamp::from_ticks(
+            day_start.ticks() + (base.arrival.tick_of_day() + TICKS_PER_HOUR * 5) % TICKS_PER_DAY,
+        );
+        type Perturb = fn(&mut VmMeta, Timestamp);
+        let cases: [(&str, Perturb, bool); 10] = [
+            ("cores", |vm, _| vm.config.cores += 1, false),
+            // `config_key` truncates memory: same group, other features.
+            ("memory", |vm, _| vm.config.memory_gb += 0.25, false),
+            ("network", |vm, _| vm.config.network_gbps += 1.0, true),
+            ("ssd", |vm, _| vm.config.ssd_gb += 64.0, true),
+            (
+                "subscription",
+                |vm, _| vm.subscription = SubscriptionId::new(vm.subscription.raw() + 1),
+                false,
+            ),
+            (
+                "subscription type",
+                |vm, _| {
+                    vm.subscription_type = match vm.subscription_type {
+                        SubscriptionType::External => SubscriptionType::InternalTest,
+                        _ => SubscriptionType::External,
+                    }
+                },
+                false,
+            ),
+            (
+                "offering",
+                |vm, _| {
+                    vm.offering = match vm.offering {
+                        Offering::Iaas => Offering::Paas,
+                        Offering::Paas => Offering::Iaas,
+                    }
+                },
+                false,
+            ),
+            ("arrival within the day", |vm, t| vm.arrival = t, true),
+            (
+                "arrival a week later",
+                |vm, _| vm.arrival += SimDuration::from_days(7),
+                true,
+            ),
+            (
+                "arrival on another weekday",
+                |vm, _| vm.arrival += SimDuration::from_days(1),
+                false,
+            ),
+        ];
+        assert_ne!(other_hour, base.arrival);
+        let group = &model.groups[&base.group_key()];
+        for (name, perturb, same) in cases {
+            let mut vm = base;
+            perturb(&mut vm, other_hour);
+            assert_ne!(vm, base, "{name}: no perturbation");
+            let equal = MemoKey::of(&vm) == MemoKey::of(&base);
+            assert_eq!(equal, same, "{name}");
+            let same_group = vm.group_key() == base.group_key();
+            if equal {
+                assert!(same_group, "{name}: equal key, other group");
+                assert_eq!(rows(&vm, group), rows(&base, group), "{name}");
+            } else if same_group {
+                assert_ne!(rows(&vm, group), rows(&base, group), "{name}");
+            }
         }
     }
 

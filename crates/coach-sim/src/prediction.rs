@@ -9,14 +9,16 @@
 //! * [`Oracle`] — percentiles of each VM's own utilization, derived
 //!   *lazily* from the behavior profile's closed form on every call, and
 //!   only as far as Formulas 1–2 read it ([`VmRecord::window_peaks`]);
-//! * [`Model`] — the trained long-term random forest (§3.3);
+//! * [`Model`] — the trained long-term random forest (§3.3), walked once
+//!   per distinct feature key and memoized;
 //! * [`NaiveReference`] — the old eager path (materialize the 5-minute
 //!   series, walk its samples), retained purely for differential testing
 //!   against [`Oracle`].
 
-use coach_predict::{DemandPrediction, UtilizationModel};
+use coach_predict::{DemandPrediction, PredictionMemo, UtilizationModel};
 use coach_trace::VmRecord;
 use coach_types::prelude::*;
+use std::sync::{Mutex, PoisonError};
 
 /// Where per-VM demand predictions come from.
 ///
@@ -39,8 +41,9 @@ pub trait Predictor: Sync {
     /// VM **in input order**.
     ///
     /// The default forwards each VM to [`Predictor::predict`]. Sources with
-    /// a cheaper batch form override it — [`Model`] walks the whole batch
-    /// through each tree of its forests while the tree is cache-resident —
+    /// a cheaper batch form override it — [`Model`] walks the rows of the
+    /// batch's not-yet-memoized keys through each tree of its forests
+    /// while the tree is cache-resident —
     /// but every override must return exactly what the per-item loop
     /// would: `predict_batch` is a throughput entry point, never a
     /// semantic one (the `predict_batch_matches_per_item_loop`
@@ -126,15 +129,39 @@ impl Predictor for Oracle {
 
 /// The trained long-term utilization model (§3.3); VMs without group
 /// history get `None` (conservatively not oversubscribed).
+///
+/// Memoized: the model's features read only a VM's group, exact
+/// configuration, weekday of arrival, offering and subscription type, so
+/// the forests are walked once per distinct such key and every later VM
+/// with that key is answered from a [`PredictionMemo`] of bucket indices
+/// (`coach_predict::model`, "Inference"). The memo starts empty with every
+/// [`Model::new`] and is bounded by the model, not the stream. Safe under
+/// concurrent calls — a sharded controller or `policy_sweep` sharing one
+/// `Model` — because the lock is held only to look up and to insert, never
+/// across a forest walk; answers are the same whichever thread computed an
+/// entry first.
 #[derive(Debug)]
 pub struct Model<'a> {
     model: &'a UtilizationModel,
+    memo: Mutex<PredictionMemo>,
 }
 
 impl<'a> Model<'a> {
-    /// Wrap a trained model.
+    /// Wrap a trained model, with an empty memo.
     pub fn new(model: &'a UtilizationModel) -> Self {
-        Model { model }
+        Model {
+            model,
+            memo: Mutex::default(),
+        }
+    }
+
+    /// Number of distinct keys memoized so far: how many VMs' worth of
+    /// forest walks this predictor has done.
+    pub fn memoized_keys(&self) -> usize {
+        self.memo
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 }
 
@@ -146,19 +173,21 @@ impl Predictor for Model<'_> {
     /// The percentile argument is ignored: the model predicts at the
     /// percentile it was trained with (re-deriving from the oracle would
     /// bypass the artifact under test).
-    fn predict(&self, vm: &VmRecord, _percentile: Percentile) -> Option<DemandPrediction> {
-        self.model.predict(vm)
+    fn predict(&self, vm: &VmRecord, percentile: Percentile) -> Option<DemandPrediction> {
+        self.predict_batch(&[vm], percentile)
+            .pop()
+            .expect("one slot per input")
     }
 
-    /// One tree-major sweep per forest over the whole batch's feature rows
-    /// ([`UtilizationModel::predict_batch`]); `predict` is the one-VM case
-    /// of the same routine.
+    /// One tree-major sweep per forest over the feature rows of the batch's
+    /// keys the memo lacks ([`UtilizationModel::predict_batch_memoized`]);
+    /// `predict` is the one-VM case of the same routine.
     fn predict_batch(
         &self,
         vms: &[&VmRecord],
         _percentile: Percentile,
     ) -> Vec<Option<DemandPrediction>> {
-        self.model.predict_batch(vms)
+        self.model.predict_batch_memoized(vms, &self.memo)
     }
 }
 
@@ -290,49 +319,86 @@ mod tests {
         }
     }
 
-    /// `predict_batch` is a throughput entry point, never a semantic one:
-    /// for every shipped source it must equal the per-item loop exactly.
-    /// `Model` (one forest sweep per batch) overrides it, so this
-    /// differentially pins the override; `Oracle` and `NaiveReference`
-    /// exercise the default loop.
-    #[test]
-    fn predict_batch_matches_per_item_loop() {
+    fn small_model(vms: &[&VmRecord]) -> UtilizationModel {
         use coach_predict::{ForestParams, ModelConfig};
 
-        let tw = TimeWindows::paper_default();
-        let trace = generate(&TraceConfig::small(97));
-        let vms: Vec<&VmRecord> = trace.vms.iter().collect();
-
-        let model = UtilizationModel::train(
-            &vms,
+        UtilizationModel::train(
+            vms,
             ModelConfig {
-                tw,
+                tw: TimeWindows::paper_default(),
                 percentile: Percentile::P95,
                 forest: ForestParams {
                     n_trees: 4,
                     ..ForestParams::default()
                 },
             },
-        );
+        )
+    }
 
-        let oracle = Oracle::new(tw);
-        let trained = Model::new(&model);
-        let reference = NaiveReference::new(tw);
-        let sources: Vec<(&str, &dyn Predictor)> = vec![
-            ("oracle", &oracle),
-            ("model", &trained),
-            ("naive", &reference),
+    /// `predict_batch` is a throughput entry point, never a semantic one:
+    /// for every shipped source it must equal the per-item loop exactly.
+    /// `Model` (one forest sweep per batch, memoized) overrides it, so this
+    /// differentially pins the override; `Oracle` and `NaiveReference`
+    /// exercise the default loop. Each side gets a fresh source — one
+    /// `Model` would answer the per-item side from the batch's own memo
+    /// entries — and the model's answers must also be the unmemoized
+    /// `UtilizationModel::predict`'s.
+    #[test]
+    fn predict_batch_matches_per_item_loop() {
+        let tw = TimeWindows::paper_default();
+        let trace = generate(&TraceConfig::small(97));
+        let vms: Vec<&VmRecord> = trace.vms.iter().collect();
+        let model = small_model(&vms);
+
+        type Make<'a> = Box<dyn Fn() -> Box<dyn Predictor + 'a> + 'a>;
+        let sources: Vec<(&str, Make<'_>)> = vec![
+            ("oracle", Box::new(move || Box::new(Oracle::new(tw)))),
+            ("model", Box::new(|| Box::new(Model::new(&model)))),
+            ("naive", Box::new(move || Box::new(NaiveReference::new(tw)))),
         ];
-        for (name, src) in sources {
+        for (name, make) in sources {
             for percentile in [Percentile::P95, Percentile::P50] {
-                let batch = src.predict_batch(&vms, percentile);
+                let batch = make().predict_batch(&vms, percentile);
                 assert_eq!(batch.len(), vms.len(), "{name}: batch length");
+                let one_by_one = make();
                 for (vm, got) in vms.iter().zip(&batch) {
-                    let want = src.predict(vm, percentile);
+                    let want = one_by_one.predict(vm, percentile);
                     assert_eq!(*got, want, "{name} vm {}: batch != per-item", vm.id);
+                    if name == "model" {
+                        assert_eq!(want, model.predict(vm), "vm {}: memo != fresh", vm.id);
+                    }
                 }
             }
         }
+    }
+
+    /// One `Model` called from four threads at once on overlapping chunks
+    /// (each VM in two or three of them, so threads race to the same
+    /// keys): every chunk's answer equals a serial run's, and a key two
+    /// threads computed is kept once, so the shared memo holds as many
+    /// keys as the serial one.
+    #[test]
+    fn a_shared_model_predicts_the_same_from_many_threads() {
+        let trace = generate(&TraceConfig::small(98));
+        let vms: Vec<&VmRecord> = trace.vms.iter().collect();
+        let model = small_model(&vms);
+        let chunks: Vec<&[&VmRecord]> = (0..vms.len())
+            .step_by(23)
+            .map(|start| &vms[start..(start + 61).min(vms.len())])
+            .collect();
+
+        let serial = Model::new(&model);
+        let want: Vec<_> = chunks
+            .iter()
+            .map(|chunk| serial.predict_batch(chunk, Percentile::P95))
+            .collect();
+        let shared = Model::new(&model);
+        let got = par_map_threads(&chunks, 4, |chunk| {
+            shared.predict_batch(chunk, Percentile::P95)
+        });
+        assert_eq!(got, want);
+        assert_eq!(shared.memoized_keys(), serial.memoized_keys());
+        assert!(want.iter().flatten().flatten().count() > 100);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The single-shard event-driven cluster controller.
 
 use crate::account::{AccountantDump, ViolationAccountant};
-use crate::request::{LatencyHistogram, Request, Response, StatsReport};
-use crate::telemetry::ControllerTelemetry;
+use crate::request::{Request, Response, StatsReport};
+use crate::telemetry::{ControllerTelemetry, ADMISSION_SAMPLE_EVERY};
 use crate::wire::Snapshot;
 use coach_predict::DemandPrediction;
 use coach_sched::{
@@ -66,9 +66,6 @@ pub struct ServeConfig {
     pub horizon: Timestamp,
     /// Violation-sampling cadence (the batch sweep's two hours by default).
     pub sample_every: SimDuration,
-    /// Record admission latency for every `latency_stride`-th arrival (the
-    /// clock reads would otherwise bias sub-microsecond placements).
-    pub latency_stride: usize,
     /// How [`Request::Probe`] measurements are produced: the exhaustive
     /// pack/unpack fill (the batch replay's exact float trajectory), the
     /// read-only incremental estimator over cached per-server summaries, or
@@ -78,18 +75,20 @@ pub struct ServeConfig {
     /// Where a sharded deployment's workers execute: in-process threads
     /// (default) or supervised child processes speaking `coach-wire`
     /// frames over pipes ([`coach_types::runtime::ProcessPool`]). A
-    /// single-shard [`Controller`] ignores this. The process backend
-    /// re-derives predictions inside each child from an
+    /// single-shard [`Controller`] ignores this, and it never crosses the
+    /// wire (a restored controller reads back the default). The process
+    /// backend re-derives predictions inside each child from an
     /// [`coach_sim::Oracle`] over the same window partition, so it
     /// requires an Oracle-equivalent predictor (the prederived cache is
     /// bit-identical by construction).
     pub backend: WorkerBackend,
     /// How much telemetry the deployment records
-    /// ([`coach_telemetry::TelemetryConfig`], PR 9): `Off` (default)
-    /// compiles instrumented call sites down to a `None` check, `Full`
-    /// arms the registry and span tracing. Decisions are bit-identical in
-    /// both. A pure runtime knob:
-    /// it never crosses the wire (snapshots restore with telemetry Off and
+    /// ([`coach_telemetry::TelemetryConfig`]): `Off` (default) compiles
+    /// instrumented call sites down to a `None` check — nothing on the
+    /// admission path reads the clock — and `Full` arms the registry and
+    /// span tracing, admission latency included. Decisions, snapshots and
+    /// [`StatsReport`]s are bit-identical in both. A pure runtime knob: it
+    /// never crosses the wire (snapshots restore with telemetry Off and
     /// the deployment re-arms).
     pub telemetry: TelemetryConfig,
 }
@@ -105,7 +104,6 @@ impl ServeConfig {
             scan: ScanStrategy::Indexed,
             horizon,
             sample_every: VIOLATION_SAMPLE_EVERY,
-            latency_stride: 8,
             // Exhaustive keeps even the probe fill's add/remove float dust
             // identical to the batch experiment; a deployment that doesn't
             // need batch bit-identity should switch to `Estimated`.
@@ -187,7 +185,6 @@ pub struct Controller<'a> {
     probe_templates: Vec<VmDemand>,
     probe_counts: Vec<u64>,
     accountant: ViolationAccountant,
-    latency: LatencyHistogram,
     counters: Counters,
     in_use: usize,
     peak_in_use: usize,
@@ -253,7 +250,6 @@ impl<'a> Controller<'a> {
             seq: 0,
             probe_templates: probe_templates(&config.policy, tw),
             probe_counts: Vec::new(),
-            latency: LatencyHistogram::new(),
             counters: Counters::default(),
             in_use: 0,
             peak_in_use: 0,
@@ -300,7 +296,7 @@ impl<'a> Controller<'a> {
     /// order.
     pub fn handle(&mut self, request: Request<'_>) -> Response {
         // Broadcast tokens get a span each (they are rare relative to
-        // arrivals); arrival spans ride the latency-stride sampling inside
+        // arrivals); arrival spans ride the admission sampling inside
         // `admit`, where the clock reads are already paid.
         let span = match request {
             _ if self.telemetry.is_none() => None,
@@ -522,17 +518,13 @@ impl<'a> Controller<'a> {
             prediction.as_ref(),
         );
 
-        let sample_latency = self.config.latency_stride > 0
-            && (seq as usize).is_multiple_of(self.config.latency_stride);
+        // Only armed telemetry times a placement, and only a sampled one.
+        let sampled = self.telemetry.is_some() && seq.is_multiple_of(ADMISSION_SAMPLE_EVERY);
         let cluster = &mut self.clusters[ci];
         let in_use_before = cluster.sched.servers_in_use();
-        let (outcome, elapsed_ns, t0_sampled) = if sample_latency {
-            let t0 = Instant::now();
-            let outcome = cluster.sched.place(&demand);
-            (outcome, Some(t0.elapsed().as_nanos() as u64), Some(t0))
-        } else {
-            (cluster.sched.place(&demand), None, None)
-        };
+        let t0 = sampled.then(Instant::now);
+        let outcome = cluster.sched.place(&demand);
+        let timed = t0.map(|t0| (t0, t0.elapsed().as_nanos() as u64));
         match outcome {
             PlacementOutcome::Placed(server) => {
                 self.counters.accepted += 1;
@@ -552,17 +544,14 @@ impl<'a> Controller<'a> {
             }
             PlacementOutcome::Rejected => self.counters.rejected += 1,
         }
-        if let Some(ns) = elapsed_ns {
-            self.latency.record_ns(ns);
-        }
         if let Some(tel) = self.telemetry.as_deref_mut() {
             match outcome {
                 PlacementOutcome::Placed(_) => tel.accepted.inc(),
                 PlacementOutcome::Rejected => tel.rejected.inc(),
             }
-            if let Some(ns) = elapsed_ns {
+            if let Some((t0, ns)) = timed {
                 tel.admission.record_ns(ns);
-                tel.record_span("serve.admit", t0_sampled.expect("timed when sampled"), ns);
+                tel.record_span("serve.admit", t0, ns);
             }
         }
         self.note_occupancy(ci, in_use_before, t.ticks(), 1, seq);
@@ -654,17 +643,7 @@ impl<'a> Controller<'a> {
             cpu_violations: cpu,
             mem_violations: mem,
             ticks: self.counters.ticks,
-            admission_p50_us: self.latency.quantile_us(0.50),
-            admission_p99_us: self.latency.quantile_us(0.99),
-            // A single controller has no worker lanes; the sharded
-            // dispatcher overwrites these at merge time.
-            ..StatsReport::default()
         }
-    }
-
-    /// The admission-latency histogram.
-    pub fn latency(&self) -> &LatencyHistogram {
-        &self.latency
     }
 
     /// Arm (or re-arm) telemetry: register this controller's series on
@@ -766,8 +745,9 @@ impl<'a> Controller<'a> {
 
     /// Serialize the full decision-bearing state into a versioned
     /// [`Snapshot`] frame — schedulers, resident map, departure heap,
-    /// accountant, counters, latency histogram, and the undrained
-    /// occupancy timeline. The accountant's entries are self-contained
+    /// accountant, counters, and the undrained occupancy timeline: a
+    /// function of the request stream alone (no clock reading or
+    /// telemetry enters it). The accountant's entries are self-contained
     /// (each carries the sampler cut from its VM's profile, not a record
     /// reference), so the snapshot restores without the original trace in
     /// hand.
@@ -793,7 +773,6 @@ impl<'a> Controller<'a> {
             .map(|(&vm, &(cluster, seq))| (vm, cluster, seq))
             .collect();
         residents.sort_unstable();
-        let (buckets, latency_count, latency_sum_ns) = self.latency.parts();
         let dump = ControllerDump {
             config: self.config,
             windows_per_day: self.tw.count() as u32,
@@ -807,9 +786,6 @@ impl<'a> Controller<'a> {
             seq: self.seq,
             probe_counts: self.probe_counts.clone(),
             accountant: self.accountant.dump(),
-            latency_buckets: *buckets,
-            latency_count,
-            latency_sum_ns,
             accepted: self.counters.accepted,
             rejected: self.counters.rejected,
             departed: self.counters.departed,
@@ -923,11 +899,6 @@ impl<'a> Controller<'a> {
             seq: dump.seq,
             probe_templates: probe_templates(&config.policy, tw),
             probe_counts: dump.probe_counts,
-            latency: LatencyHistogram::from_parts(
-                dump.latency_buckets,
-                dump.latency_count,
-                dump.latency_sum_ns,
-            ),
             counters: Counters {
                 accepted: dump.accepted,
                 rejected: dump.rejected,
@@ -971,9 +942,6 @@ pub(crate) struct ControllerDump {
     pub seq: u64,
     pub probe_counts: Vec<u64>,
     pub accountant: AccountantDump,
-    pub latency_buckets: [u64; 64],
-    pub latency_count: u64,
-    pub latency_sum_ns: u64,
     pub accepted: u64,
     pub rejected: u64,
     pub departed: u64,
@@ -1301,6 +1269,7 @@ mod tests {
             assert_eq!(restored.handle(request), live.handle(request));
         }
         assert_eq!(restored.finalize(), live.finalize());
+        assert_eq!(restored.snapshot(), live.snapshot(), "same final bytes");
     }
 
     /// Segments == per-item at every segment length around the chunk and

@@ -50,9 +50,11 @@
 //!   records from a slice and yields [`Request`]s; [`StreamSource`] owns
 //!   them and yields [`StreamRequest`]s — two names for one iterator over
 //!   one [`RequestOf`] enum.
-//! * [`LatencyHistogram`] / [`StatsReport`] — O(1) admission-latency and
-//!   occupancy/probe/violation telemetry, queryable mid-stream through
-//!   [`RequestOf::Stats`] without touching scheduler internals.
+//! * [`StatsReport`] — O(1) occupancy/probe/violation counters, queryable
+//!   mid-stream through [`RequestOf::Stats`] without touching scheduler
+//!   internals; like a [`Snapshot`], a function of the request stream
+//!   alone. Admission latency, lane traffic and worker restarts are wall
+//!   time and scheduling, and live in the [`telemetry`] registry.
 //!
 //! # Example
 //!
@@ -89,7 +91,7 @@ pub mod wire;
 pub use account::ViolationAccountant;
 pub use coach_telemetry::TelemetryConfig;
 pub use controller::{serve_trace, Controller, ServeConfig};
-pub use request::{LatencyHistogram, Request, RequestOf, Response, StatsReport, StreamRequest};
+pub use request::{Request, RequestOf, Response, StatsReport, StreamRequest};
 pub use shard::{maybe_run_shard_worker, serve_trace_sharded, ShardedController, SHARD_WORKER_ENV};
 pub use source::{RequestSource, Source, StreamSource};
 pub use wire::Snapshot;

@@ -136,11 +136,14 @@ pub enum Response {
 /// O(1) counters snapshotted by a [`Request::Stats`] query.
 ///
 /// Everything a Fig 20-style consumer needs — occupancy, probe-capacity
-/// counters, violation counters, admission latency — without touching
-/// scheduler internals: occupancy is the controller's incrementally
-/// maintained total (each [`coach_sched::ClusterScheduler::servers_in_use`]
-/// is itself O(1)), and the violation counters come from the incremental
-/// accountant, not a rescan.
+/// counters, violation counters — without touching scheduler internals:
+/// occupancy is the controller's incrementally maintained total (each
+/// [`coach_sched::ClusterScheduler::servers_in_use`] is itself O(1)), and
+/// the violation counters come from the incremental accountant, not a
+/// rescan. Every field is a function of the request stream alone; wall
+/// time and thread scheduling (admission latency, lane traffic, worker
+/// restarts) live in the telemetry registry
+/// ([`crate::telemetry::metric`]).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StatsReport {
     /// Query time.
@@ -173,32 +176,6 @@ pub struct StatsReport {
     pub mem_violations: u64,
     /// Clock ticks absorbed.
     pub ticks: u64,
-    /// Median admission latency, microseconds (log-bucket resolution).
-    pub admission_p50_us: f64,
-    /// P99 admission latency, microseconds (log-bucket resolution).
-    pub admission_p99_us: f64,
-    /// Items sent over the sharded runtime's worker lanes (commands +
-    /// replies), cumulative across sessions. Zero for a single-shard
-    /// controller, whose inline pool has no lanes.
-    pub lane_sends: u64,
-    /// `send_batch` handoffs on those lanes — `lane_sends /
-    /// lane_batched_sends` is the mean burst the dispatcher delivered.
-    pub lane_batched_sends: u64,
-    /// Condvar wakeups the lanes actually issued, in either direction:
-    /// how often a handoff found the worker parked on an empty lane, or a
-    /// drain found the dispatcher parked on a full one
-    /// ([`coach_types::runtime::LaneStats::wakeups`]).
-    pub lane_wakeups: u64,
-    /// Times the dispatcher found a worker's bounded command lane full
-    /// and had to wait for the worker to drain it (backpressure events;
-    /// reply lanes are unbounded and never stall).
-    pub lane_full_stalls: u64,
-    /// Process-backed shard workers respawned after an unexpected death
-    /// (checkpoint + journal replay recoveries —
-    /// [`coach_types::runtime::ProcessPool::restarts`]). Always zero for
-    /// thread-backed workers. Telemetry only: recovery is exact, so this
-    /// never feeds [`StatsReport::to_packing_result`].
-    pub worker_restarts: u64,
 }
 
 impl StatsReport {
@@ -247,50 +224,9 @@ impl StatsReport {
     }
 }
 
-/// A log-scale (power-of-two nanosecond buckets) latency histogram: O(1)
-/// record, O(1) memory, mergeable across shards.
-///
-/// Since PR 9 this is the shared [`coach_telemetry::Histogram`] — the
-/// serving layer's former private implementation moved there verbatim
-/// (same bucketing, same geometric-midpoint quantiles), so admission
-/// latency and every other duration metric share one mergeable shape.
-/// The alias keeps existing `coach_serve::LatencyHistogram` users
-/// compiling unchanged.
-pub use coach_telemetry::Histogram as LatencyHistogram;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_quantiles_are_log_bucket_accurate() {
-        let mut h = LatencyHistogram::new();
-        for _ in 0..90 {
-            h.record_ns(1_000); // bucket [512, 1024): ~724 ns midpoint
-        }
-        for _ in 0..10 {
-            h.record_ns(100_000);
-        }
-        assert_eq!(h.count(), 100);
-        let p50 = h.quantile_ns(0.50);
-        assert!((512.0..2048.0).contains(&p50), "p50 {p50}");
-        let p99 = h.quantile_ns(0.99);
-        assert!(p99 > 60_000.0, "p99 {p99}");
-        assert!((h.mean_ns() - (90.0 * 1_000.0 + 10.0 * 100_000.0) / 100.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn histogram_merge_and_edges() {
-        let mut a = LatencyHistogram::new();
-        assert_eq!(a.quantile_ns(0.5), 0.0);
-        a.record_ns(0);
-        assert_eq!(a.quantile_ns(0.5), 0.0);
-        let mut b = LatencyHistogram::new();
-        b.record_ns(u64::MAX); // lands in the top bucket, no overflow
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert!(a.quantile_ns(1.0) > 0.0);
-    }
 
     #[test]
     fn stats_report_rates() {

@@ -12,9 +12,10 @@
 //! replies. Workers chew on segment *k* while the dispatcher routes
 //! segment *k + 1*; a barrier hands each shard its staged segment *and*
 //! the token in one `send_batch` burst, so it costs at most one worker
-//! wakeup per lane instead of a join + respawn. Every lane exports
-//! telemetry (sends, batched handoffs, wakeups, full-lane stalls) through
-//! [`StatsReport`] and [`ShardedController::lane_totals`].
+//! wakeup per lane instead of a join + respawn. Every lane counts its
+//! traffic (sends, batched handoffs, wakeups, full-lane stalls) into
+//! [`ShardedController::lane_totals`] and, when telemetry is armed, the
+//! registry — never into a [`StatsReport`], which carries decisions only.
 //!
 //! One rule governs ownership: a record is **borrowed at the
 //! [`Controller`], owned across a lane**. Past the dispatcher's front door
@@ -37,7 +38,7 @@
 //!   ulp (floating-point addition is not associative).
 
 use crate::controller::{spare_core_per_shard, Controller, OccDelta, ServeConfig};
-use crate::request::{LatencyHistogram, Request, Response, StatsReport, StreamRequest};
+use crate::request::{Request, Response, StatsReport, StreamRequest};
 use crate::telemetry::{metric, ShardTelemetry, WireTelemetry};
 use crate::wire::{Snapshot, TokenCmd, WireCmd, WireReply};
 use coach_sim::{Oracle, PackingResult, PolicyConfig, Predictor};
@@ -66,11 +67,11 @@ const SEGMENT: usize = 1024;
 /// A shard's contribution to a merged stats report — the state the
 /// dispatcher can no longer read directly once the controller lives inside
 /// a worker thread (or a child process, where it additionally crosses the
-/// pipe as part of a [`WireReply`]).
+/// pipe as part of a [`WireReply`]). Like the report it feeds, a function
+/// of the shard's request stream alone.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ShardSnapshot {
     pub(crate) stats: StatsReport,
-    pub(crate) latency: LatencyHistogram,
     pub(crate) probe_counts: Vec<u64>,
     /// Occupancy deltas recorded since the previous snapshot (the
     /// dispatcher accumulates them per shard).
@@ -98,9 +99,9 @@ fn worker_step(_shard: usize, controller: &mut Controller<'_>, cmd: WireCmd) -> 
             response => WireReply::Token(response),
         },
         WireCmd::Finalize => {
-            let result = controller.finalize();
+            controller.finalize();
             let stats = controller.stats(controller.config().horizon);
-            WireReply::Finalized(result, Box::new(snapshot_of(controller, stats)))
+            WireReply::Finalized(Box::new(snapshot_of(controller, stats)))
         }
         WireCmd::Init { .. } | WireCmd::Export | WireCmd::Telemetry { .. } => {
             unreachable!("supervision verbs are answered by child_step")
@@ -111,7 +112,6 @@ fn worker_step(_shard: usize, controller: &mut Controller<'_>, cmd: WireCmd) -> 
 fn snapshot_of(controller: &mut Controller<'_>, stats: StatsReport) -> ShardSnapshot {
     ShardSnapshot {
         stats,
-        latency: controller.latency().clone(),
         probe_counts: controller.probe_counts().to_vec(),
         timeline_delta: controller.take_timeline(),
     }
@@ -125,15 +125,16 @@ struct SessionState {
     route: Vec<(ClusterId, u32)>,
     label: &'static str,
     horizon: Timestamp,
-    /// Per-shard accumulated occupancy-delta timelines (extended by each
-    /// snapshot's drain; spans sessions).
+    /// Per-shard occupancy deltas not yet folded into `peak`: extended by
+    /// each barrier reply, drained of what the merge consumed, so between
+    /// barriers they hold only the deltas since the previous one (spans
+    /// sessions).
     timelines: Vec<Vec<OccDelta>>,
     /// Streaming k-way-merge state over `timelines` (spans sessions), so a
     /// stats cadence pays O(new deltas) per query instead of re-merging
     /// from t = 0.
     peak: PeakMerge,
-    /// Lane telemetry accumulated from completed sessions (the open
-    /// session's live counters are added on top at merge time).
+    /// Lane telemetry accumulated from completed sessions.
     lane_base: LaneStats,
 }
 
@@ -228,7 +229,7 @@ impl<'a> ShardedController<'a> {
         ShardedController {
             session: SessionState {
                 timelines: vec![Vec::new(); shards.len()],
-                peak: PeakMerge::new(shards.len()),
+                peak: PeakMerge::default(),
                 lane_base: LaneStats::default(),
                 route,
                 label: config.policy.label,
@@ -524,8 +525,9 @@ impl<'a> ShardedController<'a> {
     }
 
     /// Checkpoint-recovery respawns the process backend has performed so
-    /// far (always zero under [`WorkerBackend::Thread`]). Also surfaced as
-    /// [`StatsReport::worker_restarts`] on every merged report.
+    /// far (always zero under [`WorkerBackend::Thread`]). Armed telemetry
+    /// mirrors it into `coach_serve_worker_restarts_total` at every
+    /// session barrier.
     pub fn worker_restarts(&self) -> u64 {
         self.process.as_ref().map_or(0, |pool| pool.restarts())
     }
@@ -838,13 +840,6 @@ impl Link<'_, '_> {
             Link::Process(..) => LaneStats::default(),
         }
     }
-
-    fn restarts(&self) -> u64 {
-        match self {
-            Link::Threads(_) => 0,
-            Link::Process(pool, _) => pool.restarts(),
-        }
-    }
 }
 
 /// The session-scoped request router: queues shard-routed arrivals into
@@ -1078,21 +1073,19 @@ impl<'s, 'pool> Dispatcher<'s, 'pool> {
         }
     }
 
-    /// Collect the per-shard final results and merge them exactly as the
-    /// fork-join implementation did.
+    /// Collect every shard's closing snapshot and merge them into the
+    /// final result.
     fn merge_finalize(&mut self) -> PackingResult {
-        let mut snapshots = Vec::with_capacity(self.link.len());
-        let mut partial_accepted = 0u64;
-        for shard in 0..self.link.len() {
-            let WireReply::Finalized(partial, snapshot) = self.link.recv(shard) else {
-                unreachable!("finalize answered with a final result");
-            };
-            partial_accepted += partial.accepted;
-            snapshots.push(*snapshot);
-        }
-        let merged = self.merge_snapshots(self.state.horizon, &snapshots);
-        debug_assert_eq!(partial_accepted, merged.accepted);
-        merged.to_packing_result(self.state.label)
+        let snapshots: Vec<ShardSnapshot> = (0..self.link.len())
+            .map(|shard| {
+                let WireReply::Finalized(snapshot) = self.link.recv(shard) else {
+                    unreachable!("finalize answered with a closing snapshot");
+                };
+                *snapshot
+            })
+            .collect();
+        self.merge_snapshots(self.state.horizon, &snapshots)
+            .to_packing_result(self.state.label)
     }
 
     /// Merge per-shard snapshots into a cluster-wide report. Integer
@@ -1103,7 +1096,6 @@ impl<'s, 'pool> Dispatcher<'s, 'pool> {
             now,
             ..StatsReport::default()
         };
-        let mut latency = LatencyHistogram::new();
         for (shard, snapshot) in snapshots.iter().enumerate() {
             self.state.timelines[shard].extend_from_slice(&snapshot.timeline_delta);
             let s = &snapshot.stats;
@@ -1118,7 +1110,6 @@ impl<'s, 'pool> Dispatcher<'s, 'pool> {
             merged.cpu_violations += s.cpu_violations;
             merged.mem_violations += s.mem_violations;
             merged.ticks = merged.ticks.max(s.ticks);
-            latency.merge(&snapshot.latency);
         }
         // Probe counts are per-measurement: the k-th measurement's global
         // capacity is the sum of every shard's k-th count.
@@ -1138,20 +1129,6 @@ impl<'s, 'pool> Dispatcher<'s, 'pool> {
         } = &mut *self.state;
         peak.advance(timelines, now.ticks());
         merged.peak_servers_in_use = peak.peak_with_tail(timelines);
-        merged.admission_p50_us = latency.quantile_us(0.50);
-        merged.admission_p99_us = latency.quantile_us(0.99);
-        // Lane telemetry: completed sessions plus the live pool. Pure
-        // observability — never part of the bit-identity contract (wakeup
-        // counts depend on scheduling).
-        let mut lanes = self.state.lane_base;
-        lanes.merge(&self.link.lane_stats());
-        merged.lane_sends = lanes.sends;
-        merged.lane_batched_sends = lanes.batched_sends;
-        merged.lane_wakeups = lanes.wakeups;
-        merged.lane_full_stalls = lanes.full_stalls;
-        // Checkpoint-recovery respawns (process backend only). Telemetry:
-        // recovery is exact, so this never changes a decision.
-        merged.worker_restarts = self.link.restarts();
         self.end_span("dispatch.merge", span);
         merged
     }
@@ -1160,25 +1137,17 @@ impl<'s, 'pool> Dispatcher<'s, 'pool> {
 /// Streaming reconstruction of the global occupancy peak: a k-way merge of
 /// the shards' sorted delta timelines in the batch replay's
 /// `(time, kind, seq)` event order, taking the running-sum maximum — with
-/// the cursors, running sum, and peak persisted across stats queries so a
-/// cadence of Q queries over N deltas costs O(N + Q·tail) total instead of
-/// O(Q·N).
-#[derive(Debug)]
+/// the running sum and peak persisted across stats queries, and each
+/// query's consumed deltas drained from the timelines, so a cadence of Q
+/// queries over N deltas costs O(N + Q·tail) total instead of O(Q·N) and
+/// keeps only the deltas since the previous barrier.
+#[derive(Debug, Default)]
 struct PeakMerge {
-    cursors: Vec<usize>,
     running: i64,
     peak: i64,
 }
 
 impl PeakMerge {
-    fn new(shards: usize) -> Self {
-        PeakMerge {
-            cursors: vec![0; shards],
-            running: 0,
-            peak: 0,
-        }
-    }
-
     /// Pop the next entry in global `(time, kind, seq)` order among the
     /// timelines' un-consumed suffixes, if its time is below `boundary`.
     fn next_below(
@@ -1200,22 +1169,27 @@ impl PeakMerge {
         Some(entry)
     }
 
-    /// Destructively consume entries with time strictly below `boundary`.
+    /// Consume entries with time strictly below `boundary` into the
+    /// running sum and peak, then drain each shard's consumed prefix.
     /// Safe because at a barrier at `boundary` every shard has already
     /// reported all its strictly-earlier deltas (the barrier drains
     /// strictly-earlier departures), so nothing below the boundary can
     /// arrive later and be mis-ordered against the consumed prefix.
-    fn advance(&mut self, timelines: &[Vec<OccDelta>], boundary: u64) {
-        while let Some(entry) = Self::next_below(&mut self.cursors, timelines, boundary) {
+    fn advance(&mut self, timelines: &mut [Vec<OccDelta>], boundary: u64) {
+        let mut cursors = vec![0; timelines.len()];
+        while let Some(entry) = Self::next_below(&mut cursors, timelines, boundary) {
             self.running += i64::from(entry.3);
             self.peak = self.peak.max(self.running);
+        }
+        for (timeline, consumed) in timelines.iter_mut().zip(cursors) {
+            timeline.drain(..consumed);
         }
     }
 
     /// The peak including the not-yet-consumed tail (entries at the
-    /// barrier time itself), merged non-destructively on scratch cursors.
+    /// barrier time itself), merged non-destructively.
     fn peak_with_tail(&self, timelines: &[Vec<OccDelta>]) -> usize {
-        let mut cursors = self.cursors.clone();
+        let mut cursors = vec![0; timelines.len()];
         let mut running = self.running;
         let mut peak = self.peak;
         while let Some(entry) = Self::next_below(&mut cursors, timelines, u64::MAX) {
@@ -1239,4 +1213,75 @@ pub fn serve_trace_sharded(
     let mut controller =
         ShardedController::replaying(trace, predictor, policy, server_fraction, shard_count);
     controller.run(crate::RequestSource::replaying(trace))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        /// Shards report their deltas in event order, barrier by barrier;
+        /// each shard reports its deltas at a barrier's own time before or
+        /// after it (after, when it saw no arrival then). At every barrier
+        /// the streaming merge reports the peak of a from-scratch merge of
+        /// everything reported so far, and the timelines retain only
+        /// deltas reported since the previous barrier.
+        #[test]
+        fn peak_merge_matches_a_full_merge_and_drains(
+            raw in prop::collection::vec((0usize..4, 0u64..60, 0u8..2, -3i32..4), 0..200),
+            // A barrier's time, and which shards report their deltas at
+            // that time before it (one bit per shard).
+            mut barriers in prop::collection::vec((0u64..60, 0u8..16), 1..12),
+            shards in 1usize..5,
+        ) {
+            let mut per_shard: Vec<Vec<OccDelta>> = vec![Vec::new(); shards];
+            for (seq, &(shard, time, kind, delta)) in raw.iter().enumerate() {
+                per_shard[shard % shards].push((time, kind, seq as u64, delta));
+            }
+            for deltas in &mut per_shard {
+                deltas.sort_unstable();
+            }
+            barriers.sort_unstable();
+            barriers.dedup_by_key(|b| b.0);
+            // Past every delta, as at finalize.
+            barriers.push((60, 0));
+
+            let mut merge = PeakMerge::default();
+            let mut timelines: Vec<Vec<OccDelta>> = vec![Vec::new(); shards];
+            let mut reported = vec![0usize; shards];
+            let mut everything: Vec<OccDelta> = Vec::new();
+            for (boundary, before) in barriers {
+                let mut interval = 0;
+                for (shard, deltas) in per_shard.iter().enumerate() {
+                    let inclusive = before & (1 << shard) != 0;
+                    let upto = deltas
+                        .partition_point(|d| d.0 < boundary || (inclusive && d.0 == boundary));
+                    let new = &deltas[reported[shard]..upto];
+                    timelines[shard].extend_from_slice(new);
+                    everything.extend_from_slice(new);
+                    interval += new.len();
+                    reported[shard] = upto;
+                }
+                merge.advance(&mut timelines, boundary);
+
+                everything.sort_unstable();
+                let (mut running, mut peak) = (0i64, 0i64);
+                for delta in &everything {
+                    running += i64::from(delta.3);
+                    peak = peak.max(running);
+                }
+                prop_assert_eq!(merge.peak_with_tail(&timelines), peak as usize);
+                let retained: usize = timelines.iter().map(Vec::len).sum();
+                prop_assert!(
+                    retained <= interval,
+                    "at {}: {} retained, {} reported since the last barrier",
+                    boundary,
+                    retained,
+                    interval
+                );
+            }
+        }
+    }
 }

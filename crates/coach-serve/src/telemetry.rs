@@ -15,9 +15,17 @@
 //! `serve.stats` on the controller event loop, `dispatch.stage` /
 //! `dispatch.drain` / `dispatch.merge` / `dispatch.finalize` on the
 //! sharded barrier path, `derive.chunk` for each `predict_batch` call of
-//! the controller's derive stage. Admission spans ride the existing
-//! `latency_stride` sampling (the clock reads are already paid there);
-//! broadcast-token and derive-chunk spans record every occurrence.
+//! the controller's derive stage. Admission spans ride the admission
+//! latency sampling (`ADMISSION_SAMPLE_EVERY`; the clock reads are
+//! already paid there); broadcast-token and derive-chunk spans record
+//! every occurrence.
+//!
+//! The registry is the one home of what depends on wall time or thread
+//! scheduling — admission latency, lane traffic, worker restarts. None of
+//! it enters a snapshot, a shard's barrier reply or a
+//! [`StatsReport`](crate::StatsReport), so those stay functions of the
+//! request stream alone; with telemetry `Off` nothing on the admission
+//! path reads the clock.
 
 use coach_telemetry::{
     AtomicHistogram, Counter, Gauge, LabelValue, Registry, RegistrySnapshot, SpanRing, SpanStart,
@@ -52,8 +60,9 @@ pub mod metric {
         "coach_serve_probe_capacity_total",
         "Probe VMs placed across all measurements.",
     );
-    /// Admission latency histogram, sampled at the controller's
-    /// `latency_stride` (labels: policy, shard).
+    /// Admission (placement) latency of every `ADMISSION_SAMPLE_EVERY`-th
+    /// (8th) arrival per controller, recorded only while telemetry is
+    /// armed (labels: policy, shard).
     pub const ADMISSION_LATENCY: MetricId = MetricId::new(
         "coach_serve_admission_latency_ns",
         "Sampled admission (placement) latency.",
@@ -98,8 +107,8 @@ pub mod metric {
         "coach_serve_lane_full_stalls_total",
         "Producer stalls on full worker command lanes (backpressure).",
     );
-    /// Process workers respawned — the first-class home of what
-    /// `StatsReport::worker_restarts` reports (no labels).
+    /// Process workers respawned — what
+    /// `ShardedController::worker_restarts` reports (no labels).
     pub const WORKER_RESTARTS: MetricId = MetricId::new(
         "coach_serve_worker_restarts_total",
         "Process shard workers respawned after an unexpected death.",
@@ -151,6 +160,12 @@ pub mod metric {
         "Throughput of the most recent snapshot restore.",
     );
 }
+
+/// An armed controller times the placement of every arrival whose sequence
+/// number is a multiple of this, into [`metric::ADMISSION_LATENCY`] and a
+/// `serve.admit` span (timing every one would bias sub-microsecond
+/// placements with the clock reads).
+pub(crate) const ADMISSION_SAMPLE_EVERY: u64 = 8;
 
 /// Spans per controller ring. Sized for a full medium-trace replay's
 /// broadcast tokens; overflow drops (counted) rather than growing.
@@ -215,9 +230,9 @@ impl ControllerTelemetry {
         self.spans.end(name, start);
     }
 
-    /// Record a span measured elsewhere: a sampled admission from the
-    /// latency-stride timing that was taken anyway (no extra clock reads),
-    /// or a derive chunk timed on the helper thread.
+    /// Record a span measured elsewhere: a sampled admission, timed once
+    /// for the latency histogram and the span both, or a derive chunk
+    /// timed on the helper thread.
     #[inline]
     pub(crate) fn record_span(&mut self, name: &'static str, t0: Instant, dur_ns: u64) {
         let start_ns = t0.duration_since(self.origin).as_nanos() as u64;

@@ -10,10 +10,9 @@
 
 use crate::account::{AccountantDump, ServerAccount, VmEntry};
 use crate::controller::{ControllerDump, ServeConfig};
-use crate::request::{LatencyHistogram, Request, Response, StatsReport};
+use crate::request::{Request, Response, StatsReport};
 use crate::shard::ShardSnapshot;
-use coach_sim::PackingResult;
-use coach_telemetry::{MetricEntry, MetricValue, RegistrySnapshot, TelemetryConfig};
+use coach_telemetry::{Histogram, MetricEntry, MetricValue, RegistrySnapshot, TelemetryConfig};
 use coach_trace::VmRecord;
 use coach_types::prelude::*;
 use coach_wire::{seal_frame, Decode, Decoder, Encode, Encoder, WireError};
@@ -76,15 +75,14 @@ impl Encode for ServeConfig {
         self.scan.encode(e);
         self.horizon.encode(e);
         self.sample_every.encode(e);
-        e.usize(self.latency_stride);
         self.probe_mode.encode(e);
-        self.backend.encode(e);
-        // `telemetry` is deliberately NOT encoded: it is a pure-observability
-        // runtime knob (decisions are bit-identical across modes), and
-        // snapshot fixtures pin `ControllerDump` bytes, which embed this
-        // config. A restored controller comes up with telemetry Off and is
-        // re-armed by its deployment (the process backend re-arms children
-        // at every session start).
+        // `backend` and `telemetry` are deliberately NOT encoded. No
+        // restored controller reads the backend (a sharded deployment keeps
+        // its own), and telemetry is a pure-observability runtime knob
+        // (decisions are bit-identical across modes): a restored controller
+        // comes up with both at their defaults and is re-armed by its
+        // deployment (the process backend re-arms children at every
+        // session start).
     }
 }
 
@@ -97,9 +95,8 @@ impl Decode for ServeConfig {
             scan: Decode::decode(d)?,
             horizon: Decode::decode(d)?,
             sample_every: Decode::decode(d)?,
-            latency_stride: d.usize("ServeConfig latency_stride")?,
             probe_mode: Decode::decode(d)?,
-            backend: Decode::decode(d)?,
+            backend: WorkerBackend::default(),
             telemetry: TelemetryConfig::default(),
         })
     }
@@ -122,13 +119,6 @@ impl Encode for StatsReport {
         e.u64(self.cpu_violations);
         e.u64(self.mem_violations);
         e.u64(self.ticks);
-        e.f64(self.admission_p50_us);
-        e.f64(self.admission_p99_us);
-        e.u64(self.lane_sends);
-        e.u64(self.lane_batched_sends);
-        e.u64(self.lane_wakeups);
-        e.u64(self.lane_full_stalls);
-        e.u64(self.worker_restarts);
     }
 }
 
@@ -150,38 +140,14 @@ impl Decode for StatsReport {
             cpu_violations: d.u64("StatsReport cpu_violations")?,
             mem_violations: d.u64("StatsReport mem_violations")?,
             ticks: d.u64("StatsReport ticks")?,
-            admission_p50_us: d.f64("StatsReport admission_p50_us")?,
-            admission_p99_us: d.f64("StatsReport admission_p99_us")?,
-            lane_sends: d.u64("StatsReport lane_sends")?,
-            lane_batched_sends: d.u64("StatsReport lane_batched_sends")?,
-            lane_wakeups: d.u64("StatsReport lane_wakeups")?,
-            lane_full_stalls: d.u64("StatsReport lane_full_stalls")?,
-            worker_restarts: d.u64("StatsReport worker_restarts")?,
         })
     }
 }
 
-/// Histogram codec as free functions: [`LatencyHistogram`] is the shared
-/// [`coach_telemetry::Histogram`] since PR 9, and the orphan rule forbids
-/// implementing the (equally foreign) [`Encode`] trait for it here. The
-/// byte layout is unchanged from the PR 8 trait impl.
-fn encode_histogram(h: &LatencyHistogram, e: &mut Encoder) {
-    let (buckets, count, sum_ns) = h.parts();
-    buckets.encode(e);
-    e.u64(count);
-    e.u64(sum_ns);
-}
-
-fn decode_histogram(d: &mut Decoder<'_>) -> Result<LatencyHistogram, WireError> {
-    let buckets: [u64; 64] = Decode::decode(d)?;
-    let count = d.u64("LatencyHistogram count")?;
-    let sum_ns = d.u64("LatencyHistogram sum_ns")?;
-    Ok(LatencyHistogram::from_parts(buckets, count, sum_ns))
-}
-
 /// Codec for the registry deltas child shard workers ship at barriers
-/// ([`WireReply::Telemetry`]). Same free-function shape as the histogram
-/// codec, for the same orphan-rule reason.
+/// ([`WireReply::Telemetry`]), as free functions: the orphan rule forbids
+/// implementing the foreign [`Encode`] trait for the foreign
+/// [`RegistrySnapshot`] here.
 fn encode_registry_snapshot(snapshot: &RegistrySnapshot, e: &mut Encoder) {
     e.usize(snapshot.entries.len());
     for entry in &snapshot.entries {
@@ -199,7 +165,10 @@ fn encode_registry_snapshot(snapshot: &RegistrySnapshot, e: &mut Encoder) {
             }
             MetricValue::Histogram(h) => {
                 e.u8(2);
-                encode_histogram(h, e);
+                let (buckets, count, sum_ns) = h.parts();
+                buckets.encode(e);
+                e.u64(count);
+                e.u64(sum_ns);
             }
         }
     }
@@ -215,7 +184,11 @@ fn decode_registry_snapshot(d: &mut Decoder<'_>) -> Result<RegistrySnapshot, Wir
         let value = match d.u8("MetricValue")? {
             0 => MetricValue::Counter(d.u64("MetricValue counter")?),
             1 => MetricValue::Gauge(d.f64("MetricValue gauge")?),
-            2 => MetricValue::Histogram(decode_histogram(d)?),
+            2 => MetricValue::Histogram(Histogram::from_parts(
+                Decode::decode(d)?,
+                d.u64("Histogram count")?,
+                d.u64("Histogram sum_ns")?,
+            )),
             tag => {
                 return Err(WireError::UnknownTag {
                     context: "MetricValue",
@@ -329,9 +302,6 @@ impl Encode for ControllerDump {
         e.u64(self.seq);
         self.probe_counts.encode(e);
         self.accountant.encode(e);
-        self.latency_buckets.encode(e);
-        e.u64(self.latency_count);
-        e.u64(self.latency_sum_ns);
         e.u64(self.accepted);
         e.u64(self.rejected);
         e.u64(self.departed);
@@ -356,9 +326,6 @@ impl Decode for ControllerDump {
             seq: d.u64("ControllerDump seq")?,
             probe_counts: Decode::decode(d)?,
             accountant: Decode::decode(d)?,
-            latency_buckets: Decode::decode(d)?,
-            latency_count: d.u64("ControllerDump latency_count")?,
-            latency_sum_ns: d.u64("ControllerDump latency_sum_ns")?,
             accepted: d.u64("ControllerDump accepted")?,
             rejected: d.u64("ControllerDump rejected")?,
             departed: d.u64("ControllerDump departed")?,
@@ -424,7 +391,6 @@ impl Decode for Response {
 impl Encode for ShardSnapshot {
     fn encode(&self, e: &mut Encoder) {
         self.stats.encode(e);
-        encode_histogram(&self.latency, e);
         self.probe_counts.encode(e);
         self.timeline_delta.encode(e);
     }
@@ -434,7 +400,6 @@ impl Decode for ShardSnapshot {
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         Ok(ShardSnapshot {
             stats: Decode::decode(d)?,
-            latency: decode_histogram(d)?,
             probe_counts: Decode::decode(d)?,
             timeline_delta: Decode::decode(d)?,
         })
@@ -635,8 +600,9 @@ pub(crate) enum WireReply {
     /// ~0.75 kB, and a session's reply lanes queue one `WireReply` per
     /// segment and token until the next drain.
     Stats(Box<ShardSnapshot>),
-    /// The shard's final result and closing stats contribution.
-    Finalized(PackingResult, Box<ShardSnapshot>),
+    /// The shard's closing stats contribution, from which the dispatcher
+    /// merges the final result.
+    Finalized(Box<ShardSnapshot>),
     /// A sealed [`Snapshot`] frame for [`WireCmd::Export`].
     Exported(Vec<u8>),
     /// The registry delta for a [`WireCmd::Telemetry`] barrier collection
@@ -661,9 +627,8 @@ impl Encode for WireReply {
                 e.u8(4);
                 snapshot.encode(e);
             }
-            WireReply::Finalized(result, snapshot) => {
+            WireReply::Finalized(snapshot) => {
                 e.u8(5);
-                result.encode(e);
                 snapshot.encode(e);
             }
             WireReply::Exported(bytes) => {
@@ -686,10 +651,7 @@ impl Decode for WireReply {
             2 => Ok(WireReply::Ran),
             3 => Ok(WireReply::Token(Decode::decode(d)?)),
             4 => Ok(WireReply::Stats(Box::new(Decode::decode(d)?))),
-            5 => Ok(WireReply::Finalized(
-                Decode::decode(d)?,
-                Box::new(Decode::decode(d)?),
-            )),
+            5 => Ok(WireReply::Finalized(Box::new(Decode::decode(d)?))),
             6 => Ok(WireReply::Exported(d.bytes("WireReply snapshot")?.to_vec())),
             7 => Ok(WireReply::Telemetry(decode_registry_snapshot(d)?)),
             tag => Err(WireError::UnknownTag {
@@ -703,7 +665,7 @@ impl Decode for WireReply {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coach_sim::{PackingResult, PolicyConfig};
+    use coach_sim::PolicyConfig;
     use coach_trace::{generate, TraceConfig};
     use coach_wire::open_frame;
 
@@ -714,18 +676,18 @@ mod tests {
             0.75,
             Timestamp::from_ticks(1_000_000),
         );
-        config.backend = WorkerBackend::Process;
         let frame = seal_frame(&config);
         let back: ServeConfig = open_frame(&frame).expect("decode ServeConfig");
         assert_eq!(format!("{back:?}"), format!("{config:?}"));
 
-        // Telemetry is a runtime knob, not state: it never crosses the
-        // wire, so a Full config decodes back to the Off default (and the
-        // committed snapshot fixture is unaffected by the new field).
+        // The backend and telemetry are runtime knobs, not state: neither
+        // crosses the wire, so both decode back to their defaults.
+        config.backend = WorkerBackend::Process;
         config.telemetry = TelemetryConfig::Full;
-        let frame_full = seal_frame(&config);
-        assert_eq!(frame_full, frame);
-        let back: ServeConfig = open_frame(&frame_full).expect("decode ServeConfig");
+        let frame_knobs = seal_frame(&config);
+        assert_eq!(frame_knobs, frame);
+        let back: ServeConfig = open_frame(&frame_knobs).expect("decode ServeConfig");
+        assert_eq!(back.backend, WorkerBackend::Thread);
         assert_eq!(back.telemetry, TelemetryConfig::Off);
     }
 
@@ -810,10 +772,9 @@ mod tests {
         let snapshot = ShardSnapshot {
             stats: StatsReport {
                 accepted: 5,
-                worker_restarts: 2,
+                ticks: 2,
                 ..StatsReport::default()
             },
-            latency: LatencyHistogram::new(),
             probe_counts: vec![3, 1, 4],
             timeline_delta: vec![(10, 1, 0, 1), (11, 0, 3, -1)],
         };
@@ -829,20 +790,7 @@ mod tests {
             WireReply::Ran,
             WireReply::Token(Response::Ticked),
             WireReply::Stats(Box::new(snapshot.clone())),
-            WireReply::Finalized(
-                PackingResult {
-                    label: "Coach",
-                    accepted: 1,
-                    rejected: 2,
-                    accepted_core_hours: 3.5,
-                    accepted_gb_hours: 4.5,
-                    probe_capacity: 5.5,
-                    peak_servers_in_use: 6,
-                    cpu_violation_rate: 0.25,
-                    mem_violation_rate: 0.125,
-                },
-                Box::new(snapshot),
-            ),
+            WireReply::Finalized(Box::new(snapshot)),
             WireReply::Exported(vec![9, 9, 9]),
         ];
         for reply in &replies {
@@ -889,7 +837,7 @@ mod tests {
         }
 
         let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("tests/fixtures/protocol_v5.bin");
+            .join("tests/fixtures/protocol_v6.bin");
         if std::env::var_os("COACH_WIRE_BLESS").is_some() {
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
             std::fs::write(&path, &stream).unwrap();
@@ -898,7 +846,7 @@ mod tests {
             std::fs::read(&path).unwrap_or_else(|e| panic!("missing golden fixture: {e}"));
         assert_eq!(
             stream, fixture,
-            "protocol frame encoding drifted from the committed v5 fixture — \
+            "protocol frame encoding drifted from the committed v6 fixture — \
              this is a wire format change and needs a VERSION bump"
         );
 

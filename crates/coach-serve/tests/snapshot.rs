@@ -112,6 +112,32 @@ fn snapshot_is_nondestructive_and_roundtrips_bytes() {
         restored.handle(*request);
     }
     assert_eq!(controller.finalize(), restored.finalize());
+    assert_eq!(
+        controller.snapshot(),
+        restored.snapshot(),
+        "same final bytes"
+    );
+}
+
+/// A snapshot depends on the request stream and nothing else: two
+/// independent controllers fed the same stream agree byte for byte at
+/// every cut.
+#[test]
+fn snapshot_bytes_are_a_function_of_the_stream() {
+    let trace = generate(&TraceConfig::small(778));
+    let oracle = Oracle::new(TimeWindows::paper_default());
+    let coach = PolicyConfig::paper_set().remove(2);
+    let requests: Vec<Request> = RequestSource::replaying(&trace).collect();
+    let mut a = Controller::replaying(&trace, &oracle, coach, 0.6);
+    let mut b = Controller::replaying(&trace, &oracle, coach, 0.6);
+    let mut fed = 0;
+    for cut in [requests.len() / 4, requests.len() / 2, requests.len()] {
+        for request in &requests[fed..cut] {
+            assert_eq!(a.handle(*request), b.handle(*request));
+        }
+        fed = cut;
+        assert_eq!(a.snapshot(), b.snapshot(), "bytes at request {cut}");
+    }
 }
 
 /// Restore validates before it builds: a predictor with a different window

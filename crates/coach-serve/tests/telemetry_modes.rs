@@ -1,7 +1,7 @@
 //! Telemetry-mode differential tests: arming the registry (and the span
 //! rings) must never change a decision, the registry's counters must agree
-//! with the `StatsReport` views the serving layer already exposes, and the
-//! exports must be well-formed.
+//! with the `StatsReport`, `lane_totals` and `worker_restarts` views the
+//! serving layer already exposes, and the exports must be well-formed.
 
 use coach_serve::{
     Request, RequestSource, Response, ServeConfig, ShardedController, TelemetryConfig,
@@ -70,7 +70,8 @@ fn off_mode_exposes_no_registry() {
 
 /// The registry's decision-derived counters are views over the same state
 /// `StatsReport` already reports: summed across shard labels they must
-/// equal the merged report's fields exactly.
+/// equal the merged report's fields exactly. Its lane and restart counters
+/// equal `lane_totals()` and `worker_restarts()`.
 #[test]
 fn registry_counters_match_stats_report() {
     let trace = small_trace(7003);
@@ -103,13 +104,20 @@ fn registry_counters_match_stats_report() {
     // Ticks are broadcast: every shard absorbs every tick, the report
     // takes the max.
     assert_eq!(sum("coach_serve_ticks_total"), report.ticks * 2);
-    // Lane counters migrated from `LaneStats` mirror the report fields.
-    assert_eq!(sum("coach_serve_lane_sends_total"), report.lane_sends);
+    // The lane and restart counters mirror the controller's own totals.
+    let lanes = controller.lane_totals();
+    assert!(lanes.sends > 0, "a 2-shard session used its lanes");
+    assert_eq!(sum("coach_serve_lane_sends_total"), lanes.sends);
     assert_eq!(
         sum("coach_serve_lane_batched_sends_total"),
-        report.lane_batched_sends
+        lanes.batched_sends
     );
-    assert_eq!(sum("coach_serve_worker_restarts_total"), 0);
+    assert_eq!(sum("coach_serve_lane_wakeups_total"), lanes.wakeups);
+    assert_eq!(sum("coach_serve_lane_full_stalls_total"), lanes.full_stalls);
+    assert_eq!(
+        sum("coach_serve_worker_restarts_total"),
+        controller.worker_restarts()
+    );
 }
 
 /// Full mode records spans and every export renders: Prometheus text with

@@ -6,9 +6,10 @@
 //! the snapshot wire format changed and [`coach_wire::VERSION`] needs a
 //! bump, not a silent re-interpretation of deployed checkpoints.
 //! Regenerate deliberately with
-//! `COACH_WIRE_BLESS=1 cargo test -p coach-serve --test wire_golden`.
+//! `COACH_WIRE_BLESS=1 cargo test -p coach-serve --test wire_golden --
+//! --test-threads=1` (two tests bless the same file).
 
-use coach_serve::{Controller, Request, RequestSource, ServeConfig, Snapshot};
+use coach_serve::{Controller, Request, RequestSource, Snapshot};
 use coach_sim::{Oracle, PolicyConfig};
 use coach_trace::{generate, TraceConfig};
 use coach_types::prelude::*;
@@ -31,18 +32,12 @@ fn load_or_bless(name: &str, expected: &[u8]) -> Vec<u8> {
 }
 
 /// The reference controller: a fixed trace, halted halfway through its
-/// stream, with latency sampling off (`latency_stride: 0`) — wall-clock
-/// reads are the only nondeterminism in a snapshot, so disabling them
-/// makes the frame a pure function of the trace.
+/// stream.
 fn golden_snapshot() -> (coach_trace::Trace, Snapshot) {
     let trace = generate(&TraceConfig::small(23));
     let oracle = Oracle::new(TimeWindows::paper_default());
     let coach = PolicyConfig::paper_set().remove(2);
-    let config = ServeConfig {
-        latency_stride: 0,
-        ..ServeConfig::replaying(coach, 0.6, trace.horizon)
-    };
-    let mut controller = Controller::new(&trace.clusters, &oracle, config);
+    let mut controller = Controller::replaying(&trace, &oracle, coach, 0.6);
     let requests: Vec<Request> = RequestSource::replaying(&trace).collect();
     for request in &requests[..requests.len() / 2] {
         controller.handle(*request);
@@ -54,11 +49,11 @@ fn golden_snapshot() -> (coach_trace::Trace, Snapshot) {
 #[test]
 fn golden_snapshot_bytes_are_pinned() {
     let (_trace, snapshot) = golden_snapshot();
-    let fixture = load_or_bless("snapshot_v5.bin", snapshot.bytes());
+    let fixture = load_or_bless("snapshot_v6.bin", snapshot.bytes());
     assert_eq!(
         snapshot.bytes(),
         &fixture[..],
-        "snapshot encoding drifted from the committed v5 fixture — \
+        "snapshot encoding drifted from the committed v6 fixture — \
          this is a wire format change and needs a VERSION bump"
     );
 }
@@ -66,7 +61,7 @@ fn golden_snapshot_bytes_are_pinned() {
 #[test]
 fn golden_snapshot_restores_and_resumes() {
     let (trace, live) = golden_snapshot();
-    let fixture = load_or_bless("snapshot_v5.bin", live.bytes());
+    let fixture = load_or_bless("snapshot_v6.bin", live.bytes());
     let committed = Snapshot::from_bytes(fixture);
 
     // The committed bytes restore, re-snapshot to themselves, and finish
@@ -92,13 +87,15 @@ fn older_versioned_snapshots_are_rejected_structurally() {
     // in its header (1: the old `ServeConfig`; 2: accountant entries as
     // record references plus a record table; 3: whole demands per hosted
     // VM and two demand columns in the store; 4: the resident store's slot
-    // columns and free list, `occupancy_timeline` inside `ServeConfig`):
+    // columns and free list, `occupancy_timeline` inside `ServeConfig`; 5:
+    // an admission-latency histogram and its sampling stride, and the
+    // worker backend inside `ServeConfig`):
     // restoring it must fail with the typed version error, never
     // re-interpret the old layout.
     let (_trace, live) = golden_snapshot();
     let oracle = Oracle::new(TimeWindows::paper_default());
-    for old in [1u16, 2, 3, 4] {
-        let mut bytes = load_or_bless("snapshot_v5.bin", live.bytes());
+    for old in [1u16, 2, 3, 4, 5] {
+        let mut bytes = load_or_bless("snapshot_v6.bin", live.bytes());
         bytes[4..6].copy_from_slice(&old.to_le_bytes());
         let restored = Controller::restore(&oracle, &Snapshot::from_bytes(bytes), |_| None);
         assert_eq!(

@@ -3,9 +3,7 @@
 //! Two flavours share one bucket layout:
 //!
 //! * [`Histogram`] — a plain value type used for snapshots, merging, and
-//!   wire transport. This subsumes the serving layer's former
-//!   `LatencyHistogram` (PR 9): identical bucketing, identical quantile
-//!   estimator, so re-exporting it is a drop-in migration.
+//!   wire transport (a registry delta a process-backed shard ships home).
 //! * [`AtomicHistogram`] — the live instrument handed out by the
 //!   [`Registry`](crate::Registry): lock-free `fetch_add`s on the hot path,
 //!   snapshot into a [`Histogram`] at export time.
@@ -225,6 +223,36 @@ mod tests {
         assert_eq!(h.count(), 3);
         assert_eq!(h.sum_ns(), 1001);
         assert!(h.mean_ns() > 333.0 && h.mean_ns() < 334.0);
+    }
+
+    #[test]
+    fn quantiles_are_log_bucket_accurate() {
+        let mut h = Histogram::new();
+        for _ in 0..90 {
+            h.record_ns(1_000); // bucket [512, 1024): ~724 ns midpoint
+        }
+        for _ in 0..10 {
+            h.record_ns(100_000);
+        }
+        assert_eq!(h.count(), 100);
+        let p50 = h.quantile_ns(0.50);
+        assert!((512.0..2048.0).contains(&p50), "p50 {p50}");
+        let p99 = h.quantile_ns(0.99);
+        assert!(p99 > 60_000.0, "p99 {p99}");
+        assert!((h.mean_ns() - (90.0 * 1_000.0 + 10.0 * 100_000.0) / 100.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn empty_zero_and_top_bucket_edges() {
+        let mut a = Histogram::new();
+        assert_eq!(a.quantile_ns(0.5), 0.0);
+        a.record_ns(0);
+        assert_eq!(a.quantile_ns(0.5), 0.0);
+        let mut b = Histogram::new();
+        b.record_ns(u64::MAX); // lands in the top bucket, no overflow
+        a.merge(&b);
+        assert_eq!(a.count(), 2);
+        assert!(a.quantile_ns(1.0) > 0.0);
     }
 
     #[test]

@@ -51,7 +51,7 @@ const COMMAND_LANE_CAPACITY: usize = 256;
 
 /// Cumulative lane telemetry, snapshot from counter-instrumented lane
 /// endpoints. All lanes count; `coach-serve` surfaces the pool-wide sums
-/// in its `StatsReport`.
+/// through `ShardedController::lane_totals` and its telemetry registry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneStats {
     /// Items enqueued (each item of a batch counts once).

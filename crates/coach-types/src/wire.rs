@@ -13,7 +13,6 @@ use coach_wire::{Decode, Decoder, Encode, Encoder, WireError};
 use crate::config::{HardwareConfig, Offering, SubscriptionType, VmConfig};
 use crate::ids::{ClusterId, ServerId, SubscriptionId, VmId};
 use crate::resource::ResourceVec;
-use crate::runtime::WorkerBackend;
 use crate::series::Percentile;
 use crate::time::{SimDuration, TimeWindows, Timestamp, TICKS_PER_DAY};
 use crate::winvec::WindowVec;
@@ -178,11 +177,6 @@ tag_wire!(SubscriptionType, "SubscriptionType", {
     2 => SubscriptionType::External,
 });
 
-tag_wire!(WorkerBackend, "WorkerBackend", {
-    0 => WorkerBackend::Thread,
-    1 => WorkerBackend::Process,
-});
-
 impl Encode for VmConfig {
     fn encode(&self, e: &mut Encoder) {
         e.u32(self.cores);
@@ -271,7 +265,6 @@ mod tests {
     fn enums_and_configs_roundtrip() {
         roundtrip(Offering::Paas);
         roundtrip(SubscriptionType::External);
-        roundtrip(WorkerBackend::Process);
         roundtrip(VmConfig::general_purpose(4));
         roundtrip(HardwareConfig::general_purpose_gen4());
     }

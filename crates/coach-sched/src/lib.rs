@@ -10,7 +10,12 @@
 //! * [`ClusterScheduler`] — best-fit placement across servers, backed by a
 //!   headroom-bucketed candidate index ([`ScanStrategy::Indexed`]) with the
 //!   exhaustive scan retained as a differential-testing reference
-//!   ([`ScanStrategy::NaiveReference`]).
+//!   ([`ScanStrategy::NaiveReference`]), and the Fig 20a probe estimator
+//!   ([`ClusterScheduler::estimate_probe_fill`]).
+//!
+//! Each placement rule has one home here: the W+1 feasibility check and
+//! its commit in `server.rs`, the heuristics' candidate order in
+//! `scheduler.rs`. The scans and the probe estimator all call them.
 //!
 //! # Example
 //!
@@ -37,4 +42,4 @@ pub use demand::{Policy, VmDemand};
 pub use scheduler::{
     ClusterScheduler, ClusterSchedulerDump, PlacementHeuristic, PlacementOutcome, ScanStrategy,
 };
-pub use server::{HostedDemand, ProbeSummary, ServerState, ServerStateDump};
+pub use server::{HostedDemand, ServerState, ServerStateDump};

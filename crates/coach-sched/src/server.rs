@@ -11,6 +11,12 @@
 //! carries its one window inline; only a W-window demand carries W, boxed.
 //! The customer's request is not kept: nothing reads it after placement.
 //!
+//! The W+1 sums and the rule that reads them live in one crate-private
+//! type, `Sums`: its `fits` is the feasibility check and its `add` the
+//! matching commit. `can_fit`, `can_fit_with_bounds` and `place` call
+//! them, and so does the scheduler's probe estimator on scratch copies —
+//! there is no second copy of the rule to keep in step.
+//!
 //! The hot path (`can_fit` → `place`/`remove`) never materializes a
 //! normalized vector: demands whose window count differs from the server's
 //! are broadcast by iteration, the Formula 3/4 pools are maintained
@@ -84,6 +90,81 @@ impl HostedDemand {
     }
 }
 
+/// Window `w` of per-window maxima: a one-window demand is broadcast to
+/// every server window.
+#[inline]
+fn window(window_max: &[ResourceVec], w: usize) -> &ResourceVec {
+    if window_max.len() == 1 {
+        &window_max[0]
+    } else {
+        &window_max[w]
+    }
+}
+
+/// A server's W+1 commitment sums per resource (§3.3: "the number of
+/// windows plus one"), with the one feasibility check that reads them and
+/// the one commit that adds to them.
+///
+/// Invariant: after any sequence of `place`/`remove` calls the sums are
+/// exactly the floats the server accumulated, in the order it applied
+/// them — so a scratch copy starts from the scheduler's own state.
+#[derive(Debug, Clone)]
+pub(crate) struct Sums {
+    /// Σ over hosted VMs of `guaranteed` (the Formula 3 dimension).
+    pub(crate) guaranteed: ResourceVec,
+    /// Per-window Σ over hosted VMs of `window_max[w]`.
+    pub(crate) windows: Vec<ResourceVec>,
+}
+
+impl Sums {
+    /// The guaranteed part of the check: `Σ guaranteed + d.guaranteed`
+    /// within `capacity`.
+    #[inline]
+    fn guaranteed_fits(&self, capacity: &ResourceVec, d: &VmDemand) -> bool {
+        (self.guaranteed + d.guaranteed).fits_within(capacity)
+    }
+
+    /// The exact per-window scan (no allocation): every window's sum plus
+    /// the demand's maximum for it within `capacity`.
+    #[inline]
+    fn windows_fit(&self, capacity: &ResourceVec, d: &VmDemand) -> bool {
+        if d.window_count() == self.windows.len() {
+            d.window_max
+                .iter()
+                .zip(&self.windows)
+                .all(|(w, sum)| (*sum + *w).fits_within(capacity))
+        } else {
+            let w = d.window_max[0];
+            self.windows
+                .iter()
+                .all(|sum| (*sum + w).fits_within(capacity))
+        }
+    }
+
+    /// The combined W+1 check. The caller has validated the demand's
+    /// window count (one, or the server's).
+    #[inline]
+    pub(crate) fn fits(&self, capacity: &ResourceVec, d: &VmDemand) -> bool {
+        self.guaranteed_fits(capacity, d) && self.windows_fit(capacity, d)
+    }
+
+    /// Commit a demand that [`Sums::fits`]: add its guaranteed vector and
+    /// each window's maximum.
+    #[inline]
+    pub(crate) fn add(&mut self, d: &VmDemand) {
+        self.guaranteed += d.guaranteed;
+        for (w, sum) in self.windows.iter_mut().enumerate() {
+            *sum += *window(&d.window_max, w);
+        }
+    }
+
+    /// Remaining guaranteed headroom per resource: the heuristics' key.
+    #[inline]
+    pub(crate) fn free_guaranteed(&self, capacity: &ResourceVec) -> ResourceVec {
+        capacity.saturating_sub(&self.guaranteed)
+    }
+}
+
 /// One server's packing state under time-window scheduling (§3.3).
 ///
 /// Feasibility is the combined vector check the paper describes: for each
@@ -98,9 +179,7 @@ impl HostedDemand {
 pub struct ServerState {
     id: ServerId,
     capacity: ResourceVec,
-    windows: usize,
-    guaranteed_sum: ResourceVec,
-    window_sum: Vec<ResourceVec>,
+    sums: Sums,
     /// Elementwise min over windows of `capacity - window_sum[w]`: the
     /// tightest per-resource window slack. A demand whose per-window peak
     /// fits in this is feasible in every window without scanning them.
@@ -142,9 +221,10 @@ impl ServerState {
         ServerState {
             id,
             capacity,
-            windows,
-            guaranteed_sum: ResourceVec::ZERO,
-            window_sum: vec![ResourceVec::ZERO; windows],
+            sums: Sums {
+                guaranteed: ResourceVec::ZERO,
+                windows: vec![ResourceVec::ZERO; windows],
+            },
             min_window_slack: capacity,
             max_window_slack: capacity,
             va_mem_sum: vec![0.0; windows],
@@ -190,12 +270,13 @@ impl ServerState {
     #[inline]
     fn check_windows(&self, d: &VmDemand) -> bool {
         let n = d.window_count();
-        if n == self.windows {
+        let windows = self.sums.windows.len();
+        if n == windows {
             false
         } else if n == 1 {
             true
         } else {
-            panic!("demand has {} windows but server packs {}", n, self.windows);
+            panic!("demand has {n} windows but server packs {windows}");
         }
     }
 
@@ -206,10 +287,7 @@ impl ServerState {
     /// Panics if the demand's window count is neither 1 nor the server's.
     pub fn can_fit(&self, d: &VmDemand) -> bool {
         self.check_windows(d);
-        if !(self.guaranteed_sum + d.guaranteed).fits_within(&self.capacity) {
-            return false;
-        }
-        self.windows_fit_exact(d)
+        self.sums.fits(&self.capacity, d)
     }
 
     /// The same check with the demand's precomputed per-window elementwise
@@ -228,7 +306,7 @@ impl ServerState {
         trough: &ResourceVec,
     ) -> bool {
         self.check_windows(d);
-        if !(self.guaranteed_sum + d.guaranteed).fits_within(&self.capacity) {
+        if !self.sums.guaranteed_fits(&self.capacity, d) {
             return false;
         }
         // Quick accept: the worst window demand fits the tightest slack.
@@ -240,30 +318,16 @@ impl ServerState {
         if !trough.fits_within(&self.max_window_slack) {
             return false;
         }
-        self.windows_fit_exact(d)
+        self.sums.windows_fit(&self.capacity, d)
     }
 
-    /// Exact per-window feasibility scan (no allocation).
-    #[inline]
-    fn windows_fit_exact(&self, d: &VmDemand) -> bool {
-        if d.window_count() == self.windows {
-            d.window_max
-                .iter()
-                .zip(&self.window_sum)
-                .all(|(w, sum)| (*sum + *w).fits_within(&self.capacity))
-        } else {
-            let w = d.window_max[0];
-            self.window_sum
-                .iter()
-                .all(|sum| (*sum + w).fits_within(&self.capacity))
-        }
-    }
-
-    /// Recompute the cached min/max window-slack summaries from `window_sum`.
+    /// Recompute the cached min/max window-slack summaries from the window
+    /// sums.
     fn refresh_slack(&mut self) {
-        let mut min = self.capacity - self.window_sum[0];
+        let window_sum = &self.sums.windows;
+        let mut min = self.capacity - window_sum[0];
         let mut max = min;
-        for sum in &self.window_sum[1..] {
+        for sum in &window_sum[1..] {
             let slack = self.capacity - *sum;
             min = min.min(&slack);
             max = max.max(&slack);
@@ -279,19 +343,12 @@ impl ServerState {
         if self.ids.contains(&d.vm) || !self.can_fit(d) {
             return false;
         }
-        self.guaranteed_sum += d.guaranteed;
+        self.sums.add(d);
         let guar_mem = d.guaranteed.memory();
         let mut va_peak = 0.0f64;
-        let broadcast = d.window_count() != self.windows;
-        for (w, sum) in self.window_sum.iter_mut().enumerate() {
-            let wd = if broadcast {
-                &d.window_max[0]
-            } else {
-                &d.window_max[w]
-            };
-            *sum += *wd;
-            let va = (wd.memory() - guar_mem).max(0.0);
-            self.va_mem_sum[w] += va;
+        for (w, va_sum) in self.va_mem_sum.iter_mut().enumerate() {
+            let va = (window(&d.window_max, w).memory() - guar_mem).max(0.0);
+            *va_sum += va;
             va_peak = va_peak.max(va);
         }
         self.va_peak_mem_sum += va_peak;
@@ -311,16 +368,11 @@ impl ServerState {
         self.ids.swap_remove(i);
         let d = self.rows.swap_remove(i);
         let window_max = d.window_max();
-        self.guaranteed_sum -= d.guaranteed;
+        self.sums.guaranteed -= d.guaranteed;
         let guar_mem = d.guaranteed.memory();
         let mut va_peak = 0.0f64;
-        let broadcast = window_max.len() != self.windows;
-        for (w, sum) in self.window_sum.iter_mut().enumerate() {
-            let wd = if broadcast {
-                &window_max[0]
-            } else {
-                &window_max[w]
-            };
+        for (w, sum) in self.sums.windows.iter_mut().enumerate() {
+            let wd = window(window_max, w);
             *sum -= *wd;
             // Clamp floating-point dust.
             *sum = sum.max(&ResourceVec::ZERO);
@@ -328,7 +380,7 @@ impl ServerState {
             self.va_mem_sum[w] = (self.va_mem_sum[w] - va).max(0.0);
             va_peak = va_peak.max(va);
         }
-        self.guaranteed_sum = self.guaranteed_sum.max(&ResourceVec::ZERO);
+        self.sums.guaranteed = self.sums.guaranteed.max(&ResourceVec::ZERO);
         self.va_peak_mem_sum = (self.va_peak_mem_sum - va_peak).max(0.0);
         self.refresh_slack();
         true
@@ -336,7 +388,7 @@ impl ServerState {
 
     /// Formula (3): total guaranteed memory, GB.
     pub fn guaranteed_memory(&self) -> f64 {
-        self.guaranteed_sum.memory()
+        self.sums.guaranteed.memory()
     }
 
     /// Formula (4): the multiplexed oversubscribed memory pool —
@@ -360,7 +412,7 @@ impl ServerState {
 
     /// Remaining guaranteed headroom per resource.
     pub fn free_guaranteed(&self) -> ResourceVec {
-        self.capacity.saturating_sub(&self.guaranteed_sum)
+        self.sums.free_guaranteed(&self.capacity)
     }
 
     /// The cached tightest per-resource window slack (min over windows of
@@ -371,28 +423,17 @@ impl ServerState {
 
     /// The worst (largest) per-window committed fraction of capacity.
     pub fn peak_commitment(&self) -> ResourceVec {
-        self.window_sum
+        self.sums
+            .windows
             .iter()
             .fold(ResourceVec::ZERO, |acc, v| acc.max(v))
             .fraction_of(&self.capacity)
     }
 
-    /// The server's probe-headroom summary: a borrowed view of exactly the
-    /// commitment vectors [`ServerState::can_fit`] evaluates, maintained
-    /// incrementally by [`ServerState::place`] / [`ServerState::remove`].
-    ///
-    /// This is the scan unit of the incremental spare-capacity estimator
-    /// (`coach_sim::estimate_probe_capacity`): because the sums here are
-    /// the *same floats* `can_fit` adds the candidate demand to, a consumer
-    /// that copies them and replays placements arithmetically reproduces
-    /// the scheduler's accept/reject decisions bit-for-bit — no probe VM
-    /// ever has to be placed into (and unwound from) the real scheduler.
-    pub fn probe_summary(&self) -> ProbeSummary<'_> {
-        ProbeSummary {
-            capacity: self.capacity,
-            guaranteed_sum: self.guaranteed_sum,
-            window_sums: &self.window_sum,
-        }
+    /// The W+1 sums `can_fit` reads, for the probe estimator's scratch
+    /// copies.
+    pub(crate) fn sums(&self) -> &Sums {
+        &self.sums
     }
 
     /// Serialize the full packing state for snapshot/restore.
@@ -415,9 +456,9 @@ impl ServerState {
         ServerStateDump {
             id: self.id,
             capacity: self.capacity,
-            windows: self.windows,
-            guaranteed_sum: self.guaranteed_sum,
-            window_sum: self.window_sum.clone(),
+            windows: self.sums.windows.len(),
+            guaranteed_sum: self.sums.guaranteed,
+            window_sum: self.sums.windows.clone(),
             va_mem_sum: self.va_mem_sum.clone(),
             va_peak_mem_sum: self.va_peak_mem_sum,
             vms,
@@ -440,9 +481,10 @@ impl ServerState {
         let mut server = ServerState {
             id: dump.id,
             capacity: dump.capacity,
-            windows: dump.windows,
-            guaranteed_sum: dump.guaranteed_sum,
-            window_sum: dump.window_sum,
+            sums: Sums {
+                guaranteed: dump.guaranteed_sum,
+                windows: dump.window_sum,
+            },
             min_window_slack: dump.capacity,
             max_window_slack: dump.capacity,
             va_mem_sum: dump.va_mem_sum,
@@ -491,34 +533,6 @@ impl ServerStateDump {
                 let n = d.window_max().len();
                 n == 1 || n == self.windows
             })
-    }
-}
-
-/// A server's spare-capacity summary as seen by the probe estimator: the
-/// incrementally maintained commitment sums that fully determine
-/// [`ServerState::can_fit`] and the BestFit headroom key.
-///
-/// Invariant: after any sequence of `place`/`remove` calls,
-/// `guaranteed_sum` and `window_sums` equal what a from-scratch re-sum over
-/// the hosted demands would produce *in the order they were applied* — so a
-/// scratch copy seeded from this summary starts from the scheduler's exact
-/// floating-point state.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProbeSummary<'s> {
-    /// Hardware capacity (the `can_fit` right-hand side).
-    pub capacity: ResourceVec,
-    /// Σ over hosted VMs of `guaranteed` (the Formula 3 dimension).
-    pub guaranteed_sum: ResourceVec,
-    /// Per-window Σ over hosted VMs of `window_max[w]` (broadcast demands
-    /// contribute their single window to every slot).
-    pub window_sums: &'s [ResourceVec],
-}
-
-impl ProbeSummary<'_> {
-    /// The BestFit/WorstFit ordering key [`ServerState::free_guaranteed`]
-    /// exposes: remaining guaranteed memory headroom, GB.
-    pub fn headroom_memory(&self) -> f64 {
-        self.capacity.saturating_sub(&self.guaranteed_sum).memory()
     }
 }
 
@@ -668,34 +682,6 @@ mod tests {
                 "bounds check diverged for guar={guar} win={win:?}"
             );
         }
-    }
-
-    #[test]
-    fn probe_summary_tracks_place_remove() {
-        let mut s = server();
-        let fresh = s.probe_summary();
-        assert_eq!(fresh.guaranteed_sum, ResourceVec::ZERO);
-        assert_eq!(fresh.headroom_memory(), 48.0);
-        assert_eq!(fresh.window_sums.len(), 3);
-
-        assert!(s.place(&demand(1, 16.0, [28.0, 8.0, 22.0])));
-        let loaded = s.probe_summary();
-        assert_eq!(loaded.guaranteed_sum, ResourceVec::new(1.0, 16.0, 0.1, 1.0));
-        assert_eq!(loaded.window_sums[0].memory(), 28.0);
-        assert_eq!(loaded.headroom_memory(), 48.0 - 16.0);
-        // The summary is the can_fit left-hand side: adding a candidate to
-        // the summed vectors reproduces the feasibility verdict.
-        let cand = demand(2, 16.0, [28.0, 8.0, 22.0]);
-        let guar_ok = (loaded.guaranteed_sum + cand.guaranteed).fits_within(&loaded.capacity);
-        let windows_ok = cand
-            .window_max
-            .iter()
-            .zip(loaded.window_sums)
-            .all(|(w, sum)| (*sum + *w).fits_within(&loaded.capacity));
-        assert_eq!(guar_ok && windows_ok, s.can_fit(&cand));
-
-        assert!(s.remove(VmId::new(1)));
-        assert_eq!(s.probe_summary().headroom_memory(), 48.0);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! [`coach_wire`] codecs for scheduler state.
 //!
 //! These impls carry the scheduler half of a `coach-serve` snapshot across
-//! the wire: per-server packing state ([`ServerStateDump`]) and whole
-//! schedulers ([`ClusterSchedulerDump`]), plus the policy/heuristic enums a
-//! serving config names. Dumps hold raw accumulated `f64` sums, and the
+//! the wire: per-server packing state ([`ServerStateDump`]) and a
+//! scheduler's servers ([`ClusterSchedulerDump`]), plus the
+//! policy/heuristic enums a serving config names. Dumps hold raw
+//! accumulated `f64` sums, and the
 //! codecs ship them verbatim (IEEE-754 bits), so a restored scheduler is
 //! `assert_eq!`-identical to the one that was snapshotted — including every
 //! future placement decision it will make.
@@ -181,10 +182,6 @@ impl Decode for ServerStateDump {
 impl Encode for ClusterSchedulerDump {
     fn encode(&self, e: &mut Encoder) {
         self.servers.encode(e);
-        self.heuristic.encode(e);
-        self.scan.encode(e);
-        e.u64(self.placed);
-        e.u64(self.rejected);
     }
 }
 
@@ -194,10 +191,6 @@ impl Decode for ClusterSchedulerDump {
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         let dump = ClusterSchedulerDump {
             servers: Decode::decode(d)?,
-            heuristic: Decode::decode(d)?,
-            scan: Decode::decode(d)?,
-            placed: d.u64("ClusterSchedulerDump placed")?,
-            rejected: d.u64("ClusterSchedulerDump rejected")?,
         };
         let mut servers: HashSet<ServerId> = HashSet::with_capacity(dump.servers.len());
         let hosted = dump.servers.iter().map(|s| s.vms.len()).sum();
@@ -245,7 +238,8 @@ mod tests {
         let sched = packed_scheduler();
         let frame = seal_frame(&sched.dump());
         let dump: ClusterSchedulerDump = open_frame(&frame).expect("decode scheduler dump");
-        let restored = ClusterScheduler::from_dump(dump);
+        let restored =
+            ClusterScheduler::from_dump(dump, PlacementHeuristic::BestFit, ScanStrategy::Indexed);
         assert_eq!(restored, sched);
     }
 

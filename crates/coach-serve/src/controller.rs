@@ -10,7 +10,7 @@ use coach_sched::{
     VmDemand,
 };
 use coach_sim::{
-    estimate_probe_capacity, measure_probe_capacity, probe_demand, PackingResult, PolicyConfig,
+    estimate_probe_capacity, measure_probe_capacity, probe_templates, PackingResult, PolicyConfig,
     Predictor, ProbeMode, VIOLATION_SAMPLE_EVERY,
 };
 use coach_telemetry::{Registry, RegistrySnapshot, SpanRing, TelemetryConfig};
@@ -68,7 +68,7 @@ pub struct ServeConfig {
     pub sample_every: SimDuration,
     /// How [`Request::Probe`] measurements are produced: the exhaustive
     /// pack/unpack fill (the batch replay's exact float trajectory), the
-    /// read-only incremental estimator over cached per-server summaries, or
+    /// read-only estimator on scratch copies of the per-server sums, or
     /// both with an equality assertion
     /// ([`ProbeMode::Differential`]).
     pub probe_mode: ProbeMode,
@@ -112,14 +112,6 @@ impl ServeConfig {
             telemetry: TelemetryConfig::Off,
         }
     }
-}
-
-/// The probe VM of each window rotation — a pure function of the policy
-/// and the window partition, so snapshots leave it out.
-fn probe_templates(policy: &PolicyConfig, tw: TimeWindows) -> Vec<VmDemand> {
-    (0..tw.count())
-        .map(|rotation| probe_demand(0, policy.policy, policy.percentile, tw.count(), rotation))
-        .collect()
 }
 
 /// One cluster as the controller runs it.
@@ -248,7 +240,7 @@ impl<'a> Controller<'a> {
             residents: HashMap::new(),
             departures: BinaryHeap::new(),
             seq: 0,
-            probe_templates: probe_templates(&config.policy, tw),
+            probe_templates: probe_templates(&config.policy, tw.count()),
             probe_counts: Vec::new(),
             counters: Counters::default(),
             in_use: 0,
@@ -738,11 +730,6 @@ impl<'a> Controller<'a> {
         std::mem::take(&mut self.timeline)
     }
 
-    /// The cluster ids this controller owns, in sorted order.
-    pub fn cluster_ids(&self) -> impl Iterator<Item = ClusterId> + '_ {
-        self.clusters.iter().map(|c| c.id)
-    }
-
     /// Serialize the full decision-bearing state into a versioned
     /// [`Snapshot`] frame — schedulers, resident map, departure heap,
     /// accountant, counters, and the undrained occupancy timeline: a
@@ -816,6 +803,10 @@ impl<'a> Controller<'a> {
     /// `examples/benchmark` passes it; the next `[benchmark]` change drops
     /// the argument.
     ///
+    /// The schedulers are rebuilt under the snapshot config's `heuristic`
+    /// and `scan`: the frame holds one copy of each, so a restored
+    /// controller packs exactly as its config says.
+    ///
     /// Anything wrong with the bytes surfaces as `Err(WireError)`:
     /// truncation and bad tags, a window partition that disagrees with
     /// `predictor`, an out-of-range server fraction or sampling cadence, a
@@ -856,7 +847,7 @@ impl<'a> Controller<'a> {
             .map(|(id, capacity, sched)| ClusterState {
                 id,
                 capacity,
-                sched: ClusterScheduler::from_dump(sched),
+                sched: ClusterScheduler::from_dump(sched, config.heuristic, config.scan),
             })
             .collect();
         // The resident map and the schedulers describe the same VMs: rows
@@ -897,7 +888,7 @@ impl<'a> Controller<'a> {
                 dump.departures.into_iter().map(Reverse).collect::<Vec<_>>(),
             ),
             seq: dump.seq,
-            probe_templates: probe_templates(&config.policy, tw),
+            probe_templates: probe_templates(&config.policy, tw.count()),
             probe_counts: dump.probe_counts,
             counters: Counters {
                 accepted: dump.accepted,

@@ -73,14 +73,6 @@ impl<R: Borrow<VmRecord>> RequestOf<R> {
         }
     }
 
-    /// Whether a sharded deployment must deliver this request to every
-    /// shard (an ordering token on each worker lane) rather than route it
-    /// to one. Arrivals route by cluster; everything else touches — or may
-    /// touch — every shard.
-    pub fn is_broadcast(&self) -> bool {
-        !matches!(self, RequestOf::Arrive(_))
-    }
-
     /// View as a borrowed [`Request`] (e.g. to feed a single-shard
     /// [`Controller::handle`](crate::Controller::handle)).
     pub fn as_request(&self) -> Request<'_> {

@@ -4,15 +4,16 @@
 //! policies, trace scales, shard counts, and random arrival/departure
 //! interleavings.
 
+mod common;
+
 use coach_serve::{
     serve_trace, serve_trace_sharded, Controller, Request, RequestSource, Response, ServeConfig,
     ShardedController,
 };
 use coach_sim::{packing_experiment, Oracle, PolicyConfig, ProbeMode};
-use coach_trace::{generate, BehaviorTemplate, Cluster, Trace, TraceConfig, VmRecord};
+use coach_trace::{generate, TraceConfig};
 use coach_types::prelude::*;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use common::trace_from_spans;
 
 /// Full-strict equality of every `PackingResult` field, with a precise
 /// failure message.
@@ -364,52 +365,6 @@ fn per_request_responses_reconcile() {
     assert_eq!(accepted + rejected, trace.vms.len() as u64);
 }
 
-/// Build a synthetic trace from raw (arrival, lifetime, size) triples: the
-/// proptest harness for heap-driven event ordering, including simultaneous
-/// arrivals/departures and zero-length VMs.
-fn trace_from_spans(spans: &[(u64, u64, u32)], horizon_days: u64) -> Trace {
-    let horizon = Timestamp::from_days(horizon_days);
-    let clusters: Vec<Cluster> = (0..2)
-        .map(|c| Cluster {
-            id: ClusterId::new(c),
-            hardware: HardwareConfig::general_purpose_gen4(),
-            servers: (c * 4..c * 4 + 4).map(ServerId::new).collect(),
-        })
-        .collect();
-    let mut vms: Vec<VmRecord> = spans
-        .iter()
-        .enumerate()
-        .map(|(i, &(arrival_h, lifetime_h, cores_sel))| {
-            let mut rng = SmallRng::seed_from_u64(900 + i as u64);
-            let profile = BehaviorTemplate::sample(&mut rng).instantiate(i as u64);
-            let arrival = Timestamp::from_hours(arrival_h % (horizon_days * 24));
-            VmRecord {
-                id: VmId::new(i as u64),
-                subscription: SubscriptionId::new(i as u64 % 7),
-                subscription_type: SubscriptionType::External,
-                offering: Offering::Iaas,
-                config: VmConfig::general_purpose(1 + cores_sel % 8),
-                cluster: ClusterId::new(i as u64 % 2),
-                server: ServerId::new(0),
-                arrival,
-                departure: arrival + SimDuration::from_hours(lifetime_h),
-                profile,
-            }
-        })
-        .collect();
-    // The online stream contract: arrival-sorted records (ties keep index
-    // order, matching the batch sort's tie-break).
-    vms.sort_by_key(|vm| vm.arrival);
-    for (i, vm) in vms.iter_mut().enumerate() {
-        vm.id = VmId::new(i as u64);
-    }
-    Trace {
-        clusters,
-        vms,
-        horizon,
-    }
-}
-
 mod proptests {
     use super::*;
     use proptest::prelude::*;
@@ -426,7 +381,7 @@ mod proptests {
             policy_sel in 0usize..4,
             fraction_sel in 0usize..2,
         ) {
-            let trace = trace_from_spans(&spans, 6);
+            let trace = trace_from_spans(&spans, 6, 900);
             let policy = PolicyConfig::paper_set()[policy_sel];
             let fraction = [0.5, 1.0][fraction_sel];
             let online = serve_trace(
@@ -452,7 +407,7 @@ mod proptests {
             policy_sel in 0usize..4,
             shards in 1usize..=4,
         ) {
-            let trace = trace_from_spans(&spans, 6);
+            let trace = trace_from_spans(&spans, 6, 900);
             let policy = PolicyConfig::paper_set()[policy_sel];
             let sharded = serve_trace_sharded(
                 &trace,

@@ -4,15 +4,16 @@
 //! uninterrupted replay (and therefore to the batch experiment), at every
 //! snapshot point, shard count, and policy.
 
+mod common;
+
 use coach_serve::{
     serve_trace_sharded, Controller, Request, RequestSource, ShardedController, Snapshot,
 };
 use coach_sim::{packing_experiment, Oracle, PolicyConfig};
-use coach_trace::{generate, BehaviorTemplate, Cluster, Trace, TraceConfig, VmRecord};
+use coach_trace::{generate, Trace, TraceConfig};
 use coach_types::prelude::*;
 use coach_wire::WireError;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use common::trace_from_spans;
 
 /// Drain every shard at `split`, restore into a brand-new controller, and
 /// finish the stream there; return the merged final result.
@@ -180,49 +181,6 @@ fn restore_rejects_mismatched_or_corrupt_snapshots() {
     ));
 }
 
-/// Build a synthetic trace from raw (arrival, lifetime, size) triples —
-/// the same harness the differential suite uses for heap-driven orderings.
-fn trace_from_spans(spans: &[(u64, u64, u32)], horizon_days: u64) -> Trace {
-    let horizon = Timestamp::from_days(horizon_days);
-    let clusters: Vec<Cluster> = (0..2)
-        .map(|c| Cluster {
-            id: ClusterId::new(c),
-            hardware: HardwareConfig::general_purpose_gen4(),
-            servers: (c * 4..c * 4 + 4).map(ServerId::new).collect(),
-        })
-        .collect();
-    let mut vms: Vec<VmRecord> = spans
-        .iter()
-        .enumerate()
-        .map(|(i, &(arrival_h, lifetime_h, cores_sel))| {
-            let mut rng = SmallRng::seed_from_u64(1300 + i as u64);
-            let profile = BehaviorTemplate::sample(&mut rng).instantiate(i as u64);
-            let arrival = Timestamp::from_hours(arrival_h % (horizon_days * 24));
-            VmRecord {
-                id: VmId::new(i as u64),
-                subscription: SubscriptionId::new(i as u64 % 7),
-                subscription_type: SubscriptionType::External,
-                offering: Offering::Iaas,
-                config: VmConfig::general_purpose(1 + cores_sel % 8),
-                cluster: ClusterId::new(i as u64 % 2),
-                server: ServerId::new(0),
-                arrival,
-                departure: arrival + SimDuration::from_hours(lifetime_h),
-                profile,
-            }
-        })
-        .collect();
-    vms.sort_by_key(|vm| vm.arrival);
-    for (i, vm) in vms.iter_mut().enumerate() {
-        vm.id = VmId::new(i as u64);
-    }
-    Trace {
-        clusters,
-        vms,
-        horizon,
-    }
-}
-
 mod proptests {
     use super::*;
     use proptest::prelude::*;
@@ -239,7 +197,7 @@ mod proptests {
             shards in 1usize..=2,
             cut in 0.0f64..1.0,
         ) {
-            let trace = trace_from_spans(&spans, 6);
+            let trace = trace_from_spans(&spans, 6, 1300);
             let policy = PolicyConfig::paper_set()[policy_sel];
             let oracle = Oracle::new(TimeWindows::paper_default());
             let stream_len = RequestSource::replaying(&trace).count();

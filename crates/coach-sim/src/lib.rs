@@ -41,5 +41,6 @@ pub use packing::{
 };
 pub use prediction::{Model, NaiveReference, Oracle, Predictor};
 pub use probe::{
-    estimate_probe_capacity, measure_probe_capacity, paper_probe_times, probe_demand, ProbeMode,
+    estimate_probe_capacity, measure_probe_capacity, paper_probe_times, probe_demand,
+    probe_templates, ProbeMode,
 };

@@ -14,7 +14,7 @@
 //! [`coach_types::par_map`].
 
 use crate::prediction::Predictor;
-use crate::probe::{measure_probe_capacity, paper_probe_times, probe_demand};
+use crate::probe::{measure_probe_capacity, paper_probe_times, probe_templates};
 use coach_sched::{ClusterScheduler, PlacementHeuristic, PlacementOutcome, Policy, VmDemand};
 use coach_trace::{Trace, VmRecord};
 use coach_types::prelude::*;
@@ -184,10 +184,8 @@ fn packing_experiment_threads(
     let mut placement: HashMap<usize, (ServerId, f64, Vec<f64>)> = HashMap::new();
 
     // Probe demands depend only on (policy, percentile, windows, rotation):
-    // memoize one template per rotation and stamp fresh VM ids per probe.
-    let probe_templates: Vec<VmDemand> = (0..tw.count())
-        .map(|rotation| probe_demand(0, config.policy, config.percentile, tw.count(), rotation))
-        .collect();
+    // one template per rotation, stamped with fresh VM ids per probe.
+    let probe_templates = probe_templates(&config, tw.count());
 
     // Probe times: three points spread across the horizon.
     let probe_times = paper_probe_times(trace.horizon);

@@ -2,32 +2,29 @@
 //! measurement, shared by the batch replay and the online `coach-serve`
 //! controller.
 //!
-//! Two implementations produce the measurement:
+//! The measurement is produced two ways:
 //!
 //! * [`measure_probe_capacity`] — the exhaustive reference: greedily
-//!   **place** probe VMs into the real schedulers until nothing fits, count
-//!   them, then remove them all. Exact by definition, but every probe pays
-//!   full scheduler machinery (candidate index updates, VM bookkeeping,
-//!   demand clones) twice — once in, once out. At million-VM scale this is
-//!   the dominant per-measurement cost (~0.35 s on the reference trace).
-//! * [`estimate_probe_capacity`] — the incremental estimator: copy each
-//!   server's [`ProbeSummary`](coach_sched::ProbeSummary) (the commitment sums the scheduler already
-//!   maintains on every place/remove) into a scratch arena and replay the
-//!   *same* greedy fill arithmetically. Because the scratch holds the
-//!   scheduler's exact floats and applies the exact `can_fit` predicate and
-//!   BestFit ordering, the count is **bit-identical** to the exhaustive
-//!   fill — without mutating the scheduler at all (note the `&` vs `&mut`
-//!   iterator). Monotonicity of the fill (slack only shrinks) lets it cache
-//!   per-(server, rotation) infeasibility, so each server is fully checked
-//!   against each rotation at most once after its last successful probe.
+//!   **place** probe VMs into the real schedulers through their public
+//!   `place` until nothing fits, count them, then `remove` them all. Exact
+//!   by definition, but every probe pays full scheduler machinery
+//!   (candidate index updates, VM bookkeeping) twice — once in, once out.
+//! * [`estimate_probe_capacity`] — the sum of
+//!   [`ClusterScheduler::estimate_probe_fill`] over the clusters: the same
+//!   greedy fill replayed on scratch copies of each server's sums, through
+//!   the scheduler's own feasibility check, commit and candidate order,
+//!   without mutating the scheduler (note the `&` vs `&mut` iterator).
 //!
-//! The equivalence is enforced three ways: unit tests on the edge cases
-//! (empty cluster, over-committed server, exact occupancy crossings), a
-//! proptest replaying random churn, and `ProbeMode::Differential` in
-//! `coach-serve`, which runs both on every measurement of the differential
-//! suite and asserts equality.
+//! Feasibility and commit are shared code, so the estimator is exact on
+//! them by construction. What it walks on its own is the candidate order
+//! and the rotation schedule; unit tests on the edge cases (empty cluster,
+//! over-committed server, exact occupancy crossings), a proptest over
+//! random churn × policy × heuristic × scan, and `ProbeMode::Differential`
+//! in `coach-serve` (both on every measurement of the differential suite)
+//! hold it equal to the exhaustive fill.
 
-use coach_sched::{ClusterScheduler, PlacementHeuristic, PlacementOutcome, Policy, VmDemand};
+use crate::packing::PolicyConfig;
+use coach_sched::{ClusterScheduler, PlacementOutcome, Policy, VmDemand};
 use coach_types::prelude::*;
 
 /// How a serving-path probe measurement is produced.
@@ -40,7 +37,7 @@ pub enum ProbeMode {
     #[default]
     Exhaustive,
     /// The incremental estimator ([`estimate_probe_capacity`]): read-only,
-    /// scans the incrementally maintained per-server summaries. Produces
+    /// replays the fill on scratch copies of the per-server sums. Produces
     /// the same count; the schedulers are untouched (so the post-probe
     /// floating-point state can differ from the exhaustive path's
     /// add-then-remove dust by design).
@@ -100,6 +97,15 @@ pub fn probe_demand(
     VmDemand::from_prediction(VmId::new(id), requested, policy, Some(&prediction))
 }
 
+/// The probe VM of each window rotation under `policy` — a pure function of
+/// the policy and the window count, built once per experiment or
+/// controller (and left out of snapshots).
+pub fn probe_templates(policy: &PolicyConfig, windows: usize) -> Vec<VmDemand> {
+    (0..windows)
+        .map(|rotation| probe_demand(0, policy.policy, policy.percentile, windows, rotation))
+        .collect()
+}
+
 /// Fill every cluster's spare room with probe VMs (rotating peak windows,
 /// cloned from the memoized per-rotation templates), count them, and remove
 /// them again — the exhaustive reference measurement.
@@ -144,177 +150,26 @@ pub fn measure_probe_capacity<'a>(
     count
 }
 
-/// One server's scratch commitment state inside the estimator: a copy of
-/// its [`ProbeSummary`](coach_sched::ProbeSummary) floats that probe placements are applied to.
-struct Scratch {
-    capacity: ResourceVec,
-    guaranteed_sum: ResourceVec,
-    /// Flat per-window sums (stride = the server's window count).
-    window_sums: Vec<ResourceVec>,
-}
-
-impl Scratch {
-    /// `ServerState::can_fit`, verbatim over the scratch floats: the same
-    /// additions against the same capacity with the same epsilon, including
-    /// the 1-window broadcast rule.
-    fn can_fit(&self, d: &VmDemand) -> bool {
-        if !(self.guaranteed_sum + d.guaranteed).fits_within(&self.capacity) {
-            return false;
-        }
-        if d.window_count() == self.window_sums.len() {
-            d.window_max
-                .iter()
-                .zip(&self.window_sums)
-                .all(|(w, sum)| (*sum + *w).fits_within(&self.capacity))
-        } else {
-            let w = d.window_max[0];
-            self.window_sums
-                .iter()
-                .all(|sum| (*sum + w).fits_within(&self.capacity))
-        }
-    }
-
-    /// `ServerState::place`'s commitment updates, verbatim.
-    fn place(&mut self, d: &VmDemand) {
-        self.guaranteed_sum += d.guaranteed;
-        let broadcast = d.window_count() != self.window_sums.len();
-        for (w, sum) in self.window_sums.iter_mut().enumerate() {
-            *sum += if broadcast {
-                d.window_max[0]
-            } else {
-                d.window_max[w]
-            };
-        }
-    }
-
-    /// `ServerState::free_guaranteed().memory()` — the BestFit/WorstFit
-    /// ordering key.
-    fn headroom_memory(&self) -> f64 {
-        self.capacity.saturating_sub(&self.guaranteed_sum).memory()
-    }
-}
-
-/// Estimate spare probe capacity without touching the schedulers: scan the
-/// per-server [`ProbeSummary`](coach_sched::ProbeSummary)s into scratch state and replay the greedy
-/// fill arithmetically.
+/// Estimate spare probe capacity without touching the schedulers: the sum
+/// of each cluster's [`ClusterScheduler::estimate_probe_fill`].
 ///
-/// Bit-identical to [`measure_probe_capacity`] on the same scheduler state
-/// (same floats, same `can_fit` epsilon, same heuristic ordering and
-/// tie-breaks, same rotation/termination schedule), at a fraction of the
-/// cost: no candidate-index updates, no VM bookkeeping, no demand clones,
-/// no removal pass — and `&ClusterScheduler`, so concurrent readers could
+/// Equal to [`measure_probe_capacity`] on the same scheduler state, at a
+/// fraction of the cost: no candidate-index updates, no VM bookkeeping, no
+/// removal pass — and `&ClusterScheduler`, so concurrent readers could
 /// measure while the scheduler keeps serving.
 pub fn estimate_probe_capacity<'a>(
     schedulers: impl Iterator<Item = &'a ClusterScheduler>,
     templates: &[VmDemand],
 ) -> u64 {
     schedulers
-        .map(|sched| estimate_cluster(sched, templates))
+        .map(|sched| sched.estimate_probe_fill(templates))
         .sum()
-}
-
-/// Comparator defining the heuristic's candidate priority: the *first*
-/// feasible server in this order is exactly the server the scheduler's
-/// exhaustive scan elects — min (BestFit) / max (WorstFit) headroom with
-/// the strict-comparison first-by-index tie-break, or plain id order
-/// (FirstFit). Headrooms are finite and non-negative, so `total_cmp`
-/// agrees with the scan's `<`/`>`.
-fn candidate_order(
-    heuristic: PlacementHeuristic,
-    headroom: &[f64],
-    a: usize,
-    b: usize,
-) -> std::cmp::Ordering {
-    match heuristic {
-        PlacementHeuristic::FirstFit => a.cmp(&b),
-        PlacementHeuristic::BestFit => headroom[a].total_cmp(&headroom[b]).then(a.cmp(&b)),
-        PlacementHeuristic::WorstFit => headroom[b].total_cmp(&headroom[a]).then(a.cmp(&b)),
-    }
-}
-
-fn estimate_cluster(sched: &ClusterScheduler, templates: &[VmDemand]) -> u64 {
-    let windows = templates.len();
-    if windows == 0 {
-        return 0;
-    }
-    let heuristic = sched.heuristic();
-    let mut servers: Vec<Scratch> = sched
-        .servers()
-        .iter()
-        .map(|s| {
-            let summary = s.probe_summary();
-            Scratch {
-                capacity: summary.capacity,
-                guaranteed_sum: summary.guaranteed_sum,
-                window_sums: summary.window_sums.to_vec(),
-            }
-        })
-        .collect();
-    let mut headroom: Vec<f64> = servers.iter().map(Scratch::headroom_memory).collect();
-    // Server indices in candidate-priority order; kept sorted as
-    // placements move servers toward the front (BestFit) / back (WorstFit).
-    let mut order: Vec<usize> = (0..servers.len()).collect();
-    order.sort_unstable_by(|&a, &b| candidate_order(heuristic, &headroom, a, b));
-    // The fill only commits capacity, so once (server, rotation) rejects it
-    // rejects forever within this measurement: cache and skip re-checks.
-    let mut infeasible = vec![false; servers.len() * windows];
-    // Likewise, once a rotation finds no feasible server at all, it never
-    // will again — later attempts are rejections without a walk.
-    let mut dead_rotation = vec![false; windows];
-
-    let mut count = 0u64;
-    let mut consecutive_rejections = 0usize;
-    let mut rotation = 0usize;
-    while consecutive_rejections < windows {
-        // First feasible in priority order is the scheduler's choice; every
-        // failed check is cached, so the walk amortizes to O(1) per
-        // position plus one `can_fit` per (server, rotation) infeasibility
-        // transition.
-        let template = &templates[rotation];
-        let winner = if dead_rotation[rotation] {
-            None
-        } else {
-            order.iter().position(|&i| {
-                let cache = &mut infeasible[i * windows + rotation];
-                if *cache {
-                    return false;
-                }
-                if servers[i].can_fit(template) {
-                    true
-                } else {
-                    *cache = true;
-                    false
-                }
-            })
-        };
-        match winner {
-            Some(pos) => {
-                let idx = order.remove(pos);
-                servers[idx].place(template);
-                headroom[idx] = servers[idx].headroom_memory();
-                let dest = order
-                    .binary_search_by(|&j| candidate_order(heuristic, &headroom, j, idx))
-                    .expect_err("unique (headroom, index) key");
-                order.insert(dest, idx);
-                // The placement shrank this server's slack: its cached
-                // rejections stay valid (monotone), no invalidation needed.
-                count += 1;
-                consecutive_rejections = 0;
-            }
-            None => {
-                dead_rotation[rotation] = true;
-                consecutive_rejections += 1;
-            }
-        }
-        rotation = (rotation + 1) % windows;
-    }
-    count
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coach_sched::ScanStrategy;
+    use coach_sched::{PlacementHeuristic, ScanStrategy};
 
     fn templates_for(policy: Policy, percentile: Percentile, windows: usize) -> Vec<VmDemand> {
         (0..windows)
@@ -450,13 +305,15 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use coach_sched::{PlacementHeuristic, ScanStrategy};
     use proptest::prelude::*;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
         /// Random churn (places and removes of random multi-window demands)
         /// followed by a probe measurement: the estimator must equal the
-        /// exhaustive fill exactly, for every policy's template set.
+        /// exhaustive fill exactly, for every policy's template set, under
+        /// every heuristic and scan strategy.
         #[test]
         fn prop_estimator_matches_exhaustive(
             ops in prop::collection::vec(
@@ -465,12 +322,20 @@ mod proptests {
             ),
             policy_sel in 0usize..3,
             percentile_sel in 0usize..2,
+            heuristic_sel in 0usize..3,
+            scan_sel in 0usize..2,
         ) {
             let windows = TimeWindows::paper_default().count();
             let capacity = ResourceVec::new(16.0, 64.0, 10.0, 1024.0);
             let ids: Vec<ServerId> = (0..4).map(ServerId::new).collect();
-            let mut sched = ClusterScheduler::new(
-                &ids, capacity, windows, PlacementHeuristic::BestFit,
+            let heuristic = [
+                PlacementHeuristic::BestFit,
+                PlacementHeuristic::FirstFit,
+                PlacementHeuristic::WorstFit,
+            ][heuristic_sel];
+            let scan = [ScanStrategy::Indexed, ScanStrategy::NaiveReference][scan_sel];
+            let mut sched = ClusterScheduler::with_strategy(
+                &ids, capacity, windows, heuristic, scan,
             );
             for (i, (vm_raw, fracs, guar_frac)) in ops.iter().enumerate() {
                 if i % 4 == 3 {

@@ -43,7 +43,7 @@ pub const MAGIC: [u8; 4] = *b"CWIR";
 
 /// The current wire schema version. Bump on any layout change; decoding a
 /// frame with a different version fails with [`WireError::Version`].
-pub const VERSION: u16 = 6;
+pub const VERSION: u16 = 7;
 
 /// Frames larger than this are rejected by the pipe transport before any
 /// allocation — a corrupted length prefix must not look like a request

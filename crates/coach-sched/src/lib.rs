@@ -8,14 +8,18 @@
 //!   feasibility check and the Formula 3/4 memory-pool accounting
 //!   (multiplexed VA pool = max over windows of summed VA demand).
 //! * [`ClusterScheduler`] — best-fit placement across servers, backed by a
-//!   headroom-bucketed candidate index ([`ScanStrategy::Indexed`]) with the
+//!   contiguous feasibility table (one 96-byte summary row per server) and
+//!   a headroom-bucketed candidate index whose per-bucket bounds skip
+//!   buckets no member can host ([`ScanStrategy::Indexed`]), with the
 //!   exhaustive scan retained as a differential-testing reference
-//!   ([`ScanStrategy::NaiveReference`]), and the Fig 20a probe estimator
+//!   ([`ScanStrategy::NaiveReference`]), exact work counters
+//!   ([`PlaceWork`]), and the Fig 20a probe estimator
 //!   ([`ClusterScheduler::estimate_probe_fill`]).
 //!
-//! Each placement rule has one home here: the W+1 feasibility check and
-//! its commit in `server.rs`, the heuristics' candidate order in
-//! `scheduler.rs`. The scans and the probe estimator all call them.
+//! Each placement rule has one home here: the W+1 feasibility check, its
+//! quick accept / reject and its commit in `server.rs`, the heuristics'
+//! candidate order in `scheduler.rs`. The scans, the bucket bounds and the
+//! probe estimator all call them.
 //!
 //! # Example
 //!
@@ -40,6 +44,7 @@ pub mod wire;
 
 pub use demand::{Policy, VmDemand};
 pub use scheduler::{
-    ClusterScheduler, ClusterSchedulerDump, PlacementHeuristic, PlacementOutcome, ScanStrategy,
+    ClusterScheduler, ClusterSchedulerDump, PlaceWork, PlacementHeuristic, PlacementOutcome,
+    ScanStrategy,
 };
 pub use server::{HostedDemand, ServerState, ServerStateDump};

@@ -6,12 +6,42 @@
 //! portion; the placement heuristic itself (best-fit) is unchanged, which is
 //! why the overhead is < 1 ms per VM (§4.5).
 //!
-//! To keep that envelope at million-VM scale the scheduler maintains a
-//! **headroom index**: servers are bucketed by their free guaranteed memory,
-//! so BestFit scans only the lowest-headroom buckets (and WorstFit the
-//! highest) instead of the whole cluster. The original exhaustive scan is
-//! retained as [`ScanStrategy::NaiveReference`] for differential testing —
-//! both strategies are decision-identical by construction and by proptest.
+//! To keep that envelope at million-VM scale the scheduler keeps its hot
+//! state small and contiguous:
+//!
+//! * A **feasibility table**: one 96-byte `FitRow` per server (guaranteed
+//!   sum, tightest and loosest window slack), refreshed by every `place`
+//!   and `remove`. A candidate check reads its server's row, and reads the
+//!   server's window sums only when the row's quick accept and quick
+//!   reject both abstain. The cluster's one capacity is stored once.
+//! * A **headroom index**: servers bucketed by their free guaranteed
+//!   memory, so BestFit scans only the lowest-headroom buckets (and
+//!   WorstFit the highest) instead of the whole cluster. Each bucket keeps
+//!   its members in the heuristic's candidate order, so its scan stops at
+//!   the first feasible member. A 64-bit mask of non-empty buckets makes
+//!   empty ones free, and each bucket carries conservative bounds over its
+//!   members' rows — the element-wise minimum guaranteed sum and maximum
+//!   loosest slack — so one quick reject on the bounds passes over a
+//!   bucket no member can host.
+//! * A **VM map** to `(server, slot)`: a departure goes straight to its own
+//!   row, and the map is the duplicate check on placement.
+//!
+//! **Why a bucket skip never changes a decision.** The quick reject
+//! (`server::rejects`) is monotone: a larger guaranteed sum or a smaller
+//! loosest slack, element-wise, can only make it reject, because IEEE-754
+//! addition rounds monotonically (`a ≤ b ⇒ a + c ≤ b + c` after rounding)
+//! and `fits_within` is `≤ bound + ε`. Every member's guaranteed sum is at
+//! least the bucket's minimum and its loosest slack at most the bucket's
+//! maximum, so a reject on the bounds is a reject of every member's own
+//! row — the answer the per-member check would have given. Bounds only
+//! ever loosen between exact recomputations (a row that joins or changes
+//! widens them; a row that leaves does not narrow them), so they stay
+//! conservative; they are recomputed exactly when a full scan of the
+//! bucket finds no feasible member, and reset when it empties.
+//!
+//! The original exhaustive scan is retained as
+//! [`ScanStrategy::NaiveReference`] for differential testing — both
+//! strategies are decision-identical by construction and by proptest.
 //!
 //! Which feasible server a heuristic picks is written down once, as
 //! `PlacementHeuristic::candidate_order`; the naive scan, the pick inside a
@@ -23,11 +53,10 @@
 //! fill's without placing a probe.
 
 use crate::demand::VmDemand;
-use crate::server::{ServerState, Sums};
+use crate::server::{rejects, FitRow, ServerState, Sums};
 use coach_types::prelude::*;
 use std::borrow::Borrow;
 use std::cmp::Ordering;
-use std::collections::HashMap;
 
 /// Placement heuristic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -81,35 +110,153 @@ pub enum PlacementOutcome {
     Rejected,
 }
 
+/// The work a scheduler's placements have done, counted exactly: the
+/// counts are a function of the request stream, not of the machine, so
+/// two runs of one stream agree on them to the unit. Each `place` adds its
+/// counts once, when it returns; [`ClusterScheduler::work`] reads them.
+/// Under [`ScanStrategy::NaiveReference`] only `places` and `candidates`
+/// move.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlaceWork {
+    /// Placement attempts (`place` / `place_excluding` calls).
+    pub places: u64,
+    /// Servers whose feasibility was checked.
+    pub candidates: u64,
+    /// Non-empty headroom buckets passed over on their bounds alone,
+    /// without reading a member.
+    pub buckets_skipped: u64,
+    /// Candidates the quick checks left undecided, which read their
+    /// server's window sums.
+    pub window_scans: u64,
+}
+
+impl PlaceWork {
+    fn add(&mut self, more: &PlaceWork) {
+        self.places += more.places;
+        self.candidates += more.candidates;
+        self.buckets_skipped += more.buckets_skipped;
+        self.window_scans += more.window_scans;
+    }
+}
+
 /// Number of headroom buckets in the candidate index. Headroom lives in
-/// `[0, capacity.memory()]`, split uniformly.
+/// `[0, capacity.memory()]`, split uniformly. One bit each in the index's
+/// non-empty mask.
 const HEADROOM_BUCKETS: usize = 64;
+const _: () = assert!(HEADROOM_BUCKETS == u64::BITS as usize);
 
 /// Epsilon matching [`ResourceVec::fits_within`]'s feasibility slack; bucket
 /// pruning must be at least this permissive to stay decision-identical.
 const FIT_EPS: f64 = 1e-9;
 
-/// Servers bucketed by free guaranteed memory. Each bucket holds server
-/// indices sorted ascending so tie-breaking matches the naive scan (the
-/// first of several equal-headroom candidates wins).
-#[derive(Debug, Clone, PartialEq)]
+/// One headroom bucket: its members in candidate order and conservative
+/// bounds over their feasibility rows (see the module doc for why a skip
+/// on them is exact).
+#[derive(Debug, Clone)]
+struct Bucket {
+    /// Members as the heuristics compare them, `(index, free guaranteed
+    /// memory)`, sorted by `candidate_order`: the first feasible member is
+    /// the bucket's pick.
+    members: Vec<(usize, f64)>,
+    /// Element-wise at most every member's guaranteed sum.
+    min_guaranteed: ResourceVec,
+    /// Element-wise at least every member's loosest window slack.
+    max_window_slack: ResourceVec,
+    /// Whether the bounds are exactly the members' (no member has joined,
+    /// left or changed since they were computed), so recomputing them
+    /// would change nothing.
+    exact: bool,
+}
+
+impl Bucket {
+    /// The bounds of no member: the identities of min and max.
+    const NO_BOUNDS: (ResourceVec, ResourceVec) = (
+        ResourceVec::splat(f64::INFINITY),
+        ResourceVec::splat(f64::NEG_INFINITY),
+    );
+
+    /// Widen the bounds to cover `row`.
+    fn loosen(&mut self, row: &FitRow) {
+        self.min_guaranteed = self.min_guaranteed.min(&row.guaranteed);
+        self.max_window_slack = self.max_window_slack.max(&row.max_window_slack);
+        self.exact = false;
+    }
+
+    /// Recompute the bounds exactly from the members' rows, unless they
+    /// are exact already.
+    fn tighten(&mut self, table: &[FitRow]) {
+        if self.exact {
+            return;
+        }
+        (self.min_guaranteed, self.max_window_slack) = Self::NO_BOUNDS;
+        for &(i, _) in &self.members {
+            let row = &table[i];
+            self.min_guaranteed = self.min_guaranteed.min(&row.guaranteed);
+            self.max_window_slack = self.max_window_slack.max(&row.max_window_slack);
+        }
+        self.exact = true;
+    }
+
+    /// Whether no member can host `d`: the quick reject on the bounds.
+    #[inline]
+    fn rejects(&self, capacity: &ResourceVec, d: &VmDemand, trough: &ResourceVec) -> bool {
+        rejects(
+            &self.min_guaranteed,
+            &self.max_window_slack,
+            capacity,
+            d,
+            trough,
+        )
+    }
+}
+
+/// Servers bucketed by free guaranteed memory, each bucket in the
+/// heuristic's candidate order, with a non-empty mask and per-bucket
+/// bounds. Derived state: rebuilt exactly by `build`.
+#[derive(Debug, Clone)]
 struct HeadroomIndex {
     bucket_width: f64,
-    buckets: Vec<Vec<usize>>,
-    bucket_of: Vec<usize>,
+    buckets: Vec<Bucket>,
+    bucket_of: Vec<u8>,
+    /// Bit `b` is set iff bucket `b` has a member.
+    nonempty: u64,
 }
 
 impl HeadroomIndex {
-    fn new(full_headroom: f64, n_servers: usize) -> Self {
-        let bucket_width = full_headroom / HEADROOM_BUCKETS as f64;
-        let mut buckets = vec![Vec::new(); HEADROOM_BUCKETS];
-        let top = Self::bucket_index(bucket_width, full_headroom);
-        buckets[top] = (0..n_servers).collect();
-        HeadroomIndex {
+    /// Bucket every server by its row's headroom, in `heuristic`'s
+    /// candidate order, with exact bounds.
+    fn build(heuristic: PlacementHeuristic, capacity: &ResourceVec, table: &[FitRow]) -> Self {
+        let bucket_width = capacity.memory() / HEADROOM_BUCKETS as f64;
+        let (min_guaranteed, max_window_slack) = Bucket::NO_BOUNDS;
+        let mut index = HeadroomIndex {
             bucket_width,
-            buckets,
-            bucket_of: vec![top; n_servers],
+            buckets: vec![
+                Bucket {
+                    members: Vec::new(),
+                    min_guaranteed,
+                    max_window_slack,
+                    exact: true,
+                };
+                HEADROOM_BUCKETS
+            ],
+            bucket_of: Vec::with_capacity(table.len()),
+            nonempty: 0,
+        };
+        for (i, row) in table.iter().enumerate() {
+            let headroom = row.free_guaranteed(capacity).memory();
+            let b = index.bucket_for(headroom);
+            index.buckets[b].members.push((i, headroom));
+            index.buckets[b].loosen(row);
+            index.bucket_of.push(b as u8);
+            index.nonempty |= 1 << b;
         }
+        for bucket in &mut index.buckets {
+            bucket
+                .members
+                .sort_unstable_by(|&a, &b| heuristic.candidate_order(a, b));
+            bucket.exact = true;
+        }
+        index
     }
 
     fn bucket_index(bucket_width: f64, headroom: f64) -> usize {
@@ -124,37 +271,144 @@ impl HeadroomIndex {
         Self::bucket_index(self.bucket_width, headroom)
     }
 
-    /// Re-bucket one server after its headroom changed.
-    fn update(&mut self, server: usize, headroom: f64) {
+    /// Move one server whose headroom went from `was` to `headroom` to its
+    /// place in `order`'s candidate order — in another bucket if it crossed
+    /// a boundary — and widen its bucket's bounds to cover its new `row`. A
+    /// bucket left empty drops its bounds.
+    fn update(
+        &mut self,
+        order: PlacementHeuristic,
+        server: usize,
+        was: f64,
+        row: &FitRow,
+        headroom: f64,
+    ) {
         let new = self.bucket_for(headroom);
-        let old = self.bucket_of[server];
+        let old = usize::from(self.bucket_of[server]);
+        let old_bucket = &mut self.buckets[old];
+        let mut pos = old_bucket
+            .members
+            .binary_search_by(|&m| order.candidate_order(m, (server, was)))
+            .expect("server present in its bucket");
         if new == old {
+            // Slide the entry past the neighbours its new key overtakes:
+            // one step of insertion sort, the rest of the bucket is sorted.
+            let key = (server, headroom);
+            let members = &mut old_bucket.members;
+            while pos > 0 && order.candidate_order(key, members[pos - 1]).is_lt() {
+                members[pos] = members[pos - 1];
+                pos -= 1;
+            }
+            while pos + 1 < members.len() && order.candidate_order(members[pos + 1], key).is_lt() {
+                members[pos] = members[pos + 1];
+                pos += 1;
+            }
+            members[pos] = key;
+            old_bucket.loosen(row);
             return;
         }
-        let old_bucket = &mut self.buckets[old];
-        let pos = old_bucket
-            .binary_search(&server)
-            .expect("server present in its bucket");
-        old_bucket.remove(pos);
+        old_bucket.members.remove(pos);
+        if old_bucket.members.is_empty() {
+            (old_bucket.min_guaranteed, old_bucket.max_window_slack) = Bucket::NO_BOUNDS;
+            old_bucket.exact = true;
+            self.nonempty &= !(1 << old);
+        } else {
+            old_bucket.exact = false;
+        }
         let new_bucket = &mut self.buckets[new];
         let pos = new_bucket
-            .binary_search(&server)
+            .members
+            .binary_search_by(|&m| order.candidate_order(m, (server, headroom)))
             .expect_err("server absent from target bucket");
-        new_bucket.insert(pos, server);
-        self.bucket_of[server] = new;
+        new_bucket.members.insert(pos, (server, headroom));
+        new_bucket.loosen(row);
+        self.nonempty |= 1 << new;
+        self.bucket_of[server] = new as u8;
+    }
+
+    /// Recompute the bounds of every bucket in `mask` exactly.
+    fn tighten(&mut self, mut mask: u64, table: &[FitRow]) {
+        while mask != 0 {
+            let b = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            self.buckets[b].tighten(table);
+        }
+    }
+
+    /// The non-empty buckets from `start` up (BestFit's order).
+    fn ascending_from(&self, start: usize) -> impl Iterator<Item = usize> {
+        let mut mask = self.nonempty & (u64::MAX << start);
+        std::iter::from_fn(move || {
+            (mask != 0).then(|| {
+                let b = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                b
+            })
+        })
+    }
+
+    /// The non-empty buckets from the top down (WorstFit's order).
+    fn descending(&self) -> impl Iterator<Item = usize> {
+        let mut mask = self.nonempty;
+        std::iter::from_fn(move || {
+            (mask != 0).then(|| {
+                let b = 63 - mask.leading_zeros() as usize;
+                mask &= !(1 << b);
+                b
+            })
+        })
     }
 }
 
+/// Where a hosted VM is: its server's index and its slot there.
+#[derive(Debug, Clone, Copy)]
+struct Hosted {
+    server: u32,
+    slot: u32,
+}
+
 /// A cluster of servers being packed by one policy.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality is that of the decision state: the servers (their dumps — sums
+/// and hosted VMs), which server hosts each VM, the configuration, the
+/// occupancy count and the headroom buckets' membership. The bucket
+/// bounds, the VMs' slots and the work counters are left out: they depend
+/// on the path that led here (a restored scheduler has exact bounds and
+/// dense slots, and counts from zero), never on a decision.
+#[derive(Debug, Clone)]
 pub struct ClusterScheduler {
     servers: Vec<ServerState>,
-    by_id: HashMap<ServerId, usize>,
-    vm_to_server: HashMap<VmId, ServerId>,
+    /// Every server's capacity: a cluster is homogeneous.
+    capacity: ResourceVec,
+    /// The feasibility table: `table[i]` is `servers[i].fit_row()`,
+    /// refreshed by every place and remove; what the indexed scan reads.
+    table: Vec<FitRow>,
+    by_id: IdMap<ServerId, usize>,
+    vm_to_server: IdMap<VmId, Hosted>,
     heuristic: PlacementHeuristic,
     scan: ScanStrategy,
     index: HeadroomIndex,
     in_use: usize,
+    work: PlaceWork,
+}
+
+impl PartialEq for ClusterScheduler {
+    fn eq(&self, other: &Self) -> bool {
+        self.servers == other.servers
+            && self.capacity == other.capacity
+            && self.table == other.table
+            && self.heuristic == other.heuristic
+            && self.scan == other.scan
+            && self.in_use == other.in_use
+            && self.index.bucket_of == other.index.bucket_of
+            && self.vm_to_server.len() == other.vm_to_server.len()
+            && self.vm_to_server.iter().all(|(vm, hosted)| {
+                other
+                    .vm_to_server
+                    .get(vm)
+                    .is_some_and(|o| o.server == hosted.server)
+            })
+    }
 }
 
 impl ClusterScheduler {
@@ -180,7 +434,9 @@ impl ClusterScheduler {
         )
     }
 
-    /// Create a scheduler with an explicit candidate-search strategy.
+    /// Create a scheduler with an explicit candidate-search strategy. Every
+    /// server gets the one `capacity`: a cluster is homogeneous, and the
+    /// scheduler stores its capacity once.
     ///
     /// # Panics
     ///
@@ -198,26 +454,72 @@ impl ClusterScheduler {
             .iter()
             .map(|&id| ServerState::new(id, capacity, windows))
             .collect();
-        let by_id: HashMap<ServerId, usize> = server_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i))
-            .collect();
-        assert_eq!(by_id.len(), servers.len(), "duplicate server ids");
-        let index = HeadroomIndex::new(capacity.memory(), servers.len());
+        Self::over(servers, heuristic, scan)
+    }
+
+    /// The scheduler over `servers`, with every derived structure — the
+    /// id maps, the feasibility table, the headroom index, the in-use
+    /// count — built from their state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `servers` is empty, two servers differ in capacity or
+    /// window count, two share an id, or a VM is hosted on two servers.
+    fn over(servers: Vec<ServerState>, heuristic: PlacementHeuristic, scan: ScanStrategy) -> Self {
+        assert!(!servers.is_empty(), "need at least one server");
+        assert!(
+            u32::try_from(servers.len()).is_ok(),
+            "fewer than 2^32 servers"
+        );
+        let capacity = servers[0].capacity();
+        let windows = servers[0].windows();
+        assert!(
+            servers
+                .iter()
+                .all(|s| s.capacity() == capacity && s.windows() == windows),
+            "the servers of one cluster share one capacity and window count"
+        );
+        let mut by_id = IdMap::with_capacity_and_hasher(servers.len(), Default::default());
+        let mut vm_to_server = IdMap::default();
+        let mut in_use = 0;
+        for (i, s) in servers.iter().enumerate() {
+            assert!(by_id.insert(s.id(), i).is_none(), "duplicate server ids");
+            if s.vm_count() > 0 {
+                in_use += 1;
+            }
+            for (slot, vm) in s.slots() {
+                let hosted = Hosted {
+                    server: i as u32,
+                    slot,
+                };
+                assert!(
+                    vm_to_server.insert(vm, hosted).is_none(),
+                    "VM {vm} hosted on two servers"
+                );
+            }
+        }
+        let table: Vec<FitRow> = servers.iter().map(ServerState::fit_row).collect();
+        let index = HeadroomIndex::build(heuristic, &capacity, &table);
         ClusterScheduler {
             servers,
+            capacity,
+            table,
             by_id,
-            vm_to_server: HashMap::new(),
+            vm_to_server,
             heuristic,
             scan,
             index,
-            in_use: 0,
+            in_use,
+            work: PlaceWork::default(),
         }
     }
 
     /// Try to place a VM demand; returns where it landed. The demand is
     /// only read — pass a reference to keep it.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::place_excluding`].
     pub fn place(&mut self, demand: impl Borrow<VmDemand>) -> PlacementOutcome {
         self.place_excluding(demand.borrow(), &[])
     }
@@ -225,37 +527,71 @@ impl ClusterScheduler {
     /// Place, skipping the servers in `excluded` (used when the runtime
     /// layer refuses a logically-feasible placement and the caller retries
     /// elsewhere).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the VM is already hosted in this cluster, on any server
+    /// (remove it first), or if the demand's window count is neither 1 nor
+    /// the servers'.
     pub fn place_excluding(
         &mut self,
         demand: impl Borrow<VmDemand>,
         excluded: &[ServerId],
     ) -> PlacementOutcome {
         let demand = demand.borrow();
+        assert!(
+            !self.vm_to_server.contains_key(&demand.vm),
+            "VM {} already hosted in this cluster",
+            demand.vm
+        );
+        self.servers[0].check_windows(demand);
         let excluded_idx = self.excluded_indices(excluded);
-        let candidate = match self.scan {
-            ScanStrategy::Indexed => self.pick_server_indexed(demand, &excluded_idx),
-            ScanStrategy::NaiveReference => self.pick_server_naive(demand, &excluded_idx),
+        let mut work = PlaceWork {
+            places: 1,
+            ..PlaceWork::default()
         };
+        let (candidate, exhausted) = match self.scan {
+            ScanStrategy::Indexed => self.pick_server_indexed(demand, &excluded_idx, &mut work),
+            ScanStrategy::NaiveReference => {
+                (self.pick_server_naive(demand, &excluded_idx, &mut work), 0)
+            }
+        };
+        self.work.add(&work);
+        self.index.tighten(exhausted, &self.table);
         let Some(idx) = candidate else {
             return PlacementOutcome::Rejected;
         };
-        let id = self.servers[idx].id();
-        assert!(self.servers[idx].place(demand), "picked server must fit");
+        let slot = self.servers[idx]
+            .place_new(demand)
+            .expect("picked server must fit");
         if self.servers[idx].vm_count() == 1 {
             self.in_use += 1;
         }
+        self.refresh(idx);
+        let hosted = Hosted {
+            server: idx as u32,
+            slot,
+        };
+        self.vm_to_server.insert(demand.vm, hosted);
+        PlacementOutcome::Placed(self.servers[idx].id())
+    }
+
+    /// Copy server `idx`'s changed state into its table row and, under the
+    /// indexed scan, its headroom bucket.
+    fn refresh(&mut self, idx: usize) {
+        let row = self.servers[idx].fit_row();
+        let was = self.candidate(idx).1;
+        self.table[idx] = row;
         if self.scan == ScanStrategy::Indexed {
-            self.index
-                .update(idx, self.servers[idx].free_guaranteed().memory());
+            let headroom = self.candidate(idx).1;
+            self.index.update(self.heuristic, idx, was, &row, headroom);
         }
-        self.vm_to_server.insert(demand.vm, id);
-        PlacementOutcome::Placed(id)
     }
 
     /// Server `i` as the heuristics compare it: `(index, free guaranteed
     /// memory)`.
     fn candidate(&self, i: usize) -> (usize, f64) {
-        (i, self.servers[i].free_guaranteed().memory())
+        (i, self.table[i].free_guaranteed(&self.capacity).memory())
     }
 
     /// Resolve excluded server ids to a sorted index list once, so the scan
@@ -285,12 +621,41 @@ impl ClusterScheduler {
     /// The seed's exhaustive scan: every server, full `can_fit`, the first
     /// feasible one in the heuristic's order. Retained as the
     /// differential-testing reference.
-    fn pick_server_naive(&self, demand: &VmDemand, excluded: &[usize]) -> Option<usize> {
-        self.first_in_order(
-            (0..self.servers.len()).filter(|&i| {
-                excluded.binary_search(&i).is_err() && self.servers[i].can_fit(demand)
-            }),
-        )
+    fn pick_server_naive(
+        &self,
+        demand: &VmDemand,
+        excluded: &[usize],
+        work: &mut PlaceWork,
+    ) -> Option<usize> {
+        self.first_in_order((0..self.servers.len()).filter(|&i| {
+            excluded.binary_search(&i).is_err() && {
+                work.candidates += 1;
+                self.servers[i].can_fit(demand)
+            }
+        }))
+    }
+
+    /// Server `i`'s W+1 check through the feasibility table: its row's
+    /// quick answer, else the exact scan of its window sums. Equivalent to
+    /// [`ServerState::can_fit_with_bounds`], which runs the same two
+    /// functions.
+    #[inline]
+    fn feasible(
+        &self,
+        i: usize,
+        demand: &VmDemand,
+        peak: &ResourceVec,
+        trough: &ResourceVec,
+        work: &mut PlaceWork,
+    ) -> bool {
+        work.candidates += 1;
+        match self.table[i].quick_fit(&self.capacity, demand, peak, trough) {
+            Some(fits) => fits,
+            None => {
+                work.window_scans += 1;
+                self.servers[i].windows_fit(demand)
+            }
+        }
     }
 
     /// Indexed scan. Decision-identical to [`Self::pick_server_naive`]:
@@ -302,63 +667,92 @@ impl ClusterScheduler {
     /// * Within a bucket the pick is the same order's first, ties included.
     /// * BestFit skips buckets that cannot hold `demand.guaranteed`'s memory
     ///   (minus the `fits_within` epsilon), pruning full servers wholesale.
-    fn pick_server_indexed(&self, demand: &VmDemand, excluded: &[usize]) -> Option<usize> {
+    /// * Empty buckets are never visited, and a bucket whose bounds reject
+    ///   the demand holds no feasible server (module doc).
+    ///
+    /// Also returns the mask of buckets scanned in full without a feasible
+    /// member, whose bounds the caller recomputes.
+    fn pick_server_indexed(
+        &self,
+        demand: &VmDemand,
+        excluded: &[usize],
+        work: &mut PlaceWork,
+    ) -> (Option<usize>, u64) {
         let peak = demand.window_peak();
         let trough = demand.window_trough();
-        let feasible = |i: usize| {
-            excluded.binary_search(&i).is_err()
-                && self.servers[i].can_fit_with_bounds(demand, &peak, &trough)
-        };
         match self.heuristic {
             PlacementHeuristic::FirstFit => {
                 // Id order is the contract; the index cannot reorder it, but
-                // the bounds-checked can_fit still prunes candidates fast.
-                (0..self.servers.len()).find(|&i| feasible(i))
+                // the table's quick checks still prune candidates fast.
+                let pick = (0..self.servers.len()).find(|&i| {
+                    excluded.binary_search(&i).is_err()
+                        && self.feasible(i, demand, &peak, &trough, work)
+                });
+                (pick, 0)
             }
             PlacementHeuristic::BestFit => {
                 // Buckets below the demand's guaranteed memory cannot host
                 // it (minus the fits_within epsilon): skip them wholesale.
                 let need_mem = (demand.guaranteed.memory() - FIT_EPS).max(0.0);
                 let start = self.index.bucket_for(need_mem);
-                self.best_in_buckets(self.index.buckets[start..].iter(), feasible)
+                let buckets = self.index.ascending_from(start);
+                self.best_in_buckets(buckets, demand, &peak, &trough, excluded, work)
             }
             PlacementHeuristic::WorstFit => {
-                self.best_in_buckets(self.index.buckets.iter().rev(), feasible)
+                let buckets = self.index.descending();
+                self.best_in_buckets(buckets, demand, &peak, &trough, excluded, work)
             }
         }
     }
 
     /// Scan buckets in the given order, returning the first feasible server
-    /// in the heuristic's order from the first bucket that has one.
-    fn best_in_buckets<'a>(
+    /// in the heuristic's order from the first bucket that has one, and
+    /// the mask of buckets scanned without finding one.
+    fn best_in_buckets(
         &self,
-        mut buckets: impl Iterator<Item = &'a Vec<usize>>,
-        feasible: impl Fn(usize) -> bool,
-    ) -> Option<usize> {
-        buckets
-            .find_map(|bucket| self.first_in_order(bucket.iter().copied().filter(|&i| feasible(i))))
+        buckets: impl Iterator<Item = usize>,
+        demand: &VmDemand,
+        peak: &ResourceVec,
+        trough: &ResourceVec,
+        excluded: &[usize],
+        work: &mut PlaceWork,
+    ) -> (Option<usize>, u64) {
+        let mut exhausted = 0u64;
+        for b in buckets {
+            let bucket = &self.index.buckets[b];
+            if bucket.rejects(&self.capacity, demand, trough) {
+                work.buckets_skipped += 1;
+                continue;
+            }
+            let pick = bucket.members.iter().map(|&(i, _)| i).find(|&i| {
+                excluded.binary_search(&i).is_err() && self.feasible(i, demand, peak, trough, work)
+            });
+            if pick.is_some() {
+                return (pick, exhausted);
+            }
+            exhausted |= 1 << b;
+        }
+        (None, exhausted)
     }
 
     /// Deallocate a VM, returning the server that hosted it (no-op and
-    /// `None` if unknown).
+    /// `None` if unknown). Touches only the VM's own row.
     pub fn remove(&mut self, vm: VmId) -> Option<ServerId> {
-        let server = self.vm_to_server.remove(&vm)?;
-        let idx = self.by_id[&server];
-        if self.servers[idx].remove(vm) {
-            if self.servers[idx].vm_count() == 0 {
-                self.in_use -= 1;
-            }
-            if self.scan == ScanStrategy::Indexed {
-                self.index
-                    .update(idx, self.servers[idx].free_guaranteed().memory());
-            }
+        let Hosted { server, slot } = self.vm_to_server.remove(&vm)?;
+        let idx = server as usize;
+        self.servers[idx].remove_slot(slot);
+        if self.servers[idx].vm_count() == 0 {
+            self.in_use -= 1;
         }
-        Some(server)
+        self.refresh(idx);
+        Some(self.servers[idx].id())
     }
 
     /// The server hosting a VM.
     pub fn server_of(&self, vm: VmId) -> Option<ServerId> {
-        self.vm_to_server.get(&vm).copied()
+        self.vm_to_server
+            .get(&vm)
+            .map(|hosted| self.servers[hosted.server as usize].id())
     }
 
     /// All server states.
@@ -382,6 +776,11 @@ impl ClusterScheduler {
         self.in_use
     }
 
+    /// The work this scheduler's placements have done (see [`PlaceWork`]).
+    pub fn work(&self) -> PlaceWork {
+        self.work
+    }
+
     /// How many probe VMs a greedy fill could still place on this cluster
     /// (the Fig 20a spare-capacity measurement), without placing any.
     ///
@@ -401,11 +800,8 @@ impl ClusterScheduler {
             return 0;
         }
         let n = self.servers.len();
-        let mut scratch: Vec<(ResourceVec, Sums)> = self
-            .servers
-            .iter()
-            .map(|s| (s.capacity(), s.sums().clone()))
-            .collect();
+        let capacity = self.capacity;
+        let mut scratch: Vec<Sums> = self.servers.iter().map(|s| s.sums().clone()).collect();
         let mut headroom: Vec<f64> = (0..n).map(|i| self.candidate(i).1).collect();
         let order_of = |headroom: &[f64], a: usize, b: usize| {
             self.heuristic
@@ -432,17 +828,16 @@ impl ClusterScheduler {
                     if *cache {
                         return false;
                     }
-                    let (capacity, sums) = &scratch[i];
-                    *cache = !sums.fits(capacity, template);
+                    *cache = !scratch[i].fits(&capacity, template);
                     !*cache
                 })
             };
             match winner {
                 Some(pos) => {
                     let idx = order.remove(pos);
-                    let (capacity, sums) = &mut scratch[idx];
+                    let sums = &mut scratch[idx];
                     sums.add(template);
-                    headroom[idx] = sums.free_guaranteed(capacity).memory();
+                    headroom[idx] = sums.free_guaranteed(&capacity).memory();
                     let dest = order
                         .binary_search_by(|&j| order_of(&headroom, j, idx))
                         .expect_err("unique (headroom, index) key");
@@ -463,12 +858,14 @@ impl ClusterScheduler {
     /// Serialize the scheduler for snapshot/restore: per-server dumps with
     /// their floating-point sums verbatim.
     ///
-    /// Derived structures — the id maps, the headroom index, the in-use
-    /// count — are *not* emitted: [`ClusterScheduler::from_dump`] rebuilds
-    /// them from the server states, and the rebuild is exact (bucket
-    /// membership is a pure function of each server's current headroom, and
-    /// within-bucket order is ascending server index in both the live and
-    /// rebuilt paths). Neither are the heuristic and scan strategy: they are
+    /// Derived structures — the id maps, the feasibility table, the
+    /// headroom index with its mask and bounds, the in-use count — are
+    /// *not* emitted: [`ClusterScheduler::from_dump`] rebuilds them from
+    /// the server states. The rebuild makes the same decisions: table rows
+    /// and bucket membership are pure functions of each server's sums,
+    /// within-bucket order is the heuristic's candidate order in both the
+    /// live and rebuilt paths, and the bounds are conservative in both
+    /// (exact in the rebuilt one). Neither are the heuristic and scan strategy: they are
     /// configuration, and the caller that owns the configuration passes
     /// them back to `from_dump`.
     pub fn dump(&self) -> ClusterSchedulerDump {
@@ -483,57 +880,96 @@ impl ClusterScheduler {
     ///
     /// # Panics
     ///
-    /// Panics if the dump has no servers, duplicate server ids, or a VM
-    /// hosted on two servers.
+    /// Panics if the dump has no servers, servers that differ in capacity
+    /// or window count, duplicate server ids, or a VM hosted on two
+    /// servers. A dump decoded from the wire has none of these: the codec
+    /// refuses them first.
     pub fn from_dump(
         dump: ClusterSchedulerDump,
         heuristic: PlacementHeuristic,
         scan: ScanStrategy,
     ) -> Self {
         assert!(!dump.servers.is_empty(), "dump has no servers");
-        let servers: Vec<ServerState> = dump
+        let servers = dump
             .servers
             .into_iter()
             .map(ServerState::from_dump)
             .collect();
-        let mut by_id = HashMap::with_capacity(servers.len());
-        let mut vm_to_server = HashMap::new();
-        let mut in_use = 0;
-        for (i, s) in servers.iter().enumerate() {
-            assert!(by_id.insert(s.id(), i).is_none(), "duplicate server ids");
-            if s.vm_count() > 0 {
-                in_use += 1;
-            }
-            for vm in s.vm_ids() {
-                assert!(
-                    vm_to_server.insert(vm, s.id()).is_none(),
-                    "VM {vm} hosted on two servers"
-                );
-            }
-        }
-        let mut index = HeadroomIndex::new(servers[0].capacity().memory(), servers.len());
-        for (i, s) in servers.iter().enumerate() {
-            index.update(i, s.free_guaranteed().memory());
-        }
-        ClusterScheduler {
-            servers,
-            by_id,
-            vm_to_server,
-            heuristic,
-            scan,
-            index,
-            in_use,
-        }
+        Self::over(servers, heuristic, scan)
     }
 }
 
 /// A [`ClusterScheduler`]'s servers flattened for snapshot/restore. Its
 /// own type so that decoding one refuses what `from_dump` would panic on:
-/// no servers, a server id twice, a VM hosted on two servers.
+/// no servers, servers of different capacities or window counts, a server
+/// id twice, a VM hosted on two servers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSchedulerDump {
     /// Per-server dumps in scheduler (id) order.
     pub servers: Vec<crate::server::ServerStateDump>,
+}
+
+#[cfg(test)]
+impl ClusterScheduler {
+    /// Check every derived structure against the servers it derives from:
+    /// the table, the VM map (server and slot), the in-use count and —
+    /// under the indexed scan — each headroom bucket's membership, its
+    /// mask bit, and bounds that hold for every member.
+    fn assert_consistent(&self) {
+        for (i, s) in self.servers.iter().enumerate() {
+            assert_eq!(self.table[i], s.fit_row(), "server {i}'s table row");
+            for (slot, vm) in s.slots() {
+                let hosted = self.vm_to_server[&vm];
+                assert_eq!((hosted.server as usize, hosted.slot), (i, slot), "{vm}");
+            }
+        }
+        let hosted: usize = self.servers.iter().map(ServerState::vm_count).sum();
+        assert_eq!(self.vm_to_server.len(), hosted, "VM map size");
+        let in_use = self.servers.iter().filter(|s| s.vm_count() > 0).count();
+        assert_eq!(self.in_use, in_use, "servers in use");
+        if self.scan == ScanStrategy::NaiveReference {
+            return;
+        }
+        for (b, bucket) in self.index.buckets.iter().enumerate() {
+            let bit = self.index.nonempty >> b & 1 == 1;
+            assert_eq!(bit, !bucket.members.is_empty(), "bucket {b}'s mask bit");
+            let order = self.heuristic;
+            assert!(
+                bucket
+                    .members
+                    .windows(2)
+                    .all(|w| order.candidate_order(w[0], w[1]).is_lt()),
+                "bucket {b} out of candidate order"
+            );
+            if bucket.exact {
+                let mut recomputed = bucket.clone();
+                recomputed.exact = false;
+                recomputed.tighten(&self.table);
+                assert_eq!(
+                    (recomputed.min_guaranteed, recomputed.max_window_slack),
+                    (bucket.min_guaranteed, bucket.max_window_slack),
+                    "bucket {b} claims exact bounds"
+                );
+            }
+            for &(i, stored) in &bucket.members {
+                let row = &self.table[i];
+                let headroom = row.free_guaranteed(&self.capacity).memory();
+                assert_eq!(stored.to_bits(), headroom.to_bits(), "server {i}'s key");
+                assert_eq!(self.index.bucket_for(headroom), b, "server {i}'s bucket");
+                assert_eq!(usize::from(self.index.bucket_of[i]), b);
+                let below =
+                    |lo: &ResourceVec, v: &ResourceVec| lo.0.iter().zip(v.0).all(|(l, v)| *l <= v);
+                assert!(
+                    below(&bucket.min_guaranteed, &row.guaranteed),
+                    "bucket {b}'s guaranteed bound is above server {i}'s sum"
+                );
+                assert!(
+                    below(&row.max_window_slack, &bucket.max_window_slack),
+                    "bucket {b}'s slack bound is below server {i}'s loosest slack"
+                );
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -666,9 +1102,13 @@ mod tests {
             PlacementHeuristic::BestFit,
             ScanStrategy::Indexed,
         );
-        // Full structural equality: servers (all float sums), maps, and the
-        // rebuilt headroom index.
+        // Decision state and membership: servers (all float sums), which
+        // server hosts each VM, the table and the buckets' members — not
+        // the cached bounds or the slots, which the rebuild makes exact and
+        // dense.
         assert_eq!(s, restored);
+        s.assert_consistent();
+        restored.assert_consistent();
         // And the restored instance keeps making identical decisions.
         let mut a = s;
         let mut b = restored;
@@ -679,6 +1119,96 @@ mod tests {
             );
         }
         assert_eq!(a, b);
+        a.assert_consistent();
+        b.assert_consistent();
+    }
+
+    /// The same id placed twice, where best fit would put the second copy
+    /// on the server that hosts the first.
+    #[test]
+    #[should_panic(expected = "VM vm-1 already hosted in this cluster")]
+    fn a_vm_cannot_be_placed_twice_on_one_server() {
+        let mut s = ClusterScheduler::new(&ids(2), cap(), 1, PlacementHeuristic::BestFit);
+        assert!(matches!(
+            s.place(full_demand(1, 2.0, 8.0)),
+            PlacementOutcome::Placed(_)
+        ));
+        s.place(full_demand(1, 2.0, 8.0));
+    }
+
+    /// The same id placed twice, where only another server has room for
+    /// the second copy: placing it would lose the first copy's capacity
+    /// for good (its map entry overwritten, it could never be removed).
+    #[test]
+    #[should_panic(expected = "VM vm-1 already hosted in this cluster")]
+    fn a_vm_cannot_be_placed_twice_on_two_servers() {
+        let mut s = ClusterScheduler::new(&ids(2), cap(), 1, PlacementHeuristic::BestFit);
+        assert_eq!(
+            s.place(full_demand(1, 10.0, 40.0)),
+            PlacementOutcome::Placed(ServerId::new(0))
+        );
+        s.place(full_demand(1, 10.0, 40.0));
+    }
+
+    /// The work counters on a fixed trace (three servers, two windows,
+    /// best fit). A bucket is scanned in candidate order and its first
+    /// feasible member is the pick, so a scan stops there:
+    ///
+    /// * `a`–`c` (15 cores each) fill one server each, checking the full
+    ///   servers before it in the top bucket (1, 2, 3 candidates);
+    /// * `d` finds all three full on CPU (3) and tightens the top bucket's
+    ///   bounds; `e` is then rejected on the bounds alone (a skip);
+    /// * `f` (1 core) fits server 0 (1), which moves down a bucket;
+    ///   removing `a` moves it back and loosens the bounds;
+    /// * `g` fits server 0 again (1) and moves it down; `h` skips its
+    ///   bucket (full on CPU) and takes server 1 from the top bucket (1);
+    /// * `i` peaks in the window `h` left free: server 0 is rejected
+    ///   quickly and server 1 needs the window scan (2 candidates, 1 scan).
+    #[test]
+    fn work_counters_are_exact_on_a_fixed_trace() {
+        let demand = |vm: u64, cores: f64, windows: [f64; 2]| VmDemand {
+            vm: VmId::new(vm),
+            requested: ResourceVec::new(cores, 40.0, 0.1, 1.0),
+            guaranteed: ResourceVec::new(cores, 1.0, 0.1, 1.0),
+            window_max: windows
+                .iter()
+                .map(|&mem| ResourceVec::new(cores, mem, 0.1, 1.0))
+                .collect(),
+        };
+        let placed = |server: u64| PlacementOutcome::Placed(ServerId::new(server));
+        let mut s = ClusterScheduler::new(&ids(3), cap(), 2, PlacementHeuristic::BestFit);
+        let steps = [
+            (demand(1, 15.0, [1.0, 1.0]), placed(0)),
+            (demand(2, 15.0, [1.0, 1.0]), placed(1)),
+            (demand(3, 15.0, [1.0, 1.0]), placed(2)),
+            (demand(4, 15.0, [1.0, 1.0]), PlacementOutcome::Rejected),
+            (demand(5, 15.0, [1.0, 1.0]), PlacementOutcome::Rejected),
+            (demand(6, 1.0, [1.0, 1.0]), placed(0)),
+        ];
+        for (d, outcome) in &steps {
+            assert_eq!(s.place(d), *outcome, "{}", d.vm);
+        }
+        assert_eq!(s.remove(VmId::new(1)), Some(ServerId::new(0)));
+        for (d, outcome) in [
+            (demand(7, 15.0, [1.0, 1.0]), placed(0)),
+            (demand(8, 0.5, [40.0, 1.0]), placed(1)),
+            (demand(9, 0.5, [1.0, 40.0]), placed(1)),
+        ] {
+            assert_eq!(s.place(&d), outcome, "{}", d.vm);
+        }
+        s.assert_consistent();
+        assert_eq!(
+            s.work(),
+            PlaceWork {
+                places: 9,
+                candidates: 14,
+                buckets_skipped: 2,
+                window_scans: 1,
+            }
+        );
+        // A restored scheduler counts its own placements from zero.
+        let restored = ClusterScheduler::from_dump(s.dump(), s.heuristic, s.scan);
+        assert_eq!(restored.work(), PlaceWork::default());
     }
 
     #[test]
@@ -821,6 +1351,44 @@ mod proptests {
             }
             prop_assert_eq!(indexed.vm_count(), naive.vm_count());
             prop_assert_eq!(indexed.servers_in_use(), naive.servers_in_use());
+        }
+
+        /// Under random churn of one- and three-window placements and
+        /// removals, for all three heuristics, every bucket's bounds hold
+        /// for every member and its mask bit matches its emptiness after
+        /// every step (with the table and the VM map in step too). Some
+        /// demands have their memory scaled down a hundred- or
+        /// thousandfold, so a server's row also changes without its
+        /// headroom leaving its bucket.
+        #[test]
+        fn prop_bucket_bounds_stay_conservative(
+            ops in prop::collection::vec((arb_demand(3), 0u8..4, 0usize..3), 1..120),
+            heuristic_sel in 0usize..3,
+        ) {
+            let heuristic = [
+                PlacementHeuristic::BestFit,
+                PlacementHeuristic::FirstFit,
+                PlacementHeuristic::WorstFit,
+            ][heuristic_sel];
+            let capacity = ResourceVec::new(16.0, 64.0, 10.0, 1024.0);
+            let ids: Vec<ServerId> = (0..6).map(ServerId::new).collect();
+            let mut sched = ClusterScheduler::new(&ids, capacity, 3, heuristic);
+            for (i, ((vm_raw, window_fracs, guar_frac), kind, shape)) in ops.iter().enumerate() {
+                if *kind == 0 {
+                    sched.remove(VmId::new(1000 + vm_raw % (i as u64 + 1)));
+                } else {
+                    let windows = if *kind == 1 { &window_fracs[..1] } else { &window_fracs[..] };
+                    let mut d = demand_from(i, windows, *guar_frac);
+                    let scale = [1.0, 0.01, 0.001][*shape];
+                    d.requested.0[1] *= scale;
+                    d.guaranteed.0[1] *= scale;
+                    for w in d.window_max.iter_mut() {
+                        w.0[1] *= scale;
+                    }
+                    sched.place(d);
+                }
+                sched.assert_consistent();
+            }
         }
     }
 }

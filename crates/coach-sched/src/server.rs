@@ -2,20 +2,33 @@
 //! the Formula 3/4 memory-pool accounting, and — per hosted VM — only what
 //! deallocation must subtract again.
 //!
-//! §3.3 has the scheduler keep W+1 sums per server. Beside them a server
-//! keeps two dense columns, one entry per hosted VM: the ids (what the
-//! duplicate check in `place` and the lookup in `remove` scan — 8 bytes
-//! each, two cache lines at sixteen VMs) and a [`HostedDemand`] row of the
-//! guaranteed vector plus the per-window maxima of Formulas 1–2. A
-//! one-window demand (the `None` / `Single` policies, or no prediction)
-//! carries its one window inline; only a W-window demand carries W, boxed.
-//! The customer's request is not kept: nothing reads it after placement.
+//! §3.3 has the scheduler keep W+1 sums per server, here inline in the
+//! server for every shipped window partition. Beside them a server keeps
+//! one slot per hosted VM: its id and a [`HostedDemand`] row of the
+//! guaranteed vector plus the per-window maxima of Formulas 1–2, 80 bytes
+//! together. A one-window demand (the `None` / `Single` policies, or no
+//! prediction) carries its one window inline; only a W-window demand
+//! carries W, boxed. The customer's request is not kept: nothing reads it
+//! after placement.
 //!
-//! The W+1 sums and the rule that reads them live in one crate-private
-//! type, `Sums`: its `fits` is the feasibility check and its `add` the
-//! matching commit. `can_fit`, `can_fit_with_bounds` and `place` call
-//! them, and so does the scheduler's probe estimator on scratch copies —
-//! there is no second copy of the rule to keep in step.
+//! A departure empties its own slot and nothing else: the slot goes on a
+//! free list that the server's next placement takes first, so no other
+//! VM's row moves. The scheduler knows each VM's slot — its VM map holds
+//! `(server, slot)` — so it places through the crate-private `place_new`
+//! and removes through `remove_slot` without scanning the slots; only the
+//! public by-id `place` (its duplicate check) and `remove(vm)` scan them.
+//!
+//! The W+1 sums and the rule that reads them live here once. `Sums` holds
+//! the sums, with `fits` (the exact check) and `add` (the commit). A
+//! `FitRow` is a server's *summary* of them — the guaranteed sum and the
+//! tightest and loosest window slack, 96 bytes — with the quick part of
+//! the rule: `quick_fit` decides most candidates from the row alone, and
+//! only when it cannot does the exact per-window scan (`windows_fit`) read
+//! the window sums. The scheduler keeps one `FitRow` per server in a
+//! contiguous table and bounds whole headroom buckets with the same
+//! `rejects` test; `can_fit_with_bounds`, the scheduler's scan and the
+//! probe estimator's scratch copies all call these functions — there is no
+//! second copy of the rule to keep in step.
 //!
 //! The hot path (`can_fit` → `place`/`remove`) never materializes a
 //! normalized vector: demands whose window count differs from the server's
@@ -24,8 +37,8 @@
 //! one-window demand allocates nothing once the columns have room.
 //!
 //! The columns are never shrunk. A departure frees the boxed windows at
-//! once; the dense part (80 bytes a slot) stays at the most VMs the server
-//! has hosted at one time, which the hardware bounds and the length of the
+//! once; the slots (80 bytes each) stay at the most VMs the server has
+//! hosted at one time, which the hardware bounds and the length of the
 //! stream does not (`stream_cold`: 25 MB at its 224k-resident peak, 27 MB
 //! by its last arrival). `remove` cannot tell a tenant leaving from a probe
 //! unwinding, and every exhaustive probe fills each server and empties it
@@ -112,18 +125,98 @@ fn window(window_max: &[ResourceVec], w: usize) -> &ResourceVec {
 pub(crate) struct Sums {
     /// Σ over hosted VMs of `guaranteed` (the Formula 3 dimension).
     pub(crate) guaranteed: ResourceVec,
-    /// Per-window Σ over hosted VMs of `window_max[w]`.
-    pub(crate) windows: Vec<ResourceVec>,
+    /// Per-window Σ over hosted VMs of `window_max[w]`, inline in the
+    /// server for the shipped partitions (≤ [`WindowVec::INLINE`] windows).
+    pub(crate) windows: WindowVec,
+}
+
+/// The guaranteed part of the check: `guaranteed + d.guaranteed` within
+/// `capacity`.
+#[inline]
+fn guaranteed_fits(guaranteed: &ResourceVec, capacity: &ResourceVec, d: &VmDemand) -> bool {
+    (*guaranteed + d.guaranteed).fits_within(capacity)
+}
+
+/// The quick reject, from a guaranteed sum and a loosest window slack:
+/// the guaranteed part overflows, or the demand's mildest window
+/// (`trough`, [`VmDemand::window_trough`]) overflows the loosest slack on
+/// some resource, so it overflows every window there.
+///
+/// Monotone in its inputs: a larger `guaranteed` or a smaller
+/// `max_window_slack`, element-wise, can only turn a `false` into a
+/// `true` (IEEE-754 addition rounds monotonically, and `fits_within` is a
+/// `<=` against `bound + ε`). So `rejects` on an element-wise lower bound
+/// of several servers' guaranteed sums and an upper bound of their
+/// loosest slacks implies `rejects` on every one of them — the
+/// scheduler's bucket skip.
+#[inline]
+pub(crate) fn rejects(
+    guaranteed: &ResourceVec,
+    max_window_slack: &ResourceVec,
+    capacity: &ResourceVec,
+    d: &VmDemand,
+    trough: &ResourceVec,
+) -> bool {
+    !guaranteed_fits(guaranteed, capacity, d) || !trough.fits_within(max_window_slack)
+}
+
+/// Remaining guaranteed headroom per resource: the heuristics' key.
+#[inline]
+fn free_guaranteed(guaranteed: &ResourceVec, capacity: &ResourceVec) -> ResourceVec {
+    capacity.saturating_sub(guaranteed)
+}
+
+/// What the quick part of the W+1 check reads of a server: the guaranteed
+/// sum and the window-slack summaries (see [`ServerState::fit_row`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct FitRow {
+    /// Σ guaranteed over hosted VMs.
+    pub(crate) guaranteed: ResourceVec,
+    /// Element-wise min over windows of `capacity - window_sum[w]`.
+    pub(crate) min_window_slack: ResourceVec,
+    /// Element-wise max over windows of `capacity - window_sum[w]`.
+    pub(crate) max_window_slack: ResourceVec,
+}
+
+impl FitRow {
+    /// Decide the W+1 check from the row alone where it can: `Some(false)`
+    /// when [`rejects`] holds, `Some(true)` when the demand's worst window
+    /// (`peak`, [`VmDemand::window_peak`]) fits the tightest slack (so it
+    /// fits every window), `None` when only the exact per-window scan can
+    /// tell. The two quick answers exclude each other: `trough ≤ peak`
+    /// and `min ≤ max` slack, so a peak that fits the tightest slack has a
+    /// trough that fits the loosest.
+    #[inline]
+    pub(crate) fn quick_fit(
+        &self,
+        capacity: &ResourceVec,
+        d: &VmDemand,
+        peak: &ResourceVec,
+        trough: &ResourceVec,
+    ) -> Option<bool> {
+        if rejects(
+            &self.guaranteed,
+            &self.max_window_slack,
+            capacity,
+            d,
+            trough,
+        ) {
+            Some(false)
+        } else if peak.fits_within(&self.min_window_slack) {
+            Some(true)
+        } else {
+            None
+        }
+    }
+
+    /// Remaining guaranteed headroom per resource.
+    #[inline]
+    pub(crate) fn free_guaranteed(&self, capacity: &ResourceVec) -> ResourceVec {
+        free_guaranteed(&self.guaranteed, capacity)
+    }
 }
 
 impl Sums {
-    /// The guaranteed part of the check: `Σ guaranteed + d.guaranteed`
-    /// within `capacity`.
-    #[inline]
-    fn guaranteed_fits(&self, capacity: &ResourceVec, d: &VmDemand) -> bool {
-        (self.guaranteed + d.guaranteed).fits_within(capacity)
-    }
-
     /// The exact per-window scan (no allocation): every window's sum plus
     /// the demand's maximum for it within `capacity`.
     #[inline]
@@ -145,7 +238,7 @@ impl Sums {
     /// window count (one, or the server's).
     #[inline]
     pub(crate) fn fits(&self, capacity: &ResourceVec, d: &VmDemand) -> bool {
-        self.guaranteed_fits(capacity, d) && self.windows_fit(capacity, d)
+        guaranteed_fits(&self.guaranteed, capacity, d) && self.windows_fit(capacity, d)
     }
 
     /// Commit a demand that [`Sums::fits`]: add its guaranteed vector and
@@ -161,9 +254,20 @@ impl Sums {
     /// Remaining guaranteed headroom per resource: the heuristics' key.
     #[inline]
     pub(crate) fn free_guaranteed(&self, capacity: &ResourceVec) -> ResourceVec {
-        capacity.saturating_sub(&self.guaranteed)
+        free_guaranteed(&self.guaranteed, capacity)
     }
 }
+
+/// One slot of a server: a hosted VM and what it was placed with, or a
+/// free slot linking to the next free one.
+#[derive(Debug, Clone)]
+enum Slot {
+    Hosted(VmId, HostedDemand),
+    Free { next: u32 },
+}
+
+/// The end of the free list.
+const NO_SLOT: u32 = u32::MAX;
 
 /// One server's packing state under time-window scheduling (§3.3).
 ///
@@ -173,35 +277,30 @@ impl Sums {
 /// windows plus one for each resource".
 ///
 /// Equality is that of the [`ServerState::dump`]s: two servers that host
-/// the same VMs with the same sums are equal whatever order departures
-/// left their columns in.
+/// the same VMs with the same sums are equal whatever slots departures
+/// left their VMs in.
 #[derive(Debug, Clone)]
 pub struct ServerState {
     id: ServerId,
     capacity: ResourceVec,
     sums: Sums,
-    /// Elementwise min over windows of `capacity - window_sum[w]`: the
-    /// tightest per-resource window slack. A demand whose per-window peak
-    /// fits in this is feasible in every window without scanning them.
-    min_window_slack: ResourceVec,
-    /// Elementwise max over windows of `capacity - window_sum[w]`: the
-    /// loosest window slack. A demand whose per-window trough exceeds this
-    /// on any resource overflows every window — fast reject.
-    max_window_slack: ResourceVec,
     /// Per-window Σ over hosted VMs of VA (oversubscribed) memory GB —
     /// Formula 4's inner sums, maintained incrementally on place/remove.
     va_mem_sum: Vec<f64>,
     /// Σ over hosted VMs of their peak VA memory (the non-multiplexed
     /// ablation), maintained incrementally.
     va_peak_mem_sum: f64,
-    /// Hosted VM ids; `rows[i]` is what `ids[i]` was placed with.
-    ids: Vec<VmId>,
-    rows: Vec<HostedDemand>,
+    /// One slot per VM. The free ones form a list through their links,
+    /// last freed first: the next placement takes `free_head`.
+    slots: Vec<Slot>,
+    free_head: u32,
+    hosted: usize,
 }
 
 impl PartialEq for ServerState {
     fn eq(&self, other: &Self) -> bool {
-        // The slack summaries are a pure function of what the dump holds.
+        // Which slot holds which VM, and which slots are free, is left
+        // out: no decision reads it.
         self.dump() == other.dump()
     }
 }
@@ -223,14 +322,13 @@ impl ServerState {
             capacity,
             sums: Sums {
                 guaranteed: ResourceVec::ZERO,
-                windows: vec![ResourceVec::ZERO; windows],
+                windows: WindowVec::from_elem(ResourceVec::ZERO, windows),
             },
-            min_window_slack: capacity,
-            max_window_slack: capacity,
             va_mem_sum: vec![0.0; windows],
             va_peak_mem_sum: 0.0,
-            ids: Vec::new(),
-            rows: Vec::new(),
+            slots: Vec::new(),
+            free_head: NO_SLOT,
+            hosted: 0,
         }
     }
 
@@ -246,29 +344,58 @@ impl ServerState {
 
     /// Number of hosted VMs.
     pub fn vm_count(&self) -> usize {
-        self.ids.len()
+        self.hosted
     }
 
-    /// Hosted VM ids.
+    /// Hosted VM ids, in slot order.
     pub fn vm_ids(&self) -> impl Iterator<Item = VmId> + '_ {
-        self.ids.iter().copied()
+        self.hosted().map(|(vm, _)| vm)
+    }
+
+    /// The occupied slots, their VMs and rows, in slot order.
+    fn occupied(&self) -> impl Iterator<Item = (u32, VmId, &HostedDemand)> + '_ {
+        (0u32..)
+            .zip(&self.slots)
+            .filter_map(|(i, slot)| match slot {
+                Slot::Hosted(vm, row) => Some((i, *vm, row)),
+                Slot::Free { .. } => None,
+            })
+    }
+
+    /// The occupied slots' ids and rows, in slot order.
+    fn hosted(&self) -> impl Iterator<Item = (VmId, &HostedDemand)> + '_ {
+        self.occupied().map(|(_, vm, row)| (vm, row))
+    }
+
+    /// The occupied slots and the VM in each, for a scheduler rebuilding
+    /// its VM map.
+    pub(crate) fn slots(&self) -> impl Iterator<Item = (u32, VmId)> + '_ {
+        self.occupied().map(|(i, vm, _)| (i, vm))
+    }
+
+    /// Time windows per day.
+    pub(crate) fn windows(&self) -> usize {
+        self.sums.windows.len()
     }
 
     /// What the server keeps of a hosted VM's demand.
     pub fn demand(&self, vm: VmId) -> Option<&HostedDemand> {
-        self.position(vm).map(|i| &self.rows[i])
+        self.hosted()
+            .find_map(|(id, row)| (id == vm).then_some(row))
     }
 
+    /// The slot hosting `vm`: a scan of the slots.
     #[inline]
-    fn position(&self, vm: VmId) -> Option<usize> {
-        self.ids.iter().position(|&id| id == vm)
+    fn position(&self, vm: VmId) -> Option<u32> {
+        self.slots()
+            .find_map(|(slot, id)| (id == vm).then_some(slot))
     }
 
     /// Validate the demand's window count against the server's, panicking on
     /// a real mismatch. Returns `true` when the demand must be broadcast
     /// (it has exactly one window, the server more).
     #[inline]
-    fn check_windows(&self, d: &VmDemand) -> bool {
+    pub(crate) fn check_windows(&self, d: &VmDemand) -> bool {
         let n = d.window_count();
         let windows = self.sums.windows.len();
         if n == windows {
@@ -290,11 +417,15 @@ impl ServerState {
         self.sums.fits(&self.capacity, d)
     }
 
-    /// The same check with the demand's precomputed per-window elementwise
-    /// peak and trough (see [`VmDemand::window_peak`] /
-    /// [`VmDemand::window_trough`]) used against the cached slack summaries
-    /// to accept or reject most candidates in O(resources) instead of
-    /// O(windows × resources). Exactly equivalent to [`ServerState::can_fit`].
+    /// The same check in the scheduler's two steps: the quick accept or
+    /// reject from the server's summary row — its guaranteed sum and
+    /// tightest and loosest window slack — against the demand's
+    /// precomputed per-window elementwise peak and trough (see
+    /// [`VmDemand::window_peak`] / [`VmDemand::window_trough`]), and the
+    /// per-window scan only when neither decides. Exactly equivalent to
+    /// [`ServerState::can_fit`]. The scheduler keeps the rows in a table of
+    /// its own, so its quick step costs O(resources); this computes the
+    /// row first.
     ///
     /// # Panics
     ///
@@ -306,24 +437,27 @@ impl ServerState {
         trough: &ResourceVec,
     ) -> bool {
         self.check_windows(d);
-        if !self.sums.guaranteed_fits(&self.capacity, d) {
-            return false;
-        }
-        // Quick accept: the worst window demand fits the tightest slack.
-        if peak.fits_within(&self.min_window_slack) {
-            return true;
-        }
-        // Quick reject: the mildest window demand overflows the loosest
-        // slack on some resource, so every window overflows there.
-        if !trough.fits_within(&self.max_window_slack) {
-            return false;
-        }
+        self.fit_row()
+            .quick_fit(&self.capacity, d, peak, trough)
+            .unwrap_or_else(|| self.windows_fit(d))
+    }
+
+    /// The exact per-window part of the check, for when
+    /// [`FitRow::quick_fit`] cannot decide. The caller has validated the
+    /// demand's window count.
+    #[inline]
+    pub(crate) fn windows_fit(&self, d: &VmDemand) -> bool {
         self.sums.windows_fit(&self.capacity, d)
     }
 
-    /// Recompute the cached min/max window-slack summaries from the window
-    /// sums.
-    fn refresh_slack(&mut self) {
+    /// The server's summary for the quick checks, one 96-byte row: its
+    /// guaranteed sum and the elementwise min and max over windows of
+    /// `capacity - window_sum[w]` — the tightest window slack (a demand
+    /// whose per-window peak fits it fits every window) and the loosest (a
+    /// demand whose per-window trough overflows it on some resource
+    /// overflows every window). O(windows); the scheduler computes it once
+    /// per place or remove and keeps it in its table.
+    pub(crate) fn fit_row(&self) -> FitRow {
         let window_sum = &self.sums.windows;
         let mut min = self.capacity - window_sum[0];
         let mut max = min;
@@ -332,16 +466,30 @@ impl ServerState {
             min = min.min(&slack);
             max = max.max(&slack);
         }
-        self.min_window_slack = min;
-        self.max_window_slack = max;
+        FitRow {
+            guaranteed: self.sums.guaranteed,
+            min_window_slack: min,
+            max_window_slack: max,
+        }
     }
 
     /// Place a VM, keeping a [`HostedDemand`] of it. Returns whether it was
     /// placed: `false` if it does not fit or the VM is already hosted, and
     /// then nothing changed.
     pub fn place(&mut self, d: &VmDemand) -> bool {
-        if self.ids.contains(&d.vm) || !self.can_fit(d) {
-            return false;
+        self.position(d.vm).is_none() && self.place_new(d).is_some()
+    }
+
+    /// Place a VM the caller knows this server does not host (the
+    /// scheduler's VM map says so), skipping the id scan. Returns the slot
+    /// it took, or `None` — and nothing changed — if it does not fit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the demand's window count is neither 1 nor the server's.
+    pub(crate) fn place_new(&mut self, d: &VmDemand) -> Option<u32> {
+        if !self.can_fit(d) {
+            return None;
         }
         self.sums.add(d);
         let guar_mem = d.guaranteed.memory();
@@ -352,21 +500,47 @@ impl ServerState {
             va_peak = va_peak.max(va);
         }
         self.va_peak_mem_sum += va_peak;
-        self.refresh_slack();
-        self.ids.push(d.vm);
-        self.rows
-            .push(HostedDemand::new(d.guaranteed, &d.window_max));
-        true
+        let hosted = Slot::Hosted(d.vm, HostedDemand::new(d.guaranteed, &d.window_max));
+        self.hosted += 1;
+        if self.free_head == NO_SLOT {
+            self.slots.push(hosted);
+            let slot = u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 slots");
+            assert!(slot != NO_SLOT, "fewer than 2^32 - 1 slots");
+            return Some(slot);
+        }
+        let slot = self.free_head;
+        match std::mem::replace(&mut self.slots[slot as usize], hosted) {
+            Slot::Free { next } => self.free_head = next,
+            Slot::Hosted(..) => unreachable!("the free list links free slots"),
+        }
+        Some(slot)
     }
 
     /// Remove a VM, subtracting what it was placed with. Returns whether
     /// it was hosted.
     pub fn remove(&mut self, vm: VmId) -> bool {
-        let Some(i) = self.position(vm) else {
+        let Some(slot) = self.position(vm) else {
             return false;
         };
-        self.ids.swap_remove(i);
-        let d = self.rows.swap_remove(i);
+        self.remove_slot(slot);
+        true
+    }
+
+    /// Remove the VM in `slot` (as [`Self::place_new`] returned it): read
+    /// its row, subtract it, and free the slot. No other slot is touched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is free.
+    pub(crate) fn remove_slot(&mut self, slot: u32) {
+        let free = Slot::Free {
+            next: self.free_head,
+        };
+        let Slot::Hosted(_, d) = std::mem::replace(&mut self.slots[slot as usize], free) else {
+            panic!("a hosted VM's slot holds its row");
+        };
+        self.free_head = slot;
+        self.hosted -= 1;
         let window_max = d.window_max();
         self.sums.guaranteed -= d.guaranteed;
         let guar_mem = d.guaranteed.memory();
@@ -382,8 +556,6 @@ impl ServerState {
         }
         self.sums.guaranteed = self.sums.guaranteed.max(&ResourceVec::ZERO);
         self.va_peak_mem_sum = (self.va_peak_mem_sum - va_peak).max(0.0);
-        self.refresh_slack();
-        true
     }
 
     /// Formula (3): total guaranteed memory, GB.
@@ -415,10 +587,10 @@ impl ServerState {
         self.sums.free_guaranteed(&self.capacity)
     }
 
-    /// The cached tightest per-resource window slack (min over windows of
+    /// The tightest per-resource window slack (min over windows of
     /// `capacity - window_sum[w]`).
     pub fn min_window_slack(&self) -> ResourceVec {
-        self.min_window_slack
+        self.fit_row().min_window_slack
     }
 
     /// The worst (largest) per-window committed fraction of capacity.
@@ -442,34 +614,27 @@ impl ServerState {
     /// they are* — never re-derived from the hosted demands — so a restored
     /// server continues from the scheduler's exact arithmetic state and all
     /// subsequent `can_fit` decisions are bit-identical to the uninterrupted
-    /// run. Hosted demands are emitted sorted by [`VmId`]: departures leave
-    /// the columns in an order of their own, and sorting makes the encoding
-    /// canonical.
+    /// run. Hosted demands are emitted sorted by [`VmId`]: which slot a VM
+    /// took depends on the departures before it, and sorting makes the
+    /// encoding canonical.
     pub fn dump(&self) -> ServerStateDump {
-        let mut vms: Vec<(VmId, HostedDemand)> = self
-            .ids
-            .iter()
-            .copied()
-            .zip(self.rows.iter().cloned())
-            .collect();
+        let mut vms: Vec<(VmId, HostedDemand)> =
+            self.hosted().map(|(vm, row)| (vm, row.clone())).collect();
         vms.sort_unstable_by_key(|(vm, _)| *vm);
         ServerStateDump {
             id: self.id,
             capacity: self.capacity,
             windows: self.sums.windows.len(),
             guaranteed_sum: self.sums.guaranteed,
-            window_sum: self.sums.windows.clone(),
+            window_sum: self.sums.windows.to_vec(),
             va_mem_sum: self.va_mem_sum.clone(),
             va_peak_mem_sum: self.va_peak_mem_sum,
             vms,
         }
     }
 
-    /// Rebuild a server from a [`ServerStateDump`].
-    ///
-    /// The slack summaries are recomputed with the same pure function the
-    /// live path uses (`ServerState::refresh_slack` is deterministic in
-    /// `capacity`/`window_sum`), so they match the dumped instance exactly.
+    /// Rebuild a server from a [`ServerStateDump`]: the sums verbatim, the
+    /// hosted VMs in dense slots.
     ///
     /// # Panics
     ///
@@ -477,23 +642,25 @@ impl ServerState {
     /// decoded from the wire never does: the codec refuses it first.
     pub fn from_dump(dump: ServerStateDump) -> Self {
         assert!(dump.is_consistent(), "inconsistent server dump");
-        let (ids, rows) = dump.vms.into_iter().unzip();
-        let mut server = ServerState {
+        let hosted = dump.vms.len();
+        let slots = dump
+            .vms
+            .into_iter()
+            .map(|(vm, row)| Slot::Hosted(vm, row))
+            .collect();
+        ServerState {
             id: dump.id,
             capacity: dump.capacity,
             sums: Sums {
                 guaranteed: dump.guaranteed_sum,
-                windows: dump.window_sum,
+                windows: dump.window_sum.into_iter().collect(),
             },
-            min_window_slack: dump.capacity,
-            max_window_slack: dump.capacity,
             va_mem_sum: dump.va_mem_sum,
             va_peak_mem_sum: dump.va_peak_mem_sum,
-            ids,
-            rows,
-        };
-        server.refresh_slack();
-        server
+            slots,
+            free_head: NO_SLOT,
+            hosted,
+        }
     }
 }
 
@@ -698,5 +865,38 @@ mod tests {
     fn a_hosted_row_stays_under_80_bytes() {
         // Guaranteed vector + one inline window (or the boxed slice) + tag.
         assert!(std::mem::size_of::<HostedDemand>() <= 80);
+        // A slot is the id beside the row: the free-list link and the
+        // variant fit in what the row leaves unused.
+        assert_eq!(std::mem::size_of::<Slot>(), 80);
+        assert_eq!(std::mem::size_of::<FitRow>(), 96);
+    }
+
+    /// A departure empties its own slot and moves no other VM; the next
+    /// placements take the freed slots, last freed first, and a freed VM
+    /// is no longer found by id.
+    #[test]
+    fn a_departure_frees_its_own_slot_for_the_next_placement() {
+        let mut s = server();
+        let place = |s: &mut ServerState, vm| s.place_new(&demand(vm, 4.0, [4.0; 3])).unwrap();
+        let slots: Vec<u32> = (1..=4).map(|vm| place(&mut s, vm)).collect();
+        assert_eq!(slots, [0, 1, 2, 3]);
+        s.remove_slot(1);
+        s.remove_slot(3);
+        assert_eq!(s.vm_count(), 2);
+        assert_eq!(
+            s.slots().collect::<Vec<_>>(),
+            [(0, VmId::new(1)), (2, VmId::new(3))]
+        );
+        assert!(s.demand(VmId::new(2)).is_none() && !s.remove(VmId::new(2)));
+
+        assert_eq!([5, 6, 7].map(|vm| place(&mut s, vm)), [3, 1, 4]);
+        assert_eq!(
+            s.vm_ids().collect::<Vec<_>>(),
+            [1, 6, 3, 5, 7].map(VmId::new)
+        );
+        // The dump is canonical whatever slots the VMs sit in.
+        let ids: Vec<VmId> = s.dump().vms.iter().map(|(vm, _)| *vm).collect();
+        assert_eq!(ids, [1, 3, 5, 6, 7].map(VmId::new));
+        assert!(ServerState::from_dump(s.dump()) == s);
     }
 }

@@ -186,7 +186,8 @@ impl Encode for ClusterSchedulerDump {
 }
 
 /// Refuses what [`crate::ClusterScheduler::from_dump`] would panic on: no
-/// servers, a server id twice, a VM hosted on two servers.
+/// servers, servers of different capacities or window counts, a server id
+/// twice, a VM hosted on two servers.
 impl Decode for ClusterSchedulerDump {
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         let dump = ClusterSchedulerDump {
@@ -199,7 +200,11 @@ impl Decode for ClusterSchedulerDump {
             .servers
             .iter()
             .all(|s| servers.insert(s.id) && s.vms.iter().all(|(vm, _)| vms.insert(*vm)));
-        if dump.servers.is_empty() || !distinct {
+        let homogeneous = dump
+            .servers
+            .windows(2)
+            .all(|pair| pair[0].capacity == pair[1].capacity && pair[0].windows == pair[1].windows);
+        if dump.servers.is_empty() || !distinct || !homogeneous {
             return Err(WireError::Invalid {
                 context: "ClusterSchedulerDump",
             });
@@ -297,6 +302,19 @@ mod tests {
         refused(|dump| {
             let stolen = dump.servers[0].vms[0].clone();
             dump.servers[1].vms.insert(0, stolen);
+        });
+    }
+
+    #[test]
+    fn servers_of_different_capacities_or_window_counts_are_refused() {
+        refused(|dump| dump.servers[2].capacity.0[0] += 1.0);
+        // Consistent on its own: no hosted VM, one sum per window.
+        refused(|dump| {
+            let server = &mut dump.servers[3];
+            server.vms.clear();
+            server.windows = 1;
+            server.window_sum.truncate(1);
+            server.va_mem_sum.truncate(1);
         });
     }
 

@@ -39,7 +39,6 @@ use coach_sched::VmDemand;
 use coach_trace::{UtilSampler, VmRecord};
 use coach_types::prelude::*;
 use coach_wire::WireError;
-use std::collections::HashMap;
 
 /// A VM's Formula 2 oversubscribed memory per window — inline for up to
 /// [`WindowVec::INLINE`] windows (no heap per VM), spilling beyond.
@@ -282,7 +281,7 @@ pub struct ViolationAccountant {
     /// Per-server states in first-placement order — the order the phased
     /// sweep strides over, and the dump's.
     servers: Vec<ServerAccount>,
-    index: HashMap<ServerId, u32>,
+    index: IdMap<ServerId, u32>,
 }
 
 impl ViolationAccountant {
@@ -294,7 +293,7 @@ impl ViolationAccountant {
             horizon,
             swept_to: Timestamp::ZERO,
             servers: Vec::new(),
-            index: HashMap::new(),
+            index: IdMap::default(),
         }
     }
 
@@ -393,7 +392,7 @@ impl ViolationAccountant {
     /// Copy out the full sampling state for the snapshot codec.
     ///
     /// Servers travel in first-placement order — a function of the event
-    /// stream, not of the per-process `HashMap` — and each server's entry
+    /// stream, not of the index map's layout — and each server's entry
     /// order is preserved **verbatim**: admission, retirement, and the
     /// Formula 3/4 running sums all execute in entry order, so reordering
     /// here would change floating-point results after a restore. The
@@ -415,7 +414,7 @@ impl ViolationAccountant {
         horizon: Timestamp,
         dump: AccountantDump,
     ) -> Result<ViolationAccountant, WireError> {
-        let mut index = HashMap::with_capacity(dump.servers.len());
+        let mut index = IdMap::with_capacity_and_hasher(dump.servers.len(), Default::default());
         for (i, account) in dump.servers.iter().enumerate() {
             if index.insert(account.server, i as u32).is_some() {
                 return Err(WireError::Invalid {

@@ -1,6 +1,7 @@
 //! The single-shard event-driven cluster controller.
 
 use crate::account::{AccountantDump, ViolationAccountant};
+use crate::calendar::DepartureCalendar;
 use crate::request::{Request, Response, StatsReport};
 use crate::telemetry::{ControllerTelemetry, ADMISSION_SAMPLE_EVERY};
 use crate::wire::Snapshot;
@@ -17,9 +18,7 @@ use coach_telemetry::{Registry, RegistrySnapshot, SpanRing, TelemetryConfig};
 use coach_trace::{Cluster, Trace, VmRecord};
 use coach_types::prelude::*;
 use coach_wire::WireError;
-use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap};
 use std::sync::mpsc;
 use std::time::Instant;
 
@@ -142,8 +141,9 @@ struct Counters {
 /// [`ClusterScheduler`] and a [`Predictor`].
 ///
 /// Feed it a time-ordered stream of [`Request`]s; departures are managed
-/// internally in a binary min-heap keyed by the batch replay's event-sort
-/// key, so every event costs O(log resident) — no pre-sorted batch exists
+/// internally in a [`DepartureCalendar`] (FIFOs keyed by departure time,
+/// popped in the batch replay's event-sort order), so every event costs
+/// O(log distinct departure times) and no pre-sorted batch exists
 /// anywhere. Driven by [`crate::RequestSource::replaying`], its admission
 /// decisions, probe measurements, occupancy peak, and violation rates are
 /// **identical** to [`coach_sim::packing_experiment`] on the same workload
@@ -165,13 +165,12 @@ pub struct Controller<'a> {
     /// Resident VMs: the index of the cluster each was placed in (into
     /// `clusters`) and the arrival `seq` it was admitted under. The server
     /// is not kept: the cluster's scheduler returns it from `remove`.
-    residents: HashMap<VmId, (u32, u64)>,
-    /// Scheduled departures: `Reverse((time, seq, vm))` pops in the batch
-    /// replay's exact departure order (`seq` is unique, so the id in the
-    /// third slot never reorders anything). An entry is live only while
+    residents: IdMap<VmId, (u32, u64)>,
+    /// Scheduled departures, popped in the batch replay's exact
+    /// `(time, seq)` departure order. An entry is live only while
     /// `residents` holds its id under its `seq`; an explicit departure or
     /// a re-admission of the id leaves it behind to be skipped.
-    departures: BinaryHeap<Reverse<(Timestamp, u64, VmId)>>,
+    departures: DepartureCalendar,
     /// Arrival sequence number (the batch replay's trace index).
     seq: u64,
     probe_templates: Vec<VmDemand>,
@@ -237,8 +236,8 @@ impl<'a> Controller<'a> {
             predictor,
             tw,
             clusters: states,
-            residents: HashMap::new(),
-            departures: BinaryHeap::new(),
+            residents: IdMap::default(),
+            departures: DepartureCalendar::new(),
             seq: 0,
             probe_templates: probe_templates(&config.policy, tw.count()),
             probe_counts: Vec::new(),
@@ -529,7 +528,7 @@ impl<'a> Controller<'a> {
                 // in the batch sort and no-ops there; never scheduling it
                 // preserves that behavior.
                 if rec.departure > rec.arrival {
-                    self.departures.push(Reverse((rec.departure, seq, rec.id)));
+                    self.departures.push(rec.departure, seq, rec.id);
                 }
                 self.accountant
                     .on_placed(server, cluster.capacity, rec, &demand);
@@ -569,11 +568,7 @@ impl<'a> Controller<'a> {
     /// Pop and apply scheduled departures up to `t` (inclusive when
     /// `inclusive`), in the batch replay's `(time, seq)` order.
     fn drain_departures(&mut self, t: Timestamp, inclusive: bool) {
-        while let Some(&Reverse((when, seq, vm))) = self.departures.peek() {
-            if when > t || (!inclusive && when == t) {
-                break;
-            }
-            self.departures.pop();
+        while let Some((when, seq, vm)) = self.departures.pop_due(t, inclusive) {
             // Lazily cancelled unless the id is still resident under the
             // seq this entry was scheduled for.
             if let Entry::Occupied(resident) = self.residents.entry(vm) {
@@ -731,7 +726,7 @@ impl<'a> Controller<'a> {
     }
 
     /// Serialize the full decision-bearing state into a versioned
-    /// [`Snapshot`] frame — schedulers, resident map, departure heap,
+    /// [`Snapshot`] frame — schedulers, resident map, departure calendar,
     /// accountant, counters, and the undrained occupancy timeline: a
     /// function of the request stream alone (no clock reading or
     /// telemetry enters it). The accountant's entries are self-contained
@@ -744,16 +739,10 @@ impl<'a> Controller<'a> {
     /// `f64` travels as raw IEEE-754 bits, so a restored controller's
     /// future decisions are bit-identical to this one's.
     pub fn snapshot(&self) -> Snapshot {
-        // BinaryHeap iteration order is unspecified; the sorted vector is
-        // the canonical wire form (and `BinaryHeap::from` on restore pops
-        // it in the identical order — entries are unique).
-        let mut departures: Vec<(Timestamp, u64, VmId)> = self
-            .departures
-            .iter()
-            .map(|Reverse(entry)| *entry)
-            .collect();
-        departures.sort_unstable();
-        // Likewise the resident map: rows sorted by id.
+        // The calendar iterates in `(time, seq)` order: the sorted vector
+        // that is the canonical wire form.
+        let departures: Vec<(Timestamp, u64, VmId)> = self.departures.iter().collect();
+        // The resident map's canonical form: rows sorted by id.
         let mut residents: Vec<(VmId, u32, u64)> = self
             .residents
             .iter()
@@ -810,9 +799,9 @@ impl<'a> Controller<'a> {
     /// Anything wrong with the bytes surfaces as `Err(WireError)`:
     /// truncation and bad tags, a window partition that disagrees with
     /// `predictor`, an out-of-range server fraction or sampling cadence, a
-    /// scheduler or accountant dump its `from_dump` would refuse, and a
+    /// scheduler or accountant dump its `from_dump` would refuse, a
     /// resident map that disagrees with the schedulers about who is hosted
-    /// where.
+    /// where, and departures out of their canonical `(time, seq)` order.
     pub fn restore<'r>(
         predictor: &'a dyn Predictor,
         snapshot: &Snapshot,
@@ -865,6 +854,9 @@ impl<'a> Controller<'a> {
         {
             return invalid("snapshot resident map");
         }
+        if dump.departures.windows(2).any(|w| w[0] >= w[1]) {
+            return invalid("snapshot departures");
+        }
         let in_use: usize = clusters.iter().map(|c| c.sched.servers_in_use()).sum();
         if dump.in_use != in_use || dump.peak_in_use < in_use {
             return invalid("snapshot occupancy");
@@ -884,9 +876,7 @@ impl<'a> Controller<'a> {
                 .into_iter()
                 .map(|(vm, cluster, seq)| (vm, (cluster, seq)))
                 .collect(),
-            departures: BinaryHeap::from(
-                dump.departures.into_iter().map(Reverse).collect::<Vec<_>>(),
-            ),
+            departures: dump.departures.into_iter().collect(),
             seq: dump.seq,
             probe_templates: probe_templates(&config.policy, tw.count()),
             probe_counts: dump.probe_counts,
@@ -926,9 +916,9 @@ pub(crate) struct ControllerDump {
     /// The resident map as `(vm, cluster index, arrival seq)` rows, sorted
     /// by id (the canonical form).
     pub residents: Vec<(VmId, u32, u64)>,
-    /// The departure heap's `(time, seq, vm)` entries, sorted ascending
-    /// (the canonical form; the heap rebuilds losslessly because pop order
-    /// is total).
+    /// The departure calendar's `(time, seq, vm)` entries, strictly
+    /// ascending (the canonical form, and the calendar's own order: pushed
+    /// back in it, they rebuild it exactly).
     pub departures: Vec<(Timestamp, u64, VmId)>,
     pub seq: u64,
     pub probe_counts: Vec<u64>,
@@ -1070,23 +1060,25 @@ mod tests {
         assert!(Controller::restore(&oracle, &snapshot, |_| None).is_ok());
 
         type Mutation = fn(&mut ControllerDump);
-        let cases: [(&str, &str, Mutation); 11] = [
+        let cases: [(&str, &str, Mutation); 12] = [
             ("one VM twice on a server", "ServerStateDump", |dump| {
                 let servers = &mut dump.clusters[0].2.servers;
                 let packed = servers.iter_mut().find(|s| s.vms.len() > 1).unwrap();
                 packed.vms[1].0 = packed.vms[0].0;
             }),
-            // Every sum has the right length for its own window count, but
-            // the count is not the predictor's: `can_fit` would panic.
+            // Every sum has the right length for its own window count, and
+            // the cluster agrees on it, but the count is not the
+            // predictor's: `can_fit` would panic.
             (
                 "servers over another window partition",
                 "snapshot scheduler windows",
                 |dump| {
-                    let server = &mut dump.clusters[0].2.servers[0];
-                    server.vms.clear();
-                    server.windows = 1;
-                    server.window_sum.truncate(1);
-                    server.va_mem_sum.truncate(1);
+                    for server in &mut dump.clusters[0].2.servers {
+                        server.vms.clear();
+                        server.windows = 1;
+                        server.window_sum.truncate(1);
+                        server.va_mem_sum.truncate(1);
+                    }
                 },
             ),
             (
@@ -1115,6 +1107,10 @@ mod tests {
                 "snapshot resident map",
                 |dump| dump.residents.truncate(1),
             ),
+            // The calendar rebuilds only from its own `(time, seq)` order.
+            ("departures out of order", "snapshot departures", |dump| {
+                dump.departures.swap(0, 1)
+            }),
             (
                 "the accountant naming a server twice",
                 "AccountantDump names a server twice",
@@ -1223,7 +1219,7 @@ mod tests {
         assert_eq!((stats.resident_vms, stats.departed), (0, 1));
     }
 
-    /// A snapshot taken while cancelled departures still sit in the heap
+    /// A snapshot taken while cancelled departures are still scheduled
     /// restores into a controller that skips them the same way.
     #[test]
     fn a_snapshot_between_a_departure_and_its_stale_pop_resumes_identically() {
@@ -1248,7 +1244,7 @@ mod tests {
         let stale = live
             .departures
             .iter()
-            .filter(|Reverse((_, _, vm))| !live.residents.contains_key(vm))
+            .filter(|(_, _, vm)| !live.residents.contains_key(vm))
             .count();
         assert_eq!(stale, cancelled, "cancelled entries are still scheduled");
 

@@ -9,18 +9,20 @@
 //!
 //! * [`Controller`] — the single-shard event loop. Arrivals are predicted
 //!   (via any [`coach_sim::Predictor`]) and placed through the indexed
-//!   [`coach_sched::ClusterScheduler`]; departures live in a binary
-//!   min-heap keyed by the batch replay's event-sort order, so each event
-//!   costs O(log resident). Decisions are **bit-identical** to the batch
+//!   [`coach_sched::ClusterScheduler`]; departures live in a
+//!   [`DepartureCalendar`] — one FIFO per departure time, popped in the
+//!   batch replay's event-sort order — so each event costs O(log distinct
+//!   departure times). Decisions are **bit-identical** to the batch
 //!   replay on the same workload. [`Controller::handle_arrivals`] admits a
 //!   whole arrival segment as an ordered two-stage pipeline — chunked
 //!   [`coach_sim::Predictor::predict_batch`] calls, serial and in stream
 //!   order, run ahead of the placement loop on a helper thread when the
 //!   box has a core to spare — the cold path the sharded dispatcher uses
 //!   per segment.
-//!   Residents are one `HashMap` from VM id to (cluster, arrival seq); a
-//!   scheduled departure whose id is no longer resident under its seq —
-//!   an explicit `Depart` got there first — is skipped when it pops.
+//!   Residents are one [`coach_types::IdMap`] from VM id to (cluster,
+//!   arrival seq); a scheduled departure whose id is no longer resident
+//!   under its seq — an explicit `Depart` got there first — is skipped
+//!   when it pops.
 //! * [`ViolationAccountant`] — per-server Formula 3/4 running sums and
 //!   CPU/memory violation counters maintained at event granularity,
 //!   replacing the batch experiment's post-replay sweep (the large-scale
@@ -80,6 +82,7 @@
 #![warn(missing_docs)]
 
 pub mod account;
+pub mod calendar;
 pub mod controller;
 pub mod request;
 pub mod scenario;
@@ -89,6 +92,7 @@ pub mod telemetry;
 pub mod wire;
 
 pub use account::ViolationAccountant;
+pub use calendar::DepartureCalendar;
 pub use coach_telemetry::TelemetryConfig;
 pub use controller::{serve_trace, Controller, ServeConfig};
 pub use request::{Request, RequestOf, Response, StatsReport, StreamRequest};

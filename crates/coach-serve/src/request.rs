@@ -11,8 +11,9 @@ use std::borrow::Borrow;
 /// [`StreamRequest`] owns it.
 ///
 /// Requests must be fed in non-decreasing time order (the order a real
-/// control plane receives them); the controller's departure heap supplies
-/// every event *between* requests, so the caller never pre-sorts a batch.
+/// control plane receives them); the controller's departure calendar
+/// supplies every event *between* requests, so the caller never pre-sorts
+/// a batch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RequestOf<R> {
     /// A VM allocation request. The controller predicts its per-window

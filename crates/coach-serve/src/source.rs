@@ -23,9 +23,9 @@ use std::iter::Peekable;
 /// [`VmRecord`]s — no event vector, no sort, no series materialization.
 /// Each arrival carries the record as the underlying iterator yields it
 /// (borrowed from a slice, or owned); departures are *not* emitted at all
-/// (the controller's heap schedules them); probe requests are interleaved
-/// at the first arrival at-or-after each probe time, which the
-/// controller's strictly-before drain turns into exactly the batch
+/// (the controller's departure calendar schedules them); probe requests
+/// are interleaved at the first arrival at-or-after each probe time, which
+/// the controller's strictly-before drain turns into exactly the batch
 /// replay's probe semantics. The next arrival is held in a one-record peek
 /// buffer, so memory stays O(1) over the underlying iterator.
 pub struct Source<I: Iterator> {

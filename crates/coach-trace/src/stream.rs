@@ -49,8 +49,12 @@ use crate::profile::BehaviorTemplate;
 
 /// Default per-chunk skeleton budget (`1 << 19` = 524 288 arrivals).
 ///
-/// At ~320 bytes per materialized [`VmRecord`] this bounds the ingestion
-/// buffer well under a quarter gigabyte regardless of trace length.
+/// A multi-tick bucket buffers its skeletons, 56 bytes each (the two
+/// times, the subscription index and the VM size — not whole
+/// [`VmRecord`]s), so the buffer stays under 28 MB whatever the trace
+/// length. A trace of at most this many VMs is a single bucket, buffered
+/// for the whole record pass: 500k VMs keep 500k × 56 B = 28 MB live from
+/// the first record to the last.
 pub const DEFAULT_CHUNK_BUDGET: usize = 1 << 19;
 
 /// A contiguous tick range `[lo, hi)` holding `count` arrivals.

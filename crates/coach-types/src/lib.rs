@@ -32,6 +32,7 @@
 pub mod bucket;
 pub mod config;
 pub mod error;
+pub mod idhash;
 pub mod ids;
 pub mod par;
 pub mod resource;
@@ -45,6 +46,7 @@ pub mod wire;
 pub use bucket::{bucket_down, bucket_up, Bucket};
 pub use config::{HardwareConfig, Offering, SubscriptionType, VmConfig};
 pub use error::TypeError;
+pub use idhash::{BuildIdHasher, IdHasher, IdMap};
 pub use ids::{ClusterId, ServerId, SubscriptionId, VmId};
 pub use par::{available_threads, par_map, par_map_threads};
 pub use resource::{Fungibility, ResourceKind, ResourceVec, SharingMechanism};
@@ -62,6 +64,7 @@ pub mod prelude {
     pub use crate::bucket::{bucket_down, bucket_up, Bucket};
     pub use crate::config::{HardwareConfig, Offering, SubscriptionType, VmConfig};
     pub use crate::error::TypeError;
+    pub use crate::idhash::IdMap;
     pub use crate::ids::{ClusterId, ServerId, SubscriptionId, VmId};
     pub use crate::par::{available_threads, par_map, par_map_threads};
     pub use crate::resource::{Fungibility, ResourceKind, ResourceVec, SharingMechanism};

@@ -223,10 +223,12 @@ impl ResourceVec {
     #[inline]
     pub fn fits_within(&self, other: &ResourceVec) -> bool {
         const EPS: f64 = 1e-9;
+        // Every slot compared, the results and-ed without a branch per
+        // slot: the answer of a short-circuiting `all`, at one branch.
         self.0
             .iter()
             .zip(other.0.iter())
-            .all(|(a, b)| *a <= *b + EPS)
+            .fold(true, |fits, (a, b)| fits & (*a <= *b + EPS))
     }
 
     /// Elementwise maximum.

@@ -6,7 +6,7 @@ use coach_predict::{
     Ewma, ForestParams, LocalPredictor, Lstm, LstmParams, ModelConfig, RandomForest, TargetKind,
     UtilizationModel,
 };
-use coach_sim::{Model, Predictor};
+use coach_sim::{Model, Oracle, Predictor};
 use coach_trace::{generate, TraceConfig, VmRecord};
 use coach_types::{Percentile, ResourceKind, TimeWindows, Timestamp};
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
@@ -126,15 +126,18 @@ fn bench_model(c: &mut Criterion) {
 
 /// The Oracle's derive kernel on its own, outside the end-to-end
 /// benchmark: the exact policy (`window_stats` + `oracle_from_stats`)
-/// against the order-statistic one (`oracle`), over the same long-running
+/// against the order-statistic loop under its top-k exact stopping rule
+/// (`oracle`, unbucketed, what fig19 reads) and under its bucket-decided
+/// one (`Oracle::predict`, what serving reads), over the same long-running
 /// VMs of a `medium` trace. Each iteration derives one VM, cycling through
 /// the set, so `ns/iter` is ns per VM; P95 reads 2 of 14 day maxima per
-/// window, P50 reads 8, where the policy has the least to prune and must
-/// still not lose to the exact one.
+/// window, P50 reads 8, where the order-statistic loop has the least to
+/// prune and must still not lose to the exact policy.
 fn bench_oracle_derive(c: &mut Criterion) {
     let trace = generate(&TraceConfig::medium(7));
     let vms: Vec<&VmRecord> = trace.long_running().take(2048).collect();
     let tw = TimeWindows::paper_default();
+    let oracle = Oracle::new(tw);
     let mut group = c.benchmark_group("oracle_derive");
     for (name, percentile) in [("p95", Percentile::P95), ("p50", Percentile::P50)] {
         group.bench_with_input(BenchmarkId::new("exact", name), &percentile, |b, &p| {
@@ -155,6 +158,10 @@ fn bench_oracle_derive(c: &mut Criterion) {
                 })
             },
         );
+        group.bench_with_input(BenchmarkId::new("bucketed", name), &percentile, |b, &p| {
+            let mut cycle = vms.iter().cycle();
+            b.iter(|| std::hint::black_box(oracle.predict(cycle.next().expect("non-empty"), p)))
+        });
     }
     group.finish();
 }

@@ -8,7 +8,8 @@
 //!
 //! * [`Oracle`] — percentiles of each VM's own utilization, derived
 //!   *lazily* from the behavior profile's closed form on every call, and
-//!   only as far as Formulas 1–2 read it ([`VmRecord::window_peaks`]);
+//!   only as far as the 5 % bucket of Formulas 1–2's inputs reads it
+//!   ([`VmRecord::window_peak_buckets`]);
 //! * [`Model`] — the trained long-term random forest (§3.3), walked once
 //!   per distinct feature key and memoized;
 //! * [`NaiveReference`] — the old eager path (materialize the 5-minute
@@ -85,14 +86,17 @@ fn too_short(vm: &VmRecord) -> bool {
 /// "ideal allocation" reference of Fig 19 and an upper bound for the
 /// packing experiments.
 ///
-/// Stateless: every call derives through [`VmRecord::window_peaks`], the
-/// order-statistic policy of the lazy analytic scan. Per window it
-/// resolves the few largest day maxima the requested percentile
-/// interpolates between (two at P95 over two weeks) and floors the rest,
-/// which leaves `Pmax_t` and `PX_t` bit-identical to reading them off the
-/// exact [`VmRecord::window_stats`] — [`NaiveReference`] and
-/// `UtilizationModel::oracle_from_stats` stay as the references that hold
-/// it to that.
+/// Stateless: every call derives through [`VmRecord::window_peak_buckets`],
+/// the order-statistic loop of the lazy analytic scan under its
+/// bucket-decided stopping rule, so each window is derived only as far as
+/// the bucket reads it. A prediction keeps only the 5 % bucket of each
+/// window's `Pmax_t` and `PX_t`, and most windows' buckets are fixed by
+/// bounds the scan computes anyway, before any `(day, window)` cell
+/// resolves; the rest resolve the largest day maxima until both ends of
+/// each bound round up alike. The buckets are bit-identical to the
+/// rounded-up peaks of the exact [`VmRecord::window_stats`] —
+/// [`NaiveReference`] and `bucket_up` of the unbucketed exact-rule oracle
+/// stay as the references that hold it to that.
 #[derive(Debug)]
 pub struct Oracle {
     tw: TimeWindows,
@@ -121,9 +125,12 @@ impl Predictor for Oracle {
         if too_short(vm) {
             return None;
         }
-        let mut p = UtilizationModel::oracle(vm, self.tw, percentile);
-        bucket_prediction(&mut p);
-        Some(p)
+        let peaks = vm.window_peak_buckets(self.tw, percentile);
+        Some(DemandPrediction {
+            tw: self.tw,
+            pmax: peaks.lifetime_max,
+            px: peaks.percentile,
+        })
     }
 }
 

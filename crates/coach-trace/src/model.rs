@@ -96,6 +96,14 @@ impl VmRecord {
             .window_peaks(tw, self.arrival, self.departure, p)
     }
 
+    /// [`VmRecord::window_peaks`] rounded up to 5 % buckets, bit for bit,
+    /// resolving only the cells that can still move a bucket
+    /// ([`VmProfile::window_peak_buckets`]) — what the serving oracle keeps.
+    pub fn window_peak_buckets(&self, tw: TimeWindows, p: Percentile) -> WindowPeaks {
+        self.profile
+            .window_peak_buckets(tw, self.arrival, self.departure, p)
+    }
+
     /// [`VmRecord::window_stats`] for a single resource.
     pub fn window_stats_for(&self, resource: ResourceKind, tw: TimeWindows) -> WindowStats {
         self.profile

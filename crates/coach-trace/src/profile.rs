@@ -433,6 +433,11 @@ impl VmProfile {
     /// the order only decides how much is pruned — the maximum and both
     /// interpolated order statistics are those of the exact column.
     ///
+    /// That is the loop's *top-k exact* stopping rule: a window is done
+    /// once no further cell can enter its top-`k`.
+    /// [`VmProfile::window_peak_buckets`] runs the same loop under a
+    /// second rule, *bucket-decided*.
+    ///
     /// Spans of more than 64 day-rows (the scratch lives on the stack),
     /// empty ranges and the degenerate parameters of the eager fallback
     /// derive from the exact statistics instead.
@@ -443,13 +448,59 @@ impl VmProfile {
         end: Timestamp,
         p: Percentile,
     ) -> WindowPeaks {
-        let zeros = WindowVec::from_elem(ResourceVec::ZERO, tw.count());
-        let mut out = WindowPeaks {
-            lifetime_max: zeros.clone(),
-            percentile: zeros,
-        };
+        let mut out = zero_peaks(tw);
         for kind in ResourceKind::ALL {
             self.window_peaks_into(kind, tw, start, end, p, &mut out);
+        }
+        out
+    }
+
+    /// [`VmProfile::window_peaks`] rounded up to 5 % buckets — bit for bit
+    /// `bucket_up` of each value — derived only as far as the bucket reads
+    /// it. The same order-statistic loop runs under a second stopping
+    /// rule, *bucket-decided*: a window stops resolving cells as soon as
+    /// both of its [`Bucket`]s are fixed.
+    ///
+    /// Per window and resource, each covered day's cell maximum lies in an
+    /// interval `[lo_d, hi_d]`. `hi_d` is the `f32` of the pre-screen's
+    /// bound `(bound_d + noise) + walk_max`, clamped. `lo_d` is the value
+    /// of the cell's seed tick, the tick the kernel evaluates first. An
+    /// uncovered day is exactly 0.0. Only days that can still reach the
+    /// top-`k` of the lower ends pay for a seed; every other day counts as
+    /// 0.0, which is sound because every value is clamped at 0. The maximum
+    /// lies between the largest lower and the largest upper end, the
+    /// percentile between `interpolate` of the two ends' top-`k`. When
+    /// [`Bucket::round_up`] agrees at both ends of both, the window is
+    /// written without resolving another cell. Otherwise cells resolve in
+    /// the exact rule's order, under its floors; each resolved day collapses
+    /// to its reported value, and the test repeats. The exact rule's
+    /// pre-screen stays the last stopping point, so this rule never
+    /// resolves a cell the exact one skips. It is sound because:
+    ///
+    /// 1. lower ends are realized tick values, and upper ends are the
+    ///    kernel's own padded screens, cast by monotone rounding;
+    /// 2. a floored report `max(floor, true)` has `floor` at most the final
+    ///    `k`-th largest, so it leaves the top-`k` multiset unchanged (the
+    ///    exact rule's argument), and reports for resolved days mixed with
+    ///    intervals for the rest still sandwich each top-`k` order
+    ///    statistic;
+    /// 3. [`PercentileRank::interpolate`] is monotone in both arguments:
+    ///    `f32` ops with non-negative weights;
+    /// 4. [`Bucket::round_up`] is non-decreasing over non-NaN inputs, ±∞
+    ///    included.
+    ///
+    /// The exact rule's fallbacks, and hand-built parameters whose tick
+    /// values could overflow or be NaN, bucket the exact statistics.
+    pub fn window_peak_buckets(
+        &self,
+        tw: TimeWindows,
+        start: Timestamp,
+        end: Timestamp,
+        p: Percentile,
+    ) -> WindowPeaks {
+        let mut out = zero_peaks(tw);
+        for kind in ResourceKind::ALL {
+            self.window_peak_buckets_into(kind, tw, start, end, p, &mut out);
         }
         out
     }
@@ -467,19 +518,66 @@ impl VmProfile {
         p: Percentile,
         out: &mut WindowPeaks,
     ) -> usize {
+        self.order_statistics_into::<false>(resource, tw, start, end, p, out)
+    }
+
+    /// [`VmProfile::window_peaks_into`] for
+    /// [`VmProfile::window_peak_buckets`].
+    fn window_peak_buckets_into(
+        &self,
+        resource: ResourceKind,
+        tw: TimeWindows,
+        start: Timestamp,
+        end: Timestamp,
+        p: Percentile,
+        out: &mut WindowPeaks,
+    ) -> usize {
+        self.order_statistics_into::<true>(resource, tw, start, end, p, out)
+    }
+
+    /// What the bucket-decided rule needs on top of the eager fallback's
+    /// conditions: its intervals order realized tick values against the
+    /// screens' bounds, so every level, noise and walk term must be a
+    /// finite number, far enough from overflow that no `∞ − ∞` or `∞ · 0`
+    /// arises. Generated profiles are O(1); parameters that fail this are
+    /// degenerate for the rule.
+    fn levels_are_numbers(p: &ResourceProfile) -> bool {
+        let scale = (p.base.abs() + p.amplitude + 4.0 * p.noise + p.daily_drift.abs())
+            * p.weekend_factor.max(1.0);
+        scale < 1e300 && p.peak_hour.is_finite()
+    }
+
+    /// The order-statistic loop behind both peak derivations; `BUCKETS`
+    /// selects the bucket-decided stopping rule, and bucket fractions in
+    /// `out`, over top-k exact.
+    fn order_statistics_into<const BUCKETS: bool>(
+        &self,
+        resource: ResourceKind,
+        tw: TimeWindows,
+        start: Timestamp,
+        end: Timestamp,
+        p: Percentile,
+        out: &mut WindowPeaks,
+    ) -> usize {
         let profile = &self.per_resource[resource.index()];
         let (first_day, days) = day_rows(start, end);
-        if days == 0 || days > MAX_ORDERED_DAYS || Self::needs_eager_fallback(profile) {
+        if days == 0
+            || days > MAX_ORDERED_DAYS
+            || Self::needs_eager_fallback(profile)
+            || (BUCKETS && !Self::levels_are_numbers(profile))
+        {
             let exact = self.window_stats_for(resource, tw, start, end);
             for w in tw.indices() {
-                out.lifetime_max[w][resource] = f64::from(exact.lifetime_max(w));
-                out.percentile[w][resource] = f64::from(exact.maxima_percentile(w, p));
+                let (max, px) = (exact.lifetime_max(w), exact.maxima_percentile(w, p));
+                write_peaks::<BUCKETS>(out, w, resource, max, px);
             }
             return 0;
         }
 
         let rank = PercentileRank::of(days, p);
         let k = rank.top_k(days);
+        // The percentile's two order statistics, counted from the largest.
+        let (nth_lo, nth_hi) = (days - rank.lo, days - rank.hi);
         let mut scan = CellScan::new(self, resource, tw);
         let wticks = scan.wticks;
         let mut terms = [DayTerms::default(); MAX_ORDERED_DAYS];
@@ -490,6 +588,7 @@ impl VmProfile {
         // `white < 1` and `walk < 1`, scaled by non-negative factors.
         let noise = profile.noise;
         let walk_max = if scan.unpredictable { 3.0 * noise } else { 0.0 };
+        let mut brackets = Brackets::new(k);
 
         let mut evaluated = 0;
         for w in tw.indices() {
@@ -511,39 +610,99 @@ impl VmProfile {
                 order[j] = i as u8;
             }
 
-            let mut top = TopK::new(k);
-            for &i in &order[..days] {
-                let i = usize::from(i);
+            // Day `i`'s cell: its covered ticks (an empty range when the
+            // span misses the window that day), and the pre-screen's bound
+            // on every tick value, with the value's own association
+            // `(level + noise·white) + walk_term` so every step is a
+            // monotone IEEE op.
+            let cover = |i: usize| {
                 let wstart = terms[i].day_start + tod_lo;
-                let t_lo = start.ticks().max(wstart);
-                let t_hi = end.ticks().min(wstart + wticks);
-                if t_lo >= t_hi {
-                    // Uncovered cells count as 0.0, as `day_max_or_zero`
-                    // reads them.
-                    top.offer(0.0);
-                    continue;
+                (start.ticks().max(wstart), end.ticks().min(wstart + wticks))
+            };
+            let screen = |i: usize| (bound[i] + noise) + walk_max;
+
+            let mut top = TopK::new(k);
+            let mut decided = None;
+            if BUCKETS {
+                brackets.clear();
+                for &i in &order[..days] {
+                    let i = usize::from(i);
+                    let (t_lo, t_hi) = cover(i);
+                    if t_lo >= t_hi {
+                        brackets.push_uncovered();
+                    } else {
+                        let hi = screen(i).clamp(0.0, 1.0) as f32;
+                        brackets.push_covered(hi, || scan.seed_value(terms[i], w, t_lo, t_hi));
+                    }
                 }
-                let floor = top.floor();
-                // Pre-screen, with the value's own association `(level +
-                // noise·white) + walk_term` so every step is a monotone
-                // IEEE op: no tick of the cell can beat the floor, the cell
-                // reports the floor, the top-k does not move. Only once the
-                // top-k is full — every reported value is ≥ 0, so the clamp
-                // cannot lift a skipped tick above the floor.
-                if floor >= 0.0 && (bound[i] + noise) + walk_max <= f64::from(floor) {
-                    continue;
-                }
-                evaluated += 1;
-                top.offer(scan.cell(terms[i], w, t_lo, t_hi, floor));
+                decided = brackets.decide(&top, rank, nth_lo, nth_hi);
             }
-            out.lifetime_max[w][resource] = f64::from(top.nth_largest(1));
-            out.percentile[w][resource] = f64::from(rank.interpolate(
-                top.nth_largest(days - rank.lo),
-                top.nth_largest(days - rank.hi),
-            ));
+            if decided.is_none() {
+                for (pos, &i) in order[..days].iter().enumerate() {
+                    let i = usize::from(i);
+                    let (t_lo, t_hi) = cover(i);
+                    if t_lo >= t_hi {
+                        // Uncovered cells count as 0.0, as `day_max_or_zero`
+                        // reads them.
+                        top.offer(0.0);
+                        continue;
+                    }
+                    let floor = top.floor();
+                    // Pre-screen: no tick of the cell can beat the floor,
+                    // the cell reports the floor, the top-k does not move.
+                    // Only once the top-k is full — every reported value is
+                    // ≥ 0, so the clamp cannot lift a skipped tick above the
+                    // floor.
+                    if floor >= 0.0 && screen(i) <= f64::from(floor) {
+                        if BUCKETS {
+                            brackets.skip();
+                        }
+                        continue;
+                    }
+                    evaluated += 1;
+                    let reported = scan.cell(terms[i], w, t_lo, t_hi, floor);
+                    top.offer(reported);
+                    if BUCKETS {
+                        brackets.collapse(pos, reported);
+                        decided = brackets.decide(&top, rank, nth_lo, nth_hi);
+                        if decided.is_some() {
+                            break;
+                        }
+                    }
+                }
+            }
+            let (max, px) = decided.unwrap_or_else(|| {
+                let at = |n| top.nth_largest(n);
+                (at(1), rank.interpolate(at(nth_lo), at(nth_hi)))
+            });
+            write_peaks::<BUCKETS>(out, w, resource, max, px);
         }
         evaluated
     }
+}
+
+/// All-zero peaks over `tw`, for the per-resource passes to fill in.
+fn zero_peaks(tw: TimeWindows) -> WindowPeaks {
+    let zeros = WindowVec::from_elem(ResourceVec::ZERO, tw.count());
+    WindowPeaks {
+        lifetime_max: zeros.clone(),
+        percentile: zeros,
+    }
+}
+
+/// Write window `w`'s maximum and percentile into `resource`'s slots: as
+/// they are under the top-k exact rule, rounded up to their buckets under
+/// the bucket-decided one.
+fn write_peaks<const BUCKETS: bool>(
+    out: &mut WindowPeaks,
+    w: usize,
+    resource: ResourceKind,
+    max: f32,
+    px: f32,
+) {
+    let (max, px) = (f64::from(max), f64::from(px));
+    out.lifetime_max[w][resource] = if BUCKETS { bucket_up(max) } else { max };
+    out.percentile[w][resource] = if BUCKETS { bucket_up(px) } else { px };
 }
 
 /// First day and number of day-rows `[start, end)` touches (0 when empty).
@@ -609,6 +768,162 @@ impl TopK {
     fn nth_largest(&self, n: usize) -> f32 {
         self.vals[..self.len][n - 1]
     }
+
+    /// The values held, descending.
+    fn held(&self) -> &[f32] {
+        &self.vals[..self.len]
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// Raise one value offered earlier from `old` to `new ≥ old`. The top-k
+    /// is a multiset, so the value needs no identity: if `old` is held, any
+    /// held copy of it is replaced and moved up; if not, it lies below the
+    /// `k`-th largest and `new` enters like a fresh offer.
+    fn raise(&mut self, old: f32, new: f32) {
+        match self.held().iter().rposition(|&v| v == old) {
+            Some(mut i) => {
+                while i > 0 && self.vals[i - 1] < new {
+                    self.vals[i] = self.vals[i - 1];
+                    i -= 1;
+                }
+                self.vals[i] = new;
+            }
+            None => self.offer(new),
+        }
+    }
+}
+
+/// The bucket-decided rule's view of one window
+/// ([`VmProfile::window_peak_buckets`]): an interval per day, kept as what
+/// the order statistics of its two ends need. Built once per scan and
+/// cleared per window.
+struct Brackets {
+    /// Upper ends of the covered days in visiting order — non-increasing,
+    /// since the order sorts by the bound they are cast from. The first
+    /// `passed` belong to days the loop has resolved or pre-screened.
+    hi: [f32; MAX_ORDERED_DAYS],
+    covered: usize,
+    passed: usize,
+    /// Lower ends of the first `seeded` visiting positions; every later
+    /// day's is 0.0.
+    lo: [f32; MAX_ORDERED_DAYS],
+    seeded: usize,
+    seeding: bool,
+    /// Top-k of the lower ends, a resolved day's being its reported value.
+    /// Always full once the window is pushed.
+    lo_top: TopK,
+}
+
+impl Brackets {
+    fn new(k: usize) -> Self {
+        Brackets {
+            hi: [0.0; MAX_ORDERED_DAYS],
+            covered: 0,
+            passed: 0,
+            lo: [0.0; MAX_ORDERED_DAYS],
+            seeded: 0,
+            seeding: true,
+            lo_top: TopK::new(k),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.covered = 0;
+        self.passed = 0;
+        self.seeded = 0;
+        self.seeding = true;
+        self.lo_top.clear();
+    }
+
+    /// The next visiting position's day misses the span: 0.0 at both ends.
+    fn push_uncovered(&mut self) {
+        if self.seeding {
+            self.seed(0.0);
+        }
+    }
+
+    /// The next visiting position's day is covered, with upper end `hi`.
+    /// `seed` realizes its lower end, and runs only while the day can still
+    /// reach the lower ends' top-k: once that is full, a day whose upper
+    /// end does not beat its floor cannot, and neither can any later day.
+    fn push_covered(&mut self, hi: f32, seed: impl FnOnce() -> f32) {
+        self.hi[self.covered] = hi;
+        self.covered += 1;
+        // `floor` is −1 until the top-k is full.
+        if self.seeding && hi <= self.lo_top.floor() {
+            self.seeding = false;
+        }
+        if self.seeding {
+            self.seed(seed());
+        }
+    }
+
+    fn seed(&mut self, lo: f32) {
+        self.lo[self.seeded] = lo;
+        self.seeded += 1;
+        self.lo_top.offer(lo);
+    }
+
+    /// The loop pre-screened the next covered day. It keeps its interval:
+    /// the reported top-k is full and every value in it is at or above the
+    /// day's upper end, so leaving that end out changes no order statistic
+    /// of the upper ends.
+    fn skip(&mut self) {
+        self.passed += 1;
+    }
+
+    /// The loop resolved the day at visiting position `pos` and reported
+    /// `reported`: its interval collapses to that value. The lower end
+    /// rises to it; the upper end leaves `hi`, the report being in the
+    /// loop's top-k or below its floor.
+    fn collapse(&mut self, pos: usize, reported: f32) {
+        self.passed += 1;
+        let lo = if pos < self.seeded { self.lo[pos] } else { 0.0 };
+        self.lo_top.raise(lo, reported);
+    }
+
+    /// The lower ends of the maximum and of the percentile, once
+    /// [`Bucket::round_up`] agrees at both ends of both; `top` is the
+    /// loop's top-k of reported values.
+    fn decide(
+        &self,
+        top: &TopK,
+        rank: PercentileRank,
+        nth_lo: usize,
+        nth_hi: usize,
+    ) -> Option<(f32, f32)> {
+        let bucket = |v: f32| Bucket::round_up(f64::from(v));
+        let lower = |n| self.lo_top.nth_largest(n);
+        // Upper ends: the reported values, then the unresolved days' own
+        // upper ends, then 0.0 for the uncovered days still to come.
+        let upper = |n| nth_of_two(top.held(), &self.hi[self.passed..self.covered], n);
+        let max = lower(1);
+        if bucket(max) != bucket(upper(1)) {
+            return None;
+        }
+        let px = rank.interpolate(lower(nth_lo), lower(nth_hi));
+        let px_hi = rank.interpolate(upper(nth_lo), upper(nth_hi));
+        (bucket(px) == bucket(px_hi)).then_some((max, px))
+    }
+}
+
+/// The `n`-th largest (1-based) of two descending runs taken together; 0.0
+/// past the end of both.
+fn nth_of_two(a: &[f32], b: &[f32], n: usize) -> f32 {
+    let (mut i, mut j) = (0, 0);
+    let mut v = 0.0;
+    for _ in 0..n {
+        match (a.get(i), b.get(j)) {
+            (Some(&x), Some(&y)) if x >= y => (v, i) = (x, i + 1),
+            (_, Some(&y)) => (v, j) = (y, j + 1),
+            (Some(&x), None) => (v, i) = (x, i + 1),
+            (None, None) => return 0.0,
+        }
+    }
+    v
 }
 
 /// The per-day constants of the scan: multiplying by 1.0 on weekdays is
@@ -755,6 +1070,28 @@ impl<'a> CellScan<'a> {
         }
     }
 
+    /// The value of the cell's *seed tick*, the one tick
+    /// [`CellScan::cell`] evaluates before any screen: the first covered
+    /// tick for unpredictable profiles, and for diurnal ones the covered
+    /// tick nearest the bump center ([`CellScan::seed_of`], clamped so
+    /// partial edge cells are seeded too). A realized value, so a lower
+    /// bound on the cell max. The range must be non-empty.
+    #[inline]
+    fn seed_value(&mut self, day: DayTerms, w: usize, t_lo: u64, t_hi: u64) -> f32 {
+        let (t, walk_term) = if self.unpredictable {
+            let walk = 2.0 * hash_unit_pre(self.walk_pre, t_lo / TICKS_PER_HOUR) - 1.0;
+            (t_lo, 3.0 * self.p.noise * walk)
+        } else {
+            let t0 = (day.day_start + self.seed_of(w as u64)).clamp(t_lo, t_hi - 1);
+            (t0, 0.0)
+        };
+        // The same term order as `util_at`: level, white noise, then the
+        // unpredictable walk.
+        let level = self.env_at((t - day.day_start) as usize) * day.wf + day.drift;
+        let white = 2.0 * hash_unit_pre(self.white_pre, t) - 1.0;
+        ((level + self.p.noise * white) + walk_term).clamp(0.0, 1.0) as f32
+    }
+
     /// The cell kernel: the maximum of window `w`'s ticks `[t_lo, t_hi)` on
     /// one day, as `f32`, with the running max seeded from `floor` — so the
     /// result is `max(floor, true cell max)`, and it is the true max for
@@ -777,6 +1114,20 @@ impl<'a> CellScan<'a> {
         // `max(floor, true cell max)`.
         let mut m = floor;
         let mut m64 = f64::from(m);
+
+        // The seed tick, unconditionally: coverage never rests on a screen
+        // (with pathological hand-built parameters the pruning bounds could
+        // sit at or below the −1 UNCOVERED sentinel and skip a window
+        // entirely), and for diurnal profiles it drives the running max
+        // near the top before the scan, so the bounds below prune the
+        // white-noise hash (and the cosine) for every clearly sub-peak
+        // tick. Its re-evaluation inside the scan yields the same value and
+        // cannot change the max.
+        let seed = self.seed_value(day, w, t_lo, t_hi);
+        if seed > m {
+            m = seed;
+            m64 = f64::from(m);
+        }
 
         // Evaluate a tick: the same term order as `util_at` (white
         // noise, then the unpredictable walk).
@@ -807,20 +1158,6 @@ impl<'a> CellScan<'a> {
             // envelope bound and then by the bound with the run's
             // *actual* maximal white draw before any cell evaluates
             // (the same two-screen structure as the periodic arm).
-            //
-            // Coverage is guaranteed by evaluating the first tick
-            // unconditionally (its later re-evaluation inside the
-            // scan yields the same value and cannot change the max):
-            // with pathological hand-built parameters the pruning
-            // bounds could otherwise sit at or below the −1
-            // UNCOVERED sentinel and skip a window entirely.
-            {
-                let block = t_lo / TICKS_PER_HOUR;
-                let walk = 2.0 * hash_unit_pre(walk_pre, block) - 1.0;
-                let walk_term = 3.0 * noise * walk;
-                let level = self.env_at((t_lo - day_start) as usize) * wf_day + drift;
-                eval_tick!(t_lo, level, walk_term);
-            }
             let spans = self.geom.bump_spans;
             let nspans = self.geom.nspans as usize;
             let mut t = t_lo;
@@ -893,15 +1230,6 @@ impl<'a> CellScan<'a> {
                 t = block_end;
             }
         } else {
-            // Seed the running max from the covered cell nearest the
-            // bump center (the clamp keeps partial edge windows
-            // seeded too): with `m` already near the top, the bounds
-            // prune the white-noise hash (and the cosine resolution)
-            // for every clearly sub-peak tick.
-            let t0 = (day_start + self.seed_of(w as u64)).clamp(t_lo, t_hi - 1);
-            let level0 = self.env_at((t0 - day_start) as usize) * wf_day + drift;
-            eval_tick!(t0, level0, 0.0);
-
             // Split the window's tick-of-day range into exactly-flat
             // spans (the complement of the bump intervals)
             // and bump spans. A flat span's maximum value is the
@@ -1071,6 +1399,16 @@ impl UtilizationSource for VmProfile {
         p: Percentile,
     ) -> WindowPeaks {
         VmProfile::window_peaks(self, tw, start, end, p)
+    }
+
+    fn window_peak_buckets(
+        &self,
+        tw: TimeWindows,
+        start: Timestamp,
+        end: Timestamp,
+        p: Percentile,
+    ) -> WindowPeaks {
+        VmProfile::window_peak_buckets(self, tw, start, end, p)
     }
 }
 
@@ -1524,6 +1862,50 @@ mod tests {
         evaluated
     }
 
+    /// The bucket-decided rule against `bucket_up` of the exact policy's
+    /// statistics, bit for bit, at each swept percentile — and, per
+    /// resource and percentile, resolving no more cells than the top-k
+    /// exact rule. Returns the cells each rule handed to the kernel, summed:
+    /// `(bucketed, exact)`.
+    fn assert_buckets_bit_identical(
+        p: &VmProfile,
+        tw: TimeWindows,
+        start: Timestamp,
+        end: Timestamp,
+    ) -> (usize, usize) {
+        let exact = p.window_stats(tw, start, end);
+        let (mut bucketed, mut exhaustive) = (0, 0);
+        for pct in SWEPT_PERCENTILES.map(Percentile::new) {
+            let got = p.window_peak_buckets(tw, start, end, pct);
+            let want = WindowPeaks::from_stats(&exact, pct).bucket_up();
+            for kind in ResourceKind::ALL {
+                for w in tw.indices() {
+                    assert_eq!(
+                        got.lifetime_max[w][kind].to_bits(),
+                        want.lifetime_max[w][kind].to_bits(),
+                        "{kind} window {w} lifetime max bucket at {pct}"
+                    );
+                    assert_eq!(
+                        got.percentile[w][kind].to_bits(),
+                        want.percentile[w][kind].to_bits(),
+                        "{kind} window {w} {pct} bucket"
+                    );
+                }
+                let mut sink = got.clone();
+                let cells = p.window_peak_buckets_into(kind, tw, start, end, pct, &mut sink);
+                assert_eq!(sink, got, "{kind}: per-resource pass rewrote its slots");
+                let exact_cells = p.window_peaks_into(kind, tw, start, end, pct, &mut sink);
+                assert!(
+                    cells <= exact_cells,
+                    "{kind} {pct}: bucketed rule resolved {cells} cells, exact {exact_cells}"
+                );
+                bucketed += cells;
+                exhaustive += exact_cells;
+            }
+        }
+        (bucketed, exhaustive)
+    }
+
     #[test]
     fn analytic_stats_match_reference_for_unpredictable_weekend_span() {
         // Force the noisiest pattern class across a weekend boundary, where
@@ -1680,6 +2062,131 @@ mod tests {
         assert_eq!(all, covered);
     }
 
+    /// Flat hand-built profiles whose every cell sits on a bucket edge, or
+    /// within 1e-9 or one `f32` ulp of one. `0.15` itself is such a value:
+    /// as `f32` it reads 0.150000006, in the 20 % bucket. With noise and
+    /// drift of about an ulp the two ends of a window straddle the edge,
+    /// so the rule must resolve those windows, not decide them, and still
+    /// read what the exact statistics round to.
+    #[test]
+    fn bucket_edges_resolve_exactly() {
+        let tw = TimeWindows::paper_default();
+        let start = Timestamp::from_hours(5);
+        let end = Timestamp::from_days(3) + SimDuration::from_hours(7);
+        let mut resolved = 0;
+        for k in 1..20u64 {
+            let edge = k as f64 * 0.05;
+            let e32 = edge as f32;
+            let near = [
+                edge,
+                edge - 1e-9,
+                edge + 1e-9,
+                f64::from(e32),
+                f64::from(f32::from_bits(e32.to_bits() - 1)),
+                f64::from(f32::from_bits(e32.to_bits() + 1)),
+            ];
+            for base in near {
+                for (kind, noise, drift) in [
+                    (PatternKind::Constant, 0.0, 0.0),
+                    (PatternKind::Periodic, 1e-9, 0.0),
+                    (PatternKind::Periodic, 3e-8, 0.0),
+                    (PatternKind::Unpredictable, 1e-8, 1e-9),
+                    (PatternKind::Constant, 0.0, 3e-8),
+                ] {
+                    let flat = ResourceProfile {
+                        base,
+                        noise,
+                        daily_drift: drift,
+                        ..ResourceProfile::idle()
+                    };
+                    let p = VmProfile {
+                        kind,
+                        per_resource: [flat; ResourceKind::COUNT],
+                        noise_seed: k,
+                    };
+                    resolved += assert_buckets_bit_identical(&p, tw, start, end).0;
+                }
+            }
+        }
+        assert!(resolved > 0, "no window's bounds straddled an edge");
+    }
+
+    /// Hand-built parameters whose levels can be NaN or infinite — where
+    /// a tick value need not lie between the interval ends — bucket the
+    /// exact statistics instead of deciding on bounds.
+    #[test]
+    fn non_numeric_levels_bucket_the_exact_statistics() {
+        let tw = TimeWindows::paper_default();
+        let (start, end) = (Timestamp::from_hours(3), Timestamp::from_days(4));
+        type Break = fn(&mut ResourceProfile);
+        let breaks: [Break; 4] = [
+            |r| r.base = f64::NAN,
+            |r| r.daily_drift = f64::INFINITY,
+            |r| r.peak_hour = f64::INFINITY,
+            |r| {
+                (r.base, r.amplitude, r.weekend_factor) = (1e308, 1e308, 0.0);
+            },
+        ];
+        for (seed, broken) in breaks.into_iter().enumerate() {
+            let mut p = sample_profile(seed as u64);
+            for r in p.per_resource.iter_mut() {
+                broken(r);
+                assert!(!VmProfile::levels_are_numbers(r));
+            }
+            assert_eq!(assert_buckets_bit_identical(&p, tw, start, end).0, 0);
+        }
+    }
+
+    /// `order_statistic_policy_prunes_most_cells`' profile.
+    fn pruning_profile() -> VmProfile {
+        let mut rng = SmallRng::seed_from_u64(12);
+        let mut template = BehaviorTemplate::sample(&mut rng);
+        template.kind = PatternKind::Periodic;
+        let mut p = template.instantiate(12);
+        for r in p.per_resource.iter_mut() {
+            r.noise = 0.01;
+            r.daily_drift = 0.05;
+        }
+        p
+    }
+
+    /// Per profile, resource and percentile the bucket-decided rule
+    /// resolves no more cells than the top-k exact rule — the same order
+    /// and floors with an earlier stop (`assert_buckets_bit_identical`
+    /// asserts it) — and on `order_statistic_policy_prunes_most_cells`'
+    /// profile exactly as many as pinned here.
+    #[test]
+    fn bucketed_rule_never_resolves_more_cells() {
+        let tw = TimeWindows::paper_default();
+        for seed in 0..40u64 {
+            let start = Timestamp::from_ticks(seed * 37);
+            let end = start + SimDuration::from_days(1 + seed % 20);
+            assert_buckets_bit_identical(&sample_profile(seed), tw, start, end);
+        }
+
+        let p = pruning_profile();
+        let (start, end) = (Timestamp::ZERO, Timestamp::from_days(14));
+        let mut out = p.window_peaks(tw, start, end, Percentile::P95);
+        let cells = |pct: Percentile, out: &mut WindowPeaks| {
+            ResourceKind::ALL.map(|kind| {
+                (
+                    p.window_peak_buckets_into(kind, tw, start, end, pct, out),
+                    p.window_peaks_into(kind, tw, start, end, pct, out),
+                )
+            })
+        };
+        // (bucketed, exact) per resource, CPU first: 17 of 56 cells at P95,
+        // 36 of 208 at P50.
+        assert_eq!(
+            cells(Percentile::P95, &mut out),
+            [(5, 20), (2, 12), (2, 12), (8, 12)]
+        );
+        assert_eq!(
+            cells(Percentile::P50, &mut out),
+            [(2, 51), (14, 54), (10, 51), (10, 52)]
+        );
+    }
+
     proptest! {
         /// The order-statistic policy reports, bit for bit, what the exact
         /// policy's statistics say — across random templates, per-VM seeds,
@@ -1701,6 +2208,38 @@ mod tests {
             let start = Timestamp::from_ticks(start_ticks);
             let end = Timestamp::from_ticks(start_ticks + len);
             assert_peaks_bit_identical(&p, tw, start, end);
+        }
+
+        /// The bucket-decided rule reports, bit for bit, `bucket_up` of
+        /// what the exact policy's statistics say, over
+        /// `prop_window_peaks_match_exact_stats`' generators. A quarter of
+        /// the cases zero or shrink a term the screens and the bounds lean
+        /// on: noise 0 or ≤ 1e-6 (below the kernel's hash-space screen),
+        /// no drift, or no amplitude.
+        #[test]
+        fn prop_bucketed_peaks_match_exact(
+            seed in 0u64..10_000,
+            start_ticks in 0u64..(3 * TICKS_PER_DAY),
+            len in 1u64..(40 * TICKS_PER_DAY),
+            short in 0u64..4,
+            wpd_idx in 0usize..5,
+            edge_case in 0u64..16,
+        ) {
+            let tw = TimeWindows::new([1u32, 2, 6, 24, 288][wpd_idx]);
+            let mut p = sample_profile(seed);
+            for r in p.per_resource.iter_mut() {
+                match edge_case {
+                    0 => r.noise = 0.0,
+                    1 => r.noise *= 1e-5,
+                    2 => r.daily_drift = 0.0,
+                    3 => r.amplitude = 0.0,
+                    _ => {}
+                }
+            }
+            let len = if short == 0 { 1 + len % (2 * TICKS_PER_DAY) } else { len };
+            let start = Timestamp::from_ticks(start_ticks);
+            let end = Timestamp::from_ticks(start_ticks + len);
+            assert_buckets_bit_identical(&p, tw, start, end);
         }
 
         /// The tentpole equivalence: analytic window statistics are

@@ -68,8 +68,12 @@ impl std::fmt::Display for Bucket {
     }
 }
 
+/// Every rounding is non-decreasing over the non-NaN inputs, ±∞ included:
+/// an overflowed fraction clamps to 100 % like any other fraction above 1
+/// (rounding *up* is the conservative direction), and only NaN, which has
+/// no place in the order, maps to bucket 0.
 fn to_index(fraction: f64, dir: fn(f64) -> f64) -> u8 {
-    if !fraction.is_finite() {
+    if fraction.is_nan() {
         return 0;
     }
     let f = fraction.clamp(0.0, 1.0);
@@ -135,7 +139,32 @@ mod tests {
         assert_eq!(Bucket::round_up(-0.3).index(), 0);
         assert_eq!(Bucket::round_up(1.7).index(), 20);
         assert_eq!(Bucket::round_up(f64::NAN).index(), 0);
+        for round in [Bucket::round_up, Bucket::round_down, Bucket::round_nearest] {
+            assert_eq!(round(f64::INFINITY), Bucket::MAX);
+            assert_eq!(round(f64::NEG_INFINITY).index(), 0);
+            assert_eq!(round(f64::NAN).index(), 0);
+        }
         assert_eq!(Bucket::from_index(99), Bucket::MAX);
+    }
+
+    /// The bucket edges `k · 0.05` and their neighbours on both sides: the
+    /// fp-dust tolerance (1e-9 in scaled units, so 5e-11 here), just inside
+    /// and outside it, and the nearest `f32` to the edge one ulp either way
+    /// — where a monotonicity slip would hide.
+    fn edge_values() -> Vec<f64> {
+        let mut v = vec![f64::NEG_INFINITY, f64::INFINITY, -1.0, 2.0];
+        for k in 0..=20 {
+            let edge = k as f64 * BUCKET_WIDTH;
+            for d in [0.0, 1e-12, 1e-9, 2e-9] {
+                v.extend([edge - d, edge + d]);
+            }
+            let e32 = edge as f32;
+            v.extend([e32, f32::from_bits(e32.to_bits() + 1)].map(f64::from));
+            if e32 > 0.0 {
+                v.push(f64::from(f32::from_bits(e32.to_bits() - 1)));
+            }
+        }
+        v
     }
 
     #[test]
@@ -159,6 +188,31 @@ mod tests {
         fn prop_idempotent(f in 0.0f64..1.0) {
             let b = bucket_up(f);
             prop_assert_eq!(bucket_up(b), b);
+        }
+
+        /// `x ≤ y ⇒ round_up(x) ≤ round_up(y)`: two random values and one
+        /// drawn edge value, each paired with every edge value. The
+        /// analytic scan's bucket-decided rule brackets a statistic
+        /// between two bounds and stops once both round up alike, which
+        /// is sound only if rounding up is non-decreasing.
+        #[test]
+        fn prop_round_up_is_monotone(a in -0.5f64..1.5, b in -0.5f64..1.5, i in 0usize..1024) {
+            let edges = edge_values();
+            let e = edges[i % edges.len()];
+            let pairs = [(a, b)]
+                .into_iter()
+                .chain(edges.iter().flat_map(|&f| [(a, f), (b, f), (e, f)]));
+            for (x, y) in pairs {
+                let (x, y) = if x <= y { (x, y) } else { (y, x) };
+                prop_assert!(
+                    Bucket::round_up(x) <= Bucket::round_up(y),
+                    "round_up({}) = {} > round_up({}) = {}",
+                    x,
+                    Bucket::round_up(x),
+                    y,
+                    Bucket::round_up(y)
+                );
+            }
         }
     }
 }

@@ -12,6 +12,7 @@
 //! recorded series walks its samples once ([`WindowStats::from_series`], the
 //! reference implementation).
 
+use crate::bucket::bucket_up;
 use crate::resource::{ResourceKind, ResourceVec};
 use crate::series::{percentile_of, percentile_of_sorted, Percentile, ResourceSeries, UtilSeries};
 use crate::time::{TimeWindows, Timestamp, TICKS_PER_DAY};
@@ -341,6 +342,21 @@ impl WindowPeaks {
                 .collect(),
         }
     }
+
+    /// Every value rounded up to its 5 % bucket ([`bucket_up`]), as an
+    /// oracle prediction keeps them.
+    pub fn bucket_up(mut self) -> Self {
+        for v in self
+            .lifetime_max
+            .iter_mut()
+            .chain(self.percentile.iter_mut())
+        {
+            for kind in ResourceKind::ALL {
+                v[kind] = bucket_up(v[kind]);
+            }
+        }
+        self
+    }
 }
 
 /// Anything that can answer utilization queries for a VM: a recorded series
@@ -350,9 +366,31 @@ impl WindowPeaks {
 /// only need windowed statistics — model training, accuracy experiments —
 /// ask for them directly, and the producer is free to derive them far
 /// cheaper than materializing every 5-minute sample. The oracle needs less
-/// still and asks for [`UtilizationSource::window_peaks`]. Point queries
-/// stay available for consumers that genuinely sample the timeline (the
-/// violation sweep).
+/// still: unbucketed, [`UtilizationSource::window_peaks`]; as the serving
+/// oracle keeps it, rounded up to 5 % buckets,
+/// [`UtilizationSource::window_peak_buckets`]. Point queries stay available
+/// for consumers that genuinely sample the timeline (the violation sweep).
+///
+/// # Two stopping rules
+///
+/// A producer that derives the peaks from per-day cells may stop resolving
+/// a window's cells early under either of two rules, and the answer does
+/// not change by a bit:
+///
+/// * *top-k exact* ([`UtilizationSource::window_peaks`]): once no further
+///   cell can enter the `k` largest day maxima the maximum and percentile
+///   read;
+/// * *bucket-decided* ([`UtilizationSource::window_peak_buckets`]): once
+///   bounds on those order statistics round up to the same bucket at both
+///   ends. Sound because (i) a lower bound is a realized value and an
+///   upper bound a padded screen, cast to `f32` by monotone rounding;
+///   (ii) a cell reported as `max(floor, true)` with `floor` at most the
+///   final `k`-th largest leaves the top-`k` multiset unchanged, so
+///   reports for resolved cells mixed with bounds for the rest still
+///   sandwich each top-`k` order statistic; (iii)
+///   [`crate::series::PercentileRank::interpolate`] is monotone (`f32` ops
+///   with non-negative weights); (iv) [`crate::Bucket::round_up`] is
+///   non-decreasing over non-NaN inputs.
 pub trait UtilizationSource {
     /// Utilization fractions of all resources at `t` (zeros outside
     /// coverage).
@@ -388,6 +426,20 @@ pub trait UtilizationSource {
         p: Percentile,
     ) -> WindowPeaks {
         WindowPeaks::from_stats(&self.window_stats(tw, start, end), p)
+    }
+
+    /// [`UtilizationSource::window_peaks`] with every value rounded up to
+    /// its 5 % bucket — always equal to `self.window_peaks(tw, start, end,
+    /// p).bucket_up()`, which is what the default does. A producer
+    /// overrides it when the bucket-decided rule lets it resolve less.
+    fn window_peak_buckets(
+        &self,
+        tw: TimeWindows,
+        start: Timestamp,
+        end: Timestamp,
+        p: Percentile,
+    ) -> WindowPeaks {
+        self.window_peaks(tw, start, end, p).bucket_up()
     }
 }
 

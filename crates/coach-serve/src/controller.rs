@@ -4,7 +4,7 @@ use crate::account::{AccountantDump, ViolationAccountant};
 use crate::calendar::DepartureCalendar;
 use crate::request::{Request, Response, StatsReport};
 use crate::telemetry::{ControllerTelemetry, ADMISSION_SAMPLE_EVERY};
-use crate::wire::Snapshot;
+use crate::wire::{Derived, Snapshot};
 use coach_predict::DemandPrediction;
 use coach_sched::{
     ClusterScheduler, ClusterSchedulerDump, PlacementHeuristic, PlacementOutcome, ScanStrategy,
@@ -19,34 +19,34 @@ use coach_trace::{Cluster, Trace, VmRecord};
 use coach_types::prelude::*;
 use coach_wire::WireError;
 use std::collections::hash_map::Entry;
-use std::sync::mpsc;
 use std::time::Instant;
 
-/// Arrivals per [`Predictor::predict_batch`] call inside a segment: the
-/// unit the derive stage hands to the placement loop. Small enough that
-/// the first placement starts after 1/16 of a dispatcher segment has been
-/// derived, large enough that the per-chunk hand-off is noise.
+/// Arrivals per [`Predictor::predict_batch`] call: the unit a segment is
+/// derived in, wherever it is derived. Large enough that a batch-capable
+/// source (the forest's tree-major sweep) amortizes its per-call work,
+/// small enough that a worker deriving its own segment holds one chunk of
+/// predictions at a time.
 pub(crate) const DERIVE_CHUNK: usize = 64;
 
-/// Derived chunks the helper may run ahead of the placement loop. Bounds
-/// the in-flight predictions below a whole segment's worth (what the
-/// pre-pipeline code held), so the memory high-water mark cannot move.
-pub(crate) const DERIVE_LOOKAHEAD: usize = 4;
-
-/// Whether a box has a core to spare for one derive helper per shard
-/// beside `shards` placement threads.
-pub(crate) fn spare_core_per_shard(shards: usize) -> bool {
-    available_threads() >= 2 * shards
-}
-
-/// One chunk of a segment as the derive stage hands it over: the records
-/// and their predictions, index for index.
-struct DerivedChunk<'s> {
-    recs: &'s [&'s VmRecord],
-    predictions: Vec<Option<DemandPrediction>>,
-    /// When the chunk's `predict_batch` call started and how long it ran
-    /// (armed telemetry only).
-    span: Option<(Instant, u64)>,
+/// Derive `recs` in stream order, one [`Predictor::predict_batch`] call
+/// per [`DERIVE_CHUNK`] arrivals, each recorded as a `derive.chunk` span
+/// when `spans` is armed: the one derive loop, run by a controller over
+/// its own segments and by a dispatcher that derives at the front door.
+pub(crate) fn derive(
+    predictor: &dyn Predictor,
+    percentile: Percentile,
+    recs: &[&VmRecord],
+    mut spans: Option<&mut SpanRing>,
+) -> Derived {
+    let mut predictions = Vec::with_capacity(recs.len());
+    for chunk in recs.chunks(DERIVE_CHUNK) {
+        let start = spans.is_some().then(SpanRing::begin);
+        predictions.extend(predictor.predict_batch(chunk, percentile));
+        if let (Some(ring), Some(start)) = (spans.as_deref_mut(), start) {
+            ring.end("derive.chunk", start);
+        }
+    }
+    predictions
 }
 
 /// Controller configuration.
@@ -75,11 +75,12 @@ pub struct ServeConfig {
     /// (default) or supervised child processes speaking `coach-wire`
     /// frames over pipes ([`coach_types::runtime::ProcessPool`]). A
     /// single-shard [`Controller`] ignores this, and it never crosses the
-    /// wire (a restored controller reads back the default). The process
-    /// backend re-derives predictions inside each child from an
-    /// [`coach_sim::Oracle`] over the same window partition, so it
-    /// requires an Oracle-equivalent predictor (the prederived cache is
-    /// bit-identical by construction).
+    /// wire (a restored controller reads back the default). Each child
+    /// derives its own segments — a process session never derives at the
+    /// dispatcher, whatever its shard count — from an
+    /// [`coach_sim::Oracle`] over the same window partition, so the
+    /// backend requires an Oracle-equivalent predictor (the prederived
+    /// cache is bit-identical by construction).
     pub backend: WorkerBackend,
     /// How much telemetry the deployment records
     /// ([`coach_telemetry::TelemetryConfig`]): `Off` (default) compiles
@@ -188,11 +189,6 @@ pub struct Controller<'a> {
     /// Armed telemetry, or `None` under [`TelemetryConfig::Off`] — the
     /// guarded fast path every instrumented site branches on.
     telemetry: Option<Box<ControllerTelemetry>>,
-    /// Whether [`Self::handle_arrivals`] runs its derive stage on a helper
-    /// thread. A schedule choice, never a decision input: set from the
-    /// box's core count (see [`Self::set_derive_helper`]), absent from
-    /// [`ServeConfig`] and from snapshots.
-    derive_helper: bool,
 }
 
 impl<'a> Controller<'a> {
@@ -247,7 +243,6 @@ impl<'a> Controller<'a> {
             occupancy_timeline: false,
             timeline: Vec::new(),
             telemetry: None,
-            derive_helper: spare_core_per_shard(1),
         };
         if !config.telemetry.is_off() {
             // Standalone arming with a fresh registry; a sharded deployment
@@ -371,123 +366,48 @@ impl<'a> Controller<'a> {
         self.admit(rec, prediction)
     }
 
-    /// Admit a segment of arrivals through an ordered two-stage pipeline —
-    /// the sharded dispatcher's cold path, one call per routed segment.
-    /// Responses come back in input order.
-    ///
-    /// A *derive* stage walks the segment in fixed sub-chunks, one
-    /// [`Predictor::predict_batch`] call per chunk, serially and in stream
-    /// order; the *placement* loop admits chunk *k* while chunk *k + 1* is
-    /// being derived. When the box has a core to spare
-    /// (`available_threads() >= 2 × shard count`, a standalone controller
-    /// counting as one shard) the derive stage runs on a scoped helper
-    /// thread, at most a few chunks ahead of placement; otherwise the same
-    /// chunk loop derives inline. Either way the predictor sees the same
-    /// calls in the same order.
+    /// Admit a segment of arrivals in stream order, deriving it one
+    /// [`Predictor::predict_batch`] call per 64-arrival chunk (serially,
+    /// in stream order, on the caller's thread) and placing each chunk
+    /// before deriving the next. Responses come back in input order.
     ///
     /// Decision-identical to feeding each arrival through
     /// [`Controller::handle`]: predictions depend only on the VM record
     /// (and `predict_batch` must equal the per-item loop), so neither
     /// deriving them ahead of the interleaved departure drains nor where
     /// the chunk boundaries fall changes anything.
-    ///
-    /// # Panics
-    ///
-    /// A panic inside `predict_batch` — on the helper thread or inline —
-    /// is re-raised here with its original payload once the helper has
-    /// stopped.
     pub fn handle_arrivals(&mut self, recs: &[&VmRecord]) -> Vec<Response> {
         let mut responses = Vec::with_capacity(recs.len());
-        self.admit_segment(recs, |response| responses.push(response));
+        self.admit_segment(recs, Vec::new(), |response| responses.push(response));
         responses
     }
 
     /// [`Self::handle_arrivals`] with the responses handed to `sink` one
-    /// by one instead of collected, so a caller that drops them (the
-    /// sharded `run` paths) allocates nothing per segment.
-    pub(crate) fn admit_segment(&mut self, recs: &[&VmRecord], mut sink: impl FnMut(Response)) {
-        let predictor = self.predictor;
-        let percentile = self.config.policy.percentile;
-        let timed = self.telemetry.is_some();
-        let mut derived = recs.chunks(DERIVE_CHUNK).map(move |chunk| {
-            let t0 = timed.then(Instant::now);
-            let predictions = predictor.predict_batch(chunk, percentile);
-            DerivedChunk {
-                recs: chunk,
-                predictions,
-                span: t0.map(|t0| (t0, t0.elapsed().as_nanos() as u64)),
+    /// by one instead of collected — the shard worker's entry point. A
+    /// segment the dispatcher derived arrives with its `derived`
+    /// predictions, index for index, and is only placed; an empty
+    /// `derived` means the segment is derived here, chunk by chunk.
+    pub(crate) fn admit_segment(
+        &mut self,
+        recs: &[&VmRecord],
+        derived: Derived,
+        mut sink: impl FnMut(Response),
+    ) {
+        if !derived.is_empty() {
+            assert_eq!(derived.len(), recs.len(), "one prediction per arrival");
+            for (rec, prediction) in recs.iter().zip(derived) {
+                sink(self.admit(rec, prediction));
             }
-        });
-        // A single chunk has nothing to overlap with.
-        if !self.derive_helper || recs.len() <= DERIVE_CHUNK {
-            self.place_chunks(|| derived.next(), &mut sink);
             return;
         }
-        std::thread::scope(|scope| {
-            // The hand-off lives inside the scope: if the placement loop
-            // unwinds, `rx` drops before the scope joins the helper, which
-            // turns a helper blocked on a full look-ahead into a failed
-            // send instead of a deadlock.
-            let (tx, rx) = mpsc::sync_channel(DERIVE_LOOKAHEAD);
-            let helper = scope.spawn(move || {
-                let mut stall_ns = 0u64;
-                for chunk in derived {
-                    let t0 = timed.then(Instant::now);
-                    if tx.send(chunk).is_err() {
-                        break;
-                    }
-                    if let Some(t0) = t0 {
-                        stall_ns += t0.elapsed().as_nanos() as u64;
-                    }
-                }
-                stall_ns
-            });
-            // A closed hand-off ends the loop early only if the helper
-            // panicked; the join below re-raises that panic.
-            self.place_chunks(|| rx.recv().ok(), &mut sink);
-            match helper.join() {
-                Ok(stall_ns) => {
-                    if let Some(t) = &self.telemetry {
-                        t.derive_stall.add(stall_ns);
-                    }
-                }
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        });
-    }
-
-    /// The placement loop: admit each derived chunk as `next_chunk` yields
-    /// it, until it yields no more.
-    fn place_chunks<'s>(
-        &mut self,
-        mut next_chunk: impl FnMut() -> Option<DerivedChunk<'s>>,
-        sink: &mut impl FnMut(Response),
-    ) {
-        loop {
-            let t0 = self.telemetry.is_some().then(Instant::now);
-            let Some(chunk) = next_chunk() else {
-                return;
-            };
-            if let (Some(tel), Some(t0)) = (self.telemetry.as_deref_mut(), t0) {
-                tel.derive_wait.add(t0.elapsed().as_nanos() as u64);
-                if let Some((start, dur_ns)) = chunk.span {
-                    tel.record_span("derive.chunk", start, dur_ns);
-                }
-            }
-            for (rec, prediction) in chunk.recs.iter().zip(chunk.predictions) {
+        let percentile = self.config.policy.percentile;
+        for chunk in recs.chunks(DERIVE_CHUNK) {
+            let spans = self.telemetry.as_deref_mut().map(|t| &mut t.spans);
+            let predictions = derive(self.predictor, percentile, chunk, spans);
+            for (rec, prediction) in chunk.iter().zip(predictions) {
                 sink(self.admit(rec, prediction));
             }
         }
-    }
-
-    /// Choose whether [`Self::handle_arrivals`] derives on a helper thread.
-    /// [`Controller::new`] and [`Controller::restore`] decide it for a
-    /// standalone controller; a sharded deployment re-decides per session
-    /// from its shard count, and process-backed children (which cannot see
-    /// their siblings) switch it off. Also the tests' seam for exercising
-    /// both schedules whatever the runner's core count.
-    pub(crate) fn set_derive_helper(&mut self, on: bool) {
-        self.derive_helper = on;
     }
 
     fn admit(&mut self, rec: &VmRecord, prediction: Option<DemandPrediction>) -> Response {
@@ -895,7 +815,6 @@ impl<'a> Controller<'a> {
             // Telemetry never crosses the wire (the decoded config is Off);
             // the restoring deployment re-arms via `enable_telemetry`.
             telemetry: None,
-            derive_helper: spare_core_per_shard(1),
         })
     }
 }
@@ -967,81 +886,9 @@ mod tests {
     use super::*;
     use coach_sim::Oracle;
     use coach_trace::{generate, TraceConfig};
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    use std::thread::ThreadId;
-    use std::time::Duration;
-
-    /// The dispatcher's segment size, restated so these tests cover it.
-    const SEGMENT: usize = 1024;
-
-    /// Enough arrivals for a 1025-long head segment plus a tail, over few
-    /// enough servers that some are rejected.
-    fn dense_trace(seed: u64) -> Trace {
-        generate(&TraceConfig {
-            vm_count: 2_400,
-            ..TraceConfig::small(seed)
-        })
-    }
 
     fn coach_controller<'p>(trace: &Trace, predictor: &'p dyn Predictor) -> Controller<'p> {
         Controller::replaying(trace, predictor, PolicyConfig::paper_set().remove(2), 0.6)
-    }
-
-    /// Run `body` on a thread of its own and fail, instead of hanging the
-    /// suite, if it has not finished within a minute.
-    fn within_deadline<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> T {
-        let (done, finished) = mpsc::channel();
-        let runner = std::thread::spawn(move || {
-            let _ = done.send(catch_unwind(AssertUnwindSafe(body)));
-        });
-        let outcome = finished
-            .recv_timeout(Duration::from_secs(60))
-            .expect("the pipeline hung instead of surfacing the panic");
-        runner.join().expect("runner catches the body's panic");
-        outcome.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-    }
-
-    fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
-        panic
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| panic.downcast_ref::<&str>().copied())
-            .unwrap_or("<non-string panic>")
-    }
-
-    /// Assert pipelined `handle_arrivals` == the per-item `handle` loop,
-    /// response for response and in the final result, for each head-segment
-    /// length, with the derive stage inline and on its helper thread.
-    fn assert_segments_match_per_item(trace: &Trace, predictor: &dyn Predictor, lens: &[usize]) {
-        let recs: Vec<&VmRecord> = trace.vms.iter().collect();
-        let mut reference = coach_controller(trace, predictor);
-        let want: Vec<Response> = recs
-            .iter()
-            .map(|rec| reference.handle(Request::Arrive(rec)))
-            .collect();
-        let want_result = reference.finalize();
-        assert!(want_result.rejected > 0, "the trace exercises rejections");
-
-        for helper in [false, true] {
-            for &len in lens {
-                let mut controller = coach_controller(trace, predictor);
-                controller.set_derive_helper(helper);
-                let (head, tail) = recs.split_at(len);
-                let mut got = controller.handle_arrivals(head);
-                assert_eq!(got.len(), len, "one response per arrival");
-                for segment in tail.chunks(SEGMENT) {
-                    got.extend(controller.handle_arrivals(segment));
-                }
-                assert_eq!(got, want, "helper {helper}, head segment {len}: responses");
-                assert_eq!(
-                    controller.finalize(),
-                    want_result,
-                    "helper {helper}, head segment {len}: result"
-                );
-            }
-        }
     }
 
     /// A structurally valid snapshot that contradicts itself restores to
@@ -1259,52 +1106,6 @@ mod tests {
         assert_eq!(restored.snapshot(), live.snapshot(), "same final bytes");
     }
 
-    /// Segments == per-item at every segment length around the chunk and
-    /// dispatcher-segment boundaries.
-    #[test]
-    fn pipelined_segments_match_the_per_item_loop() {
-        let oracle = Oracle::new(TimeWindows::paper_default());
-        assert_segments_match_per_item(
-            &dense_trace(12_001),
-            &oracle,
-            &[
-                0,
-                1,
-                DERIVE_CHUNK - 1,
-                DERIVE_CHUNK,
-                DERIVE_CHUNK + 1,
-                SEGMENT,
-                SEGMENT + 1,
-            ],
-        );
-    }
-
-    /// The same under the trained forest: `admit_segment` feeds `Model` a
-    /// chunk per `predict_batch` (one tree-major sweep) while `handle`
-    /// asks it one VM at a time.
-    #[test]
-    fn pipelined_segments_match_the_per_item_loop_under_the_model() {
-        use coach_predict::{ForestParams, ModelConfig, UtilizationModel};
-
-        let trace = dense_trace(12_005);
-        let history: Vec<&VmRecord> = trace.vms.iter().collect();
-        let model = UtilizationModel::train(
-            &history,
-            ModelConfig {
-                forest: ForestParams {
-                    n_trees: 4,
-                    ..ForestParams::default()
-                },
-                ..ModelConfig::default()
-            },
-        );
-        assert_segments_match_per_item(
-            &trace,
-            &coach_sim::Model::new(&model),
-            &[DERIVE_CHUNK + 1, SEGMENT + 1],
-        );
-    }
-
     /// The accountant's footprint follows residency, not the stream: at
     /// every 6 h stats barrier it tracks no more than the resident VMs
     /// plus those that departed within the last sample.
@@ -1355,228 +1156,5 @@ mod tests {
         let peak = tracked.iter().copied().max().expect("barriers ran");
         assert!(peak > 0 && peak < departures.len() / 2, "peak {peak}");
         assert_eq!(tracked.last(), Some(&0), "nothing outlives the last sample");
-    }
-
-    /// Records every `predict_batch` call — its thread and its inputs —
-    /// and whether another call was in flight.
-    struct Recording<'p> {
-        inner: &'p Oracle,
-        in_call: AtomicBool,
-        calls: Mutex<Vec<(ThreadId, Vec<VmId>)>>,
-    }
-
-    impl Predictor for Recording<'_> {
-        fn time_windows(&self) -> TimeWindows {
-            self.inner.time_windows()
-        }
-
-        fn predict(&self, _: &VmRecord, _: Percentile) -> Option<DemandPrediction> {
-            unreachable!("segments derive through predict_batch")
-        }
-
-        fn predict_batch(
-            &self,
-            vms: &[&VmRecord],
-            percentile: Percentile,
-        ) -> Vec<Option<DemandPrediction>> {
-            assert!(
-                !self.in_call.swap(true, Ordering::SeqCst),
-                "predict_batch calls overlapped"
-            );
-            self.calls.lock().expect("no panic while recording").push((
-                std::thread::current().id(),
-                vms.iter().map(|vm| vm.id).collect(),
-            ));
-            let predictions = self.inner.predict_batch(vms, percentile);
-            self.in_call.store(false, Ordering::SeqCst);
-            predictions
-        }
-    }
-
-    /// The `predict_batch` contract: calls never overlap, their inputs
-    /// concatenate to the segment in stream order, and they run on the
-    /// helper thread exactly when the helper is on.
-    #[test]
-    fn derive_stage_calls_are_serial_and_in_stream_order() {
-        let trace = dense_trace(12_002);
-        let recs: Vec<&VmRecord> = trace.vms.iter().collect();
-        let ids: Vec<VmId> = recs.iter().map(|rec| rec.id).collect();
-        let oracle = Oracle::new(TimeWindows::paper_default());
-        let me = std::thread::current().id();
-        for helper in [false, true] {
-            let recording = Recording {
-                inner: &oracle,
-                in_call: AtomicBool::new(false),
-                calls: Mutex::new(Vec::new()),
-            };
-            let mut controller = coach_controller(&trace, &recording);
-            controller.set_derive_helper(helper);
-            for segment in recs.chunks(SEGMENT + 1) {
-                controller.handle_arrivals(segment);
-            }
-            drop(controller);
-            let calls = recording
-                .calls
-                .into_inner()
-                .expect("no panic while recording");
-            assert!(calls.len() >= recs.len() / DERIVE_CHUNK, "chunked calls");
-            assert!(
-                calls.iter().all(|(thread, _)| (*thread != me) == helper),
-                "helper {helper}: derive ran on the wrong thread"
-            );
-            let seen: Vec<VmId> = calls.into_iter().flat_map(|(_, vms)| vms).collect();
-            assert_eq!(
-                seen, ids,
-                "helper {helper}: inputs concatenate to the stream"
-            );
-        }
-    }
-
-    /// Armed telemetry answers "which stage is the bottleneck": the wait
-    /// and stall counters are registered in both schedules (stall stays
-    /// zero inline), with one `derive.chunk` span per chunk.
-    #[test]
-    fn derive_stage_reports_wait_stall_and_chunk_spans() {
-        let trace = dense_trace(12_005);
-        let recs: Vec<&VmRecord> = trace.vms.iter().take(SEGMENT + 1).collect();
-        let chunks = recs.len().div_ceil(DERIVE_CHUNK);
-        let oracle = Oracle::new(TimeWindows::paper_default());
-        for helper in [false, true] {
-            let config = ServeConfig {
-                telemetry: TelemetryConfig::Full,
-                ..ServeConfig::replaying(PolicyConfig::paper_set().remove(2), 0.6, trace.horizon)
-            };
-            let mut controller = Controller::new(&trace.clusters, &oracle, config);
-            controller.set_derive_helper(helper);
-            controller.handle_arrivals(&recs);
-            let snapshot = controller
-                .telemetry_registry()
-                .expect("telemetry armed")
-                .snapshot();
-            let counter = |id: coach_telemetry::MetricId| -> u64 {
-                let series = snapshot.counters_with_prefix(id.name);
-                assert_eq!(series.len(), 1, "one {} series", id.name);
-                series[0].2
-            };
-            assert!(counter(crate::telemetry::metric::DERIVE_WAIT_NS) > 0);
-            let stall = counter(crate::telemetry::metric::DERIVE_STALL_NS);
-            assert!(helper || stall == 0, "an inline stage never stalls");
-            let spans = controller
-                .telemetry_spans()
-                .map_or(0, |ring| ring.count("derive.chunk"));
-            assert_eq!(spans, chunks, "helper {helper}: derive.chunk spans");
-        }
-    }
-
-    /// Forwards to an [`Oracle`], except that call number `fail_at`
-    /// panics; call number `announce_at` is announced on `announce` first.
-    struct Scripted<'p> {
-        inner: &'p Oracle,
-        calls: AtomicUsize,
-        fail_at: usize,
-        announce_at: usize,
-        announce: Mutex<mpsc::Sender<()>>,
-    }
-
-    impl Predictor for Scripted<'_> {
-        fn time_windows(&self) -> TimeWindows {
-            self.inner.time_windows()
-        }
-
-        fn predict(&self, vm: &VmRecord, percentile: Percentile) -> Option<DemandPrediction> {
-            self.inner.predict(vm, percentile)
-        }
-
-        fn predict_batch(
-            &self,
-            vms: &[&VmRecord],
-            percentile: Percentile,
-        ) -> Vec<Option<DemandPrediction>> {
-            let call = self.calls.fetch_add(1, Ordering::SeqCst);
-            if call == self.announce_at {
-                let _ = self.announce.lock().expect("announcer").send(());
-            }
-            assert!(call != self.fail_at, "predictor failed on call {call}");
-            self.inner.predict_batch(vms, percentile)
-        }
-    }
-
-    /// A panic inside `predict_batch` on the helper thread surfaces on the
-    /// caller with its own message; the closed hand-off ends the placement
-    /// loop instead of hanging it.
-    #[test]
-    fn predictor_panic_on_the_helper_surfaces_on_the_caller() {
-        let message = within_deadline(|| {
-            let trace = dense_trace(12_003);
-            let recs: Vec<&VmRecord> = trace.vms.iter().take(SEGMENT).collect();
-            let oracle = Oracle::new(TimeWindows::paper_default());
-            let predictor = Scripted {
-                inner: &oracle,
-                calls: AtomicUsize::new(0),
-                fail_at: 2,
-                announce_at: usize::MAX,
-                announce: Mutex::new(mpsc::channel().0),
-            };
-            let mut controller = coach_controller(&trace, &predictor);
-            controller.set_derive_helper(true);
-            let panic = catch_unwind(AssertUnwindSafe(|| controller.handle_arrivals(&recs)))
-                .expect_err("the predictor's panic reaches the caller");
-            panic_message(&*panic).to_string()
-        });
-        assert!(message.contains("predictor failed on call 2"), "{message}");
-    }
-
-    /// A panic in `admit` (an arrival for a cluster the controller does
-    /// not own) while the helper sits on a full look-ahead unblocks the
-    /// helper and propagates, instead of deadlocking the join.
-    #[test]
-    fn admit_panic_does_not_strand_the_helper() {
-        let (message, calls) = within_deadline(|| {
-            let trace = dense_trace(12_004);
-            let mut owned: Vec<VmRecord> = trace.vms.iter().take(SEGMENT).cloned().collect();
-            owned[1].cluster = ClusterId::new(u64::MAX);
-            let recs: Vec<&VmRecord> = owned.iter().collect();
-            let oracle = Oracle::new(TimeWindows::paper_default());
-            // Chunk 0 is with the placement loop and chunks 1..=LOOKAHEAD
-            // fill the hand-off once the helper starts on this call; it
-            // can only block on the send that follows.
-            let (announce, look_ahead_full) = mpsc::channel();
-            let predictor = Scripted {
-                inner: &oracle,
-                calls: AtomicUsize::new(0),
-                fail_at: usize::MAX,
-                announce_at: DERIVE_LOOKAHEAD + 1,
-                announce: Mutex::new(announce),
-            };
-            let mut controller = coach_controller(&trace, &predictor);
-            controller.set_derive_helper(true);
-            let mut admitted = 0usize;
-            let panic = catch_unwind(AssertUnwindSafe(|| {
-                controller.admit_segment(&recs, |_| {
-                    // Hold the placement loop after its first admission
-                    // until the helper has run as far ahead as it can.
-                    if admitted == 0 {
-                        look_ahead_full
-                            .recv()
-                            .expect("helper reaches the full look-ahead");
-                    }
-                    admitted += 1;
-                })
-            }))
-            .expect_err("the foreign cluster panics in admit");
-            assert_eq!(admitted, 1, "only the arrival before the foreign one");
-            (
-                panic_message(&*panic).to_string(),
-                predictor.calls.load(Ordering::SeqCst),
-            )
-        });
-        assert!(
-            message.contains("arrival for a cluster this controller owns"),
-            "{message}"
-        );
-        // The helper stopped at the closed hand-off rather than deriving
-        // the rest of the segment.
-        assert_eq!(calls, DERIVE_LOOKAHEAD + 2);
-        assert!(calls < SEGMENT / DERIVE_CHUNK);
     }
 }

@@ -14,11 +14,11 @@
 //!   batch replay's event-sort order — so each event costs O(log distinct
 //!   departure times). Decisions are **bit-identical** to the batch
 //!   replay on the same workload. [`Controller::handle_arrivals`] admits a
-//!   whole arrival segment as an ordered two-stage pipeline — chunked
+//!   whole arrival segment, derived in 64-arrival
 //!   [`coach_sim::Predictor::predict_batch`] calls, serial and in stream
-//!   order, run ahead of the placement loop on a helper thread when the
-//!   box has a core to spare — the cold path the sharded dispatcher uses
-//!   per segment.
+//!   order, each chunk placed before the next is derived — the cold path
+//!   a shard worker runs per segment unless its dispatcher derived it.
+//!   The controller owns no thread.
 //!   Residents are one [`coach_types::IdMap`] from VM id to (cluster,
 //!   arrival seq); a scheduled departure whose id is no longer resident
 //!   under its seq — an explicit `Depart` got there first — is skipped
@@ -30,10 +30,13 @@
 //! * [`ShardedController`] — one controller per cluster group with
 //!   deterministic request routing, run on **persistent worker threads**
 //!   ([`coach_types::with_shard_workers`]): each shard's controller lives
-//!   in a long-lived worker fed over SPSC lanes with pipelined request
-//!   segments and broadcast/barrier tokens, so multi-core scale-out never
-//!   pays a per-segment fork-join; the global occupancy peak is
-//!   reconstructed exactly by merging per-shard delta timelines.
+//!   in a long-lived worker fed over bounded SPSC lanes with pipelined
+//!   request segments and broadcast/barrier tokens, so multi-core
+//!   scale-out never pays a per-segment fork-join; the global occupancy
+//!   peak is reconstructed exactly by merging per-shard delta timelines.
+//!   A lone shard beside a spare core runs on a worker too, and its
+//!   dispatcher derives each segment before sending it: ingest and derive
+//!   on one core, placement and accounting on the other.
 //! * **The distributed control plane** — shard workers can run as
 //!   supervised child *processes* instead of threads
 //!   ([`ServeConfig::backend`] = [`coach_types::WorkerBackend::Process`];

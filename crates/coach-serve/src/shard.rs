@@ -17,6 +17,11 @@
 //! [`ShardedController::lane_totals`] and, when telemetry is armed, the
 //! registry — never into a [`StatsReport`], which carries decisions only.
 //!
+//! Where segments are derived is decided once per session: a lone shard
+//! beside a spare core runs on a worker lane and its dispatcher derives,
+//! every other session derives in its workers. The predictor sees the
+//! same calls either way: serial, in stream order, 64 arrivals at a time.
+//!
 //! One rule governs ownership: a record is **borrowed at the
 //! [`Controller`], owned across a lane**. Past the dispatcher's front door
 //! every arrival travels by value inside a `WireCmd` and every reply is
@@ -37,10 +42,11 @@
 //!   merge time, so they can differ from the single-shard sums in the last
 //!   ulp (floating-point addition is not associative).
 
-use crate::controller::{spare_core_per_shard, Controller, OccDelta, ServeConfig};
+use crate::controller::{derive, Controller, OccDelta, ServeConfig, DERIVE_CHUNK};
 use crate::request::{Request, Response, StatsReport, StreamRequest};
 use crate::telemetry::{metric, ShardTelemetry, WireTelemetry};
 use crate::wire::{Snapshot, TokenCmd, WireCmd, WireReply};
+use coach_predict::DemandPrediction;
 use coach_sim::{Oracle, PackingResult, PolicyConfig, Predictor};
 use coach_telemetry::{
     LabelValue, Registry, RegistrySnapshot, SpanRing, SpanStart, TelemetryConfig,
@@ -57,12 +63,53 @@ use std::time::Instant;
 /// arrives via `WireCmd::Init`.
 pub const SHARD_WORKER_ENV: &str = "COACH_SHARD_WORKER";
 
-/// Routed requests per channel command: large enough to amortize a channel
-/// hop over many events (and to give [`Controller::handle_arrivals`]'
-/// derive/placement pipeline several chunks to overlap), small enough
-/// that workers start while the dispatcher is still routing the rest of
-/// the stream.
-const SEGMENT: usize = 1024;
+/// Routed arrivals per segment a worker derives itself: large enough that
+/// a lane hop is noise and that a dispatcher sharing the cores with
+/// several workers parks and wakes once per thousand arrivals per shard
+/// (at 256 the two-shard `churn_sharded` workload lost about 15 % of its
+/// wall time). Staged, a segment is 1,024 × 336 B: about 340 kB.
+const SEGMENT: usize = 16 * DERIVE_CHUNK;
+
+/// Routed arrivals per segment the dispatcher derives: two
+/// [`DERIVE_CHUNK`]s, so the worker starts placing after 128 arrivals of
+/// ingest and derive. With its predictions a segment is
+/// 128 × (336 + 456) B: about 100 kB.
+const FRONT_DOOR_SEGMENT: usize = 2 * DERIVE_CHUNK;
+
+/// What one shard may hold of routed arrivals in flight in a thread
+/// session: the segment the dispatcher is filling (or parked on), the
+/// [`COMMAND_LANE_CAPACITY`] queued on the lane, and the one the worker is
+/// applying — four segments, about 1.4 MB of records or 400 kB of records
+/// and predictions, under this 1.5 MiB whatever the stream's length.
+const IN_FLIGHT_BYTES_PER_SHARD: usize = 3 << 19;
+
+const _: () = {
+    let segments = COMMAND_LANE_CAPACITY + 2;
+    let staged = std::mem::size_of::<(u64, VmRecord)>();
+    let derived = staged + std::mem::size_of::<Option<DemandPrediction>>();
+    assert!(
+        SEGMENT * staged * segments <= IN_FLIGHT_BYTES_PER_SHARD
+            && FRONT_DOOR_SEGMENT * derived * segments <= IN_FLIGHT_BYTES_PER_SHARD,
+        "segments in flight outgrow their per-shard budget"
+    );
+};
+
+/// How a thread session over `shards` shards runs: `(lane, front_door)` —
+/// whether even a lone shard gets a worker lane, and whether the
+/// dispatcher derives each segment before sending it. A lone shard beside
+/// a spare core takes both, so ingest and derive share one core and
+/// placement and accounting the other; every other session (several
+/// shards, one core, and process children, which never ask) derives in
+/// its workers.
+fn schedule(shards: usize) -> (bool, bool) {
+    #[cfg(test)]
+    if let Some(front_door) = tests::FORCED_SCHEDULE.get() {
+        return (true, front_door);
+    }
+    // A derive stage of its own only beside a core for every placer.
+    let front_door = shards == 1 && available_threads() >= 2;
+    (front_door, front_door)
+}
 
 /// A shard's contribution to a merged stats report — the state the
 /// dispatcher can no longer read directly once the controller lives inside
@@ -81,17 +128,19 @@ pub(crate) struct ShardSnapshot {
 /// The worker loop body of both backends: apply one dispatch command to
 /// the owned controller. The segment's records are borrowed here, for the
 /// one call — the controller copies what it keeps of a record — and
-/// dropped with the command.
+/// dropped with the command. A segment that comes with its predictions
+/// is only placed; one without is derived here first.
 fn worker_step(_shard: usize, controller: &mut Controller<'_>, cmd: WireCmd) -> WireReply {
     match cmd {
-        WireCmd::Batch(batch) => {
+        WireCmd::Batch(batch, derived) => {
             let recs: Vec<&VmRecord> = batch.iter().map(|(_, rec)| rec).collect();
-            let responses = controller.handle_arrivals(&recs);
+            let mut responses = Vec::with_capacity(recs.len());
+            controller.admit_segment(&recs, derived, |response| responses.push(response));
             WireReply::Answers(batch.iter().map(|(idx, _)| *idx).zip(responses).collect())
         }
-        WireCmd::Run(batch) => {
+        WireCmd::Run(batch, derived) => {
             let recs: Vec<&VmRecord> = batch.iter().collect();
-            controller.admit_segment(&recs, |_| {});
+            controller.admit_segment(&recs, derived, |_| {});
             WireReply::Ran
         }
         WireCmd::Token(token) => match controller.handle(token.into()) {
@@ -289,24 +338,26 @@ impl<'a> ShardedController<'a> {
     ) -> R {
         let ShardedController {
             shards,
+            predictor,
             session,
             telemetry,
             ..
         } = self;
-        // One derive helper per shard, but only beside — never instead of
-        // — a core for each placement thread.
-        let helper = spare_core_per_shard(shards.len());
-        for shard in shards.iter_mut() {
-            shard.set_derive_helper(helper);
-        }
+        let (lane, front_door) = schedule(shards.len());
+        let front_door = front_door.then(|| (*predictor, shards[0].config().policy.percentile));
         let owned = std::mem::take(shards);
         let spans = telemetry.as_deref_mut().map(|t| &mut t.spans);
-        let (owned, (out, session_lanes)) = with_shard_workers(owned, worker_step, |workers| {
-            let mut dispatcher =
-                Dispatcher::new(Link::Threads(workers), &mut *session, collect, spans);
+        let run = |workers: &mut ShardWorkers<'_, WireCmd, WireReply>| {
+            let link = Link::Threads(workers);
+            let mut dispatcher = Dispatcher::new(link, &mut *session, collect, front_door, spans);
             let out = body(&mut dispatcher);
             (out, dispatcher.link.lane_stats())
-        });
+        };
+        let (owned, (out, session_lanes)) = if lane {
+            with_shard_threads(owned, worker_step, run)
+        } else {
+            with_shard_workers(owned, worker_step, run)
+        };
         *shards = owned;
         session.lane_base.merge(&session_lanes);
         self.sync_session_telemetry();
@@ -335,6 +386,7 @@ impl<'a> ShardedController<'a> {
                 link,
                 &mut self.session,
                 collect,
+                None,
                 spans,
             ))
         };
@@ -477,10 +529,11 @@ impl<'a> ShardedController<'a> {
     /// owned across a lane: they move into routed segments and are dropped
     /// worker-side after admission. Per-request responses are never
     /// materialized (workers acknowledge whole segments) and the bounded
-    /// command lanes provide backpressure (a producer stalls when a worker
-    /// falls a full lane behind), so in-flight memory is O(shards ×
-    /// segment) regardless of stream length; the merged final
-    /// [`PackingResult`] is returned.
+    /// command lanes provide backpressure (the dispatcher parks when a
+    /// worker falls [`COMMAND_LANE_CAPACITY`] segments behind), so a
+    /// thread session holds at most four segments per shard in flight —
+    /// under 1.5 MiB of records and predictions each, regardless of stream
+    /// length; the merged final [`PackingResult`] is returned.
     ///
     /// Two `serve.stream_*` counters land in the telemetry registry per
     /// call (when armed): `stream_records` (arrivals submitted) and
@@ -518,8 +571,10 @@ impl<'a> ShardedController<'a> {
     }
 
     /// Cumulative worker-lane telemetry (commands + replies) across every
-    /// completed session. Zero for single-shard controllers, whose inline
-    /// pool has no lanes.
+    /// completed session. A single-shard controller has lanes only where
+    /// its dispatcher derives (a core to spare: one send each way per
+    /// segment, token and finalize); on one core its inline pool has none,
+    /// and the totals stay zero.
     pub fn lane_totals(&self) -> LaneStats {
         self.session.lane_base
     }
@@ -701,12 +756,8 @@ fn child_step(shard: u32, state: &mut Option<Controller<'static>>, cmd: WireCmd)
     {
         let predictor: &'static Oracle =
             Box::leak(Box::new(Oracle::new(TimeWindows::new(windows_per_day))));
-        let mut controller =
-            Controller::restore(predictor, &Snapshot::from_bytes(snapshot), |_| None)
-                .expect("restore controller from checkpoint frame");
-        // A child cannot see how many siblings share the box, so it never
-        // claims a second core.
-        controller.set_derive_helper(false);
+        let controller = Controller::restore(predictor, &Snapshot::from_bytes(snapshot), |_| None)
+            .expect("restore controller from checkpoint frame");
         *state = Some(controller);
         return WireReply::InitOk;
     }
@@ -850,6 +901,9 @@ struct Dispatcher<'s, 'pool> {
     state: &'s mut SessionState,
     /// Per-shard staged arrivals with their stream positions.
     pending: Vec<Vec<(u64, VmRecord)>>,
+    /// Arrivals per segment: [`FRONT_DOOR_SEGMENT`] when this dispatcher
+    /// derives, [`SEGMENT`] when the workers do.
+    segment: usize,
     /// Arrivals submitted this session (`serve.stream_records`).
     stream_records: u64,
     /// Segments shipped this session (`serve.stream_segments`).
@@ -858,8 +912,13 @@ struct Dispatcher<'s, 'pool> {
     next_idx: usize,
     /// Whether routed segments carry per-request responses back.
     collect: bool,
-    /// Barrier spans (armed telemetry only): staging, drains, and merges
-    /// record into the deployment's dispatcher ring.
+    /// The predictor and percentile segments are derived with here, at
+    /// the front door, before they are sent; `None` when the workers
+    /// derive their own.
+    front_door: Option<(&'s dyn Predictor, Percentile)>,
+    /// Barrier spans (armed telemetry only): staging, drains, merges and
+    /// front-door derive chunks record into the deployment's dispatcher
+    /// ring.
     spans: Option<&'s mut SpanRing>,
 }
 
@@ -868,10 +927,15 @@ impl<'s, 'pool> Dispatcher<'s, 'pool> {
         link: Link<'s, 'pool>,
         state: &'s mut SessionState,
         collect: bool,
+        front_door: Option<(&'s dyn Predictor, Percentile)>,
         spans: Option<&'s mut SpanRing>,
     ) -> Self {
         Dispatcher {
             pending: (0..link.len()).map(|_| Vec::new()).collect(),
+            segment: match front_door {
+                Some(_) => FRONT_DOOR_SEGMENT,
+                None => SEGMENT,
+            },
             link,
             state,
             stream_records: 0,
@@ -879,6 +943,7 @@ impl<'s, 'pool> Dispatcher<'s, 'pool> {
             log: Vec::new(),
             next_idx: 0,
             collect,
+            front_door,
             spans,
         }
     }
@@ -913,7 +978,7 @@ impl<'s, 'pool> Dispatcher<'s, 'pool> {
                     .expect("arrival for a cluster this controller owns");
                 let shard = route[at].1 as usize;
                 self.pending[shard].push((idx as u64, rec));
-                if self.pending[shard].len() >= SEGMENT {
+                if self.pending[shard].len() >= self.segment {
                     self.flush(shard);
                 }
                 return;
@@ -933,8 +998,9 @@ impl<'s, 'pool> Dispatcher<'s, 'pool> {
         self.end_span("dispatch.stage", span);
     }
 
-    /// Take `shard`'s staged segment as a ready-to-send command, if any.
-    /// Only a collecting session ships the stream positions; otherwise the
+    /// Take `shard`'s staged segment as a ready-to-send command, if any,
+    /// derived here when the session derives at the front door. Only a
+    /// collecting session ships the stream positions; otherwise the
     /// worker acknowledges the whole segment — reply-lane memory stays
     /// O(segments), not O(requests), over a million-VM stream.
     fn take_segment(&mut self, shard: usize) -> Option<WireCmd> {
@@ -943,10 +1009,17 @@ impl<'s, 'pool> Dispatcher<'s, 'pool> {
         }
         self.stream_segments += 1;
         let segment = std::mem::take(&mut self.pending[shard]);
+        let derived = match self.front_door {
+            Some((predictor, percentile)) => {
+                let recs: Vec<&VmRecord> = segment.iter().map(|(_, rec)| rec).collect();
+                derive(predictor, percentile, &recs, self.spans.as_deref_mut())
+            }
+            None => Vec::new(),
+        };
         Some(if self.collect {
-            WireCmd::Batch(segment)
+            WireCmd::Batch(segment, derived)
         } else {
-            WireCmd::Run(segment.into_iter().map(|(_, rec)| rec).collect())
+            WireCmd::Run(segment.into_iter().map(|(_, rec)| rec).collect(), derived)
         })
     }
 
@@ -1218,7 +1291,417 @@ pub fn serve_trace_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RequestSource;
+    use coach_trace::{generate, TraceConfig};
     use proptest::prelude::*;
+    use std::cell::Cell;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::{mpsc, Mutex};
+    use std::thread::ThreadId;
+    use std::time::Duration;
+
+    thread_local! {
+        /// The seam behind [`schedule`]: `Some(front_door)` runs even a
+        /// lone shard on a worker lane, deriving at the dispatcher or in
+        /// the worker, whatever the box's core count.
+        pub(super) static FORCED_SCHEDULE: Cell<Option<bool>> = const { Cell::new(None) };
+    }
+
+    /// Both one-shard schedules: dispatcher derive, worker derive.
+    const SCHEDULES: [bool; 2] = [true, false];
+
+    fn schedule_name(front_door: bool) -> &'static str {
+        if front_door {
+            "dispatcher derive"
+        } else {
+            "worker derive"
+        }
+    }
+
+    /// Enough arrivals for several segments, over few enough servers that
+    /// some are rejected.
+    fn dense_trace(seed: u64) -> Trace {
+        generate(&TraceConfig {
+            vm_count: 2_400,
+            ..TraceConfig::small(seed)
+        })
+    }
+
+    fn coach() -> PolicyConfig {
+        PolicyConfig::paper_set().remove(2)
+    }
+
+    fn one_shard<'p>(trace: &Trace, predictor: &'p dyn Predictor) -> ShardedController<'p> {
+        ShardedController::replaying(trace, predictor, coach(), 0.6, 1)
+    }
+
+    fn arrivals<'r>(recs: &'r [&'r VmRecord]) -> impl Iterator<Item = StreamRequest> + 'r {
+        recs.iter()
+            .map(|rec| StreamRequest::from_request(Request::Arrive(rec)))
+    }
+
+    /// Assert that segmented admission == the per-item `Controller::handle`
+    /// loop: a standalone controller's `handle_arrivals` for each head
+    /// segment length (the tail in dispatcher-sized segments), and a
+    /// one-shard session in both schedules for each stream length —
+    /// `run_stream`'s whole `PackingResult`, and `handle_batch`'s
+    /// responses and result.
+    fn assert_segments_match_per_item(trace: &Trace, predictor: &dyn Predictor, lens: &[usize]) {
+        let recs: Vec<&VmRecord> = trace.vms.iter().collect();
+        let per_item = |len: usize| {
+            let mut reference = Controller::replaying(trace, predictor, coach(), 0.6);
+            let responses: Vec<Response> = recs[..len]
+                .iter()
+                .map(|rec| reference.handle(Request::Arrive(rec)))
+                .collect();
+            (responses, reference.finalize())
+        };
+        let (want, want_result) = per_item(recs.len());
+        assert!(want_result.rejected > 0, "the trace exercises rejections");
+
+        for &len in lens {
+            let mut controller = Controller::replaying(trace, predictor, coach(), 0.6);
+            let (head, tail) = recs.split_at(len);
+            let mut got = controller.handle_arrivals(head);
+            assert_eq!(got.len(), len, "one response per arrival");
+            for segment in tail.chunks(SEGMENT) {
+                got.extend(controller.handle_arrivals(segment));
+            }
+            assert_eq!(got, want, "head segment {len}: responses");
+            assert_eq!(
+                controller.finalize(),
+                want_result,
+                "head segment {len}: result"
+            );
+        }
+
+        let mut lens = lens.to_vec();
+        lens.push(recs.len());
+        for len in lens {
+            let (want, want_result) = per_item(len);
+            let requests: Vec<Request> =
+                recs[..len].iter().map(|rec| Request::Arrive(rec)).collect();
+            for front_door in SCHEDULES {
+                FORCED_SCHEDULE.set(Some(front_door));
+                let name = schedule_name(front_door);
+                let mut streamed = one_shard(trace, predictor);
+                let result = streamed.run_stream(arrivals(&recs[..len]));
+                assert_eq!(result, want_result, "{name}, {len} arrivals: run_stream");
+                let mut batched = one_shard(trace, predictor);
+                let got = batched.handle_batch(&requests);
+                assert_eq!(got, want, "{name}, {len} arrivals: handle_batch");
+                assert_eq!(batched.finalize(), want_result, "{name}, {len} arrivals");
+            }
+        }
+    }
+
+    /// The lengths around the chunk and both segment boundaries.
+    const LENS: [usize; 10] = [
+        0,
+        1,
+        DERIVE_CHUNK - 1,
+        DERIVE_CHUNK + 1,
+        FRONT_DOOR_SEGMENT - 1,
+        FRONT_DOOR_SEGMENT + 1,
+        SEGMENT - 1,
+        SEGMENT,
+        SEGMENT + 1,
+        2 * SEGMENT + DERIVE_CHUNK + 1,
+    ];
+
+    #[test]
+    fn segments_match_the_per_item_loop() {
+        let oracle = Oracle::new(TimeWindows::paper_default());
+        assert_segments_match_per_item(&dense_trace(12_001), &oracle, &LENS);
+    }
+
+    /// The same under the trained forest: the derive loop feeds `Model` a
+    /// chunk per `predict_batch` (one tree-major sweep) while `handle`
+    /// asks it one VM at a time.
+    #[test]
+    fn segments_match_the_per_item_loop_under_the_model() {
+        use coach_predict::{ForestParams, ModelConfig, UtilizationModel};
+
+        let trace = dense_trace(12_005);
+        let history: Vec<&VmRecord> = trace.vms.iter().collect();
+        let model = UtilizationModel::train(
+            &history,
+            ModelConfig {
+                forest: ForestParams {
+                    n_trees: 4,
+                    ..ForestParams::default()
+                },
+                ..ModelConfig::default()
+            },
+        );
+        assert_segments_match_per_item(&trace, &coach_sim::Model::new(&model), &LENS);
+    }
+
+    /// Records every `predict_batch` call — its thread and its inputs —
+    /// and whether another call was in flight.
+    struct Recording<'p> {
+        inner: &'p Oracle,
+        in_call: AtomicBool,
+        calls: Mutex<Vec<(ThreadId, Vec<VmId>)>>,
+    }
+
+    impl Predictor for Recording<'_> {
+        fn time_windows(&self) -> TimeWindows {
+            self.inner.time_windows()
+        }
+
+        fn predict(&self, _: &VmRecord, _: Percentile) -> Option<DemandPrediction> {
+            unreachable!("segments derive through predict_batch")
+        }
+
+        fn predict_batch(
+            &self,
+            vms: &[&VmRecord],
+            percentile: Percentile,
+        ) -> Vec<Option<DemandPrediction>> {
+            assert!(
+                !self.in_call.swap(true, Ordering::SeqCst),
+                "predict_batch calls overlapped"
+            );
+            self.calls.lock().expect("no panic while recording").push((
+                std::thread::current().id(),
+                vms.iter().map(|vm| vm.id).collect(),
+            ));
+            let predictions = self.inner.predict_batch(vms, percentile);
+            self.in_call.store(false, Ordering::SeqCst);
+            predictions
+        }
+    }
+
+    /// The `predict_batch` contract: calls never overlap, their inputs
+    /// concatenate to the stream in order, and they run on one thread — the
+    /// dispatcher's (the caller's) when it derives, the worker's otherwise.
+    #[test]
+    fn derive_stage_calls_are_serial_and_in_stream_order() {
+        let trace = dense_trace(12_002);
+        let recs: Vec<&VmRecord> = trace.vms.iter().collect();
+        let ids: Vec<VmId> = recs.iter().map(|rec| rec.id).collect();
+        let oracle = Oracle::new(TimeWindows::paper_default());
+        let me = std::thread::current().id();
+        for front_door in SCHEDULES {
+            FORCED_SCHEDULE.set(Some(front_door));
+            let name = schedule_name(front_door);
+            let recording = Recording {
+                inner: &oracle,
+                in_call: AtomicBool::new(false),
+                calls: Mutex::new(Vec::new()),
+            };
+            one_shard(&trace, &recording).run(RequestSource::replaying(&trace));
+            let calls = recording
+                .calls
+                .into_inner()
+                .expect("no panic while recording");
+            assert!(calls.len() >= recs.len() / DERIVE_CHUNK, "chunked calls");
+            let thread = calls[0].0;
+            assert!(
+                calls.iter().all(|(t, _)| *t == thread),
+                "{name}: one derive thread"
+            );
+            assert_eq!(
+                thread == me,
+                front_door,
+                "{name}: derive on the wrong thread"
+            );
+            let seen: Vec<VmId> = calls.into_iter().flat_map(|(_, vms)| vms).collect();
+            assert_eq!(seen, ids, "{name}: inputs concatenate to the stream");
+        }
+    }
+
+    /// Armed telemetry answers "which stage is the pole" from the lanes,
+    /// which reach the registry, and records one `derive.chunk` span per
+    /// chunk on the ring of the thread that derived it.
+    #[test]
+    fn derive_stage_reports_chunk_spans_and_lane_traffic() {
+        let trace = dense_trace(12_005);
+        let recs: Vec<&VmRecord> = trace.vms.iter().take(SEGMENT + 1).collect();
+        let chunks = SEGMENT / DERIVE_CHUNK + 1;
+        let oracle = Oracle::new(TimeWindows::paper_default());
+        for front_door in SCHEDULES {
+            FORCED_SCHEDULE.set(Some(front_door));
+            let name = schedule_name(front_door);
+            let config = ServeConfig {
+                telemetry: TelemetryConfig::Full,
+                ..ServeConfig::replaying(coach(), 0.6, trace.horizon)
+            };
+            let mut sharded = ShardedController::new(&trace.clusters, &oracle, config, 1);
+            sharded.run_stream(arrivals(&recs));
+            let rings = sharded.telemetry_span_rings();
+            let spans: Vec<usize> = rings
+                .iter()
+                .map(|ring| ring.count("derive.chunk"))
+                .collect();
+            // The shard's ring, then the dispatcher's.
+            let want = if front_door { [0, chunks] } else { [chunks, 0] };
+            assert_eq!(spans, want, "{name}: derive.chunk spans");
+
+            // Every segment and the finalize, one send each way.
+            let segment = if front_door {
+                FRONT_DOOR_SEGMENT
+            } else {
+                SEGMENT
+            };
+            let lanes = sharded.lane_totals();
+            let commands = recs.len().div_ceil(segment) as u64 + 1;
+            assert_eq!(lanes.sends, 2 * commands, "{name}: lane sends");
+            let registry = sharded.telemetry_registry().expect("armed").snapshot();
+            let counter = |id: coach_telemetry::MetricId| registry.counter(id.name, &[]);
+            assert_eq!(counter(metric::LANE_SENDS), Some(lanes.sends), "{name}");
+            assert_eq!(counter(metric::LANE_WAKEUPS), Some(lanes.wakeups), "{name}");
+            assert_eq!(
+                counter(metric::LANE_FULL_STALLS),
+                Some(lanes.full_stalls),
+                "{name}"
+            );
+        }
+    }
+
+    /// Run `body` on a thread of its own and fail, instead of hanging the
+    /// suite, if it has not finished within a minute.
+    fn within_deadline<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, finished) = mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let _ = done.send(catch_unwind(AssertUnwindSafe(body)));
+        });
+        let outcome = finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the session hung instead of surfacing the panic");
+        runner.join().expect("runner catches the body's panic");
+        outcome.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+
+    fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
+        panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or("<non-string panic>")
+    }
+
+    /// Forwards to an [`Oracle`], except that call number `fail_at`
+    /// panics and, given a `hold`, the first call waits for its signal.
+    struct Scripted<'p> {
+        inner: &'p Oracle,
+        calls: AtomicUsize,
+        fail_at: usize,
+        hold: Option<Mutex<mpsc::Receiver<()>>>,
+    }
+
+    impl Predictor for Scripted<'_> {
+        fn time_windows(&self) -> TimeWindows {
+            self.inner.time_windows()
+        }
+
+        fn predict(&self, vm: &VmRecord, percentile: Percentile) -> Option<DemandPrediction> {
+            self.inner.predict(vm, percentile)
+        }
+
+        fn predict_batch(
+            &self,
+            vms: &[&VmRecord],
+            percentile: Percentile,
+        ) -> Vec<Option<DemandPrediction>> {
+            let call = self.calls.fetch_add(1, Ordering::SeqCst);
+            if let (0, Some(hold)) = (call, &self.hold) {
+                hold.lock()
+                    .expect("hold")
+                    .recv()
+                    .expect("the stream signals");
+                // The dispatcher is one arrival and one send away from
+                // parking on the full lane; let it get there.
+                std::thread::sleep(Duration::from_millis(100));
+            }
+            assert!(call != self.fail_at, "predictor failed on call {call}");
+            self.inner.predict_batch(vms, percentile)
+        }
+    }
+
+    /// A `predict_batch` panic at the front door surfaces on the caller
+    /// with its own message, after the worker — handed two segments
+    /// already — has been released from its lane and joined.
+    #[test]
+    fn predictor_panic_on_the_dispatcher_surfaces_with_its_message() {
+        let message = within_deadline(|| {
+            FORCED_SCHEDULE.set(Some(true));
+            let trace = dense_trace(12_003);
+            let oracle = Oracle::new(TimeWindows::paper_default());
+            let predictor = Scripted {
+                inner: &oracle,
+                calls: AtomicUsize::new(0),
+                fail_at: 2 * FRONT_DOOR_SEGMENT / DERIVE_CHUNK,
+                hold: None,
+            };
+            let mut sharded = one_shard(&trace, &predictor);
+            let panic = catch_unwind(AssertUnwindSafe(|| {
+                sharded.run(RequestSource::replaying(&trace))
+            }))
+            .expect_err("the predictor's panic reaches the caller");
+            panic_message(&*panic).to_string()
+        });
+        let call = 2 * FRONT_DOOR_SEGMENT / DERIVE_CHUNK;
+        assert!(
+            message.contains(&format!("predictor failed on call {call}")),
+            "{message}"
+        );
+    }
+
+    /// A panic in `admit` on the worker while the dispatcher is parked on
+    /// its full lane releases the dispatcher and surfaces with the
+    /// worker's own message, instead of deadlocking the session.
+    #[test]
+    fn admit_panic_on_the_worker_surfaces_with_its_message() {
+        let (message, calls) = within_deadline(|| {
+            // The worker derives, so the predictor can hold it.
+            FORCED_SCHEDULE.set(Some(false));
+            let trace = generate(&TraceConfig {
+                vm_count: (COMMAND_LANE_CAPACITY + 3) * SEGMENT,
+                ..TraceConfig::small(12_004)
+            });
+            let mut owned: Vec<VmRecord> = trace.vms.clone();
+            // Arrival 1 re-uses arrival 0's id while 0 is still hosted.
+            owned[1].id = owned[0].id;
+            owned[1].cluster = owned[0].cluster;
+            owned[0].departure = owned[0]
+                .departure
+                .max(owned[1].arrival + SimDuration::from_hours(1));
+            let oracle = Oracle::new(TimeWindows::paper_default());
+            let (go, hold) = mpsc::channel();
+            let predictor = Scripted {
+                inner: &oracle,
+                calls: AtomicUsize::new(0),
+                fail_at: usize::MAX,
+                hold: Some(Mutex::new(hold)),
+            };
+            // The worker holds segment 0 in its first derive call and
+            // segments 1..=COMMAND_LANE_CAPACITY fill its lane, so the
+            // flush this arrival completes parks the dispatcher.
+            let park_at = (COMMAND_LANE_CAPACITY + 2) * SEGMENT - 1;
+            let requests = owned.iter().enumerate().map(|(i, rec)| {
+                if i == park_at {
+                    let _ = go.send(());
+                }
+                StreamRequest::from_request(Request::Arrive(rec))
+            });
+            let mut sharded = one_shard(&trace, &predictor);
+            let panic = catch_unwind(AssertUnwindSafe(|| sharded.run_stream(requests)))
+                .expect_err("the duplicate id panics in admit");
+            (
+                panic_message(&*panic).to_string(),
+                predictor.calls.load(Ordering::SeqCst),
+            )
+        });
+        assert!(
+            message.contains("already hosted in this cluster"),
+            "{message}"
+        );
+        // The worker died in its first segment rather than deriving on.
+        assert_eq!(calls, 1);
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]

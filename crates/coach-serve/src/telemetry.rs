@@ -14,11 +14,15 @@
 //! `serve.admit` / `serve.depart` / `serve.tick` / `serve.probe` /
 //! `serve.stats` on the controller event loop, `dispatch.stage` /
 //! `dispatch.drain` / `dispatch.merge` / `dispatch.finalize` on the
-//! sharded barrier path, `derive.chunk` for each `predict_batch` call of
-//! the controller's derive stage. Admission spans ride the admission
-//! latency sampling (`ADMISSION_SAMPLE_EVERY`; the clock reads are
-//! already paid there); broadcast-token and derive-chunk spans record
-//! every occurrence.
+//! sharded barrier path, `derive.chunk` for each `predict_batch` call —
+//! on the dispatcher's ring when a session derives at the front door, on
+//! the shard controller's when its worker derives. Admission spans ride
+//! the admission latency sampling (`ADMISSION_SAMPLE_EVERY`; the clock
+//! reads are already paid there); broadcast-token and derive-chunk spans
+//! record every occurrence.
+//!
+//! Which stage bounds a session the lane counters say: full stalls are
+//! placement, wakeups beyond them mostly ingest and derive.
 //!
 //! The registry is the one home of what depends on wall time or thread
 //! scheduling — admission latency, lane traffic, worker restarts. None of
@@ -66,21 +70,6 @@ pub mod metric {
     pub const ADMISSION_LATENCY: MetricId = MetricId::new(
         "coach_serve_admission_latency_ns",
         "Sampled admission (placement) latency.",
-    );
-    /// Time the placement loop of `Controller::handle_arrivals` spent
-    /// waiting for its next derived chunk — the whole derivation when the
-    /// derive stage runs inline, only the helper's shortfall when it runs
-    /// ahead on its own thread (labels: policy, shard).
-    pub const DERIVE_WAIT_NS: MetricId = MetricId::new(
-        "coach_serve_derive_wait_ns_total",
-        "Nanoseconds placement waited for derived predictions.",
-    );
-    /// Time the derive helper spent blocked on a full look-ahead, i.e.
-    /// waiting for placement; zero when the stage runs inline (labels:
-    /// policy, shard).
-    pub const DERIVE_STALL_NS: MetricId = MetricId::new(
-        "coach_serve_derive_stall_ns_total",
-        "Nanoseconds the derive helper was blocked on a full look-ahead.",
     );
     /// Span-ring overflow drops (labels: shard).
     pub const SPAN_DROPS: MetricId = MetricId::new(
@@ -184,8 +173,6 @@ pub(crate) struct ControllerTelemetry {
     pub(crate) probes: Arc<Counter>,
     pub(crate) probe_capacity: Arc<Counter>,
     pub(crate) admission: Arc<AtomicHistogram>,
-    pub(crate) derive_wait: Arc<Counter>,
-    pub(crate) derive_stall: Arc<Counter>,
     span_drops: Arc<Counter>,
     pub(crate) encode_bps: Arc<Gauge>,
     pub(crate) spans: SpanRing,
@@ -215,8 +202,6 @@ impl ControllerTelemetry {
             probes: registry.counter(metric::PROBES, &labels),
             probe_capacity: registry.counter(metric::PROBE_CAPACITY, &labels),
             admission: registry.histogram(metric::ADMISSION_LATENCY, &labels),
-            derive_wait: registry.counter(metric::DERIVE_WAIT_NS, &labels),
-            derive_stall: registry.counter(metric::DERIVE_STALL_NS, &labels),
             span_drops: registry.counter(metric::SPAN_DROPS, &shard_label),
             encode_bps: registry.gauge(metric::SNAPSHOT_ENCODE_BPS, &shard_label),
             spans: SpanRing::with_origin(origin, shard, CONTROLLER_SPAN_CAPACITY),
@@ -231,8 +216,7 @@ impl ControllerTelemetry {
     }
 
     /// Record a span measured elsewhere: a sampled admission, timed once
-    /// for the latency histogram and the span both, or a derive chunk
-    /// timed on the helper thread.
+    /// for the latency histogram and the span both.
     #[inline]
     pub(crate) fn record_span(&mut self, name: &'static str, t0: Instant, dur_ns: u64) {
         let start_ns = t0.duration_since(self.origin).as_nanos() as u64;

@@ -12,6 +12,7 @@ use crate::account::{AccountantDump, ServerAccount, VmEntry};
 use crate::controller::{ControllerDump, ServeConfig};
 use crate::request::{Request, Response, StatsReport};
 use crate::shard::ShardSnapshot;
+use coach_predict::DemandPrediction;
 use coach_telemetry::{Histogram, MetricEntry, MetricValue, RegistrySnapshot, TelemetryConfig};
 use coach_trace::VmRecord;
 use coach_types::prelude::*;
@@ -478,6 +479,15 @@ impl Decode for TokenCmd {
     }
 }
 
+/// A segment's predictions as the dispatcher derived them, index for
+/// index with its records — or empty, and the worker derives the segment
+/// itself. Only a thread session whose dispatcher derives fills it; a
+/// process child always derives for itself, so the codec never carries
+/// one.
+pub(crate) type Derived = Vec<Option<DemandPrediction>>;
+
+const PREDICTIONS_STAY_HOME: &str = "derived predictions never cross the wire";
+
 /// One command to a shard worker — the vocabulary both backends carry:
 /// by value on a thread lane, sealed into a frame on a process worker's
 /// stdin. The dispatch verbs (`Batch`, `Run`, `Token`, `Finalize`) are
@@ -499,10 +509,12 @@ pub(crate) enum WireCmd {
         snapshot: Vec<u8>,
     },
     /// A routed arrival segment whose per-request responses come back
-    /// (`(stream index, record)` pairs).
-    Batch(Vec<(u64, VmRecord)>),
-    /// A routed arrival segment acknowledged without responses.
-    Run(Vec<VmRecord>),
+    /// (`(stream index, record)` pairs), with its [`Derived`]
+    /// predictions.
+    Batch(Vec<(u64, VmRecord)>, Derived),
+    /// A routed arrival segment acknowledged without responses, with its
+    /// [`Derived`] predictions.
+    Run(Vec<VmRecord>, Derived),
     /// A broadcast/barrier token.
     Token(TokenCmd),
     /// Retire remaining departures, flush accounting, report the final
@@ -527,11 +539,13 @@ impl Encode for WireCmd {
                 e.u32(*windows_per_day);
                 e.bytes(snapshot);
             }
-            WireCmd::Batch(batch) => {
+            WireCmd::Batch(batch, derived) => {
+                assert!(derived.is_empty(), "{PREDICTIONS_STAY_HOME}");
                 e.u8(1);
                 batch.encode(e);
             }
-            WireCmd::Run(recs) => {
+            WireCmd::Run(recs, derived) => {
+                assert!(derived.is_empty(), "{PREDICTIONS_STAY_HOME}");
                 e.u8(2);
                 recs.encode(e);
             }
@@ -559,8 +573,8 @@ impl Decode for WireCmd {
                 windows_per_day: d.u32("WireCmd windows_per_day")?,
                 snapshot: d.bytes("WireCmd snapshot")?.to_vec(),
             }),
-            1 => Ok(WireCmd::Batch(Decode::decode(d)?)),
-            2 => Ok(WireCmd::Run(Decode::decode(d)?)),
+            1 => Ok(WireCmd::Batch(Decode::decode(d)?, Vec::new())),
+            2 => Ok(WireCmd::Run(Decode::decode(d)?, Vec::new())),
             3 => Ok(WireCmd::Token(Decode::decode(d)?)),
             4 => Ok(WireCmd::Finalize),
             5 => Ok(WireCmd::Export),
@@ -755,8 +769,8 @@ mod tests {
                 windows_per_day: 6,
                 snapshot: vec![1, 2, 3],
             },
-            WireCmd::Batch(recs.iter().map(|r| (7u64, r.clone())).collect()),
-            WireCmd::Run(recs.clone()),
+            WireCmd::Batch(recs.iter().map(|r| (7u64, r.clone())).collect(), Vec::new()),
+            WireCmd::Run(recs.clone(), Vec::new()),
             WireCmd::Token(TokenCmd::Stats {
                 now: Timestamp::from_ticks(42),
             }),

@@ -8,7 +8,7 @@ mod common;
 
 use coach_serve::{
     serve_trace, serve_trace_sharded, Controller, Request, RequestSource, Response, ServeConfig,
-    ShardedController,
+    ShardedController, TelemetryConfig,
 };
 use coach_sim::{packing_experiment, Oracle, PolicyConfig, ProbeMode};
 use coach_trace::{generate, TraceConfig};
@@ -331,10 +331,30 @@ fn lane_telemetry_survives_sharded_merge() {
         );
     }
 
-    // A single-shard controller runs inline: no lanes, all-zero telemetry.
-    let mut single = ShardedController::replaying(&trace, &oracle, coach, 0.7, 1);
-    single.run(RequestSource::replaying(&trace));
-    assert_eq!(single.lane_totals(), LaneStats::default());
+    // A single-shard controller gets a lane only where its dispatcher
+    // derives — beside a spare core: one send each way per segment, token
+    // and finalize. On one core it runs inline: no lanes, zero telemetry.
+    let config = ServeConfig {
+        telemetry: TelemetryConfig::Full,
+        ..ServeConfig::replaying(coach, 0.7, trace.horizon)
+    };
+    let mut single = ShardedController::new(&trace.clusters, &oracle, config, 1);
+    let requests: Vec<Request> = RequestSource::replaying(&trace).collect();
+    let tokens = requests
+        .iter()
+        .filter(|r| !matches!(r, Request::Arrive(_)))
+        .count() as u64;
+    single.run(requests);
+    let registry = single.telemetry_registry().expect("armed").snapshot();
+    let segments = registry
+        .counter("coach_serve_stream_segments_total", &[])
+        .expect("segments counted");
+    let lanes = single.lane_totals();
+    if available_threads() >= 2 {
+        assert_eq!(lanes.sends, 2 * (segments + tokens + 1));
+    } else {
+        assert_eq!(lanes, LaneStats::default());
+    }
 }
 
 /// Streaming responses agree with the final counters: every arrival gets an

@@ -50,14 +50,16 @@ pub trait Predictor: Sync {
     /// semantic one (the `predict_batch_matches_per_item_loop`
     /// differential test holds all shipped sources to this).
     ///
-    /// How the serving controller calls it: possibly from a thread other
-    /// than the controller's own (when the box has a core to spare —
-    /// hence `Sync`); serially and in arrival-stream order for any one
-    /// controller, so an implementation may keep call-order state (a
-    /// recording wrapper's log); with unspecified batch boundaries — an
+    /// How the serving controller calls it: on one thread per session —
+    /// the sharded dispatcher's, when a lone shard has a core to spare
+    /// and its segments are derived before they are sent, otherwise the
+    /// thread placing the shard (several shards may call one predictor
+    /// at once — hence `Sync`); serially and in arrival-stream order for
+    /// any one controller, so an implementation may keep call-order state
+    /// (a recording wrapper's log); with unspecified batch boundaries — an
     /// implementation must not depend on where one batch ends and the
-    /// next begins. A panic in here is re-raised on the controller's
-    /// thread.
+    /// next begins. A panic in here surfaces on the caller of the session
+    /// with its own message.
     fn predict_batch(
         &self,
         vms: &[&VmRecord],

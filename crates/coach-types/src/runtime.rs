@@ -32,22 +32,25 @@
 //! [`spsc_channel_bounded`] caps the queue length, and a producer that
 //! finds the lane full parks until the consumer frees room — backpressure
 //! instead of unbounded growth. The worker pool bounds its command lanes
-//! and leaves its reply lanes unbounded: callers may defer draining
-//! replies until a barrier, and a bounded reply lane would let a slow
-//! drainer deadlock a worker against its own backpressure.
+//! to [`COMMAND_LANE_CAPACITY`] and leaves its reply lanes unbounded:
+//! callers may defer draining replies until a barrier, and a bounded reply
+//! lane would let a slow drainer deadlock a worker against its own
+//! backpressure.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-/// How many commands a shard worker drains per wakeup (see
-/// [`with_shard_workers`]).
-const WORKER_BURST: usize = 32;
-
-/// Queue bound for worker command lanes: deep enough that a dispatcher
-/// streaming coarse segment batches rarely stalls, small enough to bound
-/// buffered memory.
-const COMMAND_LANE_CAPACITY: usize = 256;
+/// Queue bound for worker command lanes. A worker takes one command at a
+/// time, so a shard holds at most this many queued commands plus the one
+/// it is applying, and a caller the one it is building or parked on. With
+/// coarse commands two queued ones keep a worker busy across the caller's
+/// hiccups, and every command more is memory that buys no throughput: the
+/// serving dispatcher's segments (1,024 staged arrivals, about 340 kB, or
+/// 128 with their predictions, about 100 kB) queue at most about 700 kB
+/// per lane.
+pub const COMMAND_LANE_CAPACITY: usize = 2;
 
 /// Cumulative lane telemetry, snapshot from counter-instrumented lane
 /// endpoints. All lanes count; `coach-serve` surfaces the pool-wide sums
@@ -378,14 +381,15 @@ pub enum WorkerBackend {
 }
 
 /// Handles to a running pool of shard workers (inside
-/// [`with_shard_workers`]): one FIFO command lane and one FIFO reply lane
-/// per worker.
+/// [`with_shard_workers`] or [`with_shard_threads`]): one FIFO command lane
+/// and one FIFO reply lane per worker.
 ///
-/// With two or more shards each command lane is a bounded lane to a worker
-/// thread and each reply lane an unbounded lane back (see the module docs
-/// for why); with zero or one shard the pool degenerates to an inline
-/// executor (commands run on the caller's thread at [`send`](Self::send)
-/// time), preserving identical FIFO semantics without lane hops.
+/// On worker threads each command lane is a bounded lane to a worker and
+/// each reply lane an unbounded lane back (see the module docs for why);
+/// a [`with_shard_workers`] pool of one shard degenerates to an inline
+/// executor instead (commands run on the caller's thread at
+/// [`send`](Self::send) time), preserving identical FIFO semantics without
+/// lane hops.
 pub struct ShardWorkers<'pool, Cmd, Res> {
     inner: Pool<'pool, Cmd, Res>,
 }
@@ -399,7 +403,6 @@ enum Pool<'pool, Cmd, Res> {
         /// Runs the handler against the single shard's state.
         exec: Box<dyn FnMut(Cmd) -> Res + 'pool>,
         replies: VecDeque<Res>,
-        shards: usize,
     },
 }
 
@@ -408,7 +411,7 @@ impl<Cmd, Res> ShardWorkers<'_, Cmd, Res> {
     pub fn len(&self) -> usize {
         match &self.inner {
             Pool::Threads { senders, .. } => senders.len(),
-            Pool::Inline { shards, .. } => *shards,
+            Pool::Inline { .. } => 1,
         }
     }
 
@@ -419,7 +422,7 @@ impl<Cmd, Res> ShardWorkers<'_, Cmd, Res> {
 
     /// Send a command to worker `shard` (blocks only on command-lane
     /// backpressure in the threaded pool; runs the handler inline in the
-    /// ≤ 1-shard pool).
+    /// one-shard pool).
     ///
     /// # Panics
     ///
@@ -427,12 +430,8 @@ impl<Cmd, Res> ShardWorkers<'_, Cmd, Res> {
     pub fn send(&mut self, shard: usize, cmd: Cmd) {
         match &mut self.inner {
             Pool::Threads { senders, .. } => senders[shard].send(cmd),
-            Pool::Inline {
-                exec,
-                replies,
-                shards,
-            } => {
-                assert!(shard < *shards, "shard {shard} out of range");
+            Pool::Inline { exec, replies } => {
+                assert!(shard == 0, "shard {shard} out of range");
                 replies.push_back(exec(cmd));
             }
         }
@@ -447,16 +446,7 @@ impl<Cmd, Res> ShardWorkers<'_, Cmd, Res> {
     pub fn send_batch(&mut self, shard: usize, cmds: Vec<Cmd>) {
         match &mut self.inner {
             Pool::Threads { senders, .. } => senders[shard].send_batch(cmds),
-            Pool::Inline {
-                exec,
-                replies,
-                shards,
-            } => {
-                assert!(shard < *shards, "shard {shard} out of range");
-                for cmd in cmds {
-                    replies.push_back(exec(cmd));
-                }
-            }
+            Pool::Inline { .. } => cmds.into_iter().for_each(|cmd| self.send(shard, cmd)),
         }
     }
 
@@ -473,10 +463,8 @@ impl<Cmd, Res> ShardWorkers<'_, Cmd, Res> {
             Pool::Threads { receivers, .. } => receivers[shard]
                 .recv()
                 .expect("shard worker terminated before replying"),
-            Pool::Inline {
-                replies, shards, ..
-            } => {
-                assert!(shard < *shards, "shard {shard} out of range");
+            Pool::Inline { replies, .. } => {
+                assert!(shard == 0, "shard {shard} out of range");
                 replies.pop_front().expect("no outstanding command")
             }
         }
@@ -501,21 +489,48 @@ impl<Cmd, Res> ShardWorkers<'_, Cmd, Res> {
     }
 }
 
-/// Run `body` against a pool of persistent shard workers, one long-lived
-/// thread per entry of `states`.
-///
-/// Each worker owns its state for the whole session: it drains command
-/// bursts from its lane (up to `WORKER_BURST` per wakeup), applies
-/// `handler(shard, &mut state, cmd)` to each, and sends the results back
-/// on its reply lane — so per-shard command order is execution order, and
-/// consecutive commands to the same shard never pay a thread spawn (or,
-/// with batched sends, more than one wakeup). When `body` returns, the
-/// command lanes close, the workers drain and exit, and the (mutated)
-/// states are returned alongside `body`'s result.
-///
-/// A panic in `body` or any worker propagates to the caller (workers are
-/// joined either way).
+/// Run `body` against a pool of persistent shard workers: the inline
+/// executor for a single shard, [`with_shard_threads`] otherwise. A lone
+/// shard on a thread of its own only pays off when the caller has work of
+/// its own to overlap with it.
 pub fn with_shard_workers<T, Cmd, Res, R>(
+    mut states: Vec<T>,
+    handler: impl Fn(usize, &mut T, Cmd) -> Res + Sync,
+    body: impl FnOnce(&mut ShardWorkers<'_, Cmd, Res>) -> R,
+) -> (Vec<T>, R)
+where
+    T: Send,
+    Cmd: Send,
+    Res: Send,
+{
+    let [state] = states.as_mut_slice() else {
+        return with_shard_threads(states, handler, body);
+    };
+    let inner = Pool::Inline {
+        exec: Box::new(|cmd| handler(0, state, cmd)),
+        replies: VecDeque::new(),
+    };
+    let out = body(&mut ShardWorkers { inner });
+    (states, out)
+}
+
+/// Run `body` against one long-lived worker thread per entry of `states`,
+/// a single entry included.
+///
+/// Each worker owns its state for the whole session: it takes commands
+/// off its lane one at a time, applies `handler(shard, &mut state, cmd)`
+/// to each, and sends the results back on its reply lane — so per-shard
+/// command order is execution order, and consecutive commands to the same
+/// shard never pay a thread spawn (or, with batched sends, more than one
+/// wakeup). When `body` returns, the command lanes close, the workers
+/// drain and exit, and the (mutated) states are returned alongside
+/// `body`'s result.
+///
+/// A panic in `body` or any worker propagates to the caller once every
+/// worker has been joined. When both panic — `body` typically because a
+/// dead worker closed its reply lane — the message names both, so the
+/// worker's own failure is never lost behind the symptom.
+pub fn with_shard_threads<T, Cmd, Res, R>(
     states: Vec<T>,
     handler: impl Fn(usize, &mut T, Cmd) -> Res + Sync,
     body: impl FnOnce(&mut ShardWorkers<'_, Cmd, Res>) -> R,
@@ -525,26 +540,6 @@ where
     Cmd: Send,
     Res: Send,
 {
-    if states.len() <= 1 {
-        let mut states = states;
-        let out = {
-            let handler = &handler;
-            let shards = states.len();
-            let inner = match states.first_mut() {
-                Some(state) => Pool::Inline {
-                    exec: Box::new(move |cmd| handler(0, state, cmd)),
-                    replies: VecDeque::new(),
-                    shards,
-                },
-                None => Pool::Threads {
-                    senders: Vec::new(),
-                    receivers: Vec::new(),
-                },
-            };
-            body(&mut ShardWorkers { inner })
-        };
-        return (states, out);
-    }
     std::thread::scope(|scope| {
         let handler = &handler;
         let mut senders = Vec::with_capacity(states.len());
@@ -559,11 +554,8 @@ where
                 senders.push(cmd_tx);
                 receivers.push(res_rx);
                 scope.spawn(move || {
-                    let mut burst = Vec::with_capacity(WORKER_BURST);
-                    while cmd_rx.recv_batch(&mut burst, WORKER_BURST) > 0 {
-                        for cmd in burst.drain(..) {
-                            res_tx.send(handler(shard, &mut state, cmd));
-                        }
+                    while let Some(cmd) = cmd_rx.recv() {
+                        res_tx.send(handler(shard, &mut state, cmd));
                     }
                     state
                 })
@@ -572,18 +564,38 @@ where
         let mut workers = ShardWorkers {
             inner: Pool::Threads { senders, receivers },
         };
-        let out = body(&mut workers);
+        let out = catch_unwind(AssertUnwindSafe(|| body(&mut workers)));
         // Close the command lanes so the workers drain and exit.
         drop(workers);
-        let states = joins
-            .into_iter()
-            .map(|j| {
-                j.join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            })
-            .collect();
-        (states, out)
+        let mut states = Vec::with_capacity(joins.len());
+        let mut failed = None;
+        for (shard, join) in joins.into_iter().enumerate() {
+            match join.join() {
+                Ok(state) => states.push(state),
+                Err(panic) => {
+                    failed.get_or_insert((shard, panic));
+                }
+            }
+        }
+        match (out, failed) {
+            (Ok(out), None) => (states, out),
+            (Ok(_), Some((_, panic))) | (Err(panic), None) => resume_unwind(panic),
+            (Err(symptom), Some((shard, cause))) => panic!(
+                "{}; shard {shard}'s worker panicked first: {}",
+                panic_text(&*symptom),
+                panic_text(&*cause)
+            ),
+        }
     })
+}
+
+/// The message of a panic payload (`panic!` with a literal or a format).
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("<non-string panic>")
 }
 
 // ---------------------------------------------------------------------------

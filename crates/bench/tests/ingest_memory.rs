@@ -1,8 +1,9 @@
 //! The streaming generator's flat-memory contract, asserted under the
 //! counting allocator: draining [`StreamingTrace::records`] may keep only
-//! O(servers + subscriptions + chunk budget) bytes live, so the
-//! high-water mark per VM *falls* as the trace grows — growth here means
-//! someone started materializing. Beside it, the serving path's contract:
+//! O(servers + subscriptions + chunk budget) bytes live above the
+//! constructed stream (whose plan, 4 B per VM, is built before the drain),
+//! so the high-water mark per VM *falls* as the trace grows — growth here
+//! means someone started materializing. Beside it, the serving path's contract:
 //! what a controller holds follows what is resident, not what has
 //! streamed. The workloads are seed-pinned, so the peaks are reproducible
 //! to the byte and the ceilings carry headroom for allocator/std drift
@@ -103,7 +104,9 @@ fn ingest_peak_stays_under_the_per_vm_ceilings() {
 /// stream resident at once) and everything after it stays below, because
 /// the accountant drops a VM within nine samples of its departure. Measured
 /// when this ceiling was set: 401.93 B per attempted VM, 390.12 B since
-/// the controller's residents are one map (587 B while each server kept a
+/// the controller's residents are one map, 352.44 B since the record pass
+/// reads the construction pass's plan instead of placing every VM again
+/// with a departure heap of its own (587 B while each server kept a
 /// whole 296-byte demand per hosted VM in a hash map; 1,091 B before the
 /// accountant stopped keeping whole records for the length of the stream),
 /// within 0.1 B of that in debug and release and with the derive stage

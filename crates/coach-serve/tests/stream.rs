@@ -6,7 +6,7 @@
 
 use coach_serve::scenario::{sku_mix, stream_arrivals, Evacuate, GroupFailure, Surge};
 use coach_serve::{RequestSource, ServeConfig, ShardedController, StreamRequest, StreamSource};
-use coach_sim::{Oracle, PolicyConfig, Predictor};
+use coach_sim::{Oracle, PolicyConfig, Predictor, ProbeMode};
 use coach_trace::{generate, Cluster, StreamingTrace, TraceConfig};
 use coach_types::prelude::*;
 
@@ -169,6 +169,59 @@ fn group_failure_scenario_decision_identity() {
             shards,
             &requests,
         );
+    }
+}
+
+/// A probe right after a correlated-group failure whose re-arrivals took
+/// ids from `1 << 40`, the base the exhaustive fill numbers its probes
+/// from: the fill skips the ids the cluster already hosts instead of
+/// placing a duplicate, under `Exhaustive` and `Differential` at shards
+/// {1, 4}, streamed == materialized.
+#[test]
+fn probe_after_group_failure_skips_hosted_ids() {
+    let config = four_cluster_config(37);
+    let streaming = StreamingTrace::new(&config);
+    let records: Vec<_> = streaming.records().collect();
+    let mut counts = std::collections::HashMap::new();
+    for rec in &records {
+        *counts.entry(rec.subscription).or_insert(0usize) += 1;
+    }
+    let (&sub, _) = counts.iter().max_by_key(|(_, n)| **n).unwrap();
+    let at = Timestamp::from_ticks(config.horizon.ticks() / 3);
+    let base = 1u64 << 40;
+    let mut requests: Vec<StreamRequest> =
+        GroupFailure::new(stream_arrivals(records.into_iter()), sub, at, base).collect();
+    // The probe goes right behind the storm's last re-arrival, while every
+    // revived VM is still resident.
+    let last_revived = requests
+        .iter()
+        .rposition(|r| matches!(r, StreamRequest::Arrive(rec) if rec.id.raw() >= base))
+        .expect("failure storm re-placed VMs");
+    requests.insert(last_revived + 1, StreamRequest::Probe { now: at });
+    let oracle = Oracle::new(TimeWindows::paper_default());
+    let coach = PolicyConfig::paper_set().remove(2);
+    for probe_mode in [ProbeMode::Exhaustive, ProbeMode::Differential] {
+        let serve = ServeConfig {
+            probe_mode,
+            ..ServeConfig::replaying(coach, 0.7, config.horizon)
+        };
+        for shards in [1usize, 4] {
+            let mut controller =
+                ShardedController::new(streaming.clusters(), &oracle, serve, shards);
+            let result = controller.run_stream(requests.clone());
+            assert!(
+                result.probe_capacity > 0.0,
+                "{probe_mode:?}: the probe measured room"
+            );
+            assert_stream_equals_materialized(
+                &format!("group-fail probe {probe_mode:?}"),
+                streaming.clusters(),
+                &oracle,
+                serve,
+                shards,
+                &requests,
+            );
+        }
     }
 }
 

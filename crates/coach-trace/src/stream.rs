@@ -18,9 +18,13 @@
 //!    becomes a singleton bucket.
 //! 3. **Placement pass** — the buckets are replayed once through the shared
 //!    `PlacementMachine` to discover the final per-cluster server lists,
-//!    which downstream consumers (controller construction) need up front.
+//!    which downstream consumers (controller construction) need up front,
+//!    and the *plan*: the server slot within its cluster of every VM, in
+//!    emission order (a `u32` each).
 //! 4. **Record pass** — [`StreamingTrace::records`] replays the buckets
-//!    again, this time emitting full [`VmRecord`]s lazily.
+//!    again, this time emitting full [`VmRecord`]s lazily. It reads each
+//!    VM's server from the plan, so it places nothing: no first-fit and no
+//!    departure heap.
 //!
 //! Why this is bit-identical to the materialized path: the batch generator
 //! sorts skeletons by arrival with a *stable* sort, so ties at equal arrival
@@ -29,9 +33,14 @@
 //! — exactly the global sort restricted to the bucket's tick range. A
 //! single-tick bucket needs no sort or buffer at all: every skeleton in it
 //! has the same arrival, so draw order *is* emission order, and records
-//! stream straight through placement. Peak ingestion memory is therefore
-//! `O(chunk_budget)` skeletons plus the per-group behavior-template cache —
-//! flat in trace length.
+//! stream straight through. The placement pass walks the same sequence as
+//! the batch generator's loop, so its slots are the batch trace's servers.
+//!
+//! Ingestion memory is 4 B per VM of plan, built once during construction,
+//! plus at most one bucket's skeleton buffer (`O(chunk_budget)`) plus the
+//! per-group behavior-template cache. The plan is the only part that grows
+//! with trace length; the placement pass's departure heap (one 48 B entry
+//! per resident VM) lives only during construction.
 
 use std::collections::HashMap;
 
@@ -54,7 +63,9 @@ use crate::profile::BehaviorTemplate;
 /// [`VmRecord`]s), so the buffer stays under 28 MB whatever the trace
 /// length. A trace of at most this many VMs is a single bucket, buffered
 /// for the whole record pass: 500k VMs keep 500k × 56 B = 28 MB live from
-/// the first record to the last.
+/// the first record to the last. The budget bounds the buffer only: the
+/// plan (4 B per VM, see the module docs) grows with the trace whatever
+/// the budget.
 pub const DEFAULT_CHUNK_BUDGET: usize = 1 << 19;
 
 /// A contiguous tick range `[lo, hi)` holding `count` arrivals.
@@ -77,8 +88,9 @@ impl Bucket {
 /// [`generate`](crate::generate), bounded memory.
 ///
 /// Construction runs the counting and placement passes (so
-/// [`clusters`](Self::clusters) is final and complete); records are only
-/// produced when the iterator from [`records`](Self::records) is driven.
+/// [`clusters`](Self::clusters) is final and complete, and every VM's
+/// server is planned); records are only produced when the iterator from
+/// [`records`](Self::records) is driven.
 ///
 /// ```
 /// use coach_trace::{generate, StreamingTrace, TraceConfig};
@@ -96,6 +108,9 @@ pub struct StreamingTrace {
     /// Final clusters, server lists fully grown by the placement pass.
     clusters: Vec<Cluster>,
     buckets: Vec<Bucket>,
+    /// The plan: `slots[k]` is the `k`-th emitted VM's index into its
+    /// cluster's final server list, as the placement pass found it.
+    slots: Vec<u32>,
     subscriptions: Vec<Subscription>,
     /// RNG state snapshotted right after the subscription draw; every
     /// skeleton scan clones this so the draw sequence replays exactly.
@@ -178,11 +193,13 @@ impl StreamingTrace {
             config.vm_count as u64
         );
 
-        // Placement pass: grow the final cluster server lists.
+        // Placement pass: grow the final cluster server lists and plan
+        // every VM's server.
         let mut this = StreamingTrace {
             config: config.clone(),
             clusters: build_clusters(config.cluster_count),
             buckets,
+            slots: Vec::with_capacity(config.vm_count),
             subscriptions,
             rng0,
         };
@@ -192,10 +209,12 @@ impl StreamingTrace {
             for sk in run {
                 let ci = this.subscriptions[sk.sub_idx].home_cluster;
                 let hw = this.clusters[ci].hardware.capacity;
-                let (_, grew) = machine.place(ci, hw, sk);
+                let (slot, grew) = machine.place(ci, hw, sk);
                 if let Some(id) = grew {
                     this.clusters[ci].servers.push(id);
                 }
+                let slot = u32::try_from(slot).expect("a cluster has fewer than 2^32 servers");
+                this.slots.push(slot);
             }
         }
         this
@@ -235,7 +254,6 @@ impl StreamingTrace {
     pub fn records(&self) -> StreamingRecords<'_> {
         StreamingRecords {
             stream: self,
-            machine: PlacementMachine::new(self.config.cluster_count),
             templates: HashMap::new(),
             cursor: SkeletonCursor::default(),
             run_pos: 0,
@@ -251,7 +269,7 @@ impl StreamingTrace {
 /// emission order). Both the construction-time placement pass and
 /// [`StreamingTrace::records`] drive this walk; it reads only the stream's
 /// buckets, subscriptions, config and RNG snapshot, so the placement pass
-/// may grow the cluster lists while it holds a run.
+/// may grow the cluster lists and the plan while it holds a run.
 #[derive(Default)]
 struct SkeletonCursor {
     /// Index of the next bucket to open.
@@ -310,7 +328,6 @@ impl SkeletonCursor {
 /// `size_hint` is exact.
 pub struct StreamingRecords<'a> {
     stream: &'a StreamingTrace,
-    machine: PlacementMachine,
     templates: HashMap<(u64, u64), BehaviorTemplate>,
     cursor: SkeletonCursor,
     /// Skeletons of the cursor's current run already emitted.
@@ -319,20 +336,16 @@ pub struct StreamingRecords<'a> {
 }
 
 impl StreamingRecords<'_> {
-    /// Place a skeleton and materialize its record. Mirrors the batch
-    /// generator's loop body exactly; server ids resolve against the final
-    /// cluster lists discovered during construction.
+    /// Materialize a skeleton's record. Mirrors the batch generator's loop
+    /// body exactly, with the server read from the plan the construction
+    /// pass made and resolved against the final cluster lists.
     fn emit(&mut self, sk: &Skeleton) -> VmRecord {
         let st = self.stream;
         let sub = &st.subscriptions[sk.sub_idx];
         let cluster_idx = sub.home_cluster;
-        let hw_capacity = st.clusters[cluster_idx].hardware.capacity;
-        // The machine re-derives the same placement as the construction
-        // pass; `grew` is ignored because the lists are already final.
-        let (srv_idx, _grew) = self.machine.place(cluster_idx, hw_capacity, sk);
-
         let vm_idx = self.vm_idx;
         self.vm_idx += 1;
+        let srv_idx = st.slots[vm_idx as usize] as usize;
 
         let group_key = (sub.id.raw(), sk.config.config_key());
         let template = self.templates.entry(group_key).or_insert_with(|| {
@@ -402,6 +415,32 @@ mod tests {
             assert_eq!(streaming.clusters(), &batch.clusters[..], "budget {budget}");
             let collected: Vec<VmRecord> = streaming.records().collect();
             assert_eq!(collected, batch.vms, "budget {budget}");
+        }
+    }
+
+    /// The plan is the placement: one slot per VM, each a valid index
+    /// into its VM's cluster's final server list, naming the server its
+    /// record carries. Single-tick buckets (budget 1) plan as they stream.
+    #[test]
+    fn plan_holds_one_valid_slot_per_vm() {
+        let config = TraceConfig::small(13);
+        for budget in [DEFAULT_CHUNK_BUDGET, 1] {
+            let streaming = StreamingTrace::with_chunk_budget(&config, budget);
+            assert_eq!(streaming.slots.len(), config.vm_count, "budget {budget}");
+            for (vm, &slot) in streaming.records().zip(&streaming.slots) {
+                let cluster = streaming
+                    .clusters()
+                    .iter()
+                    .find(|c| c.id == vm.cluster)
+                    .expect("a record's cluster is in the trace");
+                let slot = usize::try_from(slot).expect("a slot fits in usize");
+                assert!(slot < cluster.servers.len(), "budget {budget}: {}", vm.id);
+                assert_eq!(
+                    cluster.servers[slot], vm.server,
+                    "budget {budget}: {}",
+                    vm.id
+                );
+            }
         }
     }
 

@@ -130,6 +130,20 @@ impl Default for ModelConfig {
 /// shipped partition (≤ 6 windows) a prediction is a single flat value with
 /// no heap allocation, which is what lets million-VM demand derivation run
 /// allocation-free per VM.
+///
+/// # What a decision reads
+///
+/// Every consumer reads a prediction through Formulas 1–2 only:
+/// [`DemandPrediction::pa_fraction`] (`PA`, the largest `PX_t`),
+/// [`DemandPrediction::va_fraction`] (each window's `Pmax_t` above `PA`),
+/// and `coach_sched::VmDemand::from_prediction`, which builds the guarantee
+/// from `PA`, each window's maximum from `max(Pmax_t, PA)`, and a
+/// single-rate allocation from the largest `Pmax_t`. So two predictions
+/// with the same [`DemandPrediction::decision_form`] make the same
+/// decisions — under `Single` as long as `Pmax_t ≥ PX_t` in every window,
+/// which holds for an oracle's peaks. The serving `coach_sim::Oracle`
+/// returns predictions already in decision form; the model's forests do
+/// not.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DemandPrediction {
     /// Window partition the predictions are made for.
@@ -160,6 +174,19 @@ impl DemandPrediction {
     /// Formula (2): per-window oversubscribed (VA) fraction per resource.
     pub fn va_fraction(&self, window: usize) -> ResourceVec {
         self.pmax[window].saturating_sub(&self.pa_fraction())
+    }
+
+    /// The *decision form*: per resource, every window's `PX_t` set to `PA`
+    /// ([`DemandPrediction::pa_fraction`]) and its `Pmax_t` raised to
+    /// `max(Pmax_t, PA)` — [`WindowPeaks::decision_form`]. `PA` and every
+    /// [`DemandPrediction::va_fraction`] are unchanged, to the bit.
+    pub fn decision_form(self) -> Self {
+        let peaks = WindowPeaks {
+            lifetime_max: self.pmax,
+            percentile: self.px,
+        }
+        .decision_form();
+        DemandPrediction::from_peaks(self.tw, peaks)
     }
 }
 

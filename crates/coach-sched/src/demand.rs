@@ -173,7 +173,8 @@ impl VmDemand {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coach_types::TimeWindows;
+    use coach_types::{Bucket, TimeWindows};
+    use proptest::prelude::*;
 
     fn prediction() -> DemandPrediction {
         let tw = TimeWindows::new(3);
@@ -254,5 +255,89 @@ mod tests {
         p.pmax[0] = ResourceVec::new(0.1, 0.1, 0.0, 0.0);
         let d = VmDemand::from_prediction(VmId::new(3), request(), Policy::Coach, Some(&p));
         assert!(d.is_well_formed());
+    }
+
+    /// A bucketed prediction over the first `windows` of `pairs`, each
+    /// window's `(Pmax_t, PX_t)` bucket indices per resource; with
+    /// `oracle_shaped` every `PX_t` is lowered to its window's `Pmax_t`.
+    fn bucketed_prediction(
+        pairs: &[([usize; 4], [usize; 4])],
+        windows: usize,
+        oracle_shaped: bool,
+    ) -> DemandPrediction {
+        let fractions = |idx: [usize; 4]| {
+            let f = idx.map(|i| Bucket::from_index(i).fraction());
+            ResourceVec::new(f[0], f[1], f[2], f[3])
+        };
+        let (mut pmax, mut px) = (WindowVec::new(), WindowVec::new());
+        for (max, mut pct) in pairs[..windows].iter().copied() {
+            if oracle_shaped {
+                for (p, m) in pct.iter_mut().zip(max) {
+                    *p = (*p).min(m);
+                }
+            }
+            pmax.push(fractions(max));
+            px.push(fractions(pct));
+        }
+        DemandPrediction {
+            tw: TimeWindows::new(windows as u32),
+            pmax,
+            px,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// A demand reads nothing of a prediction but its decision form:
+        /// under `None` and `Coach` always, under `Single` whenever every
+        /// window's `Pmax_t` is at or above its `PX_t` (an oracle's shape);
+        /// `pa_fraction` and every `va_fraction` are unchanged to the bit.
+        #[test]
+        fn from_prediction_reads_only_the_decision_form(
+            windows_idx in 0usize..3,
+            pairs in prop::collection::vec(
+                (prop::array::uniform4(0usize..21), prop::array::uniform4(0usize..21)),
+                24,
+            ),
+            oracle_shaped in 0u8..2,
+            request in prop::array::uniform4(0.0f64..256.0),
+            zeroed in prop::array::uniform4(0u8..3),
+        ) {
+            let windows = [1usize, 6, 24][windows_idx];
+            let oracle_shaped = oracle_shaped == 1;
+            let p = bucketed_prediction(&pairs, windows, oracle_shaped);
+            let decided = p.clone().decision_form();
+            let z = |i: usize| if zeroed[i] == 0 { 0.0 } else { request[i] };
+            let requested = ResourceVec::new(z(0), z(1), z(2), z(3));
+
+            for kind in ResourceKind::ALL {
+                prop_assert_eq!(
+                    p.pa_fraction()[kind].to_bits(),
+                    decided.pa_fraction()[kind].to_bits()
+                );
+                for w in 0..windows {
+                    prop_assert_eq!(
+                        p.va_fraction(w)[kind].to_bits(),
+                        decided.va_fraction(w)[kind].to_bits()
+                    );
+                }
+            }
+            for policy in [Policy::None, Policy::Single, Policy::Coach] {
+                if policy == Policy::Single && !oracle_shaped {
+                    continue;
+                }
+                let demand = |p: &DemandPrediction| {
+                    VmDemand::from_prediction(VmId::new(9), requested, policy, Some(p))
+                };
+                prop_assert!(
+                    demand(&p) == demand(&decided),
+                    "{} over {} windows: {:?} != {:?}",
+                    policy,
+                    windows,
+                    demand(&p),
+                    demand(&decided)
+                );
+            }
+        }
     }
 }

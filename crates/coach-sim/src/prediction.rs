@@ -8,13 +8,14 @@
 //!
 //! * [`Oracle`] — percentiles of each VM's own utilization, derived
 //!   *lazily* from the behavior profile's closed form on every call, and
-//!   only as far as the 5 % bucket of Formulas 1–2's inputs reads it
-//!   ([`VmRecord::window_peak_buckets`]);
+//!   returned in decision form: only as far as Formulas 1–2's demand
+//!   reads them ([`VmRecord::window_decision_buckets`],
+//!   [`DemandPrediction::decision_form`]);
 //! * [`Model`] — the trained long-term random forest (§3.3), walked once
 //!   per distinct feature key and memoized;
 //! * [`NaiveReference`] — the old eager path (materialize the 5-minute
 //!   series, walk its samples), retained purely for differential testing
-//!   against [`Oracle`].
+//!   against [`Oracle`]: its decision form is the Oracle's answer.
 
 use coach_predict::{DemandPrediction, PredictionMemo, UtilizationModel};
 use coach_trace::VmRecord;
@@ -88,17 +89,19 @@ fn too_short(vm: &VmRecord) -> bool {
 /// "ideal allocation" reference of Fig 19 and an upper bound for the
 /// packing experiments.
 ///
-/// Stateless: every call derives through [`VmRecord::window_peak_buckets`],
-/// the order-statistic loop of the lazy analytic scan under its
-/// bucket-decided stopping rule, so each window is derived only as far as
-/// the bucket reads it. A prediction keeps only the 5 % bucket of each
-/// window's `Pmax_t` and `PX_t`, and most windows' buckets are fixed by
-/// bounds the scan computes anyway, before any `(day, window)` cell
-/// resolves; the rest resolve the largest day maxima until both ends of
-/// each bound round up alike. The buckets are bit-identical to the
-/// rounded-up peaks of the exact [`VmRecord::window_stats`] —
-/// [`NaiveReference`] and `bucket_up` of the unbucketed exact-rule oracle
-/// stay as the references that hold it to that.
+/// Stateless: every call derives through
+/// [`VmRecord::window_decision_buckets`], the order-statistic loop of the
+/// lazy analytic scan under its decision-decided stopping rule, and returns
+/// the prediction in decision form ([`DemandPrediction::decision_form`]):
+/// per resource every window's `PX_t` reads `PA` and its `Pmax_t` reads
+/// `max(Pmax_t, PA)`, which is all a demand reads of them. A window whose
+/// bound on its cells rounds up to a bucket at or below the `PA` other
+/// windows have fixed is never resolved; the rest resolve under the
+/// bucket-decided rule, the largest day maxima first, until both ends of
+/// each bound round up alike. The answer is bit-identical to the decision
+/// form of the rounded-up peaks of the exact [`VmRecord::window_stats`] —
+/// [`NaiveReference`] and `bucket_up` of the unbucketed exact-rule oracle,
+/// each put in decision form, stay as the references that hold it to that.
 #[derive(Debug)]
 pub struct Oracle {
     tw: TimeWindows,
@@ -127,7 +130,7 @@ impl Predictor for Oracle {
         if too_short(vm) {
             return None;
         }
-        let peaks = vm.window_peak_buckets(self.tw, percentile);
+        let peaks = vm.window_decision_buckets(self.tw, percentile);
         Some(DemandPrediction {
             tw: self.tw,
             pmax: peaks.lifetime_max,
@@ -201,10 +204,11 @@ impl Predictor for Model<'_> {
 }
 
 /// The pre-redesign eager oracle: materialize each VM's full 5-minute
-/// series and walk its samples. Functionally identical to [`Oracle`] (the
-/// differential test `lazy_oracle_matches_eager_reference` holds them
-/// equal) but orders of magnitude more expensive — exists only as the
-/// reference end of that comparison.
+/// series and walk its samples, and keep every window's own peaks. Its
+/// decision form is [`Oracle`]'s answer (the differential test
+/// `lazy_oracle_matches_eager_reference` holds them equal), so it makes
+/// the same decisions, at orders of magnitude the cost — it exists only as
+/// the reference end of that comparison.
 #[derive(Debug, Clone, Copy)]
 pub struct NaiveReference {
     tw: TimeWindows,
@@ -279,9 +283,10 @@ mod tests {
         }
     }
 
-    /// The tentpole acceptance: lazy `WindowStats`-based oracle predictions
-    /// equal the eager materialized path for every long-running VM across
-    /// several seeds and percentiles.
+    /// Lazy oracle predictions equal the decision form of the eager
+    /// materialized path and of `bucket_up` of the exact-rule oracle, bit
+    /// for bit, for every long-running VM across several seeds and
+    /// percentiles.
     #[test]
     fn lazy_oracle_matches_eager_reference() {
         let tw = TimeWindows::paper_default();
@@ -296,17 +301,20 @@ mod tests {
                         (None, None) => {}
                         (Some(a), Some(b)) => {
                             compared += 1;
+                            let b = b.decision_form();
                             for w in tw.indices() {
                                 for kind in ResourceKind::ALL {
-                                    assert!(
-                                        (a.pmax[w][kind] - b.pmax[w][kind]).abs() <= 1e-12,
+                                    assert_eq!(
+                                        a.pmax[w][kind].to_bits(),
+                                        b.pmax[w][kind].to_bits(),
                                         "seed {seed} vm {} {kind} w{w} pmax: lazy {} eager {}",
                                         vm.id,
                                         a.pmax[w][kind],
                                         b.pmax[w][kind]
                                     );
-                                    assert!(
-                                        (a.px[w][kind] - b.px[w][kind]).abs() <= 1e-12,
+                                    assert_eq!(
+                                        a.px[w][kind].to_bits(),
+                                        b.px[w][kind].to_bits(),
                                         "seed {seed} vm {} {kind} w{w} px: lazy {} eager {}",
                                         vm.id,
                                         a.px[w][kind],
@@ -314,6 +322,20 @@ mod tests {
                                     );
                                 }
                             }
+                            // The exact-rule oracle fig19 reads, through the
+                            // exact statistics it is pinned equal to
+                            // (`oracle_equals_oracle_from_exact_stats`).
+                            let mut exact = UtilizationModel::oracle_from_stats(
+                                &vm.window_stats(tw),
+                                percentile,
+                            );
+                            bucket_prediction(&mut exact);
+                            assert_eq!(
+                                a,
+                                exact.decision_form(),
+                                "seed {seed} vm {}: lazy != bucket_up(exact rule)",
+                                vm.id
+                            );
                         }
                         (a, b) => panic!(
                             "seed {seed} vm {}: lazy {:?} vs eager {:?}",

@@ -98,10 +98,19 @@ impl VmRecord {
 
     /// [`VmRecord::window_peaks`] rounded up to 5 % buckets, bit for bit,
     /// resolving only the cells that can still move a bucket
-    /// ([`VmProfile::window_peak_buckets`]) — what the serving oracle keeps.
+    /// ([`VmProfile::window_peak_buckets`]).
     pub fn window_peak_buckets(&self, tw: TimeWindows, p: Percentile) -> WindowPeaks {
         self.profile
             .window_peak_buckets(tw, self.arrival, self.departure, p)
+    }
+
+    /// [`VmRecord::window_peak_buckets`] in decision form, bit for bit,
+    /// resolving only the windows that can still move Formulas 1–2's
+    /// demand ([`VmProfile::window_decision_buckets`]) — what the serving
+    /// oracle keeps.
+    pub fn window_decision_buckets(&self, tw: TimeWindows, p: Percentile) -> WindowPeaks {
+        self.profile
+            .window_decision_buckets(tw, self.arrival, self.departure, p)
     }
 
     /// [`VmRecord::window_stats`] for a single resource.

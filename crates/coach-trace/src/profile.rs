@@ -436,7 +436,9 @@ impl VmProfile {
     /// That is the loop's *top-k exact* stopping rule: a window is done
     /// once no further cell can enter its top-`k`.
     /// [`VmProfile::window_peak_buckets`] runs the same loop under a
-    /// second rule, *bucket-decided*.
+    /// second rule, *bucket-decided*, and
+    /// [`VmProfile::window_decision_buckets`] under a third,
+    /// *decision-decided*.
     ///
     /// Spans of more than 64 day-rows (the scratch lives on the stack),
     /// empty ranges and the degenerate parameters of the eager fallback
@@ -505,6 +507,45 @@ impl VmProfile {
         out
     }
 
+    /// [`VmProfile::window_peak_buckets`] in decision form
+    /// ([`WindowPeaks::decision_form`]), bit for bit, derived only as far
+    /// as Formulas 1–2 read it. The same order-statistic loop runs under a
+    /// third stopping rule, *decision-decided*, which leaves whole windows
+    /// unresolved.
+    ///
+    /// Per resource, every window first gets a *cap*: the bucket of the
+    /// largest upper end the bucket-decided rule would give its covered
+    /// days (the clamped `f32` of the pre-screen's `(bound_d + noise) +
+    /// walk_max`; 0.0 when no day is covered), or of that end's
+    /// interpolated percentile if `f32` rounding puts it one ulp higher.
+    /// Windows are visited in descending order of their caps, ties to the
+    /// lower index. A window whose cap is above the running `PA` — the
+    /// largest percentile bucket among the windows decided so far,
+    /// starting at 0 — runs the bucket-decided rule; the first whose cap is
+    /// not is *dismissed*, with every window after it. Every window is then
+    /// written in decision form, a dismissed one as `PA` for both values.
+    ///
+    /// Sound because a dismissed window's maximum is at or below its cap's
+    /// end and its percentile at or below that end's interpolation, so
+    /// neither bucket exceeds `PA` ([`Bucket::round_up`] is monotone): the
+    /// window cannot raise `PA`, and `max(Pmax_t, PA)` is `PA`. The visiting
+    /// order decides only which windows are resolved, never a value. The
+    /// fallbacks are those of [`VmProfile::window_peak_buckets`], put in
+    /// decision form.
+    pub fn window_decision_buckets(
+        &self,
+        tw: TimeWindows,
+        start: Timestamp,
+        end: Timestamp,
+        p: Percentile,
+    ) -> WindowPeaks {
+        let mut out = zero_peaks(tw);
+        for kind in ResourceKind::ALL {
+            self.window_decision_buckets_into(kind, tw, start, end, p, &mut out);
+        }
+        out
+    }
+
     /// One resource of [`VmProfile::window_peaks`], written into its slots
     /// of `out`. Returns how many cells were handed to the kernel — the
     /// pruning guard in the tests reads it; cells skipped by the pre-screen
@@ -518,7 +559,7 @@ impl VmProfile {
         p: Percentile,
         out: &mut WindowPeaks,
     ) -> usize {
-        self.order_statistics_into::<false>(resource, tw, start, end, p, out)
+        self.order_statistics_into::<TOP_K_EXACT>(resource, tw, start, end, p, out)
     }
 
     /// [`VmProfile::window_peaks_into`] for
@@ -532,7 +573,24 @@ impl VmProfile {
         p: Percentile,
         out: &mut WindowPeaks,
     ) -> usize {
-        self.order_statistics_into::<true>(resource, tw, start, end, p, out)
+        self.order_statistics_into::<BUCKET_DECIDED>(resource, tw, start, end, p, out)
+    }
+
+    /// [`VmProfile::window_peaks_into`] for
+    /// [`VmProfile::window_decision_buckets`].
+    fn window_decision_buckets_into(
+        &self,
+        resource: ResourceKind,
+        tw: TimeWindows,
+        start: Timestamp,
+        end: Timestamp,
+        p: Percentile,
+        out: &mut WindowPeaks,
+    ) -> usize {
+        let evaluated =
+            self.order_statistics_into::<DECISION_DECIDED>(resource, tw, start, end, p, out);
+        out.decide(resource);
+        evaluated
     }
 
     /// What the bucket-decided rule needs on top of the eager fallback's
@@ -547,10 +605,12 @@ impl VmProfile {
         scale < 1e300 && p.peak_hour.is_finite()
     }
 
-    /// The order-statistic loop behind both peak derivations; `BUCKETS`
-    /// selects the bucket-decided stopping rule, and bucket fractions in
-    /// `out`, over top-k exact.
-    fn order_statistics_into<const BUCKETS: bool>(
+    /// The order-statistic loop behind every peak derivation, under the
+    /// stopping rule `RULE` names: [`TOP_K_EXACT`] writes the values
+    /// themselves, [`BUCKET_DECIDED`] and [`DECISION_DECIDED`] their bucket
+    /// fractions, and the last writes 0.0 for the windows it dismisses
+    /// (its caller puts them in decision form).
+    fn order_statistics_into<const RULE: u8>(
         &self,
         resource: ResourceKind,
         tw: TimeWindows,
@@ -559,17 +619,18 @@ impl VmProfile {
         p: Percentile,
         out: &mut WindowPeaks,
     ) -> usize {
+        let buckets = RULE != TOP_K_EXACT;
         let profile = &self.per_resource[resource.index()];
         let (first_day, days) = day_rows(start, end);
         if days == 0
             || days > MAX_ORDERED_DAYS
             || Self::needs_eager_fallback(profile)
-            || (BUCKETS && !Self::levels_are_numbers(profile))
+            || (buckets && !Self::levels_are_numbers(profile))
         {
             let exact = self.window_stats_for(resource, tw, start, end);
             for w in tw.indices() {
                 let (max, px) = (exact.lifetime_max(w), exact.maxima_percentile(w, p));
-                write_peaks::<BUCKETS>(out, w, resource, max, px);
+                write_peaks(out, w, resource, buckets, max, px);
             }
             return 0;
         }
@@ -584,24 +645,68 @@ impl VmProfile {
         for (i, slot) in terms[..days].iter_mut().enumerate() {
             *slot = scan.day_terms(first_day + i as u64);
         }
+        let terms = &terms[..days];
         // The most any tick's noise and walk terms can add to its level:
         // `white < 1` and `walk < 1`, scaled by non-negative factors.
         let noise = profile.noise;
         let walk_max = if scan.unpredictable { 3.0 * noise } else { 0.0 };
+        // Day `i`'s cell of window `w`: its covered ticks (an empty range
+        // when the span misses the window that day).
+        let cover = |w: usize, i: usize| {
+            let wstart = terms[i].day_start + w as u64 * wticks;
+            (start.ticks().max(wstart), end.ticks().min(wstart + wticks))
+        };
+        // The pre-screen's bound on every tick value of a cell whose level
+        // is at most `level`, with the value's own association `(level +
+        // noise·white) + walk_term` so every step is a monotone IEEE op;
+        // and the upper end of the cell's maximum the bucket rules read.
+        let screen = |level: f64| (level + noise) + walk_max;
+        let upper = |level: f64| screen(level).clamp(0.0, 1.0) as f32;
+        let mut bound = [0.0f64; MAX_ORDERED_DAYS];
+
+        // Windows in visiting order. Under the decision-decided rule each
+        // gets its cap and the order is by cap, descending; otherwise every
+        // cap is the top bucket and the order stays the index order.
+        let n = tw.count();
+        let mut cap = [Bucket::MAX; MAX_WINDOWS];
+        let mut visit = [0u16; MAX_WINDOWS];
+        for w in 0..n {
+            if RULE == DECISION_DECIDED {
+                scan.level_bounds(w, terms, &mut bound);
+                let hi = (0..days)
+                    .filter(|&i| {
+                        let (t_lo, t_hi) = cover(w, i);
+                        t_lo < t_hi
+                    })
+                    .fold(0.0f32, |hi, i| hi.max(upper(bound[i])));
+                cap[w] = Bucket::round_up(f64::from(hi.max(rank.interpolate(hi, hi))));
+            }
+            let mut j = w;
+            while j > 0 && cap[usize::from(visit[j - 1])] < cap[w] {
+                visit[j] = visit[j - 1];
+                j -= 1;
+            }
+            visit[j] = w as u16;
+        }
+        // The running `PA`, from bucket 0: every value is clamped at 0.
+        let mut pa = Bucket::default();
         let mut brackets = Brackets::new(k);
 
         let mut evaluated = 0;
-        for w in tw.indices() {
-            // Upper bound of each day's cell level: the cosine-free envelope
-            // majorant at the window's distance-minimal tick (valid for a
-            // partial edge cell too — its ticks are a subset), through the
-            // day's own weekend factor and drift.
-            let tod_lo = w as u64 * wticks;
-            let env_ub = scan.env_ub_at(scan.d_min(tod_lo as f64, (tod_lo + wticks - 1) as f64));
-            let mut bound = [0.0f64; MAX_ORDERED_DAYS];
+        for (at, &w) in visit[..n].iter().enumerate() {
+            let w = usize::from(w);
+            if RULE == DECISION_DECIDED && cap[w] <= pa {
+                // Caps only fall from here on: no later window can move
+                // the decision either.
+                for &w in &visit[at..n] {
+                    write_peaks(out, usize::from(w), resource, buckets, 0.0, 0.0);
+                }
+                break;
+            }
+            // Days in descending order of their cell's level bound.
+            scan.level_bounds(w, terms, &mut bound);
             let mut order = [0u8; MAX_ORDERED_DAYS];
             for i in 0..days {
-                bound[i] = env_ub * terms[i].wf + terms[i].drift;
                 let mut j = i;
                 while j > 0 && bound[usize::from(order[j - 1])] < bound[i] {
                     order[j] = order[j - 1];
@@ -610,29 +715,19 @@ impl VmProfile {
                 order[j] = i as u8;
             }
 
-            // Day `i`'s cell: its covered ticks (an empty range when the
-            // span misses the window that day), and the pre-screen's bound
-            // on every tick value, with the value's own association
-            // `(level + noise·white) + walk_term` so every step is a
-            // monotone IEEE op.
-            let cover = |i: usize| {
-                let wstart = terms[i].day_start + tod_lo;
-                (start.ticks().max(wstart), end.ticks().min(wstart + wticks))
-            };
-            let screen = |i: usize| (bound[i] + noise) + walk_max;
-
             let mut top = TopK::new(k);
             let mut decided = None;
-            if BUCKETS {
+            if buckets {
                 brackets.clear();
                 for &i in &order[..days] {
                     let i = usize::from(i);
-                    let (t_lo, t_hi) = cover(i);
+                    let (t_lo, t_hi) = cover(w, i);
                     if t_lo >= t_hi {
                         brackets.push_uncovered();
                     } else {
-                        let hi = screen(i).clamp(0.0, 1.0) as f32;
-                        brackets.push_covered(hi, || scan.seed_value(terms[i], w, t_lo, t_hi));
+                        brackets.push_covered(upper(bound[i]), || {
+                            scan.seed_value(terms[i], w, t_lo, t_hi)
+                        });
                     }
                 }
                 decided = brackets.decide(&top, rank, nth_lo, nth_hi);
@@ -640,7 +735,7 @@ impl VmProfile {
             if decided.is_none() {
                 for (pos, &i) in order[..days].iter().enumerate() {
                     let i = usize::from(i);
-                    let (t_lo, t_hi) = cover(i);
+                    let (t_lo, t_hi) = cover(w, i);
                     if t_lo >= t_hi {
                         // Uncovered cells count as 0.0, as `day_max_or_zero`
                         // reads them.
@@ -653,8 +748,8 @@ impl VmProfile {
                     // Only once the top-k is full — every reported value is
                     // ≥ 0, so the clamp cannot lift a skipped tick above the
                     // floor.
-                    if floor >= 0.0 && screen(i) <= f64::from(floor) {
-                        if BUCKETS {
+                    if floor >= 0.0 && screen(bound[i]) <= f64::from(floor) {
+                        if buckets {
                             brackets.skip();
                         }
                         continue;
@@ -662,7 +757,7 @@ impl VmProfile {
                     evaluated += 1;
                     let reported = scan.cell(terms[i], w, t_lo, t_hi, floor);
                     top.offer(reported);
-                    if BUCKETS {
+                    if buckets {
                         brackets.collapse(pos, reported);
                         decided = brackets.decide(&top, rank, nth_lo, nth_hi);
                         if decided.is_some() {
@@ -675,11 +770,24 @@ impl VmProfile {
                 let at = |n| top.nth_largest(n);
                 (at(1), rank.interpolate(at(nth_lo), at(nth_hi)))
             });
-            write_peaks::<BUCKETS>(out, w, resource, max, px);
+            write_peaks(out, w, resource, buckets, max, px);
+            pa = pa.max(Bucket::round_up(f64::from(px)));
         }
         evaluated
     }
 }
+
+/// The loop's stopping rules ([`UtilizationSource`]'s "Three stopping
+/// rules"): [`VmProfile::window_peaks`],
+/// [`VmProfile::window_peak_buckets`] and
+/// [`VmProfile::window_decision_buckets`].
+const TOP_K_EXACT: u8 = 0;
+const BUCKET_DECIDED: u8 = 1;
+const DECISION_DECIDED: u8 = 2;
+
+/// The most windows a partition has ([`TimeWindows::ideal`]): the loop's
+/// visiting order lives in stack arrays of this size.
+const MAX_WINDOWS: usize = TICKS_PER_DAY as usize;
 
 /// All-zero peaks over `tw`, for the per-resource passes to fill in.
 fn zero_peaks(tw: TimeWindows) -> WindowPeaks {
@@ -692,17 +800,18 @@ fn zero_peaks(tw: TimeWindows) -> WindowPeaks {
 
 /// Write window `w`'s maximum and percentile into `resource`'s slots: as
 /// they are under the top-k exact rule, rounded up to their buckets under
-/// the bucket-decided one.
-fn write_peaks<const BUCKETS: bool>(
+/// the bucket rules.
+fn write_peaks(
     out: &mut WindowPeaks,
     w: usize,
     resource: ResourceKind,
+    buckets: bool,
     max: f32,
     px: f32,
 ) {
     let (max, px) = (f64::from(max), f64::from(px));
-    out.lifetime_max[w][resource] = if BUCKETS { bucket_up(max) } else { max };
-    out.percentile[w][resource] = if BUCKETS { bucket_up(px) } else { px };
+    out.lifetime_max[w][resource] = if buckets { bucket_up(max) } else { max };
+    out.percentile[w][resource] = if buckets { bucket_up(px) } else { px };
 }
 
 /// First day and number of day-rows `[start, end)` touches (0 when empty).
@@ -1038,6 +1147,18 @@ impl<'a> CellScan<'a> {
             let y = TAU / 2.0 - x;
             let refl = y * y * 0.5 - 1.0;
             (flat + self.p.amplitude * (0.5 * (1.0 + taylor.min(refl)))) + ENV_PAD
+        }
+    }
+
+    /// Upper bound of each day's cell level in window `w`: the cosine-free
+    /// envelope majorant at the window's distance-minimal tick (valid for a
+    /// partial edge cell too — its ticks are a subset), through the day's
+    /// own weekend factor and drift.
+    fn level_bounds(&self, w: usize, terms: &[DayTerms], bound: &mut [f64]) {
+        let tod_lo = w as u64 * self.wticks;
+        let env_ub = self.env_ub_at(self.d_min(tod_lo as f64, (tod_lo + self.wticks - 1) as f64));
+        for (b, day) in bound.iter_mut().zip(terms) {
+            *b = env_ub * day.wf + day.drift;
         }
     }
 
@@ -1409,6 +1530,16 @@ impl UtilizationSource for VmProfile {
         p: Percentile,
     ) -> WindowPeaks {
         VmProfile::window_peak_buckets(self, tw, start, end, p)
+    }
+
+    fn window_decision_buckets(
+        &self,
+        tw: TimeWindows,
+        start: Timestamp,
+        end: Timestamp,
+        p: Percentile,
+    ) -> WindowPeaks {
+        VmProfile::window_decision_buckets(self, tw, start, end, p)
     }
 }
 
@@ -1906,6 +2037,49 @@ mod tests {
         (bucketed, exhaustive)
     }
 
+    /// The decision-decided rule against the decision form of the
+    /// bucket-decided rule, bit for bit, at each swept percentile — and, per
+    /// resource and percentile, resolving no more cells than the
+    /// bucket-decided rule. Returns the cells each rule handed to the
+    /// kernel, summed: `(decision, bucketed)`.
+    fn assert_decision_bit_identical(
+        p: &VmProfile,
+        tw: TimeWindows,
+        start: Timestamp,
+        end: Timestamp,
+    ) -> (usize, usize) {
+        let (mut decision, mut bucketed) = (0, 0);
+        for pct in SWEPT_PERCENTILES.map(Percentile::new) {
+            let got = p.window_decision_buckets(tw, start, end, pct);
+            let want = p.window_peak_buckets(tw, start, end, pct).decision_form();
+            for kind in ResourceKind::ALL {
+                for w in tw.indices() {
+                    assert_eq!(
+                        got.lifetime_max[w][kind].to_bits(),
+                        want.lifetime_max[w][kind].to_bits(),
+                        "{kind} window {w} lifetime max decision at {pct}"
+                    );
+                    assert_eq!(
+                        got.percentile[w][kind].to_bits(),
+                        want.percentile[w][kind].to_bits(),
+                        "{kind} window {w} {pct} decision"
+                    );
+                }
+                let mut sink = got.clone();
+                let cells = p.window_decision_buckets_into(kind, tw, start, end, pct, &mut sink);
+                assert_eq!(sink, got, "{kind}: per-resource pass rewrote its slots");
+                let bucket_cells = p.window_peak_buckets_into(kind, tw, start, end, pct, &mut sink);
+                assert!(
+                    cells <= bucket_cells,
+                    "{kind} {pct}: decision rule resolved {cells} cells, bucket rule {bucket_cells}"
+                );
+                decision += cells;
+                bucketed += bucket_cells;
+            }
+        }
+        (decision, bucketed)
+    }
+
     #[test]
     fn analytic_stats_match_reference_for_unpredictable_weekend_span() {
         // Force the noisiest pattern class across a weekend boundary, where
@@ -2187,6 +2361,91 @@ mod tests {
         );
     }
 
+    /// Per profile, resource and percentile the decision-decided rule
+    /// resolves no more cells than the bucket-decided rule — the same
+    /// windows' loops, some of them never run
+    /// (`assert_decision_bit_identical` asserts it) — and on
+    /// `order_statistic_policy_prunes_most_cells`' profile exactly as many
+    /// as pinned here.
+    #[test]
+    fn decision_rule_never_resolves_more_cells() {
+        let tw = TimeWindows::paper_default();
+        for seed in 0..40u64 {
+            let start = Timestamp::from_ticks(seed * 37);
+            let end = start + SimDuration::from_days(1 + seed % 20);
+            assert_decision_bit_identical(&sample_profile(seed), tw, start, end);
+        }
+
+        let p = pruning_profile();
+        let (start, end) = (Timestamp::ZERO, Timestamp::from_days(14));
+        let mut out = p.window_peaks(tw, start, end, Percentile::P95);
+        let cells = |pct: Percentile, out: &mut WindowPeaks| {
+            ResourceKind::ALL.map(|kind| {
+                (
+                    p.window_decision_buckets_into(kind, tw, start, end, pct, out),
+                    p.window_peak_buckets_into(kind, tw, start, end, pct, out),
+                )
+            })
+        };
+        // (decision, bucketed) per resource, CPU first: 4 of the bucket
+        // rule's 17 cells at P95, 10 of 36 at P50.
+        assert_eq!(
+            cells(Percentile::P95, &mut out),
+            [(2, 5), (0, 2), (0, 2), (2, 8)]
+        );
+        assert_eq!(
+            cells(Percentile::P50, &mut out),
+            [(2, 2), (0, 14), (0, 10), (8, 10)]
+        );
+    }
+
+    /// Each fallback of the bucket-decided rule — an empty span, more
+    /// day-rows than the stack scratch holds, parameters that need the
+    /// eager path, levels that are not numbers — returns, under the
+    /// decision-decided rule, the decision form of what it returns there,
+    /// without resolving a cell.
+    #[test]
+    fn decision_fallbacks_are_the_decision_form_of_the_bucket_rule() {
+        let tw = TimeWindows::paper_default();
+        let t = Timestamp::from_hours(30);
+        assert_eq!(
+            assert_decision_bit_identical(&sample_profile(5), tw, t, t),
+            (0, 0)
+        );
+
+        let start = Timestamp::from_days(1) + SimDuration::from_hours(7);
+        let end = Timestamp::from_days(MAX_ORDERED_DAYS as u64 + 1) + SimDuration::from_hours(3);
+        assert_eq!(
+            assert_decision_bit_identical(&sample_profile(23), tw, start, end),
+            (0, 0)
+        );
+
+        let (start, end) = (Timestamp::from_hours(3), Timestamp::from_days(4));
+        let mut eager = sample_profile(5);
+        eager.per_resource[0].noise = -0.05;
+        eager.per_resource[1].amplitude = -0.3;
+        eager.per_resource[2].weekend_factor = -0.5;
+        eager.per_resource[3].noise = f64::NAN;
+        for r in &eager.per_resource {
+            assert!(VmProfile::needs_eager_fallback(r));
+        }
+        assert_eq!(
+            assert_decision_bit_identical(&eager, tw, start, end),
+            (0, 0)
+        );
+
+        let mut broken = sample_profile(6);
+        for r in broken.per_resource.iter_mut() {
+            r.daily_drift = f64::INFINITY;
+            assert!(!VmProfile::needs_eager_fallback(r));
+            assert!(!VmProfile::levels_are_numbers(r));
+        }
+        assert_eq!(
+            assert_decision_bit_identical(&broken, tw, start, end),
+            (0, 0)
+        );
+    }
+
     proptest! {
         /// The order-statistic policy reports, bit for bit, what the exact
         /// policy's statistics say — across random templates, per-VM seeds,
@@ -2240,6 +2499,36 @@ mod tests {
             let start = Timestamp::from_ticks(start_ticks);
             let end = Timestamp::from_ticks(start_ticks + len);
             assert_buckets_bit_identical(&p, tw, start, end);
+        }
+
+        /// The decision-decided rule reports, bit for bit, the decision
+        /// form of the bucket-decided rule's buckets, over
+        /// `prop_bucketed_peaks_match_exact`' generators with one window up
+        /// to one window per tick.
+        #[test]
+        fn prop_decision_buckets_match_bucket_rule(
+            seed in 0u64..10_000,
+            start_ticks in 0u64..(3 * TICKS_PER_DAY),
+            len in 1u64..(40 * TICKS_PER_DAY),
+            short in 0u64..4,
+            wpd_idx in 0usize..4,
+            edge_case in 0u64..16,
+        ) {
+            let tw = TimeWindows::new([1u32, 6, 24, 288][wpd_idx]);
+            let mut p = sample_profile(seed);
+            for r in p.per_resource.iter_mut() {
+                match edge_case {
+                    0 => r.noise = 0.0,
+                    1 => r.noise *= 1e-5,
+                    2 => r.daily_drift = 0.0,
+                    3 => r.amplitude = 0.0,
+                    _ => {}
+                }
+            }
+            let len = if short == 0 { 1 + len % (2 * TICKS_PER_DAY) } else { len };
+            let start = Timestamp::from_ticks(start_ticks);
+            let end = Timestamp::from_ticks(start_ticks + len);
+            assert_decision_bit_identical(&p, tw, start, end);
         }
 
         /// The tentpole equivalence: analytic window statistics are

@@ -357,6 +357,31 @@ impl WindowPeaks {
         }
         self
     }
+
+    /// The *decision form*: what Formulas 1–2 decide from the peaks and
+    /// nothing more. Per resource, with `PA` the largest `PX_t` (Formula
+    /// 1), every window's `PX_t` becomes `PA` and its `Pmax_t` becomes
+    /// `max(Pmax_t, PA)`. The guarantee and each window's maximum above it
+    /// (Formula 2) are unchanged; what is dropped is where, below `PA`, a
+    /// window's own `PX_t` and `Pmax_t` lay. Idempotent.
+    pub fn decision_form(mut self) -> Self {
+        for kind in ResourceKind::ALL {
+            self.decide(kind);
+        }
+        self
+    }
+
+    /// [`WindowPeaks::decision_form`] of one resource, in place.
+    pub fn decide(&mut self, kind: ResourceKind) {
+        let pa = self
+            .percentile
+            .iter()
+            .fold(0.0, |pa: f64, v| pa.max(v[kind]));
+        for (max, px) in self.lifetime_max.iter_mut().zip(self.percentile.iter_mut()) {
+            max[kind] = max[kind].max(pa);
+            px[kind] = pa;
+        }
+    }
 }
 
 /// Anything that can answer utilization queries for a VM: a recorded series
@@ -367,14 +392,15 @@ impl WindowPeaks {
 /// ask for them directly, and the producer is free to derive them far
 /// cheaper than materializing every 5-minute sample. The oracle needs less
 /// still: unbucketed, [`UtilizationSource::window_peaks`]; as the serving
-/// oracle keeps it, rounded up to 5 % buckets,
-/// [`UtilizationSource::window_peak_buckets`]. Point queries stay available
-/// for consumers that genuinely sample the timeline (the violation sweep).
+/// oracle keeps it, rounded up to 5 % buckets and in decision form,
+/// [`UtilizationSource::window_decision_buckets`]. Point queries stay
+/// available for consumers that genuinely sample the timeline (the
+/// violation sweep).
 ///
-/// # Two stopping rules
+/// # Three stopping rules
 ///
 /// A producer that derives the peaks from per-day cells may stop resolving
-/// a window's cells early under either of two rules, and the answer does
+/// a window's cells early under any of three rules, and the answer does
 /// not change by a bit:
 ///
 /// * *top-k exact* ([`UtilizationSource::window_peaks`]): once no further
@@ -390,7 +416,15 @@ impl WindowPeaks {
 ///   sandwich each top-`k` order statistic; (iii)
 ///   [`crate::series::PercentileRank::interpolate`] is monotone (`f32` ops
 ///   with non-negative weights); (iv) [`crate::Bucket::round_up`] is
-///   non-decreasing over non-NaN inputs.
+///   non-decreasing over non-NaN inputs;
+/// * *decision-decided* ([`UtilizationSource::window_decision_buckets`]):
+///   per resource, a window is not resolved at all once an upper bound on
+///   its cells rounds up to a bucket at or below the `PA` that windows
+///   already decided have fixed, and its peaks are written as that `PA`.
+///   Sound because a window's `Pmax_t` is at or below that bound and its
+///   `PX_t` at or below its `Pmax_t`, so it can neither raise `PA` nor lift
+///   `max(Pmax_t, PA)` above `PA`; the order in which windows are visited
+///   decides only which of them get resolved, never a value.
 pub trait UtilizationSource {
     /// Utilization fractions of all resources at `t` (zeros outside
     /// coverage).
@@ -440,6 +474,21 @@ pub trait UtilizationSource {
         p: Percentile,
     ) -> WindowPeaks {
         self.window_peaks(tw, start, end, p).bucket_up()
+    }
+
+    /// [`UtilizationSource::window_peak_buckets`] in decision form
+    /// ([`WindowPeaks::decision_form`]) — always equal to
+    /// `self.window_peak_buckets(tw, start, end, p).decision_form()`, which
+    /// is what the default does. A producer overrides it when the
+    /// decision-decided rule lets it leave whole windows unresolved.
+    fn window_decision_buckets(
+        &self,
+        tw: TimeWindows,
+        start: Timestamp,
+        end: Timestamp,
+        p: Percentile,
+    ) -> WindowPeaks {
+        self.window_peak_buckets(tw, start, end, p).decision_form()
     }
 }
 

@@ -1,13 +1,14 @@
 //! Serving-path rows the end-to-end benchmark (`examples/benchmark`) does
-//! not yet carry: the cost of armed telemetry on the warm admission stream,
-//! and the process backend beside the thread backend at two shards. Each
-//! iteration is one whole `TraceConfig::paper_scale` stream (8 000 VMs)
-//! through a fresh controller, so ns/iter ÷ 8 000 is ns per arrival.
-//! Printed by CI, not gated.
+//! not yet carry: the cost of armed telemetry and of 2 h violation sampling
+//! on the warm admission stream, and the process backend beside the thread
+//! backend at two shards. Each iteration is one whole
+//! `TraceConfig::paper_scale` stream (8 000 VMs) through a fresh
+//! controller, so ns/iter ÷ 8 000 is ns per arrival. Printed by CI, not
+//! gated.
 
 use coach_predict::DemandPrediction;
 use coach_serve::{Controller, RequestSource, ServeConfig, ShardedController, TelemetryConfig};
-use coach_sim::{Oracle, PolicyConfig, Predictor};
+use coach_sim::{Oracle, PolicyConfig, Predictor, VIOLATION_SAMPLE_EVERY};
 use coach_trace::{generate, Trace, TraceConfig, VmRecord};
 use coach_types::prelude::*;
 use criterion::{BatchSize, Criterion};
@@ -30,8 +31,10 @@ impl Predictor for Prederived {
     }
 }
 
-/// The warm admission stream (no probes, accounting reduced to
-/// bookkeeping) through one `Controller`, telemetry off vs fully armed.
+/// The warm admission stream (no probes) through one `Controller`:
+/// telemetry off vs fully armed with accounting reduced to the t=0 sample,
+/// and telemetry off with a sample every 2 h — that row minus
+/// `warm/telemetry_off` is the violation accountant's cost per arrival.
 fn bench_warm_telemetry(c: &mut Criterion, trace: &Trace, coach: PolicyConfig) {
     let oracle = Oracle::new(TimeWindows::paper_default());
     let refs: Vec<&VmRecord> = trace.vms.iter().collect();
@@ -39,12 +42,18 @@ fn bench_warm_telemetry(c: &mut Criterion, trace: &Trace, coach: PolicyConfig) {
         tw: oracle.time_windows(),
         by_vm: oracle.predict_batch(&refs, coach.percentile),
     };
-    for (name, telemetry) in [
-        ("warm/telemetry_off", TelemetryConfig::Off),
-        ("warm/telemetry_full", TelemetryConfig::Full),
+    let once = trace.horizon.since(Timestamp::ZERO);
+    for (name, telemetry, sample_every) in [
+        ("warm/telemetry_off", TelemetryConfig::Off, once),
+        ("warm/telemetry_full", TelemetryConfig::Full, once),
+        (
+            "warm/account_2h",
+            TelemetryConfig::Off,
+            VIOLATION_SAMPLE_EVERY,
+        ),
     ] {
         let config = ServeConfig {
-            sample_every: trace.horizon.since(Timestamp::ZERO),
+            sample_every,
             telemetry,
             ..ServeConfig::replaying(coach, 0.9, trace.horizon)
         };

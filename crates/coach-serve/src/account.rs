@@ -23,6 +23,19 @@
 //! per visit while its entries are in cache. No global placement map,
 //! per-server sort, or second pass over the trace exists at all.
 //!
+//! **What a sample evaluates.** A sample compares two sums with two
+//! thresholds: the admitted VMs' CPU use with half the CPU capacity, and
+//! their memory use with the backed memory (Formulas 3–4). Each server
+//! caches, per resource, the sum of `req · ceiling` over its admitted VMs
+//! (`UtilSampler::ceilings`: the profile's utilization with every hashed or
+//! cosine factor at its maximum), recomputed whenever a sample changes the
+//! admitted set. A resource's exact sum — a cosine and up to three hashes
+//! per VM — is taken only when its ceiling sum crosses the threshold. That
+//! changes no count: term by term `req · util ≤ req · ceiling` for
+//! `req ≥ 0`, and a float sum taken in one order is monotone in every
+//! term, so an exact sum above the threshold has a ceiling sum above it
+//! too.
+//!
 //! **What it keeps, and for how long.** State is a function of what is
 //! resident, not of what has streamed. A tracked VM is a self-contained
 //! `VmEntry` holding exactly what a sample reads — no trace record, no
@@ -137,6 +150,12 @@ pub(crate) struct ServerAccount {
     pub pa_sum: f64,
     /// Formula 4 running sums: Σ VA memory per window over the admitted.
     pub va_sums: Vec<f64>,
+    /// Σ `req_cpu · cpu ceiling` and Σ `req_mem · memory ceiling` over the
+    /// admitted, in admission order ([`ceiling_sums`]): summed anew
+    /// whenever a sample changes the admitted prefix, never updated
+    /// incrementally, so they are a pure function of that prefix — derived
+    /// on decode, not carried on the wire.
+    pub ceiling_sums: [f64; 2],
     pub samples: u64,
     pub cpu_violations: u64,
     pub mem_violations: u64,
@@ -152,15 +171,28 @@ impl ServerAccount {
             admitted: 0,
             pa_sum: 0.0,
             va_sums: Vec::new(),
+            ceiling_sums: [0.0; 2],
             samples: 0,
             cpu_violations: 0,
             mem_violations: 0,
         }
     }
 
+    /// Derive the ceiling sums from the admitted prefix (a decoded account
+    /// carries none).
+    pub(crate) fn sum_ceilings(&mut self) {
+        self.ceiling_sums = ceiling_sums(&self.entries[..self.admitted]);
+    }
+
     /// Evaluate every sample strictly before `up_to` (and before the
     /// horizon).
-    fn catch_up(&mut self, up_to: Timestamp, horizon: Timestamp, sample_every: SimDuration) {
+    fn catch_up(
+        &mut self,
+        up_to: Timestamp,
+        horizon: Timestamp,
+        sample_every: SimDuration,
+        work: &mut AccountWork,
+    ) {
         let bound = up_to.min(horizon);
         while self.next_sample < bound {
             if self.entries.is_empty() {
@@ -171,20 +203,21 @@ impl ServerAccount {
                 self.next_sample = Timestamp::from_ticks(ticks);
                 break;
             }
-            self.sample(self.next_sample);
+            self.sample(self.next_sample, work);
             self.next_sample += sample_every;
         }
         if self.next_sample >= horizon && !self.entries.is_empty() {
             // Past the last sample nothing reads an entry again.
             self.entries = Vec::new();
             self.admitted = 0;
+            self.ceiling_sums = [0.0; 2];
         }
     }
 
     /// Evaluate the sample at `t`. Admission, retirement, summation, and
     /// comparison order all mirror the batch sweep exactly: every addition
     /// in placement order, then every subtraction in admission order.
-    fn sample(&mut self, t: Timestamp) {
+    fn sample(&mut self, t: Timestamp, work: &mut AccountWork) {
         // Admit VMs that have arrived by now, skipping any that already
         // departed (an early departure before the VM's first sample: it
         // never touches the sums — exactly as the batch sweep skips it).
@@ -205,14 +238,18 @@ impl ServerAccount {
         }
         // Retire the departed, subtracting what was added for them.
         let (pa_sum, va_sums) = (&mut self.pa_sum, &mut self.va_sums);
-        let (mut index, mut kept) = (0, 0);
+        let (mut index, mut kept, mut changed) = (0, 0, false);
         self.entries.retain(|e| {
             let i = index;
             index += 1;
             if i >= arrived {
                 return true;
             }
-            if e.depart > t {
+            // The admitted prefix changes when one of it retires or an
+            // arrival joins it.
+            let keep = e.depart > t;
+            changed |= keep != (i < was_admitted);
+            if keep {
                 kept += 1;
                 return true;
             }
@@ -228,22 +265,31 @@ impl ServerAccount {
         if self.entries.len() * 4 < self.entries.capacity() {
             self.entries.shrink_to(self.entries.len() * 2);
         }
+        if changed {
+            self.sum_ceilings();
+            work.ceiling_recomputes += 1;
+        }
 
         let resident = &self.entries[..self.admitted];
         if !resident.is_empty() {
             self.samples += 1;
+            work.samples += 1;
+            work.entries_sampled += resident.len() as u64;
             // Only CPU and memory are compared below, so only they are
-            // sampled: each sum takes `VmRecord::used_at`'s terms for its
+            // sampled, and each only when its ceiling sum can cross its
+            // threshold: each sum takes `VmRecord::used_at`'s terms for its
             // resource, in admission order, and keeps that float
             // trajectory. (Every admitted VM is alive at `t`: it arrived
             // by `t` and the retirement above left `depart > t`.)
-            let (mut used_cpu, mut used_mem) = (0.0f64, 0.0f64);
-            for e in resident {
-                used_cpu += e.req_cpu * e.util.cpu_at(t);
-                used_mem += e.req_mem * e.util.memory_at(t);
-            }
-            if used_cpu > 0.5 * self.capacity.cpu() {
-                self.cpu_violations += 1;
+            let cpu_limit = 0.5 * self.capacity.cpu();
+            if self.ceiling_sums[0] > cpu_limit {
+                work.cpu_exact += 1;
+                let used = resident
+                    .iter()
+                    .fold(0.0, |sum, e| sum + e.req_cpu * e.util.cpu_at(t));
+                if used > cpu_limit {
+                    self.cpu_violations += 1;
+                }
             }
             // Memory contention: the working set exceeds the *backed*
             // memory — guaranteed (Formula 3) plus the multiplexed pool
@@ -251,11 +297,66 @@ impl ServerAccount {
             // floating-point dust from the incremental sums.
             let pool = self.va_sums.iter().copied().fold(0.0, f64::max);
             let backed = (self.pa_sum.max(0.0) + pool).min(self.capacity.memory());
-            if used_mem > backed + 1e-9 {
-                self.mem_violations += 1;
+            let mem_limit = backed + 1e-9;
+            if self.ceiling_sums[1] > mem_limit {
+                work.mem_exact += 1;
+                let used = resident
+                    .iter()
+                    .fold(0.0, |sum, e| sum + e.req_mem * e.util.memory_at(t));
+                if used > mem_limit {
+                    self.mem_violations += 1;
+                }
             }
         }
     }
+}
+
+/// `[Σ req_cpu · cpu ceiling, Σ req_mem · memory ceiling]` over `admitted`,
+/// in its order. Term by term `req · util ≤ req · ceiling` for `req ≥ 0`,
+/// and a float sum taken in one order is monotone in every term, so each
+/// bounds the exact sum a sample would take: a sample whose ceiling sum
+/// does not cross a threshold cannot cross it either. A term the sign
+/// argument does not cover (a negative or NaN request, or `∞ · 0`) is
+/// `+∞`, so its server is always sampled exactly.
+fn ceiling_sums(admitted: &[VmEntry]) -> [f64; 2] {
+    let term = |req: f64, ceiling: f64| {
+        let term = req * ceiling;
+        if req >= 0.0 && term >= 0.0 {
+            term
+        } else {
+            f64::INFINITY
+        }
+    };
+    admitted.iter().fold([0.0; 2], |[cpu, mem], e| {
+        let (cpu_ceiling, mem_ceiling) = e.util.ceilings();
+        [
+            cpu + term(e.req_cpu, cpu_ceiling),
+            mem + term(e.req_mem, mem_ceiling),
+        ]
+    })
+}
+
+/// How much sampling work an accountant has done since it was built or
+/// restored — exact counts, a function of the event stream alone. Like
+/// `ClusterScheduler::work`'s they are observations: not in the dump, not
+/// in any equality.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AccountWork {
+    /// Samples evaluated: one per server and grid point with at least one
+    /// admitted VM, as the violation rates count them.
+    pub samples: u64,
+    /// Admitted entries summed over those samples: what evaluating every
+    /// sample exactly would read.
+    pub entries_sampled: u64,
+    /// Samples whose CPU ceiling sum crossed half the CPU capacity, so
+    /// every admitted entry's CPU was sampled.
+    pub cpu_exact: u64,
+    /// Samples whose memory ceiling sum crossed the backed memory, so
+    /// every admitted entry's memory was sampled.
+    pub mem_exact: u64,
+    /// Samples that changed an admitted prefix and summed its ceilings
+    /// anew.
+    pub ceiling_recomputes: u64,
 }
 
 /// How many samples a server may fall behind before the phased sweep
@@ -282,6 +383,7 @@ pub struct ViolationAccountant {
     /// sweep strides over, and the dump's.
     servers: Vec<ServerAccount>,
     index: IdMap<ServerId, u32>,
+    work: AccountWork,
 }
 
 impl ViolationAccountant {
@@ -294,6 +396,7 @@ impl ViolationAccountant {
             swept_to: Timestamp::ZERO,
             servers: Vec::new(),
             index: IdMap::default(),
+            work: AccountWork::default(),
         }
     }
 
@@ -319,7 +422,7 @@ impl ViolationAccountant {
         for tick in from..=to {
             let class = (tick % period) as usize;
             for account in self.servers.iter_mut().skip(class).step_by(period as usize) {
-                account.catch_up(now, self.horizon, self.sample_every);
+                account.catch_up(now, self.horizon, self.sample_every, &mut self.work);
             }
         }
     }
@@ -339,7 +442,7 @@ impl ViolationAccountant {
             self.servers.push(ServerAccount::new(server, capacity));
         }
         let account = &mut self.servers[i];
-        account.catch_up(rec.arrival, self.horizon, self.sample_every);
+        account.catch_up(rec.arrival, self.horizon, self.sample_every, &mut self.work);
         // The first sample that could admit this VM is the server's next.
         // If the VM is gone by then, or there is no such sample, no sample
         // ever reads it (the batch sweep skips it the same way).
@@ -356,7 +459,7 @@ impl ViolationAccountant {
             return;
         };
         let account = &mut self.servers[i as usize];
-        account.catch_up(now, self.horizon, self.sample_every);
+        account.catch_up(now, self.horizon, self.sample_every, &mut self.work);
         for e in account.entries.iter_mut().filter(|e| e.id == vm) {
             e.depart = e.depart.min(now);
         }
@@ -365,7 +468,7 @@ impl ViolationAccountant {
     /// Evaluate all servers' samples strictly before `now`.
     pub fn advance(&mut self, now: Timestamp) {
         for account in &mut self.servers {
-            account.catch_up(now, self.horizon, self.sample_every);
+            account.catch_up(now, self.horizon, self.sample_every, &mut self.work);
         }
         self.swept_to = self.swept_to.max(now);
     }
@@ -380,6 +483,11 @@ impl ViolationAccountant {
         self.servers.iter().fold((0, 0, 0), |(s, c, m), a| {
             (s + a.samples, c + a.cpu_violations, m + a.mem_violations)
         })
+    }
+
+    /// The sampling work done so far (see [`AccountWork`]).
+    pub fn work(&self) -> AccountWork {
+        self.work
     }
 
     /// How many VMs the accountant holds an entry for right now. After a
@@ -408,7 +516,9 @@ impl ViolationAccountant {
     /// Rebuild an accountant from a dump. `sample_every` must be positive
     /// (the caller checks it with the rest of the config). A dump that
     /// names a server twice is refused — resampling from partial state
-    /// would silently corrupt the violation counters.
+    /// would silently corrupt the violation counters — and so is one whose
+    /// next sample is off the `sample_every` grid, which no uninterrupted
+    /// run samples at.
     pub(crate) fn from_dump(
         sample_every: SimDuration,
         horizon: Timestamp,
@@ -421,6 +531,15 @@ impl ViolationAccountant {
                     context: "AccountantDump names a server twice",
                 });
             }
+            if !account
+                .next_sample
+                .ticks()
+                .is_multiple_of(sample_every.ticks())
+            {
+                return Err(WireError::Invalid {
+                    context: "AccountantDump sample grid",
+                });
+            }
         }
         Ok(ViolationAccountant {
             sample_every,
@@ -428,6 +547,7 @@ impl ViolationAccountant {
             swept_to: dump.swept_to,
             servers: dump.servers,
             index,
+            work: AccountWork::default(),
         })
     }
 }
@@ -444,7 +564,51 @@ pub(crate) struct AccountantDump {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coach_sched::Policy;
+    use coach_sim::{Oracle, Predictor};
     use coach_trace::{generate, TraceConfig};
+
+    /// First principles: walk every sample, rebuilding state from scratch —
+    /// `(samples, cpu_violations, mem_violations)` for `vms` (records
+    /// carrying their effective departure, in placement order) all on one
+    /// server, with Formula 3/4's backed memory summed from each demand.
+    fn direct_counts(
+        vms: &[(VmRecord, VmDemand)],
+        capacity: ResourceVec,
+        every: SimDuration,
+        horizon: Timestamp,
+    ) -> (u64, u64, u64) {
+        let windows = vms.iter().map(|(_, d)| d.window_count()).max().unwrap_or(1);
+        let (mut e_samples, mut e_cpu, mut e_mem) = (0u64, 0u64, 0u64);
+        let mut t = Timestamp::ZERO;
+        while t < horizon {
+            let alive: Vec<_> = vms.iter().filter(|(v, _)| v.alive_at(t)).collect();
+            if !alive.is_empty() {
+                e_samples += 1;
+                let mut used = ResourceVec::ZERO;
+                let mut pa = 0.0;
+                let mut va = vec![0.0; windows];
+                for (v, d) in &alive {
+                    used += v.used_at(t);
+                    let guaranteed = d.guaranteed.memory();
+                    pa += guaranteed;
+                    for (sum, w) in va.iter_mut().zip(d.window_max.iter()) {
+                        *sum += (w.memory() - guaranteed).max(0.0);
+                    }
+                }
+                if used.cpu() > 0.5 * capacity.cpu() {
+                    e_cpu += 1;
+                }
+                let pool = va.into_iter().fold(0.0, f64::max);
+                let backed = (pa.max(0.0) + pool).min(capacity.memory());
+                if used.memory() > backed + 1e-9 {
+                    e_mem += 1;
+                }
+            }
+            t += every;
+        }
+        (e_samples, e_cpu, e_mem)
+    }
 
     /// The accountant applied to a whole placed-everywhere toy stream must
     /// agree with first-principles sampling.
@@ -456,42 +620,53 @@ mod tests {
         let server = ServerId::new(0);
         let capacity = ResourceVec::new(16.0, 64.0, 40.0, 4096.0);
 
-        // Put the first 12 VMs (by arrival) all on one tiny server.
+        // Put the first 12 VMs (by arrival) all on one tiny server,
+        // unpredicted: fully guaranteed.
         let mut acc = ViolationAccountant::new(every, horizon);
-        let vms: Vec<&VmRecord> = trace.vms.iter().take(12).collect();
-        for vm in &vms {
-            let demand = VmDemand::unpredicted(vm.id, vm.demand());
-            acc.on_placed(server, capacity, vm, &demand);
+        let vms: Vec<(VmRecord, VmDemand)> = trace
+            .vms
+            .iter()
+            .take(12)
+            .map(|vm| (vm.clone(), VmDemand::unpredicted(vm.id, vm.demand())))
+            .collect();
+        for (vm, demand) in &vms {
+            acc.on_placed(server, capacity, vm, demand);
         }
         acc.finish();
-        let (samples, cpu, mem) = acc.totals();
+        assert_eq!(acc.totals(), direct_counts(&vms, capacity, every, horizon));
+    }
 
-        // First principles: walk every sample, rebuilding state from scratch.
-        let (mut e_samples, mut e_cpu, mut e_mem) = (0u64, 0u64, 0u64);
-        let mut t = Timestamp::ZERO;
-        while t < horizon {
-            let alive: Vec<&&VmRecord> = vms.iter().filter(|v| v.alive_at(t)).collect();
-            if !alive.is_empty() {
-                e_samples += 1;
-                let mut used = ResourceVec::ZERO;
-                let mut pa = 0.0;
-                for v in &alive {
-                    used += v.used_at(t);
-                    pa += v.demand().memory(); // unpredicted: fully guaranteed
-                }
-                if used.cpu() > 0.5 * capacity.cpu() {
-                    e_cpu += 1;
-                }
-                let backed = pa.min(capacity.memory());
-                if used.memory() > backed + 1e-9 {
-                    e_mem += 1;
-                }
-            }
-            t += every;
+    /// The work counters on one fixed stream, pinned: a change to what a
+    /// sample evaluates shows here as an exact before/after. (Without the
+    /// ceiling screen both exact counts would equal `samples`.)
+    #[test]
+    fn account_work_is_exact_on_a_fixed_trace() {
+        let trace = generate(&TraceConfig::small(7));
+        let oracle = Oracle::new(TimeWindows::paper_default());
+        let capacity = ResourceVec::new(32.0, 128.0, 40.0, 4096.0);
+        let mut acc = ViolationAccountant::new(SimDuration::from_hours(2), trace.horizon);
+        for (i, vm) in trace.vms.iter().enumerate() {
+            let prediction = oracle.predict(vm, Percentile::P95);
+            let demand =
+                VmDemand::from_prediction(vm.id, vm.demand(), Policy::Coach, prediction.as_ref());
+            acc.on_placed(ServerId::new((i % 8) as u64), capacity, vm, &demand);
         }
-        assert_eq!(samples, e_samples);
-        assert_eq!(cpu, e_cpu);
-        assert_eq!(mem, e_mem);
+        acc.finish();
+        let work = acc.work();
+        assert_eq!(work.samples, acc.totals().0);
+        assert_eq!(
+            (work, acc.totals()),
+            (
+                AccountWork {
+                    samples: 672,
+                    entries_sampled: 2548,
+                    cpu_exact: 157,
+                    mem_exact: 116,
+                    ceiling_recomputes: 164,
+                },
+                (672, 33, 22)
+            )
+        );
     }
 
     #[test]
@@ -632,6 +807,14 @@ mod tests {
     mod proptests {
         use super::*;
         use proptest::prelude::*;
+        use std::cell::Cell;
+
+        thread_local! {
+            /// What `ceiling_screen_cases` saw over all its cases: CPU and
+            /// memory violations, samples, and the samples on which each
+            /// resource was sampled exactly.
+            static SCREEN_TALLY: Cell<[u64; 5]> = const { Cell::new([0; 5]) };
+        }
 
         /// One accountant call, `gap` ticks after the previous one.
         #[derive(Debug, Clone)]
@@ -691,6 +874,99 @@ mod tests {
                     (acc.totals(), coach_wire::seal_frame(&acc.dump()))
                 };
                 prop_assert_eq!(run(true), run(false));
+            }
+        }
+
+        /// The ceiling screen changes no count (`ceiling_screen_cases`),
+        /// over cases where both violation kinds occur and the screen
+        /// decides samples on its own.
+        #[test]
+        fn ceiling_screen_changes_no_count() {
+            ceiling_screen_cases();
+            let [cpu, mem, samples, cpu_exact, mem_exact] = SCREEN_TALLY.with(Cell::get);
+            assert!(cpu > 0 && mem > 0, "{cpu} CPU and {mem} memory violations");
+            assert!(
+                cpu_exact < samples && mem_exact < samples,
+                "of {samples} samples, CPU exact on {cpu_exact}, memory on {mem_exact}"
+            );
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Coach-policy VMs packed onto one small server, some leaving
+            /// early: the screened accountant counts what first-principles
+            /// sampling counts.
+            fn ceiling_screen_cases(
+                seed in 0u64..64,
+                take in 8usize..40,
+                cpu in 4u32..32,
+                memory in 16u32..128,
+                cuts in prop::collection::vec((0usize..40, 0u64..1000), 0..16),
+            ) {
+                let trace = generate(&TraceConfig::small(seed));
+                let oracle = Oracle::new(TimeWindows::paper_default());
+                let capacity = ResourceVec::new(f64::from(cpu), f64::from(memory), 40.0, 4096.0);
+                let every = SimDuration::from_hours(2);
+                let server = ServerId::new(0);
+                let vms: Vec<(VmRecord, VmDemand)> = trace
+                    .vms
+                    .iter()
+                    .take(take)
+                    .map(|vm| {
+                        let prediction = oracle.predict(vm, Percentile::P95);
+                        let demand = VmDemand::from_prediction(
+                            vm.id,
+                            vm.demand(),
+                            Policy::Coach,
+                            prediction.as_ref(),
+                        );
+                        (vm.clone(), demand)
+                    })
+                    .collect();
+                // `(time, early departure?, vm)`, placements first at equal
+                // times; the reference sees each VM's effective departure.
+                let mut events: Vec<(Timestamp, bool, usize)> = vms
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (vm, _))| (vm.arrival, false, i))
+                    .collect();
+                let mut effective = vms.clone();
+                for (i, permille) in cuts {
+                    let (vm, _) = &mut effective[i % vms.len()];
+                    let ticks = vm.lifetime().ticks() * permille / 1000;
+                    let now = vm.arrival + SimDuration::from_ticks(ticks);
+                    vm.departure = vm.departure.min(now);
+                    events.push((now, true, i % vms.len()));
+                }
+                events.sort_by_key(|&(t, _, _)| t);
+
+                let mut acc = ViolationAccountant::new(every, trace.horizon);
+                for (now, early, i) in events {
+                    let (vm, demand) = &vms[i];
+                    if early {
+                        acc.on_early_departure(server, vm.id, now);
+                    } else {
+                        acc.on_placed(server, capacity, vm, demand);
+                    }
+                }
+                acc.finish();
+                let (samples, cpu, mem) = acc.totals();
+                prop_assert_eq!(
+                    (samples, cpu, mem),
+                    direct_counts(&effective, capacity, every, trace.horizon)
+                );
+                let work = acc.work();
+                SCREEN_TALLY.with(|tally| {
+                    let [c, m, s, ce, me] = tally.get();
+                    tally.set([
+                        c + cpu,
+                        m + mem,
+                        s + work.samples,
+                        ce + work.cpu_exact,
+                        me + work.mem_exact,
+                    ]);
+                });
             }
 
             /// The entry's sampler returns `VmProfile::util_at`'s bits.

@@ -907,7 +907,7 @@ mod tests {
         assert!(Controller::restore(&oracle, &snapshot, |_| None).is_ok());
 
         type Mutation = fn(&mut ControllerDump);
-        let cases: [(&str, &str, Mutation); 12] = [
+        let cases: [(&str, &str, Mutation); 13] = [
             ("one VM twice on a server", "ServerStateDump", |dump| {
                 let servers = &mut dump.clusters[0].2.servers;
                 let packed = servers.iter_mut().find(|s| s.vms.len() > 1).unwrap();
@@ -962,6 +962,12 @@ mod tests {
                 "the accountant naming a server twice",
                 "AccountantDump names a server twice",
                 |dump| dump.accountant.servers[1].server = dump.accountant.servers[0].server,
+            ),
+            // It would sample at times no uninterrupted run samples at.
+            (
+                "a server's next sample off the cadence's grid",
+                "AccountantDump sample grid",
+                |dump| dump.accountant.servers[0].next_sample += SimDuration::from_ticks(1),
             ),
             ("a zero sample cadence", "snapshot sample cadence", |dump| {
                 dump.config.sample_every = SimDuration::from_ticks(0)

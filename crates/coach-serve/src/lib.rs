@@ -94,7 +94,7 @@ pub mod source;
 pub mod telemetry;
 pub mod wire;
 
-pub use account::ViolationAccountant;
+pub use account::{AccountWork, ViolationAccountant};
 pub use calendar::DepartureCalendar;
 pub use coach_telemetry::TelemetryConfig;
 pub use controller::{serve_trace, Controller, ServeConfig};

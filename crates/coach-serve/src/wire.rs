@@ -256,7 +256,7 @@ impl Encode for ServerAccount {
 
 impl Decode for ServerAccount {
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        let account = ServerAccount {
+        let mut account = ServerAccount {
             server: Decode::decode(d)?,
             capacity: Decode::decode(d)?,
             next_sample: Decode::decode(d)?,
@@ -264,6 +264,7 @@ impl Decode for ServerAccount {
             admitted: d.usize("ServerAccount admitted")?,
             pa_sum: d.f64("ServerAccount pa_sum")?,
             va_sums: Decode::decode(d)?,
+            ceiling_sums: [0.0; 2],
             samples: d.u64("ServerAccount samples")?,
             cpu_violations: d.u64("ServerAccount cpu_violations")?,
             mem_violations: d.u64("ServerAccount mem_violations")?,
@@ -273,6 +274,7 @@ impl Decode for ServerAccount {
                 context: "ServerAccount admitted prefix",
             });
         }
+        account.sum_ceilings();
         Ok(account)
     }
 }

@@ -211,10 +211,43 @@ fn resource_util_at(
     level.clamp(0.0, 1.0)
 }
 
+/// An upper bound on [`resource_util_at`] over every `t`, with no hash and
+/// no cosine: the same operation tree with each time-dependent factor at
+/// its maximum — the shape at 1, the weekend factor at `max(wf, 1)` (a
+/// weekday multiplies by nothing), each hashed `2u − 1` draw at `±1`
+/// (whichever sign maximizes its product), then the same clamp.
+///
+/// No padding is needed: IEEE round-to-nearest addition and multiplication
+/// are monotone in every operand, so replacing each operand by one at
+/// least as large, in the same order of operations, rounds to a result at
+/// least as large — the ceiling is `>=` `resource_util_at(t)` bit for bit.
+/// That argument needs `amplitude`, `noise` and `weekend_factor`
+/// non-negative (the products' signs); a profile that fails
+/// `VmProfile::needs_eager_fallback`'s condition, or whose ceiling is not
+/// a number, gets the trivial ceiling `1.0`.
+fn resource_util_ceiling(p: &ResourceProfile, kind: PatternKind) -> f64 {
+    if VmProfile::needs_eager_fallback(p) {
+        return 1.0;
+    }
+    // `(base + amplitude)⁺`, spelled so that a NaN stays NaN.
+    let peak = p.base + p.amplitude;
+    let peak = if peak < 0.0 { 0.0 } else { peak };
+    let mut level = peak * p.weekend_factor.max(1.0) + p.daily_drift.abs() + p.noise;
+    if kind == PatternKind::Unpredictable {
+        level += 3.0 * p.noise;
+    }
+    if level.is_nan() {
+        1.0
+    } else {
+        level.min(1.0)
+    }
+}
+
 /// What sampling a VM's CPU and memory utilization reads of its
 /// [`VmProfile`], and nothing else: two [`ResourceProfile`]s, the pattern
 /// class and the noise seed (128 bytes against the profile's 240). The
-/// serving path's violation accountant keeps one per tracked VM.
+/// serving path's violation accountant keeps one per tracked VM, and reads
+/// [`UtilSampler::ceilings`] before it hashes anything.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UtilSampler {
     pub(crate) cpu: ResourceProfile,
@@ -237,6 +270,18 @@ impl UtilSampler {
             self.noise_seed,
             ResourceKind::Memory,
             t,
+        )
+    }
+
+    /// `(cpu, memory)` upper bounds on [`Self::cpu_at`] and
+    /// [`Self::memory_at`] over every `t`, in `[0, 1]` and computed with no
+    /// hash and no cosine: a sum of `req · ceiling` terms bounds the sum of
+    /// `req · util` terms taken in the same order, so a server whose
+    /// ceiling sum cannot cross a threshold needs no sample evaluated.
+    pub fn ceilings(&self) -> (f64, f64) {
+        (
+            resource_util_ceiling(&self.cpu, self.kind),
+            resource_util_ceiling(&self.memory, self.kind),
         )
     }
 }
@@ -2446,7 +2491,80 @@ mod tests {
         );
     }
 
+    const KINDS: [PatternKind; 3] = [
+        PatternKind::Periodic,
+        PatternKind::Constant,
+        PatternKind::Unpredictable,
+    ];
+
+    /// Every tick of 28 days sits at or below the ceilings.
+    fn assert_ceilings_dominate(p: &VmProfile) {
+        let s = p.sampler();
+        let (cpu, mem) = s.ceilings();
+        assert!((0.0..=1.0).contains(&cpu) && (0.0..=1.0).contains(&mem));
+        for t in (0..28 * TICKS_PER_DAY).map(Timestamp::from_ticks) {
+            assert!(s.cpu_at(t) <= cpu, "{p:?} cpu at {t:?}");
+            assert!(s.memory_at(t) <= mem, "{p:?} memory at {t:?}");
+        }
+    }
+
+    /// The ceilings hold where a term vanishes, where the weekend factor
+    /// scales up or zeroes the level, and where the base is negative or
+    /// past saturation; parameters the monotonicity argument does not
+    /// cover get the trivial ceiling.
+    #[test]
+    fn util_ceiling_edge_cases() {
+        type Edit = fn(&mut ResourceProfile);
+        let edits: [Edit; 7] = [
+            |r| r.amplitude = 0.0,
+            |r| r.weekend_factor = 0.0,
+            |r| r.weekend_factor = 1.7,
+            |r| r.base = -0.2,
+            |r| r.daily_drift = -0.05,
+            |r| r.noise = 0.0,
+            |r| r.base = 1.0,
+        ];
+        for (seed, kind) in KINDS.into_iter().enumerate() {
+            for edit in edits {
+                let mut p = sample_profile(seed as u64);
+                p.kind = kind;
+                p.per_resource.iter_mut().for_each(edit);
+                assert_ceilings_dominate(&p);
+            }
+        }
+
+        let mut saturated = sample_profile(4);
+        saturated.per_resource.iter_mut().for_each(|r| r.base = 1.3);
+        assert_eq!(saturated.sampler().ceilings(), (1.0, 1.0));
+        for amplitude in [-0.1, f64::NAN] {
+            let mut p = sample_profile(5);
+            p.per_resource
+                .iter_mut()
+                .for_each(|r| r.amplitude = amplitude);
+            assert_eq!(p.sampler().ceilings(), (1.0, 1.0), "amplitude {amplitude}");
+        }
+    }
+
     proptest! {
+        /// A generated profile of any pattern class never samples above
+        /// its ceilings, at random ticks over four weeks (weekends, every
+        /// day's drift and every hour's walk included).
+        #[test]
+        fn prop_util_ceiling_dominates_every_tick(
+            seed in 0u64..64,
+            kind in 0usize..3,
+            ticks in prop::collection::vec(0u64..(28 * TICKS_PER_DAY), 1..256),
+        ) {
+            let mut p = sample_profile(seed);
+            p.kind = KINDS[kind];
+            let s = p.sampler();
+            let (cpu, mem) = s.ceilings();
+            for t in ticks.into_iter().map(Timestamp::from_ticks) {
+                prop_assert!(s.cpu_at(t) <= cpu);
+                prop_assert!(s.memory_at(t) <= mem);
+            }
+        }
+
         /// The order-statistic policy reports, bit for bit, what the exact
         /// policy's statistics say — across random templates, per-VM seeds,
         /// spans from one tick to 40 days, and partitions; every case

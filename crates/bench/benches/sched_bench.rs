@@ -40,7 +40,6 @@ fn bench_placement(c: &mut Criterion) {
                             &servers,
                             HardwareConfig::general_purpose_gen4().capacity,
                             windows,
-                            PlacementHeuristic::BestFit,
                         )
                     },
                     |mut sched| {
@@ -121,7 +120,7 @@ fn bench_index_scaling(c: &mut Criterion) {
 }
 
 /// The allocation-free feasibility check, on its own: the W+1-dimensional
-/// exact scan and the bounds-assisted variant the index uses.
+/// exact scan.
 fn bench_can_fit(c: &mut Criterion) {
     let mut group = c.benchmark_group("can_fit");
     for windows in [1usize, 6, 24] {
@@ -134,19 +133,10 @@ fn bench_can_fit(c: &mut Criterion) {
             let _ = state.place(&demand(i, windows));
         }
         let probe = demand(999, windows);
-        let peak = probe.window_peak();
-        let trough = probe.window_trough();
         group.bench_with_input(
             BenchmarkId::new("exact", format!("{windows}w")),
             &windows,
             |b, _| b.iter(|| std::hint::black_box(state.can_fit(&probe))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("bounds", format!("{windows}w")),
-            &windows,
-            |b, _| {
-                b.iter(|| std::hint::black_box(state.can_fit_with_bounds(&probe, &peak, &trough)))
-            },
         );
     }
     group.finish();

@@ -7,7 +7,7 @@
 //! memory that multiplexing saves across a replayed trace.
 
 use coach_bench::{figure_header, pct, small_eval_trace};
-use coach_sched::{ClusterScheduler, PlacementHeuristic, Policy, VmDemand};
+use coach_sched::{ClusterScheduler, Policy, VmDemand};
 use coach_sim::{Oracle, Predictor};
 use coach_types::prelude::*;
 
@@ -25,12 +25,7 @@ fn main() {
     for cluster in &trace.clusters {
         schedulers.push((
             cluster.id,
-            ClusterScheduler::new(
-                &cluster.servers,
-                cluster.hardware.capacity,
-                6,
-                PlacementHeuristic::BestFit,
-            ),
+            ClusterScheduler::new(&cluster.servers, cluster.hardware.capacity, 6),
         ));
     }
     let mut placed = 0u64;

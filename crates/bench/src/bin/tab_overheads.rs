@@ -3,7 +3,7 @@
 use coach_bench::{figure_header, small_eval_trace};
 use coach_node::memory::{MemoryParams, MemoryServer, VmMemoryConfig};
 use coach_predict::{ForestParams, LocalPredictor, ModelConfig, UtilizationModel};
-use coach_sched::{ClusterScheduler, PlacementHeuristic, VmDemand};
+use coach_sched::{ClusterScheduler, VmDemand};
 use coach_sim::{Model, Predictor};
 use coach_types::prelude::*;
 use std::time::Instant;
@@ -79,12 +79,8 @@ fn main() {
 
     // --- Scheduling overhead per VM.
     let servers: Vec<ServerId> = (0..100).map(ServerId::new).collect();
-    let mut sched = ClusterScheduler::new(
-        &servers,
-        HardwareConfig::general_purpose_gen4().capacity,
-        6,
-        PlacementHeuristic::BestFit,
-    );
+    let mut sched =
+        ClusterScheduler::new(&servers, HardwareConfig::general_purpose_gen4().capacity, 6);
     let t0 = Instant::now();
     let mut placed = 0u64;
     for i in 0..2000u64 {

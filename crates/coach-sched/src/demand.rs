@@ -116,9 +116,8 @@ impl VmDemand {
     }
 
     /// Elementwise maximum over the per-window maxima: the worst single
-    /// window this demand presents to any server. Used with
-    /// [`crate::ServerState::can_fit_with_bounds`] to accept candidates
-    /// without a per-window scan.
+    /// window this demand presents to any server. The scheduler's quick
+    /// check accepts candidates with it, without a per-window scan.
     #[inline]
     pub fn window_peak(&self) -> ResourceVec {
         self.window_max
@@ -127,8 +126,8 @@ impl VmDemand {
     }
 
     /// Elementwise minimum over the per-window maxima: the mildest window.
-    /// Used with [`crate::ServerState::can_fit_with_bounds`] to reject
-    /// candidates without a per-window scan.
+    /// The scheduler's quick check rejects candidates with it, without a
+    /// per-window scan.
     #[inline]
     pub fn window_trough(&self) -> ResourceVec {
         let mut it = self.window_max.iter();

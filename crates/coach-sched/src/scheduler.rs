@@ -15,10 +15,10 @@
 //!   server's window sums only when the row's quick accept and quick
 //!   reject both abstain. The cluster's one capacity is stored once.
 //! * A **headroom index**: servers bucketed by their free guaranteed
-//!   memory, so BestFit scans only the lowest-headroom buckets (and
-//!   WorstFit the highest) instead of the whole cluster. Each bucket keeps
-//!   its members in the heuristic's candidate order, so its scan stops at
-//!   the first feasible member. A 64-bit mask of non-empty buckets makes
+//!   memory, so a placement scans only the lowest-headroom buckets that
+//!   can hold its guaranteed memory instead of the whole cluster. Each
+//!   bucket keeps its members in candidate order, so its scan stops at the
+//!   first feasible member. A 64-bit mask of non-empty buckets makes
 //!   empty ones free, and each bucket carries conservative bounds over its
 //!   members' rows — the element-wise minimum guaranteed sum and maximum
 //!   loosest slack — so one quick reject on the bounds passes over a
@@ -43,14 +43,14 @@
 //! [`ScanStrategy::NaiveReference`] for differential testing — both
 //! strategies are decision-identical by construction and by proptest.
 //!
-//! Which feasible server a heuristic picks is written down once, as
-//! `PlacementHeuristic::candidate_order`; the naive scan, the pick inside a
-//! headroom bucket and the probe estimator
-//! ([`ClusterScheduler::estimate_probe_fill`]) all take the first server in
-//! that order. The estimator replays the Fig 20a probe fill on scratch
-//! copies of each server's sums through the same feasibility check and
-//! commit `ServerState::place` runs, so its count equals the exhaustive
-//! fill's without placing a probe.
+//! Which feasible server best-fit picks — the least free guaranteed memory,
+//! ties to the lower index — is written down once, as `candidate_order`;
+//! the naive scan, the pick inside a headroom bucket and the probe
+//! estimator ([`ClusterScheduler::estimate_probe_fill`]) all take the first
+//! server in that order. The estimator replays the Fig 20a probe fill on
+//! scratch copies of each server's sums through the same feasibility check
+//! and commit `ServerState::place` runs, so its count equals the
+//! exhaustive fill's without placing a probe.
 
 use crate::demand::VmDemand;
 use crate::server::{rejects, FitRow, ServerState, Sums};
@@ -59,7 +59,10 @@ use std::borrow::Borrow;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-/// Placement heuristic.
+/// Placement heuristic. Coach packs best-fit (§3.3), and so does every
+/// scheduler here: the type keeps its one variant only because the frozen
+/// benchmark passes a config's `heuristic` to
+/// [`ClusterScheduler::with_strategy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlacementHeuristic {
     /// Pack into the feasible server with the least remaining memory
@@ -67,53 +70,35 @@ pub enum PlacementHeuristic {
     /// required servers by 44 %).
     #[default]
     BestFit,
-    /// First feasible server in id order.
-    FirstFit,
-    /// Feasible server with the most remaining memory headroom (spreading).
-    WorstFit,
 }
 
-impl PlacementHeuristic {
-    /// The heuristic's preference between two candidate servers, each given
-    /// as `(index, free guaranteed memory)`: `Less` when `a` wins. BestFit
-    /// prefers the least free guaranteed memory, WorstFit the most,
-    /// FirstFit the lower index; ties go to the lower index. Headroom is a
-    /// saturating difference, finite and never `-0.0`, so `total_cmp`
-    /// agrees with `<` on it.
-    fn candidate_order(self, (a, free_a): (usize, f64), (b, free_b): (usize, f64)) -> Ordering {
-        let by_index = a.cmp(&b);
-        match self {
-            PlacementHeuristic::FirstFit => by_index,
-            PlacementHeuristic::BestFit => free_a.total_cmp(&free_b).then(by_index),
-            PlacementHeuristic::WorstFit => free_b.total_cmp(&free_a).then(by_index),
-        }
-    }
+/// Best-fit's preference between two candidate servers, each given as
+/// `(index, free guaranteed memory)`: `Less` when `a` wins. The least free
+/// guaranteed memory wins, ties go to the lower index. Headroom is a
+/// saturating difference, finite and never `-0.0`, so `total_cmp` agrees
+/// with `<` on it.
+fn candidate_order((a, free_a): (usize, f64), (b, free_b): (usize, f64)) -> Ordering {
+    free_a.total_cmp(&free_b).then(a.cmp(&b))
+}
 
-    /// [`Self::candidate_order`] as an integer: `candidate_order((a,
-    /// free_a), (b, free_b))` is `(candidate_key(free_a),
-    /// a).cmp(&(candidate_key(free_b), b))`. BestFit's key is `free`'s bits
-    /// mapped so that unsigned order is `total_cmp` order, WorstFit's is
-    /// their complement, FirstFit's is 0.
-    fn candidate_key(self, free: f64) -> u64 {
-        let bits = free.to_bits();
-        let ordered = if bits >> 63 == 0 {
-            bits | 1 << 63
-        } else {
-            !bits
-        };
-        match self {
-            PlacementHeuristic::FirstFit => 0,
-            PlacementHeuristic::BestFit => ordered,
-            PlacementHeuristic::WorstFit => !ordered,
-        }
+/// [`candidate_order`] as an integer: `candidate_order((a, free_a), (b,
+/// free_b))` is `(candidate_key(free_a), a).cmp(&(candidate_key(free_b),
+/// b))`. The key is `free`'s bits mapped so that unsigned order is
+/// `total_cmp` order.
+fn candidate_key(free: f64) -> u64 {
+    let bits = free.to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
     }
 }
 
 /// How the scheduler searches for a feasible server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanStrategy {
-    /// Headroom-bucketed candidate index: BestFit/WorstFit stop at the
-    /// first bucket containing a feasible server (default).
+    /// Headroom-bucketed candidate index: the scan stops at the first
+    /// bucket containing a feasible server (default).
     #[default]
     Indexed,
     /// The seed's exhaustive linear scan over all servers, kept as the
@@ -174,9 +159,9 @@ const FIT_EPS: f64 = 1e-9;
 /// on them is exact).
 #[derive(Debug, Clone)]
 struct Bucket {
-    /// Members as the heuristics compare them, `(index, free guaranteed
-    /// memory)`, sorted by `candidate_order`: the first feasible member is
-    /// the bucket's pick.
+    /// Members as best-fit compares them, `(index, free guaranteed
+    /// memory)`, sorted by [`candidate_order`]: the first feasible member
+    /// is the bucket's pick.
     members: Vec<(usize, f64)>,
     /// Element-wise at most every member's guaranteed sum.
     min_guaranteed: ResourceVec,
@@ -230,9 +215,9 @@ impl Bucket {
     }
 }
 
-/// Servers bucketed by free guaranteed memory, each bucket in the
-/// heuristic's candidate order, with a non-empty mask and per-bucket
-/// bounds. Derived state: rebuilt exactly by `build`.
+/// Servers bucketed by free guaranteed memory, each bucket in candidate
+/// order, with a non-empty mask and per-bucket bounds. Derived state:
+/// rebuilt exactly by `build`.
 #[derive(Debug, Clone)]
 struct HeadroomIndex {
     bucket_width: f64,
@@ -243,9 +228,9 @@ struct HeadroomIndex {
 }
 
 impl HeadroomIndex {
-    /// Bucket every server by its row's headroom, in `heuristic`'s
-    /// candidate order, with exact bounds.
-    fn build(heuristic: PlacementHeuristic, capacity: &ResourceVec, table: &[FitRow]) -> Self {
+    /// Bucket every server by its row's headroom, in candidate order, with
+    /// exact bounds.
+    fn build(capacity: &ResourceVec, table: &[FitRow]) -> Self {
         let bucket_width = capacity.memory() / HEADROOM_BUCKETS as f64;
         let (min_guaranteed, max_window_slack) = Bucket::NO_BOUNDS;
         let mut index = HeadroomIndex {
@@ -273,7 +258,7 @@ impl HeadroomIndex {
         for bucket in &mut index.buckets {
             bucket
                 .members
-                .sort_unstable_by(|&a, &b| heuristic.candidate_order(a, b));
+                .sort_unstable_by(|&a, &b| candidate_order(a, b));
             bucket.exact = true;
         }
         index
@@ -292,34 +277,27 @@ impl HeadroomIndex {
     }
 
     /// Move one server whose headroom went from `was` to `headroom` to its
-    /// place in `order`'s candidate order — in another bucket if it crossed
-    /// a boundary — and widen its bucket's bounds to cover its new `row`. A
+    /// place in candidate order — in another bucket if it crossed a
+    /// boundary — and widen its bucket's bounds to cover its new `row`. A
     /// bucket left empty drops its bounds.
-    fn update(
-        &mut self,
-        order: PlacementHeuristic,
-        server: usize,
-        was: f64,
-        row: &FitRow,
-        headroom: f64,
-    ) {
+    fn update(&mut self, server: usize, was: f64, row: &FitRow, headroom: f64) {
         let new = self.bucket_for(headroom);
         let old = usize::from(self.bucket_of[server]);
         let old_bucket = &mut self.buckets[old];
         let mut pos = old_bucket
             .members
-            .binary_search_by(|&m| order.candidate_order(m, (server, was)))
+            .binary_search_by(|&m| candidate_order(m, (server, was)))
             .expect("server present in its bucket");
         if new == old {
             // Slide the entry past the neighbours its new key overtakes:
             // one step of insertion sort, the rest of the bucket is sorted.
             let key = (server, headroom);
             let members = &mut old_bucket.members;
-            while pos > 0 && order.candidate_order(key, members[pos - 1]).is_lt() {
+            while pos > 0 && candidate_order(key, members[pos - 1]).is_lt() {
                 members[pos] = members[pos - 1];
                 pos -= 1;
             }
-            while pos + 1 < members.len() && order.candidate_order(members[pos + 1], key).is_lt() {
+            while pos + 1 < members.len() && candidate_order(members[pos + 1], key).is_lt() {
                 members[pos] = members[pos + 1];
                 pos += 1;
             }
@@ -338,7 +316,7 @@ impl HeadroomIndex {
         let new_bucket = &mut self.buckets[new];
         let pos = new_bucket
             .members
-            .binary_search_by(|&m| order.candidate_order(m, (server, headroom)))
+            .binary_search_by(|&m| candidate_order(m, (server, headroom)))
             .expect_err("server absent from target bucket");
         new_bucket.members.insert(pos, (server, headroom));
         new_bucket.loosen(row);
@@ -355,25 +333,13 @@ impl HeadroomIndex {
         }
     }
 
-    /// The non-empty buckets from `start` up (BestFit's order).
+    /// The non-empty buckets from `start` up.
     fn ascending_from(&self, start: usize) -> impl Iterator<Item = usize> {
         let mut mask = self.nonempty & (u64::MAX << start);
         std::iter::from_fn(move || {
             (mask != 0).then(|| {
                 let b = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
-                b
-            })
-        })
-    }
-
-    /// The non-empty buckets from the top down (WorstFit's order).
-    fn descending(&self) -> impl Iterator<Item = usize> {
-        let mut mask = self.nonempty;
-        std::iter::from_fn(move || {
-            (mask != 0).then(|| {
-                let b = 63 - mask.leading_zeros() as usize;
-                mask &= !(1 << b);
                 b
             })
         })
@@ -390,7 +356,7 @@ struct Hosted {
 /// A cluster of servers being packed by one policy.
 ///
 /// Equality is that of the decision state: the servers (their dumps — sums
-/// and hosted VMs), which server hosts each VM, the configuration, the
+/// and hosted VMs), which server hosts each VM, the scan strategy, the
 /// occupancy count and the headroom buckets' membership. The bucket
 /// bounds, the VMs' slots and the work counters are left out: they depend
 /// on the path that led here (a restored scheduler has exact bounds and
@@ -405,7 +371,6 @@ pub struct ClusterScheduler {
     table: Vec<FitRow>,
     by_id: IdMap<ServerId, usize>,
     vm_to_server: IdMap<VmId, Hosted>,
-    heuristic: PlacementHeuristic,
     scan: ScanStrategy,
     index: HeadroomIndex,
     in_use: usize,
@@ -417,7 +382,6 @@ impl PartialEq for ClusterScheduler {
         self.servers == other.servers
             && self.capacity == other.capacity
             && self.table == other.table
-            && self.heuristic == other.heuristic
             && self.scan == other.scan
             && self.in_use == other.in_use
             && self.index.bucket_of == other.index.bucket_of
@@ -439,17 +403,12 @@ impl ClusterScheduler {
     ///
     /// Panics if `server_ids` is empty or contains duplicates, or if
     /// `windows` is zero.
-    pub fn new(
-        server_ids: &[ServerId],
-        capacity: ResourceVec,
-        windows: usize,
-        heuristic: PlacementHeuristic,
-    ) -> Self {
+    pub fn new(server_ids: &[ServerId], capacity: ResourceVec, windows: usize) -> Self {
         Self::with_strategy(
             server_ids,
             capacity,
             windows,
-            heuristic,
+            PlacementHeuristic::BestFit,
             ScanStrategy::default(),
         )
     }
@@ -457,6 +416,9 @@ impl ClusterScheduler {
     /// Create a scheduler with an explicit candidate-search strategy. Every
     /// server gets the one `capacity`: a cluster is homogeneous, and the
     /// scheduler stores its capacity once.
+    ///
+    /// `_heuristic` is ignored — every scheduler packs best-fit. It is a
+    /// shim for the frozen benchmark, which passes its config's heuristic.
     ///
     /// # Panics
     ///
@@ -466,7 +428,7 @@ impl ClusterScheduler {
         server_ids: &[ServerId],
         capacity: ResourceVec,
         windows: usize,
-        heuristic: PlacementHeuristic,
+        _heuristic: PlacementHeuristic,
         scan: ScanStrategy,
     ) -> Self {
         assert!(!server_ids.is_empty(), "need at least one server");
@@ -474,7 +436,7 @@ impl ClusterScheduler {
             .iter()
             .map(|&id| ServerState::new(id, capacity, windows))
             .collect();
-        Self::over(servers, heuristic, scan)
+        Self::over(servers, scan)
     }
 
     /// The scheduler over `servers`, with every derived structure — the
@@ -485,7 +447,7 @@ impl ClusterScheduler {
     ///
     /// Panics if `servers` is empty, two servers differ in capacity or
     /// window count, two share an id, or a VM is hosted on two servers.
-    fn over(servers: Vec<ServerState>, heuristic: PlacementHeuristic, scan: ScanStrategy) -> Self {
+    fn over(servers: Vec<ServerState>, scan: ScanStrategy) -> Self {
         assert!(!servers.is_empty(), "need at least one server");
         assert!(
             u32::try_from(servers.len()).is_ok(),
@@ -519,14 +481,13 @@ impl ClusterScheduler {
             }
         }
         let table: Vec<FitRow> = servers.iter().map(ServerState::fit_row).collect();
-        let index = HeadroomIndex::build(heuristic, &capacity, &table);
+        let index = HeadroomIndex::build(&capacity, &table);
         ClusterScheduler {
             servers,
             capacity,
             table,
             by_id,
             vm_to_server,
-            heuristic,
             scan,
             index,
             in_use,
@@ -604,11 +565,11 @@ impl ClusterScheduler {
         self.table[idx] = row;
         if self.scan == ScanStrategy::Indexed {
             let headroom = self.candidate(idx).1;
-            self.index.update(self.heuristic, idx, was, &row, headroom);
+            self.index.update(idx, was, &row, headroom);
         }
     }
 
-    /// Server `i` as the heuristics compare it: `(index, free guaranteed
+    /// Server `i` as best-fit compares it: `(index, free guaranteed
     /// memory)`.
     fn candidate(&self, i: usize) -> (usize, f64) {
         (i, self.table[i].free_guaranteed(&self.capacity).memory())
@@ -630,35 +591,29 @@ impl ClusterScheduler {
         idx
     }
 
-    /// The first of `candidates` in the heuristic's order.
-    fn first_in_order(&self, candidates: impl Iterator<Item = usize>) -> Option<usize> {
-        candidates
-            .map(|i| self.candidate(i))
-            .min_by(|&a, &b| self.heuristic.candidate_order(a, b))
-            .map(|(i, _)| i)
-    }
-
     /// The seed's exhaustive scan: every server, full `can_fit`, the first
-    /// feasible one in the heuristic's order. Retained as the
-    /// differential-testing reference.
+    /// feasible one in candidate order. Retained as the differential-testing
+    /// reference.
     fn pick_server_naive(
         &self,
         demand: &VmDemand,
         excluded: &[usize],
         work: &mut PlaceWork,
     ) -> Option<usize> {
-        self.first_in_order((0..self.servers.len()).filter(|&i| {
-            excluded.binary_search(&i).is_err() && {
-                work.candidates += 1;
-                self.servers[i].can_fit(demand)
-            }
-        }))
+        (0..self.servers.len())
+            .filter(|&i| {
+                excluded.binary_search(&i).is_err() && {
+                    work.candidates += 1;
+                    self.servers[i].can_fit(demand)
+                }
+            })
+            .map(|i| self.candidate(i))
+            .min_by(|&a, &b| candidate_order(a, b))
+            .map(|(i, _)| i)
     }
 
     /// Server `i`'s W+1 check through the feasibility table: its row's
-    /// quick answer, else the exact scan of its window sums. Equivalent to
-    /// [`ServerState::can_fit_with_bounds`], which runs the same two
-    /// functions.
+    /// quick answer, else the exact scan of its window sums.
     #[inline]
     fn feasible(
         &self,
@@ -681,12 +636,12 @@ impl ClusterScheduler {
     /// Indexed scan. Decision-identical to [`Self::pick_server_naive`]:
     ///
     /// * Buckets partition servers by free guaranteed memory, so once a
-    ///   bucket yields a feasible candidate, every server in a
-    ///   farther-from-optimal bucket has strictly worse headroom and comes
-    ///   later in the heuristic's order.
+    ///   bucket yields a feasible candidate, every server in a higher
+    ///   bucket has strictly more headroom and comes later in candidate
+    ///   order.
     /// * Within a bucket the pick is the same order's first, ties included.
-    /// * BestFit skips buckets that cannot hold `demand.guaranteed`'s memory
-    ///   (minus the `fits_within` epsilon), pruning full servers wholesale.
+    /// * Buckets that cannot hold `demand.guaranteed`'s memory (minus the
+    ///   `fits_within` epsilon) are skipped wholesale, pruning full servers.
     /// * Empty buckets are never visited, and a bucket whose bounds reject
     ///   the demand holds no feasible server (module doc).
     ///
@@ -700,52 +655,17 @@ impl ClusterScheduler {
     ) -> (Option<usize>, u64) {
         let peak = demand.window_peak();
         let trough = demand.window_trough();
-        match self.heuristic {
-            PlacementHeuristic::FirstFit => {
-                // Id order is the contract; the index cannot reorder it, but
-                // the table's quick checks still prune candidates fast.
-                let pick = (0..self.servers.len()).find(|&i| {
-                    excluded.binary_search(&i).is_err()
-                        && self.feasible(i, demand, &peak, &trough, work)
-                });
-                (pick, 0)
-            }
-            PlacementHeuristic::BestFit => {
-                // Buckets below the demand's guaranteed memory cannot host
-                // it (minus the fits_within epsilon): skip them wholesale.
-                let need_mem = (demand.guaranteed.memory() - FIT_EPS).max(0.0);
-                let start = self.index.bucket_for(need_mem);
-                let buckets = self.index.ascending_from(start);
-                self.best_in_buckets(buckets, demand, &peak, &trough, excluded, work)
-            }
-            PlacementHeuristic::WorstFit => {
-                let buckets = self.index.descending();
-                self.best_in_buckets(buckets, demand, &peak, &trough, excluded, work)
-            }
-        }
-    }
-
-    /// Scan buckets in the given order, returning the first feasible server
-    /// in the heuristic's order from the first bucket that has one, and
-    /// the mask of buckets scanned without finding one.
-    fn best_in_buckets(
-        &self,
-        buckets: impl Iterator<Item = usize>,
-        demand: &VmDemand,
-        peak: &ResourceVec,
-        trough: &ResourceVec,
-        excluded: &[usize],
-        work: &mut PlaceWork,
-    ) -> (Option<usize>, u64) {
+        let need_mem = (demand.guaranteed.memory() - FIT_EPS).max(0.0);
         let mut exhausted = 0u64;
-        for b in buckets {
+        for b in self.index.ascending_from(self.index.bucket_for(need_mem)) {
             let bucket = &self.index.buckets[b];
-            if bucket.rejects(&self.capacity, demand, trough) {
+            if bucket.rejects(&self.capacity, demand, &trough) {
                 work.buckets_skipped += 1;
                 continue;
             }
             let pick = bucket.members.iter().map(|&(i, _)| i).find(|&i| {
-                excluded.binary_search(&i).is_err() && self.feasible(i, demand, peak, trough, work)
+                excluded.binary_search(&i).is_err()
+                    && self.feasible(i, demand, &peak, &trough, work)
             });
             if pick.is_some() {
                 return (pick, exhausted);
@@ -796,6 +716,11 @@ impl ClusterScheduler {
         self.in_use
     }
 
+    /// Every server's hardware capacity: a cluster is homogeneous.
+    pub fn capacity(&self) -> ResourceVec {
+        self.capacity
+    }
+
     /// The work this scheduler's placements have done (see [`PlaceWork`]).
     pub fn work(&self) -> PlaceWork {
         self.work
@@ -807,8 +732,8 @@ impl ClusterScheduler {
     /// `templates[r]` is the probe of rotation `r`. The fill offers probes
     /// in rotation order and stops after one full round of rejections,
     /// exactly as an exhaustive fill through [`Self::place`] does, and it
-    /// counts the same: each probe goes to the first feasible server in the
-    /// heuristic's order, checked and committed on scratch copies of the
+    /// counts the same: each probe goes to the first feasible server in
+    /// candidate order, checked and committed on scratch copies of the
     /// servers' sums by the code `place` itself runs.
     ///
     /// Each rotation keeps a min-heap of `(candidate key, server)` over the
@@ -840,10 +765,9 @@ impl ClusterScheduler {
             return (0, 0);
         }
         let capacity = self.capacity;
-        let heuristic = self.heuristic;
         let mut scratch: Vec<Sums> = self.servers.iter().map(|s| s.sums().clone()).collect();
         let mut keys: Vec<u64> = (0..self.servers.len())
-            .map(|i| heuristic.candidate_key(self.candidate(i).1))
+            .map(|i| candidate_key(self.candidate(i).1))
             .collect();
         let entries: Vec<Reverse<(u64, u32)>> = keys
             .iter()
@@ -883,7 +807,7 @@ impl ClusterScheduler {
                     let i = server as usize;
                     let sums = &mut scratch[i];
                     sums.add(template);
-                    let key = heuristic.candidate_key(sums.free_guaranteed(&capacity).memory());
+                    let key = candidate_key(sums.free_guaranteed(&capacity).memory());
                     let old = std::mem::replace(&mut keys[i], key);
                     if key != old {
                         for (r, heap) in heaps.iter_mut().enumerate() {
@@ -916,11 +840,10 @@ impl ClusterScheduler {
     /// *not* emitted: [`ClusterScheduler::from_dump`] rebuilds them from
     /// the server states. The rebuild makes the same decisions: table rows
     /// and bucket membership are pure functions of each server's sums,
-    /// within-bucket order is the heuristic's candidate order in both the
-    /// live and rebuilt paths, and the bounds are conservative in both
-    /// (exact in the rebuilt one). Neither are the heuristic and scan strategy: they are
-    /// configuration, and the caller that owns the configuration passes
-    /// them back to `from_dump`.
+    /// within-bucket order is candidate order in both the live and rebuilt
+    /// paths, and the bounds are conservative in both (exact in the rebuilt
+    /// one). Nor is the scan strategy: it is configuration, and the caller
+    /// that owns the configuration passes it back to `from_dump`.
     pub fn dump(&self) -> ClusterSchedulerDump {
         ClusterSchedulerDump {
             servers: self.servers.iter().map(ServerState::dump).collect(),
@@ -928,8 +851,8 @@ impl ClusterScheduler {
     }
 
     /// Rebuild a scheduler from a [`ClusterSchedulerDump`] under the given
-    /// heuristic and scan strategy, continuing bit-identically from the
-    /// dumped decision state.
+    /// scan strategy, continuing bit-identically from the dumped decision
+    /// state.
     ///
     /// # Panics
     ///
@@ -937,18 +860,14 @@ impl ClusterScheduler {
     /// or window count, duplicate server ids, or a VM hosted on two
     /// servers. A dump decoded from the wire has none of these: the codec
     /// refuses them first.
-    pub fn from_dump(
-        dump: ClusterSchedulerDump,
-        heuristic: PlacementHeuristic,
-        scan: ScanStrategy,
-    ) -> Self {
+    pub fn from_dump(dump: ClusterSchedulerDump, scan: ScanStrategy) -> Self {
         assert!(!dump.servers.is_empty(), "dump has no servers");
         let servers = dump
             .servers
             .into_iter()
             .map(ServerState::from_dump)
             .collect();
-        Self::over(servers, heuristic, scan)
+        Self::over(servers, scan)
     }
 }
 
@@ -986,12 +905,11 @@ impl ClusterScheduler {
         for (b, bucket) in self.index.buckets.iter().enumerate() {
             let bit = self.index.nonempty >> b & 1 == 1;
             assert_eq!(bit, !bucket.members.is_empty(), "bucket {b}'s mask bit");
-            let order = self.heuristic;
             assert!(
                 bucket
                     .members
                     .windows(2)
-                    .all(|w| order.candidate_order(w[0], w[1]).is_lt()),
+                    .all(|w| candidate_order(w[0], w[1]).is_lt()),
                 "bucket {b} out of candidate order"
             );
             if bucket.exact {
@@ -1043,7 +961,7 @@ mod tests {
 
     #[test]
     fn places_until_capacity_then_rejects() {
-        let mut s = ClusterScheduler::new(&ids(2), cap(), 1, PlacementHeuristic::FirstFit);
+        let mut s = ClusterScheduler::new(&ids(2), cap(), 1);
         // Each server fits 4 x (4c, 16GB).
         for i in 0..8 {
             assert!(matches!(
@@ -1059,20 +977,17 @@ mod tests {
     }
 
     #[test]
-    fn best_fit_consolidates_worst_fit_spreads() {
-        let mut best = ClusterScheduler::new(&ids(3), cap(), 1, PlacementHeuristic::BestFit);
-        let mut worst = ClusterScheduler::new(&ids(3), cap(), 1, PlacementHeuristic::WorstFit);
+    fn best_fit_consolidates() {
+        let mut best = ClusterScheduler::new(&ids(3), cap(), 1);
         for i in 0..3 {
             best.place(full_demand(i, 2.0, 8.0));
-            worst.place(full_demand(i, 2.0, 8.0));
         }
         assert_eq!(best.servers_in_use(), 1, "best-fit should stack");
-        assert_eq!(worst.servers_in_use(), 3, "worst-fit should spread");
     }
 
     #[test]
     fn remove_frees_capacity() {
-        let mut s = ClusterScheduler::new(&ids(1), cap(), 1, PlacementHeuristic::BestFit);
+        let mut s = ClusterScheduler::new(&ids(1), cap(), 1);
         for i in 0..4 {
             s.place(full_demand(i, 4.0, 16.0));
         }
@@ -1090,7 +1005,7 @@ mod tests {
 
     #[test]
     fn server_of_tracks_placement() {
-        let mut s = ClusterScheduler::new(&ids(2), cap(), 1, PlacementHeuristic::FirstFit);
+        let mut s = ClusterScheduler::new(&ids(2), cap(), 1);
         s.place(full_demand(7, 2.0, 8.0));
         let srv = s.server_of(VmId::new(7)).unwrap();
         assert_eq!(s.server(srv).unwrap().vm_count(), 1);
@@ -1112,7 +1027,7 @@ mod tests {
                 window_max: window_max.into(),
             }
         };
-        let mut s = ClusterScheduler::new(&ids(1), cap(), 2, PlacementHeuristic::BestFit);
+        let mut s = ClusterScheduler::new(&ids(1), cap(), 2);
         assert!(matches!(s.place(mk(1, 0)), PlacementOutcome::Placed(_)));
         // Peak sum in window 0 would be 88 GB for same-peak VMs: rejected.
         assert_eq!(s.place(mk(2, 0)), PlacementOutcome::Rejected);
@@ -1122,7 +1037,7 @@ mod tests {
 
     #[test]
     fn excluded_servers_are_skipped() {
-        let mut s = ClusterScheduler::new(&ids(3), cap(), 1, PlacementHeuristic::FirstFit);
+        let mut s = ClusterScheduler::new(&ids(3), cap(), 1);
         let excluded: Vec<ServerId> = vec![ServerId::new(0), ServerId::new(1), ServerId::new(999)];
         match s.place_excluding(full_demand(1, 2.0, 8.0), &excluded) {
             PlacementOutcome::Placed(id) => assert_eq!(id, ServerId::new(2)),
@@ -1139,22 +1054,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one server")]
     fn empty_cluster_rejected() {
-        let _ = ClusterScheduler::new(&[], cap(), 1, PlacementHeuristic::BestFit);
+        let _ = ClusterScheduler::new(&[], cap(), 1);
     }
 
     #[test]
     fn dump_restore_is_exact() {
-        let mut s = ClusterScheduler::new(&ids(3), cap(), 1, PlacementHeuristic::BestFit);
+        let mut s = ClusterScheduler::new(&ids(3), cap(), 1);
         for i in 0..7 {
             s.place(full_demand(i, 2.0 + i as f64 * 0.5, 7.0 + i as f64));
         }
         s.remove(VmId::new(2));
         s.place(full_demand(50, 17.0, 64.0));
-        let restored = ClusterScheduler::from_dump(
-            s.dump(),
-            PlacementHeuristic::BestFit,
-            ScanStrategy::Indexed,
-        );
+        let restored = ClusterScheduler::from_dump(s.dump(), ScanStrategy::Indexed);
         // Decision state and membership: servers (all float sums), which
         // server hosts each VM, the table and the buckets' members — not
         // the cached bounds or the slots, which the rebuild makes exact and
@@ -1181,7 +1092,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "VM vm-1 already hosted in this cluster")]
     fn a_vm_cannot_be_placed_twice_on_one_server() {
-        let mut s = ClusterScheduler::new(&ids(2), cap(), 1, PlacementHeuristic::BestFit);
+        let mut s = ClusterScheduler::new(&ids(2), cap(), 1);
         assert!(matches!(
             s.place(full_demand(1, 2.0, 8.0)),
             PlacementOutcome::Placed(_)
@@ -1195,7 +1106,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "VM vm-1 already hosted in this cluster")]
     fn a_vm_cannot_be_placed_twice_on_two_servers() {
-        let mut s = ClusterScheduler::new(&ids(2), cap(), 1, PlacementHeuristic::BestFit);
+        let mut s = ClusterScheduler::new(&ids(2), cap(), 1);
         assert_eq!(
             s.place(full_demand(1, 10.0, 40.0)),
             PlacementOutcome::Placed(ServerId::new(0))
@@ -1229,7 +1140,7 @@ mod tests {
                 .collect(),
         };
         let placed = |server: u64| PlacementOutcome::Placed(ServerId::new(server));
-        let mut s = ClusterScheduler::new(&ids(3), cap(), 2, PlacementHeuristic::BestFit);
+        let mut s = ClusterScheduler::new(&ids(3), cap(), 2);
         let steps = [
             (demand(1, 15.0, [1.0, 1.0]), placed(0)),
             (demand(2, 15.0, [1.0, 1.0]), placed(1)),
@@ -1260,7 +1171,7 @@ mod tests {
             }
         );
         // A restored scheduler counts its own placements from zero.
-        let restored = ClusterScheduler::from_dump(s.dump(), s.heuristic, s.scan);
+        let restored = ClusterScheduler::from_dump(s.dump(), s.scan);
         assert_eq!(restored.work(), PlaceWork::default());
     }
 
@@ -1268,8 +1179,8 @@ mod tests {
     /// places a probe or retires its (server, rotation) for the rest of the
     /// fill, and the fill ends when every pair is retired, so a fill of
     /// `count` probes runs `count + servers × windows` checks — never more.
-    /// Its count is the exhaustive fill's through `place`, on a cluster
-    /// churned by a seeded sequence of places and removes.
+    /// Its count is the exhaustive fill's through `place`, on clusters
+    /// churned by three seeded sequences of places and removes.
     #[test]
     fn probe_fill_checks_are_bounded() {
         let windows = 6;
@@ -1285,13 +1196,9 @@ mod tests {
                     .collect(),
             })
             .collect();
-        for heuristic in [
-            PlacementHeuristic::BestFit,
-            PlacementHeuristic::FirstFit,
-            PlacementHeuristic::WorstFit,
-        ] {
-            let mut sched = ClusterScheduler::new(&ids(servers), cap(), windows, heuristic);
-            let mut state = 2026u64;
+        for seed in [2026u64, 7, 23] {
+            let mut sched = ClusterScheduler::new(&ids(servers), cap(), windows);
+            let mut state = seed;
             let mut draw = move || {
                 state ^= state << 13;
                 state ^= state >> 7;
@@ -1332,12 +1239,12 @@ mod tests {
                 }
                 rotation = (rotation + 1) % windows;
             }
-            assert!(count > 0, "{heuristic:?}: the churned cluster has room");
-            assert_eq!(count, placed, "{heuristic:?}");
+            assert!(count > 0, "the churned cluster has room");
+            assert_eq!(count, placed);
             assert_eq!(
                 fits_checks,
                 count + servers * windows as u64,
-                "{heuristic:?}: {fits_checks} checks for {count} probes"
+                "{fits_checks} checks for {count} probes"
             );
         }
     }
@@ -1345,15 +1252,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "hosted on two servers")]
     fn dump_with_conflicting_hosting_rejected() {
-        let mut s = ClusterScheduler::new(&ids(2), cap(), 1, PlacementHeuristic::WorstFit);
+        let mut s = ClusterScheduler::new(&ids(2), cap(), 1);
         s.place(full_demand(1, 2.0, 8.0));
-        s.place(full_demand(2, 2.0, 8.0));
+        // Best fit would stack VM 2 on VM 1's server: keep it off.
+        s.place_excluding(full_demand(2, 2.0, 8.0), &[ServerId::new(0)]);
         let mut dump = s.dump();
         // Claim VM 1 on both servers (ahead of VM 2: dumps are id-sorted).
         let stolen = dump.servers[0].vms[0].clone();
         dump.servers[1].vms.insert(0, stolen);
-        let _ =
-            ClusterScheduler::from_dump(dump, PlacementHeuristic::WorstFit, ScanStrategy::Indexed);
+        let _ = ClusterScheduler::from_dump(dump, ScanStrategy::Indexed);
     }
 }
 
@@ -1393,7 +1300,7 @@ mod proptests {
         fn prop_never_overcommits(ops in prop::collection::vec(arb_demand(3), 1..80)) {
             let capacity = ResourceVec::new(16.0, 64.0, 10.0, 1024.0);
             let ids: Vec<ServerId> = (0..3).map(ServerId::new).collect();
-            let mut sched = ClusterScheduler::new(&ids, capacity, 3, PlacementHeuristic::BestFit);
+            let mut sched = ClusterScheduler::new(&ids, capacity, 3);
 
             for (i, (vm_raw, window_fracs, guar_frac)) in ops.iter().enumerate() {
                 if i % 5 == 4 {
@@ -1423,7 +1330,7 @@ mod proptests {
         fn prop_place_remove_roundtrip(fracs in prop::collection::vec(0.05f64..1.0, 6)) {
             let capacity = ResourceVec::new(96.0, 384.0, 40.0, 4096.0);
             let ids = [ServerId::new(0)];
-            let mut sched = ClusterScheduler::new(&ids, capacity, 6, PlacementHeuristic::BestFit);
+            let mut sched = ClusterScheduler::new(&ids, capacity, 6);
             let request = ResourceVec::new(4.0, 16.0, 1.0, 64.0);
             let guaranteed = request * fracs[0].min(0.9);
             let demand = VmDemand {
@@ -1444,22 +1351,14 @@ mod proptests {
         /// The tentpole differential test: under random churn, the indexed
         /// scheduler makes placement-for-placement identical decisions to
         /// the retained naive scan — same accept/reject sequence, same
-        /// server ids — for all three heuristics.
+        /// server ids.
         #[test]
-        fn prop_indexed_matches_naive(
-            ops in prop::collection::vec(arb_demand(3), 1..120),
-            heuristic_sel in 0usize..3,
-        ) {
-            let heuristic = [
-                PlacementHeuristic::BestFit,
-                PlacementHeuristic::FirstFit,
-                PlacementHeuristic::WorstFit,
-            ][heuristic_sel];
+        fn prop_indexed_matches_naive(ops in prop::collection::vec(arb_demand(3), 1..120)) {
             let capacity = ResourceVec::new(16.0, 64.0, 10.0, 1024.0);
             let ids: Vec<ServerId> = (0..5).map(ServerId::new).collect();
-            let mut indexed = ClusterScheduler::new(&ids, capacity, 3, heuristic);
+            let mut indexed = ClusterScheduler::new(&ids, capacity, 3);
             let mut naive = ClusterScheduler::with_strategy(
-                &ids, capacity, 3, heuristic, ScanStrategy::NaiveReference,
+                &ids, capacity, 3, PlacementHeuristic::BestFit, ScanStrategy::NaiveReference,
             );
 
             for (i, (vm_raw, window_fracs, guar_frac)) in ops.iter().enumerate() {
@@ -1485,7 +1384,7 @@ mod proptests {
         }
 
         /// The probe estimator's heap key orders servers exactly as
-        /// `candidate_order` does, for all three heuristics: equal
+        /// `candidate_order` does: equal
         /// headroom, zero, full capacity, adjacent floats and arbitrary
         /// pairs, ties broken by index.
         #[test]
@@ -1496,13 +1395,7 @@ mod proptests {
             pair in 0usize..4,
             a in 0usize..4,
             b in 0usize..4,
-            heuristic_sel in 0usize..3,
         ) {
-            let heuristic = [
-                PlacementHeuristic::BestFit,
-                PlacementHeuristic::FirstFit,
-                PlacementHeuristic::WorstFit,
-            ][heuristic_sel];
             let free_a = [0.0, 64.0, f64::MIN_POSITIVE, drawn][base_sel];
             let free_b = match pair {
                 0 => free_a,
@@ -1510,13 +1403,12 @@ mod proptests {
                 2 if free_a > 0.0 => f64::from_bits(free_a.to_bits() - 1),
                 _ => other,
             };
-            let by_key = (heuristic.candidate_key(free_a), a)
-                .cmp(&(heuristic.candidate_key(free_b), b));
-            prop_assert_eq!(heuristic.candidate_order((a, free_a), (b, free_b)), by_key);
+            let by_key = (candidate_key(free_a), a).cmp(&(candidate_key(free_b), b));
+            prop_assert_eq!(candidate_order((a, free_a), (b, free_b)), by_key);
         }
 
         /// Under random churn of one- and three-window placements and
-        /// removals, for all three heuristics, every bucket's bounds hold
+        /// removals, every bucket's bounds hold
         /// for every member and its mask bit matches its emptiness after
         /// every step (with the table and the VM map in step too). Some
         /// demands have their memory scaled down a hundred- or
@@ -1525,16 +1417,10 @@ mod proptests {
         #[test]
         fn prop_bucket_bounds_stay_conservative(
             ops in prop::collection::vec((arb_demand(3), 0u8..4, 0usize..3), 1..120),
-            heuristic_sel in 0usize..3,
         ) {
-            let heuristic = [
-                PlacementHeuristic::BestFit,
-                PlacementHeuristic::FirstFit,
-                PlacementHeuristic::WorstFit,
-            ][heuristic_sel];
             let capacity = ResourceVec::new(16.0, 64.0, 10.0, 1024.0);
             let ids: Vec<ServerId> = (0..6).map(ServerId::new).collect();
-            let mut sched = ClusterScheduler::new(&ids, capacity, 3, heuristic);
+            let mut sched = ClusterScheduler::new(&ids, capacity, 3);
             for (i, ((vm_raw, window_fracs, guar_frac), kind, shape)) in ops.iter().enumerate() {
                 if *kind == 0 {
                     sched.remove(VmId::new(1000 + vm_raw % (i as u64 + 1)));

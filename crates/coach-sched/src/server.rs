@@ -1,14 +1,13 @@
-//! Per-server scheduling state: the W+1-dimensional feasibility vectors,
-//! the Formula 3/4 memory-pool accounting, and — per hosted VM — only what
-//! deallocation must subtract again.
+//! Per-server scheduling state: the W+1-dimensional feasibility vectors
+//! and — per hosted VM — only what deallocation must subtract again.
 //!
 //! §3.3 has the scheduler keep W+1 sums per server, here inline in the
-//! server for every shipped window partition. Beside them a server keeps
-//! one slot per hosted VM: its id and a [`HostedDemand`] row of the
-//! guaranteed vector plus the per-window maxima of Formulas 1–2, 80 bytes
-//! together. A one-window demand (the `None` / `Single` policies, or no
-//! prediction) carries its one window inline; only a W-window demand
-//! carries W, boxed. The customer's request is not kept: nothing reads it
+//! server for every shipped window partition. Besides them, its id and
+//! its capacity, a server keeps only one slot per hosted VM: its id and a
+//! [`HostedDemand`] row of the guaranteed vector plus the per-window
+//! maxima of Formulas 1–2, 80 bytes together. A one-window demand (the
+//! `None` / `Single` policies, or no prediction) carries its one window
+//! inline; only a W-window demand carries W, boxed. The customer's request is not kept: nothing reads it
 //! after placement.
 //!
 //! A departure empties its own slot and nothing else: the slot goes on a
@@ -26,15 +25,17 @@
 //! only when it cannot does the exact per-window scan (`windows_fit`) read
 //! the window sums. The scheduler keeps one `FitRow` per server in a
 //! contiguous table and bounds whole headroom buckets with the same
-//! `rejects` test; `can_fit_with_bounds`, the scheduler's scan and the
-//! probe estimator's scratch copies all call these functions — there is no
-//! second copy of the rule to keep in step.
+//! `rejects` test; the scheduler's scan and the probe estimator's scratch
+//! copies both call these functions — there is no second copy of the rule
+//! to keep in step.
 //!
 //! The hot path (`can_fit` → `place`/`remove`) never materializes a
 //! normalized vector: demands whose window count differs from the server's
-//! are broadcast by iteration, the Formula 3/4 pools are maintained
-//! incrementally so queries never re-walk the hosted VMs, and placing a
-//! one-window demand allocates nothing once the columns have room.
+//! are broadcast by iteration, and placing a one-window demand allocates
+//! nothing once the columns have room. No decision reads the Formula 4
+//! memory pools, so a server keeps no sums for them: the report-time
+//! queries (`oversub_pool_memory`, `oversub_pool_memory_summed`) fold the
+//! hosted rows on demand.
 //!
 //! The columns are never shrunk. A departure frees the boxed windows at
 //! once; the slots (80 bytes each) stay at the most VMs the server has
@@ -160,7 +161,7 @@ pub(crate) fn rejects(
     !guaranteed_fits(guaranteed, capacity, d) || !trough.fits_within(max_window_slack)
 }
 
-/// Remaining guaranteed headroom per resource: the heuristics' key.
+/// Remaining guaranteed headroom per resource: best fit's key.
 #[inline]
 fn free_guaranteed(guaranteed: &ResourceVec, capacity: &ResourceVec) -> ResourceVec {
     capacity.saturating_sub(guaranteed)
@@ -251,7 +252,7 @@ impl Sums {
         }
     }
 
-    /// Remaining guaranteed headroom per resource: the heuristics' key.
+    /// Remaining guaranteed headroom per resource: best fit's key.
     #[inline]
     pub(crate) fn free_guaranteed(&self, capacity: &ResourceVec) -> ResourceVec {
         free_guaranteed(&self.guaranteed, capacity)
@@ -284,12 +285,6 @@ pub struct ServerState {
     id: ServerId,
     capacity: ResourceVec,
     sums: Sums,
-    /// Per-window Σ over hosted VMs of VA (oversubscribed) memory GB —
-    /// Formula 4's inner sums, maintained incrementally on place/remove.
-    va_mem_sum: Vec<f64>,
-    /// Σ over hosted VMs of their peak VA memory (the non-multiplexed
-    /// ablation), maintained incrementally.
-    va_peak_mem_sum: f64,
     /// One slot per VM. The free ones form a list through their links,
     /// last freed first: the next placement takes `free_head`.
     slots: Vec<Slot>,
@@ -324,8 +319,6 @@ impl ServerState {
                 guaranteed: ResourceVec::ZERO,
                 windows: WindowVec::from_elem(ResourceVec::ZERO, windows),
             },
-            va_mem_sum: vec![0.0; windows],
-            va_peak_mem_sum: 0.0,
             slots: Vec::new(),
             free_head: NO_SLOT,
             hosted: 0,
@@ -417,31 +410,6 @@ impl ServerState {
         self.sums.fits(&self.capacity, d)
     }
 
-    /// The same check in the scheduler's two steps: the quick accept or
-    /// reject from the server's summary row — its guaranteed sum and
-    /// tightest and loosest window slack — against the demand's
-    /// precomputed per-window elementwise peak and trough (see
-    /// [`VmDemand::window_peak`] / [`VmDemand::window_trough`]), and the
-    /// per-window scan only when neither decides. Exactly equivalent to
-    /// [`ServerState::can_fit`]. The scheduler keeps the rows in a table of
-    /// its own, so its quick step costs O(resources); this computes the
-    /// row first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the demand's window count is neither 1 nor the server's.
-    pub fn can_fit_with_bounds(
-        &self,
-        d: &VmDemand,
-        peak: &ResourceVec,
-        trough: &ResourceVec,
-    ) -> bool {
-        self.check_windows(d);
-        self.fit_row()
-            .quick_fit(&self.capacity, d, peak, trough)
-            .unwrap_or_else(|| self.windows_fit(d))
-    }
-
     /// The exact per-window part of the check, for when
     /// [`FitRow::quick_fit`] cannot decide. The caller has validated the
     /// demand's window count.
@@ -492,14 +460,6 @@ impl ServerState {
             return None;
         }
         self.sums.add(d);
-        let guar_mem = d.guaranteed.memory();
-        let mut va_peak = 0.0f64;
-        for (w, va_sum) in self.va_mem_sum.iter_mut().enumerate() {
-            let va = (window(&d.window_max, w).memory() - guar_mem).max(0.0);
-            *va_sum += va;
-            va_peak = va_peak.max(va);
-        }
-        self.va_peak_mem_sum += va_peak;
         let hosted = Slot::Hosted(d.vm, HostedDemand::new(d.guaranteed, &d.window_max));
         self.hosted += 1;
         if self.free_head == NO_SLOT {
@@ -543,19 +503,12 @@ impl ServerState {
         self.hosted -= 1;
         let window_max = d.window_max();
         self.sums.guaranteed -= d.guaranteed;
-        let guar_mem = d.guaranteed.memory();
-        let mut va_peak = 0.0f64;
         for (w, sum) in self.sums.windows.iter_mut().enumerate() {
-            let wd = window(window_max, w);
-            *sum -= *wd;
+            *sum -= *window(window_max, w);
             // Clamp floating-point dust.
             *sum = sum.max(&ResourceVec::ZERO);
-            let va = (wd.memory() - guar_mem).max(0.0);
-            self.va_mem_sum[w] = (self.va_mem_sum[w] - va).max(0.0);
-            va_peak = va_peak.max(va);
         }
         self.sums.guaranteed = self.sums.guaranteed.max(&ResourceVec::ZERO);
-        self.va_peak_mem_sum = (self.va_peak_mem_sum - va_peak).max(0.0);
     }
 
     /// Formula (3): total guaranteed memory, GB.
@@ -563,23 +516,38 @@ impl ServerState {
         self.sums.guaranteed.memory()
     }
 
+    /// Each hosted VM's VA (oversubscribed) memory demand per server
+    /// window, `(window_max[w].memory() − guaranteed.memory())⁺` GB, in
+    /// slot order.
+    fn va_memory(&self) -> impl Iterator<Item = impl Iterator<Item = f64> + '_> + '_ {
+        let windows = self.windows();
+        self.hosted().map(move |(_, d)| {
+            let guaranteed = d.guaranteed.memory();
+            (0..windows).map(move |w| (window(d.window_max(), w).memory() - guaranteed).max(0.0))
+        })
+    }
+
     /// Formula (4): the multiplexed oversubscribed memory pool —
-    /// `max over windows of Σ VA_demand(vm, w)`, GB. O(windows): the
-    /// per-window sums are maintained incrementally.
+    /// `max over windows of Σ VA_demand(vm, w)`, GB. Folds the hosted rows
+    /// (O(VMs × windows)); no decision reads it.
     pub fn oversub_pool_memory(&self) -> f64 {
-        self.va_mem_sum.iter().copied().fold(0.0, f64::max)
+        let mut per_window = vec![0.0f64; self.windows()];
+        for va in self.va_memory() {
+            for (sum, va) in per_window.iter_mut().zip(va) {
+                *sum += va;
+            }
+        }
+        per_window.into_iter().fold(0.0, f64::max)
     }
 
     /// The non-multiplexed alternative: `Σ over VMs of max_w VA_demand` —
     /// what you'd reserve without exploiting complementary patterns (the
     /// Formula 4 ablation; always ≥ [`ServerState::oversub_pool_memory`]).
+    /// Folds the hosted rows, like it.
     pub fn oversub_pool_memory_summed(&self) -> f64 {
-        self.va_peak_mem_sum
-    }
-
-    /// Total allocated memory under Coach = guaranteed + multiplexed pool.
-    pub fn total_memory_allocation(&self) -> f64 {
-        self.guaranteed_memory() + self.oversub_pool_memory()
+        self.va_memory()
+            .map(|va| va.fold(0.0, f64::max))
+            .fold(0.0, |sum, peak| sum + peak)
     }
 
     /// Remaining guaranteed headroom per resource.
@@ -627,8 +595,6 @@ impl ServerState {
             windows: self.sums.windows.len(),
             guaranteed_sum: self.sums.guaranteed,
             window_sum: self.sums.windows.to_vec(),
-            va_mem_sum: self.va_mem_sum.clone(),
-            va_peak_mem_sum: self.va_peak_mem_sum,
             vms,
         }
     }
@@ -655,8 +621,6 @@ impl ServerState {
                 guaranteed: dump.guaranteed_sum,
                 windows: dump.window_sum.into_iter().collect(),
             },
-            va_mem_sum: dump.va_mem_sum,
-            va_peak_mem_sum: dump.va_peak_mem_sum,
             slots,
             free_head: NO_SLOT,
             hosted,
@@ -678,23 +642,21 @@ pub struct ServerStateDump {
     pub guaranteed_sum: ResourceVec,
     /// Per-window commitment sums, exactly as maintained.
     pub window_sum: Vec<ResourceVec>,
-    /// Per-window VA memory sums (Formula 4), exactly as maintained.
-    pub va_mem_sum: Vec<f64>,
-    /// Σ of per-VM peak VA memory (the non-multiplexed ablation).
-    pub va_peak_mem_sum: f64,
     /// Hosted demands, sorted ascending by [`VmId`].
     pub vms: Vec<(VmId, HostedDemand)>,
 }
 
 impl ServerStateDump {
-    /// Whether a server can be rebuilt from this dump: at least one
-    /// window, one sum per window, hosted VMs in strictly ascending id
-    /// order (so none twice), each with one window or one per server
-    /// window — anything else and `remove` would subtract the wrong sums.
+    /// Whether a server can be rebuilt from this dump: a capacity
+    /// [`ServerState::new`] would accept, at least one window, one sum per
+    /// window, hosted VMs in strictly ascending id order (so none twice),
+    /// each with one window or one per server window — anything else and
+    /// `remove` would subtract the wrong sums.
     pub fn is_consistent(&self) -> bool {
-        self.windows > 0
+        self.capacity.is_valid()
+            && !self.capacity.is_zero()
+            && self.windows > 0
             && self.window_sum.len() == self.windows
-            && self.va_mem_sum.len() == self.windows
             && self.vms.windows(2).all(|pair| pair[0].0 < pair[1].0)
             && self.vms.iter().all(|(_, d)| {
                 let n = d.window_max().len();
@@ -750,7 +712,7 @@ mod tests {
         // Non-multiplexed: 12 + 12 = 24 GB > 18 GB.
         assert_eq!(s.oversub_pool_memory_summed(), 24.0);
         // Total allocation = 28 + 18 = 46 <= 48 GB for two 32 GB VMs.
-        assert!(s.total_memory_allocation() <= 48.0);
+        assert!(s.guaranteed_memory() + s.oversub_pool_memory() <= 48.0);
     }
 
     #[test]
@@ -829,8 +791,10 @@ mod tests {
         assert!(s.oversub_pool_memory() <= s.oversub_pool_memory_summed() + 1e-9);
     }
 
+    /// The scheduler's two steps — the row's quick answer, else the window
+    /// scan — against the one-step check.
     #[test]
-    fn can_fit_with_bounds_matches_can_fit() {
+    fn quick_fit_or_window_scan_matches_can_fit() {
         let mut s = server();
         assert!(s.place(&demand(1, 8.0, [40.0, 8.0, 8.0])));
         for (guar, win) in [
@@ -843,9 +807,13 @@ mod tests {
             let d = demand(99, guar, win);
             let peak = d.window_peak();
             let trough = d.window_trough();
+            let two_step = s
+                .fit_row()
+                .quick_fit(&s.capacity, &d, &peak, &trough)
+                .unwrap_or_else(|| s.windows_fit(&d));
             assert_eq!(
                 s.can_fit(&d),
-                s.can_fit_with_bounds(&d, &peak, &trough),
+                two_step,
                 "bounds check diverged for guar={guar} win={win:?}"
             );
         }

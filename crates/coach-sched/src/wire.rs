@@ -3,7 +3,7 @@
 //! These impls carry the scheduler half of a `coach-serve` snapshot across
 //! the wire: per-server packing state ([`ServerStateDump`]) and a
 //! scheduler's servers ([`ClusterSchedulerDump`]), plus the
-//! policy/heuristic enums a serving config names. Dumps hold raw
+//! policy and scan enums a serving config names. Dumps hold raw
 //! accumulated `f64` sums, and the
 //! codecs ship them verbatim (IEEE-754 bits), so a restored scheduler is
 //! `assert_eq!`-identical to the one that was snapshotted — including every
@@ -12,7 +12,7 @@
 use coach_wire::{Decode, Decoder, Encode, Encoder, WireError};
 
 use crate::demand::Policy;
-use crate::scheduler::{ClusterSchedulerDump, PlacementHeuristic, PlacementOutcome, ScanStrategy};
+use crate::scheduler::{ClusterSchedulerDump, PlacementOutcome, ScanStrategy};
 use crate::server::{HostedDemand, ServerStateDump};
 use coach_types::{ResourceVec, ServerId, VmId};
 use std::collections::HashSet;
@@ -60,30 +60,6 @@ impl Decode for Policy {
             2 => Ok(Policy::Coach),
             tag => Err(WireError::UnknownTag {
                 context: "Policy",
-                tag: tag as u64,
-            }),
-        }
-    }
-}
-
-impl Encode for PlacementHeuristic {
-    fn encode(&self, e: &mut Encoder) {
-        e.u8(match self {
-            PlacementHeuristic::BestFit => 0,
-            PlacementHeuristic::FirstFit => 1,
-            PlacementHeuristic::WorstFit => 2,
-        });
-    }
-}
-
-impl Decode for PlacementHeuristic {
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        match d.u8("PlacementHeuristic")? {
-            0 => Ok(PlacementHeuristic::BestFit),
-            1 => Ok(PlacementHeuristic::FirstFit),
-            2 => Ok(PlacementHeuristic::WorstFit),
-            tag => Err(WireError::UnknownTag {
-                context: "PlacementHeuristic",
                 tag: tag as u64,
             }),
         }
@@ -150,8 +126,6 @@ impl Encode for ServerStateDump {
         e.usize(self.windows);
         self.guaranteed_sum.encode(e);
         self.window_sum.encode(e);
-        self.va_mem_sum.encode(e);
-        e.f64(self.va_peak_mem_sum);
         self.vms.encode(e);
     }
 }
@@ -166,8 +140,6 @@ impl Decode for ServerStateDump {
             windows: d.usize("ServerStateDump windows")?,
             guaranteed_sum: Decode::decode(d)?,
             window_sum: Decode::decode(d)?,
-            va_mem_sum: Decode::decode(d)?,
-            va_peak_mem_sum: d.f64("ServerStateDump va_peak_mem_sum")?,
             vms: Decode::decode(d)?,
         };
         if !dump.is_consistent() {
@@ -216,7 +188,7 @@ impl Decode for ClusterSchedulerDump {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClusterScheduler, PlacementHeuristic, PlacementOutcome, VmDemand};
+    use crate::{ClusterScheduler, PlacementOutcome, VmDemand};
     use coach_types::WindowVec;
     use coach_wire::{open_frame, seal_frame};
 
@@ -225,7 +197,7 @@ mod tests {
     fn packed_scheduler() -> ClusterScheduler {
         let ids: Vec<ServerId> = (0..4).map(ServerId::new).collect();
         let capacity = ResourceVec::new(16.0, 64.0, 10.0, 1024.0);
-        let mut sched = ClusterScheduler::new(&ids, capacity, 3, PlacementHeuristic::BestFit);
+        let mut sched = ClusterScheduler::new(&ids, capacity, 3);
         for i in 0..9 {
             let demand = VmDemand {
                 vm: VmId::new(i),
@@ -243,8 +215,7 @@ mod tests {
         let sched = packed_scheduler();
         let frame = seal_frame(&sched.dump());
         let dump: ClusterSchedulerDump = open_frame(&frame).expect("decode scheduler dump");
-        let restored =
-            ClusterScheduler::from_dump(dump, PlacementHeuristic::BestFit, ScanStrategy::Indexed);
+        let restored = ClusterScheduler::from_dump(dump, ScanStrategy::Indexed);
         assert_eq!(restored, sched);
     }
 
@@ -267,18 +238,12 @@ mod tests {
             let server = &mut dump.servers[0];
             server.windows = 0;
             server.window_sum.clear();
-            server.va_mem_sum.clear();
         });
     }
 
     #[test]
     fn a_window_sum_of_the_wrong_length_is_refused() {
         refused(|dump| dump.servers[0].window_sum.push(ResourceVec::ZERO));
-    }
-
-    #[test]
-    fn a_va_mem_sum_of_the_wrong_length_is_refused() {
-        refused(|dump| dump.servers[0].va_mem_sum.truncate(2));
     }
 
     #[test]
@@ -314,8 +279,20 @@ mod tests {
             server.vms.clear();
             server.windows = 1;
             server.window_sum.truncate(1);
-            server.va_mem_sum.truncate(1);
         });
+    }
+
+    /// A capacity `ServerState::new` would refuse to build: zero, or NaN.
+    /// One server, so that only validity can refuse the frame (NaN ≠ NaN
+    /// would fail the homogeneity check of two).
+    #[test]
+    fn an_invalid_capacity_is_refused() {
+        for capacity in [ResourceVec::ZERO, ResourceVec::splat(f64::NAN)] {
+            refused(|dump| {
+                dump.servers.truncate(1);
+                dump.servers[0].capacity = capacity;
+            });
+        }
     }
 
     #[test]

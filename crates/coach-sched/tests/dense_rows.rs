@@ -14,8 +14,6 @@ struct MapModel {
     capacity: ResourceVec,
     guaranteed_sum: ResourceVec,
     window_sum: Vec<ResourceVec>,
-    va_mem_sum: Vec<f64>,
-    va_peak_mem_sum: f64,
     vms: HashMap<VmId, VmDemand>,
 }
 
@@ -32,15 +30,9 @@ impl MapModel {
             return false;
         }
         self.guaranteed_sum += d.guaranteed;
-        let mut va_peak = 0.0f64;
         for w in 0..WINDOWS {
-            let wd = Self::window(&d, w);
-            self.window_sum[w] += wd;
-            let va = (wd.memory() - d.guaranteed.memory()).max(0.0);
-            self.va_mem_sum[w] += va;
-            va_peak = va_peak.max(va);
+            self.window_sum[w] += Self::window(&d, w);
         }
-        self.va_peak_mem_sum += va_peak;
         self.vms.insert(d.vm, d);
         true
     }
@@ -50,17 +42,27 @@ impl MapModel {
             return false;
         };
         self.guaranteed_sum -= d.guaranteed;
-        let mut va_peak = 0.0f64;
         for w in 0..WINDOWS {
             let wd = Self::window(&d, w);
             self.window_sum[w] = (self.window_sum[w] - wd).max(&ResourceVec::ZERO);
-            let va = (wd.memory() - d.guaranteed.memory()).max(0.0);
-            self.va_mem_sum[w] = (self.va_mem_sum[w] - va).max(0.0);
-            va_peak = va_peak.max(va);
         }
         self.guaranteed_sum = self.guaranteed_sum.max(&ResourceVec::ZERO);
-        self.va_peak_mem_sum = (self.va_peak_mem_sum - va_peak).max(0.0);
         true
+    }
+
+    /// Formula 4's pools folded fresh over the hosted VMs: the multiplexed
+    /// `max_w Σ VA(vm, w)` and the summed `Σ max_w VA(vm, w)`.
+    fn va_pools(&self) -> (f64, f64) {
+        let va = |d: &VmDemand, w| (Self::window(d, w).memory() - d.guaranteed.memory()).max(0.0);
+        let multiplexed = (0..WINDOWS)
+            .map(|w| self.vms.values().map(|d| va(d, w)).sum::<f64>())
+            .fold(0.0, f64::max);
+        let summed = self
+            .vms
+            .values()
+            .map(|d| (0..WINDOWS).map(|w| va(d, w)).fold(0.0, f64::max))
+            .sum();
+        (multiplexed, summed)
     }
 }
 
@@ -72,9 +74,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     /// Random place / duplicate-place / remove / remove-unknown over one-
     /// and six-window demands: every sum equals the map model's bit for
-    /// bit after every step, the dump lists exactly the model's VMs, and a
-    /// server rebuilt from the dump equals the live one whatever order the
-    /// departures left its columns in.
+    /// bit after every step, the Formula 4 pools stay within 1e-9 of a
+    /// fresh fold over the model's VMs, the dump lists exactly the model's
+    /// VMs, and a server rebuilt from the dump equals the live one whatever
+    /// order the departures left its columns in.
     #[test]
     fn dense_rows_match_a_map_model(
         ops in prop::collection::vec(
@@ -88,8 +91,6 @@ proptest! {
             capacity,
             guaranteed_sum: ResourceVec::ZERO,
             window_sum: vec![ResourceVec::ZERO; WINDOWS],
-            va_mem_sum: vec![0.0; WINDOWS],
-            va_peak_mem_sum: 0.0,
             vms: HashMap::new(),
         };
         for (kind, vm, one_window, fracs) in ops {
@@ -116,9 +117,10 @@ proptest! {
             prop_assert_eq!(bits(&dump.guaranteed_sum), bits(&model.guaranteed_sum));
             for w in 0..WINDOWS {
                 prop_assert_eq!(bits(&dump.window_sum[w]), bits(&model.window_sum[w]));
-                prop_assert_eq!(dump.va_mem_sum[w].to_bits(), model.va_mem_sum[w].to_bits());
             }
-            prop_assert_eq!(dump.va_peak_mem_sum.to_bits(), model.va_peak_mem_sum.to_bits());
+            let (multiplexed, summed) = model.va_pools();
+            prop_assert!((live.oversub_pool_memory() - multiplexed).abs() <= 1e-9);
+            prop_assert!((live.oversub_pool_memory_summed() - summed).abs() <= 1e-9);
 
             let mut expected: Vec<(VmId, HostedDemand)> = model
                 .vms

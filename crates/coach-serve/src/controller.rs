@@ -57,7 +57,9 @@ pub struct ServeConfig {
     /// Fraction of each cluster's servers to build (mirrors the batch
     /// experiment's reduced server budget). Must be in `(0, 1]`.
     pub server_fraction: f64,
-    /// Placement heuristic (the paper packs BestFit).
+    /// Placement heuristic. Read by nothing and never on the wire: every
+    /// scheduler packs BestFit (the paper's heuristic), and the field stays
+    /// only because the frozen benchmark passes it on.
     pub heuristic: PlacementHeuristic,
     /// Candidate-search strategy.
     pub scan: ScanStrategy,
@@ -118,7 +120,6 @@ impl ServeConfig {
 #[derive(Debug)]
 struct ClusterState {
     id: ClusterId,
-    capacity: ResourceVec,
     sched: ClusterScheduler,
 }
 
@@ -214,12 +215,11 @@ impl<'a> Controller<'a> {
                 let ids: Vec<ServerId> = cluster.servers.iter().copied().take(n).collect();
                 ClusterState {
                     id: cluster.id,
-                    capacity: cluster.hardware.capacity,
                     sched: ClusterScheduler::with_strategy(
                         &ids,
                         cluster.hardware.capacity,
                         tw.count(),
-                        config.heuristic,
+                        PlacementHeuristic::BestFit,
                         config.scan,
                     ),
                 }
@@ -451,7 +451,7 @@ impl<'a> Controller<'a> {
                     self.departures.push(rec.departure, seq, rec.id);
                 }
                 self.accountant
-                    .on_placed(server, cluster.capacity, rec, &demand);
+                    .on_placed(server, cluster.sched.capacity(), rec, &demand);
             }
             PlacementOutcome::Rejected => self.counters.rejected += 1,
         }
@@ -675,7 +675,7 @@ impl<'a> Controller<'a> {
             clusters: self
                 .clusters
                 .iter()
-                .map(|c| (c.id, c.capacity, c.sched.dump()))
+                .map(|c| (c.id, c.sched.dump()))
                 .collect(),
             residents,
             departures,
@@ -712,9 +712,9 @@ impl<'a> Controller<'a> {
     /// `examples/benchmark` passes it; the next `[benchmark]` change drops
     /// the argument.
     ///
-    /// The schedulers are rebuilt under the snapshot config's `heuristic`
-    /// and `scan`: the frame holds one copy of each, so a restored
-    /// controller packs exactly as its config says.
+    /// The schedulers are rebuilt under the snapshot config's `scan`: the
+    /// frame holds one copy of it, so a restored controller packs exactly
+    /// as its config says.
     ///
     /// Anything wrong with the bytes surfaces as `Err(WireError)`:
     /// truncation and bad tags, a window partition that disagrees with
@@ -743,20 +743,16 @@ impl<'a> Controller<'a> {
         if dump.clusters.is_empty() || dump.clusters.windows(2).any(|w| w[0].0 >= w[1].0) {
             return invalid("snapshot cluster set");
         }
-        let mut servers = dump
-            .clusters
-            .iter()
-            .flat_map(|(_, _, sched)| &sched.servers);
+        let mut servers = dump.clusters.iter().flat_map(|(_, sched)| &sched.servers);
         if servers.any(|server| server.windows != tw.count()) {
             return invalid("snapshot scheduler windows");
         }
         let clusters: Vec<ClusterState> = dump
             .clusters
             .into_iter()
-            .map(|(id, capacity, sched)| ClusterState {
+            .map(|(id, sched)| ClusterState {
                 id,
-                capacity,
-                sched: ClusterScheduler::from_dump(sched, config.heuristic, config.scan),
+                sched: ClusterScheduler::from_dump(sched, config.scan),
             })
             .collect();
         // The resident map and the schedulers describe the same VMs: rows
@@ -829,9 +825,9 @@ pub(crate) struct ControllerDump {
     /// The predictor's window partition, pinned so a restore under a
     /// mismatched predictor fails instead of silently re-bucketing.
     pub windows_per_day: u32,
-    /// `(id, hardware capacity, scheduler state)` per cluster, in the
-    /// controller's sorted-by-id order.
-    pub clusters: Vec<(ClusterId, ResourceVec, ClusterSchedulerDump)>,
+    /// `(id, scheduler state)` per cluster, in the controller's
+    /// sorted-by-id order. The cluster's capacity is its servers'.
+    pub clusters: Vec<(ClusterId, ClusterSchedulerDump)>,
     /// The resident map as `(vm, cluster index, arrival seq)` rows, sorted
     /// by id (the canonical form).
     pub residents: Vec<(VmId, u32, u64)>,
@@ -907,9 +903,9 @@ mod tests {
         assert!(Controller::restore(&oracle, &snapshot, |_| None).is_ok());
 
         type Mutation = fn(&mut ControllerDump);
-        let cases: [(&str, &str, Mutation); 13] = [
+        let cases: [(&str, &str, Mutation); 14] = [
             ("one VM twice on a server", "ServerStateDump", |dump| {
-                let servers = &mut dump.clusters[0].2.servers;
+                let servers = &mut dump.clusters[0].1.servers;
                 let packed = servers.iter_mut().find(|s| s.vms.len() > 1).unwrap();
                 packed.vms[1].0 = packed.vms[0].0;
             }),
@@ -920,14 +916,20 @@ mod tests {
                 "servers over another window partition",
                 "snapshot scheduler windows",
                 |dump| {
-                    for server in &mut dump.clusters[0].2.servers {
+                    for server in &mut dump.clusters[0].1.servers {
                         server.vms.clear();
                         server.windows = 1;
                         server.window_sum.truncate(1);
-                        server.va_mem_sum.truncate(1);
                     }
                 },
             ),
+            // Homogeneous, so only validity refuses it: `ServerState::new`
+            // would not build a server of zero capacity.
+            ("servers of zero capacity", "ServerStateDump", |dump| {
+                for server in &mut dump.clusters[0].1.servers {
+                    server.capacity = ResourceVec::ZERO;
+                }
+            }),
             (
                 "resident rows out of id order",
                 "snapshot resident map",

@@ -13,6 +13,7 @@ use crate::controller::{ControllerDump, ServeConfig};
 use crate::request::{Request, Response, StatsReport};
 use crate::shard::ShardSnapshot;
 use coach_predict::DemandPrediction;
+use coach_sched::PlacementHeuristic;
 use coach_telemetry::{Histogram, MetricEntry, MetricValue, RegistrySnapshot, TelemetryConfig};
 use coach_trace::VmRecord;
 use coach_types::prelude::*;
@@ -72,18 +73,18 @@ impl Encode for ServeConfig {
     fn encode(&self, e: &mut Encoder) {
         self.policy.encode(e);
         e.f64(self.server_fraction);
-        self.heuristic.encode(e);
         self.scan.encode(e);
         self.horizon.encode(e);
         self.sample_every.encode(e);
         self.probe_mode.encode(e);
-        // `backend` and `telemetry` are deliberately NOT encoded. No
-        // restored controller reads the backend (a sharded deployment keeps
-        // its own), and telemetry is a pure-observability runtime knob
-        // (decisions are bit-identical across modes): a restored controller
-        // comes up with both at their defaults and is re-armed by its
-        // deployment (the process backend re-arms children at every
-        // session start).
+        // `heuristic`, `backend` and `telemetry` are deliberately NOT
+        // encoded. Nothing reads the heuristic (every scheduler packs
+        // BestFit), no restored controller reads the backend (a sharded
+        // deployment keeps its own), and telemetry is a pure-observability
+        // runtime knob (decisions are bit-identical across modes): a
+        // restored controller comes up with all three at their defaults and
+        // is re-armed by its deployment (the process backend re-arms
+        // children at every session start).
     }
 }
 
@@ -92,7 +93,7 @@ impl Decode for ServeConfig {
         Ok(ServeConfig {
             policy: Decode::decode(d)?,
             server_fraction: d.f64("ServeConfig server_fraction")?,
-            heuristic: Decode::decode(d)?,
+            heuristic: PlacementHeuristic::default(),
             scan: Decode::decode(d)?,
             horizon: Decode::decode(d)?,
             sample_every: Decode::decode(d)?,
@@ -853,7 +854,7 @@ mod tests {
         }
 
         let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("tests/fixtures/protocol_v7.bin");
+            .join("tests/fixtures/protocol_v8.bin");
         if std::env::var_os("COACH_WIRE_BLESS").is_some() {
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
             std::fs::write(&path, &stream).unwrap();
@@ -862,7 +863,7 @@ mod tests {
             std::fs::read(&path).unwrap_or_else(|e| panic!("missing golden fixture: {e}"));
         assert_eq!(
             stream, fixture,
-            "protocol frame encoding drifted from the committed v7 fixture — \
+            "protocol frame encoding drifted from the committed v8 fixture — \
              this is a wire format change and needs a VERSION bump"
         );
 

@@ -49,11 +49,11 @@ fn golden_snapshot() -> (coach_trace::Trace, Snapshot) {
 #[test]
 fn golden_snapshot_bytes_are_pinned() {
     let (_trace, snapshot) = golden_snapshot();
-    let fixture = load_or_bless("snapshot_v7.bin", snapshot.bytes());
+    let fixture = load_or_bless("snapshot_v8.bin", snapshot.bytes());
     assert_eq!(
         snapshot.bytes(),
         &fixture[..],
-        "snapshot encoding drifted from the committed v7 fixture — \
+        "snapshot encoding drifted from the committed v8 fixture — \
          this is a wire format change and needs a VERSION bump"
     );
 }
@@ -61,7 +61,7 @@ fn golden_snapshot_bytes_are_pinned() {
 #[test]
 fn golden_snapshot_restores_and_resumes() {
     let (trace, live) = golden_snapshot();
-    let fixture = load_or_bless("snapshot_v7.bin", live.bytes());
+    let fixture = load_or_bless("snapshot_v8.bin", live.bytes());
     let committed = Snapshot::from_bytes(fixture);
 
     // The committed bytes restore, re-snapshot to themselves, and finish
@@ -91,13 +91,15 @@ fn older_versioned_snapshots_are_rejected_structurally() {
     // an admission-latency histogram and its sampling stride, and the
     // worker backend inside `ServeConfig`; 6: a second copy of the
     // heuristic and scan strategy, and lifetime placed/rejected counters,
-    // in every scheduler dump):
+    // in every scheduler dump; 7: a heuristic byte in `ServeConfig`, the
+    // Formula 4 pool sums in every server dump, and a second copy of each
+    // cluster's capacity beside its scheduler dump):
     // restoring it must fail with the typed version error, never
     // re-interpret the old layout.
     let (_trace, live) = golden_snapshot();
     let oracle = Oracle::new(TimeWindows::paper_default());
-    for old in [1u16, 2, 3, 4, 5, 6] {
-        let mut bytes = load_or_bless("snapshot_v7.bin", live.bytes());
+    for old in [1u16, 2, 3, 4, 5, 6, 7] {
+        let mut bytes = load_or_bless("snapshot_v8.bin", live.bytes());
         bytes[4..6].copy_from_slice(&old.to_le_bytes());
         let restored = Controller::restore(&oracle, &Snapshot::from_bytes(bytes), |_| None);
         assert_eq!(

@@ -15,7 +15,7 @@
 
 use crate::prediction::Predictor;
 use crate::probe::{measure_probe_capacity, paper_probe_times, probe_templates};
-use coach_sched::{ClusterScheduler, PlacementHeuristic, PlacementOutcome, Policy, VmDemand};
+use coach_sched::{ClusterScheduler, PlacementOutcome, Policy, VmDemand};
 use coach_trace::{Trace, VmRecord};
 use coach_types::prelude::*;
 use coach_types::{available_threads, par_map, par_map_threads};
@@ -148,12 +148,7 @@ fn packing_experiment_threads(
         let ids: Vec<ServerId> = cluster.servers.iter().copied().take(n).collect();
         schedulers.insert(
             cluster.id,
-            ClusterScheduler::new(
-                &ids,
-                cluster.hardware.capacity,
-                tw.count(),
-                PlacementHeuristic::BestFit,
-            ),
+            ClusterScheduler::new(&ids, cluster.hardware.capacity, tw.count()),
         );
     }
 

@@ -29,7 +29,7 @@
 //! them by construction. What it walks on its own is the candidate order
 //! and the rotation schedule; unit tests on the edge cases (empty cluster,
 //! over-committed server, exact occupancy crossings), a proptest over
-//! random churn × policy × heuristic × scan, and `ProbeMode::Differential`
+//! random churn × policy × scan, and `ProbeMode::Differential`
 //! in `coach-serve` (both on every measurement of the differential suite)
 //! hold it equal to the exhaustive fill.
 
@@ -207,7 +207,7 @@ mod tests {
 
     fn cluster(servers: u64, capacity: ResourceVec, windows: usize) -> ClusterScheduler {
         let ids: Vec<ServerId> = (0..servers).map(ServerId::new).collect();
-        ClusterScheduler::new(&ids, capacity, windows, PlacementHeuristic::BestFit)
+        ClusterScheduler::new(&ids, capacity, windows)
     }
 
     fn assert_modes_agree(sched: &mut ClusterScheduler, templates: &[VmDemand], label: &str) {
@@ -279,14 +279,16 @@ mod tests {
         assert_modes_agree(&mut sched, &templates, "unpredicted probes");
     }
 
+    /// Three uneven pre-loads, so headroom ordering matters, under both
+    /// scans.
     #[test]
-    fn all_heuristics_and_scans_agree() {
+    fn every_preload_and_scan_agrees() {
         let windows = TimeWindows::paper_default().count();
         let templates = coach_templates();
-        for heuristic in [
-            PlacementHeuristic::BestFit,
-            PlacementHeuristic::FirstFit,
-            PlacementHeuristic::WorstFit,
+        for preload in [
+            [0.7, 0.2, 0.5, 0.0, 0.35],
+            [0.0, 0.6, 0.6, 0.25, 0.9],
+            [0.45, 0.0, 0.1, 0.8, 0.45],
         ] {
             for scan in [ScanStrategy::Indexed, ScanStrategy::NaiveReference] {
                 let ids: Vec<ServerId> = (0..5).map(ServerId::new).collect();
@@ -294,17 +296,16 @@ mod tests {
                     &ids,
                     ResourceVec::new(16.0, 64.0, 10.0, 1024.0),
                     windows,
-                    heuristic,
+                    PlacementHeuristic::BestFit,
                     scan,
                 );
-                // Uneven pre-load so headroom ordering matters.
-                for (i, frac) in [0.7, 0.2, 0.5, 0.0, 0.35].iter().enumerate() {
+                for (i, frac) in preload.iter().enumerate() {
                     if *frac > 0.0 {
                         let req = ResourceVec::new(16.0, 64.0, 10.0, 1024.0) * *frac;
                         let _ = sched.place(VmDemand::unpredicted(VmId::new(100 + i as u64), req));
                     }
                 }
-                assert_modes_agree(&mut sched, &templates, &format!("{heuristic:?}/{scan:?}"));
+                assert_modes_agree(&mut sched, &templates, &format!("{preload:?}/{scan:?}"));
             }
         }
     }
@@ -333,7 +334,7 @@ mod proptests {
         /// Random churn (places and removes of random multi-window demands)
         /// followed by a probe measurement: the estimator must equal the
         /// exhaustive fill exactly, for every policy's template set, under
-        /// every heuristic and scan strategy.
+        /// both scan strategies.
         #[test]
         fn prop_estimator_matches_exhaustive(
             ops in prop::collection::vec(
@@ -342,20 +343,14 @@ mod proptests {
             ),
             policy_sel in 0usize..3,
             percentile_sel in 0usize..2,
-            heuristic_sel in 0usize..3,
             scan_sel in 0usize..2,
         ) {
             let windows = TimeWindows::paper_default().count();
             let capacity = ResourceVec::new(16.0, 64.0, 10.0, 1024.0);
             let ids: Vec<ServerId> = (0..4).map(ServerId::new).collect();
-            let heuristic = [
-                PlacementHeuristic::BestFit,
-                PlacementHeuristic::FirstFit,
-                PlacementHeuristic::WorstFit,
-            ][heuristic_sel];
             let scan = [ScanStrategy::Indexed, ScanStrategy::NaiveReference][scan_sel];
             let mut sched = ClusterScheduler::with_strategy(
-                &ids, capacity, windows, heuristic, scan,
+                &ids, capacity, windows, PlacementHeuristic::BestFit, scan,
             );
             for (i, (vm_raw, fracs, guar_frac)) in ops.iter().enumerate() {
                 if i % 4 == 3 {

@@ -84,12 +84,8 @@ impl ClusterManager {
             !self.schedulers.contains_key(&id),
             "cluster {id} already registered"
         );
-        let sched = ClusterScheduler::new(
-            servers,
-            hardware.capacity,
-            self.config.time_windows.count(),
-            self.config.heuristic,
-        );
+        let sched =
+            ClusterScheduler::new(servers, hardware.capacity, self.config.time_windows.count());
         self.schedulers.insert(id, sched);
     }
 

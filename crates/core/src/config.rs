@@ -4,7 +4,6 @@ use coach_node::memory::MemoryParams;
 use coach_node::mitigation::MitigationPolicy;
 use coach_node::monitor::MonitorConfig;
 use coach_predict::ForestParams;
-use coach_sched::PlacementHeuristic;
 use coach_types::prelude::*;
 
 /// Everything that parameterizes a Coach deployment.
@@ -29,8 +28,6 @@ pub struct CoachConfig {
     pub percentile: Percentile,
     /// Random-forest hyperparameters for the utilization model.
     pub forest: ForestParams,
-    /// Placement heuristic.
-    pub heuristic: PlacementHeuristic,
     /// Monitoring cadence and thresholds.
     pub monitor: MonitorConfig,
     /// Mitigation policy for server agents.
@@ -53,7 +50,6 @@ impl Default for CoachConfig {
             time_windows: TimeWindows::paper_default(),
             percentile: Percentile::P95,
             forest: ForestParams::default(),
-            heuristic: PlacementHeuristic::BestFit,
             monitor: MonitorConfig::default(),
             mitigation: MitigationPolicy::migrate(true),
             memory: MemoryParams::default(),

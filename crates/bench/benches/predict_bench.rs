@@ -127,9 +127,8 @@ fn bench_model(c: &mut Criterion) {
 /// The Oracle's derive kernel on its own, outside the end-to-end
 /// benchmark: the exact policy (`window_stats` + `oracle_from_stats`)
 /// against the order-statistic loop under its top-k exact stopping rule
-/// (`oracle`, unbucketed, what fig19 reads), its bucket-decided one
-/// (`VmRecord::window_peak_buckets`) and its decision-decided one
-/// (`Oracle::predict`, what serving reads), over the same long-running
+/// (`oracle`, unbucketed, what fig19 reads) and under its decision-decided
+/// one (`Oracle::predict`, what serving reads), over the same long-running
 /// VMs of a `medium` trace. Each iteration derives one VM, cycling through
 /// the set, so `ns/iter` is ns per VM; P95 reads 2 of 14 day maxima per
 /// window, P50 reads 8, where the order-statistic loop has the least to
@@ -159,13 +158,6 @@ fn bench_oracle_derive(c: &mut Criterion) {
                 })
             },
         );
-        group.bench_with_input(BenchmarkId::new("bucketed", name), &percentile, |b, &p| {
-            let mut cycle = vms.iter().cycle();
-            b.iter(|| {
-                let vm = cycle.next().expect("non-empty");
-                std::hint::black_box(vm.window_peak_buckets(tw, p))
-            })
-        });
         group.bench_with_input(BenchmarkId::new("decision", name), &percentile, |b, &p| {
             let mut cycle = vms.iter().cycle();
             b.iter(|| std::hint::black_box(oracle.predict(cycle.next().expect("non-empty"), p)))

@@ -29,12 +29,12 @@
 //!   Fig 20 bottleneck) while producing the same counts to the bit.
 //! * [`ShardedController`] — one controller per cluster group with
 //!   deterministic request routing, run on **persistent worker threads**
-//!   ([`coach_types::with_shard_workers`]): each shard's controller lives
+//!   ([`coach_types::with_shard_threads`]): each shard's controller lives
 //!   in a long-lived worker fed over bounded SPSC lanes with pipelined
 //!   request segments and broadcast/barrier tokens, so multi-core
 //!   scale-out never pays a per-segment fork-join; the global occupancy
 //!   peak is reconstructed exactly by merging per-shard delta timelines.
-//!   A lone shard beside a spare core runs on a worker too, and its
+//!   A lone shard runs on a worker too; beside a spare core its
 //!   dispatcher derives each segment before sending it: ingest and derive
 //!   on one core, placement and accounting on the other.
 //! * **The distributed control plane** — shard workers can run as

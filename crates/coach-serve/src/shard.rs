@@ -6,7 +6,7 @@
 //! hardware the dispatch overhead was paid thousands of times per replay.
 //! This version keeps the workers alive: at session start each shard's
 //! controller moves into a long-lived thread
-//! ([`coach_types::with_shard_workers`]); the dispatcher then streams
+//! ([`coach_types::with_shard_threads`]); the dispatcher then streams
 //! commands to it over a bounded SPSC lane — routed-request segments
 //! interleaved with broadcast/barrier tokens — and collects FIFO
 //! replies. Workers chew on segment *k* while the dispatcher routes
@@ -17,10 +17,11 @@
 //! [`ShardedController::lane_totals`] and, when telemetry is armed, the
 //! registry — never into a [`StatsReport`], which carries decisions only.
 //!
-//! Where segments are derived is decided once per session: a lone shard
-//! beside a spare core runs on a worker lane and its dispatcher derives,
-//! every other session derives in its workers. The predictor sees the
-//! same calls either way: serial, in stream order, 64 arrivals at a time.
+//! Every shard runs on a worker lane, a lone one included. Where segments
+//! are derived is decided once per session: the dispatcher of a lone shard
+//! beside a spare core derives, every other session derives in its
+//! workers. The predictor sees the same calls either way: serial, in
+//! stream order, 64 arrivals at a time.
 //!
 //! One rule governs ownership: a record is **borrowed at the
 //! [`Controller`], owned across a lane**. Past the dispatcher's front door
@@ -94,21 +95,18 @@ const _: () = {
     );
 };
 
-/// How a thread session over `shards` shards runs: `(lane, front_door)` —
-/// whether even a lone shard gets a worker lane, and whether the
-/// dispatcher derives each segment before sending it. A lone shard beside
-/// a spare core takes both, so ingest and derive share one core and
-/// placement and accounting the other; every other session (several
-/// shards, one core, and process children, which never ask) derives in
-/// its workers.
-fn schedule(shards: usize) -> (bool, bool) {
+/// Whether the dispatcher of a thread session over `shards` shards
+/// derives each segment before sending it. A lone shard beside a spare
+/// core does, so ingest and derive share one core and placement and
+/// accounting the other; every other session (several shards, one core,
+/// and process children, which never ask) derives in its workers.
+fn schedule(shards: usize) -> bool {
     #[cfg(test)]
     if let Some(front_door) = tests::FORCED_SCHEDULE.get() {
-        return (true, front_door);
+        return front_door;
     }
     // A derive stage of its own only beside a core for every placer.
-    let front_door = shards == 1 && available_threads() >= 2;
-    (front_door, front_door)
+    shards == 1 && available_threads() >= 2
 }
 
 /// A shard's contribution to a merged stats report — the state the
@@ -320,11 +318,7 @@ impl<'a> ShardedController<'a> {
     /// persistent worker threads and back; under the process backend the
     /// same command stream is encoded into `coach-wire` frames and routed
     /// through the supervised child processes instead.
-    fn with_session<R>(
-        &mut self,
-        collect: bool,
-        body: impl FnOnce(&mut Dispatcher<'_, '_>) -> R,
-    ) -> R {
+    fn with_session<R>(&mut self, collect: bool, body: impl FnOnce(&mut Dispatcher<'_>) -> R) -> R {
         match self.backend {
             WorkerBackend::Thread => self.with_thread_session(collect, body),
             WorkerBackend::Process => self.with_process_session(collect, body),
@@ -334,7 +328,7 @@ impl<'a> ShardedController<'a> {
     fn with_thread_session<R>(
         &mut self,
         collect: bool,
-        body: impl FnOnce(&mut Dispatcher<'_, '_>) -> R,
+        body: impl FnOnce(&mut Dispatcher<'_>) -> R,
     ) -> R {
         let ShardedController {
             shards,
@@ -343,21 +337,17 @@ impl<'a> ShardedController<'a> {
             telemetry,
             ..
         } = self;
-        let (lane, front_door) = schedule(shards.len());
-        let front_door = front_door.then(|| (*predictor, shards[0].config().policy.percentile));
+        let front_door =
+            schedule(shards.len()).then(|| (*predictor, shards[0].config().policy.percentile));
         let owned = std::mem::take(shards);
         let spans = telemetry.as_deref_mut().map(|t| &mut t.spans);
-        let run = |workers: &mut ShardWorkers<'_, WireCmd, WireReply>| {
+        let run = |workers: &mut ShardWorkers<WireCmd, WireReply>| {
             let link = Link::Threads(workers);
             let mut dispatcher = Dispatcher::new(link, &mut *session, collect, front_door, spans);
             let out = body(&mut dispatcher);
             (out, dispatcher.link.lane_stats())
         };
-        let (owned, (out, session_lanes)) = if lane {
-            with_shard_threads(owned, worker_step, run)
-        } else {
-            with_shard_workers(owned, worker_step, run)
-        };
+        let (owned, (out, session_lanes)) = with_shard_threads(owned, worker_step, run);
         *shards = owned;
         session.lane_base.merge(&session_lanes);
         self.sync_session_telemetry();
@@ -367,7 +357,7 @@ impl<'a> ShardedController<'a> {
     fn with_process_session<R>(
         &mut self,
         collect: bool,
-        body: impl FnOnce(&mut Dispatcher<'_, '_>) -> R,
+        body: impl FnOnce(&mut Dispatcher<'_>) -> R,
     ) -> R {
         self.ensure_process_pool();
         // Arm the children before the session's commands flow (idempotent
@@ -571,10 +561,8 @@ impl<'a> ShardedController<'a> {
     }
 
     /// Cumulative worker-lane telemetry (commands + replies) across every
-    /// completed session. A single-shard controller has lanes only where
-    /// its dispatcher derives (a core to spare: one send each way per
-    /// segment, token and finalize); on one core its inline pool has none,
-    /// and the totals stay zero.
+    /// completed session. A single-shard controller sends one command and
+    /// one reply per segment, token and finalize.
     pub fn lane_totals(&self) -> LaneStats {
         self.session.lane_base
     }
@@ -842,14 +830,14 @@ fn recv_frame(pool: &mut ProcessPool, wire: Option<&WireTelemetry>, shard: usize
 /// [`WireCmd`]/[`WireReply`] values, so the session/barrier protocol above
 /// is backend-agnostic; the process arm seals each command into a frame
 /// and opens each reply frame, nothing more.
-enum Link<'s, 'pool> {
-    Threads(&'s mut ShardWorkers<'pool, WireCmd, WireReply>),
+enum Link<'s> {
+    Threads(&'s mut ShardWorkers<WireCmd, WireReply>),
     /// The pool plus (when telemetry is armed) the parent-side frame
     /// byte/count instruments, so every pipe hop is weighed.
     Process(&'s mut ProcessPool, Option<WireTelemetry>),
 }
 
-impl Link<'_, '_> {
+impl Link<'_> {
     fn len(&self) -> usize {
         match self {
             Link::Threads(workers) => workers.len(),
@@ -896,8 +884,8 @@ impl Link<'_, '_> {
 /// The session-scoped request router: queues shard-routed arrivals into
 /// per-shard segments, turns broadcasts into per-lane tokens, and merges
 /// the FIFO replies.
-struct Dispatcher<'s, 'pool> {
-    link: Link<'s, 'pool>,
+struct Dispatcher<'s> {
+    link: Link<'s>,
     state: &'s mut SessionState,
     /// Per-shard staged arrivals with their stream positions.
     pending: Vec<Vec<(u64, VmRecord)>>,
@@ -922,9 +910,9 @@ struct Dispatcher<'s, 'pool> {
     spans: Option<&'s mut SpanRing>,
 }
 
-impl<'s, 'pool> Dispatcher<'s, 'pool> {
+impl<'s> Dispatcher<'s> {
     fn new(
-        link: Link<'s, 'pool>,
+        link: Link<'s>,
         state: &'s mut SessionState,
         collect: bool,
         front_door: Option<(&'s dyn Predictor, Percentile)>,
@@ -1302,9 +1290,9 @@ mod tests {
     use std::time::Duration;
 
     thread_local! {
-        /// The seam behind [`schedule`]: `Some(front_door)` runs even a
-        /// lone shard on a worker lane, deriving at the dispatcher or in
-        /// the worker, whatever the box's core count.
+        /// The seam behind [`schedule`]: `Some(front_door)` runs a lone
+        /// shard deriving at the dispatcher or in the worker, whatever the
+        /// box's core count.
         pub(super) static FORCED_SCHEDULE: Cell<Option<bool>> = const { Cell::new(None) };
     }
 

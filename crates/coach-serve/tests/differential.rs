@@ -331,9 +331,8 @@ fn lane_telemetry_survives_sharded_merge() {
         );
     }
 
-    // A single-shard controller gets a lane only where its dispatcher
-    // derives — beside a spare core: one send each way per segment, token
-    // and finalize. On one core it runs inline: no lanes, zero telemetry.
+    // A single-shard controller runs on a worker lane: one send each way
+    // per segment, token and finalize, whichever side derives.
     let config = ServeConfig {
         telemetry: TelemetryConfig::Full,
         ..ServeConfig::replaying(coach, 0.7, trace.horizon)
@@ -350,11 +349,7 @@ fn lane_telemetry_survives_sharded_merge() {
         .counter("coach_serve_stream_segments_total", &[])
         .expect("segments counted");
     let lanes = single.lane_totals();
-    if available_threads() >= 2 {
-        assert_eq!(lanes.sends, 2 * (segments + tokens + 1));
-    } else {
-        assert_eq!(lanes, LaneStats::default());
-    }
+    assert_eq!(lanes.sends, 2 * (segments + tokens + 1));
 }
 
 /// Streaming responses agree with the final counters: every arrival gets an

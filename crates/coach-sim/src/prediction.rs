@@ -96,9 +96,8 @@ fn too_short(vm: &VmRecord) -> bool {
 /// per resource every window's `PX_t` reads `PA` and its `Pmax_t` reads
 /// `max(Pmax_t, PA)`, which is all a demand reads of them. A window whose
 /// bound on its cells rounds up to a bucket at or below the `PA` other
-/// windows have fixed is never resolved; the rest resolve under the
-/// bucket-decided rule, the largest day maxima first, until both ends of
-/// each bound round up alike. The answer is bit-identical to the decision
+/// windows have fixed is never resolved; the rest resolve the largest
+/// day maxima first, until both ends of each bound round up alike. The answer is bit-identical to the decision
 /// form of the rounded-up peaks of the exact [`VmRecord::window_stats`] —
 /// [`NaiveReference`] and `bucket_up` of the unbucketed exact-rule oracle,
 /// each put in decision form, stay as the references that hold it to that.

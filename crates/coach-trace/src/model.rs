@@ -96,18 +96,11 @@ impl VmRecord {
             .window_peaks(tw, self.arrival, self.departure, p)
     }
 
-    /// [`VmRecord::window_peaks`] rounded up to 5 % buckets, bit for bit,
-    /// resolving only the cells that can still move a bucket
-    /// ([`VmProfile::window_peak_buckets`]).
-    pub fn window_peak_buckets(&self, tw: TimeWindows, p: Percentile) -> WindowPeaks {
-        self.profile
-            .window_peak_buckets(tw, self.arrival, self.departure, p)
-    }
-
-    /// [`VmRecord::window_peak_buckets`] in decision form, bit for bit,
-    /// resolving only the windows that can still move Formulas 1–2's
-    /// demand ([`VmProfile::window_decision_buckets`]) — what the serving
-    /// oracle keeps.
+    /// [`VmRecord::window_peaks`] rounded up to 5 % buckets and in decision
+    /// form, bit for bit, resolving only the windows and cells that can
+    /// still move Formulas 1–2's demand
+    /// ([`VmProfile::window_decision_buckets`]) — what the serving oracle
+    /// keeps.
     pub fn window_decision_buckets(&self, tw: TimeWindows, p: Percentile) -> WindowPeaks {
         self.profile
             .window_decision_buckets(tw, self.arrival, self.departure, p)

@@ -480,10 +480,8 @@ impl VmProfile {
     ///
     /// That is the loop's *top-k exact* stopping rule: a window is done
     /// once no further cell can enter its top-`k`.
-    /// [`VmProfile::window_peak_buckets`] runs the same loop under a
-    /// second rule, *bucket-decided*, and
-    /// [`VmProfile::window_decision_buckets`] under a third,
-    /// *decision-decided*.
+    /// [`VmProfile::window_decision_buckets`] runs the same loop under a
+    /// second rule, *decision-decided*.
     ///
     /// Spans of more than 64 day-rows (the scratch lives on the stack),
     /// empty ranges and the degenerate parameters of the eager fallback
@@ -502,11 +500,31 @@ impl VmProfile {
         out
     }
 
-    /// [`VmProfile::window_peaks`] rounded up to 5 % buckets — bit for bit
-    /// `bucket_up` of each value — derived only as far as the bucket reads
-    /// it. The same order-statistic loop runs under a second stopping
-    /// rule, *bucket-decided*: a window stops resolving cells as soon as
-    /// both of its [`Bucket`]s are fixed.
+    /// [`VmProfile::window_peaks`] rounded up to 5 % buckets and put in
+    /// decision form ([`WindowPeaks::decision_form`]) — bit for bit
+    /// `bucket_up` of each value, then the decision form — derived only as
+    /// far as Formulas 1–2 read it. The same order-statistic loop runs under
+    /// a second stopping rule, *decision-decided*: it leaves whole windows
+    /// unresolved, and stops resolving the cells of any other window as
+    /// soon as both of its [`Bucket`]s are fixed.
+    ///
+    /// Per resource, every window first gets a *cap*: the bucket of the
+    /// largest upper end `hi_d` (below) of its covered days (the clamped
+    /// `f32` of the pre-screen's `(bound_d + noise) + walk_max`; 0.0 when
+    /// no day is covered), or of that end's interpolated percentile if `f32`
+    /// rounding puts it one ulp higher. Windows are visited in descending
+    /// order of their caps, ties to the lower index. A window whose cap is
+    /// above the running `PA` — the largest percentile bucket among the
+    /// windows decided so far, starting at 0 — is resolved as below; the
+    /// first whose cap is not is *dismissed*, with every window after it.
+    /// Every window is then written in decision form, a dismissed one as
+    /// `PA` for both values.
+    ///
+    /// Sound because a dismissed window's maximum is at or below its cap's
+    /// end and its percentile at or below that end's interpolation, so
+    /// neither bucket exceeds `PA` ([`Bucket::round_up`] is monotone): the
+    /// window cannot raise `PA`, and `max(Pmax_t, PA)` is `PA`. The visiting
+    /// order decides only which windows are resolved, never a value.
     ///
     /// Per window and resource, each covered day's cell maximum lies in an
     /// interval `[lo_d, hi_d]`. `hi_d` is the `f32` of the pre-screen's
@@ -537,46 +555,8 @@ impl VmProfile {
     ///    included.
     ///
     /// The exact rule's fallbacks, and hand-built parameters whose tick
-    /// values could overflow or be NaN, bucket the exact statistics.
-    pub fn window_peak_buckets(
-        &self,
-        tw: TimeWindows,
-        start: Timestamp,
-        end: Timestamp,
-        p: Percentile,
-    ) -> WindowPeaks {
-        let mut out = zero_peaks(tw);
-        for kind in ResourceKind::ALL {
-            self.window_peak_buckets_into(kind, tw, start, end, p, &mut out);
-        }
-        out
-    }
-
-    /// [`VmProfile::window_peak_buckets`] in decision form
-    /// ([`WindowPeaks::decision_form`]), bit for bit, derived only as far
-    /// as Formulas 1–2 read it. The same order-statistic loop runs under a
-    /// third stopping rule, *decision-decided*, which leaves whole windows
-    /// unresolved.
-    ///
-    /// Per resource, every window first gets a *cap*: the bucket of the
-    /// largest upper end the bucket-decided rule would give its covered
-    /// days (the clamped `f32` of the pre-screen's `(bound_d + noise) +
-    /// walk_max`; 0.0 when no day is covered), or of that end's
-    /// interpolated percentile if `f32` rounding puts it one ulp higher.
-    /// Windows are visited in descending order of their caps, ties to the
-    /// lower index. A window whose cap is above the running `PA` — the
-    /// largest percentile bucket among the windows decided so far,
-    /// starting at 0 — runs the bucket-decided rule; the first whose cap is
-    /// not is *dismissed*, with every window after it. Every window is then
-    /// written in decision form, a dismissed one as `PA` for both values.
-    ///
-    /// Sound because a dismissed window's maximum is at or below its cap's
-    /// end and its percentile at or below that end's interpolation, so
-    /// neither bucket exceeds `PA` ([`Bucket::round_up`] is monotone): the
-    /// window cannot raise `PA`, and `max(Pmax_t, PA)` is `PA`. The visiting
-    /// order decides only which windows are resolved, never a value. The
-    /// fallbacks are those of [`VmProfile::window_peak_buckets`], put in
-    /// decision form.
+    /// values could overflow or be NaN, put the buckets of the exact
+    /// statistics in decision form.
     pub fn window_decision_buckets(
         &self,
         tw: TimeWindows,
@@ -604,21 +584,7 @@ impl VmProfile {
         p: Percentile,
         out: &mut WindowPeaks,
     ) -> usize {
-        self.order_statistics_into::<TOP_K_EXACT>(resource, tw, start, end, p, out)
-    }
-
-    /// [`VmProfile::window_peaks_into`] for
-    /// [`VmProfile::window_peak_buckets`].
-    fn window_peak_buckets_into(
-        &self,
-        resource: ResourceKind,
-        tw: TimeWindows,
-        start: Timestamp,
-        end: Timestamp,
-        p: Percentile,
-        out: &mut WindowPeaks,
-    ) -> usize {
-        self.order_statistics_into::<BUCKET_DECIDED>(resource, tw, start, end, p, out)
+        self.order_statistics_into::<false>(resource, tw, start, end, p, out)
     }
 
     /// [`VmProfile::window_peaks_into`] for
@@ -632,13 +598,12 @@ impl VmProfile {
         p: Percentile,
         out: &mut WindowPeaks,
     ) -> usize {
-        let evaluated =
-            self.order_statistics_into::<DECISION_DECIDED>(resource, tw, start, end, p, out);
+        let evaluated = self.order_statistics_into::<true>(resource, tw, start, end, p, out);
         out.decide(resource);
         evaluated
     }
 
-    /// What the bucket-decided rule needs on top of the eager fallback's
+    /// What the decision-decided rule needs on top of the eager fallback's
     /// conditions: its intervals order realized tick values against the
     /// screens' bounds, so every level, noise and walk term must be a
     /// finite number, far enough from overflow that no `∞ − ∞` or `∞ · 0`
@@ -651,11 +616,11 @@ impl VmProfile {
     }
 
     /// The order-statistic loop behind every peak derivation, under the
-    /// stopping rule `RULE` names: [`TOP_K_EXACT`] writes the values
-    /// themselves, [`BUCKET_DECIDED`] and [`DECISION_DECIDED`] their bucket
-    /// fractions, and the last writes 0.0 for the windows it dismisses
-    /// (its caller puts them in decision form).
-    fn order_statistics_into<const RULE: u8>(
+    /// top-k exact stopping rule, which writes the values themselves, or
+    /// with `DECIDE` under the decision-decided one, which writes their
+    /// bucket fractions and 0.0 for the windows it dismisses (its caller
+    /// puts them in decision form).
+    fn order_statistics_into<const DECIDE: bool>(
         &self,
         resource: ResourceKind,
         tw: TimeWindows,
@@ -664,18 +629,17 @@ impl VmProfile {
         p: Percentile,
         out: &mut WindowPeaks,
     ) -> usize {
-        let buckets = RULE != TOP_K_EXACT;
         let profile = &self.per_resource[resource.index()];
         let (first_day, days) = day_rows(start, end);
         if days == 0
             || days > MAX_ORDERED_DAYS
             || Self::needs_eager_fallback(profile)
-            || (buckets && !Self::levels_are_numbers(profile))
+            || (DECIDE && !Self::levels_are_numbers(profile))
         {
             let exact = self.window_stats_for(resource, tw, start, end);
             for w in tw.indices() {
                 let (max, px) = (exact.lifetime_max(w), exact.maxima_percentile(w, p));
-                write_peaks(out, w, resource, buckets, max, px);
+                write_peaks::<DECIDE>(out, w, resource, max, px);
             }
             return 0;
         }
@@ -704,7 +668,7 @@ impl VmProfile {
         // The pre-screen's bound on every tick value of a cell whose level
         // is at most `level`, with the value's own association `(level +
         // noise·white) + walk_term` so every step is a monotone IEEE op;
-        // and the upper end of the cell's maximum the bucket rules read.
+        // and the upper end of the cell's maximum the decision rule reads.
         let screen = |level: f64| (level + noise) + walk_max;
         let upper = |level: f64| screen(level).clamp(0.0, 1.0) as f32;
         let mut bound = [0.0f64; MAX_ORDERED_DAYS];
@@ -716,7 +680,7 @@ impl VmProfile {
         let mut cap = [Bucket::MAX; MAX_WINDOWS];
         let mut visit = [0u16; MAX_WINDOWS];
         for w in 0..n {
-            if RULE == DECISION_DECIDED {
+            if DECIDE {
                 scan.level_bounds(w, terms, &mut bound);
                 let hi = (0..days)
                     .filter(|&i| {
@@ -740,11 +704,11 @@ impl VmProfile {
         let mut evaluated = 0;
         for (at, &w) in visit[..n].iter().enumerate() {
             let w = usize::from(w);
-            if RULE == DECISION_DECIDED && cap[w] <= pa {
+            if DECIDE && cap[w] <= pa {
                 // Caps only fall from here on: no later window can move
                 // the decision either.
                 for &w in &visit[at..n] {
-                    write_peaks(out, usize::from(w), resource, buckets, 0.0, 0.0);
+                    write_peaks::<DECIDE>(out, usize::from(w), resource, 0.0, 0.0);
                 }
                 break;
             }
@@ -762,7 +726,7 @@ impl VmProfile {
 
             let mut top = TopK::new(k);
             let mut decided = None;
-            if buckets {
+            if DECIDE {
                 brackets.clear();
                 for &i in &order[..days] {
                     let i = usize::from(i);
@@ -794,7 +758,7 @@ impl VmProfile {
                     // ≥ 0, so the clamp cannot lift a skipped tick above the
                     // floor.
                     if floor >= 0.0 && screen(bound[i]) <= f64::from(floor) {
-                        if buckets {
+                        if DECIDE {
                             brackets.skip();
                         }
                         continue;
@@ -802,7 +766,7 @@ impl VmProfile {
                     evaluated += 1;
                     let reported = scan.cell(terms[i], w, t_lo, t_hi, floor);
                     top.offer(reported);
-                    if buckets {
+                    if DECIDE {
                         brackets.collapse(pos, reported);
                         decided = brackets.decide(&top, rank, nth_lo, nth_hi);
                         if decided.is_some() {
@@ -815,20 +779,12 @@ impl VmProfile {
                 let at = |n| top.nth_largest(n);
                 (at(1), rank.interpolate(at(nth_lo), at(nth_hi)))
             });
-            write_peaks(out, w, resource, buckets, max, px);
+            write_peaks::<DECIDE>(out, w, resource, max, px);
             pa = pa.max(Bucket::round_up(f64::from(px)));
         }
         evaluated
     }
 }
-
-/// The loop's stopping rules ([`UtilizationSource`]'s "Three stopping
-/// rules"): [`VmProfile::window_peaks`],
-/// [`VmProfile::window_peak_buckets`] and
-/// [`VmProfile::window_decision_buckets`].
-const TOP_K_EXACT: u8 = 0;
-const BUCKET_DECIDED: u8 = 1;
-const DECISION_DECIDED: u8 = 2;
 
 /// The most windows a partition has ([`TimeWindows::ideal`]): the loop's
 /// visiting order lives in stack arrays of this size.
@@ -845,18 +801,17 @@ fn zero_peaks(tw: TimeWindows) -> WindowPeaks {
 
 /// Write window `w`'s maximum and percentile into `resource`'s slots: as
 /// they are under the top-k exact rule, rounded up to their buckets under
-/// the bucket rules.
-fn write_peaks(
+/// the decision-decided one (`DECIDE`).
+fn write_peaks<const DECIDE: bool>(
     out: &mut WindowPeaks,
     w: usize,
     resource: ResourceKind,
-    buckets: bool,
     max: f32,
     px: f32,
 ) {
     let (max, px) = (f64::from(max), f64::from(px));
-    out.lifetime_max[w][resource] = if buckets { bucket_up(max) } else { max };
-    out.percentile[w][resource] = if buckets { bucket_up(px) } else { px };
+    out.lifetime_max[w][resource] = if DECIDE { bucket_up(max) } else { max };
+    out.percentile[w][resource] = if DECIDE { bucket_up(px) } else { px };
 }
 
 /// First day and number of day-rows `[start, end)` touches (0 when empty).
@@ -950,8 +905,8 @@ impl TopK {
     }
 }
 
-/// The bucket-decided rule's view of one window
-/// ([`VmProfile::window_peak_buckets`]): an interval per day, kept as what
+/// The decision-decided rule's view of one window it resolves
+/// ([`VmProfile::window_decision_buckets`]): an interval per day, kept as what
 /// the order statistics of its two ends need. Built once per scan and
 /// cleared per window.
 struct Brackets {
@@ -1567,16 +1522,6 @@ impl UtilizationSource for VmProfile {
         VmProfile::window_peaks(self, tw, start, end, p)
     }
 
-    fn window_peak_buckets(
-        &self,
-        tw: TimeWindows,
-        start: Timestamp,
-        end: Timestamp,
-        p: Percentile,
-    ) -> WindowPeaks {
-        VmProfile::window_peak_buckets(self, tw, start, end, p)
-    }
-
     fn window_decision_buckets(
         &self,
         tw: TimeWindows,
@@ -2038,65 +1983,26 @@ mod tests {
         evaluated
     }
 
-    /// The bucket-decided rule against `bucket_up` of the exact policy's
-    /// statistics, bit for bit, at each swept percentile — and, per
-    /// resource and percentile, resolving no more cells than the top-k
-    /// exact rule. Returns the cells each rule handed to the kernel, summed:
-    /// `(bucketed, exact)`.
-    fn assert_buckets_bit_identical(
-        p: &VmProfile,
-        tw: TimeWindows,
-        start: Timestamp,
-        end: Timestamp,
-    ) -> (usize, usize) {
-        let exact = p.window_stats(tw, start, end);
-        let (mut bucketed, mut exhaustive) = (0, 0);
-        for pct in SWEPT_PERCENTILES.map(Percentile::new) {
-            let got = p.window_peak_buckets(tw, start, end, pct);
-            let want = WindowPeaks::from_stats(&exact, pct).bucket_up();
-            for kind in ResourceKind::ALL {
-                for w in tw.indices() {
-                    assert_eq!(
-                        got.lifetime_max[w][kind].to_bits(),
-                        want.lifetime_max[w][kind].to_bits(),
-                        "{kind} window {w} lifetime max bucket at {pct}"
-                    );
-                    assert_eq!(
-                        got.percentile[w][kind].to_bits(),
-                        want.percentile[w][kind].to_bits(),
-                        "{kind} window {w} {pct} bucket"
-                    );
-                }
-                let mut sink = got.clone();
-                let cells = p.window_peak_buckets_into(kind, tw, start, end, pct, &mut sink);
-                assert_eq!(sink, got, "{kind}: per-resource pass rewrote its slots");
-                let exact_cells = p.window_peaks_into(kind, tw, start, end, pct, &mut sink);
-                assert!(
-                    cells <= exact_cells,
-                    "{kind} {pct}: bucketed rule resolved {cells} cells, exact {exact_cells}"
-                );
-                bucketed += cells;
-                exhaustive += exact_cells;
-            }
-        }
-        (bucketed, exhaustive)
-    }
-
-    /// The decision-decided rule against the decision form of the
-    /// bucket-decided rule, bit for bit, at each swept percentile — and, per
-    /// resource and percentile, resolving no more cells than the
-    /// bucket-decided rule. Returns the cells each rule handed to the
-    /// kernel, summed: `(decision, bucketed)`.
+    /// The decision-decided rule against the decision form of `bucket_up`
+    /// of the exact policy's statistics, bit for bit, at each swept
+    /// percentile — and, per resource and percentile, resolving no more
+    /// cells than the top-k exact rule. Returns the cells each rule handed
+    /// to the kernel, summed: `(decision, exact)`. On one window the
+    /// decision form is lossless (`PA` is the window's percentile bucket and
+    /// `max(Pmax, PA)` its maximum's), so there both buckets are checked.
     fn assert_decision_bit_identical(
         p: &VmProfile,
         tw: TimeWindows,
         start: Timestamp,
         end: Timestamp,
     ) -> (usize, usize) {
-        let (mut decision, mut bucketed) = (0, 0);
+        let exact = p.window_stats(tw, start, end);
+        let (mut decision, mut exhaustive) = (0, 0);
         for pct in SWEPT_PERCENTILES.map(Percentile::new) {
             let got = p.window_decision_buckets(tw, start, end, pct);
-            let want = p.window_peak_buckets(tw, start, end, pct).decision_form();
+            let want = WindowPeaks::from_stats(&exact, pct)
+                .bucket_up()
+                .decision_form();
             for kind in ResourceKind::ALL {
                 for w in tw.indices() {
                     assert_eq!(
@@ -2113,16 +2019,16 @@ mod tests {
                 let mut sink = got.clone();
                 let cells = p.window_decision_buckets_into(kind, tw, start, end, pct, &mut sink);
                 assert_eq!(sink, got, "{kind}: per-resource pass rewrote its slots");
-                let bucket_cells = p.window_peak_buckets_into(kind, tw, start, end, pct, &mut sink);
+                let exact_cells = p.window_peaks_into(kind, tw, start, end, pct, &mut sink);
                 assert!(
-                    cells <= bucket_cells,
-                    "{kind} {pct}: decision rule resolved {cells} cells, bucket rule {bucket_cells}"
+                    cells <= exact_cells,
+                    "{kind} {pct}: decision rule resolved {cells} cells, exact {exact_cells}"
                 );
                 decision += cells;
-                bucketed += bucket_cells;
+                exhaustive += exact_cells;
             }
         }
-        (decision, bucketed)
+        (decision, exhaustive)
     }
 
     #[test]
@@ -2286,48 +2192,50 @@ mod tests {
     /// as `f32` it reads 0.150000006, in the 20 % bucket. With noise and
     /// drift of about an ulp the two ends of a window straddle the edge,
     /// so the rule must resolve those windows, not decide them, and still
-    /// read what the exact statistics round to.
+    /// read what the exact statistics round to — on one window, where the
+    /// decision form keeps both buckets, and on the paper's six.
     #[test]
     fn bucket_edges_resolve_exactly() {
-        let tw = TimeWindows::paper_default();
         let start = Timestamp::from_hours(5);
         let end = Timestamp::from_days(3) + SimDuration::from_hours(7);
-        let mut resolved = 0;
-        for k in 1..20u64 {
-            let edge = k as f64 * 0.05;
-            let e32 = edge as f32;
-            let near = [
-                edge,
-                edge - 1e-9,
-                edge + 1e-9,
-                f64::from(e32),
-                f64::from(f32::from_bits(e32.to_bits() - 1)),
-                f64::from(f32::from_bits(e32.to_bits() + 1)),
-            ];
-            for base in near {
-                for (kind, noise, drift) in [
-                    (PatternKind::Constant, 0.0, 0.0),
-                    (PatternKind::Periodic, 1e-9, 0.0),
-                    (PatternKind::Periodic, 3e-8, 0.0),
-                    (PatternKind::Unpredictable, 1e-8, 1e-9),
-                    (PatternKind::Constant, 0.0, 3e-8),
-                ] {
-                    let flat = ResourceProfile {
-                        base,
-                        noise,
-                        daily_drift: drift,
-                        ..ResourceProfile::idle()
-                    };
-                    let p = VmProfile {
-                        kind,
-                        per_resource: [flat; ResourceKind::COUNT],
-                        noise_seed: k,
-                    };
-                    resolved += assert_buckets_bit_identical(&p, tw, start, end).0;
+        for tw in [TimeWindows::new(1), TimeWindows::paper_default()] {
+            let mut resolved = 0;
+            for k in 1..20u64 {
+                let edge = k as f64 * 0.05;
+                let e32 = edge as f32;
+                let near = [
+                    edge,
+                    edge - 1e-9,
+                    edge + 1e-9,
+                    f64::from(e32),
+                    f64::from(f32::from_bits(e32.to_bits() - 1)),
+                    f64::from(f32::from_bits(e32.to_bits() + 1)),
+                ];
+                for base in near {
+                    for (kind, noise, drift) in [
+                        (PatternKind::Constant, 0.0, 0.0),
+                        (PatternKind::Periodic, 1e-9, 0.0),
+                        (PatternKind::Periodic, 3e-8, 0.0),
+                        (PatternKind::Unpredictable, 1e-8, 1e-9),
+                        (PatternKind::Constant, 0.0, 3e-8),
+                    ] {
+                        let flat = ResourceProfile {
+                            base,
+                            noise,
+                            daily_drift: drift,
+                            ..ResourceProfile::idle()
+                        };
+                        let p = VmProfile {
+                            kind,
+                            per_resource: [flat; ResourceKind::COUNT],
+                            noise_seed: k,
+                        };
+                        resolved += assert_decision_bit_identical(&p, tw, start, end).0;
+                    }
                 }
             }
+            assert!(resolved > 0, "{tw:?}: no window's bounds straddled an edge");
         }
-        assert!(resolved > 0, "no window's bounds straddled an edge");
     }
 
     /// Hand-built parameters whose levels can be NaN or infinite — where
@@ -2352,7 +2260,7 @@ mod tests {
                 broken(r);
                 assert!(!VmProfile::levels_are_numbers(r));
             }
-            assert_eq!(assert_buckets_bit_identical(&p, tw, start, end).0, 0);
+            assert_eq!(assert_decision_bit_identical(&p, tw, start, end).0, 0);
         }
     }
 
@@ -2369,47 +2277,10 @@ mod tests {
         p
     }
 
-    /// Per profile, resource and percentile the bucket-decided rule
-    /// resolves no more cells than the top-k exact rule — the same order
-    /// and floors with an earlier stop (`assert_buckets_bit_identical`
-    /// asserts it) — and on `order_statistic_policy_prunes_most_cells`'
-    /// profile exactly as many as pinned here.
-    #[test]
-    fn bucketed_rule_never_resolves_more_cells() {
-        let tw = TimeWindows::paper_default();
-        for seed in 0..40u64 {
-            let start = Timestamp::from_ticks(seed * 37);
-            let end = start + SimDuration::from_days(1 + seed % 20);
-            assert_buckets_bit_identical(&sample_profile(seed), tw, start, end);
-        }
-
-        let p = pruning_profile();
-        let (start, end) = (Timestamp::ZERO, Timestamp::from_days(14));
-        let mut out = p.window_peaks(tw, start, end, Percentile::P95);
-        let cells = |pct: Percentile, out: &mut WindowPeaks| {
-            ResourceKind::ALL.map(|kind| {
-                (
-                    p.window_peak_buckets_into(kind, tw, start, end, pct, out),
-                    p.window_peaks_into(kind, tw, start, end, pct, out),
-                )
-            })
-        };
-        // (bucketed, exact) per resource, CPU first: 17 of 56 cells at P95,
-        // 36 of 208 at P50.
-        assert_eq!(
-            cells(Percentile::P95, &mut out),
-            [(5, 20), (2, 12), (2, 12), (8, 12)]
-        );
-        assert_eq!(
-            cells(Percentile::P50, &mut out),
-            [(2, 51), (14, 54), (10, 51), (10, 52)]
-        );
-    }
-
     /// Per profile, resource and percentile the decision-decided rule
-    /// resolves no more cells than the bucket-decided rule — the same
-    /// windows' loops, some of them never run
-    /// (`assert_decision_bit_identical` asserts it) — and on
+    /// resolves no more cells than the top-k exact rule — the same order
+    /// and floors, with whole windows dismissed and an earlier stop in the
+    /// rest (`assert_decision_bit_identical` asserts it) — and on
     /// `order_statistic_policy_prunes_most_cells`' profile exactly as many
     /// as pinned here.
     #[test]
@@ -2428,29 +2299,30 @@ mod tests {
             ResourceKind::ALL.map(|kind| {
                 (
                     p.window_decision_buckets_into(kind, tw, start, end, pct, out),
-                    p.window_peak_buckets_into(kind, tw, start, end, pct, out),
+                    p.window_peaks_into(kind, tw, start, end, pct, out),
                 )
             })
         };
-        // (decision, bucketed) per resource, CPU first: 4 of the bucket
-        // rule's 17 cells at P95, 10 of 36 at P50.
+        // (decision, exact) per resource, CPU first: 4 of 56 cells at P95,
+        // 10 of 208 at P50.
         assert_eq!(
             cells(Percentile::P95, &mut out),
-            [(2, 5), (0, 2), (0, 2), (2, 8)]
+            [(2, 20), (0, 12), (0, 12), (2, 12)]
         );
         assert_eq!(
             cells(Percentile::P50, &mut out),
-            [(2, 2), (0, 14), (0, 10), (8, 10)]
+            [(2, 51), (0, 54), (0, 51), (8, 52)]
         );
     }
 
-    /// Each fallback of the bucket-decided rule — an empty span, more
-    /// day-rows than the stack scratch holds, parameters that need the
-    /// eager path, levels that are not numbers — returns, under the
-    /// decision-decided rule, the decision form of what it returns there,
-    /// without resolving a cell.
+    /// Each fallback — an empty span, more day-rows than the stack scratch
+    /// holds, parameters that need the eager path, levels that are not
+    /// numbers — returns, under the decision-decided rule, the decision
+    /// form of the exact statistics' buckets without resolving a cell. The
+    /// exact rule shares the first three fallbacks; it resolves the
+    /// non-numeric levels' cells itself.
     #[test]
-    fn decision_fallbacks_are_the_decision_form_of_the_bucket_rule() {
+    fn decision_fallbacks_are_the_decision_form_of_the_exact_statistics() {
         let tw = TimeWindows::paper_default();
         let t = Timestamp::from_hours(30);
         assert_eq!(
@@ -2485,10 +2357,7 @@ mod tests {
             assert!(!VmProfile::needs_eager_fallback(r));
             assert!(!VmProfile::levels_are_numbers(r));
         }
-        assert_eq!(
-            assert_decision_bit_identical(&broken, tw, start, end),
-            (0, 0)
-        );
+        assert_eq!(assert_decision_bit_identical(&broken, tw, start, end).0, 0);
     }
 
     const KINDS: [PatternKind; 3] = [
@@ -2545,6 +2414,23 @@ mod tests {
         }
     }
 
+    /// `sample_profile(seed)` with, for `edge_case` 0–3 of 16, one term
+    /// the screens and the bounds lean on zeroed or shrunk in every
+    /// resource.
+    fn edge_profile(seed: u64, edge_case: u64) -> VmProfile {
+        let mut p = sample_profile(seed);
+        for r in p.per_resource.iter_mut() {
+            match edge_case {
+                0 => r.noise = 0.0,
+                1 => r.noise *= 1e-5,
+                2 => r.daily_drift = 0.0,
+                3 => r.amplitude = 0.0,
+                _ => {}
+            }
+        }
+        p
+    }
+
     proptest! {
         /// A generated profile of any pattern class never samples above
         /// its ceilings, at random ticks over four weeks (weekends, every
@@ -2587,14 +2473,34 @@ mod tests {
             assert_peaks_bit_identical(&p, tw, start, end);
         }
 
-        /// The bucket-decided rule reports, bit for bit, `bucket_up` of
-        /// what the exact policy's statistics say, over
-        /// `prop_window_peaks_match_exact_stats`' generators. A quarter of
-        /// the cases zero or shrink a term the screens and the bounds lean
-        /// on: noise 0 or ≤ 1e-6 (below the kernel's hash-space screen),
-        /// no drift, or no amplitude.
+        /// On one window, where the decision form keeps both buckets, the
+        /// decision-decided rule reports, bit for bit, `bucket_up` of what
+        /// the exact policy's statistics say, over
+        /// `prop_window_peaks_match_exact_stats`' span generators. A quarter
+        /// of the cases zero or shrink a term the screens and the bounds
+        /// lean on: noise 0 or ≤ 1e-6 (below the kernel's hash-space
+        /// screen), no drift, or no amplitude.
         #[test]
         fn prop_bucketed_peaks_match_exact(
+            seed in 0u64..10_000,
+            start_ticks in 0u64..(3 * TICKS_PER_DAY),
+            len in 1u64..(40 * TICKS_PER_DAY),
+            short in 0u64..4,
+            edge_case in 0u64..16,
+        ) {
+            let p = edge_profile(seed, edge_case);
+            let len = if short == 0 { 1 + len % (2 * TICKS_PER_DAY) } else { len };
+            let start = Timestamp::from_ticks(start_ticks);
+            let end = Timestamp::from_ticks(start_ticks + len);
+            assert_decision_bit_identical(&p, TimeWindows::new(1), start, end);
+        }
+
+        /// The decision-decided rule reports, bit for bit, the decision
+        /// form of `bucket_up` of the exact policy's statistics, over
+        /// `prop_bucketed_peaks_match_exact`' generators with one window up
+        /// to one window per tick.
+        #[test]
+        fn prop_decision_buckets_match_exact(
             seed in 0u64..10_000,
             start_ticks in 0u64..(3 * TICKS_PER_DAY),
             len in 1u64..(40 * TICKS_PER_DAY),
@@ -2603,46 +2509,7 @@ mod tests {
             edge_case in 0u64..16,
         ) {
             let tw = TimeWindows::new([1u32, 2, 6, 24, 288][wpd_idx]);
-            let mut p = sample_profile(seed);
-            for r in p.per_resource.iter_mut() {
-                match edge_case {
-                    0 => r.noise = 0.0,
-                    1 => r.noise *= 1e-5,
-                    2 => r.daily_drift = 0.0,
-                    3 => r.amplitude = 0.0,
-                    _ => {}
-                }
-            }
-            let len = if short == 0 { 1 + len % (2 * TICKS_PER_DAY) } else { len };
-            let start = Timestamp::from_ticks(start_ticks);
-            let end = Timestamp::from_ticks(start_ticks + len);
-            assert_buckets_bit_identical(&p, tw, start, end);
-        }
-
-        /// The decision-decided rule reports, bit for bit, the decision
-        /// form of the bucket-decided rule's buckets, over
-        /// `prop_bucketed_peaks_match_exact`' generators with one window up
-        /// to one window per tick.
-        #[test]
-        fn prop_decision_buckets_match_bucket_rule(
-            seed in 0u64..10_000,
-            start_ticks in 0u64..(3 * TICKS_PER_DAY),
-            len in 1u64..(40 * TICKS_PER_DAY),
-            short in 0u64..4,
-            wpd_idx in 0usize..4,
-            edge_case in 0u64..16,
-        ) {
-            let tw = TimeWindows::new([1u32, 6, 24, 288][wpd_idx]);
-            let mut p = sample_profile(seed);
-            for r in p.per_resource.iter_mut() {
-                match edge_case {
-                    0 => r.noise = 0.0,
-                    1 => r.noise *= 1e-5,
-                    2 => r.daily_drift = 0.0,
-                    3 => r.amplitude = 0.0,
-                    _ => {}
-                }
-            }
+            let p = edge_profile(seed, edge_case);
             let len = if short == 0 { 1 + len % (2 * TICKS_PER_DAY) } else { len };
             let start = Timestamp::from_ticks(start_ticks);
             let end = Timestamp::from_ticks(start_ticks + len);

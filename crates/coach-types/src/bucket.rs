@@ -192,7 +192,7 @@ mod tests {
 
         /// `x ≤ y ⇒ round_up(x) ≤ round_up(y)`: two random values and one
         /// drawn edge value, each paired with every edge value. The
-        /// analytic scan's bucket-decided rule brackets a statistic
+        /// analytic scan's decision-decided rule brackets a statistic
         /// between two bounds and stops once both round up alike, which
         /// is sound only if rounding up is non-decreasing.
         #[test]

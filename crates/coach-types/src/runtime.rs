@@ -7,7 +7,7 @@
 //! processes one segment per barrier request), that fork-join overhead eats
 //! the parallelism.
 //!
-//! [`with_shard_workers`] instead takes the persistent-worker shape
+//! [`with_shard_threads`] instead takes the persistent-worker shape
 //! from the fine-grain ordered-parallelism literature: each shard's state
 //! moves into a long-lived worker thread once per *session*, commands
 //! stream to it over an SPSC lane (preserving per-shard order), and
@@ -364,7 +364,7 @@ impl<T> Drop for SpscReceiver<T> {
 /// Where shard workers execute: threads in this process, or child
 /// processes speaking length-prefixed `coach-wire` frames over pipes.
 ///
-/// The generic [`with_shard_workers`] pool always runs threads — its
+/// The generic [`with_shard_threads`] pool runs threads only — its
 /// `Cmd`/`Res` types are arbitrary and cannot cross a process boundary.
 /// `Process` is honoured by dispatchers whose command vocabulary has a
 /// wire encoding (the `coach-serve` sharded controller): they keep the
@@ -381,38 +381,18 @@ pub enum WorkerBackend {
 }
 
 /// Handles to a running pool of shard workers (inside
-/// [`with_shard_workers`] or [`with_shard_threads`]): one FIFO command lane
-/// and one FIFO reply lane per worker.
-///
-/// On worker threads each command lane is a bounded lane to a worker and
-/// each reply lane an unbounded lane back (see the module docs for why);
-/// a [`with_shard_workers`] pool of one shard degenerates to an inline
-/// executor instead (commands run on the caller's thread at
-/// [`send`](Self::send) time), preserving identical FIFO semantics without
-/// lane hops.
-pub struct ShardWorkers<'pool, Cmd, Res> {
-    inner: Pool<'pool, Cmd, Res>,
+/// [`with_shard_threads`]): one FIFO command lane and one FIFO reply lane
+/// per worker — a bounded lane to the worker and an unbounded lane back
+/// (see the module docs for why).
+pub struct ShardWorkers<Cmd, Res> {
+    senders: Vec<SpscSender<Cmd>>,
+    receivers: Vec<SpscReceiver<Res>>,
 }
 
-enum Pool<'pool, Cmd, Res> {
-    Threads {
-        senders: Vec<SpscSender<Cmd>>,
-        receivers: Vec<SpscReceiver<Res>>,
-    },
-    Inline {
-        /// Runs the handler against the single shard's state.
-        exec: Box<dyn FnMut(Cmd) -> Res + 'pool>,
-        replies: VecDeque<Res>,
-    },
-}
-
-impl<Cmd, Res> ShardWorkers<'_, Cmd, Res> {
+impl<Cmd, Res> ShardWorkers<Cmd, Res> {
     /// Number of workers.
     pub fn len(&self) -> usize {
-        match &self.inner {
-            Pool::Threads { senders, .. } => senders.len(),
-            Pool::Inline { .. } => 1,
-        }
+        self.senders.len()
     }
 
     /// Whether the pool has no workers.
@@ -421,20 +401,13 @@ impl<Cmd, Res> ShardWorkers<'_, Cmd, Res> {
     }
 
     /// Send a command to worker `shard` (blocks only on command-lane
-    /// backpressure in the threaded pool; runs the handler inline in the
-    /// one-shard pool).
+    /// backpressure).
     ///
     /// # Panics
     ///
     /// Panics if `shard` is out of range.
     pub fn send(&mut self, shard: usize, cmd: Cmd) {
-        match &mut self.inner {
-            Pool::Threads { senders, .. } => senders[shard].send(cmd),
-            Pool::Inline { exec, replies } => {
-                assert!(shard == 0, "shard {shard} out of range");
-                replies.push_back(exec(cmd));
-            }
-        }
+        self.senders[shard].send(cmd)
     }
 
     /// Send a burst of commands to worker `shard` with at most one
@@ -444,10 +417,7 @@ impl<Cmd, Res> ShardWorkers<'_, Cmd, Res> {
     ///
     /// Panics if `shard` is out of range.
     pub fn send_batch(&mut self, shard: usize, cmds: Vec<Cmd>) {
-        match &mut self.inner {
-            Pool::Threads { senders, .. } => senders[shard].send_batch(cmds),
-            Pool::Inline { .. } => cmds.into_iter().for_each(|cmd| self.send(shard, cmd)),
-        }
+        self.senders[shard].send_batch(cmds)
     }
 
     /// Block for worker `shard`'s next reply. Replies arrive in command
@@ -455,63 +425,27 @@ impl<Cmd, Res> ShardWorkers<'_, Cmd, Res> {
     ///
     /// # Panics
     ///
-    /// Panics if `shard` is out of range, there is no outstanding command,
-    /// or the worker terminated without replying (it panicked — the
-    /// original panic is re-raised when the pool joins).
+    /// Panics if `shard` is out of range, or the worker terminated without
+    /// replying (it panicked — the original panic is re-raised when the
+    /// pool joins).
     pub fn recv(&mut self, shard: usize) -> Res {
-        match &mut self.inner {
-            Pool::Threads { receivers, .. } => receivers[shard]
-                .recv()
-                .expect("shard worker terminated before replying"),
-            Pool::Inline { replies, .. } => {
-                assert!(shard == 0, "shard {shard} out of range");
-                replies.pop_front().expect("no outstanding command")
-            }
-        }
+        self.receivers[shard]
+            .recv()
+            .expect("shard worker terminated before replying")
     }
 
     /// Aggregate lane telemetry across every command and reply lane in
-    /// the pool (all zero for the inline pool, which has no lanes).
+    /// the pool.
     pub fn lane_stats(&self) -> LaneStats {
-        match &self.inner {
-            Pool::Threads { senders, receivers } => {
-                let mut total = LaneStats::default();
-                for tx in senders {
-                    total.merge(&tx.stats());
-                }
-                for rx in receivers {
-                    total.merge(&rx.stats());
-                }
-                total
-            }
-            Pool::Inline { .. } => LaneStats::default(),
+        let mut total = LaneStats::default();
+        for tx in &self.senders {
+            total.merge(&tx.stats());
         }
+        for rx in &self.receivers {
+            total.merge(&rx.stats());
+        }
+        total
     }
-}
-
-/// Run `body` against a pool of persistent shard workers: the inline
-/// executor for a single shard, [`with_shard_threads`] otherwise. A lone
-/// shard on a thread of its own only pays off when the caller has work of
-/// its own to overlap with it.
-pub fn with_shard_workers<T, Cmd, Res, R>(
-    mut states: Vec<T>,
-    handler: impl Fn(usize, &mut T, Cmd) -> Res + Sync,
-    body: impl FnOnce(&mut ShardWorkers<'_, Cmd, Res>) -> R,
-) -> (Vec<T>, R)
-where
-    T: Send,
-    Cmd: Send,
-    Res: Send,
-{
-    let [state] = states.as_mut_slice() else {
-        return with_shard_threads(states, handler, body);
-    };
-    let inner = Pool::Inline {
-        exec: Box::new(|cmd| handler(0, state, cmd)),
-        replies: VecDeque::new(),
-    };
-    let out = body(&mut ShardWorkers { inner });
-    (states, out)
 }
 
 /// Run `body` against one long-lived worker thread per entry of `states`,
@@ -533,7 +467,7 @@ where
 pub fn with_shard_threads<T, Cmd, Res, R>(
     states: Vec<T>,
     handler: impl Fn(usize, &mut T, Cmd) -> Res + Sync,
-    body: impl FnOnce(&mut ShardWorkers<'_, Cmd, Res>) -> R,
+    body: impl FnOnce(&mut ShardWorkers<Cmd, Res>) -> R,
 ) -> (Vec<T>, R)
 where
     T: Send,
@@ -561,9 +495,7 @@ where
                 })
             })
             .collect();
-        let mut workers = ShardWorkers {
-            inner: Pool::Threads { senders, receivers },
-        };
+        let mut workers = ShardWorkers { senders, receivers };
         let out = catch_unwind(AssertUnwindSafe(|| body(&mut workers)));
         // Close the command lanes so the workers drain and exit.
         drop(workers);
@@ -1198,7 +1130,7 @@ mod tests {
     #[test]
     fn workers_preserve_per_shard_order() {
         let states: Vec<Vec<u32>> = vec![Vec::new(); 4];
-        let (states, got) = with_shard_workers(
+        let (states, got) = with_shard_threads(
             states,
             |shard, log, cmd: u32| {
                 log.push(cmd);
@@ -1230,7 +1162,7 @@ mod tests {
 
     #[test]
     fn worker_send_batch_and_lane_stats() {
-        let (states, stats) = with_shard_workers(
+        let (states, stats) = with_shard_threads(
             vec![0u64; 2],
             |_, total, cmd: u64| {
                 *total += cmd;
@@ -1264,7 +1196,7 @@ mod tests {
         const PER_WORKER: usize = 4 * COMMAND_LANE_CAPACITY;
         let (done, finished) = std::sync::mpsc::channel();
         let runner = std::thread::spawn(move || {
-            let (states, replies) = with_shard_workers(
+            let (states, replies) = with_shard_threads(
                 vec![0usize; 2],
                 |shard, seen, cmd: usize| {
                     *seen += 1;
@@ -1301,7 +1233,7 @@ mod tests {
 
     #[test]
     fn states_come_back_mutated() {
-        let (states, ()) = with_shard_workers(
+        let (states, ()) = with_shard_threads(
             vec![0u64; 3],
             |_, count, delta: u64| {
                 *count += delta;
@@ -1320,9 +1252,11 @@ mod tests {
         assert_eq!(states, vec![42, 42, 42]);
     }
 
+    /// A lone shard runs on a worker thread like any other: its two
+    /// commands and two replies cross lanes.
     #[test]
-    fn single_shard_runs_inline() {
-        let (states, answers) = with_shard_workers(
+    fn single_shard_runs_on_a_lane() {
+        let (states, answers) = with_shard_threads(
             vec![String::new()],
             |_, s, cmd: &str| {
                 s.push_str(cmd);
@@ -1332,8 +1266,9 @@ mod tests {
                 assert_eq!(workers.len(), 1);
                 workers.send(0, "ab");
                 workers.send(0, "c");
-                assert_eq!(workers.lane_stats(), LaneStats::default());
-                vec![workers.recv(0), workers.recv(0)]
+                let answers = vec![workers.recv(0), workers.recv(0)];
+                assert_eq!(workers.lane_stats().sends, 4);
+                answers
             },
         );
         assert_eq!(states, vec!["abc".to_string()]);
@@ -1343,7 +1278,7 @@ mod tests {
     #[test]
     fn empty_pool_is_fine() {
         let (states, out) =
-            with_shard_workers(Vec::<u8>::new(), |_, _, _: u8| 0u8, |workers| workers.len());
+            with_shard_threads(Vec::<u8>::new(), |_, _, _: u8| 0u8, |workers| workers.len());
         assert!(states.is_empty());
         assert_eq!(out, 0);
     }
@@ -1351,7 +1286,7 @@ mod tests {
     #[test]
     fn interleaved_send_recv_pipelines() {
         // Send a batch, receive some, send more: the lanes stay aligned.
-        let (_, ()) = with_shard_workers(
+        let (_, ()) = with_shard_threads(
             vec![0u32; 2],
             |_, total, cmd: u32| {
                 *total += cmd;
@@ -1371,7 +1306,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "terminated before replying")]
     fn worker_panic_propagates() {
-        let _ = with_shard_workers(
+        let _ = with_shard_threads(
             vec![0u8, 0u8],
             |shard, _, _: u8| {
                 if shard == 1 {

@@ -397,26 +397,15 @@ impl WindowPeaks {
 /// available for consumers that genuinely sample the timeline (the
 /// violation sweep).
 ///
-/// # Three stopping rules
+/// # Two stopping rules
 ///
 /// A producer that derives the peaks from per-day cells may stop resolving
-/// a window's cells early under any of three rules, and the answer does
+/// a window's cells early under either of two rules, and the answer does
 /// not change by a bit:
 ///
 /// * *top-k exact* ([`UtilizationSource::window_peaks`]): once no further
 ///   cell can enter the `k` largest day maxima the maximum and percentile
 ///   read;
-/// * *bucket-decided* ([`UtilizationSource::window_peak_buckets`]): once
-///   bounds on those order statistics round up to the same bucket at both
-///   ends. Sound because (i) a lower bound is a realized value and an
-///   upper bound a padded screen, cast to `f32` by monotone rounding;
-///   (ii) a cell reported as `max(floor, true)` with `floor` at most the
-///   final `k`-th largest leaves the top-`k` multiset unchanged, so
-///   reports for resolved cells mixed with bounds for the rest still
-///   sandwich each top-`k` order statistic; (iii)
-///   [`crate::series::PercentileRank::interpolate`] is monotone (`f32` ops
-///   with non-negative weights); (iv) [`crate::Bucket::round_up`] is
-///   non-decreasing over non-NaN inputs;
 /// * *decision-decided* ([`UtilizationSource::window_decision_buckets`]):
 ///   per resource, a window is not resolved at all once an upper bound on
 ///   its cells rounds up to a bucket at or below the `PA` that windows
@@ -424,7 +413,17 @@ impl WindowPeaks {
 ///   Sound because a window's `Pmax_t` is at or below that bound and its
 ///   `PX_t` at or below its `Pmax_t`, so it can neither raise `PA` nor lift
 ///   `max(Pmax_t, PA)` above `PA`; the order in which windows are visited
-///   decides only which of them get resolved, never a value.
+///   decides only which of them get resolved, never a value. A window that
+///   is resolved stops once bounds on its order statistics round up to the
+///   same bucket at both ends. Sound because (i) a lower bound is a
+///   realized value and an upper bound a padded screen, cast to `f32` by
+///   monotone rounding; (ii) a cell reported as `max(floor, true)` with
+///   `floor` at most the final `k`-th largest leaves the top-`k` multiset
+///   unchanged, so reports for resolved cells mixed with bounds for the
+///   rest still sandwich each top-`k` order statistic; (iii)
+///   [`crate::series::PercentileRank::interpolate`] is monotone (`f32` ops
+///   with non-negative weights); (iv) [`crate::Bucket::round_up`] is
+///   non-decreasing over non-NaN inputs.
 pub trait UtilizationSource {
     /// Utilization fractions of all resources at `t` (zeros outside
     /// coverage).
@@ -463,24 +462,11 @@ pub trait UtilizationSource {
     }
 
     /// [`UtilizationSource::window_peaks`] with every value rounded up to
-    /// its 5 % bucket — always equal to `self.window_peaks(tw, start, end,
-    /// p).bucket_up()`, which is what the default does. A producer
-    /// overrides it when the bucket-decided rule lets it resolve less.
-    fn window_peak_buckets(
-        &self,
-        tw: TimeWindows,
-        start: Timestamp,
-        end: Timestamp,
-        p: Percentile,
-    ) -> WindowPeaks {
-        self.window_peaks(tw, start, end, p).bucket_up()
-    }
-
-    /// [`UtilizationSource::window_peak_buckets`] in decision form
-    /// ([`WindowPeaks::decision_form`]) — always equal to
-    /// `self.window_peak_buckets(tw, start, end, p).decision_form()`, which
-    /// is what the default does. A producer overrides it when the
-    /// decision-decided rule lets it leave whole windows unresolved.
+    /// its 5 % bucket, in decision form ([`WindowPeaks::decision_form`]) —
+    /// always equal to `self.window_peaks(tw, start, end,
+    /// p).bucket_up().decision_form()`, which is what the default does. A
+    /// producer overrides it when the decision-decided rule lets it resolve
+    /// less.
     fn window_decision_buckets(
         &self,
         tw: TimeWindows,
@@ -488,7 +474,9 @@ pub trait UtilizationSource {
         end: Timestamp,
         p: Percentile,
     ) -> WindowPeaks {
-        self.window_peak_buckets(tw, start, end, p).decision_form()
+        self.window_peaks(tw, start, end, p)
+            .bucket_up()
+            .decision_form()
     }
 }
 

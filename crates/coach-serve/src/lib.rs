@@ -30,10 +30,11 @@
 //! * [`ShardedController`] — one controller per cluster group with
 //!   deterministic request routing, run on **persistent worker threads**
 //!   ([`coach_types::with_shard_threads`]): each shard's controller lives
-//!   in a long-lived worker fed over bounded SPSC lanes with pipelined
-//!   request segments and broadcast/barrier tokens, so multi-core
-//!   scale-out never pays a per-segment fork-join; the global occupancy
-//!   peak is reconstructed exactly by merging per-shard delta timelines.
+//!   in a long-lived worker fed over bounded `std::sync::mpsc` lanes
+//!   with pipelined request segments and broadcast/barrier tokens, so
+//!   multi-core scale-out never pays a per-segment fork-join; the global
+//!   occupancy peak is reconstructed exactly by merging per-shard delta
+//!   timelines.
 //!   A lone shard runs on a worker too; beside a spare core its
 //!   dispatcher derives each segment before sending it: ingest and derive
 //!   on one core, placement and accounting on the other.

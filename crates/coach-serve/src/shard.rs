@@ -7,13 +7,13 @@
 //! This version keeps the workers alive: at session start each shard's
 //! controller moves into a long-lived thread
 //! ([`coach_types::with_shard_threads`]); the dispatcher then streams
-//! commands to it over a bounded SPSC lane — routed-request segments
-//! interleaved with broadcast/barrier tokens — and collects FIFO
+//! commands to it over a bounded `std::sync::mpsc` lane — routed-request
+//! segments interleaved with broadcast/barrier tokens — and collects FIFO
 //! replies. Workers chew on segment *k* while the dispatcher routes
 //! segment *k + 1*; a barrier hands each shard its staged segment *and*
-//! the token in one `send_batch` burst, so it costs at most one worker
-//! wakeup per lane instead of a join + respawn. Every lane counts its
-//! traffic (sends, batched handoffs, wakeups, full-lane stalls) into
+//! the token in one `send_batch` burst instead of a join + respawn.
+//! Every lane counts its traffic (sends, batched handoffs, parks,
+//! full-lane stalls) into
 //! [`ShardedController::lane_totals`] and, when telemetry is armed, the
 //! registry — never into a [`StatsReport`], which carries decisions only.
 //!
@@ -223,7 +223,11 @@ impl<'a> ShardedController<'a> {
     /// # Panics
     ///
     /// Panics if `shard_count` is zero, `clusters` is empty, or the config
-    /// rejects (see [`Controller::new`]).
+    /// rejects (see [`Controller::new`]). Panics, before any child is
+    /// spawned, if `config.backend` is [`WorkerBackend::Process`] and the
+    /// predictor is not [`Predictor::reproduced_by_oracle`]: a child
+    /// predicts with an [`Oracle`] over the same windows, and would serve
+    /// that predictor's decisions instead.
     pub fn new(
         clusters: &[Cluster],
         predictor: &'a dyn Predictor,
@@ -232,6 +236,12 @@ impl<'a> ShardedController<'a> {
     ) -> Self {
         assert!(shard_count > 0, "need at least one shard");
         assert!(!clusters.is_empty(), "need at least one cluster");
+        assert!(
+            config.backend != WorkerBackend::Process || predictor.reproduced_by_oracle(),
+            "the process backend cannot serve predictor {}: its children predict with an \
+             Oracle, which does not reproduce it bit for bit",
+            predictor.name()
+        );
         let shard_count = shard_count.min(clusters.len());
         let mut sorted: Vec<&Cluster> = clusters.iter().collect();
         sorted.sort_by_key(|c| c.id);
@@ -979,8 +989,8 @@ impl<'s> Dispatcher<'s> {
         let span = self.begin_span();
         // Hand each shard its staged segment *and* the token in one
         // batched lane handoff — the segment still lands before the token
-        // (same stream position as a flush-then-send), but the lane wakes
-        // the worker at most once per barrier instead of once per command.
+        // (same stream position as a flush-then-send), and a worker woken
+        // by the segment finds the token queued behind it.
         self.send_after_segments(WireCmd::Token(token));
         self.log.push(Sent::Token { idx, token });
         self.end_span("dispatch.stage", span);

@@ -21,8 +21,9 @@
 //! reads are already paid there); broadcast-token and derive-chunk spans
 //! record every occurrence.
 //!
-//! Which stage bounds a session the lane counters say: full stalls are
-//! placement, wakeups beyond them mostly ingest and derive.
+//! Which stage bounds a session the lane counters say: full stalls are a
+//! dispatcher waiting on placement, and the other parks, counted at the
+//! endpoint that sleeps, mostly a worker waiting on ingest and derive.
 //!
 //! The registry is the one home of what depends on wall time or thread
 //! scheduling — admission latency, lane traffic, worker restarts. None of
@@ -86,10 +87,10 @@ pub mod metric {
         "coach_serve_lane_batched_sends_total",
         "send_batch handoffs on worker lanes.",
     );
-    /// Lane condvar wakeups (no labels).
+    /// Lane parks, counted at the endpoint that sleeps (no labels).
     pub const LANE_WAKEUPS: MetricId = MetricId::new(
         "coach_serve_lane_wakeups_total",
-        "Condvar wakeups issued by worker lanes.",
+        "Parks on worker lanes, counted at the endpoint that sleeps.",
     );
     /// Producer stalls on full command lanes (no labels).
     pub const LANE_FULL_STALLS: MetricId = MetricId::new(

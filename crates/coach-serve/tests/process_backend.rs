@@ -11,7 +11,7 @@ use coach_serve::{
     serve_trace_sharded, Request, RequestSource, Response, ServeConfig, ShardedController,
     Snapshot, TelemetryConfig, SHARD_WORKER_ENV,
 };
-use coach_sim::{packing_experiment, Oracle, PolicyConfig, ProbeMode};
+use coach_sim::{packing_experiment, NaiveReference, Oracle, PolicyConfig, ProbeMode};
 use coach_trace::{generate, Trace, TraceConfig};
 use coach_types::prelude::*;
 
@@ -282,6 +282,35 @@ fn malformed_worker_env_is_refused() {
     );
 }
 
+/// A child predicts with an Oracle over the predictor's windows, so a
+/// process-backed controller refuses any other predictor at construction
+/// — before a child exists — instead of serving the Oracle's decisions
+/// under its name.
+fn process_backend_refuses_a_predictor_it_cannot_reproduce() {
+    let trace = generate(&TraceConfig::small(2025));
+    let naive = NaiveReference::new(TimeWindows::paper_default());
+    let config = ServeConfig {
+        backend: WorkerBackend::Process,
+        ..ServeConfig::replaying(PolicyConfig::paper_set().remove(2), 0.7, trace.horizon)
+    };
+    let refused = std::panic::catch_unwind(|| {
+        ShardedController::new(&trace.clusters, &naive, config, 2);
+    })
+    .expect_err("NaiveReference x Process must panic");
+    let message = refused
+        .downcast_ref::<String>()
+        .expect("a formatted panic message");
+    assert!(
+        message.contains("process backend") && message.contains("NaiveReference"),
+        "the message names the backend and the predictor, got {message:?}"
+    );
+    // Construction spawns nothing even when it succeeds: the pool comes up
+    // at the first session.
+    let oracle = Oracle::new(TimeWindows::paper_default());
+    let accepted = ShardedController::new(&trace.clusters, &oracle, config, 2);
+    assert_eq!(accepted.worker_pid(0), None);
+}
+
 fn run(name: &str, test: fn(), failures: &mut u32) {
     // One child may die mid-`recv` when its half of a killed pipe closes;
     // catch_unwind keeps the runner going and reports per-test.
@@ -323,6 +352,11 @@ fn main() {
     run(
         "every_request_kind_agrees_across_backends",
         every_request_kind_agrees_across_backends,
+        &mut failures,
+    );
+    run(
+        "process_backend_refuses_a_predictor_it_cannot_reproduce",
+        process_backend_refuses_a_predictor_it_cannot_reproduce,
         &mut failures,
     );
     run(

@@ -36,11 +36,6 @@ impl Bucket {
         Bucket(to_index(fraction, f64::floor))
     }
 
-    /// Snap a fraction to the nearest bucket boundary.
-    pub fn round_nearest(fraction: f64) -> Bucket {
-        Bucket(to_index(fraction, f64::round))
-    }
-
     /// Build from a bucket index (`0..=20`), clamping out-of-range values.
     pub fn from_index(index: usize) -> Bucket {
         Bucket(index.min(20) as u8)
@@ -139,7 +134,7 @@ mod tests {
         assert_eq!(Bucket::round_up(-0.3).index(), 0);
         assert_eq!(Bucket::round_up(1.7).index(), 20);
         assert_eq!(Bucket::round_up(f64::NAN).index(), 0);
-        for round in [Bucket::round_up, Bucket::round_down, Bucket::round_nearest] {
+        for round in [Bucket::round_up, Bucket::round_down] {
             assert_eq!(round(f64::INFINITY), Bucket::MAX);
             assert_eq!(round(f64::NEG_INFINITY).index(), 0);
             assert_eq!(round(f64::NAN).index(), 0);

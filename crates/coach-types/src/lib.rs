@@ -51,8 +51,8 @@ pub use ids::{ClusterId, ServerId, SubscriptionId, VmId};
 pub use par::{available_threads, par_map, par_map_threads};
 pub use resource::{Fungibility, ResourceKind, ResourceVec, SharingMechanism};
 pub use runtime::{
-    serve_child_frames, spsc_channel, spsc_channel_bounded, with_shard_threads, LaneStats,
-    ProcessPool, ShardWorkers, SpscReceiver, SpscSender, WorkerBackend, COMMAND_LANE_CAPACITY,
+    serve_child_frames, with_shard_threads, LaneStats, ProcessPool, ShardWorkers, WorkerBackend,
+    COMMAND_LANE_CAPACITY,
 };
 pub use series::{Percentile, ResourceSeries, UtilSeries};
 pub use stats::{ResourceWindowStats, UtilizationSource, WindowPeaks, WindowStats};
@@ -69,8 +69,8 @@ pub mod prelude {
     pub use crate::par::{available_threads, par_map, par_map_threads};
     pub use crate::resource::{Fungibility, ResourceKind, ResourceVec, SharingMechanism};
     pub use crate::runtime::{
-        serve_child_frames, spsc_channel, spsc_channel_bounded, with_shard_threads, LaneStats,
-        ProcessPool, ShardWorkers, SpscReceiver, SpscSender, WorkerBackend, COMMAND_LANE_CAPACITY,
+        serve_child_frames, with_shard_threads, LaneStats, ProcessPool, ShardWorkers,
+        WorkerBackend, COMMAND_LANE_CAPACITY,
     };
     pub use crate::series::{Percentile, ResourceSeries, UtilSeries};
     pub use crate::stats::{ResourceWindowStats, UtilizationSource, WindowPeaks, WindowStats};

@@ -310,20 +310,6 @@ impl ResourceVec {
         self.0.iter().copied().fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Resource kind with the largest value, breaking ties toward CPU.
-    pub fn argmax(&self) -> ResourceKind {
-        let mut best = ResourceKind::Cpu;
-        let mut best_v = self.0[0];
-        for kind in ResourceKind::ALL.into_iter().skip(1) {
-            let v = self.0[kind.index()];
-            if v > best_v {
-                best_v = v;
-                best = kind;
-            }
-        }
-        best
-    }
-
     /// Iterate `(kind, value)` pairs in canonical order.
     pub fn iter(&self) -> impl Iterator<Item = (ResourceKind, f64)> + '_ {
         ResourceKind::ALL
@@ -499,14 +485,6 @@ mod tests {
         let cap = ResourceVec::new(2.0, 4.0, 0.0, 8.0);
         let f = used.fraction_of(&cap);
         assert_eq!(f, ResourceVec::new(0.5, 0.25, 0.0, 0.125));
-    }
-
-    #[test]
-    fn argmax_prefers_cpu_on_tie() {
-        let v = ResourceVec::splat(1.0);
-        assert_eq!(v.argmax(), ResourceKind::Cpu);
-        let v = ResourceVec::new(0.0, 2.0, 1.0, 2.0);
-        assert_eq!(v.argmax(), ResourceKind::Memory);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! A persistent shard-worker runtime: long-lived worker threads owning
-//! their per-shard state, fed over FIFO SPSC lanes.
+//! their per-shard state, fed over FIFO channels.
 //!
 //! Forking one scoped thread per shard per dispatch pays the spawn/join
 //! cost again at every synchronization point. When the same shards are
@@ -10,37 +10,26 @@
 //! [`with_shard_threads`] instead takes the persistent-worker shape
 //! from the fine-grain ordered-parallelism literature: each shard's state
 //! moves into a long-lived worker thread once per *session*, commands
-//! stream to it over an SPSC lane (preserving per-shard order), and
-//! replies stream back over a second SPSC lane in the same order. The
-//! caller sequences barriers itself by sending a token to every worker —
-//! lane FIFO guarantees each worker applies the token between exactly
+//! stream to it over a channel (preserving per-shard order), and replies
+//! stream back over a second channel in the same order. The caller
+//! sequences barriers itself by sending a token to every worker —
+//! channel FIFO guarantees each worker applies the token between exactly
 //! the commands the caller ordered around it, so no global stop-the-world
 //! join is needed and workers never go idle between segments.
 //!
-//! # The lane
-//!
-//! There is one lane implementation: a `Mutex<VecDeque>` with a `Condvar`
-//! per direction. What the runtime needs from a lane is per-shard FIFO
-//! order and backpressure; the dispatcher hands workers coarse segments
-//! (a few thousand items per second), so the lock is never contended
-//! enough to show up in an end-to-end number. A peer is notified only
-//! when it is actually parked (the flags live under the queue mutex), so
-//! a segment delivered through [`SpscSender::send_batch`] and drained with
-//! [`SpscReceiver::recv_batch`] costs at most one wakeup.
-//!
-//! [`spsc_channel`] is unbounded (sends never block);
-//! [`spsc_channel_bounded`] caps the queue length, and a producer that
-//! finds the lane full parks until the consumer frees room — backpressure
-//! instead of unbounded growth. The worker pool bounds its command lanes
-//! to [`COMMAND_LANE_CAPACITY`] and leaves its reply lanes unbounded:
-//! callers may defer draining replies until a barrier, and a bounded reply
-//! lane would let a slow drainer deadlock a worker against its own
-//! backpressure.
+//! The lanes are `std::sync::mpsc` channels: FIFO, blocking, closed when
+//! either end drops. A command lane is a `sync_channel` bounded at
+//! [`COMMAND_LANE_CAPACITY`], so a caller that outruns a worker parks
+//! instead of queueing without bound. A reply lane is unbounded: callers
+//! may defer draining replies until a barrier, and a bounded reply lane
+//! would let a slow drainer deadlock a worker against its own
+//! backpressure. The pool counts what crosses the lanes into
+//! [`LaneStats`].
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError, TrySendError};
+use std::sync::Arc;
 
 /// Queue bound for worker command lanes. A worker takes one command at a
 /// time, so a shard holds at most this many queued commands plus the one
@@ -52,21 +41,24 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 /// per lane.
 pub const COMMAND_LANE_CAPACITY: usize = 2;
 
-/// Cumulative lane telemetry, snapshot from counter-instrumented lane
-/// endpoints. All lanes count; `coach-serve` surfaces the pool-wide sums
-/// through `ShardedController::lane_totals` and its telemetry registry.
+/// Cumulative lane telemetry of a worker pool, counted at the lane
+/// endpoints. `coach-serve` surfaces the pool-wide sums through
+/// `ShardedController::lane_totals` and its telemetry registry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneStats {
-    /// Items enqueued (each item of a batch counts once).
+    /// Items enqueued, commands and replies (each item of a batch counts
+    /// once).
     pub sends: u64,
     /// `send_batch` calls — `sends / batched_sends` is the mean handoff
     /// size, and `wakeups / batched_sends` the wakeups-per-segment rate.
     pub batched_sends: u64,
-    /// Condvar notifies actually issued (either direction): how often a
-    /// handoff found its peer asleep instead of running.
+    /// Parks, counted at the endpoint that sleeps: a worker or the caller
+    /// that found its lane empty, or a caller that found a command lane
+    /// full. Every park ends in one wake, so this is how often a handoff
+    /// found its peer asleep (or behind) instead of running.
     pub wakeups: u64,
-    /// Times a producer found a bounded lane full and had to stall for
-    /// the consumer (backpressure events; always 0 for an unbounded lane).
+    /// Times the caller found a command lane full and had to stall for
+    /// the worker (backpressure events; reply lanes never stall).
     pub full_stalls: u64,
 }
 
@@ -80,8 +72,8 @@ impl LaneStats {
     }
 }
 
-/// Shared atomic counters behind one lane (see [`LaneStats`] for field
-/// meanings). Updated with relaxed ordering: telemetry, not
+/// Shared atomic counters behind one pool's lanes (see [`LaneStats`] for
+/// field meanings). Updated with relaxed ordering: telemetry, not
 /// synchronization.
 #[derive(Debug, Default)]
 struct LaneCounters {
@@ -92,6 +84,10 @@ struct LaneCounters {
 }
 
 impl LaneCounters {
+    fn count(counter: &AtomicU64, n: u64) {
+        counter.fetch_add(n, Ordering::Relaxed);
+    }
+
     fn snapshot(&self) -> LaneStats {
         LaneStats {
             sends: self.sends.load(Ordering::Relaxed),
@@ -100,260 +96,18 @@ impl LaneCounters {
             full_stalls: self.full_stalls.load(Ordering::Relaxed),
         }
     }
-}
 
-/// Shared state behind one SPSC lane.
-struct Shared<T> {
-    queue: Mutex<ChannelState<T>>,
-    /// The consumer parks here while the queue is empty.
-    ready: Condvar,
-    /// The producer parks here while a bounded queue is full.
-    room: Condvar,
-    /// Queue-length bound; `usize::MAX` for an unbounded lane.
-    capacity: usize,
-    counters: LaneCounters,
-}
-
-struct ChannelState<T> {
-    items: VecDeque<T>,
-    /// Sender dropped: the consumer drains, then sees end-of-stream.
-    closed: bool,
-    /// Receiver dropped: sends become drops and never block.
-    rx_gone: bool,
-    /// Consumer is (about to be) blocked in `ready.wait` and nobody has
-    /// notified it yet: set by the consumer, cleared by the producer that
-    /// notifies. Maintained under the queue mutex, so a producer that
-    /// reads `false` is guaranteed the consumer will re-check the queue
-    /// before sleeping.
-    waiting: bool,
-    /// Producer is (about to be) blocked in `room.wait`; same protocol
-    /// as `waiting`, in the other direction.
-    stalled: bool,
-}
-
-/// The sending half of an SPSC lane (see [`spsc_channel`]). Dropping it
-/// closes the lane: the receiver drains what was sent, then sees `None`.
-pub struct SpscSender<T> {
-    shared: Arc<Shared<T>>,
-}
-
-/// The receiving half of an SPSC lane (see [`spsc_channel`]). Dropping it
-/// releases a producer parked on a full lane and turns every later send
-/// into a drop, so a producer can never wedge on a dead consumer.
-pub struct SpscReceiver<T> {
-    shared: Arc<Shared<T>>,
-}
-
-/// An unbounded single-producer single-consumer lane over
-/// `Mutex<VecDeque>`.
-///
-/// Sends never block; [`SpscReceiver::recv`] blocks until an item arrives
-/// or the sender is dropped. Items arrive in send order — the property the
-/// shard runtime's ordering correctness rests on.
-pub fn spsc_channel<T>() -> (SpscSender<T>, SpscReceiver<T>) {
-    channel_with_capacity(usize::MAX)
-}
-
-/// [`spsc_channel`] with at most `capacity` items queued (minimum 1): a
-/// send into a full lane blocks until the consumer frees room, counted in
-/// [`LaneStats::full_stalls`]. A batch larger than the free room is
-/// published in chunks as room appears, still in order.
-pub fn spsc_channel_bounded<T>(capacity: usize) -> (SpscSender<T>, SpscReceiver<T>) {
-    channel_with_capacity(capacity.max(1))
-}
-
-fn channel_with_capacity<T>(capacity: usize) -> (SpscSender<T>, SpscReceiver<T>) {
-    let shared = Arc::new(Shared {
-        queue: Mutex::new(ChannelState {
-            items: VecDeque::new(),
-            closed: false,
-            rx_gone: false,
-            waiting: false,
-            stalled: false,
-        }),
-        ready: Condvar::new(),
-        room: Condvar::new(),
-        capacity,
-        counters: LaneCounters::default(),
-    });
-    (
-        SpscSender {
-            shared: Arc::clone(&shared),
-        },
-        SpscReceiver { shared },
-    )
-}
-
-impl<T> Shared<T> {
-    /// Lock the queue, surviving poisoning: every critical section leaves
-    /// the state valid at each step, and a panicked peer must not wedge
-    /// the other endpoint's drop.
-    fn lock(&self) -> MutexGuard<'_, ChannelState<T>> {
-        self.queue
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner())
-    }
-
-    /// Producer side: block until the queue is below capacity or the
-    /// receiver is gone (the caller checks which). One call that has to
-    /// wait is one full stall, however many times it is woken.
-    fn wait_for_room<'g>(
-        &self,
-        mut state: MutexGuard<'g, ChannelState<T>>,
-    ) -> MutexGuard<'g, ChannelState<T>> {
-        let full = |state: &ChannelState<T>| state.items.len() >= self.capacity && !state.rx_gone;
-        if full(&state) {
-            self.counters.full_stalls.fetch_add(1, Ordering::Relaxed);
-        }
-        while full(&state) {
-            state.stalled = true;
-            state = self
-                .room
-                .wait(state)
-                .unwrap_or_else(|poison| poison.into_inner());
-        }
-        state
-    }
-
-    /// Producer side, after enqueueing: release the queue and wake the
-    /// consumer if (and only if) it is parked.
-    fn wake_consumer(&self, mut state: MutexGuard<'_, ChannelState<T>>) {
-        let wake = std::mem::take(&mut state.waiting);
-        drop(state);
-        if wake {
-            self.counters.wakeups.fetch_add(1, Ordering::Relaxed);
-            self.ready.notify_one();
-        }
-    }
-
-    /// Consumer side, after dequeueing: release the queue and wake the
-    /// producer if (and only if) it is parked on a full lane.
-    fn wake_producer(&self, mut state: MutexGuard<'_, ChannelState<T>>) {
-        let wake = std::mem::take(&mut state.stalled);
-        drop(state);
-        if wake {
-            self.counters.wakeups.fetch_add(1, Ordering::Relaxed);
-            self.room.notify_one();
-        }
-    }
-
-    /// Consumer side: block until the queue is non-empty or the lane is
-    /// closed and drained (the caller checks which).
-    fn wait_for_items<'g>(
-        &self,
-        mut state: MutexGuard<'g, ChannelState<T>>,
-    ) -> MutexGuard<'g, ChannelState<T>> {
-        while state.items.is_empty() && !state.closed {
-            state.waiting = true;
-            state = self
-                .ready
-                .wait(state)
-                .unwrap_or_else(|poison| poison.into_inner());
-        }
-        state
-    }
-}
-
-impl<T> SpscSender<T> {
-    /// Enqueue an item. Blocks only while a bounded lane is full; once
-    /// the receiver is gone the item is dropped instead.
-    pub fn send(&self, item: T) {
-        let shared = &*self.shared;
-        shared.counters.sends.fetch_add(1, Ordering::Relaxed);
-        let mut state = shared.wait_for_room(shared.lock());
-        if state.rx_gone {
-            return;
-        }
-        state.items.push_back(item);
-        shared.wake_consumer(state);
-    }
-
-    /// Enqueue a whole batch in order, with one lock acquisition and at
-    /// most one consumer wakeup per published chunk (one chunk unless a
-    /// bounded lane runs out of room mid-batch). Once the receiver is
-    /// gone the remaining items are dropped.
-    pub fn send_batch(&self, items: Vec<T>) {
-        if items.is_empty() {
-            return;
-        }
-        let shared = &*self.shared;
-        let counters = &shared.counters;
-        counters
-            .sends
-            .fetch_add(items.len() as u64, Ordering::Relaxed);
-        counters.batched_sends.fetch_add(1, Ordering::Relaxed);
-        let mut items = items.into_iter();
-        while items.len() > 0 {
-            let mut state = shared.wait_for_room(shared.lock());
-            if state.rx_gone {
-                return;
+    /// Block for the next item on `rx`, counting a park when none is
+    /// queued; `None` once the sender is gone and the lane drained.
+    fn recv<T>(&self, rx: &Receiver<T>) -> Option<T> {
+        match rx.try_recv() {
+            Ok(item) => Some(item),
+            Err(TryRecvError::Empty) => {
+                LaneCounters::count(&self.wakeups, 1);
+                rx.recv().ok()
             }
-            let room = shared.capacity - state.items.len();
-            state.items.extend(items.by_ref().take(room));
-            shared.wake_consumer(state);
+            Err(TryRecvError::Disconnected) => None,
         }
-    }
-
-    /// Snapshot this lane's telemetry counters.
-    pub fn stats(&self) -> LaneStats {
-        self.shared.counters.snapshot()
-    }
-}
-
-impl<T> Drop for SpscSender<T> {
-    fn drop(&mut self) {
-        self.shared.lock().closed = true;
-        self.shared.ready.notify_all();
-    }
-}
-
-impl<T> SpscReceiver<T> {
-    /// Block until the next item, or `None` once the lane is closed and
-    /// drained.
-    pub fn recv(&self) -> Option<T> {
-        let shared = &*self.shared;
-        let mut state = shared.wait_for_items(shared.lock());
-        let item = state.items.pop_front()?;
-        shared.wake_producer(state);
-        Some(item)
-    }
-
-    /// Block until at least one item is available, then move up to `max`
-    /// items into `out` (preserving order) with at most one producer
-    /// wakeup. Returns the number moved — `0` only once the lane is
-    /// closed and drained (or `max == 0`).
-    pub fn recv_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
-        if max == 0 {
-            return 0;
-        }
-        let shared = &*self.shared;
-        let mut state = shared.wait_for_items(shared.lock());
-        let n = state.items.len().min(max);
-        out.extend(state.items.drain(..n));
-        shared.wake_producer(state);
-        n
-    }
-
-    /// Non-blocking receive: `Some(item)` if one is queued, else `None`
-    /// (whether the lane is open or closed).
-    pub fn try_recv(&self) -> Option<T> {
-        let shared = &*self.shared;
-        let mut state = shared.lock();
-        let item = state.items.pop_front()?;
-        shared.wake_producer(state);
-        Some(item)
-    }
-
-    /// Snapshot this lane's telemetry counters.
-    pub fn stats(&self) -> LaneStats {
-        self.shared.counters.snapshot()
-    }
-}
-
-impl<T> Drop for SpscReceiver<T> {
-    fn drop(&mut self) {
-        self.shared.lock().rx_gone = true;
-        self.shared.room.notify_all();
     }
 }
 
@@ -385,8 +139,9 @@ pub enum WorkerBackend {
 /// per worker — a bounded lane to the worker and an unbounded lane back
 /// (see the module docs for why).
 pub struct ShardWorkers<Cmd, Res> {
-    senders: Vec<SpscSender<Cmd>>,
-    receivers: Vec<SpscReceiver<Res>>,
+    senders: Vec<SyncSender<Cmd>>,
+    receivers: Vec<Receiver<Res>>,
+    counters: Arc<LaneCounters>,
 }
 
 impl<Cmd, Res> ShardWorkers<Cmd, Res> {
@@ -401,23 +156,42 @@ impl<Cmd, Res> ShardWorkers<Cmd, Res> {
     }
 
     /// Send a command to worker `shard` (blocks only on command-lane
-    /// backpressure).
+    /// backpressure; a command to a worker that has died is dropped).
     ///
     /// # Panics
     ///
     /// Panics if `shard` is out of range.
     pub fn send(&mut self, shard: usize, cmd: Cmd) {
-        self.senders[shard].send(cmd)
+        LaneCounters::count(&self.counters.sends, 1);
+        self.push(shard, cmd);
     }
 
-    /// Send a burst of commands to worker `shard` with at most one
-    /// wakeup per published chunk (equivalent to sending each in order).
+    /// Send a burst of commands to worker `shard`, counted as one batched
+    /// handoff (equivalent to sending each in order).
     ///
     /// # Panics
     ///
     /// Panics if `shard` is out of range.
     pub fn send_batch(&mut self, shard: usize, cmds: Vec<Cmd>) {
-        self.senders[shard].send_batch(cmds)
+        if cmds.is_empty() {
+            return;
+        }
+        LaneCounters::count(&self.counters.sends, cmds.len() as u64);
+        LaneCounters::count(&self.counters.batched_sends, 1);
+        for cmd in cmds {
+            self.push(shard, cmd);
+        }
+    }
+
+    /// Enqueue one command, counting a full lane as a stall (and a park)
+    /// before blocking on it.
+    fn push(&self, shard: usize, cmd: Cmd) {
+        let tx = &self.senders[shard];
+        if let Err(TrySendError::Full(cmd)) = tx.try_send(cmd) {
+            LaneCounters::count(&self.counters.full_stalls, 1);
+            LaneCounters::count(&self.counters.wakeups, 1);
+            let _ = tx.send(cmd);
+        }
     }
 
     /// Block for worker `shard`'s next reply. Replies arrive in command
@@ -429,22 +203,15 @@ impl<Cmd, Res> ShardWorkers<Cmd, Res> {
     /// replying (it panicked — the original panic is re-raised when the
     /// pool joins).
     pub fn recv(&mut self, shard: usize) -> Res {
-        self.receivers[shard]
-            .recv()
+        self.counters
+            .recv(&self.receivers[shard])
             .expect("shard worker terminated before replying")
     }
 
     /// Aggregate lane telemetry across every command and reply lane in
     /// the pool.
     pub fn lane_stats(&self) -> LaneStats {
-        let mut total = LaneStats::default();
-        for tx in &self.senders {
-            total.merge(&tx.stats());
-        }
-        for rx in &self.receivers {
-            total.merge(&rx.stats());
-        }
-        total
+        self.counters.snapshot()
     }
 }
 
@@ -476,26 +243,34 @@ where
 {
     std::thread::scope(|scope| {
         let handler = &handler;
+        let counters = Arc::new(LaneCounters::default());
         let mut senders = Vec::with_capacity(states.len());
         let mut receivers = Vec::with_capacity(states.len());
         let joins: Vec<_> = states
             .into_iter()
             .enumerate()
             .map(|(shard, mut state)| {
-                let (cmd_tx, cmd_rx) = spsc_channel_bounded::<Cmd>(COMMAND_LANE_CAPACITY);
+                let (cmd_tx, cmd_rx) = mpsc::sync_channel::<Cmd>(COMMAND_LANE_CAPACITY);
                 // Unbounded on purpose: see the module docs.
-                let (res_tx, res_rx) = spsc_channel::<Res>();
+                let (res_tx, res_rx) = mpsc::channel::<Res>();
                 senders.push(cmd_tx);
                 receivers.push(res_rx);
+                let counters = Arc::clone(&counters);
                 scope.spawn(move || {
-                    while let Some(cmd) = cmd_rx.recv() {
-                        res_tx.send(handler(shard, &mut state, cmd));
+                    while let Some(cmd) = counters.recv(&cmd_rx) {
+                        LaneCounters::count(&counters.sends, 1);
+                        // A caller that stopped listening drops the reply.
+                        let _ = res_tx.send(handler(shard, &mut state, cmd));
                     }
                     state
                 })
             })
             .collect();
-        let mut workers = ShardWorkers { senders, receivers };
+        let mut workers = ShardWorkers {
+            senders,
+            receivers,
+            counters,
+        };
         let out = catch_unwind(AssertUnwindSafe(|| body(&mut workers)));
         // Close the command lanes so the workers drain and exit.
         drop(workers);
@@ -549,9 +324,9 @@ struct ChildWorker {
     /// Frames the child wrote, pumped off its stdout by a dedicated
     /// parent-side thread so a frame-writing child can never deadlock
     /// against a parent that is itself blocked writing commands. The
-    /// sender drops when the child's stdout reaches EOF, so `recv() ==
-    /// None` is the death signal.
-    replies: SpscReceiver<Vec<u8>>,
+    /// sender drops when the child's stdout reaches EOF, so a failed
+    /// `recv()` is the death signal.
+    replies: Receiver<Vec<u8>>,
     reader: Option<std::thread::JoinHandle<()>>,
     /// The checkpoint frame (a full-state `Init`): replayed first after a
     /// respawn. `None` until the caller installs one — recovery is
@@ -646,13 +421,14 @@ fn spawn_child(
     let mut child = command.spawn()?;
     let stdin = child.stdin.take().expect("piped child stdin");
     let stdout = child.stdout.take().expect("piped child stdout");
-    let (tx, rx) = spsc_channel::<Vec<u8>>();
+    let (tx, rx) = mpsc::channel::<Vec<u8>>();
     let reader = std::thread::spawn(move || {
         let mut stdout = std::io::BufReader::new(stdout);
         // Any read error or EOF ends the pump; dropping `tx` is the
-        // death/drain signal the supervisor observes.
+        // death/drain signal the supervisor observes. Frames for a
+        // supervisor that has let go of this child are dropped.
         while let Ok(Some(frame)) = coach_wire::read_frame(&mut stdout) {
-            tx.send(frame);
+            let _ = tx.send(frame);
         }
     });
     Ok(ChildWorker {
@@ -768,7 +544,7 @@ impl ProcessPool {
     /// if it died with replies outstanding.
     pub fn recv(&mut self, shard: usize) -> Vec<u8> {
         loop {
-            match self.children[shard].replies.recv() {
+            match self.children[shard].replies.recv().ok() {
                 Some(frame) => {
                     self.children[shard].delivered += 1;
                     return frame;
@@ -811,7 +587,7 @@ impl ProcessPool {
         let stdin = c.stdin.as_mut().ok_or(())?;
         coach_wire::write_frame(stdin, &frame).map_err(|_| ())?;
         std::io::Write::flush(stdin).map_err(|_| ())?;
-        c.replies.recv().ok_or(())?;
+        c.replies.recv().map_err(|_| ())?;
         c.initialized = true;
         Ok(())
     }
@@ -867,7 +643,7 @@ impl ProcessPool {
         }
         std::io::Write::flush(stdin).map_err(|_| ())?;
         for _ in 0..c.delivered {
-            c.replies.recv().ok_or(())?;
+            c.replies.recv().map_err(|_| ())?;
         }
         Ok(())
     }
@@ -897,235 +673,6 @@ pub fn serve_child_frames(mut handler: impl FnMut(Vec<u8>) -> Vec<u8>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn spsc_fifo_and_close() {
-        let (tx, rx) = spsc_channel::<u32>();
-        tx.send(1);
-        tx.send(2);
-        assert_eq!(rx.try_recv(), Some(1));
-        assert_eq!(rx.recv(), Some(2));
-        assert_eq!(rx.try_recv(), None);
-        drop(tx);
-        assert_eq!(rx.recv(), None);
-        assert_eq!(rx.recv(), None);
-    }
-
-    #[test]
-    fn spsc_crosses_threads() {
-        let (tx, rx) = spsc_channel::<u64>();
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                for i in 0..1000 {
-                    tx.send(i);
-                }
-            });
-            for i in 0..1000 {
-                assert_eq!(rx.recv(), Some(i));
-            }
-            assert_eq!(rx.recv(), None);
-        });
-    }
-
-    /// Spin (yielding) until `pred` holds for the lane's state. The flags
-    /// it reads are written under the queue mutex by a peer that keeps the
-    /// mutex until it is inside its condvar wait, so once `pred` has been
-    /// seen the peer is parked — no sleep needed to order the test.
-    fn await_state<T>(shared: &Shared<T>, pred: impl Fn(&ChannelState<T>) -> bool) {
-        while !pred(&shared.lock()) {
-            std::thread::yield_now();
-        }
-    }
-
-    /// Every mix of scalar sends, batched sends larger than the lane,
-    /// scalar and batched receives delivers exactly the sent sequence, on
-    /// lanes from one slot (a stall per item) to unbounded, with the
-    /// sender dropped while the consumer is still draining.
-    #[test]
-    fn lanes_deliver_the_sent_sequence_across_threads() {
-        let sent: Vec<u32> = (0..5_000).collect();
-        let chunks = [1usize, 3, 32, 7, 1, 16, 2];
-        let maxes = [1usize, 5, 2, 16];
-        for capacity in [Some(1), Some(2), Some(4), Some(64), None] {
-            let (tx, rx) = match capacity {
-                Some(capacity) => spsc_channel_bounded::<u32>(capacity),
-                None => spsc_channel(),
-            };
-            let (got, batches) = std::thread::scope(|scope| {
-                let producer = scope.spawn(|| {
-                    let tx = tx;
-                    let mut batches = 0;
-                    let mut rest = &sent[..];
-                    for chunk in chunks.iter().cycle() {
-                        if rest.is_empty() {
-                            break;
-                        }
-                        let (now, later) = rest.split_at((*chunk).min(rest.len()));
-                        if let [item] = now {
-                            tx.send(*item);
-                        } else {
-                            tx.send_batch(now.to_vec());
-                            batches += 1;
-                        }
-                        rest = later;
-                    }
-                    batches
-                });
-                let mut got = Vec::with_capacity(sent.len());
-                for max in maxes.iter().cycle() {
-                    if *max == 1 {
-                        match rx.recv() {
-                            Some(item) => got.push(item),
-                            None => break,
-                        }
-                    } else if rx.recv_batch(&mut got, *max) == 0 {
-                        break;
-                    }
-                }
-                (got, producer.join().expect("producer"))
-            });
-            assert_eq!(got, sent, "capacity {capacity:?}");
-            let stats = rx.stats();
-            assert_eq!(stats.sends, sent.len() as u64, "capacity {capacity:?}");
-            assert_eq!(stats.batched_sends, batches, "capacity {capacity:?}");
-            if capacity.is_none() {
-                assert_eq!(stats.full_stalls, 0, "an unbounded lane never stalls");
-            }
-        }
-    }
-
-    #[test]
-    fn receiver_drop_releases_a_producer_parked_on_a_full_lane() {
-        let (tx, rx) = spsc_channel_bounded::<u64>(2);
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                // Two fit; the third parks until the receiver goes away,
-                // after which every send is a drop.
-                for i in 0..100 {
-                    tx.send(i);
-                }
-                tx.send_batch((100..200).collect());
-            });
-            await_state(&rx.shared, |state| state.stalled);
-            assert_eq!(rx.shared.lock().items.len(), 2);
-            drop(rx);
-        });
-    }
-
-    #[test]
-    fn sends_after_the_receiver_is_gone_are_drops_and_never_block() {
-        for capacity in [Some(2), None] {
-            let (tx, rx) = match capacity {
-                Some(capacity) => spsc_channel_bounded(capacity),
-                None => spsc_channel(),
-            };
-            let payload = Arc::new(());
-            tx.send(Arc::clone(&payload));
-            drop(rx);
-            // Far more than a bounded lane holds, with nobody draining.
-            for _ in 0..10 {
-                tx.send(Arc::clone(&payload));
-            }
-            tx.send_batch(vec![Arc::clone(&payload); 10]);
-            // Only the item queued before the drop is still alive.
-            assert_eq!(Arc::strong_count(&payload), 2, "capacity {capacity:?}");
-            drop(tx);
-            assert_eq!(Arc::strong_count(&payload), 1, "capacity {capacity:?}");
-        }
-    }
-
-    #[test]
-    fn sender_drop_wakes_a_parked_receiver() {
-        let (tx, rx) = spsc_channel_bounded::<u8>(4);
-        std::thread::scope(|scope| {
-            let receiver = scope.spawn(move || rx.recv());
-            await_state(&tx.shared, |state| state.waiting);
-            drop(tx);
-            assert_eq!(receiver.join().expect("receiver"), None);
-        });
-    }
-
-    #[test]
-    fn full_stalls_count_one_per_stall() {
-        let (tx, rx) = spsc_channel_bounded::<u32>(2);
-        tx.send(1);
-        tx.send(2);
-        assert_eq!(tx.stats().full_stalls, 0, "filling the lane is not a stall");
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                tx.send(3);
-                tx.send_batch(vec![4, 5]);
-            });
-            // `send(3)` parks on the full lane; one recv lets it through.
-            await_state(&rx.shared, |state| state.stalled);
-            assert_eq!(rx.recv(), Some(1));
-            // The batch finds the lane full again (2, 3 queued); freeing
-            // both slots lets it through in one piece.
-            await_state(&rx.shared, |state| state.stalled);
-            let mut got = Vec::new();
-            assert_eq!(rx.recv_batch(&mut got, 8), 2);
-            while got.len() < 4 {
-                rx.recv_batch(&mut got, 8);
-            }
-            assert_eq!(got, vec![2, 3, 4, 5]);
-        });
-        let stats = rx.stats();
-        assert_eq!(stats.sends, 5);
-        assert_eq!(stats.full_stalls, 2, "{stats:?}");
-        // Each stall ended in one producer wakeup (consumer wakeups, if
-        // the drain loop outran the batch, come on top).
-        assert!(stats.wakeups >= 2, "{stats:?}");
-
-        let (tx, rx) = spsc_channel::<u32>();
-        tx.send_batch((0..10_000).collect());
-        tx.send(10_000);
-        assert_eq!(rx.stats().full_stalls, 0);
-    }
-
-    /// A consumer that takes an item only once the producer is parked on
-    /// a full lane (or done): maximal backpressure, and the queue is never
-    /// longer than the bound.
-    #[test]
-    fn queue_length_never_exceeds_capacity_under_a_slow_consumer() {
-        const CAPACITY: usize = 4;
-        let (tx, rx) = spsc_channel_bounded::<u32>(CAPACITY);
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                for i in 0..50 {
-                    tx.send(i);
-                }
-                // Batches above the bound are published in chunks.
-                tx.send_batch((50..150).collect());
-                tx.send_batch((150..153).collect());
-            });
-            let mut next = 0;
-            loop {
-                await_state(&rx.shared, |state| state.stalled || state.closed);
-                {
-                    let state = rx.shared.lock();
-                    assert!(
-                        state.items.len() <= CAPACITY,
-                        "{} queued",
-                        state.items.len()
-                    );
-                    assert!(!state.stalled || state.items.len() == CAPACITY);
-                }
-                match rx.recv() {
-                    Some(item) => {
-                        assert_eq!(item, next);
-                        next += 1;
-                    }
-                    None => break,
-                }
-            }
-            assert_eq!(next, 153);
-        });
-        // Every item past the first `CAPACITY` waited for its slot: one
-        // stall and one producer wakeup each (the consumer never parked).
-        let stats = rx.stats();
-        assert_eq!(stats.full_stalls, (153 - CAPACITY) as u64);
-        assert_eq!(stats.wakeups, stats.full_stalls);
-    }
 
     #[test]
     fn workers_preserve_per_shard_order() {
@@ -1231,6 +778,39 @@ mod tests {
         assert_eq!(replies, expect, "replies in command order");
     }
 
+    /// The runtime premise of `coach-serve`'s in-flight byte budget: a
+    /// worker's command lane and its handler hold at most
+    /// `COMMAND_LANE_CAPACITY + 1` commands, and a caller that outruns
+    /// the worker stalls instead of queueing more.
+    #[test]
+    fn a_worker_holds_at_most_capacity_plus_one_commands() {
+        const COMMANDS: usize = 6 * COMMAND_LANE_CAPACITY;
+        let finished = AtomicU64::new(0);
+        let (_, stats) = with_shard_threads(
+            vec![()],
+            |_, _, _: usize| {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                finished.fetch_add(1, Ordering::SeqCst);
+            },
+            |workers| {
+                for sent in 1..=COMMANDS {
+                    workers.send(0, sent);
+                    let held = sent as u64 - finished.load(Ordering::SeqCst);
+                    assert!(
+                        held <= COMMAND_LANE_CAPACITY as u64 + 1,
+                        "{held} commands held after send {sent}"
+                    );
+                }
+                for _ in 0..COMMANDS {
+                    workers.recv(0);
+                }
+                workers.lane_stats()
+            },
+        );
+        assert!(stats.full_stalls > 0, "{stats:?}");
+        assert_eq!(stats.sends, 2 * COMMANDS as u64);
+    }
+
     #[test]
     fn states_come_back_mutated() {
         let (states, ()) = with_shard_threads(
@@ -1325,6 +905,44 @@ mod tests {
                 a + b
             },
         );
+    }
+
+    /// A dead worker's command lane never blocks its caller, however many
+    /// commands more than the lane holds are sent to it: the caller
+    /// reaches the reply it will never get and surfaces the worker's
+    /// death instead of hanging.
+    #[test]
+    #[should_panic(expected = "terminated before replying")]
+    fn sends_to_a_dead_worker_never_block() {
+        let (done, finished) = std::sync::mpsc::channel::<()>();
+        let runner = std::thread::spawn(move || {
+            let _done = done;
+            with_shard_threads(
+                vec![0u8, 0u8],
+                |shard, _, _: usize| {
+                    if shard == 1 {
+                        panic!("worker boom");
+                    }
+                    0u8
+                },
+                |workers| {
+                    workers.send(1, 0);
+                    for cmd in 1..=4 * COMMAND_LANE_CAPACITY {
+                        workers.send(1, cmd);
+                    }
+                    workers.recv(1)
+                },
+            )
+        });
+        // The runner drops `done` when it returns or unwinds.
+        let blocked = finished.recv_timeout(std::time::Duration::from_secs(60));
+        assert!(
+            blocked != Err(std::sync::mpsc::RecvTimeoutError::Timeout),
+            "sends to a dead worker blocked"
+        );
+        if let Err(panic) = runner.join() {
+            resume_unwind(panic);
+        }
     }
 
     /// `cat` is a perfectly deterministic 1:1 frame echo: the length

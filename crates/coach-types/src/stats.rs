@@ -179,13 +179,6 @@ impl WindowStats {
         self.per_day_max[day * self.tw.count() + w].max(0.0)
     }
 
-    /// One day row of the flat buffer ([`WindowStats::UNCOVERED`] marks
-    /// cells without samples).
-    pub fn day_row(&self, day: usize) -> &[f32] {
-        let wcount = self.tw.count();
-        &self.per_day_max[day * wcount..(day + 1) * wcount]
-    }
-
     /// Maximum utilization of window `w` across all covered days ("lifetime
     /// time window max", Fig 7); 0.0 if the window was never covered.
     pub fn lifetime_max(&self, w: usize) -> f32 {
@@ -559,7 +552,6 @@ mod tests {
         assert_eq!(ws.day_max_or_zero(0, 0), 0.0);
         assert_eq!(ws.lifetime_max(1), 0.4);
         assert_eq!(ws.overall_max(), 0.4);
-        assert_eq!(ws.day_row(0)[0], WindowStats::UNCOVERED);
     }
 
     #[test]

@@ -14,8 +14,6 @@ pub const TICKS_PER_HOUR: u64 = 12;
 pub const TICKS_PER_DAY: u64 = 24 * TICKS_PER_HOUR;
 /// Ticks per week.
 pub const TICKS_PER_WEEK: u64 = 7 * TICKS_PER_DAY;
-/// Seconds per tick.
-pub const SECONDS_PER_TICK: u64 = 300;
 
 /// A point in simulated time, counted in 5-minute ticks since Monday 00:00.
 ///
@@ -149,16 +147,6 @@ impl SimDuration {
     /// In fractional hours.
     pub fn as_hours(self) -> f64 {
         self.0 as f64 / TICKS_PER_HOUR as f64
-    }
-
-    /// In fractional days.
-    pub fn as_days(self) -> f64 {
-        self.0 as f64 / TICKS_PER_DAY as f64
-    }
-
-    /// In seconds.
-    pub const fn as_seconds(self) -> u64 {
-        self.0 * SECONDS_PER_TICK
     }
 }
 
@@ -318,20 +306,6 @@ impl TimeWindows {
         (t.tick_of_day() / self.window_ticks()) as usize
     }
 
-    /// The tick range `[start, end)` of window `w` on day `day`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w >= self.count()`.
-    pub fn window_range(&self, day: u64, w: usize) -> (Timestamp, Timestamp) {
-        assert!(w < self.count(), "window index out of range");
-        let start = day * TICKS_PER_DAY + w as u64 * self.window_ticks();
-        (
-            Timestamp::from_ticks(start),
-            Timestamp::from_ticks(start + self.window_ticks()),
-        )
-    }
-
     /// Iterate all window indices.
     pub fn indices(&self) -> std::ops::Range<usize> {
         0..self.count()
@@ -378,9 +352,7 @@ mod tests {
     #[test]
     fn duration_conversions() {
         let d = SimDuration::from_days(2);
-        assert_eq!(d.as_days(), 2.0);
         assert_eq!(d.as_hours(), 48.0);
-        assert_eq!(d.as_seconds(), 2 * 24 * 3600);
         assert_eq!(d.to_string(), "2d");
         assert_eq!(SimDuration::from_hours(3).to_string(), "3h");
         assert_eq!(SimDuration::from_ticks(1).to_string(), "5m");
@@ -415,20 +387,6 @@ mod tests {
         assert_eq!(tw.window_of(Timestamp::from_hours(23)), 5);
         // Window boundaries are inclusive at start, exclusive at end.
         assert_eq!(tw.window_of(Timestamp::from_hours(4)), 1);
-    }
-
-    #[test]
-    fn window_ranges_partition_day() {
-        for wpd in [1u32, 2, 3, 4, 6, 8, 12, 24, 288] {
-            let tw = TimeWindows::new(wpd);
-            let mut covered = 0;
-            for w in tw.indices() {
-                let (s, e) = tw.window_range(3, w);
-                covered += e.ticks() - s.ticks();
-                assert_eq!(tw.window_of(s), w);
-            }
-            assert_eq!(covered, TICKS_PER_DAY);
-        }
     }
 
     #[test]

@@ -79,11 +79,6 @@ impl WindowVec {
     pub fn spilled(&self) -> bool {
         (self.len as usize) > Self::INLINE
     }
-
-    /// Heap bytes owned by this buffer (zero unless spilled).
-    pub fn heap_bytes(&self) -> usize {
-        self.spill.capacity() * std::mem::size_of::<ResourceVec>()
-    }
 }
 
 impl Default for WindowVec {
@@ -170,7 +165,6 @@ mod tests {
         }
         assert_eq!(w.len(), WindowVec::INLINE);
         assert!(!w.spilled());
-        assert_eq!(w.heap_bytes(), 0);
         for (i, v) in w.iter().enumerate() {
             assert_eq!(*v, ResourceVec::splat(i as f64));
         }
@@ -182,7 +176,6 @@ mod tests {
         let w: WindowVec = (0..n).map(|i| ResourceVec::splat(i as f64)).collect();
         assert_eq!(w.len(), n);
         assert!(w.spilled());
-        assert!(w.heap_bytes() > 0);
         for i in 0..n {
             assert_eq!(w[i], ResourceVec::splat(i as f64));
         }

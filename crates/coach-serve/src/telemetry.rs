@@ -22,8 +22,9 @@
 //! record every occurrence.
 //!
 //! Which stage bounds a session the lane counters say: full stalls are a
-//! dispatcher waiting on placement, and the other parks, counted at the
-//! endpoint that sleeps, mostly a worker waiting on ingest and derive.
+//! dispatcher waiting on placement, and the rest of the wakeups (receives
+//! that found their lane empty, an upper bound on the other parks) mostly
+//! a worker waiting on ingest and derive.
 //!
 //! The registry is the one home of what depends on wall time or thread
 //! scheduling — admission latency, lane traffic, worker restarts. None of
@@ -87,10 +88,11 @@ pub mod metric {
         "coach_serve_lane_batched_sends_total",
         "send_batch handoffs on worker lanes.",
     );
-    /// Lane parks, counted at the endpoint that sleeps (no labels).
+    /// Lane parks, counted at the endpoint that may sleep: receives that
+    /// found their lane empty plus full stalls, an upper bound (no labels).
     pub const LANE_WAKEUPS: MetricId = MetricId::new(
         "coach_serve_lane_wakeups_total",
-        "Parks on worker lanes, counted at the endpoint that sleeps.",
+        "Empty-lane receives plus full stalls on worker lanes (an upper bound on parks).",
     );
     /// Producer stalls on full command lanes (no labels).
     pub const LANE_FULL_STALLS: MetricId = MetricId::new(

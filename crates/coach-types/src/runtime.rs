@@ -50,15 +50,17 @@ pub struct LaneStats {
     /// once).
     pub sends: u64,
     /// `send_batch` calls — `sends / batched_sends` is the mean handoff
-    /// size, and `wakeups / batched_sends` the wakeups-per-segment rate.
+    /// size.
     pub batched_sends: u64,
-    /// Parks, counted at the endpoint that sleeps: a worker or the caller
-    /// that found its lane empty, or a caller that found a command lane
-    /// full. Every park ends in one wake, so this is how often a handoff
-    /// found its peer asleep (or behind) instead of running.
+    /// Parks, counted at the endpoint that may sleep: each receive (a
+    /// worker's or the caller's) that found its lane empty, plus each full
+    /// stall. A receiver that finds the lane empty may still take an item
+    /// without sleeping, so this is an upper bound on parks: how often a
+    /// handoff found its peer behind instead of ahead.
     pub wakeups: u64,
     /// Times the caller found a command lane full and had to stall for
-    /// the worker (backpressure events; reply lanes never stall).
+    /// the worker (backpressure events; reply lanes never stall). Each is
+    /// also counted in `wakeups`.
     pub full_stalls: u64,
 }
 
@@ -222,8 +224,7 @@ impl<Cmd, Res> ShardWorkers<Cmd, Res> {
 /// off its lane one at a time, applies `handler(shard, &mut state, cmd)`
 /// to each, and sends the results back on its reply lane — so per-shard
 /// command order is execution order, and consecutive commands to the same
-/// shard never pay a thread spawn (or, with batched sends, more than one
-/// wakeup). When `body` returns, the command lanes close, the workers
+/// shard never pay a thread spawn. When `body` returns, the command lanes close, the workers
 /// drain and exit, and the (mutated) states are returned alongside
 /// `body`'s result.
 ///
@@ -258,9 +259,10 @@ where
                 let counters = Arc::clone(&counters);
                 scope.spawn(move || {
                     while let Some(cmd) = counters.recv(&cmd_rx) {
+                        let reply = handler(shard, &mut state, cmd);
                         LaneCounters::count(&counters.sends, 1);
                         // A caller that stopped listening drops the reply.
-                        let _ = res_tx.send(handler(shard, &mut state, cmd));
+                        let _ = res_tx.send(reply);
                     }
                     state
                 })

@@ -390,6 +390,22 @@ mod tests {
     }
 
     #[test]
+    fn window_ranges_partition_day() {
+        for wpd in [1u32, 2, 3, 4, 6, 8, 12, 24, 288] {
+            let tw = TimeWindows::new(wpd);
+            assert_eq!(tw.window_ticks() * tw.count() as u64, TICKS_PER_DAY);
+            for w in tw.indices() {
+                let s = Timestamp::from_ticks(3 * TICKS_PER_DAY + w as u64 * tw.window_ticks());
+                assert_eq!(tw.window_of(s), w);
+                assert_eq!(
+                    tw.window_of(s + SimDuration::from_ticks(tw.window_ticks() - 1)),
+                    w
+                );
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "must divide")]
     fn invalid_window_count_panics() {
         let _ = TimeWindows::new(5); // 288 / 5 is not integral

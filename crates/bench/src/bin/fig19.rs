@@ -35,6 +35,9 @@ fn main() {
             r.vms_evaluated
         );
     }
-    println!("\npaper: over-allocation 23-30% CPU / 19-24% memory, decreasing with the");
-    println!("percentile; under-allocations rare (CPU 3-8%, memory 1-2%).");
+    println!("\nover: mean max(0, predicted - ideal guaranteed share) per VM, in units of");
+    println!("the VM's requested size; under: share of VMs more than one 5% bucket of");
+    println!("their size below the ideal.");
+    println!("paper: over-allocation 23-30% CPU / 19-24% memory of the allocation,");
+    println!("decreasing with the percentile; under-allocations rare (CPU 3-8%, memory 1-2%).");
 }

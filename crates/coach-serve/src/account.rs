@@ -37,63 +37,48 @@
 //! too.
 //!
 //! **What it keeps, and for how long.** State is a function of what is
-//! resident, not of what has streamed. A tracked VM is a self-contained
+//! resident, not of what has streamed. A tracked VM is a 128-byte
 //! `VmEntry` holding exactly what a sample reads — no trace record, no
 //! demand vector — so the accountant borrows nothing from the request
-//! stream and a snapshot carries its entries as they are. An entry is
-//! dropped at the first sample at or after its departure, which its server
-//! evaluates within `SWEEP_SAMPLES + 1` samples of that departure (one at
-//! a flush point); a VM no remaining sample can see (it departs by its server's
-//! next sample, or that sample is past the horizon) is never stored; and
-//! nothing outlives the last sample. Each server keeps one buffer, shrunk
-//! as it drains.
+//! stream. What repeats across entries is kept once: the sampler's
+//! per-template half ([`SamplerShape`]: the pattern class and each
+//! resource's bump width, noise, weekend factor and drift) sits in a
+//! reference-counted table that every entry indexes, next to the per-VM
+//! half in the entry; and a Formula 2 VA vector whose values are all
+//! `+0.0` (most of them: memory's peak rarely exceeds its guaranteed
+//! share) is kept as its length alone. A snapshot carries every entry
+//! whole (`EntryDump`). An entry is dropped at the first sample at or
+//! after its departure, which its server evaluates within
+//! `SWEEP_SAMPLES + 1` samples of that departure (one at a flush point); a
+//! VM no remaining sample can see (it departs by its server's next sample,
+//! or that sample is past the horizon) is never stored; a shape leaves the
+//! table with its last entry; and nothing outlives the last sample. Each
+//! server keeps one buffer, shrunk as it drains.
 
 use coach_sched::VmDemand;
-use coach_trace::{UtilSampler, VmRecord};
+use coach_trace::{SamplerShape, SamplerVm, UtilSampler, VmRecord};
 use coach_types::prelude::*;
+use coach_types::BuildIdHasher;
 use coach_wire::WireError;
+use std::collections::HashMap;
 
-/// A VM's Formula 2 oversubscribed memory per window — inline for up to
-/// [`WindowVec::INLINE`] windows (no heap per VM), spilling beyond.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum VaMem {
-    Inline {
-        len: u8,
-        vals: [f64; WindowVec::INLINE],
-    },
-    Spilled(Box<[f64]>),
-}
+/// What an elided VA vector reads: `+0.0`, as many as its length says.
+static ZEROS: [f64; u8::MAX as usize] = [0.0; u8::MAX as usize];
 
-impl VaMem {
-    pub(crate) fn as_slice(&self) -> &[f64] {
-        match self {
-            VaMem::Inline { len, vals } => &vals[..*len as usize],
-            VaMem::Spilled(vals) => vals,
-        }
+/// A VA vector as an entry keeps it: `(None, len)` when every value's
+/// bits are `+0.0` and `len` fits the count, else the values themselves.
+/// A `-0.0`, a NaN or a negative value is kept as it is.
+fn elide(va_mem: impl Iterator<Item = f64> + Clone) -> (Option<Box<[f64]>>, u8) {
+    match u8::try_from(va_mem.clone().count()) {
+        Ok(len) if va_mem.clone().all(|v| v.to_bits() == 0) => (None, len),
+        _ => (Some(va_mem.collect()), 0),
     }
 }
 
-impl FromIterator<f64> for VaMem {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        let mut iter = iter.into_iter();
-        let mut vals = [0.0; WindowVec::INLINE];
-        let mut len = 0;
-        for v in iter.by_ref().take(WindowVec::INLINE) {
-            vals[len] = v;
-            len += 1;
-        }
-        match iter.next() {
-            None => VaMem::Inline {
-                len: len as u8,
-                vals,
-            },
-            Some(next) => VaMem::Spilled(vals.into_iter().chain([next]).chain(iter).collect()),
-        }
-    }
-}
-
-/// A placed VM as the accountant tracks it: exactly what a sample reads.
-#[derive(Debug, Clone, PartialEq)]
+/// A placed VM as the accountant tracks it: exactly what a sample reads,
+/// with its sampler's per-template half in the accountant's
+/// [`ShapeTable`].
+#[derive(Debug, Clone)]
 pub(crate) struct VmEntry {
     pub id: VmId,
     pub arrival: Timestamp,
@@ -106,16 +91,28 @@ pub(crate) struct VmEntry {
     /// Formula 1's guaranteed memory.
     pub guar_mem: f64,
     /// Formula 2's oversubscribed memory per window — identical
-    /// arithmetic to `VmDemand::va_demand(w).memory()`.
-    pub va_mem: VaMem,
-    /// CPU and memory utilization at a time — `VmProfile::util_at`'s bits.
-    pub util: UtilSampler,
+    /// arithmetic to `VmDemand::va_demand(w).memory()` — or `None` for
+    /// `zeros` values that are all `+0.0`.
+    va_mem: Option<Box<[f64]>>,
+    zeros: u8,
+    /// The sampler's per-VM half; `shape` is its per-template half's slot.
+    util: SamplerVm,
+    shape: u32,
 }
 
+const _: () = assert!(std::mem::size_of::<VmEntry>() <= 128);
+
 impl VmEntry {
-    fn new(rec: &VmRecord, demand: &VmDemand) -> Self {
+    fn new(rec: &VmRecord, demand: &VmDemand, shapes: &mut ShapeTable) -> Self {
         let requested = rec.demand();
         let guar_mem = demand.guaranteed.memory();
+        let (va_mem, zeros) = elide(
+            demand
+                .window_max
+                .iter()
+                .map(|w| (w.memory() - guar_mem).max(0.0)),
+        );
+        let (shape, util) = rec.profile.sampler().split();
         VmEntry {
             id: rec.id,
             arrival: rec.arrival,
@@ -123,18 +120,113 @@ impl VmEntry {
             req_cpu: requested.cpu(),
             req_mem: requested.memory(),
             guar_mem,
-            va_mem: demand
-                .window_max
-                .iter()
-                .map(|w| (w.memory() - guar_mem).max(0.0))
-                .collect(),
-            util: rec.profile.sampler(),
+            va_mem,
+            zeros,
+            util,
+            shape: shapes.intern(shape),
+        }
+    }
+
+    /// A dumped entry, its shape interned in `shapes`.
+    fn restore(dump: EntryDump, shapes: &mut ShapeTable) -> Self {
+        let (va_mem, zeros) = elide(dump.va_mem.iter().copied());
+        let (shape, util) = dump.util.split();
+        VmEntry {
+            id: dump.id,
+            arrival: dump.arrival,
+            depart: dump.depart,
+            req_cpu: dump.req_cpu,
+            req_mem: dump.req_mem,
+            guar_mem: dump.guar_mem,
+            va_mem,
+            zeros,
+            util,
+            shape: shapes.intern(shape),
+        }
+    }
+
+    /// Formula 2's VA memory per window.
+    fn va_mem(&self) -> &[f64] {
+        match &self.va_mem {
+            Some(vals) => vals,
+            None => &ZEROS[..self.zeros as usize],
+        }
+    }
+
+    /// The whole sampler: `VmProfile::util_at`'s bits.
+    fn util(&self, shapes: &ShapeTable) -> UtilSampler {
+        UtilSampler::join(&shapes.shapes[self.shape as usize], &self.util)
+    }
+
+    fn dump(&self, shapes: &ShapeTable) -> EntryDump {
+        EntryDump {
+            id: self.id,
+            arrival: self.arrival,
+            depart: self.depart,
+            req_cpu: self.req_cpu,
+            req_mem: self.req_mem,
+            guar_mem: self.guar_mem,
+            va_mem: self.va_mem().to_vec(),
+            util: self.util(shapes),
+        }
+    }
+}
+
+/// The distinct sampler shapes the tracked entries point at, each kept
+/// once with a count of the entries that point at it. A shape leaves with
+/// its last entry, and the table starts afresh once it is empty, so what it
+/// holds is a function of what is tracked. Shapes are keyed by their bits
+/// under the fixed [`BuildIdHasher`]: they are the trace model's template
+/// parameters, which the platform assigns, not values a tenant picks.
+#[derive(Debug, Clone, Default)]
+struct ShapeTable {
+    shapes: Vec<SamplerShape>,
+    refs: Vec<u32>,
+    /// Slots whose shape left, for the next new shape.
+    free: Vec<u32>,
+    slots: HashMap<[u64; 9], u32, BuildIdHasher>,
+}
+
+impl ShapeTable {
+    /// The slot holding `shape`, with one more reference.
+    fn intern(&mut self, shape: SamplerShape) -> u32 {
+        let (shapes, refs, free) = (&mut self.shapes, &mut self.refs, &mut self.free);
+        let slot = *self
+            .slots
+            .entry(shape.bits())
+            .or_insert_with(|| match free.pop() {
+                Some(slot) => {
+                    shapes[slot as usize] = shape;
+                    slot
+                }
+                None => {
+                    shapes.push(shape);
+                    refs.push(0);
+                    (shapes.len() - 1) as u32
+                }
+            });
+        self.refs[slot as usize] += 1;
+        slot
+    }
+
+    /// Drop one reference to `slot`'s shape.
+    fn release(&mut self, slot: u32) {
+        let refs = &mut self.refs[slot as usize];
+        *refs -= 1;
+        if *refs > 0 {
+            return;
+        }
+        if self.slots.len() == 1 {
+            *self = ShapeTable::default();
+        } else {
+            self.slots.remove(&self.shapes[slot as usize].bits());
+            self.free.push(slot);
         }
     }
 }
 
 /// One server's incremental sampling state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub(crate) struct ServerAccount {
     pub server: ServerId,
     pub capacity: ResourceVec,
@@ -178,10 +270,49 @@ impl ServerAccount {
         }
     }
 
-    /// Derive the ceiling sums from the admitted prefix (a decoded account
-    /// carries none).
-    pub(crate) fn sum_ceilings(&mut self) {
-        self.ceiling_sums = ceiling_sums(&self.entries[..self.admitted]);
+    /// The account with every entry whole.
+    fn dump(&self, shapes: &ShapeTable) -> ServerDump {
+        ServerDump {
+            server: self.server,
+            capacity: self.capacity,
+            next_sample: self.next_sample,
+            entries: self.entries.iter().map(|e| e.dump(shapes)).collect(),
+            admitted: self.admitted,
+            pa_sum: self.pa_sum,
+            va_sums: self.va_sums.clone(),
+            samples: self.samples,
+            cpu_violations: self.cpu_violations,
+            mem_violations: self.mem_violations,
+        }
+    }
+
+    /// A dumped account, its entries' shapes interned in `shapes`.
+    fn restore(dump: ServerDump, shapes: &mut ShapeTable) -> Self {
+        let mut account = ServerAccount {
+            server: dump.server,
+            capacity: dump.capacity,
+            next_sample: dump.next_sample,
+            entries: dump
+                .entries
+                .into_iter()
+                .map(|e| VmEntry::restore(e, shapes))
+                .collect(),
+            admitted: dump.admitted,
+            pa_sum: dump.pa_sum,
+            va_sums: dump.va_sums,
+            ceiling_sums: [0.0; 2],
+            samples: dump.samples,
+            cpu_violations: dump.cpu_violations,
+            mem_violations: dump.mem_violations,
+        };
+        account.sum_ceilings(shapes);
+        account
+    }
+
+    /// Derive the ceiling sums from the admitted prefix (a dump carries
+    /// none).
+    fn sum_ceilings(&mut self, shapes: &ShapeTable) {
+        self.ceiling_sums = ceiling_sums(&self.entries[..self.admitted], shapes);
     }
 
     /// Evaluate every sample strictly before `up_to` (and before the
@@ -191,6 +322,7 @@ impl ServerAccount {
         up_to: Timestamp,
         horizon: Timestamp,
         sample_every: SimDuration,
+        shapes: &mut ShapeTable,
         work: &mut AccountWork,
     ) {
         let bound = up_to.min(horizon);
@@ -203,11 +335,14 @@ impl ServerAccount {
                 self.next_sample = Timestamp::from_ticks(ticks);
                 break;
             }
-            self.sample(self.next_sample, work);
+            self.sample(self.next_sample, shapes, work);
             self.next_sample += sample_every;
         }
         if self.next_sample >= horizon && !self.entries.is_empty() {
             // Past the last sample nothing reads an entry again.
+            for e in &self.entries {
+                shapes.release(e.shape);
+            }
             self.entries = Vec::new();
             self.admitted = 0;
             self.ceiling_sums = [0.0; 2];
@@ -217,7 +352,7 @@ impl ServerAccount {
     /// Evaluate the sample at `t`. Admission, retirement, summation, and
     /// comparison order all mirror the batch sweep exactly: every addition
     /// in placement order, then every subtraction in admission order.
-    fn sample(&mut self, t: Timestamp, work: &mut AccountWork) {
+    fn sample(&mut self, t: Timestamp, shapes: &mut ShapeTable, work: &mut AccountWork) {
         // Admit VMs that have arrived by now, skipping any that already
         // departed (an early departure before the VM's first sample: it
         // never touches the sums — exactly as the batch sweep skips it).
@@ -226,7 +361,7 @@ impl ServerAccount {
         while let Some(e) = self.entries.get(arrived).filter(|e| e.arrival <= t) {
             if e.depart > t {
                 self.pa_sum += e.guar_mem;
-                let va = e.va_mem.as_slice();
+                let va = e.va_mem();
                 if self.va_sums.len() < va.len() {
                     self.va_sums.resize(va.len(), 0.0);
                 }
@@ -255,10 +390,11 @@ impl ServerAccount {
             }
             if i < was_admitted {
                 *pa_sum -= e.guar_mem;
-                for (sum, v) in va_sums.iter_mut().zip(e.va_mem.as_slice()) {
+                for (sum, v) in va_sums.iter_mut().zip(e.va_mem()) {
                     *sum -= v;
                 }
             }
+            shapes.release(e.shape);
             false
         });
         self.admitted = kept;
@@ -266,7 +402,7 @@ impl ServerAccount {
             self.entries.shrink_to(self.entries.len() * 2);
         }
         if changed {
-            self.sum_ceilings();
+            self.sum_ceilings(shapes);
             work.ceiling_recomputes += 1;
         }
 
@@ -286,7 +422,7 @@ impl ServerAccount {
                 work.cpu_exact += 1;
                 let used = resident
                     .iter()
-                    .fold(0.0, |sum, e| sum + e.req_cpu * e.util.cpu_at(t));
+                    .fold(0.0, |sum, e| sum + e.req_cpu * e.util(shapes).cpu_at(t));
                 if used > cpu_limit {
                     self.cpu_violations += 1;
                 }
@@ -302,7 +438,7 @@ impl ServerAccount {
                 work.mem_exact += 1;
                 let used = resident
                     .iter()
-                    .fold(0.0, |sum, e| sum + e.req_mem * e.util.memory_at(t));
+                    .fold(0.0, |sum, e| sum + e.req_mem * e.util(shapes).memory_at(t));
                 if used > mem_limit {
                     self.mem_violations += 1;
                 }
@@ -318,7 +454,7 @@ impl ServerAccount {
 /// does not cross a threshold cannot cross it either. A term the sign
 /// argument does not cover (a negative or NaN request, or `∞ · 0`) is
 /// `+∞`, so its server is always sampled exactly.
-fn ceiling_sums(admitted: &[VmEntry]) -> [f64; 2] {
+fn ceiling_sums(admitted: &[VmEntry], shapes: &ShapeTable) -> [f64; 2] {
     let term = |req: f64, ceiling: f64| {
         let term = req * ceiling;
         if req >= 0.0 && term >= 0.0 {
@@ -328,7 +464,7 @@ fn ceiling_sums(admitted: &[VmEntry]) -> [f64; 2] {
         }
     };
     admitted.iter().fold([0.0; 2], |[cpu, mem], e| {
-        let (cpu_ceiling, mem_ceiling) = e.util.ceilings();
+        let (cpu_ceiling, mem_ceiling) = e.util(shapes).ceilings();
         [
             cpu + term(e.req_cpu, cpu_ceiling),
             mem + term(e.req_mem, mem_ceiling),
@@ -383,6 +519,8 @@ pub struct ViolationAccountant {
     /// sweep strides over, and the dump's.
     servers: Vec<ServerAccount>,
     index: IdMap<ServerId, u32>,
+    /// The per-template halves of the tracked entries' samplers.
+    shapes: ShapeTable,
     work: AccountWork,
 }
 
@@ -396,6 +534,7 @@ impl ViolationAccountant {
             swept_to: Timestamp::ZERO,
             servers: Vec::new(),
             index: IdMap::default(),
+            shapes: ShapeTable::default(),
             work: AccountWork::default(),
         }
     }
@@ -422,7 +561,13 @@ impl ViolationAccountant {
         for tick in from..=to {
             let class = (tick % period) as usize;
             for account in self.servers.iter_mut().skip(class).step_by(period as usize) {
-                account.catch_up(now, self.horizon, self.sample_every, &mut self.work);
+                account.catch_up(
+                    now,
+                    self.horizon,
+                    self.sample_every,
+                    &mut self.shapes,
+                    &mut self.work,
+                );
             }
         }
     }
@@ -442,12 +587,20 @@ impl ViolationAccountant {
             self.servers.push(ServerAccount::new(server, capacity));
         }
         let account = &mut self.servers[i];
-        account.catch_up(rec.arrival, self.horizon, self.sample_every, &mut self.work);
+        account.catch_up(
+            rec.arrival,
+            self.horizon,
+            self.sample_every,
+            &mut self.shapes,
+            &mut self.work,
+        );
         // The first sample that could admit this VM is the server's next.
         // If the VM is gone by then, or there is no such sample, no sample
         // ever reads it (the batch sweep skips it the same way).
         if rec.departure > account.next_sample && account.next_sample < self.horizon {
-            account.entries.push(VmEntry::new(rec, demand));
+            account
+                .entries
+                .push(VmEntry::new(rec, demand, &mut self.shapes));
         }
     }
 
@@ -459,7 +612,13 @@ impl ViolationAccountant {
             return;
         };
         let account = &mut self.servers[i as usize];
-        account.catch_up(now, self.horizon, self.sample_every, &mut self.work);
+        account.catch_up(
+            now,
+            self.horizon,
+            self.sample_every,
+            &mut self.shapes,
+            &mut self.work,
+        );
         for e in account.entries.iter_mut().filter(|e| e.id == vm) {
             e.depart = e.depart.min(now);
         }
@@ -468,7 +627,13 @@ impl ViolationAccountant {
     /// Evaluate all servers' samples strictly before `now`.
     pub fn advance(&mut self, now: Timestamp) {
         for account in &mut self.servers {
-            account.catch_up(now, self.horizon, self.sample_every, &mut self.work);
+            account.catch_up(
+                now,
+                self.horizon,
+                self.sample_every,
+                &mut self.shapes,
+                &mut self.work,
+            );
         }
         self.swept_to = self.swept_to.max(now);
     }
@@ -497,7 +662,10 @@ impl ViolationAccountant {
         self.servers.iter().map(|a| a.entries.len()).sum()
     }
 
-    /// Copy out the full sampling state for the snapshot codec.
+    /// Copy out the full sampling state for the snapshot codec, every
+    /// entry whole: its sampler joined from the shape table and its VA
+    /// vector at its length, so a dump — and equality of dumps — never sees
+    /// a table slot.
     ///
     /// Servers travel in first-placement order — a function of the event
     /// stream, not of the index map's layout — and each server's entry
@@ -509,7 +677,11 @@ impl ViolationAccountant {
     pub(crate) fn dump(&self) -> AccountantDump {
         AccountantDump {
             swept_to: self.swept_to,
-            servers: self.servers.clone(),
+            servers: self
+                .servers
+                .iter()
+                .map(|account| account.dump(&self.shapes))
+                .collect(),
         }
     }
 
@@ -541,12 +713,19 @@ impl ViolationAccountant {
                 });
             }
         }
+        let mut shapes = ShapeTable::default();
+        let servers = dump
+            .servers
+            .into_iter()
+            .map(|account| ServerAccount::restore(account, &mut shapes))
+            .collect();
         Ok(ViolationAccountant {
             sample_every,
             horizon,
             swept_to: dump.swept_to,
-            servers: dump.servers,
+            servers,
             index,
+            shapes,
             work: AccountWork::default(),
         })
     }
@@ -558,7 +737,37 @@ impl ViolationAccountant {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct AccountantDump {
     pub swept_to: Timestamp,
-    pub servers: Vec<ServerAccount>,
+    pub servers: Vec<ServerDump>,
+}
+
+/// A [`ServerAccount`] as a dump carries it: everything but the ceiling
+/// sums, which restoring derives.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ServerDump {
+    pub server: ServerId,
+    pub capacity: ResourceVec,
+    pub next_sample: Timestamp,
+    pub entries: Vec<EntryDump>,
+    pub admitted: usize,
+    pub pa_sum: f64,
+    pub va_sums: Vec<f64>,
+    pub samples: u64,
+    pub cpu_violations: u64,
+    pub mem_violations: u64,
+}
+
+/// A [`VmEntry`] as a dump carries it: the whole [`UtilSampler`] and the VA
+/// vector at its length.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct EntryDump {
+    pub id: VmId,
+    pub arrival: Timestamp,
+    pub depart: Timestamp,
+    pub req_cpu: f64,
+    pub req_mem: f64,
+    pub guar_mem: f64,
+    pub va_mem: Vec<f64>,
+    pub util: UtilSampler,
 }
 
 #[cfg(test)]
@@ -762,13 +971,114 @@ mod tests {
         assert_eq!(acc.totals().0, 2, "the 0 h and 2 h samples saw it");
     }
 
+    /// One server's dump holding an admitted entry and one arriving at
+    /// the next sample, both with VA vector `va` and `vm`'s sampler, and
+    /// running sums of `-0.0`.
+    fn one_server_dump(vm: &VmRecord, va: &[f64]) -> AccountantDump {
+        let entry = |arrival| EntryDump {
+            id: vm.id,
+            arrival,
+            depart: Timestamp::from_days(30),
+            req_cpu: 2.0,
+            req_mem: 8.0,
+            guar_mem: 4.0,
+            va_mem: va.to_vec(),
+            util: vm.profile.sampler(),
+        };
+        AccountantDump {
+            swept_to: Timestamp::ZERO,
+            servers: vec![ServerDump {
+                server: ServerId::new(3),
+                capacity: ResourceVec::new(96.0, 384.0, 40.0, 4096.0),
+                next_sample: Timestamp::from_hours(2),
+                entries: vec![entry(Timestamp::ZERO), entry(Timestamp::from_hours(1))],
+                admitted: 1,
+                pa_sum: -0.0,
+                va_sums: vec![-0.0; va.len()],
+                samples: 1,
+                cpu_violations: 0,
+                mem_violations: 0,
+            }],
+        }
+    }
+
+    /// A VA vector whose values are all `+0.0` is kept as its length, up
+    /// to 255; any other is kept as it is. Either way a decoded entry
+    /// re-encodes byte for byte, and admitting an elided vector still adds
+    /// its zeros: a `-0.0` running sum turns `+0.0`, as it always did.
     #[test]
-    fn an_entry_stays_under_240_bytes() {
-        assert!(std::mem::size_of::<VmEntry>() <= 240);
-        let spilled: VaMem = (0..8).map(f64::from).collect();
-        assert!(matches!(spilled, VaMem::Spilled(_)));
-        assert_eq!(spilled.as_slice().len(), 8);
-        assert_eq!(spilled.as_slice()[7], 7.0);
+    fn hostile_va_vectors_reencode_byte_identically() {
+        let trace = generate(&TraceConfig::small(7));
+        let nan = f64::from_bits(f64::NAN.to_bits() | 5);
+        let vectors: [Vec<f64>; 9] = [
+            vec![-0.0],
+            vec![0.0, nan, 0.0],
+            vec![0.0, -2.5],
+            vec![0.0],
+            vec![0.0; 6],
+            vec![0.0; 8],
+            (0..8).map(f64::from).collect(),
+            vec![0.0; 300],
+            vec![],
+        ];
+        let (every, horizon) = (SimDuration::from_hours(2), trace.horizon);
+        for va in vectors {
+            let bytes = coach_wire::seal_frame(&one_server_dump(&trace.vms[0], &va));
+            let dump = coach_wire::open_frame(&bytes).expect("a valid frame");
+            let mut acc = ViolationAccountant::from_dump(every, horizon, dump).expect("valid");
+            assert_eq!(coach_wire::seal_frame(&acc.dump()), bytes, "{va:?}");
+
+            let elided = va.len() <= 255 && va.iter().all(|v| v.to_bits() == 0);
+            for e in &acc.servers[0].entries {
+                assert_eq!(e.va_mem.is_none(), elided, "{va:?}");
+                assert_eq!(e.va_mem().len(), va.len());
+            }
+            acc.advance(Timestamp::from_hours(3));
+            let sums = &acc.servers[0].va_sums;
+            for (sum, v) in sums.iter().zip(&va) {
+                assert_eq!(sum.to_bits(), (-0.0 + v).to_bits(), "{va:?}");
+            }
+        }
+    }
+
+    /// The shape table holds one reference per tracked entry and no shape
+    /// no entry points at, through placements, flushes and a restore, and
+    /// is empty once sampling is over; VMs of one template share a shape.
+    #[test]
+    fn the_shape_table_follows_what_is_tracked() {
+        let trace = generate(&TraceConfig::small(13));
+        let capacity = ResourceVec::new(96.0, 384.0, 40.0, 4096.0);
+        let check = |acc: &ViolationAccountant| {
+            let refs: usize = acc.shapes.refs.iter().map(|&r| r as usize).sum();
+            assert_eq!(refs, acc.tracked());
+            assert!(acc.shapes.slots.len() <= acc.tracked());
+        };
+        let mut acc = ViolationAccountant::new(SimDuration::from_hours(2), trace.horizon);
+        let (mut shared, mut restored) = (false, false);
+        for (i, vm) in trace.vms.iter().enumerate() {
+            let demand = VmDemand::unpredicted(vm.id, vm.demand());
+            acc.on_placed(ServerId::new((i % 5) as u64), capacity, vm, &demand);
+            check(&acc);
+            shared |= acc.shapes.slots.len() < acc.tracked();
+            if i % 16 == 15 {
+                acc.advance(vm.arrival);
+                check(&acc);
+            }
+            if !restored && acc.tracked() > 50 {
+                let copy =
+                    ViolationAccountant::from_dump(acc.sample_every, acc.horizon, acc.dump())
+                        .expect("valid dump");
+                check(&copy);
+                assert_eq!(copy.shapes.slots.len(), acc.shapes.slots.len());
+                assert_eq!(copy.dump(), acc.dump());
+                restored = true;
+            }
+        }
+        assert!(shared && restored);
+        acc.finish();
+        assert_eq!(acc.tracked(), 0);
+        assert_eq!(acc.shapes.slots.len(), 0);
+        assert!(acc.shapes.refs.is_empty());
     }
 
     /// With the cadence at or past the horizon only the t=0 sample exists:
@@ -979,12 +1289,14 @@ mod tests {
                 let trace = generate(&TraceConfig::small(seed));
                 let rec = &trace.vms[vm % trace.vms.len()];
                 let demand = VmDemand::unpredicted(rec.id, rec.demand());
-                let entry = VmEntry::new(rec, &demand);
+                let mut shapes = ShapeTable::default();
+                let entry = VmEntry::new(rec, &demand, &mut shapes);
+                let util = entry.util(&shapes);
                 for t in ticks.into_iter().map(Timestamp::from_ticks) {
                     let cpu = rec.profile.util_at(ResourceKind::Cpu, t);
                     let mem = rec.profile.util_at(ResourceKind::Memory, t);
-                    prop_assert_eq!(entry.util.cpu_at(t).to_bits(), cpu.to_bits());
-                    prop_assert_eq!(entry.util.memory_at(t).to_bits(), mem.to_bits());
+                    prop_assert_eq!(util.cpu_at(t).to_bits(), cpu.to_bits());
+                    prop_assert_eq!(util.memory_at(t).to_bits(), mem.to_bits());
                     prop_assert_eq!(
                         (entry.req_cpu * cpu).to_bits(),
                         (rec.demand().cpu() * cpu).to_bits()

@@ -8,7 +8,7 @@
 //! IEEE-754 bits, and neither decode nor restore panics on malformed or
 //! inconsistent bytes: both end in a [`WireError`].
 
-use crate::account::{AccountantDump, ServerAccount, VmEntry};
+use crate::account::{AccountantDump, EntryDump, ServerDump};
 use crate::controller::{ControllerDump, ServeConfig};
 use crate::request::{Request, Response, StatsReport};
 use crate::shard::ShardSnapshot;
@@ -208,7 +208,7 @@ fn decode_registry_snapshot(d: &mut Decoder<'_>) -> Result<RegistrySnapshot, Wir
     Ok(RegistrySnapshot { entries })
 }
 
-impl Encode for VmEntry {
+impl Encode for EntryDump {
     fn encode(&self, e: &mut Encoder) {
         self.id.encode(e);
         self.arrival.encode(e);
@@ -216,31 +216,27 @@ impl Encode for VmEntry {
         e.f64(self.req_cpu);
         e.f64(self.req_mem);
         e.f64(self.guar_mem);
-        let va_mem = self.va_mem.as_slice();
-        e.usize(va_mem.len());
-        for v in va_mem {
-            e.f64(*v);
-        }
+        self.va_mem.encode(e);
         self.util.encode(e);
     }
 }
 
-impl Decode for VmEntry {
+impl Decode for EntryDump {
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(VmEntry {
+        Ok(EntryDump {
             id: Decode::decode(d)?,
             arrival: Decode::decode(d)?,
             depart: Decode::decode(d)?,
             req_cpu: d.f64("VmEntry req_cpu")?,
             req_mem: d.f64("VmEntry req_mem")?,
             guar_mem: d.f64("VmEntry guar_mem")?,
-            va_mem: Vec::<f64>::decode(d)?.into_iter().collect(),
+            va_mem: Decode::decode(d)?,
             util: Decode::decode(d)?,
         })
     }
 }
 
-impl Encode for ServerAccount {
+impl Encode for ServerDump {
     fn encode(&self, e: &mut Encoder) {
         self.server.encode(e);
         self.capacity.encode(e);
@@ -255,9 +251,9 @@ impl Encode for ServerAccount {
     }
 }
 
-impl Decode for ServerAccount {
+impl Decode for ServerDump {
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        let mut account = ServerAccount {
+        let account = ServerDump {
             server: Decode::decode(d)?,
             capacity: Decode::decode(d)?,
             next_sample: Decode::decode(d)?,
@@ -265,7 +261,6 @@ impl Decode for ServerAccount {
             admitted: d.usize("ServerAccount admitted")?,
             pa_sum: d.f64("ServerAccount pa_sum")?,
             va_sums: Decode::decode(d)?,
-            ceiling_sums: [0.0; 2],
             samples: d.u64("ServerAccount samples")?,
             cpu_violations: d.u64("ServerAccount cpu_violations")?,
             mem_violations: d.u64("ServerAccount mem_violations")?,
@@ -275,7 +270,6 @@ impl Decode for ServerAccount {
                 context: "ServerAccount admitted prefix",
             });
         }
-        account.sum_ceilings();
         Ok(account)
     }
 }

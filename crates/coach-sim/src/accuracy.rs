@@ -17,13 +17,19 @@ use coach_types::prelude::*;
 pub struct AccuracyResult {
     /// Percentile evaluated.
     pub percentile: Percentile,
-    /// Mean over-allocation error (fraction of the VM's allocation), CPU.
+    /// Mean CPU over-allocation over the evaluated VMs: `max(0, predicted
+    /// PA − ideal PA)` per VM, in units of the VM's requested CPU (0.05 is
+    /// 5 % of the VM's size, not of its allocation).
     pub cpu_over_allocation: f64,
-    /// Mean over-allocation error, memory.
+    /// Mean memory over-allocation, as [`Self::cpu_over_allocation`]: in
+    /// units of the VM's requested memory.
     pub mem_over_allocation: f64,
-    /// Fraction of VMs under-allocated on CPU.
+    /// Fraction of the evaluated VMs whose predicted CPU PA is more than
+    /// one 5 % bucket of the VM's requested CPU below the ideal (smaller
+    /// gaps cannot change an allocation, so they are not counted).
     pub cpu_under_allocations: f64,
-    /// Fraction of VMs under-allocated on memory.
+    /// Fraction of the evaluated VMs whose predicted memory PA is more than
+    /// one 5 % bucket of the VM's requested memory below the ideal.
     pub mem_under_allocations: f64,
     /// Number of VMs evaluated.
     pub vms_evaluated: usize,

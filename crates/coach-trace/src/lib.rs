@@ -35,5 +35,7 @@ pub mod wire;
 
 pub use gen::{generate, TraceConfig};
 pub use model::{Cluster, Trace, VmRecord};
-pub use profile::{BehaviorTemplate, PatternKind, ResourceProfile, UtilSampler, VmProfile};
+pub use profile::{
+    BehaviorTemplate, PatternKind, ResourceProfile, SamplerShape, SamplerVm, UtilSampler, VmProfile,
+};
 pub use stream::{StreamingRecords, StreamingTrace, DEFAULT_CHUNK_BUDGET};

@@ -245,9 +245,12 @@ fn resource_util_ceiling(p: &ResourceProfile, kind: PatternKind) -> f64 {
 
 /// What sampling a VM's CPU and memory utilization reads of its
 /// [`VmProfile`], and nothing else: two [`ResourceProfile`]s, the pattern
-/// class and the noise seed (128 bytes against the profile's 240). The
-/// serving path's violation accountant keeps one per tracked VM, and reads
-/// [`UtilSampler::ceilings`] before it hashes anything.
+/// class and the noise seed (128 bytes against the profile's 240). It
+/// splits into a per-template [`SamplerShape`] (72 bytes) and a per-VM
+/// [`SamplerVm`] (56 bytes): the serving path's violation accountant keeps
+/// each distinct shape once and the per-VM half in every tracked VM's
+/// entry, joins the two to sample, and reads [`UtilSampler::ceilings`]
+/// before it hashes anything.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UtilSampler {
     pub(crate) cpu: ResourceProfile,
@@ -256,7 +259,105 @@ pub struct UtilSampler {
     pub(crate) kind: PatternKind,
 }
 
+/// The half of a [`UtilSampler`] that [`BehaviorTemplate::instantiate`]
+/// leaves as the template drew it: the pattern class and, for CPU and
+/// memory, `[peak_width_hours, noise, weekend_factor, daily_drift]`. VMs
+/// of one template share it bit for bit. Shapes compare by
+/// [`SamplerShape::bits`], not as floats.
+#[derive(Debug, Clone, Copy)]
+pub struct SamplerShape {
+    kind: PatternKind,
+    cpu: [f64; 4],
+    memory: [f64; 4],
+}
+
+impl SamplerShape {
+    /// Every field's bits: two shapes are one shape exactly when these
+    /// are equal (a `-0.0` or a NaN payload is a shape of its own).
+    pub fn bits(&self) -> [u64; 9] {
+        let mut bits = [self.kind as u64; 9];
+        for (bit, v) in bits[1..]
+            .iter_mut()
+            .zip(self.cpu.iter().chain(&self.memory))
+        {
+            *bit = v.to_bits();
+        }
+        bits
+    }
+}
+
+/// The half of a [`UtilSampler`] that is the VM's own: for CPU and memory
+/// `[base, amplitude, peak_hour]` (which `instantiate` jitters), and the
+/// noise seed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SamplerVm {
+    cpu: [f64; 3],
+    memory: [f64; 3],
+    noise_seed: u64,
+}
+
+impl ResourceProfile {
+    /// `([peak_width_hours, noise, weekend_factor, daily_drift], [base,
+    /// amplitude, peak_hour])`.
+    fn split(&self) -> ([f64; 4], [f64; 3]) {
+        (
+            [
+                self.peak_width_hours,
+                self.noise,
+                self.weekend_factor,
+                self.daily_drift,
+            ],
+            [self.base, self.amplitude, self.peak_hour],
+        )
+    }
+
+    /// The inverse of [`Self::split`].
+    fn join(
+        [peak_width_hours, noise, weekend_factor, daily_drift]: [f64; 4],
+        [base, amplitude, peak_hour]: [f64; 3],
+    ) -> Self {
+        ResourceProfile {
+            base,
+            amplitude,
+            peak_hour,
+            peak_width_hours,
+            noise,
+            weekend_factor,
+            daily_drift,
+        }
+    }
+}
+
 impl UtilSampler {
+    /// The per-template and the per-VM halves; [`Self::join`] puts them
+    /// back together bit for bit.
+    pub fn split(&self) -> (SamplerShape, SamplerVm) {
+        let (cpu_shape, cpu) = self.cpu.split();
+        let (memory_shape, memory) = self.memory.split();
+        (
+            SamplerShape {
+                kind: self.kind,
+                cpu: cpu_shape,
+                memory: memory_shape,
+            },
+            SamplerVm {
+                cpu,
+                memory,
+                noise_seed: self.noise_seed,
+            },
+        )
+    }
+
+    /// The sampler `split` cut into `shape` and `vm`.
+    pub fn join(shape: &SamplerShape, vm: &SamplerVm) -> Self {
+        UtilSampler {
+            cpu: ResourceProfile::join(shape.cpu, vm.cpu),
+            memory: ResourceProfile::join(shape.memory, vm.memory),
+            noise_seed: vm.noise_seed,
+            kind: shape.kind,
+        }
+    }
+
     /// CPU utilization fraction at `t`: `VmProfile::util_at(Cpu, t)`.
     pub fn cpu_at(&self, t: Timestamp) -> f64 {
         resource_util_at(&self.cpu, self.kind, self.noise_seed, ResourceKind::Cpu, t)
@@ -2412,6 +2513,32 @@ mod tests {
                 .for_each(|r| r.amplitude = amplitude);
             assert_eq!(p.sampler().ceilings(), (1.0, 1.0), "amplitude {amplitude}");
         }
+    }
+
+    /// VMs of one template share a shape, and `join` puts back what
+    /// `split` cut bit for bit — a `-0.0` and a NaN payload included.
+    #[test]
+    fn a_sampler_splits_into_a_shared_shape_and_joins_back() {
+        let template = BehaviorTemplate::sample(&mut SmallRng::seed_from_u64(3));
+        let (a, b) = (template.instantiate(1), template.instantiate(2));
+        let ((shape_a, vm_a), (shape_b, vm_b)) = (a.sampler().split(), b.sampler().split());
+        assert_eq!(shape_a.bits(), shape_b.bits());
+        assert_ne!(vm_a, vm_b);
+
+        let mut hostile = a.clone();
+        hostile.per_resource[0].base = -0.0;
+        hostile.per_resource[0].noise = f64::from_bits(f64::NAN.to_bits() | 7);
+        hostile.per_resource[1].daily_drift = -0.0;
+        for p in [&a, &b, &hostile] {
+            let sampler = p.sampler();
+            let (shape, vm) = sampler.split();
+            let joined = UtilSampler::join(&shape, &vm);
+            assert_eq!(
+                coach_wire::seal_frame(&joined),
+                coach_wire::seal_frame(&sampler)
+            );
+        }
+        assert_ne!(hostile.sampler().split().0.bits(), shape_a.bits());
     }
 
     /// `sample_profile(seed)` with, for `edge_case` 0–3 of 16, one term

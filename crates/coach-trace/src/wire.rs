@@ -3,7 +3,7 @@
 //! A [`VmRecord`] crosses the process boundary inside the `Arrive`
 //! requests streamed to process-backed shard workers; the [`UtilSampler`]
 //! cut from its profile crosses inside snapshots (the violation accountant
-//! keeps one per tracked VM). Both demand bit-exact round-trips — every
+//! dumps one per tracked VM). Both demand bit-exact round-trips — every
 //! `f64` travels as raw bits and decode uses struct literals, never
 //! validating constructors.
 

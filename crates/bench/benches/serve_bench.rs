@@ -1,7 +1,7 @@
 //! Serving-path rows the end-to-end benchmark (`examples/benchmark`) does
 //! not yet carry: the cost of armed telemetry and of 2 h violation sampling
-//! on the warm admission stream, and the process backend beside the thread
-//! backend at two shards. Each iteration is one whole
+//! on the warm admission stream, and a cold stream through two shard
+//! workers. Each iteration is one whole
 //! `TraceConfig::paper_scale` stream (8 000 VMs) through a fresh
 //! controller, so ns/iter ÷ 8 000 is ns per arrival. Printed by CI, not
 //! gated.
@@ -72,44 +72,27 @@ fn bench_warm_telemetry(c: &mut Criterion, trace: &Trace, coach: PolicyConfig) {
     }
 }
 
-/// The replay stream (probes included) cold through two shard workers,
-/// threads vs supervised child processes speaking coach-wire frames. The
-/// workers are up before the clock starts; the process row still pays the
-/// pipe hops, the session's checkpoint export and reaping the children.
-fn bench_sharded_backends(c: &mut Criterion, trace: &Trace, coach: PolicyConfig) {
+/// The replay stream (probes included) cold through two shard worker
+/// threads, set up before the clock starts.
+fn bench_sharded(c: &mut Criterion, trace: &Trace, coach: PolicyConfig) {
     let oracle = Oracle::new(TimeWindows::paper_default());
-    for (name, backend) in [
-        ("sharded2/thread", WorkerBackend::Thread),
-        ("sharded2/process", WorkerBackend::Process),
-    ] {
-        let config = ServeConfig {
-            sample_every: trace.horizon.since(Timestamp::ZERO),
-            backend,
-            ..ServeConfig::replaying(coach, 0.9, trace.horizon)
-        };
-        c.bench_function(name, |b| {
-            b.iter_batched(
-                || {
-                    let mut controller =
-                        ShardedController::new(&trace.clusters, &oracle, config, 2);
-                    // An empty session spawns the process pool.
-                    controller.handle_batch(&[]);
-                    controller
-                },
-                |mut controller| controller.run(RequestSource::replaying(trace)),
-                BatchSize::LargeInput,
-            );
-        });
-    }
+    let config = ServeConfig {
+        sample_every: trace.horizon.since(Timestamp::ZERO),
+        ..ServeConfig::replaying(coach, 0.9, trace.horizon)
+    };
+    c.bench_function("sharded2/thread", |b| {
+        b.iter_batched(
+            || ShardedController::new(&trace.clusters, &oracle, config, 2),
+            |mut controller| controller.run(RequestSource::replaying(trace)),
+            BatchSize::LargeInput,
+        );
+    });
 }
 
 fn main() {
-    // The process row's pool re-execs this binary as its shard workers.
-    coach_serve::maybe_run_shard_worker();
-
     let trace = generate(&TraceConfig::paper_scale(2026));
     let coach = PolicyConfig::paper_set().remove(2);
     let mut criterion = Criterion::default();
     bench_warm_telemetry(&mut criterion, &trace, coach);
-    bench_sharded_backends(&mut criterion, &trace, coach);
+    bench_sharded(&mut criterion, &trace, coach);
 }

@@ -13,7 +13,7 @@
 //!
 //! Every replay runs with full telemetry armed, and a per-policy summary
 //! line from the merged registry (admits, p99 admission latency, span
-//! volume, worker restarts) follows the figure — the observable face of
+//! volume) follows the figure — the observable face of
 //! the same run the columns came from.
 
 use coach_bench::{figure_header, pct, small_eval_trace};
@@ -55,10 +55,7 @@ fn assert_matches_batch(label: &str, online: &PackingResult, batch: &PackingResu
 
 /// One policy's observability summary from the merged registry: counters
 /// summed across shard labels, the admission histograms merged for a true
-/// cross-shard p99, span volume from the rings, and the first-class
-/// `coach_serve_worker_restarts_total` counter (always zero under the
-/// thread backend — its presence is the point: the same series a process
-/// deployment alerts on).
+/// cross-shard p99, and span volume from the rings.
 fn telemetry_summary(label: &str, controller: &ShardedController<'_>) -> String {
     let registry = controller
         .telemetry_registry()
@@ -85,14 +82,13 @@ fn telemetry_summary(label: &str, controller: &ShardedController<'_>) -> String 
     let dropped: u64 = rings.iter().map(|r| r.dropped()).sum();
     format!(
         "{:<12} {:>7} admits {:>6} rejects | p99 admit {:>7.2}us | {:>6} spans \
-         ({} dropped) | {} worker restarts",
+         ({} dropped)",
         label,
         sum("coach_serve_accepted_total"),
         sum("coach_serve_rejected_total"),
         admission.quantile_us(0.99),
         spans,
         dropped,
-        sum("coach_serve_worker_restarts_total"),
     )
 }
 

@@ -109,7 +109,7 @@ impl Decode for HostedDemand {
             // The common case, kept off the heap as `place` keeps it.
             1 => Ok(HostedDemand::new(guaranteed, &[Decode::decode(d)?])),
             n => {
-                let mut many = Vec::with_capacity(n);
+                let mut many = Vec::with_capacity(d.capacity_for::<ResourceVec>(n));
                 for _ in 0..n {
                     many.push(ResourceVec::decode(d)?);
                 }

@@ -4,7 +4,7 @@ use crate::account::{AccountantDump, ViolationAccountant};
 use crate::calendar::DepartureCalendar;
 use crate::request::{Request, Response, StatsReport};
 use crate::telemetry::{ControllerTelemetry, ADMISSION_SAMPLE_EVERY};
-use crate::wire::{Derived, Snapshot};
+use crate::wire::Snapshot;
 use coach_predict::DemandPrediction;
 use coach_sched::{
     ClusterScheduler, ClusterSchedulerDump, PlacementHeuristic, PlacementOutcome, ScanStrategy,
@@ -14,7 +14,7 @@ use coach_sim::{
     estimate_probe_capacity, measure_probe_capacity, probe_templates, PackingResult, PolicyConfig,
     Predictor, ProbeMode, VIOLATION_SAMPLE_EVERY,
 };
-use coach_telemetry::{Registry, RegistrySnapshot, SpanRing, TelemetryConfig};
+use coach_telemetry::{Registry, SpanRing, TelemetryConfig};
 use coach_trace::{Cluster, Trace, VmRecord};
 use coach_types::prelude::*;
 use coach_wire::WireError;
@@ -27,6 +27,11 @@ use std::time::Instant;
 /// small enough that a worker deriving its own segment holds one chunk of
 /// predictions at a time.
 pub(crate) const DERIVE_CHUNK: usize = 64;
+
+/// A segment's predictions as the dispatcher derived them, index for
+/// index with its records — or empty, and the worker derives the segment
+/// itself.
+pub(crate) type Derived = Vec<Option<DemandPrediction>>;
 
 /// Derive `recs` in stream order, one [`Predictor::predict_batch`] call
 /// per [`DERIVE_CHUNK`] arrivals, each recorded as a `derive.chunk` span
@@ -73,17 +78,6 @@ pub struct ServeConfig {
     /// both with an equality assertion
     /// ([`ProbeMode::Differential`]).
     pub probe_mode: ProbeMode,
-    /// Where a sharded deployment's workers execute: in-process threads
-    /// (default) or supervised child processes speaking `coach-wire`
-    /// frames over pipes ([`coach_types::runtime::ProcessPool`]). A
-    /// single-shard [`Controller`] ignores this, and it never crosses the
-    /// wire (a restored controller reads back the default). Each child
-    /// derives its own segments — a process session never derives at the
-    /// dispatcher, whatever its shard count — from an
-    /// [`coach_sim::Oracle`] over the same window partition, so the
-    /// backend requires an Oracle-equivalent predictor (the prederived
-    /// cache is bit-identical by construction).
-    pub backend: WorkerBackend,
     /// How much telemetry the deployment records
     /// ([`coach_telemetry::TelemetryConfig`]): `Off` (default) compiles
     /// instrumented call sites down to a `None` check — nothing on the
@@ -110,7 +104,6 @@ impl ServeConfig {
             // identical to the batch experiment; a deployment that doesn't
             // need batch bit-identity should switch to `Estimated`.
             probe_mode: ProbeMode::Exhaustive,
-            backend: WorkerBackend::Thread,
             telemetry: TelemetryConfig::Off,
         }
     }
@@ -555,10 +548,8 @@ impl<'a> Controller<'a> {
 
     /// Arm (or re-arm) telemetry: register this controller's series on
     /// `registry` under `(policy, shard)` labels, and allocate the span
-    /// ring. `Off` disarms. A sharded
-    /// deployment calls this per shard with its shared registry and
-    /// timeline origin; child process workers arm on a
-    /// `WireCmd::Telemetry` frame with a private registry.
+    /// ring. `Off` disarms. A sharded deployment calls this per shard
+    /// with its shared registry and timeline origin.
     pub fn enable_telemetry(
         &mut self,
         mode: TelemetryConfig,
@@ -597,15 +588,6 @@ impl<'a> Controller<'a> {
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.sync_span_drops();
         }
-    }
-
-    /// Drain the registry delta accumulated since the last drain — what a
-    /// child shard worker ships back for a `WireCmd::Telemetry` barrier.
-    /// `None` when telemetry is off.
-    pub(crate) fn drain_telemetry(&mut self) -> Option<RegistrySnapshot> {
-        self.telemetry
-            .as_deref_mut()
-            .map(ControllerTelemetry::drain)
     }
 
     /// Retire every remaining scheduled departure, flush the accountant to

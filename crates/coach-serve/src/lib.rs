@@ -38,18 +38,13 @@
 //!   A lone shard runs on a worker too; beside a spare core its
 //!   dispatcher derives each segment before sending it: ingest and derive
 //!   on one core, placement and accounting on the other.
-//! * **The distributed control plane** — shard workers can run as
-//!   supervised child *processes* instead of threads
-//!   ([`ServeConfig::backend`] = [`coach_types::WorkerBackend::Process`];
-//!   binaries opt in by calling [`maybe_run_shard_worker`] first thing in
-//!   `main`). The parent speaks `coach-wire` frames over pipes, keeps a
-//!   per-session checkpoint plus a command journal per child, and
-//!   recovers crashed workers (SIGKILL included) decision-exactly; the
-//!   [`wire`] module holds the protocol and the versioned [`Snapshot`]
-//!   frame behind [`Controller::snapshot`] / [`Controller::restore`] and
-//!   [`ShardedController::drain_shard`] /
-//!   [`ShardedController::resume_shard`] for drain-upgrade-resume live
-//!   servicing.
+//! * **Snapshot / restore** — [`Controller::snapshot`] seals one
+//!   controller's whole decision-bearing state into a versioned
+//!   [`Snapshot`] frame ([`wire`]), and [`Controller::restore`] rebuilds
+//!   it, in this process or another, refusing inconsistent bytes with a
+//!   typed error. [`ShardedController::drain_shard`] /
+//!   [`ShardedController::resume_shard`] do the same for one shard between
+//!   sessions: drain, upgrade, resume — decision-exact.
 //! * [`Source`] — derives the request stream lazily from arrival-ordered
 //!   [`coach_trace::VmRecord`]s: no event vector, no sort, no
 //!   utilization-series materialization. [`RequestSource`] borrows the
@@ -59,8 +54,8 @@
 //! * [`StatsReport`] — O(1) occupancy/probe/violation counters, queryable
 //!   mid-stream through [`RequestOf::Stats`] without touching scheduler
 //!   internals; like a [`Snapshot`], a function of the request stream
-//!   alone. Admission latency, lane traffic and worker restarts are wall
-//!   time and scheduling, and live in the [`telemetry`] registry.
+//!   alone. Admission latency and lane traffic are wall time and
+//!   scheduling, and live in the [`telemetry`] registry.
 //!
 //! # Example
 //!
@@ -100,6 +95,6 @@ pub use calendar::DepartureCalendar;
 pub use coach_telemetry::TelemetryConfig;
 pub use controller::{serve_trace, Controller, ServeConfig};
 pub use request::{Request, RequestOf, Response, StatsReport, StreamRequest};
-pub use shard::{maybe_run_shard_worker, serve_trace_sharded, ShardedController, SHARD_WORKER_ENV};
+pub use shard::{maybe_run_shard_worker, serve_trace_sharded, ShardedController};
 pub use source::{RequestSource, Source, StreamSource};
 pub use wire::Snapshot;

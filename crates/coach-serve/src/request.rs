@@ -1,4 +1,4 @@
-//! The controller's wire vocabulary: requests in, responses and stats out.
+//! The controller's request vocabulary: requests in, responses and stats out.
 
 use coach_sched::PlacementOutcome;
 use coach_sim::PackingResult;

@@ -25,10 +25,10 @@
 //!
 //! One rule governs ownership: a record is **borrowed at the
 //! [`Controller`], owned across a lane**. Past the dispatcher's front door
-//! every arrival travels by value inside a `WireCmd` and every reply is
-//! a `WireReply` — the one command vocabulary both backends carry. The
-//! thread lanes move the values; the process backend seals the same value
-//! into a frame and opens it on the other side of the pipe.
+//! every arrival travels by value inside a `ShardCmd` and every reply is
+//! a `ShardReply`; the lanes move the values and nothing is encoded. A
+//! shard's state crosses a byte boundary only as a [`Snapshot`], through
+//! [`ShardedController::drain_shard`] and [`ShardedController::resume_shard`].
 //!
 //! Ordering and exactness are unchanged from the fork-join version:
 //!
@@ -43,26 +43,18 @@
 //!   merge time, so they can differ from the single-shard sums in the last
 //!   ulp (floating-point addition is not associative).
 
-use crate::controller::{derive, Controller, OccDelta, ServeConfig, DERIVE_CHUNK};
+use crate::controller::{derive, Controller, Derived, OccDelta, ServeConfig, DERIVE_CHUNK};
 use crate::request::{Request, Response, StatsReport, StreamRequest};
-use crate::telemetry::{metric, ShardTelemetry, WireTelemetry};
-use crate::wire::{Snapshot, TokenCmd, WireCmd, WireReply};
+use crate::telemetry::{metric, ShardTelemetry};
+use crate::wire::Snapshot;
 use coach_predict::DemandPrediction;
-use coach_sim::{Oracle, PackingResult, PolicyConfig, Predictor};
-use coach_telemetry::{
-    LabelValue, Registry, RegistrySnapshot, SpanRing, SpanStart, TelemetryConfig,
-};
+use coach_sim::{PackingResult, PolicyConfig, Predictor};
+use coach_telemetry::{LabelValue, Registry, SpanRing, SpanStart, TelemetryConfig};
 use coach_trace::{Cluster, Trace, VmRecord};
 use coach_types::prelude::*;
-use coach_wire::{open_frame, seal_frame, WireError};
+use coach_wire::WireError;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Environment variable that re-routes an embedding binary into the shard
-/// worker loop (see [`maybe_run_shard_worker`]). The value must be the
-/// shard index — the label the worker's telemetry series carry; state
-/// arrives via `WireCmd::Init`.
-pub const SHARD_WORKER_ENV: &str = "COACH_SHARD_WORKER";
 
 /// Routed arrivals per segment a worker derives itself: large enough that
 /// a lane hop is noise and that a dispatcher sharing the cores with
@@ -77,8 +69,8 @@ const SEGMENT: usize = 16 * DERIVE_CHUNK;
 /// 128 × (336 + 456) B: about 100 kB.
 const FRONT_DOOR_SEGMENT: usize = 2 * DERIVE_CHUNK;
 
-/// What one shard may hold of routed arrivals in flight in a thread
-/// session: the segment the dispatcher is filling (or parked on), the
+/// What one shard may hold of routed arrivals in flight in a session: the
+/// segment the dispatcher is filling (or parked on), the
 /// [`COMMAND_LANE_CAPACITY`] queued on the lane, and the one the worker is
 /// applying — four segments, about 1.4 MB of records or 400 kB of records
 /// and predictions, under this 1.5 MiB whatever the stream's length.
@@ -95,11 +87,11 @@ const _: () = {
     );
 };
 
-/// Whether the dispatcher of a thread session over `shards` shards
-/// derives each segment before sending it. A lone shard beside a spare
-/// core does, so ingest and derive share one core and placement and
-/// accounting the other; every other session (several shards, one core,
-/// and process children, which never ask) derives in its workers.
+/// Whether the dispatcher of a session over `shards` shards derives each
+/// segment before sending it. A lone shard beside a spare core does, so
+/// ingest and derive share one core and placement and accounting the
+/// other; every other session (several shards, or one core) derives in
+/// its workers.
 fn schedule(shards: usize) -> bool {
     #[cfg(test)]
     if let Some(front_door) = tests::FORCED_SCHEDULE.get() {
@@ -111,47 +103,103 @@ fn schedule(shards: usize) -> bool {
 
 /// A shard's contribution to a merged stats report — the state the
 /// dispatcher can no longer read directly once the controller lives inside
-/// a worker thread (or a child process, where it additionally crosses the
-/// pipe as part of a [`WireReply`]). Like the report it feeds, a function
-/// of the shard's request stream alone.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ShardSnapshot {
-    pub(crate) stats: StatsReport,
-    pub(crate) probe_counts: Vec<u64>,
+/// a worker thread. Like the report it feeds, a function of the shard's
+/// request stream alone.
+#[derive(Debug)]
+struct ShardSnapshot {
+    stats: StatsReport,
+    probe_counts: Vec<u64>,
     /// Occupancy deltas recorded since the previous snapshot (the
     /// dispatcher accumulates them per shard).
-    pub(crate) timeline_delta: Vec<OccDelta>,
+    timeline_delta: Vec<OccDelta>,
 }
 
-/// The worker loop body of both backends: apply one dispatch command to
-/// the owned controller. The segment's records are borrowed here, for the
-/// one call — the controller copies what it keeps of a record — and
-/// dropped with the command. A segment that comes with its predictions
-/// is only placed; one without is derived here first.
-fn worker_step(_shard: usize, controller: &mut Controller<'_>, cmd: WireCmd) -> WireReply {
+/// A broadcast/barrier request as it crosses a lane — every [`Request`]
+/// kind except arrivals, which travel in routed segments with their
+/// records inline.
+#[derive(Debug, Clone, Copy)]
+enum TokenCmd {
+    Depart { vm: VmId, now: Timestamp },
+    Tick { now: Timestamp },
+    Probe { now: Timestamp },
+    Stats { now: Timestamp },
+}
+
+/// The one place a token turns back into a request: at
+/// [`Controller::handle`], worker-side.
+impl From<TokenCmd> for Request<'static> {
+    fn from(token: TokenCmd) -> Self {
+        match token {
+            TokenCmd::Depart { vm, now } => Request::Depart { vm, now },
+            TokenCmd::Tick { now } => Request::Tick { now },
+            TokenCmd::Probe { now } => Request::Probe { now },
+            TokenCmd::Stats { now } => Request::Stats { now },
+        }
+    }
+}
+
+/// One command to a shard worker. Every command produces exactly one
+/// [`ShardReply`], in command order.
+#[derive(Debug, Clone)]
+enum ShardCmd {
+    /// A routed arrival segment whose per-request responses come back
+    /// (`(stream index, record)` pairs), with its [`Derived`]
+    /// predictions.
+    Batch(Vec<(u64, VmRecord)>, Derived),
+    /// A routed arrival segment acknowledged without responses, with its
+    /// [`Derived`] predictions.
+    Run(Vec<VmRecord>, Derived),
+    /// A broadcast/barrier token.
+    Token(TokenCmd),
+    /// Retire remaining departures, flush accounting, report the final
+    /// result and snapshot.
+    Finalize,
+}
+
+/// One reply per [`ShardCmd`].
+#[derive(Debug)]
+enum ShardReply {
+    /// Per-request responses for a [`ShardCmd::Batch`] segment.
+    Answers(Vec<(u64, Response)>),
+    /// A [`ShardCmd::Run`] segment was processed.
+    Ran,
+    /// A non-stats token's merged-side input.
+    Token(Response),
+    /// A stats token's shard contribution. Boxed (as below): a snapshot is
+    /// ~0.75 kB, and a session's reply lanes queue one `ShardReply` per
+    /// segment and token until the next drain.
+    Stats(Box<ShardSnapshot>),
+    /// The shard's closing stats contribution, from which the dispatcher
+    /// merges the final result.
+    Finalized(Box<ShardSnapshot>),
+}
+
+/// The worker loop body: apply one dispatch command to the owned
+/// controller. The segment's records are borrowed here, for the one call
+/// — the controller copies what it keeps of a record — and dropped with
+/// the command. A segment that comes with its predictions is only placed;
+/// one without is derived here first.
+fn worker_step(_shard: usize, controller: &mut Controller<'_>, cmd: ShardCmd) -> ShardReply {
     match cmd {
-        WireCmd::Batch(batch, derived) => {
+        ShardCmd::Batch(batch, derived) => {
             let recs: Vec<&VmRecord> = batch.iter().map(|(_, rec)| rec).collect();
             let mut responses = Vec::with_capacity(recs.len());
             controller.admit_segment(&recs, derived, |response| responses.push(response));
-            WireReply::Answers(batch.iter().map(|(idx, _)| *idx).zip(responses).collect())
+            ShardReply::Answers(batch.iter().map(|(idx, _)| *idx).zip(responses).collect())
         }
-        WireCmd::Run(batch, derived) => {
+        ShardCmd::Run(batch, derived) => {
             let recs: Vec<&VmRecord> = batch.iter().collect();
             controller.admit_segment(&recs, derived, |_| {});
-            WireReply::Ran
+            ShardReply::Ran
         }
-        WireCmd::Token(token) => match controller.handle(token.into()) {
-            Response::Stats(stats) => WireReply::Stats(Box::new(snapshot_of(controller, stats))),
-            response => WireReply::Token(response),
+        ShardCmd::Token(token) => match controller.handle(token.into()) {
+            Response::Stats(stats) => ShardReply::Stats(Box::new(snapshot_of(controller, stats))),
+            response => ShardReply::Token(response),
         },
-        WireCmd::Finalize => {
+        ShardCmd::Finalize => {
             controller.finalize();
             let stats = controller.stats(controller.config().horizon);
-            WireReply::Finalized(Box::new(snapshot_of(controller, stats)))
-        }
-        WireCmd::Init { .. } | WireCmd::Export | WireCmd::Telemetry { .. } => {
-            unreachable!("supervision verbs are answered by child_step")
+            ShardReply::Finalized(Box::new(snapshot_of(controller, stats)))
         }
     }
 }
@@ -196,23 +244,15 @@ struct SessionState {
 /// segment and barrier of that call.
 pub struct ShardedController<'a> {
     shards: Vec<Controller<'a>>,
-    /// The shared prediction source — kept for restores and the process
-    /// backend's `Init` frames.
+    /// The shared prediction source — kept for restores and the
+    /// dispatcher's front-door derive.
     predictor: &'a dyn Predictor,
-    /// Where worker sessions execute (threads or supervised processes).
-    backend: WorkerBackend,
-    /// The process backend's supervised children, spawned lazily at the
-    /// first session (or restore) and kept alive across sessions so their
-    /// controllers persist exactly like the thread backend's do between
-    /// calls. `None` under [`WorkerBackend::Thread`].
-    process: Option<ProcessPool>,
     /// Routing table and cross-session merge state, lent whole to each
     /// session's [`Dispatcher`].
     session: SessionState,
     /// Deployment-wide metrics registry + dispatcher span ring, `None`
-    /// when [`ServeConfig::telemetry`] is `Off`. Thread-backed shards
-    /// share its registry; process-backed shards ship drained deltas
-    /// into it at session barriers.
+    /// when [`ServeConfig::telemetry`] is `Off`. Every shard records into
+    /// its registry.
     telemetry: Option<Box<ShardTelemetry>>,
 }
 
@@ -223,11 +263,7 @@ impl<'a> ShardedController<'a> {
     /// # Panics
     ///
     /// Panics if `shard_count` is zero, `clusters` is empty, or the config
-    /// rejects (see [`Controller::new`]). Panics, before any child is
-    /// spawned, if `config.backend` is [`WorkerBackend::Process`] and the
-    /// predictor is not [`Predictor::reproduced_by_oracle`]: a child
-    /// predicts with an [`Oracle`] over the same windows, and would serve
-    /// that predictor's decisions instead.
+    /// rejects (see [`Controller::new`]).
     pub fn new(
         clusters: &[Cluster],
         predictor: &'a dyn Predictor,
@@ -236,12 +272,6 @@ impl<'a> ShardedController<'a> {
     ) -> Self {
         assert!(shard_count > 0, "need at least one shard");
         assert!(!clusters.is_empty(), "need at least one cluster");
-        assert!(
-            config.backend != WorkerBackend::Process || predictor.reproduced_by_oracle(),
-            "the process backend cannot serve predictor {}: its children predict with an \
-             Oracle, which does not reproduce it bit for bit",
-            predictor.name()
-        );
         let shard_count = shard_count.min(clusters.len());
         let mut sorted: Vec<&Cluster> = clusters.iter().collect();
         sorted.sort_by_key(|c| c.id);
@@ -294,8 +324,6 @@ impl<'a> ShardedController<'a> {
             },
             telemetry,
             predictor,
-            backend: config.backend,
-            process: None,
             shards,
         }
     }
@@ -322,40 +350,26 @@ impl<'a> ShardedController<'a> {
         self.shards.len()
     }
 
-    /// Open one worker session and drive it through a [`Dispatcher`].
-    /// `collect` decides whether routed segments carry per-request
-    /// responses back. Under the thread backend the controllers move into
-    /// persistent worker threads and back; under the process backend the
-    /// same command stream is encoded into `coach-wire` frames and routed
-    /// through the supervised child processes instead.
+    /// Open one worker session and drive it through a [`Dispatcher`]:
+    /// the controllers move into persistent worker threads for the
+    /// session and back. `collect` decides whether routed segments carry
+    /// per-request responses back.
     fn with_session<R>(&mut self, collect: bool, body: impl FnOnce(&mut Dispatcher<'_>) -> R) -> R {
-        match self.backend {
-            WorkerBackend::Thread => self.with_thread_session(collect, body),
-            WorkerBackend::Process => self.with_process_session(collect, body),
-        }
-    }
-
-    fn with_thread_session<R>(
-        &mut self,
-        collect: bool,
-        body: impl FnOnce(&mut Dispatcher<'_>) -> R,
-    ) -> R {
         let ShardedController {
             shards,
             predictor,
             session,
             telemetry,
-            ..
         } = self;
         let front_door =
             schedule(shards.len()).then(|| (*predictor, shards[0].config().policy.percentile));
         let owned = std::mem::take(shards);
         let spans = telemetry.as_deref_mut().map(|t| &mut t.spans);
-        let run = |workers: &mut ShardWorkers<WireCmd, WireReply>| {
-            let link = Link::Threads(workers);
-            let mut dispatcher = Dispatcher::new(link, &mut *session, collect, front_door, spans);
+        let run = |workers: &mut ShardWorkers<ShardCmd, ShardReply>| {
+            let mut dispatcher =
+                Dispatcher::new(workers, &mut *session, collect, front_door, spans);
             let out = body(&mut dispatcher);
-            (out, dispatcher.link.lane_stats())
+            (out, dispatcher.workers.lane_stats())
         };
         let (owned, (out, session_lanes)) = with_shard_threads(owned, worker_step, run);
         *shards = owned;
@@ -364,131 +378,19 @@ impl<'a> ShardedController<'a> {
         out
     }
 
-    fn with_process_session<R>(
-        &mut self,
-        collect: bool,
-        body: impl FnOnce(&mut Dispatcher<'_>) -> R,
-    ) -> R {
-        self.ensure_process_pool();
-        // Arm the children before the session's commands flow (idempotent
-        // after the first session; the arm frame rides the journal, so a
-        // mid-session crash replays it before the replayed commands and
-        // the recovered child recounts exactly what the dead one had).
-        self.exchange_process_telemetry();
-        let out = {
-            let pool = self.process.as_mut().expect("process pool spawned above");
-            let (spans, wire) = match self.telemetry.as_deref_mut() {
-                Some(t) => (Some(&mut t.spans), Some(t.wire.clone())),
-                None => (None, None),
-            };
-            let link = Link::Process(pool, wire);
-            body(&mut Dispatcher::new(
-                link,
-                &mut self.session,
-                collect,
-                None,
-                spans,
-            ))
-        };
-        // Fold the session into each child's checkpoint: export the
-        // child's (unchanged) state and re-anchor recovery there, so a
-        // crash replays at most one session's journal, not the lifetime's.
-        self.refresh_process_checkpoints();
-        // Telemetry barrier: drain each child's registry delta into the
-        // parent's, then mirror pool-level recovery totals.
-        self.exchange_process_telemetry();
-        self.sync_session_telemetry();
-        out
-    }
-
-    /// Send each child a `WireCmd::Telemetry` frame — arming it on first
-    /// contact — and merge the drained registry delta it replies with.
-    /// No-op when telemetry is off.
-    fn exchange_process_telemetry(&mut self) {
-        let Some(t) = self.telemetry.as_deref() else {
-            return;
-        };
-        let Some(pool) = self.process.as_mut() else {
-            return;
-        };
-        let arm = WireCmd::Telemetry {
-            mode: TelemetryConfig::Full,
-        };
-        for shard in 0..pool.len() {
-            send_frame(pool, Some(&t.wire), shard, &arm);
-            let reply = recv_frame(pool, Some(&t.wire), shard);
-            let WireReply::Telemetry(delta) = reply else {
-                unreachable!("telemetry frame answered with a delta, got {reply:?}");
-            };
-            t.registry.merge(&delta);
-        }
-    }
-
-    /// Mirror the parent-side cumulative totals (lane stats, process-pool
-    /// restarts and replay time, dispatcher span drops) into the registry
-    /// as deltas. Called at the end of every session.
+    /// Mirror the dispatcher-side cumulative totals (lane stats, dispatcher
+    /// span drops) into the registry as deltas. Called at the end of every
+    /// session.
     fn sync_session_telemetry(&mut self) {
         let lanes = self.session.lane_base;
-        let (restarts, replay_ns) = self
-            .process
-            .as_ref()
-            .map_or((0, 0), |pool| (pool.restarts(), pool.replay_ns()));
         if let Some(t) = self.telemetry.as_deref_mut() {
-            t.sync_session(&lanes, restarts, replay_ns);
+            t.sync_session(&lanes);
         }
-        // Thread-backed shard rings overflow silently between barriers;
-        // fold their drop counts in here too.
+        // Shard rings overflow silently between barriers; fold their drop
+        // counts in here too.
         for shard in &mut self.shards {
             shard.sync_telemetry();
         }
-    }
-
-    /// Spawn the supervised children on first use and install each
-    /// shard's current controller state as its checkpoint.
-    fn ensure_process_pool(&mut self) {
-        if self.process.is_some() {
-            return;
-        }
-        let exe = std::env::current_exe().expect("resolve current executable for shard workers");
-        let pool = ProcessPool::spawn(self.shards.len(), move |shard| {
-            let mut cmd = std::process::Command::new(&exe);
-            cmd.env(SHARD_WORKER_ENV, shard.to_string());
-            cmd
-        })
-        .expect("spawn shard worker processes");
-        self.process = Some(pool);
-        for shard in 0..self.shards.len() {
-            let snapshot = self.shards[shard].snapshot().into_bytes();
-            self.process
-                .as_mut()
-                .expect("pool just spawned")
-                .install_checkpoint(shard, init_frame(self.predictor, snapshot));
-        }
-    }
-
-    /// Export every child's state and record it as the new checkpoint
-    /// (without touching the child — its live state already equals the
-    /// export), bounding journal replay to one session.
-    fn refresh_process_checkpoints(&mut self) {
-        for shard in 0..self.shards.len() {
-            let exported = self.export_child(shard);
-            self.process
-                .as_mut()
-                .expect("process session open")
-                .refresh_checkpoint(shard, init_frame(self.predictor, exported));
-        }
-    }
-
-    /// Ask `shard`'s live child for its sealed [`Snapshot`] frame.
-    fn export_child(&mut self, shard: usize) -> Vec<u8> {
-        let wire = self.telemetry.as_deref().map(|t| &t.wire);
-        let pool = self.process.as_mut().expect("process pool spawned");
-        send_frame(pool, wire, shard, &WireCmd::Export);
-        let reply = recv_frame(pool, wire, shard);
-        let WireReply::Exported(snapshot) = reply else {
-            unreachable!("export answered with a snapshot, got {reply:?}");
-        };
-        snapshot
     }
 
     /// Process a batch of time-ordered requests, returning responses in
@@ -577,37 +479,17 @@ impl<'a> ShardedController<'a> {
         self.session.lane_base
     }
 
-    /// Checkpoint-recovery respawns the process backend has performed so
-    /// far (always zero under [`WorkerBackend::Thread`]). Armed telemetry
-    /// mirrors it into `coach_serve_worker_restarts_total` at every
-    /// session barrier.
-    pub fn worker_restarts(&self) -> u64 {
-        self.process.as_ref().map_or(0, |pool| pool.restarts())
-    }
-
-    /// OS process id of shard `shard`'s current child worker, if the
-    /// process backend is active and its pool has been spawned. Changes
-    /// after a recovery respawn or a [`Self::resume_shard`]; `None` under
-    /// the thread backend.
-    pub fn worker_pid(&self, shard: usize) -> Option<u32> {
-        self.process.as_ref().map(|pool| pool.pid(shard))
-    }
-
     /// The deployment-wide metrics registry, when
-    /// [`ServeConfig::telemetry`] is not `Off`. Thread-backed shards
-    /// record into it directly; process-backed shards' deltas are merged
-    /// into it at every session barrier, so a snapshot taken between
-    /// public calls is complete for both backends.
+    /// [`ServeConfig::telemetry`] is not `Off`. Every shard records into
+    /// it directly, so a snapshot taken between public calls is complete.
     pub fn telemetry_registry(&self) -> Option<Arc<Registry>> {
         self.telemetry.as_deref().map(|t| Arc::clone(&t.registry))
     }
 
     /// Every span ring this deployment recorded into (none when telemetry
-    /// is off): one per thread-backed shard controller plus the dispatcher's
-    /// barrier ring (tid = shard count). Feed them to
-    /// [`coach_telemetry::chrome_trace`]. Process-backed shards keep
-    /// their rings child-side (spans never cross the wire), so only the
-    /// dispatcher ring appears under that backend.
+    /// is off): one per shard controller plus the dispatcher's barrier
+    /// ring (tid = shard count). Feed them to
+    /// [`coach_telemetry::chrome_trace`].
     pub fn telemetry_span_rings(&self) -> Vec<&SpanRing> {
         let mut rings: Vec<&SpanRing> = self
             .shards
@@ -623,45 +505,20 @@ impl<'a> ShardedController<'a> {
     /// Serialize one shard's full decision-bearing state into a
     /// [`Snapshot`] — the drain half of live servicing. Valid between
     /// sessions (i.e. between public entry-point calls); the shard keeps
-    /// serving afterwards. Under the process backend the snapshot is
-    /// exported by the live child over its pipe.
+    /// serving afterwards.
     ///
     /// # Panics
     ///
     /// Panics if `shard` is out of range.
     pub fn drain_shard(&mut self, shard: usize) -> Snapshot {
         assert!(shard < self.shards.len(), "shard {shard} out of range");
-        match self.backend {
-            WorkerBackend::Thread => self.shards[shard].snapshot(),
-            WorkerBackend::Process => {
-                self.ensure_process_pool();
-                let t0 = Instant::now();
-                let snapshot = Snapshot::from_bytes(self.export_child(shard));
-                if let Some(t) = self.telemetry.as_deref() {
-                    // Includes the pipe round trip: the observable cost of
-                    // draining a live child.
-                    let secs = t0.elapsed().as_secs_f64();
-                    if secs > 0.0 {
-                        t.registry
-                            .gauge(
-                                metric::SNAPSHOT_ENCODE_BPS,
-                                &[("shard", LabelValue::U64(shard as u64))],
-                            )
-                            .set(snapshot.bytes().len() as f64 / secs);
-                    }
-                }
-                snapshot
-            }
-        }
+        self.shards[shard].snapshot()
     }
 
     /// Replace one shard's state with a restored [`Snapshot`] — the resume
     /// half of live servicing (e.g. into a freshly constructed controller
     /// after an upgrade, or to roll a shard back); the snapshot is all it
-    /// reads. Under the process backend the snapshot is additionally
-    /// installed as the shard's checkpoint in a fresh child that replaces
-    /// the live one ([`Self::worker_pid`] changes;
-    /// [`Self::worker_restarts`] does not count it).
+    /// reads.
     ///
     /// The restored shard must cover the same clusters the slot covered
     /// (routing is deterministic, so snapshots from the same shard index
@@ -672,8 +529,6 @@ impl<'a> ShardedController<'a> {
     /// Panics if `shard` is out of range.
     pub fn resume_shard(&mut self, shard: usize, snapshot: &Snapshot) -> Result<(), WireError> {
         assert!(shard < self.shards.len(), "shard {shard} out of range");
-        // Restoring parent-side first validates the bytes (and keeps the
-        // parent copy authoritative for the next pool spawn).
         let t0 = Instant::now();
         self.shards[shard] = Controller::restore(self.predictor, snapshot, |_| None)?;
         if let Some(t) = self.telemetry.as_deref() {
@@ -695,97 +550,14 @@ impl<'a> ShardedController<'a> {
                 t.origin,
             );
         }
-        if self.backend == WorkerBackend::Process {
-            if let Some(pool) = self.process.as_mut() {
-                let frame = init_frame(self.predictor, snapshot.bytes().to_vec());
-                pool.install_checkpoint(shard, frame);
-            }
-            // No pool yet: the next session's `ensure_process_pool` seeds
-            // the child from the just-restored parent controller.
-        }
         Ok(())
     }
 }
 
-/// Re-route this binary into the shard worker loop if
-/// [`SHARD_WORKER_ENV`] is set, never returning in that case. Binaries
-/// that embed a process-backed [`ShardedController`] **must** call this
-/// first thing in `main` — the pool re-execs `current_exe()`, and without
-/// this check each child would run the embedding program instead of a
-/// worker.
-///
-/// The worker speaks the frame protocol on stdin/stdout
-/// ([`coach_types::runtime::serve_child_frames`]): an `WireCmd::Init`
-/// frame builds its controller from a [`Snapshot`] (leaking an
-/// [`Oracle`] — a worker process serves exactly one controller for its
-/// lifetime, so the leak is bounded and deliberate:
-/// [`ProcessPool::install_checkpoint`] hands a second `Init` to a
-/// replacement process, never to this one),
-/// then segments, tokens, finalize, and export frames each produce exactly
-/// one reply. Clean stdin EOF exits 0; a [`SHARD_WORKER_ENV`] value that
-/// is not a shard index exits 2 with a one-line message on stderr.
-pub fn maybe_run_shard_worker() {
-    let Some(value) = std::env::var_os(SHARD_WORKER_ENV) else {
-        return;
-    };
-    // The env value is the shard index — the label the child's telemetry
-    // series carry so the parent-side merge lines them up with the thread
-    // backend's.
-    let Some(shard) = value.to_str().and_then(|v| v.parse::<u32>().ok()) else {
-        eprintln!("{SHARD_WORKER_ENV}={value:?} is not a shard index");
-        std::process::exit(2);
-    };
-    let mut state: Option<Controller<'static>> = None;
-    serve_child_frames(|frame| {
-        let cmd: WireCmd = open_frame(&frame).expect("decode shard worker command frame");
-        seal_frame(&child_step(shard, &mut state, cmd))
-    });
-    std::process::exit(0);
-}
-
-/// Apply one command frame to the worker's controller: the supervision
-/// verbs here, every dispatch command through the [`worker_step`] the
-/// thread pool runs.
-fn child_step(shard: u32, state: &mut Option<Controller<'static>>, cmd: WireCmd) -> WireReply {
-    if let WireCmd::Init {
-        windows_per_day,
-        snapshot,
-    } = cmd
-    {
-        let predictor: &'static Oracle =
-            Box::leak(Box::new(Oracle::new(TimeWindows::new(windows_per_day))));
-        let controller = Controller::restore(predictor, &Snapshot::from_bytes(snapshot), |_| None)
-            .expect("restore controller from checkpoint frame");
-        *state = Some(controller);
-        return WireReply::InitOk;
-    }
-    let controller = state
-        .as_mut()
-        .expect("Init frame precedes every other command");
-    match cmd {
-        WireCmd::Export => WireReply::Exported(controller.snapshot().into_bytes()),
-        WireCmd::Telemetry { mode } => {
-            // Arm on first contact (a restored controller is un-armed) and
-            // drain the delta accumulated since the previous barrier. The
-            // child keeps a private registry; only deltas cross the pipe.
-            if mode.is_off() {
-                controller.enable_telemetry(
-                    TelemetryConfig::Off,
-                    Arc::new(Registry::new()),
-                    shard,
-                    Instant::now(),
-                );
-            } else if controller.telemetry_registry().is_none() {
-                controller.enable_telemetry(mode, Arc::new(Registry::new()), shard, Instant::now());
-            }
-            WireReply::Telemetry(controller.drain_telemetry().unwrap_or(RegistrySnapshot {
-                entries: Vec::new(),
-            }))
-        }
-        WireCmd::Init { .. } => unreachable!("handled above"),
-        cmd => worker_step(shard as usize, controller, cmd),
-    }
-}
+/// Does nothing. Shard workers are threads of the calling process, so no
+/// binary is ever re-entered as a worker; the function stays only because
+/// the frozen `examples/benchmark` calls it first thing in `main`.
+pub fn maybe_run_shard_worker() {}
 
 impl std::fmt::Debug for ShardedController<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -798,104 +570,21 @@ impl std::fmt::Debug for ShardedController<'_> {
 
 /// What the dispatcher has sent and not yet collected, in global order.
 enum Sent {
-    /// One segment reply ([`WireReply::Answers`] or [`WireReply::Ran`])
+    /// One segment reply ([`ShardReply::Answers`] or [`ShardReply::Ran`])
     /// expected from `shard`.
     Batch { shard: usize },
     /// One token reply expected from *every* shard; `idx` is the
     /// broadcast's stream position, `token` drives the merge.
     Token { idx: usize, token: TokenCmd },
-    /// One [`WireReply::Finalized`] expected from every shard.
+    /// One [`ShardReply::Finalized`] expected from every shard.
     Finalize,
-}
-
-/// The `Init` frame that seeds (or re-seeds) a child from `snapshot`.
-fn init_frame(predictor: &dyn Predictor, snapshot: Vec<u8>) -> Vec<u8> {
-    seal_frame(&WireCmd::Init {
-        windows_per_day: predictor.time_windows().count() as u32,
-        snapshot,
-    })
-}
-
-/// Seal `cmd` into a frame on `shard`'s pipe, weighing the frame when the
-/// wire instruments are armed.
-fn send_frame(pool: &mut ProcessPool, wire: Option<&WireTelemetry>, shard: usize, cmd: &WireCmd) {
-    let frame = seal_frame(cmd);
-    if let Some(w) = wire {
-        w.sent(frame.len());
-    }
-    pool.send(shard, frame);
-}
-
-/// Open the next reply frame off `shard`'s pipe, weighed likewise.
-fn recv_frame(pool: &mut ProcessPool, wire: Option<&WireTelemetry>, shard: usize) -> WireReply {
-    let bytes = pool.recv(shard);
-    if let Some(w) = wire {
-        w.received(bytes.len());
-    }
-    open_frame(&bytes).expect("decode shard worker reply frame")
-}
-
-/// The dispatcher's transport: in-process worker lanes, or the process
-/// backend's frame pipes. Both are per-shard FIFO channels of the same
-/// [`WireCmd`]/[`WireReply`] values, so the session/barrier protocol above
-/// is backend-agnostic; the process arm seals each command into a frame
-/// and opens each reply frame, nothing more.
-enum Link<'s> {
-    Threads(&'s mut ShardWorkers<WireCmd, WireReply>),
-    /// The pool plus (when telemetry is armed) the parent-side frame
-    /// byte/count instruments, so every pipe hop is weighed.
-    Process(&'s mut ProcessPool, Option<WireTelemetry>),
-}
-
-impl Link<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Link::Threads(workers) => workers.len(),
-            Link::Process(pool, _) => pool.len(),
-        }
-    }
-
-    fn send(&mut self, shard: usize, cmd: WireCmd) {
-        match self {
-            Link::Threads(workers) => workers.send(shard, cmd),
-            Link::Process(pool, wire) => send_frame(pool, wire.as_ref(), shard, &cmd),
-        }
-    }
-
-    fn send_batch(&mut self, shard: usize, cmds: Vec<WireCmd>) {
-        match self {
-            Link::Threads(workers) => workers.send_batch(shard, cmds),
-            // The pipe has no burst primitive; the kernel buffer plays the
-            // lane's role and the frames stay one journal entry each for
-            // recovery replay.
-            Link::Process(..) => {
-                for cmd in cmds {
-                    self.send(shard, cmd);
-                }
-            }
-        }
-    }
-
-    fn recv(&mut self, shard: usize) -> WireReply {
-        match self {
-            Link::Threads(workers) => workers.recv(shard),
-            Link::Process(pool, wire) => recv_frame(pool, wire.as_ref(), shard),
-        }
-    }
-
-    fn lane_stats(&self) -> LaneStats {
-        match self {
-            Link::Threads(workers) => workers.lane_stats(),
-            Link::Process(..) => LaneStats::default(),
-        }
-    }
 }
 
 /// The session-scoped request router: queues shard-routed arrivals into
 /// per-shard segments, turns broadcasts into per-lane tokens, and merges
 /// the FIFO replies.
 struct Dispatcher<'s> {
-    link: Link<'s>,
+    workers: &'s mut ShardWorkers<ShardCmd, ShardReply>,
     state: &'s mut SessionState,
     /// Per-shard staged arrivals with their stream positions.
     pending: Vec<Vec<(u64, VmRecord)>>,
@@ -922,19 +611,19 @@ struct Dispatcher<'s> {
 
 impl<'s> Dispatcher<'s> {
     fn new(
-        link: Link<'s>,
+        workers: &'s mut ShardWorkers<ShardCmd, ShardReply>,
         state: &'s mut SessionState,
         collect: bool,
         front_door: Option<(&'s dyn Predictor, Percentile)>,
         spans: Option<&'s mut SpanRing>,
     ) -> Self {
         Dispatcher {
-            pending: (0..link.len()).map(|_| Vec::new()).collect(),
+            pending: (0..workers.len()).map(|_| Vec::new()).collect(),
             segment: match front_door {
                 Some(_) => FRONT_DOOR_SEGMENT,
                 None => SEGMENT,
             },
-            link,
+            workers,
             state,
             stream_records: 0,
             stream_segments: 0,
@@ -991,7 +680,7 @@ impl<'s> Dispatcher<'s> {
         // batched lane handoff — the segment still lands before the token
         // (same stream position as a flush-then-send), and a worker woken
         // by the segment finds the token queued behind it.
-        self.send_after_segments(WireCmd::Token(token));
+        self.send_after_segments(ShardCmd::Token(token));
         self.log.push(Sent::Token { idx, token });
         self.end_span("dispatch.stage", span);
     }
@@ -1001,7 +690,7 @@ impl<'s> Dispatcher<'s> {
     /// collecting session ships the stream positions; otherwise the
     /// worker acknowledges the whole segment — reply-lane memory stays
     /// O(segments), not O(requests), over a million-VM stream.
-    fn take_segment(&mut self, shard: usize) -> Option<WireCmd> {
+    fn take_segment(&mut self, shard: usize) -> Option<ShardCmd> {
         if self.pending[shard].is_empty() {
             return None;
         }
@@ -1015,29 +704,29 @@ impl<'s> Dispatcher<'s> {
             None => Vec::new(),
         };
         Some(if self.collect {
-            WireCmd::Batch(segment, derived)
+            ShardCmd::Batch(segment, derived)
         } else {
-            WireCmd::Run(segment.into_iter().map(|(_, rec)| rec).collect(), derived)
+            ShardCmd::Run(segment.into_iter().map(|(_, rec)| rec).collect(), derived)
         })
     }
 
     /// Send every shard its staged segment (if any) and then `cmd`, as one
     /// burst per lane.
-    fn send_after_segments(&mut self, cmd: WireCmd) {
-        for shard in 0..self.link.len() {
+    fn send_after_segments(&mut self, cmd: ShardCmd) {
+        for shard in 0..self.workers.len() {
             let mut burst = Vec::with_capacity(2);
             if let Some(segment) = self.take_segment(shard) {
                 burst.push(segment);
                 self.log.push(Sent::Batch { shard });
             }
             burst.push(cmd.clone());
-            self.link.send_batch(shard, burst);
+            self.workers.send_batch(shard, burst);
         }
     }
 
     fn flush(&mut self, shard: usize) {
         if let Some(cmd) = self.take_segment(shard) {
-            self.link.send(shard, cmd);
+            self.workers.send(shard, cmd);
             self.log.push(Sent::Batch { shard });
         }
     }
@@ -1052,7 +741,7 @@ impl<'s> Dispatcher<'s> {
         let span = self.begin_span();
         // Same batched handoff as a broadcast: segment + finalize arrive
         // in one burst per shard.
-        self.send_after_segments(WireCmd::Finalize);
+        self.send_after_segments(ShardCmd::Finalize);
         self.log.push(Sent::Finalize);
         self.end_span("dispatch.finalize", span);
     }
@@ -1073,13 +762,13 @@ impl<'s> Dispatcher<'s> {
         let mut final_result = None;
         for sent in std::mem::take(&mut self.log) {
             match sent {
-                Sent::Batch { shard } => match self.link.recv(shard) {
-                    WireReply::Answers(answers) => {
+                Sent::Batch { shard } => match self.workers.recv(shard) {
+                    ShardReply::Answers(answers) => {
                         for (idx, response) in answers {
                             responses[idx as usize] = Some(response);
                         }
                     }
-                    WireReply::Ran => {}
+                    ShardReply::Ran => {}
                     _ => unreachable!("segment answered with answers or an ack"),
                 },
                 Sent::Token { idx, token } => {
@@ -1101,9 +790,9 @@ impl<'s> Dispatcher<'s> {
     fn merge_token(&mut self, token: TokenCmd) -> Response {
         match token {
             TokenCmd::Stats { now } => {
-                let snapshots: Vec<ShardSnapshot> = (0..self.link.len())
+                let snapshots: Vec<ShardSnapshot> = (0..self.workers.len())
                     .map(|shard| {
-                        let WireReply::Stats(snapshot) = self.link.recv(shard) else {
+                        let ShardReply::Stats(snapshot) = self.workers.recv(shard) else {
                             unreachable!("stats token answered with a snapshot");
                         };
                         *snapshot
@@ -1112,9 +801,9 @@ impl<'s> Dispatcher<'s> {
                 Response::Stats(self.merge_snapshots(now, &snapshots))
             }
             _ => {
-                let answers: Vec<Response> = (0..self.link.len())
+                let answers: Vec<Response> = (0..self.workers.len())
                     .map(|shard| {
-                        let WireReply::Token(response) = self.link.recv(shard) else {
+                        let ShardReply::Token(response) = self.workers.recv(shard) else {
                             unreachable!("token answered with a token response");
                         };
                         response
@@ -1147,9 +836,9 @@ impl<'s> Dispatcher<'s> {
     /// Collect every shard's closing snapshot and merge them into the
     /// final result.
     fn merge_finalize(&mut self) -> PackingResult {
-        let snapshots: Vec<ShardSnapshot> = (0..self.link.len())
+        let snapshots: Vec<ShardSnapshot> = (0..self.workers.len())
             .map(|shard| {
-                let WireReply::Finalized(snapshot) = self.link.recv(shard) else {
+                let ShardReply::Finalized(snapshot) = self.workers.recv(shard) else {
                     unreachable!("finalize answered with a closing snapshot");
                 };
                 *snapshot
@@ -1290,6 +979,7 @@ pub fn serve_trace_sharded(
 mod tests {
     use super::*;
     use crate::RequestSource;
+    use coach_sim::Oracle;
     use coach_trace::{generate, TraceConfig};
     use proptest::prelude::*;
     use std::cell::Cell;

@@ -1,14 +1,10 @@
 //! Serve-layer telemetry wiring: the instrument catalog and the per-shard
 //! state the [`Controller`](crate::Controller) and sharded dispatcher carry.
 //!
-//! One registry per deployment. Thread-backed shards share the parent's
-//! `Arc<Registry>` directly (relaxed atomics cross threads for free);
-//! process-backed shards run their own registry and ship drained deltas
-//! over `WireCmd::Telemetry` frames at barriers, which the parent
-//! [`Registry::merge`]s. Series are labeled by policy and shard (the
-//! deployment-wide lane counters carry no labels), so both backends
-//! produce the same series set — asserted counter-for-counter by the
-//! telemetry tests.
+//! One registry per deployment: every shard worker records into the
+//! deployment's `Arc<Registry>` directly (relaxed atomics cross threads
+//! for free). Series are labeled by policy and shard; the deployment-wide
+//! lane counters carry no labels.
 //!
 //! Span naming convention: `<layer>.<event>`, dot-separated —
 //! `serve.admit` / `serve.depart` / `serve.tick` / `serve.probe` /
@@ -27,15 +23,13 @@
 //! a worker waiting on ingest and derive.
 //!
 //! The registry is the one home of what depends on wall time or thread
-//! scheduling — admission latency, lane traffic, worker restarts. None of
+//! scheduling — admission latency, lane traffic. None of
 //! it enters a snapshot, a shard's barrier reply or a
 //! [`StatsReport`](crate::StatsReport), so those stay functions of the
 //! request stream alone; with telemetry `Off` nothing on the admission
 //! path reads the clock.
 
-use coach_telemetry::{
-    AtomicHistogram, Counter, Gauge, LabelValue, Registry, RegistrySnapshot, SpanRing, SpanStart,
-};
+use coach_telemetry::{AtomicHistogram, Counter, Gauge, LabelValue, Registry, SpanRing, SpanStart};
 use coach_types::runtime::LaneStats;
 use std::sync::Arc;
 use std::time::Instant;
@@ -98,37 +92,6 @@ pub mod metric {
     pub const LANE_FULL_STALLS: MetricId = MetricId::new(
         "coach_serve_lane_full_stalls_total",
         "Producer stalls on full worker command lanes (backpressure).",
-    );
-    /// Process workers respawned — what
-    /// `ShardedController::worker_restarts` reports (no labels).
-    pub const WORKER_RESTARTS: MetricId = MetricId::new(
-        "coach_serve_worker_restarts_total",
-        "Process shard workers respawned after an unexpected death.",
-    );
-    /// Time spent replaying checkpoint + journal during recoveries.
-    pub const RECOVERY_REPLAY_NS: MetricId = MetricId::new(
-        "coach_serve_recovery_replay_ns_total",
-        "Nanoseconds spent in checkpoint restore + journal replay.",
-    );
-    /// Bytes written to process-worker pipes (labels: none; parent side).
-    pub const WIRE_TX_BYTES: MetricId = MetricId::new(
-        "coach_serve_wire_tx_bytes_total",
-        "Frame bytes sent to process shard workers.",
-    );
-    /// Bytes read back from process-worker pipes.
-    pub const WIRE_RX_BYTES: MetricId = MetricId::new(
-        "coach_serve_wire_rx_bytes_total",
-        "Frame bytes received from process shard workers.",
-    );
-    /// Command frames sent to process workers.
-    pub const WIRE_TX_FRAMES: MetricId = MetricId::new(
-        "coach_serve_wire_tx_frames_total",
-        "Command frames sent to process shard workers.",
-    );
-    /// Reply frames received from process workers.
-    pub const WIRE_RX_FRAMES: MetricId = MetricId::new(
-        "coach_serve_wire_rx_frames_total",
-        "Reply frames received from process shard workers.",
     );
     /// Arrivals submitted through streaming sessions
     /// (`ShardedController::{run, run_stream}`; no labels).
@@ -231,13 +194,6 @@ impl ControllerTelemetry {
     pub(crate) fn sync_span_drops(&mut self) {
         self.span_drops.add(self.spans.take_drop_delta());
     }
-
-    /// Drain this controller's registry delta for wire shipping (child
-    /// shard workers at a telemetry barrier).
-    pub(crate) fn drain(&mut self) -> RegistrySnapshot {
-        self.sync_span_drops();
-        self.registry.drain_delta()
-    }
 }
 
 impl std::fmt::Debug for ControllerTelemetry {
@@ -247,48 +203,11 @@ impl std::fmt::Debug for ControllerTelemetry {
     }
 }
 
-/// Parent-side counters for the process backend's pipes: frame bytes and
-/// counts in each direction. Shared (`Arc`) with the dispatcher's link so
-/// every `send`/`recv` can count without widening call signatures.
-#[derive(Debug, Clone)]
-pub(crate) struct WireTelemetry {
-    pub(crate) tx_bytes: Arc<Counter>,
-    pub(crate) rx_bytes: Arc<Counter>,
-    pub(crate) tx_frames: Arc<Counter>,
-    pub(crate) rx_frames: Arc<Counter>,
-}
-
-impl WireTelemetry {
-    pub(crate) fn new(registry: &Registry) -> WireTelemetry {
-        WireTelemetry {
-            tx_bytes: registry.counter(metric::WIRE_TX_BYTES, &[]),
-            rx_bytes: registry.counter(metric::WIRE_RX_BYTES, &[]),
-            tx_frames: registry.counter(metric::WIRE_TX_FRAMES, &[]),
-            rx_frames: registry.counter(metric::WIRE_RX_FRAMES, &[]),
-        }
-    }
-
-    /// Count one frame sent toward a child.
-    #[inline]
-    pub(crate) fn sent(&self, bytes: usize) {
-        self.tx_bytes.add(bytes as u64);
-        self.tx_frames.inc();
-    }
-
-    /// Count one frame received back from a child.
-    #[inline]
-    pub(crate) fn received(&self, bytes: usize) {
-        self.rx_bytes.add(bytes as u64);
-        self.rx_frames.inc();
-    }
-}
-
 /// The deployment-wide telemetry state a
 /// [`ShardedController`](crate::ShardedController) owns: the shared
-/// registry every thread-backed shard records into (and process deltas
-/// merge into), the dispatcher's own span ring, and the counters whose
-/// sources are parent-side cumulative totals (lane stats, process-pool
-/// restarts) mirrored as deltas at session barriers.
+/// registry every shard records into, the dispatcher's own span ring, and
+/// the lane counters, whose source is the pool's cumulative lane totals
+/// mirrored as deltas at session barriers.
 pub(crate) struct ShardTelemetry {
     pub(crate) registry: Arc<Registry>,
     pub(crate) origin: Instant,
@@ -303,15 +222,10 @@ pub(crate) struct ShardTelemetry {
     /// cumulative sums, the registry wants monotone increments).
     lanes_seen: LaneStats,
     span_drops: Arc<Counter>,
-    restarts: Arc<Counter>,
-    replay_ns: Arc<Counter>,
-    restarts_seen: u64,
-    replay_seen: u64,
-    pub(crate) wire: WireTelemetry,
 }
 
 impl ShardTelemetry {
-    /// Build the deployment registry and register the parent-side series.
+    /// Build the deployment registry and register the dispatcher-side series.
     pub(crate) fn new(shard_count: usize, origin: Instant) -> Box<ShardTelemetry> {
         let registry = Arc::new(Registry::new());
         let tid = shard_count as u32;
@@ -327,20 +241,14 @@ impl ShardTelemetry {
                 metric::SPAN_DROPS,
                 &[("shard", LabelValue::U64(tid as u64))],
             ),
-            restarts: registry.counter(metric::WORKER_RESTARTS, &[]),
-            replay_ns: registry.counter(metric::RECOVERY_REPLAY_NS, &[]),
-            restarts_seen: 0,
-            replay_seen: 0,
-            wire: WireTelemetry::new(&registry),
             registry,
         })
     }
 
-    /// Mirror the session's parent-side cumulative totals into the
-    /// registry as deltas: lane telemetry, process-pool recoveries, and
-    /// the dispatcher ring's overflow drops. Called once per session
-    /// barrier, off the hot path.
-    pub(crate) fn sync_session(&mut self, lanes: &LaneStats, restarts: u64, replay_ns: u64) {
+    /// Mirror the session's dispatcher-side cumulative totals into the
+    /// registry as deltas: lane telemetry and the dispatcher ring's
+    /// overflow drops. Called once per session barrier, off the hot path.
+    pub(crate) fn sync_session(&mut self, lanes: &LaneStats) {
         self.lane_sends
             .add(lanes.sends.saturating_sub(self.lanes_seen.sends));
         self.lane_batched_sends.add(
@@ -356,12 +264,6 @@ impl ShardTelemetry {
                 .saturating_sub(self.lanes_seen.full_stalls),
         );
         self.lanes_seen = *lanes;
-        self.restarts
-            .add(restarts.saturating_sub(self.restarts_seen));
-        self.restarts_seen = restarts;
-        self.replay_ns
-            .add(replay_ns.saturating_sub(self.replay_seen));
-        self.replay_seen = replay_ns;
         self.span_drops.add(self.spans.take_drop_delta());
     }
 }

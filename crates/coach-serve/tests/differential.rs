@@ -352,6 +352,153 @@ fn lane_telemetry_survives_sharded_merge() {
     assert_eq!(lanes.sends, 2 * (segments + tokens + 1));
 }
 
+/// Relative error of a cross-shard hour sum against its reference.
+fn hours_rel_err(got: f64, want: f64) -> f64 {
+    (got - want).abs() / want.max(1.0)
+}
+
+/// Hold a cross-shard (core, GB) hour-sum pair to its reference within
+/// 1e-9, then take the reference's values so the rest of the struct can
+/// be compared exactly.
+fn settle_hours(got: [&mut f64; 2], want: [f64; 2], label: &str) {
+    for (g, w) in got.into_iter().zip(want) {
+        let rel = hours_rel_err(*g, w);
+        assert!(rel < 1e-9, "{label}: hour sum rel err {rel}");
+        *g = w;
+    }
+}
+
+/// The far corner of the knob matrix, all at once: 4 shards ×
+/// differential probes (every measurement asserts estimator == exhaustive
+/// inside the shard) × full telemetry, over a medium-trace slice. Anchors
+/// to the batch experiment — integers exactly, the cross-shard hour sums
+/// to 1e-9.
+#[test]
+fn differential_probes_full_telemetry_four_shards_match_batch() {
+    let mut trace = generate(&TraceConfig::medium(7));
+    trace.vms.truncate(8_000);
+    let oracle = Oracle::new(TimeWindows::paper_default());
+    let coach = PolicyConfig::paper_set().remove(2);
+    let batch = packing_experiment(&trace, &oracle, coach, 0.9);
+
+    let config = ServeConfig {
+        probe_mode: ProbeMode::Differential,
+        telemetry: TelemetryConfig::Full,
+        ..ServeConfig::replaying(coach, 0.9, trace.horizon)
+    };
+    let mut controller = ShardedController::new(&trace.clusters, &oracle, config, 4);
+    assert_eq!(
+        controller.shard_count(),
+        4,
+        "four genuinely distinct shards"
+    );
+    let online = controller.run(RequestSource::replaying(&trace));
+
+    assert_eq!(online.accepted, batch.accepted);
+    assert_eq!(online.rejected, batch.rejected);
+    assert_eq!(online.probe_capacity, batch.probe_capacity);
+    assert_eq!(online.peak_servers_in_use, batch.peak_servers_in_use);
+    assert_eq!(online.cpu_violation_rate, batch.cpu_violation_rate);
+    assert_eq!(online.mem_violation_rate, batch.mem_violation_rate);
+    let rel = hours_rel_err(online.accepted_core_hours, batch.accepted_core_hours);
+    assert!(rel < 1e-9, "core-hours rel err {rel}");
+    let rel = hours_rel_err(online.accepted_gb_hours, batch.accepted_gb_hours);
+    assert!(rel < 1e-9, "gb-hours rel err {rel}");
+}
+
+/// Every request kind through the shard workers: arrivals interleaved
+/// with a `Depart` of a resident VM, a `Depart` of a VM nobody admitted,
+/// `Tick`, `Probe` and mid-stream `Stats`. At 2 and 4 shards every
+/// response equals the 1-shard controller's — integers exactly, the
+/// merged hour sums of a stats report to 1e-9 — and so does the final
+/// result.
+#[test]
+fn every_request_kind_agrees_across_shard_counts() {
+    let trace = generate(&TraceConfig {
+        cluster_count: 4,
+        ..TraceConfig::small(1717)
+    });
+    let oracle = Oracle::new(TimeWindows::paper_default());
+    let coach = PolicyConfig::paper_set().remove(2);
+
+    let mut requests: Vec<Request> = Vec::new();
+    let mut arrivals = 0u64;
+    for request in RequestSource::replaying(&trace) {
+        requests.push(request);
+        let Request::Arrive(rec) = request else {
+            continue;
+        };
+        arrivals += 1;
+        if arrivals.is_multiple_of(40) {
+            let now = rec.arrival;
+            requests.extend([
+                Request::Depart { vm: rec.id, now },
+                Request::Depart {
+                    vm: VmId::new(u64::MAX - arrivals),
+                    now,
+                },
+                Request::Tick { now },
+                Request::Stats { now },
+            ]);
+        }
+    }
+
+    let mut single = ShardedController::replaying(&trace, &oracle, coach, 0.7, 1);
+    let expected = single.handle_batch(&requests);
+    let expected_result = single.finalize();
+    let exercised = |kind: &str, is_kind: fn(&Response) -> bool| {
+        assert!(
+            expected.iter().any(is_kind),
+            "the stream exercised a {kind}"
+        );
+    };
+    exercised("admission", |r| matches!(r, Response::Admission { .. }));
+    exercised("resident depart", |r| {
+        matches!(r, Response::Departed { found: true, .. })
+    });
+    exercised("unknown depart", |r| {
+        matches!(r, Response::Departed { found: false, .. })
+    });
+    exercised("tick", |r| matches!(r, Response::Ticked));
+    exercised("probe", |r| matches!(r, Response::ProbeCapacity(_)));
+    exercised("stats", |r| matches!(r, Response::Stats(_)));
+
+    for shards in [2usize, 4] {
+        let mut sharded = ShardedController::replaying(&trace, &oracle, coach, 0.7, shards);
+        assert_eq!(sharded.shard_count(), shards);
+        let got = sharded.handle_batch(&requests);
+        assert_eq!(got.len(), expected.len());
+        for (i, (got, want)) in got.into_iter().zip(&expected).enumerate() {
+            let got = match (got, want) {
+                (Response::Stats(mut got), Response::Stats(want)) => {
+                    settle_hours(
+                        [&mut got.accepted_core_hours, &mut got.accepted_gb_hours],
+                        [want.accepted_core_hours, want.accepted_gb_hours],
+                        &format!("{shards} shards, request {i}"),
+                    );
+                    Response::Stats(got)
+                }
+                (got, _) => got,
+            };
+            assert_eq!(&got, want, "{shards} shards, request {i}");
+        }
+
+        let mut result = sharded.finalize();
+        settle_hours(
+            [
+                &mut result.accepted_core_hours,
+                &mut result.accepted_gb_hours,
+            ],
+            [
+                expected_result.accepted_core_hours,
+                expected_result.accepted_gb_hours,
+            ],
+            &format!("{shards} shards: finalize"),
+        );
+        assert_eq!(result, expected_result, "{shards} shards: finalize agrees");
+    }
+}
+
 /// Streaming responses agree with the final counters: every arrival gets an
 /// admission answer and the accept/reject tally reconciles.
 #[test]

@@ -68,20 +68,6 @@ pub trait Predictor: Sync {
     ) -> Vec<Option<DemandPrediction>> {
         vms.iter().map(|vm| self.predict(vm, percentile)).collect()
     }
-
-    /// Whether an [`Oracle`] over the same [`Predictor::time_windows`]
-    /// reproduces every prediction of this source bit for bit. A
-    /// process-backed `coach-serve` shard is handed only the window count
-    /// and predicts with such an Oracle, so it refuses a source that
-    /// answers `false` (the default) instead of serving other decisions.
-    fn reproduced_by_oracle(&self) -> bool {
-        false
-    }
-
-    /// The source's name in messages: its type's, by default.
-    fn name(&self) -> &'static str {
-        std::any::type_name::<Self>()
-    }
 }
 
 /// Conservative 5 % bucket rounding, as the platform applies to every
@@ -137,10 +123,6 @@ impl Oracle {
 impl Predictor for Oracle {
     fn time_windows(&self) -> TimeWindows {
         self.tw
-    }
-
-    fn reproduced_by_oracle(&self) -> bool {
-        true
     }
 
     fn predict(&self, vm: &VmRecord, percentile: Percentile) -> Option<DemandPrediction> {

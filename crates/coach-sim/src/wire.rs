@@ -1,15 +1,15 @@
-//! [`coach_wire`] codecs for experiment configuration and results.
+//! [`coach_wire`] codecs for experiment configuration.
 //!
-//! [`PolicyConfig`] and [`PackingResult`] carry `&'static str` labels, so
-//! they cannot be decoded from arbitrary bytes directly — the codec ships
-//! the label as a string and re-interns it against the paper's four labels
+//! [`PolicyConfig`] carries a `&'static str` label, so it cannot be
+//! decoded from arbitrary bytes directly — the codec ships the label as a
+//! string and re-interns it against the paper's four labels
 //! ([`PolicyConfig::paper_set`]) on decode. A label outside that set is a
-//! [`WireError::UnknownTag`]: the process-worker protocol only ever speaks
-//! the paper policies.
+//! [`WireError::UnknownTag`]: a snapshot only ever carries the paper
+//! policies.
 
 use coach_wire::{Decode, Decoder, Encode, Encoder, WireError};
 
-use crate::packing::{PackingResult, PolicyConfig};
+use crate::packing::PolicyConfig;
 use crate::probe::ProbeMode;
 
 /// The paper's four policy labels (Fig 20), the only ones that exist on
@@ -71,37 +71,6 @@ impl Decode for ProbeMode {
     }
 }
 
-impl Encode for PackingResult {
-    fn encode(&self, e: &mut Encoder) {
-        e.str(self.label);
-        e.u64(self.accepted);
-        e.u64(self.rejected);
-        e.f64(self.accepted_core_hours);
-        e.f64(self.accepted_gb_hours);
-        e.f64(self.probe_capacity);
-        e.usize(self.peak_servers_in_use);
-        e.f64(self.cpu_violation_rate);
-        e.f64(self.mem_violation_rate);
-    }
-}
-
-impl Decode for PackingResult {
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        let label = intern_label(d.str("PackingResult label")?)?;
-        Ok(PackingResult {
-            label,
-            accepted: d.u64("PackingResult accepted")?,
-            rejected: d.u64("PackingResult rejected")?,
-            accepted_core_hours: d.f64("PackingResult accepted_core_hours")?,
-            accepted_gb_hours: d.f64("PackingResult accepted_gb_hours")?,
-            probe_capacity: d.f64("PackingResult probe_capacity")?,
-            peak_servers_in_use: d.usize("PackingResult peak_servers_in_use")?,
-            cpu_violation_rate: d.f64("PackingResult cpu_violation_rate")?,
-            mem_violation_rate: d.f64("PackingResult mem_violation_rate")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,23 +99,5 @@ mod tests {
             open_frame::<PolicyConfig>(&frame),
             Err(WireError::UnknownTag { .. })
         ));
-    }
-
-    #[test]
-    fn packing_result_roundtrips_bit_exactly() {
-        let result = PackingResult {
-            label: "Coach",
-            accepted: 12_345,
-            rejected: 67,
-            accepted_core_hours: 1.23456789e7,
-            accepted_gb_hours: 9.87654321e7,
-            probe_capacity: 321.5,
-            peak_servers_in_use: 864,
-            cpu_violation_rate: 0.001953125,
-            mem_violation_rate: 0.0,
-        };
-        let frame = seal_frame(&result);
-        let back: PackingResult = open_frame(&frame).expect("decode PackingResult");
-        assert_eq!(back, result);
     }
 }

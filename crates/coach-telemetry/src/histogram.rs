@@ -2,8 +2,8 @@
 //!
 //! Two flavours share one bucket layout:
 //!
-//! * [`Histogram`] — a plain value type used for snapshots, merging, and
-//!   wire transport (a registry delta a process-backed shard ships home).
+//! * [`Histogram`] — a plain value type used for snapshots and merging
+//!   (a cross-shard latency summary merges one per shard).
 //! * [`AtomicHistogram`] — the live instrument handed out by the
 //!   [`Registry`](crate::Registry): lock-free `fetch_add`s on the hot path,
 //!   snapshot into a [`Histogram`] at export time.
@@ -30,8 +30,8 @@ fn bucket_of(ns: u64) -> usize {
 /// A fixed-size log2 histogram of durations in nanoseconds.
 ///
 /// Plain value type: recording is a single array increment, merging is an
-/// element-wise add (associative and commutative), and `parts`/`from_parts`
-/// expose the raw state for wire codecs.
+/// element-wise add (associative and commutative), and `parts` exposes the
+/// raw state to the exporters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: [u64; BUCKETS],
@@ -117,18 +117,9 @@ impl Histogram {
         self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
     }
 
-    /// Raw state `(buckets, count, sum_ns)` for wire codecs.
+    /// Raw state `(buckets, count, sum_ns)`.
     pub fn parts(&self) -> (&[u64; BUCKETS], u64, u64) {
         (&self.buckets, self.count, self.sum_ns)
-    }
-
-    /// Rebuild from raw wire state.
-    pub fn from_parts(buckets: [u64; BUCKETS], count: u64, sum_ns: u64) -> Self {
-        Self {
-            buckets,
-            count,
-            sum_ns,
-        }
     }
 }
 
@@ -181,32 +172,6 @@ impl AtomicHistogram {
             count: self.count.load(Ordering::Relaxed),
             sum_ns: self.sum_ns.load(Ordering::Relaxed),
         }
-    }
-
-    /// Take the current state, resetting the instrument to zero. Used when
-    /// shipping deltas across processes.
-    pub fn drain(&self) -> Histogram {
-        let mut buckets = [0u64; BUCKETS];
-        for (dst, src) in buckets.iter_mut().zip(self.buckets.iter()) {
-            *dst = src.swap(0, Ordering::Relaxed);
-        }
-        Histogram {
-            buckets,
-            count: self.count.swap(0, Ordering::Relaxed),
-            sum_ns: self.sum_ns.swap(0, Ordering::Relaxed),
-        }
-    }
-
-    /// Fold a plain histogram back into the live instrument (used when the
-    /// parent merges a child's shipped delta).
-    pub fn add(&self, other: &Histogram) {
-        for (dst, &src) in self.buckets.iter().zip(other.buckets.iter()) {
-            if src != 0 {
-                dst.fetch_add(src, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(other.count, Ordering::Relaxed);
-        self.sum_ns.fetch_add(other.sum_ns, Ordering::Relaxed);
     }
 }
 
@@ -288,25 +253,5 @@ mod tests {
             plain.record_ns(ns);
         }
         assert_eq!(atomic.snapshot(), plain);
-    }
-
-    #[test]
-    fn atomic_drain_resets() {
-        let atomic = AtomicHistogram::new();
-        atomic.record_ns(42);
-        let first = atomic.drain();
-        assert_eq!(first.count(), 1);
-        assert_eq!(atomic.snapshot(), Histogram::new());
-        atomic.add(&first);
-        assert_eq!(atomic.snapshot(), first);
-    }
-
-    #[test]
-    fn parts_roundtrip() {
-        let mut h = Histogram::new();
-        h.record_ns(123_456);
-        let (buckets, count, sum) = h.parts();
-        let back = Histogram::from_parts(*buckets, count, sum);
-        assert_eq!(back, h);
     }
 }

@@ -11,11 +11,8 @@
 //!   of blocking, so tracing never perturbs the event loop it measures.
 //! * **Export** — deterministic (sorted) renderings: Prometheus-style text
 //!   ([`Registry::render_text`]), JSONL ([`Registry::render_jsonl`]), and
-//!   Chrome `trace_event` JSON for spans ([`chrome_trace`]). Registries
-//!   snapshot into plain-data [`RegistrySnapshot`]s that merge
-//!   associatively and commutatively — the unit a child shard worker ships
-//!   over the wire at each barrier for the parent to
-//!   [`Registry::merge`].
+//!   Chrome `trace_event` JSON for spans ([`chrome_trace`]), all rendered
+//!   from plain-data [`RegistrySnapshot`]s.
 //!
 //! The serving layer selects a [`TelemetryConfig`] per deployment: `Off`
 //! keeps every guard on the cold side of a `None` check (pinned

@@ -79,18 +79,9 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
-
-    /// Take the current value, resetting to zero (delta shipping).
-    pub fn take(&self) -> u64 {
-        self.0.swap(0, Ordering::Relaxed)
-    }
 }
 
 /// A last-written-value gauge storing an `f64` (as bits in an atomic).
-///
-/// Merging two registries keeps the **maximum** gauge value — gauges here
-/// record throughputs and rates where "hottest shard wins" is the useful
-/// cross-shard summary and max is commutative, associative, and idempotent.
 #[derive(Debug, Default)]
 pub struct Gauge(AtomicU64);
 
@@ -104,13 +95,6 @@ impl Gauge {
     /// Current value.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-
-    /// Raise the gauge to `value` if larger (merge semantics).
-    pub fn raise(&self, value: f64) {
-        if value > self.get() {
-            self.set(value);
-        }
     }
 }
 
@@ -129,20 +113,19 @@ struct Entry {
     instrument: Instrument,
 }
 
-/// An exported instrument value (plain data, wire-friendly).
+/// An exported instrument value (plain data).
 ///
 /// The histogram variant is kept inline (~0.5 KB of buckets) rather than
-/// boxed: snapshot entries are built on every session-barrier drain, and
-/// boxing would add a per-histogram allocation to that path for vectors
-/// that live only until the merge.
+/// boxed: snapshots are short-lived export values, and boxing would add a
+/// per-histogram allocation to every one.
 #[derive(Debug, Clone, PartialEq)]
 #[allow(clippy::large_enum_variant)]
 pub enum MetricValue {
-    /// A counter's value (or delta).
+    /// A counter's value.
     Counter(u64),
     /// A gauge's value.
     Gauge(f64),
-    /// A histogram's state (or delta).
+    /// A histogram's state.
     Histogram(Histogram),
 }
 
@@ -159,8 +142,8 @@ pub struct MetricEntry {
     pub value: MetricValue,
 }
 
-/// A point-in-time (or drained-delta) copy of a registry, sorted by
-/// `(name, labels)` — the unit of cross-process telemetry shipping.
+/// A point-in-time copy of a registry, sorted by `(name, labels)` — what
+/// the exporters render.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RegistrySnapshot {
     /// Exported series, sorted by `(name, labels)`.
@@ -299,88 +282,24 @@ impl Registry {
         handle
     }
 
-    fn export(&self, drain: bool) -> RegistrySnapshot {
+    /// Snapshot every series (cumulative values), sorted.
+    pub fn snapshot(&self) -> RegistrySnapshot {
         let entries = self.entries.lock().expect("registry poisoned");
         let mut out: Vec<MetricEntry> = entries
             .iter()
-            .map(|e| {
-                let value = match &e.instrument {
-                    Instrument::Counter(c) => {
-                        MetricValue::Counter(if drain { c.take() } else { c.get() })
-                    }
-                    // Gauges are levels, not flows: deltas report the level
-                    // without resetting it.
+            .map(|e| MetricEntry {
+                name: e.name.clone(),
+                labels: e.labels.clone(),
+                help: e.help.clone(),
+                value: match &e.instrument {
+                    Instrument::Counter(c) => MetricValue::Counter(c.get()),
                     Instrument::Gauge(g) => MetricValue::Gauge(g.get()),
-                    Instrument::Histogram(h) => {
-                        MetricValue::Histogram(if drain { h.drain() } else { h.snapshot() })
-                    }
-                };
-                MetricEntry {
-                    name: e.name.clone(),
-                    labels: e.labels.clone(),
-                    help: e.help.clone(),
-                    value,
-                }
+                    Instrument::Histogram(h) => MetricValue::Histogram(h.snapshot()),
+                },
             })
             .collect();
         out.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
         RegistrySnapshot { entries: out }
-    }
-
-    /// Snapshot every series (cumulative values), sorted.
-    pub fn snapshot(&self) -> RegistrySnapshot {
-        self.export(false)
-    }
-
-    /// Drain counters and histograms to zero, returning the delta since the
-    /// previous drain; gauges report their level without resetting. This is
-    /// what a child shard worker ships over the wire at each barrier.
-    pub fn drain_delta(&self) -> RegistrySnapshot {
-        self.export(true)
-    }
-
-    /// Fold a snapshot (typically a child's shipped delta) into this
-    /// registry: counters and histograms add, gauges keep the maximum.
-    /// Series absent here are created, so merge is order-insensitive.
-    pub fn merge(&self, delta: &RegistrySnapshot) {
-        for entry in &delta.entries {
-            let mut entries = self.entries.lock().expect("registry poisoned");
-            let existing = entries
-                .iter()
-                .find(|e| e.name == entry.name && e.labels == entry.labels)
-                .map(|e| e.instrument.clone());
-            match (existing, &entry.value) {
-                (Some(Instrument::Counter(c)), MetricValue::Counter(v)) => c.add(*v),
-                (Some(Instrument::Gauge(g)), MetricValue::Gauge(v)) => g.raise(*v),
-                (Some(Instrument::Histogram(h)), MetricValue::Histogram(v)) => h.add(v),
-                (Some(_), _) => panic!("metric {} merged with a different kind", entry.name),
-                (None, value) => {
-                    let instrument = match value {
-                        MetricValue::Counter(v) => {
-                            let c = Counter::default();
-                            c.add(*v);
-                            Instrument::Counter(Arc::new(c))
-                        }
-                        MetricValue::Gauge(v) => {
-                            let g = Gauge::default();
-                            g.set(*v);
-                            Instrument::Gauge(Arc::new(g))
-                        }
-                        MetricValue::Histogram(v) => {
-                            let h = AtomicHistogram::new();
-                            h.add(v);
-                            Instrument::Histogram(Arc::new(h))
-                        }
-                    };
-                    entries.push(Entry {
-                        name: entry.name.clone(),
-                        help: entry.help.clone(),
-                        labels: entry.labels.clone(),
-                        instrument,
-                    });
-                }
-            }
-        }
     }
 
     /// Convenience: current value of a counter series, if registered.
@@ -547,48 +466,6 @@ mod tests {
         assert_eq!(snap.counter("test_hits_total", &[("shard", "0")]), Some(7));
         assert_eq!(snap.counter("test_hits_total", &[("shard", "1")]), Some(5));
         assert_eq!(snap.counter("test_hits_total", &[("shard", "2")]), None);
-    }
-
-    #[test]
-    fn drain_delta_resets_counters_and_histograms_not_gauges() {
-        let r = Registry::new();
-        r.counter(HITS, &[]).add(3);
-        r.gauge(TEMP, &[]).set(9.0);
-        r.histogram(LAT, &[]).record_ns(100);
-        let delta = r.drain_delta();
-        assert_eq!(delta.counter("test_hits_total", &[]), Some(3));
-        let after = r.snapshot();
-        assert_eq!(after.counter("test_hits_total", &[]), Some(0));
-        assert!(matches!(
-            after.entries.iter().find(|e| e.name == "test_temp").unwrap().value,
-            MetricValue::Gauge(v) if v == 9.0
-        ));
-        assert!(matches!(
-            &after.entries.iter().find(|e| e.name == "test_latency_ns").unwrap().value,
-            MetricValue::Histogram(h) if h.count() == 0
-        ));
-    }
-
-    #[test]
-    fn merge_adds_counters_maxes_gauges_creates_missing() {
-        let parent = Registry::new();
-        parent.counter(HITS, &[]).add(1);
-        parent.gauge(TEMP, &[]).set(2.0);
-        let child = Registry::new();
-        child.counter(HITS, &[]).add(10);
-        child.gauge(TEMP, &[]).set(1.0);
-        child.histogram(LAT, &[]).record_ns(50);
-        parent.merge(&child.drain_delta());
-        let snap = parent.snapshot();
-        assert_eq!(snap.counter("test_hits_total", &[]), Some(11));
-        assert!(matches!(
-            snap.entries.iter().find(|e| e.name == "test_temp").unwrap().value,
-            MetricValue::Gauge(v) if v == 2.0
-        ));
-        assert!(matches!(
-            &snap.entries.iter().find(|e| e.name == "test_latency_ns").unwrap().value,
-            MetricValue::Histogram(h) if h.count() == 1
-        ));
     }
 
     #[test]

@@ -1,17 +1,13 @@
-//! [`coach_wire`] codecs for trace records.
+//! [`coach_wire`] codecs for trace utilization samplers.
 //!
-//! A [`VmRecord`] crosses the process boundary inside the `Arrive`
-//! requests streamed to process-backed shard workers; the [`UtilSampler`]
-//! cut from its profile crosses inside snapshots (the violation accountant
-//! dumps one per tracked VM). Both demand bit-exact round-trips — every
-//! `f64` travels as raw bits and decode uses struct literals, never
-//! validating constructors.
+//! The [`UtilSampler`] cut from a VM's profile crosses inside snapshots
+//! (the violation accountant dumps one per tracked VM) and demands a
+//! bit-exact round-trip — every `f64` travels as raw bits and decode uses
+//! struct literals, never validating constructors.
 
 use coach_wire::{Decode, Decoder, Encode, Encoder, WireError};
 
-use crate::model::{Cluster, VmRecord};
-use crate::profile::{PatternKind, ResourceProfile, UtilSampler, VmProfile};
-use coach_types::ResourceKind;
+use crate::profile::{PatternKind, ResourceProfile, UtilSampler};
 
 impl Encode for PatternKind {
     fn encode(&self, e: &mut Encoder) {
@@ -63,31 +59,6 @@ impl Decode for ResourceProfile {
     }
 }
 
-impl Encode for VmProfile {
-    fn encode(&self, e: &mut Encoder) {
-        self.kind.encode(e);
-        for p in &self.per_resource {
-            p.encode(e);
-        }
-        e.u64(self.noise_seed);
-    }
-}
-
-impl Decode for VmProfile {
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        let kind = PatternKind::decode(d)?;
-        let mut per_resource = [ResourceProfile::idle(); ResourceKind::COUNT];
-        for slot in per_resource.iter_mut() {
-            *slot = ResourceProfile::decode(d)?;
-        }
-        Ok(VmProfile {
-            kind,
-            per_resource,
-            noise_seed: d.u64("VmProfile noise_seed")?,
-        })
-    }
-}
-
 impl Encode for UtilSampler {
     fn encode(&self, e: &mut Encoder) {
         self.kind.encode(e);
@@ -105,76 +76,5 @@ impl Decode for UtilSampler {
             memory: Decode::decode(d)?,
             noise_seed: d.u64("UtilSampler noise_seed")?,
         })
-    }
-}
-
-impl Encode for VmRecord {
-    fn encode(&self, e: &mut Encoder) {
-        self.id.encode(e);
-        self.subscription.encode(e);
-        self.subscription_type.encode(e);
-        self.offering.encode(e);
-        self.config.encode(e);
-        self.cluster.encode(e);
-        self.server.encode(e);
-        self.arrival.encode(e);
-        self.departure.encode(e);
-        self.profile.encode(e);
-    }
-}
-
-impl Decode for VmRecord {
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(VmRecord {
-            id: Decode::decode(d)?,
-            subscription: Decode::decode(d)?,
-            subscription_type: Decode::decode(d)?,
-            offering: Decode::decode(d)?,
-            config: Decode::decode(d)?,
-            cluster: Decode::decode(d)?,
-            server: Decode::decode(d)?,
-            arrival: Decode::decode(d)?,
-            departure: Decode::decode(d)?,
-            profile: Decode::decode(d)?,
-        })
-    }
-}
-
-impl Encode for Cluster {
-    fn encode(&self, e: &mut Encoder) {
-        self.id.encode(e);
-        self.hardware.encode(e);
-        self.servers.encode(e);
-    }
-}
-
-impl Decode for Cluster {
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(Cluster {
-            id: Decode::decode(d)?,
-            hardware: Decode::decode(d)?,
-            servers: Decode::decode(d)?,
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::{generate, TraceConfig};
-    use coach_wire::{open_frame, seal_frame};
-
-    #[test]
-    fn trace_records_roundtrip_bit_exactly() {
-        let trace = generate(&TraceConfig::small(17));
-        for vm in trace.vms.iter().take(200) {
-            let frame = seal_frame(vm);
-            let back: crate::VmRecord = open_frame(&frame).expect("decode VmRecord");
-            assert_eq!(&back, vm);
-        }
-        for cluster in &trace.clusters {
-            let frame = seal_frame(cluster);
-            let back: crate::Cluster = open_frame(&frame).expect("decode Cluster");
-            assert_eq!(&back, cluster);
-        }
     }
 }

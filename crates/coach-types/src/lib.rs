@@ -50,10 +50,7 @@ pub use idhash::{BuildIdHasher, IdHasher, IdMap};
 pub use ids::{ClusterId, ServerId, SubscriptionId, VmId};
 pub use par::{available_threads, par_map, par_map_threads};
 pub use resource::{Fungibility, ResourceKind, ResourceVec, SharingMechanism};
-pub use runtime::{
-    serve_child_frames, with_shard_threads, LaneStats, ProcessPool, ShardWorkers, WorkerBackend,
-    COMMAND_LANE_CAPACITY,
-};
+pub use runtime::{with_shard_threads, LaneStats, ShardWorkers, COMMAND_LANE_CAPACITY};
 pub use series::{Percentile, ResourceSeries, UtilSeries};
 pub use stats::{ResourceWindowStats, UtilizationSource, WindowPeaks, WindowStats};
 pub use time::{SimDuration, TimeWindows, Timestamp, Weekday, TICKS_PER_DAY, TICKS_PER_HOUR};
@@ -68,10 +65,7 @@ pub mod prelude {
     pub use crate::ids::{ClusterId, ServerId, SubscriptionId, VmId};
     pub use crate::par::{available_threads, par_map, par_map_threads};
     pub use crate::resource::{Fungibility, ResourceKind, ResourceVec, SharingMechanism};
-    pub use crate::runtime::{
-        serve_child_frames, with_shard_threads, LaneStats, ProcessPool, ShardWorkers,
-        WorkerBackend, COMMAND_LANE_CAPACITY,
-    };
+    pub use crate::runtime::{with_shard_threads, LaneStats, ShardWorkers, COMMAND_LANE_CAPACITY};
     pub use crate::series::{Percentile, ResourceSeries, UtilSeries};
     pub use crate::stats::{ResourceWindowStats, UtilizationSource, WindowPeaks, WindowStats};
     pub use crate::time::{

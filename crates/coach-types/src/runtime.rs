@@ -15,7 +15,9 @@
 //! sequences barriers itself by sending a token to every worker —
 //! channel FIFO guarantees each worker applies the token between exactly
 //! the commands the caller ordered around it, so no global stop-the-world
-//! join is needed and workers never go idle between segments.
+//! join is needed and workers never go idle between segments. It is the
+//! one executor `coach-serve`'s shard sessions run on: the commands and
+//! replies are plain values moved across threads, never encoded.
 //!
 //! The lanes are `std::sync::mpsc` channels: FIFO, blocking, closed when
 //! either end drops. A command lane is a `sync_channel` bounded at
@@ -116,25 +118,6 @@ impl LaneCounters {
 // ---------------------------------------------------------------------------
 // Shard worker pool
 // ---------------------------------------------------------------------------
-
-/// Where shard workers execute: threads in this process, or child
-/// processes speaking length-prefixed `coach-wire` frames over pipes.
-///
-/// The generic [`with_shard_threads`] pool runs threads only — its
-/// `Cmd`/`Res` types are arbitrary and cannot cross a process boundary.
-/// `Process` is honoured by dispatchers whose command vocabulary has a
-/// wire encoding (the `coach-serve` sharded controller): they keep the
-/// same session/barrier protocol but route each shard's frames through a
-/// [`ProcessPool`] child instead of a thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WorkerBackend {
-    /// In-process worker threads (default).
-    #[default]
-    Thread,
-    /// Child processes supervised by a [`ProcessPool`]: spawned via
-    /// `std::process`, restarted from the last checkpoint on death.
-    Process,
-}
 
 /// Handles to a running pool of shard workers (inside
 /// [`with_shard_threads`]): one FIFO command lane and one FIFO reply lane
@@ -305,371 +288,6 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
         .map(String::as_str)
         .or_else(|| payload.downcast_ref::<&str>().copied())
         .unwrap_or("<non-string panic>")
-}
-
-// ---------------------------------------------------------------------------
-// Process worker backend
-// ---------------------------------------------------------------------------
-
-/// How many times [`ProcessPool`] respawns a dead child before giving up
-/// and propagating the failure as a panic. A deterministic child crash
-/// (a bug, a poison frame) fails every replay identically, so a small
-/// bound converts "restart loop" into "loud failure" quickly.
-const MAX_RESPAWNS: usize = 3;
-
-/// One supervised child process: the write half of its stdin pipe, the
-/// reader-thread queue draining its stdout frames, and the recovery
-/// journal that lets the supervisor rebuild it after a crash.
-struct ChildWorker {
-    child: std::process::Child,
-    stdin: Option<std::process::ChildStdin>,
-    /// Frames the child wrote, pumped off its stdout by a dedicated
-    /// parent-side thread so a frame-writing child can never deadlock
-    /// against a parent that is itself blocked writing commands. The
-    /// sender drops when the child's stdout reaches EOF, so a failed
-    /// `recv()` is the death signal.
-    replies: Receiver<Vec<u8>>,
-    reader: Option<std::thread::JoinHandle<()>>,
-    /// The checkpoint frame (a full-state `Init`): replayed first after a
-    /// respawn. `None` until the caller installs one — recovery is
-    /// impossible before that.
-    checkpoint: Option<Vec<u8>>,
-    /// Command frames sent since the checkpoint, in order.
-    journal: Vec<Vec<u8>>,
-    /// Replies already delivered to the caller since the checkpoint —
-    /// after a replay, this many regenerated replies are discarded so the
-    /// caller never sees a duplicate.
-    delivered: u64,
-    /// Whether this process has acked a checkpoint (`Init`) frame. A
-    /// worker process builds exactly one controller in its lifetime, so
-    /// the next checkpoint goes to a replacement process.
-    initialized: bool,
-}
-
-impl ChildWorker {
-    /// Reap the dead (or dying) child: close stdin, join the reader, and
-    /// return the exit status if one could be collected.
-    fn reap(&mut self) -> Option<std::process::ExitStatus> {
-        drop(self.stdin.take());
-        let _ = self.child.kill();
-        let status = self.child.wait().ok();
-        if let Some(reader) = self.reader.take() {
-            let _ = reader.join();
-        }
-        status
-    }
-}
-
-impl Drop for ChildWorker {
-    fn drop(&mut self) {
-        self.reap();
-    }
-}
-
-/// A supervisor for one child process per shard, speaking length-prefixed
-/// byte frames ([`coach_wire::write_frame`] layout) over stdin/stdout.
-///
-/// The pool is deliberately *byte-level*: message meaning lives with the
-/// dispatcher that owns the vocabulary (`coach-serve`), and the contract
-/// the supervisor relies on is only that **every command frame produces
-/// exactly one reply frame** and that the child is **deterministic** —
-/// replaying the same frames reproduces the same replies. Under that
-/// contract the pool offers exactly-once delivery across crashes:
-///
-/// 1. The caller installs a *checkpoint* frame (a full-state `Init`)
-///    per child; the pool remembers it, plus every command frame sent
-///    since (`journal`) and how many replies the caller has consumed
-///    (`delivered`).
-/// 2. On child death — reply queue EOF or a failed pipe write — the pool
-///    respawns the child, replays checkpoint + journal, silently discards
-///    the `delivered` regenerated replies, and resumes where the caller
-///    left off. [`ProcessPool::restarts`] counts these recoveries.
-/// 3. A child that keeps dying (`MAX_RESPAWNS` attempts) or dies before
-///    any checkpoint exists escalates as a panic carrying the exit
-///    status — crashes propagate, they are never swallowed.
-///
-/// Children are expected to exit cleanly when their stdin closes;
-/// [`ProcessPool::shutdown`] drains them that way and propagates nonzero
-/// exits. Dropping the pool kills any remaining children (the unwind-safe
-/// path).
-pub struct ProcessPool {
-    children: Vec<ChildWorker>,
-    factory: Box<dyn Fn(usize) -> std::process::Command + Send>,
-    restarts: u64,
-    /// Wall-clock nanoseconds spent inside checkpoint + journal replay
-    /// during unexpected-death recoveries (cumulative across shards).
-    replay_ns: u64,
-}
-
-impl std::fmt::Debug for ProcessPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProcessPool")
-            .field("children", &self.children.len())
-            .field("restarts", &self.restarts)
-            .finish()
-    }
-}
-
-/// Spawn one child from the factory and wire up its pipes and reader.
-fn spawn_child(
-    factory: &(dyn Fn(usize) -> std::process::Command + Send),
-    shard: usize,
-) -> std::io::Result<ChildWorker> {
-    let mut command = factory(shard);
-    command
-        .stdin(std::process::Stdio::piped())
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::inherit());
-    let mut child = command.spawn()?;
-    let stdin = child.stdin.take().expect("piped child stdin");
-    let stdout = child.stdout.take().expect("piped child stdout");
-    let (tx, rx) = mpsc::channel::<Vec<u8>>();
-    let reader = std::thread::spawn(move || {
-        let mut stdout = std::io::BufReader::new(stdout);
-        // Any read error or EOF ends the pump; dropping `tx` is the
-        // death/drain signal the supervisor observes. Frames for a
-        // supervisor that has let go of this child are dropped.
-        while let Ok(Some(frame)) = coach_wire::read_frame(&mut stdout) {
-            let _ = tx.send(frame);
-        }
-    });
-    Ok(ChildWorker {
-        child,
-        stdin: Some(stdin),
-        replies: rx,
-        reader: Some(reader),
-        checkpoint: None,
-        journal: Vec::new(),
-        delivered: 0,
-        initialized: false,
-    })
-}
-
-impl ProcessPool {
-    /// Spawn `shards` children, one per shard, from `factory(shard)`.
-    /// The factory's `Command` is re-invoked on every respawn; stdio is
-    /// overridden to piped stdin/stdout (stderr is inherited so child
-    /// panic messages reach the parent's terminal).
-    pub fn spawn(
-        shards: usize,
-        factory: impl Fn(usize) -> std::process::Command + Send + 'static,
-    ) -> std::io::Result<ProcessPool> {
-        let factory: Box<dyn Fn(usize) -> std::process::Command + Send> = Box::new(factory);
-        let mut children = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            children.push(spawn_child(factory.as_ref(), shard)?);
-        }
-        Ok(ProcessPool {
-            children,
-            factory,
-            restarts: 0,
-            replay_ns: 0,
-        })
-    }
-
-    /// Number of supervised children.
-    pub fn len(&self) -> usize {
-        self.children.len()
-    }
-
-    /// Whether the pool supervises no children.
-    pub fn is_empty(&self) -> bool {
-        self.children.is_empty()
-    }
-
-    /// OS process id of shard `shard`'s current child (changes after a
-    /// recovery respawn or a checkpoint replacement).
-    pub fn pid(&self, shard: usize) -> u32 {
-        self.children[shard].child.id()
-    }
-
-    /// Unexpected-death recoveries performed so far, across all shards.
-    /// Deliberate replacements via [`ProcessPool::install_checkpoint`] are
-    /// not counted.
-    pub fn restarts(&self) -> u64 {
-        self.restarts
-    }
-
-    /// Cumulative wall-clock nanoseconds spent replaying checkpoint +
-    /// journal frames during those recoveries — the observable cost of
-    /// exactly-once recovery, surfaced by `coach-serve` telemetry as
-    /// `coach_serve_recovery_replay_ns_total`.
-    pub fn replay_ns(&self) -> u64 {
-        self.replay_ns
-    }
-
-    /// Install `frame` as shard `shard`'s checkpoint and apply it now
-    /// (consuming the single ack reply). Resets the journal: recovery
-    /// replays from this frame. A child that has already built a
-    /// controller from an earlier checkpoint is replaced by a fresh
-    /// process first — a worker serves exactly one controller for its
-    /// lifetime — which [`ProcessPool::restarts`] does not count.
-    pub fn install_checkpoint(&mut self, shard: usize, frame: Vec<u8>) {
-        if self.children[shard].initialized {
-            // Dropping the old `ChildWorker` reaps it.
-            self.children[shard] = spawn_child(self.factory.as_ref(), shard)
-                .unwrap_or_else(|err| panic!("replacing shard {shard} worker failed: {err}"));
-        }
-        {
-            let c = &mut self.children[shard];
-            c.checkpoint = Some(frame);
-            c.journal.clear();
-            c.delivered = 0;
-        }
-        // Apply to the (fresh) child; on failure full recovery converges
-        // to the same state (checkpoint applied, ack consumed, journal
-        // empty).
-        if self.apply_checkpoint(shard).is_err() {
-            self.recover(shard);
-        }
-    }
-
-    /// Record `frame` as shard `shard`'s checkpoint *without* touching the
-    /// live child — for the session-close case where the child's state
-    /// already equals the exported snapshot the frame carries.
-    pub fn refresh_checkpoint(&mut self, shard: usize, frame: Vec<u8>) {
-        let c = &mut self.children[shard];
-        c.checkpoint = Some(frame);
-        c.journal.clear();
-        c.delivered = 0;
-    }
-
-    /// Send one command frame to shard `shard` (journaled for recovery).
-    pub fn send(&mut self, shard: usize, frame: Vec<u8>) {
-        self.children[shard].journal.push(frame);
-        if self.write_last_journalled(shard).is_err() {
-            self.recover(shard);
-        }
-    }
-
-    /// Block for shard `shard`'s next reply frame, recovering the child
-    /// if it died with replies outstanding.
-    pub fn recv(&mut self, shard: usize) -> Vec<u8> {
-        loop {
-            match self.children[shard].replies.recv().ok() {
-                Some(frame) => {
-                    self.children[shard].delivered += 1;
-                    return frame;
-                }
-                None => self.recover(shard),
-            }
-        }
-    }
-
-    /// Drain every child cleanly: close stdin (the child's exit signal),
-    /// join its reader, and propagate a nonzero exit as a panic.
-    pub fn shutdown(&mut self) {
-        for (shard, mut child) in self.children.drain(..).enumerate() {
-            drop(child.stdin.take());
-            if let Some(reader) = child.reader.take() {
-                let _ = reader.join();
-            }
-            let status = child.child.wait().expect("wait on shard child");
-            assert!(
-                status.success(),
-                "shard {shard} process worker exited with {status}"
-            );
-        }
-    }
-
-    /// Write the newest journal entry to the child. `Err` means the pipe
-    /// is broken (the child died) and recovery should run.
-    fn write_last_journalled(&mut self, shard: usize) -> Result<(), ()> {
-        let c = &mut self.children[shard];
-        let frame = c.journal.last().expect("journal entry just pushed");
-        let stdin = c.stdin.as_mut().ok_or(())?;
-        coach_wire::write_frame(stdin, frame).map_err(|_| ())?;
-        std::io::Write::flush(stdin).map_err(|_| ())
-    }
-
-    /// Send the checkpoint frame and consume the child's single ack.
-    fn apply_checkpoint(&mut self, shard: usize) -> Result<(), ()> {
-        let c = &mut self.children[shard];
-        let frame = c.checkpoint.clone().expect("checkpoint installed");
-        let stdin = c.stdin.as_mut().ok_or(())?;
-        coach_wire::write_frame(stdin, &frame).map_err(|_| ())?;
-        std::io::Write::flush(stdin).map_err(|_| ())?;
-        c.replies.recv().map_err(|_| ())?;
-        c.initialized = true;
-        Ok(())
-    }
-
-    /// Rebuild shard `shard` after its child died: respawn, replay
-    /// checkpoint + journal, discard already-delivered replies. Panics —
-    /// with the child's exit status — once [`MAX_RESPAWNS`] attempts fail
-    /// or when no checkpoint was ever installed.
-    fn recover(&mut self, shard: usize) {
-        let mut last_status = self.children[shard].reap();
-        assert!(
-            self.children[shard].checkpoint.is_some(),
-            "shard {shard} process worker died before a checkpoint was installed \
-             (exit status: {last_status:?})"
-        );
-        for _ in 0..MAX_RESPAWNS {
-            self.restarts += 1;
-            let fresh = match spawn_child(self.factory.as_ref(), shard) {
-                Ok(fresh) => fresh,
-                Err(err) => panic!("respawning shard {shard} worker failed: {err}"),
-            };
-            let old = std::mem::replace(&mut self.children[shard], fresh);
-            let c = &mut self.children[shard];
-            c.checkpoint = old.checkpoint.clone();
-            c.journal = old.journal.clone();
-            c.delivered = old.delivered;
-            drop(old);
-            let t0 = std::time::Instant::now();
-            let replayed = self.replay(shard).is_ok();
-            self.replay_ns = self
-                .replay_ns
-                .saturating_add(t0.elapsed().as_nanos() as u64);
-            if replayed {
-                return;
-            }
-            last_status = self.children[shard].reap();
-        }
-        panic!(
-            "shard {shard} process worker died {MAX_RESPAWNS} times during recovery; \
-             last exit status: {last_status:?}"
-        );
-    }
-
-    /// Replay checkpoint + journal into a fresh child and discard the
-    /// replies the caller already consumed.
-    fn replay(&mut self, shard: usize) -> Result<(), ()> {
-        self.apply_checkpoint(shard)?;
-        let c = &mut self.children[shard];
-        let journal = c.journal.clone();
-        let stdin = c.stdin.as_mut().ok_or(())?;
-        for frame in &journal {
-            coach_wire::write_frame(stdin, frame).map_err(|_| ())?;
-        }
-        std::io::Write::flush(stdin).map_err(|_| ())?;
-        for _ in 0..c.delivered {
-            c.replies.recv().map_err(|_| ())?;
-        }
-        Ok(())
-    }
-}
-
-/// Run a shard-worker child's side of the pipe protocol: read
-/// length-prefixed command frames from stdin, answer each with exactly
-/// one reply frame on stdout (flushed immediately — the supervisor's
-/// journal recovery depends on the 1:1 framing), and return cleanly when
-/// stdin closes.
-///
-/// Call this from a worker-capable binary's `main` after detecting the
-/// worker role (e.g. via an environment variable); `handler` owns all
-/// frame semantics.
-pub fn serve_child_frames(mut handler: impl FnMut(Vec<u8>) -> Vec<u8>) {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut input = stdin.lock();
-    let mut output = std::io::BufWriter::new(stdout.lock());
-    while let Some(frame) = coach_wire::read_frame(&mut input).expect("shard worker stdin") {
-        let reply = handler(frame);
-        coach_wire::write_frame(&mut output, &reply).expect("shard worker stdout");
-        std::io::Write::flush(&mut output).expect("shard worker stdout flush");
-    }
 }
 
 #[cfg(test)]
@@ -945,86 +563,5 @@ mod tests {
         if let Err(panic) = runner.join() {
             resume_unwind(panic);
         }
-    }
-
-    /// `cat` is a perfectly deterministic 1:1 frame echo: the length
-    /// prefix and payload pass through byte-for-byte, so it stands in for
-    /// a shard worker in supervisor tests.
-    #[cfg(unix)]
-    fn cat_pool(shards: usize) -> ProcessPool {
-        ProcessPool::spawn(shards, |_| std::process::Command::new("cat")).expect("spawn cat pool")
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn process_pool_round_trips_frames() {
-        let mut pool = cat_pool(2);
-        pool.install_checkpoint(0, b"INIT0".to_vec());
-        pool.install_checkpoint(1, b"INIT1".to_vec());
-        pool.send(0, b"alpha".to_vec());
-        pool.send(1, b"beta".to_vec());
-        pool.send(0, b"gamma".to_vec());
-        assert_eq!(pool.recv(0), b"alpha");
-        assert_eq!(pool.recv(1), b"beta");
-        assert_eq!(pool.recv(0), b"gamma");
-        assert_eq!(pool.restarts(), 0);
-        pool.shutdown();
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn process_pool_recovers_from_sigkill() {
-        let mut pool = cat_pool(1);
-        pool.install_checkpoint(0, b"CHECKPOINT".to_vec());
-        pool.send(0, b"one".to_vec());
-        assert_eq!(pool.recv(0), b"one");
-
-        // SIGKILL the child, then keep streaming: the supervisor must
-        // respawn it, replay checkpoint + journal, discard the one
-        // already-delivered reply, and hand back exactly the new ones.
-        let pid = pool.pid(0);
-        let killed = std::process::Command::new("kill")
-            .args(["-9", &pid.to_string()])
-            .status()
-            .expect("run kill");
-        assert!(killed.success());
-        std::thread::sleep(std::time::Duration::from_millis(50));
-
-        pool.send(0, b"two".to_vec());
-        // The replayed duplicate of "one" is discarded by the supervisor;
-        // the caller sees exactly the reply it had not yet consumed.
-        assert_eq!(pool.recv(0), b"two");
-        assert!(pool.restarts() >= 1);
-        assert_ne!(pool.pid(0), pid, "a fresh process took over");
-        pool.shutdown();
-    }
-
-    #[cfg(unix)]
-    #[test]
-    #[should_panic(expected = "died before a checkpoint")]
-    fn process_pool_without_checkpoint_escalates() {
-        let mut pool = cat_pool(1);
-        let pid = pool.pid(0);
-        std::process::Command::new("kill")
-            .args(["-9", &pid.to_string()])
-            .status()
-            .expect("run kill");
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        pool.send(0, b"doomed".to_vec());
-        let _ = pool.recv(0);
-    }
-
-    #[cfg(unix)]
-    #[test]
-    #[should_panic(expected = "exited with")]
-    fn process_pool_shutdown_propagates_nonzero_exit() {
-        let mut pool = ProcessPool::spawn(1, |_| {
-            let mut cmd = std::process::Command::new("sh");
-            cmd.args(["-c", "cat; exit 3"]);
-            cmd
-        })
-        .expect("spawn sh pool");
-        pool.install_checkpoint(0, b"INIT".to_vec());
-        pool.shutdown();
     }
 }

@@ -10,7 +10,6 @@
 
 use coach_wire::{Decode, Decoder, Encode, Encoder, WireError};
 
-use crate::config::{HardwareConfig, Offering, SubscriptionType, VmConfig};
 use crate::ids::{ClusterId, ServerId, SubscriptionId, VmId};
 use crate::resource::ResourceVec;
 use crate::series::Percentile;
@@ -142,80 +141,6 @@ impl Decode for Percentile {
     }
 }
 
-/// Implement `Encode`/`Decode` for a fieldless enum as a `u8` tag.
-macro_rules! tag_wire {
-    ($ty:ty, $context:literal, { $($tag:literal => $variant:path),+ $(,)? }) => {
-        impl Encode for $ty {
-            fn encode(&self, e: &mut Encoder) {
-                e.u8(match self {
-                    $($variant => $tag,)+
-                });
-            }
-        }
-        impl Decode for $ty {
-            fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-                match d.u8($context)? {
-                    $($tag => Ok($variant),)+
-                    tag => Err(WireError::UnknownTag {
-                        context: $context,
-                        tag: tag as u64,
-                    }),
-                }
-            }
-        }
-    };
-}
-
-tag_wire!(Offering, "Offering", {
-    0 => Offering::Iaas,
-    1 => Offering::Paas,
-});
-
-tag_wire!(SubscriptionType, "SubscriptionType", {
-    0 => SubscriptionType::InternalProduction,
-    1 => SubscriptionType::InternalTest,
-    2 => SubscriptionType::External,
-});
-
-impl Encode for VmConfig {
-    fn encode(&self, e: &mut Encoder) {
-        e.u32(self.cores);
-        e.f64(self.memory_gb);
-        e.f64(self.network_gbps);
-        e.f64(self.ssd_gb);
-    }
-}
-
-impl Decode for VmConfig {
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        // Struct literal, not `VmConfig::new`: the constructor panics on
-        // zero cores / non-positive sizes, and a snapshot must reproduce
-        // whatever the trace carried, byte for byte.
-        Ok(VmConfig {
-            cores: d.u32("VmConfig cores")?,
-            memory_gb: d.f64("VmConfig memory_gb")?,
-            network_gbps: d.f64("VmConfig network_gbps")?,
-            ssd_gb: d.f64("VmConfig ssd_gb")?,
-        })
-    }
-}
-
-impl Encode for HardwareConfig {
-    fn encode(&self, e: &mut Encoder) {
-        e.str(&self.name);
-        self.capacity.encode(e);
-    }
-}
-
-impl Decode for HardwareConfig {
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(HardwareConfig {
-            name: d.str("HardwareConfig name")?.to_string(),
-            capacity: ResourceVec::decode(d)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,14 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn enums_and_configs_roundtrip() {
-        roundtrip(Offering::Paas);
-        roundtrip(SubscriptionType::External);
-        roundtrip(VmConfig::general_purpose(4));
-        roundtrip(HardwareConfig::general_purpose_gen4());
-    }
-
-    #[test]
     fn invalid_values_fail_softly() {
         // An out-of-range percentile must be a decode error, not a panic.
         let mut e = Encoder::new();
@@ -291,17 +208,6 @@ mod tests {
         assert!(matches!(
             open_frame::<TimeWindows>(&frame),
             Err(WireError::Invalid { .. })
-        ));
-
-        // Unknown enum tag.
-        let mut e = Encoder::new();
-        e.u8(9);
-        let mut frame = Vec::from(coach_wire::MAGIC);
-        frame.extend_from_slice(&coach_wire::VERSION.to_le_bytes());
-        frame.extend_from_slice(&e.into_bytes());
-        assert!(matches!(
-            open_frame::<Offering>(&frame),
-            Err(WireError::UnknownTag { .. })
         ));
     }
 }

@@ -1,12 +1,11 @@
-//! **coach-wire** — the versioned binary codec of the Coach distributed
-//! control plane.
+//! **coach-wire** — the versioned binary codec behind Coach's controller
+//! snapshots.
 //!
-//! Shard workers can run as separate processes (eventually separate
-//! boxes), so every command, reply, and snapshot that crosses a shard
-//! boundary is serialized through this crate. The format is deliberately
-//! hand-rolled and dependency-free — the wire contract must not inherit
-//! another crate's layout decisions — and every property the control
-//! plane relies on is explicit:
+//! A snapshot of a serving controller can be stored or shipped to another
+//! process and restored there, so its bytes are untrusted input. The
+//! format is deliberately hand-rolled and dependency-free — the wire
+//! contract must not inherit another crate's layout decisions — and every
+//! property a restore relies on is explicit:
 //!
 //! * **Versioned frames.** A frame is a 4-byte magic (`b"CWIR"`), a
 //!   little-endian `u16` schema version, and a payload. Decoding a frame
@@ -14,29 +13,30 @@
 //!   misparse; committed golden fixtures pin the byte layout in CI.
 //! * **Bit-exact floats.** `f64` travels as the 8 little-endian bytes of
 //!   [`f64::to_bits`], so the violation accountant's running sums and
-//!   every capacity figure survive a process hop unchanged — the
-//!   differential identity suites compare them with `assert_eq!`.
+//!   every capacity figure survive a round trip unchanged — the
+//!   snapshot identity suites compare them with `assert_eq!`.
 //! * **Varint framing.** Unsigned integers use LEB128 (≤ 10 bytes,
 //!   canonical-length checked on the final byte); signed integers zigzag
-//!   first. Collections are length-prefixed, and claimed lengths are
-//!   validated against the bytes actually remaining, so adversarial
-//!   frames cannot force huge allocations.
+//!   first. Collections are length-prefixed, claimed lengths are
+//!   validated against the bytes actually remaining, and a decoder
+//!   reserves at most what those bytes could hold
+//!   ([`Decoder::capacity_for`]), so adversarial frames cannot force huge
+//!   allocations.
 //! * **Strict errors, no panics.** Truncation, trailing bytes, unknown
 //!   enum tags, bad magic, and invalid values each map to a structured
 //!   [`WireError`]. Decoding arbitrary bytes never panics — a fuzz-style
 //!   proptest mutates encoded frames and asserts exactly that.
 //!
-//! Message vocabularies (the dispatcher's commands and replies, snapshot
-//! payloads) live next to their types in `coach-serve`; this crate owns
-//! only the primitives: [`Encoder`]/[`Decoder`], the [`Encode`]/[`Decode`]
-//! traits with impls for the scalar and container building blocks, frame
-//! sealing/opening, and length-prefixed frame I/O for pipe transports.
+//! Message vocabularies (snapshot payloads) live next to their types in
+//! the crates that own them; this crate owns only the primitives:
+//! [`Encoder`]/[`Decoder`], the [`Encode`]/[`Decode`] traits with impls
+//! for the scalar and container building blocks, and frame
+//! sealing/opening.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;
-use std::io::{self, Read, Write};
 
 /// The 4-byte frame magic.
 pub const MAGIC: [u8; 4] = *b"CWIR";
@@ -44,11 +44,6 @@ pub const MAGIC: [u8; 4] = *b"CWIR";
 /// The current wire schema version. Bump on any layout change; decoding a
 /// frame with a different version fails with [`WireError::Version`].
 pub const VERSION: u16 = 8;
-
-/// Frames larger than this are rejected by the pipe transport before any
-/// allocation — a corrupted length prefix must not look like a request
-/// for gigabytes.
-pub const MAX_FRAME_LEN: u32 = 1 << 30;
 
 /// A structured decode failure. Decoding untrusted bytes returns one of
 /// these; it never panics.
@@ -328,6 +323,15 @@ impl<'b> Decoder<'b> {
         Ok(len)
     }
 
+    /// How many `T`s to reserve for a collection claiming `len` of them:
+    /// at most what the bytes left could hold in memory. An element may
+    /// take one byte on the wire and many more in memory, so reserving
+    /// `len` would let a short frame demand a huge allocation before it
+    /// fails; a collection longer than this grows as it decodes.
+    pub fn capacity_for<T>(&self, len: usize) -> usize {
+        len.min(self.remaining() / std::mem::size_of::<T>().max(1))
+    }
+
     /// Length-prefixed raw bytes.
     pub fn bytes(&mut self, context: &'static str) -> Result<&'b [u8], WireError> {
         let len = self.seq_len(context)?;
@@ -401,7 +405,7 @@ impl<T: Encode> Encode for Vec<T> {
 impl<T: Decode> Decode for Vec<T> {
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         let len = d.seq_len("Vec length")?;
-        let mut out = Vec::with_capacity(len);
+        let mut out = Vec::with_capacity(d.capacity_for::<T>(len));
         for _ in 0..len {
             out.push(T::decode(d)?);
         }
@@ -507,47 +511,6 @@ pub fn open_frame<T: Decode>(frame: &[u8]) -> Result<T, WireError> {
     let value = T::decode(&mut d)?;
     d.finish()?;
     Ok(value)
-}
-
-/// Write one length-prefixed frame (little-endian `u32` length, then the
-/// bytes) to a pipe-like transport. Does not flush.
-pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(frame.len())
-        .ok()
-        .filter(|&n| n <= MAX_FRAME_LEN)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(frame)
-}
-
-/// Read one length-prefixed frame. Returns `Ok(None)` on clean EOF at a
-/// frame boundary; EOF mid-frame or an oversized length is an error.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut len_bytes = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        let n = r.read(&mut len_bytes[filled..])?;
-        if n == 0 {
-            if filled == 0 {
-                return Ok(None);
-            }
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "EOF inside frame length",
-            ));
-        }
-        filled += n;
-    }
-    let len = u32::from_le_bytes(len_bytes);
-    if len > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame length exceeds MAX_FRAME_LEN",
-        ));
-    }
-    let mut frame = vec![0u8; len as usize];
-    r.read_exact(&mut frame)?;
-    Ok(Some(frame))
 }
 
 #[cfg(test)]
@@ -666,34 +629,5 @@ mod tests {
         let too_big = [0xffu8, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f];
         let mut d = Decoder::new(&too_big);
         assert_eq!(d.u64("v"), Err(WireError::Invalid { context: "v" }));
-    }
-
-    #[test]
-    fn pipe_framing_round_trips_and_detects_torn_frames() {
-        let mut pipe = Vec::new();
-        write_frame(&mut pipe, b"hello").unwrap();
-        write_frame(&mut pipe, b"").unwrap();
-        let mut cursor = io::Cursor::new(pipe.clone());
-        assert_eq!(
-            read_frame(&mut cursor).unwrap().as_deref(),
-            Some(&b"hello"[..])
-        );
-        assert_eq!(read_frame(&mut cursor).unwrap().as_deref(), Some(&b""[..]));
-        assert_eq!(read_frame(&mut cursor).unwrap(), None);
-
-        // EOF inside a frame is an error, not a silent None: cut into the
-        // second frame's length prefix.
-        let torn = &pipe[..pipe.len() - 2];
-        let mut cursor = io::Cursor::new(torn.to_vec());
-        assert_eq!(
-            read_frame(&mut cursor).unwrap().as_deref(),
-            Some(&b"hello"[..])
-        );
-        assert!(read_frame(&mut cursor).is_err());
-
-        // A length prefix beyond MAX_FRAME_LEN is rejected before allocating.
-        let huge = (MAX_FRAME_LEN + 1).to_le_bytes();
-        let mut cursor = io::Cursor::new(huge.to_vec());
-        assert!(read_frame(&mut cursor).is_err());
     }
 }

@@ -13,7 +13,7 @@
 //! | [`workloads`] | `coach-workloads` | Table 2 workloads, Fig 15/18/21 |
 //! | [`sim`] | `coach-sim` | Cluster replay: Fig 19/20 |
 //! | [`serve`] | `coach-serve` | Online sharded controller + incremental accounting |
-//! | [`wire`] | `coach-wire` | Versioned binary codec for the distributed control plane |
+//! | [`wire`] | `coach-wire` | Versioned binary codec behind controller snapshots |
 //! | [`telemetry`] | `coach-telemetry` | Metrics registry, span rings, Prometheus/Chrome-trace export |
 //! | [`core`] | `coach-core` | The `Coach` system itself |
 //!
@@ -68,8 +68,8 @@ pub use coach_workloads as workloads;
 /// * **Vocabulary** — everything in [`coach_types::prelude`]: ids,
 ///   resource vectors, timestamps, time windows, the windowed statistics
 ///   ([`WindowStats`](coach_types::WindowStats),
-///   [`UtilizationSource`](coach_types::UtilizationSource)) and
-///   [`WorkerBackend`](coach_types::WorkerBackend).
+///   [`UtilizationSource`](coach_types::UtilizationSource)) and the shard
+///   worker pool ([`with_shard_threads`](coach_types::with_shard_threads)).
 /// * **The system** — [`Coach`](coach_core::Coach) with its config, server
 ///   and VM views, and [`VmRequest`](coach_core::VmRequest).
 /// * **Online serving** — [`Controller`](coach_serve::Controller) and
@@ -82,10 +82,8 @@ pub use coach_workloads as workloads;
 ///   record iterator such as a [`StreamingTrace`](coach_trace::StreamingTrace)'s;
 ///   [`Response`](coach_serve::Response) and
 ///   [`StatsReport`](coach_serve::StatsReport) coming back. Decisions are
-///   identical to the batch [`coach_sim::packing_experiment`]. A binary
-///   that selects the process backend calls
-///   [`maybe_run_shard_worker`](coach_serve::maybe_run_shard_worker) first
-///   thing in `main`.
+///   identical to the batch [`coach_sim::packing_experiment`]. Shard
+///   workers are threads of the calling process.
 /// * **Live servicing** — a [`Snapshot`](coach_serve::Snapshot) frame from
 ///   [`Controller::snapshot`](coach_serve::Controller::snapshot) restores
 ///   into a controller that finishes the stream bit-identically; anything
@@ -99,8 +97,8 @@ pub use coach_workloads as workloads;
 pub mod prelude {
     pub use coach_core::{Coach, CoachConfig, CoachServer, CoachVm, VmRequest};
     pub use coach_serve::{
-        maybe_run_shard_worker, Controller, Request, RequestSource, Response, ServeConfig,
-        ShardedController, Snapshot, StatsReport, StreamRequest, StreamSource,
+        Controller, Request, RequestSource, Response, ServeConfig, ShardedController, Snapshot,
+        StatsReport, StreamRequest, StreamSource,
     };
     pub use coach_telemetry::{
         chrome_trace, Registry, RegistrySnapshot, SpanRing, TelemetryConfig,

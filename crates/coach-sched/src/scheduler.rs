@@ -49,8 +49,9 @@
 //! estimator ([`ClusterScheduler::estimate_probe_fill`]) all take the first
 //! server in that order. The estimator replays the Fig 20a probe fill on
 //! scratch copies of each server's sums through the same feasibility check
-//! and commit `ServerState::place` runs, so its count equals the
-//! exhaustive fill's without placing a probe.
+//! and commit `ServerState::place` runs, so its count equals that of a
+//! fill through [`ClusterScheduler::place`] without placing a probe. It is
+//! the only probe production code runs on a live scheduler.
 
 use crate::demand::VmDemand;
 use crate::server::{rejects, FitRow, ServerState, Sums};
@@ -731,10 +732,11 @@ impl ClusterScheduler {
     ///
     /// `templates[r]` is the probe of rotation `r`. The fill offers probes
     /// in rotation order and stops after one full round of rejections,
-    /// exactly as an exhaustive fill through [`Self::place`] does, and it
-    /// counts the same: each probe goes to the first feasible server in
-    /// candidate order, checked and committed on scratch copies of the
-    /// servers' sums by the code `place` itself runs.
+    /// exactly as a fill through [`Self::place`] does, and it counts the
+    /// same: each probe goes to the first feasible server in candidate
+    /// order, checked and committed on scratch copies of the servers' sums
+    /// by the code `place` itself runs. The scheduler is only read, so a
+    /// measurement never changes a later decision.
     ///
     /// Each rotation keeps a min-heap of `(candidate key, server)` over the
     /// servers not yet known infeasible for it. The fill only commits
@@ -748,11 +750,11 @@ impl ClusterScheduler {
     /// every pair has been: a fill of `c` probes over `n` servers and `w`
     /// rotations runs exactly `c + n × w` feasibility checks, and each heap
     /// sees at most `n + c` pushes, so the heap work is `O((n + c) × w ×
-    /// log(n + c))`, where the exhaustive fill scans candidates and moves
-    /// index entries for every probe in and out. On the benchmark's `churn_sharded` (seed
-    /// 2026, 2-core box) one measurement took 1.44 s exhaustive, 0.19–0.23 s
-    /// with the previous sorted-list estimator and 0.024–0.028 s with the
-    /// heaps.
+    /// log(n + c))`, where a fill through `place` scans candidates and
+    /// moves index entries for every probe in and out. On the benchmark's
+    /// `churn_sharded` (seed 2026, 2-core box) one measurement took 1.44 s
+    /// through `place`, 0.19–0.23 s with the previous sorted-list estimator
+    /// and 0.024–0.028 s with the heaps.
     pub fn estimate_probe_fill(&self, templates: &[VmDemand]) -> u64 {
         self.probe_fill(templates).0
     }
@@ -1179,7 +1181,7 @@ mod tests {
     /// places a probe or retires its (server, rotation) for the rest of the
     /// fill, and the fill ends when every pair is retired, so a fill of
     /// `count` probes runs `count + servers × windows` checks — never more.
-    /// Its count is the exhaustive fill's through `place`, on clusters
+    /// Its count is that of a fill through `place`, on clusters
     /// churned by three seeded sequences of places and removes.
     #[test]
     fn probe_fill_checks_are_bounded() {

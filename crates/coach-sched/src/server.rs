@@ -41,10 +41,7 @@
 //! once; the slots (80 bytes each) stay at the most VMs the server has
 //! hosted at one time, which the hardware bounds and the length of the
 //! stream does not (`stream_cold`: 25 MB at its 224k-resident peak, 27 MB
-//! by its last arrival). `remove` cannot tell a tenant leaving from a probe
-//! unwinding, and every exhaustive probe fills each server and empties it
-//! again: whatever `remove` gave back on the way down, the next fill would
-//! allocate again.
+//! by its last arrival).
 
 use crate::demand::VmDemand;
 use coach_types::prelude::*;

@@ -72,11 +72,10 @@ pub struct ServeConfig {
     pub horizon: Timestamp,
     /// Violation-sampling cadence (the batch sweep's two hours by default).
     pub sample_every: SimDuration,
-    /// How [`Request::Probe`] measurements are produced: the exhaustive
-    /// pack/unpack fill (the batch replay's exact float trajectory), the
-    /// read-only estimator on scratch copies of the per-server sums, or
-    /// both with an equality assertion
-    /// ([`ProbeMode::Differential`]).
+    /// How [`Request::Probe`] measurements are checked. Every mode measures
+    /// with the read-only estimator, as the batch replay does;
+    /// [`ProbeMode::Differential`] also runs the reference fill on clones
+    /// of the schedulers and asserts that the counts agree.
     pub probe_mode: ProbeMode,
     /// How much telemetry the deployment records
     /// ([`coach_telemetry::TelemetryConfig`]): `Off` (default) compiles
@@ -100,10 +99,7 @@ impl ServeConfig {
             scan: ScanStrategy::Indexed,
             horizon,
             sample_every: VIOLATION_SAMPLE_EVERY,
-            // Exhaustive keeps even the probe fill's add/remove float dust
-            // identical to the batch experiment; a deployment that doesn't
-            // need batch bit-identity should switch to `Estimated`.
-            probe_mode: ProbeMode::Exhaustive,
+            probe_mode: ProbeMode::Estimated,
             telemetry: TelemetryConfig::Off,
         }
     }
@@ -314,31 +310,20 @@ impl<'a> Controller<'a> {
                 // strictly before it (a departure at exactly `now` is the
                 // crossing event, applied after the measurement).
                 self.drain_departures(now, false);
-                let count = match self.config.probe_mode {
-                    ProbeMode::Exhaustive => measure_probe_capacity(
-                        self.clusters.iter_mut().map(|c| &mut c.sched),
-                        &self.probe_templates,
-                    ),
-                    ProbeMode::Estimated => estimate_probe_capacity(
-                        self.clusters.iter().map(|c| &c.sched),
-                        &self.probe_templates,
-                    ),
-                    ProbeMode::Differential => {
-                        let estimated = estimate_probe_capacity(
-                            self.clusters.iter().map(|c| &c.sched),
-                            &self.probe_templates,
-                        );
-                        let exhaustive = measure_probe_capacity(
-                            self.clusters.iter_mut().map(|c| &mut c.sched),
-                            &self.probe_templates,
-                        );
-                        assert_eq!(
-                            estimated, exhaustive,
-                            "probe estimator diverged from the exhaustive fill at {now:?}"
-                        );
-                        exhaustive
-                    }
-                };
+                let count = estimate_probe_capacity(
+                    self.clusters.iter().map(|c| &c.sched),
+                    &self.probe_templates,
+                );
+                if self.config.probe_mode == ProbeMode::Differential {
+                    let mut copies: Vec<ClusterScheduler> =
+                        self.clusters.iter().map(|c| c.sched.clone()).collect();
+                    let reference =
+                        measure_probe_capacity(copies.iter_mut(), &self.probe_templates);
+                    assert_eq!(
+                        count, reference,
+                        "probe estimator diverged from the reference fill at {now:?}"
+                    );
+                }
                 self.probe_counts.push(count);
                 if let Some(t) = &self.telemetry {
                     t.probes.inc();
@@ -1146,5 +1131,64 @@ mod tests {
         let peak = tracked.iter().copied().max().expect("barriers ran");
         assert!(peak > 0 && peak < departures.len() / 2, "peak {peak}");
         assert_eq!(tracked.last(), Some(&0), "nothing outlives the last sample");
+    }
+
+    /// No probe changes a live scheduler: under `Estimated` and under
+    /// `Differential` (whose reference fill places into clones), a probe
+    /// leaves the snapshot as it found it, apart from the count it
+    /// appends. The probe follows a correlated-group failure whose
+    /// re-arrivals hold ids from `1 << 40`, the range the reference fill
+    /// numbers its probes from, while they and the rest of the residents
+    /// are hosted.
+    #[test]
+    fn a_probe_changes_no_snapshot_byte_but_its_count() {
+        use crate::scenario::{stream_arrivals, GroupFailure};
+        let trace = generate(&TraceConfig {
+            cluster_count: 4,
+            ..TraceConfig::small(37)
+        });
+        let mut counts = std::collections::HashMap::new();
+        for rec in &trace.vms {
+            *counts.entry(rec.subscription).or_insert(0usize) += 1;
+        }
+        let (&sub, _) = counts.iter().max_by_key(|&(&sub, &n)| (n, sub)).unwrap();
+        let at = Timestamp::from_ticks(trace.horizon.ticks() / 3);
+        let base = 1u64 << 40;
+        let requests: Vec<crate::StreamRequest> =
+            GroupFailure::new(stream_arrivals(trace.vms.iter().cloned()), sub, at, base).collect();
+        let storm_end = 1 + requests
+            .iter()
+            .rposition(|r| matches!(r, crate::StreamRequest::Arrive(rec) if rec.id.raw() >= base))
+            .expect("failure storm re-placed VMs");
+        let oracle = Oracle::new(TimeWindows::paper_default());
+        for probe_mode in [ProbeMode::Estimated, ProbeMode::Differential] {
+            let config = ServeConfig {
+                probe_mode,
+                ..ServeConfig::replaying(PolicyConfig::paper_set().remove(2), 0.7, trace.horizon)
+            };
+            let mut controller = Controller::new(&trace.clusters, &oracle, config);
+            for request in &requests[..storm_end] {
+                controller.handle(request.as_request());
+            }
+            // Settle the clock at the probe's time, so the probe's own
+            // drain has nothing left to do.
+            controller.handle(Request::Stats { now: at });
+            let before = controller.snapshot();
+            let revived = controller.residents.keys().filter(|vm| vm.raw() >= base);
+            assert!(
+                revived.count() > 0,
+                "re-arrivals resident in the probe range"
+            );
+
+            let Response::ProbeCapacity(count) = controller.handle(Request::Probe { now: at })
+            else {
+                panic!("a probe answers with a capacity");
+            };
+            assert!(count > 0, "{probe_mode:?}: the probe measured room");
+            let mut after: ControllerDump =
+                coach_wire::open_frame(controller.snapshot().bytes()).unwrap();
+            assert_eq!(after.probe_counts.pop(), Some(count));
+            assert_eq!(Snapshot::seal(&after), before, "{probe_mode:?}");
+        }
     }
 }

@@ -33,8 +33,9 @@ pub enum RequestOf<R> {
         /// The new current time.
         now: Timestamp,
     },
-    /// Measure spare capacity by probe-filling every cluster (the Fig 20a
-    /// "additional sellable capacity" measurement).
+    /// Measure spare capacity: how many probe VMs a greedy fill of every
+    /// cluster would place (the Fig 20a "additional sellable capacity"
+    /// measurement), estimated without placing any.
     Probe {
         /// Measurement time: state reflects every event strictly before it.
         now: Timestamp,

@@ -219,28 +219,6 @@ fn probe_estimator_matches_exhaustive_in_replay() {
     }
 }
 
-/// Estimated-mode probes (read-only, no fill) report the same capacities
-/// as the exhaustive batch measurement.
-#[test]
-fn estimated_probes_report_batch_capacities() {
-    let trace = generate(&TraceConfig::small(707));
-    let oracle = Oracle::new(TimeWindows::paper_default());
-    let coach = PolicyConfig::paper_set().remove(2);
-    let batch = packing_experiment(&trace, &oracle, coach, 0.6);
-    let mut config = ServeConfig::replaying(coach, 0.6, trace.horizon);
-    config.probe_mode = ProbeMode::Estimated;
-    let mut controller = Controller::new(&trace.clusters, &oracle, config);
-    let mut capacities = Vec::new();
-    for request in RequestSource::replaying(&trace) {
-        if let Response::ProbeCapacity(n) = controller.handle(request) {
-            capacities.push(n);
-        }
-    }
-    let online = controller.finalize();
-    assert_eq!(capacities.len(), 3);
-    assert_eq!(online.probe_capacity, batch.probe_capacity);
-}
-
 /// Mid-stream stats barriers through the worker runtime: merged reports
 /// reconcile monotonically and the final result is unchanged by the extra
 /// broadcasts.

@@ -81,6 +81,37 @@ fn golden_snapshot_restores_and_resumes() {
     assert_eq!(from_fixture.finalize(), from_live.finalize());
 }
 
+/// Where the `ServeConfig`'s probe mode sits in the golden frame.
+const PROBE_MODE_BYTE: usize = 33;
+
+/// A v8 frame sealed while replays defaulted to `ProbeMode::Exhaustive`
+/// carries its byte (0) where the fixture carries `Estimated`'s (1): it
+/// still restores, keeps its byte, and measures as `Estimated`, so it
+/// answers the rest of the stream exactly as the fixture does.
+#[test]
+fn a_frame_with_the_exhaustive_byte_restores_and_measures_as_estimated() {
+    let (trace, live) = golden_snapshot();
+    let fixture = load_or_bless("snapshot_v8.bin", live.bytes());
+    assert_eq!(fixture[PROBE_MODE_BYTE], 1, "the fixture's probe mode");
+    let mut exhaustive = fixture.clone();
+    exhaustive[PROBE_MODE_BYTE] = 0;
+    let exhaustive = Snapshot::from_bytes(exhaustive);
+
+    let oracle = Oracle::new(TimeWindows::paper_default());
+    let mut from_old =
+        Controller::restore(&oracle, &exhaustive, |_| None).expect("an Exhaustive frame restores");
+    assert_eq!(from_old.snapshot(), exhaustive);
+    let mut from_fixture = Controller::restore(&oracle, &Snapshot::from_bytes(fixture), |_| None)
+        .expect("committed snapshot restores");
+    let requests: Vec<Request> = RequestSource::replaying(&trace).collect();
+    let tail = &requests[requests.len() / 2..];
+    assert!(tail.iter().any(|r| matches!(r, Request::Probe { .. })));
+    for request in tail {
+        assert_eq!(from_old.handle(*request), from_fixture.handle(*request));
+    }
+    assert_eq!(from_old.finalize(), from_fixture.finalize());
+}
+
 #[test]
 fn older_versioned_snapshots_are_rejected_structurally() {
     // A checkpoint sealed before a layout change carries the old version

@@ -14,7 +14,7 @@
 //! [`coach_types::par_map`].
 
 use crate::prediction::Predictor;
-use crate::probe::{measure_probe_capacity, paper_probe_times, probe_templates};
+use crate::probe::{estimate_probe_capacity, paper_probe_times, probe_templates};
 use coach_sched::{ClusterScheduler, PlacementOutcome, Policy, VmDemand};
 use coach_trace::{Trace, VmRecord};
 use coach_types::prelude::*;
@@ -179,7 +179,7 @@ fn packing_experiment_threads(
     let mut placement: HashMap<usize, (ServerId, f64, Vec<f64>)> = HashMap::new();
 
     // Probe demands depend only on (policy, percentile, windows, rotation):
-    // one template per rotation, stamped with fresh VM ids per probe.
+    // one template per rotation.
     let probe_templates = probe_templates(&config, tw.count());
 
     // Probe times: three points spread across the horizon.
@@ -190,8 +190,8 @@ fn packing_experiment_threads(
     for (time, kind, i) in events {
         // Measure spare capacity whenever we cross a probe time.
         while probe_idx < probe_times.len() && time >= probe_times[probe_idx] {
-            probe_counts.push(measure_probe_capacity(
-                schedulers.values_mut(),
+            probe_counts.push(estimate_probe_capacity(
+                schedulers.values(),
                 &probe_templates,
             ));
             probe_idx += 1;
@@ -234,8 +234,8 @@ fn packing_experiment_threads(
         peak_servers = peak_servers.max(in_use_total);
     }
     while probe_idx < probe_times.len() {
-        probe_counts.push(measure_probe_capacity(
-            schedulers.values_mut(),
+        probe_counts.push(estimate_probe_capacity(
+            schedulers.values(),
             &probe_templates,
         ));
         probe_idx += 1;

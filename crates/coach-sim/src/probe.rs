@@ -4,26 +4,28 @@
 //!
 //! The measurement is produced two ways:
 //!
-//! * [`measure_probe_capacity`] — the exhaustive reference: greedily
-//!   **place** probe VMs into the real schedulers through their public
-//!   `place` until nothing fits, count them, then `remove` them all. Exact
-//!   by definition, but every probe pays full scheduler machinery
-//!   (candidate index updates, VM bookkeeping) twice — once in, once out.
-//! * [`estimate_probe_capacity`] — the sum of
-//!   [`ClusterScheduler::estimate_probe_fill`] over the clusters: the same
+//! * [`estimate_probe_capacity`] — the production probe, and the only one
+//!   the batch replay and the controller run on their schedulers: the sum
+//!   of [`ClusterScheduler::estimate_probe_fill`] over the clusters, a
 //!   greedy fill replayed on scratch copies of each server's sums, through
 //!   the scheduler's own feasibility check, commit and candidate order,
-//!   without mutating the scheduler (note the `&` vs `&mut` iterator).
-//!   It keeps one min-heap of servers per rotation, in candidate order,
-//!   and drops a (server, rotation) for good the first time it rejects
-//!   (the fill only adds load): a fill of `c` probes over `n` servers and
-//!   `w` rotations runs exactly `c + n × w` feasibility checks, against a
-//!   candidate scan and two index moves per probe for the exhaustive fill.
+//!   without mutating the scheduler (note the `&` iterator). It keeps one
+//!   min-heap of servers per rotation, in candidate order, and drops a
+//!   (server, rotation) for good the first time it rejects (the fill only
+//!   adds load): a fill of `c` probes over `n` servers and `w` rotations
+//!   runs exactly `c + n × w` feasibility checks.
+//! * [`measure_probe_capacity`] — the reference the estimator is held to:
+//!   greedily **place** probe VMs through the schedulers' public `place`
+//!   until nothing fits, count them, then `remove` them all. Exact by
+//!   definition, but it mutates the schedulers it is given and pays a
+//!   candidate scan and two index moves per probe. Tests run it, and
+//!   [`ProbeMode::Differential`] runs it on clones of the controller's
+//!   schedulers.
 //!
 //! Measured per measurement on the benchmark's `churn_sharded` workload
 //! (seed 2026, about 289k probes over two shards, 2-core box, traced runs):
-//! exhaustive 1.44 s, the previous sorted-list estimator 0.19–0.23 s, the
-//! heaps 0.024–0.028 s.
+//! the reference fill 1.44 s, the previous sorted-list estimator
+//! 0.19–0.23 s, the heaps 0.024–0.028 s.
 //!
 //! Feasibility and commit are shared code, so the estimator is exact on
 //! them by construction. What it walks on its own is the candidate order
@@ -31,30 +33,25 @@
 //! over-committed server, exact occupancy crossings), a proptest over
 //! random churn × policy × scan, and `ProbeMode::Differential`
 //! in `coach-serve` (both on every measurement of the differential suite)
-//! hold it equal to the exhaustive fill.
+//! hold it equal to the reference fill.
 
 use crate::packing::PolicyConfig;
 use coach_sched::{ClusterScheduler, PlacementOutcome, Policy, VmDemand};
 use coach_types::prelude::*;
 
-/// How a serving-path probe measurement is produced.
+/// How a serving-path probe measurement is checked. Every mode measures
+/// with [`estimate_probe_capacity`] and leaves the schedulers untouched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProbeMode {
-    /// The exhaustive pack/unpack fill ([`measure_probe_capacity`]).
-    /// Mutates and restores the schedulers — matching the batch replay's
-    /// float trajectory exactly, which the bit-identity differential tests
-    /// rely on — and pays full scheduler cost per probe.
-    #[default]
+    /// Measures as [`ProbeMode::Estimated`]. Kept so that snapshots which
+    /// carry its wire byte (0), and callers that name it, keep working.
     Exhaustive,
-    /// The incremental estimator ([`estimate_probe_capacity`]): read-only,
-    /// replays the fill on scratch copies of the per-server sums. Produces
-    /// the same count; the schedulers are untouched (so the post-probe
-    /// floating-point state can differ from the exhaustive path's
-    /// add-then-remove dust by design).
+    /// The estimator alone.
+    #[default]
     Estimated,
-    /// Run both, assert the counts agree, and keep the exhaustive result
-    /// (including its state trajectory). The mode the differential suite
-    /// runs under.
+    /// The estimator, and the reference fill ([`measure_probe_capacity`])
+    /// on clones of the schedulers, with an assertion that the two counts
+    /// agree. The mode the differential suite runs under.
     Differential,
 }
 
@@ -118,7 +115,9 @@ pub fn probe_templates(policy: &PolicyConfig, windows: usize) -> Vec<VmDemand> {
 
 /// Fill every cluster's spare room with probe VMs (rotating peak windows,
 /// cloned from the memoized per-rotation templates), count them, and remove
-/// them again — the exhaustive reference measurement.
+/// them again — the reference measurement [`estimate_probe_capacity`] is
+/// held to. It places into the schedulers it is given, so callers outside
+/// tests hand it clones.
 ///
 /// Probes are numbered from `1 << 40`, skipping any id the cluster already
 /// hosts (a scenario's re-arrivals may use the same range). Ids never
@@ -127,8 +126,7 @@ pub fn probe_templates(policy: &PolicyConfig, windows: usize) -> Vec<VmDemand> {
 ///
 /// The per-cluster probe sequence is deterministic and clusters are
 /// independent, so the total is the same whatever order the schedulers are
-/// visited in — batch replay passes a `HashMap` iterator, the online
-/// controller its sorted shard-local list.
+/// visited in.
 pub fn measure_probe_capacity<'a>(
     schedulers: impl Iterator<Item = &'a mut ClusterScheduler>,
     templates: &[VmDemand],
@@ -175,8 +173,8 @@ pub fn measure_probe_capacity<'a>(
 ///
 /// Equal to [`measure_probe_capacity`] on the same scheduler state, at a
 /// fraction of the cost: no candidate-index updates, no VM bookkeeping, no
-/// removal pass — and `&ClusterScheduler`, so concurrent readers could
-/// measure while the scheduler keeps serving.
+/// removal pass — and `&ClusterScheduler`, so a measurement never changes
+/// the state later decisions read.
 pub fn estimate_probe_capacity<'a>(
     schedulers: impl Iterator<Item = &'a ClusterScheduler>,
     templates: &[VmDemand],

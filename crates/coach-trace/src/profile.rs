@@ -1599,41 +1599,6 @@ impl<'a> CellScan<'a> {
     }
 }
 
-impl UtilizationSource for VmProfile {
-    fn util_at(&self, t: Timestamp) -> ResourceVec {
-        self.util_vec_at(t)
-    }
-
-    fn window_stats(
-        &self,
-        tw: TimeWindows,
-        start: Timestamp,
-        end: Timestamp,
-    ) -> ResourceWindowStats {
-        VmProfile::window_stats(self, tw, start, end)
-    }
-
-    fn window_peaks(
-        &self,
-        tw: TimeWindows,
-        start: Timestamp,
-        end: Timestamp,
-        p: Percentile,
-    ) -> WindowPeaks {
-        VmProfile::window_peaks(self, tw, start, end, p)
-    }
-
-    fn window_decision_buckets(
-        &self,
-        tw: TimeWindows,
-        start: Timestamp,
-        end: Timestamp,
-        p: Percentile,
-    ) -> WindowPeaks {
-        VmProfile::window_decision_buckets(self, tw, start, end, p)
-    }
-}
-
 /// Deterministic hash → uniform `[0, 1)`. SplitMix64-style mixing over the
 /// tuple `(seed, a, b, c)`. This is the reference form `util_at` (and hence
 /// the eager materializing path) uses; the analytic scan uses the

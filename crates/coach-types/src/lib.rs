@@ -52,7 +52,7 @@ pub use par::{available_threads, par_map, par_map_threads};
 pub use resource::{Fungibility, ResourceKind, ResourceVec, SharingMechanism};
 pub use runtime::{with_shard_threads, LaneStats, ShardWorkers, COMMAND_LANE_CAPACITY};
 pub use series::{Percentile, ResourceSeries, UtilSeries};
-pub use stats::{ResourceWindowStats, UtilizationSource, WindowPeaks, WindowStats};
+pub use stats::{ResourceWindowStats, WindowPeaks, WindowStats};
 pub use time::{SimDuration, TimeWindows, Timestamp, Weekday, TICKS_PER_DAY, TICKS_PER_HOUR};
 pub use winvec::WindowVec;
 
@@ -67,7 +67,7 @@ pub mod prelude {
     pub use crate::resource::{Fungibility, ResourceKind, ResourceVec, SharingMechanism};
     pub use crate::runtime::{with_shard_threads, LaneStats, ShardWorkers, COMMAND_LANE_CAPACITY};
     pub use crate::series::{Percentile, ResourceSeries, UtilSeries};
-    pub use crate::stats::{ResourceWindowStats, UtilizationSource, WindowPeaks, WindowStats};
+    pub use crate::stats::{ResourceWindowStats, WindowPeaks, WindowStats};
     pub use crate::time::{
         SimDuration, TimeWindows, Timestamp, Weekday, TICKS_PER_DAY, TICKS_PER_HOUR,
     };

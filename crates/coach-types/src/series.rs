@@ -83,8 +83,8 @@ pub fn percentile_of(values: &[f32], p: Percentile) -> f32 {
 /// This is the single definition of that rank. [`percentile_of_sorted`]
 /// reads it, and so does any producer that wants the percentile without
 /// the sorted column — it only has to get the largest
-/// [`PercentileRank::top_k`] values right (see
-/// [`crate::stats::UtilizationSource::window_peaks`]).
+/// [`PercentileRank::top_k`] values right (see the analytic profile's
+/// `window_peaks`).
 ///
 /// ```
 /// use coach_types::{series::PercentileRank, Percentile};
@@ -268,8 +268,8 @@ impl UtilSeries {
 
     /// Per-window statistics (per-day maxima, lifetime maxima, percentiles
     /// of per-day maxima) computed in one pass over the samples into a flat
-    /// buffer — the reference implementation lazy
-    /// [`crate::stats::UtilizationSource`] producers are validated against.
+    /// buffer — the reference implementation lazy producers are validated
+    /// against.
     pub fn window_stats(&self, tw: TimeWindows) -> crate::stats::WindowStats {
         crate::stats::WindowStats::from_series(self, tw)
     }

@@ -1,16 +1,15 @@
-//! Windowed utilization statistics and the lazy demand-derivation contract.
+//! Windowed utilization statistics: what lazy demand derivation produces.
 //!
 //! The demand pipeline (oracle derivation, model training, accuracy
 //! experiments) never needs a VM's full 5-minute utilization series — it
 //! needs the *per-window* structure: the maximum inside each time window of
 //! each day, the lifetime per-window maximum, and a percentile of the
 //! per-day maxima (Formulas 1–2). [`WindowStats`] captures exactly that, in
-//! one flat buffer built in one pass, and [`UtilizationSource`] is the
-//! interface through which consumers ask for it **without** forcing the
-//! producer to materialize ~4k samples per resource first: an analytic
-//! profile can derive the statistics directly from its closed form, while a
-//! recorded series walks its samples once ([`WindowStats::from_series`], the
-//! reference implementation).
+//! one flat buffer built in one pass, and [`WindowPeaks`] only the two
+//! numbers per window Formulas 1–2 read. An analytic profile derives them
+//! directly from its closed form, without materializing ~4k samples per
+//! resource first; a recorded series walks its samples once
+//! ([`WindowStats::from_series`], the reference implementation).
 
 use crate::bucket::bucket_up;
 use crate::resource::{ResourceKind, ResourceVec};
@@ -30,7 +29,7 @@ use crate::winvec::WindowVec;
 ///
 /// Built either from recorded samples ([`WindowStats::from_series`] /
 /// [`WindowStats::from_samples`], the eager reference) or analytically by a
-/// profile-backed [`UtilizationSource`] via [`WindowStats::from_parts`].
+/// behavior profile via [`WindowStats::from_parts`].
 ///
 /// # Example
 ///
@@ -120,9 +119,9 @@ impl WindowStats {
 
     /// Assemble from an externally computed flat per-day-maxima buffer
     /// (`[day * tw.count() + window]`, [`WindowStats::UNCOVERED`] for cells
-    /// without samples). This is the constructor analytic
-    /// [`UtilizationSource`] implementations use; the lifetime maxima are
-    /// derived here so they can never disagree with the buffer.
+    /// without samples). This is the constructor analytic producers use;
+    /// the lifetime maxima are derived here so they can never disagree
+    /// with the buffer.
     ///
     /// # Panics
     ///
@@ -307,7 +306,8 @@ impl ResourceWindowStats {
 /// resource: the lifetime window maximum (`Pmax_t`) and one percentile of
 /// the per-day window maxima (`PX_t`) — and nothing else. Unlike
 /// [`WindowStats`] it carries no per-day cells, so a producer is free to
-/// leave most of them unresolved ([`UtilizationSource::window_peaks`]).
+/// leave most of them unresolved (the analytic profile's `window_peaks` and
+/// `window_decision_buckets` do).
 ///
 /// Both vectors hold one [`ResourceVec`] per window and stay inline (no
 /// heap allocation) for every shipped partition.
@@ -374,131 +374,6 @@ impl WindowPeaks {
             max[kind] = max[kind].max(pa);
             px[kind] = pa;
         }
-    }
-}
-
-/// Anything that can answer utilization queries for a VM: a recorded series
-/// (eager) or a behavior profile (analytic, lazy).
-///
-/// The key method is [`UtilizationSource::window_stats`]: consumers that
-/// only need windowed statistics — model training, accuracy experiments —
-/// ask for them directly, and the producer is free to derive them far
-/// cheaper than materializing every 5-minute sample. The oracle needs less
-/// still: unbucketed, [`UtilizationSource::window_peaks`]; as the serving
-/// oracle keeps it, rounded up to 5 % buckets and in decision form,
-/// [`UtilizationSource::window_decision_buckets`]. Point queries stay
-/// available for consumers that genuinely sample the timeline (the
-/// violation sweep).
-///
-/// # Two stopping rules
-///
-/// A producer that derives the peaks from per-day cells may stop resolving
-/// a window's cells early under either of two rules, and the answer does
-/// not change by a bit:
-///
-/// * *top-k exact* ([`UtilizationSource::window_peaks`]): once no further
-///   cell can enter the `k` largest day maxima the maximum and percentile
-///   read;
-/// * *decision-decided* ([`UtilizationSource::window_decision_buckets`]):
-///   per resource, a window is not resolved at all once an upper bound on
-///   its cells rounds up to a bucket at or below the `PA` that windows
-///   already decided have fixed, and its peaks are written as that `PA`.
-///   Sound because a window's `Pmax_t` is at or below that bound and its
-///   `PX_t` at or below its `Pmax_t`, so it can neither raise `PA` nor lift
-///   `max(Pmax_t, PA)` above `PA`; the order in which windows are visited
-///   decides only which of them get resolved, never a value. A window that
-///   is resolved stops once bounds on its order statistics round up to the
-///   same bucket at both ends. Sound because (i) a lower bound is a
-///   realized value and an upper bound a padded screen, cast to `f32` by
-///   monotone rounding; (ii) a cell reported as `max(floor, true)` with
-///   `floor` at most the final `k`-th largest leaves the top-`k` multiset
-///   unchanged, so reports for resolved cells mixed with bounds for the
-///   rest still sandwich each top-`k` order statistic; (iii)
-///   [`crate::series::PercentileRank::interpolate`] is monotone (`f32` ops
-///   with non-negative weights); (iv) [`crate::Bucket::round_up`] is
-///   non-decreasing over non-NaN inputs.
-pub trait UtilizationSource {
-    /// Utilization fractions of all resources at `t` (zeros outside
-    /// coverage).
-    fn util_at(&self, t: Timestamp) -> ResourceVec;
-
-    /// Windowed statistics for every resource over `[start, end)`, in one
-    /// pass and without materializing the full series.
-    fn window_stats(
-        &self,
-        tw: TimeWindows,
-        start: Timestamp,
-        end: Timestamp,
-    ) -> ResourceWindowStats;
-
-    /// Only what Formulas 1–2 read of [`UtilizationSource::window_stats`]:
-    /// per window, the lifetime maximum and percentile `p` of the per-day
-    /// maxima. Always equal to `WindowPeaks::from_stats(&self.window_stats(
-    /// tw, start, end), p)` — which is what the default does, so recorded
-    /// series need nothing more.
-    ///
-    /// A producer overrides it when it can get there cheaper. The percentile
-    /// interpolates between two adjacent order statistics
-    /// ([`crate::series::PercentileRank`]), so of a window's `n` day maxima
-    /// only the `k = PercentileRank::top_k(n)` largest matter (2 at P95 over
-    /// 14 days): any cell that provably cannot enter that top-`k` may be
-    /// reported as the current `k`-th largest value instead of being
-    /// resolved, and the result does not change by a bit.
-    fn window_peaks(
-        &self,
-        tw: TimeWindows,
-        start: Timestamp,
-        end: Timestamp,
-        p: Percentile,
-    ) -> WindowPeaks {
-        WindowPeaks::from_stats(&self.window_stats(tw, start, end), p)
-    }
-
-    /// [`UtilizationSource::window_peaks`] with every value rounded up to
-    /// its 5 % bucket, in decision form ([`WindowPeaks::decision_form`]) —
-    /// always equal to `self.window_peaks(tw, start, end,
-    /// p).bucket_up().decision_form()`, which is what the default does. A
-    /// producer overrides it when the decision-decided rule lets it resolve
-    /// less.
-    fn window_decision_buckets(
-        &self,
-        tw: TimeWindows,
-        start: Timestamp,
-        end: Timestamp,
-        p: Percentile,
-    ) -> WindowPeaks {
-        self.window_peaks(tw, start, end, p)
-            .bucket_up()
-            .decision_form()
-    }
-}
-
-impl UtilizationSource for ResourceSeries {
-    fn util_at(&self, t: Timestamp) -> ResourceVec {
-        self.at(t)
-    }
-
-    /// The eager reference: clip `[start, end)` to the recorded range and
-    /// walk the samples once per resource.
-    fn window_stats(
-        &self,
-        tw: TimeWindows,
-        start: Timestamp,
-        end: Timestamp,
-    ) -> ResourceWindowStats {
-        let lo = start.max(self.start());
-        let hi = end.min(self.end());
-        if lo >= hi {
-            return ResourceWindowStats::new(
-                ResourceKind::ALL.map(|_| WindowStats::empty(tw, lo.day())),
-            );
-        }
-        let skip = (lo.ticks() - self.start().ticks()) as usize;
-        let take = (hi.ticks() - lo.ticks()) as usize;
-        ResourceWindowStats::new(ResourceKind::ALL.map(|kind| {
-            let samples = &self.get(kind).samples()[skip..skip + take];
-            WindowStats::from_samples(tw, lo, samples)
-        }))
     }
 }
 
@@ -596,29 +471,6 @@ mod tests {
         let a = WindowStats::empty(tw, 0);
         let b = WindowStats::from_parts(tw, 0, 1, vec![0.1, 0.2]);
         let _ = ResourceWindowStats::new([a.clone(), b, a.clone(), a]);
-    }
-
-    #[test]
-    fn resource_series_source_clips_range() {
-        let mut rs = ResourceSeries::empty(Timestamp::from_hours(1));
-        for _ in 0..24 {
-            rs.push(ResourceVec::new(0.5, 0.25, 0.1, 0.0));
-        }
-        let tw = TimeWindows::paper_default();
-        // Query a superset of the coverage: clipped to the recorded range.
-        let stats = rs.window_stats(tw, Timestamp::ZERO, Timestamp::from_days(2));
-        assert_eq!(stats.days(), 1);
-        assert_eq!(stats.get(ResourceKind::Cpu).day_max(0, 0), Some(0.5));
-        let v = stats.day_window_max(0, 0);
-        assert_eq!(v[ResourceKind::Memory], 0.25);
-        // Disjoint query: empty.
-        let empty = rs.window_stats(tw, Timestamp::from_days(5), Timestamp::from_days(6));
-        assert_eq!(empty.days(), 0);
-        // Point query passthrough.
-        assert_eq!(
-            UtilizationSource::util_at(&rs, Timestamp::from_hours(1))[ResourceKind::Cpu],
-            0.5
-        );
     }
 
     proptest! {

@@ -68,7 +68,7 @@ pub use coach_workloads as workloads;
 /// * **Vocabulary** — everything in [`coach_types::prelude`]: ids,
 ///   resource vectors, timestamps, time windows, the windowed statistics
 ///   ([`WindowStats`](coach_types::WindowStats),
-///   [`UtilizationSource`](coach_types::UtilizationSource)) and the shard
+///   [`WindowPeaks`](coach_types::WindowPeaks)) and the shard
 ///   worker pool ([`with_shard_threads`](coach_types::with_shard_threads)).
 /// * **The system** — [`Coach`](coach_core::Coach) with its config, server
 ///   and VM views, and [`VmRequest`](coach_core::VmRequest).

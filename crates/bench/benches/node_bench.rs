@@ -1,12 +1,12 @@
 //! Memory-substrate benchmarks: step cost, trim, extend (§4.5 bandwidths
 //! are model parameters; these measure the simulator's own overhead).
 
-use coach_node::memory::{MemoryParams, MemoryServer, VmMemoryConfig};
+use coach_node::memory::{MemoryServer, VmMemoryConfig};
 use coach_types::VmId;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn loaded_server(vms: u64) -> MemoryServer {
-    let mut s = MemoryServer::new(512.0, 4.0, MemoryParams::default());
+    let mut s = MemoryServer::new(512.0, 4.0);
     s.set_pool_backing(128.0).unwrap();
     for i in 0..vms {
         s.add_vm(VmId::new(i), VmMemoryConfig::split(8.0, 2.0))

@@ -3,7 +3,7 @@
 
 use coach_bench::small_eval_trace;
 use coach_predict::{
-    Ewma, ForestParams, LocalPredictor, Lstm, LstmParams, ModelConfig, RandomForest, TargetKind,
+    Ewma, ForestParams, LocalPredictor, Lstm, ModelConfig, RandomForest, TargetKind,
     UtilizationModel,
 };
 use coach_sim::{Model, Oracle, Predictor};
@@ -168,7 +168,7 @@ fn bench_oracle_derive(c: &mut Criterion) {
 
 fn bench_local_predictor(c: &mut Criterion) {
     c.bench_function("lstm_train_step", |b| {
-        let mut net = Lstm::new(LstmParams::default());
+        let mut net = Lstm::new(0x15F3);
         let window = [[0.4, 0.3]; 5];
         b.iter(|| net.train_step(&window, 0.5))
     });

@@ -1,7 +1,7 @@
 //! §4.5: Coach platform overheads, measured on this machine.
 
 use coach_bench::{figure_header, small_eval_trace};
-use coach_node::memory::{MemoryParams, MemoryServer, VmMemoryConfig};
+use coach_node::memory::{MemoryServer, VmMemoryConfig};
 use coach_predict::{ForestParams, LocalPredictor, ModelConfig, UtilizationModel};
 use coach_sched::{ClusterScheduler, VmDemand};
 use coach_sim::{Model, Predictor};
@@ -111,7 +111,7 @@ fn main() {
     println!("  paper: 0.86 ms per cycle, ~25 KB per predictor");
 
     // --- Trim / extend bandwidth (model parameters, exercised).
-    let mut srv = MemoryServer::new(512.0, 4.0, MemoryParams::default());
+    let mut srv = MemoryServer::new(512.0, 4.0);
     srv.set_pool_backing(64.0).unwrap();
     srv.add_vm(VmId::new(1), VmMemoryConfig::split(64.0, 4.0))
         .unwrap();

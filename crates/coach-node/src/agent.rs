@@ -10,7 +10,7 @@
 use crate::memory::{MemoryServer, VmMemoryStats};
 use crate::mitigation::{MitigationAction, MitigationEngine, MitigationPolicy};
 use crate::monitor::{ContentionEvent, ContentionKind, Monitor, MonitorConfig};
-use coach_predict::{LocalPredictor, LstmParams, LstmScratch};
+use coach_predict::{LocalPredictor, LstmScratch};
 use coach_types::VmId;
 use std::collections::BTreeMap;
 
@@ -23,10 +23,6 @@ pub struct OversubscriptionAgent {
     /// Shared LSTM forward/backward scratch, reused across every predictor
     /// and every step — the agent loop allocates nothing in steady state.
     scratch: LstmScratch,
-    /// Actions taken, with timestamps (for experiment traces).
-    log: Vec<(f64, MitigationAction)>,
-    proactive_events: u64,
-    reactive_events: u64,
 }
 
 impl OversubscriptionAgent {
@@ -36,10 +32,7 @@ impl OversubscriptionAgent {
             monitor: Monitor::new(monitor),
             engine: MitigationEngine::new(policy, target_headroom_gb),
             predictors: BTreeMap::new(),
-            scratch: LstmScratch::new(LstmParams::default().hidden),
-            log: Vec::new(),
-            proactive_events: 0,
-            reactive_events: 0,
+            scratch: LstmScratch::new(),
         }
     }
 
@@ -78,7 +71,6 @@ impl OversubscriptionAgent {
 
             if let Some(ev) = self.monitor.sample(now, server, stats, cpu_wait, cpu_util) {
                 if ev.kind == ContentionKind::Memory {
-                    self.reactive_events += 1;
                     self.engine.trigger();
                 }
             } else if self.engine.policy().proactive {
@@ -86,7 +78,6 @@ impl OversubscriptionAgent {
                     predict_contention(&self.predictors, &mut self.scratch, now, server)
                 {
                     self.monitor.record_predicted(ev);
-                    self.proactive_events += 1;
                     self.engine.trigger();
                 }
             }
@@ -98,29 +89,13 @@ impl OversubscriptionAgent {
             if let MitigationAction::MigrationCompleted { vm } = a {
                 self.remove_vm(*vm);
             }
-            self.log.push((now, *a));
         }
         actions
-    }
-
-    /// The mitigation action log (time, action).
-    pub fn action_log(&self) -> &[(f64, MitigationAction)] {
-        &self.log
-    }
-
-    /// (reactive, proactive) trigger counts.
-    pub fn trigger_counts(&self) -> (u64, u64) {
-        (self.reactive_events, self.proactive_events)
     }
 
     /// The monitor (for inspecting recorded events).
     pub fn monitor(&self) -> &Monitor {
         &self.monitor
-    }
-
-    /// Whether the mitigation engine is currently active.
-    pub fn is_mitigating(&self) -> bool {
-        self.engine.is_triggered() || self.engine.migration_in_flight().is_some()
     }
 
     /// Per-VM predictor access (diagnostics).
@@ -168,10 +143,10 @@ fn predict_contention(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::{MemoryParams, VmMemoryConfig};
+    use crate::memory::VmMemoryConfig;
 
     fn setup() -> (MemoryServer, OversubscriptionAgent) {
-        let mut s = MemoryServer::new(32.0, 2.0, MemoryParams::default());
+        let mut s = MemoryServer::new(32.0, 2.0);
         s.set_pool_backing(6.0).unwrap();
         s.add_vm(VmId::new(1), VmMemoryConfig::split(8.0, 3.0))
             .unwrap();
@@ -201,9 +176,12 @@ mod tests {
             }
         }
         assert!(acted, "agent never acted");
-        let (reactive, proactive) = agent.trigger_counts();
-        assert!(reactive > 0);
-        assert_eq!(proactive, 0, "reactive policy must not predict");
+        let events = agent.monitor().events();
+        assert!(events.iter().any(|e| !e.predicted));
+        assert!(
+            events.iter().all(|e| !e.predicted),
+            "reactive policy must not predict"
+        );
         // Contention eventually resolved by pool extension.
         assert!(s.vm(VmId::new(2)).unwrap().unbacked_gb() < 0.5);
     }
@@ -218,12 +196,12 @@ mod tests {
             let actions = agent.step(t as f64, &mut s, &stats, 0.0, 0.0);
             assert!(actions.is_empty(), "unexpected actions {actions:?}");
         }
-        assert_eq!(agent.trigger_counts(), (0, 0));
+        assert!(agent.monitor().events().is_empty());
     }
 
     #[test]
     fn proactive_agent_triggers_from_prediction() {
-        let mut s = MemoryServer::new(32.0, 2.0, MemoryParams::default());
+        let mut s = MemoryServer::new(32.0, 2.0);
         s.set_pool_backing(6.0).unwrap();
         s.add_vm(VmId::new(1), VmMemoryConfig::split(16.0, 2.0))
             .unwrap();
@@ -241,29 +219,11 @@ mod tests {
         for t in 0..600 {
             let stats = s.step(1.0);
             agent.step(t as f64, &mut s, &stats, 0.0, 0.0);
-            if agent.trigger_counts().1 > 0 {
+            if agent.monitor().events().iter().any(|e| e.predicted) {
                 proactive_seen = true;
                 break;
             }
         }
         assert!(proactive_seen, "no proactive trigger");
-        assert!(
-            agent.monitor().events().iter().any(|e| e.predicted),
-            "predicted event recorded"
-        );
-    }
-
-    #[test]
-    fn action_log_is_timestamped_monotone() {
-        let (mut s, mut agent) = setup();
-        s.set_working_set(VmId::new(2), 8.0);
-        for t in 0..80 {
-            let stats = s.step(1.0);
-            agent.step(t as f64, &mut s, &stats, 0.0, 0.0);
-        }
-        let log = agent.action_log();
-        for w in log.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-        }
     }
 }

@@ -103,21 +103,6 @@ impl CpuGroups {
         }
     }
 
-    /// Adjust a VM's guaranteed cores (local mitigation: "readjust the CPU
-    /// groups to meet actual demand").
-    ///
-    /// # Errors
-    ///
-    /// Same constraint as [`CpuGroups::add_vm`].
-    pub fn resize_group(&mut self, id: VmId, guaranteed: f64) -> Result<(), &'static str> {
-        let current = self.vms.get(&id).ok_or("unknown vm")?.guaranteed;
-        if self.guaranteed_total() - current + guaranteed > self.schedulable_cores() + 1e-9 {
-            return Err("guaranteed cores exceed capacity");
-        }
-        self.vms.get_mut(&id).expect("checked").guaranteed = guaranteed;
-        Ok(())
-    }
-
     /// Run one scheduling round: every VM first receives
     /// `min(demand, guaranteed)`; leftover cores (idle guaranteed + never-
     /// guaranteed pool) are shared work-conservingly among still-hungry VMs
@@ -212,15 +197,11 @@ mod tests {
     }
 
     #[test]
-    fn add_and_resize_respect_capacity() {
+    fn add_respects_capacity() {
         let mut cpu = CpuGroups::new(10.0, 2.0);
         cpu.add_vm(VmId::new(1), 6.0).unwrap();
         assert!(cpu.add_vm(VmId::new(2), 4.0).is_err());
         cpu.add_vm(VmId::new(2), 2.0).unwrap();
-        assert!(cpu.resize_group(VmId::new(2), 3.0).is_err());
-        cpu.resize_group(VmId::new(1), 5.0).unwrap();
-        cpu.resize_group(VmId::new(2), 3.0).unwrap();
-        assert!(cpu.resize_group(VmId::new(99), 1.0).is_err());
         assert!(cpu.add_vm(VmId::new(1), 0.1).is_err());
     }
 

@@ -12,13 +12,13 @@
 //! # Example
 //!
 //! ```
-//! use coach_node::memory::{MemoryServer, MemoryParams, VmMemoryConfig};
+//! use coach_node::memory::{MemoryServer, VmMemoryConfig};
 //! use coach_node::agent::OversubscriptionAgent;
 //! use coach_node::mitigation::MitigationPolicy;
 //! use coach_node::monitor::MonitorConfig;
 //! use coach_types::VmId;
 //!
-//! let mut server = MemoryServer::new(64.0, 4.0, MemoryParams::default());
+//! let mut server = MemoryServer::new(64.0, 4.0);
 //! server.set_pool_backing(8.0)?;
 //! server.add_vm(VmId::new(1), VmMemoryConfig::split(8.0, 3.0))?;
 //!
@@ -43,15 +43,9 @@ pub mod cpu;
 pub mod memory;
 pub mod mitigation;
 pub mod monitor;
-pub mod platform;
 
 pub use agent::OversubscriptionAgent;
 pub use cpu::CpuGroups;
-pub use memory::{
-    MemoryError, MemoryParams, MemoryServer, VmMemoryConfig, VmMemoryState, VmMemoryStats,
-};
+pub use memory::{MemoryError, MemoryServer, VmMemoryConfig, VmMemoryState, VmMemoryStats};
 pub use mitigation::{MitigationAction, MitigationEngine, MitigationPolicy};
 pub use monitor::{ContentionEvent, ContentionKind, Monitor, MonitorConfig};
-pub use platform::{
-    host_update_timing, live_migration_timing, HostUpdateTiming, MigrationTiming, PlatformParams,
-};

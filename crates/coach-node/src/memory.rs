@@ -20,32 +20,18 @@
 use coach_types::VmId;
 use std::collections::BTreeMap;
 
-/// Bandwidths and latencies of the memory/storage substrate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MemoryParams {
-    /// Cold-page trim bandwidth, GB/s (paper: 1.1 GB/s).
-    pub trim_gb_per_sec: f64,
-    /// Pool-extension bandwidth, GB/s (paper: 15.7 GB/s).
-    pub extend_gb_per_sec: f64,
-    /// Page-in bandwidth from the backing store, GB/s (NVMe-class).
-    pub page_in_gb_per_sec: f64,
-    /// Average DRAM access latency, nanoseconds.
-    pub dram_latency_ns: f64,
-    /// Average backing-store (page-fault) latency, nanoseconds.
-    pub fault_latency_ns: f64,
-}
-
-impl Default for MemoryParams {
-    fn default() -> Self {
-        MemoryParams {
-            trim_gb_per_sec: 1.1,
-            extend_gb_per_sec: 15.7,
-            page_in_gb_per_sec: 2.5,
-            dram_latency_ns: 100.0,
-            fault_latency_ns: 80_000.0, // ~80 µs NVMe read
-        }
-    }
-}
+/// Cold-page trim bandwidth, GB/s (paper: 1.1 GB/s, §4.5). The host
+/// pager's page-out steals run at the same rate.
+const TRIM_GB_PER_SEC: f64 = 1.1;
+/// Pool-extension bandwidth, GB/s (paper: 15.7 GB/s, §4.5).
+const EXTEND_GB_PER_SEC: f64 = 15.7;
+/// Page-in bandwidth from the backing store, GB/s (NVMe-class).
+const PAGE_IN_GB_PER_SEC: f64 = 2.5;
+/// Average DRAM access latency, nanoseconds.
+const DRAM_LATENCY_NS: f64 = 100.0;
+/// Average backing-store (page-fault) latency, nanoseconds: an ~80 µs NVMe
+/// read.
+const FAULT_LATENCY_NS: f64 = 80_000.0;
 
 /// A CoachVM's memory shape on this server.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -157,10 +143,10 @@ pub struct VmMemoryStats {
 /// # Example
 ///
 /// ```
-/// use coach_node::memory::{MemoryServer, MemoryParams, VmMemoryConfig};
+/// use coach_node::memory::{MemoryServer, VmMemoryConfig};
 /// use coach_types::VmId;
 ///
-/// let mut srv = MemoryServer::new(64.0, 4.0, MemoryParams::default());
+/// let mut srv = MemoryServer::new(64.0, 4.0);
 /// srv.set_pool_backing(6.0).unwrap();
 /// srv.add_vm(VmId::new(1), VmMemoryConfig::split(8.0, 3.0)).unwrap();
 /// srv.set_working_set(VmId::new(1), 4.0);
@@ -169,7 +155,6 @@ pub struct VmMemoryStats {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemoryServer {
-    params: MemoryParams,
     /// Total DRAM, GB.
     total_gb: f64,
     /// Reserved for the host OS/agent.
@@ -212,10 +197,9 @@ impl MemoryServer {
     /// # Panics
     ///
     /// Panics if the reservation exceeds the total.
-    pub fn new(total_gb: f64, host_reserved_gb: f64, params: MemoryParams) -> Self {
+    pub fn new(total_gb: f64, host_reserved_gb: f64) -> Self {
         assert!(total_gb > host_reserved_gb, "host reservation exceeds DRAM");
         MemoryServer {
-            params,
             total_gb,
             host_reserved_gb,
             pool_backing_gb: 0.0,
@@ -342,7 +326,7 @@ impl MemoryServer {
     pub fn step_into(&mut self, dt: f64, stats: &mut Vec<VmMemoryStats>) {
         assert!(dt > 0.0, "dt must be positive");
         stats.clear();
-        let mut page_in_budget = self.params.page_in_gb_per_sec * dt;
+        let mut page_in_budget = PAGE_IN_GB_PER_SEC * dt;
 
         // Host pager: if demand is unbacked and the pool is exhausted,
         // steal resident pages from every VM *proportionally to its
@@ -353,8 +337,7 @@ impl MemoryServer {
         // policies avoid this by trimming *cold* pages precisely.
         let total_unbacked: f64 = self.vms.values().map(|v| v.unbacked_gb()).sum();
         if total_unbacked > 1e-9 && self.pool_free_gb() < total_unbacked - 1e-9 {
-            let steal_budget =
-                (self.params.trim_gb_per_sec * dt).min(total_unbacked - self.pool_free_gb());
+            let steal_budget = (TRIM_GB_PER_SEC * dt).min(total_unbacked - self.pool_free_gb());
             let total_resident: f64 = self.vms.values().map(|v| v.resident_va_gb).sum();
             if total_resident > 1e-9 {
                 let mut stolen_total = 0.0;
@@ -372,7 +355,6 @@ impl MemoryServer {
         // level in locals so granting does not re-borrow `self`.
         let pool_backing = self.pool_backing_gb;
         let mut pool_used = self.pool_used_gb;
-        let params = self.params;
         for (&id, vm) in self.vms.iter_mut() {
             let free_pool = (pool_backing - pool_used).max(0.0);
             let want = vm.unbacked_gb();
@@ -397,7 +379,7 @@ impl MemoryServer {
             stats.push(VmMemoryStats {
                 vm: id,
                 fault_fraction,
-                slowdown: slowdown_for_params(&params, fault_fraction),
+                slowdown: fault_slowdown(fault_fraction),
                 paged_in_gb: grant,
                 utilization,
             });
@@ -405,17 +387,11 @@ impl MemoryServer {
         self.pool_used_gb = pool_used;
     }
 
-    /// The latency-ratio slowdown model: accesses that fault pay the
-    /// backing-store latency instead of DRAM latency.
-    pub fn slowdown_for(&self, fault_fraction: f64) -> f64 {
-        slowdown_for_params(&self.params, fault_fraction)
-    }
-
     /// Trim up to `gb` of a VM's cold memory, limited by trim bandwidth
     /// over `dt` seconds. Returns the GB actually trimmed (freed to the
     /// pool).
     pub fn trim(&mut self, id: VmId, gb: f64, dt: f64) -> f64 {
-        let budget = self.params.trim_gb_per_sec * dt;
+        let budget = TRIM_GB_PER_SEC * dt;
         let Some(vm) = self.vms.get_mut(&id) else {
             return 0.0;
         };
@@ -433,15 +409,10 @@ impl MemoryServer {
     /// Extend the pool backing from unallocated memory, limited by the
     /// extension bandwidth over `dt` seconds. Returns GB added.
     pub fn extend_pool(&mut self, gb: f64, dt: f64) -> f64 {
-        let budget = self.params.extend_gb_per_sec * dt;
+        let budget = EXTEND_GB_PER_SEC * dt;
         let add = gb.min(self.unallocated_gb()).min(budget).max(0.0);
         self.pool_backing_gb += add;
         add
-    }
-
-    /// Simulation parameters.
-    pub fn params(&self) -> &MemoryParams {
-        &self.params
     }
 
     /// Invariant check used by tests and debug assertions.
@@ -475,15 +446,15 @@ impl MemoryServer {
     }
 }
 
-/// The latency-ratio slowdown model behind [`MemoryServer::slowdown_for`]:
-/// accesses that fault pay the backing-store latency instead of DRAM
-/// latency. Only a fraction of faulting accesses actually stall the
-/// pipeline (prefetch, batching); 1% effective exposure matches NVMe-paging
-/// slowdowns observed in practice (a few × at full paging).
-fn slowdown_for_params(params: &MemoryParams, fault_fraction: f64) -> f64 {
+/// The latency-ratio slowdown model behind [`VmMemoryStats::slowdown`] and
+/// Fig 15's PA/VA sweep: accesses that fault pay the backing-store latency
+/// instead of DRAM latency. Only a fraction of faulting accesses actually
+/// stall the pipeline (prefetch, batching); 1% effective exposure matches
+/// NVMe-paging slowdowns observed in practice (a few × at full paging).
+pub fn fault_slowdown(fault_fraction: f64) -> f64 {
     let f = fault_fraction.clamp(0.0, 1.0);
     let exposure = 0.01;
-    1.0 + f * exposure * (params.fault_latency_ns / params.dram_latency_ns - 1.0)
+    1.0 + f * exposure * (FAULT_LATENCY_NS / DRAM_LATENCY_NS - 1.0)
 }
 
 #[cfg(test)]
@@ -492,7 +463,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn server() -> MemoryServer {
-        let mut s = MemoryServer::new(64.0, 4.0, MemoryParams::default());
+        let mut s = MemoryServer::new(64.0, 4.0);
         s.set_pool_backing(10.0).unwrap();
         s
     }
@@ -649,10 +620,9 @@ mod tests {
 
     #[test]
     fn slowdown_monotone_in_faults() {
-        let s = server();
-        assert_eq!(s.slowdown_for(0.0), 1.0);
-        assert!(s.slowdown_for(0.5) > s.slowdown_for(0.1));
-        assert!(s.slowdown_for(1.0) < 100.0, "bounded by exposure model");
+        assert_eq!(fault_slowdown(0.0), 1.0);
+        assert!(fault_slowdown(0.5) > fault_slowdown(0.1));
+        assert!(fault_slowdown(1.0) < 100.0, "bounded by exposure model");
     }
 
     #[test]

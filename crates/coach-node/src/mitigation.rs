@@ -161,16 +161,6 @@ impl MitigationEngine {
         self.triggered = true;
     }
 
-    /// Whether the engine is currently working on a contention.
-    pub fn is_triggered(&self) -> bool {
-        self.triggered
-    }
-
-    /// Whether a migration is in flight.
-    pub fn migration_in_flight(&self) -> Option<VmId> {
-        self.in_flight.map(|m| m.vm)
-    }
-
     /// Run one second of mitigation work. Returns the actions taken.
     ///
     /// Escalation order per the paper: trim cold memory first; if no cold
@@ -277,12 +267,12 @@ impl MitigationEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::{MemoryParams, VmMemoryConfig};
+    use crate::memory::VmMemoryConfig;
 
     /// 32 GB server, 6 GB pool, one quiet VM with cold memory and one
     /// demanding VM.
     fn pressured_server() -> MemoryServer {
-        let mut s = MemoryServer::new(32.0, 2.0, MemoryParams::default());
+        let mut s = MemoryServer::new(32.0, 2.0);
         s.set_pool_backing(6.0).unwrap();
         s.add_vm(VmId::new(1), VmMemoryConfig::split(8.0, 3.0))
             .unwrap();
@@ -329,7 +319,7 @@ mod tests {
         assert!(trimmed_any, "expected trim actions");
         // Trimming VM1's cold pages freed enough pool for VM2.
         assert!(s.vm(VmId::new(2)).unwrap().unbacked_gb() < 1e-6);
-        assert!(!engine.is_triggered(), "engine should stand down");
+        assert!(!engine.triggered, "engine should stand down");
     }
 
     #[test]
@@ -352,12 +342,12 @@ mod tests {
         // Contention resolved: demand fully backed.
         let v2 = s.vm(VmId::new(2)).unwrap();
         assert!(v2.unbacked_gb() < 1e-6);
-        assert!(!engine.is_triggered(), "engine should stand down");
+        assert!(!engine.triggered, "engine should stand down");
     }
 
     #[test]
     fn migration_frees_resources_only_on_completion() {
-        let mut s = MemoryServer::new(16.0, 2.0, MemoryParams::default());
+        let mut s = MemoryServer::new(16.0, 2.0);
         s.set_pool_backing(13.0).unwrap(); // leaves ~0 unallocated after PA
         s.add_vm(VmId::new(1), VmMemoryConfig::split(8.0, 0.5))
             .unwrap();
@@ -417,7 +407,7 @@ mod tests {
         for _ in 0..10 {
             engine.step(&mut s, 1.0);
             s.step(1.0);
-            if !engine.is_triggered() {
+            if !engine.triggered {
                 return;
             }
         }

@@ -9,31 +9,28 @@
 use crate::memory::{MemoryServer, VmMemoryStats};
 use coach_types::VmId;
 
-/// Monitoring cadence and thresholds.
+/// Sampling interval, seconds (paper: every 20 s).
+const INTERVAL_SECS: f64 = 20.0;
+/// Memory contention: any VM faulting more than this fraction of accesses.
+const FAULT_FRACTION_THRESHOLD: f64 = 1e-3;
+/// CPU contention: wait fraction above this at utilization above
+/// `CPU_UTIL_FLOOR` (paper: >0.1 % wait at >20 % utilization).
+const CPU_WAIT_THRESHOLD: f64 = 1e-3;
+/// CPU utilization floor for the wait check.
+const CPU_UTIL_FLOOR: f64 = 0.20;
+
+/// The monitor's one tunable threshold. The 20-second cadence and the
+/// fault-fraction and CPU-wait thresholds are the paper's and fixed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonitorConfig {
-    /// Sampling interval, seconds (paper: 20 s).
-    pub interval_secs: f64,
-    /// Memory contention: any VM faulting more than this fraction of
-    /// accesses.
-    pub fault_fraction_threshold: f64,
     /// Memory pressure: pool free below this fraction of backing.
     pub pool_headroom_threshold: f64,
-    /// CPU contention: wait fraction above this at utilization above
-    /// `cpu_util_floor` (paper: >0.1 % wait at >20 % utilization).
-    pub cpu_wait_threshold: f64,
-    /// CPU utilization floor for the wait check.
-    pub cpu_util_floor: f64,
 }
 
 impl Default for MonitorConfig {
     fn default() -> Self {
         MonitorConfig {
-            interval_secs: 20.0,
-            fault_fraction_threshold: 1e-3,
             pool_headroom_threshold: 0.10,
-            cpu_wait_threshold: 1e-3,
-            cpu_util_floor: 0.20,
         }
     }
 }
@@ -84,7 +81,7 @@ impl Monitor {
     pub fn sample_due(&self, now: f64) -> bool {
         match self.last_sample_at {
             None => true,
-            Some(t) => now - t >= self.config.interval_secs - 1e-9,
+            Some(t) => now - t >= INTERVAL_SECS - 1e-9,
         }
     }
 
@@ -104,7 +101,7 @@ impl Monitor {
         // Memory: faulting VM?
         let worst = stats
             .iter()
-            .filter(|s| s.fault_fraction > self.config.fault_fraction_threshold)
+            .filter(|s| s.fault_fraction > FAULT_FRACTION_THRESHOLD)
             .max_by(|a, b| a.fault_fraction.partial_cmp(&b.fault_fraction).unwrap());
         if let Some(w) = worst {
             let ev = ContentionEvent {
@@ -137,7 +134,7 @@ impl Monitor {
         }
 
         // CPU: wait at meaningful utilization?
-        if cpu_wait > self.config.cpu_wait_threshold && cpu_util > self.config.cpu_util_floor {
+        if cpu_wait > CPU_WAIT_THRESHOLD && cpu_util > CPU_UTIL_FLOOR {
             let ev = ContentionEvent {
                 at_secs: now,
                 kind: ContentionKind::Cpu,
@@ -160,20 +157,15 @@ impl Monitor {
     pub fn events(&self) -> &[ContentionEvent] {
         &self.events
     }
-
-    /// The configuration.
-    pub fn config(&self) -> &MonitorConfig {
-        &self.config
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::{MemoryParams, VmMemoryConfig};
+    use crate::memory::VmMemoryConfig;
 
     fn server_with_pressure(pool: f64, wss: f64) -> (MemoryServer, Vec<VmMemoryStats>) {
-        let mut s = MemoryServer::new(32.0, 2.0, MemoryParams::default());
+        let mut s = MemoryServer::new(32.0, 2.0);
         s.set_pool_backing(pool).unwrap();
         s.add_vm(VmId::new(1), VmMemoryConfig::split(16.0, 2.0))
             .unwrap();

@@ -10,8 +10,8 @@
 //! allocator.
 
 use coach_node::{
-    MemoryParams, MemoryServer, MitigationPolicy, MonitorConfig, OversubscriptionAgent,
-    VmMemoryConfig, VmMemoryStats,
+    MemoryServer, MitigationPolicy, MonitorConfig, OversubscriptionAgent, VmMemoryConfig,
+    VmMemoryStats,
 };
 use coach_types::VmId;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -50,7 +50,7 @@ fn agent_loop_is_allocation_free_in_steady_state() {
     // A quiet, healthy server: plenty of pool, modest working sets — no
     // contention, no mitigation actions. The *proactive* policy is used so
     // the LSTM prediction sweep runs every sample too.
-    let mut server = MemoryServer::new(64.0, 2.0, MemoryParams::default());
+    let mut server = MemoryServer::new(64.0, 2.0);
     server.set_pool_backing(16.0).unwrap();
     let mut agent = OversubscriptionAgent::new(
         MonitorConfig::default(),

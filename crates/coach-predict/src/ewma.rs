@@ -56,16 +56,6 @@ impl Ewma {
     pub fn predict(&self) -> f64 {
         self.state.unwrap_or(0.0)
     }
-
-    /// Whether at least one observation has been made.
-    pub fn is_warm(&self) -> bool {
-        self.state.is_some()
-    }
-
-    /// Reset to the unobserved state.
-    pub fn reset(&mut self) {
-        self.state = None;
-    }
 }
 
 impl Default for Ewma {
@@ -102,9 +92,7 @@ mod tests {
         let mut e = Ewma::new(0.5);
         e.observe(5.0);
         assert_eq!(e.predict(), 1.0);
-        e.reset();
-        assert!(!e.is_warm());
-        assert_eq!(e.predict(), 0.0);
+        assert_eq!(Ewma::new(0.5).predict(), 0.0);
     }
 
     #[test]

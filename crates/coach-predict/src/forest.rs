@@ -199,19 +199,6 @@ impl RandomForest {
         Bucket::round_up(self.predict(x).clamp(0.0, 1.0))
     }
 
-    /// Standard deviation of per-tree predictions (an uncertainty signal).
-    pub fn predict_std(&self, x: &[f64]) -> f64 {
-        let preds: Vec<f64> = self.trees.iter().map(|t| t.predict(x)).collect();
-        let mean = preds.iter().sum::<f64>() / preds.len() as f64;
-        let var = preds.iter().map(|p| (p - mean).powi(2)).sum::<f64>() / preds.len() as f64;
-        var.sqrt()
-    }
-
-    /// Number of trees.
-    pub fn tree_count(&self) -> usize {
-        self.trees.len()
-    }
-
     /// In-memory size of the node arenas in bytes (for the §4.5 overhead
     /// table).
     pub fn approx_size_bytes(&self) -> usize {
@@ -455,20 +442,11 @@ mod tests {
     }
 
     #[test]
-    fn std_is_nonnegative_and_small_for_consistent_data() {
-        let xs: Vec<Vec<f64>> = (0..100).map(|i| vec![(i % 2) as f64]).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| x[0] * 0.5).collect();
-        let forest = RandomForest::fit(&xs, &ys, ForestParams::default());
-        let s = forest.predict_std(&[1.0]);
-        assert!((0.0..0.1).contains(&s), "std {s}");
-    }
-
-    #[test]
     fn size_accounting_positive() {
         let (xs, ys) = make_data(100);
         let forest = RandomForest::fit(&xs, &ys, ForestParams::default());
         let nodes: usize = forest.trees.iter().map(RegressionTree::node_count).sum();
         assert_eq!(forest.approx_size_bytes(), nodes * 16);
-        assert_eq!(forest.tree_count(), ForestParams::default().n_trees);
+        assert_eq!(forest.trees.len(), ForestParams::default().n_trees);
     }
 }

@@ -37,7 +37,7 @@ pub mod tree;
 pub use ewma::Ewma;
 pub use forest::{ForestParams, RandomForest};
 pub use local::LocalPredictor;
-pub use lstm::{Lstm, LstmParams, LstmScratch};
+pub use lstm::{Lstm, LstmScratch};
 pub use model::{
     DemandPrediction, ModelConfig, PredictionMemo, TargetKind, UtilizationModel, VmMeta,
     FEATURE_COUNT,

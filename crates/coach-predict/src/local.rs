@@ -8,7 +8,7 @@
 //!   callers fall back to the EWMA.
 
 use crate::ewma::Ewma;
-use crate::lstm::{Lstm, LstmParams, LstmScratch, INPUT_DIM, SEQ_LEN};
+use crate::lstm::{Lstm, LstmScratch, INPUT_DIM, SEQ_LEN};
 
 /// 20-second observations per 5-minute window.
 pub const OBS_PER_WINDOW: usize = 15;
@@ -43,10 +43,7 @@ impl LocalPredictor {
     pub fn new(seed: u64) -> Self {
         LocalPredictor {
             ewma: Ewma::paper_default(),
-            lstm: Lstm::new(LstmParams {
-                seed,
-                ..LstmParams::default()
-            }),
+            lstm: Lstm::new(seed),
             cur_max: 0.0,
             cur_sum: 0.0,
             cur_n: 0,
@@ -69,7 +66,7 @@ impl LocalPredictor {
     /// 5-minute window and performs one online LSTM update.
     pub fn observe(&mut self, util: f64) {
         if self.accumulate(util) {
-            self.close_window(&mut self.make_scratch());
+            self.close_window(&mut LstmScratch::new());
         }
     }
 
@@ -82,12 +79,6 @@ impl LocalPredictor {
         self.cur_sum += u;
         self.cur_n += 1;
         self.cur_n >= OBS_PER_WINDOW
-    }
-
-    /// A scratch sized for this predictor's LSTM — allocate once, pass to
-    /// the `_with` methods.
-    pub fn make_scratch(&self) -> LstmScratch {
-        LstmScratch::new(self.lstm.params().hidden)
     }
 
     fn close_window(&mut self, scratch: &mut LstmScratch) {
@@ -132,7 +123,7 @@ impl LocalPredictor {
 
     /// [`LocalPredictor::predict_long_with`] through a transient scratch.
     pub fn predict_long(&self) -> Option<f64> {
-        self.predict_long_with(&mut self.make_scratch())
+        self.predict_long_with(&mut LstmScratch::new())
     }
 
     /// Best available long-horizon prediction: LSTM after warm-up, EWMA

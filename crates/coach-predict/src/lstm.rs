@@ -15,29 +15,12 @@ pub const SEQ_LEN: usize = 5;
 /// Inputs per step: (max utilization, average utilization).
 pub const INPUT_DIM: usize = 2;
 
-/// LSTM hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LstmParams {
-    /// Hidden state width.
-    pub hidden: usize,
-    /// SGD learning rate.
-    pub learning_rate: f64,
-    /// Gradient L2-norm clip.
-    pub grad_clip: f64,
-    /// Weight-init seed.
-    pub seed: u64,
-}
-
-impl Default for LstmParams {
-    fn default() -> Self {
-        LstmParams {
-            hidden: 12,
-            learning_rate: 0.2,
-            grad_clip: 5.0,
-            seed: 0x15F3,
-        }
-    }
-}
+/// Hidden state width.
+const HIDDEN: usize = 12;
+/// SGD learning rate.
+const LEARNING_RATE: f64 = 0.2;
+/// Gradient L2-norm clip.
+const GRAD_CLIP: f64 = 5.0;
 
 /// Trainable matrix stored row-major.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,16 +63,14 @@ fn sigmoid(x: f64) -> f64 {
 /// Every `predict`/`train_step` used to allocate its activation caches and
 /// gradient accumulators afresh — tens of small `Vec`s per call, on a path
 /// the per-server agent runs for every VM every 20 seconds. A scratch is
-/// allocated once (per agent, typically) and reused across calls;
-/// [`LstmScratch::ensure`] lazily resizes it if it meets a differently-sized
-/// network, so steady-state use performs no heap allocation at all.
+/// allocated once (per agent, typically) and reused across calls, so
+/// steady-state use performs no heap allocation at all.
 ///
 /// The buffers are pure scratch — their contents carry no model state —
 /// so `PartialEq` always returns `true`, letting owners (predictors,
 /// agents) keep structural equality semantics.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct LstmScratch {
-    hidden: usize,
     /// Per-step activations, flattened `[SEQ_LEN × hidden]`.
     i: Vec<f64>,
     f: Vec<f64>,
@@ -117,52 +98,39 @@ pub struct LstmScratch {
 }
 
 impl LstmScratch {
-    /// Scratch sized for a hidden width (the default network's by default).
-    pub fn new(hidden: usize) -> Self {
-        let mut s = LstmScratch::default();
-        s.ensure(hidden);
-        s
+    /// Scratch sized for the network's hidden width.
+    pub fn new() -> Self {
+        let per_step = || vec![0.0; SEQ_LEN * HIDDEN];
+        let mat = || vec![0.0; HIDDEN * (INPUT_DIM + HIDDEN)];
+        let row = || vec![0.0; HIDDEN];
+        LstmScratch {
+            i: per_step(),
+            f: per_step(),
+            o: per_step(),
+            g: per_step(),
+            c: per_step(),
+            h: per_step(),
+            z: vec![0.0; INPUT_DIM + HIDDEN],
+            gwi: mat(),
+            gwf: mat(),
+            gwo: mat(),
+            gwg: mat(),
+            gbi: row(),
+            gbf: row(),
+            gbo: row(),
+            gbg: row(),
+            gwy: row(),
+            dh: row(),
+            dc: row(),
+            dh_next: row(),
+            dc_next: row(),
+        }
     }
+}
 
-    /// Resize for `hidden` if needed; a no-op (and allocation-free) when
-    /// already sized for it.
-    pub fn ensure(&mut self, hidden: usize) {
-        if self.hidden == hidden && !self.z.is_empty() {
-            return;
-        }
-        self.hidden = hidden;
-        let inw = INPUT_DIM + hidden;
-        for buf in [
-            &mut self.i,
-            &mut self.f,
-            &mut self.o,
-            &mut self.g,
-            &mut self.c,
-            &mut self.h,
-        ] {
-            buf.clear();
-            buf.resize(SEQ_LEN * hidden, 0.0);
-        }
-        self.z.clear();
-        self.z.resize(inw, 0.0);
-        for buf in [&mut self.gwi, &mut self.gwf, &mut self.gwo, &mut self.gwg] {
-            buf.clear();
-            buf.resize(hidden * inw, 0.0);
-        }
-        for buf in [
-            &mut self.gbi,
-            &mut self.gbf,
-            &mut self.gbo,
-            &mut self.gbg,
-            &mut self.gwy,
-            &mut self.dh,
-            &mut self.dc,
-            &mut self.dh_next,
-            &mut self.dc_next,
-        ] {
-            buf.clear();
-            buf.resize(hidden, 0.0);
-        }
+impl Default for LstmScratch {
+    fn default() -> Self {
+        LstmScratch::new()
     }
 }
 
@@ -179,8 +147,8 @@ impl PartialEq for LstmScratch {
 /// # Example
 ///
 /// ```
-/// use coach_predict::lstm::{Lstm, LstmParams, SEQ_LEN};
-/// let mut net = Lstm::new(LstmParams::default());
+/// use coach_predict::lstm::{Lstm, SEQ_LEN};
+/// let mut net = Lstm::new(0x15F3);
 /// // Learn a constant signal.
 /// let window = [[0.6, 0.5]; SEQ_LEN];
 /// for _ in 0..300 { net.train_step(&window, 0.55); }
@@ -188,7 +156,6 @@ impl PartialEq for LstmScratch {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Lstm {
-    params: LstmParams,
     /// Gate weights: each `hidden × (INPUT_DIM + hidden)` (x ++ h_prev).
     wi: Mat,
     wf: Mat,
@@ -201,16 +168,14 @@ pub struct Lstm {
     /// Read-out: 1 × hidden + bias.
     wy: Vec<f64>,
     by: f64,
-    steps_trained: u64,
 }
 
 impl Lstm {
-    /// Initialize with small random weights (forget-gate bias +1, the usual
-    /// trick to start with long memory).
-    pub fn new(params: LstmParams) -> Self {
-        assert!(params.hidden > 0, "hidden width must be positive");
-        let mut rng = SmallRng::seed_from_u64(params.seed);
-        let h = params.hidden;
+    /// Initialize with small random weights drawn from `seed` (forget-gate
+    /// bias +1, the usual trick to start with long memory).
+    pub fn new(seed: u64) -> Self {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let h = HIDDEN;
         let inw = INPUT_DIM + h;
         let scale = (1.0 / inw as f64).sqrt();
         Lstm {
@@ -224,16 +189,13 @@ impl Lstm {
             bg: vec![0.0; h],
             wy: (0..h).map(|_| rng.gen_range(-scale..scale)).collect(),
             by: 0.0,
-            steps_trained: 0,
-            params,
         }
     }
 
     /// Forward pass into the scratch's activation buffers; returns the
     /// sigmoid-squashed read-out.
     fn forward_into(&self, window: &[[f64; INPUT_DIM]; SEQ_LEN], s: &mut LstmScratch) -> f64 {
-        let hdim = self.params.hidden;
-        s.ensure(hdim);
+        let hdim = HIDDEN;
 
         for (t, x) in window.iter().enumerate() {
             let (lo, hi) = (t * hdim, (t + 1) * hdim);
@@ -287,7 +249,7 @@ impl Lstm {
     /// [`Lstm::predict_with`] through a transient scratch — convenient for
     /// tests and one-off calls; hot loops should hold a scratch instead.
     pub fn predict(&self, window: &[[f64; INPUT_DIM]; SEQ_LEN]) -> f64 {
-        self.predict_with(window, &mut LstmScratch::new(self.params.hidden))
+        self.predict_with(window, &mut LstmScratch::new())
     }
 
     /// One online SGD step toward `target`, reusing `scratch` (no
@@ -302,7 +264,7 @@ impl Lstm {
         let target = target.clamp(0.0, 1.0);
         let output = self.forward_into(window, s);
         let err = output - target;
-        let hdim = self.params.hidden;
+        let hdim = HIDDEN;
 
         // Output layer gradient (through the sigmoid).
         let dy = 2.0 * err * output * (1.0 - output);
@@ -393,12 +355,12 @@ impl Lstm {
             }
         }
         let norm = norm2.sqrt();
-        let scale = if norm > self.params.grad_clip {
-            self.params.grad_clip / norm
+        let scale = if norm > GRAD_CLIP {
+            GRAD_CLIP / norm
         } else {
             1.0
         };
-        let lr = self.params.learning_rate * scale;
+        let lr = LEARNING_RATE * scale;
 
         // SGD update.
         for k in 0..hdim {
@@ -420,29 +382,18 @@ impl Lstm {
             }
         }
 
-        self.steps_trained += 1;
         err * err
     }
 
     /// [`Lstm::train_step_with`] through a transient scratch — for tests
     /// and one-off calls; hot loops should hold a scratch instead.
     pub fn train_step(&mut self, window: &[[f64; INPUT_DIM]; SEQ_LEN], target: f64) -> f64 {
-        self.train_step_with(window, target, &mut LstmScratch::new(self.params.hidden))
-    }
-
-    /// The hyperparameters this network was built with.
-    pub fn params(&self) -> &LstmParams {
-        &self.params
-    }
-
-    /// Number of online updates applied so far.
-    pub fn steps_trained(&self) -> u64 {
-        self.steps_trained
+        self.train_step_with(window, target, &mut LstmScratch::new())
     }
 
     /// Parameter-memory footprint in bytes (§4.5: ~25 KB per predictor).
     pub fn size_bytes(&self) -> usize {
-        let h = self.params.hidden;
+        let h = HIDDEN;
         let inw = INPUT_DIM + h;
         (4 * h * inw + 4 * h + h + 1) * std::mem::size_of::<f64>()
     }
@@ -452,13 +403,15 @@ impl Lstm {
 mod tests {
     use super::*;
 
+    const SEED: u64 = 0x15F3;
+
     fn window_of(vals: [f64; SEQ_LEN]) -> [[f64; INPUT_DIM]; SEQ_LEN] {
         vals.map(|v| [v, v * 0.8])
     }
 
     #[test]
     fn learns_constant_signal() {
-        let mut net = Lstm::new(LstmParams::default());
+        let mut net = Lstm::new(SEED);
         let w = window_of([0.6; SEQ_LEN]);
         for _ in 0..400 {
             net.train_step(&w, 0.6);
@@ -473,7 +426,7 @@ mod tests {
     #[test]
     fn learns_two_distinct_patterns() {
         // Rising window → high next value; falling window → low next value.
-        let mut net = Lstm::new(LstmParams::default());
+        let mut net = Lstm::new(SEED);
         let rising = window_of([0.1, 0.25, 0.4, 0.55, 0.7]);
         let falling = window_of([0.7, 0.55, 0.4, 0.25, 0.1]);
         for _ in 0..800 {
@@ -488,7 +441,7 @@ mod tests {
 
     #[test]
     fn training_reduces_error() {
-        let mut net = Lstm::new(LstmParams::default());
+        let mut net = Lstm::new(SEED);
         let w = window_of([0.3, 0.5, 0.3, 0.5, 0.3]);
         let first = net.train_step(&w, 0.5);
         for _ in 0..300 {
@@ -503,7 +456,7 @@ mod tests {
 
     #[test]
     fn outputs_are_valid_fractions() {
-        let mut net = Lstm::new(LstmParams::default());
+        let mut net = Lstm::new(SEED);
         for i in 0..50u64 {
             let v = (i % 10) as f64 / 10.0;
             net.train_step(&window_of([v; SEQ_LEN]), v);
@@ -517,24 +470,15 @@ mod tests {
     #[test]
     fn size_is_tens_of_kilobytes() {
         // §4.5: each local predictor ≈ 25 KB.
-        let net = Lstm::new(LstmParams::default());
+        let net = Lstm::new(SEED);
         let kb = net.size_bytes() as f64 / 1024.0;
         assert!(kb < 50.0, "LSTM too large: {kb} KB");
     }
 
     #[test]
     fn deterministic_init() {
-        let a = Lstm::new(LstmParams::default());
-        let b = Lstm::new(LstmParams::default());
+        let a = Lstm::new(SEED);
+        let b = Lstm::new(SEED);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "hidden")]
-    fn zero_hidden_rejected() {
-        let _ = Lstm::new(LstmParams {
-            hidden: 0,
-            ..LstmParams::default()
-        });
     }
 }

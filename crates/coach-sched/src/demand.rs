@@ -144,14 +144,6 @@ impl VmDemand {
         self.window_max[w].saturating_sub(&self.guaranteed)
     }
 
-    /// The peak VA demand across windows (what a non-multiplexing allocator
-    /// would reserve — the ablation baseline for Formula 4).
-    pub fn va_peak(&self) -> ResourceVec {
-        (0..self.window_count())
-            .map(|w| self.va_demand(w))
-            .fold(ResourceVec::ZERO, |acc, v| acc.max(&v))
-    }
-
     /// Resources saved versus a full-request allocation, using the peak
     /// (window-max) footprint.
     pub fn savings(&self) -> ResourceVec {
@@ -234,9 +226,6 @@ mod tests {
         // Formula 2: VA in window 1 (cpu window max 6.0 > PA 4.8).
         assert!((d.va_demand(1).cpu() - 1.2).abs() < 1e-9);
         assert_eq!(d.va_demand(0).cpu(), 0.0);
-        // va_peak is the elementwise max.
-        assert!((d.va_peak().cpu() - 1.2).abs() < 1e-9);
-        assert!((d.va_peak().memory() - 1.6).abs() < 1e-9);
     }
 
     #[test]

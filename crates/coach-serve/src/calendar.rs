@@ -48,6 +48,27 @@ impl DepartureCalendar {
         queue.push_back((seq, vm));
     }
 
+    /// Rebuild a calendar from `(time, seq, vm)` entries in strictly
+    /// increasing `(time, seq)` order, the order [`Self::iter`] yields.
+    /// Returns `None` if an entry's `(time, seq)` is not above the one
+    /// before it: such a list pops in no order the calendar can keep.
+    pub fn from_sorted(entries: impl IntoIterator<Item = (Timestamp, u64, VmId)>) -> Option<Self> {
+        let mut calendar = DepartureCalendar::new();
+        let mut last = None;
+        for (when, seq, vm) in entries {
+            if last.is_some_and(|key| key >= (when, seq)) {
+                return None;
+            }
+            last = Some((when, seq));
+            calendar
+                .queues
+                .entry(when)
+                .or_default()
+                .push_back((seq, vm));
+        }
+        Some(calendar)
+    }
+
     /// Pop the earliest scheduled departure due by `t` — at or before `t`
     /// when `inclusive`, strictly before it otherwise — as
     /// `(time, seq, vm)`.
@@ -67,26 +88,10 @@ impl DepartureCalendar {
 
     /// Every scheduled departure in `(time, seq)` order — the order
     /// [`Self::pop_due`] would pop them in, and the order
-    /// [`FromIterator`] rebuilds a calendar from.
+    /// [`Self::from_sorted`] rebuilds a calendar from.
     pub fn iter(&self) -> impl Iterator<Item = (Timestamp, u64, VmId)> + '_ {
         self.queues
             .iter()
             .flat_map(|(&when, queue)| queue.iter().map(move |&(seq, vm)| (when, seq, vm)))
-    }
-}
-
-/// A calendar of `(time, seq, vm)` entries pushed in the given order.
-///
-/// # Panics
-///
-/// As [`DepartureCalendar::push`]: two entries of one time out of `seq`
-/// order.
-impl FromIterator<(Timestamp, u64, VmId)> for DepartureCalendar {
-    fn from_iter<I: IntoIterator<Item = (Timestamp, u64, VmId)>>(entries: I) -> Self {
-        let mut calendar = DepartureCalendar::new();
-        for (when, seq, vm) in entries {
-            calendar.push(when, seq, vm);
-        }
-        calendar
     }
 }

@@ -344,27 +344,20 @@ impl<'a> Controller<'a> {
         self.admit(rec, prediction)
     }
 
-    /// Admit a segment of arrivals in stream order, deriving it one
-    /// [`Predictor::predict_batch`] call per 64-arrival chunk (serially,
-    /// in stream order, on the caller's thread) and placing each chunk
-    /// before deriving the next. Responses come back in input order.
+    /// Admit a segment of arrivals in stream order, handing the responses
+    /// to `sink` one by one in input order — the shard worker's entry
+    /// point. A segment the dispatcher derived arrives with its `derived`
+    /// predictions, index for index, and is only placed. An empty
+    /// `derived` means the segment is derived here: one
+    /// [`Predictor::predict_batch`] call per 64-arrival chunk (serially, in
+    /// stream order, on the caller's thread), each chunk placed before the
+    /// next is derived.
     ///
     /// Decision-identical to feeding each arrival through
     /// [`Controller::handle`]: predictions depend only on the VM record
     /// (and `predict_batch` must equal the per-item loop), so neither
     /// deriving them ahead of the interleaved departure drains nor where
     /// the chunk boundaries fall changes anything.
-    pub fn handle_arrivals(&mut self, recs: &[&VmRecord]) -> Vec<Response> {
-        let mut responses = Vec::with_capacity(recs.len());
-        self.admit_segment(recs, Vec::new(), |response| responses.push(response));
-        responses
-    }
-
-    /// [`Self::handle_arrivals`] with the responses handed to `sink` one
-    /// by one instead of collected — the shard worker's entry point. A
-    /// segment the dispatcher derived arrives with its `derived`
-    /// predictions, index for index, and is only placed; an empty
-    /// `derived` means the segment is derived here, chunk by chunk.
     pub(crate) fn admit_segment(
         &mut self,
         recs: &[&VmRecord],
@@ -737,9 +730,9 @@ impl<'a> Controller<'a> {
         {
             return invalid("snapshot resident map");
         }
-        if dump.departures.windows(2).any(|w| w[0] >= w[1]) {
+        let Some(departures) = DepartureCalendar::from_sorted(dump.departures) else {
             return invalid("snapshot departures");
-        }
+        };
         let in_use: usize = clusters.iter().map(|c| c.sched.servers_in_use()).sum();
         if dump.in_use != in_use || dump.peak_in_use < in_use {
             return invalid("snapshot occupancy");
@@ -759,7 +752,7 @@ impl<'a> Controller<'a> {
                 .into_iter()
                 .map(|(vm, cluster, seq)| (vm, (cluster, seq)))
                 .collect(),
-            departures: dump.departures.into_iter().collect(),
+            departures,
             seq: dump.seq,
             probe_templates: probe_templates(&config.policy, tw.count()),
             probe_counts: dump.probe_counts,
@@ -799,8 +792,8 @@ pub(crate) struct ControllerDump {
     /// by id (the canonical form).
     pub residents: Vec<(VmId, u32, u64)>,
     /// The departure calendar's `(time, seq, vm)` entries, strictly
-    /// ascending (the canonical form, and the calendar's own order: pushed
-    /// back in it, they rebuild it exactly).
+    /// ascending in `(time, seq)` (the canonical form, and the calendar's
+    /// own order: [`DepartureCalendar::from_sorted`] rebuilds it exactly).
     pub departures: Vec<(Timestamp, u64, VmId)>,
     pub seq: u64,
     pub probe_counts: Vec<u64>,
@@ -870,7 +863,7 @@ mod tests {
         assert!(Controller::restore(&oracle, &snapshot, |_| None).is_ok());
 
         type Mutation = fn(&mut ControllerDump);
-        let cases: [(&str, &str, Mutation); 14] = [
+        let cases: [(&str, &str, Mutation); 15] = [
             ("one VM twice on a server", "ServerStateDump", |dump| {
                 let servers = &mut dump.clusters[0].1.servers;
                 let packed = servers.iter_mut().find(|s| s.vms.len() > 1).unwrap();
@@ -927,6 +920,15 @@ mod tests {
             ("departures out of order", "snapshot departures", |dump| {
                 dump.departures.swap(0, 1)
             }),
+            // Ascending as whole tuples, but two ids under one `(time, seq)`.
+            (
+                "two departures under one (time, seq)",
+                "snapshot departures",
+                |dump| {
+                    let (when, seq, _) = dump.departures[0];
+                    dump.departures[1] = (when, seq, VmId::new(u64::MAX));
+                },
+            ),
             (
                 "the accountant naming a server twice",
                 "AccountantDump names a server twice",

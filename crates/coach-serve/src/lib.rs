@@ -13,12 +13,11 @@
 //!   [`DepartureCalendar`] — one FIFO per departure time, popped in the
 //!   batch replay's event-sort order — so each event costs O(log distinct
 //!   departure times). Decisions are **bit-identical** to the batch
-//!   replay on the same workload. [`Controller::handle_arrivals`] admits a
-//!   whole arrival segment, derived in 64-arrival
-//!   [`coach_sim::Predictor::predict_batch`] calls, serial and in stream
-//!   order, each chunk placed before the next is derived — the cold path
-//!   a shard worker runs per segment unless its dispatcher derived it.
-//!   The controller owns no thread.
+//!   replay on the same workload. A shard worker admits each arrival
+//!   segment whole: unless its dispatcher derived the segment, the worker
+//!   derives it in 64-arrival [`coach_sim::Predictor::predict_batch`]
+//!   calls, serial and in stream order, each chunk placed before the next
+//!   is derived. The controller owns no thread.
 //!   Residents are one [`coach_types::IdMap`] from VM id to (cluster,
 //!   arrival seq); a scheduled departure whose id is no longer resident
 //!   under its seq — an explicit `Depart` got there first — is skipped

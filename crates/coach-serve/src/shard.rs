@@ -1030,8 +1030,8 @@ mod tests {
     }
 
     /// Assert that segmented admission == the per-item `Controller::handle`
-    /// loop: a standalone controller's `handle_arrivals` for each head
-    /// segment length (the tail in dispatcher-sized segments), and a
+    /// loop: a standalone controller's `admit_segment` (deriving for
+    /// itself, as the shard worker does) for each head segment length (the tail in dispatcher-sized segments), and a
     /// one-shard session in both schedules for each stream length —
     /// `run_stream`'s whole `PackingResult`, and `handle_batch`'s
     /// responses and result.
@@ -1051,10 +1051,11 @@ mod tests {
         for &len in lens {
             let mut controller = Controller::replaying(trace, predictor, coach(), 0.6);
             let (head, tail) = recs.split_at(len);
-            let mut got = controller.handle_arrivals(head);
+            let mut got = Vec::new();
+            controller.admit_segment(head, Vec::new(), |r| got.push(r));
             assert_eq!(got.len(), len, "one response per arrival");
             for segment in tail.chunks(SEGMENT) {
-                got.extend(controller.handle_arrivals(segment));
+                controller.admit_segment(segment, Vec::new(), |r| got.push(r));
             }
             assert_eq!(got, want, "head segment {len}: responses");
             assert_eq!(

@@ -111,7 +111,7 @@ proptest! {
                     sorted.sort_unstable();
                     // Iteration is the heap's contents, sorted.
                     prop_assert_eq!(&canonical, &sorted);
-                    calendar = canonical.into_iter().collect();
+                    calendar = DepartureCalendar::from_sorted(canonical).expect("canonical order");
                 }
             }
         }

@@ -142,3 +142,72 @@ fn older_versioned_snapshots_are_rejected_structurally() {
         );
     }
 }
+
+/// `(byte, bit)` flips of the fixture that leave two departures under one
+/// `(time, seq)` with different ids: ascending as whole tuples, but no
+/// order the calendar can pop in. Restore refuses each.
+const SEQ_COLLISION_FLIPS: [(usize, u8); 6] = [
+    (12818, 0),
+    (12821, 0),
+    (13086, 1),
+    (13090, 1),
+    (13098, 3),
+    (13102, 3),
+];
+
+fn committed_fixture() -> Vec<u8> {
+    std::fs::read(fixture_path("snapshot_v8.bin")).expect("committed fixture")
+}
+
+#[test]
+fn departures_under_one_time_and_seq_are_refused() {
+    let fixture = committed_fixture();
+    let oracle = Oracle::new(TimeWindows::paper_default());
+    for (byte, bit) in SEQ_COLLISION_FLIPS {
+        let mut bytes = fixture.clone();
+        bytes[byte] ^= 1 << bit;
+        let restored = Controller::restore(&oracle, &Snapshot::from_bytes(bytes), |_| None);
+        assert!(restored.is_err(), "byte {byte} bit {bit} restored");
+    }
+}
+
+/// Every truncation and every single-bit flip of the committed fixture
+/// restores or is refused; none panics. Ignored in the default run (about
+/// 250k restores: seconds in release, minutes in debug); run it with
+/// `cargo test --release -p coach-serve --test wire_golden -- --include-ignored`.
+#[test]
+#[ignore]
+fn no_truncation_or_bit_flip_panics() {
+    let fixture = committed_fixture();
+    let oracle = Oracle::new(TimeWindows::paper_default());
+    let restore = |bytes: Vec<u8>| {
+        let snapshot = Snapshot::from_bytes(bytes);
+        std::panic::catch_unwind(|| Controller::restore(&oracle, &snapshot, |_| None).is_ok())
+    };
+    let mut panicked = Vec::new();
+    let (mut restored, mut refused) = (0usize, 0usize);
+    let mut tally = |result: std::thread::Result<bool>, case: String| match result {
+        Ok(true) => restored += 1,
+        Ok(false) => refused += 1,
+        Err(_) => panicked.push(case),
+    };
+    for len in 0..fixture.len() {
+        tally(
+            restore(fixture[..len].to_vec()),
+            format!("truncated to {len}"),
+        );
+    }
+    for byte in 0..fixture.len() {
+        for bit in 0..8 {
+            let mut bytes = fixture.clone();
+            bytes[byte] ^= 1 << bit;
+            tally(restore(bytes), format!("byte {byte} bit {bit}"));
+        }
+    }
+    assert!(
+        panicked.is_empty(),
+        "{} panics: {panicked:?}",
+        panicked.len()
+    );
+    eprintln!("{restored} restored, {refused} refused");
+}

@@ -73,15 +73,6 @@ impl Histogram {
         self.sum_ns
     }
 
-    /// Mean duration in nanoseconds (0.0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / self.count as f64
-        }
-    }
-
     /// Approximate quantile in nanoseconds using the geometric midpoint of
     /// the bucket containing the `q`-th sample (0.0 when empty).
     pub fn quantile_ns(&self, q: f64) -> f64 {
@@ -187,7 +178,6 @@ mod tests {
         h.record_ns(1000);
         assert_eq!(h.count(), 3);
         assert_eq!(h.sum_ns(), 1001);
-        assert!(h.mean_ns() > 333.0 && h.mean_ns() < 334.0);
     }
 
     #[test]
@@ -204,7 +194,7 @@ mod tests {
         assert!((512.0..2048.0).contains(&p50), "p50 {p50}");
         let p99 = h.quantile_ns(0.99);
         assert!(p99 > 60_000.0, "p99 {p99}");
-        assert!((h.mean_ns() - (90.0 * 1_000.0 + 10.0 * 100_000.0) / 100.0).abs() < 1e-6);
+        assert_eq!(h.sum_ns(), 90 * 1_000 + 10 * 100_000);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub use registry::{
     render_jsonl, render_text, Counter, CounterSeries, Gauge, Label, LabelValue, MetricEntry,
     MetricId, MetricValue, Registry, RegistrySnapshot,
 };
-pub use span::{chrome_trace, SpanEvent, SpanRing, SpanStart, DEFAULT_SPAN_CAPACITY};
+pub use span::{chrome_trace, SpanEvent, SpanRing, SpanStart};
 
 /// How much telemetry a deployment records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

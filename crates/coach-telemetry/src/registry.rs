@@ -302,11 +302,6 @@ impl Registry {
         RegistrySnapshot { entries: out }
     }
 
-    /// Convenience: current value of a counter series, if registered.
-    pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
-        self.snapshot().counter(name, labels)
-    }
-
     /// Render the Prometheus-style text exposition (sorted, deterministic).
     pub fn render_text(&self) -> String {
         render_text(&self.snapshot())

@@ -14,9 +14,6 @@
 
 use std::time::Instant;
 
-/// Default ring capacity (events per thread).
-pub const DEFAULT_SPAN_CAPACITY: usize = 8192;
-
 /// One completed span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanEvent {
@@ -130,15 +127,6 @@ impl SpanRing {
         delta
     }
 
-    /// Total duration of recorded spans with `name`, nanoseconds.
-    pub fn total_ns(&self, name: &str) -> u64 {
-        self.events
-            .iter()
-            .filter(|e| e.name == name)
-            .map(|e| e.dur_ns)
-            .sum()
-    }
-
     /// Number of recorded spans with `name`.
     pub fn count(&self, name: &str) -> usize {
         self.events.iter().filter(|e| e.name == name).count()
@@ -190,7 +178,7 @@ mod tests {
         assert_eq!(a.events()[0].name, "serve.admit");
         assert_eq!(a.events()[0].tid, 0);
         assert_eq!(b.events()[0].tid, 1);
-        assert_eq!(b.total_ns("dispatch.merge"), 20);
+        assert_eq!(b.events()[0].dur_ns, 20);
         assert_eq!(b.count("dispatch.merge"), 1);
     }
 

@@ -155,13 +155,6 @@ pub struct Cluster {
     pub servers: Vec<ServerId>,
 }
 
-impl Cluster {
-    /// Total capacity across all servers.
-    pub fn total_capacity(&self) -> ResourceVec {
-        self.hardware.capacity * self.servers.len() as f64
-    }
-}
-
 /// A complete trace: clusters, servers, and VM records over a time span.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
@@ -187,16 +180,6 @@ impl Trace {
     /// The cluster record for an id.
     pub fn cluster(&self, id: ClusterId) -> Option<&Cluster> {
         self.clusters.iter().find(|c| c.id == id)
-    }
-
-    /// VMs of one cluster.
-    pub fn vms_in_cluster(&self, id: ClusterId) -> impl Iterator<Item = &VmRecord> {
-        self.vms.iter().filter(move |vm| vm.cluster == id)
-    }
-
-    /// VMs that ran on one server.
-    pub fn vms_on_server(&self, id: ServerId) -> impl Iterator<Item = &VmRecord> {
-        self.vms.iter().filter(move |vm| vm.server == id)
     }
 
     /// Total number of servers.
@@ -336,18 +319,9 @@ mod tests {
         assert_eq!(trace.alive_at(Timestamp::from_hours(6)).count(), 2);
         assert_eq!(trace.long_running().count(), 1);
         assert_eq!(trace.server_count(), 3);
-        assert_eq!(
-            trace
-                .cluster(ClusterId::new(0))
-                .unwrap()
-                .total_capacity()
-                .cpu(),
-            288.0
-        );
+        assert_eq!(trace.cluster(ClusterId::new(0)).unwrap().servers.len(), 3);
         let (w1, w2) = trace.split_by_arrival(Timestamp::from_hours(15));
         assert_eq!(w1.len(), 2);
         assert_eq!(w2.len(), 1);
-        assert_eq!(trace.vms_on_server(ServerId::new(1)).count(), 1);
-        assert_eq!(trace.vms_in_cluster(ClusterId::new(0)).count(), 3);
     }
 }

@@ -28,12 +28,7 @@ impl Bucket {
 
     /// Snap a fraction up to the next bucket boundary, clamped to `[0, 1]`.
     pub fn round_up(fraction: f64) -> Bucket {
-        Bucket(to_index(fraction, f64::ceil))
-    }
-
-    /// Snap a fraction down to the previous bucket boundary, clamped to `[0, 1]`.
-    pub fn round_down(fraction: f64) -> Bucket {
-        Bucket(to_index(fraction, f64::floor))
+        Bucket(to_index(fraction))
     }
 
     /// Build from a bucket index (`0..=20`), clamping out-of-range values.
@@ -63,11 +58,11 @@ impl std::fmt::Display for Bucket {
     }
 }
 
-/// Every rounding is non-decreasing over the non-NaN inputs, ±∞ included:
+/// Rounding up is non-decreasing over the non-NaN inputs, ±∞ included:
 /// an overflowed fraction clamps to 100 % like any other fraction above 1
 /// (rounding *up* is the conservative direction), and only NaN, which has
 /// no place in the order, maps to bucket 0.
-fn to_index(fraction: f64, dir: fn(f64) -> f64) -> u8 {
+fn to_index(fraction: f64) -> u8 {
     if fraction.is_nan() {
         return 0;
     }
@@ -79,7 +74,7 @@ fn to_index(fraction: f64, dir: fn(f64) -> f64) -> u8 {
     let idx = if (scaled - snapped).abs() < 1e-9 {
         snapped
     } else {
-        dir(scaled)
+        scaled.ceil()
     };
     (idx as u8).min(20)
 }
@@ -91,15 +86,6 @@ fn to_index(fraction: f64, dir: fn(f64) -> f64) -> u8 {
 /// ```
 pub fn bucket_up(fraction: f64) -> f64 {
     Bucket::round_up(fraction).fraction()
-}
-
-/// Round a fraction down to the previous 5 % boundary.
-///
-/// ```
-/// assert!((coach_types::bucket_down(0.173) - 0.15).abs() < 1e-9);
-/// ```
-pub fn bucket_down(fraction: f64) -> f64 {
-    Bucket::round_down(fraction).fraction()
 }
 
 #[cfg(test)]
@@ -118,7 +104,6 @@ mod tests {
         for i in 0..=20 {
             let f = i as f64 * 0.05;
             assert_eq!(Bucket::round_up(f).index(), i, "up at {f}");
-            assert_eq!(Bucket::round_down(f).index(), i, "down at {f}");
         }
     }
 
@@ -134,11 +119,8 @@ mod tests {
         assert_eq!(Bucket::round_up(-0.3).index(), 0);
         assert_eq!(Bucket::round_up(1.7).index(), 20);
         assert_eq!(Bucket::round_up(f64::NAN).index(), 0);
-        for round in [Bucket::round_up, Bucket::round_down] {
-            assert_eq!(round(f64::INFINITY), Bucket::MAX);
-            assert_eq!(round(f64::NEG_INFINITY).index(), 0);
-            assert_eq!(round(f64::NAN).index(), 0);
-        }
+        assert_eq!(Bucket::round_up(f64::INFINITY), Bucket::MAX);
+        assert_eq!(Bucket::round_up(f64::NEG_INFINITY).index(), 0);
         assert_eq!(Bucket::from_index(99), Bucket::MAX);
     }
 
@@ -171,12 +153,11 @@ mod tests {
         #[test]
         fn prop_round_up_dominates(f in 0.0f64..1.0) {
             prop_assert!(bucket_up(f) >= f - 1e-9);
-            prop_assert!(bucket_down(f) <= f + 1e-9);
         }
 
         #[test]
         fn prop_up_down_within_one_bucket(f in 0.0f64..1.0) {
-            prop_assert!(bucket_up(f) - bucket_down(f) <= BUCKET_WIDTH + 1e-9);
+            prop_assert!(bucket_up(f) - f <= BUCKET_WIDTH + 1e-9);
         }
 
         #[test]

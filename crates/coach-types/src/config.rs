@@ -103,26 +103,6 @@ impl VmConfig {
         )
     }
 
-    /// Memory-optimized: 16 GB/core (the paper's E-series-like example).
-    pub fn memory_optimized(cores: u32) -> Self {
-        VmConfig::new(
-            cores,
-            cores as f64 * 16.0,
-            cores as f64 * 0.5,
-            cores as f64 * 16.0,
-        )
-    }
-
-    /// Compute-optimized: 2 GB/core.
-    pub fn compute_optimized(cores: u32) -> Self {
-        VmConfig::new(
-            cores,
-            cores as f64 * 2.0,
-            cores as f64 * 0.5,
-            cores as f64 * 16.0,
-        )
-    }
-
     /// Requested resources as a vector.
     pub fn demand(&self) -> ResourceVec {
         ResourceVec::new(
@@ -204,11 +184,6 @@ impl HardwareConfig {
         HardwareConfig::new("gen4-rich", ResourceVec::new(64.0, 512.0, 40.0, 4096.0))
     }
 
-    /// The §4.1 evaluation server: 160 hyper-threaded cores, 512 GB DRAM.
-    pub fn eval_server() -> Self {
-        HardwareConfig::new("eval-2numa", ResourceVec::new(160.0, 512.0, 100.0, 6144.0))
-    }
-
     /// GB of memory per core.
     pub fn gb_per_core(&self) -> f64 {
         self.capacity.memory() / self.capacity.cpu()
@@ -228,8 +203,6 @@ mod tests {
     #[test]
     fn catalog_ratios() {
         assert_eq!(VmConfig::general_purpose(4).gb_per_core(), 4.0);
-        assert_eq!(VmConfig::memory_optimized(4).gb_per_core(), 16.0);
-        assert_eq!(VmConfig::compute_optimized(4).gb_per_core(), 2.0);
     }
 
     #[test]
@@ -258,7 +231,7 @@ mod tests {
     fn config_key_distinguishes_sizes() {
         let a = VmConfig::general_purpose(4);
         let b = VmConfig::general_purpose(8);
-        let c = VmConfig::memory_optimized(4);
+        let c = VmConfig::new(4, 64.0, 2.0, 64.0);
         assert_ne!(a.config_key(), b.config_key());
         assert_ne!(a.config_key(), c.config_key());
         assert_eq!(a.config_key(), VmConfig::general_purpose(4).config_key());
@@ -280,9 +253,9 @@ mod tests {
     #[test]
     fn display_forms() {
         assert_eq!(VmConfig::general_purpose(4).to_string(), "4c/16GB");
-        assert!(HardwareConfig::eval_server()
+        assert!(HardwareConfig::memory_rich()
             .to_string()
-            .contains("eval-2numa"));
+            .contains("gen4-rich"));
         assert_eq!(Offering::Iaas.to_string(), "IaaS");
         assert_eq!(SubscriptionType::External.to_string(), "external");
     }

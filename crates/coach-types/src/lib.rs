@@ -31,7 +31,6 @@
 
 pub mod bucket;
 pub mod config;
-pub mod error;
 pub mod idhash;
 pub mod ids;
 pub mod par;
@@ -43,9 +42,8 @@ pub mod time;
 pub mod winvec;
 pub mod wire;
 
-pub use bucket::{bucket_down, bucket_up, Bucket};
+pub use bucket::{bucket_up, Bucket};
 pub use config::{HardwareConfig, Offering, SubscriptionType, VmConfig};
-pub use error::TypeError;
 pub use idhash::{BuildIdHasher, IdHasher, IdMap};
 pub use ids::{ClusterId, ServerId, SubscriptionId, VmId};
 pub use par::{available_threads, par_map, par_map_threads};
@@ -58,9 +56,8 @@ pub use winvec::WindowVec;
 
 /// Convenient glob import for downstream crates.
 pub mod prelude {
-    pub use crate::bucket::{bucket_down, bucket_up, Bucket};
+    pub use crate::bucket::{bucket_up, Bucket};
     pub use crate::config::{HardwareConfig, Offering, SubscriptionType, VmConfig};
-    pub use crate::error::TypeError;
     pub use crate::idhash::IdMap;
     pub use crate::ids::{ClusterId, ServerId, SubscriptionId, VmId};
     pub use crate::par::{available_threads, par_map, par_map_threads};

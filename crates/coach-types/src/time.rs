@@ -12,8 +12,6 @@ use std::ops::{Add, AddAssign, Sub};
 pub const TICKS_PER_HOUR: u64 = 12;
 /// Ticks per day.
 pub const TICKS_PER_DAY: u64 = 24 * TICKS_PER_HOUR;
-/// Ticks per week.
-pub const TICKS_PER_WEEK: u64 = 7 * TICKS_PER_DAY;
 
 /// A point in simulated time, counted in 5-minute ticks since Monday 00:00.
 ///

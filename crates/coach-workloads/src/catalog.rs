@@ -82,20 +82,6 @@ impl Workload {
         wss.clamp(0.0, self.vm_size_gb)
     }
 
-    /// Convert an average memory slowdown factor (≥1) plus a churn fault
-    /// penalty into the key metric value.
-    ///
-    /// * latency metrics scale up with sensitivity-amplified slowdown;
-    /// * run time scales likewise (but sensitivities are small);
-    /// * throughput scales down.
-    pub fn metric_under_slowdown(&self, mem_slowdown: f64) -> f64 {
-        let s = 1.0 + self.sensitivity * (mem_slowdown.max(1.0) - 1.0);
-        match self.metric {
-            KeyMetric::TailLatencyMs | KeyMetric::RunTimeMins => self.baseline * s,
-            KeyMetric::ThroughputOps => self.baseline / s,
-        }
-    }
-
     /// Normalized slowdown of a measured metric vs the baseline (≥ 1 means
     /// worse), direction-adjusted per metric kind (Fig 18's y-axis).
     pub fn normalized_slowdown(&self, measured: f64) -> f64 {
@@ -307,12 +293,9 @@ mod tests {
     #[test]
     fn metric_conversion_directions() {
         let kv = Workload::by_name("KV-Store").unwrap();
-        assert_eq!(kv.metric_under_slowdown(1.0), kv.baseline);
-        assert!(kv.metric_under_slowdown(1.1) > kv.baseline);
         assert!(kv.normalized_slowdown(kv.baseline * 2.0) == 2.0);
 
         let web = Workload::by_name("Web").unwrap();
-        assert!(web.metric_under_slowdown(1.1) < web.baseline);
         // Normalized slowdown of halved throughput is 2×.
         assert_eq!(web.normalized_slowdown(web.baseline / 2.0), 2.0);
     }

@@ -5,7 +5,7 @@
 use crate::catalog::Workload;
 use crate::vmsetup::{PerfModel, VmSetup};
 use coach_node::agent::OversubscriptionAgent;
-use coach_node::memory::{MemoryParams, MemoryServer, VmMemoryConfig};
+use coach_node::memory::{fault_slowdown, MemoryServer, VmMemoryConfig};
 use coach_node::mitigation::MitigationPolicy;
 use coach_node::monitor::MonitorConfig;
 use coach_types::VmId;
@@ -38,7 +38,6 @@ pub fn pa_va_sweep(vm_gb: f64, wss_gb: f64, step_gb: f64) -> Vec<PaVaCell> {
         alloc_amp: 0.05,
         disk_amp: 10.0,
     };
-    let params = MemoryParams::default();
 
     let mut cells = Vec::new();
     let steps = (vm_gb / step_gb) as usize;
@@ -67,8 +66,7 @@ pub fn pa_va_sweep(vm_gb: f64, wss_gb: f64, step_gb: f64) -> Vec<PaVaCell> {
             let spill_gb = (wss_gb - pa).max(0.0).min(va);
             let impossible_gb = (wss_gb - pa - va).max(0.0);
             let fault_fraction = (impossible_gb / wss_gb).clamp(0.0, 1.0);
-            let paging = 1.0
-                + fault_fraction * 0.01 * (params.fault_latency_ns / params.dram_latency_ns - 1.0);
+            let paging = fault_slowdown(fault_fraction);
             let spill_frac = spill_gb / wss_gb;
             let va_share = va / vm_gb;
             let slowdown = model.slowdown(spill_frac, va_share, paging);
@@ -130,7 +128,7 @@ pub fn workload_performance(duration_secs: usize) -> Vec<WorkloadResult> {
 /// reserve); returns the steady-state average memory slowdown.
 fn run_isolated(w: &Workload, setup: VmSetup, duration_secs: usize) -> f64 {
     let config = setup.memory_config(w);
-    let mut server = MemoryServer::new(512.0, 4.0, MemoryParams::default());
+    let mut server = MemoryServer::new(512.0, 4.0);
     // In isolation the pool fully backs the VA portion (the 70 % backing is
     // the Fig 15 knob, not the §4.2 setup).
     server
@@ -180,26 +178,6 @@ pub struct MitigationRun {
     pub contention_starts: (f64, f64),
 }
 
-impl MitigationRun {
-    /// Worst slowdown seen by either latency VM.
-    pub fn worst_slowdown(&self) -> f64 {
-        self.cache_slowdown
-            .iter()
-            .chain(&self.kv_slowdown)
-            .fold(1.0, |a, &b| a.max(b))
-    }
-
-    /// Mean pool headroom after the second contention (recovery signal).
-    pub fn recovered_headroom(&self) -> f64 {
-        let start = self.contention_starts.1 as usize + 40;
-        if start >= self.pool_free_gb.len() {
-            return 0.0;
-        }
-        let tail = &self.pool_free_gb[start..];
-        tail.iter().sum::<f64>() / tail.len() as f64
-    }
-}
-
 /// Fig 21: Cache + KV-Store colocated with a Video Conf VM that twice
 /// outgrows its prediction, under one mitigation policy.
 ///
@@ -212,7 +190,7 @@ pub fn mitigation_experiment(policy: MitigationPolicy, duration_secs: usize) -> 
     let kv = VmId::new(2);
     let video = VmId::new(3);
 
-    let mut server = MemoryServer::new(32.0, 2.0, MemoryParams::default());
+    let mut server = MemoryServer::new(32.0, 2.0);
     server.set_pool_backing(6.0).expect("fits");
     server
         .add_vm(cache, VmMemoryConfig::split(8.0, 3.0))
@@ -228,7 +206,6 @@ pub fn mitigation_experiment(policy: MitigationPolicy, duration_secs: usize) -> 
     // headroom in this scenario (6 GB backs 17 GB of VA).
     let monitor = MonitorConfig {
         pool_headroom_threshold: 0.0,
-        ..MonitorConfig::default()
     };
     let mut agent = OversubscriptionAgent::new(monitor, policy, 0.25);
     for id in [cache, kv, video] {
@@ -429,6 +406,14 @@ mod tests {
         sum / n as f64
     }
 
+    /// Worst slowdown seen by either latency VM.
+    fn worst_slowdown(run: &MitigationRun) -> f64 {
+        run.cache_slowdown
+            .iter()
+            .chain(&run.kv_slowdown)
+            .fold(1.0, |a, &b| a.max(b))
+    }
+
     #[test]
     fn fig21_policies_ordering() {
         let none = mitigation_experiment(MitigationPolicy::none(), 340);
@@ -470,7 +455,7 @@ mod tests {
         assert!(migrate_c2_end < 1.3, "migrate end-state {migrate_c2_end}");
 
         // Mitigation beats no mitigation overall.
-        assert!(extend.worst_slowdown() <= none.worst_slowdown() + 1e-9);
+        assert!(worst_slowdown(&extend) <= worst_slowdown(&none) + 1e-9);
         // Proactive acts earlier, so it's no worse than reactive.
         assert!(
             window_slowdown(&extend_pro, 260, 340) <= window_slowdown(&extend, 260, 340) + 0.05

@@ -138,7 +138,7 @@ impl ClusterManager {
             .model
             .as_ref()
             .and_then(|m| m.predict_meta(&request.meta()));
-        let vm = CoachVm::provision(request, prediction.as_ref(), self.config.time_windows);
+        let vm = CoachVm::provision(request, prediction.as_ref());
         let sched = self
             .schedulers
             .get_mut(&cluster)

@@ -1,6 +1,5 @@
 //! Top-level Coach configuration (§3.3 "Coach configuration").
 
-use coach_node::memory::MemoryParams;
 use coach_node::mitigation::MitigationPolicy;
 use coach_node::monitor::MonitorConfig;
 use coach_predict::ForestParams;
@@ -32,8 +31,6 @@ pub struct CoachConfig {
     pub monitor: MonitorConfig,
     /// Mitigation policy for server agents.
     pub mitigation: MitigationPolicy,
-    /// Memory-substrate timing parameters.
-    pub memory: MemoryParams,
     /// Pool headroom target maintained by mitigation, GB.
     pub target_headroom_gb: f64,
     /// Memory (and host) reserved on each server for the platform, GB
@@ -52,7 +49,6 @@ impl Default for CoachConfig {
             forest: ForestParams::default(),
             monitor: MonitorConfig::default(),
             mitigation: MitigationPolicy::migrate(true),
-            memory: MemoryParams::default(),
             target_headroom_gb: 1.0,
             host_reserved_gb: 4.0,
             va_backing_fraction: 0.70,
@@ -61,14 +57,6 @@ impl Default for CoachConfig {
 }
 
 impl CoachConfig {
-    /// The aggressive variant evaluated as "Aggr Coach" (P50 predictions).
-    pub fn aggressive() -> Self {
-        CoachConfig {
-            percentile: Percentile::P50,
-            ..CoachConfig::default()
-        }
-    }
-
     /// Validate invariants.
     ///
     /// # Errors
@@ -101,14 +89,9 @@ mod tests {
         assert_eq!(c.time_windows, TimeWindows::paper_default());
         assert_eq!(c.percentile, Percentile::P95);
         assert!(c.mitigation.proactive);
-        assert_eq!(c.monitor.interval_secs, 20.0);
+        assert_eq!(c.monitor, MonitorConfig::default());
         assert!((c.va_backing_fraction - 0.7).abs() < 1e-12);
         c.validate().unwrap();
-    }
-
-    #[test]
-    fn aggressive_uses_p50() {
-        assert_eq!(CoachConfig::aggressive().percentile, Percentile::P50);
     }
 
     #[test]

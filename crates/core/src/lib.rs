@@ -65,7 +65,6 @@ pub struct Coach {
     manager: ClusterManager,
     servers: HashMap<ServerId, CoachServer>,
     next_server_id: u64,
-    vm_to_server: HashMap<VmId, ServerId>,
 }
 
 impl Coach {
@@ -79,7 +78,6 @@ impl Coach {
             manager: ClusterManager::new(config),
             servers: HashMap::new(),
             next_server_id: 0,
-            vm_to_server: HashMap::new(),
         }
     }
 
@@ -137,7 +135,6 @@ impl Coach {
             let vm_id = placement.vm.id();
             let target = placement.server;
             if server.host(placement.vm).is_ok() {
-                self.vm_to_server.insert(vm_id, target);
                 return Ok(target);
             }
             // Undo the logical placement and exclude the refusing server.
@@ -148,19 +145,19 @@ impl Coach {
 
     /// Deallocate a VM everywhere.
     pub fn deallocate_vm(&mut self, id: VmId) -> bool {
-        let logical = self.manager.deallocate(id).is_some();
-        if let Some(server) = self.vm_to_server.remove(&id) {
-            if let Some(s) = self.servers.get_mut(&server) {
-                s.evict(id);
-            }
+        let Some(server) = self.manager.deallocate(id) else {
+            return false;
+        };
+        if let Some(s) = self.servers.get_mut(&server) {
+            s.evict(id);
         }
-        logical
+        true
     }
 
     /// Drive a VM's current demand (telemetry injection point).
     pub fn set_vm_demand(&mut self, id: VmId, working_set_gb: f64, cpu_cores: f64) {
-        if let Some(server) = self.vm_to_server.get(&id) {
-            if let Some(s) = self.servers.get_mut(server) {
+        if let Some((_, server)) = self.manager.placement_of(id) {
+            if let Some(s) = self.servers.get_mut(&server) {
                 s.set_demand(id, working_set_gb, cpu_cores);
             }
         }

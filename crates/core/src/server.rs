@@ -39,11 +39,7 @@ pub struct CoachServer {
 impl CoachServer {
     /// Bring up a server with the given hardware under a Coach config.
     pub fn new(id: ServerId, hardware: &HardwareConfig, config: &CoachConfig) -> Self {
-        let memory = MemoryServer::new(
-            hardware.capacity.memory(),
-            config.host_reserved_gb,
-            config.memory,
-        );
+        let memory = MemoryServer::new(hardware.capacity.memory(), config.host_reserved_gb);
         let cpu = CpuGroups::new(hardware.capacity.cpu(), 2.0);
         let agent = OversubscriptionAgent::new(
             config.monitor,
@@ -182,7 +178,7 @@ mod tests {
             pmax: vec![ResourceVec::splat(0.8); 6].into(),
             px: vec![ResourceVec::splat(0.6); 6].into(),
         };
-        CoachVm::provision(request, Some(&prediction), tw)
+        CoachVm::provision(request, Some(&prediction))
     }
 
     fn server() -> CoachServer {

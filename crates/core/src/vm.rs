@@ -58,7 +58,7 @@ impl VmRequest {
 ///     opted_in: true,
 /// };
 /// // Without a prediction the VM is fully guaranteed (conservative).
-/// let vm = CoachVm::provision(request, None, TimeWindows::paper_default());
+/// let vm = CoachVm::provision(request, None);
 /// assert_eq!(vm.guaranteed, request.config.demand());
 /// assert!(vm.oversubscribed.is_zero());
 /// ```
@@ -84,11 +84,7 @@ impl CoachVm {
     /// * With a prediction ⇒ Formulas 1–2 via
     ///   [`VmDemand::from_prediction`], and the memory PA portion rounded
     ///   *up* to the platform's 1 GB granularity (§3.3).
-    pub fn provision(
-        request: VmRequest,
-        prediction: Option<&DemandPrediction>,
-        _tw: TimeWindows,
-    ) -> CoachVm {
+    pub fn provision(request: VmRequest, prediction: Option<&DemandPrediction>) -> CoachVm {
         let effective = if request.opted_in { prediction } else { None };
         let demand = VmDemand::from_prediction(
             request.id,
@@ -125,13 +121,6 @@ impl CoachVm {
     /// Resources saved versus a fully-guaranteed allocation (peak basis).
     pub fn savings(&self) -> ResourceVec {
         self.demand.savings()
-    }
-
-    /// Oversubscription rate per resource: the share of the request *not*
-    /// guaranteed (e.g. "oversubscribe memory by 30 %").
-    pub fn oversubscription_rate(&self) -> ResourceVec {
-        let req = self.request.config.demand();
-        req.saturating_sub(&self.guaranteed).fraction_of(&req)
     }
 }
 
@@ -173,7 +162,7 @@ mod tests {
 
     #[test]
     fn provision_with_prediction_splits_resources() {
-        let vm = CoachVm::provision(request(true), Some(&prediction()), TimeWindows::new(3));
+        let vm = CoachVm::provision(request(true), Some(&prediction()));
         // Guaranteed = max px = 0.7 of request.
         assert!((vm.guaranteed.memory() - 22.4).abs() < 1e-9);
         assert!((vm.guaranteed.cpu() - 5.6).abs() < 1e-9);
@@ -182,14 +171,12 @@ mod tests {
         // Memory PA rounded up to 1 GB.
         assert_eq!(vm.memory.pa_gb, 23.0);
         assert_eq!(vm.memory.va_gb, 9.0);
-        // Rates: 30% of memory is not guaranteed.
-        assert!((vm.oversubscription_rate().memory() - 0.3).abs() < 1e-9);
         assert!(vm.demand.is_well_formed());
     }
 
     #[test]
     fn opted_out_requests_get_full_guarantees() {
-        let vm = CoachVm::provision(request(false), Some(&prediction()), TimeWindows::new(3));
+        let vm = CoachVm::provision(request(false), Some(&prediction()));
         assert_eq!(vm.guaranteed, request(false).config.demand());
         assert!(vm.oversubscribed.is_zero());
         assert_eq!(vm.memory.va_gb, 0.0);
@@ -198,14 +185,13 @@ mod tests {
 
     #[test]
     fn no_prediction_means_no_oversubscription() {
-        let vm = CoachVm::provision(request(true), None, TimeWindows::new(3));
+        let vm = CoachVm::provision(request(true), None);
         assert_eq!(vm.guaranteed, request(true).config.demand());
-        assert_eq!(vm.oversubscription_rate(), ResourceVec::ZERO);
     }
 
     #[test]
     fn savings_positive_under_prediction() {
-        let vm = CoachVm::provision(request(true), Some(&prediction()), TimeWindows::new(3));
+        let vm = CoachVm::provision(request(true), Some(&prediction()));
         // Peak is 0.8 of request: 20% saved on every resource.
         assert!((vm.savings().memory() - 6.4).abs() < 1e-9);
         assert!((vm.savings().cpu() - 1.6).abs() < 1e-9);
@@ -230,8 +216,7 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
         /// Provisioning invariants hold for arbitrary (valid) predictions:
-        /// guaranteed ≤ peak ≤ request, memory PA+VA partitions the size,
-        /// oversubscription rates stay in [0, 1].
+        /// guaranteed ≤ peak ≤ request, and memory PA+VA partitions the size.
         #[test]
         fn prop_provision_invariants(
             px in prop::collection::vec(0.0f64..1.0, 6),
@@ -259,7 +244,7 @@ mod proptests {
                 arrival: Timestamp::ZERO,
                 opted_in: true,
             };
-            let vm = CoachVm::provision(request, Some(&prediction), tw);
+            let vm = CoachVm::provision(request, Some(&prediction));
 
             prop_assert!(vm.demand.is_well_formed());
             prop_assert!(vm.guaranteed.fits_within(&request.config.demand()));
@@ -269,9 +254,6 @@ mod proptests {
             // Memory shape partitions the VM size at >= 0 granularity.
             prop_assert!((vm.memory.pa_gb + vm.memory.va_gb - request.config.memory_gb).abs() < 1e-9);
             prop_assert!(vm.memory.pa_gb + 1e-9 >= vm.guaranteed.memory());
-            // Rates bounded.
-            let rates = vm.oversubscription_rate();
-            prop_assert!(rates.is_valid() && rates.max_element() <= 1.0 + 1e-9);
         }
     }
 }

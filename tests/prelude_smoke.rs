@@ -83,8 +83,8 @@ fn facade_modules_alias_member_crates() {
         coach_sched::PlacementHeuristic::BestFit,
     );
     same_type(
-        coach::node::memory::MemoryParams::default(),
-        coach_node::memory::MemoryParams::default(),
+        coach::node::monitor::MonitorConfig::default(),
+        coach_node::monitor::MonitorConfig::default(),
     );
     same_type(
         coach::sim::Oracle::new(TimeWindows::paper_default()),

@@ -76,13 +76,15 @@ fn coach_config(streaming: &StreamingTrace) -> ServeConfig {
     )
 }
 
-/// Both sizes in one test, in sequence (see [`MEASURING`]). Measured when
-/// this test was written: 148.09 B/VM at 5k VMs, 112.00 B/VM at 100k —
-/// the same in debug and release.
+/// Both sizes in one test, in sequence (see [`MEASURING`]). Measured since
+/// a skeleton is 16 bytes: 94.96–95.06 B/VM at 5k VMs and 47.58 B/VM at
+/// 100k, in debug and release, under ceilings of 120 and 60 B/VM. Before
+/// that, with 56-byte skeletons: 148.09 B/VM at 5k VMs and 112.00 B/VM at
+/// 100k — the same in debug and release — under ceilings of 384 and 192.
 #[test]
 fn ingest_peak_stays_under_the_per_vm_ceilings() {
     let _measuring = MEASURING.lock().expect("no measuring test panicked");
-    for (vm_count, subscription_count, ceiling) in [(5_000, 400, 384.0), (100_000, 2000, 192.0)] {
+    for (vm_count, subscription_count, ceiling) in [(5_000, 400, 120.0), (100_000, 2000, 60.0)] {
         let streaming = StreamingTrace::new(&TraceConfig {
             vm_count,
             cluster_count: 8,
@@ -103,10 +105,13 @@ fn ingest_peak_stays_under_the_per_vm_ceilings() {
 /// violation sampling: the peak is set at the t=0 cohort (45 % of the
 /// stream resident at once) and everything after it stays below, because
 /// the accountant drops a VM within nine samples of its departure. Measured
-/// when this ceiling was set: 297.4–298.3 B per attempted VM over six runs
-/// in debug and release, since the accountant's 128-byte entry keeps its
+/// when this ceiling was set: 230.74–230.84 B per attempted VM over four
+/// runs in debug and release, since a skeleton is 16 bytes and the servers'
+/// slots and the accountant's entries grow by a quarter instead of
+/// doubling. Before that: 297.4–298.3 B over six runs, under a ceiling of
+/// 372 B, since the accountant's 128-byte entry keeps its
 /// sampler's per-template half in a shared table and an all-zero VA vector
-/// as its length. Before that: 352.96 B with a self-contained 232-byte
+/// as its length; 352.96 B with a self-contained 232-byte
 /// entry, under a ceiling of 440 B; 401.93 B when that ceiling was set,
 /// 390.12 B since the controller's residents are one map, 352.44 B since
 /// the record pass reads the construction pass's plan instead of placing
@@ -117,7 +122,7 @@ fn ingest_peak_stays_under_the_per_vm_ceilings() {
 /// stage inline or on its helper thread.
 #[test]
 fn serve_peak_stays_under_the_per_vm_ceiling() {
-    const CEILING: f64 = 372.0;
+    const CEILING: f64 = 290.0;
     let _measuring = MEASURING.lock().expect("no measuring test panicked");
     let streaming = StreamingTrace::new(&TraceConfig {
         cluster_count: 8,

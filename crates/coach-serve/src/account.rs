@@ -53,12 +53,16 @@
 //! VM no remaining sample can see (it departs by its server's next sample,
 //! or that sample is past the horizon) is never stored; a shape leaves the
 //! table with its last entry; and nothing outlives the last sample. Each
-//! server keeps one buffer, shrunk as it drains.
+//! server keeps one buffer of entries. It grows by a quarter of its length
+//! when full (`push_by_quarter`), not by doubling, and when a sample
+//! leaves it less than a quarter full it shrinks to its length plus a
+//! quarter: every server holds its peak at once when the t=0 cohort
+//! lands, so doubling's slack would be paid on all of them together.
 
 use coach_sched::VmDemand;
 use coach_trace::{SamplerShape, SamplerVm, UtilSampler, VmRecord};
 use coach_types::prelude::*;
-use coach_types::BuildIdHasher;
+use coach_types::{push_by_quarter, BuildIdHasher};
 use coach_wire::WireError;
 use std::collections::HashMap;
 
@@ -398,8 +402,9 @@ impl ServerAccount {
             false
         });
         self.admitted = kept;
-        if self.entries.len() * 4 < self.entries.capacity() {
-            self.entries.shrink_to(self.entries.len() * 2);
+        let len = self.entries.len();
+        if len * 4 < self.entries.capacity() {
+            self.entries.shrink_to(len + len / 4);
         }
         if changed {
             self.sum_ceilings(shapes);
@@ -598,9 +603,8 @@ impl ViolationAccountant {
         // If the VM is gone by then, or there is no such sample, no sample
         // ever reads it (the batch sweep skips it the same way).
         if rec.departure > account.next_sample && account.next_sample < self.horizon {
-            account
-                .entries
-                .push(VmEntry::new(rec, demand, &mut self.shapes));
+            let entry = VmEntry::new(rec, demand, &mut self.shapes);
+            push_by_quarter(&mut account.entries, entry);
         }
     }
 
@@ -1112,6 +1116,40 @@ mod tests {
         assert!(peak > 0);
         on.finish();
         assert_eq!(on.tracked(), 0);
+    }
+
+    /// A server's entries grow by a quarter, and once most of them depart
+    /// the shrink leaves at most a quarter of the survivors' length empty.
+    #[test]
+    fn a_drained_buffer_keeps_at_most_a_quarter_of_slack() {
+        let trace = generate(&TraceConfig::small(13));
+        let capacity = ResourceVec::new(96.0, 384.0, 40.0, 4096.0);
+        let mut acc = ViolationAccountant::new(SimDuration::from_hours(2), trace.horizon);
+        for (i, vm) in trace.vms.iter().enumerate() {
+            // Everyone arrives at t=0; nine in ten leave before the 2 h sample.
+            let mut vm = vm.clone();
+            vm.arrival = Timestamp::ZERO;
+            vm.departure = if i % 10 == 0 {
+                trace.horizon
+            } else {
+                Timestamp::from_hours(1)
+            };
+            let demand = VmDemand::unpredicted(vm.id, vm.demand());
+            acc.on_placed(ServerId::new(0), capacity, &vm, &demand);
+            let entries = &acc.servers[0].entries;
+            assert!(entries.capacity() <= entries.len() + entries.len() / 4 + 1);
+        }
+        let placed = acc.tracked();
+        assert_eq!(placed, trace.vms.len());
+        acc.advance(Timestamp::from_hours(4));
+        let entries = &acc.servers[0].entries;
+        assert_eq!(entries.len(), placed.div_ceil(10));
+        assert!(
+            entries.capacity() <= entries.len() + entries.len() / 4,
+            "{} slots kept for {} entries",
+            entries.capacity(),
+            entries.len()
+        );
     }
 
     mod proptests {

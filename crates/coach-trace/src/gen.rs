@@ -102,13 +102,45 @@ pub(crate) struct Subscription {
     pub(crate) preferred_configs: Vec<VmConfig>,
 }
 
-/// A VM before placement: when it runs, how big it is, who owns it.
-#[derive(Debug, Clone)]
+/// A VM before placement: when it runs, how big it is, who owns it — 16
+/// bytes, since a streamed trace of up to `DEFAULT_CHUNK_BUDGET` VMs
+/// buffers all of its skeletons at once.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Skeleton {
-    pub(crate) arrival: Timestamp,
-    pub(crate) departure: Timestamp,
-    pub(crate) sub_idx: usize,
-    pub(crate) config: VmConfig,
+    /// Arrival tick ([`horizon_ticks`] fits every tick in a `u32`).
+    pub(crate) arrival: u32,
+    /// Departure tick, after the arrival and at most the horizon.
+    pub(crate) departure: u32,
+    pub(crate) sub_idx: u32,
+    /// The drawn size's index in its subscription's `preferred_configs`.
+    config_idx: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Skeleton>() == 16);
+
+impl Skeleton {
+    pub(crate) fn arrival(&self) -> Timestamp {
+        Timestamp::from_ticks(u64::from(self.arrival))
+    }
+
+    pub(crate) fn departure(&self) -> Timestamp {
+        Timestamp::from_ticks(u64::from(self.departure))
+    }
+
+    /// The VM size, resolved against its subscription.
+    pub(crate) fn config(&self, sub: &Subscription) -> VmConfig {
+        sub.preferred_configs[usize::from(self.config_idx)]
+    }
+}
+
+/// The horizon in ticks, asserted to fit a [`Skeleton`]'s `u32` times.
+pub(crate) fn horizon_ticks(config: &TraceConfig) -> u64 {
+    let ticks = config.horizon.ticks();
+    assert!(
+        u32::try_from(ticks).is_ok(),
+        "a horizon of {ticks} ticks does not fit a skeleton's u32 times"
+    );
+    ticks
 }
 
 /// The cluster skeleton shared by the materialized and streaming
@@ -159,7 +191,8 @@ pub(crate) fn draw_subscriptions(rng: &mut SmallRng, config: &TraceConfig) -> Ve
 
 /// Draw one VM skeleton — the loop body both generators share. Every RNG
 /// call happens in a fixed order, so skeleton `i` is a pure function of
-/// the post-subscription RNG state and `i`.
+/// the post-subscription RNG state and `i`. `horizon_ticks` comes from
+/// [`horizon_ticks`], so every tick fits a `u32`.
 pub(crate) fn draw_skeleton(
     rng: &mut SmallRng,
     subscriptions: &[Subscription],
@@ -170,20 +203,22 @@ pub(crate) fn draw_skeleton(
     let u: f64 = rng.gen::<f64>();
     let sub_idx = (((u * u) * subscriptions.len() as f64) as usize).min(subscriptions.len() - 1);
     let sub = &subscriptions[sub_idx];
-    let vm_config = sub.preferred_configs[rng.gen_range(0..sub.preferred_configs.len())];
+    let config_idx = rng.gen_range(0..sub.preferred_configs.len());
+    let vm_config = sub.preferred_configs[config_idx];
 
     let arrival = if rng.gen_bool(config.initial_fraction) {
-        Timestamp::ZERO
+        0
     } else {
-        Timestamp::from_ticks(rng.gen_range(0..horizon_ticks))
+        rng.gen_range(0..horizon_ticks)
     };
     let lifetime = sample_lifetime(rng, vm_config);
-    let departure_ticks = (arrival.ticks() + lifetime.ticks()).min(horizon_ticks);
+    let departure = (arrival + lifetime.ticks()).min(horizon_ticks);
+    let tick = |t: u64| u32::try_from(t).expect("horizon_ticks fits a u32");
     Skeleton {
-        arrival,
-        departure: Timestamp::from_ticks(departure_ticks.max(arrival.ticks() + 1)),
-        sub_idx,
-        config: vm_config,
+        arrival: tick(arrival),
+        departure: tick(departure.max(arrival + 1)),
+        sub_idx: u32::try_from(sub_idx).expect("fewer than 2^32 subscriptions"),
+        config_idx: u8::try_from(config_idx).expect("at most three preferred sizes"),
     }
 }
 
@@ -239,12 +274,13 @@ impl PlacementMachine {
         cluster_idx: usize,
         hw_capacity: ResourceVec,
         sk: &Skeleton,
+        vm_config: VmConfig,
     ) -> (usize, Option<ServerId>) {
         let place = &mut self.places[cluster_idx];
 
         // Release VMs that departed before this arrival.
         while let Some(std::cmp::Reverse((dep, srv, bits))) = place.departures.peek().copied() {
-            if dep > sk.arrival.ticks() {
+            if dep > u64::from(sk.arrival) {
                 break;
             }
             place.departures.pop();
@@ -259,7 +295,7 @@ impl PlacementMachine {
         }
 
         // First-fit into an existing server; grow the cluster if none fits.
-        let demand = sk.config.demand();
+        let demand = vm_config.demand();
         let found = place.free.iter().position(|f| demand.fits_within(f));
         let (srv_idx, grew) = match found {
             Some(idx) => (idx, None),
@@ -272,7 +308,7 @@ impl PlacementMachine {
         };
         place.free[srv_idx] -= demand;
         place.departures.push(std::cmp::Reverse((
-            sk.departure.ticks(),
+            u64::from(sk.departure),
             srv_idx,
             [
                 demand.0[0].to_bits(),
@@ -311,7 +347,7 @@ pub fn generate(config: &TraceConfig) -> Trace {
     let subscriptions = draw_subscriptions(&mut rng, config);
 
     // --- Draw VM skeletons (arrival, lifetime, size, subscription).
-    let horizon_ticks = config.horizon.ticks();
+    let horizon_ticks = horizon_ticks(config);
     let skeletons: Vec<Skeleton> = (0..config.vm_count)
         .map(|_| draw_skeleton(&mut rng, &subscriptions, config, horizon_ticks))
         .collect();
@@ -332,16 +368,17 @@ pub fn generate(config: &TraceConfig) -> Trace {
 
     for (vm_idx, &i) in order.iter().enumerate() {
         let sk = &skeletons[i];
-        let sub = &subscriptions[sk.sub_idx];
+        let sub = &subscriptions[sk.sub_idx as usize];
+        let vm_config = sk.config(sub);
         let cluster_idx = sub.home_cluster;
         let hw_capacity = clusters[cluster_idx].hardware.capacity;
-        let (srv_idx, grew) = machine.place(cluster_idx, hw_capacity, sk);
+        let (srv_idx, grew) = machine.place(cluster_idx, hw_capacity, sk, vm_config);
         if let Some(id) = grew {
             clusters[cluster_idx].servers.push(id);
         }
 
         // Behavior: group template + per-VM jitter.
-        let group_key = (sub.id.raw(), sk.config.config_key());
+        let group_key = (sub.id.raw(), vm_config.config_key());
         let template = templates.entry(group_key).or_insert_with(|| {
             let mut trng = SmallRng::seed_from_u64(template_seed_for(config.seed, group_key));
             BehaviorTemplate::sample(&mut trng)
@@ -353,11 +390,11 @@ pub fn generate(config: &TraceConfig) -> Trace {
             subscription: sub.id,
             subscription_type: sub.sub_type,
             offering: sub.offering,
-            config: sk.config,
+            config: vm_config,
             cluster: clusters[cluster_idx].id,
             server: clusters[cluster_idx].servers[srv_idx],
-            arrival: sk.arrival,
-            departure: sk.departure,
+            arrival: sk.arrival(),
+            departure: sk.departure(),
             profile,
         });
     }

@@ -5,8 +5,9 @@
 //! whole `Vec<VmRecord>`. The trick is that the generator's randomness is a
 //! single sequential [`SmallRng`] stream: snapshotting the RNG state after
 //! the subscription draw lets us re-scan the *skeleton* sequence (arrival,
-//! lifetime, size, subscription — a few dozen bytes per VM) as many times as
-//! we like, each pass bit-identical to the last.
+//! departure, subscription and the index of its size among the
+//! subscription's preferred sizes — 16 bytes per VM) as many times as we
+//! like, each pass bit-identical to the last.
 //!
 //! The pipeline is:
 //!
@@ -37,10 +38,10 @@
 //! the batch generator's loop, so its slots are the batch trace's servers.
 //!
 //! Ingestion memory is 4 B per VM of plan, built once during construction,
-//! plus at most one bucket's skeleton buffer (`O(chunk_budget)`) plus the
-//! per-group behavior-template cache. The plan is the only part that grows
-//! with trace length; the placement pass's departure heap (one 48 B entry
-//! per resident VM) lives only during construction.
+//! plus at most one bucket's skeleton buffer (`O(chunk_budget)`, 16 B per
+//! skeleton) plus the per-group behavior-template cache. The plan is the
+//! only part that grows with trace length; the placement pass's departure
+//! heap (one 48 B entry per resident VM) lives only during construction.
 
 use std::collections::HashMap;
 
@@ -50,22 +51,24 @@ use rand::SeedableRng;
 use coach_types::prelude::*;
 
 use crate::gen::{
-    build_clusters, draw_skeleton, draw_subscriptions, template_seed_for, PlacementMachine,
-    Skeleton, Subscription, TraceConfig,
+    build_clusters, draw_skeleton, draw_subscriptions, horizon_ticks, template_seed_for,
+    PlacementMachine, Skeleton, Subscription, TraceConfig,
 };
 use crate::model::{Cluster, VmRecord};
 use crate::profile::BehaviorTemplate;
 
 /// Default per-chunk skeleton budget (`1 << 19` = 524 288 arrivals).
 ///
-/// A multi-tick bucket buffers its skeletons, 56 bytes each (the two
-/// times, the subscription index and the VM size — not whole
-/// [`VmRecord`]s), so the buffer stays under 28 MB whatever the trace
+/// A multi-tick bucket buffers its skeletons, 16 bytes each (the two
+/// times as `u32` ticks, the subscription index and the index of the VM
+/// size in that subscription's preferred sizes — not whole
+/// [`VmRecord`]s), so the buffer stays under 8 MB whatever the trace
 /// length. A trace of at most this many VMs is a single bucket, buffered
-/// for the whole record pass: 500k VMs keep 500k × 56 B = 28 MB live from
-/// the first record to the last. The budget bounds the buffer only: the
-/// plan (4 B per VM, see the module docs) grows with the trace whatever
-/// the budget.
+/// for the whole record pass: 500k VMs keep 500k × 16 B = 8 MB live from
+/// the first record to the last. A smaller budget costs set-up time, since
+/// every multi-tick bucket re-draws the whole skeleton sequence. The
+/// budget bounds the buffer only: the plan (4 B per VM, see the module
+/// docs) grows with the trace whatever the budget.
 pub const DEFAULT_CHUNK_BUDGET: usize = 1 << 19;
 
 /// A contiguous tick range `[lo, hi)` holding `count` arrivals.
@@ -136,13 +139,13 @@ impl StreamingTrace {
         let rng0 = rng.clone();
 
         // Counting pass: per-tick arrival histogram.
-        let horizon_ticks = config.horizon.ticks();
+        let horizon_ticks = horizon_ticks(config);
         let mut hist = vec![0u64; horizon_ticks as usize];
         {
             let mut rng = rng0.clone();
             for _ in 0..config.vm_count {
                 let sk = draw_skeleton(&mut rng, &subscriptions, config, horizon_ticks);
-                hist[sk.arrival.ticks() as usize] += 1;
+                hist[sk.arrival as usize] += 1;
             }
         }
 
@@ -207,9 +210,10 @@ impl StreamingTrace {
         let mut cursor = SkeletonCursor::default();
         while let Some(run) = cursor.next_run(&this) {
             for sk in run {
-                let ci = this.subscriptions[sk.sub_idx].home_cluster;
+                let sub = &this.subscriptions[sk.sub_idx as usize];
+                let ci = sub.home_cluster;
                 let hw = this.clusters[ci].hardware.capacity;
-                let (slot, grew) = machine.place(ci, hw, sk);
+                let (slot, grew) = machine.place(ci, hw, sk, sk.config(sub));
                 if let Some(id) = grew {
                     this.clusters[ci].servers.push(id);
                 }
@@ -283,6 +287,7 @@ struct SkeletonCursor {
 
 impl SkeletonCursor {
     fn next_run(&mut self, st: &StreamingTrace) -> Option<&[Skeleton]> {
+        // Checked to fit a `u32` when the stream was constructed.
         let horizon_ticks = st.config.horizon.ticks();
         let draw =
             |rng: &mut SmallRng| draw_skeleton(rng, &st.subscriptions, &st.config, horizon_ticks);
@@ -292,7 +297,7 @@ impl SkeletonCursor {
                 while *drawn < st.config.vm_count {
                     let sk = draw(rng);
                     *drawn += 1;
-                    if sk.arrival.ticks() == *tick {
+                    if u64::from(sk.arrival) == *tick {
                         self.run.push(sk);
                         return Some(&self.run);
                     }
@@ -312,7 +317,7 @@ impl SkeletonCursor {
             self.run.reserve_exact(bucket.count as usize);
             for _ in 0..st.config.vm_count {
                 let sk = draw(&mut rng);
-                if (bucket.lo..bucket.hi).contains(&sk.arrival.ticks()) {
+                if (bucket.lo..bucket.hi).contains(&u64::from(sk.arrival)) {
                     self.run.push(sk);
                 }
             }
@@ -341,13 +346,14 @@ impl StreamingRecords<'_> {
     /// pass made and resolved against the final cluster lists.
     fn emit(&mut self, sk: &Skeleton) -> VmRecord {
         let st = self.stream;
-        let sub = &st.subscriptions[sk.sub_idx];
+        let sub = &st.subscriptions[sk.sub_idx as usize];
+        let vm_config = sk.config(sub);
         let cluster_idx = sub.home_cluster;
         let vm_idx = self.vm_idx;
         self.vm_idx += 1;
         let srv_idx = st.slots[vm_idx as usize] as usize;
 
-        let group_key = (sub.id.raw(), sk.config.config_key());
+        let group_key = (sub.id.raw(), vm_config.config_key());
         let template = self.templates.entry(group_key).or_insert_with(|| {
             let mut trng = SmallRng::seed_from_u64(template_seed_for(st.config.seed, group_key));
             BehaviorTemplate::sample(&mut trng)
@@ -359,11 +365,11 @@ impl StreamingRecords<'_> {
             subscription: sub.id,
             subscription_type: sub.sub_type,
             offering: sub.offering,
-            config: sk.config,
+            config: vm_config,
             cluster: st.clusters[cluster_idx].id,
             server: st.clusters[cluster_idx].servers[srv_idx],
-            arrival: sk.arrival,
-            departure: sk.departure,
+            arrival: sk.arrival(),
+            departure: sk.departure(),
             profile,
         }
     }
@@ -377,7 +383,7 @@ impl Iterator for StreamingRecords<'_> {
             self.run_pos = 0;
             self.cursor.next_run(self.stream)?;
         }
-        let sk = self.cursor.run[self.run_pos].clone();
+        let sk = self.cursor.run[self.run_pos];
         self.run_pos += 1;
         Some(self.emit(&sk))
     }
@@ -519,6 +525,15 @@ mod tests {
         }
         h.server_lists(streaming.clusters());
         assert_eq!(h.0, 8_256_388_341_943_253_780, "StreamingTrace(medium(7))");
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a skeleton's u32 times")]
+    fn a_horizon_past_u32_ticks_is_refused() {
+        StreamingTrace::new(&TraceConfig {
+            horizon: Timestamp::from_ticks(1 << 32),
+            ..TraceConfig::small(1)
+        });
     }
 
     #[test]

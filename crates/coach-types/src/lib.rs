@@ -31,6 +31,7 @@
 
 pub mod bucket;
 pub mod config;
+pub mod growth;
 pub mod idhash;
 pub mod ids;
 pub mod par;
@@ -44,6 +45,7 @@ pub mod wire;
 
 pub use bucket::{bucket_up, Bucket};
 pub use config::{HardwareConfig, Offering, SubscriptionType, VmConfig};
+pub use growth::push_by_quarter;
 pub use idhash::{BuildIdHasher, IdHasher, IdMap};
 pub use ids::{ClusterId, ServerId, SubscriptionId, VmId};
 pub use par::{available_threads, par_map, par_map_threads};

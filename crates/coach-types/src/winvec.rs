@@ -76,6 +76,7 @@ impl WindowVec {
     }
 
     /// Whether the contents overflowed to a heap allocation.
+    #[inline]
     pub fn spilled(&self) -> bool {
         (self.len as usize) > Self::INLINE
     }
@@ -90,6 +91,7 @@ impl Default for WindowVec {
 impl Deref for WindowVec {
     type Target = [ResourceVec];
 
+    #[inline]
     fn deref(&self) -> &[ResourceVec] {
         if self.spilled() {
             &self.spill
@@ -100,6 +102,7 @@ impl Deref for WindowVec {
 }
 
 impl DerefMut for WindowVec {
+    #[inline]
     fn deref_mut(&mut self) -> &mut [ResourceVec] {
         if self.spilled() {
             &mut self.spill

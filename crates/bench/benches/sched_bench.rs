@@ -11,11 +11,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn demand(i: u64, windows: usize) -> VmDemand {
     let requested = VmConfig::general_purpose(4).demand();
-    let guaranteed = requested * 0.5;
+    let guaranteed = Units::round_up(&(requested * 0.5));
     let window_max = (0..windows)
         .map(|w| {
             let f = 0.5 + 0.4 * ((w + i as usize) % windows) as f64 / windows as f64;
-            requested * f
+            Units::round_up(&(requested * f))
         })
         .collect();
     VmDemand {

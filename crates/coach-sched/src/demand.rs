@@ -29,10 +29,20 @@ impl std::fmt::Display for Policy {
     }
 }
 
-/// A VM's absolute resource demand as seen by the scheduler.
+/// A VM's absolute resource demand as seen by the scheduler, on the
+/// integer grid of [`Units`].
 ///
-/// All vectors are absolute quantities (cores, GB, …), obtained by scaling
-/// the VM's request by predicted utilization fractions.
+/// **Quantization.** A demand is quantized once, here, and the scheduler
+/// only adds, subtracts and compares the result. The request goes onto the
+/// grid first, rounded up ([`Units::round_up`]: a catalog request is on it
+/// already). Each predicted fraction goes to its 5 % bucket `k`, rounded
+/// up as [`coach_types::Bucket::round_up`] snaps it, and the demand is
+/// `request units × k / 20`, ceil-divided from integers
+/// ([`Units::scale_bucket`]) — never quantized from the `f64` product, in
+/// which 4 cores × the 35 % bucket's fraction (`7 × 0.05`) reads
+/// `1.4000000000000001`. For a catalog VM the
+/// product is whole: cores and GB are whole and network a multiple of
+/// 0.25 Gbps, so the grid's 1/20 core, 1/20 GB and 1/80 Gbps divide it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VmDemand {
     /// The VM.
@@ -40,7 +50,7 @@ pub struct VmDemand {
     /// What the customer asked for.
     pub requested: ResourceVec,
     /// Guaranteed portion (Formula 1 × request): always allocated.
-    pub guaranteed: ResourceVec,
+    pub guaranteed: Units,
     /// Predicted maximum demand per time window (PA+VA working set).
     ///
     /// An inline-capable [`WindowVec`]: for the shipped window partitions
@@ -48,7 +58,12 @@ pub struct VmDemand {
     /// allocates nothing. That holds for the demand in flight, not for
     /// what a server keeps of one it hosts: [`crate::HostedDemand`] stores
     /// one window inline and boxes six.
-    pub window_max: WindowVec,
+    pub window_max: WindowVec<Units>,
+}
+
+/// Each resource's 5 % bucket index of `fractions`, rounded up.
+fn buckets(fractions: &ResourceVec) -> [usize; ResourceKind::COUNT] {
+    fractions.0.map(|f| Bucket::round_up(f).index())
 }
 
 impl VmDemand {
@@ -71,11 +86,12 @@ impl VmDemand {
         let Some(p) = prediction else {
             return VmDemand::unpredicted(vm, requested);
         };
+        let request = Units::round_up(&requested);
         match policy {
             Policy::None => VmDemand::unpredicted(vm, requested),
             Policy::Single => {
                 let peak_fraction = p.pmax.iter().fold(ResourceVec::ZERO, |acc, v| acc.max(v));
-                let alloc = requested.scale_by(&peak_fraction).min(&requested);
+                let alloc = request.scale_bucket(buckets(&peak_fraction));
                 VmDemand {
                     vm,
                     requested,
@@ -84,11 +100,11 @@ impl VmDemand {
                 }
             }
             Policy::Coach => {
-                let pa = requested.scale_by(&p.pa_fraction()).min(&requested);
+                let pa = request.scale_bucket(buckets(&p.pa_fraction()));
                 let window_max = p
                     .pmax
                     .iter()
-                    .map(|f| requested.scale_by(f).min(&requested).max(&pa))
+                    .map(|f| request.scale_bucket(buckets(f)).max(&pa))
                     .collect();
                 VmDemand {
                     vm,
@@ -102,11 +118,12 @@ impl VmDemand {
 
     /// Demand for a VM without prediction history: fully guaranteed.
     pub fn unpredicted(vm: VmId, requested: ResourceVec) -> VmDemand {
+        let request = Units::round_up(&requested);
         VmDemand {
             vm,
             requested,
-            guaranteed: requested,
-            window_max: WindowVec::from_elem(requested, 1),
+            guaranteed: request,
+            window_max: WindowVec::from_elem(request, 1),
         }
     }
 
@@ -119,45 +136,52 @@ impl VmDemand {
     /// window this demand presents to any server. The scheduler's quick
     /// check accepts candidates with it, without a per-window scan.
     #[inline]
-    pub fn window_peak(&self) -> ResourceVec {
+    pub fn window_peak(&self) -> Units {
         self.window_max
             .iter()
-            .fold(ResourceVec::ZERO, |acc, v| acc.max(v))
+            .fold(Units::ZERO, |acc, v| acc.max(v))
     }
 
     /// Elementwise minimum over the per-window maxima: the mildest window.
     /// The scheduler's quick check rejects candidates with it, without a
     /// per-window scan.
     #[inline]
-    pub fn window_trough(&self) -> ResourceVec {
+    pub fn window_trough(&self) -> Units {
         let mut it = self.window_max.iter();
         let first = *it.next().expect("demand has at least one window");
         it.fold(first, |acc, v| acc.min(v))
     }
 
-    /// Formula (2): the oversubscribed (VA) portion in window `w`.
+    /// Formula (2): the oversubscribed (VA) portion in window `w`,
+    /// subtracted on the grid and read as absolute quantities.
     ///
     /// # Panics
     ///
     /// Panics if `w >= self.window_count()`.
     pub fn va_demand(&self, w: usize) -> ResourceVec {
-        self.window_max[w].saturating_sub(&self.guaranteed)
+        self.window_max[w]
+            .saturating_sub(&self.guaranteed)
+            .to_resources()
     }
 
     /// Resources saved versus a full-request allocation, using the peak
     /// (window-max) footprint.
     pub fn savings(&self) -> ResourceVec {
-        self.requested.saturating_sub(&self.window_peak())
+        self.requested
+            .saturating_sub(&self.window_peak().to_resources())
     }
 
-    /// Internal consistency: guaranteed ≤ every window max ≤ requested.
+    /// Internal consistency: guaranteed ≤ every window max ≤ requested (on
+    /// the grid).
     pub fn is_well_formed(&self) -> bool {
+        let request = Units::round_up(&self.requested);
         !self.window_max.is_empty()
-            && self.guaranteed.is_valid()
-            && self.guaranteed.fits_within(&self.requested)
-            && self.window_max.iter().all(|w| {
-                w.is_valid() && self.guaranteed.fits_within(w) && w.fits_within(&self.requested)
-            })
+            && self.requested.is_valid()
+            && self.guaranteed.fits(&request)
+            && self
+                .window_max
+                .iter()
+                .all(|w| self.guaranteed.fits(w) && w.fits(&request))
     }
 }
 
@@ -195,8 +219,8 @@ mod tests {
     fn none_policy_allocates_request() {
         let d =
             VmDemand::from_prediction(VmId::new(1), request(), Policy::None, Some(&prediction()));
-        assert_eq!(d.guaranteed, request());
-        assert_eq!(d.window_max, WindowVec::from_elem(request(), 1));
+        assert_eq!(d.guaranteed, Units::round_up(&request()));
+        assert_eq!(d.window_max, WindowVec::from_elem(d.guaranteed, 1));
         assert!(d.is_well_formed());
         assert!(d.savings().is_zero());
     }
@@ -206,8 +230,8 @@ mod tests {
         let d =
             VmDemand::from_prediction(VmId::new(1), request(), Policy::Single, Some(&prediction()));
         // Peak fractions: cpu 0.75, mem 0.75.
-        assert_eq!(d.guaranteed.cpu(), 6.0);
-        assert_eq!(d.guaranteed.memory(), 24.0);
+        assert_eq!(d.guaranteed.to_resources().cpu(), 6.0);
+        assert_eq!(d.guaranteed.memory_gb(), 24.0);
         assert_eq!(d.window_count(), 1);
         assert!(d.is_well_formed());
         // Saves 25% of CPU and memory.
@@ -218,20 +242,44 @@ mod tests {
     fn coach_policy_formulas() {
         let d =
             VmDemand::from_prediction(VmId::new(1), request(), Policy::Coach, Some(&prediction()));
-        // Formula 1: PA fraction = max(px) = cpu 0.6, mem 0.7.
-        assert_eq!(d.guaranteed.cpu(), 4.8);
-        assert!((d.guaranteed.memory() - 22.4).abs() < 1e-9);
+        // Formula 1: PA fraction = max(px) = cpu 0.6, mem 0.7 — exactly
+        // 96 and 448 units, read back as the nearest floats.
+        assert_eq!(d.guaranteed.0[..2], [96, 448]);
+        assert_eq!(d.guaranteed.to_resources().cpu(), 4.8);
+        assert_eq!(d.guaranteed.memory_gb(), 22.4);
         assert_eq!(d.window_count(), 3);
         assert!(d.is_well_formed());
         // Formula 2: VA in window 1 (cpu window max 6.0 > PA 4.8).
-        assert!((d.va_demand(1).cpu() - 1.2).abs() < 1e-9);
+        assert_eq!(d.va_demand(1).cpu(), 1.2);
         assert_eq!(d.va_demand(0).cpu(), 0.0);
+    }
+
+    /// Request × bucket is computed from integers: 4 cores at the 35 %
+    /// bucket is 28 units, read back as 1.4 cores, where 4 × the bucket's
+    /// fraction reads 1.4000000000000001 and would have cost a 29th unit
+    /// had the float product been rounded up.
+    #[test]
+    fn a_bucket_product_is_exact_on_the_grid() {
+        let f = Bucket::from_index(7).fraction();
+        assert_eq!(4.0 * f, 1.4000000000000001);
+        let tw = TimeWindows::new(1);
+        let prediction = DemandPrediction {
+            tw,
+            pmax: [ResourceVec::splat(f)].into(),
+            px: [ResourceVec::splat(f)].into(),
+        };
+        let request = ResourceVec::new(4.0, 16.0, 1.0, 64.0);
+        for policy in [Policy::Single, Policy::Coach] {
+            let d = VmDemand::from_prediction(VmId::new(1), request, policy, Some(&prediction));
+            assert_eq!(d.guaranteed, Units([28, 112, 28, 448]), "{policy}");
+            assert_eq!(d.guaranteed.to_resources().cpu(), 1.4);
+        }
     }
 
     #[test]
     fn missing_prediction_falls_back_to_request() {
         let d = VmDemand::from_prediction(VmId::new(2), request(), Policy::Coach, None);
-        assert_eq!(d.guaranteed, request());
+        assert_eq!(d.guaranteed.to_resources(), request());
         assert!(d.is_well_formed());
     }
 

@@ -9,13 +9,18 @@
 //!   the Formula 3/4 memory pools are read at report time (multiplexed VA
 //!   pool = max over windows of summed VA demand).
 //! * [`ClusterScheduler`] — best-fit placement across servers, backed by a
-//!   contiguous feasibility table (one 96-byte summary row per server) and
+//!   contiguous feasibility table (one 48-byte summary row per server) and
 //!   a headroom-bucketed candidate index whose per-bucket bounds skip
 //!   buckets no member can host ([`ScanStrategy::Indexed`]), with the
 //!   exhaustive scan retained as a differential-testing reference
 //!   ([`ScanStrategy::NaiveReference`]), exact work counters
 //!   ([`PlaceWork`]), and the Fig 20a probe estimator
 //!   ([`ClusterScheduler::estimate_probe_fill`]).
+//!
+//! Every quantity the scheduler adds, subtracts or compares is a
+//! [`coach_types::Units`] vector on an integer grid, quantized once in
+//! [`VmDemand::from_prediction`], so sums are exact and best fit's ties go
+//! to the lower index whatever order earlier VMs came and went in.
 //!
 //! Each placement rule has one home here: the W+1 feasibility check, its
 //! quick accept / reject and its commit in `server.rs`, best-fit's

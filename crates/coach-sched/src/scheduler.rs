@@ -9,14 +9,15 @@
 //! To keep that envelope at million-VM scale the scheduler keeps its hot
 //! state small and contiguous:
 //!
-//! * A **feasibility table**: one 96-byte `FitRow` per server (guaranteed
+//! * A **feasibility table**: one 48-byte `FitRow` per server (guaranteed
 //!   sum, tightest and loosest window slack), refreshed by every `place`
 //!   and `remove`. A candidate check reads its server's row, and reads the
 //!   server's window sums only when the row's quick accept and quick
 //!   reject both abstain. The cluster's one capacity is stored once.
 //! * A **headroom index**: servers bucketed by their free guaranteed
-//!   memory, so a placement scans only the lowest-headroom buckets that
-//!   can hold its guaranteed memory instead of the whole cluster. Each
+//!   memory in grid units, so a placement scans only the lowest-headroom
+//!   buckets that can hold its guaranteed memory instead of the whole
+//!   cluster. Each
 //!   bucket keeps its members in candidate order, so its scan stops at the
 //!   first feasible member. A 64-bit mask of non-empty buckets makes
 //!   empty ones free, and each bucket carries conservative bounds over its
@@ -26,12 +27,13 @@
 //! * A **VM map** to `(server, slot)`: a departure goes straight to its own
 //!   row, and the map is the duplicate check on placement.
 //!
-//! **Why a bucket skip never changes a decision.** The quick reject
-//! (`server::rejects`) is monotone: a larger guaranteed sum or a smaller
-//! loosest slack, element-wise, can only make it reject, because IEEE-754
-//! addition rounds monotonically (`a ≤ b ⇒ a + c ≤ b + c` after rounding)
-//! and `fits_within` is `≤ bound + ε`. Every member's guaranteed sum is at
-//! least the bucket's minimum and its loosest slack at most the bucket's
+//! **Why a bucket skip never changes a decision.** Every sum, row and
+//! bound is a [`Units`] vector of integers, so the quick reject
+//! (`server::rejects`) is monotone by integer arithmetic: a larger
+//! guaranteed sum or a smaller loosest slack, element-wise, can only make
+//! it reject, because `a ≤ b ⇒ a + c ≤ b + c` and `≤` is exact — there is
+//! no rounding and no tolerance to reason about. Every member's guaranteed
+//! sum is at least the bucket's minimum and its loosest slack at most the bucket's
 //! maximum, so a reject on the bounds is a reject of every member's own
 //! row — the answer the per-member check would have given. Bounds only
 //! ever loosen between exact recomputations (a row that joins or changes
@@ -44,8 +46,11 @@
 //! strategies are decision-identical by construction and by proptest.
 //!
 //! Which feasible server best-fit picks — the least free guaranteed memory,
-//! ties to the lower index — is written down once, as `candidate_order`;
-//! the naive scan, the pick inside a headroom bucket and the probe
+//! ties to the lower index — is written down once, as `candidate_order`.
+//! Headroom is an exact count of grid units, so two servers with the same
+//! free memory tie whatever order their VMs came and went in, and the tie
+//! goes to the lower index. The naive scan, the pick inside a headroom
+//! bucket and the probe
 //! estimator ([`ClusterScheduler::estimate_probe_fill`]) all take the first
 //! server in that order. The estimator replays the Fig 20a probe fill on
 //! scratch copies of each server's sums through the same feasibility check
@@ -74,25 +79,11 @@ pub enum PlacementHeuristic {
 }
 
 /// Best-fit's preference between two candidate servers, each given as
-/// `(index, free guaranteed memory)`: `Less` when `a` wins. The least free
-/// guaranteed memory wins, ties go to the lower index. Headroom is a
-/// saturating difference, finite and never `-0.0`, so `total_cmp` agrees
-/// with `<` on it.
-fn candidate_order((a, free_a): (usize, f64), (b, free_b): (usize, f64)) -> Ordering {
-    free_a.total_cmp(&free_b).then(a.cmp(&b))
-}
-
-/// [`candidate_order`] as an integer: `candidate_order((a, free_a), (b,
-/// free_b))` is `(candidate_key(free_a), a).cmp(&(candidate_key(free_b),
-/// b))`. The key is `free`'s bits mapped so that unsigned order is
-/// `total_cmp` order.
-fn candidate_key(free: f64) -> u64 {
-    let bits = free.to_bits();
-    if bits >> 63 == 0 {
-        bits | 1 << 63
-    } else {
-        !bits
-    }
+/// `(index, free guaranteed memory in grid units)`: `Less` when `a` wins.
+/// The least free guaranteed memory wins, ties go to the lower index. The
+/// probe estimator's heap key `(free, index)` is this order as a tuple.
+fn candidate_order((a, free_a): (u32, u32), (b, free_b): (u32, u32)) -> Ordering {
+    (free_a, a).cmp(&(free_b, b))
 }
 
 /// How the scheduler searches for a feasible server.
@@ -151,10 +142,6 @@ impl PlaceWork {
 const HEADROOM_BUCKETS: usize = 64;
 const _: () = assert!(HEADROOM_BUCKETS == u64::BITS as usize);
 
-/// Epsilon matching [`ResourceVec::fits_within`]'s feasibility slack; bucket
-/// pruning must be at least this permissive to stay decision-identical.
-const FIT_EPS: f64 = 1e-9;
-
 /// One headroom bucket: its members in candidate order and conservative
 /// bounds over their feasibility rows (see the module doc for why a skip
 /// on them is exact).
@@ -163,11 +150,11 @@ struct Bucket {
     /// Members as best-fit compares them, `(index, free guaranteed
     /// memory)`, sorted by [`candidate_order`]: the first feasible member
     /// is the bucket's pick.
-    members: Vec<(usize, f64)>,
+    members: Vec<(u32, u32)>,
     /// Element-wise at most every member's guaranteed sum.
-    min_guaranteed: ResourceVec,
+    min_guaranteed: Units,
     /// Element-wise at least every member's loosest window slack.
-    max_window_slack: ResourceVec,
+    max_window_slack: Units,
     /// Whether the bounds are exactly the members' (no member has joined,
     /// left or changed since they were computed), so recomputing them
     /// would change nothing.
@@ -176,10 +163,7 @@ struct Bucket {
 
 impl Bucket {
     /// The bounds of no member: the identities of min and max.
-    const NO_BOUNDS: (ResourceVec, ResourceVec) = (
-        ResourceVec::splat(f64::INFINITY),
-        ResourceVec::splat(f64::NEG_INFINITY),
-    );
+    const NO_BOUNDS: (Units, Units) = (Units::splat(u32::MAX), Units::ZERO);
 
     /// Widen the bounds to cover `row`.
     fn loosen(&mut self, row: &FitRow) {
@@ -196,7 +180,7 @@ impl Bucket {
         }
         (self.min_guaranteed, self.max_window_slack) = Self::NO_BOUNDS;
         for &(i, _) in &self.members {
-            let row = &table[i];
+            let row = &table[i as usize];
             self.min_guaranteed = self.min_guaranteed.min(&row.guaranteed);
             self.max_window_slack = self.max_window_slack.max(&row.max_window_slack);
         }
@@ -205,7 +189,7 @@ impl Bucket {
 
     /// Whether no member can host `d`: the quick reject on the bounds.
     #[inline]
-    fn rejects(&self, capacity: &ResourceVec, d: &VmDemand, trough: &ResourceVec) -> bool {
+    fn rejects(&self, capacity: &Units, d: &VmDemand, trough: &Units) -> bool {
         rejects(
             &self.min_guaranteed,
             &self.max_window_slack,
@@ -221,7 +205,9 @@ impl Bucket {
 /// rebuilt exactly by `build`.
 #[derive(Debug, Clone)]
 struct HeadroomIndex {
-    bucket_width: f64,
+    /// The capacity's memory in grid units: headroom `h` goes to bucket
+    /// `h × 64 / capacity`.
+    capacity_memory: u32,
     buckets: Vec<Bucket>,
     bucket_of: Vec<u8>,
     /// Bit `b` is set iff bucket `b` has a member.
@@ -231,11 +217,10 @@ struct HeadroomIndex {
 impl HeadroomIndex {
     /// Bucket every server by its row's headroom, in candidate order, with
     /// exact bounds.
-    fn build(capacity: &ResourceVec, table: &[FitRow]) -> Self {
-        let bucket_width = capacity.memory() / HEADROOM_BUCKETS as f64;
+    fn build(capacity: &Units, table: &[FitRow]) -> Self {
         let (min_guaranteed, max_window_slack) = Bucket::NO_BOUNDS;
         let mut index = HeadroomIndex {
-            bucket_width,
+            capacity_memory: capacity[ResourceKind::Memory],
             buckets: vec![
                 Bucket {
                     members: Vec::new(),
@@ -248,8 +233,8 @@ impl HeadroomIndex {
             bucket_of: Vec::with_capacity(table.len()),
             nonempty: 0,
         };
-        for (i, row) in table.iter().enumerate() {
-            let headroom = row.free_guaranteed(capacity).memory();
+        for (i, row) in (0u32..).zip(table) {
+            let headroom = row.free_memory(capacity);
             let b = index.bucket_for(headroom);
             index.buckets[b].members.push((i, headroom));
             index.buckets[b].loosen(row);
@@ -265,25 +250,23 @@ impl HeadroomIndex {
         index
     }
 
-    fn bucket_index(bucket_width: f64, headroom: f64) -> usize {
-        if bucket_width > 0.0 {
-            ((headroom / bucket_width) as usize).min(HEADROOM_BUCKETS - 1)
-        } else {
-            0
+    /// The bucket of `headroom` grid units of free memory: non-decreasing
+    /// in it, so a server with less headroom is never in a higher bucket.
+    fn bucket_for(&self, headroom: u32) -> usize {
+        if self.capacity_memory == 0 {
+            return 0;
         }
-    }
-
-    fn bucket_for(&self, headroom: f64) -> usize {
-        Self::bucket_index(self.bucket_width, headroom)
+        let b = u64::from(headroom) * HEADROOM_BUCKETS as u64 / u64::from(self.capacity_memory);
+        (b as usize).min(HEADROOM_BUCKETS - 1)
     }
 
     /// Move one server whose headroom went from `was` to `headroom` to its
     /// place in candidate order — in another bucket if it crossed a
     /// boundary — and widen its bucket's bounds to cover its new `row`. A
     /// bucket left empty drops its bounds.
-    fn update(&mut self, server: usize, was: f64, row: &FitRow, headroom: f64) {
+    fn update(&mut self, server: u32, was: u32, row: &FitRow, headroom: u32) {
         let new = self.bucket_for(headroom);
-        let old = usize::from(self.bucket_of[server]);
+        let old = usize::from(self.bucket_of[server as usize]);
         let old_bucket = &mut self.buckets[old];
         let mut pos = old_bucket
             .members
@@ -322,7 +305,7 @@ impl HeadroomIndex {
         new_bucket.members.insert(pos, (server, headroom));
         new_bucket.loosen(row);
         self.nonempty |= 1 << new;
-        self.bucket_of[server] = new as u8;
+        self.bucket_of[server as usize] = new as u8;
     }
 
     /// Recompute the bounds of every bucket in `mask` exactly.
@@ -365,8 +348,8 @@ struct Hosted {
 #[derive(Debug, Clone)]
 pub struct ClusterScheduler {
     servers: Vec<ServerState>,
-    /// Every server's capacity: a cluster is homogeneous.
-    capacity: ResourceVec,
+    /// Every server's capacity in grid units: a cluster is homogeneous.
+    capacity: Units,
     /// The feasibility table: `table[i]` is `servers[i].fit_row()`,
     /// refreshed by every place and remove; what the indexed scan reads.
     table: Vec<FitRow>,
@@ -454,12 +437,12 @@ impl ClusterScheduler {
             u32::try_from(servers.len()).is_ok(),
             "fewer than 2^32 servers"
         );
-        let capacity = servers[0].capacity();
+        let capacity = servers[0].capacity_units();
         let windows = servers[0].windows();
         assert!(
             servers
                 .iter()
-                .all(|s| s.capacity() == capacity && s.windows() == windows),
+                .all(|s| s.capacity_units() == capacity && s.windows() == windows),
             "the servers of one cluster share one capacity and window count"
         );
         let mut by_id = IdMap::with_capacity_and_hasher(servers.len(), Default::default());
@@ -566,14 +549,14 @@ impl ClusterScheduler {
         self.table[idx] = row;
         if self.scan == ScanStrategy::Indexed {
             let headroom = self.candidate(idx).1;
-            self.index.update(idx, was, &row, headroom);
+            self.index.update(idx as u32, was, &row, headroom);
         }
     }
 
     /// Server `i` as best-fit compares it: `(index, free guaranteed
-    /// memory)`.
-    fn candidate(&self, i: usize) -> (usize, f64) {
-        (i, self.table[i].free_guaranteed(&self.capacity).memory())
+    /// memory in grid units)`.
+    fn candidate(&self, i: usize) -> (u32, u32) {
+        (i as u32, self.table[i].free_memory(&self.capacity))
     }
 
     /// Resolve excluded server ids to a sorted index list once, so the scan
@@ -610,7 +593,7 @@ impl ClusterScheduler {
             })
             .map(|i| self.candidate(i))
             .min_by(|&a, &b| candidate_order(a, b))
-            .map(|(i, _)| i)
+            .map(|(i, _)| i as usize)
     }
 
     /// Server `i`'s W+1 check through the feasibility table: its row's
@@ -620,8 +603,8 @@ impl ClusterScheduler {
         &self,
         i: usize,
         demand: &VmDemand,
-        peak: &ResourceVec,
-        trough: &ResourceVec,
+        peak: &Units,
+        trough: &Units,
         work: &mut PlaceWork,
     ) -> bool {
         work.candidates += 1;
@@ -641,8 +624,9 @@ impl ClusterScheduler {
     ///   bucket has strictly more headroom and comes later in candidate
     ///   order.
     /// * Within a bucket the pick is the same order's first, ties included.
-    /// * Buckets that cannot hold `demand.guaranteed`'s memory (minus the
-    ///   `fits_within` epsilon) are skipped wholesale, pruning full servers.
+    /// * Buckets below the one `demand.guaranteed`'s memory falls in hold
+    ///   only servers with less free memory than it, and are skipped
+    ///   wholesale, pruning full servers.
     /// * Empty buckets are never visited, and a bucket whose bounds reject
     ///   the demand holds no feasible server (module doc).
     ///
@@ -656,7 +640,7 @@ impl ClusterScheduler {
     ) -> (Option<usize>, u64) {
         let peak = demand.window_peak();
         let trough = demand.window_trough();
-        let need_mem = (demand.guaranteed.memory() - FIT_EPS).max(0.0);
+        let need_mem = demand.guaranteed[ResourceKind::Memory];
         let mut exhausted = 0u64;
         for b in self.index.ascending_from(self.index.bucket_for(need_mem)) {
             let bucket = &self.index.buckets[b];
@@ -664,7 +648,7 @@ impl ClusterScheduler {
                 work.buckets_skipped += 1;
                 continue;
             }
-            let pick = bucket.members.iter().map(|&(i, _)| i).find(|&i| {
+            let pick = bucket.members.iter().map(|&(i, _)| i as usize).find(|&i| {
                 excluded.binary_search(&i).is_err()
                     && self.feasible(i, demand, &peak, &trough, work)
             });
@@ -717,9 +701,10 @@ impl ClusterScheduler {
         self.in_use
     }
 
-    /// Every server's hardware capacity: a cluster is homogeneous.
+    /// Every server's hardware capacity, as the grid holds it: a cluster
+    /// is homogeneous.
     pub fn capacity(&self) -> ResourceVec {
-        self.capacity
+        self.capacity.to_resources()
     }
 
     /// The work this scheduler's placements have done (see [`PlaceWork`]).
@@ -738,7 +723,7 @@ impl ClusterScheduler {
     /// by the code `place` itself runs. The scheduler is only read, so a
     /// measurement never changes a later decision.
     ///
-    /// Each rotation keeps a min-heap of `(candidate key, server)` over the
+    /// Each rotation keeps a min-heap of `(free memory, server)` over the
     /// servers not yet known infeasible for it. The fill only commits
     /// capacity, so a (server, rotation) that rejects once rejects for the
     /// rest of the measurement: a probe pops rejected tops for good, and
@@ -768,16 +753,12 @@ impl ClusterScheduler {
         }
         let capacity = self.capacity;
         let mut scratch: Vec<Sums> = self.servers.iter().map(|s| s.sums().clone()).collect();
-        let mut keys: Vec<u64> = (0..self.servers.len())
-            .map(|i| candidate_key(self.candidate(i).1))
+        let mut keys: Vec<u32> = (0..self.servers.len())
+            .map(|i| self.candidate(i).1)
             .collect();
-        let entries: Vec<Reverse<(u64, u32)>> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, &key)| {
-                let server = u32::try_from(i).expect("a cluster has fewer than 2^32 servers");
-                Reverse((key, server))
-            })
+        let entries: Vec<Reverse<(u32, u32)>> = (0u32..)
+            .zip(&keys)
+            .map(|(server, &key)| Reverse((key, server)))
             .collect();
         let mut heaps = vec![BinaryHeap::from(entries); windows];
         let mut infeasible = vec![false; self.servers.len() * windows];
@@ -809,7 +790,7 @@ impl ClusterScheduler {
                     let i = server as usize;
                     let sums = &mut scratch[i];
                     sums.add(template);
-                    let key = candidate_key(sums.free_guaranteed(&capacity).memory());
+                    let key = sums.free_memory(&capacity);
                     let old = std::mem::replace(&mut keys[i], key);
                     if key != old {
                         for (r, heap) in heaps.iter_mut().enumerate() {
@@ -835,7 +816,7 @@ impl ClusterScheduler {
     }
 
     /// Serialize the scheduler for snapshot/restore: per-server dumps with
-    /// their floating-point sums verbatim.
+    /// their sums and rows.
     ///
     /// Derived structures — the id maps, the feasibility table, the
     /// headroom index with its mask and bounds, the in-use count — are
@@ -925,19 +906,17 @@ impl ClusterScheduler {
                 );
             }
             for &(i, stored) in &bucket.members {
-                let row = &self.table[i];
-                let headroom = row.free_guaranteed(&self.capacity).memory();
-                assert_eq!(stored.to_bits(), headroom.to_bits(), "server {i}'s key");
+                let row = &self.table[i as usize];
+                let headroom = row.free_memory(&self.capacity);
+                assert_eq!(stored, headroom, "server {i}'s key");
                 assert_eq!(self.index.bucket_for(headroom), b, "server {i}'s bucket");
-                assert_eq!(usize::from(self.index.bucket_of[i]), b);
-                let below =
-                    |lo: &ResourceVec, v: &ResourceVec| lo.0.iter().zip(v.0).all(|(l, v)| *l <= v);
+                assert_eq!(usize::from(self.index.bucket_of[i as usize]), b);
                 assert!(
-                    below(&bucket.min_guaranteed, &row.guaranteed),
+                    bucket.min_guaranteed.fits(&row.guaranteed),
                     "bucket {b}'s guaranteed bound is above server {i}'s sum"
                 );
                 assert!(
-                    below(&row.max_window_slack, &bucket.max_window_slack),
+                    row.max_window_slack.fits(&bucket.max_window_slack),
                     "bucket {b}'s slack bound is below server {i}'s loosest slack"
                 );
             }
@@ -959,6 +938,10 @@ mod tests {
 
     fn full_demand(vm: u64, cores: f64, mem: f64) -> VmDemand {
         VmDemand::unpredicted(VmId::new(vm), ResourceVec::new(cores, mem, 0.5, 16.0))
+    }
+
+    fn units(cores: f64, mem: f64, network: f64, ssd: f64) -> Units {
+        Units::round_up(&ResourceVec::new(cores, mem, network, ssd))
     }
 
     #[test]
@@ -1020,12 +1003,12 @@ mod tests {
         // Two VMs that both peak at 48 GB would not fit a 64 GB server if
         // scheduled on lifetime peaks; with complementary windows they do.
         let mk = |vm: u64, peak_w: usize| {
-            let mut window_max = vec![ResourceVec::new(2.0, 12.0, 0.5, 16.0); 2];
-            window_max[peak_w] = ResourceVec::new(2.0, 44.0, 0.5, 16.0);
+            let mut window_max = vec![units(2.0, 12.0, 0.5, 16.0); 2];
+            window_max[peak_w] = units(2.0, 44.0, 0.5, 16.0);
             VmDemand {
                 vm: VmId::new(vm),
                 requested: ResourceVec::new(4.0, 48.0, 0.5, 16.0),
-                guaranteed: ResourceVec::new(2.0, 12.0, 0.5, 16.0),
+                guaranteed: units(2.0, 12.0, 0.5, 16.0),
                 window_max: window_max.into(),
             }
         };
@@ -1068,7 +1051,7 @@ mod tests {
         s.remove(VmId::new(2));
         s.place(full_demand(50, 17.0, 64.0));
         let restored = ClusterScheduler::from_dump(s.dump(), ScanStrategy::Indexed);
-        // Decision state and membership: servers (all float sums), which
+        // Decision state and membership: servers (all sums), which
         // server hosts each VM, the table and the buckets' members — not
         // the cached bounds or the slots, which the rebuild makes exact and
         // dense.
@@ -1135,10 +1118,10 @@ mod tests {
         let demand = |vm: u64, cores: f64, windows: [f64; 2]| VmDemand {
             vm: VmId::new(vm),
             requested: ResourceVec::new(cores, 40.0, 0.1, 1.0),
-            guaranteed: ResourceVec::new(cores, 1.0, 0.1, 1.0),
+            guaranteed: units(cores, 1.0, 0.1, 1.0),
             window_max: windows
                 .iter()
-                .map(|&mem| ResourceVec::new(cores, mem, 0.1, 1.0))
+                .map(|&mem| units(cores, mem, 0.1, 1.0))
                 .collect(),
         };
         let placed = |server: u64| PlacementOutcome::Placed(ServerId::new(server));
@@ -1192,9 +1175,9 @@ mod tests {
             .map(|rotation| VmDemand {
                 vm: VmId::new(0),
                 requested: request,
-                guaranteed: request * 0.5,
+                guaranteed: Units::round_up(&(request * 0.5)),
                 window_max: (0..windows)
-                    .map(|w| request * if w == rotation { 0.9 } else { 0.6 })
+                    .map(|w| Units::round_up(&(request * if w == rotation { 0.9 } else { 0.6 })))
                     .collect(),
             })
             .collect();
@@ -1213,9 +1196,9 @@ mod tests {
                     continue;
                 }
                 let frac = |r: u64| 0.05 + (r % 60) as f64 / 100.0;
-                let guaranteed = request * frac(draw()) * 0.5;
+                let guaranteed = Units::round_up(&(request * frac(draw()) * 0.5));
                 let window_max = (0..windows)
-                    .map(|_| (request * frac(draw())).max(&guaranteed))
+                    .map(|_| Units::round_up(&(request * frac(draw()))).max(&guaranteed))
                     .collect();
                 let _ = sched.place(VmDemand {
                     vm: VmId::new(vm),
@@ -1259,9 +1242,13 @@ mod tests {
         // Best fit would stack VM 2 on VM 1's server: keep it off.
         s.place_excluding(full_demand(2, 2.0, 8.0), &[ServerId::new(0)]);
         let mut dump = s.dump();
-        // Claim VM 1 on both servers (ahead of VM 2: dumps are id-sorted).
-        let stolen = dump.servers[0].vms[0].clone();
-        dump.servers[1].vms.insert(0, stolen);
+        // Claim VM 1 on both servers (ahead of VM 2: dumps are id-sorted),
+        // each server's sums its own rows'.
+        let (vm, row) = dump.servers[0].vms[0].clone();
+        let to = &mut dump.servers[1];
+        to.guaranteed_sum += row.guaranteed;
+        to.window_sum[0] += row.window_max()[0];
+        to.vms.insert(0, (vm, row));
         let _ = ClusterScheduler::from_dump(dump, ScanStrategy::Indexed);
     }
 }
@@ -1281,12 +1268,14 @@ mod proptests {
         )
     }
 
+    /// A demand of `request × fraction`, each fraction anywhere in
+    /// `[0.05, 1)`, put on the grid by rounding up.
     fn demand_from(i: usize, window_fracs: &[f64], guar_frac: f64) -> VmDemand {
         let request = ResourceVec::new(8.0, 32.0, 4.0, 256.0);
-        let guaranteed = request * guar_frac;
-        let window_max: Vec<ResourceVec> = window_fracs
+        let guaranteed = Units::round_up(&(request * guar_frac));
+        let window_max: Vec<Units> = window_fracs
             .iter()
-            .map(|f| (request * *f).max(&guaranteed))
+            .map(|f| Units::round_up(&(request * *f)).max(&guaranteed))
             .collect();
         VmDemand {
             vm: VmId::new(1000 + i as u64),
@@ -1317,7 +1306,7 @@ mod proptests {
                 // Invariants after every operation.
                 for s in sched.servers() {
                     let commitment = s.peak_commitment();
-                    prop_assert!(commitment.max_element() <= 1.0 + 1e-9,
+                    prop_assert!(commitment.max_element() <= 1.0,
                         "overcommitted: {commitment:?}");
                     prop_assert!(s.free_guaranteed().is_valid());
                 }
@@ -1334,20 +1323,22 @@ mod proptests {
             let ids = [ServerId::new(0)];
             let mut sched = ClusterScheduler::new(&ids, capacity, 6);
             let request = ResourceVec::new(4.0, 16.0, 1.0, 64.0);
-            let guaranteed = request * fracs[0].min(0.9);
+            let guaranteed = Units::round_up(&(request * fracs[0].min(0.9)));
             let demand = VmDemand {
                 vm: VmId::new(1),
                 requested: request,
                 guaranteed,
-                window_max: fracs.iter().map(|f| (request * *f).max(&guaranteed)).collect(),
+                window_max: fracs
+                    .iter()
+                    .map(|f| Units::round_up(&(request * *f)).max(&guaranteed))
+                    .collect(),
             };
-            let before = sched.server(ServerId::new(0)).unwrap().clone();
+            let before = sched.clone();
             prop_assert!(matches!(sched.place(demand), PlacementOutcome::Placed(_)));
             sched.remove(VmId::new(1));
-            let after = sched.server(ServerId::new(0)).unwrap();
-            // State returns to (numerically) where it started.
-            prop_assert!(after.free_guaranteed().fits_within(&(before.free_guaranteed() + ResourceVec::splat(1e-6))));
-            prop_assert_eq!(after.vm_count(), 0);
+            // State returns exactly to where it started.
+            prop_assert!(sched == before);
+            prop_assert_eq!(&sched.table, &before.table);
         }
 
         /// The tentpole differential test: under random churn, the indexed
@@ -1385,36 +1376,13 @@ mod proptests {
             prop_assert_eq!(indexed.servers_in_use(), naive.servers_in_use());
         }
 
-        /// The probe estimator's heap key orders servers exactly as
-        /// `candidate_order` does: equal
-        /// headroom, zero, full capacity, adjacent floats and arbitrary
-        /// pairs, ties broken by index.
-        #[test]
-        fn prop_candidate_key_is_candidate_order(
-            base_sel in 0usize..4,
-            drawn in 0.0f64..64.0,
-            other in 0.0f64..64.0,
-            pair in 0usize..4,
-            a in 0usize..4,
-            b in 0usize..4,
-        ) {
-            let free_a = [0.0, 64.0, f64::MIN_POSITIVE, drawn][base_sel];
-            let free_b = match pair {
-                0 => free_a,
-                1 => f64::from_bits(free_a.to_bits() + 1),
-                2 if free_a > 0.0 => f64::from_bits(free_a.to_bits() - 1),
-                _ => other,
-            };
-            let by_key = (candidate_key(free_a), a).cmp(&(candidate_key(free_b), b));
-            prop_assert_eq!(candidate_order((a, free_a), (b, free_b)), by_key);
-        }
-
         /// Under random churn of one- and three-window placements and
         /// removals, every bucket's bounds hold
         /// for every member and its mask bit matches its emptiness after
         /// every step (with the table and the VM map in step too). Some
         /// demands have their memory scaled down a hundred- or
-        /// thousandfold, so a server's row also changes without its
+        /// thousandfold (integer division keeps every window at or above
+        /// the guaranteed part), so a server's row also changes without its
         /// headroom leaving its bucket.
         #[test]
         fn prop_bucket_bounds_stay_conservative(
@@ -1429,11 +1397,11 @@ mod proptests {
                 } else {
                     let windows = if *kind == 1 { &window_fracs[..1] } else { &window_fracs[..] };
                     let mut d = demand_from(i, windows, *guar_frac);
-                    let scale = [1.0, 0.01, 0.001][*shape];
-                    d.requested.0[1] *= scale;
-                    d.guaranteed.0[1] *= scale;
+                    let scale = [1, 100, 1000][*shape];
+                    d.requested.0[1] /= f64::from(scale);
+                    d.guaranteed.0[1] /= scale;
                     for w in d.window_max.iter_mut() {
-                        w.0[1] *= scale;
+                        w.0[1] /= scale;
                     }
                     sched.place(d);
                 }

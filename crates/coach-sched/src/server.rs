@@ -2,13 +2,17 @@
 //! and — per hosted VM — only what deallocation must subtract again.
 //!
 //! §3.3 has the scheduler keep W+1 sums per server, here inline in the
-//! server for every shipped window partition. Besides them, its id and
-//! its capacity, a server keeps only one slot per hosted VM: its id and a
+//! server for every shipped window partition. Every quantity is a
+//! [`Units`] vector on the integer grid the demand was quantized to
+//! (`demand.rs`), so a sum is exact: it is the same whatever order its
+//! VMs arrived and left in, and a departure returns it to exactly what it
+//! was. Besides the sums, its id and its capacity (rounded down onto the
+//! grid), a server keeps only one slot per hosted VM: its id and a
 //! [`HostedDemand`] row of the guaranteed vector plus the per-window
-//! maxima of Formulas 1–2, 80 bytes together. A one-window demand (the
+//! maxima of Formulas 1–2, 48 bytes together. A one-window demand (the
 //! `None` / `Single` policies, or no prediction) carries its one window
-//! inline; only a W-window demand carries W, boxed. The customer's request is not kept: nothing reads it
-//! after placement.
+//! inline; only a W-window demand carries W, boxed (96 bytes for six). The
+//! customer's request is not kept: nothing reads it after placement.
 //!
 //! A departure empties its own slot and nothing else: the slot goes on a
 //! free list that the server's next placement takes first, so no other
@@ -20,7 +24,7 @@
 //! The W+1 sums and the rule that reads them live here once. `Sums` holds
 //! the sums, with `fits` (the exact check) and `add` (the commit). A
 //! `FitRow` is a server's *summary* of them — the guaranteed sum and the
-//! tightest and loosest window slack, 96 bytes — with the quick part of
+//! tightest and loosest window slack, 48 bytes — with the quick part of
 //! the rule: `quick_fit` decides most candidates from the row alone, and
 //! only when it cannot does the exact per-window scan (`windows_fit`) read
 //! the window sums. The scheduler keeps one `FitRow` per server in a
@@ -38,31 +42,30 @@
 //! hosted rows on demand.
 //!
 //! The columns are never shrunk. A departure frees the boxed windows at
-//! once; the slots (80 bytes each) stay at the most VMs the server has
+//! once; the slots (48 bytes each) stay at the most VMs the server has
 //! hosted at one time, which the hardware bounds and the length of the
 //! stream does not. A full slot column grows by a quarter, not by doubling
 //! (`push_by_quarter`), so it keeps at most a quarter of its length plus
-//! one slot empty (`stream_cold`: about 20 MB at its 224k-resident peak,
-//! 25 MB while the columns doubled).
+//! one slot empty.
 
 use crate::demand::VmDemand;
 use coach_types::prelude::*;
-use coach_types::push_by_quarter;
+use coach_types::{push_by_quarter, UNITS_PER};
 
 /// What a server keeps of a hosted VM's demand: the guaranteed portion and
 /// the per-window maxima, which is all `remove` subtracts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HostedDemand {
     /// Guaranteed portion (Formula 1 × request).
-    pub guaranteed: ResourceVec,
+    pub guaranteed: Units,
     window_max: WindowMaxima,
 }
 
 /// One window inline, or one per server window on the heap.
 #[derive(Debug, Clone, PartialEq)]
 enum WindowMaxima {
-    One(ResourceVec),
-    PerWindow(Box<[ResourceVec]>),
+    One(Units),
+    PerWindow(Box<[Units]>),
 }
 
 impl HostedDemand {
@@ -72,7 +75,7 @@ impl HostedDemand {
     /// # Panics
     ///
     /// Panics if `window_max` is empty.
-    pub fn new(guaranteed: ResourceVec, window_max: &[ResourceVec]) -> Self {
+    pub fn new(guaranteed: Units, window_max: &[Units]) -> Self {
         let window_max = match window_max {
             [] => panic!("demand has at least one window"),
             [one] => WindowMaxima::One(*one),
@@ -86,7 +89,7 @@ impl HostedDemand {
 
     /// [`HostedDemand::new`] for maxima already on the heap (the codec's).
     /// `window_max` holds at least two windows.
-    pub(crate) fn per_window(guaranteed: ResourceVec, window_max: Box<[ResourceVec]>) -> Self {
+    pub(crate) fn per_window(guaranteed: Units, window_max: Box<[Units]>) -> Self {
         debug_assert!(window_max.len() > 1, "one window is kept inline");
         HostedDemand {
             guaranteed,
@@ -96,7 +99,7 @@ impl HostedDemand {
 
     /// Predicted maximum demand per time window: one entry (broadcast to
     /// every server window) or one per server window.
-    pub fn window_max(&self) -> &[ResourceVec] {
+    pub fn window_max(&self) -> &[Units] {
         match &self.window_max {
             WindowMaxima::One(one) => std::slice::from_ref(one),
             WindowMaxima::PerWindow(many) => many,
@@ -107,7 +110,7 @@ impl HostedDemand {
 /// Window `w` of per-window maxima: a one-window demand is broadcast to
 /// every server window.
 #[inline]
-fn window(window_max: &[ResourceVec], w: usize) -> &ResourceVec {
+fn window(window_max: &[Units], w: usize) -> &Units {
     if window_max.len() == 1 {
         &window_max[0]
     } else {
@@ -119,23 +122,17 @@ fn window(window_max: &[ResourceVec], w: usize) -> &ResourceVec {
 /// windows plus one"), with the one feasibility check that reads them and
 /// the one commit that adds to them.
 ///
-/// Invariant: after any sequence of `place`/`remove` calls the sums are
-/// exactly the floats the server accumulated, in the order it applied
-/// them — so a scratch copy starts from the scheduler's own state.
+/// Invariant: each sum is exactly the sum over the hosted VMs of their
+/// rows, and at most the capacity — whatever order they were placed and
+/// removed in, so a scratch copy starts from the scheduler's own state and
+/// a dump can be checked against its rows.
 #[derive(Debug, Clone)]
 pub(crate) struct Sums {
     /// Σ over hosted VMs of `guaranteed` (the Formula 3 dimension).
-    pub(crate) guaranteed: ResourceVec,
+    pub(crate) guaranteed: Units,
     /// Per-window Σ over hosted VMs of `window_max[w]`, inline in the
     /// server for the shipped partitions (≤ [`WindowVec::INLINE`] windows).
-    pub(crate) windows: WindowVec,
-}
-
-/// The guaranteed part of the check: `guaranteed + d.guaranteed` within
-/// `capacity`.
-#[inline]
-fn guaranteed_fits(guaranteed: &ResourceVec, capacity: &ResourceVec, d: &VmDemand) -> bool {
-    (*guaranteed + d.guaranteed).fits_within(capacity)
+    pub(crate) windows: WindowVec<Units>,
 }
 
 /// The quick reject, from a guaranteed sum and a loosest window slack:
@@ -145,26 +142,19 @@ fn guaranteed_fits(guaranteed: &ResourceVec, capacity: &ResourceVec, d: &VmDeman
 ///
 /// Monotone in its inputs: a larger `guaranteed` or a smaller
 /// `max_window_slack`, element-wise, can only turn a `false` into a
-/// `true` (IEEE-754 addition rounds monotonically, and `fits_within` is a
-/// `<=` against `bound + ε`). So `rejects` on an element-wise lower bound
-/// of several servers' guaranteed sums and an upper bound of their
-/// loosest slacks implies `rejects` on every one of them — the
-/// scheduler's bucket skip.
+/// `true`, because integer addition and `≤` are exact (`a ≤ b ⇒ a + c ≤
+/// b + c`). So `rejects` on an element-wise lower bound of several
+/// servers' guaranteed sums and an upper bound of their loosest slacks
+/// implies `rejects` on every one of them — the scheduler's bucket skip.
 #[inline]
 pub(crate) fn rejects(
-    guaranteed: &ResourceVec,
-    max_window_slack: &ResourceVec,
-    capacity: &ResourceVec,
+    guaranteed: &Units,
+    max_window_slack: &Units,
+    capacity: &Units,
     d: &VmDemand,
-    trough: &ResourceVec,
+    trough: &Units,
 ) -> bool {
-    !guaranteed_fits(guaranteed, capacity, d) || !trough.fits_within(max_window_slack)
-}
-
-/// Remaining guaranteed headroom per resource: best fit's key.
-#[inline]
-fn free_guaranteed(guaranteed: &ResourceVec, capacity: &ResourceVec) -> ResourceVec {
-    capacity.saturating_sub(guaranteed)
+    !guaranteed.fits_with(&d.guaranteed, capacity) || !trough.fits(max_window_slack)
 }
 
 /// What the quick part of the W+1 check reads of a server: the guaranteed
@@ -172,11 +162,11 @@ fn free_guaranteed(guaranteed: &ResourceVec, capacity: &ResourceVec) -> Resource
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct FitRow {
     /// Σ guaranteed over hosted VMs.
-    pub(crate) guaranteed: ResourceVec,
+    pub(crate) guaranteed: Units,
     /// Element-wise min over windows of `capacity - window_sum[w]`.
-    pub(crate) min_window_slack: ResourceVec,
+    pub(crate) min_window_slack: Units,
     /// Element-wise max over windows of `capacity - window_sum[w]`.
-    pub(crate) max_window_slack: ResourceVec,
+    pub(crate) max_window_slack: Units,
 }
 
 impl FitRow {
@@ -190,10 +180,10 @@ impl FitRow {
     #[inline]
     pub(crate) fn quick_fit(
         &self,
-        capacity: &ResourceVec,
+        capacity: &Units,
         d: &VmDemand,
-        peak: &ResourceVec,
-        trough: &ResourceVec,
+        peak: &Units,
+        trough: &Units,
     ) -> Option<bool> {
         if rejects(
             &self.guaranteed,
@@ -203,43 +193,48 @@ impl FitRow {
             trough,
         ) {
             Some(false)
-        } else if peak.fits_within(&self.min_window_slack) {
+        } else if peak.fits(&self.min_window_slack) {
             Some(true)
         } else {
             None
         }
     }
 
-    /// Remaining guaranteed headroom per resource.
+    /// Remaining guaranteed memory in grid units: best fit's key.
     #[inline]
-    pub(crate) fn free_guaranteed(&self, capacity: &ResourceVec) -> ResourceVec {
-        free_guaranteed(&self.guaranteed, capacity)
+    pub(crate) fn free_memory(&self, capacity: &Units) -> u32 {
+        free_memory(&self.guaranteed, capacity)
     }
+}
+
+/// Remaining guaranteed memory in grid units.
+#[inline]
+fn free_memory(guaranteed: &Units, capacity: &Units) -> u32 {
+    let m = ResourceKind::Memory;
+    capacity[m].saturating_sub(guaranteed[m])
 }
 
 impl Sums {
     /// The exact per-window scan (no allocation): every window's sum plus
     /// the demand's maximum for it within `capacity`.
     #[inline]
-    fn windows_fit(&self, capacity: &ResourceVec, d: &VmDemand) -> bool {
+    fn windows_fit(&self, capacity: &Units, d: &VmDemand) -> bool {
         if d.window_count() == self.windows.len() {
             d.window_max
                 .iter()
                 .zip(&self.windows)
-                .all(|(w, sum)| (*sum + *w).fits_within(capacity))
+                .all(|(w, sum)| sum.fits_with(w, capacity))
         } else {
-            let w = d.window_max[0];
-            self.windows
-                .iter()
-                .all(|sum| (*sum + w).fits_within(capacity))
+            let w = &d.window_max[0];
+            self.windows.iter().all(|sum| sum.fits_with(w, capacity))
         }
     }
 
     /// The combined W+1 check. The caller has validated the demand's
     /// window count (one, or the server's).
     #[inline]
-    pub(crate) fn fits(&self, capacity: &ResourceVec, d: &VmDemand) -> bool {
-        guaranteed_fits(&self.guaranteed, capacity, d) && self.windows_fit(capacity, d)
+    pub(crate) fn fits(&self, capacity: &Units, d: &VmDemand) -> bool {
+        self.guaranteed.fits_with(&d.guaranteed, capacity) && self.windows_fit(capacity, d)
     }
 
     /// Commit a demand that [`Sums::fits`]: add its guaranteed vector and
@@ -252,10 +247,10 @@ impl Sums {
         }
     }
 
-    /// Remaining guaranteed headroom per resource: best fit's key.
+    /// Remaining guaranteed memory in grid units: best fit's key.
     #[inline]
-    pub(crate) fn free_guaranteed(&self, capacity: &ResourceVec) -> ResourceVec {
-        free_guaranteed(&self.guaranteed, capacity)
+    pub(crate) fn free_memory(&self, capacity: &Units) -> u32 {
+        free_memory(&self.guaranteed, capacity)
     }
 }
 
@@ -270,6 +265,10 @@ enum Slot {
 /// The end of the free list.
 const NO_SLOT: u32 = u32::MAX;
 
+const _: () = assert!(std::mem::size_of::<HostedDemand>() <= 40);
+const _: () = assert!(std::mem::size_of::<Slot>() <= 48);
+const _: () = assert!(std::mem::size_of::<FitRow>() <= 48);
+
 /// One server's packing state under time-window scheduling (§3.3).
 ///
 /// Feasibility is the combined vector check the paper describes: for each
@@ -283,7 +282,7 @@ const NO_SLOT: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 pub struct ServerState {
     id: ServerId,
-    capacity: ResourceVec,
+    capacity: Units,
     sums: Sums,
     /// One slot per VM. The free ones form a list through their links,
     /// last freed first: the next placement takes `free_head`.
@@ -301,23 +300,22 @@ impl PartialEq for ServerState {
 }
 
 impl ServerState {
-    /// Create an empty server with `windows` time windows per day.
+    /// Create an empty server with `windows` time windows per day. Its
+    /// capacity is `capacity` rounded down onto the grid.
     ///
     /// # Panics
     ///
     /// Panics if `windows` is zero or capacity is invalid.
     pub fn new(id: ServerId, capacity: ResourceVec, windows: usize) -> Self {
         assert!(windows > 0, "need at least one window");
-        assert!(
-            capacity.is_valid() && !capacity.is_zero(),
-            "invalid capacity"
-        );
+        let units = Units::round_down(&capacity);
+        assert!(capacity.is_valid() && !units.is_zero(), "invalid capacity");
         ServerState {
             id,
-            capacity,
+            capacity: units,
             sums: Sums {
-                guaranteed: ResourceVec::ZERO,
-                windows: WindowVec::from_elem(ResourceVec::ZERO, windows),
+                guaranteed: Units::ZERO,
+                windows: WindowVec::from_elem(Units::ZERO, windows),
             },
             slots: Vec::new(),
             free_head: NO_SLOT,
@@ -330,8 +328,13 @@ impl ServerState {
         self.id
     }
 
-    /// Hardware capacity.
+    /// Hardware capacity, as the grid holds it.
     pub fn capacity(&self) -> ResourceVec {
+        self.capacity.to_resources()
+    }
+
+    /// Hardware capacity in grid units.
+    pub(crate) fn capacity_units(&self) -> Units {
         self.capacity
     }
 
@@ -418,7 +421,7 @@ impl ServerState {
         self.sums.windows_fit(&self.capacity, d)
     }
 
-    /// The server's summary for the quick checks, one 96-byte row: its
+    /// The server's summary for the quick checks, one 48-byte row: its
     /// guaranteed sum and the elementwise min and max over windows of
     /// `capacity - window_sum[w]` — the tightest window slack (a demand
     /// whose per-window peak fits it fits every window) and the loosest (a
@@ -427,10 +430,10 @@ impl ServerState {
     /// per place or remove and keeps it in its table.
     pub(crate) fn fit_row(&self) -> FitRow {
         let window_sum = &self.sums.windows;
-        let mut min = self.capacity - window_sum[0];
+        let mut min = self.capacity.saturating_sub(&window_sum[0]);
         let mut max = min;
         for sum in &window_sum[1..] {
-            let slack = self.capacity - *sum;
+            let slack = self.capacity.saturating_sub(sum);
             min = min.min(&slack);
             max = max.max(&slack);
         }
@@ -488,6 +491,8 @@ impl ServerState {
 
     /// Remove the VM in `slot` (as [`Self::place_new`] returned it): read
     /// its row, subtract it, and free the slot. No other slot is touched.
+    /// The sums go back to exactly what they were before its placement,
+    /// less what was placed since.
     ///
     /// # Panics
     ///
@@ -505,25 +510,24 @@ impl ServerState {
         self.sums.guaranteed -= d.guaranteed;
         for (w, sum) in self.sums.windows.iter_mut().enumerate() {
             *sum -= *window(window_max, w);
-            // Clamp floating-point dust.
-            *sum = sum.max(&ResourceVec::ZERO);
         }
-        self.sums.guaranteed = self.sums.guaranteed.max(&ResourceVec::ZERO);
     }
 
     /// Formula (3): total guaranteed memory, GB.
     pub fn guaranteed_memory(&self) -> f64 {
-        self.sums.guaranteed.memory()
+        self.sums.guaranteed.memory_gb()
     }
 
     /// Each hosted VM's VA (oversubscribed) memory demand per server
-    /// window, `(window_max[w].memory() − guaranteed.memory())⁺` GB, in
+    /// window, `(window_max[w] − guaranteed)⁺` of memory in grid units, in
     /// slot order.
-    fn va_memory(&self) -> impl Iterator<Item = impl Iterator<Item = f64> + '_> + '_ {
+    fn va_memory(&self) -> impl Iterator<Item = impl Iterator<Item = u64> + '_> + '_ {
         let windows = self.windows();
+        let m = ResourceKind::Memory;
         self.hosted().map(move |(_, d)| {
-            let guaranteed = d.guaranteed.memory();
-            (0..windows).map(move |w| (window(d.window_max(), w).memory() - guaranteed).max(0.0))
+            let guaranteed = d.guaranteed[m];
+            (0..windows)
+                .map(move |w| u64::from(window(d.window_max(), w)[m].saturating_sub(guaranteed)))
         })
     }
 
@@ -531,13 +535,13 @@ impl ServerState {
     /// `max over windows of Σ VA_demand(vm, w)`, GB. Folds the hosted rows
     /// (O(VMs × windows)); no decision reads it.
     pub fn oversub_pool_memory(&self) -> f64 {
-        let mut per_window = vec![0.0f64; self.windows()];
+        let mut per_window = vec![0u64; self.windows()];
         for va in self.va_memory() {
             for (sum, va) in per_window.iter_mut().zip(va) {
                 *sum += va;
             }
         }
-        per_window.into_iter().fold(0.0, f64::max)
+        memory_gb(per_window.into_iter().max().unwrap_or(0))
     }
 
     /// The non-multiplexed alternative: `Σ over VMs of max_w VA_demand` —
@@ -545,20 +549,20 @@ impl ServerState {
     /// Formula 4 ablation; always ≥ [`ServerState::oversub_pool_memory`]).
     /// Folds the hosted rows, like it.
     pub fn oversub_pool_memory_summed(&self) -> f64 {
-        self.va_memory()
-            .map(|va| va.fold(0.0, f64::max))
-            .fold(0.0, |sum, peak| sum + peak)
+        memory_gb(self.va_memory().map(|va| va.max().unwrap_or(0)).sum())
     }
 
     /// Remaining guaranteed headroom per resource.
     pub fn free_guaranteed(&self) -> ResourceVec {
-        self.sums.free_guaranteed(&self.capacity)
+        self.capacity
+            .saturating_sub(&self.sums.guaranteed)
+            .to_resources()
     }
 
     /// The tightest per-resource window slack (min over windows of
     /// `capacity - window_sum[w]`).
     pub fn min_window_slack(&self) -> ResourceVec {
-        self.fit_row().min_window_slack
+        self.fit_row().min_window_slack.to_resources()
     }
 
     /// The worst (largest) per-window committed fraction of capacity.
@@ -566,8 +570,9 @@ impl ServerState {
         self.sums
             .windows
             .iter()
-            .fold(ResourceVec::ZERO, |acc, v| acc.max(v))
-            .fraction_of(&self.capacity)
+            .fold(Units::ZERO, |acc, v| acc.max(v))
+            .to_resources()
+            .fraction_of(&self.capacity.to_resources())
     }
 
     /// The W+1 sums `can_fit` reads, for the probe estimator's scratch
@@ -576,15 +581,11 @@ impl ServerState {
         &self.sums
     }
 
-    /// Serialize the full packing state for snapshot/restore.
-    ///
-    /// The incrementally maintained floating-point sums are captured *as
-    /// they are* — never re-derived from the hosted demands — so a restored
-    /// server continues from the scheduler's exact arithmetic state and all
-    /// subsequent `can_fit` decisions are bit-identical to the uninterrupted
-    /// run. Hosted demands are emitted sorted by [`VmId`]: which slot a VM
-    /// took depends on the departures before it, and sorting makes the
-    /// encoding canonical.
+    /// Serialize the full packing state for snapshot/restore: the sums,
+    /// and the hosted demands sorted by [`VmId`] — which slot a VM took
+    /// depends on the departures before it, and sorting makes the encoding
+    /// canonical. The sums are the rows' sums in any order, so a restored
+    /// server makes every later decision the live one would.
     pub fn dump(&self) -> ServerStateDump {
         let mut vms: Vec<(VmId, HostedDemand)> =
             self.hosted().map(|(vm, row)| (vm, row.clone())).collect();
@@ -628,33 +629,38 @@ impl ServerState {
     }
 }
 
-/// A [`ServerState`] flattened for snapshot/restore: the incrementally
-/// maintained sums verbatim plus the hosted demands sorted by id.
+/// Memory grid units as GB.
+fn memory_gb(units: u64) -> f64 {
+    units as f64 / f64::from(UNITS_PER[ResourceKind::Memory.index()])
+}
+
+/// A [`ServerState`] flattened for snapshot/restore: its sums plus the
+/// hosted demands sorted by id.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerStateDump {
     /// Server id.
     pub id: ServerId,
-    /// Hardware capacity.
-    pub capacity: ResourceVec,
+    /// Hardware capacity in grid units.
+    pub capacity: Units,
     /// Time windows per day.
     pub windows: usize,
-    /// Σ guaranteed over hosted VMs, exactly as maintained.
-    pub guaranteed_sum: ResourceVec,
-    /// Per-window commitment sums, exactly as maintained.
-    pub window_sum: Vec<ResourceVec>,
+    /// Σ guaranteed over hosted VMs.
+    pub guaranteed_sum: Units,
+    /// Per-window commitment sums.
+    pub window_sum: Vec<Units>,
     /// Hosted demands, sorted ascending by [`VmId`].
     pub vms: Vec<(VmId, HostedDemand)>,
 }
 
 impl ServerStateDump {
-    /// Whether a server can be rebuilt from this dump: a capacity
-    /// [`ServerState::new`] would accept, at least one window, one sum per
-    /// window, hosted VMs in strictly ascending id order (so none twice),
-    /// each with one window or one per server window — anything else and
-    /// `remove` would subtract the wrong sums.
+    /// Whether a server can be rebuilt from this dump: a nonzero capacity,
+    /// at least one window, one sum per window, hosted VMs in strictly
+    /// ascending id order (so none twice), each with one window or one per
+    /// server window, and sums that are exactly the hosted rows' sums and
+    /// within the capacity — anything else and `remove` would subtract
+    /// what was never added.
     pub fn is_consistent(&self) -> bool {
-        self.capacity.is_valid()
-            && !self.capacity.is_zero()
+        !self.capacity.is_zero()
             && self.windows > 0
             && self.window_sum.len() == self.windows
             && self.vms.windows(2).all(|pair| pair[0].0 < pair[1].0)
@@ -662,6 +668,33 @@ impl ServerStateDump {
                 let n = d.window_max().len();
                 n == 1 || n == self.windows
             })
+            && self.sums_are_the_rows()
+    }
+
+    /// Every sum equals the fold of the hosted rows, taken in `u64` so a
+    /// hostile dump cannot wrap it, and fits the capacity.
+    fn sums_are_the_rows(&self) -> bool {
+        fn add(total: &mut [u64; ResourceKind::COUNT], row: &Units) {
+            for (t, v) in total.iter_mut().zip(row.0) {
+                *t += u64::from(v);
+            }
+        }
+        let mut guaranteed = [0; ResourceKind::COUNT];
+        let mut windows = vec![[0; ResourceKind::COUNT]; self.windows];
+        for (_, d) in &self.vms {
+            add(&mut guaranteed, &d.guaranteed);
+            for (w, total) in windows.iter_mut().enumerate() {
+                add(total, window(d.window_max(), w));
+            }
+        }
+        let exact = |total: &[u64; ResourceKind::COUNT], sum: &Units| {
+            *total == sum.0.map(u64::from) && sum.fits(&self.capacity)
+        };
+        exact(&guaranteed, &self.guaranteed_sum)
+            && windows
+                .iter()
+                .zip(&self.window_sum)
+                .all(|(total, sum)| exact(total, sum))
     }
 }
 
@@ -674,10 +707,10 @@ mod tests {
         VmDemand {
             vm: VmId::new(vm),
             requested: ResourceVec::new(4.0, 32.0, 1.0, 64.0),
-            guaranteed: g,
+            guaranteed: Units::round_up(&g),
             window_max: win_mem
                 .iter()
-                .map(|&m| ResourceVec::new(1.0, m.max(guar_mem), 0.1, 1.0))
+                .map(|&m| Units::round_up(&ResourceVec::new(1.0, m.max(guar_mem), 0.1, 1.0)))
                 .collect(),
         }
     }
@@ -788,7 +821,7 @@ mod tests {
             win[(i % 3) as usize] = 10.0;
             let _ = s.place(&demand(i, 2.0, win));
         }
-        assert!(s.oversub_pool_memory() <= s.oversub_pool_memory_summed() + 1e-9);
+        assert!(s.oversub_pool_memory() <= s.oversub_pool_memory_summed());
     }
 
     /// The scheduler's two steps — the row's quick answer, else the window
@@ -830,13 +863,46 @@ mod tests {
     }
 
     #[test]
-    fn a_hosted_row_stays_under_80_bytes() {
-        // Guaranteed vector + one inline window (or the boxed slice) + tag.
-        assert!(std::mem::size_of::<HostedDemand>() <= 80);
-        // A slot is the id beside the row: the free-list link and the
-        // variant fit in what the row leaves unused.
-        assert_eq!(std::mem::size_of::<Slot>(), 80);
-        assert_eq!(std::mem::size_of::<FitRow>(), 96);
+    fn a_free_slot_costs_no_more_than_a_hosted_one() {
+        // The free-list link and the variant fit in what the row leaves
+        // unused; the sizes themselves are compile-time assertions.
+        assert_eq!(
+            std::mem::size_of::<Slot>(),
+            std::mem::size_of::<(VmId, HostedDemand)>()
+        );
+        // A six-window row boxes 96 bytes.
+        assert_eq!(std::mem::size_of::<[Units; 6]>(), 96);
+    }
+
+    /// The sums are exact: the same resident set reached by different
+    /// orders of places and removes reads the same sums and rows, and
+    /// emptying a server returns every sum to zero.
+    #[test]
+    fn sums_do_not_depend_on_the_order_of_adds_and_removes() {
+        let fracs = [0.35, 0.7, 0.15, 0.95, 0.05, 0.6];
+        let demands: Vec<VmDemand> = (0..6u64)
+            .map(|i| {
+                let f = fracs[i as usize];
+                demand(i, 1.0 + 4.0 * f, [4.0 * f + 2.0, 6.0 * f, 8.0 * f])
+            })
+            .collect();
+        let mut forward = server();
+        let mut shuffled = server();
+        for d in &demands {
+            assert!(forward.place(d));
+        }
+        for i in [3, 0, 5, 1, 4, 2] {
+            assert!(shuffled.place(&demands[i]));
+        }
+        assert!(shuffled.remove(VmId::new(1)) && shuffled.remove(VmId::new(4)));
+        assert!(shuffled.place(&demands[4]) && shuffled.place(&demands[1]));
+        assert!(forward == shuffled);
+        assert_eq!(forward.fit_row(), shuffled.fit_row());
+        for vm in 0..6 {
+            assert!(forward.remove(VmId::new(vm)));
+        }
+        assert!(forward == server());
+        assert_eq!(forward.fit_row(), server().fit_row());
     }
 
     /// A departure empties its own slot and moves no other VM; the next

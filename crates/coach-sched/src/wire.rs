@@ -3,18 +3,18 @@
 //! These impls carry the scheduler half of a `coach-serve` snapshot across
 //! the wire: per-server packing state ([`ServerStateDump`]) and a
 //! scheduler's servers ([`ClusterSchedulerDump`]), plus the
-//! policy and scan enums a serving config names. Dumps hold raw
-//! accumulated `f64` sums, and the
-//! codecs ship them verbatim (IEEE-754 bits), so a restored scheduler is
+//! policy and scan enums a serving config names. Dumps hold integer
+//! [`Units`] sums and rows, shipped as varints, so a restored scheduler is
 //! `assert_eq!`-identical to the one that was snapshotted — including every
-//! future placement decision it will make.
+//! future placement decision it will make. A decoded dump whose sums are
+//! not its rows' sums is refused.
 
 use coach_wire::{Decode, Decoder, Encode, Encoder, WireError};
 
 use crate::demand::Policy;
 use crate::scheduler::{ClusterSchedulerDump, PlacementOutcome, ScanStrategy};
 use crate::server::{HostedDemand, ServerStateDump};
-use coach_types::{ResourceVec, ServerId, VmId};
+use coach_types::{ServerId, Units, VmId};
 use std::collections::HashSet;
 
 impl Encode for PlacementOutcome {
@@ -109,9 +109,9 @@ impl Decode for HostedDemand {
             // The common case, kept off the heap as `place` keeps it.
             1 => Ok(HostedDemand::new(guaranteed, &[Decode::decode(d)?])),
             n => {
-                let mut many = Vec::with_capacity(d.capacity_for::<ResourceVec>(n));
+                let mut many = Vec::with_capacity(d.capacity_for::<Units>(n));
                 for _ in 0..n {
-                    many.push(ResourceVec::decode(d)?);
+                    many.push(Units::decode(d)?);
                 }
                 Ok(HostedDemand::per_window(guaranteed, many.into()))
             }
@@ -189,7 +189,7 @@ impl Decode for ClusterSchedulerDump {
 mod tests {
     use super::*;
     use crate::{ClusterScheduler, PlacementOutcome, VmDemand};
-    use coach_types::WindowVec;
+    use coach_types::{ResourceVec, WindowVec};
     use coach_wire::{open_frame, seal_frame};
 
     /// Four three-window servers hosting nine three-window VMs between
@@ -202,8 +202,11 @@ mod tests {
             let demand = VmDemand {
                 vm: VmId::new(i),
                 requested: ResourceVec::new(3.0, 11.0, 1.0, 64.0),
-                guaranteed: ResourceVec::new(1.5, 5.5, 0.5, 32.0),
-                window_max: WindowVec::from_elem(ResourceVec::new(2.0, 8.0, 0.7, 48.0), 3),
+                guaranteed: Units::round_up(&ResourceVec::new(1.5, 5.5, 0.5, 32.0)),
+                window_max: WindowVec::from_elem(
+                    Units::round_up(&ResourceVec::new(2.0, 8.0, 0.7, 48.0)),
+                    3,
+                ),
             };
             assert!(matches!(sched.place(demand), PlacementOutcome::Placed(_)));
         }
@@ -243,7 +246,7 @@ mod tests {
 
     #[test]
     fn a_window_sum_of_the_wrong_length_is_refused() {
-        refused(|dump| dump.servers[0].window_sum.push(ResourceVec::ZERO));
+        refused(|dump| dump.servers[0].window_sum.push(Units::ZERO));
     }
 
     #[test]
@@ -264,15 +267,23 @@ mod tests {
 
     #[test]
     fn a_vm_on_two_servers_is_refused() {
+        // Each server's sums are its own rows', so only the cross-server
+        // check can refuse it.
         refused(|dump| {
-            let stolen = dump.servers[0].vms[0].clone();
-            dump.servers[1].vms.insert(0, stolen);
+            let (vm, row) = dump.servers[0].vms[0].clone();
+            let to = &mut dump.servers[1];
+            to.guaranteed_sum += row.guaranteed;
+            for (sum, w) in to.window_sum.iter_mut().zip(row.window_max()) {
+                *sum += *w;
+            }
+            to.vms.insert(0, (vm, row));
+            assert!(to.is_consistent());
         });
     }
 
     #[test]
     fn servers_of_different_capacities_or_window_counts_are_refused() {
-        refused(|dump| dump.servers[2].capacity.0[0] += 1.0);
+        refused(|dump| dump.servers[2].capacity.0[0] += 1);
         // Consistent on its own: no hosted VM, one sum per window.
         refused(|dump| {
             let server = &mut dump.servers[3];
@@ -282,17 +293,28 @@ mod tests {
         });
     }
 
-    /// A capacity `ServerState::new` would refuse to build: zero, or NaN.
-    /// One server, so that only validity can refuse the frame (NaN ≠ NaN
-    /// would fail the homogeneity check of two).
+    /// A capacity `ServerState::new` would refuse to build (zero), or one
+    /// below the sums it holds. One server, so that only validity can
+    /// refuse the frame.
     #[test]
     fn an_invalid_capacity_is_refused() {
-        for capacity in [ResourceVec::ZERO, ResourceVec::splat(f64::NAN)] {
+        for capacity in [Units::ZERO, Units::splat(1)] {
             refused(|dump| {
                 dump.servers.truncate(1);
                 dump.servers[0].capacity = capacity;
             });
         }
+    }
+
+    /// A sum that is not its rows' sum would make `remove` subtract what
+    /// was never added.
+    #[test]
+    fn sums_that_are_not_the_rows_are_refused() {
+        refused(|dump| dump.servers[0].guaranteed_sum.0[1] += 1);
+        refused(|dump| dump.servers[0].window_sum[1].0[0] -= 1);
+        refused(|dump| {
+            dump.servers[0].vms.pop();
+        });
     }
 
     #[test]

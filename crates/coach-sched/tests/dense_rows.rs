@@ -1,5 +1,7 @@
 //! The dense per-server columns against the server as it was before them:
 //! whole demands in a map, the sums maintained by reading them back out.
+//! Both sides add and subtract on the integer grid, so they must agree
+//! exactly.
 
 use coach_sched::{HostedDemand, ServerState, VmDemand};
 use coach_types::prelude::*;
@@ -11,21 +13,21 @@ const WINDOWS: usize = 6;
 /// The reference: `place` / `remove` as they were when a server kept a
 /// `HashMap<VmId, VmDemand>`.
 struct MapModel {
-    capacity: ResourceVec,
-    guaranteed_sum: ResourceVec,
-    window_sum: Vec<ResourceVec>,
+    capacity: Units,
+    guaranteed_sum: Units,
+    window_sum: Vec<Units>,
     vms: HashMap<VmId, VmDemand>,
 }
 
 impl MapModel {
-    fn window(d: &VmDemand, w: usize) -> ResourceVec {
+    fn window(d: &VmDemand, w: usize) -> Units {
         d.window_max[if d.window_count() == 1 { 0 } else { w }]
     }
 
     fn place(&mut self, d: VmDemand) -> bool {
-        let fits = (self.guaranteed_sum + d.guaranteed).fits_within(&self.capacity)
+        let fits = (self.guaranteed_sum + d.guaranteed).fits(&self.capacity)
             && (0..WINDOWS)
-                .all(|w| (self.window_sum[w] + Self::window(&d, w)).fits_within(&self.capacity));
+                .all(|w| (self.window_sum[w] + Self::window(&d, w)).fits(&self.capacity));
         if self.vms.contains_key(&d.vm) || !fits {
             return false;
         }
@@ -43,41 +45,37 @@ impl MapModel {
         };
         self.guaranteed_sum -= d.guaranteed;
         for w in 0..WINDOWS {
-            let wd = Self::window(&d, w);
-            self.window_sum[w] = (self.window_sum[w] - wd).max(&ResourceVec::ZERO);
+            self.window_sum[w] -= Self::window(&d, w);
         }
-        self.guaranteed_sum = self.guaranteed_sum.max(&ResourceVec::ZERO);
         true
     }
 
-    /// Formula 4's pools folded fresh over the hosted VMs: the multiplexed
-    /// `max_w Σ VA(vm, w)` and the summed `Σ max_w VA(vm, w)`.
+    /// Formula 4's pools folded fresh over the hosted VMs, in GB: the
+    /// multiplexed `max_w Σ VA(vm, w)` and the summed `Σ max_w VA(vm, w)`.
     fn va_pools(&self) -> (f64, f64) {
-        let va = |d: &VmDemand, w| (Self::window(d, w).memory() - d.guaranteed.memory()).max(0.0);
+        let va = |d: &VmDemand, w| Self::window(d, w).saturating_sub(&d.guaranteed).0[1];
         let multiplexed = (0..WINDOWS)
-            .map(|w| self.vms.values().map(|d| va(d, w)).sum::<f64>())
-            .fold(0.0, f64::max);
-        let summed = self
+            .map(|w| self.vms.values().map(|d| u64::from(va(d, w))).sum::<u64>())
+            .max()
+            .unwrap_or(0);
+        let summed: u64 = self
             .vms
             .values()
-            .map(|d| (0..WINDOWS).map(|w| va(d, w)).fold(0.0, f64::max))
+            .map(|d| (0..WINDOWS).map(|w| u64::from(va(d, w))).max().unwrap_or(0))
             .sum();
-        (multiplexed, summed)
+        let gb = |units: u64| units as f64 / 20.0;
+        (gb(multiplexed), gb(summed))
     }
-}
-
-fn bits(v: &ResourceVec) -> [u64; ResourceKind::COUNT] {
-    v.0.map(f64::to_bits)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     /// Random place / duplicate-place / remove / remove-unknown over one-
-    /// and six-window demands: every sum equals the map model's bit for
-    /// bit after every step, the Formula 4 pools stay within 1e-9 of a
-    /// fresh fold over the model's VMs, the dump lists exactly the model's
-    /// VMs, and a server rebuilt from the dump equals the live one whatever
-    /// order the departures left its columns in.
+    /// and six-window demands: every sum equals the map model's exactly
+    /// after every step, the Formula 4 pools equal a fresh fold over the
+    /// model's VMs, the dump lists exactly the model's VMs, and a server
+    /// rebuilt from the dump equals the live one whatever order the
+    /// departures left its columns in.
     #[test]
     fn dense_rows_match_a_map_model(
         ops in prop::collection::vec(
@@ -88,9 +86,9 @@ proptest! {
         let capacity = ResourceVec::new(32.0, 128.0, 16.0, 1024.0);
         let mut live = ServerState::new(ServerId::new(0), capacity, WINDOWS);
         let mut model = MapModel {
-            capacity,
-            guaranteed_sum: ResourceVec::ZERO,
-            window_sum: vec![ResourceVec::ZERO; WINDOWS],
+            capacity: Units::round_down(&capacity),
+            guaranteed_sum: Units::ZERO,
+            window_sum: vec![Units::ZERO; WINDOWS],
             vms: HashMap::new(),
         };
         for (kind, vm, one_window, fracs) in ops {
@@ -99,7 +97,7 @@ proptest! {
                 prop_assert_eq!(live.remove(vm), model.remove(vm));
             } else {
                 let requested = ResourceVec::new(8.0, 32.0, 4.0, 256.0);
-                let guaranteed = requested * fracs[WINDOWS];
+                let guaranteed = Units::round_up(&(requested * fracs[WINDOWS]));
                 let n = if one_window == 1 { 1 } else { WINDOWS };
                 let d = VmDemand {
                     vm,
@@ -107,20 +105,18 @@ proptest! {
                     guaranteed,
                     window_max: fracs[..n]
                         .iter()
-                        .map(|f| (requested * *f).max(&guaranteed))
+                        .map(|f| Units::round_up(&(requested * *f)).max(&guaranteed))
                         .collect(),
                 };
                 prop_assert_eq!(live.place(&d), model.place(d));
             }
 
             let dump = live.dump();
-            prop_assert_eq!(bits(&dump.guaranteed_sum), bits(&model.guaranteed_sum));
-            for w in 0..WINDOWS {
-                prop_assert_eq!(bits(&dump.window_sum[w]), bits(&model.window_sum[w]));
-            }
+            prop_assert_eq!(dump.guaranteed_sum, model.guaranteed_sum);
+            prop_assert_eq!(&dump.window_sum, &model.window_sum);
             let (multiplexed, summed) = model.va_pools();
-            prop_assert!((live.oversub_pool_memory() - multiplexed).abs() <= 1e-9);
-            prop_assert!((live.oversub_pool_memory_summed() - summed).abs() <= 1e-9);
+            prop_assert_eq!(live.oversub_pool_memory(), multiplexed);
+            prop_assert_eq!(live.oversub_pool_memory_summed(), summed);
 
             let mut expected: Vec<(VmId, HostedDemand)> = model
                 .vms

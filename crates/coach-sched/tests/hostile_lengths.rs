@@ -10,7 +10,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use coach_sched::HostedDemand;
-use coach_types::ResourceVec;
+use coach_types::Units;
 use coach_wire::{open_frame, seal_frame, Encode, Encoder, WireError};
 
 /// The system allocator, recording the largest allocation it served.
@@ -53,7 +53,7 @@ struct Hostile {
 
 impl Encode for Hostile {
     fn encode(&self, e: &mut Encoder) {
-        ResourceVec::ZERO.encode(e);
+        Units::ZERO.encode(e);
         e.usize(self.claimed);
         for &byte in &self.body {
             e.u8(byte);

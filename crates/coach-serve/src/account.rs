@@ -94,8 +94,8 @@ pub(crate) struct VmEntry {
     pub req_mem: f64,
     /// Formula 1's guaranteed memory.
     pub guar_mem: f64,
-    /// Formula 2's oversubscribed memory per window — identical
-    /// arithmetic to `VmDemand::va_demand(w).memory()` — or `None` for
+    /// Formula 2's oversubscribed memory per window, GB, subtracted on the
+    /// grid — `VmDemand::va_demand(w).memory()` — or `None` for
     /// `zeros` values that are all `+0.0`.
     va_mem: Option<Box<[f64]>>,
     zeros: u8,
@@ -109,12 +109,12 @@ const _: () = assert!(std::mem::size_of::<VmEntry>() <= 128);
 impl VmEntry {
     fn new(rec: &VmRecord, demand: &VmDemand, shapes: &mut ShapeTable) -> Self {
         let requested = rec.demand();
-        let guar_mem = demand.guaranteed.memory();
+        let guar_mem = demand.guaranteed.memory_gb();
         let (va_mem, zeros) = elide(
             demand
                 .window_max
                 .iter()
-                .map(|w| (w.memory() - guar_mem).max(0.0)),
+                .map(|w| w.saturating_sub(&demand.guaranteed).memory_gb()),
         );
         let (shape, util) = rec.profile.sampler().split();
         VmEntry {
@@ -803,10 +803,9 @@ mod tests {
                 let mut va = vec![0.0; windows];
                 for (v, d) in &alive {
                     used += v.used_at(t);
-                    let guaranteed = d.guaranteed.memory();
-                    pa += guaranteed;
+                    pa += d.guaranteed.memory_gb();
                     for (sum, w) in va.iter_mut().zip(d.window_max.iter()) {
-                        *sum += (w.memory() - guaranteed).max(0.0);
+                        *sum += w.saturating_sub(&d.guaranteed).memory_gb();
                     }
                 }
                 if used.cpu() > 0.5 * capacity.cpu() {

@@ -879,7 +879,8 @@ mod tests {
                     for server in &mut dump.clusters[0].1.servers {
                         server.vms.clear();
                         server.windows = 1;
-                        server.window_sum.truncate(1);
+                        server.guaranteed_sum = Units::ZERO;
+                        server.window_sum = vec![Units::ZERO];
                     }
                 },
             ),
@@ -887,7 +888,7 @@ mod tests {
             // would not build a server of zero capacity.
             ("servers of zero capacity", "ServerStateDump", |dump| {
                 for server in &mut dump.clusters[0].1.servers {
-                    server.capacity = ResourceVec::ZERO;
+                    server.capacity = Units::ZERO;
                 }
             }),
             (

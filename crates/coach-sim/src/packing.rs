@@ -208,7 +208,7 @@ fn packing_experiment_threads(
                     config.policy,
                     prediction.as_ref(),
                 );
-                let pa_mem = demand.guaranteed.memory();
+                let pa_mem = demand.guaranteed.memory_gb();
                 let va_mem: Vec<f64> = (0..demand.window_count())
                     .map(|w| demand.va_demand(w).memory())
                     .collect();

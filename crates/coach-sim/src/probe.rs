@@ -242,12 +242,12 @@ mod tests {
 
     #[test]
     fn exact_occupancy_crossing_agrees() {
-        // Leave exactly one probe's guaranteed memory free: feasibility sits
-        // on the fits_within epsilon boundary, where any divergence between
-        // the estimator's floats and the scheduler's would show.
+        // Leave exactly one probe's guaranteed demand free: feasibility sits
+        // on equality, where any divergence between the estimator's check
+        // and the scheduler's would show.
         let windows = TimeWindows::paper_default().count();
         let templates = coach_templates();
-        let probe_guar = templates[0].guaranteed;
+        let probe_guar = templates[0].guaranteed.to_resources();
         let capacity = ResourceVec::new(16.0, 64.0, 10.0, 1024.0);
         let mut sched = cluster(1, capacity, windows);
         let filler = capacity.saturating_sub(&probe_guar);
@@ -257,7 +257,8 @@ mod tests {
         ));
         assert_modes_agree(&mut sched, &templates, "exact crossing");
 
-        // Just past the boundary on the other side.
+        // Just past the boundary on the other side: a hair more rounds up
+        // to one grid unit more of every resource.
         let mut sched = cluster(1, capacity, windows);
         let over = (filler + ResourceVec::splat(1e-7)).min(&capacity);
         assert!(matches!(
@@ -356,10 +357,10 @@ mod proptests {
                     continue;
                 }
                 let request = ResourceVec::new(8.0, 32.0, 4.0, 256.0);
-                let guaranteed = request * *guar_frac;
-                let window_max: Vec<ResourceVec> = fracs
+                let guaranteed = Units::round_up(&(request * *guar_frac));
+                let window_max: Vec<Units> = fracs
                     .iter()
-                    .map(|f| (request * *f).max(&guaranteed))
+                    .map(|f| Units::round_up(&(request * *f)).max(&guaranteed))
                     .collect();
                 let _ = sched.place(VmDemand {
                     vm: VmId::new(1000 + (i as u64 % 60)),

@@ -40,6 +40,7 @@ pub mod runtime;
 pub mod series;
 pub mod stats;
 pub mod time;
+pub mod units;
 pub mod winvec;
 pub mod wire;
 
@@ -54,6 +55,7 @@ pub use runtime::{with_shard_threads, LaneStats, ShardWorkers, COMMAND_LANE_CAPA
 pub use series::{Percentile, ResourceSeries, UtilSeries};
 pub use stats::{ResourceWindowStats, WindowPeaks, WindowStats};
 pub use time::{SimDuration, TimeWindows, Timestamp, Weekday, TICKS_PER_DAY, TICKS_PER_HOUR};
+pub use units::{Units, UNITS_PER};
 pub use winvec::WindowVec;
 
 /// Convenient glob import for downstream crates.
@@ -70,5 +72,6 @@ pub mod prelude {
     pub use crate::time::{
         SimDuration, TimeWindows, Timestamp, Weekday, TICKS_PER_DAY, TICKS_PER_HOUR,
     };
+    pub use crate::units::Units;
     pub use crate::winvec::WindowVec;
 }

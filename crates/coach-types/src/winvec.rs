@@ -1,4 +1,5 @@
-//! An inline-capable buffer of per-window [`ResourceVec`]s.
+//! An inline-capable buffer of per-window values: [`ResourceVec`]s for
+//! predictions, [`crate::Units`] for the scheduler's demands and sums.
 //!
 //! Every shipped configuration expresses demands over at most
 //! [`WindowVec::INLINE`] time windows (the paper default is 6×4 h), yet the
@@ -8,14 +9,15 @@
 //! [`WindowVec::INLINE`] windows inline in the value itself and only spills
 //! to the heap for exotic partitions (e.g. the 288-window "ideal" sweep).
 //!
-//! The type dereferences to `[ResourceVec]`, so consumers index, iterate,
-//! and slice exactly as they did with `Vec<ResourceVec>`.
+//! The type dereferences to `[T]`, so consumers index, iterate, and slice
+//! exactly as they did with `Vec<T>`.
 
 use crate::resource::ResourceVec;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
-/// A small-buffer-optimized sequence of per-window [`ResourceVec`]s.
+/// A small-buffer-optimized sequence of per-window values, [`ResourceVec`]
+/// unless named otherwise.
 ///
 /// # Example
 ///
@@ -28,31 +30,34 @@ use std::ops::{Deref, DerefMut};
 /// assert_eq!(w[3], ResourceVec::splat(3.0));
 /// ```
 #[derive(Clone)]
-pub struct WindowVec {
+pub struct WindowVec<T = ResourceVec> {
     /// Number of live windows. When `len <= INLINE` the data lives in
     /// `inline[..len]` and `spill` is empty; otherwise all data lives in
     /// `spill` and `inline` is unused.
     len: u32,
-    inline: [ResourceVec; WindowVec::INLINE],
-    spill: Vec<ResourceVec>,
+    inline: [T; INLINE],
+    spill: Vec<T>,
 }
 
-impl WindowVec {
+/// [`WindowVec::INLINE`], for the array length.
+const INLINE: usize = 6;
+
+impl<T: Copy + Default> WindowVec<T> {
     /// Windows stored inline before spilling to the heap. Covers every
     /// shipped partition (the paper default is 6).
-    pub const INLINE: usize = 6;
+    pub const INLINE: usize = INLINE;
 
     /// An empty buffer (no heap allocation).
     pub fn new() -> Self {
         WindowVec {
             len: 0,
-            inline: [ResourceVec::ZERO; Self::INLINE],
+            inline: [T::default(); INLINE],
             spill: Vec::new(),
         }
     }
 
     /// A buffer of `n` copies of `v` (allocation-free for `n <= INLINE`).
-    pub fn from_elem(v: ResourceVec, n: usize) -> Self {
+    pub fn from_elem(v: T, n: usize) -> Self {
         let mut out = WindowVec::new();
         for _ in 0..n {
             out.push(v);
@@ -60,39 +65,41 @@ impl WindowVec {
         out
     }
 
-    /// Append one window's vector, spilling to the heap on overflow.
-    pub fn push(&mut self, v: ResourceVec) {
+    /// Append one window's value, spilling to the heap on overflow.
+    pub fn push(&mut self, v: T) {
         let n = self.len as usize;
-        if n < Self::INLINE {
+        if n < INLINE {
             self.inline[n] = v;
         } else {
-            if n == Self::INLINE {
-                self.spill.reserve(Self::INLINE + 1);
+            if n == INLINE {
+                self.spill.reserve(INLINE + 1);
                 self.spill.extend_from_slice(&self.inline);
             }
             self.spill.push(v);
         }
         self.len += 1;
     }
+}
 
+impl<T> WindowVec<T> {
     /// Whether the contents overflowed to a heap allocation.
     #[inline]
     pub fn spilled(&self) -> bool {
-        (self.len as usize) > Self::INLINE
+        (self.len as usize) > INLINE
     }
 }
 
-impl Default for WindowVec {
+impl<T: Copy + Default> Default for WindowVec<T> {
     fn default() -> Self {
         WindowVec::new()
     }
 }
 
-impl Deref for WindowVec {
-    type Target = [ResourceVec];
+impl<T> Deref for WindowVec<T> {
+    type Target = [T];
 
     #[inline]
-    fn deref(&self) -> &[ResourceVec] {
+    fn deref(&self) -> &[T] {
         if self.spilled() {
             &self.spill
         } else {
@@ -101,9 +108,9 @@ impl Deref for WindowVec {
     }
 }
 
-impl DerefMut for WindowVec {
+impl<T> DerefMut for WindowVec<T> {
     #[inline]
-    fn deref_mut(&mut self) -> &mut [ResourceVec] {
+    fn deref_mut(&mut self) -> &mut [T] {
         if self.spilled() {
             &mut self.spill
         } else {
@@ -112,20 +119,20 @@ impl DerefMut for WindowVec {
     }
 }
 
-impl PartialEq for WindowVec {
+impl<T: PartialEq> PartialEq for WindowVec<T> {
     fn eq(&self, other: &Self) -> bool {
         self[..] == other[..]
     }
 }
 
-impl fmt::Debug for WindowVec {
+impl<T: fmt::Debug> fmt::Debug for WindowVec<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.iter()).finish()
     }
 }
 
-impl FromIterator<ResourceVec> for WindowVec {
-    fn from_iter<I: IntoIterator<Item = ResourceVec>>(iter: I) -> Self {
+impl<T: Copy + Default> FromIterator<T> for WindowVec<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut out = WindowVec::new();
         for v in iter {
             out.push(v);
@@ -134,21 +141,21 @@ impl FromIterator<ResourceVec> for WindowVec {
     }
 }
 
-impl From<Vec<ResourceVec>> for WindowVec {
-    fn from(v: Vec<ResourceVec>) -> Self {
+impl<T: Copy + Default> From<Vec<T>> for WindowVec<T> {
+    fn from(v: Vec<T>) -> Self {
         v.into_iter().collect()
     }
 }
 
-impl<const N: usize> From<[ResourceVec; N]> for WindowVec {
-    fn from(v: [ResourceVec; N]) -> Self {
+impl<T: Copy + Default, const N: usize> From<[T; N]> for WindowVec<T> {
+    fn from(v: [T; N]) -> Self {
         v.into_iter().collect()
     }
 }
 
-impl<'a> IntoIterator for &'a WindowVec {
-    type Item = &'a ResourceVec;
-    type IntoIter = std::slice::Iter<'a, ResourceVec>;
+impl<'a, T> IntoIterator for &'a WindowVec<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
@@ -163,10 +170,10 @@ mod tests {
     fn inline_up_to_capacity() {
         let mut w = WindowVec::new();
         assert!(w.is_empty());
-        for i in 0..WindowVec::INLINE {
+        for i in 0..WindowVec::<ResourceVec>::INLINE {
             w.push(ResourceVec::splat(i as f64));
         }
-        assert_eq!(w.len(), WindowVec::INLINE);
+        assert_eq!(w.len(), WindowVec::<ResourceVec>::INLINE);
         assert!(!w.spilled());
         for (i, v) in w.iter().enumerate() {
             assert_eq!(*v, ResourceVec::splat(i as f64));
@@ -218,11 +225,11 @@ mod tests {
 
     #[test]
     fn push_across_the_spill_boundary() {
-        let mut w = WindowVec::from_elem(ResourceVec::splat(1.0), WindowVec::INLINE);
+        let mut w = WindowVec::from_elem(ResourceVec::splat(1.0), WindowVec::<ResourceVec>::INLINE);
         w.push(ResourceVec::splat(7.0));
         assert!(w.spilled());
-        assert_eq!(w.len(), WindowVec::INLINE + 1);
-        assert_eq!(w[WindowVec::INLINE].cpu(), 7.0);
+        assert_eq!(w.len(), WindowVec::<ResourceVec>::INLINE + 1);
+        assert_eq!(w[WindowVec::<ResourceVec>::INLINE].cpu(), 7.0);
         assert_eq!(w[0].cpu(), 1.0);
     }
 }

@@ -14,6 +14,7 @@ use crate::ids::{ClusterId, ServerId, SubscriptionId, VmId};
 use crate::resource::ResourceVec;
 use crate::series::Percentile;
 use crate::time::{SimDuration, TimeWindows, Timestamp, TICKS_PER_DAY};
+use crate::units::Units;
 use crate::winvec::WindowVec;
 
 /// Implement `Encode`/`Decode` for an id newtype over `u64`.
@@ -58,7 +59,27 @@ impl Decode for ResourceVec {
     }
 }
 
-impl Encode for WindowVec {
+/// Four fixed-width `u32`s: 16 bytes on the wire as in memory, so a
+/// frame's length bounds how many it can hold.
+impl Encode for Units {
+    fn encode(&self, e: &mut Encoder) {
+        for v in self.0 {
+            e.u32_le(v);
+        }
+    }
+}
+
+impl Decode for Units {
+    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
+        let mut out = [0; crate::resource::ResourceKind::COUNT];
+        for slot in out.iter_mut() {
+            *slot = d.u32_le("Units component")?;
+        }
+        Ok(Units(out))
+    }
+}
+
+impl<T: Encode> Encode for WindowVec<T> {
     fn encode(&self, e: &mut Encoder) {
         e.usize(self.len());
         for v in self.iter() {
@@ -67,12 +88,12 @@ impl Encode for WindowVec {
     }
 }
 
-impl Decode for WindowVec {
+impl<T: Decode + Copy + Default> Decode for WindowVec<T> {
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         let len = d.seq_len("WindowVec length")?;
         let mut out = WindowVec::new();
         for _ in 0..len {
-            out.push(ResourceVec::decode(d)?);
+            out.push(T::decode(d)?);
         }
         Ok(out)
     }
@@ -177,13 +198,20 @@ mod tests {
     }
 
     #[test]
+    fn units_roundtrip() {
+        roundtrip(Units([0, 1, u32::MAX, 1 << 20]));
+        let windows: WindowVec<Units> = (0..8).map(Units::splat).collect();
+        roundtrip(windows);
+    }
+
+    #[test]
     fn window_vec_roundtrips_past_inline_spill() {
         let mut wv = WindowVec::new();
         for i in 0..10 {
             wv.push(ResourceVec::new(i as f64, 1.0, 0.5, 64.0));
         }
         roundtrip(wv);
-        roundtrip(WindowVec::new());
+        roundtrip(WindowVec::<ResourceVec>::new());
     }
 
     #[test]

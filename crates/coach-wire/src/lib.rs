@@ -43,7 +43,7 @@ pub const MAGIC: [u8; 4] = *b"CWIR";
 
 /// The current wire schema version. Bump on any layout change; decoding a
 /// frame with a different version fails with [`WireError::Version`].
-pub const VERSION: u16 = 8;
+pub const VERSION: u16 = 9;
 
 /// A structured decode failure. Decoding untrusted bytes returns one of
 /// these; it never panics.
@@ -188,6 +188,13 @@ impl Encoder {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
+    /// `u32` as its 4 little-endian bytes: a fixed width, so a collection
+    /// of them takes as many bytes on the wire as in memory, and a frame
+    /// cannot claim more of them than its bytes could hold.
+    pub fn u32_le(&mut self, v: u32) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
     /// A bool as one strict byte (0 or 1).
     pub fn bool(&mut self, v: bool) {
         self.buf.push(v as u8);
@@ -301,6 +308,12 @@ impl<'b> Decoder<'b> {
     pub fn f64(&mut self, context: &'static str) -> Result<f64, WireError> {
         let bytes: [u8; 8] = self.take(8, context)?.try_into().expect("8 bytes");
         Ok(f64::from_bits(u64::from_le_bytes(bytes)))
+    }
+
+    /// `u32` from its 4 little-endian bytes.
+    pub fn u32_le(&mut self, context: &'static str) -> Result<u32, WireError> {
+        let bytes: [u8; 4] = self.take(4, context)?.try_into().expect("4 bytes");
+        Ok(u32::from_le_bytes(bytes))
     }
 
     /// A strict bool byte: 0 or 1, anything else is [`WireError::Invalid`].

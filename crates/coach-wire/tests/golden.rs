@@ -45,10 +45,10 @@ fn load_or_bless(name: &str, expected: &[u8]) -> Vec<u8> {
 fn golden_frame_bytes_and_decode_are_pinned() {
     let value = golden_value();
     let frame = seal_frame(&value);
-    let fixture = load_or_bless("primitives_v8.bin", &frame);
+    let fixture = load_or_bless("primitives_v9.bin", &frame);
     assert_eq!(
         frame, fixture,
-        "encoder output drifted from the committed v8 fixture — \
+        "encoder output drifted from the committed v9 fixture — \
          this is a wire format change and needs a VERSION bump"
     );
     let decoded: GoldenPayload = open_frame(&fixture).expect("golden fixture decodes");
@@ -61,7 +61,7 @@ fn bumped_version_fixture_is_rejected_structurally() {
     // must yield WireError::Version, never a silent misparse.
     let mut bumped = seal_frame(&golden_value());
     bumped[4..6].copy_from_slice(&(VERSION + 1).to_le_bytes());
-    let fixture = load_or_bless("primitives_v9_bumped.bin", &bumped);
+    let fixture = load_or_bless("primitives_v10_bumped.bin", &bumped);
     assert_eq!(
         open_frame::<GoldenPayload>(&fixture),
         Err(WireError::Version {
@@ -74,7 +74,7 @@ fn bumped_version_fixture_is_rejected_structurally() {
 #[test]
 fn retired_fixtures_are_rejected_structurally() {
     // The frames this crate sealed before each layout change, kept as
-    // committed bytes: a deployed v1 to v7 checkpoint must be refused
+    // committed bytes: a deployed v1 to v8 checkpoint must be refused
     // outright, not re-interpreted under the new layout.
     for (name, got) in [
         ("primitives_v1.bin", 1),
@@ -84,6 +84,7 @@ fn retired_fixtures_are_rejected_structurally() {
         ("primitives_v5.bin", 5),
         ("primitives_v6.bin", 6),
         ("primitives_v7.bin", 7),
+        ("primitives_v8.bin", 8),
     ] {
         let fixture = std::fs::read(fixture_path(name)).expect("retired fixture");
         assert_eq!(

@@ -92,12 +92,11 @@ impl CoachVm {
             Policy::Coach,
             effective,
         );
-        let peak = demand
-            .window_max
-            .iter()
-            .fold(ResourceVec::ZERO, |acc, v| acc.max(v));
-        let guaranteed = demand.guaranteed;
-        let oversubscribed = peak.saturating_sub(&guaranteed);
+        let guaranteed = demand.guaranteed.to_resources();
+        let oversubscribed = demand
+            .window_peak()
+            .saturating_sub(&demand.guaranteed)
+            .to_resources();
 
         // Memory shape: PA at 1 GB granularity, VA the remainder.
         let size_gb = request.config.memory_gb;
@@ -216,7 +215,8 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
         /// Provisioning invariants hold for arbitrary (valid) predictions:
-        /// guaranteed ≤ peak ≤ request, and memory PA+VA partitions the size.
+        /// guaranteed ≤ peak ≤ request on the grid, and memory PA+VA
+        /// partitions the size.
         #[test]
         fn prop_provision_invariants(
             px in prop::collection::vec(0.0f64..1.0, 6),
@@ -246,14 +246,19 @@ mod proptests {
             };
             let vm = CoachVm::provision(request, Some(&prediction));
 
+            // A request off the grid (`gb_per_core` is any float here)
+            // costs its next grid unit: the bounds are the grid request.
+            let grid_request = Units::round_up(&request.config.demand()).to_resources();
             prop_assert!(vm.demand.is_well_formed());
-            prop_assert!(vm.guaranteed.fits_within(&request.config.demand()));
+            prop_assert!(vm.guaranteed.fits_within(&grid_request));
             prop_assert!(vm.oversubscribed.is_valid());
             prop_assert!((vm.guaranteed + vm.oversubscribed)
-                .fits_within(&(request.config.demand() + ResourceVec::splat(1e-9))));
-            // Memory shape partitions the VM size at >= 0 granularity.
-            prop_assert!((vm.memory.pa_gb + vm.memory.va_gb - request.config.memory_gb).abs() < 1e-9);
-            prop_assert!(vm.memory.pa_gb + 1e-9 >= vm.guaranteed.memory());
+                .fits_within(&(grid_request + ResourceVec::splat(1e-9))));
+            // Memory shape partitions the VM size at >= 0 granularity, and
+            // PA backs the guarantee up to the VM's size.
+            let size_gb = request.config.memory_gb;
+            prop_assert!((vm.memory.pa_gb + vm.memory.va_gb - size_gb).abs() < 1e-9);
+            prop_assert!(vm.memory.pa_gb + 1e-9 >= vm.guaranteed.memory().min(size_gb));
         }
     }
 }

@@ -58,15 +58,15 @@ fn main() {
                     .unwrap()
                     .server(server)
                     .unwrap();
-                let demand = state.demand(request.id).unwrap();
-                total_guaranteed += demand.guaranteed;
+                let guaranteed = state.demand(request.id).unwrap().guaranteed.to_resources();
+                total_guaranteed += guaranteed;
                 if placed <= 5 {
                     println!(
                         "  {} ({}): guaranteed {:.1} cores / {:.1} GB of {} requested",
                         request.id,
                         request.config,
-                        demand.guaranteed.cpu(),
-                        demand.guaranteed.memory(),
+                        guaranteed.cpu(),
+                        guaranteed.memory(),
                         request.config.demand(),
                     );
                 }

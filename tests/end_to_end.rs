@@ -91,10 +91,11 @@ fn model_and_scheduler_formulas_agree() {
             Some(&p),
         );
         assert!(demand.is_well_formed());
-        // Formula 1: guaranteed = request × max(px).
+        // Formula 1: guaranteed = request × max(px), on the grid.
         let expected_pa = vm.demand().scale_by(&p.pa_fraction()).min(&vm.demand());
+        let guaranteed = demand.guaranteed.to_resources();
         for kind in ResourceKind::ALL {
-            assert!((demand.guaranteed[kind] - expected_pa[kind]).abs() < 1e-9);
+            assert!((guaranteed[kind] - expected_pa[kind]).abs() < 1e-9);
         }
         // Formula 2: VA per window is non-negative and bounded by request.
         for w in 0..demand.window_count() {

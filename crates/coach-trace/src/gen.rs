@@ -10,7 +10,7 @@ use crate::profile::BehaviorTemplate;
 use coach_types::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 /// Generator parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -233,34 +233,244 @@ pub(crate) fn template_seed_for(seed: u64, group_key: (u64, u64)) -> u64 {
 }
 
 /// The first-fit placement state machine shared by both generators: per
-/// cluster, the free vectors and the departure heap. Skeletons must be fed
-/// in the global `(arrival, draw index)` order; servers grow on demand with
-/// globally sequential ids.
+/// cluster, the free vectors, one fit bitset per demand shape and a
+/// calendar of departures. Skeletons must be fed in the global `(arrival,
+/// draw index)` order; servers grow on demand with globally sequential ids.
 ///
-/// First-fit is a linear scan of the cluster's free vectors: churn keeps
-/// low-index servers feasible, so it usually hits within a few probes
-/// (~3.1 s of placement work for the 1M-VM `large` config, against ~5.4 s
-/// measured for a leftmost-fit segment tree over the same vectors).
+/// First fit is "the lowest server index whose free vector the demand
+/// `fits_within`". A linear scan over the free vectors found it, but the
+/// scan grew with the fleet: 112, 544 and 2,140 servers per VM at 100k,
+/// 500k and 2M VMs, about 3 % of the servers every time. The index answers
+/// the same question exactly, and the trace stays the same to the bit:
+///
+/// - *Same predicate on the same values.* A VM's demand comes from the
+///   size catalog, so a cluster sees at most [`MAX_SHAPES`] distinct demand
+///   vectors (shapes). Each shape keeps a bitset whose bit `i` is
+///   `demand.fits_within(&free[i])`, recomputed for every shape whenever
+///   `free[i]` changes. The lowest set bit is the scan's answer, the 1e-9
+///   tolerance of `fits_within` included.
+/// - *Releases in heap order.* The departure heap this replaced popped,
+///   before each arrival, every entry with departure ≤ arrival in
+///   `(tick, server, demand bits)` order. The calendar releases whole ticks
+///   in order and sorts each tick's entries by `(server, demand bits)`
+///   first, so every free vector gets the same `+=` in the same order
+///   (float addition is order-sensitive). Every arrival comes before the
+///   horizon, so a VM departing at the horizon is never released and is
+///   not stored.
 pub(crate) struct PlacementMachine {
     places: Vec<Placement>,
     next_server_id: u64,
 }
 
+/// The most distinct demand vectors one cluster may see: a server's fit
+/// mask is a `u64`, one bit per shape.
+const MAX_SHAPES: usize = 64;
+
+const _: () = assert!(CORES.len() * GB_PER_CORE.len() <= MAX_SHAPES);
+
+/// Bits of a calendar entry that name the shape; the rest name the server.
+const SHAPE_BITS: u32 = MAX_SHAPES.trailing_zeros();
+
+/// One cluster's free vectors and the indexes over them.
 struct Placement {
     free: Vec<ResourceVec>,
-    /// Min-heap of (departure tick, server index, demand as f64 bits).
-    departures: BinaryHeap<std::cmp::Reverse<(u64, usize, [u64; 4])>>,
+    /// `masks[i]` has bit `k` set when shape `k` fits server `i`: the
+    /// transpose of the bitsets, kept so a change to `free[i]` touches only
+    /// the bitsets whose bit flips.
+    masks: Vec<u64>,
+    /// Every demand vector placed in this cluster so far, in first-seen
+    /// order, and its `f64` bits (the intern key).
+    shapes: Vec<(ResourceVec, [u64; 4])>,
+    /// `fits[k]`: the servers shape `k` fits on.
+    fits: Vec<FitSet>,
+    departures: Calendar,
+    /// Ticks below this one are released.
+    released: usize,
+    /// The tick being released, sorted; kept to reuse its buffer.
+    due: Vec<u32>,
+}
+
+/// Marks the end of a [`Calendar`] list.
+const NIL: u32 = u32::MAX;
+
+/// The VMs that depart at each tick before the horizon, as `server <<
+/// SHAPE_BITS | shape`: one singly linked list per tick, threaded through
+/// one node array whose released nodes are reused. It allocates a few
+/// buffers however many VMs pass through, where a buffer per tick left
+/// the allocator's free lists so churned that the Oracle derive after
+/// `generate` ran about a quarter slower.
+struct Calendar {
+    /// `head[t]`: the first node of tick `t`'s list, or `NIL`.
+    head: Vec<u32>,
+    /// `(entry, next node)`.
+    nodes: Vec<(u32, u32)>,
+    /// The first released node, chained through `next`, or `NIL`.
+    spare: u32,
+}
+
+impl Calendar {
+    fn new(horizon_ticks: usize) -> Self {
+        Calendar {
+            head: vec![NIL; horizon_ticks],
+            nodes: Vec::new(),
+            spare: NIL,
+        }
+    }
+
+    /// File `entry` under `tick`; a tick at or past the horizon is never
+    /// released, so nothing is stored for it.
+    fn push(&mut self, tick: usize, entry: u32) {
+        let Some(head) = self.head.get_mut(tick) else {
+            return;
+        };
+        let node = if self.spare == NIL {
+            self.nodes.push((entry, *head));
+            u32::try_from(self.nodes.len() - 1).expect("fewer than 2^32 resident VMs")
+        } else {
+            let node = self.spare;
+            self.spare = self.nodes[node as usize].1;
+            self.nodes[node as usize] = (entry, *head);
+            node
+        };
+        *head = node;
+    }
+
+    /// Move tick `tick`'s entries into `out`, releasing their nodes.
+    fn take(&mut self, tick: usize, out: &mut Vec<u32>) {
+        let mut node = std::mem::replace(&mut self.head[tick], NIL);
+        while node != NIL {
+            let (entry, next) = self.nodes[node as usize];
+            out.push(entry);
+            self.nodes[node as usize].1 = self.spare;
+            self.spare = node;
+            node = next;
+        }
+    }
+}
+
+/// A two-level bitset: `words` holds one bit per server, and `summary`
+/// one bit per non-zero word, so the lowest set bit takes a summary scan
+/// (a word per 4,096 servers) and one word read.
+#[derive(Default)]
+struct FitSet {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+}
+
+impl FitSet {
+    /// Flip bit `i`.
+    fn flip(&mut self, i: usize) {
+        let w = i / 64;
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+            self.summary.resize(w / 64 + 1, 0);
+        }
+        let word = &mut self.words[w];
+        let was_empty = *word == 0;
+        *word ^= 1 << (i % 64);
+        if was_empty || *word == 0 {
+            self.summary[w / 64] ^= 1 << (w % 64);
+        }
+    }
+
+    /// The lowest set bit.
+    fn first(&self) -> Option<usize> {
+        let (s, &sw) = self.summary.iter().enumerate().find(|&(_, &sw)| sw != 0)?;
+        let w = s * 64 + sw.trailing_zeros() as usize;
+        Some(w * 64 + self.words[w].trailing_zeros() as usize)
+    }
+}
+
+impl Placement {
+    fn new(horizon_ticks: usize) -> Self {
+        Placement {
+            free: Vec::new(),
+            masks: Vec::new(),
+            shapes: Vec::new(),
+            fits: Vec::new(),
+            departures: Calendar::new(horizon_ticks),
+            released: 0,
+            due: Vec::new(),
+        }
+    }
+
+    /// The shapes that fit `free`, one bit each.
+    fn mask(&self, free: &ResourceVec) -> u64 {
+        self.shapes
+            .iter()
+            .enumerate()
+            .fold(0, |m, (k, (demand, _))| {
+                m | u64::from(demand.fits_within(free)) << k
+            })
+    }
+
+    /// The index of `demand`'s shape, interned on first sight with one
+    /// scan of the free vectors.
+    fn intern(&mut self, demand: ResourceVec) -> usize {
+        let bits = demand.0.map(f64::to_bits);
+        if let Some(k) = self.shapes.iter().position(|&(_, b)| b == bits) {
+            return k;
+        }
+        let k = self.shapes.len();
+        assert!(
+            k < MAX_SHAPES,
+            "a cluster sees at most {MAX_SHAPES} demand shapes"
+        );
+        let mut fits = FitSet::default();
+        for (i, (f, mask)) in self.free.iter().zip(&mut self.masks).enumerate() {
+            if demand.fits_within(f) {
+                fits.flip(i);
+                *mask |= 1 << k;
+            }
+        }
+        self.shapes.push((demand, bits));
+        self.fits.push(fits);
+        k
+    }
+
+    /// Bring server `i`'s bit in every shape's bitset up to date with
+    /// `free[i]`.
+    fn refit(&mut self, i: usize) {
+        let mask = self.mask(&self.free[i]);
+        let mut flips = mask ^ self.masks[i];
+        self.masks[i] = mask;
+        while flips != 0 {
+            self.fits[flips.trailing_zeros() as usize].flip(i);
+            flips &= flips - 1;
+        }
+    }
+
+    /// Release every VM that departs at or before `tick`, in the departure
+    /// heap's `(tick, server, demand bits)` order.
+    fn release_through(&mut self, tick: u32, hw_capacity: ResourceVec) {
+        let shape_of = |e: u32| (e & (MAX_SHAPES as u32 - 1)) as usize;
+        while self.released <= tick as usize {
+            let mut due = std::mem::take(&mut self.due);
+            due.clear();
+            self.departures.take(self.released, &mut due);
+            self.released += 1;
+            let shapes = &self.shapes;
+            due.sort_unstable_by_key(|&e| (e >> SHAPE_BITS, shapes[shape_of(e)].1));
+            for run in due.chunk_by(|a, b| a >> SHAPE_BITS == b >> SHAPE_BITS) {
+                let srv = (run[0] >> SHAPE_BITS) as usize;
+                for &e in run {
+                    self.free[srv] += self.shapes[shape_of(e)].0;
+                    self.free[srv] = self.free[srv].min(&hw_capacity);
+                }
+                self.refit(srv);
+            }
+            self.due = due;
+        }
+    }
 }
 
 impl PlacementMachine {
-    pub(crate) fn new(cluster_count: usize) -> Self {
+    /// A machine for `cluster_count` clusters whose arrivals all come
+    /// before tick `horizon_ticks`.
+    pub(crate) fn new(cluster_count: usize, horizon_ticks: u64) -> Self {
+        let ticks = usize::try_from(horizon_ticks).expect("the horizon fits in memory");
         PlacementMachine {
-            places: (0..cluster_count)
-                .map(|_| Placement {
-                    free: Vec::new(),
-                    departures: BinaryHeap::new(),
-                })
-                .collect(),
+            places: (0..cluster_count).map(|_| Placement::new(ticks)).collect(),
             next_server_id: 0,
         }
     }
@@ -277,46 +487,27 @@ impl PlacementMachine {
         vm_config: VmConfig,
     ) -> (usize, Option<ServerId>) {
         let place = &mut self.places[cluster_idx];
-
-        // Release VMs that departed before this arrival.
-        while let Some(std::cmp::Reverse((dep, srv, bits))) = place.departures.peek().copied() {
-            if dep > u64::from(sk.arrival) {
-                break;
-            }
-            place.departures.pop();
-            let demand = ResourceVec([
-                f64::from_bits(bits[0]),
-                f64::from_bits(bits[1]),
-                f64::from_bits(bits[2]),
-                f64::from_bits(bits[3]),
-            ]);
-            place.free[srv] += demand;
-            place.free[srv] = place.free[srv].min(&hw_capacity);
-        }
+        place.release_through(sk.arrival, hw_capacity);
 
         // First-fit into an existing server; grow the cluster if none fits.
         let demand = vm_config.demand();
-        let found = place.free.iter().position(|f| demand.fits_within(f));
-        let (srv_idx, grew) = match found {
+        let shape = place.intern(demand);
+        let (srv_idx, grew) = match place.fits[shape].first() {
             Some(idx) => (idx, None),
             None => {
                 place.free.push(hw_capacity);
+                place.masks.push(0);
                 let id = ServerId::new(self.next_server_id);
                 self.next_server_id += 1;
                 (place.free.len() - 1, Some(id))
             }
         };
         place.free[srv_idx] -= demand;
-        place.departures.push(std::cmp::Reverse((
-            u64::from(sk.departure),
-            srv_idx,
-            [
-                demand.0[0].to_bits(),
-                demand.0[1].to_bits(),
-                demand.0[2].to_bits(),
-                demand.0[3].to_bits(),
-            ],
-        )));
+        place.refit(srv_idx);
+        let entry = u32::try_from(srv_idx << SHAPE_BITS)
+            .expect("a cluster has fewer than 2^26 servers")
+            | shape as u32;
+        place.departures.push(sk.departure as usize, entry);
         (srv_idx, grew)
     }
 }
@@ -358,7 +549,7 @@ pub fn generate(config: &TraceConfig) -> Trace {
     let mut order: Vec<usize> = (0..skeletons.len()).collect();
     order.sort_by_key(|&i| skeletons[i].arrival);
 
-    let mut machine = PlacementMachine::new(config.cluster_count);
+    let mut machine = PlacementMachine::new(config.cluster_count, horizon_ticks);
 
     // Behavior templates are per subscription × configuration group, created
     // lazily — this is what makes group history predictive (Fig 12).
@@ -408,22 +599,24 @@ pub fn generate(config: &TraceConfig) -> Trace {
     }
 }
 
+/// The size catalog's core counts and GB-per-core ratios, with their
+/// draw weights: 28 sizes.
+const CORES: [(u32, u32); 7] = [
+    (1, 22),
+    (2, 26),
+    (4, 30),
+    (8, 12),
+    (16, 6),
+    (32, 3),
+    (40, 1),
+];
+const GB_PER_CORE: [(f64, u32); 4] = [(2.0, 20), (4.0, 60), (8.0, 12), (16.0, 8)];
+
 /// VM size catalog draw. Calibration targets (§2.1, Fig 3): median 4 cores /
 /// < 16 GB; ~20 % of VMs ≥ 32 GB holding ~60 % of GB-hours.
 fn sample_config(rng: &mut SmallRng) -> VmConfig {
-    let cores = *weighted_choice(
-        rng,
-        &[
-            (1u32, 22),
-            (2, 26),
-            (4, 30),
-            (8, 12),
-            (16, 6),
-            (32, 3),
-            (40, 1),
-        ],
-    );
-    let gb_per_core = *weighted_choice(rng, &[(2.0f64, 20), (4.0, 60), (8.0, 12), (16.0, 8)]);
+    let cores = *weighted_choice(rng, &CORES);
+    let gb_per_core = *weighted_choice(rng, &GB_PER_CORE);
     // 0.25 Gbps and 16 GB of local SSD per core: network is plentiful but
     // can bind once CPU+memory are oversubscribed (Fig 5); SSD almost never
     // binds (<1% of the time in the paper) and strands the most (Fig 4).
@@ -469,6 +662,190 @@ fn weighted_choice<'a, T>(rng: &mut SmallRng, items: &'a [(T, u32)]) -> &'a T {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The linear first fit and the heap-ordered releases the index
+    /// replaced, kept as the reference it is held to.
+    #[derive(Default)]
+    struct LinearReference {
+        free: Vec<ResourceVec>,
+        /// `(departure tick, server, demand bits)`, unsorted until a
+        /// release pops the smallest first.
+        departures: Vec<(u32, usize, [u64; 4])>,
+    }
+
+    impl LinearReference {
+        fn release_through(&mut self, tick: u32, hw: ResourceVec) {
+            self.departures.sort_unstable_by(|a, b| b.cmp(a));
+            while let Some(&(dep, srv, bits)) = self.departures.last() {
+                if dep > tick {
+                    break;
+                }
+                self.departures.pop();
+                self.free[srv] += ResourceVec(bits.map(f64::from_bits));
+                self.free[srv] = self.free[srv].min(&hw);
+            }
+        }
+
+        fn place(&mut self, hw: ResourceVec, sk: &Skeleton, demand: ResourceVec) -> (usize, bool) {
+            self.release_through(sk.arrival, hw);
+            let found = self.free.iter().position(|f| demand.fits_within(f));
+            let srv = found.unwrap_or_else(|| {
+                self.free.push(hw);
+                self.free.len() - 1
+            });
+            self.free[srv] -= demand;
+            let bits = demand.0.map(f64::to_bits);
+            self.departures.push((sk.departure, srv, bits));
+            (srv, found.is_none())
+        }
+    }
+
+    fn skeleton(arrival: u32, departure: u32) -> Skeleton {
+        Skeleton {
+            arrival,
+            departure,
+            sub_idx: 0,
+            config_idx: 0,
+        }
+    }
+
+    /// Every shape's bitset and every server's mask equal a fresh
+    /// evaluation of `fits_within`, and the lowest set bit is the linear
+    /// scan's answer.
+    fn index_is_exact(placement: &Placement) -> Result<(), String> {
+        for (k, (demand, _)) in placement.shapes.iter().enumerate() {
+            let scan = placement.free.iter().position(|f| demand.fits_within(f));
+            prop_assert_eq!(placement.fits[k].first(), scan);
+            for (i, f) in placement.free.iter().enumerate() {
+                let bit = placement.fits[k]
+                    .words
+                    .get(i / 64)
+                    .map_or(0, |w| w >> (i % 64) & 1);
+                let fits = demand.fits_within(f);
+                prop_assert!((bit == 1) == fits, "shape {k} server {i}: bit {bit}");
+                prop_assert!(
+                    placement.masks[i] >> k & 1 == bit,
+                    "shape {k} server {i}: mask"
+                );
+            }
+            for (w, &word) in placement.fits[k].words.iter().enumerate() {
+                let summary = placement.fits[k].summary[w / 64] >> (w % 64) & 1;
+                prop_assert!((summary == 1) == (word != 0), "shape {k} word {w}");
+            }
+        }
+        Ok(())
+    }
+
+    /// Four demand shapes whose memory sits a whole number of times under
+    /// the servers' memory, give or take `slack`.
+    fn shapes_and_capacity(slack: f64) -> ([VmConfig; 4], ResourceVec) {
+        let shapes = [
+            VmConfig::new(1, 0.7, 0.25, 16.0),
+            VmConfig::new(2, 1.3, 0.5, 32.0),
+            VmConfig::new(1, 0.1, 0.25, 16.0),
+            VmConfig::new(4, 2.9, 1.0, 64.0),
+        ];
+        (
+            shapes,
+            ResourceVec::new(16.0, 3.0 * 0.7 + slack, 8.0, 512.0),
+        )
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Random place / release / grow sequences on two clusters: the
+        /// index places every VM where the linear scan does, the free
+        /// vectors agree to the bit, and the index stays exact. Memory
+        /// capacity sits within 1e-9 of a multiple of a demand (either side
+        /// of `fits_within`'s tolerance), and shape `k` first arrives after
+        /// step `8 k`, when servers already exist.
+        #[test]
+        fn prop_indexed_first_fit_matches_linear_scan(
+            steps in prop::collection::vec((0u32..3, 0usize..4, 1u32..40, 0usize..2), 1..160),
+            slack_idx in 0usize..6,
+        ) {
+            let slack = [-2e-9, -1e-9, -0.6e-9, 0.0, 0.6e-9, 2e-9][slack_idx];
+            let (shapes, hw) = shapes_and_capacity(slack);
+            let mut tick = 0u32;
+            let plan: Vec<(Skeleton, usize, usize)> = steps
+                .iter()
+                .enumerate()
+                .map(|(n, &(dt, shape, life, cluster))| {
+                    tick += dt;
+                    (skeleton(tick, tick + life), shape.min(n / 8), cluster)
+                })
+                .collect();
+            let mut machine = PlacementMachine::new(2, u64::from(tick) + 1);
+            let mut reference = [LinearReference::default(), LinearReference::default()];
+            for (sk, shape, cluster) in &plan {
+                let config = shapes[*shape];
+                let (srv, grew) = machine.place(*cluster, hw, sk, config);
+                let expected = reference[*cluster].place(hw, sk, config.demand());
+                prop_assert_eq!((srv, grew.is_some()), expected);
+                for (place, reference) in machine.places.iter().zip(&reference) {
+                    let bits = |f: &[ResourceVec]| -> Vec<[u64; 4]> {
+                        f.iter().map(|v| v.0.map(f64::to_bits)).collect()
+                    };
+                    prop_assert_eq!(bits(&place.free), bits(&reference.free));
+                    index_is_exact(place)?;
+                }
+            }
+            // Releasing the rest up to the last arrival agrees too.
+            for (place, reference) in machine.places.iter_mut().zip(&mut reference) {
+                place.release_through(tick, hw);
+                reference.release_through(tick, hw);
+                prop_assert_eq!(&place.free, &reference.free);
+                index_is_exact(place)?;
+            }
+        }
+    }
+
+    /// Two VMs on one server that depart at the same tick are released in
+    /// the heap's order (smaller demand bits first), not in the order they
+    /// were placed: float `+=` rounds differently the other way round.
+    #[test]
+    fn same_tick_departures_release_in_heap_order() {
+        let hw = ResourceVec::new(16.0, 10.0, 8.0, 512.0);
+        let big = VmConfig::new(1, 1.3, 0.25, 16.0);
+        let small = VmConfig::new(1, 0.7, 0.25, 16.0);
+        let mut machine = PlacementMachine::new(1, 6);
+        assert_eq!(machine.place(0, hw, &skeleton(0, 5), big).0, 0);
+        assert_eq!(machine.place(0, hw, &skeleton(0, 5), small).0, 0);
+        let left = machine.places[0].free[0].memory();
+        assert_eq!(left, (10.0 - 1.3) - 0.7);
+
+        machine.places[0].release_through(5, hw);
+        let heap_order = (left + 0.7) + 1.3;
+        let placement_order = (left + 1.3) + 0.7;
+        assert_ne!(heap_order.to_bits(), placement_order.to_bits());
+        let freed = machine.places[0].free[0];
+        assert_eq!(freed.memory().to_bits(), heap_order.to_bits());
+        assert_eq!(freed, hw.min(&freed));
+        index_is_exact(&machine.places[0]).unwrap();
+    }
+
+    /// A departure at the horizon is never released, so the calendar
+    /// stores nothing for it.
+    #[test]
+    fn departures_at_the_horizon_are_not_stored() {
+        let hw = ResourceVec::new(16.0, 10.0, 8.0, 512.0);
+        let vm = VmConfig::new(1, 1.0, 0.25, 16.0);
+        let mut machine = PlacementMachine::new(1, 4);
+        machine.place(0, hw, &skeleton(0, 3), vm);
+        machine.place(0, hw, &skeleton(1, 4), vm);
+        let calendar = &mut machine.places[0].departures;
+        let stored: Vec<usize> = (0..4)
+            .map(|t| {
+                let mut due = Vec::new();
+                calendar.take(t, &mut due);
+                due.len()
+            })
+            .collect();
+        assert_eq!(stored, [0, 0, 0, 1]);
+        assert_eq!(calendar.nodes.len(), 1);
+    }
 
     #[test]
     fn deterministic_in_seed() {

@@ -12,7 +12,9 @@
 //! The pipeline is:
 //!
 //! 1. **Counting pass** — one skeleton scan builds a per-tick arrival
-//!    histogram (the horizon is a few thousand ticks, so this is tiny).
+//!    histogram (the horizon is a few thousand ticks, so this is tiny). A
+//!    trace of at most `chunk_budget` VMs skips it and the bucketing: it is
+//!    one bucket over the whole horizon.
 //! 2. **Bucketing** — consecutive ticks are greedily grouped into buckets of
 //!    at most `chunk_budget` arrivals. A single tick whose arrival count
 //!    exceeds the budget (the initial `t = 0` cohort always does at scale)
@@ -24,8 +26,8 @@
 //!    emission order (a `u32` each).
 //! 4. **Record pass** — [`StreamingTrace::records`] replays the buckets
 //!    again, this time emitting full [`VmRecord`]s lazily. It reads each
-//!    VM's server from the plan, so it places nothing: no first-fit and no
-//!    departure heap.
+//!    VM's server from the plan, so it places nothing: no first fit and no
+//!    departures.
 //!
 //! Why this is bit-identical to the materialized path: the batch generator
 //! sorts skeletons by arrival with a *stable* sort, so ties at equal arrival
@@ -40,8 +42,10 @@
 //! Ingestion memory is 4 B per VM of plan, built once during construction,
 //! plus at most one bucket's skeleton buffer (`O(chunk_budget)`, 16 B per
 //! skeleton) plus the per-group behavior-template cache. The plan is the
-//! only part that grows with trace length; the placement pass's departure
-//! heap (one 48 B entry per resident VM) lives only during construction.
+//! only part that grows with trace length. The placement pass's index lives
+//! only during construction: per server a 32 B free vector, an 8 B fit mask
+//! and one bit for each demand shape its cluster has seen (at most 28), and
+//! a departure calendar of 8 B per resident VM and 4 B per tick.
 
 use std::collections::HashMap;
 
@@ -138,59 +142,21 @@ impl StreamingTrace {
         let subscriptions = draw_subscriptions(&mut rng, config);
         let rng0 = rng.clone();
 
-        // Counting pass: per-tick arrival histogram.
+        // A trace within the budget is one bucket over the whole horizon,
+        // so it needs no counting pass.
         let horizon_ticks = horizon_ticks(config);
-        let mut hist = vec![0u64; horizon_ticks as usize];
-        {
-            let mut rng = rng0.clone();
-            for _ in 0..config.vm_count {
-                let sk = draw_skeleton(&mut rng, &subscriptions, config, horizon_ticks);
-                hist[sk.arrival as usize] += 1;
-            }
-        }
-
-        // Greedy partition of ticks into buckets of at most `chunk_budget`
-        // arrivals. Over-budget singleton ticks get their own (streaming)
-        // bucket; empty ticks are skipped entirely.
-        let budget = chunk_budget as u64;
-        let mut buckets: Vec<Bucket> = Vec::new();
-        let mut open: Option<Bucket> = None;
-        for (t, &c) in hist.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let t = t as u64;
-            if c > budget {
-                if let Some(b) = open.take() {
-                    buckets.push(b);
-                }
-                buckets.push(Bucket {
-                    lo: t,
-                    hi: t + 1,
-                    count: c,
-                });
-                continue;
-            }
-            match open {
-                Some(ref mut b) if b.count + c <= budget => {
-                    b.hi = t + 1;
-                    b.count += c;
-                }
-                _ => {
-                    if let Some(b) = open.take() {
-                        buckets.push(b);
-                    }
-                    open = Some(Bucket {
-                        lo: t,
-                        hi: t + 1,
-                        count: c,
-                    });
-                }
-            }
-        }
-        if let Some(b) = open.take() {
-            buckets.push(b);
-        }
+        let buckets = if config.vm_count <= chunk_budget {
+            vec![Bucket {
+                lo: 0,
+                hi: horizon_ticks,
+                count: config.vm_count as u64,
+            }]
+        } else {
+            partition(
+                &arrival_histogram(&rng0, &subscriptions, config, horizon_ticks),
+                chunk_budget as u64,
+            )
+        };
         debug_assert_eq!(
             buckets.iter().map(|b| b.count).sum::<u64>(),
             config.vm_count as u64
@@ -206,7 +172,7 @@ impl StreamingTrace {
             subscriptions,
             rng0,
         };
-        let mut machine = PlacementMachine::new(config.cluster_count);
+        let mut machine = PlacementMachine::new(config.cluster_count, horizon_ticks);
         let mut cursor = SkeletonCursor::default();
         while let Some(run) = cursor.next_run(&this) {
             for sk in run {
@@ -264,6 +230,67 @@ impl StreamingTrace {
             vm_idx: 0,
         }
     }
+}
+
+/// The counting pass: per-tick arrivals, from one full skeleton draw.
+fn arrival_histogram(
+    rng0: &SmallRng,
+    subscriptions: &[Subscription],
+    config: &TraceConfig,
+    horizon_ticks: u64,
+) -> Vec<u64> {
+    let mut hist = vec![0u64; horizon_ticks as usize];
+    let mut rng = rng0.clone();
+    for _ in 0..config.vm_count {
+        let sk = draw_skeleton(&mut rng, subscriptions, config, horizon_ticks);
+        hist[sk.arrival as usize] += 1;
+    }
+    hist
+}
+
+/// Greedy partition of ticks into buckets of at most `budget` arrivals.
+/// Over-budget singleton ticks get their own (streaming) bucket; empty
+/// ticks are skipped entirely.
+fn partition(hist: &[u64], budget: u64) -> Vec<Bucket> {
+    let mut buckets: Vec<Bucket> = Vec::new();
+    let mut open: Option<Bucket> = None;
+    for (t, &c) in hist.iter().enumerate() {
+        if c == 0 {
+            continue;
+        }
+        let t = t as u64;
+        if c > budget {
+            if let Some(b) = open.take() {
+                buckets.push(b);
+            }
+            buckets.push(Bucket {
+                lo: t,
+                hi: t + 1,
+                count: c,
+            });
+            continue;
+        }
+        match open {
+            Some(ref mut b) if b.count + c <= budget => {
+                b.hi = t + 1;
+                b.count += c;
+            }
+            _ => {
+                if let Some(b) = open.take() {
+                    buckets.push(b);
+                }
+                open = Some(Bucket {
+                    lo: t,
+                    hi: t + 1,
+                    count: c,
+                });
+            }
+        }
+    }
+    if let Some(b) = open.take() {
+        buckets.push(b);
+    }
+    buckets
 }
 
 /// One pass over the skeleton sequence in global arrival order, handed out
@@ -418,6 +445,28 @@ mod tests {
         let batch = generate(&config);
         for budget in [1usize, 3, 17, 100, 1 << 20] {
             let streaming = StreamingTrace::with_chunk_budget(&config, budget);
+            assert_eq!(streaming.clusters(), &batch.clusters[..], "budget {budget}");
+            let collected: Vec<VmRecord> = streaming.records().collect();
+            assert_eq!(collected, batch.vms, "budget {budget}");
+        }
+    }
+
+    /// A trace whose VMs all arrive at `t = 0`: within the budget it is
+    /// one bucket over the horizon, buffered and stably sorted; over the
+    /// budget the counting pass finds one over-budget tick, streamed
+    /// unbuffered. Both equal `generate`.
+    #[test]
+    fn a_one_tick_trace_buffered_equals_streamed() {
+        let config = TraceConfig {
+            initial_fraction: 1.0,
+            ..TraceConfig::small(17)
+        };
+        let batch = generate(&config);
+        assert!(batch.vms.iter().all(|vm| vm.arrival.ticks() == 0));
+        for (budget, single_tick) in [(config.vm_count, false), (config.vm_count - 1, true)] {
+            let streaming = StreamingTrace::with_chunk_budget(&config, budget);
+            assert_eq!(streaming.buckets.len(), 1);
+            assert_eq!(streaming.buckets[0].is_single_tick(), single_tick);
             assert_eq!(streaming.clusters(), &batch.clusters[..], "budget {budget}");
             let collected: Vec<VmRecord> = streaming.records().collect();
             assert_eq!(collected, batch.vms, "budget {budget}");

@@ -1,5 +1,6 @@
-//! The serving path's identities, driven through the `coach::` facade on a
-//! trace of 2,000 VMs: the online controller decides what the batch replay
+//! The trace's and the serving path's identities, driven through the
+//! `coach::` facade on a trace of 2,000 VMs: the streamed trace is the
+//! materialized one, the online controller decides what the batch replay
 //! decides, two shards decide what one does, and a scheduler's state is a
 //! function of what it hosts, not of the order it was placed and emptied
 //! in. Each case runs in well under two seconds in a debug build.
@@ -7,15 +8,46 @@
 use coach::sched::{ClusterScheduler, PlacementOutcome, Policy, VmDemand};
 use coach::serve::{Controller, Request, RequestSource, Response, ShardedController};
 use coach::sim::{packing_experiment, Oracle, PackingResult, PolicyConfig, Predictor};
-use coach::trace::{generate, Trace, TraceConfig};
+use coach::trace::{generate, StreamingTrace, Trace, TraceConfig, DEFAULT_CHUNK_BUDGET};
 use coach::types::prelude::*;
 
 /// Two thousand VMs over three clusters for a week.
-fn trace() -> Trace {
-    generate(&TraceConfig {
+fn config() -> TraceConfig {
+    TraceConfig {
         vm_count: 2_000,
         ..TraceConfig::small(48)
-    })
+    }
+}
+
+fn trace() -> Trace {
+    generate(&config())
+}
+
+/// The streaming generator yields `generate`'s clusters and records
+/// exactly, whatever its chunk budget: the default one (one bucket over
+/// every arrival), one that splits the arrivals after `t = 0` into several
+/// multi-tick buckets, and 1, where every tick is a bucket of its own.
+#[test]
+fn streamed_trace_equals_materialized() {
+    let batch = trace();
+    let several = 300;
+    let later = batch.vms.iter().filter(|vm| vm.arrival.ticks() > 0);
+    let mut per_tick = std::collections::HashMap::new();
+    for vm in later.clone() {
+        *per_tick.entry(vm.arrival).or_insert(0usize) += 1;
+    }
+    // More than two budgets' worth of later arrivals, no tick holding half
+    // a budget: at least three buckets, each closed only when more than
+    // half full, so each spans several ticks.
+    assert!(later.count() > 2 * several);
+    assert!(per_tick.values().all(|&n| 2 * n < several));
+
+    for budget in [DEFAULT_CHUNK_BUDGET, several, 1] {
+        let streaming = StreamingTrace::with_chunk_budget(&config(), budget);
+        assert_eq!(streaming.clusters(), &batch.clusters[..], "budget {budget}");
+        let records: Vec<_> = streaming.records().collect();
+        assert!(records == batch.vms, "budget {budget}: records differ");
+    }
 }
 
 /// The per-item online controller, request by request, finalizes to the

@@ -29,18 +29,19 @@
 //!   beyond its group and the arrival beyond its weekday are read by
 //!   nothing. `memo_key_covers_every_feature_input` perturbs each field in
 //!   turn and holds equal keys to equal rows.
-//! * **An entry is `2 × W × 4` [`Bucket`] indices, one byte each**, never a
-//!   [`DemandPrediction`]. The round trip is exact by construction: `px` is
-//!   `Bucket::round_up(raw).fraction()`, and `pmax` is the larger of two
-//!   bucket fractions, which is the fraction of the larger index, so
-//!   rebuilding with [`Bucket::fraction`] yields the same `f64`s
+//! * **An entry is the prediction's buckets**: `2 × W` [`ResourceBuckets`]
+//!   (`Pmax_t` per window, then `PX_t`), one byte per window × resource ×
+//!   target — exactly what a [`DemandPrediction`] holds, without its
+//!   window partition and inline-buffer framing. A slot is the entry's
+//!   indices copied into a prediction: nothing is converted, so a memoized
+//!   answer is the computed one by construction
 //!   (`memoized_predictions_equal_fresh` holds random chunkings through one
 //!   memo to the pre-memo routine, slot for slot).
 //! * **Per batch**: a VM whose group has no history gets `None` and is
 //!   never memoized; every other VM's key is looked up; feature rows are
 //!   built for the misses only, once per key even when it repeats within
 //!   the batch, and walked in the same tree-major
-//!   [`RandomForest::predict_rows`] sweep; every slot is rebuilt from its
+//!   [`RandomForest::predict_rows`] sweep; every slot is copied from its
 //!   entry. `predict`, `predict_meta` and `predict_batch` run this with a
 //!   fresh memo (so they dedup within the call); `coach_sim::Model` keeps
 //!   one for its lifetime through
@@ -66,9 +67,11 @@
 //! `peak_bytes_per_vm` 93.5 → 96.7 B (CHANGES.md, PR 25, lists every
 //! pair).
 //!
-//! Two designs not to build: memoizing whole `DemandPrediction`s (456 B
-//! each, ~2.4k per run, pushes `model_sweep`'s `peak_bytes_per_vm` past its
-//! 25 % bound), and deduplicating only within one 64-VM derive chunk (the
+//! Two designs not to build: memoizing whole `DemandPrediction`s (120 B
+//! each against an entry's 48 B at six windows, for ~2.4k keys per
+//! `model_sweep` policy run whose `peak_bytes_per_vm` the memo counts in;
+//! at 456 B per prediction it pushed that metric past its 25 % bound), and
+//! deduplicating only within one 64-VM derive chunk (the
 //! chunks together still hold 6,497 distinct keys among the 7,229
 //! group-known VMs: 10 % saved — the duplicates are spread across the
 //! whole stream).
@@ -124,12 +127,17 @@ impl Default for ModelConfig {
     }
 }
 
-/// Predicted per-window demand fractions for one VM.
+/// Predicted per-window demand for one VM, as 5 % bucket indices.
 ///
-/// The per-window vectors live in inline-capable [`WindowVec`]s: for every
-/// shipped partition (≤ 6 windows) a prediction is a single flat value with
-/// no heap allocation, which is what lets million-VM demand derivation run
-/// allocation-free per VM.
+/// Each value is a [`ResourceBuckets`] — one [`Bucket`] per resource — in
+/// an inline-capable [`WindowVec`]: for every shipped partition (≤ 6
+/// windows) a prediction is a single flat value of 120 B with no heap
+/// allocation (at most 128 B as an `Option`, asserted at compile time),
+/// which is what lets million-VM demand derivation run allocation-free
+/// per VM. Downstream, a demand scales the request by the indices in
+/// integers; [`DemandPrediction::pa_fraction`] and
+/// [`DemandPrediction::va_fraction`] read them back as the fractions the
+/// buckets encode ([`Bucket::fraction`]).
 ///
 /// # What a decision reads
 ///
@@ -148,45 +156,56 @@ impl Default for ModelConfig {
 pub struct DemandPrediction {
     /// Window partition the predictions are made for.
     pub tw: TimeWindows,
-    /// Predicted maximum utilization per window (bucketed up).
-    pub pmax: WindowVec,
-    /// Predicted PX utilization per window (bucketed up).
-    pub px: WindowVec,
+    /// Predicted maximum utilization per window, as its bucket.
+    pub pmax: WindowVec<ResourceBuckets>,
+    /// Predicted PX utilization per window, as its bucket.
+    pub px: WindowVec<ResourceBuckets>,
 }
+
+const _: () = assert!(std::mem::size_of::<Option<DemandPrediction>>() <= 128);
 
 impl DemandPrediction {
     /// `Pmax_t` is the lifetime window max, `PX_t` the percentile of the
-    /// per-day window maxima (Formulas 1–2).
-    fn from_peaks(tw: TimeWindows, peaks: WindowPeaks) -> Self {
+    /// per-day window maxima (Formulas 1–2), each as its bucket.
+    pub fn from_buckets(tw: TimeWindows, buckets: WindowBuckets) -> Self {
         DemandPrediction {
             tw,
-            pmax: peaks.lifetime_max,
-            px: peaks.percentile,
+            pmax: buckets.lifetime_max,
+            px: buckets.percentile,
         }
+    }
+
+    /// Formula (1) in buckets: per resource the largest `PX_t`.
+    pub fn pa(&self) -> ResourceBuckets {
+        self.px
+            .iter()
+            .fold(ResourceBuckets::default(), |acc, v| acc.max(v))
     }
 
     /// Formula (1): the guaranteed (PA) fraction per resource = the max of
     /// the PX predictions across windows.
     pub fn pa_fraction(&self) -> ResourceVec {
-        self.px.iter().fold(ResourceVec::ZERO, |acc, v| acc.max(v))
+        self.pa().fractions()
     }
 
     /// Formula (2): per-window oversubscribed (VA) fraction per resource.
     pub fn va_fraction(&self, window: usize) -> ResourceVec {
-        self.pmax[window].saturating_sub(&self.pa_fraction())
+        self.pmax[window]
+            .fractions()
+            .saturating_sub(&self.pa_fraction())
     }
 
     /// The *decision form*: per resource, every window's `PX_t` set to `PA`
-    /// ([`DemandPrediction::pa_fraction`]) and its `Pmax_t` raised to
-    /// `max(Pmax_t, PA)` — [`WindowPeaks::decision_form`]. `PA` and every
+    /// ([`DemandPrediction::pa`]) and its `Pmax_t` raised to
+    /// `max(Pmax_t, PA)` — [`WindowBuckets::decision_form`]. `PA` and every
     /// [`DemandPrediction::va_fraction`] are unchanged, to the bit.
     pub fn decision_form(self) -> Self {
-        let peaks = WindowPeaks {
+        let buckets = WindowBuckets {
             lifetime_max: self.pmax,
             percentile: self.px,
         }
         .decision_form();
-        DemandPrediction::from_peaks(self.tw, peaks)
+        DemandPrediction::from_buckets(self.tw, buckets)
     }
 }
 
@@ -301,7 +320,7 @@ impl UtilizationModel {
     /// The one prediction routine (module docs, "Inference"): resolve each
     /// VM's key, copy the entries `memo` holds, walk each resource's two
     /// forests once over the feature rows of the keys it lacks, add those
-    /// entries to `memo`, and rebuild every slot from its entry.
+    /// entries to `memo`, and copy every slot out of its entry.
     fn predict_metas(
         &self,
         vms: &[VmMeta],
@@ -309,7 +328,7 @@ impl UtilizationModel {
     ) -> Vec<Option<DemandPrediction>> {
         let stride = self.entry_len();
         // One entry per distinct key of this batch, copied or computed.
-        let mut local: Vec<Bucket> = Vec::new();
+        let mut local: Vec<ResourceBuckets> = Vec::new();
         let mut seen: HashMap<MemoKey, usize> = HashMap::new();
         let mut misses: Vec<Miss<'_>> = Vec::new();
         let slots: Vec<Option<usize>> = {
@@ -324,7 +343,7 @@ impl UtilizationModel {
                         match held.get(&key, stride) {
                             Some(buckets) => local.extend_from_slice(buckets),
                             None => {
-                                local.resize(local.len() + stride, Bucket::default());
+                                local.resize(local.len() + stride, ResourceBuckets::default());
                                 misses.push(Miss {
                                     entry,
                                     key,
@@ -346,26 +365,37 @@ impl UtilizationModel {
                 held.insert(miss.key, &local[miss.entry * stride..][..stride]);
             }
         }
+        let windows = self.config.tw.count();
         slots
             .iter()
-            .map(|slot| slot.map(|e| self.rebuild(&local[e * stride..][..stride])))
+            .map(|slot| {
+                slot.map(|e| {
+                    let (pmax, px) = local[e * stride..][..stride].split_at(windows);
+                    DemandPrediction {
+                        tw: self.config.tw,
+                        pmax: pmax.iter().copied().collect(),
+                        px: px.iter().copied().collect(),
+                    }
+                })
+            })
             .collect()
     }
 
-    /// Buckets per memo entry: `TargetKind::COUNT × windows × resources`.
+    /// Windows' buckets per memo entry: `TargetKind::COUNT × windows`,
+    /// `Pmax_t` first.
     fn entry_len(&self) -> usize {
-        TargetKind::COUNT * self.config.tw.count() * ResourceKind::COUNT
+        TargetKind::COUNT * self.config.tw.count()
     }
 
-    /// Where `(target, window, kind)` sits in an entry.
-    fn bucket_at(&self, target: TargetKind, window: usize, kind: ResourceKind) -> usize {
-        (target.index() * self.config.tw.count() + window) * ResourceKind::COUNT + kind.index()
+    /// Where `(target, window)` sits in an entry.
+    fn slot_of(&self, target: TargetKind, window: usize) -> usize {
+        target.index() * self.config.tw.count() + window
     }
 
     /// Per resource, build the feature rows of every miss × window, run
     /// that resource's two forests over them in one tree-major sweep each,
     /// and write the bucketed results into the misses' entries of `local`.
-    fn walk(&self, misses: &[Miss<'_>], local: &mut [Bucket]) {
+    fn walk(&self, misses: &[Miss<'_>], local: &mut [ResourceBuckets]) {
         let tw = self.config.tw;
         let stride = self.entry_len();
         let mut rows = Vec::with_capacity(misses.len() * tw.count());
@@ -387,36 +417,11 @@ impl UtilizationModel {
                 for w in tw.indices() {
                     let (&vmax, &vpx) = raw.next().expect("one raw pair per row");
                     let vpx = bucketed(vpx);
-                    entry[self.bucket_at(TargetKind::WindowPercentile, w, kind)] = vpx;
+                    entry[self.slot_of(TargetKind::WindowPercentile, w)][kind] = vpx;
                     // Invariant: the max prediction dominates the percentile.
-                    entry[self.bucket_at(TargetKind::WindowMax, w, kind)] = bucketed(vmax).max(vpx);
+                    entry[self.slot_of(TargetKind::WindowMax, w)][kind] = bucketed(vmax).max(vpx);
                 }
             }
-        }
-    }
-
-    /// The prediction an entry encodes: each value is its bucket's
-    /// [`Bucket::fraction`], exactly the `f64` the forest's bucketed output
-    /// was.
-    fn rebuild(&self, entry: &[Bucket]) -> DemandPrediction {
-        let tw = self.config.tw;
-        let window = |target: TargetKind, w: usize| {
-            let mut v = ResourceVec::ZERO;
-            for kind in ResourceKind::ALL {
-                v[kind] = entry[self.bucket_at(target, w, kind)].fraction();
-            }
-            v
-        };
-        DemandPrediction {
-            tw,
-            pmax: tw
-                .indices()
-                .map(|w| window(TargetKind::WindowMax, w))
-                .collect(),
-            px: tw
-                .indices()
-                .map(|w| window(TargetKind::WindowPercentile, w))
-                .collect(),
         }
     }
 
@@ -431,15 +436,15 @@ impl UtilizationModel {
             .collect();
         let blank = DemandPrediction {
             tw,
-            pmax: WindowVec::from_elem(ResourceVec::ZERO, tw.count()),
-            px: WindowVec::from_elem(ResourceVec::ZERO, tw.count()),
+            pmax: WindowVec::from_elem(ResourceBuckets::default(), tw.count()),
+            px: WindowVec::from_elem(ResourceBuckets::default(), tw.count()),
         };
         let mut out: Vec<Option<DemandPrediction>> =
             stats.iter().map(|s| s.map(|_| blank.clone())).collect();
 
         let mut rows = Vec::new();
         let (mut raw_max, mut raw_px) = (Vec::new(), Vec::new());
-        let bucketed = |raw: f64| bucket_up(raw.clamp(0.0, 1.0));
+        let bucketed = |raw: f64| Bucket::round_up(raw.clamp(0.0, 1.0));
         for kind in ResourceKind::ALL {
             rows.clear();
             for (vm, stats) in vms.iter().zip(&stats) {
@@ -478,8 +483,11 @@ impl UtilizationModel {
     /// `oracle_equals_oracle_from_exact_stats`);
     /// [`UtilizationModel::oracle_eager`] is the retained materializing
     /// path for differential testing.
-    pub fn oracle(vm: &VmRecord, tw: TimeWindows, percentile: Percentile) -> DemandPrediction {
-        DemandPrediction::from_peaks(tw, vm.window_peaks(tw, percentile))
+    ///
+    /// Unbucketed: `Pmax_t` is the lifetime window max and `PX_t` the
+    /// percentile of the per-day window maxima, as raw fractions.
+    pub fn oracle(vm: &VmRecord, tw: TimeWindows, percentile: Percentile) -> WindowPeaks {
+        vm.window_peaks(tw, percentile)
     }
 
     /// [`UtilizationModel::oracle`] through the pre-redesign eager pipeline,
@@ -488,11 +496,7 @@ impl UtilizationModel {
     /// `(window, resource)`, and take its fold/percentile. Kept only as the
     /// reference the lazy path is differentially tested against (and as the
     /// baseline the derivation-speedup floor measures).
-    pub fn oracle_eager(
-        vm: &VmRecord,
-        tw: TimeWindows,
-        percentile: Percentile,
-    ) -> DemandPrediction {
+    pub fn oracle_eager(vm: &VmRecord, tw: TimeWindows, percentile: Percentile) -> WindowPeaks {
         // The old `UtilSeries::window_max_per_day`, preserved here after
         // its replacement by the flat one-pass `WindowStats`.
         fn window_max_per_day(s: &UtilSeries, tw: TimeWindows) -> Vec<Vec<Option<f32>>> {
@@ -542,17 +546,17 @@ impl UtilizationModel {
             pmax.push(vmax);
             px.push(vpx);
         }
-        DemandPrediction { tw, pmax, px }
+        WindowPeaks {
+            lifetime_max: pmax,
+            percentile: px,
+        }
     }
 
     /// Build the oracle prediction from precomputed window statistics —
     /// `Pmax_t` is the lifetime window max, `PX_t` the percentile of the
     /// per-day window maxima (Formulas 1–2).
-    pub fn oracle_from_stats(
-        stats: &ResourceWindowStats,
-        percentile: Percentile,
-    ) -> DemandPrediction {
-        DemandPrediction::from_peaks(stats.tw(), WindowPeaks::from_stats(stats, percentile))
+    pub fn oracle_from_stats(stats: &ResourceWindowStats, percentile: Percentile) -> WindowPeaks {
+        WindowPeaks::from_stats(stats, percentile)
     }
 
     /// Model configuration.
@@ -758,8 +762,8 @@ struct Miss<'a> {
 /// Bucketed predictions of one [`UtilizationModel`], one entry per distinct
 /// key of its group-known VMs (module docs, "Inference").
 ///
-/// An entry is `TargetKind::COUNT × windows × resources` [`Bucket`]
-/// indices, one byte each, never a [`DemandPrediction`]. The memo is
+/// An entry is `TargetKind::COUNT × windows` [`ResourceBuckets`], one byte
+/// per resource — a prediction's indices without its framing. The memo is
 /// bounded by the model, not the stream: at most one entry per (group with
 /// history × exact configuration × weekday × offering × subscription type).
 /// There is no size cap to set. Entries are the outputs of the model the
@@ -768,8 +772,8 @@ struct Miss<'a> {
 pub struct PredictionMemo {
     /// Key → entry number; entry `e` is `buckets[e * stride..][..stride]`.
     entries: HashMap<MemoKey, usize>,
-    /// Every entry's buckets, `[target][window][resource]`, back to back.
-    buckets: Vec<Bucket>,
+    /// Every entry's buckets, `[target][window]`, back to back.
+    buckets: Vec<ResourceBuckets>,
 }
 
 impl PredictionMemo {
@@ -783,14 +787,14 @@ impl PredictionMemo {
         self.entries.is_empty()
     }
 
-    fn get(&self, key: &MemoKey, stride: usize) -> Option<&[Bucket]> {
+    fn get(&self, key: &MemoKey, stride: usize) -> Option<&[ResourceBuckets]> {
         let &e = self.entries.get(key)?;
         Some(&self.buckets[e * stride..][..stride])
     }
 
     /// Keep `entry` for `key` unless a caller that missed the same key
     /// already did; both computed the same buckets.
-    fn insert(&mut self, key: MemoKey, entry: &[Bucket]) {
+    fn insert(&mut self, key: MemoKey, entry: &[ResourceBuckets]) {
         if let Some(kept) = self.get(&key, entry.len()) {
             debug_assert_eq!(kept, entry, "an entry depends only on its key");
             return;
@@ -1085,8 +1089,8 @@ mod tests {
                 };
                 for w in p.tw.indices() {
                     for kind in ResourceKind::ALL {
-                        word(p.pmax[w][kind].to_bits());
-                        word(p.px[w][kind].to_bits());
+                        word(p.pmax[w][kind].fraction().to_bits());
+                        word(p.px[w][kind].fraction().to_bits());
                     }
                 }
             }
@@ -1143,8 +1147,8 @@ mod tests {
             assert_eq!(p.pmax.len(), 6);
             for w in 0..6 {
                 for kind in ResourceKind::ALL {
-                    let m = p.pmax[w][kind];
-                    let x = p.px[w][kind];
+                    let m = p.pmax[w][kind].fraction();
+                    let x = p.px[w][kind].fraction();
                     assert!((0.0..=1.0).contains(&m));
                     assert!(m >= x - 1e-9, "max {m} < px {x}");
                     // 5% bucket grid.
@@ -1154,7 +1158,7 @@ mod tests {
             // Formula 1/2 invariants.
             let pa = p.pa_fraction();
             for w in 0..6 {
-                assert!(p.px[w].fits_within(&pa));
+                assert!(p.px[w].fractions().fits_within(&pa));
                 assert!(p.va_fraction(w).is_valid());
             }
         }
@@ -1176,7 +1180,7 @@ mod tests {
         let o = UtilizationModel::oracle(vm, TimeWindows::paper_default(), Percentile::P95);
         for w in 0..6 {
             for kind in ResourceKind::ALL {
-                assert!(o.pmax[w][kind] >= o.px[w][kind] - 1e-6);
+                assert!(o.lifetime_max[w][kind] >= o.percentile[w][kind] - 1e-6);
             }
         }
     }
@@ -1216,9 +1220,7 @@ mod tests {
             }
             let Some(p) = model.predict(vm) else { continue };
             let o = UtilizationModel::oracle(vm, tw, Percentile::P95);
-            err_sum += (p.pa_fraction()[ResourceKind::Memory]
-                - o.pa_fraction()[ResourceKind::Memory])
-                .abs();
+            err_sum += (p.pa_fraction()[ResourceKind::Memory] - o.pa()[ResourceKind::Memory]).abs();
             n += 1;
         }
         assert!(n > 3, "too few test VMs: {n}");

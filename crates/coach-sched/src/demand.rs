@@ -35,12 +35,12 @@ impl std::fmt::Display for Policy {
 /// **Quantization.** A demand is quantized once, here, and the scheduler
 /// only adds, subtracts and compares the result. The request goes onto the
 /// grid first, rounded up ([`Units::round_up`]: a catalog request is on it
-/// already). Each predicted fraction goes to its 5 % bucket `k`, rounded
-/// up as [`coach_types::Bucket::round_up`] snaps it, and the demand is
-/// `request units × k / 20`, ceil-divided from integers
-/// ([`Units::scale_bucket`]) — never quantized from the `f64` product, in
-/// which 4 cores × the 35 % bucket's fraction (`7 × 0.05`) reads
-/// `1.4000000000000001`. For a catalog VM the
+/// already). A prediction carries each value as its 5 % bucket index `k`
+/// already, and the demand is `request units × k / 20`, ceil-divided from
+/// integers ([`Units::scale_bucket`]) — never quantized from the `f64`
+/// product, in which 4 cores × the 35 % bucket's fraction (`7 × 0.05`)
+/// reads `1.4000000000000001`. No index is derived again here. For a
+/// catalog VM the
 /// product is whole: cores and GB are whole and network a multiple of
 /// 0.25 Gbps, so the grid's 1/20 core, 1/20 GB and 1/80 Gbps divide it.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,11 +59,6 @@ pub struct VmDemand {
     /// what a server keeps of one it hosts: [`crate::HostedDemand`] stores
     /// one window inline and boxes six.
     pub window_max: WindowVec<Units>,
-}
-
-/// Each resource's 5 % bucket index of `fractions`, rounded up.
-fn buckets(fractions: &ResourceVec) -> [usize; ResourceKind::COUNT] {
-    fractions.0.map(|f| Bucket::round_up(f).index())
 }
 
 impl VmDemand {
@@ -90,8 +85,11 @@ impl VmDemand {
         match policy {
             Policy::None => VmDemand::unpredicted(vm, requested),
             Policy::Single => {
-                let peak_fraction = p.pmax.iter().fold(ResourceVec::ZERO, |acc, v| acc.max(v));
-                let alloc = request.scale_bucket(buckets(&peak_fraction));
+                let peak = p
+                    .pmax
+                    .iter()
+                    .fold(ResourceBuckets::default(), |acc, v| acc.max(v));
+                let alloc = request.scale_bucket(peak.indices());
                 VmDemand {
                     vm,
                     requested,
@@ -100,16 +98,17 @@ impl VmDemand {
                 }
             }
             Policy::Coach => {
-                let pa = request.scale_bucket(buckets(&p.pa_fraction()));
+                let pa = p.pa();
+                let guaranteed = request.scale_bucket(pa.indices());
                 let window_max = p
                     .pmax
                     .iter()
-                    .map(|f| request.scale_bucket(buckets(f)).max(&pa))
+                    .map(|max| request.scale_bucket(max.max(&pa).indices()))
                     .collect();
                 VmDemand {
                     vm,
                     requested,
-                    guaranteed: pa,
+                    guaranteed,
                     window_max,
                 }
             }
@@ -191,21 +190,27 @@ mod tests {
     use coach_types::{Bucket, TimeWindows};
     use proptest::prelude::*;
 
+    /// Buckets from indices: `k` is `k × 5 %`.
+    fn buckets(idx: [usize; 4]) -> ResourceBuckets {
+        ResourceBuckets(idx.map(Bucket::from_index))
+    }
+
     fn prediction() -> DemandPrediction {
         let tw = TimeWindows::new(3);
         DemandPrediction {
             tw,
-            // CPU fractions per window: 0.25 / 0.75 / 0.5; memory 0.5/0.5/0.75.
+            // CPU per window: 25 / 75 / 50 %; memory 50 / 50 / 75 %.
             pmax: [
-                ResourceVec::new(0.25, 0.50, 0.1, 0.1),
-                ResourceVec::new(0.75, 0.50, 0.1, 0.1),
-                ResourceVec::new(0.50, 0.75, 0.1, 0.1),
+                buckets([5, 10, 2, 2]),
+                buckets([15, 10, 2, 2]),
+                buckets([10, 15, 2, 2]),
             ]
             .into(),
+            // CPU 20 / 60 / 40 %; memory 45 / 45 / 70 %.
             px: [
-                ResourceVec::new(0.20, 0.45, 0.1, 0.1),
-                ResourceVec::new(0.60, 0.45, 0.1, 0.1),
-                ResourceVec::new(0.40, 0.70, 0.1, 0.1),
+                buckets([4, 9, 2, 2]),
+                buckets([12, 9, 2, 2]),
+                buckets([8, 14, 2, 2]),
             ]
             .into(),
         }
@@ -260,13 +265,13 @@ mod tests {
     /// had the float product been rounded up.
     #[test]
     fn a_bucket_product_is_exact_on_the_grid() {
-        let f = Bucket::from_index(7).fraction();
-        assert_eq!(4.0 * f, 1.4000000000000001);
+        let b = Bucket::from_index(7);
+        assert_eq!(4.0 * b.fraction(), 1.4000000000000001);
         let tw = TimeWindows::new(1);
         let prediction = DemandPrediction {
             tw,
-            pmax: [ResourceVec::splat(f)].into(),
-            px: [ResourceVec::splat(f)].into(),
+            pmax: [ResourceBuckets::splat(b)].into(),
+            px: [ResourceBuckets::splat(b)].into(),
         };
         let request = ResourceVec::new(4.0, 16.0, 1.0, 64.0);
         for policy in [Policy::Single, Policy::Coach] {
@@ -288,7 +293,7 @@ mod tests {
         // Even if pmax < px in a window (possible with separate forests),
         // from_prediction clamps window_max up to the PA.
         let mut p = prediction();
-        p.pmax[0] = ResourceVec::new(0.1, 0.1, 0.0, 0.0);
+        p.pmax[0] = buckets([2, 2, 0, 0]);
         let d = VmDemand::from_prediction(VmId::new(3), request(), Policy::Coach, Some(&p));
         assert!(d.is_well_formed());
     }
@@ -301,10 +306,6 @@ mod tests {
         windows: usize,
         oracle_shaped: bool,
     ) -> DemandPrediction {
-        let fractions = |idx: [usize; 4]| {
-            let f = idx.map(|i| Bucket::from_index(i).fraction());
-            ResourceVec::new(f[0], f[1], f[2], f[3])
-        };
         let (mut pmax, mut px) = (WindowVec::new(), WindowVec::new());
         for (max, mut pct) in pairs[..windows].iter().copied() {
             if oracle_shaped {
@@ -312,8 +313,8 @@ mod tests {
                     *p = (*p).min(m);
                 }
             }
-            pmax.push(fractions(max));
-            px.push(fractions(pct));
+            pmax.push(buckets(max));
+            px.push(buckets(pct));
         }
         DemandPrediction {
             tw: TimeWindows::new(windows as u32),

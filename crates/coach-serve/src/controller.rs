@@ -25,8 +25,12 @@ use std::time::Instant;
 /// derived in, wherever it is derived. Large enough that a batch-capable
 /// source (the forest's tree-major sweep) amortizes its per-call work,
 /// small enough that a worker deriving its own segment holds one chunk of
-/// predictions at a time.
+/// predictions at a time. Below [`coach_sim::PARALLEL_BATCH`], so the
+/// shipped derive sources answer a chunk on the calling thread: a session
+/// spawns no thread to derive.
 pub(crate) const DERIVE_CHUNK: usize = 64;
+
+const _: () = assert!(DERIVE_CHUNK < coach_sim::PARALLEL_BATCH);
 
 /// A segment's predictions as the dispatcher derived them, index for
 /// index with its records — or empty, and the worker derives the segment

@@ -65,14 +65,14 @@ const SEGMENT: usize = 16 * DERIVE_CHUNK;
 
 /// Routed arrivals per segment the dispatcher derives: two
 /// [`DERIVE_CHUNK`]s, so the worker starts placing after 128 arrivals of
-/// ingest and derive. With its predictions a segment is
-/// 128 × (336 + 456) B: about 100 kB.
+/// ingest and derive. With its predictions — bucket indices, 120 B as an
+/// `Option` — a segment is 128 × (336 + 120) B: about 58 kB.
 const FRONT_DOOR_SEGMENT: usize = 2 * DERIVE_CHUNK;
 
 /// What one shard may hold of routed arrivals in flight in a session: the
 /// segment the dispatcher is filling (or parked on), the
 /// [`COMMAND_LANE_CAPACITY`] queued on the lane, and the one the worker is
-/// applying — four segments, about 1.4 MB of records or 400 kB of records
+/// applying — four segments, about 1.4 MB of records or 230 kB of records
 /// and predictions, under this 1.5 MiB whatever the stream's length.
 const IN_FLIGHT_BYTES_PER_SHARD: usize = 3 << 19;
 

@@ -86,7 +86,7 @@ pub fn predictor_accuracy(
         };
         let ideal = UtilizationModel::oracle(vm, tw, percentile);
         let pred_pa = pred.pa_fraction();
-        let ideal_pa = ideal.pa_fraction();
+        let ideal_pa = ideal.pa();
         for (slot, kind) in [(0, ResourceKind::Cpu), (1, ResourceKind::Memory)] {
             let diff = pred_pa[kind] - ideal_pa[kind];
             if diff > 0.0 {

@@ -39,7 +39,7 @@ pub use accuracy::{accuracy_sweep, prediction_accuracy, predictor_accuracy, Accu
 pub use packing::{
     packing_experiment, policy_sweep, PackingResult, PolicyConfig, VIOLATION_SAMPLE_EVERY,
 };
-pub use prediction::{Model, NaiveReference, Oracle, Predictor};
+pub use prediction::{Model, NaiveReference, Oracle, Predictor, PARALLEL_BATCH};
 pub use probe::{
     estimate_probe_capacity, measure_probe_capacity, paper_probe_times, probe_demand,
     probe_templates, ProbeMode,

@@ -8,19 +8,57 @@
 //!
 //! * [`Oracle`] — percentiles of each VM's own utilization, derived
 //!   *lazily* from the behavior profile's closed form on every call, and
-//!   returned in decision form: only as far as Formulas 1–2's demand
-//!   reads them ([`VmRecord::window_decision_buckets`],
+//!   returned as bucket indices in decision form: only as far as
+//!   Formulas 1–2's demand reads them
+//!   ([`VmRecord::window_decision_buckets`],
 //!   [`DemandPrediction::decision_form`]);
 //! * [`Model`] — the trained long-term random forest (§3.3), walked once
 //!   per distinct feature key and memoized;
 //! * [`NaiveReference`] — the old eager path (materialize the 5-minute
 //!   series, walk its samples), retained purely for differential testing
 //!   against [`Oracle`]: its decision form is the Oracle's answer.
+//!
+//! [`Oracle`] and [`NaiveReference`] derive each VM on its own, so a batch
+//! of at least `PARALLEL_BATCH` (1,024) VMs is split into 256-VM blocks
+//! that [`coach_types::par_map`] spreads over every core; slots come back
+//! in input order and equal the per-item loop's. The serving path derives
+//! in 64-VM chunks, below the threshold, so a session never spawns a
+//! thread for it; set-up that derives a whole table at once gets every
+//! core.
 
 use coach_predict::{DemandPrediction, PredictionMemo, UtilizationModel};
 use coach_trace::VmRecord;
 use coach_types::prelude::*;
 use std::sync::{Mutex, PoisonError};
+
+/// The smallest batch [`Oracle`] and [`NaiveReference`] derive on every
+/// core: below it, the per-item loop runs on the calling thread. A
+/// constant of the derive, not a setting — the serving path's derive
+/// chunks stay below it (asserted in `coach-serve`).
+pub const PARALLEL_BATCH: usize = 1024;
+
+/// VMs per block a parallel batch hands to one worker at a time.
+const PARALLEL_BLOCK: usize = 256;
+
+/// `derive` over every VM of `vms`, in input order: the per-item loop
+/// below [`PARALLEL_BATCH`], otherwise [`PARALLEL_BLOCK`]-VM blocks on up
+/// to `threads` workers ([`par_map_threads`]). Each slot is `derive` of
+/// its VM whichever thread ran it.
+fn derive_batch<F>(vms: &[&VmRecord], threads: usize, derive: F) -> Vec<Option<DemandPrediction>>
+where
+    F: Fn(&VmRecord) -> Option<DemandPrediction> + Sync,
+{
+    if vms.len() < PARALLEL_BATCH {
+        return vms.iter().map(|vm| derive(vm)).collect();
+    }
+    let blocks: Vec<&[&VmRecord]> = vms.chunks(PARALLEL_BLOCK).collect();
+    let derived = par_map_threads(&blocks, threads, |block| {
+        block.iter().map(|vm| derive(vm)).collect::<Vec<_>>()
+    });
+    let mut out = Vec::with_capacity(vms.len());
+    derived.into_iter().for_each(|block| out.extend(block));
+    out
+}
 
 /// Where per-VM demand predictions come from.
 ///
@@ -31,8 +69,8 @@ pub trait Predictor: Sync {
     /// The window partition predictions are expressed over.
     fn time_windows(&self) -> TimeWindows;
 
-    /// Predict per-window demand fractions for a VM, or `None` for the
-    /// conservative no-oversubscription fallback.
+    /// Predict per-window demand for a VM as 5 % bucket indices, or `None`
+    /// for the conservative no-oversubscription fallback.
     ///
     /// `percentile` selects the PX of the guaranteed portion where the
     /// source supports it; model-backed sources use the percentile they
@@ -70,16 +108,6 @@ pub trait Predictor: Sync {
     }
 }
 
-/// Conservative 5 % bucket rounding, as the platform applies to every
-/// oracle-derived fraction.
-fn bucket_prediction(p: &mut DemandPrediction) {
-    for v in p.pmax.iter_mut().chain(p.px.iter_mut()) {
-        for kind in ResourceKind::ALL {
-            v[kind] = bucket_up(v[kind]);
-        }
-    }
-}
-
 /// Short VMs (< 1 day) have no usable history and are never oversubscribed.
 fn too_short(vm: &VmRecord) -> bool {
     vm.lifetime() < SimDuration::from_days(1)
@@ -92,7 +120,8 @@ fn too_short(vm: &VmRecord) -> bool {
 /// Stateless: every call derives through
 /// [`VmRecord::window_decision_buckets`], the order-statistic loop of the
 /// lazy analytic scan under its decision-decided stopping rule, and returns
-/// the prediction in decision form ([`DemandPrediction::decision_form`]):
+/// the prediction's bucket indices in decision form
+/// ([`DemandPrediction::decision_form`]):
 /// per resource every window's `PX_t` reads `PA` and its `Pmax_t` reads
 /// `max(Pmax_t, PA)`, which is all a demand reads of them. A window whose
 /// bound on its cells rounds up to a bucket at or below the `PA` other
@@ -129,12 +158,18 @@ impl Predictor for Oracle {
         if too_short(vm) {
             return None;
         }
-        let peaks = vm.window_decision_buckets(self.tw, percentile);
-        Some(DemandPrediction {
-            tw: self.tw,
-            pmax: peaks.lifetime_max,
-            px: peaks.percentile,
-        })
+        let buckets = vm.window_decision_buckets(self.tw, percentile);
+        Some(DemandPrediction::from_buckets(self.tw, buckets))
+    }
+
+    /// [`Oracle::predict`] per VM, on every core from [`PARALLEL_BATCH`]
+    /// VMs.
+    fn predict_batch(
+        &self,
+        vms: &[&VmRecord],
+        percentile: Percentile,
+    ) -> Vec<Option<DemandPrediction>> {
+        derive_batch(vms, available_threads(), |vm| self.predict(vm, percentile))
     }
 }
 
@@ -229,9 +264,18 @@ impl Predictor for NaiveReference {
         if too_short(vm) {
             return None;
         }
-        let mut p = UtilizationModel::oracle_eager(vm, self.tw, percentile);
-        bucket_prediction(&mut p);
-        Some(p)
+        let peaks = UtilizationModel::oracle_eager(vm, self.tw, percentile);
+        Some(DemandPrediction::from_buckets(self.tw, peaks.bucket_up()))
+    }
+
+    /// [`NaiveReference::predict`] per VM, on every core from
+    /// [`PARALLEL_BATCH`] VMs.
+    fn predict_batch(
+        &self,
+        vms: &[&VmRecord],
+        percentile: Percentile,
+    ) -> Vec<Option<DemandPrediction>> {
+        derive_batch(vms, available_threads(), |vm| self.predict(vm, percentile))
     }
 }
 
@@ -255,7 +299,7 @@ mod tests {
         let p = src.predict(long, Percentile::P95).expect("prediction");
         for v in p.pmax.iter().chain(p.px.iter()) {
             for kind in ResourceKind::ALL {
-                let x = v[kind];
+                let x = v[kind].fraction();
                 assert!(
                     (x * 20.0 - (x * 20.0).round()).abs() < 1e-6,
                     "{x} not bucketed"
@@ -304,16 +348,16 @@ mod tests {
                             for w in tw.indices() {
                                 for kind in ResourceKind::ALL {
                                     assert_eq!(
-                                        a.pmax[w][kind].to_bits(),
-                                        b.pmax[w][kind].to_bits(),
+                                        a.pmax[w][kind].fraction().to_bits(),
+                                        b.pmax[w][kind].fraction().to_bits(),
                                         "seed {seed} vm {} {kind} w{w} pmax: lazy {} eager {}",
                                         vm.id,
                                         a.pmax[w][kind],
                                         b.pmax[w][kind]
                                     );
                                     assert_eq!(
-                                        a.px[w][kind].to_bits(),
-                                        b.px[w][kind].to_bits(),
+                                        a.px[w][kind].fraction().to_bits(),
+                                        b.px[w][kind].fraction().to_bits(),
                                         "seed {seed} vm {} {kind} w{w} px: lazy {} eager {}",
                                         vm.id,
                                         a.px[w][kind],
@@ -324,11 +368,11 @@ mod tests {
                             // The exact-rule oracle fig19 reads, through the
                             // exact statistics it is pinned equal to
                             // (`oracle_equals_oracle_from_exact_stats`).
-                            let mut exact = UtilizationModel::oracle_from_stats(
+                            let exact = UtilizationModel::oracle_from_stats(
                                 &vm.window_stats(tw),
                                 percentile,
                             );
-                            bucket_prediction(&mut exact);
+                            let exact = DemandPrediction::from_buckets(tw, exact.bucket_up());
                             assert_eq!(
                                 a,
                                 exact.decision_form(),
@@ -369,7 +413,9 @@ mod tests {
     /// for every shipped source it must equal the per-item loop exactly.
     /// `Model` (one forest sweep per batch, memoized) overrides it, so this
     /// differentially pins the override; `Oracle` and `NaiveReference`
-    /// exercise the default loop. Each side gets a fresh source — one
+    /// run their per-item loop at this batch size (below
+    /// `PARALLEL_BATCH`; `a_parallel_batch_equals_the_per_item_loop` holds
+    /// the blocks above it). Each side gets a fresh source — one
     /// `Model` would answer the per-item side from the batch's own memo
     /// entries — and the model's answers must also be the unmemoized
     /// `UtilizationModel::predict`'s.
@@ -399,6 +445,39 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// A batch above `PARALLEL_BATCH` — every VM of a small trace, cycled
+    /// to a length that is no multiple of the block — derived in blocks
+    /// on 1 and on 4 workers equals the per-item loop slot for slot, for
+    /// `Oracle` and `NaiveReference`, and so does the public
+    /// `predict_batch` on this box's cores.
+    #[test]
+    fn a_parallel_batch_equals_the_per_item_loop() {
+        let tw = TimeWindows::paper_default();
+        let trace = generate(&TraceConfig::small(99));
+        let len = PARALLEL_BATCH + PARALLEL_BLOCK / 2 + 7;
+        let vms: Vec<&VmRecord> = trace.vms.iter().cycle().take(len).collect();
+        let sources: [(&str, &dyn Predictor); 2] = [
+            ("oracle", &Oracle::new(tw)),
+            ("naive", &NaiveReference::new(tw)),
+        ];
+        for (name, source) in sources {
+            let percentile = Percentile::P95;
+            let want: Vec<_> = vms
+                .iter()
+                .map(|vm| source.predict(vm, percentile))
+                .collect();
+            assert!(
+                want.iter().flatten().count() > 100,
+                "{name}: too few predictions"
+            );
+            for threads in [1, 4] {
+                let got = derive_batch(&vms, threads, |vm| source.predict(vm, percentile));
+                assert_eq!(got, want, "{name} at {threads} threads");
+            }
+            assert_eq!(source.predict_batch(&vms, percentile), want, "{name}");
         }
     }
 

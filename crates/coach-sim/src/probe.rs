@@ -92,9 +92,11 @@ pub fn probe_demand(
         // A raised bump centred on the rotated peak window.
         let d = (w + windows - rotation) % windows;
         let dist = d.min(windows - d) as f64 / (windows as f64 / 2.0);
-        let peak = bucket_up(0.35 + 0.45 * (1.0 - dist));
-        pmax.push(ResourceVec::splat(peak).clamp(0.0, 1.0));
-        px.push(ResourceVec::splat(bucket_up(peak * px_ratio)).clamp(0.0, 1.0));
+        let peak = Bucket::round_up(0.35 + 0.45 * (1.0 - dist));
+        pmax.push(ResourceBuckets::splat(peak));
+        px.push(ResourceBuckets::splat(Bucket::round_up(
+            peak.fraction() * px_ratio,
+        )));
     }
     let prediction = coach_predict::DemandPrediction {
         tw: TimeWindows::paper_default(),

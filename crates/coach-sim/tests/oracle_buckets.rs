@@ -5,7 +5,7 @@
 //! exact-rule oracle that fig19 reads, and the eager materializing
 //! `NaiveReference`.
 
-use coach_predict::UtilizationModel;
+use coach_predict::{DemandPrediction, UtilizationModel};
 use coach_sim::{NaiveReference, Oracle, Predictor};
 use coach_trace::{generate, TraceConfig};
 use coach_types::prelude::*;
@@ -27,12 +27,8 @@ fn oracle_is_the_decision_form_of_the_exact_path() {
                     vm.id
                 );
                 let Some(got) = got else { continue };
-                let mut exact = UtilizationModel::oracle(vm, tw, percentile);
-                for v in exact.pmax.iter_mut().chain(exact.px.iter_mut()) {
-                    for kind in ResourceKind::ALL {
-                        v[kind] = bucket_up(v[kind]);
-                    }
-                }
+                let exact = UtilizationModel::oracle(vm, tw, percentile);
+                let exact = DemandPrediction::from_buckets(tw, exact.bucket_up());
                 assert_eq!(
                     got,
                     exact.decision_form(),

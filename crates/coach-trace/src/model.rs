@@ -96,12 +96,11 @@ impl VmRecord {
             .window_peaks(tw, self.arrival, self.departure, p)
     }
 
-    /// [`VmRecord::window_peaks`] rounded up to 5 % buckets and in decision
-    /// form, bit for bit, resolving only the windows and cells that can
-    /// still move Formulas 1–2's demand
-    /// ([`VmProfile::window_decision_buckets`]) — what the serving oracle
-    /// keeps.
-    pub fn window_decision_buckets(&self, tw: TimeWindows, p: Percentile) -> WindowPeaks {
+    /// [`VmRecord::window_peaks`] as 5 % bucket indices in decision form,
+    /// exactly, resolving only the windows and cells that can still move
+    /// Formulas 1–2's demand ([`VmProfile::window_decision_buckets`]) —
+    /// what the serving oracle keeps.
+    pub fn window_decision_buckets(&self, tw: TimeWindows, p: Percentile) -> WindowBuckets {
         self.profile
             .window_decision_buckets(tw, self.arrival, self.departure, p)
     }

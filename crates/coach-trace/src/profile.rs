@@ -594,16 +594,20 @@ impl VmProfile {
         end: Timestamp,
         p: Percentile,
     ) -> WindowPeaks {
-        let mut out = zero_peaks(tw);
+        let zeros = WindowVec::from_elem(ResourceVec::ZERO, tw.count());
+        let mut out = WindowPeaks {
+            lifetime_max: zeros.clone(),
+            percentile: zeros,
+        };
         for kind in ResourceKind::ALL {
             self.window_peaks_into(kind, tw, start, end, p, &mut out);
         }
         out
     }
 
-    /// [`VmProfile::window_peaks`] rounded up to 5 % buckets and put in
-    /// decision form ([`WindowPeaks::decision_form`]) — bit for bit
-    /// `bucket_up` of each value, then the decision form — derived only as
+    /// [`VmProfile::window_peaks`] as 5 % bucket indices in decision form
+    /// ([`WindowBuckets::decision_form`]) — exactly [`Bucket::round_up`] of
+    /// each value, then the decision form — derived only as
     /// far as Formulas 1–2 read it. The same order-statistic loop runs under
     /// a second stopping rule, *decision-decided*: it leaves whole windows
     /// unresolved, and stops resolving the cells of any other window as
@@ -664,8 +668,8 @@ impl VmProfile {
         start: Timestamp,
         end: Timestamp,
         p: Percentile,
-    ) -> WindowPeaks {
-        let mut out = zero_peaks(tw);
+    ) -> WindowBuckets {
+        let mut out = WindowBuckets::zero(tw);
         for kind in ResourceKind::ALL {
             self.window_decision_buckets_into(kind, tw, start, end, p, &mut out);
         }
@@ -685,7 +689,7 @@ impl VmProfile {
         p: Percentile,
         out: &mut WindowPeaks,
     ) -> usize {
-        self.order_statistics_into::<false>(resource, tw, start, end, p, out)
+        self.order_statistics_into(resource, tw, start, end, p, out)
     }
 
     /// [`VmProfile::window_peaks_into`] for
@@ -697,9 +701,9 @@ impl VmProfile {
         start: Timestamp,
         end: Timestamp,
         p: Percentile,
-        out: &mut WindowPeaks,
+        out: &mut WindowBuckets,
     ) -> usize {
-        let evaluated = self.order_statistics_into::<true>(resource, tw, start, end, p, out);
+        let evaluated = self.order_statistics_into(resource, tw, start, end, p, out);
         out.decide(resource);
         evaluated
     }
@@ -716,31 +720,32 @@ impl VmProfile {
         scale < 1e300 && p.peak_hour.is_finite()
     }
 
-    /// The order-statistic loop behind every peak derivation, under the
-    /// top-k exact stopping rule, which writes the values themselves, or
-    /// with `DECIDE` under the decision-decided one, which writes their
-    /// bucket fractions and 0.0 for the windows it dismisses (its caller
-    /// puts them in decision form).
-    fn order_statistics_into<const DECIDE: bool>(
+    /// The order-statistic loop behind every peak derivation: into
+    /// [`WindowPeaks`] under the top-k exact stopping rule, which writes the
+    /// values themselves, or into [`WindowBuckets`] under the
+    /// decision-decided one, which writes their buckets and bucket 0 for
+    /// the windows it dismisses (its caller puts them in decision form).
+    fn order_statistics_into<S: PeakSink>(
         &self,
         resource: ResourceKind,
         tw: TimeWindows,
         start: Timestamp,
         end: Timestamp,
         p: Percentile,
-        out: &mut WindowPeaks,
+        out: &mut S,
     ) -> usize {
+        let decide = S::DECIDE;
         let profile = &self.per_resource[resource.index()];
         let (first_day, days) = day_rows(start, end);
         if days == 0
             || days > MAX_ORDERED_DAYS
             || Self::needs_eager_fallback(profile)
-            || (DECIDE && !Self::levels_are_numbers(profile))
+            || (decide && !Self::levels_are_numbers(profile))
         {
             let exact = self.window_stats_for(resource, tw, start, end);
             for w in tw.indices() {
                 let (max, px) = (exact.lifetime_max(w), exact.maxima_percentile(w, p));
-                write_peaks::<DECIDE>(out, w, resource, max, px);
+                out.write(w, resource, max, px);
             }
             return 0;
         }
@@ -781,7 +786,7 @@ impl VmProfile {
         let mut cap = [Bucket::MAX; MAX_WINDOWS];
         let mut visit = [0u16; MAX_WINDOWS];
         for w in 0..n {
-            if DECIDE {
+            if decide {
                 scan.level_bounds(w, terms, &mut bound);
                 let hi = (0..days)
                     .filter(|&i| {
@@ -805,11 +810,11 @@ impl VmProfile {
         let mut evaluated = 0;
         for (at, &w) in visit[..n].iter().enumerate() {
             let w = usize::from(w);
-            if DECIDE && cap[w] <= pa {
+            if decide && cap[w] <= pa {
                 // Caps only fall from here on: no later window can move
                 // the decision either.
                 for &w in &visit[at..n] {
-                    write_peaks::<DECIDE>(out, usize::from(w), resource, 0.0, 0.0);
+                    out.write(usize::from(w), resource, 0.0, 0.0);
                 }
                 break;
             }
@@ -827,7 +832,7 @@ impl VmProfile {
 
             let mut top = TopK::new(k);
             let mut decided = None;
-            if DECIDE {
+            if decide {
                 brackets.clear();
                 for &i in &order[..days] {
                     let i = usize::from(i);
@@ -859,7 +864,7 @@ impl VmProfile {
                     // ≥ 0, so the clamp cannot lift a skipped tick above the
                     // floor.
                     if floor >= 0.0 && screen(bound[i]) <= f64::from(floor) {
-                        if DECIDE {
+                        if decide {
                             brackets.skip();
                         }
                         continue;
@@ -867,7 +872,7 @@ impl VmProfile {
                     evaluated += 1;
                     let reported = scan.cell(terms[i], w, t_lo, t_hi, floor);
                     top.offer(reported);
-                    if DECIDE {
+                    if decide {
                         brackets.collapse(pos, reported);
                         decided = brackets.decide(&top, rank, nth_lo, nth_hi);
                         if decided.is_some() {
@@ -880,8 +885,7 @@ impl VmProfile {
                 let at = |n| top.nth_largest(n);
                 (at(1), rank.interpolate(at(nth_lo), at(nth_hi)))
             });
-            write_peaks::<DECIDE>(out, w, resource, max, px);
-            pa = pa.max(Bucket::round_up(f64::from(px)));
+            pa = pa.max(out.write(w, resource, max, px));
         }
         evaluated
     }
@@ -891,28 +895,39 @@ impl VmProfile {
 /// visiting order lives in stack arrays of this size.
 const MAX_WINDOWS: usize = TICKS_PER_DAY as usize;
 
-/// All-zero peaks over `tw`, for the per-resource passes to fill in.
-fn zero_peaks(tw: TimeWindows) -> WindowPeaks {
-    let zeros = WindowVec::from_elem(ResourceVec::ZERO, tw.count());
-    WindowPeaks {
-        lifetime_max: zeros.clone(),
-        percentile: zeros,
+/// Where the order-statistic loop writes a window's maximum and
+/// percentile, and which stopping rule that selects.
+trait PeakSink {
+    /// Whether the loop runs the decision-decided rule.
+    const DECIDE: bool;
+
+    /// Write window `w`'s maximum and percentile into `resource`'s slots;
+    /// return the percentile's bucket (the decision rule's running `PA`
+    /// reads it; the exact rule ignores it).
+    fn write(&mut self, w: usize, resource: ResourceKind, max: f32, px: f32) -> Bucket;
+}
+
+/// The top-k exact rule keeps the values themselves.
+impl PeakSink for WindowPeaks {
+    const DECIDE: bool = false;
+
+    fn write(&mut self, w: usize, resource: ResourceKind, max: f32, px: f32) -> Bucket {
+        self.lifetime_max[w][resource] = f64::from(max);
+        self.percentile[w][resource] = f64::from(px);
+        Bucket::default()
     }
 }
 
-/// Write window `w`'s maximum and percentile into `resource`'s slots: as
-/// they are under the top-k exact rule, rounded up to their buckets under
-/// the decision-decided one (`DECIDE`).
-fn write_peaks<const DECIDE: bool>(
-    out: &mut WindowPeaks,
-    w: usize,
-    resource: ResourceKind,
-    max: f32,
-    px: f32,
-) {
-    let (max, px) = (f64::from(max), f64::from(px));
-    out.lifetime_max[w][resource] = if DECIDE { bucket_up(max) } else { max };
-    out.percentile[w][resource] = if DECIDE { bucket_up(px) } else { px };
+/// The decision-decided rule keeps their buckets.
+impl PeakSink for WindowBuckets {
+    const DECIDE: bool = true;
+
+    fn write(&mut self, w: usize, resource: ResourceKind, max: f32, px: f32) -> Bucket {
+        let px = Bucket::round_up(f64::from(px));
+        self.lifetime_max[w][resource] = Bucket::round_up(f64::from(max));
+        self.percentile[w][resource] = px;
+        px
+    }
 }
 
 /// First day and number of day-rows `[start, end)` touches (0 when empty).
@@ -2069,23 +2084,22 @@ mod tests {
             let want = WindowPeaks::from_stats(&exact, pct)
                 .bucket_up()
                 .decision_form();
+            let mut peaks = WindowPeaks::from_stats(&exact, pct);
             for kind in ResourceKind::ALL {
                 for w in tw.indices() {
                     assert_eq!(
-                        got.lifetime_max[w][kind].to_bits(),
-                        want.lifetime_max[w][kind].to_bits(),
+                        got.lifetime_max[w][kind], want.lifetime_max[w][kind],
                         "{kind} window {w} lifetime max decision at {pct}"
                     );
                     assert_eq!(
-                        got.percentile[w][kind].to_bits(),
-                        want.percentile[w][kind].to_bits(),
+                        got.percentile[w][kind], want.percentile[w][kind],
                         "{kind} window {w} {pct} decision"
                     );
                 }
                 let mut sink = got.clone();
                 let cells = p.window_decision_buckets_into(kind, tw, start, end, pct, &mut sink);
                 assert_eq!(sink, got, "{kind}: per-resource pass rewrote its slots");
-                let exact_cells = p.window_peaks_into(kind, tw, start, end, pct, &mut sink);
+                let exact_cells = p.window_peaks_into(kind, tw, start, end, pct, &mut peaks);
                 assert!(
                     cells <= exact_cells,
                     "{kind} {pct}: decision rule resolved {cells} cells, exact {exact_cells}"
@@ -2360,12 +2374,15 @@ mod tests {
 
         let p = pruning_profile();
         let (start, end) = (Timestamp::ZERO, Timestamp::from_days(14));
-        let mut out = p.window_peaks(tw, start, end, Percentile::P95);
-        let cells = |pct: Percentile, out: &mut WindowPeaks| {
+        let mut out = (
+            WindowBuckets::zero(tw),
+            p.window_peaks(tw, start, end, Percentile::P95),
+        );
+        let cells = |pct: Percentile, (buckets, peaks): &mut (WindowBuckets, WindowPeaks)| {
             ResourceKind::ALL.map(|kind| {
                 (
-                    p.window_decision_buckets_into(kind, tw, start, end, pct, out),
-                    p.window_peaks_into(kind, tw, start, end, pct, out),
+                    p.window_decision_buckets_into(kind, tw, start, end, pct, buckets),
+                    p.window_peaks_into(kind, tw, start, end, pct, peaks),
                 )
             })
         };

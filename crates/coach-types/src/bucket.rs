@@ -5,6 +5,15 @@
 //! "Coach configuration"). Rounding up is what makes the scheduling policy
 //! robust: actual VA accesses stay well below the prediction percentile
 //! (Fig 17a, `Worst` vs. measured).
+//!
+//! A prediction is carried as its buckets: [`ResourceBuckets`] holds one
+//! [`Bucket`] index per resource, and everything downstream scales a
+//! request by those indices in integers ([`crate::Units::scale_bucket`]).
+//! [`Bucket::fraction`] reads an index back as the `f64` the bucket
+//! encodes.
+
+use crate::resource::{ResourceKind, ResourceVec};
+use std::ops::{Index, IndexMut};
 
 /// Bucket width as a fraction (5 %).
 pub const BUCKET_WIDTH: f64 = 0.05;
@@ -27,6 +36,7 @@ impl Bucket {
     pub const MAX: Bucket = Bucket(20);
 
     /// Snap a fraction up to the next bucket boundary, clamped to `[0, 1]`.
+    #[inline]
     pub fn round_up(fraction: f64) -> Bucket {
         Bucket(to_index(fraction))
     }
@@ -37,6 +47,7 @@ impl Bucket {
     }
 
     /// The bucket's fraction value in `[0, 1]`.
+    #[inline]
     pub fn fraction(self) -> f64 {
         f64::from(self.0) * BUCKET_WIDTH
     }
@@ -58,25 +69,86 @@ impl std::fmt::Display for Bucket {
     }
 }
 
+/// One [`Bucket`] per resource kind, `[cpu, memory, network, ssd]`: a
+/// prediction's value for one window, as indices.
+///
+/// # Example
+///
+/// ```
+/// use coach_types::{Bucket, ResourceBuckets, ResourceKind, ResourceVec};
+/// let b = ResourceBuckets::round_up(&ResourceVec::new(0.173, 0.5, 0.0, 1.2));
+/// assert_eq!(b.indices(), [4, 10, 0, 20]);
+/// assert_eq!(b[ResourceKind::Memory], Bucket::from_index(10));
+/// assert_eq!(b.fractions(), ResourceVec::new(0.2, 0.5, 0.0, 1.0));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct ResourceBuckets(pub [Bucket; ResourceKind::COUNT]);
+
+impl ResourceBuckets {
+    /// Every slot in bucket `b`.
+    pub const fn splat(b: Bucket) -> ResourceBuckets {
+        ResourceBuckets([b; ResourceKind::COUNT])
+    }
+
+    /// Each fraction snapped up to its bucket ([`Bucket::round_up`]).
+    pub fn round_up(fractions: &ResourceVec) -> ResourceBuckets {
+        ResourceBuckets(fractions.0.map(Bucket::round_up))
+    }
+
+    /// Each slot's [`Bucket::fraction`]: exactly the `f64` the bucket
+    /// encodes.
+    pub fn fractions(&self) -> ResourceVec {
+        ResourceVec(self.0.map(Bucket::fraction))
+    }
+
+    /// Each slot's [`Bucket::index`], for [`crate::Units::scale_bucket`].
+    #[inline]
+    pub fn indices(&self) -> [usize; ResourceKind::COUNT] {
+        self.0.map(Bucket::index)
+    }
+
+    /// Elementwise maximum.
+    #[inline]
+    pub fn max(&self, other: &ResourceBuckets) -> ResourceBuckets {
+        ResourceBuckets(std::array::from_fn(|i| self.0[i].max(other.0[i])))
+    }
+}
+
+impl Index<ResourceKind> for ResourceBuckets {
+    type Output = Bucket;
+    #[inline]
+    fn index(&self, kind: ResourceKind) -> &Bucket {
+        &self.0[kind.index()]
+    }
+}
+
+impl IndexMut<ResourceKind> for ResourceBuckets {
+    #[inline]
+    fn index_mut(&mut self, kind: ResourceKind) -> &mut Bucket {
+        &mut self.0[kind.index()]
+    }
+}
+
 /// Rounding up is non-decreasing over the non-NaN inputs, ±∞ included:
 /// an overflowed fraction clamps to 100 % like any other fraction above 1
 /// (rounding *up* is the conservative direction), and only NaN, which has
 /// no place in the order, maps to bucket 0.
+///
+/// The rule: `s = f / 0.05`, and a fraction within 1e-9 scaled units of a
+/// bucket edge is that edge, so fp dust does not bump a bucket
+/// (`0.6000000000000001 / 0.05 = 12.000000000000002` is bucket 12, not
+/// 13); otherwise it rounds up. With `n = ⌊s⌋` that is `n`, plus one when
+/// `s − n ≥ 1e-9`: the subtraction is exact (Sterbenz: `n ≤ s < 2n` for
+/// `s ≥ 1`, and `n = 0` below), so this equals "round `s`, keep it if
+/// within 1e-9, else take `⌈s⌉`" to the bit, without the `round`/`ceil`
+/// calls a baseline x86-64 build makes into software routines. NaN falls
+/// through as 0: the clamp keeps it, `NaN as u8` is 0, and the comparison
+/// is false.
+#[inline]
 fn to_index(fraction: f64) -> u8 {
-    if fraction.is_nan() {
-        return 0;
-    }
-    let f = fraction.clamp(0.0, 1.0);
-    // Tolerate fp dust: 0.6000000000000001 / 0.05 = 12.000000000000002 must
-    // round *up* to 12, not 13.
-    let scaled = f / BUCKET_WIDTH;
-    let snapped = scaled.round();
-    let idx = if (scaled - snapped).abs() < 1e-9 {
-        snapped
-    } else {
-        scaled.ceil()
-    };
-    (idx as u8).min(20)
+    let s = fraction.clamp(0.0, 1.0) / BUCKET_WIDTH;
+    let n = s as u8;
+    n + u8::from(s - f64::from(n) >= 1e-9)
 }
 
 /// Round a fraction up to the next 5 % boundary (free function convenience).
@@ -142,6 +214,98 @@ mod tests {
             }
         }
         v
+    }
+
+    /// The rule `to_index` replaced, verbatim: round the scaled fraction,
+    /// keep it if within 1e-9, else take the ceiling.
+    fn to_index_reference(fraction: f64) -> u8 {
+        if fraction.is_nan() {
+            return 0;
+        }
+        let f = fraction.clamp(0.0, 1.0);
+        let scaled = f / BUCKET_WIDTH;
+        let snapped = scaled.round();
+        let idx = if (scaled - snapped).abs() < 1e-9 {
+            snapped
+        } else {
+            scaled.ceil()
+        };
+        (idx as u8).min(20)
+    }
+
+    /// `x` moved by `d` ulps along the `f64` order (through zero, across
+    /// the sign).
+    fn ulps_from(x: f64, d: i64) -> f64 {
+        // Map the bits to a monotone signed integer line and back.
+        let ordered = |v: f64| {
+            let b = v.to_bits() as i64;
+            if b < 0 {
+                i64::MIN - b
+            } else {
+                b
+            }
+        };
+        let back = |o: i64| f64::from_bits((if o < 0 { i64::MIN - o } else { o }) as u64);
+        back(ordered(x) + d)
+    }
+
+    /// The branch-free rule equals the old round/ceil rule to the bit:
+    /// ±10⁵ ulps around each of the 21 edges and around both ends of each
+    /// edge's 1e-9 tolerance, the special values, and 10⁷ pseudo-random
+    /// fractions over `[-0.25, 1.25)`.
+    #[test]
+    fn to_index_equals_the_round_and_ceil_rule() {
+        let check = |f: f64| {
+            assert_eq!(
+                to_index(f),
+                to_index_reference(f),
+                "{f:e} ({:#x})",
+                f.to_bits()
+            );
+        };
+        for f in [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+        ] {
+            check(f);
+        }
+        for k in 0..=20 {
+            let edge = k as f64 * BUCKET_WIDTH;
+            let tolerance = 1e-9 * BUCKET_WIDTH;
+            for center in [edge, edge - tolerance, edge + tolerance] {
+                for d in -100_000..=100_000 {
+                    check(ulps_from(center, d));
+                }
+            }
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        for _ in 0..10_000_000 {
+            // xorshift64*
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            let r = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
+            check((r >> 11) as f64 / (1u64 << 53) as f64 * 1.5 - 0.25);
+        }
+    }
+
+    #[test]
+    fn resource_buckets_read_back_their_fractions() {
+        let b = ResourceBuckets::round_up(&ResourceVec::new(0.1 + 0.2 + 0.3, -1.0, 0.351, 0.05));
+        assert_eq!(b.indices(), [12, 0, 8, 1]);
+        assert_eq!(
+            b.fractions(),
+            ResourceVec::new(0.6000000000000001, 0.0, 0.4, 0.05)
+        );
+        assert_eq!(
+            b.max(&ResourceBuckets::splat(Bucket::from_index(3)))
+                .indices(),
+            [12, 3, 8, 3]
+        );
     }
 
     #[test]

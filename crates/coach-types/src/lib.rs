@@ -44,7 +44,7 @@ pub mod units;
 pub mod winvec;
 pub mod wire;
 
-pub use bucket::{bucket_up, Bucket};
+pub use bucket::{bucket_up, Bucket, ResourceBuckets};
 pub use config::{HardwareConfig, Offering, SubscriptionType, VmConfig};
 pub use growth::push_by_quarter;
 pub use idhash::{BuildIdHasher, IdHasher, IdMap};
@@ -53,14 +53,14 @@ pub use par::{available_threads, par_map, par_map_threads};
 pub use resource::{Fungibility, ResourceKind, ResourceVec, SharingMechanism};
 pub use runtime::{with_shard_threads, LaneStats, ShardWorkers, COMMAND_LANE_CAPACITY};
 pub use series::{Percentile, ResourceSeries, UtilSeries};
-pub use stats::{ResourceWindowStats, WindowPeaks, WindowStats};
+pub use stats::{ResourceWindowStats, WindowBuckets, WindowPeaks, WindowStats};
 pub use time::{SimDuration, TimeWindows, Timestamp, Weekday, TICKS_PER_DAY, TICKS_PER_HOUR};
 pub use units::{Units, UNITS_PER};
 pub use winvec::WindowVec;
 
 /// Convenient glob import for downstream crates.
 pub mod prelude {
-    pub use crate::bucket::{bucket_up, Bucket};
+    pub use crate::bucket::{bucket_up, Bucket, ResourceBuckets};
     pub use crate::config::{HardwareConfig, Offering, SubscriptionType, VmConfig};
     pub use crate::idhash::IdMap;
     pub use crate::ids::{ClusterId, ServerId, SubscriptionId, VmId};
@@ -68,7 +68,7 @@ pub mod prelude {
     pub use crate::resource::{Fungibility, ResourceKind, ResourceVec, SharingMechanism};
     pub use crate::runtime::{with_shard_threads, LaneStats, ShardWorkers, COMMAND_LANE_CAPACITY};
     pub use crate::series::{Percentile, ResourceSeries, UtilSeries};
-    pub use crate::stats::{ResourceWindowStats, WindowPeaks, WindowStats};
+    pub use crate::stats::{ResourceWindowStats, WindowBuckets, WindowPeaks, WindowStats};
     pub use crate::time::{
         SimDuration, TimeWindows, Timestamp, Weekday, TICKS_PER_DAY, TICKS_PER_HOUR,
     };

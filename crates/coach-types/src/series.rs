@@ -128,6 +128,7 @@ impl PercentileRank {
 
     /// The percentile given the two order statistics `sorted[lo]` and
     /// `sorted[hi]`.
+    #[inline]
     pub fn interpolate(&self, at_lo: f32, at_hi: f32) -> f32 {
         if self.lo == self.hi {
             at_lo

@@ -11,7 +11,7 @@
 //! resource first; a recorded series walks its samples once
 //! ([`WindowStats::from_series`], the reference implementation).
 
-use crate::bucket::bucket_up;
+use crate::bucket::{Bucket, ResourceBuckets};
 use crate::resource::{ResourceKind, ResourceVec};
 use crate::series::{percentile_of, percentile_of_sorted, Percentile, ResourceSeries, UtilSeries};
 use crate::time::{TimeWindows, Timestamp, TICKS_PER_DAY};
@@ -336,27 +336,55 @@ impl WindowPeaks {
         }
     }
 
-    /// Every value rounded up to its 5 % bucket ([`bucket_up`]), as an
-    /// oracle prediction keeps them.
-    pub fn bucket_up(mut self) -> Self {
-        for v in self
-            .lifetime_max
-            .iter_mut()
-            .chain(self.percentile.iter_mut())
-        {
-            for kind in ResourceKind::ALL {
-                v[kind] = bucket_up(v[kind]);
-            }
+    /// Every value rounded up to its 5 % bucket ([`Bucket::round_up`]), as
+    /// an oracle prediction keeps them.
+    pub fn bucket_up(&self) -> WindowBuckets {
+        let up = |v: &WindowVec| v.iter().map(ResourceBuckets::round_up).collect();
+        WindowBuckets {
+            lifetime_max: up(&self.lifetime_max),
+            percentile: up(&self.percentile),
         }
-        self
     }
 
-    /// The *decision form*: what Formulas 1–2 decide from the peaks and
+    /// Formula (1) of the raw peaks: per resource the largest `PX_t`.
+    pub fn pa(&self) -> ResourceVec {
+        self.percentile
+            .iter()
+            .fold(ResourceVec::ZERO, |acc, v| acc.max(v))
+    }
+}
+
+/// [`WindowPeaks`] as 5 % bucket indices, one [`ResourceBuckets`] per
+/// window for each of `Pmax_t` and `PX_t`: what a prediction carries and a
+/// demand reads. Both vectors stay inline (4 B per window) for every
+/// shipped partition.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WindowBuckets {
+    /// `Pmax_t`'s bucket per window and resource.
+    pub lifetime_max: WindowVec<ResourceBuckets>,
+    /// `PX_t`'s bucket per window and resource.
+    pub percentile: WindowVec<ResourceBuckets>,
+}
+
+impl WindowBuckets {
+    /// Bucket 0 everywhere over `tw`, for per-resource passes to fill in.
+    pub fn zero(tw: TimeWindows) -> Self {
+        let zeros = WindowVec::from_elem(ResourceBuckets::default(), tw.count());
+        WindowBuckets {
+            lifetime_max: zeros.clone(),
+            percentile: zeros,
+        }
+    }
+
+    /// The *decision form*: what Formulas 1–2 decide from the buckets and
     /// nothing more. Per resource, with `PA` the largest `PX_t` (Formula
     /// 1), every window's `PX_t` becomes `PA` and its `Pmax_t` becomes
     /// `max(Pmax_t, PA)`. The guarantee and each window's maximum above it
     /// (Formula 2) are unchanged; what is dropped is where, below `PA`, a
-    /// window's own `PX_t` and `Pmax_t` lay. Idempotent.
+    /// window's own `PX_t` and `Pmax_t` lay. Idempotent. Done on indices,
+    /// it reads as fractions exactly what the same rule on the bucketed
+    /// `f64` peaks gives, because [`Bucket::fraction`] is increasing in the
+    /// index.
     pub fn decision_form(mut self) -> Self {
         for kind in ResourceKind::ALL {
             self.decide(kind);
@@ -364,12 +392,13 @@ impl WindowPeaks {
         self
     }
 
-    /// [`WindowPeaks::decision_form`] of one resource, in place.
+    /// [`WindowBuckets::decision_form`] of one resource, in place, in
+    /// integers.
     pub fn decide(&mut self, kind: ResourceKind) {
         let pa = self
             .percentile
             .iter()
-            .fold(0.0, |pa: f64, v| pa.max(v[kind]));
+            .fold(Bucket::default(), |pa, v| pa.max(v[kind]));
         for (max, px) in self.lifetime_max.iter_mut().zip(self.percentile.iter_mut()) {
             max[kind] = max[kind].max(pa);
             px[kind] = pa;

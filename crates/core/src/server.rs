@@ -175,8 +175,8 @@ mod tests {
         let tw = TimeWindows::paper_default();
         let prediction = DemandPrediction {
             tw,
-            pmax: vec![ResourceVec::splat(0.8); 6].into(),
-            px: vec![ResourceVec::splat(0.6); 6].into(),
+            pmax: vec![ResourceBuckets::splat(Bucket::from_index(16)); 6].into(),
+            px: vec![ResourceBuckets::splat(Bucket::from_index(12)); 6].into(),
         };
         CoachVm::provision(request, Some(&prediction))
     }

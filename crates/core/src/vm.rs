@@ -144,18 +144,13 @@ mod tests {
         let tw = TimeWindows::new(3);
         DemandPrediction {
             tw,
-            pmax: [
-                ResourceVec::splat(0.50),
-                ResourceVec::splat(0.80),
-                ResourceVec::splat(0.60),
-            ]
-            .into(),
-            px: [
-                ResourceVec::splat(0.45),
-                ResourceVec::splat(0.70),
-                ResourceVec::splat(0.55),
-            ]
-            .into(),
+            // 50 / 80 / 60 % and 45 / 70 / 55 % on every resource.
+            pmax: [10, 16, 12]
+                .map(|k| ResourceBuckets::splat(Bucket::from_index(k)))
+                .into(),
+            px: [9, 14, 11]
+                .map(|k| ResourceBuckets::splat(Bucket::from_index(k)))
+                .into(),
         }
     }
 
@@ -225,15 +220,12 @@ mod proptests {
             gb_per_core in 1.0f64..16.0,
         ) {
             let tw = TimeWindows::paper_default();
-            let pmax: Vec<ResourceVec> = px
-                .iter()
-                .zip(&headroom)
-                .map(|(p, h)| ResourceVec::splat((p + h).min(1.0)))
-                .collect();
+            // Each fraction in its bucket, as a predictor rounds it.
+            let bucket = |f: f64| ResourceBuckets::round_up(&ResourceVec::splat(f));
             let prediction = DemandPrediction {
                 tw,
-                pmax: pmax.into(),
-                px: px.iter().map(|p| ResourceVec::splat(*p)).collect(),
+                pmax: px.iter().zip(&headroom).map(|(p, h)| bucket((p + h).min(1.0))).collect(),
+                px: px.iter().map(|p| bucket(*p)).collect(),
             };
             let request = VmRequest {
                 id: VmId::new(1),

@@ -1,13 +1,19 @@
 //! The trace's and the serving path's identities, driven through the
 //! `coach::` facade on a trace of 2,000 VMs: the streamed trace is the
 //! materialized one, the online controller decides what the batch replay
-//! decides, two shards decide what one does, and a scheduler's state is a
-//! function of what it hosts, not of the order it was placed and emptied
-//! in. Each case runs in well under two seconds in a debug build.
+//! decides, a controller snapshotted and restored mid-stream decides what
+//! an uninterrupted one does, two shards decide what one does, the probe
+//! estimator counts what the reference fill places, and a scheduler's
+//! state is a function of what it hosts, not of the order it was placed
+//! and emptied in. Each case runs in well under two seconds in a debug
+//! build.
 
 use coach::sched::{ClusterScheduler, PlacementOutcome, Policy, VmDemand};
 use coach::serve::{Controller, Request, RequestSource, Response, ShardedController};
-use coach::sim::{packing_experiment, Oracle, PackingResult, PolicyConfig, Predictor};
+use coach::sim::{
+    estimate_probe_capacity, measure_probe_capacity, packing_experiment, paper_probe_times,
+    probe_templates, Oracle, PackingResult, PolicyConfig, Predictor,
+};
 use coach::trace::{generate, StreamingTrace, Trace, TraceConfig, DEFAULT_CHUNK_BUDGET};
 use coach::types::prelude::*;
 
@@ -66,6 +72,105 @@ fn online_controller_equals_packing_experiment() {
         let batch = packing_experiment(&trace, &oracle, policy, 0.6);
         assert!(online.accepted > 0 && online.rejected > 0, "{online:?}");
         assert_eq!(online, batch, "{}", policy.label);
+    }
+}
+
+/// A controller snapshotted after a third and after two thirds of the
+/// requests and restored from the bytes, under every paper policy,
+/// answers every later request as the controller that was never
+/// interrupted does, and finalizes to the same `PackingResult`.
+#[test]
+fn interrupted_controller_equals_uninterrupted() {
+    let trace = trace();
+    let oracle = Oracle::new(TimeWindows::paper_default());
+    let requests: Vec<Request> = RequestSource::replaying(&trace).collect();
+    for policy in PolicyConfig::paper_set() {
+        let mut whole = Controller::replaying(&trace, &oracle, policy, 0.6);
+        let want: Vec<Response> = requests.iter().map(|r| whole.handle(*r)).collect();
+        let want_result = whole.finalize();
+
+        let mut controller = Controller::replaying(&trace, &oracle, policy, 0.6);
+        let cuts = [requests.len() / 3, 2 * requests.len() / 3, requests.len()];
+        let mut at = 0;
+        for cut in cuts {
+            for (i, request) in requests.iter().enumerate().take(cut).skip(at) {
+                assert_eq!(
+                    controller.handle(*request),
+                    want[i],
+                    "{} request {i}",
+                    policy.label
+                );
+            }
+            at = cut;
+            let snapshot = controller.snapshot();
+            controller =
+                Controller::restore(&oracle, &snapshot, |_| None).expect("a snapshot restores");
+        }
+        assert_eq!(controller.finalize(), want_result, "{}", policy.label);
+    }
+}
+
+/// At each of the paper's probe times of a replay through the clusters'
+/// schedulers, under every paper policy, the read-only estimator counts
+/// exactly the probes the reference fill places into clones of those
+/// schedulers.
+#[test]
+fn probe_estimator_equals_reference_fill() {
+    let trace = trace();
+    let tw = TimeWindows::paper_default();
+    let oracle = Oracle::new(tw);
+    // Departures before arrivals at equal times (free before alloc).
+    let mut events: Vec<(Timestamp, bool, usize)> = Vec::new();
+    for (i, vm) in trace.vms.iter().enumerate() {
+        events.push((vm.arrival, true, i));
+        events.push((vm.departure, false, i));
+    }
+    events.sort();
+    for policy in PolicyConfig::paper_set() {
+        let templates = probe_templates(&policy, tw.count());
+        let mut schedulers: Vec<ClusterScheduler> = trace
+            .clusters
+            .iter()
+            .map(|c| ClusterScheduler::new(&c.servers, c.hardware.capacity, tw.count()))
+            .collect();
+        let cluster_of = |i: usize| {
+            let id = trace.vms[i].cluster;
+            trace
+                .clusters
+                .iter()
+                .position(|c| c.id == id)
+                .expect("a known cluster")
+        };
+        let mut next = events.iter().peekable();
+        let mut measured = 0;
+        for probe in paper_probe_times(trace.horizon) {
+            while let Some(&&(t, arrives, i)) = next.peek() {
+                if t > probe {
+                    break;
+                }
+                next.next();
+                let vm = &trace.vms[i];
+                let sched = &mut schedulers[cluster_of(i)];
+                if arrives {
+                    let prediction = oracle.predict(vm, policy.percentile);
+                    let demand = VmDemand::from_prediction(
+                        vm.id,
+                        vm.demand(),
+                        policy.policy,
+                        prediction.as_ref(),
+                    );
+                    sched.place(&demand);
+                } else {
+                    sched.remove(vm.id);
+                }
+            }
+            let estimated = estimate_probe_capacity(schedulers.iter(), &templates);
+            let mut clones = schedulers.clone();
+            let placed = measure_probe_capacity(clones.iter_mut(), &templates);
+            assert_eq!(estimated, placed, "{} at {probe:?}", policy.label);
+            measured += estimated;
+        }
+        assert!(measured > 0, "{}: no spare room measured", policy.label);
     }
 }
 

@@ -158,9 +158,16 @@ impl VmDemand {
     ///
     /// Panics if `w >= self.window_count()`.
     pub fn va_demand(&self, w: usize) -> ResourceVec {
-        self.window_max[w]
-            .saturating_sub(&self.guaranteed)
-            .to_resources()
+        self.va_units(w).to_resources()
+    }
+
+    /// Formula (2) on the grid: what the Formula 4 pools sum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w >= self.window_count()`.
+    pub fn va_units(&self, w: usize) -> Units {
+        self.window_max[w].saturating_sub(&self.guaranteed)
     }
 
     /// Resources saved versus a full-request allocation, using the peak

@@ -50,7 +50,7 @@
 
 use crate::demand::VmDemand;
 use coach_types::prelude::*;
-use coach_types::{push_by_quarter, UNITS_PER};
+use coach_types::push_by_quarter;
 
 /// What a server keeps of a hosted VM's demand: the guaranteed portion and
 /// the per-window maxima, which is all `remove` subtracts.
@@ -541,7 +541,7 @@ impl ServerState {
                 *sum += va;
             }
         }
-        memory_gb(per_window.into_iter().max().unwrap_or(0))
+        Units::memory_sum_gb(per_window.into_iter().max().unwrap_or(0))
     }
 
     /// The non-multiplexed alternative: `Σ over VMs of max_w VA_demand` —
@@ -549,7 +549,7 @@ impl ServerState {
     /// Formula 4 ablation; always ≥ [`ServerState::oversub_pool_memory`]).
     /// Folds the hosted rows, like it.
     pub fn oversub_pool_memory_summed(&self) -> f64 {
-        memory_gb(self.va_memory().map(|va| va.max().unwrap_or(0)).sum())
+        Units::memory_sum_gb(self.va_memory().map(|va| va.max().unwrap_or(0)).sum())
     }
 
     /// Remaining guaranteed headroom per resource.
@@ -627,11 +627,6 @@ impl ServerState {
             hosted,
         }
     }
-}
-
-/// Memory grid units as GB.
-fn memory_gb(units: u64) -> f64 {
-    units as f64 / f64::from(UNITS_PER[ResourceKind::Memory.index()])
 }
 
 /// A [`ServerState`] flattened for snapshot/restore: its sums plus the

@@ -34,49 +34,65 @@
 //! changes no count: term by term `req · util ≤ req · ceiling` for
 //! `req ≥ 0`, and a float sum taken in one order is monotone in every
 //! term, so an exact sum above the threshold has a ceiling sum above it
-//! too.
+//! too. The memory threshold's Formula 3/4 pools are sums of memory grid
+//! units in `u64`, exact, so the backed memory a sample compares with
+//! ([`coach_sim::backed_memory`], which the batch sweep reads too) does not
+//! depend on the order VMs arrived and left in.
 //!
 //! **What it keeps, and for how long.** State is a function of what is
-//! resident, not of what has streamed. A tracked VM is a 128-byte
+//! resident, not of what has streamed. A tracked VM is a 96-byte
 //! `VmEntry` holding exactly what a sample reads — no trace record, no
-//! demand vector — so the accountant borrows nothing from the request
-//! stream. What repeats across entries is kept once: the sampler's
+//! demand vector, nothing on the heap — so the accountant borrows nothing
+//! from the request stream. Its quantities are `u16` grid units: the
+//! requested CPU and memory, Formula 1's guaranteed memory, and Formula 2's
+//! VA memory for up to six windows (`VA_WINDOWS`), inline; its times are
+//! `u32` ticks. What repeats across entries is kept once: the sampler's
 //! per-template half ([`SamplerShape`]: the pattern class and each
 //! resource's bump width, noise, weekend factor and drift) sits in a
 //! reference-counted table that every entry indexes, next to the per-VM
-//! half in the entry; and a Formula 2 VA vector whose values are all
-//! `+0.0` (most of them: memory's peak rarely exceeds its guaranteed
-//! share) is kept as its length alone. A snapshot carries every entry
-//! whole (`EntryDump`). An entry is dropped at the first sample at or
-//! after its departure, which its server evaluates within
-//! `SWEEP_SAMPLES + 1` samples of that departure (one at a flush point); a
-//! VM no remaining sample can see (it departs by its server's next sample,
-//! or that sample is past the horizon) is never stored; a shape leaves the
-//! table with its last entry; and nothing outlives the last sample. Each
-//! server keeps one buffer of entries. It grows by a quarter of its length
-//! when full (`push_by_quarter`), not by doubling, and when a sample
-//! leaves it less than a quarter full it shrinks to its length plus a
-//! quarter: every server holds its peak at once when the t=0 cohort
-//! lands, so doubling's slack would be paid on all of them together.
+//! half in the entry. A snapshot carries every entry whole (`EntryDump`).
+//! An entry is dropped at the first sample at or after its departure,
+//! which its server evaluates within `SWEEP_SAMPLES + 1` samples of that
+//! departure (one at a flush point); a VM no remaining sample can see (it
+//! departs by its server's next sample, or that sample is past the
+//! horizon) is never stored; a shape leaves the table with its last entry;
+//! and nothing outlives the last sample. Each server keeps one buffer of
+//! entries. It grows by a quarter of its length when full
+//! (`push_by_quarter`), not by doubling, and when a sample leaves it less
+//! than a quarter full it shrinks to its length plus a quarter: every
+//! server holds its peak at once when the t=0 cohort lands, so doubling's
+//! slack would be paid on all of them together.
 
 use coach_sched::VmDemand;
+use coach_sim::backed_memory;
 use coach_trace::{SamplerShape, SamplerVm, UtilSampler, VmRecord};
 use coach_types::prelude::*;
-use coach_types::{push_by_quarter, BuildIdHasher};
+use coach_types::{push_by_quarter, BuildIdHasher, UNITS_PER};
 use coach_wire::WireError;
 use std::collections::HashMap;
 
-/// What an elided VA vector reads: `+0.0`, as many as its length says.
-static ZEROS: [f64; u8::MAX as usize] = [0.0; u8::MAX as usize];
+/// The most time windows an entry keeps VA memory for, inline: the
+/// windows a [`WindowVec`] keeps inline, the paper's 6 × 4 h partition
+/// among them. A controller over more windows is refused.
+pub(crate) const VA_WINDOWS: usize = WindowVec::<Units>::INLINE;
 
-/// A VA vector as an entry keeps it: `(None, len)` when every value's
-/// bits are `+0.0` and `len` fits the count, else the values themselves.
-/// A `-0.0`, a NaN or a negative value is kept as it is.
-fn elide(va_mem: impl Iterator<Item = f64> + Clone) -> (Option<Box<[f64]>>, u8) {
-    match u8::try_from(va_mem.clone().count()) {
-        Ok(len) if va_mem.clone().all(|v| v.to_bits() == 0) => (None, len),
-        _ => (Some(va_mem.collect()), 0),
-    }
+/// The last tick the accountant samples before: an entry keeps its times
+/// as `u32` ticks, so a horizon past this one (about 40,800 years of
+/// 5-minute ticks) samples only up to it.
+const LAST_TICK: u64 = u32::MAX as u64;
+
+/// `t` as an entry keeps it, saturating at [`LAST_TICK`]. Every sample is
+/// below the horizon, which is at most that tick, so a saturated time
+/// compares with every sample as `t` does.
+fn tick(t: Timestamp) -> u32 {
+    u32::try_from(t.ticks()).unwrap_or(u32::MAX)
+}
+
+/// A grid count as an entry keeps it, saturating at `u16::MAX` units
+/// (3,276.75 GB of memory, 3,276 cores): five times the catalog's largest
+/// VM, 40 cores × 16 GB (12,800 memory units).
+fn narrow(units: u32) -> u16 {
+    u16::try_from(units).unwrap_or(u16::MAX)
 }
 
 /// A placed VM as the accountant tracks it: exactly what a sample reads,
@@ -84,77 +100,91 @@ fn elide(va_mem: impl Iterator<Item = f64> + Clone) -> (Option<Box<[f64]>>, u8) 
 /// [`ShapeTable`].
 #[derive(Debug, Clone)]
 pub(crate) struct VmEntry {
-    pub id: VmId,
-    pub arrival: Timestamp,
-    /// Effective departure: the record's, unless an explicit early
-    /// departure overrode it.
-    pub depart: Timestamp,
-    /// Requested CPU and memory (what utilization fractions scale).
-    pub req_cpu: f64,
-    pub req_mem: f64,
-    /// Formula 1's guaranteed memory.
-    pub guar_mem: f64,
-    /// Formula 2's oversubscribed memory per window, GB, subtracted on the
-    /// grid — `VmDemand::va_demand(w).memory()` — or `None` for
-    /// `zeros` values that are all `+0.0`.
-    va_mem: Option<Box<[f64]>>,
-    zeros: u8,
+    id: VmId,
+    /// Arrival and effective departure ([`tick`]): the record's departure,
+    /// unless an explicit early departure overrode it.
+    arrival: u32,
+    depart: u32,
     /// The sampler's per-VM half; `shape` is its per-template half's slot.
     util: SamplerVm,
     shape: u32,
+    /// Requested CPU and memory in grid units, rounded up as the scheduler
+    /// rounds a request ([`Units::round_up`]): what utilization fractions
+    /// scale. Every catalog size reads back exactly.
+    req: [u16; 2],
+    /// Formula 1's guaranteed memory, in memory grid units.
+    guar_mem: u16,
+    /// Formula 2's VA memory per window in memory grid units,
+    /// `VmDemand::va_units(w)`: `windows` of them, zero past them.
+    va_mem: [u16; VA_WINDOWS],
+    windows: u8,
 }
 
-const _: () = assert!(std::mem::size_of::<VmEntry>() <= 128);
+const _: () = assert!(std::mem::size_of::<VmEntry>() <= 96);
 
 impl VmEntry {
+    /// # Panics
+    ///
+    /// Panics if `demand` has more than [`VA_WINDOWS`] windows.
     fn new(rec: &VmRecord, demand: &VmDemand, shapes: &mut ShapeTable) -> Self {
-        let requested = rec.demand();
-        let guar_mem = demand.guaranteed.memory_gb();
-        let (va_mem, zeros) = elide(
-            demand
-                .window_max
-                .iter()
-                .map(|w| w.saturating_sub(&demand.guaranteed).memory_gb()),
+        let windows = demand.window_count();
+        assert!(
+            windows <= VA_WINDOWS,
+            "the accountant keeps at most {VA_WINDOWS} windows, not {windows}"
         );
+        let memory = ResourceKind::Memory;
+        let request = Units::round_up(&rec.demand());
+        let mut va_mem = [0; VA_WINDOWS];
+        for (w, va) in va_mem.iter_mut().take(windows).enumerate() {
+            *va = narrow(demand.va_units(w)[memory]);
+        }
         let (shape, util) = rec.profile.sampler().split();
         VmEntry {
             id: rec.id,
-            arrival: rec.arrival,
-            depart: rec.departure,
-            req_cpu: requested.cpu(),
-            req_mem: requested.memory(),
-            guar_mem,
-            va_mem,
-            zeros,
+            arrival: tick(rec.arrival),
+            depart: tick(rec.departure),
             util,
             shape: shapes.intern(shape),
+            req: [narrow(request[ResourceKind::Cpu]), narrow(request[memory])],
+            guar_mem: narrow(demand.guaranteed[memory]),
+            va_mem,
+            windows: windows as u8,
         }
     }
 
-    /// A dumped entry, its shape interned in `shapes`.
-    fn restore(dump: EntryDump, shapes: &mut ShapeTable) -> Self {
-        let (va_mem, zeros) = elide(dump.va_mem.iter().copied());
+    /// A dumped entry, its shape interned in `shapes`; one with more than
+    /// [`VA_WINDOWS`] VA windows is refused.
+    fn restore(dump: EntryDump, shapes: &mut ShapeTable) -> Result<Self, WireError> {
+        let windows = dump.va_mem.len();
+        if windows > VA_WINDOWS {
+            return Err(WireError::Invalid {
+                context: "VmEntry VA windows",
+            });
+        }
+        let mut va_mem = [0; VA_WINDOWS];
+        va_mem[..windows].copy_from_slice(&dump.va_mem);
         let (shape, util) = dump.util.split();
-        VmEntry {
+        Ok(VmEntry {
             id: dump.id,
             arrival: dump.arrival,
             depart: dump.depart,
-            req_cpu: dump.req_cpu,
-            req_mem: dump.req_mem,
-            guar_mem: dump.guar_mem,
-            va_mem,
-            zeros,
             util,
             shape: shapes.intern(shape),
-        }
+            req: dump.req,
+            guar_mem: dump.guar_mem,
+            va_mem,
+            windows: windows as u8,
+        })
     }
 
-    /// Formula 2's VA memory per window.
-    fn va_mem(&self) -> &[f64] {
-        match &self.va_mem {
-            Some(vals) => vals,
-            None => &ZEROS[..self.zeros as usize],
-        }
+    /// Requested CPU, cores.
+    fn req_cpu(&self) -> f64 {
+        f64::from(self.req[0]) / f64::from(UNITS_PER[ResourceKind::Cpu.index()])
+    }
+
+    /// Requested memory, GB.
+    fn req_mem(&self) -> f64 {
+        f64::from(self.req[1]) / f64::from(UNITS_PER[ResourceKind::Memory.index()])
     }
 
     /// The whole sampler: `VmProfile::util_at`'s bits.
@@ -167,11 +197,36 @@ impl VmEntry {
             id: self.id,
             arrival: self.arrival,
             depart: self.depart,
-            req_cpu: self.req_cpu,
-            req_mem: self.req_mem,
+            req: self.req,
             guar_mem: self.guar_mem,
-            va_mem: self.va_mem().to_vec(),
+            va_mem: self.va_mem[..usize::from(self.windows)].to_vec(),
             util: self.util(shapes),
+        }
+    }
+}
+
+/// Formula 3's Σ guaranteed memory and Formula 4's Σ VA memory per window
+/// over a server's admitted entries, in memory grid units. The sums are
+/// exact, so they are a pure function of the admitted set, whatever order
+/// it was admitted and retired in.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Pools {
+    guaranteed: u64,
+    va: [u64; VA_WINDOWS],
+}
+
+impl Pools {
+    fn add(&mut self, e: &VmEntry) {
+        self.guaranteed += u64::from(e.guar_mem);
+        for (sum, &v) in self.va.iter_mut().zip(&e.va_mem) {
+            *sum += u64::from(v);
+        }
+    }
+
+    fn sub(&mut self, e: &VmEntry) {
+        self.guaranteed -= u64::from(e.guar_mem);
+        for (sum, &v) in self.va.iter_mut().zip(&e.va_mem) {
+            *sum -= u64::from(v);
         }
     }
 }
@@ -242,10 +297,9 @@ pub(crate) struct ServerAccount {
     /// order placements happen in, so no sort is ever needed.
     pub entries: Vec<VmEntry>,
     pub admitted: usize,
-    /// Formula 3 running sum: Σ guaranteed memory over the admitted.
-    pub pa_sum: f64,
-    /// Formula 4 running sums: Σ VA memory per window over the admitted.
-    pub va_sums: Vec<f64>,
+    /// The Formula 3/4 running sums over the admitted: derived on restore,
+    /// like the ceiling sums, not carried on the wire.
+    pub pools: Pools,
     /// Σ `req_cpu · cpu ceiling` and Σ `req_mem · memory ceiling` over the
     /// admitted, in admission order ([`ceiling_sums`]): summed anew
     /// whenever a sample changes the admitted prefix, never updated
@@ -265,8 +319,7 @@ impl ServerAccount {
             next_sample: Timestamp::ZERO,
             entries: Vec::new(),
             admitted: 0,
-            pa_sum: 0.0,
-            va_sums: Vec::new(),
+            pools: Pools::default(),
             ceiling_sums: [0.0; 2],
             samples: 0,
             cpu_violations: 0,
@@ -282,35 +335,32 @@ impl ServerAccount {
             next_sample: self.next_sample,
             entries: self.entries.iter().map(|e| e.dump(shapes)).collect(),
             admitted: self.admitted,
-            pa_sum: self.pa_sum,
-            va_sums: self.va_sums.clone(),
             samples: self.samples,
             cpu_violations: self.cpu_violations,
             mem_violations: self.mem_violations,
         }
     }
 
-    /// A dumped account, its entries' shapes interned in `shapes`.
-    fn restore(dump: ServerDump, shapes: &mut ShapeTable) -> Self {
+    /// A dumped account, its entries' shapes interned in `shapes`, and its
+    /// pools and ceiling sums summed from the admitted prefix.
+    fn restore(dump: ServerDump, shapes: &mut ShapeTable) -> Result<Self, WireError> {
         let mut account = ServerAccount {
-            server: dump.server,
-            capacity: dump.capacity,
-            next_sample: dump.next_sample,
-            entries: dump
-                .entries
-                .into_iter()
-                .map(|e| VmEntry::restore(e, shapes))
-                .collect(),
+            entries: Vec::with_capacity(dump.entries.len()),
             admitted: dump.admitted,
-            pa_sum: dump.pa_sum,
-            va_sums: dump.va_sums,
-            ceiling_sums: [0.0; 2],
             samples: dump.samples,
             cpu_violations: dump.cpu_violations,
             mem_violations: dump.mem_violations,
+            next_sample: dump.next_sample,
+            ..ServerAccount::new(dump.server, dump.capacity)
         };
+        for e in dump.entries {
+            account.entries.push(VmEntry::restore(e, shapes)?);
+        }
+        for e in account.entries.iter().take(account.admitted) {
+            account.pools.add(e);
+        }
         account.sum_ceilings(shapes);
-        account
+        Ok(account)
     }
 
     /// Derive the ceiling sums from the admitted prefix (a dump carries
@@ -353,30 +403,25 @@ impl ServerAccount {
         }
     }
 
-    /// Evaluate the sample at `t`. Admission, retirement, summation, and
-    /// comparison order all mirror the batch sweep exactly: every addition
-    /// in placement order, then every subtraction in admission order.
+    /// Evaluate the sample at `t` (below the horizon, so at most
+    /// [`LAST_TICK`]). Admission, retirement and the order of the CPU and
+    /// memory use sums all mirror the batch sweep exactly: every addition in
+    /// placement order, then every subtraction in admission order.
     fn sample(&mut self, t: Timestamp, shapes: &mut ShapeTable, work: &mut AccountWork) {
+        let now = tick(t);
         // Admit VMs that have arrived by now, skipping any that already
         // departed (an early departure before the VM's first sample: it
         // never touches the sums — exactly as the batch sweep skips it).
         let was_admitted = self.admitted;
         let mut arrived = was_admitted;
-        while let Some(e) = self.entries.get(arrived).filter(|e| e.arrival <= t) {
-            if e.depart > t {
-                self.pa_sum += e.guar_mem;
-                let va = e.va_mem();
-                if self.va_sums.len() < va.len() {
-                    self.va_sums.resize(va.len(), 0.0);
-                }
-                for (sum, v) in self.va_sums.iter_mut().zip(va) {
-                    *sum += v;
-                }
+        while let Some(e) = self.entries.get(arrived).filter(|e| e.arrival <= now) {
+            if e.depart > now {
+                self.pools.add(e);
             }
             arrived += 1;
         }
         // Retire the departed, subtracting what was added for them.
-        let (pa_sum, va_sums) = (&mut self.pa_sum, &mut self.va_sums);
+        let pools = &mut self.pools;
         let (mut index, mut kept, mut changed) = (0, 0, false);
         self.entries.retain(|e| {
             let i = index;
@@ -386,17 +431,14 @@ impl ServerAccount {
             }
             // The admitted prefix changes when one of it retires or an
             // arrival joins it.
-            let keep = e.depart > t;
+            let keep = e.depart > now;
             changed |= keep != (i < was_admitted);
             if keep {
                 kept += 1;
                 return true;
             }
             if i < was_admitted {
-                *pa_sum -= e.guar_mem;
-                for (sum, v) in va_sums.iter_mut().zip(e.va_mem()) {
-                    *sum -= v;
-                }
+                pools.sub(e);
             }
             shapes.release(e.shape);
             false
@@ -427,24 +469,20 @@ impl ServerAccount {
                 work.cpu_exact += 1;
                 let used = resident
                     .iter()
-                    .fold(0.0, |sum, e| sum + e.req_cpu * e.util(shapes).cpu_at(t));
+                    .fold(0.0, |sum, e| sum + e.req_cpu() * e.util(shapes).cpu_at(t));
                 if used > cpu_limit {
                     self.cpu_violations += 1;
                 }
             }
-            // Memory contention: the working set exceeds the *backed*
-            // memory — guaranteed (Formula 3) plus the multiplexed pool
-            // (Formula 4) — capped at physical capacity. max(0) clamps
-            // floating-point dust from the incremental sums.
-            let pool = self.va_sums.iter().copied().fold(0.0, f64::max);
-            let backed = (self.pa_sum.max(0.0) + pool).min(self.capacity.memory());
-            let mem_limit = backed + 1e-9;
-            if self.ceiling_sums[1] > mem_limit {
+            // Memory contention: the working set exceeds the backed
+            // memory.
+            let backed = backed_memory(self.pools.guaranteed, &self.pools.va, &self.capacity);
+            if self.ceiling_sums[1] > backed {
                 work.mem_exact += 1;
-                let used = resident
-                    .iter()
-                    .fold(0.0, |sum, e| sum + e.req_mem * e.util(shapes).memory_at(t));
-                if used > mem_limit {
+                let used = resident.iter().fold(0.0, |sum, e| {
+                    sum + e.req_mem() * e.util(shapes).memory_at(t)
+                });
+                if used > backed {
                     self.mem_violations += 1;
                 }
             }
@@ -456,13 +494,14 @@ impl ServerAccount {
 /// in its order. Term by term `req · util ≤ req · ceiling` for `req ≥ 0`,
 /// and a float sum taken in one order is monotone in every term, so each
 /// bounds the exact sum a sample would take: a sample whose ceiling sum
-/// does not cross a threshold cannot cross it either. A term the sign
-/// argument does not cover (a negative or NaN request, or `∞ · 0`) is
-/// `+∞`, so its server is always sampled exactly.
+/// does not cross a threshold cannot cross it either. A request is never
+/// negative; a term the sign argument does not cover (a negative or NaN
+/// ceiling from a restored sampler, or `∞ · 0`) is `+∞`, so its server is
+/// always sampled exactly.
 fn ceiling_sums(admitted: &[VmEntry], shapes: &ShapeTable) -> [f64; 2] {
     let term = |req: f64, ceiling: f64| {
         let term = req * ceiling;
-        if req >= 0.0 && term >= 0.0 {
+        if term >= 0.0 {
             term
         } else {
             f64::INFINITY
@@ -471,8 +510,8 @@ fn ceiling_sums(admitted: &[VmEntry], shapes: &ShapeTable) -> [f64; 2] {
     admitted.iter().fold([0.0; 2], |[cpu, mem], e| {
         let (cpu_ceiling, mem_ceiling) = e.util(shapes).ceilings();
         [
-            cpu + term(e.req_cpu, cpu_ceiling),
-            mem + term(e.req_mem, mem_ceiling),
+            cpu + term(e.req_cpu(), cpu_ceiling),
+            mem + term(e.req_mem(), mem_ceiling),
         ]
     })
 }
@@ -512,7 +551,8 @@ const SWEEP_SAMPLES: u64 = 8;
 
 /// The cluster-wide incremental accountant: per-server Formula 3/4 running
 /// sums plus CPU/memory violation counters, maintained at event
-/// granularity.
+/// granularity. It samples up to its horizon, or up to tick `u32::MAX`
+/// (about 40,800 years) if that comes first.
 #[derive(Debug, Clone)]
 pub struct ViolationAccountant {
     sample_every: SimDuration,
@@ -535,7 +575,7 @@ impl ViolationAccountant {
         assert!(sample_every.ticks() > 0, "sample cadence must be positive");
         ViolationAccountant {
             sample_every,
-            horizon,
+            horizon: horizon.min(Timestamp::from_ticks(LAST_TICK)),
             swept_to: Timestamp::ZERO,
             servers: Vec::new(),
             index: IdMap::default(),
@@ -624,7 +664,7 @@ impl ViolationAccountant {
             &mut self.work,
         );
         for e in account.entries.iter_mut().filter(|e| e.id == vm) {
-            e.depart = e.depart.min(now);
+            e.depart = e.depart.min(tick(now));
         }
     }
 
@@ -659,6 +699,15 @@ impl ViolationAccountant {
         self.work
     }
 
+    /// `server`'s Formula 3 and Formula 4 pools over the VMs its last
+    /// sample admitted, in memory grid units: Σ guaranteed memory and
+    /// Σ VA memory per window ([`coach_sim::backed_memory`] reads them as
+    /// the backed GB). `None` for a server nothing was placed on.
+    pub fn memory_pools(&self, server: ServerId) -> Option<(u64, [u64; VA_WINDOWS])> {
+        let pools = self.servers[*self.index.get(&server)? as usize].pools;
+        Some((pools.guaranteed, pools.va))
+    }
+
     /// How many VMs the accountant holds an entry for right now. After a
     /// flush at `now` ([`Self::advance`]): at most the residents plus
     /// those that departed within the last `sample_every`.
@@ -668,16 +717,16 @@ impl ViolationAccountant {
 
     /// Copy out the full sampling state for the snapshot codec, every
     /// entry whole: its sampler joined from the shape table and its VA
-    /// vector at its length, so a dump — and equality of dumps — never sees
-    /// a table slot.
+    /// vector at its window count, so a dump — and equality of dumps —
+    /// never sees a table slot.
     ///
     /// Servers travel in first-placement order — a function of the event
     /// stream, not of the index map's layout — and each server's entry
-    /// order is preserved **verbatim**: admission, retirement, and the
-    /// Formula 3/4 running sums all execute in entry order, so reordering
-    /// here would change floating-point results after a restore. The
-    /// running sums themselves travel as raw bits and are never
-    /// recomputed.
+    /// order is preserved **verbatim**: admission, retirement and the CPU
+    /// and memory use sums all run in entry order, so reordering here would
+    /// change floating-point results after a restore. The Formula 3/4 pools
+    /// and the ceiling sums do not travel: restoring sums them from the
+    /// admitted prefix, exactly for the pools.
     pub(crate) fn dump(&self) -> AccountantDump {
         AccountantDump {
             swept_to: self.swept_to,
@@ -694,7 +743,8 @@ impl ViolationAccountant {
     /// names a server twice is refused — resampling from partial state
     /// would silently corrupt the violation counters — and so is one whose
     /// next sample is off the `sample_every` grid, which no uninterrupted
-    /// run samples at.
+    /// run samples at, and one with an entry of more than [`VA_WINDOWS`]
+    /// VA windows.
     pub(crate) fn from_dump(
         sample_every: SimDuration,
         horizon: Timestamp,
@@ -722,10 +772,10 @@ impl ViolationAccountant {
             .servers
             .into_iter()
             .map(|account| ServerAccount::restore(account, &mut shapes))
-            .collect();
+            .collect::<Result<_, _>>()?;
         Ok(ViolationAccountant {
             sample_every,
-            horizon,
+            horizon: horizon.min(Timestamp::from_ticks(LAST_TICK)),
             swept_to: dump.swept_to,
             servers,
             index,
@@ -744,8 +794,8 @@ pub(crate) struct AccountantDump {
     pub servers: Vec<ServerDump>,
 }
 
-/// A [`ServerAccount`] as a dump carries it: everything but the ceiling
-/// sums, which restoring derives.
+/// A [`ServerAccount`] as a dump carries it: everything but the pools and
+/// the ceiling sums, which restoring derives.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ServerDump {
     pub server: ServerId,
@@ -753,24 +803,21 @@ pub(crate) struct ServerDump {
     pub next_sample: Timestamp,
     pub entries: Vec<EntryDump>,
     pub admitted: usize,
-    pub pa_sum: f64,
-    pub va_sums: Vec<f64>,
     pub samples: u64,
     pub cpu_violations: u64,
     pub mem_violations: u64,
 }
 
 /// A [`VmEntry`] as a dump carries it: the whole [`UtilSampler`] and the VA
-/// vector at its length.
+/// vector at its window count.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct EntryDump {
     pub id: VmId,
-    pub arrival: Timestamp,
-    pub depart: Timestamp,
-    pub req_cpu: f64,
-    pub req_mem: f64,
-    pub guar_mem: f64,
-    pub va_mem: Vec<f64>,
+    pub arrival: u32,
+    pub depart: u32,
+    pub req: [u16; 2],
+    pub guar_mem: u16,
+    pub va_mem: Vec<u16>,
     pub util: UtilSampler,
 }
 
@@ -784,7 +831,8 @@ mod tests {
     /// First principles: walk every sample, rebuilding state from scratch —
     /// `(samples, cpu_violations, mem_violations)` for `vms` (records
     /// carrying their effective departure, in placement order) all on one
-    /// server, with Formula 3/4's backed memory summed from each demand.
+    /// server, with Formula 3/4's backed memory summed in memory grid units
+    /// from each demand.
     fn direct_counts(
         vms: &[(VmRecord, VmDemand)],
         capacity: ResourceVec,
@@ -792,6 +840,7 @@ mod tests {
         horizon: Timestamp,
     ) -> (u64, u64, u64) {
         let windows = vms.iter().map(|(_, d)| d.window_count()).max().unwrap_or(1);
+        let memory = ResourceKind::Memory;
         let (mut e_samples, mut e_cpu, mut e_mem) = (0u64, 0u64, 0u64);
         let mut t = Timestamp::ZERO;
         while t < horizon {
@@ -799,21 +848,21 @@ mod tests {
             if !alive.is_empty() {
                 e_samples += 1;
                 let mut used = ResourceVec::ZERO;
-                let mut pa = 0.0;
-                let mut va = vec![0.0; windows];
+                let mut pa = 0u64;
+                let mut va = vec![0u64; windows];
                 for (v, d) in &alive {
                     used += v.used_at(t);
-                    pa += d.guaranteed.memory_gb();
+                    pa += u64::from(d.guaranteed[memory]);
                     for (sum, w) in va.iter_mut().zip(d.window_max.iter()) {
-                        *sum += w.saturating_sub(&d.guaranteed).memory_gb();
+                        *sum += u64::from(w.saturating_sub(&d.guaranteed)[memory]);
                     }
                 }
                 if used.cpu() > 0.5 * capacity.cpu() {
                     e_cpu += 1;
                 }
-                let pool = va.into_iter().fold(0.0, f64::max);
-                let backed = (pa.max(0.0) + pool).min(capacity.memory());
-                if used.memory() > backed + 1e-9 {
+                let pool = va.into_iter().max().unwrap_or(0);
+                let backed = Units::memory_sum_gb(pa + pool).min(capacity.memory());
+                if used.memory() > backed {
                     e_mem += 1;
                 }
             }
@@ -975,16 +1024,14 @@ mod tests {
     }
 
     /// One server's dump holding an admitted entry and one arriving at
-    /// the next sample, both with VA vector `va` and `vm`'s sampler, and
-    /// running sums of `-0.0`.
-    fn one_server_dump(vm: &VmRecord, va: &[f64]) -> AccountantDump {
+    /// the next sample, both with VA vector `va` and `vm`'s sampler.
+    fn one_server_dump(vm: &VmRecord, va: &[u16]) -> AccountantDump {
         let entry = |arrival| EntryDump {
             id: vm.id,
             arrival,
-            depart: Timestamp::from_days(30),
-            req_cpu: 2.0,
-            req_mem: 8.0,
-            guar_mem: 4.0,
+            depart: tick(Timestamp::from_days(30)),
+            req: [40, 160],
+            guar_mem: 80,
             va_mem: va.to_vec(),
             util: vm.profile.sampler(),
         };
@@ -994,10 +1041,8 @@ mod tests {
                 server: ServerId::new(3),
                 capacity: ResourceVec::new(96.0, 384.0, 40.0, 4096.0),
                 next_sample: Timestamp::from_hours(2),
-                entries: vec![entry(Timestamp::ZERO), entry(Timestamp::from_hours(1))],
+                entries: vec![entry(0), entry(tick(Timestamp::from_hours(1)))],
                 admitted: 1,
-                pa_sum: -0.0,
-                va_sums: vec![-0.0; va.len()],
                 samples: 1,
                 cpu_violations: 0,
                 mem_violations: 0,
@@ -1005,43 +1050,66 @@ mod tests {
         }
     }
 
-    /// A VA vector whose values are all `+0.0` is kept as its length, up
-    /// to 255; any other is kept as it is. Either way a decoded entry
-    /// re-encodes byte for byte, and admitting an elided vector still adds
-    /// its zeros: a `-0.0` running sum turns `+0.0`, as it always did.
+    /// A VA vector of up to six windows restores inline and re-encodes
+    /// byte for byte; the pools are the admitted prefix's sums, and
+    /// admitting the second entry doubles them. A longer vector is
+    /// refused.
     #[test]
-    fn hostile_va_vectors_reencode_byte_identically() {
+    fn va_vectors_restore_inline_or_are_refused() {
         let trace = generate(&TraceConfig::small(7));
-        let nan = f64::from_bits(f64::NAN.to_bits() | 5);
-        let vectors: [Vec<f64>; 9] = [
-            vec![-0.0],
-            vec![0.0, nan, 0.0],
-            vec![0.0, -2.5],
-            vec![0.0],
-            vec![0.0; 6],
-            vec![0.0; 8],
-            (0..8).map(f64::from).collect(),
-            vec![0.0; 300],
-            vec![],
+        let vectors: [&[u16]; 6] = [
+            &[],
+            &[0],
+            &[7],
+            &[0, u16::MAX, 0],
+            &[1, 2, 3, 4, 5, 6],
+            &[0; 7],
         ];
         let (every, horizon) = (SimDuration::from_hours(2), trace.horizon);
         for va in vectors {
-            let bytes = coach_wire::seal_frame(&one_server_dump(&trace.vms[0], &va));
+            let bytes = coach_wire::seal_frame(&one_server_dump(&trace.vms[0], va));
             let dump = coach_wire::open_frame(&bytes).expect("a valid frame");
-            let mut acc = ViolationAccountant::from_dump(every, horizon, dump).expect("valid");
+            let Ok(mut acc) = ViolationAccountant::from_dump(every, horizon, dump) else {
+                assert!(va.len() > VA_WINDOWS, "{va:?} refused");
+                continue;
+            };
+            assert!(va.len() <= VA_WINDOWS);
             assert_eq!(coach_wire::seal_frame(&acc.dump()), bytes, "{va:?}");
-
-            let elided = va.len() <= 255 && va.iter().all(|v| v.to_bits() == 0);
-            for e in &acc.servers[0].entries {
-                assert_eq!(e.va_mem.is_none(), elided, "{va:?}");
-                assert_eq!(e.va_mem().len(), va.len());
-            }
+            let sums = |n: u64| {
+                let mut sums = [0; VA_WINDOWS];
+                for (sum, &v) in sums.iter_mut().zip(va) {
+                    *sum = n * u64::from(v);
+                }
+                (n * 80, sums)
+            };
+            let server = ServerId::new(3);
+            assert_eq!(acc.memory_pools(server), Some(sums(1)), "{va:?}");
             acc.advance(Timestamp::from_hours(3));
-            let sums = &acc.servers[0].va_sums;
-            for (sum, v) in sums.iter().zip(&va) {
-                assert_eq!(sum.to_bits(), (-0.0 + v).to_bits(), "{va:?}");
-            }
+            assert_eq!(acc.memory_pools(server), Some(sums(2)), "{va:?}");
         }
+    }
+
+    /// Every catalog size reads back the request's own `f64`s, so a
+    /// sample scales utilization by exactly what the batch sweep does.
+    #[test]
+    fn every_catalog_size_reads_back_its_request() {
+        let trace = generate(&TraceConfig::small(7));
+        let mut shapes = ShapeTable::default();
+        let mut sizes = 0;
+        for config in coach_trace::catalog_sizes() {
+            let mut rec = trace.vms[0].clone();
+            rec.config = config;
+            let demand = VmDemand::unpredicted(rec.id, rec.demand());
+            let entry = VmEntry::new(&rec, &demand, &mut shapes);
+            assert_eq!(entry.req_cpu().to_bits(), config.demand().cpu().to_bits());
+            assert_eq!(
+                entry.req_mem().to_bits(),
+                config.demand().memory().to_bits()
+            );
+            assert_eq!(entry.guar_mem, entry.req[1]);
+            sizes += 1;
+        }
+        assert_eq!(sizes, 28);
     }
 
     /// The shape table holds one reference per tracked entry and no shape
@@ -1335,8 +1403,12 @@ mod tests {
                     prop_assert_eq!(util.cpu_at(t).to_bits(), cpu.to_bits());
                     prop_assert_eq!(util.memory_at(t).to_bits(), mem.to_bits());
                     prop_assert_eq!(
-                        (entry.req_cpu * cpu).to_bits(),
+                        (entry.req_cpu() * cpu).to_bits(),
                         (rec.demand().cpu() * cpu).to_bits()
+                    );
+                    prop_assert_eq!(
+                        (entry.req_mem() * mem).to_bits(),
+                        (rec.demand().memory() * mem).to_bits()
                     );
                 }
             }

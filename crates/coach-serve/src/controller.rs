@@ -1,6 +1,6 @@
 //! The single-shard event-driven cluster controller.
 
-use crate::account::{AccountantDump, ViolationAccountant};
+use crate::account::{AccountantDump, ViolationAccountant, VA_WINDOWS};
 use crate::calendar::DepartureCalendar;
 use crate::request::{Request, Response, StatsReport};
 use crate::telemetry::{ControllerTelemetry, ADMISSION_SAMPLE_EVERY};
@@ -191,8 +191,9 @@ impl<'a> Controller<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `clusters` is empty or `server_fraction` is not in
-    /// `(0, 1]`.
+    /// Panics if `clusters` is empty, `server_fraction` is not in
+    /// `(0, 1]`, or `predictor` has more time windows than the accountant
+    /// keeps inline (six).
     pub fn new(clusters: &[Cluster], predictor: &'a dyn Predictor, config: ServeConfig) -> Self {
         assert!(!clusters.is_empty(), "need at least one cluster");
         assert!(
@@ -200,6 +201,10 @@ impl<'a> Controller<'a> {
             "server fraction in (0, 1]"
         );
         let tw = predictor.time_windows();
+        assert!(
+            tw.count() <= VA_WINDOWS,
+            "the accountant keeps at most {VA_WINDOWS} time windows"
+        );
         let mut states: Vec<ClusterState> = clusters
             .iter()
             .map(|cluster| {
@@ -682,7 +687,8 @@ impl<'a> Controller<'a> {
     ///
     /// Anything wrong with the bytes surfaces as `Err(WireError)`:
     /// truncation and bad tags, a window partition that disagrees with
-    /// `predictor`, an out-of-range server fraction or sampling cadence, a
+    /// `predictor` or has more windows than [`Controller::new`] takes, an
+    /// out-of-range server fraction or sampling cadence, a
     /// scheduler or accountant dump its `from_dump` would refuse, a
     /// resident map that disagrees with the schedulers about who is hosted
     /// where, and departures out of their canonical `(time, seq)` order.
@@ -694,7 +700,7 @@ impl<'a> Controller<'a> {
         let dump: ControllerDump = coach_wire::open_frame(snapshot.bytes())?;
         let invalid = |context| Err(WireError::Invalid { context });
         let tw = predictor.time_windows();
-        if dump.windows_per_day as usize != tw.count() {
+        if dump.windows_per_day as usize != tw.count() || tw.count() > VA_WINDOWS {
             return invalid("snapshot window partition");
         }
         let config = dump.config;

@@ -98,11 +98,10 @@ impl Decode for ServeConfig {
 impl Encode for EntryDump {
     fn encode(&self, e: &mut Encoder) {
         self.id.encode(e);
-        self.arrival.encode(e);
-        self.depart.encode(e);
-        e.f64(self.req_cpu);
-        e.f64(self.req_mem);
-        e.f64(self.guar_mem);
+        e.u32(self.arrival);
+        e.u32(self.depart);
+        self.req.encode(e);
+        e.u16(self.guar_mem);
         self.va_mem.encode(e);
         self.util.encode(e);
     }
@@ -112,11 +111,10 @@ impl Decode for EntryDump {
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         Ok(EntryDump {
             id: Decode::decode(d)?,
-            arrival: Decode::decode(d)?,
-            depart: Decode::decode(d)?,
-            req_cpu: d.f64("VmEntry req_cpu")?,
-            req_mem: d.f64("VmEntry req_mem")?,
-            guar_mem: d.f64("VmEntry guar_mem")?,
+            arrival: d.u32("VmEntry arrival")?,
+            depart: d.u32("VmEntry depart")?,
+            req: Decode::decode(d)?,
+            guar_mem: d.u16("VmEntry guar_mem")?,
             va_mem: Decode::decode(d)?,
             util: Decode::decode(d)?,
         })
@@ -130,8 +128,6 @@ impl Encode for ServerDump {
         self.next_sample.encode(e);
         self.entries.encode(e);
         e.usize(self.admitted);
-        e.f64(self.pa_sum);
-        self.va_sums.encode(e);
         e.u64(self.samples);
         e.u64(self.cpu_violations);
         e.u64(self.mem_violations);
@@ -146,8 +142,6 @@ impl Decode for ServerDump {
             next_sample: Decode::decode(d)?,
             entries: Decode::decode(d)?,
             admitted: d.usize("ServerAccount admitted")?,
-            pa_sum: d.f64("ServerAccount pa_sum")?,
-            va_sums: Decode::decode(d)?,
             samples: d.u64("ServerAccount samples")?,
             cpu_violations: d.u64("ServerAccount cpu_violations")?,
             mem_violations: d.u64("ServerAccount mem_violations")?,

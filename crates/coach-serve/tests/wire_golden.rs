@@ -49,11 +49,11 @@ fn golden_snapshot() -> (coach_trace::Trace, Snapshot) {
 #[test]
 fn golden_snapshot_bytes_are_pinned() {
     let (_trace, snapshot) = golden_snapshot();
-    let fixture = load_or_bless("snapshot_v9.bin", snapshot.bytes());
+    let fixture = load_or_bless("snapshot_v10.bin", snapshot.bytes());
     assert_eq!(
         snapshot.bytes(),
         &fixture[..],
-        "snapshot encoding drifted from the committed v9 fixture — \
+        "snapshot encoding drifted from the committed v10 fixture — \
          this is a wire format change and needs a VERSION bump"
     );
 }
@@ -61,7 +61,7 @@ fn golden_snapshot_bytes_are_pinned() {
 #[test]
 fn golden_snapshot_restores_and_resumes() {
     let (trace, live) = golden_snapshot();
-    let fixture = load_or_bless("snapshot_v9.bin", live.bytes());
+    let fixture = load_or_bless("snapshot_v10.bin", live.bytes());
     let committed = Snapshot::from_bytes(fixture);
 
     // The committed bytes restore, re-snapshot to themselves, and finish
@@ -91,7 +91,7 @@ const PROBE_MODE_BYTE: usize = 33;
 #[test]
 fn a_frame_with_the_exhaustive_byte_restores_and_measures_as_estimated() {
     let (trace, live) = golden_snapshot();
-    let fixture = load_or_bless("snapshot_v9.bin", live.bytes());
+    let fixture = load_or_bless("snapshot_v10.bin", live.bytes());
     assert_eq!(fixture[PROBE_MODE_BYTE], 1, "the fixture's probe mode");
     let mut exhaustive = fixture.clone();
     exhaustive[PROBE_MODE_BYTE] = 0;
@@ -125,13 +125,15 @@ fn older_versioned_snapshots_are_rejected_structurally() {
     // in every scheduler dump; 7: a heuristic byte in `ServeConfig`, the
     // Formula 4 pool sums in every server dump, and a second copy of each
     // cluster's capacity beside its scheduler dump; 8: capacities, sums and
-    // hosted rows as `f64` resource vectors, not grid units):
+    // hosted rows as `f64` resource vectors, not grid units; 9: the
+    // accountant's entries with `f64` requests and memory and `u64` times,
+    // and its Formula 3/4 running sums as `f64` bits in every server dump):
     // restoring it must fail with the typed version error, never
     // re-interpret the old layout.
     let (_trace, live) = golden_snapshot();
     let oracle = Oracle::new(TimeWindows::paper_default());
-    for old in [1u16, 2, 3, 4, 5, 6, 7, 8] {
-        let mut bytes = load_or_bless("snapshot_v9.bin", live.bytes());
+    for old in [1u16, 2, 3, 4, 5, 6, 7, 8, 9] {
+        let mut bytes = load_or_bless("snapshot_v10.bin", live.bytes());
         bytes[4..6].copy_from_slice(&old.to_le_bytes());
         let restored = Controller::restore(&oracle, &Snapshot::from_bytes(bytes), |_| None);
         assert_eq!(
@@ -157,7 +159,7 @@ const SEQ_COLLISION_FLIPS: [(usize, u8); 6] = [
 ];
 
 fn committed_fixture() -> Vec<u8> {
-    std::fs::read(fixture_path("snapshot_v9.bin")).expect("committed fixture")
+    std::fs::read(fixture_path("snapshot_v10.bin")).expect("committed fixture")
 }
 
 #[test]

@@ -37,7 +37,8 @@ pub mod wire;
 
 pub use accuracy::{accuracy_sweep, prediction_accuracy, predictor_accuracy, AccuracyResult};
 pub use packing::{
-    packing_experiment, policy_sweep, PackingResult, PolicyConfig, VIOLATION_SAMPLE_EVERY,
+    backed_memory, packing_experiment, policy_sweep, PackingResult, PolicyConfig,
+    VIOLATION_SAMPLE_EVERY,
 };
 pub use prediction::{Model, NaiveReference, Oracle, Predictor, PARALLEL_BATCH};
 pub use probe::{

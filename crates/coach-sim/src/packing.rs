@@ -175,8 +175,9 @@ fn packing_experiment_threads(
     // the delta each event causes rather than re-summed per event.
     let mut peak_servers = 0usize;
     let mut in_use_total = 0usize;
-    // vm index -> (hosting server, guaranteed memory GB, per-window VA GB).
-    let mut placement: HashMap<usize, (ServerId, f64, Vec<f64>)> = HashMap::new();
+    // vm index -> (hosting server, guaranteed memory and per-window VA
+    // memory in grid units).
+    let mut placement: HashMap<usize, (ServerId, u32, Vec<u32>)> = HashMap::new();
 
     // Probe demands depend only on (policy, percentile, windows, rotation):
     // one template per rotation.
@@ -208,9 +209,10 @@ fn packing_experiment_threads(
                     config.policy,
                     prediction.as_ref(),
                 );
-                let pa_mem = demand.guaranteed.memory_gb();
-                let va_mem: Vec<f64> = (0..demand.window_count())
-                    .map(|w| demand.va_demand(w).memory())
+                let memory = ResourceKind::Memory;
+                let pa_mem = demand.guaranteed[memory];
+                let va_mem: Vec<u32> = (0..demand.window_count())
+                    .map(|w| demand.va_units(w)[memory])
                     .collect();
                 match sched.place(&demand) {
                     PlacementOutcome::Placed(server) => {
@@ -309,6 +311,18 @@ fn packing_experiment_threads(
     }
 }
 
+/// The memory a server backs at a sample: its admitted VMs' guaranteed
+/// memory (Formula 3) plus the multiplexed oversubscribed pool, the largest
+/// per-window sum of their VA memory (Formula 4), capped at physical
+/// capacity. Both pools are exact sums of memory grid units, so they do not
+/// depend on the order VMs arrived and left in; the total is read as GB
+/// once, here. The batch sweep and the online accountant both compare with
+/// it.
+pub fn backed_memory(guaranteed: u64, va_sums: &[u64], capacity: &ResourceVec) -> f64 {
+    let pool = va_sums.iter().copied().max().unwrap_or(0);
+    Units::memory_sum_gb(guaranteed + pool).min(capacity.memory())
+}
+
 /// One server's violation statistics: `(samples, cpu_violations,
 /// mem_violations)` over 2-hour samples of the trace horizon.
 ///
@@ -317,7 +331,7 @@ fn packing_experiment_threads(
 /// (per-window VA) memory sums with it.
 fn server_violation_stats(
     trace: &Trace,
-    placement: &HashMap<usize, (ServerId, f64, Vec<f64>)>,
+    placement: &HashMap<usize, (ServerId, u32, Vec<u32>)>,
     capacity: ResourceVec,
     vm_idxs: &[usize],
     sample_every: SimDuration,
@@ -330,8 +344,8 @@ fn server_violation_stats(
     let mut mem_violations = 0u64;
     let mut next_arrival = 0usize;
     let mut active: Vec<usize> = Vec::new();
-    let mut pa_sum = 0.0f64;
-    let mut va_sums: Vec<f64> = Vec::new();
+    let mut pa_sum = 0u64;
+    let mut va_sums: Vec<u64> = Vec::new();
 
     let mut t = Timestamp::ZERO;
     while t < trace.horizon {
@@ -342,12 +356,12 @@ fn server_violation_stats(
             next_arrival += 1;
             if trace.vms[i].departure > t {
                 let (_, pa, va) = &placement[&i];
-                pa_sum += pa;
+                pa_sum += u64::from(*pa);
                 if va_sums.len() < va.len() {
-                    va_sums.resize(va.len(), 0.0);
+                    va_sums.resize(va.len(), 0);
                 }
-                for (w, v) in va.iter().enumerate() {
-                    va_sums[w] += v;
+                for (sum, &v) in va_sums.iter_mut().zip(va) {
+                    *sum += u64::from(v);
                 }
                 active.push(i);
             }
@@ -355,9 +369,9 @@ fn server_violation_stats(
         active.retain(|&i| {
             if trace.vms[i].departure <= t {
                 let (_, pa, va) = &placement[&i];
-                pa_sum -= pa;
-                for (w, v) in va.iter().enumerate() {
-                    va_sums[w] -= v;
+                pa_sum -= u64::from(*pa);
+                for (sum, &v) in va_sums.iter_mut().zip(va) {
+                    *sum -= u64::from(v);
                 }
                 false
             } else {
@@ -374,13 +388,9 @@ fn server_violation_stats(
             if used.cpu() > 0.5 * capacity.cpu() {
                 cpu_violations += 1;
             }
-            // Memory contention: the working set exceeds the *backed*
-            // memory — guaranteed (Formula 3) plus the multiplexed pool
-            // (Formula 4) — capped at physical capacity. max(0) clamps
-            // floating-point dust from the incremental sums.
-            let pool = va_sums.iter().copied().fold(0.0, f64::max);
-            let backed = (pa_sum.max(0.0) + pool).min(capacity.memory());
-            if used.memory() > backed + 1e-9 {
+            // Memory contention: the working set exceeds the backed
+            // memory.
+            if used.memory() > backed_memory(pa_sum, &va_sums, &capacity) {
                 mem_violations += 1;
             }
         }

@@ -617,15 +617,30 @@ const GB_PER_CORE: [(f64, u32); 4] = [(2.0, 20), (4.0, 60), (8.0, 12), (16.0, 8)
 fn sample_config(rng: &mut SmallRng) -> VmConfig {
     let cores = *weighted_choice(rng, &CORES);
     let gb_per_core = *weighted_choice(rng, &GB_PER_CORE);
-    // 0.25 Gbps and 16 GB of local SSD per core: network is plentiful but
-    // can bind once CPU+memory are oversubscribed (Fig 5); SSD almost never
-    // binds (<1% of the time in the paper) and strands the most (Fig 4).
+    catalog_size(cores, gb_per_core)
+}
+
+/// One catalog size. 0.25 Gbps and 16 GB of local SSD per core: network is
+/// plentiful but can bind once CPU+memory are oversubscribed (Fig 5); SSD
+/// almost never binds (<1% of the time in the paper) and strands the most
+/// (Fig 4).
+fn catalog_size(cores: u32, gb_per_core: f64) -> VmConfig {
     VmConfig::new(
         cores,
         f64::from(cores) * gb_per_core,
         f64::from(cores) * 0.25,
         f64::from(cores) * 16.0,
     )
+}
+
+/// Every size the generator draws, each once: the catalog's seven core
+/// counts × four GB-per-core ratios.
+pub fn catalog_sizes() -> impl Iterator<Item = VmConfig> {
+    CORES.iter().flat_map(|&(cores, _)| {
+        GB_PER_CORE
+            .iter()
+            .map(move |&(gb_per_core, _)| catalog_size(cores, gb_per_core))
+    })
 }
 
 /// Lifetime draw. Calibration targets (§2.1, Fig 2): ~28 % of VMs last

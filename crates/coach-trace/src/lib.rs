@@ -33,7 +33,7 @@ pub mod profile;
 pub mod stream;
 pub mod wire;
 
-pub use gen::{generate, TraceConfig};
+pub use gen::{catalog_sizes, generate, TraceConfig};
 pub use model::{Cluster, Trace, VmRecord};
 pub use profile::{
     BehaviorTemplate, PatternKind, ResourceProfile, SamplerShape, SamplerVm, UtilSampler, VmProfile,

@@ -109,8 +109,15 @@ impl Units {
     /// The memory slot in GB: `to_resources().memory()` alone.
     #[inline]
     pub fn memory_gb(&self) -> f64 {
-        let i = ResourceKind::Memory.index();
-        f64::from(self.0[i]) / f64::from(UNITS_PER[i])
+        Units::memory_sum_gb(u64::from(self[ResourceKind::Memory]))
+    }
+
+    /// A sum of memory grid units in GB: the nearest `f64` to the exact
+    /// quotient, for every sum below 2^53 units. The Formula 3/4 pools are
+    /// summed in units and read as GB once, here.
+    #[inline]
+    pub fn memory_sum_gb(units: u64) -> f64 {
+        units as f64 / f64::from(UNITS_PER[ResourceKind::Memory.index()])
     }
 
     /// Elementwise `self ≤ bound`, exactly.

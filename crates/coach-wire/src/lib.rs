@@ -43,7 +43,7 @@ pub const MAGIC: [u8; 4] = *b"CWIR";
 
 /// The current wire schema version. Bump on any layout change; decoding a
 /// frame with a different version fails with [`WireError::Version`].
-pub const VERSION: u16 = 9;
+pub const VERSION: u16 = 10;
 
 /// A structured decode failure. Decoding untrusted bytes returns one of
 /// these; it never panics.

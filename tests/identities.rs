@@ -4,17 +4,19 @@
 //! decides, a controller snapshotted and restored mid-stream decides what
 //! an uninterrupted one does, two shards decide what one does, the probe
 //! estimator counts what the reference fill places, and a scheduler's
-//! state is a function of what it hosts, not of the order it was placed
-//! and emptied in. Each case runs in well under two seconds in a debug
-//! build.
+//! state and the violation accountant's pools are a function of what is
+//! hosted, not of the order it was placed and emptied in. Each case runs
+//! in well under two seconds in a debug build.
 
 use coach::sched::{ClusterScheduler, PlacementOutcome, Policy, VmDemand};
-use coach::serve::{Controller, Request, RequestSource, Response, ShardedController};
+use coach::serve::{
+    Controller, Request, RequestSource, Response, ShardedController, ViolationAccountant,
+};
 use coach::sim::{
     estimate_probe_capacity, measure_probe_capacity, packing_experiment, paper_probe_times,
     probe_templates, Oracle, PackingResult, PolicyConfig, Predictor,
 };
-use coach::trace::{generate, StreamingTrace, Trace, TraceConfig, DEFAULT_CHUNK_BUDGET};
+use coach::trace::{generate, StreamingTrace, Trace, TraceConfig, VmRecord, DEFAULT_CHUNK_BUDGET};
 use coach::types::prelude::*;
 
 /// Two thousand VMs over three clusters for a week.
@@ -277,4 +279,74 @@ fn a_resident_set_reads_the_same_rows_whatever_order_built_it() {
     for (a, b) in forward.servers().iter().zip(reversed.servers()) {
         assert_eq!(a.dump(), b.dump());
     }
+}
+
+/// One resident set on the violation accountant, reached two ways: every
+/// VM of a cluster placed at t = 0 over four servers, in arrival order and
+/// in reverse with the third of them that leave at 3 h placed first. After
+/// the 4 h sample has retired those, each server's Formula 3/4 pools are
+/// the residents' sums, equal to those of an accountant that only ever saw
+/// the residents; and the two orders count the same samples and
+/// violations to the horizon. Pools kept as `f64` running sums would
+/// differ in their last bits between the orders.
+#[test]
+fn an_accountant_reads_the_same_pools_whatever_order_built_it() {
+    let trace = trace();
+    let oracle = Oracle::new(TimeWindows::paper_default());
+    let cluster = &trace.clusters[0];
+    let servers = &cluster.servers[..4];
+    let capacity = cluster.hardware.capacity;
+    let placed: Vec<(VmRecord, VmDemand, ServerId)> = trace
+        .vms
+        .iter()
+        .filter(|vm| vm.cluster == cluster.id)
+        .enumerate()
+        .map(|(i, vm)| {
+            let prediction = oracle.predict(vm, Percentile::P95);
+            let demand =
+                VmDemand::from_prediction(vm.id, vm.demand(), Policy::Coach, prediction.as_ref());
+            let mut rec = vm.clone();
+            rec.arrival = Timestamp::ZERO;
+            rec.departure = trace.horizon;
+            (rec, demand, servers[i % servers.len()])
+        })
+        .collect();
+    let leaves = |i: usize| i.is_multiple_of(3);
+    let (leave, retired) = (Timestamp::from_hours(3), Timestamp::from_hours(5));
+    let every = SimDuration::from_hours(2);
+
+    let run = |order: Vec<usize>| {
+        let mut acc = ViolationAccountant::new(every, trace.horizon);
+        for &i in &order {
+            let (rec, demand, server) = &placed[i];
+            acc.on_placed(*server, capacity, rec, demand);
+        }
+        acc.advance(leave);
+        for &i in order.iter().filter(|&&i| leaves(i)) {
+            let (rec, _, server) = &placed[i];
+            acc.on_early_departure(*server, rec.id, leave);
+        }
+        acc.advance(retired);
+        acc
+    };
+    let n = placed.len();
+    assert!(n > 300);
+    let mut forward = run((0..n).collect());
+    let leavers = (0..n).rev().filter(|&i| leaves(i));
+    let stayers = (0..n).rev().filter(|&i| !leaves(i));
+    let mut reversed = run(leavers.chain(stayers.clone()).collect());
+    let residents = run(stayers.collect());
+
+    for &server in servers {
+        let pools = forward.memory_pools(server);
+        assert!(pools.is_some());
+        assert_eq!(pools, reversed.memory_pools(server), "{server:?}");
+        assert_eq!(pools, residents.memory_pools(server), "{server:?}");
+    }
+    assert_eq!(forward.totals(), reversed.totals());
+    forward.finish();
+    reversed.finish();
+    let (samples, cpu, mem) = forward.totals();
+    assert!(samples > 0 && cpu > 0 && mem > 0, "{samples} {cpu} {mem}");
+    assert_eq!(forward.totals(), reversed.totals());
 }
